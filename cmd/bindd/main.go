@@ -98,7 +98,6 @@ func main() {
 		snapEvery = flag.Int("snapshot-every", 1024, "checkpoint the zone set after this many journaled records (0 disables snapshots)")
 	)
 	flag.Var(&zones, "zone", "zone origin to be authoritative for (repeatable)")
-	mux := flag.Bool("mux", true, "dial multiplexed connections (tagged frames, many in-flight calls per socket); disable to speak the legacy serialized framing to pre-mux peers")
 	pushOn := flag.Bool("push", false, "enable the push plane: clients may Subscribe and every dynamic update fans out NOTIFY invalidations")
 	pushMax := flag.Int("push-max", 0, "bound the subscriber table (0 = default 4096); overflow subscribers are refused and poll")
 	ixfrWindow := flag.Int("ixfr-window", 0, "retain this many recent zone mutations for incremental (IXFR) transfer; 0 disables (every transfer full)")
@@ -119,7 +118,6 @@ func main() {
 
 	model := simtime.Default()
 	net := transport.NewNetwork(model)
-	net.SetMux(*mux)
 
 	// Crash safety: open the durable store (recovering any prior state)
 	// before any zone exists, so recovered contents overlay the declared

@@ -40,7 +40,6 @@ func main() {
 	)
 	flag.Var(&principals, "principal", "principal=secret to admit (repeatable)")
 	flag.Var(&peers, "peer", "replication peer address (repeatable)")
-	mux := flag.Bool("mux", true, "dial multiplexed connections (tagged frames, many in-flight calls per socket); disable to speak the legacy serialized framing to pre-mux peers")
 	flag.Parse()
 
 	if *metrAddr != "" {
@@ -54,7 +53,6 @@ func main() {
 
 	model := simtime.Default()
 	net := transport.NewNetwork(model)
-	net.SetMux(*mux)
 
 	auth := clearinghouse.NewAuthenticator(model, *open)
 	for _, p := range principals {

@@ -47,7 +47,6 @@ func main() {
 
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	hnsAddr := fs.String("hns", "127.0.0.1:5310", "hnsd address")
-	mux := fs.Bool("mux", true, "dial multiplexed connections (tagged frames, many in-flight calls per socket); disable to speak the legacy serialized framing to pre-mux peers")
 	var worlds worldFlags
 	fs.Var(&worlds, "world", "discipline=context mail-routing mapping (repeatable)")
 
@@ -65,7 +64,6 @@ func main() {
 	rest := fs.Args()
 
 	net := transport.NewNetwork(simtime.Default())
-	net.SetMux(*mux)
 	rpc := hrpc.NewClient(net)
 	defer rpc.Close()
 	finder := core.NewRemoteHNS(rpc,

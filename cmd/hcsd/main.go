@@ -46,12 +46,10 @@ func main() {
 		filesAddr   = flag.String("files-addr", "127.0.0.1:0", "filing service listen address")
 		mailAddr    = flag.String("mail-addr", "127.0.0.1:0", "mailbox service listen address")
 	)
-	mux := flag.Bool("mux", true, "dial multiplexed connections (tagged frames, many in-flight calls per socket); disable to speak the legacy serialized framing to pre-mux peers")
 	flag.Parse()
 
 	model := simtime.Default()
 	net := transport.NewNetwork(model)
-	net.SetMux(*mux)
 	rpc := hrpc.NewClient(net)
 	defer rpc.Close()
 	chB := hrpc.SuiteCourierNet.Bind(*chAddr, *chAddr, clearinghouse.Program, clearinghouse.Version)

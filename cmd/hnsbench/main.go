@@ -10,7 +10,7 @@
 //	hnsbench -figure 2.1          # the query-processing trace
 //	hnsbench -prose findnsm       # one prose measurement:
 //	                              #   findnsm nsmcall underlying baselines
-//	                              #   preload breakeven marshalling nsmsize scale ...
+//	                              #   preload breakeven marshalling nsmsize scale push ...
 //
 // Absolute numbers come from the calibrated cost model
 // (internal/simtime.Model); the point of the harness is that the *shape* —
@@ -36,7 +36,7 @@ func main() {
 	var (
 		table      = flag.String("table", "", `table to regenerate ("3.1" or "3.2")`)
 		figure     = flag.String("figure", "", `figure to regenerate ("2.1")`)
-		prose      = flag.String("prose", "", "prose measurement (findnsm nsmcall underlying baselines preload breakeven marshalling nsmsize scaling consistency hitratios broadcast throughput availability replycache muxthroughput scale batch durable shard)")
+		prose      = flag.String("prose", "", "prose measurement (findnsm nsmcall underlying baselines preload breakeven marshalling nsmsize scaling consistency hitratios broadcast throughput availability replycache muxthroughput scale batch durable shard push)")
 		all        = flag.Bool("all", false, "run everything")
 		check      = flag.Bool("check", false, "regression gate: verify every Table 3.1 cell within ±20% of the paper and exit nonzero otherwise")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the selected runs to `file` (inspect with go tool pprof)")

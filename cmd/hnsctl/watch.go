@@ -60,7 +60,7 @@ func cmdWatch(e *env, args []string) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for !sub.Active() {
 		if sub.Degraded() {
-			return fmt.Errorf("%s has no push plane (old server, legacy framing, or a full subscriber table); start bindd with -push", *meta)
+			return fmt.Errorf("%s has no push plane (not started with -push, or its subscriber table is full); start bindd with -push", *meta)
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("no subscription to %s after 5s (server down?)", *meta)

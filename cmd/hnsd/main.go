@@ -58,8 +58,7 @@ func main() {
 		staleFor   = flag.Duration("serve-stale", 0, "serve expired meta-cache entries up to this long past expiry when every meta-BIND replica is down (0 disables)")
 		refrAhead  = flag.Float64("refresh-ahead", 0, "refresh meta-cache entries asynchronously once their remaining TTL falls to this fraction of the original (0 disables; try 0.2)")
 		bindTTL    = flag.Duration("binding-cache", 0, "memoize fully resolved FindNSM bindings for this long (0 disables; layered above the meta-cache)")
-		mux        = flag.Bool("mux", true, "dial multiplexed connections (tagged frames, many in-flight calls per socket); disable to speak the legacy serialized framing to pre-mux peers")
-		subscribe  = flag.Bool("subscribe", false, "subscribe to the meta-BIND's push plane: updates invalidate the meta-cache immediately instead of waiting out TTLs (degrades to polling against old peers)")
+		subscribe  = flag.Bool("subscribe", false, "subscribe to the meta-BIND's push plane: updates invalidate the meta-cache immediately instead of waiting out TTLs (degrades to polling when the server refuses the subscription)")
 		connIdle   = flag.Duration("conn-idle", 0, "close pooled HRPC connections idle for this long (0 keeps them until shutdown)")
 		metaShards = flag.String("meta-shards", "", "sharded meta-store as id=addr,... ; replaces -meta/-meta-replica with owner-routed shard access")
 		linkBind   stringList
@@ -82,7 +81,6 @@ func main() {
 
 	model := simtime.Default()
 	net := transport.NewNetwork(model)
-	net.SetMux(*mux)
 	rpc := hrpc.NewClient(net)
 	rpc.Pool.IdleTimeout = *connIdle
 	defer rpc.Close()

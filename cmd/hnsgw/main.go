@@ -56,7 +56,6 @@ func main() {
 		retryAft = flag.Duration("retry-after", 0, "backoff hint carried in Overloaded replies (0 means the default)")
 		propDL   = flag.Bool("propagate-deadline", false, "forward callers' remaining budgets to the backend (requires a budget-aware backend)")
 		metrAddr = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
-		mux      = flag.Bool("mux", true, "dial multiplexed upstream connections; disable for pre-mux backends")
 		connIdle = flag.Duration("conn-idle", 0, "close pooled upstream connections idle for this long (0 keeps them)")
 	)
 	flag.Var(&backends, "backend", "backend HNS FindNSM address (TCP); repeat for a round-robin pool with failover")
@@ -76,7 +75,6 @@ func main() {
 
 	model := simtime.Default()
 	net := transport.NewNetwork(model)
-	net.SetMux(*mux)
 	up := hrpc.NewClient(net)
 	up.Pool.IdleTimeout = *connIdle
 	defer up.Close()

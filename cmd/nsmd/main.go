@@ -47,7 +47,6 @@ func main() {
 		staleFor    = flag.Duration("serve-stale", 0, "serve expired cache entries up to this long past expiry when the underlying name service is down (0 disables)")
 		metrAddr    = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
 	)
-	mux := flag.Bool("mux", true, "dial multiplexed connections (tagged frames, many in-flight calls per socket); disable to speak the legacy serialized framing to pre-mux peers")
 	flag.Parse()
 	if *nsmType == "" || *ns == "" {
 		log.Fatal("nsmd: -type and -ns are required")
@@ -67,7 +66,6 @@ func main() {
 
 	model := simtime.Default()
 	net := transport.NewNetwork(model)
-	net.SetMux(*mux)
 	rpc := hrpc.NewClient(net)
 	defer rpc.Close()
 

@@ -126,11 +126,7 @@ func decodeBatchResults(ret marshal.Value, qs []Question) ([]BatchResult, int, e
 // returned slice matches qs positionally; each slot carries its own
 // records or error (partial failure does not poison the batch), and the
 // call-level error is reserved for transport/availability failures.
-//
-// Against an old server without the batch procedure, the first call
-// learns so from the procedure-unavailable fault, falls back to
-// single-name lookups, and remembers the answer — later batches skip the
-// probe and fan out directly.
+// The whole batch is one frame out, one frame in.
 func (c *HRPCClient) LookupBatch(ctx context.Context, qs []Question) ([]BatchResult, error) {
 	if len(qs) == 0 {
 		return nil, nil
@@ -138,23 +134,6 @@ func (c *HRPCClient) LookupBatch(ctx context.Context, qs []Question) ([]BatchRes
 	if len(qs) > MaxBatchNames {
 		return nil, fmt.Errorf("bind: batch of %d exceeds limit %d", len(qs), MaxBatchNames)
 	}
-	if !c.noBatch.Load() {
-		res, err := c.lookupBatchWire(ctx, qs)
-		if err == nil {
-			return res, nil
-		}
-		if !hrpc.ProcUnavailable(err) {
-			return nil, err
-		}
-		// Old peer: no batch procedure on that program. Negotiate down.
-		c.noBatch.Store(true)
-		c.obs.batchFallbacks.Inc()
-	}
-	return c.lookupBatchSingles(ctx, qs)
-}
-
-// lookupBatchWire is the batched wire path: one frame out, one frame in.
-func (c *HRPCClient) lookupBatchWire(ctx context.Context, qs []Question) ([]BatchResult, error) {
 	model := c.c.Network().Model()
 	// One generated-stub request marshal for the whole batch — this is
 	// the amortization the batch exists for.
@@ -178,22 +157,6 @@ func (c *HRPCClient) lookupBatchWire(ctx context.Context, qs []Question) ([]Batc
 		c.obs.count(r.Err)
 	}
 	return res, nil
-}
-
-// lookupBatchSingles is the negotiation fallback: the same contract as
-// LookupBatch, served by per-name single calls against an old server.
-func (c *HRPCClient) lookupBatchSingles(ctx context.Context, qs []Question) ([]BatchResult, error) {
-	out := make([]BatchResult, len(qs))
-	for i, q := range qs {
-		rrs, err := c.Lookup(ctx, q.Name, q.Type)
-		if err != nil && !isNotFound(err) {
-			// Transport-level trouble fails the batch, matching the wire
-			// path, where a lost frame loses every slot.
-			return nil, err
-		}
-		out[i] = BatchResult{RRs: rrs, Err: err}
-	}
-	return out, nil
 }
 
 // ---- Client-side auto-batching.

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"hns/internal/hrpc"
 	"hns/internal/marshal"
 	"hns/internal/metrics"
 	"hns/internal/simtime"
@@ -90,57 +89,6 @@ func TestLookupBatchLimits(t *testing.T) {
 	}
 	if _, err := c.LookupBatch(context.Background(), big); err == nil {
 		t.Fatal("oversized batch accepted")
-	}
-}
-
-// TestLookupBatchFallsBackToOldServer is the negotiation test: against
-// a server without the batch procedure, LookupBatch answers via
-// single-name calls, latches the downgrade, and never re-probes.
-func TestLookupBatchFallsBackToOldServer(t *testing.T) {
-	env := newTestEnv(t)
-	// An "old" peer: same program and version, query procedure only —
-	// the interface as it was before this extension.
-	old := hrpc.NewServer("bind-old", HRPCProgram, HRPCVersion)
-	old.Register(procQuery, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
-		name, err := args.Items[0].AsString()
-		if err != nil {
-			return marshal.Value{}, err
-		}
-		qt, err := args.Items[1].AsU32()
-		if err != nil {
-			return marshal.Value{}, err
-		}
-		rcode, rrs := env.server.Query(ctx, name, RRType(qt))
-		return marshal.StructV(marshal.U32(uint32(rcode)), rrsToList(rrs)), nil
-	})
-	ln, b, err := hrpc.Serve(env.net, old, hrpc.SuiteRaw, "old", "old:bind-hrpc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	c := NewHRPCClient(env.client, b)
-	qs := []Question{
-		{"fiji.cs.washington.edu", TypeA},
-		{"ghost.cs.washington.edu", TypeA},
-	}
-	res, err := c.LookupBatch(context.Background(), qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Err != nil || len(res[0].RRs) != 1 {
-		t.Fatalf("slot 0 via fallback = %+v", res[0])
-	}
-	var nf *NotFoundError
-	if !errors.As(res[1].Err, &nf) {
-		t.Fatalf("slot 1 via fallback = %v, want NotFound", res[1].Err)
-	}
-	if !c.noBatch.Load() {
-		t.Fatal("downgrade not latched after procedure-unavailable fault")
-	}
-	// Second batch goes straight to singles; it must still work.
-	if _, err := c.LookupBatch(context.Background(), qs); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -90,7 +90,6 @@ type clientObs struct {
 	transfers          *metrics.Counter // bind_client_transfers_total{iface}
 	batches            *metrics.Counter // bind_client_batches_total{iface}
 	batchNames         *metrics.Counter // bind_client_batch_names_total{iface}
-	batchFallbacks     *metrics.Counter // bind_client_batch_fallback_total{iface}
 }
 
 func newClientObs(iface string) clientObs {
@@ -109,8 +108,6 @@ func newClientObs(iface string) clientObs {
 		batches: r.Counter(metrics.Labels("bind_client_batches_total",
 			"iface", iface)),
 		batchNames: r.Counter(metrics.Labels("bind_client_batch_names_total",
-			"iface", iface)),
-		batchFallbacks: r.Counter(metrics.Labels("bind_client_batch_fallback_total",
 			"iface", iface)),
 	}
 }
@@ -296,15 +293,6 @@ type HRPCClient struct {
 	c   *hrpc.Client
 	b   hrpc.Binding
 	obs clientObs
-
-	// noBatch latches once the server reports the batch procedure
-	// unavailable: later LookupBatch calls fan out as singles without
-	// re-probing (see batch.go).
-	noBatch atomic.Bool
-	// noIxfr latches likewise for the incremental-transfer procedure:
-	// against an old server every refresh goes straight to the full
-	// Transfer (see subscribe.go).
-	noIxfr atomic.Bool
 }
 
 // NewHRPCClient creates a client for the BIND HRPC interface bound at b.

@@ -38,9 +38,9 @@ import (
 )
 
 // ErrSubscribeUnsupported is the fault a Subscribe call raises when the
-// carrying connection cannot receive pushes (legacy framing, datagram
-// transport) or the server has no push plane enabled. Clients latch it
-// and fall back to TTL polling.
+// carrying connection cannot receive pushes (a datagram transport) or
+// the server has no push plane enabled. Clients latch it and fall back
+// to TTL polling.
 var ErrSubscribeUnsupported = errors.New("bind: subscribe unsupported on this connection")
 
 // encodeDiffs renders an incremental transfer payload: one journal 'U'
@@ -150,9 +150,7 @@ func (s *Server) publishUpdate(zone, name string, serial uint32) {
 	t.Publish(push.Notification{Zone: zone, Name: name, Serial: serial})
 }
 
-// The incremental-transfer and subscription procedures. Old servers
-// reject both with "procedure unavailable", which new clients latch
-// (hrpc.ProcUnavailable) to fall back to full transfers and polling.
+// The incremental-transfer and subscription procedures.
 var (
 	procIxfr = hrpc.Procedure{
 		Name: "BINDIxfr", ID: 6,

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hns/internal/hrpc"
-	"hns/internal/marshal"
 	"hns/internal/metrics"
 	"hns/internal/push"
 	"hns/internal/simtime"
@@ -269,42 +268,6 @@ func TestTransferDeltaFallsBackPastWindow(t *testing.T) {
 	}
 }
 
-// TestTransferDeltaOldServerLatches exercises interop with a pre-IXFR
-// peer: the first call gets "procedure unavailable" and latches, later
-// calls skip the wire entirely.
-func TestTransferDeltaOldServerLatches(t *testing.T) {
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
-	// An "old" server: the same program/version, but only the original
-	// four procedures registered.
-	hs := hrpc.NewServer("bind-hrpc@old", HRPCProgram, HRPCVersion)
-	hs.Register(procSerial, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
-		return marshal.StructV(marshal.U32(uint32(RCodeOK)), marshal.U32(7)), nil
-	})
-	ln, b, err := hrpc.Serve(net, hs, hrpc.SuiteRaw, "old", "old:bind-hrpc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	hc := hrpc.NewClient(net)
-	defer hc.Close()
-	client := NewHRPCClient(hc, b)
-
-	ctx := context.Background()
-	_, _, ok, err := client.TransferDelta(ctx, "repl.test", 1)
-	if err != nil || ok {
-		t.Fatalf("old server TransferDelta = ok=%v err=%v; want graceful fallback", ok, err)
-	}
-	if !client.noIxfr.Load() {
-		t.Fatal("noIxfr did not latch after procedure-unavailable")
-	}
-	// Latch means no wire traffic: works even with the listener closed.
-	ln.Close()
-	if _, _, ok, err := client.TransferDelta(ctx, "repl.test", 1); err != nil || ok {
-		t.Fatalf("latched TransferDelta = ok=%v err=%v", ok, err)
-	}
-}
-
 // ---- Subscription end to end.
 
 // notifyRecorder collects notifications thread-safely.
@@ -498,23 +461,6 @@ func TestSubscribeDegradesWithoutPushPlane(t *testing.T) {
 	if sub.Active() {
 		t.Fatal("degraded subscriber claims active")
 	}
-}
-
-// TestSubscribeDegradesOnSerialFraming: with mux framing off (old
-// transport stack), the connection has no push channel; the subscriber
-// must fall back to polling, not error-loop.
-func TestSubscribeDegradesOnSerialFraming(t *testing.T) {
-	s, client, net := newPushPrimary(t, 64)
-	_ = s
-	net.SetMux(false)
-	sub := NewSubscriber(client, SubscribeConfig{
-		Zone:    "repl.test",
-		Backoff: 5 * time.Millisecond,
-		Metrics: metrics.Discard,
-	})
-	sub.Start()
-	defer sub.Close()
-	waitFor(t, "degraded latch", sub.Degraded)
 }
 
 // TestTableOverflowDegradesSubscriber: a full subscriber table refuses

@@ -15,9 +15,9 @@ package bind
 // the diff window cannot cover the gap, OnReset fires instead — the
 // consumer must treat everything it cached as suspect.
 //
-// Degradation is automatic and latched: an old server (no Subscribe
-// procedure), a push-incapable connection (legacy serialized framing),
-// or a full subscriber table all mark the Subscriber degraded, after
+// Degradation is automatic and latched: a server without a push plane,
+// a connection that cannot carry pushes (a datagram transport), or a
+// full subscriber table all mark the Subscriber degraded, after
 // which it stays silent and the consumer's TTL polling — which push
 // never replaces, only quiets — carries on exactly as before.
 
@@ -36,25 +36,16 @@ import (
 )
 
 // TransferDelta asks the server for the zone's changes since serial
-// since. ok=false means the incremental path is unusable — old server
-// (latched), window exceeded, or unknown zone — and the caller should
-// fall back to a full Transfer. An up-to-date caller gets (serial,
-// nil, true).
+// since. ok=false means the diff window no longer reaches back to
+// since and the caller should fall back to a full Transfer. An
+// up-to-date caller gets (serial, nil, true).
 func (c *HRPCClient) TransferDelta(ctx context.Context, zone string, since uint32) (uint32, []DiffRec, bool, error) {
-	if c.noIxfr.Load() {
-		return 0, nil, false, nil
-	}
 	model := c.c.Network().Model()
 	simtime.Charge(ctx, model.GenMarshalRequest)
 	ret, err := c.c.Call(ctx, c.b, procIxfr, marshal.StructV(
 		marshal.Str(zone), marshal.U32(since),
 	))
 	if err != nil {
-		if hrpc.ProcUnavailable(err) {
-			// Old server: remember and stop probing.
-			c.noIxfr.Store(true)
-			return 0, nil, false, nil
-		}
 		return 0, nil, false, err
 	}
 	rcode, _ := ret.Items[0].AsU32()
@@ -182,7 +173,7 @@ func (s *Subscriber) Active() bool {
 }
 
 // Degraded reports whether the subscriber has permanently fallen back
-// to TTL polling (old peer, legacy framing, or table overflow).
+// to TTL polling (subscription refused or table overflow).
 func (s *Subscriber) Degraded() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -144,10 +144,7 @@ func FindAll(ctx context.Context, f Finder, qs []NameQuery) ([]FindResult, error
 	return out, nil
 }
 
-// FindNSMBatch resolves a batch over the wire in one call. Against an
-// old server without the batch procedure it downgrades to per-name
-// FindNSM calls and latches the downgrade, so only the first batch pays
-// the probe.
+// FindNSMBatch resolves a batch over the wire in one call.
 func (r *RemoteHNS) FindNSMBatch(ctx context.Context, qs []NameQuery) ([]FindResult, error) {
 	if len(qs) == 0 {
 		return nil, nil
@@ -155,25 +152,6 @@ func (r *RemoteHNS) FindNSMBatch(ctx context.Context, qs []NameQuery) ([]FindRes
 	if len(qs) > MaxFindBatch {
 		return nil, fmt.Errorf("hns: batch of %d exceeds limit %d", len(qs), MaxFindBatch)
 	}
-	if !r.noBatch.Load() {
-		res, err := r.findBatchWire(ctx, qs)
-		if err == nil {
-			return res, nil
-		}
-		if !hrpc.ProcUnavailable(err) {
-			return nil, err
-		}
-		r.noBatch.Store(true)
-	}
-	out := make([]FindResult, len(qs))
-	for i, q := range qs {
-		b, err := r.FindNSM(ctx, q.Name, q.QueryClass)
-		out[i] = FindResult{Binding: b, Err: err}
-	}
-	return out, nil
-}
-
-func (r *RemoteHNS) findBatchWire(ctx context.Context, qs []NameQuery) ([]FindResult, error) {
 	items := make([]marshal.Value, 0, len(qs))
 	for _, q := range qs {
 		items = append(items, marshal.StructV(

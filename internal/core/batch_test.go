@@ -7,7 +7,6 @@ import (
 
 	"hns/internal/core"
 	"hns/internal/hrpc"
-	"hns/internal/marshal"
 	"hns/internal/names"
 	"hns/internal/qclass"
 	"hns/internal/simtime"
@@ -73,60 +72,6 @@ func TestRemoteFindNSMBatch(t *testing.T) {
 	var rf *hrpc.RemoteFault
 	if !errors.As(res[1].Err, &rf) {
 		t.Fatalf("slot 1 err = %v, want RemoteFault", res[1].Err)
-	}
-}
-
-// TestRemoteFindNSMBatchOldServer is the negotiation test: an HNS
-// server without the batch procedure still serves batches via per-name
-// FindNSM fallback, and the downgrade is latched after one probe.
-func TestRemoteFindNSMBatchOldServer(t *testing.T) {
-	w := newWorld(t, world.Config{})
-	// An old peer: the HNS program exactly as it shipped before this
-	// extension — FindNSM only.
-	old := hrpc.NewServer("hns-old@june", core.HNSProgram, core.HNSVersion)
-	bindingT := marshal.TStruct(
-		marshal.TString, marshal.TString, marshal.TString, marshal.TString,
-		marshal.TString, marshal.TUint32, marshal.TUint32,
-	)
-	old.Register(hrpc.Procedure{
-		Name: "FindNSM", ID: 1,
-		Args: marshal.TStruct(marshal.TString, marshal.TString, marshal.TString),
-		Ret:  marshal.TStruct(bindingT),
-	}, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
-		cx, _ := args.Items[0].AsString()
-		individual, _ := args.Items[1].AsString()
-		qc, _ := args.Items[2].AsString()
-		n, err := names.New(cx, individual)
-		if err != nil {
-			return marshal.Value{}, err
-		}
-		b, err := w.HNS.FindNSM(ctx, n, qc)
-		if err != nil {
-			return marshal.Value{}, err
-		}
-		return marshal.StructV(qclass.BindingValue(b)), nil
-	})
-	ln, hb, err := hrpc.Serve(w.Net, old, hrpc.SuiteRaw, "june", "june:hns-old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	remote := core.NewRemoteHNS(w.RPC, hb)
-	ctx := context.Background()
-	res, err := remote.FindNSMBatch(ctx, batchQueries())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Err != nil || res[0].Binding.Host != world.HostNSM {
-		t.Fatalf("slot 0 via fallback = %+v", res[0])
-	}
-	if res[1].Err == nil {
-		t.Fatal("ghost context resolved via fallback")
-	}
-	// A second batch must work too (now going straight to singles).
-	if _, err := remote.FindNSMBatch(ctx, batchQueries()); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
@@ -95,10 +94,6 @@ func ServeHNS(net *transport.Network, h *HNS, host, addr string) (transport.List
 type RemoteHNS struct {
 	c *hrpc.Client
 	b hrpc.Binding
-
-	// noBatch latches once the server reports FindNSMBatch unavailable:
-	// later batches fan out as single calls without re-probing.
-	noBatch atomic.Bool
 }
 
 // NewRemoteHNS creates a Finder for the HNS served at b.

@@ -5,8 +5,8 @@ package core
 // would break every implementation (notably shard.Client) — so push is
 // discovered by optional interface assertion: a meta client that can
 // subscribe exposes Subscribe, and SubscribeMeta wires its
-// notifications into cache invalidation. Clients that cannot (sharded,
-// old servers, legacy transports) simply keep TTL polling.
+// notifications into cache invalidation. Clients that cannot (sharded)
+// simply keep TTL polling.
 
 import (
 	"hns/internal/bind"

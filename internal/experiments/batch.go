@@ -150,7 +150,6 @@ type batchEnv struct {
 
 func newBatchEnv(handle time.Duration, admit *admission.Config) (*batchEnv, error) {
 	n := transport.NewNetwork(simtime.Default())
-	n.SetMux(true)
 	srv := core.NewFinderServer(&batchBackend{handle: handle}, "batchbench")
 	srv.Metrics = metrics.NewRegistry()
 	bln, bb, err := hrpc.Serve(n, srv, hrpc.SuiteRaw, "bench", "bench:hns")

@@ -14,8 +14,9 @@ import (
 
 // MuxThroughputSpec parameterizes the multiplexing throughput
 // experiment: two identical HRPC echo deployments over real TCP, one
-// dialed with the legacy one-call-at-a-time framing, one with tagged
-// multiplexed frames and a small connection pool. The handler sleeps
+// whose client holds its connection for the whole round trip (the
+// one-call-at-a-time reference), one that multiplexes calls over a
+// small connection pool. The handler sleeps
 // Handle of real time per call (standing in for server work the kernel
 // can overlap — sleeps overlap even on one core, so the result is
 // meaningful in a single-CPU container) and charges SimCost of
@@ -39,13 +40,13 @@ func DefaultMuxThroughputSpec() MuxThroughputSpec {
 }
 
 // MuxThroughputPoint is one concurrency level: ops/sec through a
-// single pooled endpoint with serialized vs multiplexed framing, plus
+// single pooled endpoint with serialized vs multiplexed calls, plus
 // each arm's warm per-call simulated cost (equal by construction —
 // multiplexing changes scheduling, never the cost model).
 type MuxThroughputPoint struct {
 	Goroutines    int
-	SerialOps     float64 // ops/sec, legacy framing, one connection
-	MuxOps        float64 // ops/sec, tagged frames, pooled connections
+	SerialOps     float64 // ops/sec, one outstanding call, one connection
+	MuxOps        float64 // ops/sec, concurrent calls, pooled connections
 	Speedup       float64 // MuxOps / SerialOps
 	SimWarmSerial time.Duration
 	SimWarmMux    time.Duration
@@ -67,12 +68,34 @@ type muxArm struct {
 	stop   func()
 }
 
+// serialTransport is the reference arm's transport: the real one, with
+// every connection held for the whole round trip — one outstanding call
+// per connection, the discipline multiplexing removes.
+type serialTransport struct{ transport.Transport }
+
+func (t serialTransport) Name() string { return t.Transport.Name() + "-serial" }
+
+func (t serialTransport) Dial(ctx context.Context, addr string) (transport.Conn, error) {
+	c, err := t.Transport.Dial(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &serialConn{Conn: c}, nil
+}
+
+type serialConn struct {
+	transport.Conn
+	mu sync.Mutex
+}
+
+func (c *serialConn) Call(ctx context.Context, req []byte) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Conn.Call(ctx, req)
+}
+
 func newMuxArm(spec MuxThroughputSpec, muxed bool) (*muxArm, error) {
-	// Each arm gets its own network so the mux setting cannot leak: the
-	// serialized arm speaks the legacy framing end to end (the listener
-	// detects it per connection), the muxed arm tagged frames.
 	n := transport.NewNetwork(simtime.Default())
-	n.SetMux(muxed)
 	s := hrpc.NewServer("muxbench", 7100, 1)
 	s.Register(muxBenchProc, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		if spec.Handle > 0 {
@@ -89,6 +112,15 @@ func newMuxArm(spec MuxThroughputSpec, muxed bool) (*muxArm, error) {
 	c.Metrics = metrics.NewRegistry() // keep bench metrics out of the process registry
 	if muxed {
 		c.Pool = hrpc.PoolConfig{MaxConns: 2, MaxStreams: 32}
+	} else {
+		tr, err := n.Transport(b.Transport)
+		if err != nil {
+			ln.Close()
+			return nil, err
+		}
+		st := serialTransport{tr}
+		n.Register(st)
+		b.Transport = st.Name()
 	}
 	return &muxArm{
 		client: c,

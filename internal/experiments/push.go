@@ -12,8 +12,8 @@ import (
 
 	"hns/internal/bind"
 	"hns/internal/hrpc"
-	"hns/internal/push"
 	"hns/internal/metrics"
+	"hns/internal/push"
 	"hns/internal/simtime"
 	"hns/internal/transport"
 )
@@ -174,7 +174,6 @@ type pushBenchEnv struct {
 // for maxSubs.
 func newPushBenchEnv(spec PushSpec, records int, ttlSec uint32, pushOn bool, maxSubs int) (*pushBenchEnv, error) {
 	net := transport.NewNetwork(simtime.Default())
-	net.SetMux(true)
 	srv := bind.NewServer("pushbench", simtime.Default())
 	z, err := bind.NewZone("hns", true)
 	if err != nil {

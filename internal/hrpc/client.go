@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -318,15 +317,6 @@ func (e *CallTimeout) Unwrap() error { return e.LastErr }
 
 // Is matches the ErrCallTimeout sentinel.
 func (e *CallTimeout) Is(target error) bool { return target == ErrCallTimeout }
-
-// ProcUnavailable reports whether err is the remote fault a server
-// raises for a procedure it does not implement — the negotiation signal
-// a new client uses to detect an old peer and fall back to the
-// procedures both sides share.
-func ProcUnavailable(err error) bool {
-	var rf *RemoteFault
-	return errors.As(err, &rf) && strings.Contains(rf.Msg, "unavailable on program")
-}
 
 // Unavailable reports whether err means the backend could not be
 // reached: the call timed out, no replica was live, or the transport

@@ -21,10 +21,9 @@ import (
 //
 // The budget rides a small frame prefix rather than a control-protocol
 // header field: the sunrpc/courier/raw layouts are fixed, byte-pinned
-// formats old peers parse, so — exactly like the PR 5 "HMUX" preamble —
-// the extension is negotiated by prefix sniffing. A client opted in via
-// Client.PropagateDeadline prepends "HDLN" + u32 budget-ms to each
-// attempt's frame (re-encoded per attempt, so a retry after a charged
+// formats old peers parse, so the extension is negotiated by prefix
+// sniffing. A client opted in via Client.PropagateDeadline prepends
+// "HDLN" + u32 budget-ms to each attempt's frame (re-encoded per attempt, so a retry after a charged
 // backoff carries the *remaining* budget); a server strips the prefix
 // when present. Nothing is sent for callers without deadlines, and the
 // flag defaults to off, so pre-extension peers and every calibrated

@@ -2,19 +2,15 @@ package hrpc
 
 // Per-endpoint connection pool.
 //
-// The client used to cache exactly one connection per transport+address
-// key, forever: the map never evicted, and with the serialized legacy
-// transports that single socket carried one call at a time. Multiplexed
-// transports (internal/transport mux.go) change the economics — one
-// connection carries many concurrent streams — so the cache becomes a
-// small pool: up to MaxConns connections per endpoint, each carrying up
-// to MaxStreams in-flight calls, with idle connections closed after
-// IdleTimeout (or explicitly via Client.CloseIdle).
+// Connections are multiplexed (internal/transport mux.go) — one carries
+// many concurrent streams — so the client keeps a small pool per
+// endpoint: up to MaxConns connections, each carrying up to MaxStreams
+// in-flight calls, with idle connections closed after IdleTimeout (or
+// explicitly via Client.CloseIdle).
 //
-// The zero-value PoolConfig reproduces the legacy discipline exactly —
-// one connection per endpoint, kept until Close — so every calibrated
-// simulated cost (one dial per endpoint per client, ever) is unchanged
-// unless a caller opts into a bigger pool.
+// The zero-value PoolConfig is one connection per endpoint, kept until
+// Close, so every calibrated simulated cost (one dial per endpoint per
+// client, ever) holds unless a caller opts into a bigger pool.
 
 import (
 	"context"
@@ -31,8 +27,7 @@ type PoolConfig struct {
 	// MaxConns caps how many connections may be open to one endpoint.
 	// With multiplexed transports one connection usually suffices;
 	// additional ones help once MaxStreams bounds the calls a single
-	// connection may carry. Non-positive means 1 — the legacy single
-	// cached connection.
+	// connection may carry. Non-positive means 1.
 	MaxConns int
 
 	// MaxStreams caps concurrent in-flight calls per connection. When

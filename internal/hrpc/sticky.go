@@ -51,19 +51,20 @@ func (c *Client) DialSticky(ctx context.Context, b Binding) (*StickyConn, error)
 }
 
 // SetPushHandler installs fn as the connection's push handler,
-// reporting whether the connection can receive pushes at all (false on
-// legacy serialized framing — the caller falls back to polling).
+// reporting whether the connection can receive pushes at all (false
+// for a transport without a push channel — the caller falls back to
+// polling).
 func (s *StickyConn) SetPushHandler(fn func(body []byte, err error)) bool {
 	pr, ok := s.conn.(transport.PushReceiver)
-	if !ok {
-		return false
+	if ok {
+		pr.SetPushHandler(fn)
 	}
-	return pr.SetPushHandler(fn)
+	return ok
 }
 
 // Call invokes p once over this connection — single attempt, no
 // failover. Remote procedure errors surface as *RemoteFault, exactly
-// like Client.Call, so ProcUnavailable works for old-peer detection.
+// like Client.Call.
 func (s *StickyConn) Call(ctx context.Context, p Procedure, args marshal.Value) (marshal.Value, error) {
 	model := s.c.net.Model()
 	simtime.Charge(ctx, s.ctl.Overhead(model))

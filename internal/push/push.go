@@ -8,9 +8,8 @@
 // dynamic update, and the cache re-fetches only what the notification
 // names. Everything degrades to the old TTL polling: the table is
 // bounded (an overflowing subscriber is refused and falls back to
-// polling), a dead connection drops its subscriptions (the client
-// resubscribes with its last-seen serial and catches up via IXFR), and
-// old peers never subscribe at all.
+// polling) and a dead connection drops its subscriptions (the client
+// resubscribes with its last-seen serial and catches up via IXFR).
 package push
 
 import (

@@ -2,21 +2,21 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"time"
-
-	"hns/internal/bufpool"
 )
 
-// Wire framing shared by the real TCP and UDP transports.
+// Wire bodies shared by the real TCP and UDP transports.
 //
 // Request body:  the payload, verbatim.
 // Reply body:    [8-byte simulated cost, ns][1-byte status][payload],
 //                where status 0 = success (payload is the reply) and
 //                status 1 = handler error (payload is the error text).
-// Over TCP each body is preceded by a 4-byte big-endian length; over UDP
-// each body is one datagram.
+// Over TCP each body is preceded by a 4-byte stream tag and a 4-byte
+// big-endian length; over UDP each body is one datagram behind its tag
+// (see mux.go for the tagged framing).
 
 const (
 	statusOK  = 0
@@ -29,7 +29,12 @@ const (
 	maxFrame = 1 << 20
 )
 
-// encodeReply builds a reply body from a handler outcome.
+// errFrameLimit is the handler-error text a caller receives when the
+// reply to its request does not fit a frame.
+var errFrameLimit = errors.New("transport: reply exceeds frame limit")
+
+// encodeReply builds a reply body from a handler outcome. It is the
+// reference the pooled appendReply is tested against.
 func encodeReply(cost time.Duration, payload []byte, handlerErr error) []byte {
 	var body []byte
 	if handlerErr != nil {
@@ -79,55 +84,9 @@ func appendReply(buf []byte, cost time.Duration, payload []byte, handlerErr erro
 	return append(buf, payload...)
 }
 
-// encodeReplyFramed builds a complete TCP reply frame — 4-byte length
-// prefix and body — in one pooled buffer, so the reply goes out in a
-// single Write with a single copy. Release the buffer with bufpool.Put
-// after writing. Byte-for-byte this is writeFrame(encodeReply(...)).
-func encodeReplyFramed(cost time.Duration, payload []byte, handlerErr error) ([]byte, error) {
-	n := 9 + len(payload)
-	if handlerErr != nil {
-		n = 9 + len(handlerErr.Error())
-	}
-	if n > maxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
-	}
-	buf := bufpool.Get(4 + n)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-	return appendReply(buf, cost, payload, handlerErr), nil
-}
-
-// frameRequest builds a complete TCP request frame (length prefix + req)
-// in one pooled buffer. Release with bufpool.Put after writing.
-func frameRequest(req []byte) ([]byte, error) {
-	if len(req) > maxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", len(req))
-	}
-	buf := bufpool.Get(4 + len(req))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(req)))
-	return append(buf, req...), nil
-}
-
-// readFramePooled reads one length-prefixed body into a pooled buffer.
-// The caller owns the result and releases it with bufpool.Put once the
-// bytes are no longer referenced.
-func readFramePooled(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
-	}
-	body := bufpool.Get(int(n))[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		bufpool.Put(body)
-		return nil, err
-	}
-	return body, nil
-}
-
-// writeFrame writes a length-prefixed body to a stream.
+// writeFrame writes a length-prefixed body to a stream. With readFrame it
+// is the reference the tagged frame codec is tested against: a tagged
+// frame is the tag followed by exactly these bytes.
 func writeFrame(w io.Writer, body []byte) error {
 	if len(body) > maxFrame {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(body))

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -9,14 +10,19 @@ import (
 	"hns/internal/bufpool"
 )
 
-// The pooled encode path must be byte-identical to the pre-pool
-// implementation (encodeReply + writeFrame), which stays in the tree as
-// the reference codec. These tests pin that equivalence for both reply
-// statuses and arbitrary payloads.
+// The pooled tagged-frame codec must be byte-identical to the reference
+// codec (encodeReply + writeFrame behind the stream tag), which stays in
+// the tree for exactly this comparison. These tests pin that equivalence
+// for both reply statuses and arbitrary payloads.
 
-func referenceFramed(cost time.Duration, payload []byte, herr error) ([]byte, error) {
+const refTag = 0xDEADBEEF
+
+// referenceFrame is a tagged frame built the slow way: the tag, then the
+// length-prefixed body.
+func referenceFrame(tag uint32, body []byte) ([]byte, error) {
 	var w bytes.Buffer
-	if err := writeFrame(&w, encodeReply(cost, payload, herr)); err != nil {
+	w.Write(binary.BigEndian.AppendUint32(nil, tag))
+	if err := writeFrame(&w, body); err != nil {
 		return nil, err
 	}
 	return w.Bytes(), nil
@@ -40,11 +46,11 @@ func TestEncodeReplyFramedMatchesReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := referenceFramed(tc.cost, tc.payload, tc.herr)
+			want, err := referenceFrame(refTag, encodeReply(tc.cost, tc.payload, tc.herr))
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-			got, err := encodeReplyFramed(tc.cost, tc.payload, tc.herr)
+			got, err := encodeMuxReplyFramed(refTag, tc.cost, tc.payload, tc.herr)
 			if err != nil {
 				t.Fatalf("pooled: %v", err)
 			}
@@ -78,66 +84,76 @@ func TestAppendReplyMatchesEncodeReply(t *testing.T) {
 
 func TestFrameRequestMatchesReference(t *testing.T) {
 	for _, req := range [][]byte{nil, {}, []byte("q"), bytes.Repeat([]byte{7}, 30000)} {
-		var w bytes.Buffer
-		if err := writeFrame(&w, req); err != nil {
-			t.Fatal(err)
-		}
-		got, err := frameRequest(req)
+		want, err := referenceFrame(refTag, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, w.Bytes()) {
-			t.Fatalf("frameRequest(len=%d) differs from writeFrame", len(req))
+		got, err := frameMuxRequest(refTag, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frameMuxRequest(len=%d) differs from the reference frame", len(req))
 		}
 		bufpool.Put(got)
 	}
 }
 
+// TestFrameRequestOversize pins the limit's edge: a body of exactly
+// maxFrame bytes frames, one more byte does not — and for a reply the
+// 9-byte envelope counts against the limit.
 func TestFrameRequestOversize(t *testing.T) {
-	if _, err := frameRequest(make([]byte, maxFrame+1)); err == nil {
+	out, err := frameMuxRequest(1, make([]byte, maxFrame))
+	if err != nil {
+		t.Fatalf("request of exactly maxFrame bytes refused: %v", err)
+	}
+	bufpool.Put(out)
+	if _, err := frameMuxRequest(1, make([]byte, maxFrame+1)); err == nil {
 		t.Fatal("oversize request did not error")
 	}
-	if _, err := encodeReplyFramed(0, make([]byte, maxFrame+1), nil); err == nil {
+	out, err = encodeMuxReplyFramed(1, 0, make([]byte, maxFrame-9), nil)
+	if err != nil {
+		t.Fatalf("reply filling maxFrame exactly refused: %v", err)
+	}
+	bufpool.Put(out)
+	if _, err := encodeMuxReplyFramed(1, 0, make([]byte, maxFrame-8), nil); err == nil {
 		t.Fatal("oversize reply did not error")
 	}
 }
 
 func TestReadFramePooledMatchesReadFrame(t *testing.T) {
-	payload := bytes.Repeat([]byte("meta"), 257)
-	var w bytes.Buffer
-	if err := writeFrame(&w, payload); err != nil {
-		t.Fatal(err)
-	}
-	stream := w.Bytes()
-
-	ref, err := readFrame(bytes.NewReader(stream))
+	stream, err := referenceFrame(refTag, bytes.Repeat([]byte("meta"), 257))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFramePooled(bytes.NewReader(stream))
+	ref, err := readFrame(bytes.NewReader(stream[4:]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, ref) {
-		t.Fatal("pooled read differs from reference read")
+	tag, got, err := readMuxFramePooled(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tag != refTag || !bytes.Equal(got, ref) {
+		t.Fatalf("pooled read (tag %x) differs from reference read", tag)
 	}
 	bufpool.Put(got)
 }
 
-// FuzzFramedEquivalence feeds arbitrary costs/payloads/error texts through
-// both encode paths and requires identical frames, then round-trips the
-// frame through the pooled reader and decodeReply.
+// FuzzFramedEquivalence feeds arbitrary tags/costs/payloads/error texts
+// through both encode paths and requires identical frames, then
+// round-trips the frame through the pooled reader and decodeReply.
 func FuzzFramedEquivalence(f *testing.F) {
-	f.Add(uint64(0), []byte(nil), "")
-	f.Add(uint64(27000000), []byte("fiji.cs.washington.edu"), "")
-	f.Add(uint64(1), []byte{0xff, 0x00}, "no such context")
-	f.Fuzz(func(t *testing.T, cost uint64, payload []byte, errText string) {
+	f.Add(uint32(1), uint64(0), []byte(nil), "")
+	f.Add(uint32(7), uint64(27000000), []byte("fiji.cs.washington.edu"), "")
+	f.Add(uint32(0), uint64(1), []byte{0xff, 0x00}, "no such context")
+	f.Fuzz(func(t *testing.T, tag uint32, cost uint64, payload []byte, errText string) {
 		var herr error
 		if errText != "" {
 			herr = errors.New(errText)
 		}
-		want, werr := referenceFramed(time.Duration(cost), payload, herr)
-		got, gerr := encodeReplyFramed(time.Duration(cost), payload, herr)
+		want, werr := referenceFrame(tag, encodeReply(time.Duration(cost), payload, herr))
+		got, gerr := encodeMuxReplyFramed(tag, time.Duration(cost), payload, herr)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("error divergence: reference %v, pooled %v", werr, gerr)
 		}
@@ -147,9 +163,12 @@ func FuzzFramedEquivalence(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("frames differ\n got %x\nwant %x", got, want)
 		}
-		body, err := readFramePooled(bytes.NewReader(got))
+		gotTag, body, err := readMuxFramePooled(bytes.NewReader(got))
 		if err != nil {
-			t.Fatalf("readFramePooled: %v", err)
+			t.Fatalf("readMuxFramePooled: %v", err)
+		}
+		if gotTag != tag {
+			t.Fatalf("tag round trip: got %x, want %x", gotTag, tag)
 		}
 		gotCost, gotPayload, derr := decodeReply(body)
 		if herr != nil {
@@ -170,21 +189,9 @@ func FuzzFramedEquivalence(f *testing.F) {
 	})
 }
 
-// The alloc-gate benchmarks: a warm frame encode and decode must not
-// allocate (scripts/bench_alloc.sh enforces ≤1 alloc/op against these).
-
-func BenchmarkEncodeReplyFramed(b *testing.B) {
-	payload := bytes.Repeat([]byte("record"), 40)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := encodeReplyFramed(27*time.Millisecond, payload, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bufpool.Put(out)
-	}
-}
+// The alloc-gate benchmark: a warm reply decode must not allocate
+// (scripts/bench_alloc.sh enforces ≤1 alloc/op; the tagged encode
+// benchmarks live in mux_test.go).
 
 func BenchmarkDecodeReplyWarm(b *testing.B) {
 	body := encodeReply(27*time.Millisecond, bytes.Repeat([]byte("record"), 40), nil)
@@ -194,18 +201,5 @@ func BenchmarkDecodeReplyWarm(b *testing.B) {
 		if _, _, err := decodeReply(body); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkFrameRequest(b *testing.B) {
-	req := bytes.Repeat([]byte("q"), 128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := frameRequest(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bufpool.Put(out)
 	}
 }

@@ -2,34 +2,23 @@ package transport
 
 // Multiplexed connections: many in-flight calls per socket.
 //
-// The 1987 discipline carried one outstanding call per connection — the
-// client held its mutex across the whole network round trip and the
-// server handled one frame at a time, so every concurrent miss to the
-// same backend queued behind whichever call happened to hold the
-// socket. Multiplexing ends that head-of-line blocking: each call is
-// tagged with a per-connection stream ID, the writer lock is held only
-// for the Write, a single reader goroutine demultiplexes replies by tag
-// into per-call channels, and the server dispatches each tagged request
-// to its own goroutine (serializing only the response writes).
+// Each call is tagged with a per-connection stream ID, the writer lock
+// is held only for the Write, a single reader goroutine demultiplexes
+// replies by tag into per-call channels, and the server dispatches each
+// tagged request to its own goroutine (serializing only the response
+// writes), so a slow call never blocks the others sharing its socket.
 //
-// Negotiation: a mux-enabled client opens a TCP connection by writing
-// the 4-byte preamble "HMUX" before its first frame. The value decodes
-// as a length prefix of 0x484D5558 — far above maxFrame — so a legacy
-// server rejects the connection instead of misparsing it, and a
-// mux-aware listener tells the two framings apart from the first four
-// bytes alone: preamble → tagged frames, anything else → the untagged
-// legacy framing, served exactly as before. Old clients therefore keep
-// working against new servers unchanged; new clients talking to old
-// servers disable multiplexing with Network.SetMux (the daemons expose
-// it as -mux=false). UDP has no byte stream to negotiate on once, so
-// tagged request datagrams carry the same preamble ahead of the tag and
-// the listener detects the framing per datagram, answering in kind —
-// old and new clients coexist on one UDP listener too.
+// This is the only wire dialect. A client opens a TCP connection by
+// writing the 4-byte preamble "HMUX" before its first frame; every UDP
+// request datagram carries the same preamble ahead of its tag. The
+// preamble is the protocol magic: a listener closes a connection, and
+// drops a datagram, that does not open with it. (Read as a length
+// prefix it is 0x484D5558, far above maxFrame, so no length-prefixed
+// stream can spell it by accident.)
 //
-// Cost accounting is untouched: each call charges its own meter the
-// transport round trip plus the cost envelope its reply carries, so
-// every simulated number is bit-identical whether calls share a socket
-// or not.
+// Cost accounting is per call: each charges its own meter the transport
+// round trip plus the cost envelope its reply carries, so simulated
+// numbers do not depend on how many calls share a socket.
 
 import (
 	"context"
@@ -45,8 +34,8 @@ import (
 	"hns/internal/simtime"
 )
 
-// muxPreamble is written once by a mux-enabled client immediately after
-// connecting, before any frame.
+// muxPreamble is written once by a TCP client immediately after
+// connecting, before any frame, and opens every UDP request datagram.
 var muxPreamble = [4]byte{'H', 'M', 'U', 'X'}
 
 // ErrConnBroken is matched (errors.Is) by the error every pending call
@@ -114,7 +103,6 @@ var muxConnIDs atomic.Uint64
 var errSkipFrame = errors.New("transport: unparseable mux frame")
 
 // defaultMuxWait is the reply-wait ceiling for calls without a context
-// deadline, matching the legacy serialized transports' 30 s socket
 // deadline.
 const defaultMuxWait = 30 * time.Second
 
@@ -131,9 +119,9 @@ type muxResult struct {
 // trip); the read function is called only from the single reader
 // goroutine, which demultiplexes replies by tag into per-call channels.
 type muxCore struct {
-	obs   wireObs
-	id    uint64
-	rtt   time.Duration // simulated round trip charged per call
+	obs wireObs
+	id  uint64
+	rtt time.Duration // simulated round trip charged per call
 
 	write   func(tag uint32, req []byte) error // one request frame; wmu held
 	read    func() (uint32, []byte, error)     // one reply frame; reader only
@@ -184,8 +172,8 @@ func (m *muxCore) readLoop() {
 			fn := m.onPush
 			m.mu.Unlock()
 			if fn == nil {
-				// No handler installed (an old client, or nobody
-				// subscribed on this conn): drop like any unclaimed tag.
+				// No handler installed (nobody subscribed on this conn):
+				// drop like any unclaimed tag.
 				m.obs.demux()
 				bufpool.Put(body)
 				continue
@@ -235,7 +223,7 @@ func (m *muxCore) fail(cause error) {
 
 // SetPushHandler implements PushReceiver. A handler installed after the
 // connection already died receives the death notice immediately.
-func (m *muxCore) SetPushHandler(fn func(body []byte, err error)) bool {
+func (m *muxCore) SetPushHandler(fn func(body []byte, err error)) {
 	m.mu.Lock()
 	if m.broken != nil {
 		broken := m.broken
@@ -243,11 +231,10 @@ func (m *muxCore) SetPushHandler(fn func(body []byte, err error)) bool {
 		if fn != nil {
 			fn(nil, broken)
 		}
-		return true
+		return
 	}
 	m.onPush = fn
 	m.mu.Unlock()
-	return true
 }
 
 // forget abandons a pending tag (the call gave up). A late reply for it
@@ -258,9 +245,23 @@ func (m *muxCore) forget(tag uint32) {
 	m.mu.Unlock()
 }
 
+// allocTagLocked issues the next stream tag. The counter wraps after
+// 2^32 calls on a long-lived connection, so it skips the reserved push
+// tag and any tag a slow call is still waiting on. mu must be held.
+func (m *muxCore) allocTagLocked() uint32 {
+	for {
+		m.nextTag++
+		if m.nextTag == pushTag {
+			continue
+		}
+		if _, busy := m.pending[m.nextTag]; !busy {
+			return m.nextTag
+		}
+	}
+}
+
 // Call implements Conn. Many calls may be in flight concurrently; each
-// charges its own meter the round trip plus the reply's cost envelope,
-// exactly like the serialized transports.
+// charges its own meter the round trip plus the reply's cost envelope.
 func (m *muxCore) Call(ctx context.Context, req []byte) ([]byte, error) {
 	m.mu.Lock()
 	if m.closed {
@@ -272,8 +273,7 @@ func (m *muxCore) Call(ctx context.Context, req []byte) ([]byte, error) {
 		m.mu.Unlock()
 		return nil, broken
 	}
-	m.nextTag++
-	tag := m.nextTag
+	tag := m.allocTagLocked()
 	ch := make(chan muxResult, 1)
 	m.pending[tag] = ch
 	m.mu.Unlock()
@@ -335,10 +335,9 @@ func (m *muxCore) Close() error {
 
 // ---- Tagged frame codec (stream transports).
 //
-// A mux frame is the legacy frame with a 4-byte big-endian stream tag
-// ahead of the length prefix: [tag][len][body]. Bodies are byte-for-byte
-// the legacy bodies, so the envelope codec (encodeReply/decodeReply) is
-// shared unchanged.
+// A frame is a 4-byte big-endian stream tag, a 4-byte big-endian length
+// and the body: [tag][len][body]. Bodies are the request payload or the
+// reply envelope of frame.go.
 
 // frameMuxRequest builds a complete tagged request frame in one pooled
 // buffer. Release with bufpool.Put after writing.
@@ -354,8 +353,7 @@ func frameMuxRequest(tag uint32, req []byte) ([]byte, error) {
 
 // encodeMuxReplyFramed builds a complete tagged reply frame — tag,
 // length prefix, and envelope body — in one pooled buffer, so the reply
-// goes out in a single Write with a single copy. Byte-for-byte this is
-// the tag followed by encodeReplyFramed's output.
+// goes out in a single Write with a single copy.
 func encodeMuxReplyFramed(tag uint32, cost time.Duration, payload []byte, handlerErr error) ([]byte, error) {
 	n := 9 + len(payload)
 	if handlerErr != nil {

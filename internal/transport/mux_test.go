@@ -8,7 +8,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,42 +41,6 @@ func TestMuxFrameCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMuxFrameMatchesLegacyFrame pins the interop contract: a mux frame
-// is byte-for-byte the legacy frame with the 4-byte tag prepended, for
-// requests and replies alike, so the envelope codec stays shared.
-func TestMuxFrameMatchesLegacyFrame(t *testing.T) {
-	req := []byte("request-payload")
-	legacy, err := frameRequest(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tagged, err := frameMuxRequest(0xDEADBEEF, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if binary.BigEndian.Uint32(tagged[:4]) != 0xDEADBEEF {
-		t.Fatalf("tag bytes = %x", tagged[:4])
-	}
-	if !bytes.Equal(tagged[4:], legacy) {
-		t.Fatalf("tagged frame body diverges from legacy framing:\n%x\n%x", tagged[4:], legacy)
-	}
-
-	legacyReply, err := encodeReplyFramed(5*time.Millisecond, []byte("reply"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	taggedReply, err := encodeMuxReplyFramed(42, 5*time.Millisecond, []byte("reply"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if binary.BigEndian.Uint32(taggedReply[:4]) != 42 {
-		t.Fatalf("reply tag bytes = %x", taggedReply[:4])
-	}
-	if !bytes.Equal(taggedReply[4:], legacyReply) {
-		t.Fatalf("tagged reply diverges from legacy framing")
-	}
-}
-
 func TestMuxFrameOversize(t *testing.T) {
 	big := make([]byte, maxFrame+1)
 	if _, err := frameMuxRequest(1, big); err == nil {
@@ -84,9 +51,9 @@ func TestMuxFrameOversize(t *testing.T) {
 	}
 }
 
-// TestMuxPreambleUnambiguous pins the negotiation trick: the preamble,
-// read as a legacy length prefix, must exceed maxFrame so no legal
-// legacy client can ever start a connection with those four bytes.
+// TestMuxPreambleUnambiguous pins the choice of magic: read as a length
+// prefix the preamble must exceed maxFrame, so no length-prefixed stream
+// can open with those four bytes by accident.
 func TestMuxPreambleUnambiguous(t *testing.T) {
 	if v := binary.BigEndian.Uint32(muxPreamble[:]); v <= maxFrame {
 		t.Fatalf("preamble %x decodes as legal frame length %d", muxPreamble, v)
@@ -207,18 +174,58 @@ func TestTCPMuxCostCharging(t *testing.T) {
 	}
 	want := model.TCPConnSetup + model.RTTTCP + 3*time.Millisecond
 	if cost != want {
-		t.Fatalf("mux cost = %v, want %v (must match serialized path)", cost, want)
+		t.Fatalf("mux cost = %v, want %v", cost, want)
 	}
 }
 
-// TestTCPMuxOffLegacyFraming covers both halves of the negotiation:
-// with SetMux(false) the client speaks untagged frames and the listener
-// auto-detects and serves the legacy loop.
-func TestTCPMuxOffLegacyFraming(t *testing.T) {
+// TestTCPPlainFramingRejected: a client that skips the preamble and
+// writes a plain length-prefixed frame is not speaking the protocol —
+// the listener closes the connection and the handler never runs.
+func TestTCPPlainFramingRejected(t *testing.T) {
 	n := newTestNetwork()
-	n.SetMux(false)
 	tr, _ := n.Transport("tcp-net")
-	ln, err := tr.Listen("127.0.0.1:0", echoHandler)
+	var handled atomic.Int32
+	ln, err := tr.Listen("127.0.0.1:0", func(ctx context.Context, req []byte) ([]byte, error) {
+		handled.Add(1)
+		return req, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c, err := net.Dial("tcp", ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := writeFrame(c, []byte("untagged")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The server closes without replying: EOF, or a reset because it
+	// closed with our bytes unread.
+	var one [1]byte
+	if n, err := c.Read(one[:]); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read after plain frame = %d bytes, err %v; want the connection closed", n, err)
+	}
+	if got := handled.Load(); got != 0 {
+		t.Fatalf("handler ran %d times for a connection without the preamble", got)
+	}
+}
+
+// TestTCPOversizeReplyIsRemoteError: a reply too large to frame is
+// answered at once with an error on the same tag, not with silence.
+func TestTCPOversizeReplyIsRemoteError(t *testing.T) {
+	n := newTestNetwork()
+	tr, _ := n.Transport("tcp-net")
+	ln, err := tr.Listen("127.0.0.1:0", func(ctx context.Context, req []byte) ([]byte, error) {
+		if string(req) == "big" {
+			return make([]byte, maxFrame), nil // envelope pushes it past the limit
+		}
+		return req, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,17 +235,74 @@ func TestTCPMuxOffLegacyFraming(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, ok := conn.(*tcpConn); !ok {
-		t.Fatalf("with mux off, dial returned %T, want serialized tcpConn", conn)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err = conn.Call(ctx, []byte("big"))
+	var re *RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "exceeds frame limit") {
+		t.Fatalf("oversize reply surfaced as %v, want RemoteError naming the frame limit", err)
 	}
-	for i := 0; i < 3; i++ {
-		got, err := conn.Call(context.Background(), []byte("legacy"))
-		if err != nil {
-			t.Fatal(err)
+	// The connection carries on.
+	if got, err := conn.Call(ctx, []byte("after")); err != nil || string(got) != "after" {
+		t.Fatalf("call after oversize reply = %q, %v", got, err)
+	}
+}
+
+// TestMuxTagWrapSkipsReservedAndPending: when the tag counter wraps on a
+// long-lived connection, allocation must step over the reserved push
+// tag and over tags slow calls still hold.
+func TestMuxTagWrapSkipsReservedAndPending(t *testing.T) {
+	n := newTestNetwork()
+	tr, _ := n.Transport("tcp-net")
+	entered, block := make(chan struct{}), make(chan struct{})
+	ln, err := tr.Listen("127.0.0.1:0", func(ctx context.Context, req []byte) ([]byte, error) {
+		if string(req) == "slow" {
+			close(entered)
+			<-block
 		}
-		if string(got) != "legacy" {
-			t.Fatalf("echo = %q", got)
+		return req, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := tr.Dial(context.Background(), ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	m := conn.(*muxCore)
+
+	slow := make(chan error, 1)
+	go func() { // holds tag 1 across the wrap
+		got, err := conn.Call(context.Background(), []byte("slow"))
+		if err == nil && string(got) != "slow" {
+			err = fmt.Errorf("slow call got %q", got)
 		}
+		slow <- err
+	}()
+	<-entered
+	m.mu.Lock()
+	m.nextTag = ^uint32(0)
+	m.mu.Unlock()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, want := range []string{"first", "second"} {
+		got, err := conn.Call(ctx, []byte(want))
+		if err != nil || string(got) != want {
+			t.Fatalf("call after wrap = %q, %v; want %q", got, err, want)
+		}
+	}
+	m.mu.Lock()
+	next := m.nextTag
+	m.mu.Unlock()
+	if next != 3 {
+		t.Fatalf("after the wrap two calls ended on tag %d, want 3 (0 reserved, 1 pending)", next)
+	}
+	close(block)
+	if err := <-slow; err != nil {
+		t.Fatalf("call pending across the wrap: %v", err)
 	}
 }
 
@@ -558,114 +622,153 @@ func TestUDPMuxCostCharging(t *testing.T) {
 	}
 	want := model.RTTUDP + 2*time.Millisecond
 	if cost != want {
-		t.Fatalf("mux cost = %v, want %v (must match serialized path)", cost, want)
+		t.Fatalf("mux cost = %v, want %v", cost, want)
 	}
 }
 
-// TestUDPMuxMixedFramingOneListener pins the per-datagram detection
-// that keeps mixed deployments working: one default listener serves a
-// multiplexed dialer and a legacy (SetMux(false)) dialer at the same
-// time, answering each in the framing its request arrived in. This is
-// the exact shape of a federation where one daemon runs -mux=false
-// while its peers keep the default.
+// TestUDPMuxMixedFramingOneListener: one listener receiving tagged and
+// untagged datagrams serves the former and drops the latter — a
+// datagram without the preamble, or too short to carry a tag, never
+// reaches the handler and draws no reply.
 func TestUDPMuxMixedFramingOneListener(t *testing.T) {
 	n := newTestNetwork()
 	tr, _ := n.Transport("udp-net")
-	ln, err := tr.Listen("127.0.0.1:0", echoHandler)
+	var handled atomic.Int32
+	ln, err := tr.Listen("127.0.0.1:0", func(ctx context.Context, req []byte) ([]byte, error) {
+		handled.Add(1)
+		return req, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 
-	legacyNet := newTestNetwork()
-	legacyNet.SetMux(false)
-	legacyTr, _ := legacyNet.Transport("udp-net")
-
 	for _, tc := range []struct {
-		name string
-		tr   Transport
+		name     string
+		datagram []byte
 	}{
-		{"mux-dialer", tr},
-		{"legacy-dialer", legacyTr},
+		{"legacy-dialer", []byte("a bare payload, no preamble")},
+		{"short-datagram", []byte("HMUX\x00\x00\x01")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			conn, err := tc.tr.Dial(context.Background(), ln.Addr())
+			c, err := net.Dial("udp", ln.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer conn.Close()
-			for i := 0; i < 3; i++ {
-				want := fmt.Sprintf("%s-%d", tc.name, i)
-				got, err := conn.Call(context.Background(), []byte(want))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(got) != want {
-					t.Fatalf("echo = %q, want %q", got, want)
-				}
+			defer c.Close()
+			if _, err := c.Write(tc.datagram); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SetReadDeadline(time.Now().Add(200 * time.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 64)
+			if n, err := c.Read(buf); !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("dropped datagram drew a reply: %d bytes, err %v", n, err)
+			}
+			if got := handled.Load(); got != 0 {
+				t.Fatalf("handler ran %d times for a datagram outside the protocol", got)
 			}
 		})
+	}
+	// Run last: its calls flush the listener's queue, so a handler call
+	// for an earlier bad datagram could not still be outstanding.
+	t.Run("mux-dialer", func(t *testing.T) {
+		conn, err := tr.Dial(context.Background(), ln.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		for i := 0; i < 3; i++ {
+			want := fmt.Sprintf("tagged-%d", i)
+			got, err := conn.Call(context.Background(), []byte(want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != want {
+				t.Fatalf("echo = %q, want %q", got, want)
+			}
+		}
+		if got := handled.Load(); got != 3 {
+			t.Fatalf("handler ran %d times, want 3 (the tagged calls only)", got)
+		}
+	})
+}
+
+// TestUDPOversizeReplyIsRemoteError: a reply that does not fit a
+// datagram is answered at once with an error on the same tag.
+func TestUDPOversizeReplyIsRemoteError(t *testing.T) {
+	n := newTestNetwork()
+	tr, _ := n.Transport("udp-net")
+	ln, err := tr.Listen("127.0.0.1:0", func(ctx context.Context, req []byte) ([]byte, error) {
+		return make([]byte, maxDatagram), nil // tag + envelope push it past the limit
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := tr.Dial(context.Background(), ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err = conn.Call(ctx, []byte("big"))
+	var re *RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "exceeds datagram limit") {
+		t.Fatalf("oversize reply surfaced as %v, want RemoteError naming the datagram limit", err)
 	}
 }
 
 // ---- Simulated transport mirror.
 
-// TestSimMuxSemantics pins the sim mirror of the wire semantics: a
-// default (muxed) sim conn lets concurrent calls overlap in real time;
-// with mux off the conn serializes them — while simulated charges stay
-// identical in both modes.
+// TestSimMuxSemantics pins the sim mirror of the wire semantics:
+// concurrent calls on one sim conn overlap in real time, and each is
+// charged the same simulated cost as if it had run alone.
 func TestSimMuxSemantics(t *testing.T) {
 	const sleep = 40 * time.Millisecond
-	measure := func(mux bool) (wall time.Duration, sim time.Duration) {
-		n := newTestNetwork()
-		n.SetMux(mux)
-		tr, _ := n.Transport("udp")
-		ln, err := tr.Listen("h:busy", func(ctx context.Context, req []byte) ([]byte, error) {
-			time.Sleep(sleep) // real time: models handler occupancy
-			simtime.Charge(ctx, 5*time.Millisecond)
-			return req, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		conn, err := tr.Dial(context.Background(), "h:busy")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
+	n := newTestNetwork()
+	tr, _ := n.Transport("udp")
+	ln, err := tr.Listen("h:busy", func(ctx context.Context, req []byte) ([]byte, error) {
+		time.Sleep(sleep) // real time: models handler occupancy
+		simtime.Charge(ctx, 5*time.Millisecond)
+		return req, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := tr.Dial(context.Background(), "h:busy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
 
-		meters := make([]*simtime.Meter, 2)
-		start := time.Now()
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				m := simtime.NewMeter()
-				meters[i] = m
-				if _, err := conn.Call(simtime.WithMeter(context.Background(), m), []byte("x")); err != nil {
-					t.Error(err)
-				}
-			}(i)
+	meters := make([]*simtime.Meter, 2)
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m := simtime.NewMeter()
+			meters[i] = m
+			if _, err := conn.Call(simtime.WithMeter(context.Background(), m), []byte("x")); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	wall := time.Since(start)
+	want := n.Model().RTTUDP + 5*time.Millisecond
+	for i, m := range meters {
+		if m.Elapsed() != want {
+			t.Fatalf("call %d charged %v, want %v", i, m.Elapsed(), want)
 		}
-		wg.Wait()
-		if meters[0].Elapsed() != meters[1].Elapsed() {
-			t.Fatalf("per-call sim costs diverge: %v vs %v", meters[0].Elapsed(), meters[1].Elapsed())
-		}
-		return time.Since(start), meters[0].Elapsed()
 	}
-
-	muxWall, muxSim := measure(true)
-	serWall, serSim := measure(false)
-	if muxSim != serSim {
-		t.Fatalf("sim charge differs across modes: mux %v, serialized %v", muxSim, serSim)
-	}
-	if serWall < 2*sleep {
-		t.Fatalf("serialized conn overlapped calls: wall %v < %v", serWall, 2*sleep)
-	}
-	if muxWall >= 2*sleep {
-		t.Fatalf("muxed conn serialized calls: wall %v >= %v", muxWall, 2*sleep)
+	if wall >= 2*sleep {
+		t.Fatalf("sim conn serialized calls: wall %v >= %v", wall, 2*sleep)
 	}
 }
 

@@ -2,40 +2,33 @@ package transport
 
 // Server-initiated frames ("push") on multiplexed connections.
 //
-// Client stream tags start at 1 (muxCore.Call pre-increments), so tag 0
-// is free: it is reserved as the push tag. A server may write tag-0
-// frames onto a multiplexed connection at any time; the client's reader
-// goroutine recognizes the tag and hands the body to the connection's
-// push handler instead of a pending call. Old clients never install a
-// handler and drop tag-0 frames as demux misses; old servers never send
-// them — the channel is invisible until both ends opt in, so every
-// existing exchange is byte-identical.
+// Client stream tags are never 0 (muxCore.allocTagLocked skips it), so
+// tag 0 is reserved as the push tag. A server may write tag-0 frames
+// onto a stream connection at any time; the client's reader goroutine
+// recognizes the tag and hands the body to the connection's push
+// handler instead of a pending call. A client that installed no handler
+// drops tag-0 frames as demux misses.
 //
 // The server half is a Pusher carried in the handler context: a handler
 // that wants to stream (bind's Subscribe) captures it and keeps pushing
 // after the call returns, until Done() says the connection died.
-// Serialized connections and datagram listeners carry no Pusher, so a
-// subscribe-style handler can refuse and let the client fall back to
-// polling — the negotiation is the absence of the capability, not a
-// protocol round.
+// Datagram listeners carry no Pusher, so a subscribe-style handler
+// reached over UDP refuses and the client falls back to polling.
 
 import "context"
 
 // pushTag is the reserved stream tag for server-initiated frames.
-// Client call tags are allocated from 1 upward, so 0 never collides.
 const pushTag = 0
 
 // PushReceiver is implemented by client connections able to receive
-// server-initiated frames (multiplexed stream connections). Obtain it by
-// type-asserting a Conn.
+// server-initiated frames. Obtain it by type-asserting a Conn.
 type PushReceiver interface {
-	// SetPushHandler installs fn as the connection's push handler and
-	// reports whether the connection can receive pushes at all (a
-	// serialized connection cannot). fn owns body. When the connection
-	// dies, fn is called once with a nil body and the fatal error, so a
-	// subscriber knows to redial and resubscribe. fn runs on the
-	// connection's reader goroutine and must not block.
-	SetPushHandler(fn func(body []byte, err error)) bool
+	// SetPushHandler installs fn as the connection's push handler. fn
+	// owns body. When the connection dies, fn is called once with a nil
+	// body and the fatal error, so a subscriber knows to redial and
+	// resubscribe. fn runs on the connection's reader goroutine and must
+	// not block.
+	SetPushHandler(fn func(body []byte, err error))
 }
 
 // Pusher is the server half of the push channel: the handler-context
@@ -57,7 +50,7 @@ type Pusher interface {
 type pusherCtxKey struct{}
 
 // WithPusher returns a context carrying the connection's push
-// capability. Installed by mux-serving transports on handler contexts.
+// capability. Installed by stream-serving transports on handler contexts.
 func WithPusher(ctx context.Context, p Pusher) context.Context {
 	return context.WithValue(ctx, pusherCtxKey{}, p)
 }

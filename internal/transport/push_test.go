@@ -64,13 +64,11 @@ func TestPushDelivery(t *testing.T) {
 				t.Fatalf("%s mux conn does not implement PushReceiver", name)
 			}
 			got := make(chan []byte, 4)
-			if !pr.SetPushHandler(func(body []byte, err error) {
+			pr.SetPushHandler(func(body []byte, err error) {
 				if err == nil {
 					got <- body
 				}
-			}) {
-				t.Fatal("SetPushHandler reported push unsupported on a mux conn")
-			}
+			})
 
 			resp, err := conn.Call(ctx, []byte("push:hello"))
 			if err != nil {
@@ -198,52 +196,6 @@ func TestPushSimConnDeath(t *testing.T) {
 	}
 	if deaths != 1 {
 		t.Fatalf("death notices = %d, want 1", deaths)
-	}
-}
-
-// TestPushSerialConnRefuses asserts the legacy paths carry no push
-// capability: a serialized client conn reports push unsupported, and a
-// handler reached over it sees no Pusher in its context.
-func TestPushSerialConnRefuses(t *testing.T) {
-	net := NewNetwork(simtime.Default())
-	net.SetMux(false)
-	for _, tc := range []struct{ name, addr string }{
-		{"tcp-net", "127.0.0.1:0"},
-		{"tcp", "sim-push-serial"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tr, err := net.Transport(tc.name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sawPusher := make(chan bool, 1)
-			ln, err := tr.Listen(tc.addr, func(ctx context.Context, req []byte) ([]byte, error) {
-				_, ok := PusherFrom(ctx)
-				sawPusher <- ok
-				return []byte("ok"), nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			ctx := simtime.WithMeter(context.Background(), simtime.NewMeter())
-			conn, err := tr.Dial(ctx, ln.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			if pr, ok := conn.(PushReceiver); ok {
-				if pr.SetPushHandler(func([]byte, error) {}) {
-					t.Fatal("serialized conn claims push support")
-				}
-			}
-			if _, err := conn.Call(ctx, []byte("hi")); err != nil {
-				t.Fatal(err)
-			}
-			if <-sawPusher {
-				t.Fatal("serialized handler ctx carries a Pusher")
-			}
-		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hns/internal/simtime"
@@ -25,25 +24,14 @@ type simTransport struct {
 	name  string
 	costs func(*simtime.Model) (rttNanos, setupNanos int64)
 	obs   wireObs
-	mux   atomic.Bool
 }
 
 func newSimTransport(n *Network, name string, costs func(*simtime.Model) (int64, int64)) *simTransport {
-	t := &simTransport{net: n, name: name, costs: costs, obs: newWireObs(name)}
-	t.mux.Store(true)
-	return t
+	return &simTransport{net: n, name: name, costs: costs, obs: newWireObs(name)}
 }
 
 // Name implements Transport.
 func (t *simTransport) Name() string { return t.name }
-
-// setMux implements muxConfigurable. A muxed simulated conn admits
-// concurrent calls (handlers overlap in real time); a serialized one
-// holds the connection for the whole round trip, mirroring the legacy
-// socket discipline. Simulated charges are identical either way — each
-// call bills its own meter the round trip plus the handler's metered
-// cost — so the paper tables cannot tell the modes apart.
-func (t *simTransport) setMux(enabled bool) { t.mux.Store(enabled) }
 
 func (t *simTransport) key(addr string) string { return t.name + "!" + addr }
 
@@ -75,7 +63,7 @@ func (t *simTransport) Dial(ctx context.Context, addr string) (Conn, error) {
 	_, setup := t.costs(t.net.model)
 	simtime.Charge(ctx, time.Duration(setup))
 	return &simConn{
-		t: t, addr: addr, ep: ep, serial: !t.mux.Load(),
+		t: t, addr: addr, ep: ep,
 		peer: fmt.Sprintf("sim!%d", simPeerSeq.Add(1)),
 		id:   muxConnIDs.Add(1),
 		done: make(chan struct{}),
@@ -108,38 +96,30 @@ func (l *simListener) Close() error {
 }
 
 type simConn struct {
-	t      *simTransport
-	addr   string
-	ep     *simEndpoint
-	serial bool   // captured at Dial: hold the conn for the whole round trip
-	peer   string // synthetic caller identity handed to the handler
-	id     uint64 // process-unique identity, mirroring muxCore
-	done   chan struct{}
+	t    *simTransport
+	addr string
+	ep   *simEndpoint
+	peer string // synthetic caller identity handed to the handler
+	id   uint64 // process-unique identity, mirroring muxCore
+	done chan struct{}
 
 	mu     sync.Mutex
 	closed bool
 	onPush func(body []byte, err error)
-
-	callMu sync.Mutex // serializes round trips when serial is set
 }
 
-// SetPushHandler implements PushReceiver. Only multiplexed simulated
-// connections carry the push channel, mirroring the socket transports.
-func (c *simConn) SetPushHandler(fn func(body []byte, err error)) bool {
-	if c.serial {
-		return false
-	}
+// SetPushHandler implements PushReceiver.
+func (c *simConn) SetPushHandler(fn func(body []byte, err error)) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		if fn != nil {
 			fn(nil, &ConnBrokenError{ConnID: c.id, Cause: ErrClosed})
 		}
-		return true
+		return
 	}
 	c.onPush = fn
 	c.mu.Unlock()
-	return true
 }
 
 // simPusher delivers server-initiated frames to the dialing simConn's
@@ -177,17 +157,9 @@ func (p *simPusher) Done() <-chan struct{} { return p.c.done }
 // Call implements Conn. The server handler runs on the caller's goroutine —
 // delivery is synchronous, like a blocked RPC — with a fresh meter whose
 // total is charged back to the caller, mirroring the cost envelope the real
-// transports carry on the wire.
-//
-// Concurrency mirrors the socket transports: by default calls overlap
-// (multiplexed streams), while a conn dialed with mux disabled holds
-// callMu across the handler — one outstanding call, the 1987 discipline.
-// The simulated charges are identical in both modes.
+// transports carry on the wire. Concurrent calls overlap, as on the
+// socket transports.
 func (c *simConn) Call(ctx context.Context, req []byte) ([]byte, error) {
-	if c.serial {
-		c.callMu.Lock()
-		defer c.callMu.Unlock()
-	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -209,12 +181,7 @@ func (c *simConn) Call(ctx context.Context, req []byte) ([]byte, error) {
 	c.t.obs.tx(len(req))
 
 	serverMeter := simtime.NewMeter()
-	hctx := WithPeer(simtime.WithMeter(context.Background(), serverMeter), c.peer)
-	if !c.serial {
-		// Multiplexed connections carry the push capability, exactly
-		// like serveConnMux on the socket transports.
-		hctx = WithPusher(hctx, &simPusher{c})
-	}
+	hctx := WithPusher(WithPeer(simtime.WithMeter(context.Background(), serverMeter), c.peer), &simPusher{c})
 	resp, err := c.ep.handler(hctx, req)
 	simtime.Charge(ctx, serverMeter.Elapsed())
 	if err != nil {

@@ -1,15 +1,11 @@
 package transport
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"hns/internal/bufpool"
 	"hns/internal/simtime"
@@ -23,20 +19,14 @@ import (
 type tcpTransport struct {
 	model *simtime.Model
 	obs   wireObs
-	mux   atomic.Bool // dial multiplexed conns (see mux.go); listeners auto-detect
 }
 
 func newTCPTransport(model *simtime.Model) *tcpTransport {
-	t := &tcpTransport{model: model, obs: newWireObs("tcp-net")}
-	t.mux.Store(true)
-	return t
+	return &tcpTransport{model: model, obs: newWireObs("tcp-net")}
 }
 
 // Name implements Transport.
 func (t *tcpTransport) Name() string { return "tcp-net" }
-
-// setMux implements muxConfigurable.
-func (t *tcpTransport) setMux(enabled bool) { t.mux.Store(enabled) }
 
 // Dial implements Transport.
 func (t *tcpTransport) Dial(ctx context.Context, addr string) (Conn, error) {
@@ -46,11 +36,8 @@ func (t *tcpTransport) Dial(ctx context.Context, addr string) (Conn, error) {
 		return nil, err
 	}
 	simtime.Charge(ctx, t.model.TCPConnSetup)
-	if !t.mux.Load() {
-		return &tcpConn{model: t.model, obs: t.obs, c: c}, nil
-	}
-	// Announce tagged framing; the preamble is unambiguous against any
-	// legal legacy length prefix, so the listener detects it per conn.
+	// The preamble is the protocol magic: a listener closes a connection
+	// that does not open with it.
 	if _, err := c.Write(muxPreamble[:]); err != nil {
 		c.Close()
 		return nil, err
@@ -123,63 +110,19 @@ func (l *tcpListener) acceptLoop() {
 	}
 }
 
-// serveConn sniffs the connection's first four bytes to pick a framing:
-// the mux preamble selects tagged frames with concurrent dispatch; any
-// other value is a legacy length prefix and the connection is served by
-// the serialized loop exactly as before. Old clients therefore keep
-// working against new listeners with zero configuration.
+// serveConn serves one connection's tagged frames: every request runs
+// in its own goroutine so a slow handler does not block the other
+// streams sharing the socket; only the response writes are serialized.
+// Each request owns its pooled buffer from read until its reply is
+// encoded, so a handler may return a subslice of its request. A
+// connection that does not open with the preamble is not speaking this
+// protocol and is closed before any handler runs.
 func (l *tcpListener) serveConn(c net.Conn) {
-	var first [4]byte
-	if _, err := io.ReadFull(c, first[:]); err != nil {
+	var magic [4]byte
+	if _, err := io.ReadFull(c, magic[:]); err != nil || magic != muxPreamble {
 		c.Close()
 		return
 	}
-	if first == muxPreamble {
-		l.serveConnMux(c)
-		return
-	}
-	l.serveConnSerial(c, binary.BigEndian.Uint32(first[:]))
-}
-
-// serveConnSerial is the legacy one-frame-at-a-time loop. firstLen is
-// the already-consumed length prefix of the connection's first frame.
-func (l *tcpListener) serveConnSerial(c net.Conn, firstLen uint32) {
-	defer c.Close()
-	// Re-prepend the sniffed prefix so the frame reader sees an intact
-	// stream.
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], firstLen)
-	r := io.MultiReader(bytes.NewReader(hdr[:]), c)
-	for {
-		req, err := readFramePooled(r)
-		if err != nil {
-			return // EOF or broken peer; drop the connection.
-		}
-		meter := simtime.NewMeter()
-		resp, herr := l.h(WithPeer(simtime.WithMeter(context.Background(), meter), c.RemoteAddr().String()), req)
-		// Prefix and body in one pooled buffer, one Write, one copy.
-		// The request buffer is recycled only after the reply is encoded:
-		// a handler may legally return a subslice of its request.
-		out, err := encodeReplyFramed(meter.Elapsed(), resp, herr)
-		bufpool.Put(req)
-		if err != nil {
-			return
-		}
-		_, werr := c.Write(out)
-		bufpool.Put(out)
-		if werr != nil {
-			return
-		}
-	}
-}
-
-// serveConnMux serves the tagged framing: every request runs in its own
-// goroutine so a slow handler no longer blocks the other streams sharing
-// the socket; only the response writes are serialized. Each request owns
-// its pooled buffer from read until its reply is encoded, so concurrent
-// dispatch keeps the legacy guarantee that a handler may return a
-// subslice of its request.
-func (l *tcpListener) serveConnMux(c net.Conn) {
 	var (
 		wmu sync.Mutex // serializes response writes onto the shared stream
 		wg  sync.WaitGroup
@@ -209,7 +152,9 @@ func (l *tcpListener) serveConnMux(c net.Conn) {
 			out, err := encodeMuxReplyFramed(tag, meter.Elapsed(), resp, herr)
 			bufpool.Put(req) // after encoding: resp may alias the request
 			if err != nil {
-				return
+				// Answer on the same tag so the caller fails now instead of
+				// waiting out its deadline; this short reply always fits.
+				out, _ = encodeMuxReplyFramed(tag, meter.Elapsed(), nil, errFrameLimit)
 			}
 			wmu.Lock()
 			_, _ = c.Write(out)
@@ -252,67 +197,3 @@ func (p *tcpPusher) Peer() string { return p.peer }
 
 // Done implements Pusher.
 func (p *tcpPusher) Done() <-chan struct{} { return p.done }
-
-type tcpConn struct {
-	model *simtime.Model
-	obs   wireObs
-
-	mu     sync.Mutex
-	c      net.Conn
-	closed bool
-}
-
-// Call implements Conn. Calls are serialized on the connection.
-func (c *tcpConn) Call(ctx context.Context, req []byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if err := c.c.SetDeadline(dl); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := c.c.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
-			return nil, err
-		}
-	}
-	out, err := frameRequest(req)
-	if err != nil {
-		return nil, err
-	}
-	_, werr := c.c.Write(out)
-	bufpool.Put(out)
-	if werr != nil {
-		return nil, werr
-	}
-	c.obs.tx(len(req))
-	body, err := readFramePooled(c.c)
-	if err != nil {
-		return nil, err
-	}
-	c.obs.rx(len(body))
-	simtime.Charge(ctx, c.model.RTTTCP)
-	cost, payload, err := decodeReply(body)
-	if payload != nil {
-		// The payload escapes to the caller; copy it out so the pooled
-		// receive buffer can be recycled. This copy is the wire path's one
-		// remaining per-call allocation.
-		payload = append(make([]byte, 0, len(payload)), payload...)
-	}
-	bufpool.Put(body)
-	simtime.Charge(ctx, cost)
-	return payload, err
-}
-
-// Close implements Conn.
-func (c *tcpConn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.c.Close()
-}

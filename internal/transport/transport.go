@@ -45,11 +45,9 @@ import (
 type Handler func(ctx context.Context, req []byte) ([]byte, error)
 
 // Conn is a client connection able to perform round-trip calls. Conns are
-// safe for concurrent use. By default connections are multiplexed stream
-// carriers: many calls may be in flight concurrently, each identified by
-// a per-connection stream tag (see mux.go). With multiplexing disabled
-// (Network.SetMux(false)) calls are serialized per connection, matching
-// the one-outstanding-call RPC discipline of the 1987 systems.
+// safe for concurrent use and multiplexed: many calls may be in flight
+// concurrently, each identified by a per-connection stream tag (see
+// mux.go).
 type Conn interface {
 	// Call sends req and returns the reply payload. The round-trip and
 	// remote processing costs are charged to the meter in ctx.
@@ -159,28 +157,6 @@ func NewNetwork(model *simtime.Model) *Network {
 		n.Register(t)
 	}
 	return n
-}
-
-// muxConfigurable is implemented by transports that can switch between
-// multiplexed (tagged) and legacy serialized framing.
-type muxConfigurable interface {
-	setMux(enabled bool)
-}
-
-// SetMux toggles multiplexed framing on every registered transport that
-// supports it. Multiplexing is on by default; disable it when dialing
-// pre-mux peers (listeners always detect the framing themselves — per
-// connection on TCP, per datagram on UDP — so they serve old and new
-// clients alike). Call before dialing: existing conns keep the framing
-// they were created with.
-func (n *Network) SetMux(enabled bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	for _, t := range n.transports {
-		if m, ok := t.(muxConfigurable); ok {
-			m.setMux(enabled)
-		}
-	}
 }
 
 // Model exposes the network's cost model.

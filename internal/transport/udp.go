@@ -6,8 +6,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"hns/internal/bufpool"
 	"hns/internal/simtime"
@@ -18,36 +16,28 @@ import (
 // discipline the prototype emulated (callers retry at the RPC layer if they
 // care). Payloads are limited to what fits a datagram.
 //
-// With mux enabled (the default) every request datagram opens with the
-// mux preamble and a 4-byte stream tag so one socket carries many
-// in-flight calls. Datagrams have no byte stream to sniff once, so the
-// listener detects the framing per datagram: a request starting with
-// the preamble is tagged, anything else is legacy — old clients keep
-// working against new listeners with zero configuration, exactly like
-// TCP. (A legacy frame whose first eight bytes happen to spell the
-// preamble would be misread; none of the repo's control protocols can
-// produce one short of a 2^32-call XID collision.) Replies need no
-// preamble: the server answers in the framing the request arrived in.
+// Every request datagram is [preamble][4-byte stream tag][payload], so
+// one socket carries many in-flight calls; the reply is the echoed tag
+// followed by the reply envelope. A datagram that does not open with
+// the preamble and a tag is not this protocol and is dropped unread.
 type udpTransport struct {
 	model *simtime.Model
 	obs   wireObs
-	mux   atomic.Bool
 }
 
 func newUDPTransport(model *simtime.Model) *udpTransport {
-	t := &udpTransport{model: model, obs: newWireObs("udp-net")}
-	t.mux.Store(true)
-	return t
+	return &udpTransport{model: model, obs: newWireObs("udp-net")}
 }
 
 // Name implements Transport.
 func (t *udpTransport) Name() string { return "udp-net" }
 
-// setMux implements muxConfigurable.
-func (t *udpTransport) setMux(enabled bool) { t.mux.Store(enabled) }
-
 // maxDatagram bounds request/reply payloads on the real UDP transport.
 const maxDatagram = 60 * 1024
+
+// errDatagramLimit is the handler-error text a caller receives when the
+// reply to its request does not fit a datagram.
+var errDatagramLimit = errors.New("transport: reply exceeds datagram limit")
 
 // Dial implements Transport.
 func (t *udpTransport) Dial(ctx context.Context, addr string) (Conn, error) {
@@ -59,18 +49,13 @@ func (t *udpTransport) Dial(ctx context.Context, addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !t.mux.Load() {
-		return &udpConn{model: t.model, obs: t.obs, c: c}, nil
-	}
 	return newUDPMux(t.model, t.obs, c), nil
 }
 
 // newUDPMux wraps a connected UDP socket in the tagged-frame client
-// core. Each request datagram is [preamble][4-byte tag][payload]; the
-// listener echoes the tag ahead of the reply envelope (no preamble —
-// the client knows its own framing). A malformed reply datagram is
-// skipped (and counted) rather than killing the socket — datagram
-// corruption is per-packet, unlike a broken stream.
+// core. A malformed reply datagram is skipped (and counted) rather than
+// killing the socket — datagram corruption is per-packet, unlike a
+// broken stream.
 func newUDPMux(model *simtime.Model, obs wireObs, c *net.UDPConn) *muxCore {
 	return newMuxCore(obs, model.RTTUDP,
 		func(tag uint32, req []byte) error {
@@ -140,9 +125,8 @@ func (l *udpListener) Close() error {
 
 func (l *udpListener) serveLoop() {
 	for {
-		// Each datagram reads into its own pooled buffer, which also drops
-		// the old copy-before-goroutine step: the handler owns the buffer
-		// until its reply is encoded, then it goes back to the pool.
+		// Each datagram reads into its own pooled buffer: the handler owns
+		// it until its reply is encoded, then it goes back to the pool.
 		buf := bufpool.Get(maxDatagram)[:maxDatagram]
 		n, peer, err := l.pc.ReadFromUDP(buf)
 		if err != nil {
@@ -157,92 +141,22 @@ func (l *udpListener) serveLoop() {
 			}
 			continue
 		}
-		go func(req []byte, n int, peer *net.UDPAddr) {
-			// Per-datagram framing detection: a request opening with the
-			// mux preamble is tagged, anything else legacy. The reply is
-			// framed to match, so old and new clients coexist on one
-			// listener.
-			payload := req[:n]
-			var tag uint32
-			tagged := n >= 8 && [4]byte(req[:4]) == muxPreamble
-			if tagged {
-				tag = binary.BigEndian.Uint32(req[4:8])
-				payload = req[8:n]
-			}
+		if n < 8 || [4]byte(buf[:4]) != muxPreamble {
+			bufpool.Put(buf) // not this protocol: drop, never reaches the handler
+			continue
+		}
+		go func(req []byte, peer *net.UDPAddr) {
 			meter := simtime.NewMeter()
-			resp, herr := l.h(WithPeer(simtime.WithMeter(context.Background(), meter), peer.String()), payload)
-			var body []byte
-			if tagged {
-				body = appendReply(binary.BigEndian.AppendUint32(bufpool.Get(13+len(resp)), tag),
-					meter.Elapsed(), resp, herr)
-			} else {
-				body = appendReply(bufpool.Get(9+len(resp)), meter.Elapsed(), resp, herr)
-			}
+			resp, herr := l.h(WithPeer(simtime.WithMeter(context.Background(), meter), peer.String()), req[8:])
+			body := appendReply(append(bufpool.Get(13+len(resp)), req[4:8]...), meter.Elapsed(), resp, herr)
 			bufpool.Put(req) // after encoding: resp may alias the request
-			if len(body) <= maxDatagram {
-				_, _ = l.pc.WriteToUDP(body, peer)
+			if len(body) > maxDatagram {
+				// Answer on the same tag so the caller fails now instead of
+				// waiting out its deadline for a reply that cannot be sent.
+				body = appendReply(body[:4], meter.Elapsed(), nil, errDatagramLimit)
 			}
+			_, _ = l.pc.WriteToUDP(body, peer)
 			bufpool.Put(body)
-		}(buf, n, peer)
+		}(buf[:n], peer)
 	}
-}
-
-type udpConn struct {
-	model *simtime.Model
-	obs   wireObs
-
-	mu     sync.Mutex
-	c      *net.UDPConn
-	closed bool
-}
-
-// Call implements Conn.
-func (c *udpConn) Call(ctx context.Context, req []byte) ([]byte, error) {
-	if len(req) > maxDatagram {
-		return nil, errors.New("transport: request exceeds datagram limit")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	dl, ok := ctx.Deadline()
-	if !ok {
-		dl = time.Now().Add(10 * time.Second)
-	}
-	if err := c.c.SetDeadline(dl); err != nil {
-		return nil, err
-	}
-	if _, err := c.c.Write(req); err != nil {
-		return nil, err
-	}
-	c.obs.tx(len(req))
-	buf := bufpool.Get(maxDatagram)[:maxDatagram]
-	n, err := c.c.Read(buf)
-	if err != nil {
-		bufpool.Put(buf)
-		return nil, err
-	}
-	c.obs.rx(n)
-	simtime.Charge(ctx, c.model.RTTUDP)
-	cost, payload, err := decodeReply(buf[:n])
-	if payload != nil {
-		// Copy out so the pooled receive buffer can be recycled — the one
-		// per-call allocation left on this path.
-		payload = append(make([]byte, 0, len(payload)), payload...)
-	}
-	bufpool.Put(buf)
-	simtime.Charge(ctx, cost)
-	return payload, err
-}
-
-// Close implements Conn.
-func (c *udpConn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.c.Close()
 }

@@ -15,9 +15,7 @@ update=0
 
 # benchmark-name-prefix  package  max-allocs/op
 bounds="
-BenchmarkEncodeReplyFramed ./internal/transport/ 1
 BenchmarkDecodeReplyWarm ./internal/transport/ 1
-BenchmarkFrameRequest ./internal/transport/ 1
 BenchmarkFrameMuxRequest ./internal/transport/ 1
 BenchmarkEncodeMuxReplyFramed ./internal/transport/ 1
 BenchmarkFindNSMWarmAllocs . 1
@@ -31,7 +29,7 @@ run_pkg() { # pkg bench-regex
 }
 
 echo "--- bench-alloc: warm-path allocation gate"
-run_pkg ./internal/transport/ 'BenchmarkEncodeReplyFramed$|BenchmarkDecodeReplyWarm$|BenchmarkFrameRequest$|BenchmarkFrameMuxRequest$|BenchmarkEncodeMuxReplyFramed$' | tee -a "$out"
+run_pkg ./internal/transport/ 'BenchmarkDecodeReplyWarm$|BenchmarkFrameMuxRequest$|BenchmarkEncodeMuxReplyFramed$' | tee -a "$out"
 run_pkg . 'BenchmarkFindNSMWarmAllocs$' | tee -a "$out"
 
 fail=0

@@ -12,6 +12,12 @@ cd "$(dirname "$0")/.."
 echo "--- static checks"
 go vet ./...
 
+echo "--- one wire dialect: no framing knob, serialized serve loop or old-peer latch in non-test sources"
+if grep -rnE 'SetMux|muxConfigurable|serveConnSerial|noBatch|noIxfr|ProcUnavailable|Bool(Var)?\([^"]*"mux"' \
+        --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build .; then
+  echo "SMOKE FAILED: a removed negotiation path is back (see matches above)"; exit 1
+fi
+
 echo "--- race detector over the full test suite"
 go test -race ./...
 
@@ -260,8 +266,8 @@ grep -Eq 'notowner: +[1-9][0-9]* redirects served' <<<"$out" || { echo "SMOKE FA
 
 # ---- Part 5: the push plane. A push-enabled primary with an IXFR diff
 # log, a NOTIFY-driven secondary, and a subscribed hnsd: a dynamic update
-# reaches both the moment it lands (no TTL or refresh-tick wait), and
-# -mux=false provably degrades the subscriber back to TTL polling.
+# reaches both the moment it lands (no TTL or refresh-tick wait), and a
+# subscriber whose server has no push plane degrades to TTL polling.
 ./bindd -host pushp -zone hns -update -push -ixfr-window 256 \
         -hrpc 127.0.0.1:5380 -std "" -metrics 127.0.0.1:5381 >pushp.log 2>&1 &
 echo $! >> pids
@@ -316,8 +322,8 @@ out=$(./hnsctl stats -from 127.0.0.1:5384 -filter push_client)
 echo "$out"
 grep -Eq 'push_client_notify_total +[1-9]' <<<"$out" || { echo "SMOKE FAILED: hnsd saw no NOTIFY"; exit 1; }
 
-echo "--- -mux=false fallback: a legacy-framing hnsd degrades to TTL polling and still resolves"
-./hnsd -addr 127.0.0.1:5386 -meta 127.0.0.1:5380 -subscribe -mux=false \
+echo "--- refused subscription: hnsd -subscribe against a bindd without -push degrades to TTL polling and still resolves"
+./hnsd -addr 127.0.0.1:5386 -meta 127.0.0.1:5311 -subscribe \
        -metrics 127.0.0.1:5387 -link-bind bind-cs=127.0.0.1:5302 >hns_pushfb.log 2>&1 &
 echo $! >> pids
 sleep 1
@@ -326,6 +332,6 @@ echo "$out"
 grep -q '127.0.0.1' <<<"$out" || { echo "SMOKE FAILED: resolve through degraded hnsd"; exit 1; }
 out=$(./hnsctl stats -from 127.0.0.1:5387 -filter push_client)
 echo "$out"
-grep -Eq 'push_client_degraded_total +[1-9]' <<<"$out" || { echo "SMOKE FAILED: legacy framing did not degrade to polling"; exit 1; }
+grep -Eq 'push_client_degraded_total +[1-9]' <<<"$out" || { echo "SMOKE FAILED: refused subscription did not degrade to polling"; exit 1; }
 
 echo "SMOKE OK"
