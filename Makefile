@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench bench-parallel bench-alloc bench-scale bench-batch bench-durable bench-shard bench-push fuzz smoke chaos examples harness regen outputs
+.PHONY: all build vet test race bench bench-parallel bench-alloc fuzz smoke chaos examples harness regen outputs
 
 all: build vet test
 
@@ -25,38 +25,9 @@ bench-parallel:
 	go test -bench 'Parallel|Throughput|ShardContention|CacheKey' -benchmem -run NONE ./...
 
 # Allocation gate: the warm wire path (frame encode/decode) and the warm
-# binding-cached FindNSM must stay at <=1 alloc/op. `-update` refreshes the
-# BENCH_wire.json baseline after an intentional change.
+# binding-cached FindNSM must stay at <=1 alloc/op.
 bench-alloc:
 	./scripts/bench_alloc.sh
-
-# The fleet-scale scenario matrix: every named workload scenario at each
-# client-count decade, written to BENCH_scale.json. Sim-side cells are
-# deterministic per seed; ops/sec is wall-clock.
-bench-scale:
-	go run ./cmd/hnsbench -prose scale
-
-# The batch/admission experiment: frame amortization, batched-vs-single
-# throughput, and the 10k-caller shed arms, written to BENCH_batch.json.
-bench-batch:
-	go run ./cmd/hnsbench -prose batch
-
-# The durability experiment: fsync-policy cost and checkpointed recovery
-# time on a real directory, written to BENCH_durable.json.
-bench-durable:
-	go run ./cmd/hnsbench -prose durable
-
-# The sharded meta-store experiment: warm-lookup parity, journaled update
-# scaling at 1/2/4/8 shards, and the kill-one availability arm, written
-# to BENCH_shard.json.
-bench-shard:
-	go run ./cmd/hnsbench -prose shard
-
-# The push-invalidation experiment: authority fetches and NOTIFY
-# propagation at 1k/10k/100k clients, push vs TTL-poll, plus the IXFR
-# byte comparison, written to BENCH_push.json.
-bench-push:
-	go run ./cmd/hnsbench -prose push
 
 # Short exploratory fuzzing over every wire codec.
 fuzz:

@@ -278,8 +278,7 @@ func BenchmarkFindNSM(b *testing.B) {
 // BenchmarkFindNSMWarmAllocs pins the warm FindNSM's heap behaviour: with
 // the resolved-binding cache on and instrumentation off, a repeat call is
 // one cache-key build plus a probe — at most 1 alloc/op, enforced by the
-// bench-alloc gate (scripts/bench_alloc.sh). Wall-clock only; sim cost of
-// the binding-cache arrangement is covered by the replycache experiment.
+// bench-alloc gate (scripts/bench_alloc.sh). Wall-clock only.
 func BenchmarkFindNSMWarmAllocs(b *testing.B) {
 	w := newBenchWorld(b)
 	ctx := context.Background()

@@ -10,7 +10,10 @@
 //	hnsbench -figure 2.1          # the query-processing trace
 //	hnsbench -prose findnsm       # one prose measurement:
 //	                              #   findnsm nsmcall underlying baselines
-//	                              #   preload breakeven marshalling nsmsize scale push ...
+//	                              #   preload breakeven marshalling nsmsize
+//	                              #   scaling consistency hitratios broadcast
+//	                              #   availability scale
+//	hnsbench -check               # Table 3.1 within ±20% of the paper, or exit 1
 //
 // Absolute numbers come from the calibrated cost model
 // (internal/simtime.Model); the point of the harness is that the *shape* —
@@ -26,17 +29,51 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"hns/internal/bind"
 	"hns/internal/world"
 )
 
+type runner func(context.Context, *world.World) error
+
+// proseRunners is the one list of prose measurements: the -prose help
+// text, the name lookup and the -all order all derive from it.
+var proseRunners = []struct {
+	name string
+	fn   runner
+}{
+	{"findnsm", printFindNSM},
+	{"nsmcall", printNSMCall},
+	{"underlying", printUnderlying},
+	{"baselines", printBaselines},
+	{"preload", printPreload},
+	{"breakeven", printBreakEven},
+	{"marshalling", printMarshalling},
+	{"nsmsize", printNSMSize},
+	{"scaling", printScaling},
+	{"consistency", printConsistency},
+	{"hitratios", printHitRatios},
+	{"broadcast", printBroadcast},
+	{"availability", printAvailability},
+	{"scale", printScale},
+}
+
+// proseNames lists the valid -prose names in -all order.
+func proseNames() string {
+	names := make([]string, len(proseRunners))
+	for i, p := range proseRunners {
+		names[i] = p.name
+	}
+	return strings.Join(names, " ")
+}
+
 func main() {
 	var (
 		table      = flag.String("table", "", `table to regenerate ("3.1" or "3.2")`)
 		figure     = flag.String("figure", "", `figure to regenerate ("2.1")`)
-		prose      = flag.String("prose", "", "prose measurement (findnsm nsmcall underlying baselines preload breakeven marshalling nsmsize scaling consistency hitratios broadcast throughput availability replycache muxthroughput scale batch durable shard push)")
+		prose      = flag.String("prose", "", "prose measurement ("+proseNames()+")")
 		all        = flag.Bool("all", false, "run everything")
 		check      = flag.Bool("check", false, "regression gate: verify every Table 3.1 cell within ±20% of the paper and exit nonzero otherwise")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the selected runs to `file` (inspect with go tool pprof)")
@@ -80,7 +117,7 @@ func main() {
 	defer w.Close()
 	ctx := context.Background()
 
-	run := func(name string, fn func(ctx context.Context, w *world.World) error) {
+	run := func(name string, fn runner) {
 		if err := fn(ctx, w); err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
@@ -99,42 +136,15 @@ func main() {
 	if *all || *figure == "2.1" {
 		run("figure 2.1", printFigure21)
 	}
-	proseRunners := map[string]func(context.Context, *world.World) error{
-		"findnsm":       printFindNSM,
-		"nsmcall":       printNSMCall,
-		"underlying":    printUnderlying,
-		"baselines":     printBaselines,
-		"preload":       printPreload,
-		"breakeven":     printBreakEven,
-		"marshalling":   printMarshalling,
-		"nsmsize":       printNSMSize,
-		"scaling":       printScaling,
-		"consistency":   printConsistency,
-		"hitratios":     printHitRatios,
-		"broadcast":     printBroadcast,
-		"throughput":    printThroughput,
-		"availability":  printAvailability,
-		"replycache":    printReplyCache,
-		"muxthroughput": printMuxThroughput,
-		"scale":         printScale,
-		"batch":         printBatch,
-		"durable":       printDurable,
-		"shard":         printShard,
-		"push":          printPush,
+	known := false
+	for _, p := range proseRunners {
+		if *all || p.name == *prose {
+			run("prose "+p.name, p.fn)
+			known = true
+		}
 	}
-	if *all {
-		for _, name := range []string{"findnsm", "nsmcall", "underlying", "baselines",
-			"preload", "breakeven", "marshalling", "nsmsize", "scaling", "consistency",
-			"hitratios", "broadcast", "throughput", "availability", "replycache",
-			"muxthroughput", "scale", "batch", "durable", "shard", "push"} {
-			run("prose "+name, proseRunners[name])
-		}
-	} else if *prose != "" {
-		fn, ok := proseRunners[*prose]
-		if !ok {
-			fatal(fmt.Errorf("unknown prose measurement %q", *prose))
-		}
-		run("prose "+*prose, fn)
+	if *prose != "" && !known {
+		fatal(fmt.Errorf("unknown prose measurement %q (valid: %s)", *prose, proseNames()))
 	}
 }
 

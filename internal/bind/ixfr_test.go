@@ -3,7 +3,9 @@ package bind
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,24 +220,56 @@ func newPushPrimary(t *testing.T, window int) (*Server, *HRPCClient, *transport.
 	return s, NewHRPCClient(hc, b), net
 }
 
+// wireBytesTotal sums every transport_bytes_total series; deltas around
+// a call give its wire bytes (the transports count in the process
+// registry).
+func wireBytesTotal() int64 {
+	var total int64
+	for _, c := range metrics.Default().Snapshot().Counters {
+		if strings.HasPrefix(c.Name, "transport_bytes_total") {
+			total += c.Value
+		}
+	}
+	return total
+}
+
 func TestTransferDeltaOverWire(t *testing.T) {
 	s, client, _ := newPushPrimary(t, 64)
 	ctx := context.Background()
-	base, err := client.Serial(ctx, "repl.test")
-	if err != nil {
+	// A zone big enough that a full transfer dwarfs a three-record diff.
+	quiet := make([]RR, 400)
+	for i := range quiet {
+		quiet[i] = A(fmt.Sprintf("q%03d.repl.test", i), "5", 600)
+	}
+	if err := s.LoadRecords(quiet); err != nil {
 		t.Fatal(err)
 	}
+	before := wireBytesTotal()
+	base, rrs, err := client.Transfer(ctx, "repl.test")
+	if err != nil || len(rrs) != 402 {
+		t.Fatalf("full transfer = %d records, %v", len(rrs), err)
+	}
+	fullBytes := wireBytesTotal() - before
+
 	for i := 0; i < 3; i++ {
 		if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A(fmt.Sprintf("u%d.repl.test", i), "9", 60)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	before = wireBytesTotal()
 	serial, diffs, ok, err := client.TransferDelta(ctx, "repl.test", base)
 	if err != nil || !ok {
 		t.Fatalf("TransferDelta = ok=%v err=%v", ok, err)
 	}
+	deltaBytes := wireBytesTotal() - before
 	if len(diffs) != 3 {
 		t.Fatalf("got %d diffs, want 3", len(diffs))
+	}
+	// The diff is priced by what changed, not by zone size.
+	t.Logf("full transfer %d bytes, 3-mutation catch-up %d bytes", fullBytes, deltaBytes)
+	if deltaBytes <= 0 || 4*deltaBytes > fullBytes {
+		t.Fatalf("catch-up of 3 mutations moved %d bytes vs %d for the full transfer, want at most a quarter",
+			deltaBytes, fullBytes)
 	}
 	if serial != s.Zone("repl.test").Serial() {
 		t.Fatalf("serial %d != zone serial %d", serial, s.Zone("repl.test").Serial())
@@ -265,6 +299,11 @@ func TestTransferDeltaFallsBackPastWindow(t *testing.T) {
 	}
 	if ok {
 		t.Fatal("TransferDelta claimed continuity far past the window")
+	}
+	// "Take a full transfer" is honest: the full transfer has everything.
+	serial, rrs, err := client.Transfer(ctx, "repl.test")
+	if err != nil || len(rrs) != 14 || serial != s.Zone("repl.test").Serial() {
+		t.Fatalf("fallback full transfer = %d records at serial %d, %v", len(rrs), serial, err)
 	}
 }
 
@@ -338,6 +377,119 @@ func TestSubscribeDeliversNotify(t *testing.T) {
 	}
 	if sub.Degraded() {
 		t.Fatal("healthy subscription marked degraded")
+	}
+}
+
+// countingLookuper counts the authority fetches of every client cache
+// sharing it.
+type countingLookuper struct {
+	inner   Lookuper
+	fetches atomic.Int64
+}
+
+func (c *countingLookuper) Lookup(ctx context.Context, name string, t RRType) ([]RR, error) {
+	c.fetches.Add(1)
+	return c.inner.Lookup(ctx, name, t)
+}
+
+// TestPushVsPollFetchClosedForms pins the fetch economy of the push
+// plane exactly, on the fake clock. N clients each re-read a working
+// set of W out of M shared names every poll interval while the
+// authority updates C names per interval. A TTL-polling fleet (TTL = the
+// interval) re-fetches every working set every interval: Rounds·N·W. A
+// subscribed fleet (TTL 1000 intervals, so freshness can only come from
+// NOTIFY) re-fetches only what changed: Rounds·C·W·N/M. The ratio is
+// M/C — 16x here — whatever N is.
+func TestPushVsPollFetchClosedForms(t *testing.T) {
+	const (
+		clients    = 64 // N, a multiple of M so every name has exactly W·N/M holders
+		hotNames   = 32 // M
+		workingSet = 2  // W
+		churn      = 2  // C
+		rounds     = 3
+		interval   = 30 * time.Second
+	)
+	name := func(i int) string { return fmt.Sprintf("n%02d.repl.test", i%hotNames) }
+
+	arm := func(subscribe bool) int64 {
+		s, client, _ := newPushPrimary(t, 64)
+		ttl := uint32(interval / time.Second)
+		if subscribe {
+			ttl *= 1000
+		}
+		hot := make([]RR, hotNames)
+		for i := range hot {
+			hot[i] = A(name(i), "1", ttl)
+		}
+		if err := s.LoadRecords(hot); err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		clk := simtime.NewFakeClock(time.Unix(1987, 0))
+		authority := &countingLookuper{inner: client}
+		fleet := make([]*Resolver, clients)
+		subs := make([]*Subscriber, clients)
+		for i := range fleet {
+			res := NewResolver(authority, simtime.Default(), ResolverConfig{Clock: clk})
+			fleet[i] = res
+			if !subscribe {
+				continue
+			}
+			subs[i] = client.Subscribe(SubscribeConfig{
+				Zone:     "repl.test",
+				OnNotify: func(n push.Notification) { res.Invalidate(n.Name, TypeA) },
+				OnReset:  res.Purge,
+				Metrics:  metrics.Discard,
+			})
+			defer subs[i].Close()
+		}
+		for i, sub := range subs {
+			if sub != nil {
+				waitFor(t, fmt.Sprintf("subscriber %d active", i), sub.Active)
+			}
+		}
+		readAll := func() {
+			for i, res := range fleet {
+				for j := 0; j < workingSet; j++ {
+					if _, err := res.Lookup(ctx, name(i+j), TypeA); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		readAll() // warm every working set; the comparison is steady state
+		authority.fetches.Store(0)
+
+		for r := 0; r < rounds; r++ {
+			var serial uint32
+			for k := 0; k < churn; k++ {
+				rcode, sn, err := s.Update(ctx, "repl.test", UpdateAdd, A(name(r*churn+k), "1", ttl))
+				if err != nil || rcode != RCodeOK {
+					t.Fatalf("churn update: %v, %v", rcode, err)
+				}
+				serial = sn
+			}
+			for i, sub := range subs {
+				if sub != nil {
+					waitFor(t, fmt.Sprintf("subscriber %d at serial %d", i, serial),
+						func() bool { return sub.LastSerial() >= serial })
+				}
+			}
+			clk.Advance(interval + time.Nanosecond)
+			readAll()
+		}
+		return authority.fetches.Load()
+	}
+
+	poll, pushed := arm(false), arm(true)
+	if want := int64(rounds * clients * workingSet); poll != want {
+		t.Errorf("polling fleet made %d authority fetches, want Rounds·N·W = %d", poll, want)
+	}
+	if want := int64(rounds * churn * workingSet * clients / hotNames); pushed != want {
+		t.Errorf("subscribed fleet made %d authority fetches, want Rounds·C·W·N/M = %d", pushed, want)
+	}
+	if poll != pushed*hotNames/churn {
+		t.Errorf("fetch ratio %d/%d, want M/C = %d", poll, pushed, hotNames/churn)
 	}
 }
 

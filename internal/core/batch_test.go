@@ -3,10 +3,12 @@ package core_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"hns/internal/core"
 	"hns/internal/hrpc"
+	"hns/internal/metrics"
 	"hns/internal/names"
 	"hns/internal/qclass"
 	"hns/internal/simtime"
@@ -148,5 +150,68 @@ func TestRemoteBatchCheaperThanSingles(t *testing.T) {
 	}
 	if batchCost >= singleCost {
 		t.Fatalf("batch of %d cost %v, singles cost %v; batching should amortize", len(qs), batchCost, singleCost)
+	}
+}
+
+// framesTotal sums every transport_frames_total series: the wire
+// transports count request and reply frames in the process registry.
+func framesTotal() int64 {
+	var total int64
+	for _, c := range metrics.Default().Snapshot().Counters {
+		if strings.HasPrefix(c.Name, "transport_frames_total") {
+			total += c.Value
+		}
+	}
+	return total
+}
+
+// TestRemoteBatchFrameAmortization pins the amortization in wire frames:
+// a warm batch of 16 is one request/reply exchange (2 frames) where 16
+// singles are one exchange per name (32 frames).
+func TestRemoteBatchFrameAmortization(t *testing.T) {
+	w := newWorld(t, world.Config{})
+	ln, hb, err := core.ServeHNS(w.Net, w.HNS, "june", "june:hns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	remote := core.NewRemoteHNS(w.RPC, hb)
+
+	qs := make([]core.NameQuery, 16)
+	for i := range qs {
+		qs[i] = core.NameQuery{Name: world.DesiredServiceName(), QueryClass: qclass.HRPCBinding}
+		if i%2 == 1 {
+			qs[i].Name = world.CourierServiceName()
+		}
+	}
+	ctx := context.Background()
+	// Warm the connection and the server's caches, so the measured
+	// frames are the client's exchanges with the HNS and nothing else.
+	if _, err := remote.FindNSMBatch(ctx, qs); err != nil {
+		t.Fatal(err)
+	}
+
+	before := framesTotal()
+	res, err := remote.FindNSMBatch(ctx, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("slot %d: %v", i, r.Err)
+		}
+	}
+	if got := framesTotal() - before; got != 2 {
+		t.Fatalf("warm batch of %d moved %d frames, want 2 (one exchange)", len(qs), got)
+	}
+
+	before = framesTotal()
+	for _, q := range qs {
+		if _, err := remote.FindNSM(ctx, q.Name, q.QueryClass); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := framesTotal() - before; got != int64(2*len(qs)) {
+		t.Fatalf("%d singles moved %d frames, want %d", len(qs), got, 2*len(qs))
 	}
 }

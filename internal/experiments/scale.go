@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -11,9 +10,9 @@ import (
 
 // ScaleSpec parameterizes the fleet-scale scenario matrix: every named
 // workload scenario run at each client-count point over a fixed site
-// topology. The sim-side numbers (latency percentiles, per-tier hit
-// ratios, effective authority fetches) are deterministic per seed; the
-// real side (ops/sec, coalesce counts) depends on the host.
+// topology. Every reported number (latency percentiles, per-tier hit
+// ratios, effective authority fetches) is simulated, so it is
+// deterministic per seed.
 type ScaleSpec struct {
 	// ClientPoints are the fleet sizes to sweep.
 	ClientPoints []int
@@ -24,11 +23,11 @@ type ScaleSpec struct {
 	Contexts     int
 	Skew         float64
 	Seed         int64
-	// Workers bounds the wall pass's concurrency (<= 0 means the
+	// Workers bounds the fleet run's concurrency (<= 0 means the
 	// workload default).
 	Workers int
 	// Scenarios names the scenarios to run; empty means the pinned
-	// default matrix (scaleScenarios), so BENCH_scale.json stays
+	// default matrix (scaleScenarios), so the printed matrix stays
 	// bit-identical as new scenarios accrue elsewhere.
 	Scenarios []string
 }
@@ -47,9 +46,8 @@ func DefaultScaleSpec() ScaleSpec {
 }
 
 // scaleScenarios is the default matrix, pinned rather than derived from
-// workload.Scenarios(): scenarios added for other benches (shardloss
-// reports through BENCH_shard.json) must not silently change this file's
-// frozen shape.
+// workload.Scenarios(): a scenario added elsewhere (shardloss) must not
+// silently change the matrix's frozen shape.
 var scaleScenarios = []string{"coldstart", "flashcrowd", "primaryloss"}
 
 func (s ScaleSpec) scenarios() []string {
@@ -59,34 +57,27 @@ func (s ScaleSpec) scenarios() []string {
 	return append([]string(nil), scaleScenarios...)
 }
 
-// ScaleRow is one (scenario, client-count) cell of the matrix. sim_*
-// fields are deterministic per seed; real_* fields are wall-clock
-// measurements.
+// ScaleRow is one (scenario, client-count) cell of the matrix; every
+// field is deterministic per seed.
 type ScaleRow struct {
-	Scenario string `json:"scenario"`
-	Clients  int    `json:"clients"`
-	Sites    int    `json:"sites"`
-	Ops      int    `json:"ops"`
+	Scenario string
+	Clients  int
+	Sites    int
+	Ops      int
 
-	SimP50Ms  float64 `json:"sim_p50_ms"`
-	SimP99Ms  float64 `json:"sim_p99_ms"`
-	SimMeanMs float64 `json:"sim_mean_ms"`
+	SimP50Ms  float64
+	SimP99Ms  float64
+	SimMeanMs float64
 
-	HostHitRatio      float64 `json:"host_hit_ratio"`
-	SiteHitRatio      float64 `json:"site_hit_ratio"`
-	AuthorityHitRatio float64 `json:"authority_hit_ratio"`
-	AuthorityFetches  int64   `json:"authority_fetches"`
-	StaleOps          int64   `json:"stale_ops"`
-	SimFailures       int     `json:"sim_failures"`
-
-	RealOpsPerSec float64 `json:"real_ops_per_sec"`
-	Coalesced     int64   `json:"coalesced"`
-	WallFetches   int64   `json:"wall_fetches"`
-	WallStale     int64   `json:"wall_stale"`
-	WallFailures  int     `json:"wall_failures"`
+	HostHitRatio      float64
+	SiteHitRatio      float64
+	AuthorityHitRatio float64
+	AuthorityFetches  int64
+	StaleOps          int64
+	SimFailures       int
 }
 
-// scaleRow flattens a fleet result into the JSON row.
+// scaleRow flattens a fleet result into a matrix row.
 func scaleRow(res workload.FleetResult) ScaleRow {
 	return ScaleRow{
 		Scenario:          res.Scenario,
@@ -102,11 +93,6 @@ func scaleRow(res workload.FleetResult) ScaleRow {
 		AuthorityFetches:  res.AuthorityFetches,
 		StaleOps:          res.StaleOps,
 		SimFailures:       res.Failures,
-		RealOpsPerSec:     res.OpsPerSec,
-		Coalesced:         res.Coalesced,
-		WallFetches:       res.WallFetches,
-		WallStale:         res.WallStale,
-		WallFailures:      res.WallFailures,
 	}
 }
 
@@ -135,52 +121,5 @@ func RunScale(ctx context.Context, spec ScaleSpec) ([]ScaleRow, error) {
 	return rows, nil
 }
 
-// ScaleDoc is the BENCH_scale.json document.
-type ScaleDoc struct {
-	Schema string `json:"schema"`
-	Note   string `json:"note"`
-	Spec   struct {
-		ClientPoints []int    `json:"client_points"`
-		Sites        int      `json:"sites"`
-		OpsPerClient int      `json:"ops_per_client"`
-		Contexts     int      `json:"contexts"`
-		Skew         float64  `json:"skew"`
-		Seed         int64    `json:"seed"`
-		Scenarios    []string `json:"scenarios"`
-	} `json:"spec"`
-	Rows []ScaleRow `json:"rows"`
-}
-
-// ScaleSchema identifies the BENCH_scale.json layout; bump it when a
-// field changes meaning, not just when a field is added.
-const ScaleSchema = "hns/bench-scale/v1"
-
-// BuildScaleDoc assembles the document around the measured rows.
-func BuildScaleDoc(spec ScaleSpec, rows []ScaleRow) ScaleDoc {
-	var doc ScaleDoc
-	doc.Schema = ScaleSchema
-	doc.Note = "sim_* fields and per-tier ratios are deterministic per seed; " +
-		"real_* fields are wall-clock and vary with the host (CI runs in a 1-core container)"
-	doc.Spec.ClientPoints = spec.ClientPoints
-	doc.Spec.Sites = spec.Sites
-	doc.Spec.OpsPerClient = spec.OpsPerClient
-	doc.Spec.Contexts = spec.Contexts
-	doc.Spec.Skew = spec.Skew
-	doc.Spec.Seed = spec.Seed
-	doc.Spec.Scenarios = spec.scenarios()
-	doc.Rows = rows
-	return doc
-}
-
-// EncodeScaleDoc renders the document as the file's canonical JSON.
-func EncodeScaleDoc(doc ScaleDoc) ([]byte, error) {
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
-}
-
-// simMs converts a simulated duration to milliseconds for the JSON
-// document.
+// simMs converts a simulated duration to milliseconds.
 func simMs(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

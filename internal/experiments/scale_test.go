@@ -2,77 +2,12 @@ package experiments
 
 import (
 	"context"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
-
-// TestScaleDocGolden locks the BENCH_scale.json schema: field names,
-// nesting, and ordering. The rows are synthetic fixtures, so the golden
-// file captures the document layout without depending on the cost model;
-// regenerate with `go test ./internal/experiments -run ScaleDocGolden
-// -update-golden` when the schema intentionally changes (and bump
-// ScaleSchema).
-func TestScaleDocGolden(t *testing.T) {
-	spec := ScaleSpec{
-		ClientPoints: []int{10, 100},
-		Sites:        2,
-		OpsPerClient: 3,
-		Contexts:     4,
-		Skew:         1.3,
-		Seed:         7,
-	}
-	rows := []ScaleRow{{
-		Scenario:          "coldstart",
-		Clients:           10,
-		Sites:             2,
-		Ops:               30,
-		SimP50Ms:          85.75,
-		SimP99Ms:          290.5,
-		SimMeanMs:         101.25,
-		HostHitRatio:      0.25,
-		SiteHitRatio:      0.875,
-		AuthorityHitRatio: 1,
-		AuthorityFetches:  52,
-		StaleOps:          0,
-		SimFailures:       0,
-		RealOpsPerSec:     12345.5,
-		Coalesced:         3,
-		WallFetches:       49,
-		WallStale:         0,
-		WallFailures:      0,
-	}}
-	buf, err := EncodeScaleDoc(BuildScaleDoc(spec, rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	golden := filepath.Join("testdata", "BENCH_scale.golden.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != string(want) {
-		t.Errorf("BENCH_scale.json schema drifted from %s;\ngot:\n%s\nwant:\n%s\n"+
-			"(rerun with -update-golden and bump ScaleSchema if intentional)",
-			golden, buf, want)
-	}
-}
-
 // TestRunScaleDeterministicSimSide: two full matrix runs at a tiny spec
-// produce identical sim-side cells — the reproducibility contract
-// BENCH_scale.json rests on.
+// produce identical rows — the reproducibility contract the printed
+// matrix rests on.
 func TestRunScaleDeterministicSimSide(t *testing.T) {
 	ctx := context.Background()
 	spec := ScaleSpec{
@@ -95,15 +30,29 @@ func TestRunScaleDeterministicSimSide(t *testing.T) {
 		t.Fatalf("row counts %d/%d, want 6", len(a), len(b))
 	}
 	for i := range a {
-		x, y := a[i], b[i]
-		// Blank the real-side fields; everything left must match exactly.
-		x.RealOpsPerSec, y.RealOpsPerSec = 0, 0
-		x.Coalesced, y.Coalesced = 0, 0
-		x.WallFetches, y.WallFetches = 0, 0
-		x.WallStale, y.WallStale = 0, 0
-		x.WallFailures, y.WallFailures = 0, 0
-		if x != y {
-			t.Errorf("sim-side row %d differs between runs:\n%+v\nvs\n%+v", i, x, y)
+		if a[i] != b[i] {
+			t.Errorf("row %d differs between runs:\n%+v\nvs\n%+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestRunScaleAuthorityFetchesFlatInClients pins the matrix's load-bearing
+// column at the hnsbench topology: a tenfold larger fleet costs the
+// authoritative meta BIND the same 208 fetches — one per meta key per
+// context per site — so authority traffic tracks sites x contexts, never
+// clients.
+func TestRunScaleAuthorityFetchesFlatInClients(t *testing.T) {
+	spec := DefaultScaleSpec()
+	spec.ClientPoints = []int{1000, 10000}
+	spec.Scenarios = []string{"coldstart"}
+	rows, err := RunScale(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.AuthorityFetches != 208 || r.SimFailures != 0 {
+			t.Errorf("%s at %d clients: %d authority fetches, %d failures; want 208 and 0",
+				r.Scenario, r.Clients, r.AuthorityFetches, r.SimFailures)
 		}
 	}
 }

@@ -24,6 +24,13 @@ import (
 type stubFinder struct {
 	mu      sync.Mutex
 	budgets []time.Duration
+
+	// hold, when non-nil, parks every call until it is closed: each call
+	// announces itself on entered first, and peak is the high-water mark
+	// of calls parked at once.
+	hold           chan struct{}
+	entered        chan struct{}
+	inflight, peak int
 }
 
 var stubBinding = hrpc.Binding{
@@ -35,7 +42,18 @@ func (s *stubFinder) FindNSM(ctx context.Context, n names.Name, qc string) (hrpc
 	b, _ := hrpc.BudgetFrom(ctx)
 	s.mu.Lock()
 	s.budgets = append(s.budgets, b)
+	if s.hold != nil {
+		s.inflight++
+		s.peak = max(s.peak, s.inflight)
+	}
 	s.mu.Unlock()
+	if s.hold != nil {
+		s.entered <- struct{}{}
+		<-s.hold
+		s.mu.Lock()
+		s.inflight--
+		s.mu.Unlock()
+	}
 	if n.Context == "ghost" {
 		return hrpc.Binding{}, fmt.Errorf("no such context %q", n.Context)
 	}
@@ -185,5 +203,82 @@ func TestGatewayWithoutPropagationSendsNoBudget(t *testing.T) {
 	}
 	if got := e.stub.recorded(); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("backend budgets = %v, want [0]", got)
+	}
+}
+
+// runCrowd releases callers concurrent single-name calls at a gateway
+// whose backend parks every call it is handed. It waits until every
+// caller is either parked in the backend or refused, checks every
+// refusal is a typed Overloaded, then releases the backend and checks
+// every parked call is served. It returns the parked (= served) and
+// refused counts and the backend's concurrency high-water mark.
+func runCrowd(t *testing.T, cfg Config, callers int) (served, refused, peak int) {
+	t.Helper()
+	e := newGWEnv(t, cfg)
+	e.stub.hold = make(chan struct{})
+	e.stub.entered = make(chan struct{}, callers)
+	release := sync.OnceFunc(func() { close(e.stub.hold) })
+	defer release()
+
+	name := names.Must("svc", "a")
+	results := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			ctx := simtime.WithMeter(context.Background(), simtime.NewMeter())
+			_, err := e.front.FindNSM(ctx, name, qclass.HRPCBinding)
+			results <- err
+		}()
+	}
+	for served+refused < callers {
+		select {
+		case <-e.stub.entered:
+			served++
+		case err := <-results:
+			if !errors.Is(err, hrpc.ErrOverloaded) {
+				t.Fatalf("call returned %v while the backend was held, want a typed Overloaded", err)
+			}
+			refused++
+		}
+	}
+	release()
+	for i := 0; i < served; i++ {
+		if err := <-results; err != nil {
+			t.Fatalf("admitted call failed: %v", err)
+		}
+	}
+	e.stub.mu.Lock()
+	defer e.stub.mu.Unlock()
+	return served, refused, e.stub.peak
+}
+
+// TestGatewayCrowdCappedAtMaxInflight is the front-door shed contract at
+// fleet scale: of a 10,000-caller crowd against an in-flight cap of 64,
+// exactly 64 reach the backend at once and never more, every other
+// caller is refused with a typed Overloaded, and nobody is lost. The
+// same crowd against an uncapped gateway is refused nothing. The
+// backend is held on a channel, so the counts do not depend on timing.
+func TestGatewayCrowdCappedAtMaxInflight(t *testing.T) {
+	const callers, maxInflight = 10000, 64
+	served, refused, peak := runCrowd(t, Config{
+		Admission: &admission.Config{
+			MaxInflight: maxInflight,
+			// Below the wire's millisecond granularity, so a shed opens no
+			// client-side backoff window and every caller reaches the gate.
+			RetryAfter: time.Microsecond,
+			Metrics:    metrics.NewRegistry(),
+		},
+	}, callers)
+	if peak != maxInflight || served != maxInflight {
+		t.Errorf("capped: %d calls reached the backend, high-water mark %d; want exactly %d",
+			served, peak, maxInflight)
+	}
+	if refused < 1 || served+refused != callers {
+		t.Errorf("capped: served %d + refused %d, want %d in total with refusals", served, refused, callers)
+	}
+
+	served, refused, peak = runCrowd(t, Config{}, callers)
+	if refused != 0 || served != callers || peak != callers {
+		t.Errorf("uncapped: served %d refused %d high-water mark %d; want all %d served at once",
+			served, refused, peak, callers)
 	}
 }

@@ -35,6 +35,7 @@ type env struct {
 	m        Map
 	servers  []*bind.Server
 	servings []*Serving
+	lns      []transport.Listener
 	direct   []*bind.HRPCClient // one plain client per shard
 	rpc      *hrpc.Client
 	client   *Client
@@ -42,16 +43,23 @@ type env struct {
 
 func newEnv(t *testing.T, n int) *env {
 	t.Helper()
+	return newEnvWithMap(t, testMap(n, 1, 0))
+}
+
+// newEnvWithMap deploys one shard per member of m.
+func newEnvWithMap(t *testing.T, m Map) *env {
+	t.Helper()
 	e := &env{
 		t:     t,
 		model: simtime.Default(),
 		reg:   metrics.NewRegistry(),
-		m:     testMap(n, 1, 0),
+		m:     m,
 	}
 	e.net = transport.NewNetwork(e.model)
 	e.rpc = hrpc.NewClient(e.net)
+	e.rpc.Metrics = e.reg
 	t.Cleanup(func() { e.rpc.Close() })
-	for i := 0; i < n; i++ {
+	for i := range m.Members {
 		srv := bind.NewServer(fmt.Sprintf("shard%d", i), e.model)
 		z, err := bind.NewZone("hns", true)
 		if err != nil {
@@ -74,6 +82,7 @@ func newEnv(t *testing.T, n int) *env {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ln.Close() })
+		e.lns = append(e.lns, ln)
 		e.servers = append(e.servers, srv)
 		e.servings = append(e.servings, sv)
 		e.direct = append(e.direct, bind.NewHRPCClient(e.rpc, b))
@@ -298,5 +307,75 @@ func TestUnshardedZoneOnSameServerUngated(t *testing.T) {
 	if rcode, _, err := e.servers[0].Update(ctx, "plain.test", bind.UpdateAdd,
 		bind.A("x.plain.test", "1", 60)); err != nil || rcode != bind.RCodeOK {
 		t.Fatalf("unsharded zone gated: %v %v", rcode, err)
+	}
+}
+
+// TestKillOneShardLosesExactlyItsSlice is the blast-radius contract:
+// with one of four shards dead, exactly the names it owns stop answering
+// and every other name still answers without a single call to the dead
+// endpoint. The map (seed 1987, members b0..b3) and the namespace are
+// pinned, so the victim's slice is an exact count: 32 of the first 128
+// names, 63 of all 256 — at most a fair share either way.
+func TestKillOneShardLosesExactlyItsSlice(t *testing.T) {
+	m := Map{Epoch: 1, Seed: 1987}
+	for i := 0; i < 4; i++ {
+		m.Members = append(m.Members, Member{
+			ID:   fmt.Sprintf("b%d", i),
+			Addr: fmt.Sprintf("bshard%d:bind-hrpc", i),
+		})
+	}
+	e := newEnvWithMap(t, m)
+	e.rpc.FreshConn = true // every call dials, so a dead listener is seen at once
+	ctx := context.Background()
+
+	victim := m.Members[len(m.Members)-1]
+	names := make([]string, 256)
+	owned := 0
+	for i := range names {
+		names[i] = fmt.Sprintf("n%04d.hns", i)
+		if m.Owns(victim.ID, names[i]) {
+			owned++
+		}
+		if i == 127 && owned != 32 {
+			t.Fatalf("victim %s owns %d of the first 128 names, want 32", victim.ID, owned)
+		}
+		if _, err := e.client.Update(ctx, "hns", bind.UpdateAdd, metaRR(names[i], names[i])); err != nil {
+			t.Fatalf("update %s: %v", names[i], err)
+		}
+	}
+	if owned != 63 {
+		t.Fatalf("victim %s owns %d of 256 names, want 63", victim.ID, owned)
+	}
+	for _, name := range names {
+		if _, err := e.client.Lookup(ctx, name, bind.TypeHNSMeta); err != nil {
+			t.Fatalf("pre-kill lookup %s: %v", name, err)
+		}
+	}
+
+	e.lns[len(e.lns)-1].Close()
+	victimCalls := e.reg.Histogram(metrics.Labels("hrpc_client_call_ms", "addr", victim.Addr))
+	kept := 0
+	for _, name := range names {
+		before := victimCalls.Count()
+		rrs, err := e.client.Lookup(ctx, name, bind.TypeHNSMeta)
+		if m.Owns(victim.ID, name) {
+			if err == nil {
+				t.Fatalf("%s is owned by the dead shard but answered %v", name, rrs)
+			}
+			if victimCalls.Count() == before {
+				t.Fatalf("%s failed without a call to its owner %s", name, victim.Addr)
+			}
+			continue
+		}
+		if err != nil || len(rrs) != 1 || string(rrs[0].Data) != name {
+			t.Fatalf("survivor %s = %v, %v", name, rrs, err)
+		}
+		if victimCalls.Count() != before {
+			t.Fatalf("survivor %s was resolved with a call to the dead endpoint", name)
+		}
+		kept++
+	}
+	if kept != len(names)-owned {
+		t.Fatalf("kept %d names, want %d (all but the victim's slice)", kept, len(names)-owned)
 	}
 }

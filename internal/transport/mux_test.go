@@ -724,14 +724,18 @@ func TestUDPOversizeReplyIsRemoteError(t *testing.T) {
 // ---- Simulated transport mirror.
 
 // TestSimMuxSemantics pins the sim mirror of the wire semantics:
-// concurrent calls on one sim conn overlap in real time, and each is
-// charged the same simulated cost as if it had run alone.
+// concurrent calls on one sim conn overlap, and each is charged the same
+// simulated cost as if it had run alone. Overlap is proven by a
+// rendezvous: each handler announces itself and then waits for the
+// other, so a conn that serialized its calls would never finish.
 func TestSimMuxSemantics(t *testing.T) {
-	const sleep = 40 * time.Millisecond
 	n := newTestNetwork()
 	tr, _ := n.Transport("udp")
+	arrived := make(chan struct{}, 2)
+	bothIn := make(chan struct{})
 	ln, err := tr.Listen("h:busy", func(ctx context.Context, req []byte) ([]byte, error) {
-		time.Sleep(sleep) // real time: models handler occupancy
+		arrived <- struct{}{}
+		<-bothIn
 		simtime.Charge(ctx, 5*time.Millisecond)
 		return req, nil
 	})
@@ -746,7 +750,6 @@ func TestSimMuxSemantics(t *testing.T) {
 	defer conn.Close()
 
 	meters := make([]*simtime.Meter, 2)
-	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -759,16 +762,15 @@ func TestSimMuxSemantics(t *testing.T) {
 			}
 		}(i)
 	}
+	<-arrived
+	<-arrived // both handlers are in flight on the one conn at once
+	close(bothIn)
 	wg.Wait()
-	wall := time.Since(start)
 	want := n.Model().RTTUDP + 5*time.Millisecond
 	for i, m := range meters {
 		if m.Elapsed() != want {
 			t.Fatalf("call %d charged %v, want %v", i, m.Elapsed(), want)
 		}
-	}
-	if wall >= 2*sleep {
-		t.Fatalf("sim conn serialized calls: wall %v >= %v", wall, 2*sleep)
 	}
 }
 

@@ -113,7 +113,7 @@ func peakSlot(d Diurnal) int {
 // the site's metrics registry; sites whose arrangement links the HNS
 // into the client process have no wire hop to front and are unchanged.
 // A nil GatewayTier (the default) leaves the fleet exactly as before,
-// which is what keeps BENCH_scale.json bit-identical.
+// which is what keeps the `hnsbench -prose scale` matrix bit-identical.
 type GatewayTier struct {
 	// Rate and Burst are per-client admission limits at each gateway
 	// (requests/sec and bucket depth); Rate <= 0 disables rate limiting.

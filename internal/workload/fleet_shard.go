@@ -3,8 +3,8 @@
 // partitioning the meta zone by rendezvous hash, and every site's hnsd
 // talks to them through a shard-aware client (owner-routed lookups, map
 // cached like any meta record). MetaShards = 0 — the default — builds
-// exactly the single-meta-bindd fleet of before, which is what keeps
-// BENCH_scale.json and the paper tables bit-identical.
+// exactly the single-meta-bindd fleet of before, which is what keeps the
+// `hnsbench -prose scale` matrix and the paper tables bit-identical.
 package workload
 
 import (

@@ -62,7 +62,7 @@ func TestFleetMetaShardsDeterministic(t *testing.T) {
 
 // TestFleetMetaShardsZeroIsUnsharded: MetaShards=0 must produce results
 // bit-identical to a spec that never heard of sharding — the opt-in-off
-// guarantee behind the frozen BENCH_scale.json numbers.
+// guarantee behind the frozen `hnsbench -prose scale` matrix.
 func TestFleetMetaShardsZeroIsUnsharded(t *testing.T) {
 	ctx := context.Background()
 	plain := shardFleetSpec(18, 0)

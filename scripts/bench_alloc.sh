@@ -6,12 +6,8 @@
 #
 # Usage:
 #   scripts/bench_alloc.sh           # gate (exit 1 on regression)
-#   scripts/bench_alloc.sh -update   # also refresh the BENCH_wire.json baseline
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-update=0
-[[ "${1:-}" == "-update" ]] && update=1
 
 # benchmark-name-prefix  package  max-allocs/op
 bounds="
@@ -52,28 +48,6 @@ while read -r name pkg max; do
         echo "bench-alloc: ok: $name = $allocs allocs/op (bound $max)"
     fi
 done <<<"$bounds"
-
-if (( update )); then
-    {
-        echo '{'
-        echo '  "comment": "Warm-path allocation baseline, refreshed by scripts/bench_alloc.sh -update. The enforced bounds live in the script; this file records the last observed numbers for EXPERIMENTS.md.",'
-        first=1
-        while read -r name pkg max; do
-            [[ -z "$name" ]] && continue
-            line=$(grep -E "^${name}(-[0-9]+)?\s" "$out" | head -1)
-            allocs=$(awk '{for (i=1; i<NF; i++) if ($(i+1) == "allocs/op") print $i}' <<<"$line")
-            bytes=$(awk '{for (i=1; i<NF; i++) if ($(i+1) == "B/op") print $i}' <<<"$line")
-            ns=$(awk '{for (i=1; i<NF; i++) if ($(i+1) == "ns/op") print $i}' <<<"$line")
-            (( first )) || echo ','
-            first=0
-            printf '  "%s": {"allocs_per_op": %s, "bytes_per_op": %s, "ns_per_op": %s, "bound_allocs_per_op": %s}' \
-                "$name" "${allocs:-null}" "${bytes:-null}" "${ns:-null}" "$max"
-        done <<<"$bounds"
-        echo ''
-        echo '}'
-    } > BENCH_wire.json
-    echo "bench-alloc: wrote BENCH_wire.json"
-fi
 
 if (( fail )); then
     echo "bench-alloc: FAILED"

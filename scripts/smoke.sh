@@ -18,12 +18,22 @@ if grep -rnE 'SetMux|muxConfigurable|serveConnSerial|noBatch|noIxfr|ProcUnavaila
   echo "SMOKE FAILED: a removed negotiation path is back (see matches above)"; exit 1
 fi
 
+echo "--- one stopwatch: no wall-clock experiment in the paper harness, no retired BENCH file"
+if grep -rnE 'time\.(Since|Sleep|Now)\(' --include='*.go' --exclude='*_test.go' \
+        internal/experiments cmd/hnsbench; then
+  echo "SMOKE FAILED: a wall-clock measurement is back in the paper harness (see matches above)"; exit 1
+fi
+if grep -rnE 'BENCH_(batch|durable|mux|push|scale|shard|wire)' \
+        --include='*.go' --include='*.sh' --include='Makefile' --exclude-dir=.git --exclude-dir=.bench_build .; then
+  echo "SMOKE FAILED: a retired BENCH file is referenced again (see matches above)"; exit 1
+fi
+
 echo "--- race detector over the full test suite"
 go test -race ./...
 
 echo "--- race detector, concurrency stress at -cpu 4"
-go test -race -cpu 4 -run 'Stress|Stampede|Concurrent|Shard|Parallel' \
-        . ./internal/cache ./internal/bind ./internal/workload ./internal/shard
+go test -race -cpu 4 -run 'Stress|Stampede|Concurrent|Shard' \
+        ./internal/cache ./internal/bind ./internal/workload ./internal/shard
 
 echo "--- mux stress tier: multiplexed wire, pool, and teardown paths"
 go test -race -run Mux -count=3 ./internal/transport ./internal/hrpc
@@ -32,7 +42,7 @@ echo "--- fleet scenario tier: one tiny seeded config per scenario, raced"
 go test -race -run 'TestScenario' -count=3 ./internal/workload
 
 echo "--- shed tier: 10k-caller crowd against the admission cap, raced"
-go test -race -count=1 -run 'TestBatchShed10K' ./internal/experiments
+go test -race -count=1 -run 'TestGatewayCrowdCappedAtMaxInflight' ./internal/gateway
 
 echo "--- crash tier: seeded crash/restart storm and durable-store suites, raced"
 go test -race -count=1 -run 'TestCrashRecovery|TestDurable|TestSecondaryRestore' ./internal/bind
