@@ -32,7 +32,6 @@ bench-alloc:
 # Short exploratory fuzzing over every wire codec.
 fuzz:
 	go test -fuzz FuzzDecodeMessage -fuzztime 15s ./internal/bind/
-	go test -fuzz FuzzBatchDecode -fuzztime 10s ./internal/bind/
 	go test -fuzz FuzzSunRPCControl -fuzztime 10s ./internal/hrpc/
 	go test -fuzz FuzzCourierControl -fuzztime 10s ./internal/hrpc/
 	go test -fuzz FuzzRawControl -fuzztime 10s ./internal/hrpc/

@@ -2,8 +2,8 @@
 // 3.2 time one caller at a time — the 1987 prototype served one MicroVAX.
 // These benchmarks drive the same FindNSM hot path from many goroutines at
 // once (b.RunParallel) and report real ops/sec and ns/op alongside the
-// simulated figures, plus the cache-contention counters that justify the
-// sharded meta-cache. They assert nothing; see EXPERIMENTS.md "Parallel
+// simulated figures, plus the meta-cache's lock-contention counter. They
+// assert nothing; see EXPERIMENTS.md "Parallel
 // benchmarks".
 package hns_test
 
@@ -31,53 +31,40 @@ func reportOpsPerSec(b *testing.B) {
 	}
 }
 
-// ---- Warm FindNSM under concurrency: the tentpole A/B.
+// ---- Warm FindNSM under concurrency.
 //
 // One shared HNS, every goroutine hammering the cache-warm FindNSM (the
-// call clients make "on nearly every binding"). The two arms differ only
-// in the meta-cache lock layout: a single mutex versus the sharded cache.
-// lock-waits/op counts mutex acquisitions that had to block — the
-// contention the shards exist to remove.
+// call clients make "on nearly every binding"). lock-waits/op counts
+// meta-cache shard-lock acquisitions that had to block.
 func BenchmarkParallelFindNSMWarm(b *testing.B) {
-	for _, arm := range []struct {
-		name   string
-		shards int
-	}{
-		{"SingleMutexCache", 1},
-		{"ShardedCache", 0},
-	} {
-		arm := arm
-		b.Run(arm.name, func(b *testing.B) {
-			w := newBenchWorld(b)
-			ctx := context.Background()
-			h := w.NewHNS(core.Config{CacheMode: bind.CacheMarshalled, CacheShards: arm.shards})
-			name := world.DesiredServiceName()
-			if _, err := h.FindNSM(ctx, name, qclass.HRPCBinding); err != nil {
-				b.Fatal(err)
-			}
-			var totalSim atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				var local time.Duration
-				for pb.Next() {
-					cost, err := simtime.Measure(ctx, func(ctx context.Context) error {
-						_, err := h.FindNSM(ctx, name, qclass.HRPCBinding)
-						return err
-					})
-					if err != nil {
-						b.Fail()
-						return
-					}
-					local += cost
-				}
-				totalSim.Add(int64(local))
-			})
-			b.StopTimer()
-			reportSimMS(b, time.Duration(totalSim.Load()))
-			reportOpsPerSec(b)
-			b.ReportMetric(float64(h.Stats().Cache.LockWaits)/float64(b.N), "lock-waits/op")
-		})
+	w := newBenchWorld(b)
+	ctx := context.Background()
+	h := w.NewHNS(core.Config{CacheMode: bind.CacheMarshalled})
+	name := world.DesiredServiceName()
+	if _, err := h.FindNSM(ctx, name, qclass.HRPCBinding); err != nil {
+		b.Fatal(err)
 	}
+	var totalSim atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var local time.Duration
+		for pb.Next() {
+			cost, err := simtime.Measure(ctx, func(ctx context.Context) error {
+				_, err := h.FindNSM(ctx, name, qclass.HRPCBinding)
+				return err
+			})
+			if err != nil {
+				b.Fail()
+				return
+			}
+			local += cost
+		}
+		totalSim.Add(int64(local))
+	})
+	b.StopTimer()
+	reportSimMS(b, time.Duration(totalSim.Load()))
+	reportOpsPerSec(b)
+	b.ReportMetric(float64(h.Stats().Cache.LockWaits)/float64(b.N), "lock-waits/op")
 }
 
 // ---- Table 3.1 arrangements, concurrently.

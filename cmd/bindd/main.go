@@ -83,7 +83,6 @@ func main() {
 		metrAddr = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
 		secAddr  = flag.String("secondary", "", "mirror the zone from this primary bindd HRPC address (TCP) instead of serving authoritatively")
 		refresh  = flag.Duration("refresh", 30*time.Second, "serial-check interval in -secondary mode")
-		replyTTL = flag.Duration("reply-cache", 0, "answer repeat identical requests from cached pre-marshalled replies for this long (0 disables); invalidated on update and zone transfer")
 
 		shardID    = flag.String("shard-id", "", "serve as this member of a sharded meta-store (requires -shard-peers)")
 		shardPeers = flag.String("shard-peers", "", "full shard set as id=addr,... (must include -shard-id); names are owned by rendezvous hash")
@@ -234,10 +233,6 @@ func main() {
 				if err != nil {
 					log.Printf("bindd: refresh: %v", err)
 				} else if moved {
-					// Transfers load the zone directly, below the
-					// server's update hooks — drop cached replies so
-					// the new contents are visible immediately.
-					srv.InvalidateReplies()
 					if tab := srv.PushTable(); tab != nil {
 						// Our own subscribers learn of the refresh as a
 						// zone-level event (the exact change set is not
@@ -307,11 +302,6 @@ func main() {
 		}
 	}
 
-	if *replyTTL > 0 {
-		srv.EnableReplyCache(nil, *replyTTL, 0)
-		log.Printf("bindd: reply cache enabled, ttl %s", *replyTTL)
-	}
-
 	// Sharded meta-store: gate updates by rendezvous ownership, install
 	// the shard-map record, and pull our slice from peers on a ticker.
 	// With no -shard-id this whole block is skipped and bindd is exactly
@@ -360,7 +350,6 @@ func main() {
 					case <-ticker.C:
 						n, err := puller.Pull(context.Background())
 						if n > 0 {
-							srv.InvalidateReplies()
 							log.Printf("bindd: rebalance pulled %d records", n)
 						}
 						if err != nil {

@@ -56,7 +56,6 @@ func main() {
 		negTTL     = flag.Duration("neg-ttl", 0, "cache authoritative NotFound answers for this long (0 disables negative caching)")
 		metrAddr   = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
 		staleFor   = flag.Duration("serve-stale", 0, "serve expired meta-cache entries up to this long past expiry when every meta-BIND replica is down (0 disables)")
-		refrAhead  = flag.Float64("refresh-ahead", 0, "refresh meta-cache entries asynchronously once their remaining TTL falls to this fraction of the original (0 disables; try 0.2)")
 		bindTTL    = flag.Duration("binding-cache", 0, "memoize fully resolved FindNSM bindings for this long (0 disables; layered above the meta-cache)")
 		subscribe  = flag.Bool("subscribe", false, "subscribe to the meta-BIND's push plane: updates invalidate the meta-cache immediately instead of waiting out TTLs (degrades to polling when the server refuses the subscription)")
 		connIdle   = flag.Duration("conn-idle", 0, "close pooled HRPC connections idle for this long (0 keeps them until shutdown)")
@@ -130,7 +129,6 @@ func main() {
 		CacheMode:        mode,
 		NegativeCacheTTL: *negTTL,
 		ServeStale:       *staleFor,
-		RefreshAhead:     *refrAhead,
 		BindingCacheTTL:  *bindTTL,
 		RPC:              rpc,
 	})

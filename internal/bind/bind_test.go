@@ -489,6 +489,57 @@ func TestDynamicUpdate(t *testing.T) {
 	}
 }
 
+// TestUpdateVisibleToNextLookup is the server's read-your-write contract:
+// the lookup that follows an acknowledged update sees it, on both
+// interfaces, for a name each interface has already answered.
+func TestUpdateVisibleToNextLookup(t *testing.T) {
+	env := newTestEnv(t)
+	hc := NewHRPCClient(env.client, env.hrpcB)
+	sc := NewStdClient(env.net, "udp", env.stdAddr)
+	defer sc.Close()
+	ctx := context.Background()
+	const name = "fiji.cs.washington.edu"
+
+	expect := func(when string, want int) {
+		t.Helper()
+		for iface, l := range map[string]Lookuper{"hrpc": hc, "std": sc} {
+			if rrs, err := l.Lookup(ctx, name, TypeA); err != nil || len(rrs) != want {
+				t.Fatalf("%s lookup %s = %v, %v; want %d records", iface, when, rrs, err, want)
+			}
+		}
+	}
+	expect("before update", 1)
+	if _, err := hc.Update(ctx, "cs.washington.edu", UpdateAdd, A(name, "udp!fiji-b", 600)); err != nil {
+		t.Fatal(err)
+	}
+	expect("after add", 2)
+	if _, err := hc.Update(ctx, "cs.washington.edu", UpdateRemove, A(name, "udp!fiji-b", 600)); err != nil {
+		t.Fatal(err)
+	}
+	expect("after remove", 1)
+}
+
+// TestRetiredProcedureIsUnknown: procedure id 5 is retired and not reused,
+// so a caller that still sends it gets the ordinary unknown-procedure fault
+// (hrpc.TestWrongProgramVersionProc pins that fault in general) and the
+// client stays usable for the BINDQuery that follows.
+func TestRetiredProcedureIsUnknown(t *testing.T) {
+	env := newTestEnv(t)
+	retired := hrpc.Procedure{
+		Name: "Retired", ID: 5,
+		Args: marshal.TStruct(), Ret: marshal.TStruct(), Style: marshal.StyleNone,
+	}
+	_, err := env.client.Call(context.Background(), env.hrpcB, retired, marshal.StructV())
+	var rf *hrpc.RemoteFault
+	if !errors.As(err, &rf) || !strings.Contains(rf.Msg, "procedure 5 unavailable") {
+		t.Fatalf("call to procedure 5 = %v, want the unknown-procedure fault", err)
+	}
+	hc := NewHRPCClient(env.client, env.hrpcB)
+	if rrs, err := hc.Lookup(context.Background(), "fiji.cs.washington.edu", TypeA); err != nil || len(rrs) != 1 {
+		t.Fatalf("BINDQuery after the fault = %v, %v", rrs, err)
+	}
+}
+
 func TestUpdateDeniedOnConventionalZone(t *testing.T) {
 	model := simtime.Default()
 	net := transport.NewNetwork(model)

@@ -88,8 +88,6 @@ type clientObs struct {
 	ok, notFound, errs *metrics.Counter // bind_client_lookups_total{iface,result}
 	updates            *metrics.Counter // bind_client_updates_total{iface}
 	transfers          *metrics.Counter // bind_client_transfers_total{iface}
-	batches            *metrics.Counter // bind_client_batches_total{iface}
-	batchNames         *metrics.Counter // bind_client_batch_names_total{iface}
 }
 
 func newClientObs(iface string) clientObs {
@@ -104,10 +102,6 @@ func newClientObs(iface string) clientObs {
 		errs:     lookups("error"),
 		updates:  r.Counter(metrics.Labels("bind_client_updates_total", "iface", iface)),
 		transfers: r.Counter(metrics.Labels("bind_client_transfers_total",
-			"iface", iface)),
-		batches: r.Counter(metrics.Labels("bind_client_batches_total",
-			"iface", iface)),
-		batchNames: r.Counter(metrics.Labels("bind_client_batch_names_total",
 			"iface", iface)),
 	}
 }
@@ -141,15 +135,6 @@ func NewStdClient(net *transport.Network, transportName, addr string, replicas .
 		obs:           newClientObs("std"),
 		health:        health.NewSet(health.Config{Service: "bind-std"}),
 	}
-}
-
-// SetHealth replaces the client's breaker configuration (clock, threshold,
-// cooldown, metrics registry). Set before first use.
-func (c *StdClient) SetHealth(cfg health.Config) {
-	if cfg.Service == "" {
-		cfg.Service = "bind-std"
-	}
-	c.health = health.NewSet(cfg)
 }
 
 // Lookup implements Lookuper.
@@ -444,23 +429,6 @@ type Resolver struct {
 	// to that long past expiry when the backend is unreachable (RFC
 	// 8767-style serve-stale). Zero disables degraded mode.
 	staleFor time.Duration
-	// refreshAhead, when in (0,1), triggers an asynchronous backend
-	// re-fetch for a hit whose remaining lifetime has fallen below that
-	// fraction of its original TTL, so hot entries are renewed before they
-	// expire and the miss cost never lands on a caller. Zero disables it.
-	refreshAhead float64
-	// refreshing guards against piling up refreshes: at most one in-flight
-	// background refresh per key.
-	refreshing sync.Map
-	// refreshes counts launched background refreshes
-	// (cache_refresh_ahead_total{cache=...}); nil when uninstrumented.
-	refreshes *metrics.Counter
-	// pushActive, when set and returning true, reports that a live push
-	// subscription covers this resolver's entries: the server notifies us
-	// of every change, so timer-driven refresh-ahead would only re-fetch
-	// data push already keeps fresh. Refresh-ahead resumes the moment the
-	// subscription drops (fn returns false).
-	pushActive atomic.Pointer[func() bool]
 }
 
 // ResolverConfig configures NewResolver.
@@ -473,10 +441,6 @@ type ResolverConfig struct {
 	Clock simtime.Clock
 	// MaxEntries bounds the cache; 0 = unbounded.
 	MaxEntries int
-	// Shards pins the cache shard count: 0 picks automatically, 1
-	// reproduces the single-mutex cache (the parallel benchmarks'
-	// contention baseline).
-	Shards int
 	// NegativeTTL, when positive, caches authoritative NotFound answers
 	// for that long, so repeated lookups of absent names stop re-querying
 	// the backend ("negative answers dominate real resolver load").
@@ -491,37 +455,21 @@ type ResolverConfig struct {
 	// StaleFor, when positive, enables serve-stale degraded mode: if the
 	// backend (every replica of it) is unreachable, Lookup may answer
 	// from an expired cache entry up to StaleFor past its expiry. Served
-	// answers count in cache_stale_served_total and in the request's
-	// CallCounter. Zero keeps strict TTL semantics.
+	// answers count in cache_stale_served_total. Zero keeps strict TTL
+	// semantics.
 	StaleFor time.Duration
-	// RefreshAhead, when in (0,1), enables refresh-ahead: a cache hit
-	// whose remaining lifetime is below RefreshAhead×TTL still answers
-	// immediately but also kicks off one asynchronous backend re-fetch
-	// (per key) that re-installs the entry with a fresh TTL. The refresh
-	// runs on a private discarded meter, so it never perturbs any
-	// caller's simulated cost. Zero (the default) disables it.
-	RefreshAhead float64
 }
 
 // NewResolver creates a caching resolver over backend.
 func NewResolver(backend Lookuper, model *simtime.Model, cfg ResolverConfig) *Resolver {
-	newCache := func() *cache.TTL[[]RR] {
-		if cfg.Shards > 0 {
-			return cache.NewWithShards[[]RR](cfg.Clock, cfg.MaxEntries, cfg.Shards)
-		}
-		return cache.New[[]RR](cfg.Clock, cfg.MaxEntries)
-	}
 	r := &Resolver{
 		backend:  backend,
 		model:    model,
 		mode:     cfg.Mode,
 		style:    cfg.Style,
-		cache:    newCache(),
+		cache:    cache.New[[]RR](cfg.Clock, cfg.MaxEntries),
 		negTTL:   cfg.NegativeTTL,
 		staleFor: cfg.StaleFor,
-	}
-	if cfg.RefreshAhead > 0 && cfg.RefreshAhead < 1 {
-		r.refreshAhead = cfg.RefreshAhead
 	}
 	if cfg.StaleFor > 0 {
 		r.cache.SetStaleGrace(cfg.StaleFor)
@@ -535,8 +483,6 @@ func NewResolver(backend Lookuper, model *simtime.Model, cfg ResolverConfig) *Re
 			metrics.Labels("cache_demarshal_total", "cache", cfg.CacheName))
 		r.coalesced = cfg.Metrics.Counter(
 			metrics.Labels("cache_coalesced_total", "cache", cfg.CacheName))
-		r.refreshes = cfg.Metrics.Counter(
-			metrics.Labels("cache_refresh_ahead_total", "cache", cfg.CacheName))
 		if r.neg != nil {
 			r.negHits = cfg.Metrics.Counter(
 				metrics.Labels("cache_negative_hits_total", "cache", cfg.CacheName))
@@ -593,9 +539,8 @@ func (r *Resolver) Lookup(ctx context.Context, name string, t RRType) ([]RR, err
 		return nil, err
 	}
 	key := cacheKey(cname, t)
-	if rrs, remaining, original, ok := r.cache.GetWithTTL(key); ok {
+	if rrs, ok := r.cache.Get(key); ok {
 		r.chargeHit(ctx, len(rrs))
-		r.maybeRefreshAhead(key, cname, t, remaining, original)
 		return copyRRs(rrs), nil
 	}
 	if r.neg != nil {
@@ -608,21 +553,9 @@ func (r *Resolver) Lookup(ctx context.Context, name string, t RRType) ([]RR, err
 		}
 	}
 	metrics.CallCounterFrom(ctx).AddMiss()
-	rrs, cost, joined, err := r.flights.do(ctx, key, func(ctx context.Context) ([]RR, error) {
-		rrs, err := r.backend.Lookup(ctx, cname, t)
-		if err != nil {
-			var nf *NotFoundError
-			if r.neg != nil && errors.As(err, &nf) {
-				r.neg.Put(key, nf, r.negTTL)
-				r.negStores.Inc()
-			}
-			return nil, err
-		}
-		// The cache keeps its own copy so later caller mutations of the
-		// returned slice cannot corrupt it.
-		r.cache.Put(key, copyRRs(rrs), time.Duration(MinTTL(rrs))*time.Second)
-		return rrs, nil
-	})
+	rrs, cost, joined, err := r.flights.do(ctx, key,
+		func(ctx context.Context) ([]RR, error) { return r.backend.Lookup(ctx, cname, t) },
+		func(rrs []RR, err error) { r.install(key, rrs, err) })
 	if joined {
 		metrics.CallCounterFrom(ctx).AddCoalesced()
 		r.coalesced.Inc()
@@ -643,60 +576,29 @@ func (r *Resolver) Lookup(ctx context.Context, name string, t RRType) ([]RR, err
 	return rrs, nil
 }
 
-// maybeRefreshAhead launches one asynchronous backend re-fetch for a hit
-// entry nearing expiry. The refresh runs outside any caller's request: it
-// gets a Background context with a private meter whose cost is discarded,
-// so simulated time is untouched, and a per-key guard keeps concurrent
-// hits on the same cooling entry from stampeding the backend. A failed
-// refresh is simply dropped — the entry expires on schedule and the next
-// miss retries synchronously.
-func (r *Resolver) maybeRefreshAhead(key, cname string, t RRType, remaining, original time.Duration) {
-	if r.refreshAhead <= 0 || original <= 0 {
-		return
-	}
-	if fn := r.pushActive.Load(); fn != nil && (*fn)() {
-		// A live push subscription already keeps these entries fresh;
-		// refreshing on a timer too would double-fetch every hot name.
-		return
-	}
-	if remaining > time.Duration(float64(original)*r.refreshAhead) {
-		return
-	}
-	if _, inFlight := r.refreshing.LoadOrStore(key, struct{}{}); inFlight {
-		return
-	}
-	r.refreshes.Inc()
-	go func() {
-		defer r.refreshing.Delete(key)
-		ctx := simtime.WithMeter(context.Background(), simtime.NewMeter())
-		rrs, err := r.backend.Lookup(ctx, cname, t)
-		if err != nil {
-			return
+// install caches a finished backend lookup: an answer under its records'
+// minimum TTL, an authoritative NotFound in the negative cache. It is the
+// resolver's only fetch-driven Put, and flightGroup.do runs it only for a
+// flight no Invalidate or Purge superseded.
+func (r *Resolver) install(key string, rrs []RR, err error) {
+	if err != nil {
+		var nf *NotFoundError
+		if r.neg != nil && errors.As(err, &nf) {
+			r.neg.Put(key, nf, r.negTTL)
+			r.negStores.Inc()
 		}
-		r.cache.Put(key, copyRRs(rrs), time.Duration(MinTTL(rrs))*time.Second)
-	}()
-}
-
-// SetPushCovered suppresses refresh-ahead while fn reports a live push
-// subscription covering this resolver (typically Subscriber.Active).
-// Push and refresh-ahead are complementary freshness mechanisms; this
-// keeps them from both fetching the same entry — push wins while it
-// flows, the timer takes over when it doesn't.
-func (r *Resolver) SetPushCovered(fn func() bool) {
-	if fn == nil {
-		r.pushActive.Store(nil)
 		return
 	}
-	r.pushActive.Store(&fn)
+	// The cache keeps its own copy so later caller mutations of the
+	// returned slice cannot corrupt it.
+	r.cache.Put(key, copyRRs(rrs), time.Duration(MinTTL(rrs))*time.Second)
 }
 
 // staleLookup is the serve-stale fallback: when a backend lookup failed
 // because the backend was unreachable (not a NotFound, not a remote
 // fault), answer from an expired cache entry still within the stale
-// grace. The hit is priced like any other cache hit, counted in
-// cache_stale_served_total (via the cache's stats) and flagged on the
-// request's CallCounter so callers can mark the answer as possibly out
-// of date.
+// grace. The hit is priced like any other cache hit and counted in
+// cache_stale_served_total (via the cache's stats).
 func (r *Resolver) staleLookup(ctx context.Context, key string, cause error) ([]RR, bool) {
 	if r.staleFor <= 0 || !hrpc.Unavailable(cause) {
 		return nil, false
@@ -706,7 +608,6 @@ func (r *Resolver) staleLookup(ctx context.Context, key string, cause error) ([]
 		return nil, false
 	}
 	r.chargeHit(ctx, len(rrs))
-	metrics.CallCounterFrom(ctx).AddStale()
 	return copyRRs(rrs), true
 }
 
@@ -753,25 +654,27 @@ func (r *Resolver) NegativeStats() cache.Stats {
 func (r *Resolver) LockWaits() int64 { return r.cache.LockWaits() }
 
 // Invalidate drops the cached answer — positive and negative — for one
-// (name, type), so the next Lookup goes to the backend. Concurrent
-// missers after an Invalidate still coalesce into a single backend
-// fetch through the resolver's singleflight group; the shard-map
-// refresh path relies on exactly that to turn an epoch bump under many
-// callers into one refetch instead of a stampede.
+// (name, type), so the next Lookup goes to the backend. A fetch already in
+// flight for the key is superseded first: its callers still get the answer
+// they asked for, but it is not cached — it may predate the change that
+// prompted the invalidation — and the next Lookup starts a new fetch.
 func (r *Resolver) Invalidate(name string, t RRType) {
 	cname, err := CanonicalName(name)
 	if err != nil {
 		return
 	}
 	key := cacheKey(cname, t)
+	r.flights.supersede(key)
 	r.cache.Delete(key)
 	if r.neg != nil {
 		r.neg.Delete(key)
 	}
 }
 
-// Purge empties the cache, the negative cache included.
+// Purge empties the cache, the negative cache included, superseding every
+// in-flight fetch as Invalidate does for one.
 func (r *Resolver) Purge() {
+	r.flights.supersedeAll()
 	r.cache.Purge()
 	if r.neg != nil {
 		r.neg.Purge()

@@ -150,23 +150,20 @@ func (s *Server) publishUpdate(zone, name string, serial uint32) {
 	t.Publish(push.Notification{Zone: zone, Name: name, Serial: serial})
 }
 
-// The incremental-transfer and subscription procedures.
+// The incremental-transfer and subscription procedures. ID 5 belonged to a
+// retired procedure and is not reused.
 var (
 	procIxfr = hrpc.Procedure{
 		Name: "BINDIxfr", ID: 6,
 		Args:  marshal.TStruct(marshal.TString, marshal.TUint32),
 		Ret:   marshal.TStruct(marshal.TUint32, marshal.TUint32, marshal.TUint32, marshal.TBytes),
 		Style: marshal.StyleNone,
-		// Read-only and deterministic given zone state; invalidated with
-		// every zone mutation like Query and Serial.
-		Cacheable: true,
 	}
 	procSubscribe = hrpc.Procedure{
 		Name: "BINDSubscribe", ID: 7,
 		Args:  marshal.TStruct(marshal.TString, marshal.TList(marshal.TString), marshal.TUint32),
 		Ret:   marshal.TStruct(marshal.TUint32, marshal.TUint32),
 		Style: marshal.StyleNone,
-		// Registers connection state: never cacheable.
 	}
 )
 

@@ -227,6 +227,109 @@ func TestNegativeCache(t *testing.T) {
 	}
 }
 
+// gatedBackend answers from a zone the test mutates. An armed call takes
+// its answer first and then parks — "reply computed before the update" —
+// until the test releases it.
+type gatedBackend struct {
+	mu      sync.Mutex
+	answers map[string][]RR
+	calls   int
+	armed   bool
+	entered chan struct{} // one send per armed call, answer already in hand
+	release chan struct{}
+}
+
+func (b *gatedBackend) set(name string, rrs ...RR) {
+	b.mu.Lock()
+	b.answers[name] = rrs
+	b.mu.Unlock()
+}
+
+func (b *gatedBackend) Lookup(ctx context.Context, name string, t RRType) ([]RR, error) {
+	b.mu.Lock()
+	b.calls++
+	rrs, ok := b.answers[name]
+	armed := b.armed
+	b.armed = false
+	b.mu.Unlock()
+	if armed {
+		b.entered <- struct{}{}
+		<-b.release
+	}
+	if !ok {
+		return nil, &NotFoundError{Name: name, Type: t, RCode: RCodeNXDomain}
+	}
+	return rrs, nil
+}
+
+// TestInvalidationSupersedesInFlightLookup pins the order "reply computed
+// before the update, invalidation handled before the reply": the fetch's
+// callers get the answer they asked for, but it must not be cached — the
+// next Lookup has to reach the backend and see the update, not wait out a
+// 600 s TTL on the fake clock.
+func TestInvalidationSupersedesInFlightLookup(t *testing.T) {
+	const name = "race.test"
+	old, updated := A(name, "10.0.0.1", 600), A(name, "10.0.0.2", 600)
+	for _, tc := range []struct {
+		name       string
+		before     []RR // nil: the name does not exist yet
+		invalidate func(*Resolver)
+	}{
+		{"Invalidate", []RR{old}, func(r *Resolver) { r.Invalidate(name, TypeA) }},
+		{"Purge", []RR{old}, func(r *Resolver) { r.Purge() }},
+		{"InvalidateNegative", nil, func(r *Resolver) { r.Invalidate(name, TypeA) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			backend := &gatedBackend{
+				answers: map[string][]RR{},
+				armed:   true,
+				entered: make(chan struct{}),
+				release: make(chan struct{}),
+			}
+			if tc.before != nil {
+				backend.set(name, tc.before...)
+			}
+			r := NewResolver(backend, simtime.Default(), ResolverConfig{
+				Clock:       simtime.NewFakeClock(time.Unix(0, 0)),
+				NegativeTTL: 600 * time.Second,
+			})
+			ctx := context.Background()
+			type result struct {
+				rrs []RR
+				err error
+			}
+			first := make(chan result, 1)
+			go func() {
+				rrs, err := r.Lookup(ctx, name, TypeA)
+				first <- result{rrs, err}
+			}()
+			<-backend.entered
+			backend.set(name, updated)
+			tc.invalidate(r)
+			if n := r.flights.waiting(cacheKey(name, TypeA)); n != 0 {
+				t.Fatalf("superseded flight still mapped with %d callers", n)
+			}
+			close(backend.release)
+
+			got := <-first
+			if tc.before == nil {
+				if !isNotFound(got.err) {
+					t.Fatalf("in-flight caller got %v, %v; want the NotFound it asked for", got.rrs, got.err)
+				}
+			} else if got.err != nil || string(got.rrs[0].Data) != "10.0.0.1" {
+				t.Fatalf("in-flight caller got %v, %v; want the pre-update answer", got.rrs, got.err)
+			}
+			rrs, err := r.Lookup(ctx, name, TypeA)
+			if err != nil || string(rrs[0].Data) != "10.0.0.2" {
+				t.Fatalf("Lookup after invalidation = %v, %v; the superseded fetch's answer was cached", rrs, err)
+			}
+			if backend.calls != 2 {
+				t.Fatalf("backend saw %d lookups, want 2", backend.calls)
+			}
+		})
+	}
+}
+
 // TestNegativeCacheDisabledByDefault pins the default-off knob: without
 // NegativeTTL every NotFound goes to the backend, exactly as before.
 func TestNegativeCacheDisabledByDefault(t *testing.T) {
@@ -284,41 +387,31 @@ func BenchmarkCacheKey(b *testing.B) {
 }
 
 // BenchmarkResolverWarmParallel measures concurrent warm hits through the
-// whole resolver (cache probe + copy + pricing), single-mutex vs sharded.
+// whole resolver (cache probe + copy + pricing).
 func BenchmarkResolverWarmParallel(b *testing.B) {
 	const keys = 128
-	for _, arm := range []struct {
-		name   string
-		shards int
-	}{
-		{"SingleMutexCache", 1},
-		{"ShardedCache", 0},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			backend := &blockingBackend{answers: map[string][]RR{}}
-			names := make([]string, keys)
-			for i := range names {
-				names[i] = fmt.Sprintf("host%d.bench.test", i)
-				backend.answers[names[i]] = []RR{A(names[i], "10.0.0.1", 600)}
-			}
-			r := NewResolver(backend, simtime.Default(), ResolverConfig{Shards: arm.shards})
-			ctx := context.Background()
-			for _, n := range names {
-				if _, err := r.Lookup(ctx, n, TypeA); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, err := r.Lookup(ctx, names[i%keys], TypeA); err != nil {
-						b.Fail()
-					}
-					i++
-				}
-			})
-			b.ReportMetric(float64(r.LockWaits())/float64(b.N), "lock-waits/op")
-		})
+	backend := &blockingBackend{answers: map[string][]RR{}}
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = fmt.Sprintf("host%d.bench.test", i)
+		backend.answers[names[i]] = []RR{A(names[i], "10.0.0.1", 600)}
 	}
+	r := NewResolver(backend, simtime.Default(), ResolverConfig{})
+	ctx := context.Background()
+	for _, n := range names {
+		if _, err := r.Lookup(ctx, n, TypeA); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if _, err := r.Lookup(ctx, names[i%keys], TypeA); err != nil {
+				b.Fail()
+			}
+			i++
+		}
+	})
+	b.ReportMetric(float64(r.LockWaits())/float64(b.N), "lock-waits/op")
 }

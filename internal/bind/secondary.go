@@ -164,7 +164,6 @@ func (s *Secondary) refreshDelta(ctx context.Context, current uint32, journal Zo
 	// Pin the exact transferred serial: local Add/Remove bumped ours in
 	// lockstep, but the primary's dedup semantics are authoritative.
 	s.zone.ForceSerial(serial)
-	s.server.InvalidateReplies()
 	s.mu.Lock()
 	s.serial = serial
 	s.refreshN++

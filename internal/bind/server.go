@@ -8,9 +8,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"hns/internal/cache"
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
 	"hns/internal/metrics"
@@ -29,16 +27,6 @@ type Server struct {
 
 	mu    sync.RWMutex
 	zones []*Zone // sorted longest-origin-first for suffix matching
-
-	// Reply caching (Table 3.2 applied server-side). stdReplies memoizes
-	// whole encoded standard-interface responses; replyCfg is propagated
-	// to the HRPC servers this Server spawns, whose own reply caches
-	// memoize marshalled results. Both are dropped by InvalidateReplies,
-	// which every zone mutation through this Server calls.
-	stdReplies atomic.Pointer[stdReplyCache]
-	replyMu    sync.Mutex
-	replyCfg   *replyCacheConfig
-	hrpcSrvs   []*hrpc.Server
 
 	// journal, when set, receives every zone mutation made through this
 	// Server before the mutation is acknowledged. journalMu serializes
@@ -78,32 +66,6 @@ func (s *Server) SetUpdateGate(g UpdateGate) {
 	s.gate.Store(&updateGateHolder{g: g})
 }
 
-// replyCacheConfig records the EnableReplyCache parameters so HRPC servers
-// created later inherit them.
-type replyCacheConfig struct {
-	clock      simtime.Clock
-	ttl        time.Duration
-	maxEntries int
-}
-
-// stdReplyCache memoizes encoded standard-interface responses keyed by the
-// request bytes past the 2-byte message ID. A hit skips decode, zone
-// lookup, and encode: it copies the stored response and patches the ID.
-type stdReplyCache struct {
-	ttl   time.Duration
-	cache *cache.TTL[stdCachedReply]
-
-	hits, misses, invalidates *metrics.Counter
-}
-
-// stdCachedReply is one memoized response plus the simulated cost the
-// original exchange charged; a hit replays that cost, so caching changes
-// real CPU and allocations, never simulated time.
-type stdCachedReply struct {
-	reply []byte
-	cost  time.Duration
-}
-
 // NewServer creates a zoneless server on host. It records its query,
 // update, and transfer counters into the process-wide metrics registry.
 func NewServer(host string, model *simtime.Model) *Server {
@@ -112,61 +74,6 @@ func NewServer(host string, model *simtime.Model) *Server {
 
 // Host reports the server's host name.
 func (s *Server) Host() string { return s.host }
-
-// EnableReplyCache equips the server's interfaces with TTL-bounded
-// marshalled-reply caches of at most maxEntries entries each (0 =
-// unbounded): the standard interface caches whole encoded responses, and
-// every HRPC server the Server has spawned (or spawns later) caches
-// marshalled query/serial results. A nil clock uses real time. Zone
-// mutations through this Server invalidate both; the TTL bounds staleness
-// from mutations that bypass it (direct Zone.Add, secondary refresh —
-// bindd invalidates after a transfer lands).
-func (s *Server) EnableReplyCache(clock simtime.Clock, ttl time.Duration, maxEntries int) {
-	if ttl <= 0 {
-		return
-	}
-	s.stdReplies.Store(&stdReplyCache{
-		ttl:   ttl,
-		cache: cache.New[stdCachedReply](clock, maxEntries),
-		hits: s.reg.Counter(metrics.Labels("reply_cache_hit_total",
-			"server", "bind-std@"+s.host)),
-		misses: s.reg.Counter(metrics.Labels("reply_cache_miss_total",
-			"server", "bind-std@"+s.host)),
-		invalidates: s.reg.Counter(metrics.Labels("reply_cache_invalidate_total",
-			"server", "bind-std@"+s.host)),
-	})
-	s.replyMu.Lock()
-	defer s.replyMu.Unlock()
-	s.replyCfg = &replyCacheConfig{clock: clock, ttl: ttl, maxEntries: maxEntries}
-	for _, hs := range s.hrpcSrvs {
-		hs.EnableReplyCache(clock, ttl, maxEntries)
-	}
-}
-
-// InvalidateReplies drops every cached reply on every interface. Zone
-// mutations through the Server call it automatically; callers that mutate
-// zones behind its back (secondary refresh) call it themselves.
-func (s *Server) InvalidateReplies() {
-	if rc := s.stdReplies.Load(); rc != nil {
-		rc.cache.Purge()
-		rc.invalidates.Inc()
-	}
-	s.replyMu.Lock()
-	srvs := append([]*hrpc.Server(nil), s.hrpcSrvs...)
-	s.replyMu.Unlock()
-	for _, hs := range srvs {
-		hs.InvalidateReplies()
-	}
-}
-
-// StdReplyCacheStats reports the standard interface's reply-cache counters
-// (zeros when the cache is disabled).
-func (s *Server) StdReplyCacheStats() cache.Stats {
-	if rc := s.stdReplies.Load(); rc != nil {
-		return rc.cache.Stats()
-	}
-	return cache.Stats{}
-}
 
 // AddZone makes the server authoritative for z. Duplicate origins are
 // rejected.
@@ -183,7 +90,6 @@ func (s *Server) AddZone(z *Zone) error {
 		return len(s.zones[i].Origin()) > len(s.zones[j].Origin())
 	})
 	s.mu.Unlock()
-	s.InvalidateReplies() // a new zone changes answers (REFUSED → data)
 	return nil
 }
 
@@ -310,10 +216,6 @@ func (s *Server) Update(ctx context.Context, zoneOrigin string, op uint32, rr RR
 			return RCodeServFail, serial, fmt.Errorf("bind: update not durable: %w", jerr)
 		}
 	}
-	// The zone changed: cached encoded replies are now stale. Dropping
-	// them here (rather than per-name) keeps the invalidation as simple
-	// as the TTL scheme the paper's caching leans on.
-	s.InvalidateReplies()
 	// NOTIFY fan-out: subscribers learn of the serial bump now instead
 	// of on their next poll. No-op unless EnablePush was called.
 	s.publishUpdate(z.Origin(), rr.Name, serial)
@@ -339,35 +241,8 @@ func (s *Server) Transfer(ctx context.Context, zoneOrigin string) (RCode, uint32
 // StdHandler adapts the server to the standard wire protocol. Query only —
 // the conventional BIND of the era had no dynamic update or client-visible
 // transfer call.
-//
-// With a reply cache enabled, a repeat of an identical question (compared
-// as raw bytes past the 2-byte message ID) is answered from the stored
-// encoded response with the ID patched in — no decode, no zone lookup, no
-// encode. The recorded simulated cost is replayed, so the cache never
-// changes simulated time, and only responses to well-formed questions are
-// cached (resp.ID == req ID there, which is what makes ID patching exact).
 func (s *Server) StdHandler() transport.Handler {
 	return func(ctx context.Context, req []byte) ([]byte, error) {
-		rc := s.stdReplies.Load()
-		var key string
-		if rc != nil && len(req) >= 2 {
-			key = string(req[2:])
-			if e, ok := rc.cache.Get(key); ok {
-				rc.hits.Inc()
-				simtime.Charge(ctx, e.cost)
-				out := make([]byte, len(e.reply))
-				copy(out, e.reply)
-				copy(out[:2], req[:2])
-				return out, nil
-			}
-			rc.misses.Inc()
-			// Meter the exchange privately so its cost can be recorded
-			// for replay; the deferred Charge forwards it to the caller.
-			m := simtime.NewMeter()
-			outer := ctx
-			ctx = simtime.WithMeter(ctx, m)
-			defer func() { simtime.Charge(outer, m.Elapsed()) }()
-		}
 		q, err := DecodeMessage(req)
 		resp := &Message{Response: true, QName: "invalid"}
 		if err != nil {
@@ -384,14 +259,7 @@ func (s *Server) StdHandler() transport.Handler {
 			return EncodeMessage(resp)
 		}
 		resp.RCode, resp.Answers = s.Query(ctx, q.QName, q.QType)
-		out, err := EncodeMessage(resp)
-		if err == nil && rc != nil && key != "" {
-			rc.cache.Put(key, stdCachedReply{
-				reply: out,
-				cost:  simtime.From(ctx).Elapsed(),
-			}, rc.ttl)
-		}
-		return out, err
+		return EncodeMessage(resp)
 	}
 }
 
@@ -430,9 +298,6 @@ var (
 		Args:  marshal.TStruct(marshal.TString, marshal.TUint32),
 		Ret:   marshal.TStruct(marshal.TUint32, marshal.TList(rrType)),
 		Style: marshal.StyleNone,
-		// Read-only and deterministic given zone state: eligible for the
-		// server's marshalled-reply cache.
-		Cacheable: true,
 	}
 	procUpdate = hrpc.Procedure{
 		Name: "BINDUpdate", ID: 2,
@@ -448,10 +313,9 @@ var (
 	}
 	procSerial = hrpc.Procedure{
 		Name: "BINDSerial", ID: 4,
-		Args:      marshal.TStruct(marshal.TString),
-		Ret:       marshal.TStruct(marshal.TUint32, marshal.TUint32),
-		Style:     marshal.StyleNone,
-		Cacheable: true, // cheap freshness probe; read-only
+		Args:  marshal.TStruct(marshal.TString),
+		Ret:   marshal.TStruct(marshal.TUint32, marshal.TUint32),
+		Style: marshal.StyleNone,
 	}
 )
 
@@ -512,17 +376,9 @@ func listToRRs(v marshal.Value) ([]RR, error) {
 	return out, nil
 }
 
-// HRPCServer wraps the server in the HRPC interface program. The returned
-// server inherits any reply-cache configuration (EnableReplyCache) and is
-// invalidated along with the standard interface on zone mutations.
+// HRPCServer wraps the server in the HRPC interface program.
 func (s *Server) HRPCServer() *hrpc.Server {
 	hs := hrpc.NewServer("bind-hrpc@"+s.host, HRPCProgram, HRPCVersion)
-	s.replyMu.Lock()
-	if s.replyCfg != nil {
-		hs.EnableReplyCache(s.replyCfg.clock, s.replyCfg.ttl, s.replyCfg.maxEntries)
-	}
-	s.hrpcSrvs = append(s.hrpcSrvs, hs)
-	s.replyMu.Unlock()
 	hs.Register(procQuery, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		name, err := args.Items[0].AsString()
 		if err != nil {
@@ -576,7 +432,6 @@ func (s *Server) HRPCServer() *hrpc.Server {
 		}
 		return marshal.StructV(marshal.U32(uint32(RCodeOK)), marshal.U32(z.Serial())), nil
 	})
-	s.registerBatch(hs)
 	s.registerPush(hs)
 	return hs
 }
@@ -621,7 +476,6 @@ func (s *Server) LoadRecords(rrs []RR) error {
 			}
 		}
 	}
-	s.InvalidateReplies() // bulk load changes answers wholesale
 	return nil
 }
 

@@ -35,6 +35,11 @@ type flight struct {
 	// once the whole herd has piled up).
 	waiters atomic.Int64
 
+	// superseded, guarded by flightGroup.mu, is set when an invalidation
+	// detached this flight from the group: its answer may predate the
+	// change and must not be cached.
+	superseded bool
+
 	// Results, valid after done is closed. rrs is the leader's private
 	// copy; each waiter re-copies before returning (see copyRRs).
 	rrs  []RR
@@ -42,12 +47,18 @@ type flight struct {
 	cost time.Duration // simulated cost of the backend lookup
 }
 
-// do executes fn for key, coalescing with an in-progress flight for the
+// do executes fetch for key, coalescing with an in-progress flight for the
 // same key if one exists. It reports the answer, the simulated cost the
 // caller must charge, and whether this caller joined an existing flight
 // rather than leading one. A caller whose ctx dies while waiting detaches
 // with ctx.Err() — the flight itself keeps running for the others.
-func (g *flightGroup) do(ctx context.Context, key string, fn func(context.Context) ([]RR, error)) (rrs []RR, cost time.Duration, joined bool, err error) {
+//
+// The leader hands its result to install (which caches it) unless the
+// flight was superseded meanwhile. install runs under g.mu, the lock
+// supersede takes, so an invalidation is ordered either before it (nothing
+// is cached) or after it (the invalidation's own delete removes the entry);
+// install must not call back into the group.
+func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Context) ([]RR, error), install func([]RR, error)) (rrs []RR, cost time.Duration, joined bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flight)
@@ -70,14 +81,39 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func(context.Contex
 	// Lead: run the backend lookup against a private meter so its cost
 	// can be replayed onto every waiter's meter, exactly once each.
 	meter := simtime.NewMeter()
-	f.rrs, f.err = fn(simtime.WithMeter(ctx, meter))
+	f.rrs, f.err = fetch(simtime.WithMeter(ctx, meter))
 	f.cost = meter.Elapsed()
 
 	g.mu.Lock()
-	delete(g.m, key)
+	if !f.superseded {
+		delete(g.m, key)
+		install(f.rrs, f.err)
+	}
 	g.mu.Unlock()
 	close(f.done)
 	return f.rrs, f.cost, false, f.err
+}
+
+// supersede detaches the in-progress flight for key, if any: its waiters
+// still get its answer, its leader will not cache it, and the next caller
+// for key starts a new flight.
+func (g *flightGroup) supersede(key string) {
+	g.mu.Lock()
+	if f, ok := g.m[key]; ok {
+		f.superseded = true
+		delete(g.m, key)
+	}
+	g.mu.Unlock()
+}
+
+// supersedeAll detaches every in-progress flight.
+func (g *flightGroup) supersedeAll() {
+	g.mu.Lock()
+	for key, f := range g.m {
+		f.superseded = true
+		delete(g.m, key)
+	}
+	g.mu.Unlock()
 }
 
 // waiting reports how many callers are currently attached to the flight

@@ -164,8 +164,6 @@ func (s *Subscriber) Close() error {
 }
 
 // Active reports whether a live push subscription currently stands.
-// Consumers use it to suppress redundant freshness work (refresh-ahead)
-// only while pushes actually flow.
 func (s *Subscriber) Active() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

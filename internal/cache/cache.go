@@ -68,7 +68,6 @@ type entry[V any] struct {
 	key     string
 	value   V
 	expires time.Time
-	ttl     time.Duration // the TTL the entry was stored with
 	elem    *list.Element
 }
 
@@ -216,9 +215,6 @@ func (c *TTL[V]) SetStaleGrace(grace time.Duration) {
 	c.stale = grace
 }
 
-// StaleGrace reports the configured serve-stale grace period.
-func (c *TTL[V]) StaleGrace() time.Duration { return c.stale }
-
 // Get returns the live entry for key. Expired entries count as misses;
 // they are removed unless a stale grace keeps them servable via GetStale.
 func (c *TTL[V]) Get(key string) (V, bool) {
@@ -243,33 +239,6 @@ func (c *TTL[V]) Get(key string) (V, bool) {
 	s.order.MoveToFront(e.elem)
 	s.stats.Hits++
 	return e.value, true
-}
-
-// GetWithTTL is Get plus the entry's freshness: on a hit it also reports
-// how much of the entry's lifetime remains and the TTL it was stored with.
-// Refresh-ahead callers use the ratio to decide whether an entry is close
-// enough to expiry to refresh asynchronously while still serving the hit.
-func (c *TTL[V]) GetWithTTL(key string) (value V, remaining, original time.Duration, ok bool) {
-	s := c.shardFor(key)
-	c.lock(s)
-	defer s.mu.Unlock()
-	e, present := s.entries[key]
-	if !present {
-		s.stats.Misses++
-		return value, 0, 0, false
-	}
-	now := c.clock.Now()
-	if !now.Before(e.expires) {
-		if c.stale <= 0 || !now.Before(e.expires.Add(c.stale)) {
-			s.removeLocked(e)
-		}
-		s.stats.Misses++
-		s.stats.Expired++
-		return value, 0, 0, false
-	}
-	s.order.MoveToFront(e.elem)
-	s.stats.Hits++
-	return e.value, e.expires.Sub(now), e.ttl, true
 }
 
 // GetStale returns the entry for key even if expired, as long as it is
@@ -327,11 +296,10 @@ func (c *TTL[V]) putLocked(s *shard[V], key string, value V, ttl time.Duration) 
 	if e, ok := s.entries[key]; ok {
 		e.value = value
 		e.expires = c.clock.Now().Add(ttl)
-		e.ttl = ttl
 		s.order.MoveToFront(e.elem)
 		return
 	}
-	e := &entry[V]{key: key, value: value, expires: c.clock.Now().Add(ttl), ttl: ttl}
+	e := &entry[V]{key: key, value: value, expires: c.clock.Now().Add(ttl)}
 	e.elem = s.order.PushFront(e)
 	s.entries[key] = e
 	for s.max > 0 && len(s.entries) > s.max {

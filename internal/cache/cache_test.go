@@ -249,31 +249,3 @@ func TestSweep(t *testing.T) {
 		t.Fatalf("second Sweep dropped %d", got)
 	}
 }
-
-func TestGetWithTTL(t *testing.T) {
-	clk := newClock()
-	c := New[string](clk, 0)
-	c.Put("k", "v", 10*time.Second)
-
-	v, remaining, original, ok := c.GetWithTTL("k")
-	if !ok || v != "v" || remaining != 10*time.Second || original != 10*time.Second {
-		t.Fatalf("GetWithTTL = %q, %v, %v, %v", v, remaining, original, ok)
-	}
-	clk.Advance(7 * time.Second)
-	if _, remaining, original, ok = c.GetWithTTL("k"); !ok || remaining != 3*time.Second || original != 10*time.Second {
-		t.Fatalf("aged GetWithTTL = %v remaining of %v, ok=%v", remaining, original, ok)
-	}
-	// Re-Put resets both the deadline and the recorded TTL.
-	c.Put("k", "v2", time.Minute)
-	if v, remaining, original, ok = c.GetWithTTL("k"); !ok || v != "v2" || remaining != time.Minute || original != time.Minute {
-		t.Fatalf("refreshed GetWithTTL = %q, %v, %v, %v", v, remaining, original, ok)
-	}
-	clk.Advance(2 * time.Minute)
-	if _, _, _, ok = c.GetWithTTL("k"); ok {
-		t.Fatal("expired entry returned")
-	}
-	st := c.Stats()
-	if st.Hits != 3 || st.Misses != 1 || st.Expired != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}

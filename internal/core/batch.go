@@ -11,8 +11,7 @@ import (
 	"hns/internal/qclass"
 )
 
-// Batched FindNSM: one frame resolves many names, with per-name status —
-// the core-interface counterpart of the BIND layer's batch query. A
+// Batched FindNSM: one frame resolves many names, with per-name status. A
 // client that binds to many services at startup (or a gateway fronting a
 // fleet of them) pays one frame exchange instead of one per name.
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -496,3 +497,71 @@ func TestSubscribeMetaInvalidatesRemoteCache(t *testing.T) {
 
 // noSubMeta wraps a MetaClient, hiding any Subscribe method.
 type noSubMeta struct{ core.MetaClient }
+
+// gatedMeta parks one armed Lookup of an NSM record after the authority
+// has answered it, so a test can land an update and a flush in between.
+type gatedMeta struct {
+	core.MetaClient
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g *gatedMeta) Lookup(ctx context.Context, name string, t bind.RRType) ([]bind.RR, error) {
+	rrs, err := g.MetaClient.Lookup(ctx, name, t)
+	if strings.Contains(name, ".nsm.") && g.armed.CompareAndSwap(true, false) {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return rrs, err
+}
+
+// TestFlushCacheSupersedesInFlightFindNSM: a FindNSM whose mapping walk
+// read a record before an update, and finishes after the flush the update
+// caused, returns the binding it asked for but must leave it in neither the
+// meta-cache nor the resolved-binding cache — the next FindNSM walks again
+// and sees the update rather than the memo for its one-hour TTL.
+func TestFlushCacheSupersedesInFlightFindNSM(t *testing.T) {
+	w := newWorld(t, world.Config{Clock: simtime.NewFakeClock(time.Unix(0, 0))})
+	gm := &gatedMeta{MetaClient: w.MetaHRPCClient(), entered: make(chan struct{}), release: make(chan struct{})}
+	h := core.New(gm, w.Model, core.Config{
+		MetaZone: world.MetaZone, Clock: w.Clock, BindingCacheTTL: time.Hour,
+	})
+	h.LinkHostResolver(world.NSBind, w.BindHostNSM)
+	ctx := context.Background()
+	name := world.DesiredServiceName()
+
+	gm.armed.Store(true)
+	type result struct {
+		b   hrpc.Binding
+		err error
+	}
+	first := make(chan result, 1)
+	go func() {
+		b, err := h.FindNSM(ctx, name, qclass.HRPCBinding)
+		first <- result{b, err}
+	}()
+	<-gm.entered
+
+	// The NSM moves to another port (registered through a different HNS
+	// instance), and the change reaches h as a flush.
+	if err := w.HNS.UnregisterNSM(ctx, "binding-bind-1", world.NSBind, qclass.HRPCBinding); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.HNS.RegisterNSM(ctx, core.NSMInfo{
+		Name: "binding-bind-1", NameService: world.NSBind, QueryClass: qclass.HRPCBinding,
+		Host: world.HostNSM, HostContext: world.CtxHostB, Port: "moved", Suite: hrpc.SuiteSunRPC,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h.FlushCache()
+	close(gm.release)
+
+	got := <-first
+	if got.err != nil || !strings.HasSuffix(got.b.Addr, ":"+world.PortBindingBind) {
+		t.Fatalf("in-flight FindNSM = %v, %v; want the pre-update binding", got.b, got.err)
+	}
+	b, err := h.FindNSM(ctx, name, qclass.HRPCBinding)
+	if err != nil || !strings.HasSuffix(b.Addr, ":moved") {
+		t.Fatalf("FindNSM after flush = %v, %v; a superseded walk's result was cached", b, err)
+	}
+}

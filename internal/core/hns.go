@@ -84,10 +84,6 @@ type Config struct {
 	Clock simtime.Clock
 	// MaxCacheEntries bounds the meta-cache; 0 = unbounded.
 	MaxCacheEntries int
-	// CacheShards pins the meta-cache shard count: 0 picks automatically
-	// (sharded), 1 restores the single-mutex cache. The parallel
-	// benchmark tier uses 1 as its contention baseline.
-	CacheShards int
 	// NegativeCacheTTL, when positive, remembers authoritative "no such
 	// meta record" answers for that long, so lookups of unregistered
 	// contexts stop hammering the meta-BIND. Zero disables negative
@@ -99,12 +95,6 @@ type Config struct {
 	// past expiry (counted in cache_stale_served_total and
 	// Stats.Cache.StaleServed). Zero keeps strict TTL semantics.
 	ServeStale time.Duration
-	// RefreshAhead, when in (0,1), refreshes meta-cache entries ahead of
-	// expiry: a hit whose remaining TTL is at or below that fraction of
-	// the original TTL triggers one asynchronous re-fetch (singleflight
-	// per key, simulated cost discarded), so hot meta records rarely take
-	// a synchronous miss. Zero disables.
-	RefreshAhead float64
 	// BindingCacheTTL, when positive, memoizes fully resolved FindNSM
 	// results: a repeat (context, query class) is answered from the
 	// stored binding without re-walking the six mappings — priced as one
@@ -148,6 +138,11 @@ type HNS struct {
 	// (Config.BindingCacheTTL): (context, query class) → hrpc.Binding.
 	bindings   *cache.TTL[hrpc.Binding]
 	bindingTTL time.Duration
+	// bindMu orders a finished walk's Put against purgeBindings; bindGen
+	// counts purges (written under bindMu), so a walk that began before
+	// one is not memoized.
+	bindMu  sync.Mutex
+	bindGen atomic.Uint64
 
 	mu            sync.RWMutex
 	hostResolvers map[string]HostResolver
@@ -194,15 +189,13 @@ func New(meta MetaClient, model *simtime.Model, cfg Config) *HNS {
 			Mode: cfg.CacheMode,
 			// Meta data arrives via the generated stubs, so marshalled-
 			// mode hits pay the generated demarshal rate.
-			Style:        marshal.StyleGenerated,
-			Clock:        cfg.Clock,
-			MaxEntries:   cfg.MaxCacheEntries,
-			Shards:       cfg.CacheShards,
-			NegativeTTL:  cfg.NegativeCacheTTL,
-			Metrics:      reg,
-			CacheName:    "meta",
-			StaleFor:     cfg.ServeStale,
-			RefreshAhead: cfg.RefreshAhead,
+			Style:       marshal.StyleGenerated,
+			Clock:       cfg.Clock,
+			MaxEntries:  cfg.MaxCacheEntries,
+			NegativeTTL: cfg.NegativeCacheTTL,
+			Metrics:     reg,
+			CacheName:   "meta",
+			StaleFor:    cfg.ServeStale,
 		}),
 		hostResolvers: make(map[string]HostResolver),
 		instr:         reg.Enabled(),
@@ -249,7 +242,6 @@ func (h *HNS) linkedResolver(nameService string) HostResolver {
 // Meta record owner names. Contexts, name services, query-class mappings
 // and NSM records live under distinct sub-trees of the meta zone.
 func (h *HNS) ctxName(context string) string { return context + ".ctx." + h.metaZone }
-func (h *HNS) nsName(ns string) string       { return ns + ".ns." + h.metaZone }
 func (h *HNS) qcName(qc, ns string) string   { return qc + "." + ns + ".qc." + h.metaZone }
 func (h *HNS) nsmName(nsm string) string     { return nsm + ".nsm." + h.metaZone }
 
@@ -325,6 +317,7 @@ func (h *HNS) FindNSM(ctx context.Context, name names.Name, queryClass string) (
 	// entire mapping walk. The key concatenation is the warm path's one
 	// allocation; the hit is priced as a single cache probe.
 	var bkey string
+	var bgen uint64
 	if h.bindings != nil {
 		cctx, cerr := names.CanonicalContext(name.Context)
 		if cerr == nil {
@@ -335,6 +328,7 @@ func (h *HNS) FindNSM(ctx context.Context, name names.Name, queryClass string) (
 				return b, nil
 			}
 			h.obs.bindMisses.Inc()
+			bgen = h.bindGen.Load()
 		}
 	}
 
@@ -351,8 +345,12 @@ func (h *HNS) FindNSM(ctx context.Context, name names.Name, queryClass string) (
 		h.obs.errors.Inc()
 		return b, err
 	}
-	if h.bindings != nil && bkey != "" {
-		h.bindings.Put(bkey, b, h.bindingTTL)
+	if bkey != "" {
+		h.bindMu.Lock()
+		if h.bindGen.Load() == bgen {
+			h.bindings.Put(bkey, b, h.bindingTTL)
+		}
+		h.bindMu.Unlock()
 	}
 	if h.instr {
 		// The final "resolved" lap left prevD at the call's end time,
@@ -586,21 +584,22 @@ func (h *HNS) Stats() Stats {
 	}
 }
 
-// BindingCacheStats reports the resolved-binding cache's counters (zeros
-// when Config.BindingCacheTTL is unset).
-func (h *HNS) BindingCacheStats() (hits, misses int64) {
-	if h.bindings == nil {
-		return 0, 0
-	}
-	st := h.bindings.Stats()
-	return st.Hits, st.Misses
-}
-
 // FlushCache empties the meta-cache — and the resolved-binding cache, when
 // enabled (between benchmark phases).
 func (h *HNS) FlushCache() {
 	h.resolver.Purge()
-	if h.bindings != nil {
-		h.bindings.Purge()
+	h.purgeBindings()
+}
+
+// purgeBindings empties the resolved-binding cache (a no-op when it is
+// off). A FindNSM walk in progress may have read meta records that have
+// since changed, so bumping bindGen keeps its result out of the cache.
+func (h *HNS) purgeBindings() {
+	if h.bindings == nil {
+		return
 	}
+	h.bindMu.Lock()
+	h.bindGen.Add(1)
+	h.bindings.Purge()
+	h.bindMu.Unlock()
 }

@@ -27,8 +27,6 @@ type MetaSubscriber interface {
 //
 //   - every pushed update invalidates exactly the touched meta name, so
 //     the next lookup re-fetches it instead of waiting out its TTL;
-//   - refresh-ahead stands down (the push keeps entries fresh), and
-//     resumes by itself if the subscription drops;
 //   - a continuity loss (reconnect past the server's diff window)
 //     flushes the whole meta-cache rather than risk stale entries.
 //
@@ -49,18 +47,15 @@ func (h *HNS) SubscribeMeta() bool {
 				return
 			}
 			h.resolver.Invalidate(n.Name, bind.TypeHNSMeta)
-			if h.bindings != nil {
-				// Any meta change can underlie any memoized binding; the
-				// memo layer has no dependency index, so drop it wholesale.
-				h.bindings.Purge()
-			}
+			// Any meta change can underlie any memoized binding; the
+			// memo layer has no dependency index, so drop it wholesale.
+			h.purgeBindings()
 		},
 		OnReset: func() { h.FlushCache() },
 	})
 	h.mu.Lock()
 	h.metaSub = sub
 	h.mu.Unlock()
-	h.resolver.SetPushCovered(sub.Active)
 	return true
 }
 
@@ -72,8 +67,8 @@ func (h *HNS) MetaSubscription() *bind.Subscriber {
 	return h.metaSub
 }
 
-// UnsubscribeMeta tears down the push subscription (if any) and
-// restores timer-driven freshness.
+// UnsubscribeMeta tears down the push subscription (if any), leaving TTL
+// expiry as the only freshness mechanism.
 func (h *HNS) UnsubscribeMeta() {
 	h.mu.Lock()
 	sub := h.metaSub
@@ -82,6 +77,5 @@ func (h *HNS) UnsubscribeMeta() {
 	if sub == nil {
 		return
 	}
-	h.resolver.SetPushCovered(nil)
 	sub.Close()
 }

@@ -34,9 +34,6 @@ func NewPool(client *hrpc.Client, backends []hrpc.Binding) *Pool {
 	return p
 }
 
-// Backends reports the pool size.
-func (p *Pool) Backends() int { return len(p.backends) }
-
 // pick orders the backends for one call: the rotor's choice first, then
 // the rest as failover candidates.
 func (p *Pool) pick() []*core.RemoteHNS {

@@ -88,12 +88,6 @@ type Procedure struct {
 	// output (the default), StyleHand for hand-coded routines, StyleNone
 	// for interfaces that charge their own marshalling costs.
 	Style marshal.Style
-	// Cacheable marks a procedure safe for the server's marshalled-reply
-	// cache: read-only and deterministic given server state, so a repeat
-	// of the identical request may be answered from a stored encoded
-	// result. Procedures with side effects (updates, transfers counted as
-	// work) must leave it false.
-	Cacheable bool
 }
 
 // Suite bundles the component selection of a protocol family, as the

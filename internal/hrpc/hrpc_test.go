@@ -1,6 +1,7 @@
 package hrpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -376,6 +377,57 @@ func TestControlReplyRoundTrip(t *testing.T) {
 		}
 		if rh.Err != "denied" {
 			t.Fatalf("%s: error text = %q", ctl.Name(), rh.Err)
+		}
+	}
+}
+
+// TestAppendersMatchEncoders pins the pooled append path of every built-in
+// control protocol to its allocating encoder, for both reply statuses and
+// with recycled (dirty) destination buffers.
+func TestAppendersMatchEncoders(t *testing.T) {
+	h := CallHeader{XID: 0xdeadbeef, Program: 100017, Version: 1, Procedure: 4}
+	args := []byte("args bytes \x00\xff")
+	replies := []ReplyHeader{
+		{XID: 0xdeadbeef},
+		{XID: 7, Err: "no such zone"},
+	}
+	for _, name := range []string{"raw", "sunrpc", "courier"} {
+		ctl, err := LookupControl(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ca, ok := ctl.(CallAppender)
+		if !ok {
+			t.Fatalf("%s: built-in protocol lacks CallAppender", name)
+		}
+		ra, ok := ctl.(ReplyAppender)
+		if !ok {
+			t.Fatalf("%s: built-in protocol lacks ReplyAppender", name)
+		}
+		want, err := ctl.EncodeCall(h, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := append(make([]byte, 0, 128), 0xaa, 0xbb)
+		got, err := ca.AppendCall(dirty[:0], h, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendCall differs from EncodeCall", name)
+		}
+		for _, rh := range replies {
+			want, err := ctl.EncodeReply(rh, []byte("results"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ra.AppendReply(dirty[:0], rh, []byte("results"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: AppendReply (err=%q) differs from EncodeReply", name, rh.Err)
+			}
 		}
 	}
 }

@@ -4,15 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"hns/internal/admission"
 	"hns/internal/bufpool"
-	"hns/internal/cache"
 	"hns/internal/marshal"
 	"hns/internal/metrics"
 	"hns/internal/simtime"
@@ -39,12 +34,6 @@ type Server struct {
 	mu    sync.RWMutex
 	procs map[uint32]serverProc
 
-	// replies, when non-nil, is the marshalled-reply cache (Table 3.2
-	// applied server-side): repeat identical requests for Cacheable
-	// procedures are answered from stored encoded results, skipping
-	// demarshal → handler → marshal. Installed via EnableReplyCache.
-	replies atomic.Pointer[replyCache]
-
 	// admit, when non-nil, is the server's front door: every decoded
 	// call asks it before any work happens, keyed by the transport's
 	// peer identity. Installed via EnableAdmission.
@@ -59,81 +48,6 @@ type Server struct {
 // or shed (with a typed Overloaded reply) before demarshalling. Call
 // before serving.
 func (s *Server) EnableAdmission(ctl *admission.Controller) { s.admit = ctl }
-
-// replyCache memoizes marshalled results keyed by (data rep, procedure,
-// raw argument bytes).
-type replyCache struct {
-	ttl   time.Duration
-	cache *cache.TTL[cachedReply]
-
-	hits, misses, invalidates *metrics.Counter
-}
-
-// cachedReply is one memoized result: the marshalled return value plus the
-// simulated cost the original call charged between demarshal and marshal.
-// A hit replays that cost to the caller's meter, so enabling the cache
-// never changes simulated time — handlers are deterministic in the cost
-// model — while skipping the real CPU and allocations of the work.
-type cachedReply struct {
-	results []byte
-	cost    time.Duration
-}
-
-// EnableReplyCache equips the server with a TTL-bounded marshalled-reply
-// cache of at most maxEntries entries (0 = unbounded). Only procedures
-// registered with Cacheable=true participate. A nil clock uses real time.
-// Call before serving.
-func (s *Server) EnableReplyCache(clock simtime.Clock, ttl time.Duration, maxEntries int) {
-	if ttl <= 0 {
-		return
-	}
-	reg := s.registry()
-	s.replies.Store(&replyCache{
-		ttl:   ttl,
-		cache: cache.New[cachedReply](clock, maxEntries),
-		hits: reg.Counter(metrics.Labels("reply_cache_hit_total",
-			"server", s.name)),
-		misses: reg.Counter(metrics.Labels("reply_cache_miss_total",
-			"server", s.name)),
-		invalidates: reg.Counter(metrics.Labels("reply_cache_invalidate_total",
-			"server", s.name)),
-	})
-}
-
-// InvalidateReplies drops every cached reply. Callers that mutate the
-// state behind cacheable procedures (dynamic updates, zone refreshes)
-// invoke this so stale encoded answers never outlive the change by more
-// than the interleaving allows; the TTL bounds anything missed.
-func (s *Server) InvalidateReplies() {
-	if rc := s.replies.Load(); rc != nil {
-		rc.cache.Purge()
-		rc.invalidates.Inc()
-	}
-}
-
-// ReplyCacheStats reports the reply cache's counters (zeros when the
-// cache is disabled).
-func (s *Server) ReplyCacheStats() cache.Stats {
-	if rc := s.replies.Load(); rc != nil {
-		return rc.cache.Stats()
-	}
-	return cache.Stats{}
-}
-
-// replyKey builds the cache key for a request: data representation,
-// procedure, and the raw argument bytes, NUL-separated. Keying on the
-// undecoded bytes is what lets a hit skip demarshalling entirely.
-func replyKey(rep string, proc uint32, argBytes []byte) string {
-	var sb strings.Builder
-	sb.Grow(len(rep) + 12 + len(argBytes))
-	sb.WriteString(rep)
-	sb.WriteByte(0)
-	var digits [10]byte
-	sb.Write(strconv.AppendUint(digits[:0], uint64(proc), 10))
-	sb.WriteByte(0)
-	sb.Write(argBytes)
-	return sb.String()
-}
 
 // registry resolves the effective metrics registry.
 func (s *Server) registry() *metrics.Registry {
@@ -274,30 +188,6 @@ func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol, model *simtim
 			ctx = WithBudget(ctx, budget)
 		}
 
-		// Reply cache: a repeat of the identical request for a cacheable
-		// procedure is answered from the stored marshalled result — only
-		// the cheap per-call reply header is re-encoded (the XID differs
-		// call to call). The recorded simulated cost is replayed, so the
-		// cache changes real CPU and allocations, never simulated time.
-		rc := s.replies.Load()
-		cacheable := rc != nil && sp.p.Cacheable
-		var key string
-		if cacheable {
-			key = replyKey(rep.Name(), ch.Procedure, argBytes)
-			if e, ok := rc.cache.Get(key); ok {
-				rc.hits.Inc()
-				simtime.Charge(ctx, e.cost)
-				return ctl.EncodeReply(ReplyHeader{XID: ch.XID}, e.results)
-			}
-			rc.misses.Inc()
-			// Meter the work privately so its cost can be recorded for
-			// replay; every path out of this call forwards it.
-			m := simtime.NewMeter()
-			outer := ctx
-			ctx = simtime.WithMeter(ctx, m)
-			defer func() { simtime.Charge(outer, m.Elapsed()) }()
-		}
-
 		args, err := marshal.Unmarshal(rep, argBytes, sp.p.Args)
 		if err != nil {
 			return reply(fmt.Sprintf("garbage arguments for %s: %v", sp.p.Name, err), nil)
@@ -308,18 +198,13 @@ func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol, model *simtim
 		if err != nil {
 			return reply(err.Error(), nil)
 		}
-		// Marshal into a pooled buffer: on the common (uncached) path the
-		// bytes die as soon as the reply frame copies them, so they go
-		// back to the pool; a cached result instead keeps its buffer.
+		// Marshal into a pooled buffer: the bytes die as soon as the reply
+		// frame copies them, so they go back to the pool.
 		resBytes, err := rep.Append(bufpool.Get(64), ret, sp.p.Ret)
 		if err != nil {
 			return reply(fmt.Sprintf("cannot marshal %s result: %v", sp.p.Name, err), nil)
 		}
 		marshal.ChargeValue(ctx, model, sp.p.Style, ret)
-		if cacheable {
-			rc.cache.Put(key, cachedReply{results: resBytes, cost: simtime.From(ctx).Elapsed()}, rc.ttl)
-			return reply("", resBytes)
-		}
 		out, rerr := reply("", resBytes)
 		bufpool.Put(resBytes)
 		return out, rerr

@@ -13,7 +13,6 @@ import (
 type CallCounter struct {
 	misses    atomic.Int64
 	coalesced atomic.Int64
-	stale     atomic.Int64
 }
 
 // AddMiss records one backend fetch. No-op on a nil receiver, so layers
@@ -50,31 +49,7 @@ func (c *CallCounter) Coalesced() int64 {
 	return c.coalesced.Load()
 }
 
-// AddStale records a lookup answered from an expired cache entry because
-// every backend replica was unreachable — the serve-stale degraded mode.
-// The answer is real but possibly out of date; callers inspect Stale()
-// to flag the response.
-func (c *CallCounter) AddStale() {
-	if c != nil {
-		c.stale.Add(1)
-	}
-}
-
-// Stale reports how many of this call's answers were served stale.
-func (c *CallCounter) Stale() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.stale.Load()
-}
-
 type callCounterKey struct{}
-
-// WithCallCounter installs a fresh CallCounter in ctx and returns it.
-func WithCallCounter(ctx context.Context) (context.Context, *CallCounter) {
-	c := &CallCounter{}
-	return InstallCallCounter(ctx, c), c
-}
 
 // InstallCallCounter installs c in ctx. Callers that embed the counter in
 // a larger per-call structure use this to avoid a second allocation.

@@ -30,7 +30,6 @@ import (
 	"hns/internal/cache"
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
-	"hns/internal/metrics"
 	"hns/internal/names"
 	"hns/internal/qclass"
 	"hns/internal/simtime"
@@ -120,8 +119,7 @@ func (rc *resultCache[V]) put(key string, v V) { rc.c.Put(key, v, rc.ttl) }
 // getStale is the serve-stale fallback: when a lookup failed because the
 // underlying service was unreachable (cause is an availability error,
 // not a semantic one), answer from an expired entry still within the
-// stale grace. The hit is priced like a normal hit and flagged on the
-// request's CallCounter.
+// stale grace. The hit is priced like a normal hit.
 func (rc *resultCache[V]) getStale(ctx context.Context, key string, cause error) (V, bool) {
 	var zero V
 	if rc.stale <= 0 || !hrpc.Unavailable(cause) {
@@ -137,7 +135,6 @@ func (rc *resultCache[V]) getStale(ctx context.Context, key string, cause error)
 	} else {
 		simtime.Charge(ctx, rc.model.CacheHit(1))
 	}
-	metrics.CallCounterFrom(ctx).AddStale()
 	return v, true
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Alloc-regression gate for the zero-allocation wire path (PR: wire path &
-# reply caches). Runs the warm-path benchmarks with -benchmem and fails if
-# any exceeds its committed allocs/op bound. The bounds are the contract:
-# raising one is an explicit, reviewed change to this file.
+# Alloc-regression gate for the zero-allocation wire path. Runs the
+# warm-path benchmarks with -benchmem and fails if any exceeds its
+# committed allocs/op bound. The bounds are the contract: raising one is an
+# explicit, reviewed change to this file.
 #
 # Usage:
 #   scripts/bench_alloc.sh           # gate (exit 1 on regression)

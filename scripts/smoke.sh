@@ -28,6 +28,13 @@ if grep -rnE 'BENCH_(batch|durable|mux|push|scale|shard|wire)' \
   echo "SMOKE FAILED: a retired BENCH file is referenced again (see matches above)"; exit 1
 fi
 
+echo "--- one lookup path: no marshalled-reply cache, refresh-ahead, BIND query batching or cache-shard pin in non-test sources"
+if grep -rnE 'EnableReplyCache|InvalidateReplies|Cacheable|replyCache|RefreshAhead|SetPushCovered|GetWithTTL|LookupBatch|NewBatcher|procQueryBatch|CacheShards|"reply-cache"|"refresh-ahead"' \
+        --include='*.go' --include='*.sh' --include='Makefile' --exclude='*_test.go' --exclude='smoke.sh' \
+        --exclude-dir=.git --exclude-dir=.bench_build .; then
+  echo "SMOKE FAILED: a removed lookup-path mechanism is back (see matches above)"; exit 1
+fi
+
 echo "--- race detector over the full test suite"
 go test -race ./...
 
