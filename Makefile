@@ -43,6 +43,7 @@ fuzz:
 	go test -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/store/
 	go test -fuzz FuzzShardMapDecode -fuzztime 10s ./internal/shard/
 	go test -fuzz FuzzIXFRDecode -fuzztime 10s ./internal/bind/
+	go test -fuzz FuzzQueryChainArgs -fuzztime 10s ./internal/bind/
 	go test -fuzz FuzzNotifyDecode -fuzztime 10s ./internal/push/
 
 # Multi-process deployment over real sockets.

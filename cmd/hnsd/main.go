@@ -85,7 +85,8 @@ func main() {
 	defer rpc.Close()
 
 	metaRPC := hrpc.NewClient(net)
-	metaRPC.FreshConn = true
+	metaRPC.Pool.IdleTimeout = *connIdle
+	defer metaRPC.Close()
 	var meta core.MetaClient
 	if *metaShards != "" {
 		// Sharded meta-store: route every meta lookup/update to the
@@ -130,6 +131,7 @@ func main() {
 		NegativeCacheTTL: *negTTL,
 		ServeStale:       *staleFor,
 		BindingCacheTTL:  *bindTTL,
+		ChainMeta:        true,
 		RPC:              rpc,
 	})
 
@@ -197,6 +199,7 @@ func main() {
 					// call to the same endpoint); the sweep closes idle
 					// connections to endpoints no one is calling anymore.
 					rpc.CloseIdle()
+					metaRPC.CloseIdle()
 				}
 			case <-sweepDone:
 				return

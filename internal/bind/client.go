@@ -416,6 +416,12 @@ type Resolver struct {
 	neg     *cache.TTL[*NotFoundError]
 	negTTL  time.Duration
 	flights flightGroup
+	// invalidated remembers keys whose cached answer an Invalidate removed
+	// and no lookup has refetched yet (see LookupChain). maxEntries caps it
+	// as it caps the cache; 0 = unbounded.
+	invMu       sync.Mutex
+	invalidated map[string]struct{}
+	maxEntries  int
 	// demarshals counts marshalled-mode hit demarshals
 	// (cache_demarshal_total{cache=...}); nil when uninstrumented.
 	demarshals *metrics.Counter
@@ -470,6 +476,9 @@ func NewResolver(backend Lookuper, model *simtime.Model, cfg ResolverConfig) *Re
 		cache:    cache.New[[]RR](cfg.Clock, cfg.MaxEntries),
 		negTTL:   cfg.NegativeTTL,
 		staleFor: cfg.StaleFor,
+
+		invalidated: make(map[string]struct{}),
+		maxEntries:  cfg.MaxEntries,
 	}
 	if cfg.StaleFor > 0 {
 		r.cache.SetStaleGrace(cfg.StaleFor)
@@ -534,6 +543,20 @@ func copyRRs(rrs []RR) []RR {
 // are cached under the answer set's minimum TTL. Returned slices are
 // private copies; mutating them cannot corrupt the cache.
 func (r *Resolver) Lookup(ctx context.Context, name string, t RRType) ([]RR, error) {
+	return r.LookupChain(ctx, name, t, nil)
+}
+
+// LookupChain is Lookup for a name whose answer leads to further lookups:
+// on a miss, a backend that is a ChainLookuper is asked to follow the steps
+// in the same exchange, and every answer set it returns is cached under its
+// own name and TTL, so the lookups the caller makes next hit. The result is
+// the answer for name alone. A link the backend did not return is simply
+// not cached — the caller's next Lookup asks for it.
+//
+// A name whose cached answer was removed by Invalidate is refetched alone:
+// it was invalidated because it changed, and what it led to is usually
+// still cached.
+func (r *Resolver) LookupChain(ctx context.Context, name string, t RRType, follow []FollowStep) ([]RR, error) {
 	cname, err := CanonicalName(name)
 	if err != nil {
 		return nil, err
@@ -553,9 +576,26 @@ func (r *Resolver) Lookup(ctx context.Context, name string, t RRType) ([]RR, err
 		}
 	}
 	metrics.CallCounterFrom(ctx).AddMiss()
-	rrs, cost, joined, err := r.flights.do(ctx, key,
-		func(ctx context.Context) ([]RR, error) { return r.backend.Lookup(ctx, cname, t) },
-		func(rrs []RR, err error) { r.install(key, rrs, err) })
+	fetch := func(ctx context.Context) ([]RR, error) { return r.backend.Lookup(ctx, cname, t) }
+	install := func(rrs []RR, err error, _ bool) { r.install(key, rrs, err) }
+	chain, _ := r.backend.(ChainLookuper)
+	if alone := r.takeInvalidated(key); !alone && chain != nil && len(follow) > 0 {
+		var tails [][]RR // written by fetch, read by install: both run on the leader
+		fetch = func(ctx context.Context) (head []RR, err error) {
+			head, tails, err = chain.LookupChain(ctx, cname, t, follow)
+			return head, err
+		}
+		install = func(rrs []RR, err error, quiet bool) {
+			r.install(key, rrs, err)
+			if !quiet {
+				return // some name was invalidated meanwhile; it may be a tail's
+			}
+			for _, tail := range tails {
+				r.install(cacheKey(tail[0].Name, t), tail, nil)
+			}
+		}
+	}
+	rrs, cost, joined, err := r.flights.do(ctx, key, fetch, install)
 	if joined {
 		metrics.CallCounterFrom(ctx).AddCoalesced()
 		r.coalesced.Inc()
@@ -574,6 +614,22 @@ func (r *Resolver) Lookup(ctx context.Context, name string, t RRType) ([]RR, err
 		rrs = copyRRs(rrs)
 	}
 	return rrs, nil
+}
+
+// takeInvalidated reports whether key's cached answer was removed by an
+// Invalidate since its last fetch, and forgets it.
+func (r *Resolver) takeInvalidated(key string) bool {
+	r.invMu.Lock()
+	defer r.invMu.Unlock()
+	_, ok := r.invalidated[key]
+	delete(r.invalidated, key)
+	return ok
+}
+
+func (r *Resolver) forgetInvalidated() {
+	r.invMu.Lock()
+	clear(r.invalidated)
+	r.invMu.Unlock()
 }
 
 // install caches a finished backend lookup: an answer under its records'
@@ -657,7 +713,9 @@ func (r *Resolver) LockWaits() int64 { return r.cache.LockWaits() }
 // (name, type), so the next Lookup goes to the backend. A fetch already in
 // flight for the key is superseded first: its callers still get the answer
 // they asked for, but it is not cached — it may predate the change that
-// prompted the invalidation — and the next Lookup starts a new fetch.
+// prompted the invalidation — and the next Lookup starts a new fetch. When
+// an answer was actually dropped, the key is remembered so that fetch asks
+// for this name alone (see LookupChain).
 func (r *Resolver) Invalidate(name string, t RRType) {
 	cname, err := CanonicalName(name)
 	if err != nil {
@@ -665,7 +723,17 @@ func (r *Resolver) Invalidate(name string, t RRType) {
 	}
 	key := cacheKey(cname, t)
 	r.flights.supersede(key)
-	r.cache.Delete(key)
+	if r.cache.Delete(key) {
+		r.invMu.Lock()
+		if r.maxEntries > 0 && len(r.invalidated) >= r.maxEntries {
+			for k := range r.invalidated { // full: forget one, any one
+				delete(r.invalidated, k)
+				break
+			}
+		}
+		r.invalidated[key] = struct{}{}
+		r.invMu.Unlock()
+	}
 	if r.neg != nil {
 		r.neg.Delete(key)
 	}
@@ -676,15 +744,19 @@ func (r *Resolver) Invalidate(name string, t RRType) {
 func (r *Resolver) Purge() {
 	r.flights.supersedeAll()
 	r.cache.Purge()
+	r.forgetInvalidated()
 	if r.neg != nil {
 		r.neg.Purge()
 	}
 }
 
 // Sweep proactively removes expired cache entries (negative ones
-// included), reporting how many were dropped.
+// included), reporting how many were dropped. It also forgets which names
+// were invalidated: a name nobody has asked for since the last sweep would
+// otherwise be remembered for ever by an unbounded resolver.
 func (r *Resolver) Sweep() int {
 	n := r.cache.Sweep()
+	r.forgetInvalidated()
 	if r.neg != nil {
 		n += r.neg.Sweep()
 	}

@@ -432,6 +432,7 @@ func (s *Server) HRPCServer() *hrpc.Server {
 		}
 		return marshal.StructV(marshal.U32(uint32(RCodeOK)), marshal.U32(z.Serial())), nil
 	})
+	hs.Register(procQueryChain, s.queryChain)
 	s.registerPush(hs)
 	return hs
 }

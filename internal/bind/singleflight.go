@@ -24,6 +24,11 @@ import (
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flight
+	// gen counts invalidations (every supersede and supersedeAll, whether
+	// or not a flight was mapped). A flight that also fetched names other
+	// than its key has no flight of theirs to be superseded through, so it
+	// compares gen at its end with gen at its start instead.
+	gen uint64
 }
 
 // flight is one in-progress backend lookup.
@@ -39,6 +44,8 @@ type flight struct {
 	// detached this flight from the group: its answer may predate the
 	// change and must not be cached.
 	superseded bool
+	// gen is flightGroup.gen when the flight began.
+	gen uint64
 
 	// Results, valid after done is closed. rrs is the leader's private
 	// copy; each waiter re-copies before returning (see copyRRs).
@@ -57,8 +64,10 @@ type flight struct {
 // flight was superseded meanwhile. install runs under g.mu, the lock
 // supersede takes, so an invalidation is ordered either before it (nothing
 // is cached) or after it (the invalidation's own delete removes the entry);
-// install must not call back into the group.
-func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Context) ([]RR, error), install func([]RR, error)) (rrs []RR, cost time.Duration, joined bool, err error) {
+// install must not call back into the group. install's quiet argument
+// reports that no key at all was invalidated while the flight ran: only
+// then may it cache what the fetch brought back under other keys.
+func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Context) ([]RR, error), install func(rrs []RR, err error, quiet bool)) (rrs []RR, cost time.Duration, joined bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flight)
@@ -73,7 +82,7 @@ func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Con
 			return nil, 0, true, ctx.Err()
 		}
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{done: make(chan struct{}), gen: g.gen}
 	f.waiters.Add(1)
 	g.m[key] = f
 	g.mu.Unlock()
@@ -87,7 +96,7 @@ func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Con
 	g.mu.Lock()
 	if !f.superseded {
 		delete(g.m, key)
-		install(f.rrs, f.err)
+		install(f.rrs, f.err, f.gen == g.gen)
 	}
 	g.mu.Unlock()
 	close(f.done)
@@ -99,6 +108,7 @@ func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Con
 // for key starts a new flight.
 func (g *flightGroup) supersede(key string) {
 	g.mu.Lock()
+	g.gen++
 	if f, ok := g.m[key]; ok {
 		f.superseded = true
 		delete(g.m, key)
@@ -109,6 +119,7 @@ func (g *flightGroup) supersede(key string) {
 // supersedeAll detaches every in-progress flight.
 func (g *flightGroup) supersedeAll() {
 	g.mu.Lock()
+	g.gen++
 	for key, f := range g.m {
 		f.superseded = true
 		delete(g.m, key)

@@ -103,6 +103,14 @@ type Config struct {
 	// default and the paper's tables are computed without it; the
 	// zero-allocation warm path the bench-alloc gate pins uses it.
 	BindingCacheTTL time.Duration
+	// ChainMeta, when set, lets a meta-cache miss on mapping 1, 2 or 4 ask
+	// the meta-BIND to follow the context → NSM name → NSM record chain in
+	// the same exchange (bind.ChainLookuper), so the mappings after it hit:
+	// a cold FindNSM makes one meta exchange, not three. It takes effect
+	// only over a MetaClient that can chain (one *bind.HRPCClient; not the
+	// sharded client). Off by default — the paper's FindNSM makes one
+	// lookup per mapping, and the tables are computed that way.
+	ChainMeta bool
 	// RPC, when set, lets the HNS fall back to *remote* HostAddress NSMs
 	// for name services with no linked resolver. Without it, such
 	// lookups fail — the prototype always linked its HostAddress NSMs.
@@ -133,6 +141,12 @@ type HNS struct {
 	meta     MetaClient
 	resolver *bind.Resolver
 	rpc      *hrpc.Client
+	// The follow lists of Config.ChainMeta, nil without it: what mapping 2
+	// chains to (the NSM record) and what mapping 4 does (the host name
+	// service's HostAddress record; mapping 5 always follows, the host
+	// NSM's own record is wanted only when none is linked). Mapping 1's
+	// depends on the query class: see chainFrom.
+	chainNSM, chainHost []bind.FollowStep
 
 	// bindings, when non-nil, is the resolved-binding cache
 	// (Config.BindingCacheTTL): (context, query class) → hrpc.Binding.
@@ -211,6 +225,10 @@ func New(meta MetaClient, model *simtime.Model, cfg Config) *HNS {
 		h.obs.steps[i] = reg.Histogram(metrics.Labels("core_findnsm_step_ms",
 			"step", fmt.Sprintf("mapping%d", i+1)))
 	}
+	if cfg.ChainMeta {
+		h.chainNSM = []bind.FollowStep{h.followNSM()}
+		h.chainHost = []bind.FollowStep{h.followQC(qclass.HostAddress)}
+	}
 	if cfg.BindingCacheTTL > 0 {
 		h.bindings = cache.New[hrpc.Binding](cfg.Clock, cfg.MaxCacheEntries)
 		h.bindingTTL = cfg.BindingCacheTTL
@@ -245,10 +263,30 @@ func (h *HNS) ctxName(context string) string { return context + ".ctx." + h.meta
 func (h *HNS) qcName(qc, ns string) string   { return qc + "." + ns + ".qc." + h.metaZone }
 func (h *HNS) nsmName(nsm string) string     { return nsm + ".nsm." + h.metaZone }
 
+// The same two names as steps the meta-BIND can follow: a context record's
+// ns= value names the (query class, name service) record — qcName — whose
+// nsm= value names the NSM record — nsmName.
+func (h *HNS) followQC(qc string) bind.FollowStep {
+	return bind.FollowStep{Key: "ns", Prefix: qc + ".", Suffix: ".qc." + h.metaZone}
+}
+func (h *HNS) followNSM() bind.FollowStep {
+	return bind.FollowStep{Key: "nsm", Suffix: ".nsm." + h.metaZone}
+}
+
 // metaLookup fetches the meta records at name through the caching
-// resolver; the six FindNSM mappings all come through here.
-func (h *HNS) metaLookup(ctx context.Context, name string) ([]bind.RR, error) {
-	return h.resolver.Lookup(ctx, name, bind.TypeHNSMeta)
+// resolver; the six FindNSM mappings all come through here. follow lists
+// the mappings the caller performs next (nil unless Config.ChainMeta): a
+// miss fetches their records in the same exchange.
+func (h *HNS) metaLookup(ctx context.Context, name string, follow []bind.FollowStep) ([]bind.RR, error) {
+	return h.resolver.LookupChain(ctx, name, bind.TypeHNSMeta, follow)
+}
+
+// chainFrom is mapping 1's follow list: mappings 2 and 3 for queryClass.
+func (h *HNS) chainFrom(queryClass string) []bind.FollowStep {
+	if h.chainNSM == nil {
+		return nil
+	}
+	return []bind.FollowStep{h.followQC(queryClass), h.chainNSM[0]}
 }
 
 // kv parses the "key=value" payload convention of meta records.
@@ -372,7 +410,7 @@ func (h *HNS) findNSM(ctx context.Context, context, queryClass string, depth int
 		return hrpc.Binding{}, ErrDepthExceeded
 	}
 	// Mapping 1: Context → Name Service Name.
-	ns, err := h.lookupContext(ctx, context)
+	ns, err := h.lookupContext(ctx, context, h.chainFrom(queryClass))
 	if err != nil {
 		return hrpc.Binding{}, err
 	}
@@ -380,7 +418,7 @@ func (h *HNS) findNSM(ctx context.Context, context, queryClass string, depth int
 	h.obs.steps[0].Observe(d)
 	so.emit("mapping 1", d, state, "context %q -> name service %q", context, ns)
 	// Mapping 2: (Name Service Name, Query Class) → NSM Name.
-	nsm, err := h.lookupNSMName(ctx, ns, queryClass)
+	nsm, err := h.lookupNSMName(ctx, ns, queryClass, h.chainNSM)
 	if err != nil {
 		return hrpc.Binding{}, err
 	}
@@ -419,12 +457,12 @@ func (h *HNS) findNSM(ctx context.Context, context, queryClass string, depth int
 }
 
 // lookupContext performs mapping 1.
-func (h *HNS) lookupContext(ctx context.Context, context string) (string, error) {
+func (h *HNS) lookupContext(ctx context.Context, context string, follow []bind.FollowStep) (string, error) {
 	context, err := names.CanonicalContext(context)
 	if err != nil {
 		return "", err
 	}
-	rrs, err := h.metaLookup(ctx, h.ctxName(context))
+	rrs, err := h.metaLookup(ctx, h.ctxName(context), follow)
 	if err != nil {
 		var nf *bind.NotFoundError
 		if errors.As(err, &nf) {
@@ -440,8 +478,8 @@ func (h *HNS) lookupContext(ctx context.Context, context string) (string, error)
 }
 
 // lookupNSMName performs mapping 2.
-func (h *HNS) lookupNSMName(ctx context.Context, ns, queryClass string) (string, error) {
-	rrs, err := h.metaLookup(ctx, h.qcName(queryClass, ns))
+func (h *HNS) lookupNSMName(ctx context.Context, ns, queryClass string, follow []bind.FollowStep) (string, error) {
+	rrs, err := h.metaLookup(ctx, h.qcName(queryClass, ns), follow)
 	if err != nil {
 		var nf *bind.NotFoundError
 		if errors.As(err, &nf) {
@@ -466,7 +504,7 @@ type nsmRecord struct {
 
 // lookupNSMRecord performs mapping 3.
 func (h *HNS) lookupNSMRecord(ctx context.Context, nsm string) (nsmRecord, error) {
-	rrs, err := h.metaLookup(ctx, h.nsmName(nsm))
+	rrs, err := h.metaLookup(ctx, h.nsmName(nsm), nil)
 	if err != nil {
 		var nf *bind.NotFoundError
 		if errors.As(err, &nf) {
@@ -501,7 +539,7 @@ func (h *HNS) lookupNSMRecord(ctx context.Context, nsm string) (nsmRecord, error
 // NSM's own host, short-circuited through linked resolvers.
 func (h *HNS) resolveHost(ctx context.Context, hostContext, host string, depth int, so *stepObs) (string, error) {
 	// Mapping 4: the host's context → its name service.
-	hostNS, err := h.lookupContext(ctx, hostContext)
+	hostNS, err := h.lookupContext(ctx, hostContext, h.chainHost)
 	if err != nil {
 		return "", err
 	}
@@ -511,7 +549,7 @@ func (h *HNS) resolveHost(ctx context.Context, hostContext, host string, depth i
 	// Mapping 5: (host NS, HostAddress) → NSM name. Performed even when a
 	// linked instance will serve the query — the HNS must confirm the
 	// query class is supported before dispatching.
-	hostNSM, err := h.lookupNSMName(ctx, hostNS, qclass.HostAddress)
+	hostNSM, err := h.lookupNSMName(ctx, hostNS, qclass.HostAddress, nil)
 	if err != nil {
 		return "", err
 	}

@@ -202,6 +202,137 @@ func TestMuxPoolIdleEviction(t *testing.T) {
 	}
 }
 
+// muxEchoServer is a raw TCP backend that can die the way a process does:
+// stop closes the listener and every accepted connection. It echoes each
+// multiplexed request and counts them.
+type muxEchoServer struct {
+	ln       net.Listener
+	requests atomic.Int64
+
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func startMuxEchoServer(t *testing.T, addr string) *muxEchoServer {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &muxEchoServer{ln: ln}
+	t.Cleanup(s.stop)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			s.mu.Lock()
+			s.conns = append(s.conns, c)
+			s.mu.Unlock()
+			go s.serve(c)
+		}
+	}()
+	return s
+}
+
+func (s *muxEchoServer) serve(c net.Conn) {
+	var pre [4]byte
+	if _, err := io.ReadFull(c, pre[:]); err != nil {
+		return
+	}
+	for {
+		var hdr [8]byte
+		if _, err := io.ReadFull(c, hdr[:]); err != nil {
+			return
+		}
+		body := make([]byte, binary.BigEndian.Uint32(hdr[4:]))
+		if _, err := io.ReadFull(c, body); err != nil {
+			return
+		}
+		s.requests.Add(1)
+		reply := append([]byte(nil), hdr[:4]...)
+		reply = binary.BigEndian.AppendUint32(reply, uint32(9+len(body)))
+		reply = append(reply, make([]byte, 8)...) // zero simulated cost
+		reply = append(reply, 0)                  // statusOK
+		if _, err := c.Write(append(reply, body...)); err != nil {
+			return
+		}
+	}
+}
+
+func (s *muxEchoServer) stop() {
+	s.ln.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.conns {
+		c.Close()
+	}
+	s.conns = nil
+}
+
+// TestPooledClientSurvivesServerRestart: a client that keeps its connection
+// (hnsd's, to its meta-BIND) outlives the server behind it. The server dies
+// and comes back at the same address between two calls; the second call
+// finds its pooled connection dead, redials once and succeeds — no error
+// surfaces, the endpoint's breaker hears nothing, and a configured replica
+// is not bothered.
+func TestPooledClientSurvivesServerRestart(t *testing.T) {
+	for _, withReplica := range []bool{false, true} {
+		t.Run(fmt.Sprintf("replica=%v", withReplica), func(t *testing.T) {
+			n := transport.NewNetwork(simtime.Default())
+			inner, err := n.Transport("tcp-net")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct := &countingTransport{Transport: inner}
+			reg := metrics.NewRegistry()
+			c := NewClient(n)
+			c.Metrics = reg
+			defer c.Close()
+
+			primary := startMuxEchoServer(t, "127.0.0.1:0")
+			addr := primary.ln.Addr().String()
+			var replica *muxEchoServer
+			if withReplica {
+				replica = startMuxEchoServer(t, "127.0.0.1:0")
+				c.SetReplicas(addr, replica.ln.Addr().String())
+			}
+			call := func(step string) {
+				t.Helper()
+				resp, ep, err := c.roundTrip(context.Background(), ct, addr, []byte(step), budgetState{})
+				if err != nil || string(resp) != step || ep != addr {
+					t.Fatalf("%s: reply %q from %s, err %v", step, resp, ep, err)
+				}
+			}
+			call("first")
+			call("second")
+			if d := ct.dials.Load(); d != 1 {
+				t.Fatalf("dials after two calls = %d, want 1 (connection pooled)", d)
+			}
+
+			primary.stop()
+			restarted := startMuxEchoServer(t, addr)
+			call("after restart")
+			if d := ct.dials.Load(); d != 2 {
+				t.Fatalf("dials after the restart = %d, want 2 (one redial)", d)
+			}
+			if got := restarted.requests.Load(); got != 1 {
+				t.Fatalf("restarted server saw %d requests, want 1", got)
+			}
+			if f := reg.Counter(metrics.Labels("breaker_failures_total",
+				"service", "hrpc", "endpoint", addr)).Value(); f != 0 {
+				t.Fatalf("breaker_failures_total = %d, want 0 (a stale connection is not a dead endpoint)", f)
+			}
+			if withReplica {
+				if got := replica.requests.Load(); got != 0 {
+					t.Fatalf("replica saw %d requests, want 0", got)
+				}
+			}
+		})
+	}
+}
+
 // TestMuxClientCloseIdle checks the explicit-eviction half of satellite
 // 1: CloseIdle closes every connection with no call in flight, spares
 // busy ones, and drops emptied endpoint entries so the per-endpoint map

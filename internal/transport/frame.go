@@ -22,11 +22,11 @@ const (
 	statusOK  = 0
 	statusErr = 1
 
-	// maxFrame bounds a frame so a corrupt or hostile length prefix
+	// MaxFrame bounds a frame so a corrupt or hostile length prefix
 	// cannot force a huge allocation. BIND resource records are ≤256
 	// bytes and zone transfers are streamed record-by-record, so 1 MiB is
 	// generous.
-	maxFrame = 1 << 20
+	MaxFrame = 1 << 20
 )
 
 // errFrameLimit is the handler-error text a caller receives when the
@@ -88,7 +88,7 @@ func appendReply(buf []byte, cost time.Duration, payload []byte, handlerErr erro
 // is the reference the tagged frame codec is tested against: a tagged
 // frame is the tag followed by exactly these bytes.
 func writeFrame(w io.Writer, body []byte) error {
-	if len(body) > maxFrame {
+	if len(body) > MaxFrame {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(body))
 	}
 	var hdr [4]byte
@@ -107,7 +107,7 @@ func readFrame(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
+	if n > MaxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
 	body := make([]byte, n)

@@ -100,23 +100,23 @@ func TestFrameRequestMatchesReference(t *testing.T) {
 }
 
 // TestFrameRequestOversize pins the limit's edge: a body of exactly
-// maxFrame bytes frames, one more byte does not — and for a reply the
+// MaxFrame bytes frames, one more byte does not — and for a reply the
 // 9-byte envelope counts against the limit.
 func TestFrameRequestOversize(t *testing.T) {
-	out, err := frameMuxRequest(1, make([]byte, maxFrame))
+	out, err := frameMuxRequest(1, make([]byte, MaxFrame))
 	if err != nil {
-		t.Fatalf("request of exactly maxFrame bytes refused: %v", err)
+		t.Fatalf("request of exactly MaxFrame bytes refused: %v", err)
 	}
 	bufpool.Put(out)
-	if _, err := frameMuxRequest(1, make([]byte, maxFrame+1)); err == nil {
+	if _, err := frameMuxRequest(1, make([]byte, MaxFrame+1)); err == nil {
 		t.Fatal("oversize request did not error")
 	}
-	out, err = encodeMuxReplyFramed(1, 0, make([]byte, maxFrame-9), nil)
+	out, err = encodeMuxReplyFramed(1, 0, make([]byte, MaxFrame-9), nil)
 	if err != nil {
-		t.Fatalf("reply filling maxFrame exactly refused: %v", err)
+		t.Fatalf("reply filling MaxFrame exactly refused: %v", err)
 	}
 	bufpool.Put(out)
-	if _, err := encodeMuxReplyFramed(1, 0, make([]byte, maxFrame-8), nil); err == nil {
+	if _, err := encodeMuxReplyFramed(1, 0, make([]byte, MaxFrame-8), nil); err == nil {
 		t.Fatal("oversize reply did not error")
 	}
 }

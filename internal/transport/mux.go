@@ -13,7 +13,7 @@ package transport
 // request datagram carries the same preamble ahead of its tag. The
 // preamble is the protocol magic: a listener closes a connection, and
 // drops a datagram, that does not open with it. (Read as a length
-// prefix it is 0x484D5558, far above maxFrame, so no length-prefixed
+// prefix it is 0x484D5558, far above MaxFrame, so no length-prefixed
 // stream can spell it by accident.)
 //
 // Cost accounting is per call: each charges its own meter the transport
@@ -342,7 +342,7 @@ func (m *muxCore) Close() error {
 // frameMuxRequest builds a complete tagged request frame in one pooled
 // buffer. Release with bufpool.Put after writing.
 func frameMuxRequest(tag uint32, req []byte) ([]byte, error) {
-	if len(req) > maxFrame {
+	if len(req) > MaxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", len(req))
 	}
 	buf := bufpool.Get(8 + len(req))
@@ -359,7 +359,7 @@ func encodeMuxReplyFramed(tag uint32, cost time.Duration, payload []byte, handle
 	if handlerErr != nil {
 		n = 9 + len(handlerErr.Error())
 	}
-	if n > maxFrame {
+	if n > MaxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
 	buf := bufpool.Get(8 + n)
@@ -378,7 +378,7 @@ func readMuxFramePooled(r io.Reader) (uint32, []byte, error) {
 	}
 	tag := binary.BigEndian.Uint32(hdr[:4])
 	n := binary.BigEndian.Uint32(hdr[4:])
-	if n > maxFrame {
+	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
 	body := bufpool.Get(int(n))[:n]

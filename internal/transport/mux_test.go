@@ -42,7 +42,7 @@ func TestMuxFrameCodecRoundTrip(t *testing.T) {
 }
 
 func TestMuxFrameOversize(t *testing.T) {
-	big := make([]byte, maxFrame+1)
+	big := make([]byte, MaxFrame+1)
 	if _, err := frameMuxRequest(1, big); err == nil {
 		t.Fatal("oversized mux request accepted")
 	}
@@ -52,10 +52,10 @@ func TestMuxFrameOversize(t *testing.T) {
 }
 
 // TestMuxPreambleUnambiguous pins the choice of magic: read as a length
-// prefix the preamble must exceed maxFrame, so no length-prefixed stream
+// prefix the preamble must exceed MaxFrame, so no length-prefixed stream
 // can open with those four bytes by accident.
 func TestMuxPreambleUnambiguous(t *testing.T) {
-	if v := binary.BigEndian.Uint32(muxPreamble[:]); v <= maxFrame {
+	if v := binary.BigEndian.Uint32(muxPreamble[:]); v <= MaxFrame {
 		t.Fatalf("preamble %x decodes as legal frame length %d", muxPreamble, v)
 	}
 }
@@ -222,7 +222,7 @@ func TestTCPOversizeReplyIsRemoteError(t *testing.T) {
 	tr, _ := n.Transport("tcp-net")
 	ln, err := tr.Listen("127.0.0.1:0", func(ctx context.Context, req []byte) ([]byte, error) {
 		if string(req) == "big" {
-			return make([]byte, maxFrame), nil // envelope pushes it past the limit
+			return make([]byte, MaxFrame), nil // envelope pushes it past the limit
 		}
 		return req, nil
 	})

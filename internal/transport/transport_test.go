@@ -498,7 +498,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, maxFrame+1)); err == nil {
+	if err := writeFrame(&buf, make([]byte, MaxFrame+1)); err == nil {
 		t.Fatal("oversized frame written")
 	}
 	// A hostile length prefix must be rejected before allocation.
