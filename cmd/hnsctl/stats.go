@@ -86,7 +86,7 @@ func cmdStats(args []string) error {
 			continue
 		}
 		if !histShown {
-			section("histograms (simulated ms):")
+			section("histograms (ms):")
 			histShown = true
 		}
 		fmt.Printf("  %-60s n=%-7d mean=%-8.3f p50≤%-7g p99≤%-7g\n",

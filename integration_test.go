@@ -7,12 +7,14 @@ package hns_test
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hns/internal/bind"
 	"hns/internal/clearinghouse"
 	"hns/internal/core"
 	"hns/internal/hrpc"
+	"hns/internal/metrics"
 	"hns/internal/names"
 	"hns/internal/nsm"
 	"hns/internal/qclass"
@@ -32,17 +34,45 @@ func portOf(t *testing.T, addr string) string {
 
 // netFederation is an all-real-sockets deployment.
 type netFederation struct {
-	net  *transport.Network
-	rpc  *hrpc.Client
-	hns  *core.HNS
-	hnsB hrpc.Binding
+	net   *transport.Network
+	rpc   *hrpc.Client
+	hns   *core.HNS
+	hnsB  hrpc.Binding
+	metaB hrpc.Binding
+	reg   *metrics.Registry // the HNS's series, its meta client's and f.rpc's
+	meta  *meterSpyMeta     // the HNS's meta client
+}
+
+// meterSpyMeta is the HNS's meta client, counting the lookups that reach
+// it and those that arrive with a simtime meter on their ctx.
+type meterSpyMeta struct {
+	*bind.HRPCClient
+	lookups, metered atomic.Int64
+}
+
+func (m *meterSpyMeta) note(ctx context.Context) {
+	m.lookups.Add(1)
+	if simtime.From(ctx) != nil {
+		m.metered.Add(1)
+	}
+}
+
+func (m *meterSpyMeta) Lookup(ctx context.Context, name string, t bind.RRType) ([]bind.RR, error) {
+	m.note(ctx)
+	return m.HRPCClient.Lookup(ctx, name, t)
+}
+
+func (m *meterSpyMeta) LookupChain(ctx context.Context, name string, t bind.RRType, follow []bind.FollowStep) ([]bind.RR, [][]bind.RR, error) {
+	m.note(ctx)
+	return m.HRPCClient.LookupChain(ctx, name, t, follow)
 }
 
 func newNetFederation(t *testing.T) *netFederation {
 	t.Helper()
 	model := simtime.Default()
 	net := transport.NewNetwork(model)
-	f := &netFederation{net: net, rpc: hrpc.NewClient(net)}
+	f := &netFederation{net: net, rpc: hrpc.NewClient(net), reg: metrics.NewRegistry()}
+	f.rpc.Metrics = f.reg
 	t.Cleanup(func() { f.rpc.Close() })
 	ctx := context.Background()
 
@@ -68,7 +98,10 @@ func newNetFederation(t *testing.T) *netFederation {
 	metaB := serve(metaSrv.HRPCServer(), hrpc.SuiteRawNet)
 	metaRPC := hrpc.NewClient(net)
 	metaRPC.FreshConn = true
-	meta := bind.NewHRPCClient(metaRPC, metaB)
+	metaRPC.Metrics = f.reg
+	f.metaB = metaB
+	meta := &meterSpyMeta{HRPCClient: bind.NewHRPCClient(metaRPC, metaB)}
+	f.meta = meta
 
 	// Application BIND over real UDP (standard interface).
 	appSrv := bind.NewServer("fiji", model)
@@ -106,7 +139,7 @@ func newNetFederation(t *testing.T) *netFederation {
 	chHostB := serve(chHostNSM.Server(), hrpc.SuiteCourierNet)
 
 	// The HNS, served over real TCP.
-	h := core.New(meta, model, core.Config{MetaZone: "hns", RPC: f.rpc})
+	h := core.New(meta, model, core.Config{MetaZone: "hns", RPC: f.rpc, Metrics: f.reg})
 	h.LinkHostResolver("bind-cs", hostNSM)
 	h.LinkHostResolver("ch-uw", chHostNSM)
 	f.hns = h
@@ -196,5 +229,34 @@ func TestRealSocketsFederation(t *testing.T) {
 	// An unknown context fails cleanly across the wire.
 	if _, err := remote.FindNSM(ctx, names.Must("ghost", "x"), qclass.HostAddress); err == nil {
 		t.Fatal("ghost context resolved over real sockets")
+	}
+}
+
+// TestRealSocketsHistogramsReadWallClock: over real sockets nothing
+// installs a simtime meter, so the latency series a daemon exports must
+// come off the wall clock — counted and non-zero, where a meter read
+// would leave every one of them at 0. (No threshold: only the sign.)
+func TestRealSocketsHistogramsReadWallClock(t *testing.T) {
+	f := newNetFederation(t)
+	remote := core.NewRemoteHNS(f.rpc, f.hnsB)
+	name := names.Must("hostaddr-bind", "fiji.cs.washington.edu")
+	if _, err := remote.FindNSM(context.Background(), name, qclass.HostAddress); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		metrics.Labels("core_findnsm_ms", "state", "cold"),          // the HNS behind its listener
+		metrics.Labels("core_findnsm_step_ms", "step", "mapping1"),  // one meta round trip over TCP
+		metrics.Labels("hrpc_client_call_ms", "addr", f.metaB.Addr), // HNS -> meta BIND
+		metrics.Labels("hrpc_client_call_ms", "addr", f.hnsB.Addr),  // client -> HNS
+	} {
+		h := f.reg.Histogram(series)
+		if h.Count() == 0 || h.Sum() <= 0 {
+			t.Errorf("%s: count %d sum %v, want observations with wall time > 0", series, h.Count(), h.Sum())
+		}
+	}
+	// The meta series is non-zero on simulated stub charges too, so pin
+	// its clock directly: the HNS's cache misses reach the RPC meterless.
+	if n, m := f.meta.lookups.Load(), f.meta.metered.Load(); n == 0 || m != 0 {
+		t.Errorf("%d of %d HNS -> meta lookups carried a simtime meter, want 0 of > 0", m, n)
 	}
 }

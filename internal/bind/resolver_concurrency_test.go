@@ -108,6 +108,34 @@ func TestStampedeSingleBackendLookup(t *testing.T) {
 	}
 }
 
+// meterSpy is a Lookuper that records whether each lookup arrived with a
+// simtime meter on its ctx.
+type meterSpy struct{ metered []bool }
+
+func (b *meterSpy) Lookup(ctx context.Context, name string, t RRType) ([]RR, error) {
+	b.metered = append(b.metered, simtime.From(ctx) != nil)
+	return []RR{A(name, "10.0.0.1", 600)}, nil
+}
+
+// TestMissKeepsTheCallersClock: the resolver installs its private replay
+// meter only for a caller that brought one (the harness). A daemon's
+// meterless miss must reach the backend meterless, or the RPC under it
+// would time itself in simulated charges instead of wall time.
+func TestMissKeepsTheCallersClock(t *testing.T) {
+	backend := &meterSpy{}
+	r := NewResolver(backend, simtime.Default(), ResolverConfig{})
+	if _, err := r.Lookup(context.Background(), "bare.test", TypeA); err != nil {
+		t.Fatal(err)
+	}
+	metered := simtime.WithMeter(context.Background(), simtime.NewMeter())
+	if _, err := r.Lookup(metered, "metered.test", TypeA); err != nil {
+		t.Fatal(err)
+	}
+	if len(backend.metered) != 2 || backend.metered[0] || !backend.metered[1] {
+		t.Fatalf("backend saw a meter on (meterless, metered) misses = %v, want [false true]", backend.metered)
+	}
+}
+
 // TestLookupAliasing is the regression test for the cache-corruption bug:
 // the miss path used to return the very slice it had just cached, so a
 // caller mutating its answer silently poisoned every later hit.

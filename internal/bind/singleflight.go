@@ -16,11 +16,11 @@ import (
 // The subtlety is simulated cost. The paper's tables price what one client
 // *experiences*: a cache-cold FindNSM costs the full lookup whether or not
 // some other client happens to be fetching the same record at the same
-// instant. So the leader runs the backend call against a private meter,
-// and every caller (leader and joiners alike) is charged the captured
-// cost on its own meter. Coalescing therefore changes backend load — N
-// concurrent misses cost the meta-BIND one lookup — without perturbing a
-// single Table 3.1/3.2 cell.
+// instant. So a metered leader runs the backend call against a private
+// meter, and every caller (leader and joiners alike) is charged the
+// captured cost on its own meter. Coalescing therefore changes backend
+// load — N concurrent misses cost the meta-BIND one lookup — without
+// perturbing a single Table 3.1/3.2 cell.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flight
@@ -87,11 +87,18 @@ func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Con
 	g.m[key] = f
 	g.mu.Unlock()
 
-	// Lead: run the backend lookup against a private meter so its cost
-	// can be replayed onto every waiter's meter, exactly once each.
-	meter := simtime.NewMeter()
-	f.rrs, f.err = fetch(simtime.WithMeter(ctx, meter))
-	f.cost = meter.Elapsed()
+	// Lead: under the harness (the caller brought a meter) run the backend
+	// lookup against a private meter so its cost can be replayed onto every
+	// waiter's meter, exactly once each. A daemon's ctx has no meter and
+	// must not acquire one here — the RPC below reads wall time — so its
+	// flights carry cost 0.
+	if simtime.From(ctx) != nil {
+		meter := simtime.NewMeter()
+		f.rrs, f.err = fetch(simtime.WithMeter(ctx, meter))
+		f.cost = meter.Elapsed()
+	} else {
+		f.rrs, f.err = fetch(ctx)
+	}
 
 	g.mu.Lock()
 	if !f.superseded {

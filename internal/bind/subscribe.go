@@ -215,9 +215,9 @@ func (s *Subscriber) run() {
 // session runs one subscription lifetime: dial, subscribe, catch up,
 // then block until the connection dies or the Subscriber closes.
 func (s *Subscriber) session() error {
-	// Subscription upkeep is background work priced to nobody: give it a
-	// throwaway meter so no caller's bill moves.
-	ctx := simtime.WithMeter(context.Background(), simtime.NewMeter())
+	// Subscription upkeep is background work: no caller's meter rides
+	// this context, so nobody's bill moves.
+	ctx := context.Background()
 	sc, err := s.c.c.DialSticky(ctx, s.c.b)
 	if err != nil {
 		return err

@@ -310,29 +310,27 @@ func findValue(rrs []bind.RR, key string) (string, bool) {
 	return "", false
 }
 
-// stepObs tracks per-step simulated duration and cache state for one
-// FindNSM call, feeding both the per-step histograms and the structured
-// trace events. A nil *stepObs (uninstrumented, untraced call) makes
-// every lap free.
+// stepObs tracks per-step duration and cache state for one FindNSM
+// call, feeding both the per-step histograms and the structured trace
+// events. Durations are on the call's one clock (simtime.Stopwatch):
+// meter time under the harness, wall time in a daemon. A nil *stepObs
+// (uninstrumented, untraced call) makes every lap free.
 type stepObs struct {
-	meter *simtime.Meter
+	sw    simtime.Stopwatch
 	fn    EventFunc
 	cc    metrics.CallCounter
-	prevD time.Duration
+	prevD time.Duration // stopwatch reading at the previous lap
 	prevM int64
 }
 
-// lap reports the simulated time and cache state since the previous lap.
+// lap reports the time and cache state since the previous lap.
 func (s *stepObs) lap() (time.Duration, string) {
 	if s == nil {
 		return 0, CacheWarm
 	}
-	var d time.Duration
-	if s.meter != nil {
-		now := s.meter.Elapsed()
-		d = now - s.prevD
-		s.prevD = now
-	}
+	now := s.sw.Elapsed()
+	d := now - s.prevD
+	s.prevD = now
 	state := CacheWarm
 	if m := s.cc.Misses(); m > s.prevM {
 		state = CacheCold
@@ -371,12 +369,9 @@ func (h *HNS) FindNSM(ctx context.Context, name names.Name, queryClass string) (
 	}
 
 	var so *stepObs
-	var start time.Duration
 	if tr := tracer(ctx); h.instr || tr != nil {
-		so = &stepObs{meter: simtime.From(ctx), fn: tr}
+		so = &stepObs{sw: simtime.Start(ctx), fn: tr}
 		ctx = metrics.InstallCallCounter(ctx, &so.cc)
-		so.prevD = so.meter.Elapsed()
-		start = so.prevD
 	}
 	b, err := h.findNSM(ctx, name.Context, queryClass, 0, so)
 	if err != nil {
@@ -392,8 +387,8 @@ func (h *HNS) FindNSM(ctx context.Context, name names.Name, queryClass string) (
 	}
 	if h.instr {
 		// The final "resolved" lap left prevD at the call's end time,
-		// so the total needs no further meter read.
-		total := so.prevD - start
+		// so the total needs no further clock read.
+		total := so.prevD
 		if so.cc.Misses() == 0 {
 			h.obs.warm.Inc()
 			h.obs.warmMS.Observe(total)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hns/internal/core"
 	"hns/internal/metrics"
@@ -93,6 +94,50 @@ func TestFindNSMMetricsConcurrent(t *testing.T) {
 	}
 	if got := gauges[metrics.Labels("cache_misses_total", "cache", "meta")]; got != st.Cache.Misses {
 		t.Errorf("cache_misses_total gauge = %d, HNS stats say %d", got, st.Cache.Misses)
+	}
+}
+
+// TestFindNSMHistogramsFollowTheCallersClock: the latency histograms
+// read the one clock the call runs on. Under a meter (world, hnsbench)
+// the cold total is exactly the simulated cost of the walk — everything
+// the meter was charged after FindNSM's own assembly cost. With no meter
+// (a daemon) the same series read the wall clock, so they are non-zero
+// rather than silently empty.
+func TestFindNSMHistogramsFollowTheCallersClock(t *testing.T) {
+	coldAndSteps := func(reg *metrics.Registry) (cold *metrics.Histogram, steps time.Duration) {
+		for step := 1; step <= 6; step++ {
+			steps += reg.Histogram(metrics.Labels("core_findnsm_step_ms",
+				"step", fmt.Sprintf("mapping%d", step))).Sum()
+		}
+		return reg.Histogram(metrics.Labels("core_findnsm_ms", "state", "cold")), steps
+	}
+
+	w := newWorld(t, world.Config{})
+	reg := metrics.NewRegistry()
+	h := w.NewHNS(core.Config{Metrics: reg})
+	meter := simtime.NewMeter()
+	ctx := simtime.WithMeter(context.Background(), meter)
+	if _, err := h.FindNSM(ctx, world.DesiredServiceName(), qclass.HRPCBinding); err != nil {
+		t.Fatal(err)
+	}
+	cold, steps := coldAndSteps(reg)
+	if want := meter.Elapsed() - w.Model.FindNSMAssembly; cold.Count() != 1 || cold.Sum() != want {
+		t.Fatalf("metered cold total: count %d sum %v, want 1 / exactly %v of meter time",
+			cold.Count(), cold.Sum(), want)
+	}
+	if steps <= 0 || steps > cold.Sum() {
+		t.Fatalf("metered step sums = %v, want within (0, %v]", steps, cold.Sum())
+	}
+
+	reg = metrics.NewRegistry()
+	h = w.NewHNS(core.Config{Metrics: reg})
+	if _, err := h.FindNSM(context.Background(), world.DesiredServiceName(), qclass.HRPCBinding); err != nil {
+		t.Fatal(err)
+	}
+	cold, steps = coldAndSteps(reg)
+	if cold.Count() != 1 || cold.Sum() <= 0 || steps <= 0 {
+		t.Fatalf("meterless cold total: count %d sum %v steps %v, want 1 and wall time > 0",
+			cold.Count(), cold.Sum(), steps)
 	}
 }
 

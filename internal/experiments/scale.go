@@ -23,9 +23,6 @@ type ScaleSpec struct {
 	Contexts     int
 	Skew         float64
 	Seed         int64
-	// Workers bounds the fleet run's concurrency (<= 0 means the
-	// workload default).
-	Workers int
 	// Scenarios names the scenarios to run; empty means the pinned
 	// default matrix (scaleScenarios), so the printed matrix stays
 	// bit-identical as new scenarios accrue elsewhere.
@@ -109,7 +106,6 @@ func RunScale(ctx context.Context, spec ScaleSpec) ([]ScaleRow, error) {
 				Contexts:     spec.Contexts,
 				Skew:         spec.Skew,
 				Seed:         spec.Seed,
-				Workers:      spec.Workers,
 			}
 			res, err := workload.RunScenario(ctx, name, fs)
 			if err != nil {

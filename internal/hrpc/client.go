@@ -89,8 +89,11 @@ type Client struct {
 }
 
 // RetryPolicy bounds how long one call may spend detecting and retrying
-// transport-level losses. All durations are simulated time, charged to
-// the caller's meter exactly as the waits they model.
+// transport-level losses. Under the paper harness the waits are
+// simulated: charged to the caller's meter, never slept. Over real
+// sockets a lost attempt's wait is the real time the transport took to
+// give up on it, and the same durations bound how many such waits one
+// call may sit through.
 type RetryPolicy struct {
 	// Budget caps the total retransmission wait one call may charge.
 	// When the next backoff would exceed what remains, the call charges
@@ -197,11 +200,10 @@ func (c *Client) Call(ctx context.Context, b Binding, p Procedure, args marshal.
 	reg := c.registry()
 	if reg.Enabled() {
 		reg.Counter(metrics.Labels("hrpc_client_calls_total", "proc", p.Name)).Inc()
-		meter := simtime.From(ctx)
-		before := meter.Elapsed()
+		sw := simtime.Start(ctx)
 		defer func() {
 			reg.Histogram(metrics.Labels("hrpc_client_call_ms", "addr", b.Addr)).
-				Observe(meter.Elapsed() - before)
+				Observe(sw.Elapsed())
 			if err != nil {
 				reg.Counter(metrics.Labels("hrpc_client_errors_total",
 					"kind", errKind(err))).Inc()
@@ -389,14 +391,14 @@ func jitterScale(endpoint string, attempt int, j float64) float64 {
 }
 
 // budgetState tracks a propagated deadline across a call's attempts:
-// the budget at Call entry plus the caller's meter position then, so
-// each attempt can compute what remains after the sim-time already
-// charged (backoffs, earlier marshalling).
+// the budget at Call entry plus a stopwatch started then, so each
+// attempt can compute what remains after the time already spent
+// (backoffs, lost attempts' waits, earlier marshalling) on the caller's
+// clock — meter time under the harness, wall time in a daemon.
 type budgetState struct {
 	active bool
 	total  time.Duration
-	meter  *simtime.Meter
-	start  time.Duration // meter position at Call entry
+	spent  simtime.Stopwatch // started at Call entry
 }
 
 // budgetState captures the propagated-deadline state for one call. An
@@ -406,20 +408,19 @@ func (c *Client) budgetState(ctx context.Context) budgetState {
 	if !c.PropagateDeadline {
 		return budgetState{}
 	}
-	m := simtime.From(ctx)
 	if d, ok := BudgetFrom(ctx); ok {
-		return budgetState{active: true, total: d, meter: m, start: m.Elapsed()}
+		return budgetState{active: true, total: d, spent: simtime.Start(ctx)}
 	}
 	if dl, ok := ctx.Deadline(); ok {
-		return budgetState{active: true, total: time.Until(dl), meter: m, start: m.Elapsed()}
+		return budgetState{active: true, total: time.Until(dl), spent: simtime.Start(ctx)}
 	}
 	return budgetState{}
 }
 
-// remaining reports the unspent budget: the entry budget minus the sim
-// time this call has charged since entry (never negative).
+// remaining reports the unspent budget: the entry budget minus the time
+// this call has spent since entry (never negative).
 func (b budgetState) remaining() time.Duration {
-	d := b.total - (b.meter.Elapsed() - b.start)
+	d := b.total - b.spent.Elapsed()
 	if d < 0 {
 		return 0
 	}

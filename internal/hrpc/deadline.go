@@ -65,9 +65,10 @@ func stripBudgetPrefix(frame []byte) (budget time.Duration, rest []byte, ok bool
 // budgetCtxKey carries a call budget through a context.
 type budgetCtxKey struct{}
 
-// WithBudget returns a context carrying an explicit call budget in
-// simulated time. Servers install the received budget here so nested
-// clients (a gateway forwarding the call) can propagate what remains.
+// WithBudget returns a context carrying an explicit call budget, on
+// whichever clock ctx runs (simtime.Stopwatch). Servers install the
+// received budget here so nested clients (a gateway forwarding the
+// call) can propagate what remains.
 func WithBudget(ctx context.Context, budget time.Duration) context.Context {
 	return context.WithValue(ctx, budgetCtxKey{}, budget)
 }

@@ -97,7 +97,7 @@ func TestPropagatedBudgetClampsRetryExactly(t *testing.T) {
 
 	ctx := simtime.WithMeter(context.Background(), simtime.NewMeter())
 	m := simtime.From(ctx)
-	bs := budgetState{active: true, total: 100 * time.Millisecond, meter: m, start: m.Elapsed()}
+	bs := budgetState{active: true, total: 100 * time.Millisecond, spent: simtime.Start(ctx)}
 	before := m.Elapsed()
 	_, _, err := e.c.roundTrip(ctx, e.tr, foPrimary, []byte("ping"), bs)
 	if !errors.Is(err, ErrCallTimeout) {
@@ -105,6 +105,10 @@ func TestPropagatedBudgetClampsRetryExactly(t *testing.T) {
 	}
 	if got := m.Elapsed() - before; got != 100*time.Millisecond {
 		t.Fatalf("charged %v, want exactly the 100ms propagated budget", got)
+	}
+	simtime.Charge(ctx, time.Second)
+	if got := bs.remaining(); got != 0 {
+		t.Fatalf("overspent remaining = %v, want it clamped at 0", got)
 	}
 }
 

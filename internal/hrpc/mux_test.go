@@ -252,9 +252,8 @@ func (s *muxEchoServer) serve(c net.Conn) {
 		}
 		s.requests.Add(1)
 		reply := append([]byte(nil), hdr[:4]...)
-		reply = binary.BigEndian.AppendUint32(reply, uint32(9+len(body)))
-		reply = append(reply, make([]byte, 8)...) // zero simulated cost
-		reply = append(reply, 0)                  // statusOK
+		reply = binary.BigEndian.AppendUint32(reply, uint32(1+len(body)))
+		reply = append(reply, 0) // statusOK
 		if _, err := c.Write(append(reply, body...)); err != nil {
 			return
 		}

@@ -14,8 +14,9 @@ import (
 	"hns/internal/transport"
 )
 
-// ProcHandler implements one remote procedure. Costs charged to ctx flow
-// back to the caller through the transport cost envelope.
+// ProcHandler implements one remote procedure. Under the harness, costs
+// charged to ctx flow back to the caller's meter through the simulated
+// transport; on a real socket ctx carries no meter and they go nowhere.
 type ProcHandler func(ctx context.Context, args marshal.Value) (marshal.Value, error)
 
 // Server dispatches HRPC calls for one (program, version). The same Server

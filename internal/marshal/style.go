@@ -45,6 +45,10 @@ func (s Style) String() string {
 // ChargeValue charges ctx for (de)marshalling the value tree v in the given
 // style, priced per node visited.
 func ChargeValue(ctx context.Context, model *simtime.Model, s Style, v Value) {
+	meter := simtime.From(ctx)
+	if meter == nil {
+		return // nobody is billed: skip walking the tree
+	}
 	n := NodeCount(v)
 	var d time.Duration
 	switch s {
@@ -55,7 +59,7 @@ func ChargeValue(ctx context.Context, model *simtime.Model, s Style, v Value) {
 	default:
 		d = time.Duration(n) * model.GenPerNode
 	}
-	simtime.Charge(ctx, d)
+	meter.Charge(d)
 }
 
 // ChargeRecords charges ctx for (de)marshalling a resource-record message

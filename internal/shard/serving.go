@@ -7,7 +7,6 @@ import (
 
 	"hns/internal/bind"
 	"hns/internal/metrics"
-	"hns/internal/simtime"
 )
 
 // ServingConfig configures Serve.
@@ -159,15 +158,15 @@ func (s *Serving) SetMap(m Map, ttl uint32) error {
 // installMap rotates the zone's shard-map record to m: stale map
 // records (older encodings under the same name) are removed, then the
 // new one is added — both through the server's update path, so the
-// rotation is journaled and cached replies are invalidated. The
-// install's simulated cost goes to a discarded meter: map maintenance
-// is bookkeeping, not client work.
+// rotation is journaled and cached replies are invalidated. It runs on
+// a background context: map maintenance is bookkeeping, billed to no
+// caller's meter.
 func (s *Serving) installMap(m Map, ttl uint32) error {
 	rr, err := Record(m, s.zone, ttl)
 	if err != nil {
 		return err
 	}
-	ctx := simtime.WithMeter(context.Background(), simtime.NewMeter())
+	ctx := context.Background()
 	name := MapName(s.zone)
 	z := s.srv.Zone(s.zone)
 	if existing, _ := z.Lookup(name, bind.TypeHNSMeta); len(existing) > 0 {

@@ -11,13 +11,12 @@
 // to a Meter carried in the context.Context of the call.
 //
 // Costs compose exactly as real elapsed time does on a synchronous RPC path:
-// a client charges the network round trip, and the transport layer carries
-// the server's accumulated processing cost back in a reply envelope, which
-// the client also charges (see package transport). The result is that a
-// simulated call's cost is the sum of every component it actually touched —
-// so cache hits, colocation, and marshalling strategy change the simulated
-// cost through the same mechanisms that changed wall-clock time in the
-// paper.
+// a client charges the network round trip, and the simulated transports
+// charge the server's accumulated processing cost back to the caller's
+// meter (see package transport). The result is that a simulated call's
+// cost is the sum of every component it actually touched — so cache hits,
+// colocation, and marshalling strategy change the simulated cost through
+// the same mechanisms that changed wall-clock time in the paper.
 //
 // The constants in Model are calibrated against the paper's component-level
 // anchors (BIND lookup 27 ms, Clearinghouse lookup 156 ms, remote NSM call
@@ -40,12 +39,6 @@ import (
 type Meter struct {
 	elapsed atomic.Int64 // nanoseconds
 	events  atomic.Int64
-
-	// SleepScale, when positive, makes every Charge also sleep for the
-	// charged duration multiplied by SleepScale. This turns the simulation
-	// into a (scaled) real-time one, which is useful for live demos of the
-	// daemons; tests and benchmarks leave it zero. Set before first use.
-	SleepScale float64
 }
 
 // NewMeter returns a fresh meter.
@@ -59,9 +52,6 @@ func (m *Meter) Charge(d time.Duration) {
 	}
 	m.elapsed.Add(int64(d))
 	m.events.Add(1)
-	if m.SleepScale > 0 {
-		time.Sleep(time.Duration(float64(d) * m.SleepScale))
-	}
 }
 
 // Elapsed reports the total simulated cost charged so far.
@@ -117,4 +107,32 @@ func Measure(ctx context.Context, fn func(ctx context.Context) error) (time.Dura
 	m := NewMeter()
 	err := fn(WithMeter(ctx, m))
 	return m.Elapsed(), err
+}
+
+// Stopwatch reads elapsed time on the one clock a call runs on: the
+// meter its caller installed (the paper harness — simulated,
+// deterministic) or, when ctx carries none (a daemon on real sockets),
+// the wall clock. It is how latency histograms and deadline budgets
+// stay in a single time base per process without a flag saying which.
+type Stopwatch struct {
+	meter *Meter
+	base  time.Duration // meter position at Start
+	wall  time.Time     // Start time; read only when meter is nil
+}
+
+// Start begins a stopwatch on ctx's clock.
+func Start(ctx context.Context) Stopwatch {
+	if m := From(ctx); m != nil {
+		return Stopwatch{meter: m, base: m.Elapsed()}
+	}
+	return Stopwatch{wall: time.Now()}
+}
+
+// Elapsed reports the time since Start: exactly what the meter was
+// charged in between, or the wall time that passed.
+func (s Stopwatch) Elapsed() time.Duration {
+	if s.meter != nil {
+		return s.meter.Elapsed() - s.base
+	}
+	return time.Since(s.wall)
 }

@@ -89,6 +89,42 @@ func TestChargeWithoutMeterIsNoop(t *testing.T) {
 	}
 }
 
+// TestStopwatchMetered: under a meter the stopwatch reads exactly what
+// was charged since Start — nothing before it, and no wall time.
+func TestStopwatchMetered(t *testing.T) {
+	m := NewMeter()
+	ctx := WithMeter(context.Background(), m)
+	Charge(ctx, 40*time.Millisecond) // before Start: not the stopwatch's
+	sw := Start(ctx)
+	if got := sw.Elapsed(); got != 0 {
+		t.Fatalf("fresh metered stopwatch reads %v, want 0", got)
+	}
+	Charge(ctx, 7*time.Millisecond)
+	Charge(ctx, 3*time.Millisecond)
+	if got := sw.Elapsed(); got != 10*time.Millisecond {
+		t.Fatalf("metered stopwatch reads %v, want exactly the 10ms charged", got)
+	}
+}
+
+// TestStopwatchMeterless: without a meter the stopwatch is the wall
+// clock — never negative, never running backwards, and deaf to charges.
+func TestStopwatchMeterless(t *testing.T) {
+	ctx := context.Background()
+	sw := Start(ctx)
+	Charge(ctx, time.Hour) // no meter: charged to nobody
+	prev := sw.Elapsed()
+	if prev < 0 || prev >= time.Hour {
+		t.Fatalf("meterless stopwatch reads %v: want wall time, not the charge", prev)
+	}
+	for i := 0; i < 100; i++ {
+		now := sw.Elapsed()
+		if now < prev {
+			t.Fatalf("meterless stopwatch ran backwards: %v after %v", now, prev)
+		}
+		prev = now
+	}
+}
+
 func TestMeasure(t *testing.T) {
 	cost, err := Measure(context.Background(), func(ctx context.Context) error {
 		Charge(ctx, 7*time.Millisecond)

@@ -5,15 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 )
 
 // Wire bodies shared by the real TCP and UDP transports.
 //
 // Request body:  the payload, verbatim.
-// Reply body:    [8-byte simulated cost, ns][1-byte status][payload],
-//                where status 0 = success (payload is the reply) and
-//                status 1 = handler error (payload is the error text).
+// Reply body:    [1-byte status][payload], where status 0 = success
+//                (payload is the reply) and status 1 = handler error
+//                (payload is the error text).
 // Over TCP each body is preceded by a 4-byte stream tag and a 4-byte
 // big-endian length; over UDP each body is one datagram behind its tag
 // (see mux.go for the tagged framing).
@@ -35,47 +34,38 @@ var errFrameLimit = errors.New("transport: reply exceeds frame limit")
 
 // encodeReply builds a reply body from a handler outcome. It is the
 // reference the pooled appendReply is tested against.
-func encodeReply(cost time.Duration, payload []byte, handlerErr error) []byte {
-	var body []byte
+func encodeReply(payload []byte, handlerErr error) []byte {
 	if handlerErr != nil {
 		msg := handlerErr.Error()
-		body = make([]byte, 0, 9+len(msg))
-		body = binary.BigEndian.AppendUint64(body, uint64(cost))
+		body := make([]byte, 0, 1+len(msg))
 		body = append(body, statusErr)
-		body = append(body, msg...)
-		return body
+		return append(body, msg...)
 	}
-	body = make([]byte, 0, 9+len(payload))
-	body = binary.BigEndian.AppendUint64(body, uint64(cost))
+	body := make([]byte, 0, 1+len(payload))
 	body = append(body, statusOK)
-	body = append(body, payload...)
-	return body
+	return append(body, payload...)
 }
 
-// decodeReply splits a reply body into cost and payload, converting a
+// decodeReply splits a reply body into status and payload, converting a
 // status-1 body into a *RemoteError.
-func decodeReply(body []byte) (time.Duration, []byte, error) {
-	if len(body) < 9 {
-		return 0, nil, fmt.Errorf("transport: short reply frame (%d bytes)", len(body))
+func decodeReply(body []byte) ([]byte, error) {
+	if len(body) < 1 {
+		return nil, errors.New("transport: short reply frame (0 bytes)")
 	}
-	cost := time.Duration(binary.BigEndian.Uint64(body))
-	status := body[8]
-	payload := body[9:]
-	switch status {
+	switch status, payload := body[0], body[1:]; status {
 	case statusOK:
-		return cost, payload, nil
+		return payload, nil
 	case statusErr:
-		return cost, nil, &RemoteError{Msg: string(payload)}
+		return nil, &RemoteError{Msg: string(payload)}
 	default:
-		return 0, nil, fmt.Errorf("transport: bad reply status %d", status)
+		return nil, fmt.Errorf("transport: bad reply status %d", status)
 	}
 }
 
-// appendReply appends a reply body (envelope + payload) to buf, producing
+// appendReply appends a reply body (status + payload) to buf, producing
 // bytes identical to encodeReply. It is the pooled-buffer variant: the
 // caller supplies (and later recycles) the destination.
-func appendReply(buf []byte, cost time.Duration, payload []byte, handlerErr error) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, uint64(cost))
+func appendReply(buf []byte, payload []byte, handlerErr error) []byte {
 	if handlerErr != nil {
 		buf = append(buf, statusErr)
 		return append(buf, handlerErr.Error()...)

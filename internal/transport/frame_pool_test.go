@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
-	"time"
 
 	"hns/internal/bufpool"
 )
@@ -31,26 +30,25 @@ func referenceFrame(tag uint32, body []byte) ([]byte, error) {
 func TestEncodeReplyFramedMatchesReference(t *testing.T) {
 	cases := []struct {
 		name    string
-		cost    time.Duration
 		payload []byte
 		herr    error
 	}{
-		{"empty ok", 0, nil, nil},
-		{"zero-length ok", 5 * time.Millisecond, []byte{}, nil},
-		{"small ok", 27 * time.Millisecond, []byte("fiji.cs.washington.edu"), nil},
-		{"binary ok", time.Hour, []byte{0, 1, 2, 0xff, 0xfe, 0}, nil},
-		{"big ok", 42, bytes.Repeat([]byte{0xab}, 60*1024), nil},
-		{"handler error", 3 * time.Millisecond, nil, errors.New("no such zone")},
-		{"error with stale payload", 1, []byte("ignored"), errors.New("refused")},
-		{"empty error", 0, nil, errors.New("")},
+		{"empty ok", nil, nil},
+		{"zero-length ok", []byte{}, nil},
+		{"small ok", []byte("fiji.cs.washington.edu"), nil},
+		{"binary ok", []byte{0, 1, 2, 0xff, 0xfe, 0}, nil},
+		{"big ok", bytes.Repeat([]byte{0xab}, 60*1024), nil},
+		{"handler error", nil, errors.New("no such zone")},
+		{"error with stale payload", []byte("ignored"), errors.New("refused")},
+		{"empty error", nil, errors.New("")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := referenceFrame(refTag, encodeReply(tc.cost, tc.payload, tc.herr))
+			want, err := referenceFrame(refTag, encodeReply(tc.payload, tc.herr))
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-			got, err := encodeMuxReplyFramed(refTag, tc.cost, tc.payload, tc.herr)
+			got, err := encodeMuxReplyFramed(refTag, tc.payload, tc.herr)
 			if err != nil {
 				t.Fatalf("pooled: %v", err)
 			}
@@ -65,15 +63,15 @@ func TestEncodeReplyFramedMatchesReference(t *testing.T) {
 func TestAppendReplyMatchesEncodeReply(t *testing.T) {
 	for _, herr := range []error{nil, errors.New("boom")} {
 		for _, payload := range [][]byte{nil, {}, []byte("abc"), bytes.Repeat([]byte("x"), 4096)} {
-			want := encodeReply(123456, payload, herr)
-			got := appendReply(nil, 123456, payload, herr)
+			want := encodeReply(payload, herr)
+			got := appendReply(nil, payload, herr)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("appendReply(herr=%v, len=%d) differs", herr, len(payload))
 			}
 			// And into a dirty pooled buffer: same bytes, no leftover junk.
 			dirty := bufpool.Get(16)
 			dirty = append(dirty, 0xde, 0xad)
-			got2 := appendReply(dirty[:0], 123456, payload, herr)
+			got2 := appendReply(dirty[:0], payload, herr)
 			if !bytes.Equal(got2, want) {
 				t.Fatalf("appendReply into recycled buffer differs")
 			}
@@ -101,7 +99,7 @@ func TestFrameRequestMatchesReference(t *testing.T) {
 
 // TestFrameRequestOversize pins the limit's edge: a body of exactly
 // MaxFrame bytes frames, one more byte does not — and for a reply the
-// 9-byte envelope counts against the limit.
+// status byte counts against the limit.
 func TestFrameRequestOversize(t *testing.T) {
 	out, err := frameMuxRequest(1, make([]byte, MaxFrame))
 	if err != nil {
@@ -111,12 +109,12 @@ func TestFrameRequestOversize(t *testing.T) {
 	if _, err := frameMuxRequest(1, make([]byte, MaxFrame+1)); err == nil {
 		t.Fatal("oversize request did not error")
 	}
-	out, err = encodeMuxReplyFramed(1, 0, make([]byte, MaxFrame-9), nil)
+	out, err = encodeMuxReplyFramed(1, make([]byte, MaxFrame-1), nil)
 	if err != nil {
 		t.Fatalf("reply filling MaxFrame exactly refused: %v", err)
 	}
 	bufpool.Put(out)
-	if _, err := encodeMuxReplyFramed(1, 0, make([]byte, MaxFrame-8), nil); err == nil {
+	if _, err := encodeMuxReplyFramed(1, make([]byte, MaxFrame), nil); err == nil {
 		t.Fatal("oversize reply did not error")
 	}
 }
@@ -140,20 +138,20 @@ func TestReadFramePooledMatchesReadFrame(t *testing.T) {
 	bufpool.Put(got)
 }
 
-// FuzzFramedEquivalence feeds arbitrary tags/costs/payloads/error texts
+// FuzzFramedEquivalence feeds arbitrary tags/payloads/error texts
 // through both encode paths and requires identical frames, then
 // round-trips the frame through the pooled reader and decodeReply.
 func FuzzFramedEquivalence(f *testing.F) {
-	f.Add(uint32(1), uint64(0), []byte(nil), "")
-	f.Add(uint32(7), uint64(27000000), []byte("fiji.cs.washington.edu"), "")
-	f.Add(uint32(0), uint64(1), []byte{0xff, 0x00}, "no such context")
-	f.Fuzz(func(t *testing.T, tag uint32, cost uint64, payload []byte, errText string) {
+	f.Add(uint32(1), []byte(nil), "")
+	f.Add(uint32(7), []byte("fiji.cs.washington.edu"), "")
+	f.Add(uint32(0), []byte{0xff, 0x00}, "no such context")
+	f.Fuzz(func(t *testing.T, tag uint32, payload []byte, errText string) {
 		var herr error
 		if errText != "" {
 			herr = errors.New(errText)
 		}
-		want, werr := referenceFrame(tag, encodeReply(time.Duration(cost), payload, herr))
-		got, gerr := encodeMuxReplyFramed(tag, time.Duration(cost), payload, herr)
+		want, werr := referenceFrame(tag, encodeReply(payload, herr))
+		got, gerr := encodeMuxReplyFramed(tag, payload, herr)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("error divergence: reference %v, pooled %v", werr, gerr)
 		}
@@ -170,7 +168,7 @@ func FuzzFramedEquivalence(f *testing.F) {
 		if gotTag != tag {
 			t.Fatalf("tag round trip: got %x, want %x", gotTag, tag)
 		}
-		gotCost, gotPayload, derr := decodeReply(body)
+		gotPayload, derr := decodeReply(body)
 		if herr != nil {
 			var re *RemoteError
 			if !errors.As(derr, &re) || re.Msg != errText {
@@ -180,8 +178,8 @@ func FuzzFramedEquivalence(f *testing.F) {
 			if derr != nil {
 				t.Fatalf("decode: %v", derr)
 			}
-			if gotCost != time.Duration(cost) || !bytes.Equal(gotPayload, payload) {
-				t.Fatalf("round trip mismatch: cost %v payload %x", gotCost, gotPayload)
+			if !bytes.Equal(gotPayload, payload) {
+				t.Fatalf("round trip mismatch: payload %x", gotPayload)
 			}
 		}
 		bufpool.Put(body)
@@ -194,11 +192,11 @@ func FuzzFramedEquivalence(f *testing.F) {
 // benchmarks live in mux_test.go).
 
 func BenchmarkDecodeReplyWarm(b *testing.B) {
-	body := encodeReply(27*time.Millisecond, bytes.Repeat([]byte("record"), 40), nil)
+	body := encodeReply(bytes.Repeat([]byte("record"), 40), nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := decodeReply(body); err != nil {
+		if _, err := decodeReply(body); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,9 +16,8 @@ package transport
 // prefix it is 0x484D5558, far above MaxFrame, so no length-prefixed
 // stream can spell it by accident.)
 //
-// Cost accounting is per call: each charges its own meter the transport
-// round trip plus the cost envelope its reply carries, so simulated
-// numbers do not depend on how many calls share a socket.
+// Nothing here touches the simulated cost model: a call over a real
+// socket costs what the wall clock says it did.
 
 import (
 	"context"
@@ -31,7 +30,6 @@ import (
 	"time"
 
 	"hns/internal/bufpool"
-	"hns/internal/simtime"
 )
 
 // muxPreamble is written once by a TCP client immediately after
@@ -121,7 +119,6 @@ type muxResult struct {
 type muxCore struct {
 	obs wireObs
 	id  uint64
-	rtt time.Duration // simulated round trip charged per call
 
 	write   func(tag uint32, req []byte) error // one request frame; wmu held
 	read    func() (uint32, []byte, error)     // one reply frame; reader only
@@ -137,12 +134,12 @@ type muxCore struct {
 	onPush  func(body []byte, err error)
 }
 
-func newMuxCore(obs wireObs, rtt time.Duration,
+func newMuxCore(obs wireObs,
 	write func(uint32, []byte) error,
 	read func() (uint32, []byte, error),
 	closeFn func() error) *muxCore {
 	m := &muxCore{
-		obs: obs, id: muxConnIDs.Add(1), rtt: rtt,
+		obs: obs, id: muxConnIDs.Add(1),
 		write: write, read: read, closeFn: closeFn,
 		pending: make(map[uint32]chan muxResult),
 	}
@@ -260,8 +257,7 @@ func (m *muxCore) allocTagLocked() uint32 {
 	}
 }
 
-// Call implements Conn. Many calls may be in flight concurrently; each
-// charges its own meter the round trip plus the reply's cost envelope.
+// Call implements Conn. Many calls may be in flight concurrently.
 func (m *muxCore) Call(ctx context.Context, req []byte) ([]byte, error) {
 	m.mu.Lock()
 	if m.closed {
@@ -300,15 +296,13 @@ func (m *muxCore) Call(ctx context.Context, req []byte) ([]byte, error) {
 			return nil, res.err
 		}
 		m.obs.rx(len(res.body))
-		simtime.Charge(ctx, m.rtt)
-		cost, payload, err := decodeReply(res.body)
+		payload, err := decodeReply(res.body)
 		if payload != nil {
 			// The payload escapes to the caller; copy it out so the pooled
 			// receive buffer can be recycled.
 			payload = append(make([]byte, 0, len(payload)), payload...)
 		}
 		bufpool.Put(res.body)
-		simtime.Charge(ctx, cost)
 		return payload, err
 	case <-ctx.Done():
 		m.forget(tag)
@@ -337,7 +331,7 @@ func (m *muxCore) Close() error {
 //
 // A frame is a 4-byte big-endian stream tag, a 4-byte big-endian length
 // and the body: [tag][len][body]. Bodies are the request payload or the
-// reply envelope of frame.go.
+// reply body of frame.go.
 
 // frameMuxRequest builds a complete tagged request frame in one pooled
 // buffer. Release with bufpool.Put after writing.
@@ -352,12 +346,12 @@ func frameMuxRequest(tag uint32, req []byte) ([]byte, error) {
 }
 
 // encodeMuxReplyFramed builds a complete tagged reply frame — tag,
-// length prefix, and envelope body — in one pooled buffer, so the reply
+// length prefix, and reply body — in one pooled buffer, so the reply
 // goes out in a single Write with a single copy.
-func encodeMuxReplyFramed(tag uint32, cost time.Duration, payload []byte, handlerErr error) ([]byte, error) {
-	n := 9 + len(payload)
+func encodeMuxReplyFramed(tag uint32, payload []byte, handlerErr error) ([]byte, error) {
+	n := 1 + len(payload)
 	if handlerErr != nil {
-		n = 9 + len(handlerErr.Error())
+		n = 1 + len(handlerErr.Error())
 	}
 	if n > MaxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
@@ -365,7 +359,7 @@ func encodeMuxReplyFramed(tag uint32, cost time.Duration, payload []byte, handle
 	buf := bufpool.Get(8 + n)
 	buf = binary.BigEndian.AppendUint32(buf, tag)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-	return appendReply(buf, cost, payload, handlerErr), nil
+	return appendReply(buf, payload, handlerErr), nil
 }
 
 // readMuxFramePooled reads one tagged, length-prefixed body into a

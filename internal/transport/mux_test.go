@@ -46,7 +46,7 @@ func TestMuxFrameOversize(t *testing.T) {
 	if _, err := frameMuxRequest(1, big); err == nil {
 		t.Fatal("oversized mux request accepted")
 	}
-	if _, err := encodeMuxReplyFramed(1, 0, big, nil); err == nil {
+	if _, err := encodeMuxReplyFramed(1, big, nil); err == nil {
 		t.Fatal("oversized mux reply accepted")
 	}
 }
@@ -86,9 +86,8 @@ func TestTCPMuxConcurrentCallsOneConn(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ctx := simtime.WithMeter(context.Background(), simtime.NewMeter())
 			want := fmt.Sprintf("payload-%d", i)
-			got, err := conn.Call(ctx, []byte(want))
+			got, err := conn.Call(context.Background(), []byte(want))
 			if err != nil {
 				errs <- err
 				return
@@ -142,39 +141,6 @@ func TestTCPMuxSlowCallDoesNotBlockFast(t *testing.T) {
 	close(slow)
 	if err := <-slowDone; err != nil {
 		t.Fatalf("slow call: %v", err)
-	}
-}
-
-// TestTCPMuxCostCharging pins the simulated costs on the multiplexed
-// path: bit-identical to the serialized one — setup at dial, rtt plus
-// the server's metered cost per call.
-func TestTCPMuxCostCharging(t *testing.T) {
-	n := newTestNetwork()
-	model := n.Model()
-	tr, _ := n.Transport("tcp-net")
-	ln, err := tr.Listen("127.0.0.1:0", chargeHandler(3*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	cost, err := simtime.Measure(context.Background(), func(ctx context.Context) error {
-		conn, err := tr.Dial(ctx, ln.Addr())
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		if _, ok := conn.(*muxCore); !ok {
-			return fmt.Errorf("dialed %T, want multiplexed conn", conn)
-		}
-		_, err = conn.Call(ctx, []byte("ping"))
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := model.TCPConnSetup + model.RTTTCP + 3*time.Millisecond
-	if cost != want {
-		t.Fatalf("mux cost = %v, want %v", cost, want)
 	}
 }
 
@@ -473,8 +439,8 @@ func TestMuxUnknownTagCounted(t *testing.T) {
 		}
 		tag := binary.BigEndian.Uint32(hdr[:4])
 		// First a reply nobody asked for, then the real one.
-		bogus, _ := encodeMuxReplyFramed(tag+12345, 0, []byte("ghost"), nil)
-		real, _ := encodeMuxReplyFramed(tag, 0, body, nil)
+		bogus, _ := encodeMuxReplyFramed(tag+12345, []byte("ghost"), nil)
+		real, _ := encodeMuxReplyFramed(tag, body, nil)
 		c.Write(bogus)
 		c.Write(real)
 	}()
@@ -596,33 +562,6 @@ func TestUDPMuxConcurrentCalls(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-func TestUDPMuxCostCharging(t *testing.T) {
-	n := newTestNetwork()
-	model := n.Model()
-	tr, _ := n.Transport("udp-net")
-	ln, err := tr.Listen("127.0.0.1:0", chargeHandler(2*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	cost, err := simtime.Measure(context.Background(), func(ctx context.Context) error {
-		conn, err := tr.Dial(ctx, ln.Addr())
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		_, err = conn.Call(ctx, []byte("dg"))
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := model.RTTUDP + 2*time.Millisecond
-	if cost != want {
-		t.Fatalf("mux cost = %v, want %v", cost, want)
 	}
 }
 
@@ -792,7 +731,7 @@ func BenchmarkEncodeMuxReplyFramed(b *testing.B) {
 	payload := bytes.Repeat([]byte("r"), 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, err := encodeMuxReplyFramed(uint32(i), 5*time.Millisecond, payload, nil)
+		out, err := encodeMuxReplyFramed(uint32(i), payload, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

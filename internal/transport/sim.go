@@ -156,9 +156,9 @@ func (p *simPusher) Done() <-chan struct{} { return p.c.done }
 
 // Call implements Conn. The server handler runs on the caller's goroutine —
 // delivery is synchronous, like a blocked RPC — with a fresh meter whose
-// total is charged back to the caller, mirroring the cost envelope the real
-// transports carry on the wire. Concurrent calls overlap, as on the
-// socket transports.
+// total is charged back to the caller, as the server's processing time
+// would reach a blocked caller's stopwatch. Concurrent calls overlap, as
+// on the socket transports.
 func (c *simConn) Call(ctx context.Context, req []byte) ([]byte, error) {
 	c.mu.Lock()
 	if c.closed {

@@ -8,21 +8,17 @@ import (
 	"sync"
 
 	"hns/internal/bufpool"
-	"hns/internal/simtime"
 )
 
 // tcpTransport carries frames over real TCP sockets. It is what the cmd/
-// daemons deploy on. Simulated costs are charged identically to the "tcp"
-// simulated transport, so a multi-process deployment reports the same
-// simulated latencies the in-process harness does (plus whatever real time
-// the kernel spends, which the simulation ignores).
+// daemons deploy on. It charges no simulated cost and installs no meter:
+// a call over a real socket takes the real time it takes.
 type tcpTransport struct {
-	model *simtime.Model
-	obs   wireObs
+	obs wireObs
 }
 
-func newTCPTransport(model *simtime.Model) *tcpTransport {
-	return &tcpTransport{model: model, obs: newWireObs("tcp-net")}
+func newTCPTransport() *tcpTransport {
+	return &tcpTransport{obs: newWireObs("tcp-net")}
 }
 
 // Name implements Transport.
@@ -35,22 +31,21 @@ func (t *tcpTransport) Dial(ctx context.Context, addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	simtime.Charge(ctx, t.model.TCPConnSetup)
 	// The preamble is the protocol magic: a listener closes a connection
 	// that does not open with it.
 	if _, err := c.Write(muxPreamble[:]); err != nil {
 		c.Close()
 		return nil, err
 	}
-	return newTCPMux(t.model, t.obs, c), nil
+	return newTCPMux(t.obs, c), nil
 }
 
 // newTCPMux wraps an established stream in the tagged-frame client core:
 // writes serialized by the core's writer lock, replies demultiplexed by
 // the core's reader goroutine. Per-call socket deadlines are impossible
 // on a shared stream, so the core enforces waits with per-call timers.
-func newTCPMux(model *simtime.Model, obs wireObs, c net.Conn) *muxCore {
-	return newMuxCore(obs, model.RTTTCP,
+func newTCPMux(obs wireObs, c net.Conn) *muxCore {
+	return newMuxCore(obs,
 		func(tag uint32, req []byte) error {
 			out, err := frameMuxRequest(tag, req)
 			if err != nil {
@@ -146,15 +141,13 @@ func (l *tcpListener) serveConn(c net.Conn) {
 		wg.Add(1)
 		go func(tag uint32, req []byte) {
 			defer wg.Done()
-			meter := simtime.NewMeter()
-			ctx := WithPusher(WithPeer(simtime.WithMeter(context.Background(), meter), peer), pusher)
-			resp, herr := l.h(ctx, req)
-			out, err := encodeMuxReplyFramed(tag, meter.Elapsed(), resp, herr)
+			resp, herr := l.h(WithPusher(WithPeer(context.Background(), peer), pusher), req)
+			out, err := encodeMuxReplyFramed(tag, resp, herr)
 			bufpool.Put(req) // after encoding: resp may alias the request
 			if err != nil {
 				// Answer on the same tag so the caller fails now instead of
 				// waiting out its deadline; this short reply always fits.
-				out, _ = encodeMuxReplyFramed(tag, meter.Elapsed(), nil, errFrameLimit)
+				out, _ = encodeMuxReplyFramed(tag, nil, errFrameLimit)
 			}
 			wmu.Lock()
 			_, _ = c.Write(out)

@@ -11,14 +11,16 @@
 //     and Clearinghouse servers — inside one process with paper-scale
 //     simulated latencies.
 //   - real TCP ("tcp-net") and real UDP ("udp-net"): actual sockets, used by
-//     the cmd/ daemons. They charge the same simulated costs, so a
-//     multi-process deployment reports the same simulated numbers.
+//     the cmd/ daemons. They know nothing of the cost model: no charge, no
+//     meter, and a reply body that is just [status][payload] (frame.go).
 //
-// Every reply carries a cost envelope: the simulated cost the server
-// accrued while handling the request. The client charges that plus the
-// round trip to its own meter, so simulated elapsed time composes across
+// Simulated cost is the simulated transports' business alone. A simulated
+// call runs the handler under a fresh meter and charges the caller that
+// total plus the round trip, so simulated elapsed time composes across
 // any depth of nested calls exactly like wall-clock time does for
-// synchronous RPC.
+// synchronous RPC. Over a real socket the handler's ctx carries no meter,
+// every simtime.Charge in it is a no-op, and elapsed time is the wall
+// clock's (simtime.Stopwatch picks per ctx).
 package transport
 
 import (
@@ -32,10 +34,10 @@ import (
 	"hns/internal/simtime"
 )
 
-// Handler processes one request and produces a reply. The ctx carries a
-// fresh simtime meter whose accumulated cost is returned to the caller in
-// the reply envelope. A returned error is propagated to the caller as a
-// *RemoteError.
+// Handler processes one request and produces a reply. On a simulated
+// transport the ctx carries a fresh simtime meter whose accumulated cost
+// is charged back to the caller; on a real socket it carries none. A
+// returned error is propagated to the caller as a *RemoteError.
 //
 // Lifetime: req is only valid until the reply has been produced — the
 // real-socket transports read requests into pooled buffers and recycle
@@ -49,8 +51,9 @@ type Handler func(ctx context.Context, req []byte) ([]byte, error)
 // concurrently, each identified by a per-connection stream tag (see
 // mux.go).
 type Conn interface {
-	// Call sends req and returns the reply payload. The round-trip and
-	// remote processing costs are charged to the meter in ctx.
+	// Call sends req and returns the reply payload. A simulated transport
+	// charges the round-trip and remote processing costs to the meter in
+	// ctx.
 	Call(ctx context.Context, req []byte) ([]byte, error)
 	// Close releases the connection.
 	Close() error
@@ -69,8 +72,8 @@ type Listener interface {
 type Transport interface {
 	// Name identifies the transport in bindings ("udp", "tcp-net", ...).
 	Name() string
-	// Dial connects to addr. Connection setup cost (if any) is charged to
-	// the meter in ctx.
+	// Dial connects to addr. A simulated stream transport charges its
+	// connection setup cost to the meter in ctx.
 	Dial(ctx context.Context, addr string) (Conn, error)
 	// Listen binds addr and serves requests through h.
 	Listen(addr string, h Handler) (Listener, error)
@@ -151,8 +154,8 @@ func NewNetwork(model *simtime.Model) *Network {
 		newSimTransport(n, "tcp-local", func(m *simtime.Model) (int64, int64) {
 			return int64(m.RTTTCPLocal), int64(m.TCPConnSetup)
 		}),
-		newTCPTransport(model),
-		newUDPTransport(model),
+		newTCPTransport(),
+		newUDPTransport(),
 	} {
 		n.Register(t)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"hns/internal/metrics"
 	"hns/internal/simtime"
 )
 
@@ -322,39 +323,91 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 
 // ---- Real-socket transports.
 
+// wireBytes reads a transport's transport_bytes_total{dir} counter.
+func wireBytes(transportName, dir string) int64 {
+	return metrics.Default().Counter(metrics.Labels("transport_bytes_total",
+		"transport", transportName, "dir", dir)).Value()
+}
+
+// TestNetWireIsCostFree pins the real-socket wire: a request body is the
+// payload verbatim, a reply body is one status byte plus the payload —
+// no cost field — so one call with an N-byte request and an M-byte
+// reply moves the byte counters by exactly N and M+1. The cost model
+// does not reach the socket at either end: the handler's ctx carries no
+// meter, and a meter the caller installed still reads zero afterwards.
+// (This is the tier-1 twin of the benchmark's bytes_per_op gate.)
+func TestNetWireIsCostFree(t *testing.T) {
+	for _, name := range []string{"tcp-net", "udp-net"} {
+		t.Run(name, func(t *testing.T) {
+			const reqLen, replyLen = 37, 211
+			n := newTestNetwork()
+			tr, _ := n.Transport(name)
+			metered := make(chan bool, 1)
+			ln, err := tr.Listen("127.0.0.1:0", func(ctx context.Context, req []byte) ([]byte, error) {
+				metered <- simtime.From(ctx) != nil
+				simtime.Charge(ctx, 3*time.Millisecond) // what every real handler does
+				return bytes.Repeat([]byte{'r'}, replyLen), nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+
+			meter := simtime.NewMeter()
+			ctx := simtime.WithMeter(context.Background(), meter)
+			conn, err := tr.Dial(ctx, ln.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+
+			tx0, rx0 := wireBytes(name, "tx"), wireBytes(name, "rx")
+			got, err := conn.Call(ctx, bytes.Repeat([]byte{'q'}, reqLen))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != replyLen {
+				t.Fatalf("reply of %d bytes, want %d", len(got), replyLen)
+			}
+			if tx := wireBytes(name, "tx") - tx0; tx != reqLen {
+				t.Errorf("tx bytes moved by %d, want exactly the %d-byte request", tx, reqLen)
+			}
+			if rx := wireBytes(name, "rx") - rx0; rx != replyLen+1 {
+				t.Errorf("rx bytes moved by %d, want the %d-byte reply plus one status byte", rx, replyLen)
+			}
+			if <-metered {
+				t.Error("handler behind a real socket was handed a simtime meter")
+			}
+			if meter.Elapsed() != 0 || meter.Events() != 0 {
+				t.Errorf("caller's meter charged %v in %d events over a real socket, want nothing",
+					meter.Elapsed(), meter.Events())
+			}
+		})
+	}
+}
+
 func TestTCPNetRoundTrip(t *testing.T) {
 	n := newTestNetwork()
 	tr, _ := n.Transport("tcp-net")
-	ln, err := tr.Listen("127.0.0.1:0", chargeHandler(3*time.Millisecond))
+	ln, err := tr.Listen("127.0.0.1:0", echoHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-
-	cost, err := simtime.Measure(context.Background(), func(ctx context.Context) error {
-		conn, err := tr.Dial(ctx, ln.Addr())
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		got, err := conn.Call(ctx, []byte("ping"))
-		if err != nil {
-			return err
-		}
-		if string(got) != "ping" {
-			return fmt.Errorf("echo = %q", got)
-		}
-		// Second call on the same connection: no setup cost again.
-		_, err = conn.Call(ctx, []byte("pong"))
-		return err
-	})
+	conn, err := tr.Dial(context.Background(), ln.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := n.Model()
-	want := model.TCPConnSetup + 2*(model.RTTTCP+3*time.Millisecond)
-	if cost != want {
-		t.Fatalf("cost = %v, want %v", cost, want)
+	defer conn.Close()
+	// Two calls on the one connection.
+	for _, msg := range []string{"ping", "pong"} {
+		got, err := conn.Call(context.Background(), []byte(msg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != msg {
+			t.Fatalf("echo = %q, want %q", got, msg)
+		}
 	}
 }
 
@@ -383,34 +436,22 @@ func TestTCPNetRemoteError(t *testing.T) {
 func TestUDPNetRoundTrip(t *testing.T) {
 	n := newTestNetwork()
 	tr, _ := n.Transport("udp-net")
-	ln, err := tr.Listen("127.0.0.1:0", chargeHandler(2*time.Millisecond))
+	ln, err := tr.Listen("127.0.0.1:0", echoHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-
-	cost, err := simtime.Measure(context.Background(), func(ctx context.Context) error {
-		conn, err := tr.Dial(ctx, ln.Addr())
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		got, err := conn.Call(ctx, []byte("datagram"))
-		if err != nil {
-			return err
-		}
-		if string(got) != "datagram" {
-			return fmt.Errorf("echo = %q", got)
-		}
-		return nil
-	})
+	conn, err := tr.Dial(context.Background(), ln.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := n.Model()
-	want := model.RTTUDP + 2*time.Millisecond
-	if cost != want {
-		t.Fatalf("cost = %v, want %v", cost, want)
+	defer conn.Close()
+	got, err := conn.Call(context.Background(), []byte("datagram"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "datagram" {
+		t.Fatalf("echo = %q", got)
 	}
 }
 
@@ -435,44 +476,46 @@ func TestUDPNetOversizedRequest(t *testing.T) {
 // ---- Frame codec.
 
 func TestReplyCodecRoundTrip(t *testing.T) {
-	body := encodeReply(7*time.Millisecond, []byte("payload"), nil)
-	cost, payload, err := decodeReply(body)
+	body := encodeReply([]byte("payload"), nil)
+	payload, err := decodeReply(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost != 7*time.Millisecond || string(payload) != "payload" {
-		t.Fatalf("got %v %q", cost, payload)
+	if string(payload) != "payload" {
+		t.Fatalf("got %q", payload)
 	}
 
-	body = encodeReply(time.Millisecond, nil, errors.New("oops"))
-	_, _, err = decodeReply(body)
+	body = encodeReply(nil, errors.New("oops"))
+	_, err = decodeReply(body)
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Msg != "oops" {
 		t.Fatalf("got %v", err)
 	}
 }
 
+// TestReplyCodecShort: a body with no status byte is a short frame, not
+// an empty payload.
 func TestReplyCodecShort(t *testing.T) {
-	if _, _, err := decodeReply([]byte{1, 2, 3}); err == nil {
+	if _, err := decodeReply(nil); err == nil {
 		t.Fatal("short reply accepted")
 	}
 }
 
 func TestReplyCodecBadStatus(t *testing.T) {
-	body := encodeReply(0, []byte("x"), nil)
-	body[8] = 99
-	if _, _, err := decodeReply(body); err == nil {
+	body := encodeReply([]byte("x"), nil)
+	body[0] = 99
+	if _, err := decodeReply(body); err == nil {
 		t.Fatal("bad status accepted")
 	}
 }
 
 func TestFrameRoundTripProperty(t *testing.T) {
-	f := func(payload []byte, costMicros uint32, isErr bool) bool {
+	f := func(payload []byte, isErr bool) bool {
 		var herr error
 		if isErr {
 			herr = errors.New(string(payload))
 		}
-		body := encodeReply(time.Duration(costMicros)*time.Microsecond, payload, herr)
+		body := encodeReply(payload, herr)
 		var buf bytes.Buffer
 		if err := writeFrame(&buf, body); err != nil {
 			return false
@@ -481,10 +524,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cost, got, derr := decodeReply(back)
-		if cost != time.Duration(costMicros)*time.Microsecond {
-			return false
-		}
+		got, derr := decodeReply(back)
 		if isErr {
 			var re *RemoteError
 			return errors.As(derr, &re) && re.Msg == string(payload)

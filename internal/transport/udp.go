@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"hns/internal/bufpool"
-	"hns/internal/simtime"
 )
 
 // udpTransport carries frames over real UDP datagrams: one datagram per
@@ -18,15 +17,14 @@ import (
 //
 // Every request datagram is [preamble][4-byte stream tag][payload], so
 // one socket carries many in-flight calls; the reply is the echoed tag
-// followed by the reply envelope. A datagram that does not open with
-// the preamble and a tag is not this protocol and is dropped unread.
+// followed by the reply body of frame.go. A datagram that does not open
+// with the preamble and a tag is not this protocol and is dropped unread.
 type udpTransport struct {
-	model *simtime.Model
-	obs   wireObs
+	obs wireObs
 }
 
-func newUDPTransport(model *simtime.Model) *udpTransport {
-	return &udpTransport{model: model, obs: newWireObs("udp-net")}
+func newUDPTransport() *udpTransport {
+	return &udpTransport{obs: newWireObs("udp-net")}
 }
 
 // Name implements Transport.
@@ -49,15 +47,15 @@ func (t *udpTransport) Dial(ctx context.Context, addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newUDPMux(t.model, t.obs, c), nil
+	return newUDPMux(t.obs, c), nil
 }
 
 // newUDPMux wraps a connected UDP socket in the tagged-frame client
 // core. A malformed reply datagram is skipped (and counted) rather than
 // killing the socket — datagram corruption is per-packet, unlike a
 // broken stream.
-func newUDPMux(model *simtime.Model, obs wireObs, c *net.UDPConn) *muxCore {
-	return newMuxCore(obs, model.RTTUDP,
+func newUDPMux(obs wireObs, c *net.UDPConn) *muxCore {
+	return newMuxCore(obs,
 		func(tag uint32, req []byte) error {
 			if len(req) > maxDatagram-8 {
 				return errors.New("transport: request exceeds datagram limit")
@@ -146,14 +144,13 @@ func (l *udpListener) serveLoop() {
 			continue
 		}
 		go func(req []byte, peer *net.UDPAddr) {
-			meter := simtime.NewMeter()
-			resp, herr := l.h(WithPeer(simtime.WithMeter(context.Background(), meter), peer.String()), req[8:])
-			body := appendReply(append(bufpool.Get(13+len(resp)), req[4:8]...), meter.Elapsed(), resp, herr)
+			resp, herr := l.h(WithPeer(context.Background(), peer.String()), req[8:])
+			body := appendReply(append(bufpool.Get(5+len(resp)), req[4:8]...), resp, herr)
 			bufpool.Put(req) // after encoding: resp may alias the request
 			if len(body) > maxDatagram {
 				// Answer on the same tag so the caller fails now instead of
 				// waiting out its deadline for a reply that cannot be sent.
-				body = appendReply(body[:4], meter.Elapsed(), nil, errDatagramLimit)
+				body = appendReply(body[:4], nil, errDatagramLimit)
 			}
 			_, _ = l.pc.WriteToUDP(body, peer)
 			bufpool.Put(body)

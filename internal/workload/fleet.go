@@ -9,18 +9,12 @@
 // of one shared cache counter. An opt-in fourth tier (FleetSpec.Gateway)
 // fronts every remote site's hnsd with an admission-controlled hnsgw.
 //
-// Every fleet run is two passes over *fresh* worlds built from the same
-// seeded spec:
-//
-//   - The sim pass runs every client sequentially in a canonical order on
-//     a fake clock. It produces the deterministic, seed-reproducible
-//     numbers: p50/p99 simulated latency, per-tier hit ratios, effective
-//     authority fetches, and stale counts. Two runs with the same spec
-//     are bit-identical.
-//   - The wall pass replays the identical op streams concurrently through
-//     a bounded worker pool. It produces the real-side numbers — wall
-//     ops/sec and the singleflight coalesce counters that measure
-//     stampede suppression — which are schedule-dependent by nature.
+// A fleet run is one deterministic pass: every client runs sequentially
+// in a canonical order on a fake clock, producing seed-reproducible
+// numbers — p50/p99 simulated latency, per-tier hit ratios, effective
+// authority fetches, and stale counts. Two runs with the same spec are
+// bit-identical. (Real-time, concurrent load is bench/hnsload's job,
+// over real sockets.)
 //
 // The engine only composes existing seeded primitives (the cost model,
 // the meta resolver, the chaos transport); it never changes per-call cost
@@ -33,8 +27,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hns/internal/admission"
@@ -51,7 +43,7 @@ import (
 	"hns/internal/world"
 )
 
-// fleetEpoch anchors every fleet pass's fake clock (November 1987, like
+// fleetEpoch anchors every fleet run's fake clock (November 1987, like
 // the other clocked experiments).
 var fleetEpoch = time.Unix(563328000, 0)
 
@@ -166,8 +158,6 @@ type FleetSpec struct {
 	HostTTL time.Duration
 	// Diurnal shapes the load curve.
 	Diurnal Diurnal
-	// Workers bounds the wall pass's concurrency; <= 0 means 16.
-	Workers int
 	// Gateway, when non-nil, fronts every remote site's hnsd with an
 	// admission-controlled hnsgw (the optional fourth tier). Nil — the
 	// default — changes nothing.
@@ -212,8 +202,6 @@ func (s FleetSpec) Validate() error {
 		return fmt.Errorf("workload: diurnal slots must be >= 0")
 	case d.SlotStep < 0:
 		return fmt.Errorf("workload: diurnal slot step must be >= 0")
-	case s.Workers < 0:
-		return fmt.Errorf("workload: workers must be >= 0")
 	case s.MetaShards < 0:
 		return fmt.Errorf("workload: meta shards must be >= 0")
 	case s.MetaShards > 64:
@@ -243,17 +231,6 @@ func (s FleetSpec) hostTTL() time.Duration {
 	return s.HostTTL
 }
 
-func (s FleetSpec) workers() int {
-	w := s.Workers
-	if w <= 0 {
-		w = 16
-	}
-	if w > s.Clients {
-		w = s.Clients
-	}
-	return w
-}
-
 // TierStats is one cache tier's view of the run: how many requests
 // reached it and how many it absorbed.
 type TierStats struct {
@@ -272,7 +249,7 @@ func (t *TierStats) finish() {
 	}
 }
 
-// SlotStats is the sim pass broken out per diurnal slot.
+// SlotStats is the run broken out per diurnal slot.
 type SlotStats struct {
 	Slot int
 	// Ops is how many operations landed in the slot.
@@ -284,16 +261,13 @@ type SlotStats struct {
 	AuthorityFetches int64
 }
 
-// FleetResult reports one fleet run. Sim-side fields are deterministic
-// given the spec and scenario (two runs with the same seeds are
-// identical); real-side fields depend on the host and schedule.
+// FleetResult reports one fleet run. Every field is deterministic given
+// the spec and scenario: two runs with the same seeds are identical.
 type FleetResult struct {
 	Scenario string
 	Sites    int
 	Clients  int
 	Ops      int
-
-	// ---- Sim side (deterministic).
 
 	// P50, P99, Mean summarize per-op simulated latency.
 	P50, P99, Mean time.Duration
@@ -304,45 +278,26 @@ type FleetResult struct {
 	// authoritative meta bindd (a "hit" there is a fresh authoritative
 	// answer; a miss is a stale or failed one).
 	Host, Site, Authority TierStats
-	// AuthorityFetches counts effective backend fetches in the sim pass.
+	// AuthorityFetches counts effective backend fetches.
 	AuthorityFetches int64
-	// StaleOps counts sim ops answered (at least partly) from expired
+	// StaleOps counts ops answered (at least partly) from expired
 	// entries in serve-stale degraded mode.
 	StaleOps int64
-	// Probes and StaleProbes are the sim pass's scenario freshness
+	// Probes and StaleProbes are the scenario's freshness
 	// probes (hooks.AfterSlot): a stale probe is a site answering with
 	// pre-churn data after an update already landed at the authority.
 	// Zero for scenarios without probes.
 	Probes, StaleProbes int64
-	// Failures counts sim ops that returned an error.
+	// Failures counts ops that returned an error.
 	Failures int
 	// GatewayShed counts calls the optional hnsgw tier refused with a
-	// typed Overloaded in the sim pass (always 0 when the tier is off).
+	// typed Overloaded (always 0 when the tier is off).
 	GatewayShed int64
 	// Slots is the per-slot breakdown.
 	Slots []SlotStats
-
-	// ---- Real side (schedule-dependent).
-
-	// Wall is the summed real time of the wall pass's slots; OpsPerSec
-	// is Ops/Wall.
-	Wall      time.Duration
-	OpsPerSec float64
-	// Coalesced counts lookups that joined another caller's in-flight
-	// backend fetch (singleflight) during the wall pass — the stampede
-	// suppression measurement.
-	Coalesced int64
-	// WallFetches is the wall pass's effective backend fetches
-	// (meta-cache misses net of Coalesced).
-	WallFetches int64
-	// WallStale and WallFailures mirror StaleOps/Failures for the wall
-	// pass; WallGatewayShed mirrors GatewayShed.
-	WallStale       int64
-	WallFailures    int
-	WallGatewayShed int64
 }
 
-// FleetHooks let a scenario customize a pass. All hooks are optional.
+// FleetHooks let a scenario customize a run. All hooks are optional.
 type FleetHooks struct {
 	// NewSiteHNS builds a site's HNS instance on the given registry;
 	// nil uses the world's standard construction.
@@ -351,10 +306,8 @@ type FleetHooks struct {
 	BeforeSlot func(slot int)
 	// AfterSlot runs after each slot's ops and before the clock
 	// advances — freshness probes. It returns how many probes it made
-	// and how many came back stale; the sim pass accumulates the counts
-	// into FleetResult (the wall pass runs the hook for identical cache
-	// state but discards its counts, since its interleaving is
-	// schedule-dependent).
+	// and how many came back stale; the run accumulates the counts into
+	// FleetResult.
 	AfterSlot func(ctx context.Context, slot int) (probes, stale int64, err error)
 	// Remap rewrites an op's context index per slot (popularity
 	// inversion). It must be pure.
@@ -369,7 +322,7 @@ type FleetHooks struct {
 }
 
 // FleetSetup builds a scenario's hooks over a freshly built world; it is
-// invoked once per pass, so both passes see identical arrangements.
+// invoked once per run.
 type FleetSetup func(ctx context.Context, w *world.World, clk *simtime.FakeClock) (FleetHooks, error)
 
 // fleetOp is one drawn operation: which context, in which slot.
@@ -440,7 +393,7 @@ type siteState struct {
 	reg    *metrics.Registry
 }
 
-// fleetEnv is one pass's environment: a fresh world, the site fleet, and
+// fleetEnv is one run's environment: a fresh world, the site fleet, and
 // every client's drawn stream.
 type fleetEnv struct {
 	w         *world.World
@@ -470,7 +423,7 @@ func (e *fleetEnv) Close() {
 	e.w.Close()
 }
 
-// buildFleet stands up one pass: world, synthetic contexts, scenario
+// buildFleet stands up one run: world, synthetic contexts, scenario
 // hooks, sites (served remotely where the arrangement says so), and the
 // client streams.
 func buildFleet(ctx context.Context, spec FleetSpec, setup FleetSetup) (*fleetEnv, error) {
@@ -614,13 +567,17 @@ func (e *fleetEnv) opName(op fleetOp) (names.Name, int) {
 	return names.Must(world.SyntheticContext(idx), world.SyntheticHost(idx)), idx
 }
 
-// runFleetSim is the deterministic pass: every client sequentially, in
-// client order within each slot, on the fake clock. Fills the sim-side
-// fields of res.
-func runFleetSim(ctx context.Context, spec FleetSpec, setup FleetSetup, res *FleetResult) error {
+// RunFleet executes the fleet run on a fresh world built from the seeded
+// spec (and setup, when a scenario provides one): every client
+// sequentially, in client order within each slot, on the fake clock.
+func RunFleet(ctx context.Context, spec FleetSpec, setup FleetSetup) (FleetResult, error) {
+	if err := spec.Validate(); err != nil {
+		return FleetResult{}, err
+	}
+	res := FleetResult{Sites: spec.Sites, Clients: spec.Clients}
 	e, err := buildFleet(ctx, spec, setup)
 	if err != nil {
-		return err
+		return res, fmt.Errorf("workload: fleet run: %w", err)
 	}
 	defer e.Close()
 
@@ -657,7 +614,7 @@ func runFleetSim(ctx context.Context, spec FleetSpec, setup FleetSetup, res *Fle
 				}
 
 				// Tiers 1-2: the site hnsd and, behind its misses, the
-				// authoritative meta bindd. The pass is sequential, so
+				// authoritative meta bindd. The run is sequential, so
 				// the site instance's counter deltas attribute exactly
 				// this op's misses and stale serves.
 				before := st.h.Stats().Cache
@@ -704,7 +661,7 @@ func runFleetSim(ctx context.Context, spec FleetSpec, setup FleetSetup, res *Fle
 		if e.hooks.AfterSlot != nil {
 			probes, stale, err := e.hooks.AfterSlot(ctx, s)
 			if err != nil {
-				return fmt.Errorf("workload: slot %d probes: %w", s, err)
+				return res, fmt.Errorf("workload: fleet run: slot %d probes: %w", s, err)
 			}
 			res.Probes += probes
 			res.StaleProbes += stale
@@ -726,7 +683,7 @@ func runFleetSim(ctx context.Context, spec FleetSpec, setup FleetSetup, res *Fle
 	res.Site.finish()
 	res.Authority.finish()
 	res.GatewayShed = e.gatewayShed()
-	return nil
+	return res, nil
 }
 
 // percentile reads the p-quantile from an ascending slice.
@@ -736,93 +693,6 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	}
 	idx := int(p*float64(len(sorted)-1) + 0.5)
 	return sorted[idx]
-}
-
-// runFleetWall is the concurrent pass: the identical op streams replayed
-// through a bounded worker pool (clients partitioned by worker, so each
-// client's stream and host cache stay single-owner), with a barrier at
-// every slot boundary so the fake clock still advances deterministically.
-// Fills the real-side fields of res.
-func runFleetWall(ctx context.Context, spec FleetSpec, setup FleetSetup, res *FleetResult) error {
-	e, err := buildFleet(ctx, spec, setup)
-	if err != nil {
-		return err
-	}
-	defer e.Close()
-
-	hostTTL := spec.hostTTL()
-	workers := spec.workers()
-	chunk := (len(e.clients) + workers - 1) / workers
-	var failures atomic.Int64
-	var wall time.Duration
-
-	for s := 0; s < e.slots; s++ {
-		if e.hooks.BeforeSlot != nil {
-			e.hooks.BeforeSlot(s)
-		}
-		start := time.Now()
-		var wg sync.WaitGroup
-		for lo := 0; lo < len(e.clients); lo += chunk {
-			hi := lo + chunk
-			if hi > len(e.clients) {
-				hi = len(e.clients)
-			}
-			wg.Add(1)
-			go func(lo, hi, s int) {
-				defer wg.Done()
-				for ci := lo; ci < hi; ci++ {
-					c := &e.clients[ci]
-					st := &e.sites[c.site]
-					for c.next < len(c.ops) && c.ops[c.next].slot == s {
-						op := c.ops[c.next]
-						c.next++
-						name, idx := e.opName(op)
-						now := e.clk.Now()
-						if exp, ok := c.cache[idx]; ok && now.Before(exp) {
-							continue
-						}
-						_, err := simtime.Measure(ctx, func(ctx context.Context) error {
-							_, err := st.finder.FindNSM(ctx, name, qclass.HostAddress)
-							return err
-						})
-						if err != nil {
-							failures.Add(1)
-							continue
-						}
-						c.cache[idx] = now.Add(hostTTL)
-					}
-				}
-			}(lo, hi, s)
-		}
-		wg.Wait()
-		wall += time.Since(start)
-		if e.hooks.AfterSlot != nil {
-			// Outside the timed region: probes keep both passes' cache
-			// state identical but are not part of the measured load.
-			if _, _, err := e.hooks.AfterSlot(ctx, s); err != nil {
-				return fmt.Errorf("workload: slot %d probes: %w", s, err)
-			}
-		}
-		e.clk.Advance(spec.Diurnal.SlotStep)
-	}
-
-	res.Wall = wall
-	if wall > 0 {
-		res.OpsPerSec = float64(spec.Clients*spec.OpsPerClient) / wall.Seconds()
-	}
-	res.WallFailures = int(failures.Load())
-	var misses, stale, coalesced int64
-	for i := range e.sites {
-		cs := e.sites[i].h.Stats().Cache
-		misses += cs.Misses
-		stale += cs.StaleServed
-		coalesced += sumRegCounters(e.sites[i].reg, "cache_coalesced_total")
-	}
-	res.Coalesced = coalesced
-	res.WallFetches = misses - coalesced
-	res.WallStale = stale
-	res.WallGatewayShed = e.gatewayShed()
-	return nil
 }
 
 // sumRegCounters totals every counter series in reg whose name starts
@@ -835,21 +705,4 @@ func sumRegCounters(reg *metrics.Registry, prefix string) int64 {
 		}
 	}
 	return total
-}
-
-// RunFleet executes both passes of the fleet run: the deterministic sim
-// pass, then the concurrent wall pass, each on its own fresh world built
-// by the same seeded spec (and setup, when a scenario provides one).
-func RunFleet(ctx context.Context, spec FleetSpec, setup FleetSetup) (FleetResult, error) {
-	if err := spec.Validate(); err != nil {
-		return FleetResult{}, err
-	}
-	res := FleetResult{Sites: spec.Sites, Clients: spec.Clients}
-	if err := runFleetSim(ctx, spec, setup, &res); err != nil {
-		return res, fmt.Errorf("workload: fleet sim pass: %w", err)
-	}
-	if err := runFleetWall(ctx, spec, setup, &res); err != nil {
-		return res, fmt.Errorf("workload: fleet wall pass: %w", err)
-	}
-	return res, nil
 }

@@ -19,7 +19,6 @@ func gatewayFleetSpec() workload.FleetSpec {
 		Contexts:     4,
 		Skew:         1.4,
 		Seed:         1987,
-		Workers:      8,
 	}
 }
 
@@ -64,7 +63,7 @@ func TestFleetGatewayValidate(t *testing.T) {
 // TestFleetGatewayTransparent: with no admission limits the gateway tier
 // is a pure extra hop — every op still succeeds, nothing sheds, the
 // client-side host tier is untouched, and remote-site ops cost more than
-// the ungated baseline (the hop is real). Two gated runs are sim-side
+// the ungated baseline (the hop is real). Two gated runs are
 // identical, extending the determinism contract to the fourth tier.
 func TestFleetGatewayTransparent(t *testing.T) {
 	ctx := context.Background()
@@ -86,7 +85,7 @@ func TestFleetGatewayTransparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simSideEqual(t, "gateway", a, b)
+	fleetResultsEqual(t, "gateway", a, b)
 	if a.GatewayShed != b.GatewayShed {
 		t.Fatalf("gateway shed differs across identical runs: %d vs %d", a.GatewayShed, b.GatewayShed)
 	}
@@ -105,7 +104,7 @@ func TestFleetGatewayTransparent(t *testing.T) {
 
 // TestFleetGatewaySheds: with a starved per-client bucket the gateways
 // refuse work — sheds and failures appear that the ungated fleet never
-// has, and (with a backoff window outlasting the run) the sim pass stays
+// has, and (with a backoff window outlasting the run) the run stays
 // deterministic about them.
 func TestFleetGatewaySheds(t *testing.T) {
 	ctx := context.Background()
@@ -131,9 +130,6 @@ func TestFleetGatewaySheds(t *testing.T) {
 	}
 	if a.Failures >= a.Ops {
 		t.Fatalf("every op failed (%d/%d): local sites should be unaffected", a.Failures, a.Ops)
-	}
-	if a.WallGatewayShed < 1 {
-		t.Fatalf("wall pass shed %d calls, want >= 1", a.WallGatewayShed)
 	}
 
 	b, err := workload.RunFleet(ctx, spec, nil)

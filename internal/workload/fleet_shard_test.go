@@ -27,14 +27,13 @@ func shardFleetSpec(clients, shards int) FleetSpec {
 		Contexts:     4,
 		Skew:         1.4,
 		Seed:         1987,
-		Workers:      8,
 		MetaShards:   shards,
 	}
 }
 
 // TestFleetMetaShardsDeterministic: the sharded fleet is as reproducible
 // as the unsharded one — two plain runs with MetaShards=2 agree on every
-// sim-side field and nothing fails.
+// field compared and nothing fails.
 func TestFleetMetaShardsDeterministic(t *testing.T) {
 	ctx := context.Background()
 	spec := shardFleetSpec(18, 2)
@@ -46,8 +45,8 @@ func TestFleetMetaShardsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Failures != 0 || a.WallFailures != 0 {
-		t.Fatalf("sharded fleet failed ops: sim %d wall %d", a.Failures, a.WallFailures)
+	if a.Failures != 0 {
+		t.Fatalf("sharded fleet failed ops: %d", a.Failures)
 	}
 	if a.Ops != spec.Clients*spec.OpsPerClient {
 		t.Fatalf("ops = %d, want %d", a.Ops, spec.Clients*spec.OpsPerClient)
@@ -72,7 +71,7 @@ func TestFleetMetaShardsZeroIsUnsharded(t *testing.T) {
 	}
 	b, err := RunFleet(ctx, FleetSpec{
 		Sites: 3, Clients: 18, OpsPerClient: 3, Contexts: 4,
-		Skew: 1.4, Seed: 1987, Workers: 8,
+		Skew: 1.4, Seed: 1987,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +92,8 @@ func TestScenarioShardLossShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Failures != 0 || res.WallFailures != 0 {
-		t.Fatalf("failures: sim %d wall %d, want 0 (serve-stale should carry the dead slice)",
-			res.Failures, res.WallFailures)
+	if res.Failures != 0 {
+		t.Fatalf("failures: %d, want 0 (serve-stale should carry the dead slice)", res.Failures)
 	}
 	if res.StaleOps == 0 {
 		t.Fatal("no stale-served ops: the kill window never degraded anything")

@@ -16,7 +16,6 @@ func tinyFleetSpec(clients int) workload.FleetSpec {
 		Contexts:     4,
 		Skew:         1.4,
 		Seed:         1987,
-		Workers:      8,
 	}
 }
 
@@ -33,7 +32,6 @@ func TestFleetSpecValidate(t *testing.T) {
 		func() workload.FleetSpec { s := tinyFleetSpec(12); s.Diurnal.Phase = 1; return s }(),
 		func() workload.FleetSpec { s := tinyFleetSpec(12); s.Diurnal.Slots = -1; return s }(),
 		func() workload.FleetSpec { s := tinyFleetSpec(12); s.Diurnal.SlotStep = -time.Second; return s }(),
-		func() workload.FleetSpec { s := tinyFleetSpec(12); s.Workers = -1; return s }(),
 		func() workload.FleetSpec { s := tinyFleetSpec(12); s.Skew = 0.5; return s }(),
 	}
 	for i, s := range bad {
@@ -43,10 +41,9 @@ func TestFleetSpecValidate(t *testing.T) {
 	}
 }
 
-// simSideEqual compares every deterministic (sim-pass) field of two fleet
-// results; real-side fields (Wall, OpsPerSec, Coalesced, ...) are
-// schedule-dependent and excluded by design.
-func simSideEqual(t *testing.T, label string, a, b workload.FleetResult) {
+// fleetResultsEqual compares two fleet results field by field; every
+// field is deterministic per spec.
+func fleetResultsEqual(t *testing.T, label string, a, b workload.FleetResult) {
 	t.Helper()
 	if a.Ops != b.Ops || a.Failures != b.Failures {
 		t.Fatalf("%s: ops/failures differ: %d/%d vs %d/%d", label, a.Ops, a.Failures, b.Ops, b.Failures)
@@ -78,9 +75,8 @@ func simSideEqual(t *testing.T, label string, a, b workload.FleetResult) {
 }
 
 // TestScenarioDeterministic is the seeding contract: for every named
-// scenario, two runs with the same spec produce identical sim-side
-// numbers (the wall pass runs concurrently, so only real-side fields may
-// differ). One tiny config per scenario — this is also the smoke tier.
+// scenario, two runs with the same spec produce identical numbers. One
+// tiny config per scenario — this is also the smoke tier.
 func TestScenarioDeterministic(t *testing.T) {
 	ctx := context.Background()
 	for _, sc := range workload.Scenarios() {
@@ -95,7 +91,7 @@ func TestScenarioDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			simSideEqual(t, sc.Name, a, b)
+			fleetResultsEqual(t, sc.Name, a, b)
 
 			if a.Scenario != sc.Name {
 				t.Fatalf("result names scenario %q, want %q", a.Scenario, sc.Name)
@@ -113,9 +109,6 @@ func TestScenarioDeterministic(t *testing.T) {
 			}
 			if a.Host.Requests != int64(a.Ops) {
 				t.Fatalf("host tier saw %d requests, want every op (%d)", a.Host.Requests, a.Ops)
-			}
-			if a.Wall <= 0 || a.OpsPerSec <= 0 {
-				t.Fatalf("wall pass reported wall=%v ops/sec=%.1f", a.Wall, a.OpsPerSec)
 			}
 		})
 	}
@@ -149,10 +142,10 @@ func TestFindScenarioUnknown(t *testing.T) {
 	}
 }
 
-// TestScenarioStressFlashcrowd is the -race stress tier (run with
-// -count=3 by scripts/smoke.sh): flashcrowd at 256 simulated clients,
-// asserting the coalesce/stampede invariants — cold-start fetches scale
-// with tiers and contexts, never with clients.
+// TestScenarioStressFlashcrowd is the larger tier (run with -count=3
+// by scripts/smoke.sh): flashcrowd at 256 simulated clients, asserting
+// the stampede invariant — cold-start fetches scale with tiers and
+// contexts, never with clients.
 func TestScenarioStressFlashcrowd(t *testing.T) {
 	ctx := context.Background()
 	spec := workload.FleetSpec{
@@ -162,7 +155,6 @@ func TestScenarioStressFlashcrowd(t *testing.T) {
 		Contexts:     6,
 		Skew:         1.4,
 		Seed:         1987,
-		Workers:      16,
 	}
 	res, err := workload.RunScenario(ctx, "flashcrowd", spec)
 	if err != nil {
@@ -185,19 +177,8 @@ func TestScenarioStressFlashcrowd(t *testing.T) {
 		t.Fatalf("sim authority fetches %d scale with clients (%d), not tiers", res.AuthorityFetches, spec.Clients)
 	}
 
-	// The wall pass hits the same cold keys; singleflight coalescing and
-	// the cache must keep its effective fetches within the same bound
-	// (scheduling can only join or serialize misses, never mint extra
-	// backend fetches beyond one per key per TTL window).
-	if res.WallFetches <= 0 {
-		t.Fatalf("wall pass recorded no backend fetches (misses-coalesced = %d)", res.WallFetches)
-	}
-	if res.WallFetches > res.AuthorityFetches+int64(spec.Contexts) {
-		t.Fatalf("wall fetches %d exceed sim fetches %d: stampede suppression failed",
-			res.WallFetches, res.AuthorityFetches)
-	}
-	if res.WallFailures != 0 || res.Failures != 0 {
-		t.Fatalf("failures: sim %d wall %d, want 0", res.Failures, res.WallFailures)
+	if res.Failures != 0 {
+		t.Fatalf("failures: %d, want 0", res.Failures)
 	}
 
 	// The flash is real: the second half's slots re-fetch the inverted
@@ -221,8 +202,8 @@ func TestScenarioPrimaryLossShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Failures != 0 || res.WallFailures != 0 {
-		t.Fatalf("failures: sim %d wall %d, want 0 (secondary should carry the fleet)", res.Failures, res.WallFailures)
+	if res.Failures != 0 {
+		t.Fatalf("failures: %d, want 0 (secondary should carry the fleet)", res.Failures)
 	}
 	// SlotStep exceeds the meta TTL, so each slot re-resolves: authority
 	// traffic in every non-empty slot.
@@ -253,7 +234,7 @@ func TestScenarioPrimaryLossShape(t *testing.T) {
 // identical churn, the polling fleet serves stale answers (probes catch
 // sites handing back pre-churn data within the TTL) while the subscribed
 // fleet serves none — every probe lands after the NOTIFY invalidation.
-// Both arms are deterministic on the sim side.
+// Both arms are deterministic.
 func TestHotupdatePushVersusPoll(t *testing.T) {
 	ctx := context.Background()
 	spec := tinyFleetSpec(16)
@@ -273,7 +254,7 @@ func TestHotupdatePushVersusPoll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simSideEqual(t, "hotupdate/push", push, push2)
+	fleetResultsEqual(t, "hotupdate/push", push, push2)
 
 	if poll.Probes == 0 || poll.Probes != push.Probes {
 		t.Fatalf("probe counts: poll %d, push %d (want equal and nonzero)", poll.Probes, push.Probes)
