@@ -22,8 +22,9 @@
 //
 // With -data-dir, bindd is crash-safe: every acknowledged update (or
 // applied transfer) is appended to a write-ahead log under the data
-// directory before the reply goes out, checkpointed every
-// -snapshot-every records, and recovered on restart to exactly the
+// directory before the reply goes out, checkpointed whenever the journal
+// a restart would replay has outgrown the zone image it would load (never
+// for less than one WAL segment), and recovered on restart to exactly the
 // acknowledged prefix. -fsync picks the flush policy: "always" (default;
 // an acked update survives even kill -9), "interval" (flushes every
 // -fsync-interval; bounded loss window), or "never" (left to the OS). A
@@ -94,7 +95,6 @@ func main() {
 		dataDir   = flag.String("data-dir", "", "persist zones here (WAL + snapshots) and recover on restart; empty keeps everything in memory")
 		fsyncMode = flag.String("fsync", "always", "WAL flush policy with -data-dir: always, interval, or never")
 		fsyncIntv = flag.Duration("fsync-interval", 100*time.Millisecond, "flush period under -fsync=interval")
-		snapEvery = flag.Int("snapshot-every", 1024, "checkpoint the zone set after this many journaled records (0 disables snapshots)")
 	)
 	flag.Var(&zones, "zone", "zone origin to be authoritative for (repeatable)")
 	pushOn := flag.Bool("push", false, "enable the push plane: clients may Subscribe and every dynamic update fans out NOTIFY invalidations")
@@ -139,7 +139,6 @@ func main() {
 			Name:          *host,
 			Fsync:         policy,
 			FsyncInterval: *fsyncIntv,
-			SnapshotEvery: *snapEvery,
 		})
 		if err != nil {
 			log.Fatalf("bindd: opening %s: %v", *dataDir, err)
@@ -177,15 +176,15 @@ func main() {
 			// probe, not a cold full transfer, when the primary is where
 			// we left it.
 			for _, rz := range durable.Zones() {
-				if rz.Origin != srv.Zone(zones[0]).Origin() {
-					log.Printf("bindd: ignoring recovered zone %s (not mirrored here)", rz.Origin)
+				if rz.Origin() != srv.Zone(zones[0]).Origin() {
+					log.Printf("bindd: ignoring recovered zone %s (not mirrored here)", rz.Origin())
 					continue
 				}
-				if err := sec.Restore(rz.Serial, rz.Records); err != nil {
-					log.Fatalf("bindd: restoring mirror %s: %v", rz.Origin, err)
+				if err := sec.Restore(rz); err != nil {
+					log.Fatalf("bindd: restoring mirror %s: %v", rz.Origin(), err)
 				}
 				log.Printf("bindd: restored mirror %s at serial %d (%d records)",
-					rz.Origin, rz.Serial, len(rz.Records))
+					rz.Origin(), sec.Serial(), srv.Zone(zones[0]).Count())
 			}
 			durable.Attach(srv)
 			sec.SetJournal(durable)
@@ -268,22 +267,23 @@ func main() {
 		freshStore := durable == nil || durable.Empty()
 		if durable != nil {
 			for _, rz := range durable.Zones() {
-				z := srv.Zone(rz.Origin)
+				z := srv.Zone(rz.Origin())
 				if z == nil {
 					// State for a zone no -zone flag declares: keep it on
 					// disk (a later run may declare it) but don't serve it.
-					log.Printf("bindd: recovered zone %s not declared with -zone; not serving it", rz.Origin)
+					log.Printf("bindd: recovered zone %s not declared with -zone; not serving it", rz.Origin())
 					continue
 				}
-				if err := z.Replace(rz.Records, rz.Serial); err != nil {
-					log.Fatalf("bindd: overlaying recovered zone %s: %v", rz.Origin, err)
+				if err := z.Adopt(rz); err != nil {
+					log.Fatalf("bindd: overlaying recovered zone %s: %v", rz.Origin(), err)
 				}
 				log.Printf("bindd: zone %s restored at serial %d (%d records)",
-					rz.Origin, rz.Serial, len(rz.Records))
+					z.Origin(), z.Serial(), z.Count())
 			}
 			durable.Attach(srv)
 		}
 		if *records != "" && freshStore {
+			t0 := time.Now()
 			f, err := os.Open(*records)
 			if err != nil {
 				log.Fatalf("bindd: %v", err)
@@ -296,7 +296,8 @@ func main() {
 			if err := srv.LoadRecords(rrs); err != nil {
 				log.Fatalf("bindd: %v", err)
 			}
-			log.Printf("bindd: loaded %d records from %s", len(rrs), *records)
+			log.Printf("bindd: loaded %d records from %s in %s",
+				len(rrs), *records, time.Since(t0).Round(time.Millisecond))
 		} else if *records != "" {
 			log.Printf("bindd: %s has recovered state; skipping -records (delete the data dir to reseed)", *dataDir)
 		}

@@ -77,12 +77,13 @@ func cmdStore(args []string) error {
 		}
 		v := stores[label]
 		fmt.Printf("store %q\n", label)
-		fmt.Printf("  wal:       %d appends, %d fsyncs, last lsn %d, %d segments\n",
+		fmt.Printf("  wal:       %d appends, %d fsyncs, last lsn %d, %d segments, %d bytes since checkpoint\n",
 			v.counters["wal_appends_total"], v.counters["wal_fsync_total"],
-			v.gauges["store_wal_last_lsn"], v.gauges["store_wal_segments"])
-		fmt.Printf("  snapshots: %d written, covering lsn %d (%d skipped as invalid)\n",
-			v.counters["snapshot_total"], v.gauges["store_snapshot_lsn"],
-			v.gauges["store_snapshot_skipped"])
+			v.gauges["store_wal_last_lsn"], v.gauges["store_wal_segments"],
+			v.gauges["store_wal_bytes_since_checkpoint"])
+		fmt.Printf("  snapshots: %d written, %d failed, covering lsn %d (%d skipped as invalid)\n",
+			v.counters["snapshot_total"], v.counters["snapshot_errors_total"],
+			v.gauges["store_snapshot_lsn"], v.gauges["store_snapshot_skipped"])
 		fmt.Printf("  recovery:  %d records replayed, %d torn bytes dropped, %d ms\n",
 			v.gauges["store_recovery_replayed"], v.gauges["store_recovery_torn_bytes"],
 			v.gauges["store_recovery_ms"])

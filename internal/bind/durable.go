@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,12 +16,13 @@ import (
 
 // Durable is the ZoneStore that makes a bindd crash-safe: every zone
 // mutation is appended to a write-ahead log before it is acknowledged,
-// and every SnapshotEvery records the full zone set is checkpointed so
-// recovery replays a bounded suffix. Opening a Durable recovers exactly
-// the acknowledged-update prefix: the newest valid snapshot is loaded,
-// the WAL is replayed past it (a torn tail — the unacked final write of
-// a crash — is discarded), and each replayed update pins the zone serial
-// the original caller saw.
+// and the full zone set is checkpointed whenever the journal recovery
+// would replay has outgrown the image it would load (see checkpointDue),
+// so recovery work stays within twice an image. Opening a Durable
+// recovers exactly the acknowledged-update prefix: the newest valid
+// snapshot is loaded, the WAL is replayed past it (a torn tail — the
+// unacked final write of a crash — is discarded), and each replayed
+// update pins the zone serial the original caller saw.
 //
 // Snapshot payloads are the zone-file master format, sectioned per zone:
 //
@@ -42,18 +44,9 @@ type DurableConfig struct {
 	Fsync store.SyncPolicy
 	// FsyncInterval is the flush period under SyncInterval.
 	FsyncInterval time.Duration
-	// SnapshotEvery checkpoints after this many journal records
-	// (0 disables snapshots: recovery replays the whole log).
-	SnapshotEvery int
-	// SegmentBytes sizes WAL segments (0 = store default).
+	// SegmentBytes sizes WAL segments (0 = store default). It is also the
+	// least journal a checkpoint is ever taken for.
 	SegmentBytes int64
-}
-
-// RecoveredZone is one zone's state as recovered from disk.
-type RecoveredZone struct {
-	Origin  string
-	Serial  uint32
-	Records []RR
 }
 
 // RecoveryStats describes what opening the store had to do.
@@ -65,6 +58,10 @@ type RecoveryStats struct {
 	SnapshotsSkipped int
 	// Replayed counts WAL records applied past the snapshot.
 	Replayed int
+	// ImageBytes and OwedBytes are the checkpoint trigger's two sides as
+	// recovery found them: the full image it loaded (snapshot plus each
+	// zone's newest replace record) and the journal it replayed on top.
+	ImageBytes, OwedBytes int64
 	// TornBytes is the torn-tail length discarded (unacked final write).
 	TornBytes int64
 	// Elapsed is the wall-clock recovery time.
@@ -79,11 +76,21 @@ type Durable struct {
 	mu        sync.Mutex
 	srv       *Server // snapshot source once attached
 	recovered map[string]*Zone
-	order     []string // recovery order of origins, deterministic output
-	sinceSnap int
+	order     []*Zone // recovered zones, first seen first
 	snapLSN   uint64
 	stats     RecoveryStats
 	closed    bool
+
+	// What a recovery starting now would read: the snapshot's payload,
+	// the journal past it, and — within that journal — each zone's newest
+	// replace record, which is a full image of the zone and not a delta.
+	snapBytes int64
+	walBytes  int64
+	images    map[string]int64
+	retryAt   int64 // journal owed at which a failed checkpoint is tried again
+
+	walBytesG *metrics.Gauge
+	snapErrs  *metrics.Counter
 }
 
 // OpenDurable opens (or initializes) the store under cfg.FS and recovers
@@ -95,13 +102,17 @@ func OpenDurable(cfg DurableConfig) (*Durable, error) {
 	if cfg.FsyncInterval <= 0 {
 		cfg.FsyncInterval = 100 * time.Millisecond
 	}
-	d := &Durable{cfg: cfg, recovered: make(map[string]*Zone)}
+	if cfg.SegmentBytes <= 0 {
+		cfg.SegmentBytes = store.DefaultSegmentBytes
+	}
+	d := &Durable{cfg: cfg, recovered: make(map[string]*Zone), images: make(map[string]int64)}
 
 	snap, err := store.LatestSnapshot(cfg.FS)
 	if err != nil {
 		return nil, err
 	}
 	d.snapLSN = snap.LSN
+	d.snapBytes = int64(len(snap.Payload))
 	d.stats.SnapshotLSN = snap.LSN
 	d.stats.SnapshotsSkipped = snap.Skipped
 	if snap.LSN > 0 {
@@ -131,6 +142,7 @@ func OpenDurable(cfg DurableConfig) (*Durable, error) {
 		log.Close()
 		return nil, err
 	}
+	d.stats.ImageBytes, d.stats.OwedBytes = d.image(), d.owed()
 	d.stats.Elapsed = time.Since(t0)
 	if cfg.Name != "" {
 		reg := metrics.Default()
@@ -142,11 +154,15 @@ func OpenDurable(cfg DurableConfig) (*Durable, error) {
 			Set(d.stats.Elapsed.Milliseconds())
 		reg.Gauge(metrics.Labels("store_snapshot_skipped", "store", cfg.Name)).
 			Set(int64(snap.Skipped))
+		d.walBytesG = reg.Gauge(metrics.Labels("store_wal_bytes_since_checkpoint", "store", cfg.Name))
+		d.snapErrs = reg.Counter(metrics.Labels("snapshot_errors_total", "store", cfg.Name))
 	}
+	d.walBytesG.Set(d.walBytes)
 	return d, nil
 }
 
-// loadSnapshot parses the sectioned zone-file payload into zones.
+// loadSnapshot parses the sectioned zone-file payload into zones, each
+// section's lines straight into the records its zone is replaced with.
 func (d *Durable) loadSnapshot(payload []byte) error {
 	sc := bufio.NewScanner(bytes.NewReader(payload))
 	sc.Buffer(make([]byte, 64<<10), 64<<10)
@@ -160,20 +176,21 @@ func (d *Durable) loadSnapshot(payload []byte) error {
 			return fmt.Errorf("%w: bad snapshot serial %q", store.ErrCorrupt, f[3])
 		}
 		n, err := strconv.Atoi(f[5])
-		if err != nil || n < 0 {
+		if err != nil || n < 0 || n > len(payload) {
 			return fmt.Errorf("%w: bad snapshot record count %q", store.ErrCorrupt, f[5])
 		}
-		var lines strings.Builder
+		rrs := make([]RR, 0, n)
+		prevName := ""
 		for i := 0; i < n; i++ {
 			if !sc.Scan() {
 				return fmt.Errorf("%w: snapshot section %s truncated at record %d", store.ErrCorrupt, f[1], i)
 			}
-			lines.WriteString(sc.Text())
-			lines.WriteByte('\n')
-		}
-		rrs, err := ParseZoneFile(strings.NewReader(lines.String()))
-		if err != nil {
-			return fmt.Errorf("%w: snapshot zone %s: %v", store.ErrCorrupt, f[1], err)
+			rr, err := parseZoneLine(bytes.TrimSpace(sc.Bytes()), prevName)
+			if err != nil {
+				return fmt.Errorf("%w: snapshot zone %s record %d: %v", store.ErrCorrupt, f[1], i, err)
+			}
+			rrs = append(rrs, rr)
+			prevName = rr.Name
 		}
 		z, err := d.zone(f[1])
 		if err != nil {
@@ -186,6 +203,36 @@ func (d *Durable) loadSnapshot(payload []byte) error {
 	return sc.Err()
 }
 
+// appendSnapshot appends z's snapshot section to b: the header, then the
+// ordered walk formatted a line per record, under one read lock so serial,
+// count and contents agree.
+func (z *Zone) appendSnapshot(b []byte) ([]byte, error) {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	owners := z.ordered()
+	n, size := 0, 0
+	for _, o := range owners {
+		n += len(o.rrs)
+		for _, rr := range o.rrs {
+			size += len(o.name) + len(rr.Data)
+		}
+	}
+	// Beyond name and data a line holds three spaces, a newline, a TTL of
+	// at most 10 digits and a type mnemonic of at most 9 bytes.
+	b = slices.Grow(b, 64+len(z.origin)+size+n*(4+10+9))
+	b = fmt.Appendf(b, "zone %s serial %d records %d\n", z.origin, z.serial, n)
+	var scratch []RR
+	for _, o := range owners {
+		for _, rr := range o.inOrder(&scratch) {
+			var err error
+			if b, err = appendZoneLine(b, rr); err != nil {
+				return b, err
+			}
+		}
+	}
+	return b, nil
+}
+
 // zone finds or creates the recovery-time zone for origin.
 func (d *Durable) zone(origin string) (*Zone, error) {
 	if z, ok := d.recovered[origin]; ok {
@@ -196,7 +243,7 @@ func (d *Durable) zone(origin string) (*Zone, error) {
 		return nil, err
 	}
 	d.recovered[z.Origin()] = z
-	d.order = append(d.order, z.Origin())
+	d.order = append(d.order, z)
 	return z, nil
 }
 
@@ -242,19 +289,55 @@ func (d *Durable) apply(lsn uint64, payload []byte) error {
 	// in-memory zone took to get here.
 	z.ForceSerial(rec.serial)
 	d.stats.Replayed++
+	d.account(rec.zone, rec.kind, len(payload))
 	return nil
 }
 
-// Zones returns the recovered zone states, in first-seen order.
-func (d *Durable) Zones() []RecoveredZone {
+// account books one journal record of n bytes, appended or replayed, into
+// the checkpoint trigger's state.
+func (d *Durable) account(zone string, kind byte, n int) {
+	d.walBytes += int64(n)
+	if kind == journalKindReplace {
+		d.images[zone] = int64(n)
+	}
+	d.walBytesG.Set(d.walBytes)
+}
+
+// imagesInWAL is the journal's share of the image: each zone's newest
+// replace record past the snapshot. A replace record holds its zone
+// whole, so a seed load journals an image, not deltas owed a checkpoint.
+func (d *Durable) imagesInWAL() int64 {
+	var n int64
+	for _, b := range d.images {
+		n += b
+	}
+	return n
+}
+
+// image is the size of the full image a recovery starting now would load.
+func (d *Durable) image() int64 { return d.snapBytes + d.imagesInWAL() }
+
+// owed is the journal that recovery would replay on top of that image.
+func (d *Durable) owed() int64 { return d.walBytes - d.imagesInWAL() }
+
+// checkpointDue is the trigger: checkpoint once the journal owed exceeds
+// the image, and never for less than one WAL segment. A checkpoint costs
+// time proportional to the image, so it is paid once per image's worth of
+// updates — constant per update whatever the zone size — and recovery
+// never reads more than about twice an image. After a failed attempt the
+// next waits for another segment's worth of journal.
+func (d *Durable) checkpointDue() bool {
+	owed := d.owed()
+	return owed > max(d.image(), d.cfg.SegmentBytes) && owed >= d.retryAt
+}
+
+// Zones returns the recovered zones, in first-seen order. They are the
+// zones recovery built, not copies: a server takes one over with
+// Zone.Adopt, a mirror with Secondary.Restore.
+func (d *Durable) Zones() []*Zone {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]RecoveredZone, 0, len(d.order))
-	for _, origin := range d.order {
-		z := d.recovered[origin]
-		out = append(out, RecoveredZone{Origin: origin, Serial: z.Serial(), Records: z.All()})
-	}
-	return out
+	return slices.Clone(d.order)
 }
 
 // Empty reports whether the store held no state at all (fresh data dir).
@@ -289,15 +372,15 @@ func (d *Durable) Attach(srv *Server) {
 // checkpoint. The record is durable per the fsync policy when this
 // returns nil; an error means the caller must not acknowledge.
 func (d *Durable) LogUpdate(zone string, op uint32, rr RR, serial uint32) error {
-	return d.append(encodeUpdate(zone, op, rr, serial))
+	return d.append(zone, encodeUpdate(zone, op, rr, serial))
 }
 
 // LogReplace implements ZoneStore for bulk loads and transfer applies.
 func (d *Durable) LogReplace(zone string, serial uint32, rrs []RR) error {
-	return d.append(encodeReplace(zone, serial, rrs))
+	return d.append(zone, encodeReplace(zone, serial, rrs))
 }
 
-func (d *Durable) append(payload []byte) error {
+func (d *Durable) append(zone string, payload []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -306,12 +389,13 @@ func (d *Durable) append(payload []byte) error {
 	if _, err := d.log.Append(payload); err != nil {
 		return err
 	}
-	d.sinceSnap++
-	if d.cfg.SnapshotEvery > 0 && d.sinceSnap >= d.cfg.SnapshotEvery {
+	d.account(zone, payload[0], len(payload))
+	if d.srv != nil && d.checkpointDue() {
 		if err := d.snapshotLocked(); err != nil {
 			// The appended record is safe; a failed checkpoint only means
-			// recovery replays more. Retry at the next interval.
-			return nil
+			// recovery replays more. It stays due and is counted.
+			d.snapErrs.Inc()
+			d.retryAt = d.owed() + d.cfg.SegmentBytes
 		}
 	}
 	return nil
@@ -333,24 +417,25 @@ func (d *Durable) snapshotLocked() error {
 	if d.srv == nil {
 		return fmt.Errorf("bind: no server attached for snapshot")
 	}
-	var buf bytes.Buffer
+	var buf []byte
 	for _, origin := range d.srv.ZoneOrigins() {
 		z := d.srv.Zone(origin)
 		if z == nil {
 			continue
 		}
-		rrs := z.All()
-		fmt.Fprintf(&buf, "zone %s serial %d records %d\n", origin, z.Serial(), len(rrs))
-		if err := WriteZone(&buf, rrs); err != nil {
+		var err error
+		if buf, err = z.appendSnapshot(buf); err != nil {
 			return err
 		}
 	}
 	lsn := d.log.LastLSN()
-	if err := store.WriteSnapshot(d.cfg.FS, d.cfg.Name, lsn, buf.Bytes()); err != nil {
+	if err := store.WriteSnapshot(d.cfg.FS, d.cfg.Name, lsn, buf); err != nil {
 		return err
 	}
-	d.sinceSnap = 0
 	d.snapLSN = lsn
+	d.snapBytes, d.walBytes, d.retryAt = int64(len(buf)), 0, 0
+	clear(d.images)
+	d.walBytesG.Set(0)
 	if err := d.log.Prune(lsn); err != nil {
 		return err
 	}

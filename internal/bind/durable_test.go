@@ -29,12 +29,12 @@ func openDurableServer(t *testing.T, fs store.FS, origin string, cfg DurableConf
 		t.Fatal(err)
 	}
 	for _, rz := range d.Zones() {
-		target := srv.Zone(rz.Origin)
+		target := srv.Zone(rz.Origin())
 		if target == nil {
-			t.Fatalf("recovered unknown zone %s", rz.Origin)
+			t.Fatalf("recovered unknown zone %s", rz.Origin())
 		}
-		if err := target.Replace(rz.Records, rz.Serial); err != nil {
-			t.Fatalf("overlay %s: %v", rz.Origin, err)
+		if err := target.Adopt(rz); err != nil {
+			t.Fatalf("overlay %s: %v", rz.Origin(), err)
 		}
 	}
 	d.Attach(srv)
@@ -135,30 +135,39 @@ func TestDurableFsyncPerAckedUpdate(t *testing.T) {
 }
 
 func TestDurableSnapshotBoundsReplay(t *testing.T) {
+	const segment = 256
 	fs := NewCrashFS(t)
-	srv, d := openDurableServer(t, fs, "hns", DurableConfig{SnapshotEvery: 5, SegmentBytes: 256})
+	srv, d := openDurableServer(t, fs, "hns", DurableConfig{SegmentBytes: segment})
 	ctx := context.Background()
+	var biggest int64
 	for i := 0; i < 23; i++ {
-		if _, _, err := srv.Update(ctx, "hns", UpdateAdd, A(fmt.Sprintf("h%d.hns", i), "10.0.0.1", 60)); err != nil {
+		rr := A(fmt.Sprintf("h%d.hns", i), "10.0.0.1", 60)
+		if _, _, err := srv.Update(ctx, "hns", UpdateAdd, rr); err != nil {
 			t.Fatal(err)
 		}
+		biggest = max(biggest, int64(len(encodeUpdate("hns", UpdateAdd, rr, uint32(i+2)))))
 	}
 	d.Close()
 
-	srv2, d2 := openDurableServer(t, fs, "hns", DurableConfig{SnapshotEvery: 5, SegmentBytes: 256})
+	srv2, d2 := openDurableServer(t, fs, "hns", DurableConfig{SegmentBytes: segment})
 	defer d2.Close()
 	st := d2.Stats()
-	// 23 updates with a checkpoint every 5: the snapshot covers 20, so
-	// recovery replays only the last 3.
-	if st.SnapshotLSN != 20 || st.Replayed != 3 {
-		t.Fatalf("recovery stats %+v, want snapshot at 20 and 3 replayed", st)
+	// 23 updates journal some 850 bytes: more than a segment, so at least
+	// one checkpoint was taken, and what recovery replays past the newest
+	// is at most the journal one image (or one segment) is worth, plus the
+	// record that made it due.
+	if st.SnapshotLSN == 0 || st.Replayed != 23-int(st.SnapshotLSN) {
+		t.Fatalf("recovery stats %+v, want a snapshot and the rest replayed", st)
+	}
+	if limit := max(st.ImageBytes, segment) + biggest; st.OwedBytes > limit {
+		t.Fatalf("recovery replayed %d journal bytes over a %d-byte image, limit %d", st.OwedBytes, st.ImageBytes, limit)
 	}
 	if n := srv2.Zone("hns").Count(); n != 23 {
 		t.Fatalf("recovered %d records, want 23", n)
 	}
-	// Checkpoints prune covered WAL segments.
-	if ls := d2.LogStats(); ls.FirstLSN > 21 {
-		t.Fatalf("pruned too far: %+v", ls)
+	// Checkpoints prune covered WAL segments, and no further.
+	if ls := d2.LogStats(); ls.FirstLSN > st.SnapshotLSN+1 {
+		t.Fatalf("pruned too far: %+v after snapshot %d", ls, st.SnapshotLSN)
 	}
 }
 
@@ -276,10 +285,10 @@ func TestSecondaryRestoreSkipsColdTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	zones := d2.Zones()
-	if len(zones) != 1 || zones[0].Origin != "repl.test" {
+	if len(zones) != 1 || zones[0].Origin() != "repl.test" {
 		t.Fatalf("recovered zones %+v", zones)
 	}
-	if err := sec2.Restore(zones[0].Serial, zones[0].Records); err != nil {
+	if err := sec2.Restore(zones[0]); err != nil {
 		t.Fatal(err)
 	}
 	d2.Attach(sec2.Server())

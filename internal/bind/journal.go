@@ -58,9 +58,17 @@ func encodeUpdate(zone string, op uint32, rr RR, serial uint32) []byte {
 	return appendRR(b, rr)
 }
 
-// encodeReplace builds the WAL payload for a content swap.
+// rrFixedLen is the encoded size of an RR apart from its name and data.
+const rrFixedLen = 2 + 2 + 2 + 4 + 2
+
+// encodeReplace builds the WAL payload for a content swap, in a buffer
+// sized once from the records it will hold.
 func encodeReplace(zone string, serial uint32, rrs []RR) []byte {
-	b := make([]byte, 0, 16+len(zone)+len(rrs)*24)
+	size := 1 + 4 + 2 + len(zone) + 4
+	for _, rr := range rrs {
+		size += rrFixedLen + len(rr.Name) + len(rr.Data)
+	}
+	b := make([]byte, 0, size)
 	b = append(b, journalKindReplace)
 	b = binary.BigEndian.AppendUint32(b, serial)
 	b = appendU16String(b, zone)

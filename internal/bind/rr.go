@@ -20,11 +20,14 @@
 package bind
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // RRType is a resource-record type code. Values follow the DNS assignments
@@ -113,9 +116,13 @@ var (
 
 // CanonicalName lower-cases a domain name and strips one trailing dot,
 // returning an error for names that are empty, too long, or contain empty
-// labels or whitespace.
+// labels or whitespace. A name that is already canonical comes back as the
+// same string, without allocating.
 func CanonicalName(name string) (string, error) {
 	name = strings.TrimSuffix(name, ".")
+	if isCanonicalASCII(name) {
+		return name, nil
+	}
 	if name == "" {
 		return "", fmt.Errorf("%w: empty name", ErrBadName)
 	}
@@ -142,6 +149,37 @@ func CanonicalName(name string) (string, error) {
 	return name, nil
 }
 
+// isCanonicalASCII reports, in one pass over its bytes, whether name is
+// already what CanonicalName would return for it — the case for nearly
+// every name a server sees, since clients, zone files and the journal
+// all carry canonical names. Anything it cannot vouch for (upper case,
+// a non-ASCII byte, a space, a bad label) is left to the full check.
+func isCanonicalASCII(name string) bool {
+	if name == "" || len(name) > MaxNameLen {
+		return false
+	}
+	label := 0 // bytes in the current label
+	for i := 0; i < len(name); i++ {
+		switch c := name[i]; {
+		case c == '.':
+			if label == 0 {
+				return false
+			}
+			label = 0
+			continue
+		case c >= utf8.RuneSelf, 'A' <= c && c <= 'Z', isASCIISpace(c):
+			return false
+		}
+		if label++; label > 63 {
+			return false
+		}
+	}
+	return label > 0
+}
+
+// isASCIISpace is unicode.IsSpace for a byte below utf8.RuneSelf.
+func isASCIISpace(c byte) bool { return c == ' ' || '\t' <= c && c <= '\r' }
+
 // Validate checks the record for well-formedness and canonicalizes its
 // name in place.
 func (r *RR) Validate() error {
@@ -150,6 +188,12 @@ func (r *RR) Validate() error {
 		return err
 	}
 	r.Name = name
+	return r.validateData()
+}
+
+// validateData is the half of Validate that does not depend on the name
+// being canonicalized: the data bound and the class default.
+func (r *RR) validateData() error {
 	if len(r.Data) > MaxRDataLen {
 		return fmt.Errorf("%w: %d bytes on %s", ErrDataTooBig, len(r.Data), r.Name)
 	}
@@ -193,19 +237,27 @@ func HINFO(name, cpuOS string, ttl uint32) RR {
 	return RR{Name: name, Type: TypeHINFO, Class: ClassIN, TTL: ttl, Data: []byte(cpuOS)}
 }
 
+// compareRR is the deterministic record order (name, type, data) of zone
+// transfers, dumps and snapshots.
+func compareRR(a, b RR) int {
+	if c := strings.Compare(a.Name, b.Name); c != 0 {
+		return c
+	}
+	return compareInName(a, b)
+}
+
+// compareInName orders two records of one owner name by (type, data).
+func compareInName(a, b RR) int {
+	if c := cmp.Compare(a.Type, b.Type); c != 0 {
+		return c
+	}
+	return bytes.Compare(a.Data, b.Data)
+}
+
 // SortRRs orders records deterministically (name, type, data) — used by
 // zone transfers so preload contents are stable.
 func SortRRs(rrs []RR) {
-	sort.Slice(rrs, func(i, j int) bool {
-		a, b := rrs[i], rrs[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		return string(a.Data) < string(b.Data)
-	})
+	slices.SortFunc(rrs, compareRR)
 }
 
 // MinTTL returns the smallest TTL among records, which is what a cache must

@@ -68,15 +68,16 @@ func (s *Secondary) DeltaRefreshes() int {
 	return s.deltaN
 }
 
-// Restore seeds the mirror from recovered state, as a restarted bindd
-// does: the next Refresh probes the primary's serial and transfers only
-// if it moved, instead of paying a cold full transfer.
-func (s *Secondary) Restore(serial uint32, rrs []RR) error {
-	if err := s.zone.Replace(rrs, serial); err != nil {
+// Restore seeds the mirror from a zone recovered from disk (which it
+// empties), as a restarted bindd does: the next Refresh probes the
+// primary's serial and transfers only if it moved, instead of paying a
+// cold full transfer.
+func (s *Secondary) Restore(recovered *Zone) error {
+	if err := s.zone.Adopt(recovered); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.serial = serial
+	s.serial = s.zone.Serial()
 	s.mu.Unlock()
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -444,36 +445,55 @@ func (s *Server) ServeHRPC(net *transport.Network, addr string) (transport.Liste
 }
 
 // LoadRecords bulk-adds records to the server's zones, routing each to the
-// zone containing it. Useful for test and daemon setup. With a journal
-// set, each touched zone's full contents are journaled as one replace
-// record once the load completes.
+// longest-origin zone containing it, with the outcome of one Zone.Add per
+// record in order — except that it is all or nothing: the first record
+// that would fail leaves every zone as it was and is the error returned.
+// With a journal set, each touched zone's full contents are then journaled
+// as one replace record; a journal failure leaves the load in memory but
+// not durable, and the caller must not go on to serve it.
 func (s *Server) LoadRecords(rrs []RR) error {
+	// Held throughout, journal or not: a load locks every zone it touches
+	// until all of it is staged, and two loads locking the same zones in
+	// different orders must not meet.
 	s.journalMu.Lock()
-	journal := s.journal
-	if journal == nil {
-		s.journalMu.Unlock()
-	} else {
-		defer s.journalMu.Unlock()
+	defer s.journalMu.Unlock()
+	s.mu.RLock()
+	zones := slices.Clone(s.zones)
+	s.mu.RUnlock()
+
+	var loads []*bulkAdd // in first-touch order
+	abort := func(err error) error {
+		for _, b := range loads {
+			b.abort()
+		}
+		return err
 	}
-	touched := make(map[*Zone]bool)
-	for _, rr := range rrs {
-		name, err := CanonicalName(rr.Name)
+	for i, j := 0, 0; i < len(rrs); i = j {
+		j = ownerRun(rrs, i)
+		name, err := CanonicalName(rrs[i].Name)
 		if err != nil {
-			return err
+			return abort(err)
 		}
-		z := s.findZone(name)
-		if z == nil {
-			return fmt.Errorf("bind: no zone for %s", name)
+		k := slices.IndexFunc(zones, func(z *Zone) bool { return z.Contains(name) })
+		if k < 0 {
+			return abort(fmt.Errorf("bind: no zone for %s", name))
 		}
-		if err := z.Add(rr); err != nil {
-			return err
+		l := slices.IndexFunc(loads, func(b *bulkAdd) bool { return b.z == zones[k] })
+		if l < 0 {
+			l = len(loads)
+			loads = append(loads, zones[k].beginBulkAdd(zones[k].ownerRuns(rrs[i:])))
 		}
-		touched[z] = true
+		if err := loads[l].addRun(name, rrs[i:j]); err != nil {
+			return abort(err)
+		}
 	}
-	if journal != nil {
-		for z := range touched {
-			if err := journal.LogReplace(z.Origin(), z.Serial(), z.All()); err != nil {
-				return fmt.Errorf("bind: load not durable for %s: %w", z.Origin(), err)
+	for _, b := range loads {
+		b.commit()
+	}
+	if s.journal != nil {
+		for _, b := range loads {
+			if err := s.journal.LogReplace(b.z.Origin(), b.z.Serial(), b.z.All()); err != nil {
+				return fmt.Errorf("bind: load not durable for %s: %w", b.z.Origin(), err)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package bind
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -86,39 +87,153 @@ func (z *Zone) Contains(name string) bool {
 // (non-empty, no newlines, no edge whitespace) so any zone can be
 // snapshotted and re-parsed losslessly.
 func (z *Zone) Add(rr RR) error {
-	if err := (&rr).Validate(); err != nil {
+	name, err := CanonicalName(rr.Name)
+	if err != nil {
 		return err
 	}
-	if err := storableData(rr.Data); err != nil {
-		return fmt.Errorf("%v on %s %s", err, rr.Name, rr.Type)
+	rr.Name = name
+	if err := admitData(&rr); err != nil {
+		return err
 	}
 	if !z.Contains(rr.Name) {
 		return fmt.Errorf("%w: %s not under %s", ErrNotInZone, rr.Name, z.origin)
 	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	existing := z.records[rr.Name]
-	for _, e := range existing {
-		if rr.Type == TypeCNAME && e.Type != TypeCNAME {
-			return fmt.Errorf("%w: %s already has %s records", ErrCNAMEConflict, rr.Name, e.Type)
-		}
-		if rr.Type != TypeCNAME && e.Type == TypeCNAME {
-			return fmt.Errorf("%w: %s is an alias", ErrCNAMEConflict, rr.Name)
-		}
+	set, err := mergeRR(z.records[rr.Name], rr)
+	if err != nil {
+		return err
 	}
-	for i, e := range existing {
-		if e.Equal(rr) {
-			z.records[rr.Name][i] = rr // refresh TTL
-			z.serial++
-			z.logDiff(UpdateAdd, rr)
-			return nil
-		}
-	}
-	z.records[rr.Name] = append(existing, rr)
+	z.records[rr.Name] = set
 	z.serial++
 	z.logDiff(UpdateAdd, rr)
 	return nil
 }
+
+// admitData checks everything about a record but its name, which the
+// caller has canonicalized: the data bound and class default of Validate,
+// and that the data survives the zone-file line format.
+func admitData(rr *RR) error {
+	if err := rr.validateData(); err != nil {
+		return err
+	}
+	if err := storableData(rr.Data); err != nil {
+		return fmt.Errorf("%v on %s %s", err, rr.Name, rr.Type)
+	}
+	return nil
+}
+
+// mergeRR applies Add's rules to one owner name's record set: a CNAME and
+// any other type cannot coexist, a duplicate is replaced where it stands,
+// anything else is appended. set may be modified in place.
+func mergeRR(set []RR, rr RR) ([]RR, error) {
+	for _, e := range set {
+		if rr.Type == TypeCNAME && e.Type != TypeCNAME {
+			return nil, fmt.Errorf("%w: %s already has %s records", ErrCNAMEConflict, rr.Name, e.Type)
+		}
+		if rr.Type != TypeCNAME && e.Type == TypeCNAME {
+			return nil, fmt.Errorf("%w: %s is an alias", ErrCNAMEConflict, rr.Name)
+		}
+	}
+	for i, e := range set {
+		if e.Equal(rr) {
+			set[i] = rr // refresh TTL
+			return set, nil
+		}
+	}
+	return append(set, rr), nil
+}
+
+// ownerRun returns the end of the run of records starting at rrs[i] that
+// carry the same owner name as written. Zone files and transfers arrive
+// grouped by name, so the bulk paths canonicalize, route and look up a
+// name once per run rather than once per record.
+func ownerRun(rrs []RR, i int) int {
+	j := i + 1
+	for j < len(rrs) && rrs[j].Name == rrs[i].Name {
+		j++
+	}
+	return j
+}
+
+// ownerRuns counts the runs in rrs under z: how many owner names a bulk
+// install will create when the batch is grouped by name (an over-estimate
+// when it is not), which is what sizes the record map once.
+func (z *Zone) ownerRuns(rrs []RR) int {
+	n := 0
+	for i := 0; i < len(rrs); i = ownerRun(rrs, i) {
+		if z.Contains(rrs[i].Name) {
+			n++
+		}
+	}
+	return n
+}
+
+// bulkAdd stages a batch of Adds against one zone so that the whole batch
+// installs or none of it does. beginBulkAdd takes the zone's write lock;
+// commit or abort releases it.
+type bulkAdd struct {
+	z      *Zone
+	staged map[string][]RR // owner name → its records once the batch is in
+	n      uint32          // records staged; each bumps the serial, as Add does
+	logged []RR            // the batch in order, kept only for a zone with a diff log
+}
+
+// beginBulkAdd locks z for a batch expected to create about names owners.
+func (z *Zone) beginBulkAdd(names int) *bulkAdd {
+	z.mu.Lock()
+	return &bulkAdd{z: z, staged: make(map[string][]RR, names)}
+}
+
+// addRun stages run, whose records all belong under the canonical owner
+// name, with exactly the checks and outcome of one Add per record.
+func (b *bulkAdd) addRun(name string, run []RR) error {
+	set, ok := b.staged[name]
+	if !ok {
+		live := b.z.records[name]
+		set = append(make([]RR, 0, len(live)+len(run)), live...)
+	}
+	for _, rr := range run {
+		rr.Name = name
+		if err := admitData(&rr); err != nil {
+			return err
+		}
+		var err error
+		if set, err = mergeRR(set, rr); err != nil {
+			return err
+		}
+		if b.z.diffWindow > 0 {
+			b.logged = append(b.logged, rr)
+		}
+		b.n++
+	}
+	b.staged[name] = set
+	return nil
+}
+
+// commit installs what was staged and unlocks the zone.
+func (b *bulkAdd) commit() {
+	z := b.z
+	defer z.mu.Unlock()
+	if len(z.records) == 0 {
+		z.records = b.staged
+	} else {
+		for name, set := range b.staged {
+			z.records[name] = set
+		}
+	}
+	if z.diffWindow <= 0 {
+		z.serial += b.n
+		return
+	}
+	for _, rr := range b.logged {
+		z.serial++
+		z.logDiff(UpdateAdd, rr)
+	}
+}
+
+// abort drops what was staged and unlocks the zone.
+func (b *bulkAdd) abort() { b.z.mu.Unlock() }
 
 // Remove deletes the record matching rr by name/type/data. A nil/empty
 // Data removes every record of that name and type.
@@ -254,16 +369,53 @@ func (z *Zone) Lookup(name string, t RRType) ([]RR, error) {
 	return nil, ErrTooManyAliases
 }
 
+// ownerSet is one owner name and its records.
+type ownerSet struct {
+	name string
+	rrs  []RR
+}
+
+// ordered lists the zone's owner names in order — the one sort every
+// whole-zone operation (transfer, journal image, checkpoint) performs.
+// Owners are few and compare as strings; sorting the records themselves
+// would move each 56-byte struct through the comparison. Caller holds
+// z.mu.
+func (z *Zone) ordered() []ownerSet {
+	owners := make([]ownerSet, 0, len(z.records))
+	for name, rrs := range z.records {
+		owners = append(owners, ownerSet{name, rrs})
+	}
+	slices.SortFunc(owners, func(a, b ownerSet) int { return strings.Compare(a.name, b.name) })
+	return owners
+}
+
+// inOrder returns one owner's records in (type, data) order: the set
+// itself when it already is — zone files and transfers arrive that way —
+// otherwise a sorted copy in scratch.
+func (o ownerSet) inOrder(scratch *[]RR) []RR {
+	if slices.IsSortedFunc(o.rrs, compareInName) {
+		return o.rrs
+	}
+	*scratch = append((*scratch)[:0], o.rrs...)
+	slices.SortFunc(*scratch, compareInName)
+	return *scratch
+}
+
 // All returns every record in the zone, deterministically ordered — the
 // payload of an AXFR-style transfer.
 func (z *Zone) All() []RR {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	out := make([]RR, 0, len(z.records))
-	for _, rrs := range z.records {
-		out = append(out, rrs...)
+	owners := z.ordered()
+	n := 0
+	for _, o := range owners {
+		n += len(o.rrs)
 	}
-	SortRRs(out)
+	out := make([]RR, 0, n)
+	var scratch []RR
+	for _, o := range owners {
+		out = append(out, o.inOrder(&scratch)...)
+	}
 	return out
 }
 
@@ -282,18 +434,25 @@ func (z *Zone) Count() int {
 // the receiving half of a zone transfer. Every record must validate and
 // fall within the zone.
 func (z *Zone) Replace(rrs []RR, serial uint32) error {
-	fresh := make(map[string][]RR, len(rrs))
-	for _, rr := range rrs {
-		if err := (&rr).Validate(); err != nil {
+	fresh := make(map[string][]RR, z.ownerRuns(rrs))
+	for i, j := 0, 0; i < len(rrs); i = j {
+		j = ownerRun(rrs, i)
+		name, err := CanonicalName(rrs[i].Name)
+		if err != nil {
 			return err
 		}
-		if err := storableData(rr.Data); err != nil {
-			return fmt.Errorf("%v on %s %s", err, rr.Name, rr.Type)
+		if !z.Contains(name) {
+			return fmt.Errorf("%w: %s not under %s", ErrNotInZone, name, z.origin)
 		}
-		if !z.Contains(rr.Name) {
-			return fmt.Errorf("%w: %s not under %s", ErrNotInZone, rr.Name, z.origin)
+		set := slices.Grow(fresh[name], j-i)
+		for _, rr := range rrs[i:j] {
+			rr.Name = name
+			if err := admitData(&rr); err != nil {
+				return err
+			}
+			set = append(set, rr)
 		}
-		fresh[rr.Name] = append(fresh[rr.Name], rr)
+		fresh[name] = set
 	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
@@ -302,6 +461,26 @@ func (z *Zone) Replace(rrs []RR, serial uint32) error {
 	// A wholesale swap breaks diff continuity: incremental history
 	// restarts from the new serial.
 	z.diff = nil
+	return nil
+}
+
+// Adopt moves from's records and serial into z, leaving from empty: how a
+// restarted server takes over a zone recovered from disk without copying
+// or re-checking records that were checked against this same origin when
+// recovery installed them.
+func (z *Zone) Adopt(from *Zone) error {
+	if from.origin != z.origin {
+		return fmt.Errorf("bind: zone %s cannot adopt %s", z.origin, from.origin)
+	}
+	from.mu.Lock()
+	records, serial := from.records, from.serial
+	from.records, from.diff = make(map[string][]RR), nil
+	from.mu.Unlock()
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	z.records = records
+	z.serial = serial
+	z.diff = nil // as Replace: history restarts from the adopted serial
 	return nil
 }
 

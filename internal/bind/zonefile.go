@@ -6,8 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Zone-file loading for the bindd daemon: a master-file-like line format,
@@ -47,41 +51,127 @@ func ParseRRType(s string) (RRType, error) {
 
 // ParseZoneFile reads records from r in the line format above.
 func ParseZoneFile(r io.Reader) ([]RR, error) {
-	var out []RR
+	// Records gather in fixed-size chunks joined once at the end: growing
+	// one slice to a quarter of a million records copies it five times over.
+	const chunk = 4096
+	var chunks [][]RR
+	cur := make([]RR, 0, chunk)
+	prevName := ""
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, ";") || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == ';' || line[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 {
-			return nil, fmt.Errorf("bind: zone file line %d: want 'name ttl type data', got %q", lineNo, line)
-		}
-		ttl, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bind: zone file line %d: bad ttl %q", lineNo, fields[1])
-		}
-		t, err := ParseRRType(fields[2])
+		rr, err := parseZoneLine(line, prevName)
 		if err != nil {
 			return nil, fmt.Errorf("bind: zone file line %d: %w", lineNo, err)
 		}
-		// Data is the remainder of the line after the type token,
-		// preserving interior spacing.
-		idx := strings.Index(line, fields[2])
-		data := strings.TrimSpace(line[idx+len(fields[2]):])
-		rr := RR{Name: fields[0], Type: t, Class: ClassIN, TTL: uint32(ttl), Data: []byte(data)}
-		if err := (&rr).Validate(); err != nil {
-			return nil, fmt.Errorf("bind: zone file line %d: %w", lineNo, err)
+		if len(cur) == chunk {
+			chunks = append(chunks, cur)
+			cur = make([]RR, 0, chunk)
 		}
-		out = append(out, rr)
+		cur = append(cur, rr)
+		prevName = rr.Name
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return out, nil
+	if len(chunks) == 0 {
+		return cur, nil
+	}
+	out := make([]RR, 0, len(chunks)*chunk+len(cur))
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return append(out, cur...), nil
+}
+
+// parseZoneLine parses one trimmed record line by position: three
+// whitespace-delimited tokens, then the rest of the line verbatim as data.
+// Nothing of line is retained. prevName is the owner name of the record
+// parsed just before: a line repeating it (zone files group a name's
+// records) shares that string instead of allocating and checking its own.
+func parseZoneLine(line []byte, prevName string) (RR, error) {
+	nameTok, rest := cutField(line)
+	ttlTok, rest := cutField(rest)
+	typeTok, data := cutField(rest)
+	if len(data) == 0 {
+		return RR{}, fmt.Errorf("want 'name ttl type data', got %q", line)
+	}
+	ttl, ok := parseTTL(ttlTok)
+	if !ok {
+		return RR{}, fmt.Errorf("bad ttl %q", ttlTok)
+	}
+	t, ok := typeByName[string(typeTok)]
+	if !ok {
+		var err error
+		if t, err = ParseRRType(string(typeTok)); err != nil {
+			return RR{}, err
+		}
+	}
+	rr := RR{Type: t, Class: ClassIN, TTL: ttl}
+	if string(nameTok) == prevName {
+		rr.Name = prevName
+	} else {
+		var err error
+		if rr.Name, err = CanonicalName(string(nameTok)); err != nil {
+			return RR{}, err
+		}
+	}
+	if len(data) > MaxRDataLen {
+		return RR{}, fmt.Errorf("%w: %d bytes on %s", ErrDataTooBig, len(data), rr.Name)
+	}
+	rr.Data = append([]byte(nil), data...)
+	return rr, nil
+}
+
+// cutField splits b at its first run of Unicode whitespace — the
+// tokenization strings.Fields applies, one field at a time.
+func cutField(b []byte) (field, rest []byte) {
+	i := indexSpace(b)
+	if i < 0 {
+		return b, nil
+	}
+	return b[:i], bytes.TrimLeftFunc(b[i:], unicode.IsSpace)
+}
+
+// indexSpace is bytes.IndexFunc(b, unicode.IsSpace) with ASCII bytes —
+// all of a typical line — tested where they lie, not decoded and passed
+// to a function one rune at a time.
+func indexSpace(b []byte) int {
+	for i, c := range b {
+		switch {
+		case isASCIISpace(c):
+			return i
+		case c >= utf8.RuneSelf:
+			if j := bytes.IndexFunc(b[i:], unicode.IsSpace); j >= 0 {
+				return i + j
+			}
+			return -1
+		}
+	}
+	return -1
+}
+
+// parseTTL reads an unsigned decimal that fits 32 bits: what
+// strconv.ParseUint(s, 10, 32) accepts, without its string argument.
+func parseTTL(b []byte) (uint32, bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
+	var n uint64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if n = n*10 + uint64(c-'0'); n > math.MaxUint32 {
+			return 0, false
+		}
+	}
+	return uint32(n), true
 }
 
 // storableData reports whether record data survives the master-file line
@@ -105,19 +195,40 @@ func storableData(data []byte) error {
 // WriteZone streams records to w in the exact ParseZoneFile master-file
 // format, deterministically ordered — the serialization both zone dumps
 // and store snapshots use. Every record must be storable (see Zone.Add);
-// parse∘write∘parse is the identity.
+// parse∘write∘parse is the identity. Records already in order (a zone's
+// All, a parsed dump) are written as they stand; anything else is sorted
+// in a copy first.
 func WriteZone(w io.Writer, rrs []RR) error {
-	sorted := append([]RR(nil), rrs...)
-	SortRRs(sorted)
-	for _, rr := range sorted {
-		if err := storableData(rr.Data); err != nil {
-			return fmt.Errorf("%v on %s %s", err, rr.Name, rr.Type)
+	if !slices.IsSortedFunc(rrs, compareRR) {
+		rrs = slices.Clone(rrs)
+		SortRRs(rrs)
+	}
+	var line []byte
+	for _, rr := range rrs {
+		var err error
+		if line, err = appendZoneLine(line[:0], rr); err != nil {
+			return err
 		}
-		if _, err := fmt.Fprintf(w, "%s %d %s %s\n", rr.Name, rr.TTL, rr.Type, rr.Data); err != nil {
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// appendZoneLine appends rr's master-file line to b.
+func appendZoneLine(b []byte, rr RR) ([]byte, error) {
+	if err := storableData(rr.Data); err != nil {
+		return b, fmt.Errorf("%v on %s %s", err, rr.Name, rr.Type)
+	}
+	b = append(b, rr.Name...)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(rr.TTL), 10)
+	b = append(b, ' ')
+	b = append(b, rr.Type.String()...)
+	b = append(b, ' ')
+	b = append(b, rr.Data...)
+	return append(b, '\n'), nil
 }
 
 // FormatZoneFile renders records in the ParseZoneFile format,

@@ -36,6 +36,28 @@ func TestParseZoneFile(t *testing.T) {
 	}
 }
 
+// The data column is whatever follows the third token — not whatever
+// follows the first place the type token's text happens to occur.
+func TestParseZoneFileDataColumnIsPositional(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want RR
+	}{
+		{"fiji.cs.washington.edu 600 a 10.0.0.1", A("fiji.cs.washington.edu", "10.0.0.1", 600)},
+		{"TXT.example 600 TXT hello", TXT("txt.example", "hello", 600)},
+		{"h16 16 16 payload", TXT("h16", "payload", 16)},
+	} {
+		rrs, err := ParseZoneFile(strings.NewReader(tc.line))
+		if err != nil || len(rrs) != 1 {
+			t.Errorf("ParseZoneFile(%q) = %v, %v", tc.line, rrs, err)
+			continue
+		}
+		if got := rrs[0]; !got.Equal(tc.want) || got.TTL != tc.want.TTL {
+			t.Errorf("ParseZoneFile(%q) = %v, want %v", tc.line, got, tc.want)
+		}
+	}
+}
+
 func TestParseZoneFileErrors(t *testing.T) {
 	cases := []string{
 		"name 600 A",              // too few fields
@@ -43,6 +65,10 @@ func TestParseZoneFileErrors(t *testing.T) {
 		"name 600 BOGUS data",     // bad type
 		"bad..name 600 A data",    // bad name
 		"name 99999999999 A data", // ttl overflow
+		"name 4294967296 A data",  // one past 32 bits
+		"name +600 A data",        // strconv.ParseUint takes no sign
+		"name 6_00 A data",        // nor, in base 10, an underscore
+		"name 600 A " + strings.Repeat("x", MaxRDataLen+1),
 	}
 	for _, c := range cases {
 		if _, err := ParseZoneFile(strings.NewReader(c)); err == nil {

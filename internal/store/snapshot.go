@@ -33,6 +33,7 @@ const (
 // EncodeSnapshot wraps payload in the checksummed snapshot envelope.
 func EncodeSnapshot(lsn uint64, payload []byte) []byte {
 	var b bytes.Buffer
+	b.Grow(len(payload) + 96) // header and trailer are under 48 bytes each
 	fmt.Fprintf(&b, "%s v1 lsn %d len %d\n", snapMagic, lsn, len(payload))
 	b.Write(payload)
 	sum := crc32.Checksum(b.Bytes(), crcTable)

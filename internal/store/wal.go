@@ -31,6 +31,10 @@ import (
 // storage stacks use.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// DefaultSegmentBytes is the segment size LogOptions.SegmentBytes
+// defaults to.
+const DefaultSegmentBytes = 1 << 20
+
 const (
 	frameHeader = 8
 	// maxPayload bounds one record; larger length fields are framing
@@ -148,7 +152,7 @@ type Log struct {
 // segment is truncated away.
 func OpenLog(fs FS, opts LogOptions) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 1 << 20
+		opts.SegmentBytes = DefaultSegmentBytes
 	}
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = 100 * time.Millisecond

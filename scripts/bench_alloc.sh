@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Alloc-regression gate for the zero-allocation wire path. Runs the
-# warm-path benchmarks with -benchmem and fails if any exceeds its
-# committed allocs/op bound. The bounds are the contract: raising one is an
-# explicit, reviewed change to this file.
+# Alloc-regression gate for the zero-allocation wire path and the bindd
+# seed path. Runs the benchmarks with -benchmem and fails if any exceeds
+# its committed allocs/op bound. The bounds are the contract: raising one
+# is an explicit, reviewed change to this file.
 #
 # Usage:
 #   scripts/bench_alloc.sh           # gate (exit 1 on regression)
@@ -15,18 +15,21 @@ BenchmarkDecodeReplyWarm ./internal/transport/ 1
 BenchmarkFrameMuxRequest ./internal/transport/ 1
 BenchmarkEncodeMuxReplyFramed ./internal/transport/ 1
 BenchmarkFindNSMWarmAllocs . 1
+BenchmarkBinddColdStart ./internal/bind/ 60000
 "
 
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
-run_pkg() { # pkg bench-regex
-    go test -run '^$' -bench "$2" -benchmem -benchtime 2000x "$1"
+run_pkg() { # pkg bench-regex [iterations]
+    go test -run '^$' -bench "$2" -benchmem -benchtime "${3:-2000}x" "$1"
 }
 
 echo "--- bench-alloc: warm-path allocation gate"
 run_pkg ./internal/transport/ 'BenchmarkDecodeReplyWarm$|BenchmarkFrameMuxRequest$|BenchmarkEncodeMuxReplyFramed$' | tee -a "$out"
 run_pkg . 'BenchmarkFindNSMWarmAllocs$' | tee -a "$out"
+# One op loads a generated 20k-record zone: the bound is 3.0 per record.
+run_pkg ./internal/bind/ 'BenchmarkBinddColdStart$' 10 | tee -a "$out"
 
 fail=0
 while read -r name pkg max; do
