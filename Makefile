@@ -44,7 +44,6 @@ fuzz:
 	go test -fuzz FuzzSpecValidate -fuzztime 10s ./internal/workload/
 	go test -fuzz FuzzWALDecode -fuzztime 10s ./internal/store/
 	go test -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/store/
-	go test -fuzz FuzzShardMapDecode -fuzztime 10s ./internal/shard/
 	go test -fuzz FuzzIXFRDecode -fuzztime 10s ./internal/bind/
 	go test -fuzz FuzzQueryChainArgs -fuzztime 10s ./internal/bind/
 	go test -fuzz FuzzNotifyDecode -fuzztime 10s ./internal/push/

@@ -33,15 +33,6 @@
 // -data-dir nothing touches disk, exactly the in-memory BIND the paper
 // measured.
 //
-// With -shard-id and -shard-peers, bindd serves one shard of a
-// partitioned meta-store: names are owned by rendezvous hash over the
-// peer set, updates for names another shard owns are answered with a
-// NOTOWNER redirect, and a background puller rebalances this shard's
-// slice from its peers over the zone-transfer path after an epoch bump.
-//
-//	bindd -host s0 -zone hns -update -shard-id s0 \
-//	      -shard-peers s0=127.0.0.1:5301,s1=127.0.0.1:5303 -hrpc 127.0.0.1:5301
-//
 // Zone files use the line format of internal/bind.ParseZoneFile:
 //
 //	name  ttl  type  data...
@@ -61,7 +52,6 @@ import (
 	"hns/internal/hrpc"
 	"hns/internal/metrics"
 	"hns/internal/push"
-	"hns/internal/shard"
 	"hns/internal/simtime"
 	"hns/internal/store"
 	"hns/internal/transport"
@@ -84,13 +74,6 @@ func main() {
 		metrAddr = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
 		secAddr  = flag.String("secondary", "", "mirror the zone from this primary bindd HRPC address (TCP) instead of serving authoritatively")
 		refresh  = flag.Duration("refresh", 30*time.Second, "serial-check interval in -secondary mode")
-
-		shardID    = flag.String("shard-id", "", "serve as this member of a sharded meta-store (requires -shard-peers)")
-		shardPeers = flag.String("shard-peers", "", "full shard set as id=addr,... (must include -shard-id); names are owned by rendezvous hash")
-		shardEpoch = flag.Uint("shard-epoch", 1, "shard map epoch to serve")
-		shardSeed  = flag.Uint64("shard-seed", 0, "shard map hash seed")
-		shardZone  = flag.String("shard-zone", "hns", "the sharded zone")
-		shardPull  = flag.Duration("shard-pull", 5*time.Second, "rebalance-pull interval (serial probe per peer; transfer only when a peer's zone moved)")
 
 		dataDir   = flag.String("data-dir", "", "persist zones here (WAL + snapshots) and recover on restart; empty keeps everything in memory")
 		fsyncMode = flag.String("fsync", "always", "WAL flush policy with -data-dir: always, interval, or never")
@@ -300,67 +283,6 @@ func main() {
 				len(rrs), *records, time.Since(t0).Round(time.Millisecond))
 		} else if *records != "" {
 			log.Printf("bindd: %s has recovered state; skipping -records (delete the data dir to reseed)", *dataDir)
-		}
-	}
-
-	// Sharded meta-store: gate updates by rendezvous ownership, install
-	// the shard-map record, and pull our slice from peers on a ticker.
-	// With no -shard-id this whole block is skipped and bindd is exactly
-	// the single-primary server above.
-	if *shardID != "" {
-		if *secAddr != "" {
-			log.Fatal("bindd: -shard-id excludes -secondary (shards are authoritative)")
-		}
-		if !*update {
-			log.Fatal("bindd: -shard-id requires -update (shards take dynamic updates for their slice)")
-		}
-		members, err := shard.ParseMembers(*shardPeers)
-		if err != nil {
-			log.Fatalf("bindd: -shard-peers: %v", err)
-		}
-		m := shard.Map{Epoch: uint32(*shardEpoch), Seed: *shardSeed, Members: members}
-		serving, err := shard.Serve(srv, shard.ServingConfig{
-			ID:   *shardID,
-			Zone: *shardZone,
-			Map:  m,
-		})
-		if err != nil {
-			log.Fatalf("bindd: %v", err)
-		}
-		log.Printf("bindd: shard %s of %d (zone %s, map epoch %d)",
-			*shardID, len(members), *shardZone, m.Epoch)
-		if *shardPull > 0 {
-			rpc := hrpc.NewClient(net)
-			defer rpc.Close()
-			dial := shard.NewDialer(rpc, hrpc.SuiteRawNet)
-			var peers []shard.Peer
-			for _, mem := range members {
-				if mem.ID == *shardID {
-					continue
-				}
-				peers = append(peers, shard.Peer{ID: mem.ID, Client: dial(mem.Addr)})
-			}
-			puller := shard.NewPuller(serving, srv, peers, nil)
-			stopPull := make(chan struct{})
-			defer close(stopPull)
-			go func() {
-				ticker := time.NewTicker(*shardPull)
-				defer ticker.Stop()
-				for {
-					select {
-					case <-ticker.C:
-						n, err := puller.Pull(context.Background())
-						if n > 0 {
-							log.Printf("bindd: rebalance pulled %d records", n)
-						}
-						if err != nil {
-							log.Printf("bindd: rebalance: %v", err)
-						}
-					case <-stopPull:
-						return
-					}
-				}
-			}()
 		}
 	}
 

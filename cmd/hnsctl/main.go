@@ -13,16 +13,11 @@
 //	hnsctl dump    -meta 127.0.0.1:5301
 //	hnsctl watch   -meta 127.0.0.1:5301 [-zone hns] [<zone>|<name>...]
 //	hnsctl stats   -from 127.0.0.1:5390 [-filter substr]
-//	hnsctl shard   -meta 127.0.0.1:5301 -from 127.0.0.1:5390 [-from ...]
 //	hnsctl health  -from 127.0.0.1:5390
 //	hnsctl admit   -from 127.0.0.1:5321
 //
 // Registrations write meta records through the modified BIND's dynamic
 // update interface; `dump` prints the whole meta zone as a zone file.
-// Against a sharded meta-store (bindd -shard-id), pass the register and
-// unregister commands -meta-shards id=addr,... instead of -meta: each
-// record then routes to the shard owning its name, with the one-shot
-// map-refresh retry on a NOTOWNER redirect.
 package main
 
 import (
@@ -38,7 +33,6 @@ import (
 	"hns/internal/names"
 	"hns/internal/nsm"
 	"hns/internal/qclass"
-	"hns/internal/shard"
 	"hns/internal/simtime"
 	"hns/internal/transport"
 )
@@ -80,8 +74,6 @@ func main() {
 		err = cmdStats(args)
 	case "store":
 		err = cmdStore(args)
-	case "shard":
-		err = cmdShard(env, args)
 	case "health":
 		err = cmdHealth(args)
 	case "admit":
@@ -96,7 +88,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: hnsctl {find|resolve|lookup|register-ns|register-context|register-nsm|unregister-context|unregister-nsm|dump|watch|stats|store|shard|health|admit} [flags] args...")
+	fmt.Fprintln(os.Stderr, "usage: hnsctl {find|resolve|lookup|register-ns|register-context|register-nsm|unregister-context|unregister-nsm|dump|watch|stats|store|health|admit} [flags] args...")
 	os.Exit(2)
 }
 
@@ -111,31 +103,6 @@ func (e *env) metaClient(addr string) *bind.HRPCClient {
 	c.FreshConn = true
 	return bind.NewHRPCClient(c,
 		hrpc.SuiteRawNet.Bind(addr, addr, bind.HRPCProgram, bind.HRPCVersion))
-}
-
-// metaUpdater is the dynamic-update surface the register and unregister
-// commands write through: the plain single-server client, or the
-// owner-routing shard client when -meta-shards is set.
-type metaUpdater interface {
-	Update(ctx context.Context, zone string, op uint32, rr bind.RR) (uint32, error)
-}
-
-func (e *env) metaUpdater(metaAddr, shards, zone string) (metaUpdater, error) {
-	if shards == "" {
-		return e.metaClient(metaAddr), nil
-	}
-	members, err := shard.ParseMembers(shards)
-	if err != nil {
-		return nil, fmt.Errorf("-meta-shards: %w", err)
-	}
-	c := hrpc.NewClient(e.net)
-	c.FreshConn = true
-	return shard.NewClient(shard.ClientConfig{
-		Zone:    zone,
-		Members: members,
-		Dial:    shard.NewDialer(c, hrpc.SuiteRawNet),
-		Model:   simtime.Default(),
-	})
 }
 
 func cmdFind(e *env, args []string, alsoResolve bool) error {
@@ -208,7 +175,6 @@ func cmdLookup(e *env, args []string) error {
 func cmdRegisterNS(e *env, args []string) error {
 	fs := flag.NewFlagSet("register-ns", flag.ExitOnError)
 	meta := fs.String("meta", "127.0.0.1:5301", "meta-BIND HRPC address")
-	shards := fs.String("meta-shards", "", "sharded meta-store as id=addr,...; routes the record to its owning shard")
 	zone := fs.String("zone", "hns", "meta zone")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -221,13 +187,12 @@ func cmdRegisterNS(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	return applyRecords(e, *meta, *shards, *zone, rr)
+	return applyRecords(e, *meta, *zone, rr)
 }
 
 func cmdRegisterContext(e *env, args []string) error {
 	fs := flag.NewFlagSet("register-context", flag.ExitOnError)
 	meta := fs.String("meta", "127.0.0.1:5301", "meta-BIND HRPC address")
-	shards := fs.String("meta-shards", "", "sharded meta-store as id=addr,...; routes the record to its owning shard")
 	zone := fs.String("zone", "hns", "meta zone")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -240,13 +205,12 @@ func cmdRegisterContext(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	return applyRecords(e, *meta, *shards, *zone, rr)
+	return applyRecords(e, *meta, *zone, rr)
 }
 
 func cmdRegisterNSM(e *env, args []string) error {
 	fs := flag.NewFlagSet("register-nsm", flag.ExitOnError)
 	meta := fs.String("meta", "127.0.0.1:5301", "meta-BIND HRPC address")
-	shards := fs.String("meta-shards", "", "sharded meta-store as id=addr,...; routes each record to its owning shard")
 	zone := fs.String("zone", "hns", "meta zone")
 	name := fs.String("name", "", "NSM name")
 	ns := fs.String("ns", "", "name service")
@@ -270,14 +234,11 @@ func cmdRegisterNSM(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	return applyRecords(e, *meta, *shards, *zone, rrs...)
+	return applyRecords(e, *meta, *zone, rrs...)
 }
 
-func applyRecords(e *env, metaAddr, shards, zone string, rrs ...bind.RR) error {
-	mc, err := e.metaUpdater(metaAddr, shards, zone)
-	if err != nil {
-		return err
-	}
+func applyRecords(e *env, metaAddr, zone string, rrs ...bind.RR) error {
+	mc := e.metaClient(metaAddr)
 	ctx := context.Background()
 	for _, rr := range rrs {
 		serial, err := mc.Update(ctx, zone, bind.UpdateAdd, rr)
@@ -293,7 +254,6 @@ func applyRecords(e *env, metaAddr, shards, zone string, rrs ...bind.RR) error {
 func cmdUnregister(e *env, args []string, kind string) error {
 	fs := flag.NewFlagSet("unregister-"+kind, flag.ExitOnError)
 	meta := fs.String("meta", "127.0.0.1:5301", "meta-BIND HRPC address")
-	shards := fs.String("meta-shards", "", "sharded meta-store as id=addr,...; routes each removal to its owning shard")
 	zone := fs.String("zone", "hns", "meta zone")
 	ns := fs.String("ns", "", "name service (unregister-nsm)")
 	qc := fs.String("qclass", "", "query class (unregister-nsm)")
@@ -304,10 +264,7 @@ func cmdUnregister(e *env, args []string, kind string) error {
 	if len(rest) != 1 {
 		return fmt.Errorf("want one positional argument (the %s name)", kind)
 	}
-	mc, err := e.metaUpdater(*meta, *shards, *zone)
-	if err != nil {
-		return err
-	}
+	mc := e.metaClient(*meta)
 	ctx := context.Background()
 	remove := func(owner string) error {
 		serial, err := mc.Update(ctx, *zone, bind.UpdateRemove,

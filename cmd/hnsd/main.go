@@ -13,10 +13,10 @@
 // -link-ch links a Clearinghouse-world one (Courier address plus
 // credentials).
 //
-// With -meta-shards id=addr,... the meta-store is a set of bindd shards
-// (see bindd -shard-id): lookups and updates route straight to the shard
-// owning each name under the fetched shard map, with a one-shot
-// map-refresh retry on a NOTOWNER redirect.
+// Each -meta-replica names a secondary meta-BIND (bindd -secondary) tried
+// in order when -meta is unreachable: the per-endpoint breakers take a
+// dead replica out of rotation, and -serve-stale rides out losing them
+// all.
 package main
 
 import (
@@ -35,7 +35,6 @@ import (
 	"hns/internal/hrpc"
 	"hns/internal/metrics"
 	"hns/internal/nsm"
-	"hns/internal/shard"
 	"hns/internal/simtime"
 	"hns/internal/transport"
 )
@@ -47,22 +46,21 @@ func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
 
 func main() {
 	var (
-		host       = flag.String("host", "hnsd", "descriptive host name")
-		addr       = flag.String("addr", "127.0.0.1:5310", "FindNSM service listen address (TCP)")
-		metaAddr   = flag.String("meta", "127.0.0.1:5301", "meta-BIND HRPC address (TCP)")
-		metaZone   = flag.String("metazone", "hns", "meta-information zone")
-		marshCach  = flag.Bool("marshalled-cache", false, "keep the meta-cache in marshalled form (Table 3.2's slow mode)")
-		preload    = flag.Bool("preload", false, "preload the meta-cache via zone transfer at startup")
-		negTTL     = flag.Duration("neg-ttl", 0, "cache authoritative NotFound answers for this long (0 disables negative caching)")
-		metrAddr   = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
-		staleFor   = flag.Duration("serve-stale", 0, "serve expired meta-cache entries up to this long past expiry when every meta-BIND replica is down (0 disables)")
-		bindTTL    = flag.Duration("binding-cache", 0, "memoize fully resolved FindNSM bindings for this long (0 disables; layered above the meta-cache)")
-		subscribe  = flag.Bool("subscribe", false, "subscribe to the meta-BIND's push plane: updates invalidate the meta-cache immediately instead of waiting out TTLs (degrades to polling when the server refuses the subscription)")
-		connIdle   = flag.Duration("conn-idle", 0, "close pooled HRPC connections idle for this long (0 keeps them until shutdown)")
-		metaShards = flag.String("meta-shards", "", "sharded meta-store as id=addr,... ; replaces -meta/-meta-replica with owner-routed shard access")
-		linkBind   stringList
-		linkCH     stringList
-		metaReps   stringList
+		host      = flag.String("host", "hnsd", "descriptive host name")
+		addr      = flag.String("addr", "127.0.0.1:5310", "FindNSM service listen address (TCP)")
+		metaAddr  = flag.String("meta", "127.0.0.1:5301", "meta-BIND HRPC address (TCP)")
+		metaZone  = flag.String("metazone", "hns", "meta-information zone")
+		marshCach = flag.Bool("marshalled-cache", false, "keep the meta-cache in marshalled form (Table 3.2's slow mode)")
+		preload   = flag.Bool("preload", false, "preload the meta-cache via zone transfer at startup")
+		negTTL    = flag.Duration("neg-ttl", 0, "cache authoritative NotFound answers for this long (0 disables negative caching)")
+		metrAddr  = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
+		staleFor  = flag.Duration("serve-stale", 0, "serve expired meta-cache entries up to this long past expiry when every meta-BIND replica is down (0 disables)")
+		bindTTL   = flag.Duration("binding-cache", 0, "memoize fully resolved FindNSM bindings for this long (0 disables; layered above the meta-cache)")
+		subscribe = flag.Bool("subscribe", false, "subscribe to the meta-BIND's push plane: updates invalidate the meta-cache immediately instead of waiting out TTLs (degrades to polling when the server refuses the subscription)")
+		connIdle  = flag.Duration("conn-idle", 0, "close pooled HRPC connections idle for this long (0 keeps them until shutdown)")
+		linkBind  stringList
+		linkCH    stringList
+		metaReps  stringList
 	)
 	flag.Var(&linkBind, "link-bind", "ns=stdaddr: link a BIND HostAddress NSM (repeatable)")
 	flag.Var(&linkCH, "link-ch", "ns=addr,principal,secret: link a Clearinghouse HostAddress NSM (repeatable)")
@@ -87,39 +85,12 @@ func main() {
 	metaRPC := hrpc.NewClient(net)
 	metaRPC.Pool.IdleTimeout = *connIdle
 	defer metaRPC.Close()
-	var meta core.MetaClient
-	if *metaShards != "" {
-		// Sharded meta-store: route every meta lookup/update to the
-		// shard owning the name under the fetched shard map. Shards are
-		// not replicas of one another (a write must land on its owner),
-		// so -meta-replica does not combine with -meta-shards.
-		if len(metaReps) > 0 {
-			log.Fatal("hnsd: -meta-shards excludes -meta-replica (each name has one owning shard)")
-		}
-		members, err := shard.ParseMembers(*metaShards)
-		if err != nil {
-			log.Fatalf("hnsd: -meta-shards: %v", err)
-		}
-		sc, err := shard.NewClient(shard.ClientConfig{
-			Zone:         *metaZone,
-			Members:      members,
-			Dial:         shard.NewDialer(metaRPC, hrpc.SuiteRawNet),
-			Model:        model,
-			RouterConfig: shard.RouterConfig{StaleFor: *staleFor},
-		})
-		if err != nil {
-			log.Fatalf("hnsd: %v", err)
-		}
-		meta = sc
-		log.Printf("hnsd: meta-store sharded across %d binds", len(members))
-	} else {
-		if len(metaReps) > 0 {
-			metaRPC.SetReplicas(*metaAddr, metaReps...)
-			log.Printf("hnsd: meta failover replicas: %s", metaReps.String())
-		}
-		meta = bind.NewHRPCClient(metaRPC,
-			hrpc.SuiteRawNet.Bind(*metaAddr, *metaAddr, bind.HRPCProgram, bind.HRPCVersion))
+	if len(metaReps) > 0 {
+		metaRPC.SetReplicas(*metaAddr, metaReps...)
+		log.Printf("hnsd: meta failover replicas: %s", metaReps.String())
 	}
+	meta := bind.NewHRPCClient(metaRPC,
+		hrpc.SuiteRawNet.Bind(*metaAddr, *metaAddr, bind.HRPCProgram, bind.HRPCVersion))
 
 	mode := bind.CacheDemarshalled
 	if *marshCach {
@@ -157,14 +128,9 @@ func main() {
 	}
 
 	if *subscribe {
-		if h.SubscribeMeta() {
-			defer h.UnsubscribeMeta()
-			log.Printf("hnsd: subscribed to push invalidation for zone %q", *metaZone)
-		} else {
-			// The sharded client has no single subscription endpoint yet;
-			// TTL polling carries the freshness contract as before.
-			log.Printf("hnsd: -subscribe: meta client cannot subscribe; staying on TTL polling")
-		}
+		h.SubscribeMeta()
+		defer h.UnsubscribeMeta()
+		log.Printf("hnsd: subscribed to push invalidation for zone %q", *metaZone)
 	}
 
 	if *preload {

@@ -8,9 +8,9 @@
 //	hnsgw -addr 127.0.0.1:5320 -backend 127.0.0.1:5310 \
 //	      -rate 100 -burst 200 -max-inflight 256 -metrics 127.0.0.1:5321
 //
-// Repeating -backend builds a round-robin pool: admitted calls rotate
-// across the backends and fail over when one is unreachable — the
-// arrangement for a fleet of hnsds over a sharded meta-store.
+// Repeating -backend lists failover backends in order: every admitted
+// call goes to the first live one, and a dead backend is taken out of
+// rotation by the same per-endpoint breakers hnsd's -meta-replica uses.
 //
 // Batch resolution is classified low priority and sheds first (at
 // -low-watermark of the in-flight cap); single-name calls keep flowing
@@ -58,7 +58,7 @@ func main() {
 		metrAddr = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
 		connIdle = flag.Duration("conn-idle", 0, "close pooled upstream connections idle for this long (0 keeps them)")
 	)
-	flag.Var(&backends, "backend", "backend HNS FindNSM address (TCP); repeat for a round-robin pool with failover")
+	flag.Var(&backends, "backend", "backend HNS FindNSM address (TCP); repeat to add failover backends, tried in order")
 	flag.Parse()
 	if len(backends) == 0 {
 		backends = backendList{"127.0.0.1:5310"}
@@ -93,16 +93,14 @@ func main() {
 			RetryAfter:   *retryAft,
 		}
 	}
-	var bindings []hrpc.Binding
-	for _, b := range backends {
-		bindings = append(bindings, hrpc.SuiteRawNet.Bind(b, b, core.HNSProgram, core.HNSVersion))
+	if len(backends) > 1 {
+		// Ordered failover through the client's per-endpoint breakers. A
+		// partitioned backend shows up only as a timeout, and with no
+		// retry budget the call would end there instead of moving on.
+		up.SetReplicas(backends[0], backends[1:]...)
+		up.Policy = hrpc.RetryPolicy{Budget: time.Second}
 	}
-	var gw *gateway.Gateway
-	if len(bindings) == 1 {
-		gw = gateway.New(up, bindings[0], cfg)
-	} else {
-		gw = gateway.NewPooled(up, bindings, cfg)
-	}
+	gw := gateway.New(up, hrpc.SuiteRawNet.Bind(backends[0], backends[0], core.HNSProgram, core.HNSVersion), cfg)
 
 	ln, binding, err := gw.Serve(net, hrpc.SuiteRawNet, *host, *addr)
 	if err != nil {

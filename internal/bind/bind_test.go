@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,6 +31,11 @@ func TestCanonicalName(t *testing.T) {
 		{"has space.example", "", false},
 		{strings.Repeat("a", 64) + ".example", "", false},
 		{strings.Repeat("a.", 130) + "a", "", false},
+		// A leading comment character would turn the record's zone-file
+		// line into a comment: dump and reload would drop it silently.
+		{"#x.z.test", "", false},
+		{";x.z.test", "", false},
+		{"x#.z.test", "x#.z.test", true},
 	}
 	for _, tc := range cases {
 		got, err := CanonicalName(tc.in)
@@ -239,7 +245,7 @@ func TestZoneAddRemoveProperty(t *testing.T) {
 		}
 		return z.Count() == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(1987))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -297,7 +303,7 @@ func TestWireFuzzProperty(t *testing.T) {
 		_, _ = DecodeMessage(raw) // must not panic
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1987))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -732,7 +738,7 @@ func TestRRTypeStrings(t *testing.T) {
 	}
 	for rc, want := range map[RCode]string{
 		RCodeOK: "NOERROR", RCodeNXDomain: "NXDOMAIN",
-		RCodeNotOwner: "NOTOWNER", RCode(11): "RCODE11",
+		RCode(9): "RCODE9", RCode(11): "RCODE11",
 	} {
 		if got := rc.String(); got != want {
 			t.Errorf("rcode %d = %q, want %q", rc, got, want)

@@ -37,31 +37,6 @@ func (e *NotFoundError) Error() string {
 	return fmt.Sprintf("bind: %s %s: %s", e.Name, e.Type, e.RCode)
 }
 
-// NotOwnerError reports a dynamic update refused with NOTOWNER: the
-// contacted shard is authoritative for the zone but another shard owns
-// the name under the current shard map. Server-side the gate fills in
-// the owner it would route to; the client-side error (decoded from the
-// wire rcode alone) carries only the name and zone — the caller
-// refreshes its shard map and retries against the owner it names.
-type NotOwnerError struct {
-	Name string
-	Zone string
-	// Epoch, OwnerID, and OwnerAddr describe the refusing server's view
-	// of the map; zero/empty on client-decoded errors.
-	Epoch     uint32
-	OwnerID   string
-	OwnerAddr string
-}
-
-// Error implements error.
-func (e *NotOwnerError) Error() string {
-	if e.OwnerID != "" {
-		return fmt.Sprintf("bind: update refused: NOTOWNER %s in %s: owner %s@%s (map epoch %d)",
-			e.Name, e.Zone, e.OwnerID, e.OwnerAddr, e.Epoch)
-	}
-	return fmt.Sprintf("bind: update refused: NOTOWNER %s in %s", e.Name, e.Zone)
-}
-
 // ---- Standard-interface client (hand-coded marshalling).
 
 // StdClient speaks the standard wire protocol to a server, or an ordered
@@ -329,9 +304,6 @@ func (c *HRPCClient) Update(ctx context.Context, zone string, op uint32, rr RR) 
 	}
 	rcode, _ := ret.Items[0].AsU32()
 	serial, _ := ret.Items[1].AsU32()
-	if RCode(rcode) == RCodeNotOwner {
-		return serial, &NotOwnerError{Name: rr.Name, Zone: zone}
-	}
 	if RCode(rcode) != RCodeOK {
 		return serial, fmt.Errorf("bind: update refused: %s", RCode(rcode))
 	}

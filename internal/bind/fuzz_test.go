@@ -61,11 +61,9 @@ func FuzzParseZoneFile(f *testing.F) {
 			return
 		}
 		// Anything accepted must survive format → parse unchanged, field
-		// for field. (A name opening with the comment characters would
-		// not come back at all; no other input writes a line that reads
-		// as a comment.)
+		// for field.
 		for _, rr := range rrs {
-			if rr.Name[0] == ';' || rr.Name[0] == '#' || bytes.ContainsRune(rr.Data, '\r') {
+			if bytes.ContainsRune(rr.Data, '\r') {
 				return
 			}
 		}
@@ -95,6 +93,9 @@ func canonicalNameReference(name string) (string, error) {
 	}
 	if len(name) > MaxNameLen {
 		return "", fmt.Errorf("%w: %d bytes", ErrBadName, len(name))
+	}
+	if name[0] == ';' || name[0] == '#' {
+		return "", fmt.Errorf("%w: %q opens with a zone-file comment character", ErrBadName, name)
 	}
 	name = strings.ToLower(name)
 	for _, label := range strings.Split(name, ".") {
@@ -126,6 +127,8 @@ func FuzzCanonicalName(f *testing.F) {
 	f.Add("trailing.dots..")
 	f.Add("a b..c")
 	f.Add("\xff\xfe.example")
+	f.Add("#x.z.test")
+	f.Add(";x.z.test.")
 	f.Fuzz(func(t *testing.T, name string) {
 		c, err := CanonicalName(name)
 		want, wantErr := canonicalNameReference(name)

@@ -2,9 +2,8 @@ package bind
 
 // IXFR-style incremental zone transfer and the push-invalidation plane.
 //
-// The paper's secondaries (and the HNS preloader, and the shard
-// rebalancer) re-fetch whole zones to learn about any change — AXFR
-// every refresh. At fleet scale most refreshes move bytes that have not
+// The paper's secondaries (and the HNS preloader) re-fetch whole zones
+// to learn about any change — AXFR every refresh. At fleet scale most refreshes move bytes that have not
 // changed. This file adds the two halves that fix it server-side:
 //
 //   - TransferDelta ("changes since serial S"): answered from the

@@ -115,9 +115,10 @@ var (
 )
 
 // CanonicalName lower-cases a domain name and strips one trailing dot,
-// returning an error for names that are empty, too long, or contain empty
-// labels or whitespace. A name that is already canonical comes back as the
-// same string, without allocating.
+// returning an error for names that are empty, too long, open with a
+// zone-file comment character (';' or '#': the record line would read
+// back as a comment), or contain empty labels or whitespace. A name that
+// is already canonical comes back as the same string, without allocating.
 func CanonicalName(name string) (string, error) {
 	name = strings.TrimSuffix(name, ".")
 	if isCanonicalASCII(name) {
@@ -128,6 +129,9 @@ func CanonicalName(name string) (string, error) {
 	}
 	if len(name) > MaxNameLen {
 		return "", fmt.Errorf("%w: %d bytes", ErrBadName, len(name))
+	}
+	if isCommentByte(name[0]) {
+		return "", fmt.Errorf("%w: %q opens with a zone-file comment character", ErrBadName, name)
 	}
 	name = strings.ToLower(name)
 	for _, label := range strings.Split(name, ".") {
@@ -153,9 +157,10 @@ func CanonicalName(name string) (string, error) {
 // already what CanonicalName would return for it — the case for nearly
 // every name a server sees, since clients, zone files and the journal
 // all carry canonical names. Anything it cannot vouch for (upper case,
-// a non-ASCII byte, a space, a bad label) is left to the full check.
+// a non-ASCII byte, a space, a bad label, a leading comment byte) is left
+// to the full check.
 func isCanonicalASCII(name string) bool {
-	if name == "" || len(name) > MaxNameLen {
+	if name == "" || len(name) > MaxNameLen || isCommentByte(name[0]) {
 		return false
 	}
 	label := 0 // bytes in the current label
@@ -176,6 +181,10 @@ func isCanonicalASCII(name string) bool {
 	}
 	return label > 0
 }
+
+// isCommentByte reports whether a zone-file line opening with c is a
+// comment (see ParseZoneFile).
+func isCommentByte(c byte) bool { return c == ';' || c == '#' }
 
 // isASCIISpace is unicode.IsSpace for a byte below utf8.RuneSelf.
 func isASCIISpace(c byte) bool { return c == ' ' || '\t' <= c && c <= '\r' }

@@ -2,13 +2,11 @@ package bind
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
@@ -36,35 +34,10 @@ type Server struct {
 	journalMu sync.Mutex
 	journal   ZoneStore
 
-	// gate, when set, vets dynamic updates before they apply — the
-	// sharded meta-store's ownership check. nil (the default) accepts
-	// every update the zone allows, exactly the unsharded server.
-	gate atomic.Pointer[updateGateHolder]
-
 	// pushTab, when set (EnablePush), holds the push-invalidation
 	// subscriber table; every applied update fans a notification out to
 	// it. nil (the default) sends nothing — the paper's poll-only server.
 	pushTab pushTabPtr
-}
-
-// UpdateGate vets a dynamic update before it is applied. A nil return
-// admits the update; a *NotOwnerError refuses it with RCodeNotOwner so
-// clients re-route to the owning shard (any other error yields REFUSED).
-type UpdateGate interface {
-	AllowUpdate(zone, name string) error
-}
-
-// updateGateHolder wraps the interface so it fits an atomic.Pointer.
-type updateGateHolder struct{ g UpdateGate }
-
-// SetUpdateGate installs (or, with nil, removes) the server's dynamic-
-// update gate. Safe to call while serving.
-func (s *Server) SetUpdateGate(g UpdateGate) {
-	if g == nil {
-		s.gate.Store(nil)
-		return
-	}
-	s.gate.Store(&updateGateHolder{g: g})
 }
 
 // NewServer creates a zoneless server on host. It records its query,
@@ -181,15 +154,6 @@ func (s *Server) Update(ctx context.Context, zoneOrigin string, op uint32, rr RR
 	}
 	if !z.AllowsUpdate() {
 		return RCodeRefused, z.Serial(), ErrUpdateDenied
-	}
-	if h := s.gate.Load(); h != nil {
-		if gerr := h.g.AllowUpdate(z.Origin(), rr.Name); gerr != nil {
-			var noe *NotOwnerError
-			if errors.As(gerr, &noe) {
-				return RCodeNotOwner, z.Serial(), gerr
-			}
-			return RCodeRefused, z.Serial(), gerr
-		}
 	}
 	s.journalMu.Lock()
 	journal := s.journal
@@ -406,10 +370,7 @@ func (s *Server) HRPCServer() *hrpc.Server {
 			return marshal.Value{}, err
 		}
 		rcode, serial, uerr := s.Update(ctx, zone, op, rr)
-		// NOTOWNER travels in-band (rcode + serial) rather than as a
-		// remote error: it is a routing hint, not a fault, and the
-		// client's breakers must not count it against the endpoint.
-		if uerr != nil && rcode != RCodeOK && rcode != RCodeNotOwner {
+		if uerr != nil {
 			return marshal.Value{}, fmt.Errorf("%s: %v", rcode, uerr)
 		}
 		return marshal.StructV(marshal.U32(uint32(rcode)), marshal.U32(serial)), nil

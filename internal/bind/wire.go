@@ -24,11 +24,6 @@ const (
 	RCodeNXDomain RCode = 3
 	RCodeNotImp   RCode = 4
 	RCodeRefused  RCode = 5
-	// RCodeNotOwner is the sharded meta-store's redirect: the server is
-	// authoritative for the zone but, under the current shard map, another
-	// shard owns the updated name. Clients refresh their shard map and
-	// retry against the owner (see internal/shard).
-	RCodeNotOwner RCode = 9
 )
 
 // String implements fmt.Stringer.
@@ -46,8 +41,6 @@ func (r RCode) String() string {
 		return "NOTIMP"
 	case RCodeRefused:
 		return "REFUSED"
-	case RCodeNotOwner:
-		return "NOTOWNER"
 	default:
 		return fmt.Sprintf("RCODE%d", uint8(r))
 	}

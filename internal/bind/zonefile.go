@@ -62,7 +62,7 @@ func ParseZoneFile(r io.Reader) ([]RR, error) {
 	for sc.Scan() {
 		lineNo++
 		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 || line[0] == ';' || line[0] == '#' {
+		if len(line) == 0 || isCommentByte(line[0]) {
 			continue
 		}
 		rr, err := parseZoneLine(line, prevName)

@@ -107,8 +107,8 @@ type Config struct {
 	// the meta-BIND to follow the context → NSM name → NSM record chain in
 	// the same exchange (bind.ChainLookuper), so the mappings after it hit:
 	// a cold FindNSM makes one meta exchange, not three. It takes effect
-	// only over a MetaClient that can chain (one *bind.HRPCClient; not the
-	// sharded client). Off by default — the paper's FindNSM makes one
+	// only over a MetaClient that can chain (*bind.HRPCClient does). Off
+	// by default — the paper's FindNSM makes one
 	// lookup per mapping, and the tables are computed that way.
 	ChainMeta bool
 	// RPC, when set, lets the HNS fall back to *remote* HostAddress NSMs
@@ -124,9 +124,8 @@ type Config struct {
 
 // MetaClient is the client-side face of the meta-information repository:
 // the BIND HRPC interface's lookup, dynamic update, zone transfer, and
-// serial probe. *bind.HRPCClient (one modified BIND) satisfies it, and so
-// does *shard.Client (the namespace rendezvous-partitioned across bindd
-// shards) — the HNS library is indifferent to which.
+// serial probe. *bind.HRPCClient (one modified BIND, or an ordered set of
+// replicas of it via hrpc.Client.SetReplicas) satisfies it.
 type MetaClient interface {
 	bind.Lookuper
 	Update(ctx context.Context, zone string, op uint32, rr bind.RR) (uint32, error)
@@ -183,8 +182,7 @@ type hnsObs struct {
 }
 
 // New creates an HNS over the given meta-information client — usually a
-// *bind.HRPCClient for one modified BIND, or a *shard.Client when the
-// meta namespace is partitioned across bindd shards.
+// *bind.HRPCClient for the modified BIND and its secondaries.
 func New(meta MetaClient, model *simtime.Model, cfg Config) *HNS {
 	zone := cfg.MetaZone
 	if zone == "" {

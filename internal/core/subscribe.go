@@ -1,12 +1,11 @@
 package core
 
 // Push-invalidation wiring for the meta-cache. The HNS library keeps
-// its MetaClient interface at the paper's four calls — widening it
-// would break every implementation (notably shard.Client) — so push is
+// its MetaClient interface at the paper's four calls, so push is
 // discovered by optional interface assertion: a meta client that can
 // subscribe exposes Subscribe, and SubscribeMeta wires its
-// notifications into cache invalidation. Clients that cannot (sharded)
-// simply keep TTL polling.
+// notifications into cache invalidation. Clients that cannot (test
+// doubles wrapping the four calls) simply keep TTL polling.
 
 import (
 	"hns/internal/bind"
@@ -14,9 +13,7 @@ import (
 )
 
 // MetaSubscriber is the optional push face of a MetaClient.
-// *bind.HRPCClient implements it; shard.Client deliberately does not
-// (its names span many servers — per-shard subscriptions are future
-// work tracked in ROADMAP.md).
+// *bind.HRPCClient implements it.
 type MetaSubscriber interface {
 	Subscribe(cfg bind.SubscribeConfig) *bind.Subscriber
 }

@@ -43,7 +43,7 @@ func DefaultScaleSpec() ScaleSpec {
 }
 
 // scaleScenarios is the default matrix, pinned rather than derived from
-// workload.Scenarios(): a scenario added elsewhere (shardloss) must not
+// workload.Scenarios(): a scenario added elsewhere (hotupdate) must not
 // silently change the matrix's frozen shape.
 var scaleScenarios = []string{"coldstart", "flashcrowd", "primaryloss"}
 

@@ -3,6 +3,7 @@ package filing_test
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -255,7 +256,7 @@ func TestStoreFetchProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1987))}); err != nil {
 		t.Fatal(err)
 	}
 }

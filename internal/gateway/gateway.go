@@ -2,8 +2,8 @@
 // front door for the HNS resolution service.
 //
 // A Gateway serves the HNS HRPC program (FindNSM and FindNSMBatch) and
-// forwards every admitted call to a backend Finder — typically a
-// RemoteHNS pointing at an hnsd. What the gateway adds is the front-door
+// forwards every admitted call to a backend hnsd (or the first live one
+// of an ordered replica list). What the gateway adds is the front-door
 // discipline a resolver fleet needs at scale:
 //
 //   - Admission control: per-client token buckets plus a global inflight
@@ -44,7 +44,7 @@ type Config struct {
 }
 
 // Gateway is an HNS front door: an HRPC server whose Finder is a remote
-// backend (or a Pool of them).
+// backend.
 type Gateway struct {
 	srv   *hrpc.Server
 	admit *admission.Controller
@@ -52,26 +52,15 @@ type Gateway struct {
 
 // New builds a gateway forwarding to the HNS service bound at backend.
 // The client carries the gateway's upstream connection pool (and its
-// retry policy, breakers, and deadline propagation).
+// retry policy, breakers, and deadline propagation); replicas installed
+// on it with SetReplicas for backend.Addr are the gateway's failover
+// backends, tried in order as breakers take endpoints out of rotation.
 func New(client *hrpc.Client, backend hrpc.Binding, cfg Config) *Gateway {
 	client.PropagateDeadline = cfg.PropagateDeadline
-	return NewWithFinder(core.NewRemoteHNS(client, backend), cfg)
-}
-
-// NewPooled builds a gateway spreading admitted calls round-robin over
-// several equivalent backends, failing over on unreachability.
-func NewPooled(client *hrpc.Client, backends []hrpc.Binding, cfg Config) *Gateway {
-	client.PropagateDeadline = cfg.PropagateDeadline
-	return NewWithFinder(NewPool(client, backends), cfg)
-}
-
-// NewWithFinder builds a gateway over any Finder (the other
-// constructors' common core).
-func NewWithFinder(f core.Finder, cfg Config) *Gateway {
 	if cfg.Name == "" {
 		cfg.Name = "hnsgw"
 	}
-	srv := core.NewFinderServer(f, cfg.Name)
+	srv := core.NewFinderServer(core.NewRemoteHNS(client, backend), cfg.Name)
 	g := &Gateway{srv: srv}
 	if cfg.Admission != nil {
 		ac := *cfg.Admission

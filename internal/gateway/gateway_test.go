@@ -10,6 +10,7 @@ import (
 
 	"hns/internal/admission"
 	"hns/internal/core"
+	"hns/internal/health"
 	"hns/internal/hrpc"
 	"hns/internal/metrics"
 	"hns/internal/names"
@@ -280,5 +281,91 @@ func TestGatewayCrowdCappedAtMaxInflight(t *testing.T) {
 	if refused != 0 || served != callers || peak != callers {
 		t.Errorf("uncapped: served %d refused %d high-water mark %d; want all %d served at once",
 			served, refused, peak, callers)
+	}
+}
+
+// TestGatewayBackendListFailsOverInOrder builds the gateway the way
+// hnsgw does for two -backend flags (SetReplicas on the upstream client,
+// a retry budget, then New) and pins the ordered-failover contract: with
+// both backends up every call lands on the first; with the first
+// blackholed the second answers, only the first endpoint's breaker
+// trips, and no call fails.
+func TestGatewayBackendListFailsOverInOrder(t *testing.T) {
+	const chaosName = "tcp-gw-chaos"
+	addrs := []string{"backend1:hns", "backend2:hns"}
+	n := transport.NewNetwork(simtime.Default())
+	inner, err := n.Transport("tcp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := transport.NewPlan(1987)
+	n.Register(transport.NewChaos(inner, chaosName, plan))
+
+	stubs := []*stubFinder{{}, {}}
+	for i, addr := range addrs {
+		srv := core.NewFinderServer(stubs[i], fmt.Sprintf("hns-backend%d", i+1))
+		srv.Metrics = metrics.NewRegistry()
+		ln, _, err := hrpc.Serve(n, srv, hrpc.SuiteRaw, "backend", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+	}
+
+	reg := metrics.NewRegistry()
+	up := hrpc.NewClient(n)
+	up.Metrics = reg
+	// A fake clock keeps the opened breaker open for the whole test.
+	up.Health = health.Config{Clock: simtime.NewFakeClock(time.Unix(563328000, 0))}
+	t.Cleanup(func() { up.Close() })
+	up.SetReplicas(addrs[0], addrs[1:]...)
+	up.Policy = hrpc.RetryPolicy{Budget: time.Second}
+	suite := hrpc.SuiteRaw
+	suite.Transport = chaosName
+	gw := New(up, suite.Bind(addrs[0], addrs[0], core.HNSProgram, core.HNSVersion), Config{})
+	gw.SetMetrics(metrics.NewRegistry())
+	gln, gb, err := gw.Serve(n, hrpc.SuiteRaw, "gw", "gw:hns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gln.Close() })
+	fc := hrpc.NewClient(n)
+	fc.Metrics = metrics.NewRegistry()
+	t.Cleanup(func() { fc.Close() })
+	front := core.NewRemoteHNS(fc, gb)
+
+	resolve := func(stage string, calls int) {
+		t.Helper()
+		for i := 0; i < calls; i++ {
+			ctx := simtime.WithMeter(context.Background(), simtime.NewMeter())
+			b, err := front.FindNSM(ctx, names.Must("svc", fmt.Sprint(i)), qclass.HRPCBinding)
+			if err != nil || b != stubBinding {
+				t.Fatalf("%s: call %d = %v, %v", stage, i, b, err)
+			}
+		}
+	}
+	served := func() (first, second int) { return len(stubs[0].recorded()), len(stubs[1].recorded()) }
+	breaker := func(name, addr string) int64 {
+		return reg.Counter(metrics.Labels(name, "service", "hrpc", "endpoint", addr)).Value()
+	}
+
+	resolve("both up", 5)
+	if first, second := served(); first != 5 || second != 0 {
+		t.Fatalf("both up: backends served %d and %d calls, want all 5 on the first", first, second)
+	}
+
+	plan.Blackhole(addrs[0])
+	resolve("first blackholed", 8)
+	if first, second := served(); first != 5 || second != 8 {
+		t.Fatalf("first blackholed: backends served %d and %d calls, want 5 and 8", first, second)
+	}
+	if opens := breaker("breaker_opens_total", addrs[0]); opens != 1 {
+		t.Errorf("first backend's breaker opened %d times, want 1", opens)
+	}
+	if state := reg.Gauge(metrics.Labels("breaker_state", "service", "hrpc", "endpoint", addrs[0])).Value(); state != int64(health.Open) {
+		t.Errorf("first backend's breaker state = %d, want Open", state)
+	}
+	if opens, fails := breaker("breaker_opens_total", addrs[1]), breaker("breaker_failures_total", addrs[1]); opens != 0 || fails != 0 {
+		t.Errorf("second backend's breaker: %d opens, %d failures; want none", opens, fails)
 	}
 }

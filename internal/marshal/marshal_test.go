@@ -266,7 +266,7 @@ func TestRoundTripProperty(t *testing.T) {
 				}
 				return Equal(got, v)
 			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1987))}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -283,7 +283,7 @@ func TestDecodeFuzzProperty(t *testing.T) {
 			_, _ = Unmarshal(r, raw, ty) // must not panic
 			return true
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1987))}); err != nil {
 			t.Fatalf("%s: %v", r.Name(), err)
 		}
 	}

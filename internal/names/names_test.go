@@ -2,6 +2,7 @@ package names
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -95,7 +96,7 @@ func TestRoundTripProperty(t *testing.T) {
 		got, err := Parse(n.String())
 		return err == nil && got == n
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(1987))}); err != nil {
 		t.Fatal(err)
 	}
 }

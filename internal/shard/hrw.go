@@ -5,8 +5,8 @@ package shard
 // the name. Each name has exactly one owner by construction, and adding
 // or removing one member remaps only the names that member wins or loses
 // — an expected 1/N of the namespace — while every other assignment is
-// untouched. That minimal-disruption property is what makes epoch bumps
-// cheap: rebalancing moves one slice, not the whole keyspace.
+// untouched. That minimal-disruption property is what made epoch bumps
+// cheap: rebalancing moved one slice, not the whole keyspace.
 
 // FNV-1a 64-bit parameters.
 const (
@@ -43,7 +43,7 @@ func hrwScore(seed uint64, id, name string) uint64 {
 }
 
 // Owner returns the member that owns name under this map. ok is false
-// only for an empty map (sharding off). Ties — astronomically unlikely
+// only for an empty map. Ties — astronomically unlikely
 // but possible — break toward the lexically smaller member ID, so every
 // correct implementation agrees on the owner.
 func (m Map) Owner(name string) (Member, bool) {
@@ -59,10 +59,4 @@ func (m Map) Owner(name string) (Member, bool) {
 		}
 	}
 	return best, true
-}
-
-// Owns reports whether the member with the given ID owns name.
-func (m Map) Owns(id, name string) bool {
-	owner, ok := m.Owner(name)
-	return ok && owner.ID == id
 }

@@ -5,8 +5,20 @@ import (
 	"testing"
 )
 
-// Every name has exactly one owner, ownership is deterministic, and
-// Owns agrees with Owner.
+// testMap builds an n-member map with IDs s0..s(n-1).
+func testMap(n int, epoch uint32, seed uint64) Map {
+	m := Map{Epoch: epoch, Seed: seed}
+	for i := 0; i < n; i++ {
+		m.Members = append(m.Members, Member{
+			ID:   fmt.Sprintf("s%d", i),
+			Addr: fmt.Sprintf("shard%d:bind-hrpc", i),
+		})
+	}
+	return m
+}
+
+// Every name has exactly one owner, a member of the map, and ownership
+// is deterministic.
 func TestHRWDeterministicSingleOwner(t *testing.T) {
 	m := testMap(8, 1, 42)
 	for i := 0; i < 2000; i++ {
@@ -21,15 +33,12 @@ func TestHRWDeterministicSingleOwner(t *testing.T) {
 		}
 		owners := 0
 		for _, mem := range m.Members {
-			if m.Owns(mem.ID, name) {
+			if mem == a {
 				owners++
-				if mem.ID != a.ID {
-					t.Fatalf("%s: Owns(%s) true but Owner says %s", name, mem.ID, a.ID)
-				}
 			}
 		}
 		if owners != 1 {
-			t.Fatalf("%s has %d owners", name, owners)
+			t.Fatalf("%s: owner %v matches %d members", name, a, owners)
 		}
 	}
 }
@@ -109,8 +118,5 @@ func TestOwnerOfEmptyMap(t *testing.T) {
 	var m Map
 	if _, ok := m.Owner("x.hns"); ok {
 		t.Fatal("empty map produced an owner")
-	}
-	if m.Owns("a", "x.hns") {
-		t.Fatal("empty map Owns")
 	}
 }

@@ -1,262 +1,29 @@
-// Package shard partitions the HNS meta namespace across N bindd shards
-// by rendezvous (highest-random-weight) hashing of the record's owner
-// name.
+// Package shard is what is left of the sharded meta-store: the
+// rendezvous (highest-random-weight) hash that assigned each meta name to
+// one of N bindd shards.
 //
-// The shard map itself — epoch, hash seed, member endpoints — is an
-// ordinary meta record (TypeHNSMeta under the reserved name
-// "_shardmap.<zone>") stored on every shard, so resolvers cache and
-// refresh it exactly like any other meta-entry: TTL'd, singleflighted,
-// serve-stale-able. Routing is deterministic client-side (Map.Owner), so
-// a warm lookup goes straight to the owning shard with no fan-out and no
-// extra hop. Dynamic updates addressed to a non-owner come back as a
-// typed NOTOWNER redirect (bind.RCodeNotOwner); the client refreshes its
-// map once and retries against the owner. Rebalancing on an epoch bump
-// rides the existing zone-transfer path: the joining shard pulls the
-// slice it now owns from its peers (serial-probe gated), while the old
-// owner keeps answering queries until the handoff completes — ownership
-// gates updates only, never lookups, so there is no NXDOMAIN window.
+// The shards themselves are gone — the meta-BIND survives by ordered
+// replicas (bindd -secondary, hnsd -meta-replica), not by partitioning;
+// see DESIGN.md "One replication story". Member, Map and Map.Owner stay
+// only because the frozen bench/hnsload/inproc.go times shard.owner_ns
+// against exactly them. No daemon calls them; the next [benchmark] PR
+// retires that series and this package with it.
 package shard
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-
-	"hns/internal/bind"
-)
-
-// MapLabel is the reserved owner-name label of the shard-map record
-// within a sharded zone.
-const MapLabel = "_shardmap"
-
-// codecPrefix versions the canonical shard-map encoding.
-const codecPrefix = "shardmap/v1"
-
-// DefaultMapTTL is the shard-map record's TTL (seconds) when the caller
-// does not choose one: short enough that epoch bumps propagate through
-// ordinary cache expiry, long enough not to dominate meta traffic.
-const DefaultMapTTL uint32 = 60
-
-// Member is one shard: a stable identifier (the hashing key, so it must
-// never change across restarts) and the shard's BIND HRPC address.
+// Member is one shard: a stable identifier (the hashing key) and an
+// address.
 type Member struct {
 	ID   string
 	Addr string
 }
 
-// Map is one epoch of the shard assignment: who the members are and how
-// names hash onto them. The zero Map (no members) routes nothing — every
-// Owner call reports no owner, which callers treat as "sharding off".
+// Map is one epoch of a shard assignment: who the members are and how
+// names hash onto them. The zero Map (no members) owns nothing.
 type Map struct {
-	// Epoch orders maps; clients replace their cached map only with a
-	// strictly newer epoch.
+	// Epoch orders maps.
 	Epoch uint32
-	// Seed perturbs the rendezvous hash, so operators can re-deal a
-	// pathological assignment without renaming members.
+	// Seed perturbs the rendezvous hash.
 	Seed uint64
-	// Members is the shard set, sorted by ID (Validate enforces it; the
-	// canonical encoding depends on it).
+	// Members is the shard set.
 	Members []Member
-}
-
-// Validate checks structural sanity: at least one member, IDs and
-// addresses non-empty and free of codec metacharacters, strictly
-// ID-sorted with no duplicates, and an encoding that fits a BIND record.
-func (m Map) Validate() error {
-	if len(m.Members) == 0 {
-		return fmt.Errorf("shard: map epoch %d has no members", m.Epoch)
-	}
-	for i, mem := range m.Members {
-		if mem.ID == "" || mem.Addr == "" {
-			return fmt.Errorf("shard: member %d has empty id or addr", i)
-		}
-		if strings.ContainsAny(mem.ID, "@,;= \t\n") {
-			return fmt.Errorf("shard: member id %q contains codec metacharacters", mem.ID)
-		}
-		if strings.ContainsAny(mem.Addr, "@,;= \t\n") {
-			return fmt.Errorf("shard: member addr %q contains codec metacharacters", mem.Addr)
-		}
-		if i > 0 && m.Members[i-1].ID >= mem.ID {
-			return fmt.Errorf("shard: members not strictly ID-sorted at %q", mem.ID)
-		}
-	}
-	if enc := m.Encode(); len(enc) > bind.MaxRDataLen {
-		return fmt.Errorf("shard: encoded map is %d bytes, exceeds record limit %d",
-			len(enc), bind.MaxRDataLen)
-	}
-	return nil
-}
-
-// Encode renders the canonical wire form:
-//
-//	shardmap/v1;epoch=E;seed=S;members=id@addr,id@addr,...
-//
-// Members appear in ID order, so equal maps encode to equal bytes (the
-// zone's duplicate-replace semantics then make repeated installs
-// idempotent).
-func (m Map) Encode() string {
-	var sb strings.Builder
-	sb.WriteString(codecPrefix)
-	sb.WriteString(";epoch=")
-	sb.WriteString(strconv.FormatUint(uint64(m.Epoch), 10))
-	sb.WriteString(";seed=")
-	sb.WriteString(strconv.FormatUint(m.Seed, 10))
-	sb.WriteString(";members=")
-	for i, mem := range m.Members {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(mem.ID)
-		sb.WriteByte('@')
-		sb.WriteString(mem.Addr)
-	}
-	return sb.String()
-}
-
-// Decode parses the canonical encoding, strictly: unknown versions,
-// missing or repeated fields, unsorted members, and any payload that
-// does not re-encode to the input are rejected.
-func Decode(s string) (Map, error) {
-	rest, ok := strings.CutPrefix(s, codecPrefix+";")
-	if !ok {
-		return Map{}, fmt.Errorf("shard: not a %s payload", codecPrefix)
-	}
-	var m Map
-	var haveEpoch, haveSeed, haveMembers bool
-	for _, field := range strings.Split(rest, ";") {
-		k, v, ok := strings.Cut(field, "=")
-		if !ok {
-			return Map{}, fmt.Errorf("shard: malformed field %q", field)
-		}
-		switch k {
-		case "epoch":
-			if haveEpoch {
-				return Map{}, fmt.Errorf("shard: repeated field %q", k)
-			}
-			e, err := strconv.ParseUint(v, 10, 32)
-			if err != nil {
-				return Map{}, fmt.Errorf("shard: bad epoch %q", v)
-			}
-			m.Epoch, haveEpoch = uint32(e), true
-		case "seed":
-			if haveSeed {
-				return Map{}, fmt.Errorf("shard: repeated field %q", k)
-			}
-			sd, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return Map{}, fmt.Errorf("shard: bad seed %q", v)
-			}
-			m.Seed, haveSeed = sd, true
-		case "members":
-			if haveMembers {
-				return Map{}, fmt.Errorf("shard: repeated field %q", k)
-			}
-			haveMembers = true
-			if v == "" {
-				return Map{}, fmt.Errorf("shard: empty member list")
-			}
-			for _, part := range strings.Split(v, ",") {
-				id, addr, ok := strings.Cut(part, "@")
-				if !ok {
-					return Map{}, fmt.Errorf("shard: malformed member %q", part)
-				}
-				m.Members = append(m.Members, Member{ID: id, Addr: addr})
-			}
-		default:
-			return Map{}, fmt.Errorf("shard: unknown field %q", k)
-		}
-	}
-	if !haveEpoch || !haveSeed || !haveMembers {
-		return Map{}, fmt.Errorf("shard: missing fields (epoch=%v seed=%v members=%v)",
-			haveEpoch, haveSeed, haveMembers)
-	}
-	if err := m.Validate(); err != nil {
-		return Map{}, err
-	}
-	if m.Encode() != s {
-		return Map{}, fmt.Errorf("shard: payload is not in canonical form")
-	}
-	return m, nil
-}
-
-// Member returns the member with the given ID.
-func (m Map) Member(id string) (Member, bool) {
-	for _, mem := range m.Members {
-		if mem.ID == id {
-			return mem, true
-		}
-	}
-	return Member{}, false
-}
-
-// MapName is the owner name of the shard-map record within zone.
-func MapName(zone string) string { return MapLabel + "." + zone }
-
-// Record renders the map as its meta record for zone, ready for
-// installation by dynamic update or zone load. A zero ttl uses
-// DefaultMapTTL.
-func Record(m Map, zone string, ttl uint32) (bind.RR, error) {
-	if err := m.Validate(); err != nil {
-		return bind.RR{}, err
-	}
-	if ttl == 0 {
-		ttl = DefaultMapTTL
-	}
-	return bind.HNSMeta(MapName(zone), m.Encode(), ttl), nil
-}
-
-// FromRecords extracts and decodes the shard map from a record set (the
-// answer to looking up the map name, or a whole zone transfer). With
-// several map records present — transiently possible mid-rotation — the
-// highest epoch wins.
-func FromRecords(rrs []bind.RR) (Map, error) {
-	var best Map
-	var lastErr error
-	found := false
-	for _, rr := range rrs {
-		if rr.Type != bind.TypeHNSMeta || !strings.HasPrefix(rr.Name, MapLabel+".") {
-			continue
-		}
-		m, err := Decode(string(rr.Data))
-		if err != nil {
-			// An undecodable record beside a good one must not poison
-			// routing; it only matters if no record decodes at all.
-			lastErr = err
-			continue
-		}
-		if !found || m.Epoch > best.Epoch {
-			best, found = m, true
-		}
-	}
-	if !found {
-		if lastErr != nil {
-			return Map{}, lastErr
-		}
-		return Map{}, fmt.Errorf("shard: no %s record in %d records", MapLabel, len(rrs))
-	}
-	return best, nil
-}
-
-// ParseMembers parses the flag form "id=addr,id=addr,..." into an
-// ID-sorted member list (the -shard-peers / -meta-shards syntax).
-func ParseMembers(spec string) ([]Member, error) {
-	if spec == "" {
-		return nil, fmt.Errorf("shard: empty member spec")
-	}
-	var members []Member
-	seen := make(map[string]bool)
-	for _, part := range strings.Split(spec, ",") {
-		id, addr, ok := strings.Cut(part, "=")
-		if !ok || id == "" || addr == "" {
-			return nil, fmt.Errorf("shard: member %q, want id=addr", part)
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("shard: duplicate member id %q", id)
-		}
-		seen[id] = true
-		members = append(members, Member{ID: id, Addr: addr})
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i].ID < members[j].ID })
-	return members, nil
 }

@@ -162,11 +162,6 @@ type FleetSpec struct {
 	// admission-controlled hnsgw (the optional fourth tier). Nil — the
 	// default — changes nothing.
 	Gateway *GatewayTier
-	// MetaShards, when > 0, replaces the single authoritative meta bindd
-	// with that many bindd shards partitioning the meta zone by
-	// rendezvous hash; every site's hnsd then routes meta traffic to the
-	// owning shard. 0 — the default — is the unsharded fleet, unchanged.
-	MetaShards int
 	// Push, when true, has scenarios that honour it (hotupdate) enable
 	// the meta server's push plane and subscribe every site's hnsd to
 	// it, so dynamic updates invalidate site meta-caches by NOTIFY
@@ -202,10 +197,6 @@ func (s FleetSpec) Validate() error {
 		return fmt.Errorf("workload: diurnal slots must be >= 0")
 	case d.SlotStep < 0:
 		return fmt.Errorf("workload: diurnal slot step must be >= 0")
-	case s.MetaShards < 0:
-		return fmt.Errorf("workload: meta shards must be >= 0")
-	case s.MetaShards > 64:
-		return fmt.Errorf("workload: at most 64 meta shards")
 	}
 	if g := s.Gateway; g != nil {
 		switch {
@@ -312,11 +303,6 @@ type FleetHooks struct {
 	// Remap rewrites an op's context index per slot (popularity
 	// inversion). It must be pure.
 	Remap func(ctxIdx, slot int) int
-	// WarmSite runs once per site after standup, before any slot — cache
-	// pre-warming for scenarios whose fault story assumes a warm fleet
-	// (serve-stale needs something stale to serve). Must be
-	// deterministic; its cost is not measured.
-	WarmSite func(ctx context.Context, site int, finder core.Finder) error
 	// Close releases scenario resources the world doesn't own.
 	Close func()
 }
@@ -404,7 +390,6 @@ type fleetEnv struct {
 	slots     int
 	listeners []transport.Listener
 	gwClients []*hrpc.Client // per-site gateway upstream pools
-	shards    *fleetShards   // non-nil iff MetaShards > 0
 }
 
 func (e *fleetEnv) Close() {
@@ -416,9 +401,6 @@ func (e *fleetEnv) Close() {
 	}
 	for _, c := range e.gwClients {
 		c.Close()
-	}
-	if e.shards != nil {
-		e.shards.Close()
 	}
 	e.w.Close()
 }
@@ -453,31 +435,13 @@ func buildFleet(ctx context.Context, spec FleetSpec, setup FleetSetup) (*fleetEn
 		e.hooks = h
 	}
 
-	// The sharded authoritative tier stands up after registration (the
-	// synthetic contexts above) so each shard seeds with exactly its
-	// slice of the final meta zone.
-	if spec.MetaShards > 0 {
-		fs, err := buildFleetShards(ctx, w, spec.MetaShards, spec.Seed)
-		if err != nil {
-			return nil, err
-		}
-		e.shards = fs
-	}
-
 	topo := colocate.Topology(spec.Sites, spec.Clients, spec.Seed)
 	for _, site := range topo {
 		reg := metrics.NewRegistry()
 		var h *core.HNS
-		switch {
-		case e.hooks.NewSiteHNS != nil:
+		if e.hooks.NewSiteHNS != nil {
 			h = e.hooks.NewSiteHNS(reg)
-		case e.shards != nil:
-			sh, err := newShardSiteHNS(w, clk, e.shards.m.Members, reg, ShardSiteOptions{})
-			if err != nil {
-				return nil, err
-			}
-			h = sh
-		default:
+		} else {
 			h = w.NewHNS(core.Config{CacheMode: bind.CacheMarshalled, Metrics: reg})
 		}
 		st := siteState{site: site, h: h, finder: h, reg: reg}
@@ -497,14 +461,6 @@ func buildFleet(ctx context.Context, spec FleetSpec, setup FleetSetup) (*fleetEn
 			st.finder = core.NewRemoteHNS(w.RPC, b)
 		}
 		e.sites = append(e.sites, st)
-	}
-
-	if e.hooks.WarmSite != nil {
-		for i := range e.sites {
-			if err := e.hooks.WarmSite(ctx, i, e.sites[i].finder); err != nil {
-				return nil, fmt.Errorf("workload: warming site %d: %w", i, err)
-			}
-		}
 	}
 
 	cum := slotCum(spec.Diurnal)

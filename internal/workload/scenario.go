@@ -45,7 +45,7 @@ const (
 // Scenarios lists the named scenarios in canonical order.
 func Scenarios() []Scenario {
 	return []Scenario{coldstartScenario(), flashcrowdScenario(), primarylossScenario(),
-		shardlossScenario(), hotupdateScenario()}
+		hotupdateScenario()}
 }
 
 // FindScenario resolves a scenario by name.
@@ -147,86 +147,6 @@ func flashcrowdScenario() Scenario {
 // re-resolves against the (possibly dead) replicas; each site's hnsd
 // carries its own breakers, budgeted retries, and serve-stale grace, so
 // the fleet discovers the failure once per site, not once per client.
-// shardloss: the meta-store is sharded (FleetSpec.MetaShards, default 4)
-// and one shard is blackholed at the diurnal peak. Names the dead shard
-// does not own keep resolving at full speed — ownership routing means
-// their lookups never touch the victim — while the dead slice rides each
-// site's breakers and serve-stale grace until the shard recovers two
-// slots later. The contrast with primaryloss is the point: losing 1 of N
-// shards degrades 1/N of the namespace, not all of it.
-func shardlossScenario() Scenario {
-	return Scenario{
-		Name:        "shardloss",
-		Description: "one meta shard blackholed at peak; only its slice degrades, ridden by breakers + serve-stale",
-		prepare: func(s FleetSpec) FleetSpec {
-			if s.MetaShards <= 0 {
-				s.MetaShards = 4
-			}
-			if s.Diurnal.Slots < 4 {
-				s.Diurnal.Slots = 6
-			}
-			if s.Diurnal.Amplitude == 0 {
-				s.Diurnal.Amplitude = 0.6
-			}
-			if step := time.Duration(core.DefaultMetaTTL+1) * time.Second; s.Diurnal.SlotStep < step {
-				s.Diurnal.SlotStep = step
-			}
-			return s
-		},
-		setup: func(spec FleetSpec) FleetSetup {
-			peak := peakSlot(spec.Diurnal)
-			recoverAt := peak + 2
-			members := FleetShardMembers(spec.MetaShards)
-			victim := members[len(members)-1].Addr
-			return func(ctx context.Context, w *world.World, clk *simtime.FakeClock) (FleetHooks, error) {
-				// Chaos wraps the simulated tcp; the shard servers listen
-				// on tcp, sites dial them through the chaos name, so the
-				// blackhole hits exactly the victim shard's traffic.
-				inner, err := w.Net.Transport("tcp")
-				if err != nil {
-					return FleetHooks{}, err
-				}
-				plan := transport.NewPlan(spec.Seed)
-				w.Net.Register(transport.NewChaos(inner, fleetChaos, plan))
-
-				return FleetHooks{
-					NewSiteHNS: func(reg *metrics.Registry) *core.HNS {
-						h, err := newShardSiteHNS(w, clk, members, reg, ShardSiteOptions{
-							Transport: fleetChaos,
-							StaleFor:  24 * time.Hour,
-							Breakers:  true,
-						})
-						if err != nil {
-							panic(fmt.Sprintf("workload: shardloss site: %v", err))
-						}
-						return h
-					},
-					// Serve-stale needs something stale to serve: the kill
-					// hits a warm fleet, so the dead slice degrades to stale
-					// answers instead of failing cold.
-					WarmSite: func(ctx context.Context, site int, finder core.Finder) error {
-						for i := 0; i < spec.Contexts; i++ {
-							name := names.Must(world.SyntheticContext(i), world.SyntheticHost(i))
-							if _, err := finder.FindNSM(ctx, name, qclass.HostAddress); err != nil {
-								return err
-							}
-						}
-						return nil
-					},
-					BeforeSlot: func(slot int) {
-						switch slot {
-						case peak:
-							plan.Blackhole(victim)
-						case recoverAt:
-							plan.Recover(victim)
-						}
-					},
-				}, nil
-			}
-		},
-	}
-}
-
 func primarylossScenario() Scenario {
 	return Scenario{
 		Name:        "primaryloss",

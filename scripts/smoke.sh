@@ -11,6 +11,11 @@ cd "$(dirname "$0")/.."
 
 echo "--- static checks"
 go vet ./...
+unformatted=$(gofmt -l . | grep -v '^\.bench_build/' || true)
+if [ -n "$unformatted" ]; then
+  echo "$unformatted"
+  echo "SMOKE FAILED: gofmt would reformat the files above"; exit 1
+fi
 
 echo "--- one wire dialect: no framing knob, serialized serve loop or old-peer latch in non-test sources"
 if grep -rnE 'SetMux|muxConfigurable|serveConnSerial|noBatch|noIxfr|ProcUnavailable|Bool(Var)?\([^"]*"mux"' \
@@ -40,7 +45,7 @@ go test -race ./...
 
 echo "--- race detector, concurrency stress at -cpu 4"
 go test -race -cpu 4 -run 'Stress|Stampede|Concurrent|Shard' \
-        ./internal/cache ./internal/bind ./internal/workload ./internal/shard
+        ./internal/cache ./internal/bind ./internal/workload
 
 echo "--- mux stress tier: multiplexed wire, pool, and teardown paths"
 go test -race -run Mux -count=3 ./internal/transport ./internal/hrpc
@@ -55,7 +60,7 @@ echo "--- crash tier: seeded crash/restart storm and durable-store suites, raced
 go test -race -count=1 -run 'TestCrashRecovery|TestDurable|TestSecondaryRestore' ./internal/bind
 go test -race -count=1 ./internal/store
 
-echo "--- coverage floors: internal/workload, internal/health, internal/admission, internal/store, internal/shard, internal/push"
+echo "--- coverage floors: internal/workload, internal/health, internal/admission, internal/store, internal/push"
 cover() {
   local pkg=$1 floor=$2
   local pct
@@ -68,7 +73,6 @@ cover ./internal/workload 87
 cover ./internal/health 83
 cover ./internal/admission 80
 cover ./internal/store 85
-cover ./internal/shard 85
 cover ./internal/push 80
 
 echo "--- chaos tier: seeded failure injection (make chaos)"
@@ -223,63 +227,6 @@ echo "--- breaker state via hnsctl health"
 out=$(./hnsctl health -from 127.0.0.1:5390)
 echo "$out"
 grep -q '127.0.0.1:5311' <<<"$out" || { echo "SMOKE FAILED: health lacks the secondary meta endpoint"; exit 1; }
-
-# ---- Part 4: the sharded meta-store. Two bindd shards split the hns
-# namespace by rendezvous hash: a record registers only on its owning
-# shard (the other refuses with NOTOWNER), and an hnsd with -meta-shards
-# routes every meta access straight to the owner.
-./bindd -host s0 -zone hns -update -shard-id s0 \
-        -shard-peers s0=127.0.0.1:5360,s1=127.0.0.1:5361 \
-        -hrpc 127.0.0.1:5360 -std "" -metrics 127.0.0.1:5362 >shard0.log 2>&1 &
-echo $! >> pids
-./bindd -host s1 -zone hns -update -shard-id s1 \
-        -shard-peers s0=127.0.0.1:5360,s1=127.0.0.1:5361 \
-        -hrpc 127.0.0.1:5361 -std "" -metrics 127.0.0.1:5363 >shard1.log 2>&1 &
-echo $! >> pids
-sleep 0.5
-
-# Registration is owner-routed: with -meta-shards, hnsctl writes each
-# record through the shard client, which hashes the name to its owning
-# shard (register-nsm's two records may land on different shards).
-shards="s0=127.0.0.1:5360,s1=127.0.0.1:5361"
-./hnsctl register-ns      -meta-shards "$shards" bind-cs bind
-./hnsctl register-context -meta-shards "$shards" hostaddr-bind bind-cs
-./hnsctl register-nsm     -meta-shards "$shards" -name hostaddr-bind-1 \
-        -ns bind-cs -qclass hostaddress -nsm-host june.cs.washington.edu \
-        -hostctx hostaddr-bind -port 5320 -suite udp-net,xdr,sunrpc
-
-echo "--- NOTOWNER proof: the same record registers on exactly one shard"
-accepted=0
-refused=0
-for s in 5360 5361; do
-  if out=$(./hnsctl register-context -meta 127.0.0.1:$s shardproof bind-cs 2>&1); then
-    accepted=$((accepted+1))
-  else
-    echo "$out"
-    grep -q 'NOTOWNER' <<<"$out" || { echo "SMOKE FAILED: wrong-shard refusal is not NOTOWNER: $out"; exit 1; }
-    refused=$((refused+1))
-  fi
-done
-[ "$accepted" = 1 ] && [ "$refused" = 1 ] || { echo "SMOKE FAILED: shardproof accepted on $accepted shards, refused on $refused"; exit 1; }
-
-./hnsd -addr 127.0.0.1:5370 -meta-shards s0=127.0.0.1:5360,s1=127.0.0.1:5361 \
-       -serve-stale 1h -metrics 127.0.0.1:5371 \
-       -link-bind bind-cs=127.0.0.1:5302 >hns_shard.log 2>&1 &
-echo $! >> pids
-sleep 0.5
-
-echo "--- resolve through the sharded meta-store (owner-routed FindNSM)"
-out=$(./hnsctl resolve -hns 127.0.0.1:5370 hostaddr-bind fiji.cs.washington.edu)
-echo "$out"
-grep -q '127.0.0.1' <<<"$out" || { echo "SMOKE FAILED: resolve via -meta-shards"; exit 1; }
-
-echo "--- shard map and per-shard counters via hnsctl shard"
-out=$(./hnsctl shard -meta 127.0.0.1:5360 -from 127.0.0.1:5362 -from 127.0.0.1:5363)
-echo "$out"
-grep -q 'epoch 1, seed 0, 2 members' <<<"$out" || { echo "SMOKE FAILED: shard map missing or malformed"; exit 1; }
-grep -q 'shard "s0"' <<<"$out" || { echo "SMOKE FAILED: shard counters lack s0"; exit 1; }
-grep -q 'shard "s1"' <<<"$out" || { echo "SMOKE FAILED: shard counters lack s1"; exit 1; }
-grep -Eq 'notowner: +[1-9][0-9]* redirects served' <<<"$out" || { echo "SMOKE FAILED: no NOTOWNER redirects counted"; exit 1; }
 
 # ---- Part 5: the push plane. A push-enabled primary with an IXFR diff
 # log, a NOTIFY-driven secondary, and a subscribed hnsd: a dynamic update
