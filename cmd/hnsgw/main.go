@@ -14,9 +14,9 @@
 //
 // Batch resolution is classified low priority and sheds first (at
 // -low-watermark of the in-flight cap); single-name calls keep flowing
-// to the full cap. With -propagate-deadline, budgets arriving from new
-// clients cross the gateway so the backend sees the caller's remaining
-// deadline, and already-expired work is shed at this hop.
+// to the full cap. A budget in a caller's raw call header crosses the
+// gateway, so the backend sees the caller's remaining deadline, and
+// already-expired work is shed at this hop.
 package main
 
 import (
@@ -54,7 +54,6 @@ func main() {
 		lowWater = flag.Float64("low-watermark", 0.75, "fraction of -max-inflight past which batch (low-priority) calls shed")
 		maxCli   = flag.Int("max-clients", 0, "per-client bucket table bound (0 means the default)")
 		retryAft = flag.Duration("retry-after", 0, "backoff hint carried in Overloaded replies (0 means the default)")
-		propDL   = flag.Bool("propagate-deadline", false, "forward callers' remaining budgets to the backend (requires a budget-aware backend)")
 		metrAddr = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
 		connIdle = flag.Duration("conn-idle", 0, "close pooled upstream connections idle for this long (0 keeps them)")
 	)
@@ -79,10 +78,7 @@ func main() {
 	up.Pool.IdleTimeout = *connIdle
 	defer up.Close()
 
-	cfg := gateway.Config{
-		Name:              "hnsgw@" + *host,
-		PropagateDeadline: *propDL,
-	}
+	cfg := gateway.Config{Name: "hnsgw@" + *host}
 	if *rate > 0 || *maxInfl > 0 {
 		cfg.Admission = &admission.Config{
 			Rate:         *rate,

@@ -14,11 +14,12 @@
 //     classified Low and sheds at the inflight low-watermark; single
 //     FindNSM calls (the latency path) are High and admitted up to the
 //     full cap.
-//   - Deadline-aware forwarding: budgets arriving on the wire (the HDLN
-//     prefix) flow through the gateway's context into its upstream
-//     client, which re-encodes the *remaining* budget per attempt — an
-//     expired call is shed here, not forwarded upstream to waste backend
-//     work.
+//   - Deadline-aware forwarding: a budget arriving in a raw call header
+//     flows through the gateway's context into its upstream client,
+//     which re-encodes the *remaining* budget per attempt — an expired
+//     call is shed here, not forwarded upstream to waste backend work.
+//     A caller without a budget sends none, and the gateway invents
+//     none.
 package gateway
 
 import (
@@ -36,11 +37,6 @@ type Config struct {
 	// Admission, when non-nil, enables the front door with these limits.
 	// Config.Server defaults to Name.
 	Admission *admission.Config
-	// PropagateDeadline makes the upstream client carry the caller's
-	// remaining budget on forwarded calls. Requires a backend that
-	// tolerates the HDLN prefix (any server in this tree; old peers
-	// need it off).
-	PropagateDeadline bool
 }
 
 // Gateway is an HNS front door: an HRPC server whose Finder is a remote
@@ -52,11 +48,10 @@ type Gateway struct {
 
 // New builds a gateway forwarding to the HNS service bound at backend.
 // The client carries the gateway's upstream connection pool (and its
-// retry policy, breakers, and deadline propagation); replicas installed
-// on it with SetReplicas for backend.Addr are the gateway's failover
-// backends, tried in order as breakers take endpoints out of rotation.
+// retry policy and breakers); replicas installed on it with SetReplicas
+// for backend.Addr are the gateway's failover backends, tried in order
+// as breakers take endpoints out of rotation.
 func New(client *hrpc.Client, backend hrpc.Binding, cfg Config) *Gateway {
-	client.PropagateDeadline = cfg.PropagateDeadline
 	if cfg.Name == "" {
 		cfg.Name = "hnsgw"
 	}

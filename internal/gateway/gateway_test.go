@@ -39,8 +39,15 @@ var stubBinding = hrpc.Binding{
 	DataRep: "xdr", Control: "sunrpc", Program: 200100, Version: 10,
 }
 
+// noBudget is what stubFinder records for a call whose context carries
+// no budget at all (as opposed to an exhausted one).
+const noBudget = time.Duration(-1)
+
 func (s *stubFinder) FindNSM(ctx context.Context, n names.Name, qc string) (hrpc.Binding, error) {
-	b, _ := hrpc.BudgetFrom(ctx)
+	b, ok := hrpc.BudgetFrom(ctx)
+	if !ok {
+		b = noBudget
+	}
 	s.mu.Lock()
 	s.budgets = append(s.budgets, b)
 	if s.hold != nil {
@@ -102,7 +109,6 @@ func newGWEnv(t *testing.T, cfg Config) *gwEnv {
 
 	fc := hrpc.NewClient(n)
 	fc.Metrics = metrics.NewRegistry()
-	fc.PropagateDeadline = cfg.PropagateDeadline
 	t.Cleanup(func() { fc.Close() })
 	return &gwEnv{net: n, stub: stub, gw: gw, gwB: gb, front: core.NewRemoteHNS(fc, gb)}
 }
@@ -179,7 +185,7 @@ func TestGatewayShedsBatchFirst(t *testing.T) {
 // gateway and reaches the backend Finder — minus whatever the journey
 // charged, never more than the original.
 func TestGatewayPropagatesBudget(t *testing.T) {
-	e := newGWEnv(t, Config{PropagateDeadline: true})
+	e := newGWEnv(t, Config{})
 	const budget = 600 * time.Millisecond
 	ctx := hrpc.WithBudget(simtime.WithMeter(context.Background(), simtime.NewMeter()), budget)
 	if _, err := e.front.FindNSM(ctx, names.Must("svc", "a"), qclass.HRPCBinding); err != nil {
@@ -194,16 +200,17 @@ func TestGatewayPropagatesBudget(t *testing.T) {
 	}
 }
 
-// TestGatewayWithoutPropagationSendsNoBudget: the default gateway does
-// not invent budgets — the backend sees none.
+// TestGatewayWithoutPropagationSendsNoBudget: a caller without a budget
+// sends none across the gateway — the gateway does not invent one, so
+// the backend's handler finds no budget in its context.
 func TestGatewayWithoutPropagationSendsNoBudget(t *testing.T) {
 	e := newGWEnv(t, Config{})
-	ctx := hrpc.WithBudget(simtime.WithMeter(context.Background(), simtime.NewMeter()), 600*time.Millisecond)
+	ctx := simtime.WithMeter(context.Background(), simtime.NewMeter())
 	if _, err := e.front.FindNSM(ctx, names.Must("svc", "a"), qclass.HRPCBinding); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.stub.recorded(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("backend budgets = %v, want [0]", got)
+	if got := e.stub.recorded(); len(got) != 1 || got[0] != noBudget {
+		t.Fatalf("backend budgets = %v, want [none]", got)
 	}
 }
 

@@ -51,16 +51,6 @@ type Client struct {
 	// keeps its exact cost behavior. Set before first use.
 	Policy RetryPolicy
 
-	// PropagateDeadline, when set, carries the caller's remaining budget
-	// with every call attempt (an explicit WithBudget value, else the
-	// ctx deadline): deadline-aware servers shed work that arrives
-	// already expired, and each retransmission carries what remains
-	// after the charged backoff, not the original budget. Off by
-	// default — the prefix changes the wire bytes, so it is opt-in per
-	// client, and pre-extension servers would reject the frame. Set
-	// before first use.
-	PropagateDeadline bool
-
 	// Health parameterizes the per-endpoint circuit breakers. The zero
 	// value uses the package defaults with real time. Set before first
 	// use.
@@ -187,15 +177,11 @@ type RemoteFault struct {
 // Error implements error.
 func (e *RemoteFault) Error() string { return fmt.Sprintf("hrpc: %s: %s", e.Proc, e.Msg) }
 
-// xidMatcher lets control protocols with narrower transaction IDs define
-// their own reply-matching rule (Courier truncates to 16 bits).
-type xidMatcher interface {
-	matchXID(call, reply uint32) bool
-}
-
 // Call invokes procedure p on the server identified by b, marshalling args
 // and unmarshalling the result according to the binding's components. All
-// simulated costs on the call path are charged to the meter in ctx.
+// simulated costs on the call path are charged to the meter in ctx. A
+// budget in ctx (WithBudget, else its deadline) travels with every
+// attempt on the raw suite; see deadline.go.
 func (c *Client) Call(ctx context.Context, b Binding, p Procedure, args marshal.Value) (_ marshal.Value, err error) {
 	reg := c.registry()
 	if reg.Enabled() {
@@ -227,61 +213,76 @@ func (c *Client) Call(ctx context.Context, b Binding, p Procedure, args marshal.
 	}
 	model := c.net.Model()
 
-	// Client-side stub work: control bookkeeping plus argument marshalling.
 	// Both the marshalled arguments and the call frame build in pooled
-	// buffers: the arguments are recycled as soon as the frame has copied
-	// them, the frame once the reply is fully decoded (a handler on the
+	// buffers, recycled once the reply is fully decoded (a handler on the
 	// in-process transport may return bytes aliasing its request).
-	simtime.Charge(ctx, ctl.Overhead(model))
-	argBytes, err := rep.Append(bufpool.Get(64), args, p.Args)
+	argBytes, err := marshalArgs(ctx, model, ctl, rep, p, args)
 	if err != nil {
-		return marshal.Value{}, fmt.Errorf("hrpc: %s: marshal args: %w", p.Name, err)
+		return marshal.Value{}, err
 	}
-	marshal.ChargeValue(ctx, model, p.Style, args)
-
-	xid := c.xid.Add(1)
-	frame, err := appendCall(ctl, bufpool.Get(48+len(argBytes)), CallHeader{
-		XID: xid, Program: b.Program, Version: b.Version, Procedure: p.ID,
-	}, argBytes)
-	bufpool.Put(argBytes)
+	defer bufpool.Put(argBytes)
+	h := CallHeader{XID: c.xid.Add(1), Program: b.Program, Version: b.Version, Procedure: p.ID}
+	frame, err := appendCall(ctl, bufpool.Get(48+len(argBytes)), h, argBytes)
 	if err != nil {
 		return marshal.Value{}, err
 	}
 	defer bufpool.Put(frame)
 
-	respFrame, ep, err := c.roundTrip(ctx, tr, b.Addr, frame, c.budgetState(ctx))
+	bs := newBudgetState(ctx)
+	if bs.active {
+		bs.encode = func(budget time.Duration) ([]byte, error) {
+			h.Budget, h.HasBudget = budget, true
+			return ctl.EncodeCall(h, argBytes)
+		}
+	}
+	respFrame, ep, err := c.roundTrip(ctx, tr, b.Addr, frame, bs)
 	if err != nil {
 		return marshal.Value{}, fmt.Errorf("hrpc: %s to %s: %w", p.Name, b.Addr, err)
 	}
-
-	rh, resBytes, err := ctl.DecodeReply(respFrame)
-	if err != nil {
-		return marshal.Value{}, fmt.Errorf("hrpc: %s: %w", p.Name, err)
-	}
-	if m, ok := ctl.(xidMatcher); ok {
-		if !m.matchXID(xid, rh.XID) {
-			return marshal.Value{}, fmt.Errorf("%w: sent %d, got %d", ErrXIDMismatch, xid, rh.XID)
-		}
-	} else if rh.XID != xid {
-		return marshal.Value{}, fmt.Errorf("%w: sent %d, got %d", ErrXIDMismatch, xid, rh.XID)
-	}
-	if rh.Err != "" {
-		// Typed statuses ride the error text under reserved prefixes.
+	ret, err := decodeResult(ctx, model, ctl, rep, p, respFrame, ep)
+	var bp *BackpressureError
+	if errors.As(err, &bp) {
 		// An Overloaded reply is backpressure, not failure: record the
 		// server's retry-after on the endpoint's breaker (the shared
 		// breaker table IS the per-endpoint backoff state) so the next
 		// call routes around the shedding endpoint without tripping it.
-		if reason, retryAfter, ok := parseOverloadedErr(rh.Err); ok {
-			c.breakers().Breaker(ep).Backpressure(retryAfter)
-			reg.Counter(metrics.Labels("hrpc_client_backpressure_total", "addr", ep)).Inc()
-			return marshal.Value{}, &BackpressureError{Endpoint: ep, Reason: reason, RetryAfter: retryAfter}
-		}
-		if _, ok := parseExpiredErr(rh.Err); ok {
-			return marshal.Value{}, &BudgetExpiredError{Endpoint: ep, Proc: p.Name}
-		}
+		c.breakers().Breaker(ep).Backpressure(bp.RetryAfter)
+		reg.Counter(metrics.Labels("hrpc_client_backpressure_total", "addr", ep)).Inc()
+	}
+	return ret, err
+}
+
+// marshalArgs is the client-side stub work before a call: the control
+// protocol's bookkeeping charge, then args marshalled into a pooled
+// buffer the caller recycles.
+func marshalArgs(ctx context.Context, model *simtime.Model, ctl ControlProtocol, rep marshal.DataRep, p Procedure, args marshal.Value) ([]byte, error) {
+	simtime.Charge(ctx, ctl.Overhead(model))
+	argBytes, err := rep.Append(bufpool.Get(64), args, p.Args)
+	if err != nil {
+		return nil, fmt.Errorf("hrpc: %s: marshal args: %w", p.Name, err)
+	}
+	marshal.ChargeValue(ctx, model, p.Style, args)
+	return argBytes, nil
+}
+
+// decodeResult is the client-side stub work after a call: it decodes the
+// reply frame, maps a non-OK code to its typed error (*RemoteFault,
+// *BackpressureError or *BudgetExpiredError, attributed to endpoint ep),
+// and unmarshals an OK reply's results.
+func decodeResult(ctx context.Context, model *simtime.Model, ctl ControlProtocol, rep marshal.DataRep, p Procedure, frame []byte, ep string) (marshal.Value, error) {
+	rh, resBytes, err := ctl.DecodeReply(frame)
+	if err != nil {
+		return marshal.Value{}, fmt.Errorf("hrpc: %s: %w", p.Name, err)
+	}
+	switch rh.Code {
+	case ReplyOK:
+	case ReplyOverloaded:
+		return marshal.Value{}, &BackpressureError{Endpoint: ep, Reason: rh.Err, RetryAfter: rh.RetryAfter}
+	case ReplyExpired:
+		return marshal.Value{}, &BudgetExpiredError{Endpoint: ep, Proc: p.Name}
+	default:
 		return marshal.Value{}, &RemoteFault{Proc: p.Name, Msg: rh.Err}
 	}
-
 	ret, err := marshal.Unmarshal(rep, resBytes, p.Ret)
 	if err != nil {
 		return marshal.Value{}, fmt.Errorf("hrpc: %s: unmarshal result: %w", p.Name, err)
@@ -391,30 +392,28 @@ func jitterScale(endpoint string, attempt int, j float64) float64 {
 }
 
 // budgetState tracks a propagated deadline across a call's attempts:
-// the budget at Call entry plus a stopwatch started then, so each
-// attempt can compute what remains after the time already spent
-// (backoffs, lost attempts' waits, earlier marshalling) on the caller's
-// clock — meter time under the harness, wall time in a daemon.
+// the budget when the call was encoded plus a stopwatch started then, so
+// each attempt can compute what remains after the time already spent
+// (backoffs, lost attempts' waits) on the caller's clock — meter time
+// under the harness, wall time in a daemon.
 type budgetState struct {
 	active bool
 	total  time.Duration
-	spent  simtime.Stopwatch // started at Call entry
+	spent  simtime.Stopwatch // started with the state
+
+	// encode re-encodes the call frame carrying budget; nil leaves every
+	// attempt on the frame roundTrip was given.
+	encode func(budget time.Duration) ([]byte, error)
 }
 
-// budgetState captures the propagated-deadline state for one call. An
-// explicit WithBudget value (a gateway forwarding an inbound budget)
-// wins over the ctx deadline; without either, nothing is propagated.
-func (c *Client) budgetState(ctx context.Context) budgetState {
-	if !c.PropagateDeadline {
+// newBudgetState captures the propagated-deadline state for one call
+// (see callBudget); inactive when ctx carries no budget.
+func newBudgetState(ctx context.Context) budgetState {
+	d, ok := callBudget(ctx)
+	if !ok {
 		return budgetState{}
 	}
-	if d, ok := BudgetFrom(ctx); ok {
-		return budgetState{active: true, total: d, spent: simtime.Start(ctx)}
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		return budgetState{active: true, total: time.Until(dl), spent: simtime.Start(ctx)}
-	}
-	return budgetState{}
+	return budgetState{active: true, total: d, spent: simtime.Start(ctx)}
 }
 
 // remaining reports the unspent budget: the entry budget minus the time
@@ -514,16 +513,18 @@ func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr str
 		}
 		ep := replicas[idx]
 
-		// With a propagated deadline, each attempt carries what is left
-		// of the budget NOW — after charged backoffs and failovers — not
-		// the budget the call started with. The prefixed frame is a
-		// plain allocation (not pooled): the in-process transport may
-		// hand back a reply aliasing the request, so its lifetime must
-		// outlive the reply decode.
+		// With a propagated deadline, each attempt's header carries what
+		// is left of the budget NOW — after charged backoffs and
+		// failovers — not the budget the call started with. The
+		// re-encoded frame is a plain allocation (not pooled): the
+		// in-process transport may hand back a reply aliasing the
+		// request, so its lifetime must outlive the reply decode.
 		attemptFrame := frame
-		if bs.active {
-			pf := appendBudgetPrefix(make([]byte, 0, deadlinePrefixLen+len(frame)), bs.remaining())
-			attemptFrame = append(pf, frame...)
+		if bs.encode != nil {
+			var err error
+			if attemptFrame, err = bs.encode(bs.remaining()); err != nil {
+				return nil, "", err
+			}
 		}
 		resp, err := c.sendOnce(ctx, tr, ep, attemptFrame)
 		attempts++

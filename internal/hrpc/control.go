@@ -12,25 +12,56 @@ import (
 
 // CallHeader is the control-protocol-independent view of a call header.
 //
-// Budget is the caller's remaining deadline, when the call carried one.
-// It is NOT part of any control protocol's wire layout (those formats
-// are byte-pinned for old peers); it rides the sniffable frame prefix
-// described in deadline.go, and is zero for calls without one.
+// XID is the transaction ID of the emulated Sun RPC and Courier headers,
+// which carry it byte-for-byte; the raw suite has none (the transport's
+// stream tag correlates replies) and decodes it as zero.
+//
+// Budget is the caller's remaining deadline when HasBudget is set. Only
+// the raw suite carries it (a flagged header field, millisecond
+// granularity); the emulated headers have no room for it and decode
+// HasBudget false.
 type CallHeader struct {
 	XID       uint32
 	Program   uint32
 	Version   uint32
 	Procedure uint32
 
-	Budget time.Duration
+	Budget    time.Duration
+	HasBudget bool
 }
 
+// ReplyCode is a reply's coded status. The raw suite sends it as its one
+// status byte; the emulated suites render every non-OK code as their
+// native error reply, which decodes as ReplyFault.
+type ReplyCode uint8
+
+// The reply code table.
+const (
+	ReplyOK         ReplyCode = 0 // results follow
+	ReplyFault      ReplyCode = 1 // Err is the remote error text
+	ReplyOverloaded ReplyCode = 2 // admission shed: Err is the reason, RetryAfter the hint
+	ReplyExpired    ReplyCode = 3 // the call's budget ran out before dispatch
+)
+
 // ReplyHeader is the control-protocol-independent view of a reply header.
-// Err is empty on success; otherwise it carries the remote error text
-// (our stand-in for the various protocols' reject/abort conventions).
 type ReplyHeader struct {
-	XID uint32
-	Err string
+	XID        uint32
+	Code       ReplyCode
+	Err        string        // ReplyFault: error text; ReplyOverloaded: shed reason
+	RetryAfter time.Duration // ReplyOverloaded only
+}
+
+// text renders a non-OK reply as the error text of a suite that has no
+// code table of its own.
+func (h ReplyHeader) text() string {
+	switch h.Code {
+	case ReplyOverloaded:
+		return fmt.Sprintf("server overloaded (%s), retry after %s", h.Err, h.RetryAfter)
+	case ReplyExpired:
+		return "call budget expired before dispatch"
+	default:
+		return h.Err
+	}
 }
 
 // ControlProtocol is the HRPC "control protocol" component: the header
@@ -79,10 +110,6 @@ func appendCall(ctl ControlProtocol, buf []byte, h CallHeader, args []byte) ([]b
 
 // ErrBadFrame reports a control-protocol frame that cannot be parsed.
 var ErrBadFrame = errors.New("hrpc: malformed control frame")
-
-// ErrXIDMismatch reports a reply whose transaction ID does not match the
-// outstanding call.
-var ErrXIDMismatch = errors.New("hrpc: reply XID does not match call")
 
 // The control-protocol registry, mirroring the data-representation
 // registry in package marshal: binding records store component *names*,

@@ -30,9 +30,9 @@ func (CourierControl) Name() string { return "courier" }
 // Layout (big-endian): version u16, msg_type u16=CALL, tid u16,
 // program u32, version u16, procedure u16, args...
 //
-// Courier transaction IDs are 16 bits; the XID is truncated on the wire
-// and compared modulo 2^16, which is faithful to the original and safe
-// because calls are serialized per connection.
+// Courier transaction IDs are 16 bits; the XID is truncated on the wire,
+// which is faithful to the original. Replies are paired with calls by
+// the transport, not by tid.
 func (c CourierControl) EncodeCall(h CallHeader, args []byte) ([]byte, error) {
 	return c.AppendCall(make([]byte, 0, 14+len(args)), h, args)
 }
@@ -71,7 +71,8 @@ func (CourierControl) DecodeCall(frame []byte) (CallHeader, []byte, error) {
 // EncodeReply implements ControlProtocol.
 //
 // Layout: version u16, msg_type u16 (RETURN or ABORT), tid u16, then
-// results (RETURN) or error text (ABORT).
+// results (RETURN) or error text (ABORT). Every non-OK reply code is an
+// ABORT, so it decodes as a fault.
 func (c CourierControl) EncodeReply(h ReplyHeader, results []byte) ([]byte, error) {
 	return c.AppendReply(make([]byte, 0, 6+len(results)+len(h.Err)), h, results)
 }
@@ -80,13 +81,13 @@ func (c CourierControl) EncodeReply(h ReplyHeader, results []byte) ([]byte, erro
 func (CourierControl) AppendReply(buf []byte, h ReplyHeader, results []byte) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, courierVersion)
 	mt := uint16(courierMsgReturn)
-	if h.Err != "" {
+	if h.Code != ReplyOK {
 		mt = courierMsgAbort
 	}
 	buf = binary.BigEndian.AppendUint16(buf, mt)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(h.XID))
-	if h.Err != "" {
-		return append(buf, h.Err...), nil
+	if h.Code != ReplyOK {
+		return append(buf, h.text()...), nil
 	}
 	return append(buf, results...), nil
 }
@@ -104,7 +105,7 @@ func (CourierControl) DecodeReply(frame []byte) (ReplyHeader, []byte, error) {
 	case courierMsgReturn:
 		return h, frame[6:], nil
 	case courierMsgAbort:
-		h.Err = string(frame[6:])
+		h.Code, h.Err = ReplyFault, string(frame[6:])
 		if h.Err == "" {
 			h.Err = "courier: call aborted"
 		}
@@ -116,11 +117,5 @@ func (CourierControl) DecodeReply(frame []byte) (ReplyHeader, []byte, error) {
 
 // Overhead implements ControlProtocol.
 func (CourierControl) Overhead(m *simtime.Model) time.Duration { return m.CtlCourier }
-
-// matchXID reports whether a reply tid matches a call XID under this
-// protocol's 16-bit truncation.
-func (CourierControl) matchXID(call, reply uint32) bool {
-	return uint16(call) == uint16(reply)
-}
 
 var _ ControlProtocol = CourierControl{}

@@ -3,6 +3,7 @@ package hrpc
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -15,52 +16,86 @@ import (
 	"hns/internal/transport"
 )
 
-func TestBudgetPrefixRoundTrip(t *testing.T) {
+// TestRawBudgetRoundTrip pins the raw header's budget field: flagged,
+// rounded up to a whole millisecond (a small positive budget never reads
+// as expired), clamped into [0, 2³²−1] ms, and absent — flags 0, no
+// field — for a call without one.
+func TestRawBudgetRoundTrip(t *testing.T) {
 	cases := []struct {
 		in   time.Duration
 		want time.Duration
 	}{
 		{0, 0},
 		{time.Millisecond, time.Millisecond},
-		{1500 * time.Microsecond, 2 * time.Millisecond}, // rounds up, never to zero
+		{1500 * time.Microsecond, 2 * time.Millisecond},
 		{time.Microsecond, time.Millisecond},
 		{-time.Second, 0},
 		{500 * time.Hour, 500 * time.Hour},
+		{100 * 24 * time.Hour, math.MaxUint32 * time.Millisecond},
+	}
+	h := CallHeader{Program: 300000, Version: 1, Procedure: 8}
+	bare, _ := RawControl{}.EncodeCall(h, []byte("args"))
+	if len(bare) != 6+len("args") || bare[0] != 0 {
+		t.Fatalf("budgetless call = % x, want flags 0 and a 6-byte header", bare)
 	}
 	for _, tc := range cases {
-		frame := append(appendBudgetPrefix(nil, tc.in), "control-bytes"...)
-		got, rest, ok := stripBudgetPrefix(frame)
-		if !ok || got != tc.want || string(rest) != "control-bytes" {
-			t.Errorf("prefix(%v): got (%v, %q, %v), want (%v, control-bytes, true)",
-				tc.in, got, rest, ok, tc.want)
+		h.Budget, h.HasBudget = tc.in, true
+		frame, err := RawControl{}.EncodeCall(h, []byte("args"))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// A frame without the prefix passes through untouched.
-	if _, rest, ok := stripBudgetPrefix([]byte("plain")); ok || string(rest) != "plain" {
-		t.Fatal("bare frame misdetected as budget-prefixed")
-	}
-	// Short frames that begin like the magic are not prefixed.
-	if _, _, ok := stripBudgetPrefix([]byte("HDLN")); ok {
-		t.Fatal("truncated prefix accepted")
+		got, rest, err := RawControl{}.DecodeCall(frame)
+		if err != nil || !got.HasBudget || got.Budget != tc.want || string(rest) != "args" {
+			t.Errorf("budget %v: got (%+v, %q, %v), want budget %v", tc.in, got, rest, err, tc.want)
+		}
 	}
 }
 
+// TestOverloadedErrCodec pins the raw reply code table: an admission
+// shed keeps its reason and whole-millisecond retry-after, an expiry is
+// a bare code, and a malformed or unknown code is a bad frame.
 func TestOverloadedErrCodec(t *testing.T) {
-	ov := &admission.Overloaded{Server: "s", Reason: "rate", RetryAfter: 75 * time.Millisecond}
-	reason, after, ok := parseOverloadedErr(encodeOverloadedErr(ov))
-	if !ok || reason != "rate" || after != 75*time.Millisecond {
-		t.Fatalf("round trip: (%q, %v, %v)", reason, after, ok)
+	ov := ReplyHeader{Code: ReplyOverloaded, Err: "rate", RetryAfter: 75*time.Millisecond + 900*time.Microsecond}
+	frame, err := RawControl{}.EncodeReply(ov, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range []string{"", "plain fault", "!hrpc-overloaded ", "!hrpc-overloaded rate x y"} {
-		if _, _, ok := parseOverloadedErr(bad); ok {
-			t.Errorf("parseOverloadedErr(%q) accepted", bad)
+	got, _, err := RawControl{}.DecodeReply(frame)
+	if err != nil || got.Code != ReplyOverloaded || got.Err != "rate" || got.RetryAfter != 75*time.Millisecond {
+		t.Fatalf("overloaded round trip: %+v, %v", got, err)
+	}
+	frame, _ = RawControl{}.EncodeReply(ReplyHeader{Code: ReplyExpired}, nil)
+	if got, _, err := (RawControl{}).DecodeReply(frame); err != nil || got.Code != ReplyExpired || len(frame) != 1 {
+		t.Fatalf("expired round trip: % x → %+v, %v", frame, got, err)
+	}
+	for _, bad := range [][]byte{
+		{byte(ReplyOverloaded)},             // retry-after missing
+		{byte(ReplyOverloaded), 0x80, 0x00}, // overlong uvarint
+		{byte(ReplyExpired), 'x'},           // expiry carries nothing
+		{4},                                 // no such code
+	} {
+		if _, _, err := (RawControl{}).DecodeReply(bad); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("DecodeReply(% x) = %v, want ErrBadFrame", bad, err)
 		}
 	}
-	if proc, ok := parseExpiredErr(encodeExpiredErr("FindNSM")); !ok || proc != "FindNSM" {
-		t.Fatalf("expired round trip: (%q, %v)", proc, ok)
-	}
-	if _, ok := parseExpiredErr("other"); ok {
-		t.Fatal("parseExpiredErr accepted a plain fault")
+}
+
+// TestRawCallRejectsMalformedHeaders: unknown flag bits (including the
+// bit reserved for a trace id), overlong uvarints and values above
+// 2³²−1 are bad frames, never misread headers.
+func TestRawCallRejectsMalformedHeaders(t *testing.T) {
+	for _, bad := range [][]byte{
+		{},
+		{0x02, 1, 1, 1},                      // reserved trace bit
+		{0x80, 1, 1, 1},                      // unknown bit
+		{0x00, 0x81, 0x00, 1, 1},             // overlong program
+		{0x00, 0x80, 0x80, 0x80, 0x80, 0x10}, // program 2³²
+		{0x00, 1, 1},                         // proc missing
+		{0x01, 1, 1, 1},                      // budget flagged, absent
+	} {
+		if _, _, err := (RawControl{}).DecodeCall(bad); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("DecodeCall(% x) = %v, want ErrBadFrame", bad, err)
+		}
 	}
 }
 
@@ -113,8 +148,8 @@ func TestPropagatedBudgetClampsRetryExactly(t *testing.T) {
 }
 
 // deadlineEnv is a full client/server stack whose server records the
-// budget each call arrived with: an HRPC server on simulated UDP behind
-// a chaos plan, dialed by a deadline-propagating client.
+// budget each call arrived with: a raw-suite HRPC server on simulated
+// UDP behind a chaos plan.
 type deadlineEnv struct {
 	plan *transport.Plan
 	c    *Client
@@ -172,7 +207,6 @@ func newDeadlineEnv(t *testing.T, admit *admission.Controller) *deadlineEnv {
 	c := NewClient(n)
 	c.FreshConn = true
 	c.Metrics = reg
-	c.PropagateDeadline = true
 	c.Health = health.Config{
 		Threshold: 3,
 		Cooldown:  10 * time.Second,
@@ -289,18 +323,45 @@ func TestFailoverCarriesRemainingBudget(t *testing.T) {
 	}
 }
 
-// TestLegacyClientUnaffected: without PropagateDeadline the wire bytes
-// carry no prefix and the server records a zero budget — the
-// pre-extension contract.
+// TestLegacyClientUnaffected: a caller with no budget sends a call
+// header with flags 0 and no budget field, and the handler finds no
+// budget in its context.
 func TestLegacyClientUnaffected(t *testing.T) {
-	e := newDeadlineEnv(t, nil)
-	e.c.PropagateDeadline = false
-	ctx := WithBudget(simtime.WithMeter(context.Background(), simtime.NewMeter()), 500*time.Millisecond)
-	if _, err := e.c.Call(ctx, e.b, deadlineProc, marshal.StructV(marshal.Str("ping"))); err != nil {
+	n := transport.NewNetwork(simtime.Default())
+	s := NewServer("legacy", 7200, 1)
+	s.Metrics = metrics.NewRegistry()
+	hadBudget := true
+	s.Register(deadlineProc, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
+		_, hadBudget = BudgetFrom(ctx)
+		return args, nil
+	})
+	rep, err := marshal.Lookup(SuiteRaw.DataRep)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.received(dlPrimary); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("legacy call recorded budgets %v, want [0]", got)
+	serve := s.Handler(rep, RawControl{}, n.Model())
+	var flags []byte
+	ln, err := mustTransport(t, n, SuiteRaw.Transport).Listen("legacy:1", func(ctx context.Context, req []byte) ([]byte, error) {
+		flags = append(flags, req[0])
+		return serve(ctx, req)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	c := NewClient(n)
+	c.Metrics = metrics.NewRegistry()
+	defer c.Close()
+	ctx := simtime.WithMeter(context.Background(), simtime.NewMeter())
+	if _, err := c.Call(ctx, SuiteRaw.Bind("h", "legacy:1", 7200, 1), deadlineProc, marshal.StructV(marshal.Str("ping"))); err != nil {
+		t.Fatal(err)
+	}
+	if len(flags) != 1 || flags[0] != 0 {
+		t.Fatalf("call header flags %v, want [0]", flags)
+	}
+	if hadBudget {
+		t.Fatal("handler of a budgetless call found a budget in its context")
 	}
 }
 

@@ -163,12 +163,12 @@ func (tagCtl) DecodeCall(frame []byte) (CallHeader, []byte, error) {
 
 func (tagCtl) EncodeReply(h ReplyHeader, results []byte) ([]byte, error) {
 	tag := byte(0xC2)
-	if h.Err != "" {
+	if h.Code != ReplyOK {
 		tag = 0xC3
 	}
 	buf := []byte{tag}
 	buf = binary.LittleEndian.AppendUint32(buf, h.XID)
-	if h.Err != "" {
+	if h.Code != ReplyOK {
 		return append(buf, h.Err...), nil
 	}
 	return append(buf, results...), nil
@@ -183,7 +183,7 @@ func (tagCtl) DecodeReply(frame []byte) (ReplyHeader, []byte, error) {
 	case 0xC2:
 		return h, frame[5:], nil
 	case 0xC3:
-		h.Err = string(frame[5:])
+		h.Code, h.Err = ReplyFault, string(frame[5:])
 		return h, nil, nil
 	default:
 		return ReplyHeader{}, nil, ErrBadFrame

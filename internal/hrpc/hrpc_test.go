@@ -333,9 +333,20 @@ func controls() []ControlProtocol {
 	return []ControlProtocol{SunRPCControl{}, CourierControl{}, RawControl{}}
 }
 
+// wireHeader is what a control protocol's wire layout keeps of h: raw
+// has no transaction ID, and only raw carries a budget.
+func wireHeader(ctl ControlProtocol, h CallHeader) CallHeader {
+	if ctl.Name() == "raw" {
+		h.XID = 0
+	} else {
+		h.Budget, h.HasBudget = 0, false
+	}
+	return h
+}
+
 func TestControlCallRoundTrip(t *testing.T) {
 	for _, ctl := range controls() {
-		h := CallHeader{XID: 77, Program: 100017, Version: 1, Procedure: 3}
+		h := CallHeader{XID: 77, Program: 100017, Version: 1, Procedure: 3, Budget: 250 * time.Millisecond, HasBudget: true}
 		frame, err := ctl.EncodeCall(h, []byte("args"))
 		if err != nil {
 			t.Fatalf("%s: %v", ctl.Name(), err)
@@ -344,8 +355,8 @@ func TestControlCallRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ctl.Name(), err)
 		}
-		if got != h {
-			t.Fatalf("%s: header %+v != %+v", ctl.Name(), got, h)
+		if want := wireHeader(ctl, h); got != want {
+			t.Fatalf("%s: header %+v != %+v", ctl.Name(), got, want)
 		}
 		if string(body) != "args" {
 			t.Fatalf("%s: body %q", ctl.Name(), body)
@@ -364,11 +375,11 @@ func TestControlReplyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ctl.Name(), err)
 		}
-		if rh.Err != "" || string(body) != "results" {
+		if rh.Code != ReplyOK || string(body) != "results" {
 			t.Fatalf("%s: %+v %q", ctl.Name(), rh, body)
 		}
 		// Error.
-		frame, err = ctl.EncodeReply(ReplyHeader{XID: 9, Err: "denied"}, nil)
+		frame, err = ctl.EncodeReply(ReplyHeader{XID: 9, Code: ReplyFault, Err: "denied"}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", ctl.Name(), err)
 		}
@@ -376,8 +387,24 @@ func TestControlReplyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ctl.Name(), err)
 		}
-		if rh.Err != "denied" {
-			t.Fatalf("%s: error text = %q", ctl.Name(), rh.Err)
+		if rh.Code != ReplyFault || rh.Err != "denied" {
+			t.Fatalf("%s: reply %+v, want a fault with text %q", ctl.Name(), rh, "denied")
+		}
+		// A shed: the emulated suites render it as their own error reply.
+		frame, err = ctl.EncodeReply(ReplyHeader{XID: 9, Code: ReplyOverloaded, Err: "load", RetryAfter: time.Second}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", ctl.Name(), err)
+		}
+		rh, _, err = ctl.DecodeReply(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", ctl.Name(), err)
+		}
+		want := ReplyFault
+		if ctl.Name() == "raw" {
+			want = ReplyOverloaded
+		}
+		if rh.Code != want || !strings.Contains(rh.Err, "load") {
+			t.Fatalf("%s: shed decodes as %+v, want code %d naming the reason", ctl.Name(), rh, want)
 		}
 	}
 }
@@ -386,11 +413,13 @@ func TestControlReplyRoundTrip(t *testing.T) {
 // control protocol to its allocating encoder, for both reply statuses and
 // with recycled (dirty) destination buffers.
 func TestAppendersMatchEncoders(t *testing.T) {
-	h := CallHeader{XID: 0xdeadbeef, Program: 100017, Version: 1, Procedure: 4}
+	h := CallHeader{XID: 0xdeadbeef, Program: 100017, Version: 1, Procedure: 4, Budget: time.Second, HasBudget: true}
 	args := []byte("args bytes \x00\xff")
 	replies := []ReplyHeader{
 		{XID: 0xdeadbeef},
-		{XID: 7, Err: "no such zone"},
+		{XID: 7, Code: ReplyFault, Err: "no such zone"},
+		{XID: 7, Code: ReplyOverloaded, Err: "rate", RetryAfter: 40 * time.Millisecond},
+		{XID: 7, Code: ReplyExpired},
 	}
 	for _, name := range []string{"raw", "sunrpc", "courier"} {
 		ctl, err := LookupControl(name)
@@ -427,7 +456,7 @@ func TestAppendersMatchEncoders(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("%s: AppendReply (err=%q) differs from EncodeReply", name, rh.Err)
+				t.Errorf("%s: AppendReply (code %d) differs from EncodeReply", name, rh.Code)
 			}
 		}
 	}
@@ -436,20 +465,24 @@ func TestAppendersMatchEncoders(t *testing.T) {
 func TestControlHeaderProperty(t *testing.T) {
 	for _, ctl := range controls() {
 		ctl := ctl
-		f := func(xid, prog, vers, proc uint32, payload []byte) bool {
+		f := func(xid, prog, vers, proc, budgetMS uint32, hasBudget bool, payload []byte) bool {
 			// Courier narrows version/procedure to 16 bits on the wire.
 			if ctl.Name() == "courier" {
 				vers &= 0xffff
 				proc &= 0xffff
 				xid &= 0xffff
 			}
-			h := CallHeader{XID: xid, Program: prog, Version: vers, Procedure: proc}
+			h := CallHeader{XID: xid, Program: prog, Version: vers, Procedure: proc,
+				Budget: time.Duration(budgetMS) * time.Millisecond, HasBudget: hasBudget}
+			if !hasBudget {
+				h.Budget = 0
+			}
 			frame, err := ctl.EncodeCall(h, payload)
 			if err != nil {
 				return false
 			}
 			got, body, err := ctl.DecodeCall(frame)
-			if err != nil || got != h {
+			if err != nil || got != wireHeader(ctl, h) {
 				return false
 			}
 			if len(body) != len(payload) {

@@ -421,6 +421,71 @@ func TestMuxClientCloseIdle(t *testing.T) {
 	}
 }
 
+// gatedTransport parks every Dial until gate closes, announcing it on
+// dialing first, so a test can act while an acquire is mid-dial.
+type gatedTransport struct {
+	countingTransport
+	dialing chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedTransport) Dial(ctx context.Context, addr string) (transport.Conn, error) {
+	g.dialing <- struct{}{}
+	<-g.gate
+	return g.countingTransport.Dial(ctx, addr)
+}
+
+// TestDialRacingCloseIdleStaysPooled: a CloseIdle sweep that runs while
+// a call is dialing drops the still-empty pool entry; the new connection
+// must still land in the client's pool — reused by the next call, and
+// closed by the next sweep — rather than in an orphaned entry nothing
+// ever closes.
+func TestDialRacingCloseIdleStaysPooled(t *testing.T) {
+	n := transport.NewNetwork(simtime.Default())
+	inner, err := n.Transport("udp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo := func(ctx context.Context, req []byte) ([]byte, error) { return req, nil }
+	ln, err := inner.Listen("race:1", echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	gt := &gatedTransport{
+		countingTransport: countingTransport{Transport: inner},
+		dialing:           make(chan struct{}, 4),
+		gate:              make(chan struct{}),
+	}
+	c := NewClient(n)
+	c.Metrics = metrics.NewRegistry()
+	defer c.Close()
+	call := func() error {
+		_, _, err := c.roundTrip(context.Background(), gt, "race:1", []byte("ping"), budgetState{})
+		return err
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- call() }()
+	<-gt.dialing
+	if got := c.CloseIdle(); got != 0 {
+		t.Fatalf("CloseIdle mid-dial closed %d connections, want 0", got)
+	}
+	close(gt.gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := call(); err != nil {
+		t.Fatal(err)
+	}
+	if d := gt.dials.Load(); d != 1 {
+		t.Fatalf("dials = %d, want 1 (the connection dialed across CloseIdle was orphaned)", d)
+	}
+	if got := c.CloseIdle(); got != 1 {
+		t.Fatalf("CloseIdle closed %d connections, want the 1 pooled", got)
+	}
+}
+
 // TestMuxPoolGrowsAtStreamCap checks PoolConfig sizing: with
 // MaxStreams=1 a second concurrent call opens a second connection, and
 // once MaxConns is reached further calls overflow onto the least-loaded

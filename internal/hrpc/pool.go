@@ -177,8 +177,12 @@ func (c *Client) acquire(ctx context.Context, tr transport.Transport, addr, key 
 	if err != nil {
 		return nil, false, err
 	}
-	e := &pooledConn{pool: pool, conn: conn, inflight: 1}
 	c.mu.Lock()
+	// CloseIdle may have dropped the then-empty entry while we dialed:
+	// re-resolve it, or the connection would join a pool that Close and
+	// CloseIdle no longer see.
+	pool = c.poolFor(key, addr)
+	e := &pooledConn{pool: pool, conn: conn, inflight: 1}
 	if len(pool.conns) >= maxConns {
 		// Lost a dial race; ride an existing connection and drop ours.
 		if prev := pool.leastLoadedLocked(0); prev != nil {

@@ -122,37 +122,28 @@ func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol, model *simtim
 	faults := reg.Counter(metrics.Labels("hrpc_server_faults_total", "server", s.name))
 	sheds := reg.Counter(metrics.Labels("hrpc_server_budget_shed_total", "server", s.name))
 	return func(ctx context.Context, reqFrame []byte) ([]byte, error) {
-		// A deadline-propagating caller prefixed its remaining budget;
-		// strip it before the control protocol sees the frame. Callers
-		// without the extension parse exactly as before.
-		budget, bare, hasBudget := stripBudgetPrefix(reqFrame)
-		if hasBudget {
-			reqFrame = bare
-		}
 		ch, argBytes, err := ctl.DecodeCall(reqFrame)
 		if err != nil {
-			// Unparseable frame: we cannot even form a matching reply.
+			// Unparseable frame: we cannot even form a reply, so the
+			// transport's own status byte reports it.
 			faults.Inc()
 			return nil, err
 		}
-		ch.Budget = budget
-		reply := func(errMsg string, results []byte) ([]byte, error) {
-			if errMsg != "" {
-				faults.Inc()
-			}
-			return ctl.EncodeReply(ReplyHeader{XID: ch.XID, Err: errMsg}, results)
+		fault := func(msg string) ([]byte, error) {
+			faults.Inc()
+			return ctl.EncodeReply(ReplyHeader{XID: ch.XID, Code: ReplyFault, Err: msg}, nil)
 		}
 		if ch.Program != s.program {
-			return reply(fmt.Sprintf("program %d unavailable (this is %d %s)", ch.Program, s.program, s.name), nil)
+			return fault(fmt.Sprintf("program %d unavailable (this is %d %s)", ch.Program, s.program, s.name))
 		}
 		if ch.Version != s.version {
-			return reply(fmt.Sprintf("program %d version mismatch: have %d, want %d", s.program, s.version, ch.Version), nil)
+			return fault(fmt.Sprintf("program %d version mismatch: have %d, want %d", s.program, s.version, ch.Version))
 		}
 		s.mu.RLock()
 		sp, ok := s.procs[ch.Procedure]
 		s.mu.RUnlock()
 		if !ok {
-			return reply(fmt.Sprintf("procedure %d unavailable on program %d", ch.Procedure, s.program), nil)
+			return fault(fmt.Sprintf("procedure %d unavailable on program %d", ch.Procedure, s.program))
 		}
 		reg.Counter(metrics.Labels("hrpc_server_calls_total",
 			"server", s.name, "proc", sp.p.Name)).Inc()
@@ -171,42 +162,43 @@ func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol, model *simtim
 			if aerr := s.admit.Admit(peer, pri); aerr != nil {
 				var ov *admission.Overloaded
 				if errors.As(aerr, &ov) {
-					return ctl.EncodeReply(ReplyHeader{XID: ch.XID, Err: encodeOverloadedErr(ov)}, nil)
+					return ctl.EncodeReply(ReplyHeader{XID: ch.XID, Code: ReplyOverloaded,
+						Err: ov.Reason, RetryAfter: ov.RetryAfter}, nil)
 				}
-				return reply(aerr.Error(), nil)
+				return fault(aerr.Error())
 			}
 			defer s.admit.Done()
 		}
-		if hasBudget {
-			if budget <= 0 {
+		if ch.HasBudget {
+			if ch.Budget <= 0 {
 				// The caller's deadline passed before dispatch: computing
 				// this reply would be pure waste. Shed it.
 				sheds.Inc()
-				return ctl.EncodeReply(ReplyHeader{XID: ch.XID, Err: encodeExpiredErr(sp.p.Name)}, nil)
+				return ctl.EncodeReply(ReplyHeader{XID: ch.XID, Code: ReplyExpired}, nil)
 			}
 			// Hand the budget to the handler so a nested client (a
 			// gateway forwarding this call) can propagate what remains.
-			ctx = WithBudget(ctx, budget)
+			ctx = WithBudget(ctx, ch.Budget)
 		}
 
 		args, err := marshal.Unmarshal(rep, argBytes, sp.p.Args)
 		if err != nil {
-			return reply(fmt.Sprintf("garbage arguments for %s: %v", sp.p.Name, err), nil)
+			return fault(fmt.Sprintf("garbage arguments for %s: %v", sp.p.Name, err))
 		}
 		marshal.ChargeValue(ctx, model, sp.p.Style, args)
 
 		ret, err := sp.h(ctx, args)
 		if err != nil {
-			return reply(err.Error(), nil)
+			return fault(err.Error())
 		}
 		// Marshal into a pooled buffer: the bytes die as soon as the reply
 		// frame copies them, so they go back to the pool.
 		resBytes, err := rep.Append(bufpool.Get(64), ret, sp.p.Ret)
 		if err != nil {
-			return reply(fmt.Sprintf("cannot marshal %s result: %v", sp.p.Name, err), nil)
+			return fault(fmt.Sprintf("cannot marshal %s result: %v", sp.p.Name, err))
 		}
 		marshal.ChargeValue(ctx, model, sp.p.Style, ret)
-		out, rerr := reply("", resBytes)
+		out, rerr := ctl.EncodeReply(ReplyHeader{XID: ch.XID}, resBytes)
 		bufpool.Put(resBytes)
 		return out, rerr
 	}

@@ -6,7 +6,6 @@ import (
 
 	"hns/internal/bufpool"
 	"hns/internal/marshal"
-	"hns/internal/simtime"
 	"hns/internal/transport"
 )
 
@@ -63,20 +62,17 @@ func (s *StickyConn) SetPushHandler(fn func(body []byte, err error)) bool {
 }
 
 // Call invokes p once over this connection — single attempt, no
-// failover. Remote procedure errors surface as *RemoteFault, exactly
-// like Client.Call.
+// failover. A budget in ctx travels with it, and a non-OK reply surfaces
+// as the same typed error Client.Call returns.
 func (s *StickyConn) Call(ctx context.Context, p Procedure, args marshal.Value) (marshal.Value, error) {
 	model := s.c.net.Model()
-	simtime.Charge(ctx, s.ctl.Overhead(model))
-	argBytes, err := s.rep.Append(bufpool.Get(64), args, p.Args)
+	argBytes, err := marshalArgs(ctx, model, s.ctl, s.rep, p, args)
 	if err != nil {
-		return marshal.Value{}, fmt.Errorf("hrpc: %s: marshal args: %w", p.Name, err)
+		return marshal.Value{}, err
 	}
-	marshal.ChargeValue(ctx, model, p.Style, args)
-	xid := s.c.xid.Add(1)
-	frame, err := appendCall(s.ctl, bufpool.Get(48+len(argBytes)), CallHeader{
-		XID: xid, Program: s.b.Program, Version: s.b.Version, Procedure: p.ID,
-	}, argBytes)
+	h := CallHeader{XID: s.c.xid.Add(1), Program: s.b.Program, Version: s.b.Version, Procedure: p.ID}
+	h.Budget, h.HasBudget = callBudget(ctx)
+	frame, err := appendCall(s.ctl, bufpool.Get(48+len(argBytes)), h, argBytes)
 	bufpool.Put(argBytes)
 	if err != nil {
 		return marshal.Value{}, err
@@ -87,26 +83,7 @@ func (s *StickyConn) Call(ctx context.Context, p Procedure, args marshal.Value) 
 	if err != nil {
 		return marshal.Value{}, fmt.Errorf("hrpc: %s to %s: %w", p.Name, s.b.Addr, err)
 	}
-	rh, resBytes, err := s.ctl.DecodeReply(respFrame)
-	if err != nil {
-		return marshal.Value{}, fmt.Errorf("hrpc: %s: %w", p.Name, err)
-	}
-	if m, ok := s.ctl.(xidMatcher); ok {
-		if !m.matchXID(xid, rh.XID) {
-			return marshal.Value{}, fmt.Errorf("%w: sent %d, got %d", ErrXIDMismatch, xid, rh.XID)
-		}
-	} else if rh.XID != xid {
-		return marshal.Value{}, fmt.Errorf("%w: sent %d, got %d", ErrXIDMismatch, xid, rh.XID)
-	}
-	if rh.Err != "" {
-		return marshal.Value{}, &RemoteFault{Proc: p.Name, Msg: rh.Err}
-	}
-	ret, err := marshal.Unmarshal(s.rep, resBytes, p.Ret)
-	if err != nil {
-		return marshal.Value{}, fmt.Errorf("hrpc: %s: unmarshal result: %w", p.Name, err)
-	}
-	marshal.ChargeValue(ctx, model, p.Style, ret)
-	return ret, nil
+	return decodeResult(ctx, model, s.ctl, s.rep, p, respFrame, s.b.Addr)
 }
 
 // Close releases the connection.

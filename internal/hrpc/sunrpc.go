@@ -93,7 +93,8 @@ func (SunRPCControl) DecodeCall(frame []byte) (CallHeader, []byte, error) {
 // Layout: xid, msg_type=REPLY, reply_stat=ACCEPTED,
 // verf{AUTH_NONE,0}, accept_stat, then results (success) or an error
 // string (system error) — carrying the error text in the body is our
-// emulation convention for surfacing handler errors.
+// emulation convention for surfacing handler errors. Every non-OK reply
+// code is rendered this way, so it decodes as a fault.
 func (c SunRPCControl) EncodeReply(h ReplyHeader, results []byte) ([]byte, error) {
 	return c.AppendReply(make([]byte, 0, 24+len(results)+len(h.Err)), h, results)
 }
@@ -101,7 +102,7 @@ func (c SunRPCControl) EncodeReply(h ReplyHeader, results []byte) ([]byte, error
 // AppendReply implements ReplyAppender.
 func (SunRPCControl) AppendReply(buf []byte, h ReplyHeader, results []byte) ([]byte, error) {
 	accept := uint32(sunAcceptSuccess)
-	if h.Err != "" {
+	if h.Code != ReplyOK {
 		accept = sunAcceptSystemErr
 	}
 	for _, w := range []uint32{
@@ -111,8 +112,8 @@ func (SunRPCControl) AppendReply(buf []byte, h ReplyHeader, results []byte) ([]b
 	} {
 		buf = binary.BigEndian.AppendUint32(buf, w)
 	}
-	if h.Err != "" {
-		return append(buf, h.Err...), nil
+	if h.Code != ReplyOK {
+		return append(buf, h.text()...), nil
 	}
 	return append(buf, results...), nil
 }
@@ -128,11 +129,11 @@ func (SunRPCControl) DecodeReply(frame []byte) (ReplyHeader, []byte, error) {
 	}
 	h := ReplyHeader{XID: w(0)}
 	if w(2) != sunReplyAccepted {
-		h.Err = "sunrpc: call denied"
+		h.Code, h.Err = ReplyFault, "sunrpc: call denied"
 		return h, nil, nil
 	}
 	if w(5) != sunAcceptSuccess {
-		h.Err = string(frame[24:])
+		h.Code, h.Err = ReplyFault, string(frame[24:])
 		if h.Err == "" {
 			h.Err = fmt.Sprintf("sunrpc: accept_stat %d", w(5))
 		}

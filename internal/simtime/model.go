@@ -42,8 +42,10 @@ type Model struct {
 	// do not pay it.
 	TCPConnSetup time.Duration
 
-	// ---- Control-protocol per-call overhead (header construction,
-	// XID bookkeeping, retransmit timers).
+	// ---- Control-protocol per-call overhead of the 1987 suites (header
+	// construction, the era's transaction-ID bookkeeping, retransmit
+	// timers). It prices the paper's call paths, not the header bytes
+	// hrpc puts on the wire (the raw suite carries no transaction ID).
 	// Anchor: "The remote call to the NSM takes 22-38 msec., depending on
 	// the RPC system used": Sun/UDP = 18+2+~2, Courier/TCP = 30+4+~4.
 	CtlSunRPC  time.Duration

@@ -119,8 +119,6 @@ type GatewayTier struct {
 	// RetryAfter is the backoff hint carried in Overloaded replies;
 	// <= 0 means the admission default.
 	RetryAfter time.Duration
-	// PropagateDeadline forwards caller budgets across the gateways.
-	PropagateDeadline bool
 }
 
 // enabled reports whether any admission limit is configured (without
@@ -488,9 +486,8 @@ func (e *fleetEnv) frontWithGateway(g *GatewayTier, clk *simtime.FakeClock, host
 	up := hrpc.NewClient(e.w.Net)
 	up.Metrics = reg
 	gw := gateway.New(up, backend, gateway.Config{
-		Name:              "hnsgw@" + host,
-		Admission:         g.admissionConfig(clk, reg),
-		PropagateDeadline: g.PropagateDeadline,
+		Name:      "hnsgw@" + host,
+		Admission: g.admissionConfig(clk, reg),
 	})
 	gw.SetMetrics(reg)
 	ln, b, err := gw.Serve(e.w.Net, hrpc.SuiteRaw, host+"-gw", host+":hnsgw")

@@ -76,7 +76,7 @@ func TestFleetGatewayTransparent(t *testing.T) {
 	}
 
 	gated := gatewayFleetSpec()
-	gated.Gateway = &workload.GatewayTier{PropagateDeadline: true}
+	gated.Gateway = &workload.GatewayTier{}
 	a, err := workload.RunFleet(ctx, gated, nil)
 	if err != nil {
 		t.Fatal(err)
