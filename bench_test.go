@@ -133,7 +133,7 @@ func BenchmarkTable32(b *testing.B) {
 		for _, mode := range []bind.CacheMode{bind.CacheMarshalled, bind.CacheDemarshalled} {
 			c, mode := c, mode
 			b.Run(fmt.Sprintf("%dRR/%sHit", c.records, mode), func(b *testing.B) {
-				r := bind.NewResolver(backend, w.Model, bind.ResolverConfig{Mode: mode})
+				r := bind.NewResolver(backend, bind.ResolverConfig{Mode: mode})
 				if _, err := r.Lookup(ctx, c.name, bind.TypeA); err != nil {
 					b.Fatal(err)
 				}
@@ -154,7 +154,7 @@ func BenchmarkTable32(b *testing.B) {
 		}
 		c := c
 		b.Run(fmt.Sprintf("%dRR/Miss", c.records), func(b *testing.B) {
-			r := bind.NewResolver(backend, w.Model, bind.ResolverConfig{})
+			r := bind.NewResolver(backend, bind.ResolverConfig{})
 			var totalSim time.Duration
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
@@ -377,7 +377,7 @@ func BenchmarkBaselines(b *testing.B) {
 	ctx := context.Background()
 
 	b.Run("ReplicatedFiles", func(b *testing.B) {
-		fr := regbaseline.NewFileRegistry(w.Model)
+		fr := regbaseline.NewFileRegistry()
 		for i := 0; i < experiments.PaperBaselineEntries; i++ {
 			fr.Add(regbaseline.FileEntry{
 				Service: fmt.Sprintf("svc-%d", i), Host: "fiji",
@@ -399,7 +399,7 @@ func BenchmarkBaselines(b *testing.B) {
 		reportSimMS(b, totalSim)
 	})
 	b.Run("ReregisteredCH", func(b *testing.B) {
-		cr := regbaseline.NewCHRegistry(w.CHClient(), w.Model, world.CHDomain, world.CHOrg)
+		cr := regbaseline.NewCHRegistry(w.CHClient(), world.CHDomain, world.CHOrg)
 		if err := cr.Register(ctx, "svc", hrpc.SuiteSunRPC.Bind("fiji", "fiji:1", 1, 1)); err != nil {
 			b.Fatal(err)
 		}
@@ -555,7 +555,7 @@ func BenchmarkBindingVsRegistrySize(b *testing.B) {
 	for _, entries := range []int{50, 200, 800} {
 		entries := entries
 		b.Run(fmt.Sprintf("ReplicatedFiles/%dentries", entries), func(b *testing.B) {
-			fr := regbaseline.NewFileRegistry(w.Model)
+			fr := regbaseline.NewFileRegistry()
 			for i := 0; i < entries; i++ {
 				fr.Add(regbaseline.FileEntry{
 					Service: fmt.Sprintf("svc-%d", i), Host: "fiji",

@@ -52,7 +52,6 @@ import (
 	"hns/internal/hrpc"
 	"hns/internal/metrics"
 	"hns/internal/push"
-	"hns/internal/simtime"
 	"hns/internal/store"
 	"hns/internal/transport"
 )
@@ -98,8 +97,7 @@ func main() {
 		log.Printf("bindd: metrics on http://%s/metrics", msrv.Addr())
 	}
 
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
+	net := transport.NewNetwork()
 
 	// Crash safety: open the durable store (recovering any prior state)
 	// before any zone exists, so recovered contents overlay the declared
@@ -149,7 +147,7 @@ func main() {
 		defer rpc.Close()
 		primary := bind.NewHRPCClient(rpc,
 			hrpc.SuiteRawNet.Bind(*secAddr, *secAddr, bind.HRPCProgram, bind.HRPCVersion))
-		sec, err := bind.NewSecondary(primary, zones[0], *host, model)
+		sec, err := bind.NewSecondary(primary, zones[0], *host)
 		if err != nil {
 			log.Fatalf("bindd: %v", err)
 		}
@@ -237,7 +235,7 @@ func main() {
 			}
 		}()
 	} else {
-		srv = bind.NewServer(*host, model)
+		srv = bind.NewServer(*host)
 		for _, origin := range zones {
 			z, err := bind.NewZone(origin, *update)
 			if err != nil {

@@ -18,7 +18,6 @@ import (
 	"hns/internal/clearinghouse"
 	"hns/internal/hrpc"
 	"hns/internal/metrics"
-	"hns/internal/simtime"
 	"hns/internal/transport"
 )
 
@@ -51,10 +50,9 @@ func main() {
 		log.Printf("chd: metrics on http://%s/metrics", msrv.Addr())
 	}
 
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
+	net := transport.NewNetwork()
 
-	auth := clearinghouse.NewAuthenticator(model, *open)
+	auth := clearinghouse.NewAuthenticator(*open)
 	for _, p := range principals {
 		name, secret, ok := strings.Cut(p, "=")
 		if !ok {
@@ -63,7 +61,7 @@ func main() {
 		auth.AddPrincipal(name, secret)
 	}
 
-	store := clearinghouse.NewStore(model)
+	store := clearinghouse.NewStore()
 	if *snapshot != "" {
 		if err := store.LoadFile(*snapshot); err != nil {
 			if !os.IsNotExist(err) {
@@ -75,7 +73,7 @@ func main() {
 		}
 	}
 
-	srv := clearinghouse.NewServer(*host, model, store, auth)
+	srv := clearinghouse.NewServer(*host, store, auth)
 	if len(peers) > 0 {
 		rpc := hrpc.NewClient(net)
 		defer rpc.Close()

@@ -30,7 +30,6 @@ import (
 	"hns/internal/mail"
 	"hns/internal/names"
 	"hns/internal/rexec"
-	"hns/internal/simtime"
 	"hns/internal/transport"
 )
 
@@ -63,7 +62,7 @@ func main() {
 	}
 	rest := fs.Args()
 
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	rpc := hrpc.NewClient(net)
 	defer rpc.Close()
 	finder := core.NewRemoteHNS(rpc,

@@ -29,7 +29,6 @@ import (
 	"hns/internal/mail"
 	"hns/internal/qclass"
 	"hns/internal/rexec"
-	"hns/internal/simtime"
 	"hns/internal/transport"
 )
 
@@ -48,8 +47,7 @@ func main() {
 	)
 	flag.Parse()
 
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
+	net := transport.NewNetwork()
 	rpc := hrpc.NewClient(net)
 	defer rpc.Close()
 	chB := hrpc.SuiteCourierNet.Bind(*chAddr, *chAddr, clearinghouse.Program, clearinghouse.Version)
@@ -77,9 +75,9 @@ func main() {
 		log.Printf("hcsd: %s serving at %s, registered as %s", label, b, object)
 	}
 
-	serve(rexec.NewServer(*host, model).HRPCServer(), *execAddr, *execObj, "exec")
-	serve(filing.NewServer(*host, model).HRPCServer(), *filesAddr, *filesObj, "filing")
-	serve(mail.NewServer(*host, model).HRPCServer(), *mailAddr, *mailObj, "mailbox")
+	serve(rexec.NewServer(*host).HRPCServer(), *execAddr, *execObj, "exec")
+	serve(filing.NewServer(*host).HRPCServer(), *filesAddr, *filesObj, "filing")
+	serve(mail.NewServer(*host).HRPCServer(), *mailAddr, *mailObj, "mailbox")
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -15,8 +15,8 @@
 //	                              #   availability scale
 //	hnsbench -check               # Table 3.1 within ±20% of the paper, or exit 1
 //
-// Absolute numbers come from the calibrated cost model
-// (internal/simtime.Model); the point of the harness is that the *shape* —
+// Absolute numbers come from the calibrated constants in
+// internal/simtime/model.go; the point of the harness is that the *shape* —
 // who wins, by what factor, where the crossovers fall — is produced by the
 // actual code paths: counts of remote calls, lookups, marshalling
 // operations, and cache probes.
@@ -26,6 +26,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -36,14 +37,17 @@ import (
 	"hns/internal/world"
 )
 
-type runner func(context.Context, *world.World) error
+type runner func(context.Context, io.Writer, *world.World) error
+
+// section is one named unit of hnsbench output.
+type section struct {
+	name string
+	fn   runner
+}
 
 // proseRunners is the one list of prose measurements: the -prose help
 // text, the name lookup and the -all order all derive from it.
-var proseRunners = []struct {
-	name string
-	fn   runner
-}{
+var proseRunners = []section{
 	{"findnsm", printFindNSM},
 	{"nsmcall", printNSMCall},
 	{"underlying", printUnderlying},
@@ -118,7 +122,7 @@ func main() {
 	ctx := context.Background()
 
 	run := func(name string, fn runner) {
-		if err := fn(ctx, w); err != nil {
+		if err := fn(ctx, os.Stdout, w); err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
 		fmt.Println()

@@ -33,7 +33,6 @@ import (
 	"hns/internal/names"
 	"hns/internal/nsm"
 	"hns/internal/qclass"
-	"hns/internal/simtime"
 	"hns/internal/transport"
 )
 
@@ -42,7 +41,7 @@ func main() {
 		usage()
 	}
 	env := &env{
-		net: transport.NewNetwork(simtime.Default()),
+		net: transport.NewNetwork(),
 	}
 	env.rpc = hrpc.NewClient(env.net)
 	defer env.rpc.Close()

@@ -35,7 +35,6 @@ import (
 	"hns/internal/hrpc"
 	"hns/internal/metrics"
 	"hns/internal/nsm"
-	"hns/internal/simtime"
 	"hns/internal/transport"
 )
 
@@ -76,8 +75,7 @@ func main() {
 		log.Printf("hnsd: metrics on http://%s/metrics", msrv.Addr())
 	}
 
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
+	net := transport.NewNetwork()
 	rpc := hrpc.NewClient(net)
 	rpc.Pool.IdleTimeout = *connIdle
 	defer rpc.Close()
@@ -96,7 +94,7 @@ func main() {
 	if *marshCach {
 		mode = bind.CacheMarshalled
 	}
-	h := core.New(meta, model, core.Config{
+	h := core.New(meta, core.Config{
 		MetaZone:         *metaZone,
 		CacheMode:        mode,
 		NegativeCacheTTL: *negTTL,
@@ -112,7 +110,7 @@ func main() {
 			log.Fatalf("hnsd: -link-bind wants ns=addr, got %q", spec)
 		}
 		std := bind.NewStdClient(net, "udp-net", stdAddr)
-		h.LinkHostResolver(ns, nsm.NewBindHostAddr("hostaddr-"+ns, ns, std, model, nsm.Options{}))
+		h.LinkHostResolver(ns, nsm.NewBindHostAddr("hostaddr-"+ns, ns, std, nsm.Options{}))
 		log.Printf("hnsd: linked BIND HostAddress NSM for %s at %s", ns, stdAddr)
 	}
 	for _, spec := range linkCH {
@@ -123,7 +121,7 @@ func main() {
 		}
 		chB := hrpc.SuiteCourierNet.Bind(parts[0], parts[0], clearinghouse.Program, clearinghouse.Version)
 		ch := clearinghouse.NewClient(rpc, chB, clearinghouse.NewCredentials(parts[1], parts[2]))
-		h.LinkHostResolver(ns, nsm.NewCHHostAddr("hostaddr-"+ns, ns, ch, model, nsm.Options{}))
+		h.LinkHostResolver(ns, nsm.NewCHHostAddr("hostaddr-"+ns, ns, ch, nsm.Options{}))
 		log.Printf("hnsd: linked Clearinghouse HostAddress NSM for %s at %s", ns, parts[0])
 	}
 

@@ -33,7 +33,6 @@ import (
 	"hns/internal/gateway"
 	"hns/internal/hrpc"
 	"hns/internal/metrics"
-	"hns/internal/simtime"
 	"hns/internal/transport"
 )
 
@@ -72,8 +71,7 @@ func main() {
 		log.Printf("hnsgw: metrics on http://%s/metrics", msrv.Addr())
 	}
 
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
+	net := transport.NewNetwork()
 	up := hrpc.NewClient(net)
 	up.Pool.IdleTimeout = *connIdle
 	defer up.Close()

@@ -28,7 +28,6 @@ import (
 	"hns/internal/hrpc"
 	"hns/internal/metrics"
 	"hns/internal/nsm"
-	"hns/internal/simtime"
 	"hns/internal/transport"
 )
 
@@ -64,8 +63,7 @@ func main() {
 		log.Printf("nsmd: metrics on http://%s/metrics", msrv.Addr())
 	}
 
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
+	net := transport.NewNetwork()
 	rpc := hrpc.NewClient(net)
 	defer rpc.Close()
 
@@ -94,22 +92,22 @@ func main() {
 	)
 	switch *nsmType {
 	case "binding-bind":
-		server = nsm.NewBindBinding(*name, *ns, newStd(), rpc, model, opts).Server()
+		server = nsm.NewBindBinding(*name, *ns, newStd(), rpc, opts).Server()
 		suite = hrpc.SuiteSunRPCNet
 	case "binding-ch":
-		server = nsm.NewCHBinding(*name, *ns, newCH(), rpc, model, opts).Server()
+		server = nsm.NewCHBinding(*name, *ns, newCH(), rpc, opts).Server()
 		suite = hrpc.SuiteCourierNet
 	case "hostaddr-bind":
-		server = nsm.NewBindHostAddr(*name, *ns, newStd(), model, opts).Server()
+		server = nsm.NewBindHostAddr(*name, *ns, newStd(), opts).Server()
 		suite = hrpc.SuiteSunRPCNet
 	case "hostaddr-ch":
-		server = nsm.NewCHHostAddr(*name, *ns, newCH(), model, opts).Server()
+		server = nsm.NewCHHostAddr(*name, *ns, newCH(), opts).Server()
 		suite = hrpc.SuiteCourierNet
 	case "mail-bind":
-		server = nsm.NewBindMailRoute(*name, *ns, newStd(), model, opts).Server()
+		server = nsm.NewBindMailRoute(*name, *ns, newStd(), opts).Server()
 		suite = hrpc.SuiteSunRPCNet
 	case "mail-ch":
-		server = nsm.NewCHMailRoute(*name, *ns, newCH(), model, opts).Server()
+		server = nsm.NewCHMailRoute(*name, *ns, newCH(), opts).Server()
 		suite = hrpc.SuiteCourierNet
 	default:
 		log.Fatalf("nsmd: unknown NSM type %q", *nsmType)

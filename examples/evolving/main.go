@@ -81,7 +81,7 @@ func run() error {
 
 	// The Tektronix/Uniflex machine arrives with its own name service (a
 	// BIND zone of its own, standing in for whatever it ships with).
-	uniflex := bind.NewServer("tek", w.Model)
+	uniflex := bind.NewServer("tek")
 	zone, err := bind.NewZone("tek.lab", true)
 	if err != nil {
 		return err
@@ -105,7 +105,7 @@ func run() error {
 	// chosen individually for each subsystem type": here only the
 	// HostAddress query class is worth supporting.
 	std := bind.NewStdClient(w.Net, "udp", "tek:53")
-	tekHost := nsm.NewBindHostAddr("hostaddr-tek-1", "uniflex-tek", std, w.Model, w.NSMOptions())
+	tekHost := nsm.NewBindHostAddr("hostaddr-tek-1", "uniflex-tek", std, w.NSMOptions())
 	if _, _, err := hrpc.Serve(w.Net, tekHost.Server(), hrpc.SuiteRaw, world.HostNSM, "june:nsm-hostaddr-tek"); err != nil {
 		return err
 	}

@@ -38,7 +38,7 @@ func run() error {
 	defer w.Close()
 
 	// A UNIX file server on fiji, registered like any Sun RPC service.
-	unix := filing.NewServer("fiji", w.Model)
+	unix := filing.NewServer("fiji")
 	_, bU, err := hrpc.Serve(w.Net, unix.HRPCServer(), hrpc.SuiteSunRPC, "fiji", "fiji:filing")
 	if err != nil {
 		return err
@@ -46,7 +46,7 @@ func run() error {
 	w.Portmappers["fiji"].Set(filing.Program, filing.Version, "udp", bU.Addr)
 
 	// A Xerox file server, its binding stored as a Clearinghouse property.
-	xerox := filing.NewServer("xerox-d0", w.Model)
+	xerox := filing.NewServer("xerox-d0")
 	_, bX, err := hrpc.Serve(w.Net, xerox.HRPCServer(), hrpc.SuiteCourier, "xerox-d0", "xerox:filing")
 	if err != nil {
 		return err

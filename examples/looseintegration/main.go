@@ -48,9 +48,9 @@ func run() error {
 		w.Portmappers["fiji"].Set(prog, vers, "udp", b.Addr)
 		return nil
 	}
-	files := filing.NewServer("fiji", w.Model)
-	boxes := mail.NewServer("june", w.Model)
-	exec := rexec.NewServer("fiji", w.Model)
+	files := filing.NewServer("fiji")
+	boxes := mail.NewServer("june")
+	exec := rexec.NewServer("fiji")
 	if err := serveSun(files.HRPCServer(), "filing", filing.Program, filing.Version); err != nil {
 		return err
 	}
@@ -72,8 +72,8 @@ func run() error {
 		return w.CHClient().AddItem(ctx, clearinghouse.MustName(object),
 			clearinghouse.PropBinding, []byte(qclass.FormatBinding(b)))
 	}
-	xfiles := filing.NewServer("xerox-d0", w.Model)
-	xexec := rexec.NewServer("xerox-d0", w.Model)
+	xfiles := filing.NewServer("xerox-d0")
+	xexec := rexec.NewServer("xerox-d0")
 	if err := serveCourier(xfiles.HRPCServer(), "filing", "bigfiles:cs:uw"); err != nil {
 		return err
 	}

@@ -33,13 +33,12 @@ func main() {
 
 func run() error {
 	ctx := context.Background()
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
+	net := transport.NewNetwork()
 	rpc := hrpc.NewClient(net)
 	defer rpc.Close()
 
 	// ---- 1. The modified BIND that stores HNS meta-information.
-	metaSrv := bind.NewServer("meta", model)
+	metaSrv := bind.NewServer("meta")
 	metaZone, err := bind.NewZone("hns", true) // dynamic updates enabled
 	if err != nil {
 		return err
@@ -56,7 +55,7 @@ func run() error {
 	meta := bind.NewHRPCClient(metaClientRPC, metaBinding)
 
 	// ---- 2. A BIND world: a zone with a couple of hosts.
-	bindSrv := bind.NewServer("ns1", model)
+	bindSrv := bind.NewServer("ns1")
 	zone, err := bind.NewZone("lab.edu", true)
 	if err != nil {
 		return err
@@ -75,8 +74,8 @@ func run() error {
 	}
 
 	// ---- 3. A Clearinghouse world with one registered host.
-	auth := clearinghouse.NewAuthenticator(model, true)
-	ch := clearinghouse.NewServer("chsrv", model, clearinghouse.NewStore(model), auth)
+	auth := clearinghouse.NewAuthenticator(true)
+	ch := clearinghouse.NewServer("chsrv", clearinghouse.NewStore(), auth)
 	_, chBinding, err := ch.Serve(net, "chsrv:ch")
 	if err != nil {
 		return err
@@ -90,10 +89,10 @@ func run() error {
 
 	// ---- 4. HostAddress NSMs for both worlds, linked into a local HNS.
 	std := bind.NewStdClient(net, "udp", "ns1:53")
-	bindHost := nsm.NewBindHostAddr("hostaddr-lab", "lab-bind", std, model, nsm.Options{})
-	chHost := nsm.NewCHHostAddr("hostaddr-laborg", "lab-ch", chClient, model, nsm.Options{})
+	bindHost := nsm.NewBindHostAddr("hostaddr-lab", "lab-bind", std, nsm.Options{})
+	chHost := nsm.NewCHHostAddr("hostaddr-laborg", "lab-ch", chClient, nsm.Options{})
 
-	h := core.New(meta, model, core.Config{MetaZone: "hns"})
+	h := core.New(meta, core.Config{MetaZone: "hns"})
 	h.LinkHostResolver("lab-bind", bindHost)
 	h.LinkHostResolver("lab-ch", chHost)
 

@@ -69,8 +69,7 @@ func (m *meterSpyMeta) LookupChain(ctx context.Context, name string, t bind.RRTy
 
 func newNetFederation(t *testing.T) *netFederation {
 	t.Helper()
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
+	net := transport.NewNetwork()
 	f := &netFederation{net: net, rpc: hrpc.NewClient(net), reg: metrics.NewRegistry()}
 	f.rpc.Metrics = f.reg
 	t.Cleanup(func() { f.rpc.Close() })
@@ -87,7 +86,7 @@ func newNetFederation(t *testing.T) *netFederation {
 	}
 
 	// Meta BIND (modified: updatable "hns" zone) over real TCP.
-	metaSrv := bind.NewServer("tahoma", model)
+	metaSrv := bind.NewServer("tahoma")
 	metaZone, err := bind.NewZone("hns", true)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +103,7 @@ func newNetFederation(t *testing.T) *netFederation {
 	f.meta = meta
 
 	// Application BIND over real UDP (standard interface).
-	appSrv := bind.NewServer("fiji", model)
+	appSrv := bind.NewServer("fiji")
 	appZone, err := bind.NewZone("cs.washington.edu", true)
 	if err != nil {
 		t.Fatal(err)
@@ -125,21 +124,21 @@ func newNetFederation(t *testing.T) *netFederation {
 	t.Cleanup(func() { stdLn.Close() })
 
 	// Clearinghouse over real TCP (Courier).
-	auth := clearinghouse.NewAuthenticator(model, false)
+	auth := clearinghouse.NewAuthenticator(false)
 	auth.AddPrincipal("itest:cs:uw", "pw")
-	chSrv := clearinghouse.NewServer("xerox", model, clearinghouse.NewStore(model), auth)
+	chSrv := clearinghouse.NewServer("xerox", clearinghouse.NewStore(), auth)
 	chB := serve(chSrv.HRPCServer(), hrpc.SuiteCourierNet)
 	chClient := clearinghouse.NewClient(f.rpc, chB, clearinghouse.NewCredentials("itest:cs:uw", "pw"))
 
 	// HostAddress NSMs served over each world's native real-socket suite.
 	std := bind.NewStdClient(net, "udp-net", stdLn.Addr())
-	hostNSM := nsm.NewBindHostAddr("hostaddr-bind-1", "bind-cs", std, model, nsm.Options{})
+	hostNSM := nsm.NewBindHostAddr("hostaddr-bind-1", "bind-cs", std, nsm.Options{})
 	hostB := serve(hostNSM.Server(), hrpc.SuiteSunRPCNet)
-	chHostNSM := nsm.NewCHHostAddr("hostaddr-ch-1", "ch-uw", chClient, model, nsm.Options{})
+	chHostNSM := nsm.NewCHHostAddr("hostaddr-ch-1", "ch-uw", chClient, nsm.Options{})
 	chHostB := serve(chHostNSM.Server(), hrpc.SuiteCourierNet)
 
 	// The HNS, served over real TCP.
-	h := core.New(meta, model, core.Config{MetaZone: "hns", RPC: f.rpc, Metrics: f.reg})
+	h := core.New(meta, core.Config{MetaZone: "hns", RPC: f.rpc, Metrics: f.reg})
 	h.LinkHostResolver("bind-cs", hostNSM)
 	h.LinkHostResolver("ch-uw", chHostNSM)
 	f.hns = h

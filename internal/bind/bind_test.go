@@ -314,7 +314,6 @@ func TestWireFuzzProperty(t *testing.T) {
 // simulated network.
 type testEnv struct {
 	net     *transport.Network
-	model   *simtime.Model
 	server  *Server
 	stdAddr string
 	hrpcB   hrpc.Binding
@@ -323,9 +322,8 @@ type testEnv struct {
 
 func newTestEnv(t *testing.T) *testEnv {
 	t.Helper()
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
-	s := NewServer("fiji", model)
+	net := transport.NewNetwork()
+	s := NewServer("fiji")
 
 	z, err := NewZone("cs.washington.edu", true)
 	if err != nil {
@@ -356,7 +354,7 @@ func newTestEnv(t *testing.T) *testEnv {
 
 	c := hrpc.NewClient(net)
 	t.Cleanup(func() { c.Close() })
-	return &testEnv{net: net, model: model, server: s, stdAddr: "fiji:53", hrpcB: hb, client: c}
+	return &testEnv{net: net, server: s, stdAddr: "fiji:53", hrpcB: hb, client: c}
 }
 
 func TestStdClientLookup(t *testing.T) {
@@ -547,9 +545,8 @@ func TestRetiredProcedureIsUnknown(t *testing.T) {
 }
 
 func TestUpdateDeniedOnConventionalZone(t *testing.T) {
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
-	s := NewServer("vax", model)
+	net := transport.NewNetwork()
+	s := NewServer("vax")
 	z, _ := NewZone("static.test", false) // conventional BIND: no updates
 	s.AddZone(z)
 	ln, b, err := s.ServeHRPC(net, "vax:bind-hrpc")
@@ -598,7 +595,7 @@ func TestResolverCachesAndExpires(t *testing.T) {
 	std := NewStdClient(env.net, "udp", env.stdAddr)
 	defer std.Close()
 	clk := simtime.NewFakeClock(time.Now())
-	r := NewResolver(std, env.model, ResolverConfig{Clock: clk})
+	r := NewResolver(std, ResolverConfig{Clock: clk})
 
 	ctx := context.Background()
 	if _, err := r.Lookup(ctx, "fiji.cs.washington.edu", TypeA); err != nil {
@@ -628,7 +625,7 @@ func TestResolverHitCostByMode(t *testing.T) {
 	ctx := context.Background()
 
 	measureHit := func(mode CacheMode) time.Duration {
-		r := NewResolver(std, env.model, ResolverConfig{Mode: mode, Style: marshal.StyleGenerated})
+		r := NewResolver(std, ResolverConfig{Mode: mode, Style: marshal.StyleGenerated})
 		if _, err := r.Lookup(ctx, "fiji.cs.washington.edu", TypeA); err != nil {
 			t.Fatal(err)
 		}
@@ -662,7 +659,7 @@ func TestResolverPreload(t *testing.T) {
 	env := newTestEnv(t)
 	std := NewStdClient(env.net, "udp", env.stdAddr)
 	defer std.Close()
-	r := NewResolver(std, env.model, ResolverConfig{})
+	r := NewResolver(std, ResolverConfig{})
 	r.Preload([]RR{
 		A("fiji.cs.washington.edu", "udp!fiji", 600),
 		A("june.cs.washington.edu", "udp!june", 600),
@@ -685,8 +682,7 @@ func TestResolverPreload(t *testing.T) {
 }
 
 func TestServerDuplicateZone(t *testing.T) {
-	model := simtime.Default()
-	s := NewServer("h", model)
+	s := NewServer("h")
 	z1, _ := NewZone("a.test", false)
 	z2, _ := NewZone("a.test", false)
 	if err := s.AddZone(z1); err != nil {
@@ -698,8 +694,7 @@ func TestServerDuplicateZone(t *testing.T) {
 }
 
 func TestServerLongestZoneMatch(t *testing.T) {
-	model := simtime.Default()
-	s := NewServer("h", model)
+	s := NewServer("h")
 	parent, _ := NewZone("washington.edu", true)
 	child, _ := NewZone("cs.washington.edu", true)
 	s.AddZone(parent)
@@ -747,8 +742,7 @@ func TestRRTypeStrings(t *testing.T) {
 }
 
 func TestServerString(t *testing.T) {
-	model := simtime.Default()
-	s := NewServer("fiji", model)
+	s := NewServer("fiji")
 	z, _ := NewZone("cs.washington.edu", false)
 	s.AddZone(z)
 	if got := s.String(); !strings.Contains(got, "fiji") || !strings.Contains(got, "cs.washington.edu") {

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"hns/internal/simtime"
 	"hns/internal/store"
 )
 
@@ -46,7 +45,7 @@ func coldStart(tb testing.TB, fs store.FS, zoneFile []byte) (*Server, *Durable) 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv := NewServer("tahoma", simtime.Default())
+	srv := NewServer("tahoma")
 	z, err := NewZone("hns", true)
 	if err != nil {
 		tb.Fatal(err)
@@ -116,7 +115,7 @@ func loadOneByOne(s *Server, rrs []RR) error {
 func twinServers(t *testing.T, window int) (bulk, ref *Server) {
 	t.Helper()
 	mk := func() *Server {
-		s := NewServer("fiji", simtime.Default())
+		s := NewServer("fiji")
 		for _, origin := range []string{"hns", "meta.hns"} {
 			z, err := NewZone(origin, true)
 			if err != nil {

@@ -199,8 +199,7 @@ func (c *HRPCClient) LookupChain(ctx context.Context, name string, t RRType, fol
 	if err != nil {
 		return nil, nil, err
 	}
-	model := c.c.Network().Model()
-	simtime.Charge(ctx, model.GenMarshalRequest)
+	simtime.Charge(ctx, simtime.GenMarshalRequest)
 	ret, err := c.c.Call(ctx, c.b, procQueryChain, marshal.StructV(
 		marshal.Str(cname), marshal.U32(uint32(t)), followToList(follow),
 	))
@@ -215,7 +214,7 @@ func (c *HRPCClient) LookupChain(ctx context.Context, name string, t RRType, fol
 	if err != nil {
 		return nil, nil, err
 	}
-	marshal.ChargeRecords(ctx, model, marshal.StyleGenerated, len(rrs))
+	marshal.ChargeRecords(ctx, marshal.StyleGenerated, len(rrs))
 	if RCode(rcode) != RCodeOK {
 		return nil, nil, &NotFoundError{Name: name, Type: t, RCode: RCode(rcode)}
 	}

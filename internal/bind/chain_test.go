@@ -253,7 +253,7 @@ func (b *chainBackend) counts() (plain, chained int) {
 func TestResolverLookupChainInstallsEverySet(t *testing.T) {
 	backend := newChainBackend(chainRecords()...)
 	clk := simtime.NewFakeClock(time.Unix(0, 0))
-	r := NewResolver(backend, simtime.Default(), ResolverConfig{Clock: clk})
+	r := NewResolver(backend, ResolverConfig{Clock: clk})
 	ctx := context.Background()
 
 	head, err := r.LookupChain(ctx, chainCtx, TypeHNSMeta, chainFollow)
@@ -298,7 +298,7 @@ func TestInvalidationBeatsChainedFlight(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			backend := newChainBackend(chainRecords()...)
 			backend.armed = true
-			r := NewResolver(backend, simtime.Default(), ResolverConfig{
+			r := NewResolver(backend, ResolverConfig{
 				Clock: simtime.NewFakeClock(time.Unix(0, 0)),
 			})
 			ctx := context.Background()
@@ -342,7 +342,7 @@ func TestInvalidatedNameIsRefetchedAlone(t *testing.T) {
 	backend := newChainBackend(chainRecords()...)
 	backend.set("hostaddress.ns9.qc.hns", HNSMeta("hostaddress.ns9.qc.hns", "nsm=nsm9", 200))
 	backend.set("nsm9.nsm.hns", HNSMeta("nsm9.nsm.hns", "host=fiji", 100))
-	r := NewResolver(backend, simtime.Default(), ResolverConfig{
+	r := NewResolver(backend, ResolverConfig{
 		Clock: simtime.NewFakeClock(time.Unix(0, 0)),
 	})
 	ctx := context.Background()
@@ -398,7 +398,7 @@ func TestInvalidatedNameIsRefetchedAlone(t *testing.T) {
 // like the cache whose entries it outlives, and emptied by Sweep.
 func TestInvalidatedSetIsBounded(t *testing.T) {
 	backend := newChainBackend()
-	r := NewResolver(backend, simtime.Default(), ResolverConfig{MaxEntries: 4})
+	r := NewResolver(backend, ResolverConfig{MaxEntries: 4})
 	for i := 0; i < 32; i++ {
 		name := fmt.Sprintf("c%d.ctx.hns", i)
 		backend.set(name, HNSMeta(name, "ns=x", 300))
@@ -447,8 +447,8 @@ func TestResolverChainFallsBackToDiscrete(t *testing.T) {
 	}
 	type plainOnly struct{ Lookuper } // hides LookupChain
 	for _, start := range []string{chainCtx, "short.ctx.hns", "ghost.ctx.hns"} {
-		chained := NewResolver(c, simtime.Default(), ResolverConfig{})
-		discrete := NewResolver(plainOnly{c}, simtime.Default(), ResolverConfig{})
+		chained := NewResolver(c, ResolverConfig{})
+		discrete := NewResolver(plainOnly{c}, ResolverConfig{})
 		before := counterValue("hrpc_client_calls_total", "proc", "BINDQueryChain")
 		got, gotErr := walk(chained, start)
 		if counterValue("hrpc_client_calls_total", "proc", "BINDQueryChain") == before {
@@ -469,7 +469,7 @@ func TestResolverChainFallsBackToDiscrete(t *testing.T) {
 // invalidations of both at once, for the race detector.
 func TestChainedFlightsRace(t *testing.T) {
 	backend := newChainBackend(chainRecords()...)
-	r := NewResolver(backend, simtime.Default(), ResolverConfig{MaxEntries: 8})
+	r := NewResolver(backend, ResolverConfig{MaxEntries: 8})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -506,7 +506,7 @@ func FuzzQueryChainArgs(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	s := NewServer("fuzz", simtime.Default())
+	s := NewServer("fuzz")
 	z, err := NewZone("hns", true)
 	if err != nil {
 		f.Fatal(err)

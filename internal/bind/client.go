@@ -115,11 +115,10 @@ func NewStdClient(net *transport.Network, transportName, addr string, replicas .
 // Lookup implements Lookuper.
 func (c *StdClient) Lookup(ctx context.Context, name string, t RRType) (_ []RR, err error) {
 	defer func() { c.obs.count(err) }()
-	model := c.net.Model()
 	q := &Message{ID: uint16(c.id.Add(1)), QName: name, QType: t}
 	// Hand-coded request marshalling: base cost only (a question is a
 	// zero-record message).
-	simtime.Charge(ctx, model.HandMarshalBase)
+	simtime.Charge(ctx, simtime.HandMarshalBase)
 	req, err := EncodeMessage(q)
 	if err != nil {
 		return nil, err
@@ -133,7 +132,7 @@ func (c *StdClient) Lookup(ctx context.Context, name string, t RRType) (_ []RR, 
 		return nil, err
 	}
 	// Hand-coded response demarshalling, priced per answer record.
-	marshal.ChargeRecords(ctx, model, marshal.StyleHand, len(resp.Answers))
+	marshal.ChargeRecords(ctx, marshal.StyleHand, len(resp.Answers))
 	if resp.ID != q.ID {
 		return nil, fmt.Errorf("bind: response ID %d does not match query %d", resp.ID, q.ID)
 	}
@@ -266,9 +265,8 @@ func (c *HRPCClient) Binding() hrpc.Binding { return c.b }
 // Lookup implements Lookuper.
 func (c *HRPCClient) Lookup(ctx context.Context, name string, t RRType) (_ []RR, err error) {
 	defer func() { c.obs.count(err) }()
-	model := c.c.Network().Model()
 	// Generated request marshalling.
-	simtime.Charge(ctx, model.GenMarshalRequest)
+	simtime.Charge(ctx, simtime.GenMarshalRequest)
 	ret, err := c.c.Call(ctx, c.b, procQuery, marshal.StructV(
 		marshal.Str(name), marshal.U32(uint32(t)),
 	))
@@ -284,7 +282,7 @@ func (c *HRPCClient) Lookup(ctx context.Context, name string, t RRType) (_ []RR,
 		return nil, err
 	}
 	// Generated response demarshalling, per record (Table 3.2 pricing).
-	marshal.ChargeRecords(ctx, model, marshal.StyleGenerated, len(rrs))
+	marshal.ChargeRecords(ctx, marshal.StyleGenerated, len(rrs))
 	if RCode(rcode) != RCodeOK {
 		return nil, &NotFoundError{Name: name, Type: t, RCode: RCode(rcode)}
 	}
@@ -293,9 +291,8 @@ func (c *HRPCClient) Lookup(ctx context.Context, name string, t RRType) (_ []RR,
 
 // Update applies a dynamic update.
 func (c *HRPCClient) Update(ctx context.Context, zone string, op uint32, rr RR) (uint32, error) {
-	model := c.c.Network().Model()
-	simtime.Charge(ctx, model.GenMarshalRequest)
-	marshal.ChargeRecords(ctx, model, marshal.StyleGenerated, 1) // the RR in the request
+	simtime.Charge(ctx, simtime.GenMarshalRequest)
+	marshal.ChargeRecords(ctx, marshal.StyleGenerated, 1) // the RR in the request
 	ret, err := c.c.Call(ctx, c.b, procUpdate, marshal.StructV(
 		marshal.Str(zone), marshal.U32(op), rrToValue(rr),
 	))
@@ -314,8 +311,7 @@ func (c *HRPCClient) Update(ctx context.Context, zone string, op uint32, rr RR) 
 // Transfer fetches the zone's full contents (the preloading mechanism).
 // The per-record transfer cost is charged server-side.
 func (c *HRPCClient) Transfer(ctx context.Context, zone string) (uint32, []RR, error) {
-	model := c.c.Network().Model()
-	simtime.Charge(ctx, model.GenMarshalRequest)
+	simtime.Charge(ctx, simtime.GenMarshalRequest)
 	ret, err := c.c.Call(ctx, c.b, procTransfer, marshal.StructV(marshal.Str(zone)))
 	if err != nil {
 		return 0, nil, err
@@ -372,12 +368,24 @@ func (m CacheMode) String() string {
 	return "demarshalled"
 }
 
+// ChargeHit charges ctx for one cache hit returning n records kept in
+// mode m — the one pricing rule of Table 3.2. A marshalled entry pays a
+// full demarshal in style s plus the probe; a demarshalled entry pays
+// the probe and the per-record copy.
+func (m CacheMode) ChargeHit(ctx context.Context, s marshal.Style, n int) {
+	if m == CacheMarshalled {
+		marshal.ChargeRecords(ctx, s, n)
+		simtime.Charge(ctx, simtime.CacheHit(0))
+		return
+	}
+	simtime.Charge(ctx, simtime.CacheHit(n))
+}
+
 // Resolver wraps a Lookuper with a TTL answer cache. It is safe for
 // concurrent use: the cache is sharded, and concurrent misses for the
 // same key are coalesced into a single backend lookup (see flightGroup).
 type Resolver struct {
 	backend Lookuper
-	model   *simtime.Model
 	mode    CacheMode
 	// style prices marshalled-mode hits: generated for the HRPC backend,
 	// hand for the standard backend.
@@ -439,10 +447,9 @@ type ResolverConfig struct {
 }
 
 // NewResolver creates a caching resolver over backend.
-func NewResolver(backend Lookuper, model *simtime.Model, cfg ResolverConfig) *Resolver {
+func NewResolver(backend Lookuper, cfg ResolverConfig) *Resolver {
 	r := &Resolver{
 		backend:  backend,
-		model:    model,
 		mode:     cfg.Mode,
 		style:    cfg.Style,
 		cache:    cache.New[[]RR](cfg.Clock, cfg.MaxEntries),
@@ -542,7 +549,7 @@ func (r *Resolver) LookupChain(ctx context.Context, name string, t RRType, follo
 		if nf, ok := r.neg.Get(key); ok {
 			// A remembered authoritative "no": priced as a probe of an
 			// empty answer, like any other hit.
-			simtime.Charge(ctx, r.model.CacheHit(0))
+			simtime.Charge(ctx, simtime.CacheHit(0))
 			r.negHits.Inc()
 			return nil, nf
 		}
@@ -640,14 +647,9 @@ func (r *Resolver) staleLookup(ctx context.Context, key string, cause error) ([]
 }
 
 func (r *Resolver) chargeHit(ctx context.Context, n int) {
-	switch r.mode {
-	case CacheMarshalled:
-		// Every access pays a full demarshal of the stored answer.
-		marshal.ChargeRecords(ctx, r.model, r.style, n)
-		simtime.Charge(ctx, r.model.CacheHit(0)) // plus the probe itself
+	r.mode.ChargeHit(ctx, r.style, n)
+	if r.mode == CacheMarshalled {
 		r.demarshals.Inc()
-	default:
-		simtime.Charge(ctx, r.model.CacheHit(n))
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"hns/internal/simtime"
 	"hns/internal/store"
 )
 
@@ -63,7 +62,7 @@ func newCrashServer(t *testing.T, fs store.FS, cfg DurableConfig) (*Server, *Dur
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := NewServer("fiji", simtime.Default())
+	srv := NewServer("fiji")
 	for _, origin := range []string{crashZoneA, crashZoneB} {
 		z, err := NewZone(origin, true)
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"testing"
 
-	"hns/internal/simtime"
 	"hns/internal/store"
 )
 
@@ -20,7 +19,7 @@ func openDurableServer(t *testing.T, fs store.FS, origin string, cfg DurableConf
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
-	srv := NewServer("fiji", simtime.Default())
+	srv := NewServer("fiji")
 	z, err := NewZone(origin, true)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +241,6 @@ func TestDurableJournalFailureMeansNoAck(t *testing.T) {
 }
 
 func TestSecondaryRestoreSkipsColdTransfer(t *testing.T) {
-	model := simtime.Default()
 	primary, cl, _ := newPrimary(t)
 	ctx := context.Background()
 	for i := 0; i < 4; i++ {
@@ -251,7 +249,7 @@ func TestSecondaryRestoreSkipsColdTransfer(t *testing.T) {
 		}
 	}
 
-	sec, err := NewSecondary(cl, "repl.test", "fiji", model)
+	sec, err := NewSecondary(cl, "repl.test", "fiji")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +278,7 @@ func TestSecondaryRestoreSkipsColdTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	sec2, err := NewSecondary(cl, "repl.test", "fiji", model)
+	sec2, err := NewSecondary(cl, "repl.test", "fiji")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func (s *Server) TransferDelta(ctx context.Context, zoneOrigin string, since uin
 		s.reg.Counter(metrics.Labels("ixfr_requests_total", "result", "fallback")).Inc()
 		return RCodeOK, serial, nil, false
 	}
-	simtime.Charge(ctx, s.model.ZoneXfer(len(diffs)))
+	simtime.Charge(ctx, simtime.ZoneXfer(len(diffs)))
 	s.reg.Counter(metrics.Labels("ixfr_requests_total", "result", "diff")).Inc()
 	s.reg.Counter("ixfr_records_total").Add(int64(len(diffs)))
 	return RCodeOK, serial, diffs, true

@@ -192,9 +192,8 @@ func FuzzIXFRDecode(f *testing.F) {
 // newPushPrimary stands up a primary with push + diff log enabled.
 func newPushPrimary(t *testing.T, window int) (*Server, *HRPCClient, *transport.Network) {
 	t.Helper()
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
-	s := NewServer("primary", model)
+	net := transport.NewNetwork()
+	s := NewServer("primary")
 	z, err := NewZone("repl.test", true)
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +429,7 @@ func TestPushVsPollFetchClosedForms(t *testing.T) {
 		fleet := make([]*Resolver, clients)
 		subs := make([]*Subscriber, clients)
 		for i := range fleet {
-			res := NewResolver(authority, simtime.Default(), ResolverConfig{Clock: clk})
+			res := NewResolver(authority, ResolverConfig{Clock: clk})
 			fleet[i] = res
 			if !subscribe {
 				continue
@@ -644,7 +643,7 @@ func TestTableOverflowDegradesSubscriber(t *testing.T) {
 
 func TestSecondaryRefreshesIncrementally(t *testing.T) {
 	s, client, _ := newPushPrimary(t, 64)
-	sec, err := NewSecondary(client, "repl.test", "mirror", simtime.Default())
+	sec, err := NewSecondary(client, "repl.test", "mirror")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,8 +709,7 @@ func TestSecondaryRefreshesIncrementally(t *testing.T) {
 	if sec.DeltaRefreshes() != 2 {
 		t.Fatalf("DeltaRefreshes = %d, want 2", sec.DeltaRefreshes())
 	}
-	model := simtime.Default()
-	fullCost := model.ZoneXfer(sec.Server().Zone("repl.test").Count())
+	fullCost := simtime.ZoneXfer(sec.Server().Zone("repl.test").Count())
 	if cost >= fullCost/2 {
 		t.Fatalf("delta refresh cost %v not ≪ full transfer %v", cost, fullCost)
 	}
@@ -719,7 +717,7 @@ func TestSecondaryRefreshesIncrementally(t *testing.T) {
 
 func TestSecondaryFallsBackPastWindow(t *testing.T) {
 	s, client, _ := newPushPrimary(t, 2)
-	sec, err := NewSecondary(client, "repl.test", "mirror", simtime.Default())
+	sec, err := NewSecondary(client, "repl.test", "mirror")
 	if err != nil {
 		t.Fatal(err)
 	}

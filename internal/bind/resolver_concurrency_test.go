@@ -52,7 +52,7 @@ func TestStampedeSingleBackendLookup(t *testing.T) {
 			"stampede.test": {A("stampede.test", "10.0.0.1", 600)},
 		},
 	}
-	r := NewResolver(backend, simtime.Default(), ResolverConfig{})
+	r := NewResolver(backend, ResolverConfig{})
 
 	var wg sync.WaitGroup
 	costs := make([]time.Duration, herd)
@@ -123,7 +123,7 @@ func (b *meterSpy) Lookup(ctx context.Context, name string, t RRType) ([]RR, err
 // would time itself in simulated charges instead of wall time.
 func TestMissKeepsTheCallersClock(t *testing.T) {
 	backend := &meterSpy{}
-	r := NewResolver(backend, simtime.Default(), ResolverConfig{})
+	r := NewResolver(backend, ResolverConfig{})
 	if _, err := r.Lookup(context.Background(), "bare.test", TypeA); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestLookupAliasing(t *testing.T) {
 			"alias.test": {A("alias.test", "10.0.0.1", 600), A("alias.test", "10.0.0.2", 600)},
 		},
 	}
-	r := NewResolver(backend, simtime.Default(), ResolverConfig{})
+	r := NewResolver(backend, ResolverConfig{})
 	ctx := context.Background()
 
 	// Miss path: mutate the returned records and their Data bytes.
@@ -177,7 +177,7 @@ func TestLookupAliasing(t *testing.T) {
 }
 
 func TestPreloadCopiesCallerRecords(t *testing.T) {
-	r := NewResolver(&blockingBackend{}, simtime.Default(), ResolverConfig{})
+	r := NewResolver(&blockingBackend{}, ResolverConfig{})
 	rrs := []RR{A("pre.test", "10.0.0.9", 600)}
 	r.Preload(rrs)
 	rrs[0].Data[0] = 'X' // caller reuses its buffer
@@ -194,8 +194,7 @@ func TestNegativeCache(t *testing.T) {
 	clk := simtime.NewFakeClock(time.Date(1987, 11, 8, 0, 0, 0, 0, time.UTC))
 	backend := &blockingBackend{cost: 27 * time.Millisecond}
 	reg := metrics.NewRegistry()
-	model := simtime.Default()
-	r := NewResolver(backend, model, ResolverConfig{
+	r := NewResolver(backend, ResolverConfig{
 		Clock:       clk,
 		NegativeTTL: 30 * time.Second,
 		Metrics:     reg,
@@ -224,8 +223,8 @@ func TestNegativeCache(t *testing.T) {
 	if backend.calls.Load() != 1 {
 		t.Fatalf("negative hit still queried the backend (%d calls)", backend.calls.Load())
 	}
-	if cost != model.CacheHit(0) {
-		t.Fatalf("negative hit charged %v, want cache probe %v", cost, model.CacheHit(0))
+	if cost != simtime.CacheHit(0) {
+		t.Fatalf("negative hit charged %v, want cache probe %v", cost, simtime.CacheHit(0))
 	}
 	if got := reg.Counter(metrics.Labels("cache_negative_hits_total", "cache", "negtest")).Value(); got != 1 {
 		t.Fatalf("cache_negative_hits_total = %d, want 1", got)
@@ -317,7 +316,7 @@ func TestInvalidationSupersedesInFlightLookup(t *testing.T) {
 			if tc.before != nil {
 				backend.set(name, tc.before...)
 			}
-			r := NewResolver(backend, simtime.Default(), ResolverConfig{
+			r := NewResolver(backend, ResolverConfig{
 				Clock:       simtime.NewFakeClock(time.Unix(0, 0)),
 				NegativeTTL: 600 * time.Second,
 			})
@@ -362,7 +361,7 @@ func TestInvalidationSupersedesInFlightLookup(t *testing.T) {
 // NegativeTTL every NotFound goes to the backend, exactly as before.
 func TestNegativeCacheDisabledByDefault(t *testing.T) {
 	backend := &blockingBackend{}
-	r := NewResolver(backend, simtime.Default(), ResolverConfig{})
+	r := NewResolver(backend, ResolverConfig{})
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if _, err := r.Lookup(ctx, "ghost.test", TypeA); !isNotFound(err) {
@@ -424,7 +423,7 @@ func BenchmarkResolverWarmParallel(b *testing.B) {
 		names[i] = fmt.Sprintf("host%d.bench.test", i)
 		backend.answers[names[i]] = []RR{A(names[i], "10.0.0.1", 600)}
 	}
-	r := NewResolver(backend, simtime.Default(), ResolverConfig{})
+	r := NewResolver(backend, ResolverConfig{})
 	ctx := context.Background()
 	for _, n := range names {
 		if _, err := r.Lookup(ctx, n, TypeA); err != nil {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"hns/internal/simtime"
 )
 
 // Secondary mirrors one zone from a primary server by serial-checked zone
@@ -30,12 +28,12 @@ type Secondary struct {
 
 // NewSecondary creates a secondary for the named zone, serving on a local
 // Server for host. The initial contents are empty until Refresh runs.
-func NewSecondary(primary *HRPCClient, zoneOrigin, host string, model *simtime.Model) (*Secondary, error) {
+func NewSecondary(primary *HRPCClient, zoneOrigin, host string) (*Secondary, error) {
 	z, err := NewZone(zoneOrigin, false) // mirrors never accept updates
 	if err != nil {
 		return nil, err
 	}
-	srv := NewServer(host, model)
+	srv := NewServer(host)
 	if err := srv.AddZone(z); err != nil {
 		return nil, err
 	}

@@ -13,9 +13,8 @@ import (
 // HRPC client to it.
 func newPrimary(t *testing.T) (*Server, *HRPCClient, *transport.Network) {
 	t.Helper()
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
-	s := NewServer("primary", model)
+	net := transport.NewNetwork()
+	s := NewServer("primary")
 	z, err := NewZone("repl.test", true)
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +40,7 @@ func newPrimary(t *testing.T) (*Server, *HRPCClient, *transport.Network) {
 
 func TestSecondaryMirrorsZone(t *testing.T) {
 	_, client, _ := newPrimary(t)
-	model := simtime.Default()
-	sec, err := NewSecondary(client, "repl.test", "mirror", model)
+	sec, err := NewSecondary(client, "repl.test", "mirror")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +66,7 @@ func TestSecondaryMirrorsZone(t *testing.T) {
 
 func TestSecondaryRefreshIsSerialGated(t *testing.T) {
 	primary, client, _ := newPrimary(t)
-	model := simtime.Default()
-	sec, err := NewSecondary(client, "repl.test", "mirror", model)
+	sec, err := NewSecondary(client, "repl.test", "mirror")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +86,7 @@ func TestSecondaryRefreshIsSerialGated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost > 100*simtime.Default().ZoneXferPerRR {
+	if cost > 100*simtime.ZoneXferPerRR {
 		t.Fatalf("no-op refresh cost %v — looks like a transfer", cost)
 	}
 
@@ -119,7 +116,7 @@ func TestSecondaryRefreshIsSerialGated(t *testing.T) {
 
 func TestSecondaryRejectsUpdates(t *testing.T) {
 	_, client, _ := newPrimary(t)
-	sec, err := NewSecondary(client, "repl.test", "mirror", simtime.Default())
+	sec, err := NewSecondary(client, "repl.test", "mirror")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,8 @@ import (
 // (the prototype ran a conventional BIND and a separate modified BIND; a
 // deployment here does the same by running two Servers).
 type Server struct {
-	host  string
-	model *simtime.Model
-	reg   *metrics.Registry
+	host string
+	reg  *metrics.Registry
 
 	mu    sync.RWMutex
 	zones []*Zone // sorted longest-origin-first for suffix matching
@@ -42,8 +41,11 @@ type Server struct {
 
 // NewServer creates a zoneless server on host. It records its query,
 // update, and transfer counters into the process-wide metrics registry.
-func NewServer(host string, model *simtime.Model) *Server {
-	return &Server{host: host, model: model, reg: metrics.Default()}
+// The variadic *simtime.Model is ignored: it is a retired shape kept
+// only so bench/hnsload, which still passes one, compiles. No other
+// caller passes it.
+func NewServer(host string, _ ...*simtime.Model) *Server {
+	return &Server{host: host, reg: metrics.Default()}
 }
 
 // Host reports the server's host name.
@@ -104,7 +106,7 @@ func (s *Server) Query(ctx context.Context, name string, t RRType) (RCode, []RR)
 }
 
 func (s *Server) query(ctx context.Context, name string, t RRType) (RCode, []RR) {
-	simtime.Charge(ctx, s.model.BindServerLookup)
+	simtime.Charge(ctx, simtime.BindServerLookup)
 	name, err := CanonicalName(name)
 	if err != nil {
 		return RCodeFormErr, nil
@@ -147,7 +149,7 @@ func (s *Server) Update(ctx context.Context, zoneOrigin string, op uint32, rr RR
 	defer func() {
 		s.reg.Counter(metrics.Labels("bind_updates_total", "rcode", rcode.String())).Inc()
 	}()
-	simtime.Charge(ctx, s.model.BindServerUpdate)
+	simtime.Charge(ctx, simtime.BindServerUpdate)
 	z := s.Zone(zoneOrigin)
 	if z == nil {
 		return RCodeRefused, 0, fmt.Errorf("bind: not authoritative for %q", zoneOrigin)
@@ -195,7 +197,7 @@ func (s *Server) Transfer(ctx context.Context, zoneOrigin string) (RCode, uint32
 		return RCodeRefused, 0, nil
 	}
 	rrs := z.All()
-	simtime.Charge(ctx, s.model.ZoneXfer(len(rrs)))
+	simtime.Charge(ctx, simtime.ZoneXfer(len(rrs)))
 	s.reg.Counter("bind_transfers_total").Inc()
 	s.reg.Counter("bind_transfer_records_total").Add(int64(len(rrs)))
 	return RCodeOK, z.Serial(), rrs

@@ -40,8 +40,7 @@ import (
 // since and the caller should fall back to a full Transfer. An
 // up-to-date caller gets (serial, nil, true).
 func (c *HRPCClient) TransferDelta(ctx context.Context, zone string, since uint32) (uint32, []DiffRec, bool, error) {
-	model := c.c.Network().Model()
-	simtime.Charge(ctx, model.GenMarshalRequest)
+	simtime.Charge(ctx, simtime.GenMarshalRequest)
 	ret, err := c.c.Call(ctx, c.b, procIxfr, marshal.StructV(
 		marshal.Str(zone), marshal.U32(since),
 	))
@@ -67,7 +66,7 @@ func (c *HRPCClient) TransferDelta(ctx context.Context, zone string, since uint3
 	}
 	// Incremental demarshalling is priced per record moved, like the
 	// full transfer — just over far fewer records.
-	marshal.ChargeRecords(ctx, model, marshal.StyleGenerated, len(diffs))
+	marshal.ChargeRecords(ctx, marshal.StyleGenerated, len(diffs))
 	return serial, diffs, true, nil
 }
 

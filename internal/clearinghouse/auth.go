@@ -42,8 +42,6 @@ var ErrAuthFailed = errors.New("clearinghouse: authentication failed")
 
 // Authenticator is a server's principal table.
 type Authenticator struct {
-	model *simtime.Model
-
 	mu         sync.RWMutex
 	principals map[string][]byte // principal -> expected proof
 	open       bool
@@ -53,9 +51,8 @@ type Authenticator struct {
 // access is admitted (still charging authentication cost) — used for
 // test/demo deployments, mirroring sites that ran the Clearinghouse with a
 // wildcard principal.
-func NewAuthenticator(model *simtime.Model, open bool) *Authenticator {
+func NewAuthenticator(open bool) *Authenticator {
 	return &Authenticator{
-		model:      model,
 		principals: make(map[string][]byte),
 		open:       open,
 	}
@@ -78,7 +75,7 @@ func (a *Authenticator) RemovePrincipal(principal string) {
 // Verify checks credentials, charging the per-access authentication cost
 // regardless of outcome (the handshake happens either way).
 func (a *Authenticator) Verify(ctx context.Context, c Credentials) error {
-	simtime.Charge(ctx, a.model.CHAuth)
+	simtime.Charge(ctx, simtime.CHAuth)
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if a.open {

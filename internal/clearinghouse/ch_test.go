@@ -57,8 +57,7 @@ func TestParseNameProperty(t *testing.T) {
 }
 
 func TestCredentials(t *testing.T) {
-	model := simtime.Default()
-	a := NewAuthenticator(model, false)
+	a := NewAuthenticator(false)
 	a.AddPrincipal("schwartz:cs:uw", "hunter2")
 
 	ctx := context.Background()
@@ -79,15 +78,15 @@ func TestCredentials(t *testing.T) {
 		t.Fatalf("removed principal accepted: %v", err)
 	}
 	// Open mode admits anyone but still charges.
-	openAuth := NewAuthenticator(model, true)
+	openAuth := NewAuthenticator(true)
 	cost, err := simtime.Measure(ctx, func(ctx context.Context) error {
 		return openAuth.Verify(ctx, unknown)
 	})
 	if err != nil {
 		t.Fatalf("open auth rejected: %v", err)
 	}
-	if cost != model.CHAuth {
-		t.Fatalf("auth cost %v != %v", cost, model.CHAuth)
+	if cost != simtime.CHAuth {
+		t.Fatalf("auth cost %v != %v", cost, simtime.CHAuth)
 	}
 	if s := good.String(); strings.Contains(s, "hunter2") {
 		t.Fatal("credentials String leaks the secret")
@@ -95,8 +94,7 @@ func TestCredentials(t *testing.T) {
 }
 
 func TestStoreBasics(t *testing.T) {
-	model := simtime.Default()
-	s := NewStore(model)
+	s := NewStore()
 	ctx := context.Background()
 	n := MustName("fileserver:cs:uw")
 
@@ -127,8 +125,7 @@ func TestStoreBasics(t *testing.T) {
 }
 
 func TestStoreListAndProperties(t *testing.T) {
-	model := simtime.Default()
-	s := NewStore(model)
+	s := NewStore()
 	ctx := context.Background()
 	s.AddItem(ctx, MustName("b:cs:uw"), PropUser, []byte("1"))
 	s.AddItem(ctx, MustName("a:cs:uw"), PropUser, []byte("1"))
@@ -149,8 +146,7 @@ func TestStoreListAndProperties(t *testing.T) {
 }
 
 func TestStoreReadChargesDisk(t *testing.T) {
-	model := simtime.Default()
-	s := NewStore(model)
+	s := NewStore()
 	n := MustName("fs:cs:uw")
 	s.AddItem(context.Background(), n, PropAddress, []byte("x"))
 	cost, err := simtime.Measure(context.Background(), func(ctx context.Context) error {
@@ -160,14 +156,13 @@ func TestStoreReadChargesDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost != model.CHDiskRead {
-		t.Fatalf("read cost %v != CHDiskRead %v", cost, model.CHDiskRead)
+	if cost != simtime.CHDiskRead {
+		t.Fatalf("read cost %v != CHDiskRead %v", cost, simtime.CHDiskRead)
 	}
 }
 
 func TestStoreSnapshotRoundTrip(t *testing.T) {
-	model := simtime.Default()
-	s := NewStore(model)
+	s := NewStore()
 	ctx := context.Background()
 	s.AddItem(ctx, MustName("fs:cs:uw"), PropAddress, []byte("tcp!fs:10"))
 	s.AddItem(ctx, MustName("user:cs:uw"), PropMailbox, []byte("mbox"))
@@ -176,7 +171,7 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	s2 := NewStore(model)
+	s2 := NewStore()
 	if err := s2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +185,7 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestStoreSnapshotFile(t *testing.T) {
-	model := simtime.Default()
-	s := NewStore(model)
+	s := NewStore()
 	s.AddItem(context.Background(), MustName("fs:cs:uw"), PropAddress, []byte("a"))
 	path := filepath.Join(t.TempDir(), "ch.json")
 	if err := s.SaveFile(path); err != nil {
@@ -200,7 +194,7 @@ func TestStoreSnapshotFile(t *testing.T) {
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatal("temp file left behind")
 	}
-	s2 := NewStore(model)
+	s2 := NewStore()
 	if err := s2.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +204,7 @@ func TestStoreSnapshotFile(t *testing.T) {
 }
 
 func TestStoreLoadRejectsGarbage(t *testing.T) {
-	s := NewStore(simtime.Default())
+	s := NewStore()
 	if err := s.Load(strings.NewReader("{not json")); err == nil {
 		t.Fatal("garbage snapshot accepted")
 	}
@@ -223,7 +217,6 @@ func TestStoreLoadRejectsGarbage(t *testing.T) {
 
 type chEnv struct {
 	net    *transport.Network
-	model  *simtime.Model
 	server *Server
 	b      hrpc.Binding
 	hc     *hrpc.Client
@@ -231,11 +224,10 @@ type chEnv struct {
 
 func newCHEnv(t *testing.T) *chEnv {
 	t.Helper()
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
-	auth := NewAuthenticator(model, false)
+	net := transport.NewNetwork()
+	auth := NewAuthenticator(false)
 	auth.AddPrincipal("admin:cs:uw", "secret")
-	s := NewServer("xerox", model, NewStore(model), auth)
+	s := NewServer("xerox", NewStore(), auth)
 	ln, b, err := s.Serve(net, "xerox:ch")
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +235,7 @@ func newCHEnv(t *testing.T) *chEnv {
 	t.Cleanup(func() { ln.Close() })
 	hc := hrpc.NewClient(net)
 	t.Cleanup(func() { hc.Close() })
-	return &chEnv{net: net, model: model, server: s, b: b, hc: hc}
+	return &chEnv{net: net, server: s, b: b, hc: hc}
 }
 
 func (e *chEnv) client(principal, secret string) *Client {
@@ -317,14 +309,13 @@ func TestCHLookupCostAnchor(t *testing.T) {
 }
 
 func TestCHReplication(t *testing.T) {
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
+	net := transport.NewNetwork()
 	hc := hrpc.NewClient(net)
 	defer hc.Close()
 
 	mkServer := func(host string) (*Server, hrpc.Binding) {
-		auth := NewAuthenticator(model, true)
-		s := NewServer(host, model, NewStore(model), auth)
+		auth := NewAuthenticator(true)
+		s := NewServer(host, NewStore(), auth)
 		ln, b, err := s.Serve(net, host+":ch")
 		if err != nil {
 			t.Fatal(err)
@@ -365,13 +356,12 @@ func TestCHReplication(t *testing.T) {
 }
 
 func TestCHReplicationFailureIsBestEffort(t *testing.T) {
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
+	net := transport.NewNetwork()
 	hc := hrpc.NewClient(net)
 	defer hc.Close()
 
-	auth := NewAuthenticator(model, true)
-	s := NewServer("ch1", model, NewStore(model), auth)
+	auth := NewAuthenticator(true)
+	s := NewServer("ch1", NewStore(), auth)
 	ln, b, err := s.Serve(net, "ch1:ch")
 	if err != nil {
 		t.Fatal(err)
@@ -398,9 +388,8 @@ func TestCHReplicationFailureIsBestEffort(t *testing.T) {
 
 func TestCHAuthDominatesCost(t *testing.T) {
 	// The paper's footnote: authentication + disk are why the CH is slow.
-	model := simtime.Default()
-	authShare := float64(model.CHAuth+model.CHDiskRead) /
-		float64(model.CHAuth+model.CHDiskRead+model.CHServerWork+model.RTTTCP+model.CtlCourier)
+	authShare := float64(simtime.CHAuth+simtime.CHDiskRead) /
+		float64(simtime.CHAuth+simtime.CHDiskRead+simtime.CHServerWork+simtime.RTTTCP+simtime.CtlCourier)
 	if authShare < 0.6 {
 		t.Fatalf("auth+disk share = %.2f of a CH access; paper says they dominate", authShare)
 	}

@@ -79,7 +79,6 @@ func valueCred(v marshal.Value) (Credentials, error) {
 // store replicating updates to its peers, served over the Courier suite.
 type Server struct {
 	host  string
-	model *simtime.Model
 	store *Store
 	auth  *Authenticator
 
@@ -91,8 +90,8 @@ type Server struct {
 
 // NewServer creates a Clearinghouse server on host over the given store
 // and principal table.
-func NewServer(host string, model *simtime.Model, store *Store, auth *Authenticator) *Server {
-	return &Server{host: host, model: model, store: store, auth: auth}
+func NewServer(host string, store *Store, auth *Authenticator) *Server {
+	return &Server{host: host, store: store, auth: auth}
 }
 
 // Host reports the server's host name.
@@ -134,7 +133,7 @@ func (s *Server) HRPCServer() *hrpc.Server {
 
 	// guard authenticates and charges baseline server work.
 	guard := func(ctx context.Context, args marshal.Value) error {
-		simtime.Charge(ctx, s.model.CHServerWork)
+		simtime.Charge(ctx, simtime.CHServerWork)
 		cred, err := valueCred(args.Items[0])
 		if err != nil {
 			return err

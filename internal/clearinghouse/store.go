@@ -18,8 +18,6 @@ import (
 // write-through cost. The store supports JSON snapshot persistence so the
 // chd daemon can survive restarts.
 type Store struct {
-	model *simtime.Model
-
 	mu      sync.RWMutex
 	entries map[Name]map[string][]byte
 }
@@ -31,13 +29,13 @@ var (
 )
 
 // NewStore creates an empty store.
-func NewStore(model *simtime.Model) *Store {
-	return &Store{model: model, entries: make(map[Name]map[string][]byte)}
+func NewStore() *Store {
+	return &Store{entries: make(map[Name]map[string][]byte)}
 }
 
 // Retrieve reads one property of an object, charging disk cost.
 func (s *Store) Retrieve(ctx context.Context, n Name, property string) ([]byte, error) {
-	simtime.Charge(ctx, s.model.CHDiskRead)
+	simtime.Charge(ctx, simtime.CHDiskRead)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	props, ok := s.entries[n]
@@ -54,7 +52,7 @@ func (s *Store) Retrieve(ctx context.Context, n Name, property string) ([]byte, 
 // AddItem creates or replaces a property on an object, creating the object
 // if needed, charging write-through cost.
 func (s *Store) AddItem(ctx context.Context, n Name, property string, value []byte) {
-	simtime.Charge(ctx, s.model.CHWriteThrough)
+	simtime.Charge(ctx, simtime.CHWriteThrough)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	props, ok := s.entries[n]
@@ -68,7 +66,7 @@ func (s *Store) AddItem(ctx context.Context, n Name, property string, value []by
 // DeleteItem removes one property; deleting the last property removes the
 // object.
 func (s *Store) DeleteItem(ctx context.Context, n Name, property string) error {
-	simtime.Charge(ctx, s.model.CHWriteThrough)
+	simtime.Charge(ctx, simtime.CHWriteThrough)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	props, ok := s.entries[n]
@@ -87,7 +85,7 @@ func (s *Store) DeleteItem(ctx context.Context, n Name, property string) error {
 
 // DeleteObject removes an object and all its properties.
 func (s *Store) DeleteObject(ctx context.Context, n Name) error {
-	simtime.Charge(ctx, s.model.CHWriteThrough)
+	simtime.Charge(ctx, simtime.CHWriteThrough)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.entries[n]; !ok {
@@ -101,7 +99,7 @@ func (s *Store) DeleteObject(ctx context.Context, n Name) error {
 // one disk read — the Clearinghouse enumeration the reregistration
 // baseline leans on.
 func (s *Store) List(ctx context.Context, domain, org string) []Name {
-	simtime.Charge(ctx, s.model.CHDiskRead)
+	simtime.Charge(ctx, simtime.CHDiskRead)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []Name
@@ -116,7 +114,7 @@ func (s *Store) List(ctx context.Context, domain, org string) []Name {
 
 // Properties lists (sorted) the property names of an object.
 func (s *Store) Properties(ctx context.Context, n Name) ([]string, error) {
-	simtime.Charge(ctx, s.model.CHDiskRead)
+	simtime.Charge(ctx, simtime.CHDiskRead)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	props, ok := s.entries[n]

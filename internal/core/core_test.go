@@ -400,7 +400,7 @@ func TestRemoteHostAddrFallback(t *testing.T) {
 	// An HNS instance with only remote HostAddress access for the CH
 	// world: no linked CH resolver, but RPC fallback available.
 	h := w.NewHNS(core.Config{})
-	h2 := core.New(w.MetaHRPCClient(), w.Model, core.Config{MetaZone: world.MetaZone, RPC: w.RPC})
+	h2 := core.New(w.MetaHRPCClient(), core.Config{MetaZone: world.MetaZone, RPC: w.RPC})
 	h2.LinkHostResolver(world.NSBind, w.BindHostNSM) // bind linked, CH not
 	_ = h
 
@@ -413,7 +413,7 @@ func TestRemoteHostAddrFallback(t *testing.T) {
 	}
 
 	// Without RPC fallback the same resolution must fail cleanly.
-	h3 := core.New(w.MetaHRPCClient(), w.Model, core.Config{MetaZone: world.MetaZone})
+	h3 := core.New(w.MetaHRPCClient(), core.Config{MetaZone: world.MetaZone})
 	h3.LinkHostResolver(world.NSBind, w.BindHostNSM)
 	if _, err := h3.FindNSM(ctx, names.Must("mail-uniflex2", "x"), qclass.MailRoute); err == nil {
 		t.Fatal("resolution without linked resolver or RPC succeeded")
@@ -489,7 +489,7 @@ func TestSubscribeMetaInvalidatesRemoteCache(t *testing.T) {
 
 	// A client that cannot subscribe (the optional interface is absent)
 	// reports so and keeps working on TTL.
-	plain := core.New(noSubMeta{w.MetaHRPCClient()}, w.Model, core.Config{MetaZone: world.MetaZone})
+	plain := core.New(noSubMeta{w.MetaHRPCClient()}, core.Config{MetaZone: world.MetaZone})
 	if plain.SubscribeMeta() {
 		t.Fatal("SubscribeMeta succeeded on a client without the optional interface")
 	}
@@ -523,7 +523,7 @@ func (g *gatedMeta) Lookup(ctx context.Context, name string, t bind.RRType) ([]b
 func TestFlushCacheSupersedesInFlightFindNSM(t *testing.T) {
 	w := newWorld(t, world.Config{Clock: simtime.NewFakeClock(time.Unix(0, 0))})
 	gm := &gatedMeta{MetaClient: w.MetaHRPCClient(), entered: make(chan struct{}), release: make(chan struct{})}
-	h := core.New(gm, w.Model, core.Config{
+	h := core.New(gm, core.Config{
 		MetaZone: world.MetaZone, Clock: w.Clock, BindingCacheTTL: time.Hour,
 	})
 	h.LinkHostResolver(world.NSBind, w.BindHostNSM)

@@ -135,7 +135,6 @@ type MetaClient interface {
 
 // HNS is a local instance of the name service library.
 type HNS struct {
-	model    *simtime.Model
 	metaZone string
 	meta     MetaClient
 	resolver *bind.Resolver
@@ -183,7 +182,7 @@ type hnsObs struct {
 
 // New creates an HNS over the given meta-information client — usually a
 // *bind.HRPCClient for the modified BIND and its secondaries.
-func New(meta MetaClient, model *simtime.Model, cfg Config) *HNS {
+func New(meta MetaClient, cfg Config) *HNS {
 	zone := cfg.MetaZone
 	if zone == "" {
 		zone = "hns"
@@ -193,11 +192,10 @@ func New(meta MetaClient, model *simtime.Model, cfg Config) *HNS {
 		reg = metrics.Default()
 	}
 	h := &HNS{
-		model:    model,
 		metaZone: zone,
 		meta:     meta,
 		rpc:      cfg.RPC,
-		resolver: bind.NewResolver(meta, model, bind.ResolverConfig{
+		resolver: bind.NewResolver(meta, bind.ResolverConfig{
 			Mode: cfg.CacheMode,
 			// Meta data arrives via the generated stubs, so marshalled-
 			// mode hits pay the generated demarshal rate.
@@ -340,7 +338,7 @@ func (s *stepObs) lap() (time.Duration, string) {
 // FindNSM implements Finder. It is the paper's primary HNS call.
 func (h *HNS) FindNSM(ctx context.Context, name names.Name, queryClass string) (hrpc.Binding, error) {
 	h.findCalls.Add(1)
-	simtime.Charge(ctx, h.model.FindNSMAssembly)
+	simtime.Charge(ctx, simtime.FindNSMAssembly)
 	if err := name.Validate(); err != nil {
 		h.obs.errors.Inc()
 		return hrpc.Binding{}, err
@@ -357,7 +355,7 @@ func (h *HNS) FindNSM(ctx context.Context, name names.Name, queryClass string) (
 		if cerr == nil {
 			bkey = cctx + "\x00" + queryClass
 			if b, ok := h.bindings.Get(bkey); ok {
-				simtime.Charge(ctx, h.model.CacheHit(0))
+				simtime.Charge(ctx, simtime.CacheHit(0))
 				h.obs.bindHits.Inc()
 				return b, nil
 			}

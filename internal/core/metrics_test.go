@@ -121,7 +121,7 @@ func TestFindNSMHistogramsFollowTheCallersClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold, steps := coldAndSteps(reg)
-	if want := meter.Elapsed() - w.Model.FindNSMAssembly; cold.Count() != 1 || cold.Sum() != want {
+	if want := meter.Elapsed() - simtime.FindNSMAssembly; cold.Count() != 1 || cold.Sum() != want {
 		t.Fatalf("metered cold total: count %d sum %v, want 1 / exactly %v of meter time",
 			cold.Count(), cold.Sum(), want)
 	}

@@ -89,7 +89,7 @@ func RunAvailability(ctx context.Context, w *world.World, clk *simtime.FakeClock
 
 	// A second meta replica: a standard BIND secondary that mirrors the
 	// meta zone by zone transfer, serving the identical HRPC interface.
-	sec, err := bind.NewSecondary(w.MetaHRPCClient(), world.MetaZone, "tahoma2", w.Model)
+	sec, err := bind.NewSecondary(w.MetaHRPCClient(), world.MetaZone, "tahoma2")
 	if err != nil {
 		return res, err
 	}
@@ -130,7 +130,7 @@ func RunAvailability(ctx context.Context, w *world.World, clk *simtime.FakeClock
 
 	mb := w.MetaHRPC
 	mb.Transport = availChaos
-	h := core.New(bind.NewHRPCClient(mc, mb), w.Model, core.Config{
+	h := core.New(bind.NewHRPCClient(mc, mb), core.Config{
 		MetaZone:   world.MetaZone,
 		CacheMode:  bind.CacheMarshalled,
 		Clock:      clk,

@@ -40,7 +40,7 @@ type BroadcastPoint struct {
 // types are integrated as needed.
 func RunBroadcast(ctx context.Context, w *world.World, sizes []int) ([]BroadcastPoint, error) {
 	var out []BroadcastPoint
-	locator := regbaseline.NewBroadcastLocator(w.Model)
+	locator := regbaseline.NewBroadcastLocator()
 	integrated := 0
 	for _, target := range sizes {
 		for integrated < target {

@@ -160,7 +160,7 @@ func RunBaselines(ctx context.Context, w *world.World) (BaselinesResult, error) 
 	var res BaselinesResult
 
 	// Replicated local files.
-	fr := regbaseline.NewFileRegistry(w.Model)
+	fr := regbaseline.NewFileRegistry()
 	for i := 0; i < PaperBaselineEntries-1; i++ {
 		fr.Add(regbaseline.FileEntry{
 			Service: fmt.Sprintf("svc-%d", i), Host: "fiji",
@@ -181,7 +181,7 @@ func RunBaselines(ctx context.Context, w *world.World) (BaselinesResult, error) 
 	}
 
 	// Reregistered Clearinghouse.
-	cr := regbaseline.NewCHRegistry(w.CHClient(), w.Model, world.CHDomain, world.CHOrg)
+	cr := regbaseline.NewCHRegistry(w.CHClient(), world.CHDomain, world.CHOrg)
 	if err := cr.Register(ctx, world.DesiredService,
 		hrpc.SuiteSunRPC.Bind("fiji", "fiji:svc", world.DesiredProgram, world.DesiredVersion)); err != nil {
 		return res, err

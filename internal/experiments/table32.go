@@ -69,7 +69,7 @@ func RunTable32(ctx context.Context, w *world.World) ([]Table32Row, error) {
 			{bind.CacheMarshalled, &row.MarshalledHit},
 			{bind.CacheDemarshalled, &row.DemarshalledHit},
 		} {
-			r := bind.NewResolver(backend, w.Model, bind.ResolverConfig{
+			r := bind.NewResolver(backend, bind.ResolverConfig{
 				Mode: probe.mode, Style: marshal.StyleGenerated, Clock: w.Clock,
 			})
 			missCost, err := simtime.Measure(ctx, func(ctx context.Context) error {
@@ -122,11 +122,11 @@ func RunMarshalling(ctx context.Context, w *world.World) []MarshallingCosts {
 	for _, n := range []int{1, 6} {
 		row := MarshallingCosts{Records: n}
 		row.Hand, _ = simtime.Measure(ctx, func(ctx context.Context) error {
-			marshal.ChargeRecords(ctx, w.Model, marshal.StyleHand, n)
+			marshal.ChargeRecords(ctx, marshal.StyleHand, n)
 			return nil
 		})
 		row.Generated, _ = simtime.Measure(ctx, func(ctx context.Context) error {
-			marshal.ChargeRecords(ctx, w.Model, marshal.StyleGenerated, n)
+			marshal.ChargeRecords(ctx, marshal.StyleGenerated, n)
 			return nil
 		})
 		out = append(out, row)

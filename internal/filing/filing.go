@@ -75,16 +75,15 @@ func (e *NotFoundError) Error() string { return "filing: no such file: " + e.Pat
 // Server is one file server: an in-memory file store charging
 // disk-realistic simulated costs, servable over any protocol suite.
 type Server struct {
-	host  string
-	model *simtime.Model
+	host string
 
 	mu    sync.RWMutex
 	files map[string][]byte
 }
 
 // NewServer creates an empty file server on host.
-func NewServer(host string, model *simtime.Model) *Server {
-	return &Server{host: host, model: model, files: make(map[string][]byte)}
+func NewServer(host string) *Server {
+	return &Server{host: host, files: make(map[string][]byte)}
 }
 
 // Host reports the server's host name.
@@ -94,12 +93,12 @@ func (s *Server) Host() string { return s.host }
 func (s *Server) Fetch(ctx context.Context, path string) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	simtime.Charge(ctx, s.model.FSRead)
+	simtime.Charge(ctx, simtime.FSRead)
 	data, ok := s.files[path]
 	if !ok {
 		return nil, &NotFoundError{Path: path}
 	}
-	chargeKB(ctx, s.model, len(data))
+	chargeKB(ctx, len(data))
 	return append([]byte(nil), data...), nil
 }
 
@@ -110,7 +109,7 @@ func (s *Server) Store(ctx context.Context, path string, data []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	chargeKB(ctx, s.model, len(data))
+	chargeKB(ctx, len(data))
 	s.files[path] = append([]byte(nil), data...)
 	return nil
 }
@@ -120,7 +119,7 @@ func (s *Server) Store(ctx context.Context, path string, data []byte) error {
 func (s *Server) List(ctx context.Context, prefix string) []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	simtime.Charge(ctx, s.model.FSRead)
+	simtime.Charge(ctx, simtime.FSRead)
 	var out []string
 	for p := range s.files {
 		if strings.HasPrefix(p, prefix) {
@@ -135,7 +134,7 @@ func (s *Server) List(ctx context.Context, prefix string) []string {
 func (s *Server) Remove(ctx context.Context, path string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	simtime.Charge(ctx, s.model.FSRead)
+	simtime.Charge(ctx, simtime.FSRead)
 	_, ok := s.files[path]
 	delete(s.files, path)
 	return ok
@@ -148,12 +147,12 @@ func (s *Server) Len() int {
 	return len(s.files)
 }
 
-func chargeKB(ctx context.Context, model *simtime.Model, n int) {
+func chargeKB(ctx context.Context, n int) {
 	kb := (n + 1023) / 1024
 	if kb == 0 {
 		kb = 1
 	}
-	simtime.Charge(ctx, time.Duration(kb)*model.FSWritePerKB)
+	simtime.Charge(ctx, time.Duration(kb)*simtime.FSWritePerKB)
 }
 
 // HRPCServer wraps the server in the filing program.

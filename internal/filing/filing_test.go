@@ -39,7 +39,7 @@ func newFilingEnv(t *testing.T) *filingEnv {
 	t.Cleanup(w.Close)
 
 	// UNIX file server on fiji: portmapper-registered Sun RPC service.
-	unix := filing.NewServer("fiji", w.Model)
+	unix := filing.NewServer("fiji")
 	lnU, bU, err := hrpc.Serve(w.Net, unix.HRPCServer(), hrpc.SuiteSunRPC, "fiji", "fiji:filing")
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func newFilingEnv(t *testing.T) *filingEnv {
 	w.Portmappers["fiji"].Set(filing.Program, filing.Version, "udp", bU.Addr)
 
 	// Xerox file server: binding stored in the Clearinghouse.
-	xerox := filing.NewServer("xerox-d0", w.Model)
+	xerox := filing.NewServer("xerox-d0")
 	lnX, bX, err := hrpc.Serve(w.Net, xerox.HRPCServer(), hrpc.SuiteCourier, "xerox-d0", "xerox:filing")
 	if err != nil {
 		t.Fatal(err)
@@ -188,8 +188,7 @@ func TestUnknownServer(t *testing.T) {
 }
 
 func TestServerDirect(t *testing.T) {
-	model := simtime.Default()
-	s := filing.NewServer("h", model)
+	s := filing.NewServer("h")
 	ctx := context.Background()
 	if err := s.Store(ctx, "", []byte("x")); err == nil {
 		t.Fatal("empty path accepted")
@@ -210,8 +209,7 @@ func TestServerDirect(t *testing.T) {
 }
 
 func TestFetchCostScalesWithSize(t *testing.T) {
-	model := simtime.Default()
-	s := filing.NewServer("h", model)
+	s := filing.NewServer("h")
 	ctx := context.Background()
 	small := make([]byte, 512)
 	big := make([]byte, 64*1024)
@@ -232,8 +230,7 @@ func TestFetchCostScalesWithSize(t *testing.T) {
 
 // Property: store/fetch round-trips arbitrary contents.
 func TestStoreFetchProperty(t *testing.T) {
-	model := simtime.Default()
-	s := filing.NewServer("h", model)
+	s := filing.NewServer("h")
 	ctx := context.Background()
 	f := func(path string, data []byte) bool {
 		if path == "" {

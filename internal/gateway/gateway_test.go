@@ -85,7 +85,7 @@ type gwEnv struct {
 
 func newGWEnv(t *testing.T, cfg Config) *gwEnv {
 	t.Helper()
-	n := transport.NewNetwork(simtime.Default())
+	n := transport.NewNetwork()
 	stub := &stubFinder{}
 
 	backend := core.NewFinderServer(stub, "hns-backend")
@@ -300,7 +300,7 @@ func TestGatewayCrowdCappedAtMaxInflight(t *testing.T) {
 func TestGatewayBackendListFailsOverInOrder(t *testing.T) {
 	const chaosName = "tcp-gw-chaos"
 	addrs := []string{"backend1:hns", "backend2:hns"}
-	n := transport.NewNetwork(simtime.Default())
+	n := transport.NewNetwork()
 	inner, err := n.Transport("tcp")
 	if err != nil {
 		t.Fatal(err)

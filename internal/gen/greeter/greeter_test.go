@@ -12,7 +12,6 @@ import (
 
 	"hns/internal/hrpc"
 	"hns/internal/idl"
-	"hns/internal/simtime"
 	"hns/internal/transport"
 )
 
@@ -45,7 +44,7 @@ func (impl) Ping(ctx context.Context) error { return nil }
 
 func newClient(t *testing.T, suite hrpc.Suite) *GreeterClient {
 	t.Helper()
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	ln, b, err := hrpc.Serve(net, NewGreeterServer("greeter-test", impl{}), suite, "h", "h:greeter")
 	if err != nil {
 		t.Fatal(err)

@@ -34,21 +34,14 @@ type Client struct {
 	// resulting per-call setup cost. Set before first use.
 	FreshConn bool
 
-	// Retries is how many times a call is retransmitted after a
-	// transport-level loss (the Sun RPC discipline: datagrams get lost;
-	// the RPC layer times out and resends). Each retry charges the
-	// model's retransmission timeout. Remote faults — a live server
-	// saying no — are never retried. Set before first use.
-	Retries int
-
 	// Metrics receives the client's hrpc_client_* series. Nil means the
 	// process-wide metrics.Default(); metrics.Discard disables them.
 	// Set before first use.
 	Metrics *metrics.Registry
 
 	// Policy bounds the retransmission discipline per call. The zero
-	// value derives its budget from Retries so legacy configuration
-	// keeps its exact cost behavior. Set before first use.
+	// value allows no retransmission wait: a timeout-class loss fails
+	// the call at once. Set before first use.
 	Policy RetryPolicy
 
 	// Health parameterizes the per-endpoint circuit breakers. The zero
@@ -88,12 +81,12 @@ type RetryPolicy struct {
 	// Budget caps the total retransmission wait one call may charge.
 	// When the next backoff would exceed what remains, the call charges
 	// the remainder and fails with ErrCallTimeout — a blackout costs
-	// exactly Budget, never more. Non-positive means Retries × the
-	// model's retransmission timeout (the legacy discipline's cost).
+	// exactly Budget, never more. Non-positive means no retransmission
+	// wait: the first timeout-class loss fails the call.
 	Budget time.Duration
 
-	// Base is the first retransmission timeout. Non-positive means the
-	// model's RetransmitTimeout. The first wait is exactly Base —
+	// Base is the first retransmission timeout. Non-positive means
+	// simtime.RetransmitTimeout. The first wait is exactly Base —
 	// deterministic, so calibrated costs stay reproducible.
 	Base time.Duration
 
@@ -163,8 +156,8 @@ func NewClient(net *transport.Network) *Client {
 	return &Client{net: net, pools: make(map[string]*connPool)}
 }
 
-// Network exposes the client's network (for components that need the cost
-// model or to dial directly).
+// Network exposes the client's network (for components that dial
+// directly).
 func (c *Client) Network() *transport.Network { return c.net }
 
 // RemoteFault is an application-level error returned by the remote
@@ -211,12 +204,11 @@ func (c *Client) Call(ctx context.Context, b Binding, p Procedure, args marshal.
 	if err != nil {
 		return marshal.Value{}, err
 	}
-	model := c.net.Model()
 
 	// Both the marshalled arguments and the call frame build in pooled
 	// buffers, recycled once the reply is fully decoded (a handler on the
 	// in-process transport may return bytes aliasing its request).
-	argBytes, err := marshalArgs(ctx, model, ctl, rep, p, args)
+	argBytes, err := marshalArgs(ctx, ctl, rep, p, args)
 	if err != nil {
 		return marshal.Value{}, err
 	}
@@ -239,7 +231,7 @@ func (c *Client) Call(ctx context.Context, b Binding, p Procedure, args marshal.
 	if err != nil {
 		return marshal.Value{}, fmt.Errorf("hrpc: %s to %s: %w", p.Name, b.Addr, err)
 	}
-	ret, err := decodeResult(ctx, model, ctl, rep, p, respFrame, ep)
+	ret, err := decodeResult(ctx, ctl, rep, p, respFrame, ep)
 	var bp *BackpressureError
 	if errors.As(err, &bp) {
 		// An Overloaded reply is backpressure, not failure: record the
@@ -255,13 +247,13 @@ func (c *Client) Call(ctx context.Context, b Binding, p Procedure, args marshal.
 // marshalArgs is the client-side stub work before a call: the control
 // protocol's bookkeeping charge, then args marshalled into a pooled
 // buffer the caller recycles.
-func marshalArgs(ctx context.Context, model *simtime.Model, ctl ControlProtocol, rep marshal.DataRep, p Procedure, args marshal.Value) ([]byte, error) {
-	simtime.Charge(ctx, ctl.Overhead(model))
+func marshalArgs(ctx context.Context, ctl ControlProtocol, rep marshal.DataRep, p Procedure, args marshal.Value) ([]byte, error) {
+	simtime.Charge(ctx, ctl.Overhead())
 	argBytes, err := rep.Append(bufpool.Get(64), args, p.Args)
 	if err != nil {
 		return nil, fmt.Errorf("hrpc: %s: marshal args: %w", p.Name, err)
 	}
-	marshal.ChargeValue(ctx, model, p.Style, args)
+	marshal.ChargeValue(ctx, p.Style, args)
 	return argBytes, nil
 }
 
@@ -269,7 +261,7 @@ func marshalArgs(ctx context.Context, model *simtime.Model, ctl ControlProtocol,
 // reply frame, maps a non-OK code to its typed error (*RemoteFault,
 // *BackpressureError or *BudgetExpiredError, attributed to endpoint ep),
 // and unmarshals an OK reply's results.
-func decodeResult(ctx context.Context, model *simtime.Model, ctl ControlProtocol, rep marshal.DataRep, p Procedure, frame []byte, ep string) (marshal.Value, error) {
+func decodeResult(ctx context.Context, ctl ControlProtocol, rep marshal.DataRep, p Procedure, frame []byte, ep string) (marshal.Value, error) {
 	rh, resBytes, err := ctl.DecodeReply(frame)
 	if err != nil {
 		return marshal.Value{}, fmt.Errorf("hrpc: %s: %w", p.Name, err)
@@ -287,7 +279,7 @@ func decodeResult(ctx context.Context, model *simtime.Model, ctl ControlProtocol
 	if err != nil {
 		return marshal.Value{}, fmt.Errorf("hrpc: %s: unmarshal result: %w", p.Name, err)
 	}
-	marshal.ChargeValue(ctx, model, p.Style, ret)
+	marshal.ChargeValue(ctx, p.Style, ret)
 	return ret, nil
 }
 
@@ -435,27 +427,23 @@ func (b budgetState) remaining() time.Duration {
 // Cost discipline: a timeout-class failure charges the current backoff
 // (the wait the caller sat through to detect the loss), capped so the
 // total charged wait never exceeds the budget; fast failures (refused,
-// open breaker) charge nothing. With a single replica and the legacy
-// Retries configuration this charges exactly what the old fixed-count
-// loop did, so calibrated Table 3.1 costs are unchanged.
+// open breaker) charge nothing. With a single replica and a Budget of
+// n × RetransmitTimeout this charges exactly what a fixed n-retry loop
+// would, so calibrated Table 3.1 costs are reproducible.
 func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr string, frame []byte, bs budgetState) ([]byte, string, error) {
 	reg := c.registry()
-	model := c.net.Model()
 	replicas := c.replicasFor(addr)
 	hs := c.breakers()
 
 	base := c.Policy.Base
 	if base <= 0 {
-		base = model.RetransmitTimeout
+		base = simtime.RetransmitTimeout
 	}
 	maxWait := c.Policy.Max
 	if maxWait <= 0 {
 		maxWait = 4 * base
 	}
-	remaining := c.Policy.Budget
-	if remaining <= 0 {
-		remaining = time.Duration(c.Retries) * model.RetransmitTimeout
-	}
+	remaining := max(c.Policy.Budget, 0)
 	// A caller deadline already shorter than the policy's budget clamps
 	// it: scheduling a retry wait the caller will not live to see only
 	// charges sim time for a reply nobody wants. The propagated budget

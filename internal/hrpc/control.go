@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"hns/internal/simtime"
 )
 
 // CallHeader is the control-protocol-independent view of a call header.
@@ -82,7 +80,7 @@ type ControlProtocol interface {
 	// Overhead reports the per-call client-side bookkeeping cost of this
 	// protocol (header construction, XID tracking, retransmission
 	// timers).
-	Overhead(m *simtime.Model) time.Duration
+	Overhead() time.Duration
 }
 
 // CallAppender is the pooled-buffer fast path of a control protocol:

@@ -116,6 +116,6 @@ func (CourierControl) DecodeReply(frame []byte) (ReplyHeader, []byte, error) {
 }
 
 // Overhead implements ControlProtocol.
-func (CourierControl) Overhead(m *simtime.Model) time.Duration { return m.CtlCourier }
+func (CourierControl) Overhead() time.Duration { return simtime.CtlCourier }
 
 var _ ControlProtocol = CourierControl{}

@@ -173,7 +173,7 @@ const (
 
 func newDeadlineEnv(t *testing.T, admit *admission.Controller) *deadlineEnv {
 	t.Helper()
-	n := transport.NewNetwork(simtime.Default())
+	n := transport.NewNetwork()
 	suite := Suite{Transport: "udp", DataRep: "xdr", Control: "raw"}
 	e := &deadlineEnv{budgets: make(map[string][]time.Duration)}
 	for _, addr := range []string{dlPrimary, dlSecondary} {
@@ -238,7 +238,7 @@ func (e *deadlineEnv) received(addr string) []time.Duration {
 // the secondary, the secondary must see the budget that REMAINS after
 // the charged detection wait — not the budget the call started with.
 func TestFailoverCarriesRemainingBudget(t *testing.T) {
-	rto := simtime.Default().RetransmitTimeout // 250ms: the loss-detection wait
+	rto := simtime.RetransmitTimeout // 250ms: the loss-detection wait
 
 	cases := []struct {
 		name       string
@@ -327,7 +327,7 @@ func TestFailoverCarriesRemainingBudget(t *testing.T) {
 // header with flags 0 and no budget field, and the handler finds no
 // budget in its context.
 func TestLegacyClientUnaffected(t *testing.T) {
-	n := transport.NewNetwork(simtime.Default())
+	n := transport.NewNetwork()
 	s := NewServer("legacy", 7200, 1)
 	s.Metrics = metrics.NewRegistry()
 	hadBudget := true
@@ -339,7 +339,7 @@ func TestLegacyClientUnaffected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serve := s.Handler(rep, RawControl{}, n.Model())
+	serve := s.Handler(rep, RawControl{})
 	var flags []byte
 	ln, err := mustTransport(t, n, SuiteRaw.Transport).Listen("legacy:1", func(ctx context.Context, req []byte) ([]byte, error) {
 		flags = append(flags, req[0])
@@ -426,7 +426,7 @@ func TestAdmissionKeysOnPeer(t *testing.T) {
 	admit := admission.New(admission.Config{
 		Rate: 0.001, Burst: 1, Clock: clk, Metrics: metrics.NewRegistry(), Server: "peers",
 	})
-	n := transport.NewNetwork(simtime.Default())
+	n := transport.NewNetwork()
 	s := NewServer("peers", 7201, 1)
 	s.Metrics = metrics.NewRegistry()
 	s.EnableAdmission(admit)

@@ -190,7 +190,7 @@ func (tagCtl) DecodeReply(frame []byte) (ReplyHeader, []byte, error) {
 	}
 }
 
-func (tagCtl) Overhead(m *simtime.Model) time.Duration { return m.CtlRaw }
+func (tagCtl) Overhead() time.Duration { return simtime.CtlRaw }
 
 func TestForeignProtocolFamilyIntegrates(t *testing.T) {
 	// Registries are global; guard against double registration across
@@ -202,7 +202,7 @@ func TestForeignProtocolFamilyIntegrates(t *testing.T) {
 		RegisterControl(tagCtl{})
 	}
 
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	s := NewServer("foreign", 7200, 1)
 	s.Register(echoProc, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		return args, nil

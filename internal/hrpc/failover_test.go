@@ -30,7 +30,7 @@ const (
 
 func newFailoverEnv(t *testing.T) *failoverEnv {
 	t.Helper()
-	n := transport.NewNetwork(simtime.Default())
+	n := transport.NewNetwork()
 	inner, err := n.Transport("udp")
 	if err != nil {
 		t.Fatal(err)
@@ -98,9 +98,8 @@ func (e *failoverEnv) openBreaker(t *testing.T, ctx context.Context) {
 // budget is a hard cap) and no less (every loss detection costs its
 // backoff).
 func TestFailoverSimtimeAccounting(t *testing.T) {
-	model := simtime.Default()
-	rtt := model.RTTUDP
-	rto := model.RetransmitTimeout
+	rtt := simtime.RTTUDP
+	rto := simtime.RetransmitTimeout
 
 	cases := []struct {
 		name string
@@ -117,7 +116,7 @@ func TestFailoverSimtimeAccounting(t *testing.T) {
 			name: "cancelled-context-charges-nothing",
 			arrange: func(t *testing.T, e *failoverEnv, ctx context.Context) context.Context {
 				e.plan.Blackhole(foPrimary)
-				e.c.Retries = 100
+				e.c.Policy = RetryPolicy{Budget: 100 * simtime.RetransmitTimeout}
 				cctx, cancel := context.WithCancel(ctx)
 				cancel()
 				return cctx
@@ -264,21 +263,20 @@ func TestFailoverSimtimeAccounting(t *testing.T) {
 // restores it — with the caller charged only for the waits it actually
 // sat through.
 func TestFailoverRestoresPrimaryAfterProbe(t *testing.T) {
-	model := simtime.Default()
 	e := newFailoverEnv(t)
 	ctx := context.Background()
 	e.c.Policy = RetryPolicy{Budget: 750 * time.Millisecond}
 	e.c.SetReplicas(foPrimary, foSecondary)
 
 	// Healthy baseline.
-	if cost, err := e.call(ctx); err != nil || cost != model.RTTUDP {
+	if cost, err := e.call(ctx); err != nil || cost != simtime.RTTUDP {
 		t.Fatalf("baseline: cost %v err %v", cost, err)
 	}
 
 	// Kill the primary: three failovers open its breaker...
 	e.plan.Kill(foPrimary)
 	for i := 0; i < 3; i++ {
-		if cost, err := e.call(ctx); err != nil || cost != model.RTTUDP {
+		if cost, err := e.call(ctx); err != nil || cost != simtime.RTTUDP {
 			t.Fatalf("failover call %d: cost %v err %v", i, cost, err)
 		}
 	}
@@ -286,7 +284,7 @@ func TestFailoverRestoresPrimaryAfterProbe(t *testing.T) {
 	if st := e.c.breakers().Breaker(foPrimary).State(); st != health.Open {
 		t.Fatalf("primary breaker = %v, want Open", st)
 	}
-	if cost, err := e.call(ctx); err != nil || cost != model.RTTUDP {
+	if cost, err := e.call(ctx); err != nil || cost != simtime.RTTUDP {
 		t.Fatalf("steady-state failover: cost %v err %v", cost, err)
 	}
 	if got := e.reg.Counter("hrpc_client_failovers_total").Value(); got != 4 {
@@ -296,7 +294,7 @@ func TestFailoverRestoresPrimaryAfterProbe(t *testing.T) {
 	// Primary recovers; after the cooldown the next call probes it.
 	e.plan.Recover(foPrimary)
 	e.clk.Advance(10 * time.Second)
-	if cost, err := e.call(ctx); err != nil || cost != model.RTTUDP {
+	if cost, err := e.call(ctx); err != nil || cost != simtime.RTTUDP {
 		t.Fatalf("probe call: cost %v err %v", cost, err)
 	}
 	if st := e.c.breakers().Breaker(foPrimary).State(); st != health.Closed {

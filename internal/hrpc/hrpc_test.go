@@ -69,7 +69,7 @@ func allSuites() []struct {
 }
 
 func TestCallAllSuites(t *testing.T) {
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	for _, tc := range allSuites() {
 		t.Run(tc.name, func(t *testing.T) {
 			b, stop := newEchoServer(t, net, tc.suite, "fiji", "fiji:echo-"+tc.name)
@@ -103,7 +103,7 @@ func TestCallAllSuites(t *testing.T) {
 // implementation served simultaneously over different component stacks,
 // addressed by bindings that differ only in component names.
 func TestMixAndMatch(t *testing.T) {
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	s := NewServer("poly", 7002, 1)
 	s.Register(echoProc, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		return args, nil
@@ -132,7 +132,7 @@ func TestMixAndMatch(t *testing.T) {
 }
 
 func TestRemoteFault(t *testing.T) {
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	s := NewServer("faulty", 7003, 1)
 	s.Register(echoProc, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		return marshal.Value{}, errors.New("name not found")
@@ -159,7 +159,7 @@ func TestRemoteFault(t *testing.T) {
 }
 
 func TestWrongProgramVersionProc(t *testing.T) {
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	b, stop := newEchoServer(t, net, SuiteSunRPC, "h", "h:echo")
 	defer stop()
 	c := NewClient(net)
@@ -184,7 +184,7 @@ func TestWrongProgramVersionProc(t *testing.T) {
 }
 
 func TestNullProcAlwaysAvailable(t *testing.T) {
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	b, stop := newEchoServer(t, net, SuiteSunRPC, "h", "h:echo2")
 	defer stop()
 	c := NewClient(net)
@@ -195,7 +195,7 @@ func TestNullProcAlwaysAvailable(t *testing.T) {
 }
 
 func TestInvalidBinding(t *testing.T) {
-	c := NewClient(transport.NewNetwork(simtime.Default()))
+	c := NewClient(transport.NewNetwork())
 	defer c.Close()
 	_, err := c.Call(context.Background(), Binding{}, echoProc, marshal.StructV(marshal.Str("x")))
 	if err == nil {
@@ -211,8 +211,7 @@ func TestCallCostBySuite(t *testing.T) {
 	// The paper: "The remote call to the NSM takes 22-38 msec., depending
 	// on the RPC system used." Check our suites land in that band and
 	// order correctly (Sun/UDP < Raw/TCP ≤ Courier/TCP).
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
+	net := transport.NewNetwork()
 	costs := map[string]time.Duration{}
 	for _, tc := range allSuites() {
 		if tc.name == "local" {
@@ -246,7 +245,7 @@ func TestCallCostBySuite(t *testing.T) {
 }
 
 func TestLocalSuiteNearZeroCost(t *testing.T) {
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	b, stop := newEchoServer(t, net, SuiteLocal, "h", "h:local")
 	defer stop()
 	c := NewClient(net)
@@ -266,7 +265,7 @@ func TestLocalSuiteNearZeroCost(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	b, stop := newEchoServer(t, net, SuiteSunRPC, "h", "h:conc")
 	defer stop()
 	c := NewClient(net)
@@ -294,7 +293,7 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestClientRedialAfterServerRestart(t *testing.T) {
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	b, stop := newEchoServer(t, net, SuiteSunRPC, "h", "h:restart")
 	c := NewClient(net)
 	defer c.Close()
@@ -534,8 +533,8 @@ func TestControlRegistry(t *testing.T) {
 // ---- Portmapper.
 
 func TestPortmapper(t *testing.T) {
-	net := transport.NewNetwork(simtime.Default())
-	pm := NewPortmapper("fiji", net.Model())
+	net := transport.NewNetwork()
+	pm := NewPortmapper("fiji")
 	ln, pmB, err := ServePortmap(net, pm)
 	if err != nil {
 		t.Fatal(err)

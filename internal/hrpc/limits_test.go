@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hns/internal/marshal"
-	"hns/internal/simtime"
 	"hns/internal/transport"
 )
 
@@ -23,7 +22,7 @@ var blobProc = Procedure{
 // errors at the sender, and the connection remains usable for normal
 // traffic afterwards.
 func TestOversizedFrameOverRealTCP(t *testing.T) {
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	s := NewServer("blob", 7300, 1)
 	s.Register(blobProc, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		b, _ := args.Items[0].AsBytes()
@@ -62,7 +61,7 @@ func TestOversizedFrameOverRealTCP(t *testing.T) {
 // a client whose binding names the wrong data representation cannot talk
 // to the server, but fails with an error instead of hanging or panicking.
 func TestBindingWithMismatchedComponents(t *testing.T) {
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	s := NewServer("echo", 7301, 1)
 	s.Register(echoProc, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		return args, nil
@@ -95,7 +94,7 @@ func TestBindingWithMismatchedComponents(t *testing.T) {
 }
 
 func TestConcurrentCallsOverRealTCP(t *testing.T) {
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	s := NewServer("echo", 7302, 1)
 	s.Register(echoProc, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		return args, nil

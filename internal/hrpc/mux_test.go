@@ -92,7 +92,7 @@ func TestMuxTeardownOneBreakerFailure(t *testing.T) {
 	for _, inflight := range []int{1, 8, 32} {
 		t.Run(fmt.Sprintf("inflight=%d", inflight), func(t *testing.T) {
 			addr := muxKillServer(t, inflight)
-			n := transport.NewNetwork(simtime.Default())
+			n := transport.NewNetwork()
 			tr, err := n.Transport("tcp-net")
 			if err != nil {
 				t.Fatal(err)
@@ -154,7 +154,7 @@ func TestMuxTeardownOneBreakerFailure(t *testing.T) {
 // next acquire and replaced by a fresh dial; before the deadline it is
 // reused.
 func TestMuxPoolIdleEviction(t *testing.T) {
-	n := transport.NewNetwork(simtime.Default())
+	n := transport.NewNetwork()
 	inner, err := n.Transport("udp")
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func (s *muxEchoServer) stop() {
 func TestPooledClientSurvivesServerRestart(t *testing.T) {
 	for _, withReplica := range []bool{false, true} {
 		t.Run(fmt.Sprintf("replica=%v", withReplica), func(t *testing.T) {
-			n := transport.NewNetwork(simtime.Default())
+			n := transport.NewNetwork()
 			inner, err := n.Transport("tcp-net")
 			if err != nil {
 				t.Fatal(err)
@@ -337,7 +337,7 @@ func TestPooledClientSurvivesServerRestart(t *testing.T) {
 // busy ones, and drops emptied endpoint entries so the per-endpoint map
 // no longer grows without bound.
 func TestMuxClientCloseIdle(t *testing.T) {
-	n := transport.NewNetwork(simtime.Default())
+	n := transport.NewNetwork()
 	inner, err := n.Transport("udp")
 	if err != nil {
 		t.Fatal(err)
@@ -441,7 +441,7 @@ func (g *gatedTransport) Dial(ctx context.Context, addr string) (transport.Conn,
 // closed by the next sweep — rather than in an orphaned entry nothing
 // ever closes.
 func TestDialRacingCloseIdleStaysPooled(t *testing.T) {
-	n := transport.NewNetwork(simtime.Default())
+	n := transport.NewNetwork()
 	inner, err := n.Transport("udp")
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +491,7 @@ func TestDialRacingCloseIdleStaysPooled(t *testing.T) {
 // once MaxConns is reached further calls overflow onto the least-loaded
 // connection instead of dialing or queueing.
 func TestMuxPoolGrowsAtStreamCap(t *testing.T) {
-	n := transport.NewNetwork(simtime.Default())
+	n := transport.NewNetwork()
 	inner, err := n.Transport("udp")
 	if err != nil {
 		t.Fatal(err)
@@ -567,7 +567,7 @@ func TestMuxPoolGrowsAtStreamCap(t *testing.T) {
 // callers sharing a small pool, checking that every reply reaches its
 // caller intact (no cross-stream mixups under -race).
 func TestMuxHRPCConcurrentEcho(t *testing.T) {
-	n := transport.NewNetwork(simtime.Default())
+	n := transport.NewNetwork()
 	b, stop := newEchoServer(t, n, SuiteCourierNet, "fiji", "127.0.0.1:0")
 	defer stop()
 	c := NewClient(n)

@@ -65,16 +65,15 @@ type pmapEntry struct {
 // concrete endpoint under (program, version); Sun-style binding looks the
 // endpoint up before calling.
 type Portmapper struct {
-	host  string
-	model *simtime.Model
+	host string
 
 	mu      sync.RWMutex
 	entries map[pmapKey]pmapEntry
 }
 
 // NewPortmapper creates an empty portmapper for host.
-func NewPortmapper(host string, model *simtime.Model) *Portmapper {
-	return &Portmapper{host: host, model: model, entries: make(map[pmapKey]pmapEntry)}
+func NewPortmapper(host string) *Portmapper {
+	return &Portmapper{host: host, entries: make(map[pmapKey]pmapEntry)}
 }
 
 // Set registers (or replaces) the endpoint for program/version. It is both
@@ -108,7 +107,7 @@ func (p *Portmapper) GetPort(prog, vers uint32) (proto, addr string, ok bool) {
 func (p *Portmapper) Server() *Server {
 	s := NewServer("portmap@"+p.host, PortmapProgram, PortmapVersion)
 	s.Register(procPmapSet, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
-		simtime.Charge(ctx, p.model.PortmapLookup)
+		simtime.Charge(ctx, simtime.PortmapLookup)
 		prog, _ := args.Items[0].AsU32()
 		vers, _ := args.Items[1].AsU32()
 		proto, _ := args.Items[2].AsString()
@@ -117,20 +116,20 @@ func (p *Portmapper) Server() *Server {
 		return marshal.StructV(marshal.BoolV(true)), nil
 	})
 	s.Register(procPmapUnset, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
-		simtime.Charge(ctx, p.model.PortmapLookup)
+		simtime.Charge(ctx, simtime.PortmapLookup)
 		prog, _ := args.Items[0].AsU32()
 		vers, _ := args.Items[1].AsU32()
 		return marshal.StructV(marshal.BoolV(p.Unset(prog, vers))), nil
 	})
 	s.Register(procPmapGetPort, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
-		simtime.Charge(ctx, p.model.PortmapLookup)
+		simtime.Charge(ctx, simtime.PortmapLookup)
 		prog, _ := args.Items[0].AsU32()
 		vers, _ := args.Items[1].AsU32()
 		_, addr, ok := p.GetPort(prog, vers)
 		return marshal.StructV(marshal.BoolV(ok), marshal.Str(addr)), nil
 	})
 	s.Register(procPmapDump, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
-		simtime.Charge(ctx, p.model.PortmapLookup)
+		simtime.Charge(ctx, simtime.PortmapLookup)
 		p.mu.RLock()
 		defer p.mu.RUnlock()
 		items := make([]marshal.Value, 0, len(p.entries))

@@ -165,6 +165,6 @@ func (RawControl) DecodeReply(frame []byte) (ReplyHeader, []byte, error) {
 }
 
 // Overhead implements ControlProtocol.
-func (RawControl) Overhead(m *simtime.Model) time.Duration { return m.CtlRaw }
+func (RawControl) Overhead() time.Duration { return simtime.CtlRaw }
 
 var _ ControlProtocol = RawControl{}

@@ -39,7 +39,7 @@ type wireEnv struct {
 
 func newWireEnv(t *testing.T, suite Suite, admit *admission.Controller) *wireEnv {
 	t.Helper()
-	n := transport.NewNetwork(simtime.Default())
+	n := transport.NewNetwork()
 	e := &wireEnv{}
 	s := NewServer("wire", wireProgram, 1)
 	s.Metrics = metrics.NewRegistry()

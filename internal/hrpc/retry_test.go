@@ -15,7 +15,7 @@ import (
 // "udp-lossy" and an echo server reachable through it.
 func flakyNetwork(t *testing.T, fail transport.FailFunc) (*transport.Network, Binding) {
 	t.Helper()
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	inner, err := net.Transport("udp")
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestRetransmissionRecoversFromLoss(t *testing.T) {
 	// succeeds.
 	net, b := flakyNetwork(t, transport.DropEvery(2))
 	c := NewClient(net)
-	c.Retries = 1
+	c.Policy = RetryPolicy{Budget: simtime.RetransmitTimeout}
 	defer c.Close()
 	for i := 0; i < 8; i++ {
 		if _, err := c.Call(context.Background(), b, echoProc,
@@ -66,9 +66,8 @@ func TestNoRetriesSurfacesLoss(t *testing.T) {
 
 func TestRetryChargesTimeout(t *testing.T) {
 	net, b := flakyNetwork(t, transport.DropFirst(1))
-	model := net.Model()
 	c := NewClient(net)
-	c.Retries = 2
+	c.Policy = RetryPolicy{Budget: 2 * simtime.RetransmitTimeout}
 	defer c.Close()
 	cost, err := simtime.Measure(context.Background(), func(ctx context.Context) error {
 		_, err := c.Call(ctx, b, echoProc, marshal.StructV(marshal.Str("x")))
@@ -79,7 +78,7 @@ func TestRetryChargesTimeout(t *testing.T) {
 	}
 	// One loss → exactly one retransmission timeout plus one successful
 	// round trip; the cost must sit in [timeout+rtt, timeout+rtt+slack).
-	min := model.RetransmitTimeout + model.RTTUDP
+	min := simtime.RetransmitTimeout + simtime.RTTUDP
 	if cost < min || cost > min+20*time.Millisecond {
 		t.Fatalf("cost = %v, want ≈ %v", cost, min)
 	}
@@ -88,7 +87,7 @@ func TestRetryChargesTimeout(t *testing.T) {
 func TestRetriesExhausted(t *testing.T) {
 	net, b := flakyNetwork(t, func(int) bool { return true }) // total blackout
 	c := NewClient(net)
-	c.Retries = 3
+	c.Policy = RetryPolicy{Budget: 3 * simtime.RetransmitTimeout}
 	defer c.Close()
 	_, err := c.Call(context.Background(), b, echoProc, marshal.StructV(marshal.Str("x")))
 	if !errors.Is(err, transport.ErrInjectedLoss) {
@@ -98,7 +97,7 @@ func TestRetriesExhausted(t *testing.T) {
 
 func TestRemoteFaultNotRetried(t *testing.T) {
 	// A live server's error must not be retransmitted.
-	net := transport.NewNetwork(simtime.Default())
+	net := transport.NewNetwork()
 	calls := 0
 	s := NewServer("faulty", 7101, 1)
 	s.Register(echoProc, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
@@ -111,7 +110,7 @@ func TestRemoteFaultNotRetried(t *testing.T) {
 	}
 	defer ln.Close()
 	c := NewClient(net)
-	c.Retries = 5
+	c.Policy = RetryPolicy{Budget: 5 * simtime.RetransmitTimeout}
 	defer c.Close()
 	_, err = c.Call(context.Background(), b, echoProc, marshal.StructV(marshal.Str("x")))
 	var rf *RemoteFault
@@ -126,7 +125,7 @@ func TestRemoteFaultNotRetried(t *testing.T) {
 func TestRetryRespectsCancelledContext(t *testing.T) {
 	net, b := flakyNetwork(t, func(int) bool { return true })
 	c := NewClient(net)
-	c.Retries = 100
+	c.Policy = RetryPolicy{Budget: 100 * simtime.RetransmitTimeout}
 	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

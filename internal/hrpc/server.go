@@ -10,7 +10,6 @@ import (
 	"hns/internal/bufpool"
 	"hns/internal/marshal"
 	"hns/internal/metrics"
-	"hns/internal/simtime"
 	"hns/internal/transport"
 )
 
@@ -117,7 +116,7 @@ func (s *Server) Register(p Procedure, h ProcHandler) {
 
 // Handler adapts the server to a transport.Handler speaking the given data
 // representation and control protocol.
-func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol, model *simtime.Model) transport.Handler {
+func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol) transport.Handler {
 	reg := s.registry()
 	faults := reg.Counter(metrics.Labels("hrpc_server_faults_total", "server", s.name))
 	sheds := reg.Counter(metrics.Labels("hrpc_server_budget_shed_total", "server", s.name))
@@ -185,7 +184,7 @@ func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol, model *simtim
 		if err != nil {
 			return fault(fmt.Sprintf("garbage arguments for %s: %v", sp.p.Name, err))
 		}
-		marshal.ChargeValue(ctx, model, sp.p.Style, args)
+		marshal.ChargeValue(ctx, sp.p.Style, args)
 
 		ret, err := sp.h(ctx, args)
 		if err != nil {
@@ -197,7 +196,7 @@ func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol, model *simtim
 		if err != nil {
 			return fault(fmt.Sprintf("cannot marshal %s result: %v", sp.p.Name, err))
 		}
-		marshal.ChargeValue(ctx, model, sp.p.Style, ret)
+		marshal.ChargeValue(ctx, sp.p.Style, ret)
 		out, rerr := ctl.EncodeReply(ReplyHeader{XID: ch.XID}, resBytes)
 		bufpool.Put(resBytes)
 		return out, rerr
@@ -222,7 +221,7 @@ func Serve(net *transport.Network, s *Server, suite Suite, host, addr string) (t
 	if err != nil {
 		return nil, Binding{}, err
 	}
-	ln, err := tr.Listen(addr, s.Handler(rep, ctl, net.Model()))
+	ln, err := tr.Listen(addr, s.Handler(rep, ctl))
 	if err != nil {
 		return nil, Binding{}, err
 	}

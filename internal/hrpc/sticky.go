@@ -65,8 +65,7 @@ func (s *StickyConn) SetPushHandler(fn func(body []byte, err error)) bool {
 // failover. A budget in ctx travels with it, and a non-OK reply surfaces
 // as the same typed error Client.Call returns.
 func (s *StickyConn) Call(ctx context.Context, p Procedure, args marshal.Value) (marshal.Value, error) {
-	model := s.c.net.Model()
-	argBytes, err := marshalArgs(ctx, model, s.ctl, s.rep, p, args)
+	argBytes, err := marshalArgs(ctx, s.ctl, s.rep, p, args)
 	if err != nil {
 		return marshal.Value{}, err
 	}
@@ -83,7 +82,7 @@ func (s *StickyConn) Call(ctx context.Context, p Procedure, args marshal.Value) 
 	if err != nil {
 		return marshal.Value{}, fmt.Errorf("hrpc: %s to %s: %w", p.Name, s.b.Addr, err)
 	}
-	return decodeResult(ctx, model, s.ctl, s.rep, p, respFrame, s.b.Addr)
+	return decodeResult(ctx, s.ctl, s.rep, p, respFrame, s.b.Addr)
 }
 
 // Close releases the connection.

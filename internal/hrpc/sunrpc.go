@@ -143,6 +143,6 @@ func (SunRPCControl) DecodeReply(frame []byte) (ReplyHeader, []byte, error) {
 }
 
 // Overhead implements ControlProtocol.
-func (SunRPCControl) Overhead(m *simtime.Model) time.Duration { return m.CtlSunRPC }
+func (SunRPCControl) Overhead() time.Duration { return simtime.CtlSunRPC }
 
 var _ ControlProtocol = SunRPCControl{}

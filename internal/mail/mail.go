@@ -74,8 +74,7 @@ var (
 
 // Server is one mailbox host: per-user message stores.
 type Server struct {
-	host  string
-	model *simtime.Model
+	host string
 
 	mu     sync.Mutex
 	nextID uint32
@@ -83,8 +82,8 @@ type Server struct {
 }
 
 // NewServer creates an empty mailbox server.
-func NewServer(host string, model *simtime.Model) *Server {
-	return &Server{host: host, model: model, boxes: make(map[string][]Stored)}
+func NewServer(host string) *Server {
+	return &Server{host: host, boxes: make(map[string][]Stored)}
 }
 
 // Deliver stores a message in user's mailbox, returning its ID.
@@ -94,7 +93,7 @@ func (s *Server) Deliver(ctx context.Context, user, from, subject, body string) 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	simtime.Charge(ctx, s.model.FSWritePerKB) // spool write
+	simtime.Charge(ctx, simtime.FSWritePerKB) // spool write
 	s.nextID++
 	s.boxes[user] = append(s.boxes[user], Stored{
 		ID: s.nextID, From: from, Subject: subject, Body: body,
@@ -106,7 +105,7 @@ func (s *Server) Deliver(ctx context.Context, user, from, subject, body string) 
 func (s *Server) List(ctx context.Context, user string) []Stored {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	simtime.Charge(ctx, s.model.FSRead)
+	simtime.Charge(ctx, simtime.FSRead)
 	out := append([]Stored(nil), s.boxes[user]...)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -116,7 +115,7 @@ func (s *Server) List(ctx context.Context, user string) []Stored {
 func (s *Server) Read(ctx context.Context, user string, id uint32) (Stored, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	simtime.Charge(ctx, s.model.FSRead)
+	simtime.Charge(ctx, simtime.FSRead)
 	for _, m := range s.boxes[user] {
 		if m.ID == id {
 			return m, nil

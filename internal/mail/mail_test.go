@@ -36,7 +36,7 @@ func newMailEnv(t *testing.T) *mailEnv {
 	ctx := context.Background()
 
 	// BIND-world mailbox server on june (MailHostBind), a Sun service.
-	juneBox := mail.NewServer("june", w.Model)
+	juneBox := mail.NewServer("june")
 	lnJ, bJ, err := hrpc.Serve(w.Net, juneBox.HRPCServer(), hrpc.SuiteSunRPC, "june", "june:mailbox")
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func newMailEnv(t *testing.T) *mailEnv {
 
 	// CH-world mailbox server (MailHostCH = mailsrv:cs:uw), a Courier
 	// service whose binding lives in the Clearinghouse.
-	xeroxBox := mail.NewServer("mailsrv", w.Model)
+	xeroxBox := mail.NewServer("mailsrv")
 	lnX, bX, err := hrpc.Serve(w.Net, xeroxBox.HRPCServer(), hrpc.SuiteCourier, "mailsrv", "xerox:mailbox")
 	if err != nil {
 		t.Fatal(err)

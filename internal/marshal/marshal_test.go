@@ -320,15 +320,14 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestChargeStyles(t *testing.T) {
-	model := simtime.Default()
 	v := sampleValue()
 
 	genCost, _ := simtime.Measure(context.Background(), func(ctx context.Context) error {
-		ChargeValue(ctx, model, StyleGenerated, v)
+		ChargeValue(ctx, StyleGenerated, v)
 		return nil
 	})
 	handCost, _ := simtime.Measure(context.Background(), func(ctx context.Context) error {
-		ChargeValue(ctx, model, StyleHand, v)
+		ChargeValue(ctx, StyleHand, v)
 		return nil
 	})
 	if genCost <= handCost {
@@ -336,11 +335,11 @@ func TestChargeStyles(t *testing.T) {
 	}
 
 	gen1, _ := simtime.Measure(context.Background(), func(ctx context.Context) error {
-		ChargeRecords(ctx, model, StyleGenerated, 1)
+		ChargeRecords(ctx, StyleGenerated, 1)
 		return nil
 	})
 	gen6, _ := simtime.Measure(context.Background(), func(ctx context.Context) error {
-		ChargeRecords(ctx, model, StyleGenerated, 6)
+		ChargeRecords(ctx, StyleGenerated, 6)
 		return nil
 	})
 	if gen6 <= gen1 {

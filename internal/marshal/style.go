@@ -44,7 +44,7 @@ func (s Style) String() string {
 
 // ChargeValue charges ctx for (de)marshalling the value tree v in the given
 // style, priced per node visited.
-func ChargeValue(ctx context.Context, model *simtime.Model, s Style, v Value) {
+func ChargeValue(ctx context.Context, s Style, v Value) {
 	meter := simtime.From(ctx)
 	if meter == nil {
 		return // nobody is billed: skip walking the tree
@@ -53,11 +53,11 @@ func ChargeValue(ctx context.Context, model *simtime.Model, s Style, v Value) {
 	var d time.Duration
 	switch s {
 	case StyleHand:
-		d = time.Duration(n) * model.HandPerNode
+		d = time.Duration(n) * simtime.HandPerNode
 	case StyleNone:
 		return
 	default:
-		d = time.Duration(n) * model.GenPerNode
+		d = time.Duration(n) * simtime.GenPerNode
 	}
 	meter.Charge(d)
 }
@@ -65,10 +65,10 @@ func ChargeValue(ctx context.Context, model *simtime.Model, s Style, v Value) {
 // ChargeRecords charges ctx for (de)marshalling a resource-record message
 // carrying n records, using the paper's directly measured per-message
 // costs (Table 3.2 and the standard-library figures).
-func ChargeRecords(ctx context.Context, model *simtime.Model, s Style, n int) {
+func ChargeRecords(ctx context.Context, s Style, n int) {
 	if s == StyleHand {
-		simtime.Charge(ctx, model.HandMarshal(n))
+		simtime.Charge(ctx, simtime.HandMarshal(n))
 		return
 	}
-	simtime.Charge(ctx, model.GenMarshal(n))
+	simtime.Charge(ctx, simtime.GenMarshal(n))
 }

@@ -34,7 +34,6 @@ import (
 type BindBinding struct {
 	name        string
 	nameService string
-	model       *simtime.Model
 	std         *bind.StdClient
 	rpc         *hrpc.Client
 	cache       *resultCache[hrpc.Binding]
@@ -45,14 +44,13 @@ type BindBinding struct {
 
 // NewBindBinding creates the BIND-world binding NSM. std looks hosts up in
 // BIND; rpc carries the portmapper and activation calls.
-func NewBindBinding(name, nameService string, std *bind.StdClient, rpc *hrpc.Client, model *simtime.Model, o Options) *BindBinding {
+func NewBindBinding(name, nameService string, std *bind.StdClient, rpc *hrpc.Client, o Options) *BindBinding {
 	return &BindBinding{
 		name:        name,
 		nameService: nameService,
-		model:       model,
 		std:         std,
 		rpc:         rpc,
-		cache:       newResultCache[hrpc.Binding](model, o),
+		cache:       newResultCache[hrpc.Binding](o),
 		probe:       true,
 	}
 }
@@ -70,7 +68,7 @@ func (n *BindBinding) NameService() string { return n.nameService }
 // portmapper query, activation probe. The completed binding is cached; a
 // cached binding skips all three remote steps.
 func (n *BindBinding) BindService(ctx context.Context, service string, program, version uint32, name names.Name) (hrpc.Binding, error) {
-	simtime.Charge(ctx, n.model.NSMWork)
+	simtime.Charge(ctx, simtime.NSMWork)
 	// Individual-name → local-name translation (identity for BIND).
 	host := name.Individual
 	key := fmt.Sprintf("%s|%d|%d", host, program, version)
@@ -101,7 +99,7 @@ func (n *BindBinding) BindService(ctx context.Context, service string, program, 
 	// Step 3: server activation check — the null-procedure ping plus the
 	// cost of confirming/triggering activation.
 	if n.probe {
-		simtime.Charge(ctx, n.model.ActivationProbe)
+		simtime.Charge(ctx, simtime.ActivationProbe)
 		if err := hrpc.NullCall(ctx, n.rpc, b); err != nil {
 			return hrpc.Binding{}, fmt.Errorf("nsm %s: %s not responding at %s: %w", n.name, service, svcAddr, err)
 		}
@@ -128,7 +126,6 @@ func (n *BindBinding) FlushCache() { n.cache.purge() }
 type CHBinding struct {
 	name        string
 	nameService string
-	model       *simtime.Model
 	ch          *clearinghouse.Client
 	rpc         *hrpc.Client
 	cache       *resultCache[hrpc.Binding]
@@ -136,14 +133,13 @@ type CHBinding struct {
 }
 
 // NewCHBinding creates the Clearinghouse-world binding NSM.
-func NewCHBinding(name, nameService string, ch *clearinghouse.Client, rpc *hrpc.Client, model *simtime.Model, o Options) *CHBinding {
+func NewCHBinding(name, nameService string, ch *clearinghouse.Client, rpc *hrpc.Client, o Options) *CHBinding {
 	return &CHBinding{
 		name:        name,
 		nameService: nameService,
-		model:       model,
 		ch:          ch,
 		rpc:         rpc,
-		cache:       newResultCache[hrpc.Binding](model, o),
+		cache:       newResultCache[hrpc.Binding](o),
 		probe:       true,
 	}
 }
@@ -163,7 +159,7 @@ func (n *CHBinding) NameService() string { return n.nameService }
 // binding (Courier services advertise theirs, unlike the portmapper
 // indirection of the Sun world).
 func (n *CHBinding) BindService(ctx context.Context, service string, program, version uint32, name names.Name) (hrpc.Binding, error) {
-	simtime.Charge(ctx, n.model.NSMWork)
+	simtime.Charge(ctx, simtime.NSMWork)
 	key := fmt.Sprintf("%s|%d|%d", name.Individual, program, version)
 	if b, ok := n.cache.get(ctx, key); ok {
 		return b, nil

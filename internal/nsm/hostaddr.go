@@ -22,7 +22,6 @@ import (
 type HostAddr struct {
 	name        string
 	nameService string
-	model       *simtime.Model
 	cache       *resultCache[string]
 	lookup      func(ctx context.Context, individual string) (string, error)
 }
@@ -30,12 +29,11 @@ type HostAddr struct {
 // NewBindHostAddr creates a HostAddress NSM over a BIND standard-interface
 // client: the individual name is the host's domain name, and the address
 // is its A record.
-func NewBindHostAddr(name, nameService string, std *bind.StdClient, model *simtime.Model, o Options) *HostAddr {
+func NewBindHostAddr(name, nameService string, std *bind.StdClient, o Options) *HostAddr {
 	return &HostAddr{
 		name:        name,
 		nameService: nameService,
-		model:       model,
-		cache:       newResultCache[string](model, o),
+		cache:       newResultCache[string](o),
 		lookup: func(ctx context.Context, individual string) (string, error) {
 			rrs, err := std.Lookup(ctx, individual, bind.TypeA)
 			if err != nil {
@@ -52,12 +50,11 @@ func NewBindHostAddr(name, nameService string, std *bind.StdClient, model *simti
 // NewCHHostAddr creates a HostAddress NSM over a Clearinghouse client: the
 // individual name is a three-part CH name, and the address is its
 // addressList property.
-func NewCHHostAddr(name, nameService string, ch *clearinghouse.Client, model *simtime.Model, o Options) *HostAddr {
+func NewCHHostAddr(name, nameService string, ch *clearinghouse.Client, o Options) *HostAddr {
 	return &HostAddr{
 		name:        name,
 		nameService: nameService,
-		model:       model,
-		cache:       newResultCache[string](model, o),
+		cache:       newResultCache[string](o),
 		lookup: func(ctx context.Context, individual string) (string, error) {
 			n, err := clearinghouse.ParseName(individual)
 			if err != nil {
@@ -88,7 +85,7 @@ func (h *HostAddr) ResolveHost(ctx context.Context, individual string) (string, 
 	// The NSM's own glue: individual-name → local-name translation and
 	// result standardisation. The mapping itself is the identity — the
 	// simple case the HNS name syntax was designed to make common.
-	simtime.Charge(ctx, h.model.NSMWork)
+	simtime.Charge(ctx, simtime.NSMWork)
 	if addr, ok := h.cache.get(ctx, individual); ok {
 		return addr, nil
 	}

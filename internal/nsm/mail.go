@@ -36,18 +36,16 @@ type mailResult struct {
 type MailRoute struct {
 	name        string
 	nameService string
-	model       *simtime.Model
 	cache       *resultCache[mailResult]
 	lookup      func(ctx context.Context, individual string) (mailResult, error)
 }
 
 // NewBindMailRoute creates the BIND-world MailRoute NSM.
-func NewBindMailRoute(name, nameService string, std *bind.StdClient, model *simtime.Model, o Options) *MailRoute {
+func NewBindMailRoute(name, nameService string, std *bind.StdClient, o Options) *MailRoute {
 	return &MailRoute{
 		name:        name,
 		nameService: nameService,
-		model:       model,
-		cache:       newResultCache[mailResult](model, o),
+		cache:       newResultCache[mailResult](o),
 		lookup: func(ctx context.Context, individual string) (mailResult, error) {
 			rrs, err := std.Lookup(ctx, individual, bind.TypeTXT)
 			if err != nil {
@@ -64,12 +62,11 @@ func NewBindMailRoute(name, nameService string, std *bind.StdClient, model *simt
 }
 
 // NewCHMailRoute creates the Clearinghouse-world MailRoute NSM.
-func NewCHMailRoute(name, nameService string, ch *clearinghouse.Client, model *simtime.Model, o Options) *MailRoute {
+func NewCHMailRoute(name, nameService string, ch *clearinghouse.Client, o Options) *MailRoute {
 	return &MailRoute{
 		name:        name,
 		nameService: nameService,
-		model:       model,
-		cache:       newResultCache[mailResult](model, o),
+		cache:       newResultCache[mailResult](o),
 		lookup: func(ctx context.Context, individual string) (mailResult, error) {
 			n, err := clearinghouse.ParseName(individual)
 			if err != nil {
@@ -96,7 +93,7 @@ func (m *MailRoute) NameService() string { return m.nameService }
 // Route maps a user's individual name to their mailbox host and routing
 // discipline.
 func (m *MailRoute) Route(ctx context.Context, individual string) (mailHost, route string, err error) {
-	simtime.Charge(ctx, m.model.NSMWork)
+	simtime.Charge(ctx, simtime.NSMWork)
 	if r, ok := m.cache.get(ctx, individual); ok {
 		return r.Host, r.Route, nil
 	}

@@ -77,16 +77,14 @@ func (o Options) ttl() time.Duration {
 // resultCache is the shared caching helper: a TTL cache whose hits are
 // priced by cache mode.
 type resultCache[V any] struct {
-	model *simtime.Model
 	mode  bind.CacheMode
 	ttl   time.Duration
 	stale time.Duration
 	c     *cache.TTL[V]
 }
 
-func newResultCache[V any](model *simtime.Model, o Options) *resultCache[V] {
+func newResultCache[V any](o Options) *resultCache[V] {
 	rc := &resultCache[V]{
-		model: model,
 		mode:  o.CacheMode,
 		ttl:   o.ttl(),
 		stale: o.StaleFor,
@@ -104,13 +102,7 @@ func (rc *resultCache[V]) get(ctx context.Context, key string) (V, bool) {
 	if !ok {
 		return v, false
 	}
-	if rc.mode == bind.CacheMarshalled {
-		// Demarshal on every access: one logical record per entry.
-		marshal.ChargeRecords(ctx, rc.model, marshal.StyleGenerated, 1)
-		simtime.Charge(ctx, rc.model.CacheHit(0))
-	} else {
-		simtime.Charge(ctx, rc.model.CacheHit(1))
-	}
+	rc.mode.ChargeHit(ctx, marshal.StyleGenerated, 1) // one logical record per entry
 	return v, true
 }
 
@@ -129,12 +121,7 @@ func (rc *resultCache[V]) getStale(ctx context.Context, key string, cause error)
 	if !ok {
 		return zero, false
 	}
-	if rc.mode == bind.CacheMarshalled {
-		marshal.ChargeRecords(ctx, rc.model, marshal.StyleGenerated, 1)
-		simtime.Charge(ctx, rc.model.CacheHit(0))
-	} else {
-		simtime.Charge(ctx, rc.model.CacheHit(1))
-	}
+	rc.mode.ChargeHit(ctx, marshal.StyleGenerated, 1)
 	return v, true
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"hns/internal/bind"
-	"hns/internal/simtime"
 )
 
 // BroadcastLocator is the design alternative the paper rejects for
@@ -22,14 +21,13 @@ import (
 // interrogation), where the HNS's context-directed routing touches exactly
 // one.
 type BroadcastLocator struct {
-	model   *simtime.Model
 	servers []bind.Lookuper
 }
 
 // NewBroadcastLocator creates a locator over the given name-server
 // clients, interrogated in order.
-func NewBroadcastLocator(model *simtime.Model, servers ...bind.Lookuper) *BroadcastLocator {
-	return &BroadcastLocator{model: model, servers: servers}
+func NewBroadcastLocator(servers ...bind.Lookuper) *BroadcastLocator {
+	return &BroadcastLocator{servers: servers}
 }
 
 // AddServer appends another subsystem's server (federation growth).

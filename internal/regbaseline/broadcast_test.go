@@ -13,9 +13,9 @@ import (
 
 // newSubsystem stands up one BIND subsystem holding the given records and
 // returns a standard-interface client to it.
-func newSubsystem(t *testing.T, net *transport.Network, model *simtime.Model, idx int, rrs ...bind.RR) *bind.StdClient {
+func newSubsystem(t *testing.T, net *transport.Network, idx int, rrs ...bind.RR) *bind.StdClient {
 	t.Helper()
-	srv := bind.NewServer("sub", model)
+	srv := bind.NewServer("sub")
 	z, err := bind.NewZone("sub.test", true)
 	if err != nil {
 		t.Fatal(err)
@@ -38,13 +38,12 @@ func newSubsystem(t *testing.T, net *transport.Network, model *simtime.Model, id
 }
 
 func TestBroadcastResolve(t *testing.T) {
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
-	loc := NewBroadcastLocator(model,
-		newSubsystem(t, net, model, 0, bind.A("a.sub.test", "addr-a", 60)),
-		newSubsystem(t, net, model, 1, bind.A("b.sub.test", "addr-b", 60)),
+	net := transport.NewNetwork()
+	loc := NewBroadcastLocator(
+		newSubsystem(t, net, 0, bind.A("a.sub.test", "addr-a", 60)),
+		newSubsystem(t, net, 1, bind.A("b.sub.test", "addr-b", 60)),
 	)
-	loc.AddServer(newSubsystem(t, net, model, 2, bind.A("c.sub.test", "addr-c", 60)))
+	loc.AddServer(newSubsystem(t, net, 2, bind.A("c.sub.test", "addr-c", 60)))
 	if loc.Servers() != 3 {
 		t.Fatalf("Servers = %d", loc.Servers())
 	}
@@ -74,11 +73,10 @@ func TestBroadcastResolve(t *testing.T) {
 }
 
 func TestBroadcastNotFoundAnywhere(t *testing.T) {
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
-	loc := NewBroadcastLocator(model,
-		newSubsystem(t, net, model, 0, bind.A("a.sub.test", "x", 60)),
-		newSubsystem(t, net, model, 1))
+	net := transport.NewNetwork()
+	loc := NewBroadcastLocator(
+		newSubsystem(t, net, 0, bind.A("a.sub.test", "x", 60)),
+		newSubsystem(t, net, 1))
 	_, queried, err := loc.Resolve(context.Background(), "ghost.sub.test")
 	if err == nil || !strings.Contains(err.Error(), "not found in any of 2") {
 		t.Fatalf("err = %v", err)
@@ -92,12 +90,11 @@ func TestBroadcastTransportFailureSurfaces(t *testing.T) {
 	// A dead subsystem is a hard error, not a silent skip — broadcast
 	// cannot distinguish "down" from "doesn't have it", which is part of
 	// why the paper rejects it.
-	model := simtime.Default()
-	net := transport.NewNetwork(model)
+	net := transport.NewNetwork()
 	dead := bind.NewStdClient(net, "udp", "nowhere:53")
 	t.Cleanup(func() { dead.Close() })
-	loc := NewBroadcastLocator(model, dead,
-		newSubsystem(t, net, model, 0, bind.A("a.sub.test", "x", 60)))
+	loc := NewBroadcastLocator(dead,
+		newSubsystem(t, net, 0, bind.A("a.sub.test", "x", 60)))
 	if _, _, err := loc.Resolve(context.Background(), "a.sub.test"); err == nil {
 		t.Fatal("dead subsystem ignored")
 	}

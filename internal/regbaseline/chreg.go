@@ -18,7 +18,6 @@ import (
 // drawbacks: stale copies, an ever-running sweep, and — at scale — a
 // global service that must absorb every subsystem's update rate.
 type CHRegistry struct {
-	model  *simtime.Model
 	ch     *clearinghouse.Client
 	domain string
 	org    string
@@ -26,8 +25,8 @@ type CHRegistry struct {
 
 // NewCHRegistry creates a registry storing bindings in the given
 // Clearinghouse domain:organization.
-func NewCHRegistry(ch *clearinghouse.Client, model *simtime.Model, domain, org string) *CHRegistry {
-	return &CHRegistry{model: model, ch: ch, domain: domain, org: org}
+func NewCHRegistry(ch *clearinghouse.Client, domain, org string) *CHRegistry {
+	return &CHRegistry{ch: ch, domain: domain, org: org}
 }
 
 func (r *CHRegistry) objectName(service string) (clearinghouse.Name, error) {
@@ -47,7 +46,7 @@ func (r *CHRegistry) Register(ctx context.Context, service string, b hrpc.Bindin
 // ReregisterAll sweeps the full service set into the Clearinghouse.
 func (r *CHRegistry) ReregisterAll(ctx context.Context, services map[string]hrpc.Binding) error {
 	for svc, b := range services {
-		simtime.Charge(ctx, r.model.ReregPerEntry)
+		simtime.Charge(ctx, simtime.ReregPerEntry)
 		if err := r.Register(ctx, svc, b); err != nil {
 			return fmt.Errorf("chreg: reregistering %s: %w", svc, err)
 		}
@@ -67,7 +66,7 @@ func (r *CHRegistry) Import(ctx context.Context, service string) (hrpc.Binding, 
 		return hrpc.Binding{}, fmt.Errorf("chreg: %s not reregistered: %w", service, err)
 	}
 	// The stored copy arrives in marshalled form; demarshal and assemble.
-	marshal.ChargeRecords(ctx, r.model, marshal.StyleGenerated, 1)
-	simtime.Charge(ctx, r.model.FindNSMAssembly)
+	marshal.ChargeRecords(ctx, marshal.StyleGenerated, 1)
+	simtime.Charge(ctx, simtime.FindNSMAssembly)
 	return qclass.ParseBinding(string(raw))
 }

@@ -38,16 +38,14 @@ type FileEntry struct {
 // library code reading /etc-style data), so its cost grows with the number
 // of registered services.
 type FileRegistry struct {
-	model *simtime.Model
-
 	mu      sync.RWMutex
 	entries []FileEntry
 	sweeps  int
 }
 
 // NewFileRegistry creates an empty registry.
-func NewFileRegistry(model *simtime.Model) *FileRegistry {
-	return &FileRegistry{model: model}
+func NewFileRegistry() *FileRegistry {
+	return &FileRegistry{}
 }
 
 // Add appends one entry (as the reregistration daemon would).
@@ -78,10 +76,10 @@ func (r *FileRegistry) Sweeps() int {
 func (r *FileRegistry) Import(ctx context.Context, service, host string) (hrpc.Binding, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	simtime.Charge(ctx, r.model.FileRegRead)
+	simtime.Charge(ctx, simtime.FileRegRead)
 	var found *FileEntry
 	for i := range r.entries {
-		simtime.Charge(ctx, r.model.FileRegScanPerEntry)
+		simtime.Charge(ctx, simtime.FileRegScanPerEntry)
 		e := &r.entries[i]
 		if e.Service == service && e.Host == host {
 			found = e
@@ -101,7 +99,7 @@ func (r *FileRegistry) Reregister(ctx context.Context, entries []FileEntry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for range entries {
-		simtime.Charge(ctx, r.model.ReregPerEntry)
+		simtime.Charge(ctx, simtime.ReregPerEntry)
 	}
 	r.entries = append([]FileEntry(nil), entries...)
 	r.sweeps++

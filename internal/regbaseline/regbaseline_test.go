@@ -28,7 +28,7 @@ func populate(r *FileRegistry, n int) {
 }
 
 func TestFileRegistryImport(t *testing.T) {
-	r := NewFileRegistry(simtime.Default())
+	r := NewFileRegistry()
 	populate(r, 10)
 	b, err := r.Import(context.Background(), "desired", "fiji")
 	if err != nil {
@@ -45,7 +45,7 @@ func TestFileRegistryImport(t *testing.T) {
 // TestFileRegistryCostAnchor pins the paper's 200 ms figure at the
 // prototype-era scale (~200 registered services).
 func TestFileRegistryCostAnchor(t *testing.T) {
-	r := NewFileRegistry(simtime.Default())
+	r := NewFileRegistry()
 	populate(r, 200)
 	cost, err := simtime.Measure(context.Background(), func(ctx context.Context) error {
 		_, err := r.Import(ctx, "desired", "fiji")
@@ -64,7 +64,7 @@ func TestFileRegistryCostGrowsWithEntries(t *testing.T) {
 	// data, unlike the HNS whose load "is naturally distributed among the
 	// subsystems".
 	measure := func(n int) time.Duration {
-		r := NewFileRegistry(simtime.Default())
+		r := NewFileRegistry()
 		populate(r, n)
 		cost, err := simtime.Measure(context.Background(), func(ctx context.Context) error {
 			_, err := r.Import(ctx, "desired", "fiji")
@@ -83,7 +83,7 @@ func TestFileRegistryCostGrowsWithEntries(t *testing.T) {
 func TestFileRegistryStaleness(t *testing.T) {
 	// Between sweeps, the replicated file serves stale bindings — the
 	// consistency problem the paper charges reregistration with.
-	r := NewFileRegistry(simtime.Default())
+	r := NewFileRegistry()
 	ctx := context.Background()
 	oldB := sampleBinding(1)
 	newB := sampleBinding(2)
@@ -115,7 +115,7 @@ func TestFileRegistryStaleness(t *testing.T) {
 }
 
 func TestFileRegistrySweepCostNeverEnds(t *testing.T) {
-	r := NewFileRegistry(simtime.Default())
+	r := NewFileRegistry()
 	entries := make([]FileEntry, 100)
 	for i := range entries {
 		entries[i] = FileEntry{Service: fmt.Sprintf("s%d", i), Host: "h", Binding: sampleBinding(i)}
@@ -126,15 +126,14 @@ func TestFileRegistrySweepCostNeverEnds(t *testing.T) {
 		r.Reregister(ctx, entries)
 		return nil
 	})
-	model := simtime.Default()
-	want := 200 * model.ReregPerEntry
+	want := 200 * simtime.ReregPerEntry
 	if cost != want {
 		t.Fatalf("sweep cost = %v, want %v", cost, want)
 	}
 }
 
 func TestFileRenderParseRoundTrip(t *testing.T) {
-	r := NewFileRegistry(simtime.Default())
+	r := NewFileRegistry()
 	populate(r, 5)
 	text := r.Render()
 	if !strings.Contains(text, "desired fiji") {
@@ -166,7 +165,7 @@ func TestCHRegistryImport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	r := NewCHRegistry(w.CHClient(), w.Model, world.CHDomain, world.CHOrg)
+	r := NewCHRegistry(w.CHClient(), world.CHDomain, world.CHOrg)
 	ctx := context.Background()
 
 	want := sampleBinding(7)
@@ -192,7 +191,7 @@ func TestCHRegistryCostAnchor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	r := NewCHRegistry(w.CHClient(), w.Model, world.CHDomain, world.CHOrg)
+	r := NewCHRegistry(w.CHClient(), world.CHDomain, world.CHOrg)
 	ctx := context.Background()
 	if err := r.Register(ctx, "desired", sampleBinding(1)); err != nil {
 		t.Fatal(err)
@@ -219,7 +218,7 @@ func TestCHRegistryReregisterAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	r := NewCHRegistry(w.CHClient(), w.Model, world.CHDomain, world.CHOrg)
+	r := NewCHRegistry(w.CHClient(), world.CHDomain, world.CHOrg)
 	ctx := context.Background()
 	services := map[string]hrpc.Binding{
 		"a": sampleBinding(1), "b": sampleBinding(2), "c": sampleBinding(3),

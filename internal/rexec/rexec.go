@@ -58,8 +58,7 @@ var procCommands = hrpc.Procedure{
 
 // Server is one host's execution service: a registry of named commands.
 type Server struct {
-	host  string
-	model *simtime.Model
+	host string
 
 	mu       sync.RWMutex
 	commands map[string]Command
@@ -67,8 +66,8 @@ type Server struct {
 
 // NewServer creates an execution server with the standard built-ins
 // (echo, hostname, wc).
-func NewServer(host string, model *simtime.Model) *Server {
-	s := &Server{host: host, model: model, commands: make(map[string]Command)}
+func NewServer(host string) *Server {
+	s := &Server{host: host, commands: make(map[string]Command)}
 	s.RegisterCommand("echo", func(ctx context.Context, args []string, stdin string) (string, uint32) {
 		out := ""
 		for i, a := range args {
@@ -116,7 +115,7 @@ func (s *Server) Run(ctx context.Context, name string, args []string, stdin stri
 		return "", 127, fmt.Errorf("rexec: %s: command not found on %s", name, s.host)
 	}
 	// Process startup cost (fork/exec on a 1987 machine).
-	simtime.Charge(ctx, s.model.ActivationProbe)
+	simtime.Charge(ctx, simtime.ActivationProbe)
 	out, exit := cmd(ctx, args, stdin)
 	return out, exit, nil
 }

@@ -35,7 +35,7 @@ func newRexecEnv(t *testing.T) *rexecEnv {
 	t.Cleanup(w.Close)
 	ctx := context.Background()
 
-	unix := rexec.NewServer("fiji", w.Model)
+	unix := rexec.NewServer("fiji")
 	lnU, bU, err := hrpc.Serve(w.Net, unix.HRPCServer(), hrpc.SuiteSunRPC, "fiji", "fiji:rexec")
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func newRexecEnv(t *testing.T) *rexecEnv {
 	t.Cleanup(func() { lnU.Close() })
 	w.Portmappers["fiji"].Set(rexec.Program, rexec.Version, "udp", bU.Addr)
 
-	xerox := rexec.NewServer("xerox-d0", w.Model)
+	xerox := rexec.NewServer("xerox-d0")
 	lnX, bX, err := hrpc.Serve(w.Net, xerox.HRPCServer(), hrpc.SuiteCourier, "xerox-d0", "xerox:rexec")
 	if err != nil {
 		t.Fatal(err)

@@ -2,13 +2,8 @@ package simtime
 
 import "time"
 
-// ms converts a floating-point millisecond count into a Duration. The
-// paper's measurements are reported in milliseconds with up to two decimal
-// places, so microsecond resolution is ample.
-func ms(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
-
-// Model holds every calibrated cost constant in one place. Components never
-// embed literal costs; they look them up here, so recalibrating the whole
+// The calibrated cost constants live here, in one place. Components never
+// embed literal costs; they name these, so recalibrating the whole
 // simulation is a one-file affair.
 //
 // Each constant notes the paper anchor it was derived from. Where the paper
@@ -16,31 +11,31 @@ func ms(v float64) time.Duration { return time.Duration(v * float64(time.Millise
 // decomposition into transport/server/marshalling shares is ours, chosen so
 // that every aggregate the paper reports is the sum of the constants on the
 // code path that produces it.
-type Model struct {
+const (
 	// ---- Transport round trips (client-observed, excluding server work).
 
 	// RTTInProc is the cost of a same-address-space "call" through the
 	// in-process transport. The paper treats local procedure calls as
 	// "effectively zero in the time scale of the other terms".
-	RTTInProc time.Duration
+	RTTInProc = 50 * time.Microsecond
 	// RTTUDP is a datagram round trip between two hosts on the Ethernet.
 	// Anchor: BIND lookup = 27 ms total = RTTUDP + BindServerLookup +
 	// hand-coded marshalling (~0.85 ms for a one-record answer).
-	RTTUDP time.Duration
+	RTTUDP = 18 * time.Millisecond
 	// RTTTCP is a stream round trip between two hosts (higher than UDP:
 	// acking, in-order delivery on a 10 Mbit Ethernet with 1987 stacks).
 	// Anchor: Courier/raw calls run 30–38 ms versus Sun/UDP's 22 ms.
-	RTTTCP time.Duration
+	RTTTCP = 30 * time.Millisecond
 	// RTTUDPLocal / RTTTCPLocal are the same round trips when client and
 	// server are separate processes on one host (loopback, no Ethernet).
 	// Anchor: "Locating them on the same host reduces the timings by
 	// about 20 msec. in applicable configurations."
-	RTTUDPLocal time.Duration
-	RTTTCPLocal time.Duration
+	RTTUDPLocal = 6 * time.Millisecond
+	RTTTCPLocal = 10 * time.Millisecond
 	// TCPConnSetup is charged once per dialed connection (SYN handshake +
 	// server accept). Transports reuse connections, so steady-state calls
 	// do not pay it.
-	TCPConnSetup time.Duration
+	TCPConnSetup = 12 * time.Millisecond
 
 	// ---- Control-protocol per-call overhead of the 1987 suites (header
 	// construction, the era's transaction-ID bookkeeping, retransmit
@@ -48,9 +43,9 @@ type Model struct {
 	// hrpc puts on the wire (the raw suite carries no transaction ID).
 	// Anchor: "The remote call to the NSM takes 22-38 msec., depending on
 	// the RPC system used": Sun/UDP = 18+2+~2, Courier/TCP = 30+4+~4.
-	CtlSunRPC  time.Duration
-	CtlCourier time.Duration
-	CtlRaw     time.Duration
+	CtlSunRPC  = 2 * time.Millisecond
+	CtlCourier = 4 * time.Millisecond
+	CtlRaw     = 3 * time.Millisecond
 
 	// ---- Marshalling.
 	//
@@ -65,38 +60,41 @@ type Model struct {
 	// Hand-coded (standard BIND library style): base + per resource
 	// record. 0.25 + 1×0.40 = 0.65 ms (1 RR); 0.25 + 6×0.40 = 2.65 ms
 	// (≈ paper's 2.6 ms for 6 RRs).
-	HandMarshalBase  time.Duration
-	HandMarshalPerRR time.Duration
+	HandMarshalBase  = 250 * time.Microsecond
+	HandMarshalPerRR = 400 * time.Microsecond
 
 	// Generated (stub-compiler) routines: base + per resource record.
 	// Anchor: Table 3.2 marshalled-cache-hit column is exactly one
 	// generated demarshal per access: 8.11 + 1×3.0 = 11.11 ms (1 RR),
-	// 8.11 + 6×3.01 ≈ 26.17 ms (6 RRs).
-	GenMarshalBase  time.Duration
-	GenMarshalPerRR time.Duration
+	// 8.11 + 6×3.01 ≈ 26.17 ms (6 RRs). The base is 1 ns short of
+	// 8.11 ms because the calibrated tables were produced from the
+	// float64 product 8.11 × 1e6, which truncates to 8 109 999 ns; it
+	// stays that value so every table is unchanged to the nanosecond.
+	GenMarshalBase  = 8_109_999 * time.Nanosecond
+	GenMarshalPerRR = 3010 * time.Microsecond
 	// GenMarshalRequest is the cost of generated-marshalling a query
 	// message (one name, fixed shape).
-	GenMarshalRequest time.Duration
+	GenMarshalRequest = 2 * time.Millisecond
 	// GenPerNode prices generic value-tree marshalling for non-BIND
 	// messages (NSM argument/response records), per value node visited.
-	GenPerNode time.Duration
+	GenPerNode = 350 * time.Microsecond
 	// HandPerNode is the hand-coded equivalent.
-	HandPerNode time.Duration
+	HandPerNode = 40 * time.Microsecond
 
 	// ---- Server-side work.
 
 	// BindServerLookup: in-memory hash lookup plus answer assembly on the
 	// BIND server. Anchor: 27 ms aggregate minus RTTUDP and hand
 	// marshalling.
-	BindServerLookup time.Duration
+	BindServerLookup = 8 * time.Millisecond
 	// BindServerUpdate: a dynamic update against the modified BIND
 	// (validate, mutate in-memory zone, bump serial).
-	BindServerUpdate time.Duration
+	BindServerUpdate = 11 * time.Millisecond
 	// ZoneXferBase / ZoneXferPerRR: an AXFR-style transfer of a zone over
 	// TCP, per the preloading experiment. Anchor: preloading ~2 KB of
 	// meta-information cost ~390 ms.
-	ZoneXferBase  time.Duration
-	ZoneXferPerRR time.Duration
+	ZoneXferBase  = 120 * time.Millisecond
+	ZoneXferPerRR = 5500 * time.Microsecond
 
 	// CHAuth is the Clearinghouse's per-access authentication handshake;
 	// CHDiskRead its disk-resident property fetch; CHServerWork the
@@ -104,43 +102,43 @@ type Model struct {
 	// address lookup takes 156 msec" = RTTTCP + CtlCourier + auth + disk
 	// + work + marshalling; the footnote attributes the bulk to
 	// authentication and disk.
-	CHAuth       time.Duration
-	CHDiskRead   time.Duration
-	CHServerWork time.Duration
+	CHAuth       = 48 * time.Millisecond
+	CHDiskRead   = 64 * time.Millisecond
+	CHServerWork = 5 * time.Millisecond
 	// CHWriteThrough is the extra cost of a Clearinghouse update
 	// (disk write + replication initiation).
-	CHWriteThrough time.Duration
+	CHWriteThrough = 40 * time.Millisecond
 
 	// FSRead / FSWritePerKB price file-server operations for the filing
 	// application built on the HNS (HCS filing; the heterogeneous file
 	// system of the paper's conclusions): a disk read to open/fetch, and
 	// a per-kilobyte transfer/write charge.
-	FSRead       time.Duration
-	FSWritePerKB time.Duration
+	FSRead       = 35 * time.Millisecond
+	FSWritePerKB = 9 * time.Millisecond
 
 	// RetransmitTimeout is how long a Sun-style RPC client waits before
 	// retransmitting a datagram it assumes lost. Charged per retry.
-	RetransmitTimeout time.Duration
+	RetransmitTimeout = 250 * time.Millisecond
 
 	// PortmapLookup is the portmapper's table probe (in-memory, tiny).
-	PortmapLookup time.Duration
+	PortmapLookup = 2 * time.Millisecond
 	// ActivationProbe is the null-procedure ping Sun-style binding sends
 	// to confirm the server is actually up before handing out a binding.
-	ActivationProbe time.Duration
+	ActivationProbe = 20 * time.Millisecond
 
 	// CacheAccess is a demarshalled cache probe: hash + copy out.
 	// Anchor: Table 3.2 demarshalled-hit column (0.83 ms for 1 RR; the
 	// per-RR copy shows up as CacheAccessPerRR ≈ 0.08, giving 1.22 ms for
 	// 6 RRs).
-	CacheAccess      time.Duration
-	CacheAccessPerRR time.Duration
+	CacheAccess      = 750 * time.Microsecond
+	CacheAccessPerRR = 80 * time.Microsecond
 
 	// FindNSMAssembly is the HNS-side glue per FindNSM: argument
 	// validation, context parsing, binding construction.
-	FindNSMAssembly time.Duration
+	FindNSMAssembly = 3 * time.Millisecond
 	// NSMWork is the NSM-side glue per query: individual-name→local-name
 	// translation and result standardisation.
-	NSMWork time.Duration
+	NSMWork = 2500 * time.Microsecond
 
 	// ---- Baselines.
 
@@ -148,85 +146,30 @@ type Model struct {
 	// "based on information reregistered in replicated local files":
 	// open+read a local hosts-style file, then scan it serially. Anchor:
 	// 200 ms per binding with ~180 registered services.
-	FileRegRead         time.Duration
-	FileRegScanPerEntry time.Duration
-	// Rereg* price the background reregistration traffic of both
+	FileRegRead         = 60 * time.Millisecond
+	FileRegScanPerEntry = 700 * time.Microsecond
+	// ReregPerEntry prices the background reregistration traffic of both
 	// baselines (per entry pushed to the replica/Clearinghouse).
-	ReregPerEntry time.Duration
-}
-
-// Default returns the model calibrated against the paper's measurements.
-// See each field's comment for the anchor.
-func Default() *Model {
-	return &Model{
-		RTTInProc:    ms(0.05),
-		RTTUDP:       ms(18.0),
-		RTTTCP:       ms(30.0),
-		RTTUDPLocal:  ms(6.0),
-		RTTTCPLocal:  ms(10.0),
-		TCPConnSetup: ms(12.0),
-
-		CtlSunRPC:  ms(2.0),
-		CtlCourier: ms(4.0),
-		CtlRaw:     ms(3.0),
-
-		HandMarshalBase:  ms(0.25),
-		HandMarshalPerRR: ms(0.40),
-		GenMarshalBase:   ms(8.11),
-		GenMarshalPerRR:  ms(3.01),
-
-		GenMarshalRequest: ms(2.0),
-		GenPerNode:        ms(0.35),
-		HandPerNode:       ms(0.04),
-
-		BindServerLookup: ms(8.0),
-		BindServerUpdate: ms(11.0),
-		ZoneXferBase:     ms(120.0),
-		ZoneXferPerRR:    ms(5.5),
-
-		CHAuth:         ms(48.0),
-		CHDiskRead:     ms(64.0),
-		CHServerWork:   ms(5.0),
-		CHWriteThrough: ms(40.0),
-
-		FSRead:       ms(35.0),
-		FSWritePerKB: ms(9.0),
-
-		RetransmitTimeout: ms(250.0),
-
-		PortmapLookup:   ms(2.0),
-		ActivationProbe: ms(20.0),
-
-		CacheAccess:      ms(0.75),
-		CacheAccessPerRR: ms(0.08),
-
-		FindNSMAssembly: ms(3.0),
-		NSMWork:         ms(2.5),
-
-		FileRegRead:         ms(60.0),
-		FileRegScanPerEntry: ms(0.7),
-		ReregPerEntry:       ms(1.5),
-	}
-}
+	ReregPerEntry = 1500 * time.Microsecond
+)
 
 // HandMarshal prices a hand-coded (de)marshal of a message carrying n
 // resource records.
-func (m *Model) HandMarshal(n int) time.Duration {
-	return m.HandMarshalBase + time.Duration(n)*m.HandMarshalPerRR
-}
+func HandMarshal(n int) time.Duration { return HandMarshalBase + time.Duration(n)*HandMarshalPerRR }
 
 // GenMarshal prices a generated-stub (de)marshal of a message carrying n
 // resource records.
-func (m *Model) GenMarshal(n int) time.Duration {
-	return m.GenMarshalBase + time.Duration(n)*m.GenMarshalPerRR
-}
+func GenMarshal(n int) time.Duration { return GenMarshalBase + time.Duration(n)*GenMarshalPerRR }
 
 // CacheHit prices a demarshalled cache access returning n resource records.
-func (m *Model) CacheHit(n int) time.Duration {
-	return m.CacheAccess + time.Duration(n)*m.CacheAccessPerRR
-}
+func CacheHit(n int) time.Duration { return CacheAccess + time.Duration(n)*CacheAccessPerRR }
 
 // ZoneXfer prices an AXFR-style transfer of n resource records.
-func (m *Model) ZoneXfer(n int) time.Duration {
-	return m.ZoneXferBase + time.Duration(n)*m.ZoneXferPerRR
-}
+func ZoneXfer(n int) time.Duration { return ZoneXferBase + time.Duration(n)*ZoneXferPerRR }
+
+// Model is retired: the costs above are constants. It remains only so
+// bench/hnsload's Default() calls compile until they are removed.
+type Model struct{}
+
+// Default is retired with Model; it returns an empty Model.
+func Default() *Model { return &Model{} }

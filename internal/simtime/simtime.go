@@ -18,7 +18,7 @@
 // colocation, and marshalling strategy change the simulated cost through
 // the same mechanisms that changed wall-clock time in the paper.
 //
-// The constants in Model are calibrated against the paper's component-level
+// The constants in model.go are calibrated against the paper's component-level
 // anchors (BIND lookup 27 ms, Clearinghouse lookup 156 ms, remote NSM call
 // 22–38 ms, Table 3.2's marshalling costs). Absolute agreement with the
 // paper is not the goal; reproducing the shape of its results is.

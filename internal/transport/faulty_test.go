@@ -10,7 +10,7 @@ import (
 )
 
 func TestFaultyInjectsLosses(t *testing.T) {
-	n := NewNetwork(simtime.Default())
+	n := NewNetwork()
 	inner, _ := n.Transport("udp")
 	flaky := NewFaulty(inner, "udp-flaky", DropEvery(2))
 	n.Register(flaky)
@@ -46,7 +46,7 @@ func TestFaultyInjectsLosses(t *testing.T) {
 func TestFaultyInjectsDialFaults(t *testing.T) {
 	// Regression: connection setup must be subject to injection too, so
 	// dial-path error handling is testable.
-	n := NewNetwork(simtime.Default())
+	n := NewNetwork()
 	inner, _ := n.Transport("udp")
 	flaky := NewFaulty(inner, "udp-dialflaky", DropFirst(1))
 
@@ -88,7 +88,7 @@ func TestDropFirst(t *testing.T) {
 }
 
 func TestFaultyListenPassthrough(t *testing.T) {
-	n := NewNetwork(simtime.Default())
+	n := NewNetwork()
 	inner, _ := n.Transport("udp")
 	flaky := NewFaulty(inner, "udp-flaky2", DropEvery(0))
 	ln, err := flaky.Listen("h:9", echoHandler)
@@ -110,7 +110,7 @@ func TestFaultyListenPassthrough(t *testing.T) {
 
 func chaosPair(t *testing.T) (*Plan, *Faulty) {
 	t.Helper()
-	n := NewNetwork(simtime.Default())
+	n := NewNetwork()
 	inner, _ := n.Transport("udp")
 	plan := NewPlan(42)
 	chaos := NewChaos(inner, "udp-chaos", plan)
@@ -217,7 +217,7 @@ func TestPlanLatencyChargesSimtime(t *testing.T) {
 
 func TestPlanLossRateIsSeeded(t *testing.T) {
 	outcomes := func(seed int64) []bool {
-		n := NewNetwork(simtime.Default())
+		n := NewNetwork()
 		inner, _ := n.Transport("udp")
 		plan := NewPlan(seed)
 		chaos := NewChaos(inner, "udp-seeded", plan)

@@ -705,7 +705,7 @@ func TestSimMuxSemantics(t *testing.T) {
 	<-arrived // both handlers are in flight on the one conn at once
 	close(bothIn)
 	wg.Wait()
-	want := n.Model().RTTUDP + 5*time.Millisecond
+	want := simtime.RTTUDP + 5*time.Millisecond
 	for i, m := range meters {
 		if m.Elapsed() != want {
 			t.Fatalf("call %d charged %v, want %v", i, m.Elapsed(), want)

@@ -40,7 +40,7 @@ func pushEcho(t *testing.T, pushers chan Pusher) Handler {
 func TestPushDelivery(t *testing.T) {
 	for _, name := range []string{"tcp-net", "tcp"} {
 		t.Run(name, func(t *testing.T) {
-			net := NewNetwork(simtime.Default())
+			net := NewNetwork()
 			tr, err := net.Transport(name)
 			if err != nil {
 				t.Fatal(err)
@@ -93,7 +93,7 @@ func TestPushDelivery(t *testing.T) {
 // notice when the connection dies, and that the server-side Pusher's
 // Done channel closes.
 func TestPushConnDeath(t *testing.T) {
-	net := NewNetwork(simtime.Default())
+	net := NewNetwork()
 	tr, err := net.Transport("tcp-net")
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestPushConnDeath(t *testing.T) {
 // transport: Close delivers exactly one nil-body error callback and
 // closes the pusher's Done.
 func TestPushSimConnDeath(t *testing.T) {
-	net := NewNetwork(simtime.Default())
+	net := NewNetwork()
 	tr, err := net.Transport("tcp")
 	if err != nil {
 		t.Fatal(err)

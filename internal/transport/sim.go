@@ -22,12 +22,13 @@ type simEndpoint struct {
 type simTransport struct {
 	net   *Network
 	name  string
-	costs func(*simtime.Model) (rttNanos, setupNanos int64)
+	rtt   time.Duration // charged per call
+	setup time.Duration // charged per dial
 	obs   wireObs
 }
 
-func newSimTransport(n *Network, name string, costs func(*simtime.Model) (int64, int64)) *simTransport {
-	return &simTransport{net: n, name: name, costs: costs, obs: newWireObs(name)}
+func newSimTransport(n *Network, name string, rtt, setup time.Duration) *simTransport {
+	return &simTransport{net: n, name: name, rtt: rtt, setup: setup, obs: newWireObs(name)}
 }
 
 // Name implements Transport.
@@ -60,8 +61,7 @@ func (t *simTransport) Dial(ctx context.Context, addr string) (Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s %s", ErrRefused, t.name, addr)
 	}
-	_, setup := t.costs(t.net.model)
-	simtime.Charge(ctx, time.Duration(setup))
+	simtime.Charge(ctx, t.setup)
 	return &simConn{
 		t: t, addr: addr, ep: ep,
 		peer: fmt.Sprintf("sim!%d", simPeerSeq.Add(1)),
@@ -176,8 +176,7 @@ func (c *simConn) Call(ctx context.Context, req []byte) ([]byte, error) {
 		return nil, err
 	}
 
-	rtt, _ := c.t.costs(c.t.net.model)
-	simtime.Charge(ctx, time.Duration(rtt))
+	simtime.Charge(ctx, c.t.rtt)
 	c.t.obs.tx(len(req))
 
 	serverMeter := simtime.NewMeter()

@@ -115,45 +115,31 @@ func Unavailable(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// Network is the environment a set of transports lives in: the cost model
-// plus the in-process endpoint table the simulated transports deliver
-// through. One Network models one internetwork; tests create isolated
-// Networks freely.
+// Network is the environment a set of transports lives in: the in-process
+// endpoint table the simulated transports deliver through, and the
+// transports by name. One Network models one internetwork; tests create
+// isolated Networks freely.
 type Network struct {
-	model *simtime.Model
-
 	mu         sync.RWMutex
 	endpoints  map[string]*simEndpoint
 	transports map[string]Transport
 }
 
-// NewNetwork creates a network using the given cost model and registers the
-// standard transports. model must not be nil.
-func NewNetwork(model *simtime.Model) *Network {
-	if model == nil {
-		panic("transport: nil model")
-	}
+// NewNetwork creates a network and registers the standard transports. The
+// variadic *simtime.Model is ignored: it is a retired shape kept only so
+// bench/hnsload, which still passes one, compiles. No other caller passes
+// it.
+func NewNetwork(_ ...*simtime.Model) *Network {
 	n := &Network{
-		model:      model,
 		endpoints:  make(map[string]*simEndpoint),
 		transports: make(map[string]Transport),
 	}
 	for _, t := range []Transport{
-		newSimTransport(n, "inproc", func(m *simtime.Model) (rtt, setup int64) {
-			return int64(m.RTTInProc), 0
-		}),
-		newSimTransport(n, "udp", func(m *simtime.Model) (int64, int64) {
-			return int64(m.RTTUDP), 0
-		}),
-		newSimTransport(n, "tcp", func(m *simtime.Model) (int64, int64) {
-			return int64(m.RTTTCP), int64(m.TCPConnSetup)
-		}),
-		newSimTransport(n, "udp-local", func(m *simtime.Model) (int64, int64) {
-			return int64(m.RTTUDPLocal), 0
-		}),
-		newSimTransport(n, "tcp-local", func(m *simtime.Model) (int64, int64) {
-			return int64(m.RTTTCPLocal), int64(m.TCPConnSetup)
-		}),
+		newSimTransport(n, "inproc", simtime.RTTInProc, 0),
+		newSimTransport(n, "udp", simtime.RTTUDP, 0),
+		newSimTransport(n, "tcp", simtime.RTTTCP, simtime.TCPConnSetup),
+		newSimTransport(n, "udp-local", simtime.RTTUDPLocal, 0),
+		newSimTransport(n, "tcp-local", simtime.RTTTCPLocal, simtime.TCPConnSetup),
 		newTCPTransport(),
 		newUDPTransport(),
 	} {
@@ -161,9 +147,6 @@ func NewNetwork(model *simtime.Model) *Network {
 	}
 	return n
 }
-
-// Model exposes the network's cost model.
-func (n *Network) Model() *simtime.Model { return n.model }
 
 // Register installs a transport. Duplicate names panic: transport names are
 // protocol identifiers stored in HNS binding records, so a collision is a

@@ -16,7 +16,7 @@ import (
 	"hns/internal/simtime"
 )
 
-func newTestNetwork() *Network { return NewNetwork(simtime.Default()) }
+func newTestNetwork() *Network { return NewNetwork() }
 
 func echoHandler(ctx context.Context, req []byte) ([]byte, error) {
 	return req, nil
@@ -62,7 +62,6 @@ func TestSimTransportsRoundTrip(t *testing.T) {
 
 func TestSimCostCharging(t *testing.T) {
 	n := newTestNetwork()
-	model := n.Model()
 	serverWork := 8 * time.Millisecond
 
 	cases := []struct {
@@ -70,11 +69,11 @@ func TestSimCostCharging(t *testing.T) {
 		rtt       time.Duration
 		setup     time.Duration
 	}{
-		{"inproc", model.RTTInProc, 0},
-		{"udp", model.RTTUDP, 0},
-		{"tcp", model.RTTTCP, model.TCPConnSetup},
-		{"udp-local", model.RTTUDPLocal, 0},
-		{"tcp-local", model.RTTTCPLocal, model.TCPConnSetup},
+		{"inproc", simtime.RTTInProc, 0},
+		{"udp", simtime.RTTUDP, 0},
+		{"tcp", simtime.RTTTCP, simtime.TCPConnSetup},
+		{"udp-local", simtime.RTTUDPLocal, 0},
+		{"tcp-local", simtime.RTTTCPLocal, simtime.TCPConnSetup},
 	}
 	for _, tc := range cases {
 		t.Run(tc.transport, func(t *testing.T) {
@@ -110,7 +109,6 @@ func TestSimNestedCostPropagation(t *testing.T) {
 	// client -> A -> B: the client's meter must see both round trips plus
 	// B's processing, exactly like synchronous wall-clock time.
 	n := newTestNetwork()
-	model := n.Model()
 	tr, _ := n.Transport("udp")
 
 	serverB := 5 * time.Millisecond
@@ -145,7 +143,7 @@ func TestSimNestedCostPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 2*model.RTTUDP + serverB
+	want := 2*simtime.RTTUDP + serverB
 	if cost != want {
 		t.Fatalf("nested cost = %v, want %v", cost, want)
 	}
@@ -319,7 +317,7 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 			t.Fatal("duplicate Register did not panic")
 		}
 	}()
-	n.Register(newSimTransport(n, "udp", func(m *simtime.Model) (int64, int64) { return 0, 0 }))
+	n.Register(newSimTransport(n, "udp", 0, 0))
 }
 
 // ---- Real-socket transports.

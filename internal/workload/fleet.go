@@ -558,7 +558,7 @@ func RunFleet(ctx context.Context, spec FleetSpec, setup FleetSetup) (FleetResul
 				// Tier 0: the per-host resolver. A live entry answers
 				// for one demarshalled cache probe.
 				if exp, ok := c.cache[idx]; ok && now.Before(exp) {
-					cost := e.w.Model.CacheHit(1)
+					cost := simtime.CacheHit(1)
 					costs = append(costs, cost)
 					slotCost += cost
 					ss.Ops++

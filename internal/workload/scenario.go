@@ -169,7 +169,7 @@ func primarylossScenario() Scenario {
 			return func(ctx context.Context, w *world.World, clk *simtime.FakeClock) (FleetHooks, error) {
 				// The second meta replica: a BIND secondary that mirrors
 				// the (fully registered) meta zone by zone transfer.
-				sec, err := bind.NewSecondary(w.MetaHRPCClient(), world.MetaZone, "tahoma2", w.Model)
+				sec, err := bind.NewSecondary(w.MetaHRPCClient(), world.MetaZone, "tahoma2")
 				if err != nil {
 					return FleetHooks{}, err
 				}
@@ -208,7 +208,7 @@ func primarylossScenario() Scenario {
 						mc.SetReplicas(fleetPrimary, fleetSecondary)
 						mb := w.MetaHRPC
 						mb.Transport = fleetChaos
-						h := core.New(bind.NewHRPCClient(mc, mb), w.Model, core.Config{
+						h := core.New(bind.NewHRPCClient(mc, mb), core.Config{
 							MetaZone:   world.MetaZone,
 							CacheMode:  bind.CacheMarshalled,
 							Clock:      clk,

@@ -80,8 +80,6 @@ const (
 
 // Config tunes the environment.
 type Config struct {
-	// Model is the cost model; nil means simtime.Default().
-	Model *simtime.Model
 	// Clock drives cache expiry everywhere; nil means real time.
 	Clock simtime.Clock
 	// CacheMode selects the entry form for the HNS meta-cache and every
@@ -94,7 +92,6 @@ type Config struct {
 
 // World is the running environment.
 type World struct {
-	Model *simtime.Model
 	Clock simtime.Clock
 	Net   *transport.Network
 	RPC   *hrpc.Client
@@ -133,13 +130,9 @@ type echoService struct {
 
 // New stands up the full environment.
 func New(cfg Config) (*World, error) {
-	if cfg.Model == nil {
-		cfg.Model = simtime.Default()
-	}
 	w := &World{
-		Model:       cfg.Model,
 		Clock:       cfg.Clock,
-		Net:         transport.NewNetwork(cfg.Model),
+		Net:         transport.NewNetwork(),
 		Portmappers: make(map[string]*hrpc.Portmapper),
 		cfg:         cfg,
 	}
@@ -195,7 +188,7 @@ func (w *World) listen(ln transport.Listener, err error) error {
 // buildMetaBind stands up the modified BIND on tahoma with the (empty,
 // updatable) meta zone.
 func (w *World) buildMetaBind() error {
-	w.MetaServer = bind.NewServer("tahoma", w.Model)
+	w.MetaServer = bind.NewServer("tahoma")
 	z, err := bind.NewZone(MetaZone, true)
 	if err != nil {
 		return err
@@ -215,7 +208,7 @@ func (w *World) buildMetaBind() error {
 // buildBindWorld stands up fiji: the conventional BIND, the portmapper,
 // and the zone data.
 func (w *World) buildBindWorld() error {
-	w.BindServer = bind.NewServer("fiji", w.Model)
+	w.BindServer = bind.NewServer("fiji")
 	z, err := bind.NewZone(BindZone, true)
 	if err != nil {
 		return err
@@ -253,7 +246,7 @@ func (w *World) buildBindWorld() error {
 	w.listeners = append(w.listeners, ln)
 
 	for _, host := range []string{addrBind, addrNSM, addrMeta} {
-		pm := hrpc.NewPortmapper(host, w.Model)
+		pm := hrpc.NewPortmapper(host)
 		ln, _, err := hrpc.ServePortmap(w.Net, pm)
 		if err != nil {
 			return err
@@ -266,10 +259,10 @@ func (w *World) buildBindWorld() error {
 
 // buildCHWorld stands up the Clearinghouse on the Xerox D-machine.
 func (w *World) buildCHWorld() error {
-	auth := clearinghouse.NewAuthenticator(w.Model, false)
+	auth := clearinghouse.NewAuthenticator(false)
 	auth.AddPrincipal(CHReadUser, "hcs")
-	store := clearinghouse.NewStore(w.Model)
-	w.CHServer = clearinghouse.NewServer("xerox", w.Model, store, auth)
+	store := clearinghouse.NewStore()
+	w.CHServer = clearinghouse.NewServer("xerox", store, auth)
 	ln, b, err := w.CHServer.Serve(w.Net, addrXerox+":ch")
 	if err != nil {
 		return err
@@ -319,12 +312,12 @@ func (w *World) NSMOptions() nsm.Options {
 // buildNSMs constructs the six NSMs and serves each remotely on june.
 func (w *World) buildNSMs() error {
 	o := w.NSMOptions()
-	w.BindHostNSM = nsm.NewBindHostAddr("hostaddr-bind-1", NSBind, w.BindStdClient(), w.Model, o)
-	w.CHHostNSM = nsm.NewCHHostAddr("hostaddr-ch-1", NSCH, w.CHClient(), w.Model, o)
-	w.BindBindingNSM = nsm.NewBindBinding("binding-bind-1", NSBind, w.BindStdClient(), w.RPC, w.Model, o)
-	w.CHBindingNSM = nsm.NewCHBinding("binding-ch-1", NSCH, w.CHClient(), w.RPC, w.Model, o)
-	w.BindMailNSM = nsm.NewBindMailRoute("mail-bind-1", NSBind, w.BindStdClient(), w.Model, o)
-	w.CHMailNSM = nsm.NewCHMailRoute("mail-ch-1", NSCH, w.CHClient(), w.Model, o)
+	w.BindHostNSM = nsm.NewBindHostAddr("hostaddr-bind-1", NSBind, w.BindStdClient(), o)
+	w.CHHostNSM = nsm.NewCHHostAddr("hostaddr-ch-1", NSCH, w.CHClient(), o)
+	w.BindBindingNSM = nsm.NewBindBinding("binding-bind-1", NSBind, w.BindStdClient(), w.RPC, o)
+	w.CHBindingNSM = nsm.NewCHBinding("binding-ch-1", NSCH, w.CHClient(), w.RPC, o)
+	w.BindMailNSM = nsm.NewBindMailRoute("mail-bind-1", NSBind, w.BindStdClient(), o)
+	w.CHMailNSM = nsm.NewCHMailRoute("mail-ch-1", NSCH, w.CHClient(), o)
 
 	// Remote deployments: BIND-world NSMs speak Sun RPC, CH-world NSMs
 	// speak Courier — each world's native suite.
@@ -378,7 +371,7 @@ func (w *World) NewHNS(cfg core.Config) *core.HNS {
 	if cfg.RPC == nil {
 		cfg.RPC = w.RPC
 	}
-	h := core.New(w.MetaHRPCClient(), w.Model, cfg)
+	h := core.New(w.MetaHRPCClient(), cfg)
 	h.LinkHostResolver(NSBind, w.BindHostNSM)
 	h.LinkHostResolver(NSCH, w.CHHostNSM)
 	return h
@@ -518,7 +511,7 @@ func SyntheticHost(i int) string { return fmt.Sprintf("host.type%d.lab", i) }
 // registrations). Building the type's own name service and NSM is
 // out-of-band setup.
 func (w *World) AddSyntheticType(ctx context.Context, i int) (time.Duration, error) {
-	srv := bind.NewServer(fmt.Sprintf("type%d", i), w.Model)
+	srv := bind.NewServer(fmt.Sprintf("type%d", i))
 	z, err := bind.NewZone(fmt.Sprintf("type%d.lab", i), true)
 	if err != nil {
 		return 0, err
@@ -537,7 +530,7 @@ func (w *World) AddSyntheticType(ctx context.Context, i int) (time.Duration, err
 	w.listeners = append(w.listeners, stdLn)
 
 	std := bind.NewStdClient(w.Net, "udp", stdAddr)
-	hostNSM := nsm.NewBindHostAddr(fmt.Sprintf("hostaddr-type%d-1", i), SyntheticNS(i), std, w.Model, w.NSMOptions())
+	hostNSM := nsm.NewBindHostAddr(fmt.Sprintf("hostaddr-type%d-1", i), SyntheticNS(i), std, w.NSMOptions())
 	nsmPort := fmt.Sprintf("nsm-type%d", i)
 	nsmLn, _, err := hrpc.Serve(w.Net, hostNSM.Server(), hrpc.SuiteRaw, HostNSM, addrNSM+":"+nsmPort)
 	if err != nil {
