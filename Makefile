@@ -26,7 +26,7 @@ bench-parallel:
 
 # Allocation gate: the warm wire path (frame encode/decode) and the warm
 # binding-cached FindNSM must stay at <=1 alloc/op, a durable bindd's cold
-# start at <=3 per record loaded.
+# start at <=3 per record loaded, a chained meta exchange at <=69.
 bench-alloc:
 	./scripts/bench_alloc.sh
 
@@ -46,6 +46,7 @@ fuzz:
 	go test -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/store/
 	go test -fuzz FuzzIXFRDecode -fuzztime 10s ./internal/bind/
 	go test -fuzz FuzzQueryChainArgs -fuzztime 10s ./internal/bind/
+	go test -fuzz FuzzRRSetsDecode -fuzztime 10s ./internal/bind/
 	go test -fuzz FuzzNotifyDecode -fuzztime 10s ./internal/push/
 
 # Multi-process deployment over real sockets.

@@ -57,15 +57,16 @@ func cmdWatch(e *env, args []string) error {
 
 	// The subscriber degrades silently by design (its consumers fall back
 	// to polling); a human watching wants the verdict up front instead.
-	deadline := time.Now().Add(5 * time.Second)
-	for !sub.Active() {
+	deadline := time.After(5 * time.Second)
+	for changed := sub.Changed(); !sub.Active(); changed = sub.Changed() {
 		if sub.Degraded() {
 			return fmt.Errorf("%s has no push plane (not started with -push, or its subscriber table is full); start bindd with -push", *meta)
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-changed:
+		case <-deadline:
 			return fmt.Errorf("no subscription to %s after 5s (server down?)", *meta)
 		}
-		time.Sleep(50 * time.Millisecond)
 	}
 	what := "whole zone"
 	if len(names) > 0 {

@@ -54,28 +54,17 @@ type ChainLookuper interface {
 var followStepType = marshal.TStruct(marshal.TString, marshal.TString, marshal.TString)
 
 // procQueryChain is BINDQuery plus a follow list. The reply is the head's
-// rcode and every answer set found, flat, in chain order.
+// rcode and every answer set found, as one sets payload in chain order.
 var procQueryChain = hrpc.Procedure{
 	Name: "BINDQueryChain", ID: 8,
 	Args:  marshal.TStruct(marshal.TString, marshal.TUint32, marshal.TList(followStepType)),
-	Ret:   marshal.TStruct(marshal.TUint32, marshal.TList(rrType)),
+	Ret:   marshal.TStruct(marshal.TUint32, marshal.TBytes),
 	Style: marshal.StyleNone,
 }
 
-// chainReplyBudget is how many answer bytes a chained reply may carry: a
-// frame, less room for the envelopes around the record list.
+// chainReplyBudget is how many bytes of sets a chained reply may carry: a
+// frame, less room for the envelopes around them.
 const chainReplyBudget = transport.MaxFrame - 4096
-
-// wireBound is an upper bound on a set's marshalled size in any data
-// representation: per record, two length-prefixed, padded byte strings and
-// three words.
-func wireBound(rrs []RR) int {
-	n := 0
-	for _, rr := range rrs {
-		n += len(rr.Name) + len(rr.Data) + 32
-	}
-	return n
-}
 
 func followToList(follow []FollowStep) marshal.Value {
 	steps := make([]marshal.Value, len(follow))
@@ -121,7 +110,7 @@ func (s *Server) queryChain(ctx context.Context, args marshal.Value) (marshal.Va
 	if err != nil {
 		return marshal.Value{}, err
 	}
-	qt, err := args.Items[1].AsU32()
+	qt, err := queryType(args.Items[1])
 	if err != nil {
 		return marshal.Value{}, err
 	}
@@ -129,30 +118,33 @@ func (s *Server) queryChain(ctx context.Context, args marshal.Value) (marshal.Va
 	if err != nil {
 		return marshal.Value{}, err
 	}
-	rcode, out := s.Query(ctx, name, RRType(qt))
+	rcode, prev := s.Query(ctx, name, qt)
 	cname, _ := CanonicalName(name)
-	if ownedRun(out, cname) == 0 {
+	if ownedRun(prev, cname) == 0 {
 		follow = nil // the head failed, or was answered through an alias
 	}
+	// Every set is owned by its own name, so appending set by set is
+	// appending the flat list: no run spans two sets.
+	sets := appendSets(nil, prev)
 	visited := []string{cname}
-	prev, size := out, wireBound(out)
 	for _, st := range follow {
 		next, ok := st.next(prev)
 		if !ok || slices.Contains(visited, next) {
 			break
 		}
-		rc, rrs := s.Query(ctx, next, RRType(qt))
+		rc, rrs := s.Query(ctx, next, qt)
 		if rc != RCodeOK || ownedRun(rrs, next) == 0 {
 			break
 		}
-		if size += wireBound(rrs); size > chainReplyBudget {
+		grown := appendSets(sets, rrs)
+		if len(grown) > chainReplyBudget {
 			break
 		}
+		sets = grown
 		visited = append(visited, next)
-		out = append(out, rrs...)
 		prev = rrs
 	}
-	return marshal.StructV(marshal.U32(uint32(rcode)), rrsToList(out)), nil
+	return marshal.StructV(marshal.U32(uint32(rcode)), marshal.BytesV(sets)), nil
 }
 
 // splitChain cuts a flat chained answer back into its sets by replaying
@@ -206,17 +198,13 @@ func (c *HRPCClient) LookupChain(ctx context.Context, name string, t RRType, fol
 	if err != nil {
 		return nil, nil, err
 	}
-	rcode, err := ret.Items[0].AsU32()
-	if err != nil {
-		return nil, nil, err
-	}
-	rrs, err := listToRRs(ret.Items[1])
+	rcode, rrs, err := replySets(ret.Items[0], ret.Items[1])
 	if err != nil {
 		return nil, nil, err
 	}
 	marshal.ChargeRecords(ctx, marshal.StyleGenerated, len(rrs))
-	if RCode(rcode) != RCodeOK {
-		return nil, nil, &NotFoundError{Name: name, Type: t, RCode: RCode(rcode)}
+	if rcode != RCodeOK {
+		return nil, nil, &NotFoundError{Name: name, Type: t, RCode: rcode}
 	}
 	head, tails = splitChain(cname, rrs, follow)
 	return head, tails, nil

@@ -185,9 +185,12 @@ func TestQueryChainRejects(t *testing.T) {
 // TestQueryChainFitsFrame: a tail that would push the reply past a frame is
 // left out, however the follow list is written.
 func TestQueryChainFitsFrame(t *testing.T) {
-	var big []RR
-	for i := 0; wireBound(big) <= chainReplyBudget; i++ {
-		big = append(big, HNSMeta("hostaddress.big.qc.hns", fmt.Sprintf("nsm=%0250d", i), 300))
+	big := make([]RR, chainReplyBudget/256+1) // each record's data is 2+254 bytes of the run
+	for i := range big {
+		big[i] = HNSMeta("hostaddress.big.qc.hns", fmt.Sprintf("nsm=%0250d", i), 300)
+	}
+	if n := len(appendSets(nil, big)); n <= chainReplyBudget {
+		t.Fatalf("the big set is %d bytes, within the %d-byte budget", n, chainReplyBudget)
 	}
 	c := newChainEnv(t, append(big, HNSMeta("big.ctx.hns", "ns=big", 300))...)
 	head, tails, err := c.LookupChain(context.Background(), "big.ctx.hns", TypeHNSMeta, chainFollow)
@@ -545,7 +548,7 @@ func FuzzQueryChainArgs(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rrs, err := listToRRs(ret.Items[1])
+		_, rrs, err := replySets(ret.Items[0], ret.Items[1])
 		if err != nil {
 			t.Fatalf("reply does not decode: %v", err)
 		}

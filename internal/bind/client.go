@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -242,7 +243,7 @@ func (c *StdClient) Close() error {
 	return nil
 }
 
-// ---- HRPC-interface client (generated marshalling).
+// ---- HRPC-interface client (records in the journal's codec).
 
 // HRPCClient speaks the HRPC interface to one (modified) BIND server. Its
 // marshalling is priced at the generated-stub rates — the expensive path
@@ -273,28 +274,37 @@ func (c *HRPCClient) Lookup(ctx context.Context, name string, t RRType) (_ []RR,
 	if err != nil {
 		return nil, err
 	}
-	rcode, err := ret.Items[0].AsU32()
-	if err != nil {
-		return nil, err
-	}
-	rrs, err := listToRRs(ret.Items[1])
+	rcode, rrs, err := replySets(ret.Items[0], ret.Items[1])
 	if err != nil {
 		return nil, err
 	}
 	// Generated response demarshalling, per record (Table 3.2 pricing).
 	marshal.ChargeRecords(ctx, marshal.StyleGenerated, len(rrs))
-	if RCode(rcode) != RCodeOK {
-		return nil, &NotFoundError{Name: name, Type: t, RCode: RCode(rcode)}
+	if rcode != RCodeOK {
+		return nil, &NotFoundError{Name: name, Type: t, RCode: rcode}
 	}
 	return rrs, nil
 }
 
+// replySets reads a reply's rcode and sets payload, whose shapes the
+// procedure's Ret type has already checked.
+func replySets(rcode, sets marshal.Value) (RCode, []RR, error) {
+	rrs, err := decodeSets(sets.Bytes)
+	return RCode(rcode.Num), rrs, err
+}
+
 // Update applies a dynamic update.
 func (c *HRPCClient) Update(ctx context.Context, zone string, op uint32, rr RR) (uint32, error) {
+	// The request's op is a byte and its strings are u16-counted: refuse
+	// what would not survive the trip rather than truncate it.
+	if op > math.MaxUint8 || max(len(zone), len(rr.Name), len(rr.Data)) > math.MaxUint16 {
+		return 0, fmt.Errorf("bind: update does not fit the wire (op %d; zone, name, data %d, %d, %d bytes)",
+			op, len(zone), len(rr.Name), len(rr.Data))
+	}
 	simtime.Charge(ctx, simtime.GenMarshalRequest)
 	marshal.ChargeRecords(ctx, marshal.StyleGenerated, 1) // the RR in the request
 	ret, err := c.c.Call(ctx, c.b, procUpdate, marshal.StructV(
-		marshal.Str(zone), marshal.U32(op), rrToValue(rr),
+		marshal.BytesV(appendUpdate(nil, zone, op, rr)),
 	))
 	if err != nil {
 		return 0, err
@@ -316,14 +326,13 @@ func (c *HRPCClient) Transfer(ctx context.Context, zone string) (uint32, []RR, e
 	if err != nil {
 		return 0, nil, err
 	}
-	rcode, _ := ret.Items[0].AsU32()
 	serial, _ := ret.Items[1].AsU32()
-	if RCode(rcode) != RCodeOK {
-		return serial, nil, fmt.Errorf("bind: transfer refused: %s", RCode(rcode))
-	}
-	rrs, err := listToRRs(ret.Items[2])
+	rcode, rrs, err := replySets(ret.Items[0], ret.Items[2])
 	if err != nil {
 		return serial, nil, err
+	}
+	if rcode != RCodeOK {
+		return serial, nil, fmt.Errorf("bind: transfer refused: %s", rcode)
 	}
 	c.obs.transfers.Inc()
 	return serial, rrs, nil

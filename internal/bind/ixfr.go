@@ -62,37 +62,20 @@ func decodeDiffs(zone string, payload []byte) ([]DiffRec, error) {
 	d := &journalDecoder{b: payload}
 	var last uint32
 	for len(d.b) > 0 {
-		kind, err := d.u8()
-		if err != nil {
-			return nil, err
-		}
-		if kind != journalKindUpdate {
+		kind, serial := byte(d.num(1)), uint32(d.num(4))
+		zb, op, rr := d.update()
+		switch {
+		case d.err != nil:
+			return nil, d.err
+		case kind != journalKindUpdate:
 			return nil, fmt.Errorf("bind: ixfr payload has non-update record kind %q", kind)
-		}
-		serial, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		zb, err := d.bytes()
-		if err != nil {
-			return nil, err
-		}
-		if string(zb) != zone {
+		case string(zb) != zone:
 			return nil, fmt.Errorf("bind: ixfr record for zone %q in a %q transfer", zb, zone)
-		}
-		op, err := d.u8()
-		if err != nil {
-			return nil, err
-		}
-		rr, err := d.rr()
-		if err != nil {
-			return nil, err
-		}
-		if len(out) > 0 && serial <= last {
+		case len(out) > 0 && serial <= last:
 			return nil, fmt.Errorf("bind: ixfr serials not increasing (%d after %d)", serial, last)
 		}
 		last = serial
-		out = append(out, DiffRec{Serial: serial, Op: uint32(op), RR: rr})
+		out = append(out, DiffRec{Serial: serial, Op: op, RR: rr})
 	}
 	return out, nil
 }

@@ -308,23 +308,43 @@ func TestTransferDeltaFallsBackPastWindow(t *testing.T) {
 
 // ---- Subscription end to end.
 
-// notifyRecorder collects notifications thread-safely.
+// notifyRecorder collects notifications thread-safely, and signals every
+// one it records the way Subscriber.Changed does.
 type notifyRecorder struct {
-	mu     sync.Mutex
-	names  []string
-	resets int
+	mu      sync.Mutex
+	names   []string
+	resets  int
+	changed chan struct{} // nil until a waiter asks
 }
 
 func (r *notifyRecorder) onNotify(n push.Notification) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.names = append(r.names, n.Name)
+	r.signalLocked()
 }
 
 func (r *notifyRecorder) onReset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.resets++
+	r.signalLocked()
+}
+
+func (r *notifyRecorder) Changed() <-chan struct{} {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.changed == nil {
+		r.changed = make(chan struct{})
+	}
+	return r.changed
+}
+
+func (r *notifyRecorder) signalLocked() {
+	if r.changed != nil {
+		close(r.changed)
+		r.changed = nil
+	}
 }
 
 func (r *notifyRecorder) snapshot() []string {
@@ -339,14 +359,21 @@ func (r *notifyRecorder) resetCount() int {
 	return r.resets
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
+// waitFor blocks until cond holds, checking it again at each change c
+// signals: a condition gate, not a poll.
+func waitFor(t *testing.T, what string, c interface{ Changed() <-chan struct{} }, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
+	timeout := time.After(5 * time.Second)
+	for {
+		changed := c.Changed()
+		if cond() {
+			return
+		}
+		select {
+		case <-changed:
+		case <-timeout:
 			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -361,13 +388,13 @@ func TestSubscribeDeliversNotify(t *testing.T) {
 	})
 	sub.Start()
 	defer sub.Close()
-	waitFor(t, "subscription active", sub.Active)
+	waitFor(t, "subscription active", sub, sub.Active)
 
 	ctx := context.Background()
 	if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A("hot.repl.test", "7", 60)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "notify delivery", func() bool { return len(rec.snapshot()) >= 1 })
+	waitFor(t, "notify delivery", rec, func() bool { return len(rec.snapshot()) >= 1 })
 	if got := rec.snapshot(); got[0] != "hot.repl.test" {
 		t.Fatalf("notified name %q, want hot.repl.test", got[0])
 	}
@@ -444,7 +471,7 @@ func TestPushVsPollFetchClosedForms(t *testing.T) {
 		}
 		for i, sub := range subs {
 			if sub != nil {
-				waitFor(t, fmt.Sprintf("subscriber %d active", i), sub.Active)
+				waitFor(t, fmt.Sprintf("subscriber %d active", i), sub, sub.Active)
 			}
 		}
 		readAll := func() {
@@ -470,7 +497,7 @@ func TestPushVsPollFetchClosedForms(t *testing.T) {
 			}
 			for i, sub := range subs {
 				if sub != nil {
-					waitFor(t, fmt.Sprintf("subscriber %d at serial %d", i, serial),
+					waitFor(t, fmt.Sprintf("subscriber %d at serial %d", i, serial), sub,
 						func() bool { return sub.LastSerial() >= serial })
 				}
 			}
@@ -508,13 +535,13 @@ func TestSubscribeResubscribeCatchUp(t *testing.T) {
 	})
 	sub.Start()
 	defer sub.Close()
-	waitFor(t, "subscription active", sub.Active)
+	waitFor(t, "subscription active", sub, sub.Active)
 
 	ctx := context.Background()
 	if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A("live.repl.test", "1", 60)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "live notify", func() bool { return len(rec.snapshot()) >= 1 })
+	waitFor(t, "live notify", rec, func() bool { return len(rec.snapshot()) >= 1 })
 
 	// Kill the mux conn mid-stream.
 	sub.mu.Lock()
@@ -524,7 +551,7 @@ func TestSubscribeResubscribeCatchUp(t *testing.T) {
 		t.Fatal("no live conn to kill")
 	}
 	conn.Close()
-	waitFor(t, "subscription inactive", func() bool { return !sub.Active() })
+	waitFor(t, "subscription inactive", sub, func() bool { return !sub.Active() })
 
 	// Three updates land while the subscriber is dark.
 	missed := []string{"m1.repl.test", "m2.repl.test", "m3.repl.test"}
@@ -536,7 +563,7 @@ func TestSubscribeResubscribeCatchUp(t *testing.T) {
 
 	// The subscriber redials, resubscribes with its last serial, and the
 	// IXFR catch-up replays exactly the missed names.
-	waitFor(t, "catch-up", func() bool { return len(rec.snapshot()) >= 1+len(missed) })
+	waitFor(t, "catch-up", rec, func() bool { return len(rec.snapshot()) >= 1+len(missed) })
 	got := rec.snapshot()
 	for i, name := range missed {
 		if got[1+i] != name {
@@ -549,13 +576,13 @@ func TestSubscribeResubscribeCatchUp(t *testing.T) {
 	if sub.LastSerial() != s.Zone("repl.test").Serial() {
 		t.Fatalf("LastSerial %d != zone serial %d after catch-up", sub.LastSerial(), s.Zone("repl.test").Serial())
 	}
-	waitFor(t, "subscription re-active", sub.Active)
+	waitFor(t, "subscription re-active", sub, sub.Active)
 
 	// And live pushes flow again on the new connection.
 	if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A("post.repl.test", "1", 60)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "post-catch-up notify", func() bool {
+	waitFor(t, "post-catch-up notify", rec, func() bool {
 		snap := rec.snapshot()
 		return len(snap) >= 2+len(missed) && snap[len(snap)-1] == "post.repl.test"
 	})
@@ -576,13 +603,13 @@ func TestSubscribeResetPastWindow(t *testing.T) {
 	})
 	sub.Start()
 	defer sub.Close()
-	waitFor(t, "subscription active", sub.Active)
+	waitFor(t, "subscription active", sub, sub.Active)
 
 	sub.mu.Lock()
 	conn := sub.conn
 	sub.mu.Unlock()
 	conn.Close()
-	waitFor(t, "subscription inactive", func() bool { return !sub.Active() })
+	waitFor(t, "subscription inactive", sub, func() bool { return !sub.Active() })
 
 	ctx := context.Background()
 	for i := 0; i < 12; i++ {
@@ -590,8 +617,8 @@ func TestSubscribeResetPastWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "reset", func() bool { return rec.resetCount() > 0 })
-	waitFor(t, "subscription re-active", sub.Active)
+	waitFor(t, "reset", rec, func() bool { return rec.resetCount() > 0 })
+	waitFor(t, "subscription re-active", sub, sub.Active)
 	if sub.LastSerial() != s.Zone("repl.test").Serial() {
 		t.Fatalf("LastSerial %d != zone serial %d after reset", sub.LastSerial(), s.Zone("repl.test").Serial())
 	}
@@ -608,7 +635,7 @@ func TestSubscribeDegradesWithoutPushPlane(t *testing.T) {
 	})
 	sub.Start()
 	defer sub.Close()
-	waitFor(t, "degraded latch", sub.Degraded)
+	waitFor(t, "degraded latch", sub, sub.Degraded)
 	if sub.Active() {
 		t.Fatal("degraded subscriber claims active")
 	}
@@ -627,7 +654,7 @@ func TestTableOverflowDegradesSubscriber(t *testing.T) {
 	})
 	first.Start()
 	defer first.Close()
-	waitFor(t, "first subscriber active", first.Active)
+	waitFor(t, "first subscriber active", first, first.Active)
 
 	second := NewSubscriber(client, SubscribeConfig{
 		Zone:    "repl.test",
@@ -636,7 +663,7 @@ func TestTableOverflowDegradesSubscriber(t *testing.T) {
 	})
 	second.Start()
 	defer second.Close()
-	waitFor(t, "second subscriber degraded", second.Degraded)
+	waitFor(t, "second subscriber degraded", second, second.Degraded)
 }
 
 // ---- Secondary over IXFR.

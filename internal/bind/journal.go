@@ -2,7 +2,10 @@ package bind
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // ZoneStore is the journal a Server writes zone mutations through. The
@@ -21,31 +24,55 @@ type ZoneStore interface {
 	LogReplace(zone string, serial uint32, rrs []RR) error
 }
 
-// Journal record wire format. One WAL payload is one mutation:
+// The record codec. Records leave memory in one binary form wherever they
+// go — the journal, IXFR payloads and BIND's HRPC interface:
+//
+//	RR  = u16 len name, u16 type, u16 class, u32 ttl, u16 len data
+//	run = u16 len name, u16 type, u16 class, u32 ttl, u16 n, (u16 len data)×n
+//
+// One WAL payload is one mutation:
 //
 //	'U' u32 serial  u16 len zone  u8 op  RR        (dynamic update)
 //	'R' u32 serial  u16 len zone  u32 count  RR*   (content replace)
 //
-// with RR = u16 len name, u16 type, u16 class, u32 ttl, u16 len data.
-// All integers big-endian. The format is versionless on purpose: the
-// kind byte leaves room ('V', ...) if a revision is ever needed.
+// An IXFR payload is a sequence of 'U' records, and a BINDUpdate request
+// is one without its kind and serial. Every record list the HRPC
+// interface returns is a sets payload: runs, read until it is exhausted.
+// A run is a maximal stretch (of at most 65535) consecutive records
+// sharing owner, type, class and TTL — a DNS RRset, unless a TTL differs —
+// so any sequence round-trips in order and an answer set names its owner
+// once. All integers are big-endian. The format is versionless on
+// purpose: the kind byte leaves room ('V', ...) if a revision is ever
+// needed.
 const (
 	journalKindUpdate  = 'U'
 	journalKindReplace = 'R'
 )
 
-func appendU16String(b []byte, s string) []byte {
+// appendPrefixed appends s behind its u16 length.
+func appendPrefixed[S string | []byte](b []byte, s S) []byte {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
 	return append(b, s...)
 }
 
-func appendRR(b []byte, rr RR) []byte {
-	b = appendU16String(b, rr.Name)
+// appendRRHead appends all of rr but its data: an RR's head, and a run's
+// header but for the count.
+func appendRRHead(b []byte, rr RR) []byte {
+	b = appendPrefixed(b, rr.Name)
 	b = binary.BigEndian.AppendUint16(b, uint16(rr.Type))
 	b = binary.BigEndian.AppendUint16(b, rr.Class)
-	b = binary.BigEndian.AppendUint32(b, rr.TTL)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(rr.Data)))
-	return append(b, rr.Data...)
+	return binary.BigEndian.AppendUint32(b, rr.TTL)
+}
+
+func appendRR(b []byte, rr RR) []byte {
+	return appendPrefixed(appendRRHead(b, rr), rr.Data)
+}
+
+// appendUpdate appends one dynamic update's zone, op and record.
+func appendUpdate(b []byte, zone string, op uint32, rr RR) []byte {
+	b = appendPrefixed(b, zone)
+	b = append(b, byte(op))
+	return appendRR(b, rr)
 }
 
 // encodeUpdate builds the WAL payload for one dynamic update.
@@ -53,9 +80,7 @@ func encodeUpdate(zone string, op uint32, rr RR, serial uint32) []byte {
 	b := make([]byte, 0, 16+len(zone)+len(rr.Name)+len(rr.Data))
 	b = append(b, journalKindUpdate)
 	b = binary.BigEndian.AppendUint32(b, serial)
-	b = appendU16String(b, zone)
-	b = append(b, byte(op))
-	return appendRR(b, rr)
+	return appendUpdate(b, zone, op, rr)
 }
 
 // rrFixedLen is the encoded size of an RR apart from its name and data.
@@ -71,12 +96,63 @@ func encodeReplace(zone string, serial uint32, rrs []RR) []byte {
 	b := make([]byte, 0, size)
 	b = append(b, journalKindReplace)
 	b = binary.BigEndian.AppendUint32(b, serial)
-	b = appendU16String(b, zone)
+	b = appendPrefixed(b, zone)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(rrs)))
 	for _, rr := range rrs {
 		b = appendRR(b, rr)
 	}
 	return b
+}
+
+// sameRun reports whether records a and b may share a run.
+func sameRun(a, b RR) bool {
+	return a.Name == b.Name && a.Type == b.Type && a.Class == b.Class && a.TTL == b.TTL
+}
+
+// appendSets appends rrs as runs.
+func appendSets(b []byte, rrs []RR) []byte {
+	for len(rrs) > 0 {
+		n := 1
+		for n < len(rrs) && n < math.MaxUint16 && sameRun(rrs[0], rrs[n]) {
+			n++
+		}
+		b = binary.BigEndian.AppendUint16(appendRRHead(b, rrs[0]), uint16(n))
+		for _, rr := range rrs[:n] {
+			b = appendPrefixed(b, rr.Data)
+		}
+		rrs = rrs[n:]
+	}
+	return b
+}
+
+// decodeSets parses a sets payload. It is strict — no empty run, no run
+// that continues the one before it, no count the bytes cannot hold,
+// nothing truncated or trailing — so what it accepts re-encodes to the
+// same bytes. A run's records share one owner string; their data alias
+// payload.
+func decodeSets(payload []byte) ([]RR, error) {
+	d := &journalDecoder{b: payload}
+	var out []RR
+	var prev uint16 // the previous run's count
+	for len(d.b) > 0 {
+		head, n := d.head(), uint16(d.num(2))
+		if d.err == nil && (n == 0 || int(n) > len(d.b)/2) {
+			return nil, fmt.Errorf("bind: run of %d records for %s in %d bytes", n, head.Name, len(d.b))
+		}
+		if prev != 0 && prev < math.MaxUint16 && sameRun(out[len(out)-1], head) {
+			return nil, fmt.Errorf("bind: run for %s continues the one before it", head.Name)
+		}
+		out = slices.Grow(out, int(n))
+		for range n {
+			head.Data = d.bytes()
+			out = append(out, head)
+		}
+		prev = n
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return out, nil
 }
 
 // journalRec is one decoded journal record.
@@ -89,122 +165,87 @@ type journalRec struct {
 	rrs    []RR   // replace only
 }
 
-// journalDecoder walks one record payload.
+// journalDecoder walks one payload of the record codec. The first read
+// past the end sets err and empties b; every read after it yields zeros.
 type journalDecoder struct {
-	b []byte
+	b   []byte
+	err error
 }
 
-func (d *journalDecoder) u8() (byte, error) {
-	if len(d.b) < 1 {
-		return 0, fmt.Errorf("bind: truncated journal record")
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v, nil
-}
+var errTruncated = errors.New("bind: truncated record")
 
-func (d *journalDecoder) u16() (uint16, error) {
-	if len(d.b) < 2 {
-		return 0, fmt.Errorf("bind: truncated journal record")
+// take consumes n bytes; short of them, it sets err and yields nil.
+func (d *journalDecoder) take(n int) []byte {
+	if d.err == nil && len(d.b) < n {
+		d.b, d.err = nil, errTruncated
 	}
-	v := binary.BigEndian.Uint16(d.b)
-	d.b = d.b[2:]
-	return v, nil
-}
-
-func (d *journalDecoder) u32() (uint32, error) {
-	if len(d.b) < 4 {
-		return 0, fmt.Errorf("bind: truncated journal record")
-	}
-	v := binary.BigEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v, nil
-}
-
-func (d *journalDecoder) bytes() ([]byte, error) {
-	n, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	if len(d.b) < int(n) {
-		return nil, fmt.Errorf("bind: truncated journal record")
+	if d.err != nil {
+		return nil
 	}
 	v := d.b[:n:n]
 	d.b = d.b[n:]
-	return v, nil
+	return v
 }
 
-func (d *journalDecoder) rr() (RR, error) {
-	name, err := d.bytes()
-	if err != nil {
-		return RR{}, err
+// num reads an n-byte big-endian unsigned integer.
+func (d *journalDecoder) num(n int) uint64 {
+	var v uint64
+	for _, c := range d.take(n) {
+		v = v<<8 | uint64(c)
 	}
-	t, err := d.u16()
-	if err != nil {
-		return RR{}, err
+	return v
+}
+
+func (d *journalDecoder) bytes() []byte { return d.take(int(d.num(2))) }
+
+// head reads what appendRRHead wrote.
+func (d *journalDecoder) head() RR {
+	return RR{Name: string(d.bytes()), Type: RRType(d.num(2)), Class: uint16(d.num(2)), TTL: uint32(d.num(4))}
+}
+
+func (d *journalDecoder) rr() RR {
+	rr := d.head()
+	rr.Data = d.bytes()
+	return rr
+}
+
+// update reads what appendUpdate wrote.
+func (d *journalDecoder) update() (zone []byte, op uint32, rr RR) {
+	return d.bytes(), uint32(d.num(1)), d.rr()
+}
+
+// end reports the first short read, or bytes left over after the last
+// field.
+func (d *journalDecoder) end() error {
+	if d.err == nil && len(d.b) != 0 {
+		return fmt.Errorf("bind: %d trailing bytes in record", len(d.b))
 	}
-	class, err := d.u16()
-	if err != nil {
-		return RR{}, err
-	}
-	ttl, err := d.u32()
-	if err != nil {
-		return RR{}, err
-	}
-	data, err := d.bytes()
-	if err != nil {
-		return RR{}, err
-	}
-	return RR{Name: string(name), Type: RRType(t), Class: class, TTL: ttl, Data: data}, nil
+	return d.err
 }
 
 // decodeJournal parses one WAL payload back into a mutation.
 func decodeJournal(payload []byte) (journalRec, error) {
 	d := &journalDecoder{b: payload}
-	var rec journalRec
-	var err error
-	if rec.kind, err = d.u8(); err != nil {
-		return rec, err
-	}
-	if rec.serial, err = d.u32(); err != nil {
-		return rec, err
-	}
-	zone, err := d.bytes()
-	if err != nil {
-		return rec, err
-	}
-	rec.zone = string(zone)
+	rec := journalRec{kind: byte(d.num(1)), serial: uint32(d.num(4))}
+	var zone []byte
 	switch rec.kind {
 	case journalKindUpdate:
-		op, err := d.u8()
-		if err != nil {
-			return rec, err
-		}
-		rec.op = uint32(op)
-		if rec.rr, err = d.rr(); err != nil {
-			return rec, err
-		}
+		zone, rec.op, rec.rr = d.update()
 	case journalKindReplace:
-		n, err := d.u32()
-		if err != nil {
-			return rec, err
-		}
-		if int(n) > len(d.b)/11 { // 11 bytes = minimal encoded RR
+		zone = d.bytes()
+		n := d.num(4)
+		if n > uint64(len(d.b)/rrFixedLen) {
 			return rec, fmt.Errorf("bind: journal replace claims %d records in %d bytes", n, len(d.b))
 		}
 		rec.rrs = make([]RR, 0, n)
-		for i := uint32(0); i < n; i++ {
-			rr, err := d.rr()
-			if err != nil {
-				return rec, err
-			}
-			rec.rrs = append(rec.rrs, rr)
+		for range n {
+			rec.rrs = append(rec.rrs, d.rr())
 		}
 	default:
-		return rec, fmt.Errorf("bind: unknown journal record kind %q", rec.kind)
+		if d.err == nil {
+			return rec, fmt.Errorf("bind: unknown journal record kind %q", rec.kind)
+		}
 	}
-	if len(d.b) != 0 {
-		return rec, fmt.Errorf("bind: %d trailing bytes in journal record", len(d.b))
-	}
-	return rec, nil
+	rec.zone = string(zone)
+	return rec, d.end()
 }

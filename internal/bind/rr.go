@@ -9,9 +9,10 @@
 //     "standard BIND library routines" whose marshalling cost the paper
 //     measured at 0.65/2.6 ms.
 //   - The HRPC interface: Query/Update/Transfer procedures served over the
-//     Raw HRPC suite with stub-compiler ("generated") marshalling — the
-//     interface the HNS uses for its meta-naming repository, and the one
-//     whose marshalling expense motivated Table 3.2. Dynamic update and
+//     Raw HRPC suite, priced as stub-compiler ("generated") marshalling —
+//     the interface the HNS uses for its meta-naming repository, and the
+//     one whose marshalling expense motivated Table 3.2. Its records
+//     travel in the journal's binary codec (journal.go). Dynamic update and
 //     zone transfer (used for cache preloading) live here, mirroring the
 //     authors' modified BIND [Schwartz 1987].
 //

@@ -3,6 +3,7 @@ package bind
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -240,7 +241,7 @@ func (s *Server) ServeStd(net *transport.Network, transportName, addr string) (t
 	return tr.Listen(addr, s.StdHandler())
 }
 
-// ---- HRPC interface (Raw suite, generated marshalling).
+// ---- HRPC interface (Raw suite, records in the journal's codec).
 
 // HRPCProgram and HRPCVersion identify the BIND HRPC interface.
 const (
@@ -248,34 +249,27 @@ const (
 	HRPCVersion = 1
 )
 
-// rrType is the IDL shape of one resource record on the HRPC interface.
-var rrType = marshal.TStruct(
-	marshal.TString, // name
-	marshal.TUint32, // type
-	marshal.TUint32, // class
-	marshal.TUint32, // ttl
-	marshal.TBytes,  // data
-)
-
-// The HRPC procedures. Marshalling is priced explicitly per message by
-// record count (Table 3.2), so the stubs use StyleNone.
+// The HRPC procedures. Records cross this interface in the record codec
+// of journal.go, each list as one opaque sets payload, never as one IDL
+// struct per record. Marshalling is still priced explicitly per message
+// by record count (Table 3.2), so the stubs use StyleNone.
 var (
 	procQuery = hrpc.Procedure{
 		Name: "BINDQuery", ID: 1,
 		Args:  marshal.TStruct(marshal.TString, marshal.TUint32),
-		Ret:   marshal.TStruct(marshal.TUint32, marshal.TList(rrType)),
+		Ret:   marshal.TStruct(marshal.TUint32, marshal.TBytes), // rcode, sets
 		Style: marshal.StyleNone,
 	}
 	procUpdate = hrpc.Procedure{
 		Name: "BINDUpdate", ID: 2,
-		Args:  marshal.TStruct(marshal.TString, marshal.TUint32, rrType),
+		Args:  marshal.TStruct(marshal.TBytes), // zone, op, RR
 		Ret:   marshal.TStruct(marshal.TUint32, marshal.TUint32),
 		Style: marshal.StyleNone,
 	}
 	procTransfer = hrpc.Procedure{
 		Name: "BINDTransfer", ID: 3,
 		Args:  marshal.TStruct(marshal.TString),
-		Ret:   marshal.TStruct(marshal.TUint32, marshal.TUint32, marshal.TList(rrType)),
+		Ret:   marshal.TStruct(marshal.TUint32, marshal.TUint32, marshal.TBytes), // rcode, serial, sets
 		Style: marshal.StyleNone,
 	}
 	procSerial = hrpc.Procedure{
@@ -286,61 +280,14 @@ var (
 	}
 )
 
-func rrToValue(rr RR) marshal.Value {
-	return marshal.StructV(
-		marshal.Str(rr.Name),
-		marshal.U32(uint32(rr.Type)),
-		marshal.U32(uint32(rr.Class)),
-		marshal.U32(rr.TTL),
-		marshal.BytesV(rr.Data),
-	)
-}
-
-func valueToRR(v marshal.Value) (RR, error) {
-	if v.Kind != marshal.KindStruct || v.Len() != 5 {
-		return RR{}, fmt.Errorf("bind: bad RR value %v", v)
+// queryType reads a question's type off the wire, refusing one wider
+// than a type.
+func queryType(v marshal.Value) (RRType, error) {
+	qt, err := v.AsU32()
+	if err == nil && qt > math.MaxUint16 {
+		err = fmt.Errorf("bind: query type %d out of range", qt)
 	}
-	name, err := v.Items[0].AsString()
-	if err != nil {
-		return RR{}, err
-	}
-	t, err := v.Items[1].AsU32()
-	if err != nil {
-		return RR{}, err
-	}
-	class, err := v.Items[2].AsU32()
-	if err != nil {
-		return RR{}, err
-	}
-	ttl, err := v.Items[3].AsU32()
-	if err != nil {
-		return RR{}, err
-	}
-	data, err := v.Items[4].AsBytes()
-	if err != nil {
-		return RR{}, err
-	}
-	return RR{Name: name, Type: RRType(t), Class: uint16(class), TTL: ttl, Data: data}, nil
-}
-
-func rrsToList(rrs []RR) marshal.Value {
-	items := make([]marshal.Value, 0, len(rrs))
-	for _, rr := range rrs {
-		items = append(items, rrToValue(rr))
-	}
-	return marshal.ListV(items...)
-}
-
-func listToRRs(v marshal.Value) ([]RR, error) {
-	out := make([]RR, 0, v.Len())
-	for _, it := range v.Items {
-		rr, err := valueToRR(it)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rr)
-	}
-	return out, nil
+	return RRType(qt), err
 }
 
 // HRPCServer wraps the server in the HRPC interface program.
@@ -351,27 +298,24 @@ func (s *Server) HRPCServer() *hrpc.Server {
 		if err != nil {
 			return marshal.Value{}, err
 		}
-		qt, err := args.Items[1].AsU32()
+		qt, err := queryType(args.Items[1])
 		if err != nil {
 			return marshal.Value{}, err
 		}
-		rcode, rrs := s.Query(ctx, name, RRType(qt))
-		return marshal.StructV(marshal.U32(uint32(rcode)), rrsToList(rrs)), nil
+		rcode, rrs := s.Query(ctx, name, qt)
+		return marshal.StructV(marshal.U32(uint32(rcode)), marshal.BytesV(appendSets(nil, rrs))), nil
 	})
 	hs.Register(procUpdate, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
-		zone, err := args.Items[0].AsString()
+		req, err := args.Items[0].AsBytes()
 		if err != nil {
 			return marshal.Value{}, err
 		}
-		op, err := args.Items[1].AsU32()
-		if err != nil {
+		d := &journalDecoder{b: req}
+		zone, op, rr := d.update()
+		if err := d.end(); err != nil {
 			return marshal.Value{}, err
 		}
-		rr, err := valueToRR(args.Items[2])
-		if err != nil {
-			return marshal.Value{}, err
-		}
-		rcode, serial, uerr := s.Update(ctx, zone, op, rr)
+		rcode, serial, uerr := s.Update(ctx, string(zone), op, rr)
 		if uerr != nil {
 			return marshal.Value{}, fmt.Errorf("%s: %v", rcode, uerr)
 		}
@@ -383,7 +327,8 @@ func (s *Server) HRPCServer() *hrpc.Server {
 			return marshal.Value{}, err
 		}
 		rcode, serial, rrs := s.Transfer(ctx, zone)
-		return marshal.StructV(marshal.U32(uint32(rcode)), marshal.U32(serial), rrsToList(rrs)), nil
+		return marshal.StructV(marshal.U32(uint32(rcode)), marshal.U32(serial),
+			marshal.BytesV(appendSets(nil, rrs))), nil
 	})
 	hs.Register(procSerial, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		zone, err := args.Items[0].AsString()

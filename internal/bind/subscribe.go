@@ -111,6 +111,7 @@ type Subscriber struct {
 	degraded   bool
 	conn       *hrpc.StickyConn
 	closed     bool
+	changed    chan struct{} // closed when active, degraded or lastSerial moves; nil until a waiter asks
 
 	wg sync.WaitGroup
 }
@@ -186,6 +187,36 @@ func (s *Subscriber) LastSerial() uint32 {
 	return s.lastSerial
 }
 
+// Changed returns a channel closed at the next change of Active, Degraded
+// or LastSerial. A waiter takes it, then checks the state, and blocks on it
+// only while the state is not yet what it wants.
+func (s *Subscriber) Changed() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.changed == nil {
+		s.changed = make(chan struct{})
+	}
+	return s.changed
+}
+
+// changedLocked wakes the Changed waiters; s.mu must be held.
+func (s *Subscriber) changedLocked() {
+	if s.changed != nil {
+		close(s.changed)
+		s.changed = nil
+	}
+}
+
+// advance raises LastSerial to serial.
+func (s *Subscriber) advance(serial uint32) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if serial > s.lastSerial {
+		s.lastSerial = serial
+		s.changedLocked()
+	}
+}
+
 func (s *Subscriber) isClosed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -199,6 +230,7 @@ func (s *Subscriber) run() {
 		if errors.Is(err, errDegrade) {
 			s.mu.Lock()
 			s.degraded = true
+			s.changedLocked()
 			s.mu.Unlock()
 			s.degradedCt.Inc()
 			return
@@ -247,11 +279,7 @@ func (s *Subscriber) session() error {
 		// The serial advances only after OnNotify returns, so LastSerial
 		// is a processed watermark: once it reaches serial S, every
 		// invalidation up to S has been applied, not merely received.
-		s.mu.Lock()
-		if n.Serial > s.lastSerial {
-			s.lastSerial = n.Serial
-		}
-		s.mu.Unlock()
+		s.advance(n.Serial)
 		s.notified.Inc()
 	})
 	if !ok {
@@ -286,19 +314,17 @@ func (s *Subscriber) session() error {
 	if since != 0 && serial != since {
 		s.catchUp(ctx, since, serial)
 	} else {
-		s.mu.Lock()
-		if serial > s.lastSerial {
-			s.lastSerial = serial
-		}
-		s.mu.Unlock()
+		s.advance(serial)
 	}
 
 	s.mu.Lock()
 	s.active = true
+	s.changedLocked()
 	s.mu.Unlock()
 	<-died
 	s.mu.Lock()
 	s.active = false
+	s.changedLocked()
 	if s.conn == sc {
 		s.conn = nil
 	}
@@ -319,11 +345,7 @@ func (s *Subscriber) catchUp(ctx context.Context, since, serial uint32) {
 		if s.cfg.OnReset != nil {
 			s.cfg.OnReset()
 		}
-		s.mu.Lock()
-		if serial > s.lastSerial {
-			s.lastSerial = serial
-		}
-		s.mu.Unlock()
+		s.advance(serial)
 		return
 	}
 	for _, d := range diffs {
@@ -332,11 +354,7 @@ func (s *Subscriber) catchUp(ctx context.Context, since, serial uint32) {
 			s.cfg.OnNotify(push.Notification{Zone: s.cfg.Zone, Name: d.RR.Name, Serial: d.Serial})
 		}
 	}
-	s.mu.Lock()
-	if gotSerial > s.lastSerial {
-		s.lastSerial = gotSerial
-	}
-	s.mu.Unlock()
+	s.advance(gotSerial)
 }
 
 // namesToList marshals a name set for the Subscribe call.

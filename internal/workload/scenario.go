@@ -359,17 +359,23 @@ func hotupdateScenario() Scenario {
 // from the updates just applied have landed in the site caches.
 func waitFleetPush(w *world.World, sites []*core.HNS) {
 	target := w.MetaServer.Zone(world.MetaZone).Serial()
-	deadline := time.Now().Add(10 * time.Second)
+	const stalled = "workload: hotupdate: push subscription stalled (degraded or 10s without catching up)"
+	deadline := time.NewTimer(10 * time.Second)
+	defer deadline.Stop()
 	for _, h := range sites {
 		sub := h.MetaSubscription()
 		if sub == nil {
 			continue
 		}
-		for sub.LastSerial() < target {
-			if sub.Degraded() || time.Now().After(deadline) {
-				panic("workload: hotupdate: push subscription stalled (degraded or 10s without catching up)")
+		for changed := sub.Changed(); sub.LastSerial() < target; changed = sub.Changed() {
+			if sub.Degraded() {
+				panic(stalled)
 			}
-			time.Sleep(200 * time.Microsecond)
+			select {
+			case <-changed:
+			case <-deadline.C:
+				panic(stalled)
+			}
 		}
 	}
 }

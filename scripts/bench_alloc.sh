@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Alloc-regression gate for the zero-allocation wire path and the bindd
-# seed path. Runs the benchmarks with -benchmem and fails if any exceeds
+# Alloc-regression gate for the zero-allocation wire path, the bindd
+# seed path and one chained meta exchange. Runs the benchmarks with -benchmem and fails if any exceeds
 # its committed allocs/op bound. The bounds are the contract: raising one
 # is an explicit, reviewed change to this file.
 #
@@ -16,6 +16,7 @@ BenchmarkFrameMuxRequest ./internal/transport/ 1
 BenchmarkEncodeMuxReplyFramed ./internal/transport/ 1
 BenchmarkFindNSMWarmAllocs . 1
 BenchmarkBinddColdStart ./internal/bind/ 60000
+BenchmarkChainExchange ./internal/bind/ 69
 "
 
 out=$(mktemp)
@@ -30,6 +31,9 @@ run_pkg ./internal/transport/ 'BenchmarkDecodeReplyWarm$|BenchmarkFrameMuxReques
 run_pkg . 'BenchmarkFindNSMWarmAllocs$' | tee -a "$out"
 # One op loads a generated 20k-record zone: the bound is 3.0 per record.
 run_pkg ./internal/bind/ 'BenchmarkBinddColdStart$' 10 | tee -a "$out"
+# One cold FindNSM's chained meta exchange over the sim transport, handler
+# and client both.
+run_pkg ./internal/bind/ 'BenchmarkChainExchange$' | tee -a "$out"
 
 fail=0
 while read -r name pkg max; do
