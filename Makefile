@@ -26,7 +26,7 @@ bench-parallel:
 
 # Allocation gate: the warm wire path (frame encode/decode) and the warm
 # binding-cached FindNSM must stay at <=1 alloc/op, a durable bindd's cold
-# start at <=3 per record loaded, a chained meta exchange at <=69.
+# start at <=3 per record loaded, a chained meta exchange at <=67.
 bench-alloc:
 	./scripts/bench_alloc.sh
 
@@ -40,6 +40,7 @@ fuzz:
 	go test -fuzz FuzzRawControl -fuzztime 10s ./internal/hrpc/
 	go test -fuzz FuzzXDRDecode -fuzztime 10s ./internal/marshal/
 	go test -fuzz FuzzCourierDecode -fuzztime 10s ./internal/marshal/
+	go test -fuzz FuzzPackedDecode -fuzztime 10s ./internal/marshal/
 	go test -fuzz FuzzFindBatchDecode -fuzztime 10s ./internal/core/
 	go test -fuzz FuzzSpecValidate -fuzztime 10s ./internal/workload/
 	go test -fuzz FuzzWALDecode -fuzztime 10s ./internal/store/

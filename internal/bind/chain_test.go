@@ -505,7 +505,7 @@ func TestChainedFlightsRace(t *testing.T) {
 // returns must be owned by the question or by a name one of the supplied
 // steps builds from a returned record — it cannot be steered elsewhere.
 func FuzzQueryChainArgs(f *testing.F) {
-	rep, err := marshal.Lookup("xdr")
+	rep, err := marshal.Lookup(hrpc.SuiteRaw.DataRep)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -538,7 +538,7 @@ func FuzzQueryChainArgs(f *testing.F) {
 	f.Add(args(chainCtx, FollowStep{Suffix: ".qc.hns"}))
 	f.Add(args(chainCtx, make([]FollowStep, MaxFollowSteps+1)...))
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1})
+	f.Add([]byte{1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := marshal.Unmarshal(rep, data, procQueryChain.Args)
 		if err != nil {

@@ -86,7 +86,8 @@ func tcpNetBytes(dir string) int64 {
 // for the exchanges a FindNSM and a flip make with the meta-BIND over a
 // real socket: a cold chained lookup, a warm-context refetch and the two
 // updates of a flip. Each is 6 bytes of call header plus arguments out
-// and 2 bytes of reply header plus results back.
+// and 2 bytes of reply header plus results back, both in the Raw suite's
+// packed representation.
 func TestHRPCWireBytes(t *testing.T) {
 	c, ids := tenantZone(t, 1, hrpc.SuiteRawNet, "127.0.0.1:0")
 	ctx := context.Background()
@@ -110,18 +111,18 @@ func TestHRPCWireBytes(t *testing.T) {
 				err = fmt.Errorf("chain = %v, %v", head, tails)
 			}
 			return err
-		}, 98, 250},
+		}, 68, 242},
 		{"lookup", func() error {
 			rrs, err := c.Lookup(ctx, "h0.ctx.hns", TypeHNSMeta)
 			if err == nil && len(rrs) != 1 {
 				err = fmt.Errorf("lookup = %v", rrs)
 			}
 			return err
-		}, 26, 46},
-		{"update h0 add", update(UpdateAdd, "h0.ctx.hns", "bind-cs-b"), 50, 10},
-		{"update h0 remove", update(UpdateRemove, "h0.ctx.hns", "bind-cs"), 50, 10},
-		{"update h100 add", update(UpdateAdd, "h100.ctx.hns", "bind-cs-b"), 54, 10},
-		{"update h100 remove", update(UpdateRemove, "h100.ctx.hns", "bind-cs"), 50, 10},
+		}, 20, 38},
+		{"update h0 add", update(UpdateAdd, "h0.ctx.hns", "bind-cs-b"), 47, 4},
+		{"update h0 remove", update(UpdateRemove, "h0.ctx.hns", "bind-cs"), 45, 4},
+		{"update h100 add", update(UpdateAdd, "h100.ctx.hns", "bind-cs-b"), 49, 4},
+		{"update h100 remove", update(UpdateRemove, "h100.ctx.hns", "bind-cs"), 47, 4},
 	} {
 		tx0, rx0 := tcpNetBytes("tx"), tcpNetBytes("rx")
 		if err := tc.call(); err != nil {

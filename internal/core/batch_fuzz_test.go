@@ -12,7 +12,7 @@ import (
 // arbitrary bytes: whatever a peer sends, decode must return an error or
 // a result — never panic, never index out of range.
 func FuzzFindBatchDecode(f *testing.F) {
-	rep, err := marshal.Lookup("xdr")
+	rep, err := marshal.Lookup(hrpc.SuiteRaw.DataRep)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func FuzzFindBatchDecode(f *testing.F) {
 		f.Add(enc)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1})
+	f.Add([]byte{1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ret, err := marshal.Unmarshal(rep, data, procFindNSMBatch.Ret)
 		if err != nil {

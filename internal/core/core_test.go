@@ -455,13 +455,7 @@ func TestSubscribeMetaInvalidatesRemoteCache(t *testing.T) {
 	if sub == nil {
 		t.Fatal("no subscription exposed")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !sub.Active() {
-		if time.Now().After(deadline) {
-			t.Fatal("subscription never became active")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSubscriber(t, "an active subscription", sub, sub.Active)
 
 	// Warm h2's meta cache (default meta TTL is 600s — far beyond this
 	// test's lifetime, so only push can invalidate it in time).
@@ -475,16 +469,10 @@ func TestSubscribeMetaInvalidatesRemoteCache(t *testing.T) {
 	if err := w.HNS.UnregisterNSM(ctx, "binding-bind-1", world.NSBind, qclass.HRPCBinding); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		_, err := h2.FindNSM(ctx, world.DesiredServiceName(), qclass.HRPCBinding)
-		if errors.Is(err, core.ErrNoSuchNSM) {
-			break // push invalidation landed
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("remote cache still serves the withdrawn NSM (last err: %v)", err)
-		}
-		time.Sleep(time.Millisecond)
+	serial := w.MetaServer.Zone(world.MetaZone).Serial()
+	waitSubscriber(t, "the withdrawal's NOTIFY", sub, func() bool { return sub.LastSerial() >= serial })
+	if _, err := h2.FindNSM(ctx, world.DesiredServiceName(), qclass.HRPCBinding); !errors.Is(err, core.ErrNoSuchNSM) {
+		t.Fatalf("remote cache still serves the withdrawn NSM: %v", err)
 	}
 
 	// A client that cannot subscribe (the optional interface is absent)
@@ -492,6 +480,24 @@ func TestSubscribeMetaInvalidatesRemoteCache(t *testing.T) {
 	plain := core.New(noSubMeta{w.MetaHRPCClient()}, core.Config{MetaZone: world.MetaZone})
 	if plain.SubscribeMeta() {
 		t.Fatal("SubscribeMeta succeeded on a client without the optional interface")
+	}
+}
+
+// waitSubscriber blocks until cond holds, checking it again at each change
+// of sub's state: a condition gate, not a poll.
+func waitSubscriber(t *testing.T, what string, sub *bind.Subscriber, cond func() bool) {
+	t.Helper()
+	timeout := time.After(5 * time.Second)
+	for {
+		changed := sub.Changed()
+		if cond() {
+			return
+		}
+		select {
+		case <-changed:
+		case <-timeout:
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 

@@ -8,7 +8,8 @@
 //   - binding protocol: how a client locates a particular server — the
 //     portmapper client in this package plus the binding NSMs in package
 //     nsm;
-//   - data representation: package marshal (XDR, Courier);
+//   - data representation: package marshal (XDR for Sun RPC, Courier for
+//     Courier, Packed for the Raw suite);
 //   - transport protocol: package transport;
 //   - control protocol: the call/reply header formats in this package
 //     (Sun RPC-style, Courier-style, and the Raw suite).
@@ -109,16 +110,18 @@ var (
 	// and control.
 	SuiteCourier = Suite{Transport: "tcp", DataRep: "courier", Control: "courier"}
 	// SuiteRaw is the Raw HRPC suite: TCP message passing with a minimal
-	// request/response header ("make a request and wait for a response").
-	SuiteRaw = Suite{Transport: "tcp", DataRep: "xdr", Control: "raw"}
+	// request/response header ("make a request and wait for a response")
+	// and the packed data representation. Only this repository's own
+	// daemons speak it, so it carries no foreign system's encoding.
+	SuiteRaw = Suite{Transport: "tcp", DataRep: "packed", Control: "raw"}
 	// SuiteLocal is the in-process suite used for linked-in components.
-	SuiteLocal = Suite{Transport: "inproc", DataRep: "xdr", Control: "raw"}
+	SuiteLocal = Suite{Transport: "inproc", DataRep: "packed", Control: "raw"}
 
 	// The *-Net variants are the same protocol suites deployed over real
 	// sockets, used by the cmd/ daemons.
 	SuiteSunRPCNet  = Suite{Transport: "udp-net", DataRep: "xdr", Control: "sunrpc"}
 	SuiteCourierNet = Suite{Transport: "tcp-net", DataRep: "courier", Control: "courier"}
-	SuiteRawNet     = Suite{Transport: "tcp-net", DataRep: "xdr", Control: "raw"}
+	SuiteRawNet     = Suite{Transport: "tcp-net", DataRep: "packed", Control: "raw"}
 )
 
 // Bind builds a Binding from a suite and an endpoint.

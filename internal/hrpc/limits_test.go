@@ -75,10 +75,12 @@ func TestBindingWithMismatchedComponents(t *testing.T) {
 	defer c.Close()
 
 	bad := good
-	bad.DataRep = "courier" // server speaks xdr
-	if _, err := c.Call(context.Background(), bad, echoProc,
-		marshal.StructV(marshal.Str("x"))); err == nil {
-		t.Fatal("mismatched data representation succeeded")
+	for _, rep := range []string{"courier", "packed"} { // the Sun RPC suite speaks xdr
+		bad.DataRep = rep
+		if _, err := c.Call(context.Background(), bad, echoProc,
+			marshal.StructV(marshal.Str("x"))); err == nil {
+			t.Fatalf("mismatched data representation %s succeeded", rep)
+		}
 	}
 	bad = good
 	bad.Control = "raw" // server speaks sunrpc

@@ -67,10 +67,10 @@ func (e *wireEnv) call(ctx context.Context) error {
 	return err
 }
 
-// xdrLen is the marshalled size of v.
-func xdrLen(t *testing.T, v marshal.Value, ty marshal.Type) int64 {
+// rawLen is the size of v in the raw suite's data representation.
+func rawLen(t *testing.T, v marshal.Value, ty marshal.Type) int64 {
 	t.Helper()
-	rep, err := marshal.Lookup("xdr")
+	rep, err := marshal.Lookup(SuiteRawNet.DataRep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +93,8 @@ func tcpWireBytes(dir string) int64 {
 // and a budget adds only its own uvarint.
 func TestRawEnvelopeBytes(t *testing.T) {
 	e := newWireEnv(t, SuiteRawNet, nil)
-	argLen := xdrLen(t, marshal.StructV(marshal.Str("q")), wireProc.Args)
-	resLen := xdrLen(t, marshal.StructV(marshal.Str(strings.Repeat("r", 211))), wireProc.Ret)
+	argLen := rawLen(t, marshal.StructV(marshal.Str("q")), wireProc.Args)
+	resLen := rawLen(t, marshal.StructV(marshal.Str(strings.Repeat("r", 211))), wireProc.Ret)
 	ctx := context.Background()
 	if err := e.call(ctx); err != nil { // dial outside the measurement
 		t.Fatal(err)

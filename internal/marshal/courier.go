@@ -119,7 +119,9 @@ func (c Courier) Decode(buf []byte, t Type) (Value, []byte, error) {
 		}
 		n := binary.BigEndian.Uint16(buf)
 		buf = buf[2:]
-		items := make([]Value, 0, n)
+		// Bound the preallocation by the remaining bytes so a hostile
+		// count cannot force a large allocation.
+		items := make([]Value, 0, min(int(n), len(buf)))
 		for i := uint16(0); i < n; i++ {
 			var (
 				it  Value

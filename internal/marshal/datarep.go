@@ -12,7 +12,7 @@ import (
 // Implementations must be safe for concurrent use.
 type DataRep interface {
 	// Name identifies the representation in bindings and registries
-	// (e.g. "xdr", "courier").
+	// (e.g. "xdr", "courier", "packed").
 	Name() string
 	// Append marshals v onto buf and returns the extended buffer.
 	// v must conform to t.
@@ -93,4 +93,5 @@ func Names() []string {
 func init() {
 	Register(XDR{})
 	Register(Courier{})
+	Register(Packed{})
 }

@@ -1,6 +1,7 @@
 package marshal
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -36,7 +37,7 @@ func sampleValue() Value {
 	)
 }
 
-func reps() []DataRep { return []DataRep{XDR{}, Courier{}} }
+func reps() []DataRep { return []DataRep{XDR{}, Courier{}, Packed{}} }
 
 func TestRoundTripSample(t *testing.T) {
 	for _, r := range reps() {
@@ -152,12 +153,97 @@ func TestDecodeHostileListCount(t *testing.T) {
 	}
 }
 
+// A Courier count is 16 bits, so two bytes can claim 65535 elements; the
+// decoder must not preallocate room for them before finding no bodies.
+func TestCourierHostileCountAllocatesLittle(t *testing.T) {
+	msg, ty := []byte{0xff, 0xff}, TList(TString)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := (Courier{}).Decode(msg, ty); err == nil {
+				b.Fatal("hostile count accepted")
+			}
+		}
+	})
+	if n := res.AllocedBytesPerOp(); n >= 4<<10 {
+		t.Fatalf("decoding % x allocates %d B/op, want < 4 KiB", msg, n)
+	}
+}
+
 func TestBoolStrictEncoding(t *testing.T) {
 	if _, _, err := (XDR{}).Decode([]byte{0, 0, 0, 2}, TBool); !errors.Is(err, ErrBadValue) {
 		t.Fatalf("XDR bool 2 accepted: %v", err)
 	}
 	if _, _, err := (Courier{}).Decode([]byte{0, 2}, TBool); !errors.Is(err, ErrBadValue) {
 		t.Fatalf("Courier bool 2 accepted: %v", err)
+	}
+}
+
+// Packed's wire format: uvarints, one-byte bools, no padding.
+func TestPackedEncoding(t *testing.T) {
+	for _, tc := range []struct {
+		v    Value
+		ty   Type
+		want []byte
+	}{
+		{U32(1), TUint32, []byte{0x01}},
+		{U32(200001), TUint32, []byte{0xc1, 0x9a, 0x0c}},
+		{U64(1 << 40), TUint64, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}},
+		{BoolV(true), TBool, []byte{0x01}},
+		{Str("xdr"), TString, []byte{0x03, 'x', 'd', 'r'}},
+		{BytesV(nil), TBytes, []byte{0x00}},
+		{ListV(U32(1), U32(300)), TList(TUint32), []byte{0x02, 0x01, 0xac, 0x02}},
+		{StructV(Str("a"), BoolV(false)), TStruct(TString, TBool), []byte{0x01, 'a', 0x00}},
+	} {
+		got, err := Marshal(Packed{}, tc.v, tc.ty)
+		if err != nil || !bytes.Equal(got, tc.want) {
+			t.Errorf("Packed %v = % x, %v; want % x", tc.v, got, err, tc.want)
+		}
+	}
+}
+
+// Packed's decoder accepts only what Append produces.
+func TestPackedDecodeStrict(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		ty   Type
+		want error
+	}{
+		{"overlong uvarint", []byte{0x80, 0x00}, TUint64, ErrBadValue},
+		{"overlong zero count", []byte{0x80, 0x00}, TList(TUint32), ErrBadValue},
+		{"u32 = 2^32", []byte{0x80, 0x80, 0x80, 0x80, 0x10}, TUint32, ErrBadValue},
+		{"uvarint past 64 bits", append(bytes.Repeat([]byte{0xff}, 9), 0x02), TUint64, ErrBadValue},
+		{"unterminated uvarint", []byte{0x80, 0x80}, TUint64, ErrTruncated},
+		{"bool 2", []byte{0x02}, TBool, ErrBadValue},
+		{"truncated string", []byte{0x05, 'a', 'b'}, TString, ErrTruncated},
+		{"count above remaining bytes", []byte{0x03, 0x01, 0x02}, TList(TUint32), ErrTruncated},
+		{"count above remaining structs", []byte{0x02, 0x01, 'a', 0x00}, TList(TStruct(TString, TBool)), ErrTruncated},
+		{"hostile count", []byte{0xff, 0xff, 0xff, 0xff, 0x0f}, TList(TString), ErrTruncated},
+		{"one trailing byte", []byte{0x01, 0x00}, TUint32, ErrBadValue},
+	} {
+		if _, err := Unmarshal(Packed{}, tc.in, tc.ty); !errors.Is(err, tc.want) {
+			t.Errorf("%s: % x decoded with %v, want %v", tc.name, tc.in, err, tc.want)
+		}
+	}
+}
+
+// A list of zero-width elements would carry only its count, so Packed
+// refuses one unless it is empty, on both sides of the wire.
+func TestPackedZeroWidthList(t *testing.T) {
+	ty := TList(TStruct(TStruct()))
+	if _, err := Marshal(Packed{}, ListV(StructV(StructV())), ty); !errors.Is(err, ErrBadValue) {
+		t.Fatalf("non-empty list of empty structs encoded: %v", err)
+	}
+	if _, err := Unmarshal(Packed{}, []byte{0xff, 0xff, 0xff, 0xff, 0x0f}, ty); !errors.Is(err, ErrBadValue) {
+		t.Fatalf("count of empty structs decoded: %v", err)
+	}
+	buf, err := Marshal(Packed{}, ListV(), ty)
+	if err != nil || !bytes.Equal(buf, []byte{0x00}) {
+		t.Fatalf("empty list = % x, %v", buf, err)
+	}
+	if v, err := Unmarshal(Packed{}, buf, ty); err != nil || v.Len() != 0 {
+		t.Fatalf("empty list decoded as %v, %v", v, err)
 	}
 }
 
@@ -246,7 +332,7 @@ func regenOfType(r *rand.Rand, t Type, depth int) Value {
 }
 
 // Property: marshal→unmarshal is the identity for every representation and
-// every well-typed value.
+// every well-typed value, and the decoded value marshals to the same bytes.
 func TestRoundTripProperty(t *testing.T) {
 	for _, r := range reps() {
 		r := r
@@ -264,7 +350,8 @@ func TestRoundTripProperty(t *testing.T) {
 					t.Logf("unmarshal: %v", err)
 					return false
 				}
-				return Equal(got, v)
+				again, err := Marshal(r, got, ty)
+				return Equal(got, v) && err == nil && bytes.Equal(again, buf)
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1987))}); err != nil {
 				t.Fatal(err)
@@ -289,6 +376,29 @@ func TestDecodeFuzzProperty(t *testing.T) {
 	}
 }
 
+// Property: whatever bytes Packed accepts re-encode to exactly themselves.
+// Short byte soup against shallow types, so that some of it is accepted.
+func TestPackedAcceptsOnlyCanonical(t *testing.T) {
+	accepted := 0
+	f := func(raw []byte, seed int64) bool {
+		_, ty := genValue(rand.New(rand.NewSource(seed)), 1)
+		raw = raw[:min(len(raw), 1+int(uint64(seed)%6))]
+		v, err := Unmarshal(Packed{}, raw, ty)
+		if err != nil {
+			return true
+		}
+		accepted++
+		buf, err := Marshal(Packed{}, v, ty)
+		return err == nil && bytes.Equal(buf, raw)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000, Rand: rand.New(rand.NewSource(1987))}); err != nil {
+		t.Fatal(err)
+	}
+	if accepted == 0 {
+		t.Fatal("no input was accepted: the property checked nothing")
+	}
+}
+
 func TestNodeCount(t *testing.T) {
 	if got := NodeCount(U32(1)); got != 1 {
 		t.Fatalf("scalar NodeCount = %d", got)
@@ -301,7 +411,7 @@ func TestNodeCount(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	for _, name := range []string{"xdr", "courier"} {
+	for _, name := range []string{"xdr", "courier", "packed"} {
 		r, err := Lookup(name)
 		if err != nil {
 			t.Fatalf("Lookup(%q): %v", name, err)
@@ -314,8 +424,8 @@ func TestRegistry(t *testing.T) {
 		t.Fatal("Lookup of unregistered rep succeeded")
 	}
 	names := Names()
-	if len(names) < 2 {
-		t.Fatalf("Names() = %v, want at least xdr and courier", names)
+	if len(names) < 3 {
+		t.Fatalf("Names() = %v, want at least courier, packed and xdr", names)
 	}
 }
 

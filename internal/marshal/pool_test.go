@@ -60,7 +60,7 @@ func FuzzAppendPooledEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string, n uint32, b []byte) {
 		v := StructV(Str(s), U32(n), BytesV(b), ListV(Str(s)))
 		ty := TStruct(TString, TUint32, TBytes, TList(TString))
-		for _, name := range []string{"xdr", "courier"} {
+		for _, name := range Names() {
 			r, err := Lookup(name)
 			if err != nil {
 				t.Fatal(err)

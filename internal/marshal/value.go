@@ -9,13 +9,15 @@
 // descriptor that the decoder is given, mirroring the stub compiler's
 // generated knowledge.
 //
-// Two wire formats are provided, matching the RPC systems the HCS prototype
-// emulated:
+// Two wire formats match the RPC systems the HCS prototype emulated, and a
+// third serves the suite only this repository's daemons speak:
 //
 //   - XDR: Sun-style, 4-byte alignment, big-endian (used by the Sun RPC
-//     control protocol and the Raw suite).
+//     control protocol).
 //   - Courier: Xerox-style, 2-byte words (used by the Courier control
 //     protocol when talking to Clearinghouse-world services).
+//   - Packed: uvarint integers and counts, no padding (used by the Raw
+//     suite).
 //
 // The package also prices marshalling work in simulated time. The paper
 // found (Table 3.2) that its stub-compiler generated marshalling routines

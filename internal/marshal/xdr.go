@@ -8,7 +8,7 @@ import (
 
 // XDR is the Sun-style external data representation: big-endian, every item
 // padded to a 4-byte boundary, counted strings and arrays. It is the
-// representation the Sun RPC and Raw protocol suites select.
+// representation the Sun RPC protocol suite selects.
 type XDR struct{}
 
 // Name implements DataRep.

@@ -16,7 +16,7 @@ BenchmarkFrameMuxRequest ./internal/transport/ 1
 BenchmarkEncodeMuxReplyFramed ./internal/transport/ 1
 BenchmarkFindNSMWarmAllocs . 1
 BenchmarkBinddColdStart ./internal/bind/ 60000
-BenchmarkChainExchange ./internal/bind/ 69
+BenchmarkChainExchange ./internal/bind/ 67
 "
 
 out=$(mktemp)
