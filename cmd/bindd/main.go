@@ -33,6 +33,14 @@
 // -data-dir nothing touches disk, exactly the in-memory BIND the paper
 // measured.
 //
+// Every zone keeps its history: the newest mutations that fit one reply
+// frame, from which mirrors and resubscribing clients take only what
+// changed since their serial (IXFR). There is nothing to set. A -data-dir
+// restart, clean or kill -9, replays the journal past the last checkpoint
+// and so keeps that much history; no checkpoint is taken at shutdown,
+// because it would leave the restart none. A mirror republishes every
+// diff it applies to its own -push subscribers, name by name.
+//
 // Zone files use the line format of internal/bind.ParseZoneFile:
 //
 //	name  ttl  type  data...
@@ -81,7 +89,6 @@ func main() {
 	flag.Var(&zones, "zone", "zone origin to be authoritative for (repeatable)")
 	pushOn := flag.Bool("push", false, "enable the push plane: clients may Subscribe and every dynamic update fans out NOTIFY invalidations")
 	pushMax := flag.Int("push-max", 0, "bound the subscriber table (0 = default 4096); overflow subscribers are refused and poll")
-	ixfrWindow := flag.Int("ixfr-window", 0, "retain this many recent zone mutations for incremental (IXFR) transfer; 0 disables (every transfer full)")
 	notify := flag.Bool("notify", false, "-secondary mode: subscribe to the primary's NOTIFY stream and refresh immediately on serial bumps (falls back to -refresh polling)")
 	flag.Parse()
 	if len(zones) == 0 {
@@ -213,12 +220,6 @@ func main() {
 				if err != nil {
 					log.Printf("bindd: refresh: %v", err)
 				} else if moved {
-					if tab := srv.PushTable(); tab != nil {
-						// Our own subscribers learn of the refresh as a
-						// zone-level event (the exact change set is not
-						// re-derived here).
-						tab.Publish(push.Notification{Zone: srv.Zone(zones[0]).Origin(), Serial: sec.Serial()})
-					}
 					log.Printf("bindd: transferred %s at serial %d (%d incremental refreshes so far)",
 						zones[0], sec.Serial(), sec.DeltaRefreshes())
 				}
@@ -287,14 +288,6 @@ func main() {
 	if *notify && *secAddr == "" {
 		log.Fatal("bindd: -notify requires -secondary (only mirrors subscribe to a primary)")
 	}
-	if *ixfrWindow > 0 {
-		for _, origin := range zones {
-			if z := srv.Zone(origin); z != nil {
-				z.EnableDiffLog(*ixfrWindow)
-			}
-		}
-		log.Printf("bindd: retaining a %d-mutation diff window per zone for incremental transfer", *ixfrWindow)
-	}
 	if *pushOn {
 		srv.EnablePush(*pushMax)
 		log.Printf("bindd: push plane enabled (NOTIFY fan-out on update; clients may subscribe)")
@@ -320,11 +313,8 @@ func main() {
 	waitForSignal()
 	log.Println("bindd: shutting down")
 	if durable != nil {
-		// A parting checkpoint makes the next recovery instant; failure
-		// only means the restart replays the WAL instead.
-		if err := durable.Snapshot(); err != nil {
-			log.Printf("bindd: final snapshot: %v", err)
-		}
+		// No parting checkpoint: the journal past the last one is the
+		// history a restart serves deltas from, as after kill -9.
 		if err := durable.Close(); err != nil {
 			log.Printf("bindd: closing store: %v", err)
 		}

@@ -110,9 +110,10 @@ func loadOneByOne(s *Server, rrs []RR) error {
 	return nil
 }
 
-// twinServers returns two servers with the same nested zones (and diff
-// logs), each pre-loaded with the same few records.
-func twinServers(t *testing.T, window int) (bulk, ref *Server) {
+// twinServers returns two servers with the same nested zones, each
+// pre-loaded with the same few records one Add at a time, so each zone
+// has some history.
+func twinServers(t *testing.T) (bulk, ref *Server) {
 	t.Helper()
 	mk := func() *Server {
 		s := NewServer("fiji")
@@ -121,7 +122,6 @@ func twinServers(t *testing.T, window int) (bulk, ref *Server) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			z.EnableDiffLog(window)
 			if err := s.AddZone(z); err != nil {
 				t.Fatal(err)
 			}
@@ -136,21 +136,31 @@ func twinServers(t *testing.T, window int) (bulk, ref *Server) {
 	return mk(), mk()
 }
 
-func zoneStates(s *Server) string {
+// zoneStates renders every zone's serial and records, and with history
+// its retained diffs too.
+func zoneStates(s *Server, history bool) string {
 	var b strings.Builder
 	for _, origin := range s.ZoneOrigins() {
 		z := s.Zone(origin)
 		fmt.Fprintf(&b, "zone %s serial %d\n%s", origin, z.Serial(), FormatZoneFile(z.All()))
-		z.mu.RLock()
-		fmt.Fprintf(&b, "diff log %v\n", z.diff)
-		z.mu.RUnlock()
+		if history {
+			fmt.Fprintf(&b, "history %s\n", historyOf(z))
+		}
 	}
 	return b.String()
 }
 
-// Property: a bulk load is N× Add — same records, serials and diff logs —
-// when every record is acceptable, and when one is not it reports the
-// error N× Add would have stopped at and leaves every zone untouched.
+func historyOf(z *Zone) string {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	return fmt.Sprintf("%v (%d bytes)", z.diff, z.diffBytes)
+}
+
+// Property: a bulk load is N× Add — same records and serials — when every
+// record is acceptable, and the history of each zone it touched restarts
+// at the load's final serial, as the one journal image replays. When one
+// record is not acceptable it reports the error N× Add would have stopped
+// at and leaves every zone, history included, untouched.
 func TestLoadRecordsIsNTimesAdd(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -184,19 +194,37 @@ func TestLoadRecordsIsNTimesAdd(t *testing.T) {
 				}
 			}
 		}
-		bulk, ref := twinServers(t, int(seed%3)*4)
-		before := zoneStates(bulk)
+		bulk, ref := twinServers(t)
+		before := zoneStates(bulk, true)
+		serials, histories := map[string]uint32{}, map[string]string{}
+		for _, origin := range bulk.ZoneOrigins() {
+			serials[origin], histories[origin] = bulk.Zone(origin).Serial(), historyOf(bulk.Zone(origin))
+		}
 		refErr := loadOneByOne(ref, batch)
 		bulkErr := bulk.LoadRecords(batch)
 		if (refErr == nil) != (bulkErr == nil) || (refErr != nil && refErr.Error() != bulkErr.Error()) {
 			t.Fatalf("seed %d: LoadRecords: %v; N× Add: %v", seed, bulkErr, refErr)
 		}
-		want := zoneStates(ref)
 		if bulkErr != nil {
-			want = before
+			if got := zoneStates(bulk, true); got != before {
+				t.Fatalf("seed %d (err %v): zones after a refused load:\n%s\nwant:\n%s", seed, bulkErr, got, before)
+			}
+			continue
 		}
-		if got := zoneStates(bulk); got != want {
-			t.Fatalf("seed %d (err %v): zones after LoadRecords:\n%s\nwant:\n%s", seed, bulkErr, got, want)
+		if got, want := zoneStates(bulk, false), zoneStates(ref, false); got != want {
+			t.Fatalf("seed %d: zones after LoadRecords:\n%s\nwant:\n%s", seed, got, want)
+		}
+		for _, origin := range bulk.ZoneOrigins() {
+			z := bulk.Zone(origin)
+			if z.Serial() == serials[origin] {
+				if got := historyOf(z); got != histories[origin] {
+					t.Fatalf("seed %d: untouched zone %s history %s, want %s", seed, origin, got, histories[origin])
+				}
+				continue
+			}
+			if got := historyOf(z); got != "[] (0 bytes)" {
+				t.Fatalf("seed %d: zone %s history after the load = %s, want it restarted at serial %d", seed, origin, got, z.Serial())
+			}
 		}
 	}
 }

@@ -62,9 +62,10 @@ var procQueryChain = hrpc.Procedure{
 	Style: marshal.StyleNone,
 }
 
-// chainReplyBudget is how many bytes of sets a chained reply may carry: a
-// frame, less room for the envelopes around them.
-const chainReplyBudget = transport.MaxFrame - 4096
+// replyBudget is how many bytes of records one reply may carry: a frame,
+// less room for the envelopes around them. A chained answer stops short
+// of it, and a zone's history keeps no more than it.
+const replyBudget = transport.MaxFrame - 4096
 
 func followToList(follow []FollowStep) marshal.Value {
 	steps := make([]marshal.Value, len(follow))
@@ -137,7 +138,7 @@ func (s *Server) queryChain(ctx context.Context, args marshal.Value) (marshal.Va
 			break
 		}
 		grown := appendSets(sets, rrs)
-		if len(grown) > chainReplyBudget {
+		if len(grown) > replyBudget {
 			break
 		}
 		sets = grown

@@ -185,12 +185,12 @@ func TestQueryChainRejects(t *testing.T) {
 // TestQueryChainFitsFrame: a tail that would push the reply past a frame is
 // left out, however the follow list is written.
 func TestQueryChainFitsFrame(t *testing.T) {
-	big := make([]RR, chainReplyBudget/256+1) // each record's data is 2+254 bytes of the run
+	big := make([]RR, replyBudget/256+1) // each record's data is 2+254 bytes of the run
 	for i := range big {
 		big[i] = HNSMeta("hostaddress.big.qc.hns", fmt.Sprintf("nsm=%0250d", i), 300)
 	}
-	if n := len(appendSets(nil, big)); n <= chainReplyBudget {
-		t.Fatalf("the big set is %d bytes, within the %d-byte budget", n, chainReplyBudget)
+	if n := len(appendSets(nil, big)); n <= replyBudget {
+		t.Fatalf("the big set is %d bytes, within the %d-byte budget", n, replyBudget)
 	}
 	c := newChainEnv(t, append(big, HNSMeta("big.ctx.hns", "ns=big", 300))...)
 	head, tails, err := c.LookupChain(context.Background(), "big.ctx.hns", TypeHNSMeta, chainFollow)

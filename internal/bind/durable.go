@@ -250,7 +250,7 @@ func (d *Durable) zone(origin string) (*Zone, error) {
 // apply replays one journal record into the recovery zones through the
 // real Zone mutation paths, so replay reproduces exactly the semantics
 // (CNAME conflicts, duplicate refresh, wildcard removal) the original
-// call had.
+// call had, and rebuilds the zone's history as the original calls did.
 func (d *Durable) apply(lsn uint64, payload []byte) error {
 	rec, err := decodeJournal(payload)
 	if err != nil {
@@ -401,8 +401,10 @@ func (d *Durable) append(zone string, payload []byte) error {
 	return nil
 }
 
-// Snapshot forces a checkpoint now (the daemon calls this on clean
-// shutdown so restart recovery is instant).
+// Snapshot forces a checkpoint now. bindd takes none at shutdown: the
+// journal past the checkpoint is what a restart rebuilds each zone's
+// history from, so a parting checkpoint would cost every peer behind
+// the restart a full transfer.
 func (d *Durable) Snapshot() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -1,12 +1,17 @@
 package bind
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
+	"hns/internal/hrpc"
+	"hns/internal/metrics"
 	"hns/internal/store"
+	"hns/internal/transport"
 )
 
 // openDurableServer builds a Server with one updatable zone over fs and
@@ -311,5 +316,117 @@ func TestSecondaryRestoreSkipsColdTransfer(t *testing.T) {
 	}
 	if moved, err := sec2.Refresh(ctx); err != nil || !moved {
 		t.Fatalf("refresh after primary update: moved=%v err=%v", moved, err)
+	}
+}
+
+// TestDurablePrimaryRestartKeepsHistory is the composed guarantee: no
+// missed serial across a resubscribe and a primary restart. A subscriber
+// and a secondary hold serial S; the primary takes N updates (too few for
+// a checkpoint) while the subscriber is dark, then crashes and recovers
+// from its disk image on the same address. The recovered zone answers
+// "since S" exactly as before the crash, so the subscriber catches up by
+// delta with no reset and the secondary's next refresh is incremental.
+func TestDurablePrimaryRestartKeepsHistory(t *testing.T) {
+	const n = 10
+	const addr = "primary:bind-hrpc"
+	fs := NewCrashFS(t)
+	net := transport.NewNetwork()
+	ctx := context.Background()
+	start := func() (*Server, *Durable, transport.Listener, hrpc.Binding) {
+		srv, d := openDurableServer(t, fs, "repl.test", DurableConfig{})
+		srv.EnablePush(0)
+		ln, b, err := srv.ServeHRPC(net, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, d, ln, b
+	}
+
+	srv, _, ln, b := start()
+	seed := make([]RR, 400)
+	for i := range seed {
+		seed[i] = A(fmt.Sprintf("q%03d.repl.test", i), "5", 600)
+	}
+	if err := srv.LoadRecords(seed); err != nil {
+		t.Fatal(err)
+	}
+	hc := hrpc.NewClient(net)
+	defer hc.Close()
+	client := NewHRPCClient(hc, b)
+	sec, err := NewSecondary(client, "repl.test", "mirror")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := wireBytesTotal()
+	if _, err := sec.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fullBytes := wireBytesTotal() - before
+
+	reg := metrics.NewRegistry()
+	rec := &notifyRecorder{}
+	sub := NewSubscriber(client, SubscribeConfig{
+		Zone:     "repl.test",
+		OnNotify: rec.onNotify,
+		OnReset:  rec.onReset,
+		Backoff:  5 * time.Millisecond,
+		Metrics:  reg,
+	})
+	sub.Start()
+	defer sub.Close()
+	waitFor(t, "subscription active", sub, sub.Active)
+	s0 := srv.Zone("repl.test").Serial()
+	if sub.LastSerial() != s0 || sec.Serial() != s0 {
+		t.Fatalf("subscriber at %d, secondary at %d; want both at %d", sub.LastSerial(), sec.Serial(), s0)
+	}
+
+	// The primary goes dark to the subscriber, takes n updates, and dies
+	// without a checkpoint or a Close.
+	ln.Close()
+	sub.mu.Lock()
+	sub.conn.Close()
+	sub.mu.Unlock()
+	waitFor(t, "subscription inactive", sub, func() bool { return !sub.Active() })
+	for i := 0; i < n; i++ {
+		if _, _, err := srv.Update(ctx, "repl.test", UpdateAdd, A(fmt.Sprintf("u%d.repl.test", i), "9", 60)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, ok := srv.Zone("repl.test").DiffSince(s0)
+	if !ok || len(want) != n {
+		t.Fatalf("pre-crash DiffSince(%d) = %d diffs, ok=%v; want %d", s0, len(want), ok, n)
+	}
+
+	srv2, d2, ln2, _ := start()
+	defer ln2.Close()
+	defer d2.Close()
+	if st := d2.Stats(); st.SnapshotLSN != 0 || st.Replayed != 1+n {
+		t.Fatalf("recovery %+v; want the seed image and %d updates replayed, no checkpoint", st, n)
+	}
+	got, ok := srv2.Zone("repl.test").DiffSince(s0)
+	if !ok || !bytes.Equal(encodeDiffs("repl.test", got), encodeDiffs("repl.test", want)) {
+		t.Fatalf("recovered DiffSince(%d) = %v, ok=%v; want %v", s0, got, ok, want)
+	}
+
+	final := srv2.Zone("repl.test").Serial()
+	waitFor(t, "catch-up after the restart", sub, func() bool { return sub.LastSerial() == final && sub.Active() })
+	if r := reg.Counter("push_client_resets_total").Value(); r != 0 {
+		t.Fatalf("subscriber reset %d times across the restart, want 0", r)
+	}
+	if c := reg.Counter("push_client_catchup_records_total").Value(); c != n {
+		t.Fatalf("subscriber caught up %d records, want %d", c, n)
+	}
+
+	before = wireBytesTotal()
+	if moved, err := sec.Refresh(ctx); err != nil || !moved {
+		t.Fatalf("secondary refresh after the restart = moved %v, %v", moved, err)
+	}
+	deltaBytes := wireBytesTotal() - before
+	if sec.DeltaRefreshes() != 1 || sec.Serial() != final {
+		t.Fatalf("secondary took %d deltas to serial %d; want 1 to %d", sec.DeltaRefreshes(), sec.Serial(), final)
+	}
+	t.Logf("full transfer %d bytes, catch-up of %d updates across the restart %d bytes", fullBytes, n, deltaBytes)
+	if 4*deltaBytes > fullBytes {
+		t.Fatalf("catch-up moved %d bytes against %d for the full transfer, want at most a quarter", deltaBytes, fullBytes)
 	}
 }

@@ -7,11 +7,12 @@ package bind
 // changed. This file adds the two halves that fix it server-side:
 //
 //   - TransferDelta ("changes since serial S"): answered from the
-//     zone's bounded in-memory diff log (Zone.EnableDiffLog). A peer
-//     inside the window receives only the mutations it missed, encoded
-//     as the journal codec's 'U' records; a peer outside it is told to
-//     take a full transfer. Cost is charged per diff record, so an
-//     incremental catch-up is priced by what moved, not by zone size.
+//     zone's history (Zone.DiffSince), the newest mutations that fit one
+//     reply. A peer it reaches back to receives only the mutations it
+//     missed, encoded as the journal codec's 'U' records; an older peer
+//     is told to take a full transfer. Cost is charged per diff record,
+//     so an incremental catch-up is priced by what moved, not by zone
+//     size.
 //
 //   - Subscribe: a client on a multiplexed connection registers for
 //     push invalidations; every dynamic update then fans a serial-bump
@@ -19,8 +20,9 @@ package bind
 //     (NOTIFY). The subscriber table is bounded — an overflowing or
 //     push-incapable peer is refused and falls back to TTL polling.
 //
-// Both are opt-in (EnableDiffLog / EnablePush); at the defaults the
-// server is byte- and cost-identical to the paper's.
+// Every zone keeps its history; recording it charges nothing, and no
+// paper path asks for a delta. The push plane is opt-in (EnablePush);
+// at the defaults the server is byte- and cost-identical to the paper's.
 
 import (
 	"context"
@@ -82,19 +84,24 @@ func decodeDiffs(zone string, payload []byte) ([]DiffRec, error) {
 
 // TransferDelta answers "changes to zoneOrigin since serial since".
 // ok=true with an empty diff means the peer is already current. ok=false
-// means the diff log cannot prove continuity from since — the caller
-// must take a full Transfer. Cost is charged per diff record moved, the
-// whole point of the incremental path.
+// means the zone's history cannot prove continuity from since — the caller
+// must take a full Transfer. The serial reported with a diff is the one
+// its last record left the zone at, so an update landing meanwhile is not
+// claimed by a peer that never received it. Cost is charged per diff
+// record moved, the whole point of the incremental path.
 func (s *Server) TransferDelta(ctx context.Context, zoneOrigin string, since uint32) (rcode RCode, serial uint32, diffs []DiffRec, ok bool) {
 	z := s.Zone(zoneOrigin)
 	if z == nil {
 		return RCodeRefused, 0, nil, false
 	}
 	diffs, ok = z.DiffSince(since)
-	serial = z.Serial()
 	if !ok {
 		s.reg.Counter(metrics.Labels("ixfr_requests_total", "result", "fallback")).Inc()
-		return RCodeOK, serial, nil, false
+		return RCodeOK, z.Serial(), nil, false
+	}
+	serial = since
+	if len(diffs) > 0 {
+		serial = diffs[len(diffs)-1].Serial
 	}
 	simtime.Charge(ctx, simtime.ZoneXfer(len(diffs)))
 	s.reg.Counter(metrics.Labels("ixfr_requests_total", "result", "diff")).Inc()
@@ -110,15 +117,8 @@ func (s *Server) EnablePush(maxSubscribers int) {
 	s.pushTab.Store(push.NewTable(maxSubscribers, s.reg))
 }
 
-// PushTable exposes the server's subscriber table (nil when push is
-// disabled) — bindd uses it to publish zone-level events after a
-// secondary refresh lands behind the Server's back.
-func (s *Server) PushTable() *push.Table {
-	return s.pushTab.Load()
-}
-
-// publishUpdate fans one applied update out to subscribers. No-op with
-// push disabled.
+// publishUpdate fans one applied update out to subscribers; an empty name
+// is a zone-level event. No-op with push disabled.
 func (s *Server) publishUpdate(zone, name string, serial uint32) {
 	t := s.pushTab.Load()
 	if t == nil {
@@ -149,8 +149,8 @@ var (
 	}
 )
 
-// ixfrFull is the in-band "window exceeded" flag: the client must fall
-// back to a full transfer.
+// ixfrFull is the in-band "older than the history" flag: the client must
+// fall back to a full transfer.
 const (
 	ixfrIncremental = 0
 	ixfrFull        = 1

@@ -20,7 +20,6 @@ import (
 
 func TestDiffLogBasics(t *testing.T) {
 	z, _ := NewZone("d.test", true)
-	z.EnableDiffLog(64)
 	base := z.Serial()
 	if err := z.Add(A("a.d.test", "1", 60)); err != nil {
 		t.Fatal(err)
@@ -63,54 +62,87 @@ func TestDiffLogBasics(t *testing.T) {
 	}
 }
 
+// TestDiffLogWindowAndResets: the history is the newest mutations whose
+// 'U' records fit one reply, and only serial movement breaks continuity.
 func TestDiffLogWindowAndResets(t *testing.T) {
 	z, _ := NewZone("d.test", true)
-	z.EnableDiffLog(4)
 	base := z.Serial()
-	for i := 0; i < 20; i++ {
-		if err := z.Add(A(fmt.Sprintf("n%d.d.test", i), "1", 60)); err != nil {
+	data := strings.Repeat("x", MaxRDataLen)
+	big := func(i int) RR { return TXT(fmt.Sprintf("n%05d.d.test", i), data, 60) }
+	n := replyBudget/updateLen(z.Origin(), big(0)) + 64 // overflows one reply
+	for i := 0; i < n; i++ {
+		if err := z.Add(big(i)); err != nil {
 			t.Fatal(err)
 		}
+		if z.diffBytes > replyBudget {
+			t.Fatalf("after %d adds the history holds %d bytes, over the %d-byte budget", i+1, z.diffBytes, replyBudget)
+		}
+		// The newest mutation is always servable.
+		if diffs, ok := z.DiffSince(z.Serial() - 1); !ok || len(diffs) != 1 || diffs[0].RR.Name != big(i).Name {
+			t.Fatalf("after %d adds DiffSince(serial-1) = %v, ok=%v", i+1, diffs, ok)
+		}
 	}
-	// The retained log is bounded (2× window at most) and an old peer is
-	// pushed to a full transfer.
-	if len(z.diff) > 8 {
-		t.Fatalf("diff log grew to %d entries with window 4", len(z.diff))
-	}
+	// An old peer is pushed to a full transfer; the oldest retained serial
+	// is answered in full, in at most a reply, and one record more would
+	// not have fit.
 	if _, ok := z.DiffSince(base); ok {
-		t.Fatal("DiffSince claims continuity past the trimmed window")
+		t.Fatal("DiffSince claims continuity past the history")
 	}
-	// The newest mutations are still incrementally servable.
-	cur := z.Serial()
-	if err := z.Add(A("fresh.d.test", "9", 60)); err != nil {
-		t.Fatal(err)
+	oldest := z.diff[0].Serial - 1
+	diffs, ok := z.DiffSince(oldest)
+	if !ok || len(diffs) != len(z.diff) || diffs[len(diffs)-1].Serial != z.Serial() {
+		t.Fatalf("DiffSince(oldest %d) = %d records, ok=%v; want the %d retained", oldest, len(diffs), ok, len(z.diff))
 	}
-	if diffs, ok := z.DiffSince(cur); !ok || len(diffs) != 1 {
-		t.Fatalf("recent DiffSince = %d, ok=%v", len(diffs), ok)
+	size := len(encodeDiffs(z.Origin(), diffs))
+	if size != z.diffBytes || size > replyBudget || size+updateLen(z.Origin(), big(0)) <= replyBudget {
+		t.Fatalf("the oldest answer is %d bytes (history says %d), want at most %d and within a record of it", size, z.diffBytes, replyBudget)
+	}
+	if _, ok := z.DiffSince(oldest - 1); ok {
+		t.Fatal("DiffSince reaches back past the oldest retained mutation")
 	}
 
-	// Replace and ForceSerial break continuity wholesale.
-	if err := z.Replace([]RR{A("x.d.test", "1", 60)}, 100); err != nil {
+	// Bookkeeping keeps the history: a same-serial ForceSerial (replay and
+	// mirror pins in lockstep) and Adopt (a restarted server taking over
+	// a recovered zone).
+	z.ForceSerial(z.Serial())
+	if d, ok := z.DiffSince(oldest); !ok || len(d) != len(diffs) {
+		t.Fatalf("same-serial ForceSerial left %d diffs, ok=%v; want %d", len(d), ok, len(diffs))
+	}
+	adopted, _ := NewZone("d.test", true)
+	if err := adopted.Adopt(z); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := z.DiffSince(99); ok {
+	if d, ok := adopted.DiffSince(oldest); !ok || len(d) != len(diffs) {
+		t.Fatalf("adopted zone serves %d diffs, ok=%v; want %d", len(d), ok, len(diffs))
+	}
+	if _, ok := z.DiffSince(oldest); ok {
+		t.Fatal("Adopt left the history behind as well as moving it")
+	}
+
+	// Serial movement breaks continuity: a serial-moving ForceSerial and
+	// Replace each restart the history where they leave the zone.
+	cur := adopted.Serial()
+	adopted.ForceSerial(cur + 5)
+	if _, ok := adopted.DiffSince(cur); ok {
+		t.Fatal("DiffSince survived a serial-moving ForceSerial")
+	}
+	if err := adopted.Add(A("y.d.test", "1", 60)); err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := adopted.DiffSince(cur + 5); !ok || len(d) != 1 {
+		t.Fatalf("history after ForceSerial = %d diffs, ok=%v; want 1", len(d), ok)
+	}
+	if err := adopted.Replace([]RR{A("x.d.test", "1", 60)}, 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := adopted.DiffSince(99); ok {
 		t.Fatal("DiffSince survived Replace")
 	}
-	z.EnableDiffLog(4)
-	if err := z.Add(A("y.d.test", "1", 60)); err != nil {
+	if err := adopted.Add(A("z.d.test", "1", 60)); err != nil {
 		t.Fatal(err)
 	}
-	z.ForceSerial(200)
-	if _, ok := z.DiffSince(100); ok {
-		t.Fatal("DiffSince survived ForceSerial")
-	}
-	// Disabling drops the log.
-	if err := z.Add(A("z.d.test", "1", 60)); err != nil {
-		t.Fatal(err)
-	}
-	z.EnableDiffLog(0)
-	if _, ok := z.DiffSince(200); ok {
-		t.Fatal("DiffSince answered with the log disabled")
+	if d, ok := adopted.DiffSince(100); !ok || len(d) != 1 {
+		t.Fatalf("history after Replace = %d diffs, ok=%v; want 1", len(d), ok)
 	}
 }
 
@@ -189,8 +221,8 @@ func FuzzIXFRDecode(f *testing.F) {
 
 // ---- Server plane over the wire.
 
-// newPushPrimary stands up a primary with push + diff log enabled.
-func newPushPrimary(t *testing.T, window int) (*Server, *HRPCClient, *transport.Network) {
+// newPushPrimary stands up a primary with push enabled.
+func newPushPrimary(t *testing.T) (*Server, *HRPCClient, *transport.Network) {
 	t.Helper()
 	net := transport.NewNetwork()
 	s := NewServer("primary")
@@ -198,7 +230,6 @@ func newPushPrimary(t *testing.T, window int) (*Server, *HRPCClient, *transport.
 	if err != nil {
 		t.Fatal(err)
 	}
-	z.EnableDiffLog(window)
 	if err := s.AddZone(z); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +264,7 @@ func wireBytesTotal() int64 {
 }
 
 func TestTransferDeltaOverWire(t *testing.T) {
-	s, client, _ := newPushPrimary(t, 64)
+	s, client, _ := newPushPrimary(t)
 	ctx := context.Background()
 	// A zone big enough that a full transfer dwarfs a three-record diff.
 	quiet := make([]RR, 400)
@@ -283,26 +314,96 @@ func TestTransferDeltaOverWire(t *testing.T) {
 	}
 }
 
-func TestTransferDeltaFallsBackPastWindow(t *testing.T) {
-	s, client, _ := newPushPrimary(t, 2)
-	ctx := context.Background()
-	base, _ := client.Serial(ctx, "repl.test")
-	for i := 0; i < 12; i++ {
-		if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A(fmt.Sprintf("w%d.repl.test", i), "1", 60)); err != nil {
+// pastHistory moves s's zone on by updates, then by a bulk load, which
+// restarts the history at its final serial: a peer at the zone's serial
+// before the call is behind the history afterwards. It returns the names
+// it added, the load's last.
+func pastHistory(t *testing.T, s *Server, prefix string) []string {
+	t.Helper()
+	var names []string
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("%s%d.repl.test", prefix, i)
+		if _, _, err := s.Update(context.Background(), "repl.test", UpdateAdd, A(name, "1", 60)); err != nil {
 			t.Fatal(err)
 		}
+		names = append(names, name)
 	}
+	name := prefix + "-load.repl.test"
+	if err := s.LoadRecords([]RR{A(name, "1", 60)}); err != nil {
+		t.Fatal(err)
+	}
+	return append(names, name)
+}
+
+func TestTransferDeltaFallsBackPastWindow(t *testing.T) {
+	s, client, _ := newPushPrimary(t)
+	ctx := context.Background()
+	base, _ := client.Serial(ctx, "repl.test")
+	pastHistory(t, s, "w")
 	_, _, ok, err := client.TransferDelta(ctx, "repl.test", base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
-		t.Fatal("TransferDelta claimed continuity far past the window")
+		t.Fatal("TransferDelta claimed continuity past the history")
 	}
 	// "Take a full transfer" is honest: the full transfer has everything.
 	serial, rrs, err := client.Transfer(ctx, "repl.test")
-	if err != nil || len(rrs) != 14 || serial != s.Zone("repl.test").Serial() {
+	if err != nil || len(rrs) != 6 || serial != s.Zone("repl.test").Serial() {
 		t.Fatalf("fallback full transfer = %d records at serial %d, %v", len(rrs), serial, err)
+	}
+}
+
+// TestTransferDeltaFitsFrame: however many updates a zone takes, a delta
+// over a real socket fits one frame. Updates whose 'U' records outgrow a
+// reply leave the oldest behind the history — that peer is told to take a
+// full transfer — while the oldest serial still retained gets the whole
+// history in one reply.
+func TestTransferDeltaFitsFrame(t *testing.T) {
+	net := transport.NewNetwork()
+	s := NewServer("primary")
+	z, err := NewZone("repl.test", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddZone(z); err != nil {
+		t.Fatal(err)
+	}
+	ln, b, err := hrpc.Serve(net, s.HRPCServer(), hrpc.SuiteRawNet, "primary", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hc := hrpc.NewClient(net)
+	defer hc.Close()
+	client := NewHRPCClient(hc, b)
+
+	ctx := context.Background()
+	base := z.Serial()
+	data := strings.Repeat("t", MaxRDataLen)
+	total := 0
+	for i := 0; total <= replyBudget; i++ {
+		rr := TXT(fmt.Sprintf("owner-%06d.repl.test", i), data, 600)
+		if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, rr); err != nil {
+			t.Fatal(err)
+		}
+		total += updateLen("repl.test", rr)
+	}
+	z.mu.RLock()
+	oldest, retained := z.diff[0].Serial-1, len(z.diff)
+	z.mu.RUnlock()
+
+	rx := tcpNetBytes("rx")
+	serial, diffs, ok, err := client.TransferDelta(ctx, "repl.test", oldest)
+	if err != nil || !ok || len(diffs) != retained || serial != z.Serial() {
+		t.Fatalf("TransferDelta(oldest retained %d) = %d diffs at serial %d, ok=%v, err=%v; want %d at %d",
+			oldest, len(diffs), serial, ok, err, retained, z.Serial())
+	}
+	if got := tcpNetBytes("rx") - rx; got > transport.MaxFrame {
+		t.Fatalf("the delta came back in %d bytes, more than a %d-byte frame", got, transport.MaxFrame)
+	}
+	if _, _, ok, err := client.TransferDelta(ctx, "repl.test", base); ok || err != nil {
+		t.Fatalf("TransferDelta(base) past %d bytes of updates = ok=%v, err=%v; want a clean fallback", total, ok, err)
 	}
 }
 
@@ -313,6 +414,7 @@ func TestTransferDeltaFallsBackPastWindow(t *testing.T) {
 type notifyRecorder struct {
 	mu      sync.Mutex
 	names   []string
+	serials []uint32
 	resets  int
 	changed chan struct{} // nil until a waiter asks
 }
@@ -321,6 +423,7 @@ func (r *notifyRecorder) onNotify(n push.Notification) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.names = append(r.names, n.Name)
+	r.serials = append(r.serials, n.Serial)
 	r.signalLocked()
 }
 
@@ -353,6 +456,12 @@ func (r *notifyRecorder) snapshot() []string {
 	return append([]string(nil), r.names...)
 }
 
+func (r *notifyRecorder) serialsSeen() []uint32 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]uint32(nil), r.serials...)
+}
+
 func (r *notifyRecorder) resetCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -378,7 +487,7 @@ func waitFor(t *testing.T, what string, c interface{ Changed() <-chan struct{} }
 }
 
 func TestSubscribeDeliversNotify(t *testing.T) {
-	s, client, _ := newPushPrimary(t, 64)
+	s, client, _ := newPushPrimary(t)
 	rec := &notifyRecorder{}
 	sub := NewSubscriber(client, SubscribeConfig{
 		Zone:     "repl.test",
@@ -438,7 +547,7 @@ func TestPushVsPollFetchClosedForms(t *testing.T) {
 	name := func(i int) string { return fmt.Sprintf("n%02d.repl.test", i%hotNames) }
 
 	arm := func(subscribe bool) int64 {
-		s, client, _ := newPushPrimary(t, 64)
+		s, client, _ := newPushPrimary(t)
 		ttl := uint32(interval / time.Second)
 		if subscribe {
 			ttl *= 1000
@@ -524,7 +633,7 @@ func TestPushVsPollFetchClosedForms(t *testing.T) {
 // is dark, and verify the resubscribe-with-serial IXFR replays every
 // missed invalidation — zero lost, none duplicated.
 func TestSubscribeResubscribeCatchUp(t *testing.T) {
-	s, client, _ := newPushPrimary(t, 64)
+	s, client, _ := newPushPrimary(t)
 	rec := &notifyRecorder{}
 	sub := NewSubscriber(client, SubscribeConfig{
 		Zone:     "repl.test",
@@ -571,7 +680,7 @@ func TestSubscribeResubscribeCatchUp(t *testing.T) {
 		}
 	}
 	if rec.resetCount() != 0 {
-		t.Fatal("catch-up within the window must not reset")
+		t.Fatal("catch-up within the history must not reset")
 	}
 	if sub.LastSerial() != s.Zone("repl.test").Serial() {
 		t.Fatalf("LastSerial %d != zone serial %d after catch-up", sub.LastSerial(), s.Zone("repl.test").Serial())
@@ -588,11 +697,11 @@ func TestSubscribeResubscribeCatchUp(t *testing.T) {
 	})
 }
 
-// TestSubscribeResetPastWindow: if the outage outlives the diff window,
-// the subscriber must signal a reset instead of silently missing
+// TestSubscribeResetPastWindow: if the outage outlives the zone's
+// history, the subscriber must signal a reset instead of silently missing
 // invalidations.
 func TestSubscribeResetPastWindow(t *testing.T) {
-	s, client, _ := newPushPrimary(t, 2)
+	s, client, _ := newPushPrimary(t)
 	rec := &notifyRecorder{}
 	sub := NewSubscriber(client, SubscribeConfig{
 		Zone:     "repl.test",
@@ -611,12 +720,7 @@ func TestSubscribeResetPastWindow(t *testing.T) {
 	conn.Close()
 	waitFor(t, "subscription inactive", sub, func() bool { return !sub.Active() })
 
-	ctx := context.Background()
-	for i := 0; i < 12; i++ {
-		if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A(fmt.Sprintf("o%d.repl.test", i), "1", 60)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	pastHistory(t, s, "o")
 	waitFor(t, "reset", rec, func() bool { return rec.resetCount() > 0 })
 	waitFor(t, "subscription re-active", sub, sub.Active)
 	if sub.LastSerial() != s.Zone("repl.test").Serial() {
@@ -644,7 +748,7 @@ func TestSubscribeDegradesWithoutPushPlane(t *testing.T) {
 // TestTableOverflowDegradesSubscriber: a full subscriber table refuses
 // the subscription and the client latches degraded (polls instead).
 func TestTableOverflowDegradesSubscriber(t *testing.T) {
-	s, client, _ := newPushPrimary(t, 64)
+	s, client, _ := newPushPrimary(t)
 	// Rebuild the push plane with room for exactly one subscriber.
 	s.EnablePush(1)
 	first := NewSubscriber(client, SubscribeConfig{
@@ -669,7 +773,7 @@ func TestTableOverflowDegradesSubscriber(t *testing.T) {
 // ---- Secondary over IXFR.
 
 func TestSecondaryRefreshesIncrementally(t *testing.T) {
-	s, client, _ := newPushPrimary(t, 64)
+	s, client, _ := newPushPrimary(t)
 	sec, err := NewSecondary(client, "repl.test", "mirror")
 	if err != nil {
 		t.Fatal(err)
@@ -708,8 +812,9 @@ func TestSecondaryRefreshesIncrementally(t *testing.T) {
 	}
 
 	// The incremental path must be far cheaper than re-copying the zone.
-	// Grow the zone well past the diff window (forcing one full resync),
-	// then measure a one-record delta refresh against the full-zone cost.
+	// Grow the zone by a bulk load (which restarts the history, forcing
+	// one full resync), then measure a one-record delta refresh against
+	// the full-zone cost.
 	var bulk []RR
 	for i := 0; i < 300; i++ {
 		bulk = append(bulk, A(fmt.Sprintf("bulk%d.repl.test", i), "1", 600))
@@ -717,7 +822,7 @@ func TestSecondaryRefreshesIncrementally(t *testing.T) {
 	if err := s.LoadRecords(bulk); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sec.Refresh(ctx); err != nil { // full: 300 adds > window
+	if _, err := sec.Refresh(ctx); err != nil { // full: the load restarted the history
 		t.Fatal(err)
 	}
 	if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A("one.repl.test", "1", 60)); err != nil {
@@ -743,7 +848,7 @@ func TestSecondaryRefreshesIncrementally(t *testing.T) {
 }
 
 func TestSecondaryFallsBackPastWindow(t *testing.T) {
-	s, client, _ := newPushPrimary(t, 2)
+	s, client, _ := newPushPrimary(t)
 	sec, err := NewSecondary(client, "repl.test", "mirror")
 	if err != nil {
 		t.Fatal(err)
@@ -752,23 +857,89 @@ func TestSecondaryFallsBackPastWindow(t *testing.T) {
 	if _, err := sec.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12; i++ {
-		if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A(fmt.Sprintf("f%d.repl.test", i), "1", 60)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	added := pastHistory(t, s, "f")
 	changed, err := sec.Refresh(ctx)
 	if err != nil || !changed {
 		t.Fatalf("fallback refresh = %v, %v", changed, err)
 	}
 	if sec.DeltaRefreshes() != 0 {
-		t.Fatal("refresh past the window must fall back to a full transfer")
+		t.Fatal("refresh past the history must fall back to a full transfer")
 	}
 	// Contents converge regardless.
-	if rcode, _ := sec.Server().Query(ctx, "f11.repl.test", TypeA); rcode != RCodeOK {
-		t.Fatalf("fallback did not converge: %v", rcode)
+	for _, name := range added {
+		if rcode, _ := sec.Server().Query(ctx, name, TypeA); rcode != RCodeOK {
+			t.Fatalf("fallback did not converge on %s: %v", name, rcode)
+		}
 	}
 	if sec.Serial() != s.Zone("repl.test").Serial() {
 		t.Fatalf("mirror serial %d != primary %d", sec.Serial(), s.Zone("repl.test").Serial())
+	}
+}
+
+// TestSecondaryRepublishesAndChains: a mirror republishes each diff it
+// applies, name by name at the primary's serials, and keeps the history
+// those diffs extend, so a mirror of the mirror refreshes by delta too.
+func TestSecondaryRepublishesAndChains(t *testing.T) {
+	s, client, net := newPushPrimary(t)
+	ctx := context.Background()
+	a, err := NewSecondary(client, "repl.test", "mirror-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	a.Server().EnablePush(0)
+	ln, binding, err := a.Server().ServeHRPC(net, "mirror-a:bind-hrpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hc := hrpc.NewClient(net)
+	defer hc.Close()
+	fromA := NewHRPCClient(hc, binding)
+
+	rec := &notifyRecorder{}
+	sub := NewSubscriber(fromA, SubscribeConfig{
+		Zone:     "repl.test",
+		OnNotify: rec.onNotify,
+		Backoff:  5 * time.Millisecond,
+		Metrics:  metrics.Discard,
+	})
+	sub.Start()
+	defer sub.Close()
+	waitFor(t, "subscription to the mirror active", sub, sub.Active)
+
+	b, err := NewSecondary(fromA, "repl.test", "mirror-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	names := []string{"c0.repl.test", "c1.repl.test", "c2.repl.test"}
+	var serials []uint32
+	for _, name := range names {
+		_, serial, err := s.Update(ctx, "repl.test", UpdateAdd, A(name, "1", 60))
+		if err != nil {
+			t.Fatal(err)
+		}
+		serials = append(serials, serial)
+	}
+	if moved, err := a.Refresh(ctx); err != nil || !moved || a.DeltaRefreshes() != 1 {
+		t.Fatalf("mirror A refresh = moved %v, %v, %d deltas; want one delta", moved, err, a.DeltaRefreshes())
+	}
+	waitFor(t, "the mirror's NOTIFYs", rec, func() bool { return len(rec.snapshot()) >= len(names) })
+	if got, gotSerials := rec.snapshot(), rec.serialsSeen(); fmt.Sprint(got, gotSerials) != fmt.Sprint(names, serials) {
+		t.Fatalf("mirror subscriber saw %v at %v, want %v at %v", got, gotSerials, names, serials)
+	}
+
+	if moved, err := b.Refresh(ctx); err != nil || !moved {
+		t.Fatalf("mirror B refresh = moved %v, %v", moved, err)
+	}
+	if b.DeltaRefreshes() != 1 || b.Serial() != s.Zone("repl.test").Serial() {
+		t.Fatalf("mirror B took %d deltas to serial %d; want 1 delta to the primary's %d",
+			b.DeltaRefreshes(), b.Serial(), s.Zone("repl.test").Serial())
 	}
 }

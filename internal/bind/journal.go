@@ -75,9 +75,15 @@ func appendUpdate(b []byte, zone string, op uint32, rr RR) []byte {
 	return appendRR(b, rr)
 }
 
+// updateLen is the length of encodeUpdate's payload: kind, serial, zone,
+// op and RR.
+func updateLen(zone string, rr RR) int {
+	return 1 + 4 + 2 + len(zone) + 1 + rrFixedLen + len(rr.Name) + len(rr.Data)
+}
+
 // encodeUpdate builds the WAL payload for one dynamic update.
 func encodeUpdate(zone string, op uint32, rr RR, serial uint32) []byte {
-	b := make([]byte, 0, 16+len(zone)+len(rr.Name)+len(rr.Data))
+	b := make([]byte, 0, updateLen(zone, rr))
 	b = append(b, journalKindUpdate)
 	b = binary.BigEndian.AppendUint32(b, serial)
 	return appendUpdate(b, zone, op, rr)

@@ -109,8 +109,9 @@ func (s *Secondary) Refresh(ctx context.Context) (bool, error) {
 		if done, err := s.refreshDelta(ctx, current, journal); err == nil && done {
 			return true, nil
 		}
-		// Any incremental failure — window exceeded, old primary, apply
-		// error — falls through to the full transfer below.
+		// Any incremental failure — a serial older than the primary's
+		// history, an apply error — falls through to the full transfer
+		// below.
 	}
 	serial, rrs, err := s.primary.Transfer(ctx, s.origin)
 	if err != nil {
@@ -124,6 +125,9 @@ func (s *Secondary) Refresh(ctx context.Context) (bool, error) {
 			return false, fmt.Errorf("bind: secondary %s: transfer not durable: %w", s.origin, err)
 		}
 	}
+	// A full transfer names no change set: the mirror's own subscribers
+	// hear one zone-level event.
+	s.server.publishUpdate(s.origin, "", serial)
 	s.mu.Lock()
 	s.serial = serial
 	s.refreshN++
@@ -159,9 +163,12 @@ func (s *Secondary) refreshDelta(ctx context.Context, current uint32, journal Zo
 				return false, fmt.Errorf("bind: secondary %s: delta not durable: %w", s.origin, err)
 			}
 		}
+		// Republish per name at the primary's serial, as the primary did,
+		// so the mirror's subscribers invalidate what moved and nothing else.
+		s.server.publishUpdate(s.origin, d.RR.Name, d.Serial)
 	}
 	// Pin the exact transferred serial: local Add/Remove bumped ours in
-	// lockstep, but the primary's dedup semantics are authoritative.
+	// lockstep, so this keeps the history the diffs just extended.
 	s.zone.ForceSerial(serial)
 	s.mu.Lock()
 	s.serial = serial

@@ -12,7 +12,7 @@ package bind
 // saw*; the server's reply serial reveals whether updates were missed
 // while disconnected, and the gap is closed by an IXFR catch-up that
 // replays exactly the missed mutations as synthetic notifications. If
-// the diff window cannot cover the gap, OnReset fires instead — the
+// the zone's history cannot cover the gap, OnReset fires instead — the
 // consumer must treat everything it cached as suspect.
 //
 // Degradation is automatic and latched: a server without a push plane,
@@ -36,7 +36,7 @@ import (
 )
 
 // TransferDelta asks the server for the zone's changes since serial
-// since. ok=false means the diff window no longer reaches back to
+// since. ok=false means the zone's history no longer reaches back to
 // since and the caller should fall back to a full Transfer. An
 // up-to-date caller gets (serial, nil, true).
 func (c *HRPCClient) TransferDelta(ctx context.Context, zone string, since uint32) (uint32, []DiffRec, bool, error) {
@@ -340,7 +340,7 @@ func (s *Subscriber) session() error {
 func (s *Subscriber) catchUp(ctx context.Context, since, serial uint32) {
 	gotSerial, diffs, ok, err := s.c.TransferDelta(ctx, s.cfg.Zone, since)
 	if err != nil || !ok {
-		// Window exceeded (or IXFR unusable): continuity is lost.
+		// Older than the history (or IXFR unusable): continuity is lost.
 		s.resets.Inc()
 		if s.cfg.OnReset != nil {
 			s.cfg.OnReset()

@@ -29,12 +29,13 @@ type Zone struct {
 	serial  uint32
 	records map[string][]RR // keyed by owner name; mixed types per name
 
-	// IXFR diff log: the most recent diffWindow mutations, each tagged
-	// with the serial it left the zone at, so "changes since serial S"
-	// can be answered from memory. Zero window (the default) keeps the
-	// zone byte-identical to the paper's: no log, every transfer full.
-	diffWindow int
-	diff       []DiffRec
+	// The zone's history: its newest mutations, oldest first, each tagged
+	// with the serial it left the zone at, so "changes since serial S" is
+	// answered from memory. It keeps as many as fit one reply — diffBytes
+	// of journal 'U' records, never more than replyBudget — so any answer
+	// DiffSince gives can be sent.
+	diff      []DiffRec
+	diffBytes int
 }
 
 // DiffRec is one retained zone mutation, the unit of an IXFR-style
@@ -176,7 +177,6 @@ type bulkAdd struct {
 	z      *Zone
 	staged map[string][]RR // owner name → its records once the batch is in
 	n      uint32          // records staged; each bumps the serial, as Add does
-	logged []RR            // the batch in order, kept only for a zone with a diff log
 }
 
 // beginBulkAdd locks z for a batch expected to create about names owners.
@@ -202,9 +202,6 @@ func (b *bulkAdd) addRun(name string, run []RR) error {
 		if set, err = mergeRR(set, rr); err != nil {
 			return err
 		}
-		if b.z.diffWindow > 0 {
-			b.logged = append(b.logged, rr)
-		}
 		b.n++
 	}
 	b.staged[name] = set
@@ -222,14 +219,10 @@ func (b *bulkAdd) commit() {
 			z.records[name] = set
 		}
 	}
-	if z.diffWindow <= 0 {
-		z.serial += b.n
-		return
-	}
-	for _, rr := range b.logged {
-		z.serial++
-		z.logDiff(UpdateAdd, rr)
-	}
+	z.serial += b.n
+	// A load is journaled as one image and replayed as one, so the history
+	// restarts at its final serial, as after Replace.
+	z.diff, z.diffBytes = nil, 0
 }
 
 // abort drops what was staged and unlocks the zone.
@@ -270,51 +263,35 @@ func (z *Zone) Remove(rr RR) error {
 	return nil
 }
 
-// EnableDiffLog retains the zone's most recent window mutations for
-// incremental (IXFR-style) transfer; 0 disables and drops the log.
-// Enable before serving: the log only covers mutations from this call
-// on, and DiffSince refuses ranges it cannot prove continuous.
-func (z *Zone) EnableDiffLog(window int) {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.diffWindow = window
-	if window <= 0 {
-		z.diff = nil
-	}
-}
-
-// logDiff appends one mutation to the diff log. Caller holds z.mu, and
-// z.serial is already the post-mutation serial.
+// logDiff appends one mutation to the history, then drops the oldest
+// until the rest fit one reply; no record is larger than a reply, so the
+// newest always stays. Each record is dropped once: amortized O(1) per
+// mutation. Caller holds z.mu, and z.serial is already the post-mutation
+// serial.
 func (z *Zone) logDiff(op uint32, rr RR) {
-	if z.diffWindow <= 0 {
-		return
-	}
 	z.diff = append(z.diff, DiffRec{Serial: z.serial, Op: op, RR: rr})
-	if len(z.diff) > 2*z.diffWindow {
-		// Trim lazily at 2× the window, keeping the newest window
-		// records in one copy — amortized O(1) per mutation. The window
-		// bounds memory; peers older than it take a full transfer.
-		z.diff = append(z.diff[:0:0], z.diff[len(z.diff)-z.diffWindow:]...)
+	z.diffBytes += updateLen(z.origin, rr)
+	for z.diffBytes > replyBudget {
+		z.diffBytes -= updateLen(z.origin, z.diff[0].RR)
+		z.diff[0] = DiffRec{} // let the dropped record go
+		z.diff = z.diff[1:]
 	}
 }
 
 // DiffSince returns the mutations that move the zone from serial since
-// to its current serial, oldest first. ok=false means the log cannot
-// prove continuity — since is outside the retained window (or ahead of
-// the zone, or the log is disabled) — and the caller must fall back to
-// a full transfer. An up-to-date caller gets (nil, true).
+// to its current serial, oldest first. ok=false means the history cannot
+// prove continuity — since is older than it reaches, or ahead of the
+// zone — and the caller must fall back to a full transfer. An up-to-date
+// caller gets (nil, true).
 func (z *Zone) DiffSince(since uint32) ([]DiffRec, bool) {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 	if since == z.serial {
 		return nil, true
 	}
-	if since > z.serial || z.diffWindow <= 0 {
-		return nil, false
-	}
 	// Find the first retained record after since; continuity holds only
-	// if the log reaches back to since+1.
-	if len(z.diff) == 0 || z.diff[0].Serial > since+1 {
+	// if the history reaches back to since+1.
+	if since > z.serial || len(z.diff) == 0 || z.diff[0].Serial > since+1 {
 		return nil, false
 	}
 	start := 0
@@ -458,39 +435,41 @@ func (z *Zone) Replace(rrs []RR, serial uint32) error {
 	defer z.mu.Unlock()
 	z.records = fresh
 	z.serial = serial
-	// A wholesale swap breaks diff continuity: incremental history
-	// restarts from the new serial.
-	z.diff = nil
+	// A wholesale swap breaks continuity: the history restarts from the
+	// new serial.
+	z.diff, z.diffBytes = nil, 0
 	return nil
 }
 
-// Adopt moves from's records and serial into z, leaving from empty: how a
-// restarted server takes over a zone recovered from disk without copying
-// or re-checking records that were checked against this same origin when
-// recovery installed them.
+// Adopt moves from's records, serial and history into z, leaving from
+// empty: how a restarted server takes over a zone recovered from disk
+// without copying or re-checking records that were checked against this
+// same origin when recovery installed them, and keeps the history the
+// replay rebuilt.
 func (z *Zone) Adopt(from *Zone) error {
 	if from.origin != z.origin {
 		return fmt.Errorf("bind: zone %s cannot adopt %s", z.origin, from.origin)
 	}
 	from.mu.Lock()
-	records, serial := from.records, from.serial
-	from.records, from.diff = make(map[string][]RR), nil
+	records, serial, diff, diffBytes := from.records, from.serial, from.diff, from.diffBytes
+	from.records, from.diff, from.diffBytes = make(map[string][]RR), nil, 0
 	from.mu.Unlock()
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	z.records = records
-	z.serial = serial
-	z.diff = nil // as Replace: history restarts from the adopted serial
+	z.records, z.serial, z.diff, z.diffBytes = records, serial, diff, diffBytes
 	return nil
 }
 
-// ForceSerial pins the zone serial. Journal recovery uses it to
-// reproduce exactly the serial each acknowledged update reported;
-// nothing else should.
+// ForceSerial pins the zone serial: journal recovery to the serial each
+// acknowledged update reported, a mirror to the serial a delta left the
+// primary at. In lockstep it changes nothing and the history stands; a
+// jump breaks continuity, and the history restarts from s.
 func (z *Zone) ForceSerial(s uint32) {
 	z.mu.Lock()
-	z.serial = s
-	z.diff = nil // an arbitrary serial jump breaks diff continuity
+	if s != z.serial {
+		z.serial = s
+		z.diff, z.diffBytes = nil, 0
+	}
 	z.mu.Unlock()
 }
 

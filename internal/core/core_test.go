@@ -443,7 +443,6 @@ func TestStatsCounters(t *testing.T) {
 // must evict its cached entries via push, long before any TTL expires.
 func TestSubscribeMetaInvalidatesRemoteCache(t *testing.T) {
 	w := newWorld(t, world.Config{})
-	w.MetaServer.Zone(world.MetaZone).EnableDiffLog(256)
 	w.MetaServer.EnablePush(0)
 
 	h2 := w.NewHNS(core.Config{MetaZone: world.MetaZone})

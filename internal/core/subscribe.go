@@ -24,7 +24,7 @@ type MetaSubscriber interface {
 //
 //   - every pushed update invalidates exactly the touched meta name, so
 //     the next lookup re-fetches it instead of waiting out its TTL;
-//   - a continuity loss (reconnect past the server's diff window)
+//   - a continuity loss (reconnect from a serial older than the zone's history)
 //     flushes the whole meta-cache rather than risk stale entries.
 //
 // TTL expiry stays on regardless — push narrows the staleness window,

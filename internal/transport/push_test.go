@@ -138,13 +138,9 @@ func TestPushConnDeath(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("server pusher Done never closed")
 	}
-	if err := p.Push([]byte("late")); err == nil {
-		// The write may race the close by a hair; give the done signal a
-		// beat and retry once.
-		time.Sleep(50 * time.Millisecond)
-		if err := p.Push([]byte("later")); err == nil {
-			t.Fatal("Push on a dead conn reported success twice")
-		}
+	// Done has closed, and Push checks it before writing.
+	if err := p.Push([]byte("late")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Push on a dead conn = %v, want ErrClosed", err)
 	}
 	mu.Lock()
 	if deaths != 1 {

@@ -281,7 +281,6 @@ func hotupdateScenario() Scenario {
 					}
 				}
 				if spec.Push {
-					w.MetaServer.Zone(world.MetaZone).EnableDiffLog(4096)
 					w.MetaServer.EnablePush(0)
 				}
 				var sites []*core.HNS

@@ -33,11 +33,12 @@ if grep -rnE 'BENCH_(batch|durable|mux|push|scale|shard|wire)' \
   echo "SMOKE FAILED: a retired BENCH file is referenced again (see matches above)"; exit 1
 fi
 
-echo "--- one lookup path: no marshalled-reply cache, refresh-ahead, BIND query batching or cache-shard pin in non-test sources"
-if grep -rnE 'EnableReplyCache|InvalidateReplies|Cacheable|replyCache|RefreshAhead|SetPushCovered|GetWithTTL|LookupBatch|NewBatcher|procQueryBatch|CacheShards|"reply-cache"|"refresh-ahead"' \
+echo "--- one lookup path and one zone history: no marshalled-reply cache, refresh-ahead, BIND query batching, cache-shard pin or diff-log knob in non-test sources"
+# The diff-log names are bracketed so a repo-wide grep for them finds none here.
+if grep -rnE 'EnableReplyCache|InvalidateReplies|Cacheable|replyCache|RefreshAhead|SetPushCovered|GetWithTTL|LookupBatch|NewBatcher|procQueryBatch|CacheShards|"reply-cache"|"refresh-ahead"|EnableDiff[L]og|diff[W]indow|"ixfr-[w]indow"' \
         --include='*.go' --include='*.sh' --include='Makefile' --exclude='*_test.go' --exclude='smoke.sh' \
         --exclude-dir=.git --exclude-dir=.bench_build .; then
-  echo "SMOKE FAILED: a removed lookup-path mechanism is back (see matches above)"; exit 1
+  echo "SMOKE FAILED: a removed lookup-path or diff-log mechanism is back (see matches above)"; exit 1
 fi
 
 echo "--- race detector over the full test suite"
@@ -228,11 +229,12 @@ out=$(./hnsctl health -from 127.0.0.1:5390)
 echo "$out"
 grep -q '127.0.0.1:5311' <<<"$out" || { echo "SMOKE FAILED: health lacks the secondary meta endpoint"; exit 1; }
 
-# ---- Part 5: the push plane. A push-enabled primary with an IXFR diff
-# log, a NOTIFY-driven secondary, and a subscribed hnsd: a dynamic update
-# reaches both the moment it lands (no TTL or refresh-tick wait), and a
-# subscriber whose server has no push plane degrades to TTL polling.
-./bindd -host pushp -zone hns -update -push -ixfr-window 256 \
+# ---- Part 5: the push plane. A push-enabled primary (every zone keeps
+# its IXFR history), a NOTIFY-driven secondary, and a subscribed hnsd: a
+# dynamic update reaches both the moment it lands (no TTL or refresh-tick
+# wait), and a subscriber whose server has no push plane degrades to TTL
+# polling.
+./bindd -host pushp -zone hns -update -push \
         -hrpc 127.0.0.1:5380 -std "" -metrics 127.0.0.1:5381 >pushp.log 2>&1 &
 echo $! >> pids
 sleep 0.5
