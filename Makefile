@@ -44,7 +44,7 @@ fuzz:
 	go test -fuzz FuzzFindBatchDecode -fuzztime 10s ./internal/core/
 	go test -fuzz FuzzSpecValidate -fuzztime 10s ./internal/workload/
 	go test -fuzz FuzzWALDecode -fuzztime 10s ./internal/store/
-	go test -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/store/
+	go test -fuzz FuzzJournalDecode -fuzztime 10s ./internal/bind/
 	go test -fuzz FuzzIXFRDecode -fuzztime 10s ./internal/bind/
 	go test -fuzz FuzzQueryChainArgs -fuzztime 10s ./internal/bind/
 	go test -fuzz FuzzRRSetsDecode -fuzztime 10s ./internal/bind/

@@ -82,7 +82,7 @@ func main() {
 		secAddr  = flag.String("secondary", "", "mirror the zone from this primary bindd HRPC address (TCP) instead of serving authoritatively")
 		refresh  = flag.Duration("refresh", 30*time.Second, "serial-check interval in -secondary mode")
 
-		dataDir   = flag.String("data-dir", "", "persist zones here (WAL + snapshots) and recover on restart; empty keeps everything in memory")
+		dataDir   = flag.String("data-dir", "", "persist zones here (a write-ahead log with in-log checkpoints) and recover on restart; empty keeps everything in memory")
 		fsyncMode = flag.String("fsync", "always", "WAL flush policy with -data-dir: always, interval, or never")
 		fsyncIntv = flag.Duration("fsync-interval", 100*time.Millisecond, "flush period under -fsync=interval")
 	)
@@ -132,7 +132,7 @@ func main() {
 			log.Fatalf("bindd: opening %s: %v", *dataDir, err)
 		}
 		st := durable.Stats()
-		log.Printf("bindd: recovered %s in %s (snapshot lsn %d, %d wal records replayed, %d torn bytes dropped)",
+		log.Printf("bindd: recovered %s in %s (checkpoint lsn %d, %d wal records replayed, %d torn bytes dropped)",
 			*dataDir, st.Elapsed.Round(time.Millisecond), st.SnapshotLSN, st.Replayed, st.TornBytes)
 	}
 

@@ -13,7 +13,7 @@ import (
 )
 
 // cmdStore fetches a daemon's /debug/hns snapshot and renders the
-// durable-store series — WAL appends and fsyncs, snapshots, recovery —
+// durable-store series — WAL appends and fsyncs, checkpoints, recovery —
 // grouped per store label. A bindd started with -data-dir and -metrics
 // is the usual target.
 func cmdStore(args []string) error {
@@ -81,9 +81,9 @@ func cmdStore(args []string) error {
 			v.counters["wal_appends_total"], v.counters["wal_fsync_total"],
 			v.gauges["store_wal_last_lsn"], v.gauges["store_wal_segments"],
 			v.gauges["store_wal_bytes_since_checkpoint"])
-		fmt.Printf("  snapshots: %d written, %d failed, covering lsn %d (%d skipped as invalid)\n",
+		fmt.Printf("  snapshots: %d written, %d failed, covering lsn %d\n",
 			v.counters["snapshot_total"], v.counters["snapshot_errors_total"],
-			v.gauges["store_snapshot_lsn"], v.gauges["store_snapshot_skipped"])
+			v.gauges["store_snapshot_lsn"])
 		fmt.Printf("  recovery:  %d records replayed, %d torn bytes dropped, %d ms\n",
 			v.gauges["store_recovery_replayed"], v.gauges["store_recovery_torn_bytes"],
 			v.gauges["store_recovery_ms"])

@@ -229,7 +229,7 @@ func TestLoadRecordsIsNTimesAdd(t *testing.T) {
 	}
 }
 
-// All (and so WriteZone, transfers, journal images and snapshots) keeps
+// All (and so WriteZone, transfers and journal images) keeps
 // the order a sort of the records by (name, type, data) gives, whatever
 // order the records went in.
 func TestZoneAllOrderIsRecordSort(t *testing.T) {
@@ -294,14 +294,28 @@ func containsRR(rrs []RR, rr RR) bool {
 	return false
 }
 
-// snapshotLSN reports the newest checkpoint on fs (0 = none).
-func snapshotLSN(t *testing.T, fs store.FS) (lsn uint64, payload int64) {
+// newestCheckpoint scans the log on fs for its newest checkpoint: the
+// marker's LSN (0 = none) and the bytes of the images after it.
+func newestCheckpoint(t *testing.T, fs store.FS) (lsn uint64, images int64) {
 	t.Helper()
-	snap, err := store.LatestSnapshot(fs)
+	l, err := store.OpenLog(fs, store.LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snap.LSN, int64(len(snap.Payload))
+	defer l.Close()
+	err = l.Replay(0, func(at uint64, payload []byte) error {
+		switch payload[0] {
+		case journalKindCheckpoint:
+			lsn, images = at, 0
+		case journalKindReplace:
+			images += int64(len(payload))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lsn, images
 }
 
 // The checkpoint trigger: a seed load is an image, not journal owed;
@@ -339,7 +353,7 @@ func TestCheckpointOwedByJournalBytes(t *testing.T) {
 		return int64(len(encodeUpdate("hns", op, flip, serial)))
 	}
 	recBytes := update(0)
-	if lsn, _ := snapshotLSN(t, fs); lsn != 0 {
+	if lsn, _ := newestCheckpoint(t, fs); lsn != 0 {
 		t.Fatalf("checkpoint at lsn %d during or right after the seed load", lsn)
 	}
 
@@ -347,10 +361,10 @@ func TestCheckpointOwedByJournalBytes(t *testing.T) {
 	lastLSN := uint64(0)
 	for i := 1; i < 1200; i++ {
 		journaled += update(i)
-		if lsn, payload := snapshotLSN(t, fs); lsn != lastLSN {
+		if lsn, image := newestCheckpoint(t, fs); lsn != lastLSN {
 			lastLSN = lsn
 			checkpoints++
-			smallestImage = min(smallestImage, payload)
+			smallestImage = min(smallestImage, image)
 		}
 		if i%97 == 0 {
 			// A restart at an arbitrary point finds a bounded replay.
@@ -371,17 +385,23 @@ func TestCheckpointOwedByJournalBytes(t *testing.T) {
 	}
 }
 
-// renameFailFS fails snapshot renames while broken is set.
-type renameFailFS struct {
-	store.FS
-	broken bool
+// rotateFailFS, while broken, fails every Create that would start a
+// segment before the current one is full — a checkpoint's rotation, before
+// any checkpoint byte is written — and lets a full segment's rotation
+// through, so updates go on being journaled.
+type rotateFailFS struct {
+	*store.MemFS
+	segment, frame int64 // segment size, and the frame the test appends
+	tail           string
+	broken         bool
 }
 
-func (f *renameFailFS) Rename(oldname, newname string) error {
-	if f.broken {
-		return errors.New("rename: injected failure")
+func (f *rotateFailFS) Create(name string) (store.File, error) {
+	if f.broken && f.tail != "" && f.MemFS.Size(f.tail)+f.frame <= f.segment {
+		return nil, errors.New("create: injected failure")
 	}
-	return f.FS.Rename(oldname, newname)
+	f.tail = name
+	return f.MemFS.Create(name)
 }
 
 // A checkpoint that fails does not fail the update that made it due — the
@@ -389,21 +409,22 @@ func (f *renameFailFS) Rename(oldname, newname string) error {
 // of journal later rather than on every update.
 func TestFailedCheckpointIsCountedAndRetried(t *testing.T) {
 	const segment = 256
-	fs := &renameFailFS{FS: store.NewMemFS(), broken: true}
+	rr := func(i int) RR { return A(fmt.Sprintf("h%03d.hns", i), "10.0.0.1", 60) }
+	recBytes := int64(len(encodeUpdate("hns", UpdateAdd, rr(0), 0)))
+	fs := &rotateFailFS{MemFS: store.NewMemFS(), segment: segment, frame: recBytes + 8, broken: true}
 	srv, d := openDurableServer(t, fs, "hns", DurableConfig{Name: "ckpt-fail-test", SegmentBytes: segment})
 	defer d.Close()
 	ctx := context.Background()
-	var recBytes int64
 	add := func(i int) {
 		t.Helper()
-		rr := A(fmt.Sprintf("h%03d.hns", i), "10.0.0.1", 60)
-		rcode, serial, err := srv.Update(ctx, "hns", UpdateAdd, rr)
+		rcode, _, err := srv.Update(ctx, "hns", UpdateAdd, rr(i))
 		if err != nil || rcode != RCodeOK {
 			t.Fatalf("update %d with failing checkpoints: %v %v", i, rcode, err)
 		}
-		recBytes = int64(len(encodeUpdate("hns", UpdateAdd, rr, serial)))
 	}
-	const updates = 40
+	// Enough journal for several failed attempts, none of them due just
+	// as the tail segment fills: that rotation this FS lets through.
+	const updates = 30
 	for i := 0; i < updates; i++ {
 		add(i)
 	}
@@ -411,8 +432,8 @@ func TestFailedCheckpointIsCountedAndRetried(t *testing.T) {
 	if got, most := d.snapErrs.Value(), journaled/segment; got == 0 || got > most {
 		t.Fatalf("%d failed checkpoints counted over %d journal bytes, want 1..%d", got, journaled, most)
 	}
-	if lsn, _ := snapshotLSN(t, fs); lsn != 0 {
-		t.Fatalf("snapshot at lsn %d through a failing rename", lsn)
+	if lsn, _ := newestCheckpoint(t, fs); lsn != 0 {
+		t.Fatalf("checkpoint at lsn %d through a failing rotation", lsn)
 	}
 	if got := d.walBytesG.Value(); got != journaled {
 		t.Fatalf("store_wal_bytes_since_checkpoint = %d after %d uncheckpointed bytes", got, journaled)
@@ -420,9 +441,11 @@ func TestFailedCheckpointIsCountedAndRetried(t *testing.T) {
 	fs.broken = false
 	for i := updates; ; i++ {
 		add(i)
-		if lsn, _ := snapshotLSN(t, fs); lsn != 0 {
-			if got := d.walBytesG.Value(); got != 0 {
-				t.Fatalf("store_wal_bytes_since_checkpoint = %d right after a checkpoint", got)
+		if lsn, image := newestCheckpoint(t, fs); lsn != 0 {
+			// What the log holds past the marker is the checkpoint's
+			// image, and nothing owed on top of it.
+			if got := d.walBytesG.Value(); got != image || d.owed() != 0 {
+				t.Fatalf("store_wal_bytes_since_checkpoint = %d (owed %d) right after a checkpoint of %d image bytes", got, d.owed(), image)
 			}
 			break
 		}
@@ -496,8 +519,9 @@ func BenchmarkBinddColdStart(b *testing.B) {
 	}
 }
 
-// BenchmarkBinddRestart is what the next start of that bindd runs: newest
-// snapshot plus a WAL suffix of updates, to zones a server is serving.
+// BenchmarkBinddRestart is what the next start of that bindd runs: the
+// newest checkpoint plus a WAL suffix of updates, to zones a server is
+// serving.
 func BenchmarkBinddRestart(b *testing.B) {
 	fs := store.NewMemFS()
 	srv, d := coldStart(b, fs, genMetaZone(20_000))

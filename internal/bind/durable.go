@@ -1,12 +1,8 @@
 package bind
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -18,24 +14,18 @@ import (
 // mutation is appended to a write-ahead log before it is acknowledged,
 // and the full zone set is checkpointed whenever the journal recovery
 // would replay has outgrown the image it would load (see checkpointDue),
-// so recovery work stays within twice an image. Opening a Durable
-// recovers exactly the acknowledged-update prefix: the newest valid
-// snapshot is loaded, the WAL is replayed past it (a torn tail — the
-// unacked final write of a crash — is discarded), and each replayed
-// update pins the zone serial the original caller saw.
-//
-// Snapshot payloads are the zone-file master format, sectioned per zone:
-//
-//	zone <origin> serial <serial> records <n>
-//	<n WriteZone lines>
-//
-// so a snapshot is human-readable and reuses the exact ParseZoneFile
-// round trip the zone-file loader is tested against.
+// so recovery work stays within twice an image. A checkpoint is written
+// into the log itself: a 'C' marker at the head of a fresh segment, then
+// each zone whole as the same 'R' image a bulk load journals; once those
+// are synced the segments before the marker are pruned. Opening a Durable
+// recovers exactly the acknowledged-update prefix with one replay of the
+// log (a torn tail — the unacked final write of a crash — is discarded),
+// and each replayed record pins the zone serial the original caller saw.
 
 // DurableConfig configures OpenDurable.
 type DurableConfig struct {
-	// FS is the directory holding WAL segments and snapshots
-	// (store.DirFS in the daemon; MemFS/FaultFS in the crash harness).
+	// FS is the directory holding the WAL segments (store.DirFS in the
+	// daemon; MemFS/FaultFS in the crash harness).
 	FS store.FS
 	// Name labels this store's metric series; empty disables metrics.
 	Name string
@@ -51,16 +41,14 @@ type DurableConfig struct {
 
 // RecoveryStats describes what opening the store had to do.
 type RecoveryStats struct {
-	// SnapshotLSN is the checkpoint recovery started from (0 = none).
+	// SnapshotLSN is the LSN of the newest checkpoint marker replayed
+	// (0 = none).
 	SnapshotLSN uint64
-	// SnapshotsSkipped counts invalid (bitrotted/partial) snapshots
-	// passed over to find a valid one.
-	SnapshotsSkipped int
-	// Replayed counts WAL records applied past the snapshot.
+	// Replayed counts the update and image records applied.
 	Replayed int
 	// ImageBytes and OwedBytes are the checkpoint trigger's two sides as
-	// recovery found them: the full image it loaded (snapshot plus each
-	// zone's newest replace record) and the journal it replayed on top.
+	// recovery found them: the full image it loaded (each zone's newest
+	// image since the newest marker) and the journal it replayed on top.
 	ImageBytes, OwedBytes int64
 	// TornBytes is the torn-tail length discarded (unacked final write).
 	TornBytes int64
@@ -68,35 +56,35 @@ type RecoveryStats struct {
 	Elapsed time.Duration
 }
 
-// Durable implements ZoneStore over a store.Log plus snapshots.
+// Durable implements ZoneStore over a store.Log.
 type Durable struct {
 	cfg DurableConfig
 	log *store.Log
 
 	mu        sync.Mutex
-	srv       *Server // snapshot source once attached
+	srv       *Server // checkpoint source once attached
 	recovered map[string]*Zone
 	order     []*Zone // recovered zones, first seen first
-	snapLSN   uint64
 	stats     RecoveryStats
 	closed    bool
 
-	// What a recovery starting now would read: the snapshot's payload,
-	// the journal past it, and — within that journal — each zone's newest
-	// replace record, which is a full image of the zone and not a delta.
-	snapBytes int64
-	walBytes  int64
-	images    map[string]int64
-	retryAt   int64 // journal owed at which a failed checkpoint is tried again
+	// What a recovery starting now would read past the newest checkpoint
+	// marker: the journal, and — within it — each zone's newest replace
+	// record, which is a full image of the zone and not a delta.
+	walBytes int64
+	images   map[string]int64
+	retryAt  int64 // journal owed at which a failed checkpoint is tried again
 
-	walBytesG *metrics.Gauge
-	snapErrs  *metrics.Counter
+	walBytesG   *metrics.Gauge
+	snapshots   *metrics.Counter
+	snapshotLSN *metrics.Gauge
+	snapErrs    *metrics.Counter
 }
 
 // OpenDurable opens (or initializes) the store under cfg.FS and recovers
-// zone state: newest valid snapshot, then WAL replay. Interior log or
-// snapshot damage is store.ErrCorrupt; a torn WAL tail is tolerated and
-// reported in Stats.
+// zone state by replaying the WAL. Interior log damage, and a log with no
+// base to replay from, are store.ErrCorrupt; a torn WAL tail is tolerated
+// and reported in Stats.
 func OpenDurable(cfg DurableConfig) (*Durable, error) {
 	t0 := time.Now()
 	if cfg.FsyncInterval <= 0 {
@@ -105,22 +93,6 @@ func OpenDurable(cfg DurableConfig) (*Durable, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = store.DefaultSegmentBytes
 	}
-	d := &Durable{cfg: cfg, recovered: make(map[string]*Zone), images: make(map[string]int64)}
-
-	snap, err := store.LatestSnapshot(cfg.FS)
-	if err != nil {
-		return nil, err
-	}
-	d.snapLSN = snap.LSN
-	d.snapBytes = int64(len(snap.Payload))
-	d.stats.SnapshotLSN = snap.LSN
-	d.stats.SnapshotsSkipped = snap.Skipped
-	if snap.LSN > 0 {
-		if err := d.loadSnapshot(snap.Payload); err != nil {
-			return nil, err
-		}
-	}
-
 	log, err := store.OpenLog(cfg.FS, store.LogOptions{
 		Name:         cfg.Name,
 		Sync:         cfg.Fsync,
@@ -130,18 +102,12 @@ func OpenDurable(cfg DurableConfig) (*Durable, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.log = log
-	lst := log.Stats()
-	d.stats.TornBytes = lst.TornBytes
-	if lst.LastLSN > snap.LSN && lst.FirstLSN > snap.LSN+1 {
-		log.Close()
-		return nil, fmt.Errorf("%w: wal starts at lsn %d but snapshot covers only %d",
-			store.ErrCorrupt, lst.FirstLSN, snap.LSN)
-	}
-	if err := log.Replay(snap.LSN, d.apply); err != nil {
+	d := &Durable{cfg: cfg, log: log, recovered: make(map[string]*Zone), images: make(map[string]int64)}
+	if err := d.recover(); err != nil {
 		log.Close()
 		return nil, err
 	}
+	d.stats.TornBytes = log.Stats().TornBytes
 	d.stats.ImageBytes, d.stats.OwedBytes = d.image(), d.owed()
 	d.stats.Elapsed = time.Since(t0)
 	if cfg.Name != "" {
@@ -152,85 +118,46 @@ func OpenDurable(cfg DurableConfig) (*Durable, error) {
 			Set(d.stats.TornBytes)
 		reg.Gauge(metrics.Labels("store_recovery_ms", "store", cfg.Name)).
 			Set(d.stats.Elapsed.Milliseconds())
-		reg.Gauge(metrics.Labels("store_snapshot_skipped", "store", cfg.Name)).
-			Set(int64(snap.Skipped))
 		d.walBytesG = reg.Gauge(metrics.Labels("store_wal_bytes_since_checkpoint", "store", cfg.Name))
+		d.snapshots = reg.Counter(metrics.Labels("snapshot_total", "store", cfg.Name))
+		d.snapshotLSN = reg.Gauge(metrics.Labels("store_snapshot_lsn", "store", cfg.Name))
 		d.snapErrs = reg.Counter(metrics.Labels("snapshot_errors_total", "store", cfg.Name))
 	}
 	d.walBytesG.Set(d.walBytes)
 	return d, nil
 }
 
-// loadSnapshot parses the sectioned zone-file payload into zones, each
-// section's lines straight into the records its zone is replaced with.
-func (d *Durable) loadSnapshot(payload []byte) error {
-	sc := bufio.NewScanner(bytes.NewReader(payload))
-	sc.Buffer(make([]byte, 64<<10), 64<<10)
-	for sc.Scan() {
-		f := strings.Fields(sc.Text())
-		if len(f) != 6 || f[0] != "zone" || f[2] != "serial" || f[4] != "records" {
-			return fmt.Errorf("%w: bad snapshot section header %q", store.ErrCorrupt, sc.Text())
-		}
-		serial, err := strconv.ParseUint(f[3], 10, 32)
+// recover replays the log into the recovery zones. A log pruned past LSN
+// 1 has no base but a checkpoint: it replays from its first marker, and
+// every image that marker counts must follow it. The records before that
+// marker are what an interrupted prune left, and the checkpoint supersedes
+// them; with no whole checkpoint the base is lost, and recovery refuses
+// rather than replay a suffix of nothing. Any other marker is a no-op.
+func (d *Durable) recover() error {
+	first := d.log.Stats().FirstLSN
+	seeking := first > 1 // before the base checkpoint's marker
+	var owed uint32      // images the base checkpoint has yet to show
+	err := d.log.Replay(0, func(lsn uint64, payload []byte) error {
+		rec, err := decodeJournal(payload)
 		if err != nil {
-			return fmt.Errorf("%w: bad snapshot serial %q", store.ErrCorrupt, f[3])
+			return fmt.Errorf("%w: lsn %d: %v", store.ErrCorrupt, lsn, err)
 		}
-		n, err := strconv.Atoi(f[5])
-		if err != nil || n < 0 || n > len(payload) {
-			return fmt.Errorf("%w: bad snapshot record count %q", store.ErrCorrupt, f[5])
+		switch {
+		case seeking && rec.kind != journalKindCheckpoint:
+			return nil
+		case seeking:
+			seeking, owed = false, rec.zones
+		case owed > 0 && rec.kind != journalKindReplace:
+			return fmt.Errorf("%w: lsn %d: checkpoint lacks %d zone images", store.ErrCorrupt, lsn, owed)
+		case owed > 0:
+			owed--
 		}
-		rrs := make([]RR, 0, n)
-		prevName := ""
-		for i := 0; i < n; i++ {
-			if !sc.Scan() {
-				return fmt.Errorf("%w: snapshot section %s truncated at record %d", store.ErrCorrupt, f[1], i)
-			}
-			rr, err := parseZoneLine(bytes.TrimSpace(sc.Bytes()), prevName)
-			if err != nil {
-				return fmt.Errorf("%w: snapshot zone %s record %d: %v", store.ErrCorrupt, f[1], i, err)
-			}
-			rrs = append(rrs, rr)
-			prevName = rr.Name
-		}
-		z, err := d.zone(f[1])
-		if err != nil {
-			return fmt.Errorf("%w: snapshot zone %q: %v", store.ErrCorrupt, f[1], err)
-		}
-		if err := z.Replace(rrs, uint32(serial)); err != nil {
-			return fmt.Errorf("%w: snapshot zone %s: %v", store.ErrCorrupt, f[1], err)
-		}
+		return d.apply(lsn, rec, len(payload))
+	})
+	if err == nil && (seeking || owed > 0) {
+		err = fmt.Errorf("%w: log starts at lsn %d and holds no whole checkpoint", store.ErrCorrupt, first)
 	}
-	return sc.Err()
-}
-
-// appendSnapshot appends z's snapshot section to b: the header, then the
-// ordered walk formatted a line per record, under one read lock so serial,
-// count and contents agree.
-func (z *Zone) appendSnapshot(b []byte) ([]byte, error) {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	owners := z.ordered()
-	n, size := 0, 0
-	for _, o := range owners {
-		n += len(o.rrs)
-		for _, rr := range o.rrs {
-			size += len(o.name) + len(rr.Data)
-		}
-	}
-	// Beyond name and data a line holds three spaces, a newline, a TTL of
-	// at most 10 digits and a type mnemonic of at most 9 bytes.
-	b = slices.Grow(b, 64+len(z.origin)+size+n*(4+10+9))
-	b = fmt.Appendf(b, "zone %s serial %d records %d\n", z.origin, z.serial, n)
-	var scratch []RR
-	for _, o := range owners {
-		for _, rr := range o.inOrder(&scratch) {
-			var err error
-			if b, err = appendZoneLine(b, rr); err != nil {
-				return b, err
-			}
-		}
-	}
-	return b, nil
+	return err
 }
 
 // zone finds or creates the recovery-time zone for origin.
@@ -251,10 +178,12 @@ func (d *Durable) zone(origin string) (*Zone, error) {
 // real Zone mutation paths, so replay reproduces exactly the semantics
 // (CNAME conflicts, duplicate refresh, wildcard removal) the original
 // call had, and rebuilds the zone's history as the original calls did.
-func (d *Durable) apply(lsn uint64, payload []byte) error {
-	rec, err := decodeJournal(payload)
-	if err != nil {
-		return fmt.Errorf("%w: lsn %d: %v", store.ErrCorrupt, lsn, err)
+// A checkpoint marker only restarts the accounting.
+func (d *Durable) apply(lsn uint64, rec journalRec, n int) error {
+	if rec.kind == journalKindCheckpoint {
+		d.stats.SnapshotLSN = lsn
+		d.account("", rec.kind, n)
+		return nil
 	}
 	_, existed := d.recovered[rec.zone]
 	z, err := d.zone(rec.zone)
@@ -289,24 +218,32 @@ func (d *Durable) apply(lsn uint64, payload []byte) error {
 	// in-memory zone took to get here.
 	z.ForceSerial(rec.serial)
 	d.stats.Replayed++
-	d.account(rec.zone, rec.kind, len(payload))
+	d.account(rec.zone, rec.kind, n)
 	return nil
 }
 
 // account books one journal record of n bytes, appended or replayed, into
-// the checkpoint trigger's state.
+// the checkpoint trigger's state. A checkpoint marker starts it afresh:
+// what follows it is all a recovery from it reads.
 func (d *Durable) account(zone string, kind byte, n int) {
-	d.walBytes += int64(n)
-	if kind == journalKindReplace {
+	switch kind {
+	case journalKindCheckpoint:
+		d.walBytes, d.retryAt = 0, 0
+		clear(d.images)
+	case journalKindReplace:
+		d.walBytes += int64(n)
 		d.images[zone] = int64(n)
+	default:
+		d.walBytes += int64(n)
 	}
 	d.walBytesG.Set(d.walBytes)
 }
 
-// imagesInWAL is the journal's share of the image: each zone's newest
-// replace record past the snapshot. A replace record holds its zone
-// whole, so a seed load journals an image, not deltas owed a checkpoint.
-func (d *Durable) imagesInWAL() int64 {
+// image is the size of the full image a recovery starting now would load:
+// each zone's newest replace record past the newest marker. A replace
+// record holds its zone whole, so a seed load journals an image, not
+// deltas owed a checkpoint.
+func (d *Durable) image() int64 {
 	var n int64
 	for _, b := range d.images {
 		n += b
@@ -314,11 +251,8 @@ func (d *Durable) imagesInWAL() int64 {
 	return n
 }
 
-// image is the size of the full image a recovery starting now would load.
-func (d *Durable) image() int64 { return d.snapBytes + d.imagesInWAL() }
-
 // owed is the journal that recovery would replay on top of that image.
-func (d *Durable) owed() int64 { return d.walBytes - d.imagesInWAL() }
+func (d *Durable) owed() int64 { return d.walBytes - d.image() }
 
 // checkpointDue is the trigger: checkpoint once the journal owed exceeds
 // the image, and never for less than one WAL segment. A checkpoint costs
@@ -341,11 +275,7 @@ func (d *Durable) Zones() []*Zone {
 }
 
 // Empty reports whether the store held no state at all (fresh data dir).
-func (d *Durable) Empty() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.snapLSN == 0 && d.log.LastLSN() == 0
-}
+func (d *Durable) Empty() bool { return d.log.LastLSN() == 0 }
 
 // Stats reports what recovery did.
 func (d *Durable) Stats() RecoveryStats { return d.stats }
@@ -356,7 +286,7 @@ func (d *Durable) LastLSN() uint64 { return d.log.LastLSN() }
 // LogStats exposes the underlying WAL's shape.
 func (d *Durable) LogStats() store.LogStats { return d.log.Stats() }
 
-// Attach makes srv the snapshot source and routes its mutations through
+// Attach makes srv the checkpoint source and routes its mutations through
 // this journal (srv.SetJournal). Call it after overlaying the recovered
 // state onto srv's zones; the recovery-time zones are released.
 func (d *Durable) Attach(srv *Server) {
@@ -393,7 +323,8 @@ func (d *Durable) append(zone string, payload []byte) error {
 	if d.srv != nil && d.checkpointDue() {
 		if err := d.snapshotLocked(); err != nil {
 			// The appended record is safe; a failed checkpoint only means
-			// recovery replays more. It stays due and is counted.
+			// recovery replays more (or, if one of its frames failed to
+			// write, a poisoned log). It stays due and is counted.
 			d.snapErrs.Inc()
 			d.retryAt = d.owed() + d.cfg.SegmentBytes
 		}
@@ -411,37 +342,54 @@ func (d *Durable) Snapshot() error {
 	return d.snapshotLocked()
 }
 
-// snapshotLocked checkpoints the attached server's zones at the current
-// WAL position, then prunes covered segments and older snapshots. d.mu
-// held; callers of journaled mutations are serialized by the server's
-// journal lock, so the zone set is consistent with LastLSN.
+// snapshotLocked writes a checkpoint of the attached server's zones into
+// the log: a marker at the head of a fresh segment, then each zone's
+// image, then a sync; only after that are the segments before the marker
+// pruned. Nothing is written until every image is known to fit a record,
+// a failed frame write poisons the log as any failed append does, and a
+// failed prune leaves segments the next recovery replays harmlessly and
+// the next checkpoint prunes. d.mu held; callers of journaled mutations
+// are serialized by the server's journal lock, so the images are
+// consistent with the log.
 func (d *Durable) snapshotLocked() error {
 	if d.srv == nil {
-		return fmt.Errorf("bind: no server attached for snapshot")
+		return fmt.Errorf("bind: no server attached for checkpoint")
 	}
-	var buf []byte
+	var zones []string
+	var images [][]byte
 	for _, origin := range d.srv.ZoneOrigins() {
 		z := d.srv.Zone(origin)
 		if z == nil {
 			continue
 		}
-		var err error
-		if buf, err = z.appendSnapshot(buf); err != nil {
+		img := z.image()
+		if len(img) > store.MaxRecord {
+			return fmt.Errorf("bind: zone %s image of %d bytes exceeds the %d-byte journal record",
+				origin, len(img), store.MaxRecord)
+		}
+		zones, images = append(zones, z.Origin()), append(images, img)
+	}
+	if err := d.log.Rotate(); err != nil {
+		return err
+	}
+	marker := encodeCheckpoint(len(images))
+	lsn, err := d.log.Append(marker)
+	if err != nil {
+		return err
+	}
+	d.account("", journalKindCheckpoint, len(marker))
+	for i, img := range images {
+		if _, err := d.log.Append(img); err != nil {
 			return err
 		}
+		d.account(zones[i], journalKindReplace, len(img))
 	}
-	lsn := d.log.LastLSN()
-	if err := store.WriteSnapshot(d.cfg.FS, d.cfg.Name, lsn, buf); err != nil {
+	if err := d.log.Sync(); err != nil {
 		return err
 	}
-	d.snapLSN = lsn
-	d.snapBytes, d.walBytes, d.retryAt = int64(len(buf)), 0, 0
-	clear(d.images)
-	d.walBytesG.Set(0)
-	if err := d.log.Prune(lsn); err != nil {
-		return err
-	}
-	return store.PruneSnapshots(d.cfg.FS, lsn)
+	d.snapshots.Inc()
+	d.snapshotLSN.Set(int64(lsn))
+	return d.log.Prune(lsn - 1)
 }
 
 // Sync forces the WAL to stable storage regardless of policy.

@@ -13,7 +13,8 @@ import (
 
 // The crash-loop harness: drive a durable bindd through a seeded update
 // storm, kill it at a seeded disk-fault point (torn write, clean write
-// cut, snapshot-rename crash), restart from the surviving disk image,
+// cut, crash between a checkpoint's sync and its prune), restart from the
+// surviving disk image,
 // and assert the recovered state is EXACTLY the acknowledged prefix —
 // no acked update lost, no unacked update resurrected, serials pinned.
 //
@@ -147,9 +148,10 @@ func TestCrashRecoveryStorm(t *testing.T) {
 			plan := store.NewFaultPlan(int64(1000 + point))
 			switch {
 			case point%10 == 9:
-				// Every tenth point: the crash lands on a snapshot's
-				// atomic rename instead of a WAL write.
-				plan.CrashOnRename(1 + (point/10)%3)
+				// Every tenth point: the crash lands on a segment
+				// removal — after a checkpoint is synced, before or
+				// partway through its prune — instead of a WAL write.
+				plan.CrashOnRemove(1 + (point/10)%3)
 			default:
 				plan.CrashAfterWrites(1+point, point%2 == 0)
 			}
@@ -179,7 +181,7 @@ func TestCrashRecoveryStorm(t *testing.T) {
 			}
 
 			// The storm goes on over what was recovered (truncated tail,
-			// swept temp file and all), and must recover again.
+			// unpruned segments and all), and must recover again.
 			for i := 0; i < 200; i++ {
 				if stormOp(t, rng, srv2, shadow) {
 					t.Fatal("clean storm crashed")
@@ -225,8 +227,8 @@ func TestCrashRecoveryBitrot(t *testing.T) {
 				prefixes = append(prefixes, shadow.state())
 			}
 			d.Close()
-			if snap, err := store.LatestSnapshot(mem); err != nil || snap.LSN == 0 {
-				t.Fatalf("storm crossed no checkpoint: %+v, %v", snap, err)
+			if lsn, _ := newestCheckpoint(t, mem); lsn == 0 {
+				t.Fatal("storm crossed no checkpoint")
 			}
 
 			plan := store.NewFaultPlan(seed)
@@ -290,4 +292,79 @@ func TestCrashRecoveryIdempotent(t *testing.T) {
 	if stateA != shadow.state() {
 		t.Fatalf("recovered state drifted from acked prefix")
 	}
+}
+
+// TestDurableMissingCheckpointRefuses: a log pruned past LSN 1 has no base
+// but the checkpoint it opens with. Intact, it recovers the acked state;
+// with the checkpoint's segment gone, recovery refuses instead of
+// replaying a suffix of nothing. A checkpoint torn at the tail, with the
+// segments before it still there, is a no-op.
+func TestDurableMissingCheckpointRefuses(t *testing.T) {
+	cfg := DurableConfig{Fsync: store.SyncAlways, SegmentBytes: 256}
+	t.Run("pruned", func(t *testing.T) {
+		mem := store.NewMemFS()
+		srv, d, err := newCrashServer(t, mem, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shadow := newCrashShadow(t)
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < 40; i++ {
+			if stormOp(t, rng, srv, shadow) {
+				t.Fatal("clean storm crashed")
+			}
+		}
+		d.Close()
+		lsn, _ := newestCheckpoint(t, mem)
+		names, _ := mem.List()
+		if lsn <= 1 || len(names) < 2 || names[0] != fmt.Sprintf("wal-%016d.log", lsn) {
+			t.Fatalf("want a pruned log opening at its checkpoint; checkpoint at lsn %d, files %v", lsn, names)
+		}
+
+		srv2, d2, err := newCrashServer(t, mem, cfg)
+		if err != nil {
+			t.Fatalf("intact: %v", err)
+		}
+		if got, want := serverState(srv2), shadow.state(); got != want {
+			t.Fatalf("intact log recovered:\n%s\nwant the acked state:\n%s", got, want)
+		}
+		d2.Close()
+
+		if err := mem.Remove(names[0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := newCrashServer(t, mem, cfg); !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("checkpoint segment deleted: %v, want ErrCorrupt", err)
+		}
+	})
+	t.Run("torn", func(t *testing.T) {
+		mem := store.NewMemFS()
+		plan := store.NewFaultPlan(17)
+		srv, d, err := newCrashServer(t, store.NewFaultFS(mem, plan), DurableConfig{Fsync: store.SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shadow := newCrashShadow(t)
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 20; i++ {
+			if stormOp(t, rng, srv, shadow) {
+				t.Fatal("clean storm crashed")
+			}
+		}
+		// The marker and the first zone's image land; the second image
+		// is torn by the crash.
+		plan.CrashAfterWrites(3, true)
+		if err := d.Snapshot(); !errors.Is(err, store.ErrCrashed) {
+			t.Fatalf("checkpoint: %v, want the injected crash", err)
+		}
+		d.Close()
+		srv2, d2, err := newCrashServer(t, mem, cfg)
+		if err != nil {
+			t.Fatalf("recovery over a torn checkpoint: %v", err)
+		}
+		defer d2.Close()
+		if got, want := serverState(srv2), shadow.state(); got != want {
+			t.Fatalf("recovered:\n%s\nwant the acked state:\n%s", got, want)
+		}
+	})
 }

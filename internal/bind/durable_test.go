@@ -159,9 +159,12 @@ func TestDurableSnapshotBoundsReplay(t *testing.T) {
 	// 23 updates journal some 850 bytes: more than a segment, so at least
 	// one checkpoint was taken, and what recovery replays past the newest
 	// is at most the journal one image (or one segment) is worth, plus the
-	// record that made it due.
-	if st.SnapshotLSN == 0 || st.Replayed != 23-int(st.SnapshotLSN) {
-		t.Fatalf("recovery stats %+v, want a snapshot and the rest replayed", st)
+	// record that made it due. The checkpoint pruned every segment before
+	// its marker, and no further: the log opens at the marker, and
+	// recovery replays just what follows it.
+	ls := d2.LogStats()
+	if st.SnapshotLSN == 0 || ls.FirstLSN != st.SnapshotLSN || st.Replayed != int(ls.LastLSN-st.SnapshotLSN) {
+		t.Fatalf("recovery stats %+v over log %+v, want it to open at a checkpoint and replay what follows", st, ls)
 	}
 	if limit := max(st.ImageBytes, segment) + biggest; st.OwedBytes > limit {
 		t.Fatalf("recovery replayed %d journal bytes over a %d-byte image, limit %d", st.OwedBytes, st.ImageBytes, limit)
@@ -169,9 +172,30 @@ func TestDurableSnapshotBoundsReplay(t *testing.T) {
 	if n := srv2.Zone("hns").Count(); n != 23 {
 		t.Fatalf("recovered %d records, want 23", n)
 	}
-	// Checkpoints prune covered WAL segments, and no further.
-	if ls := d2.LogStats(); ls.FirstLSN > st.SnapshotLSN+1 {
-		t.Fatalf("pruned too far: %+v after snapshot %d", ls, st.SnapshotLSN)
+}
+
+// A reopen right after a checkpoint finds the trigger state the live store
+// held: the images as the image, nothing owed.
+func TestDurableReopenAfterCheckpointKeepsAccounting(t *testing.T) {
+	fs := NewCrashFS(t)
+	srv, d := openDurableServer(t, fs, "hns", DurableConfig{})
+	for i := 0; i < 30; i++ {
+		if _, _, err := srv.Update(context.Background(), "hns", UpdateAdd, A(fmt.Sprintf("h%d.hns", i), "10.0.0.1", 60)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	image, owed := d.image(), d.owed()
+	if image == 0 || owed != 0 {
+		t.Fatalf("live store after a checkpoint: image %d, owed %d", image, owed)
+	}
+	d.Close()
+	_, d2 := openDurableServer(t, fs, "hns", DurableConfig{})
+	defer d2.Close()
+	if st := d2.Stats(); st.ImageBytes != image || st.OwedBytes != owed {
+		t.Fatalf("reopen found image %d, owed %d; the live store held %d, %d", st.ImageBytes, st.OwedBytes, image, owed)
 	}
 }
 

@@ -30,11 +30,13 @@ type ZoneStore interface {
 //	RR  = u16 len name, u16 type, u16 class, u32 ttl, u16 len data
 //	run = u16 len name, u16 type, u16 class, u32 ttl, u16 n, (u16 len data)×n
 //
-// One WAL payload is one mutation:
+// One WAL payload is one mutation, or the marker a checkpoint opens with:
 //
 //	'U' u32 serial  u16 len zone  u8 op  RR        (dynamic update)
 //	'R' u32 serial  u16 len zone  u32 count  RR*   (content replace)
+//	'C' u32 zones                                  (checkpoint marker)
 //
+// A checkpoint is a marker followed by one 'R' image per zone.
 // An IXFR payload is a sequence of 'U' records, and a BINDUpdate request
 // is one without its kind and serial. Every record list the HRPC
 // interface returns is a sets payload: runs, read until it is exhausted.
@@ -45,8 +47,9 @@ type ZoneStore interface {
 // purpose: the kind byte leaves room ('V', ...) if a revision is ever
 // needed.
 const (
-	journalKindUpdate  = 'U'
-	journalKindReplace = 'R'
+	journalKindUpdate     = 'U'
+	journalKindReplace    = 'R'
+	journalKindCheckpoint = 'C'
 )
 
 // appendPrefixed appends s behind its u16 length.
@@ -110,6 +113,11 @@ func encodeReplace(zone string, serial uint32, rrs []RR) []byte {
 	return b
 }
 
+// encodeCheckpoint builds the marker for a checkpoint of zones images.
+func encodeCheckpoint(zones int) []byte {
+	return binary.BigEndian.AppendUint32([]byte{journalKindCheckpoint}, uint32(zones))
+}
+
 // sameRun reports whether records a and b may share a run.
 func sameRun(a, b RR) bool {
 	return a.Name == b.Name && a.Type == b.Type && a.Class == b.Class && a.TTL == b.TTL
@@ -169,6 +177,7 @@ type journalRec struct {
 	op     uint32 // update only
 	rr     RR     // update only
 	rrs    []RR   // replace only
+	zones  uint32 // checkpoint marker only
 }
 
 // journalDecoder walks one payload of the record codec. The first read
@@ -229,12 +238,17 @@ func (d *journalDecoder) end() error {
 	return d.err
 }
 
-// decodeJournal parses one WAL payload back into a mutation.
+// decodeJournal parses one WAL payload back into a mutation or a
+// checkpoint marker.
 func decodeJournal(payload []byte) (journalRec, error) {
 	d := &journalDecoder{b: payload}
 	rec := journalRec{kind: byte(d.num(1)), serial: uint32(d.num(4))}
 	var zone []byte
 	switch rec.kind {
+	case journalKindCheckpoint:
+		// A marker's one field, where the others keep their serial.
+		rec.zones, rec.serial = rec.serial, 0
+		return rec, d.end()
 	case journalKindUpdate:
 		zone, rec.op, rec.rr = d.update()
 	case journalKindReplace:

@@ -248,7 +248,7 @@ func HINFO(name, cpuOS string, ttl uint32) RR {
 }
 
 // compareRR is the deterministic record order (name, type, data) of zone
-// transfers, dumps and snapshots.
+// transfers, dumps and checkpoints.
 func compareRR(a, b RR) int {
 	if c := strings.Compare(a.Name, b.Name); c != 0 {
 		return c

@@ -86,7 +86,7 @@ func (z *Zone) Contains(name string) bool {
 // TTL. Adding a CNAME where other records exist — or vice versa — is
 // rejected, per DNS rules. Data must survive the zone-file line format
 // (non-empty, no newlines, no edge whitespace) so any zone can be
-// snapshotted and re-parsed losslessly.
+// dumped and re-parsed losslessly.
 func (z *Zone) Add(rr RR) error {
 	name, err := CanonicalName(rr.Name)
 	if err != nil {
@@ -383,6 +383,19 @@ func (o ownerSet) inOrder(scratch *[]RR) []RR {
 func (z *Zone) All() []RR {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
+	return z.all()
+}
+
+// image is the zone whole as one journal 'R' record, its serial and
+// records read under one lock.
+func (z *Zone) image() []byte {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	return encodeReplace(z.origin, z.serial, z.all())
+}
+
+// all is All with z.mu held.
+func (z *Zone) all() []RR {
 	owners := z.ordered()
 	n := 0
 	for _, o := range owners {

@@ -177,8 +177,8 @@ func parseTTL(b []byte) (uint32, bool) {
 // storableData reports whether record data survives the master-file line
 // format: ParseZoneFile takes data as the trimmed remainder of the line,
 // so empty data, edge whitespace, and line breaks would not round-trip.
-// Zone mutation enforces this, which is what lets snapshots reuse the
-// zone-file format losslessly.
+// Zone mutation enforces this, which is what lets any zone be dumped in
+// the zone-file format losslessly.
 func storableData(data []byte) error {
 	if len(data) == 0 {
 		return errors.New("bind: empty record data cannot be stored")
@@ -193,11 +193,10 @@ func storableData(data []byte) error {
 }
 
 // WriteZone streams records to w in the exact ParseZoneFile master-file
-// format, deterministically ordered — the serialization both zone dumps
-// and store snapshots use. Every record must be storable (see Zone.Add);
-// parse∘write∘parse is the identity. Records already in order (a zone's
-// All, a parsed dump) are written as they stand; anything else is sorted
-// in a copy first.
+// format, deterministically ordered — the serialization of zone dumps.
+// Every record must be storable (see Zone.Add); parse∘write∘parse is the
+// identity. Records already in order (a zone's All, a parsed dump) are
+// written as they stand; anything else is sorted in a copy first.
 func WriteZone(w io.Writer, rrs []RR) error {
 	if !slices.IsSortedFunc(rrs, compareRR) {
 		rrs = slices.Clone(rrs)

@@ -144,7 +144,7 @@ func TestZoneFileProperty(t *testing.T) {
 	}
 }
 
-// Property: parse ∘ write ∘ parse is the identity — what snapshots rely
+// Property: parse ∘ write ∘ parse is the identity — what zone dumps rely
 // on. Starting from parsed (hence storable) records, WriteZone's output
 // parses back to exactly the same set.
 func TestWriteZoneRoundTripProperty(t *testing.T) {

@@ -8,8 +8,8 @@ import (
 
 // Disk-fault injection: FaultFS wraps an inner FS and makes scheduled
 // operations fail the way a dying machine fails — the process "crashes"
-// at a chosen write (optionally tearing that write partway through), a
-// snapshot rename never completes, a read comes back with a flipped bit.
+// at a chosen write (optionally tearing that write partway through) or
+// just before a chosen file removal, a read comes back with a flipped bit.
 // Randomness (where a torn write cuts, which bit rots) derives from the
 // plan's seed, so every crash point in the harness is reproducible. The
 // plan drives the wrapper the way transport.Plan drives network chaos.
@@ -21,7 +21,7 @@ import (
 var ErrCrashed = errors.New("store: injected crash (process died)")
 
 // FaultPlan is a seeded schedule of disk faults. The zero countdowns
-// mean "never"; arm them with CrashAfterWrites, CrashOnRename, and
+// mean "never"; arm them with CrashAfterWrites, CrashOnRemove, and
 // BitrotRead. Safe for concurrent use.
 type FaultPlan struct {
 	mu  sync.Mutex
@@ -29,7 +29,7 @@ type FaultPlan struct {
 
 	writesLeft  int  // crash on the Nth write (1-based); 0 = disarmed
 	tornTail    bool // the crashing write lands a seeded prefix first
-	renamesLeft int  // crash on the Nth rename, before it happens
+	removesLeft int  // crash on the Nth remove, before it happens
 	readsLeft   int  // flip a seeded bit in the Nth non-empty read
 	crashed     bool
 }
@@ -49,13 +49,13 @@ func (p *FaultPlan) CrashAfterWrites(n int, torn bool) {
 	p.tornTail = torn
 }
 
-// CrashOnRename schedules a crash on the n-th Rename call, before the
-// rename happens: the temp file survives, the destination never appears
-// — the partial-rename case snapshot recovery must shrug off.
-func (p *FaultPlan) CrashOnRename(n int) {
+// CrashOnRemove schedules a crash on the n-th Remove call, before the
+// file goes: the case of a checkpoint that is on disk but has not pruned
+// the segments it covers, which recovery must replay harmlessly.
+func (p *FaultPlan) CrashOnRemove(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.renamesLeft = n
+	p.removesLeft = n
 }
 
 // BitrotRead schedules one flipped bit in the n-th non-empty Read call —
@@ -95,18 +95,18 @@ func (p *FaultPlan) onWrite(n int) (prefix int, crash bool) {
 	return 0, true
 }
 
-// onRename reports whether this rename crashes the process first.
-func (p *FaultPlan) onRename() bool {
+// onRemove reports whether this remove crashes the process first.
+func (p *FaultPlan) onRemove() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.crashed {
 		return true
 	}
-	if p.renamesLeft == 0 {
+	if p.removesLeft == 0 {
 		return false
 	}
-	p.renamesLeft--
-	if p.renamesLeft > 0 {
+	p.removesLeft--
+	if p.removesLeft > 0 {
 		return false
 	}
 	p.crashed = true
@@ -186,19 +186,11 @@ func (f *FaultFS) Open(name string) (File, error) {
 	return &faultFile{inner: file, plan: f.plan}, nil
 }
 
-// Rename implements FS; a scheduled rename crash leaves the temp file
-// in place and the destination absent.
-func (f *FaultFS) Rename(oldname, newname string) error {
-	if f.plan.onRename() {
-		return ErrCrashed
-	}
-	return f.inner.Rename(oldname, newname)
-}
-
-// Remove implements FS.
+// Remove implements FS; a scheduled remove crash leaves the file in
+// place.
 func (f *FaultFS) Remove(name string) error {
-	if err := f.plan.other(); err != nil {
-		return err
+	if f.plan.onRemove() {
+		return ErrCrashed
 	}
 	return f.inner.Remove(name)
 }

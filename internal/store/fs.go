@@ -1,17 +1,16 @@
 // Package store is the durability substrate for bindd: an append-only
-// write-ahead log of length+CRC32C framed records with segment rotation
-// and torn-tail tolerance, plus checksummed snapshots written via
-// temp-file + atomic rename. Everything reaches the disk through the FS
-// interface, so a seeded fault injector (FaultFS: crash-at-write-N, torn
-// tails, partial renames, bitrot reads) can drive recovery the same way
-// transport.Plan drives network chaos.
+// write-ahead log of length+CRC32C framed records with segment rotation,
+// pruning and torn-tail tolerance. Everything reaches the disk through the
+// FS interface, so a seeded fault injector (FaultFS: crash-at-write-N,
+// torn tails, crash-at-remove-N, bitrot reads) can drive recovery the same
+// way transport.Plan drives network chaos.
 //
 // The paper's name service assumes authoritative servers whose
 // registrations outlive any single process; this package is what makes
 // that true of our modified BIND. internal/bind layers zone semantics on
 // top (see bind.Durable): the WAL carries journal records for dynamic
-// updates and zone replacements, and snapshots carry whole zones in the
-// human-readable master-file format.
+// updates and zone replacements, and a checkpoint is one more run of
+// records in it — a marker, then each zone whole.
 package store
 
 import (
@@ -22,11 +21,8 @@ import (
 	"sort"
 )
 
-// FS is the flat filesystem a Log and its snapshots live in: one
-// directory of files addressed by base name. Implementations must make
-// Rename atomic with respect to crashes (either the old or the new name
-// exists, never a half state) — the property snapshot durability rests
-// on.
+// FS is the flat filesystem a Log lives in: one directory of files
+// addressed by base name.
 type FS interface {
 	// Create opens name for writing, truncating any existing file.
 	Create(name string) (File, error)
@@ -34,9 +30,6 @@ type FS interface {
 	Append(name string) (File, error)
 	// Open opens name read-only.
 	Open(name string) (File, error)
-	// Rename atomically renames oldname to newname, replacing any
-	// existing newname.
-	Rename(oldname, newname string) error
 	// Remove deletes name.
 	Remove(name string) error
 	// Truncate cuts name down to size bytes — how replay discards a
@@ -58,11 +51,11 @@ type File interface {
 }
 
 // ErrCorrupt reports a checksum or framing violation somewhere recovery
-// cannot silently skip: a bad frame in the interior of the log, or a
-// snapshot/WAL gap that would lose acknowledged records. Torn tails at
-// the very end of the last segment are NOT corruption — they are the
-// expected residue of a crash mid-append and are dropped.
-var ErrCorrupt = errors.New("store: corrupt log or snapshot")
+// cannot silently skip: a bad frame in the interior of the log, or a gap
+// that would lose acknowledged records. Torn tails at the very end of the
+// last segment are NOT corruption — they are the expected residue of a
+// crash mid-append and are dropped.
+var ErrCorrupt = errors.New("store: corrupt log")
 
 // dirFS is the production FS: a directory on the real filesystem.
 type dirFS struct {
@@ -90,10 +83,6 @@ func (d *dirFS) Append(name string) (File, error) {
 
 func (d *dirFS) Open(name string) (File, error) {
 	return os.Open(d.path(name))
-}
-
-func (d *dirFS) Rename(oldname, newname string) error {
-	return os.Rename(d.path(oldname), d.path(newname))
 }
 
 func (d *dirFS) Remove(name string) error {

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // Native fuzz targets for the durability codecs. `go test` runs the seed
 // corpus; `make fuzz` explores. The decoders face whatever a damaged
@@ -30,6 +27,9 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 5, 1, 2, 3, 4})                   // torn: body missing
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0}) // absurd length
 	f.Add(append(valid("intact"), 0, 0, 0, 2, 9, 9, 'a'))   // valid prefix + torn tail
+	// A segment a checkpoint opened: bind's 'C' marker for one zone, then
+	// that zone's 'R' image (serial 7, zone "z", no records).
+	f.Add(valid("C\x00\x00\x00\x01", "R\x00\x00\x00\x07\x00\x01z\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		count, validLen, tail := scanFrames(data)
 		if validLen > len(data) || validLen < 0 || count < 0 {
@@ -68,27 +68,6 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		if n != count {
 			t.Fatalf("replayed %d records, scanner counted %d", n, count)
-		}
-	})
-}
-
-// FuzzSnapshotDecode checks the snapshot envelope: arbitrary bytes never
-// panic the decoder, and everything EncodeSnapshot produces round-trips.
-func FuzzSnapshotDecode(f *testing.F) {
-	f.Add(EncodeSnapshot(1, []byte("zone hns serial 3 records 0\n")))
-	f.Add(EncodeSnapshot(0, []byte{}))
-	f.Add([]byte("HNSSNAP v1 lsn 9 len 4\nabcd\nHNSSNAP crc 00000000\n"))
-	f.Add([]byte("garbage"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		lsn, payload, err := DecodeSnapshot(data)
-		if err != nil {
-			return
-		}
-		// Accepted snapshots re-encode byte-identically: the envelope is
-		// canonical.
-		if !bytes.Equal(EncodeSnapshot(lsn, payload), data) {
-			t.Fatalf("accepted snapshot is not canonical: lsn %d payload %q", lsn, payload)
 		}
 	})
 }

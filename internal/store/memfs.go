@@ -87,19 +87,6 @@ func (m *MemFS) Open(name string) (File, error) {
 	return &memFile{fs: m, name: name, rdata: snap}, nil
 }
 
-// Rename implements FS.
-func (m *MemFS) Rename(oldname, newname string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.files[oldname]
-	if !ok {
-		return fmt.Errorf("store: memfs rename %s: no such file", oldname)
-	}
-	m.files[newname] = b
-	delete(m.files, oldname)
-	return nil
-}
-
 // Remove implements FS.
 func (m *MemFS) Remove(name string) error {
 	m.mu.Lock()

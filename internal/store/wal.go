@@ -35,14 +35,14 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // defaults to.
 const DefaultSegmentBytes = 1 << 20
 
+// MaxRecord bounds one record's payload; larger length fields are framing
+// damage by definition.
+const MaxRecord = 1 << 24
+
 const (
 	frameHeader = 8
-	// maxPayload bounds one record; larger length fields are framing
-	// damage by definition.
-	maxPayload = 1 << 24
-
-	segPrefix = "wal-"
-	segSuffix = ".log"
+	segPrefix   = "wal-"
+	segSuffix   = ".log"
 )
 
 // SyncPolicy says when Append pushes frames to stable storage.
@@ -273,7 +273,7 @@ func scanFrames(data []byte) (count, validLen, tail int) {
 			return count, off, tailTorn
 		}
 		n := int(binary.BigEndian.Uint32(data[off:]))
-		if n == 0 || n > maxPayload || rest < frameHeader+n {
+		if n == 0 || n > MaxRecord || rest < frameHeader+n {
 			// A declared length the file cannot hold: either the tail of
 			// an interrupted write or a damaged length field; both leave
 			// no way to reframe, so classification is "torn" and the
@@ -296,8 +296,8 @@ func scanFrames(data []byte) (count, validLen, tail int) {
 // synced prefix). A failed write poisons the log — after a half-landed
 // frame, further appends would be unrecoverable interior damage.
 func (l *Log) Append(payload []byte) (uint64, error) {
-	if len(payload) == 0 || len(payload) > maxPayload {
-		return 0, fmt.Errorf("store: append of %d bytes (want 1..%d)", len(payload), maxPayload)
+	if len(payload) == 0 || len(payload) > MaxRecord {
+		return 0, fmt.Errorf("store: append of %d bytes (want 1..%d)", len(payload), MaxRecord)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -342,22 +342,12 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 // ensureSegment opens the tail segment for appending, rotating to a new
 // one when the next frame would overflow it.
 func (l *Log) ensureSegment(next int64) error {
-	if l.cur != nil {
-		seg := l.segs[len(l.segs)-1]
-		if seg.count == 0 || seg.size+next <= l.opts.SegmentBytes {
-			return nil
-		}
-		if err := l.syncLocked(); err != nil {
-			return err
-		}
-		l.cur.Close()
-		l.cur = nil
-	}
-	// Reuse the existing tail segment if it has room; otherwise start
-	// wal-<lastLSN+1>.
-	if n := len(l.segs); n > 0 && l.cur == nil {
+	if n := len(l.segs); n > 0 {
 		seg := l.segs[n-1]
 		if seg.count == 0 || seg.size+next <= l.opts.SegmentBytes {
+			if l.cur != nil {
+				return nil
+			}
 			f, err := l.fs.Append(seg.name)
 			if err != nil {
 				return err
@@ -365,6 +355,34 @@ func (l *Log) ensureSegment(next int64) error {
 			l.cur = f
 			return nil
 		}
+	}
+	return l.rotateLocked()
+}
+
+// Rotate makes the next record open a fresh segment, wal-<LastLSN+1>, so
+// that every record before it can later be pruned whole. A tail segment
+// holding no records already is one.
+func (l *Log) Rotate() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.broken != nil {
+		return fmt.Errorf("store: log poisoned by earlier write failure: %w", l.broken)
+	}
+	if n := len(l.segs); n > 0 && l.segs[n-1].count == 0 {
+		return nil
+	}
+	return l.rotateLocked()
+}
+
+// rotateLocked syncs and closes the tail segment and starts
+// wal-<lastLSN+1>; l.mu held.
+func (l *Log) rotateLocked() error {
+	if l.cur != nil {
+		if err := l.syncLocked(); err != nil {
+			return err
+		}
+		l.cur.Close()
+		l.cur = nil
 	}
 	name := segName(l.lastLSN + 1)
 	f, err := l.fs.Create(name)
@@ -437,24 +455,20 @@ func (l *Log) Replay(after uint64, fn func(lsn uint64, payload []byte) error) er
 	return nil
 }
 
-// Prune removes whole segments whose records are all ≤ upTo, keeping at
-// least the final segment so the log's position survives restarts.
+// Prune removes whole segments whose records are all ≤ upTo, oldest
+// first, keeping at least the final segment so the log's position
+// survives restarts. Each segment leaves the log as its file goes, so a
+// failed Remove leaves a log that still names only files that exist.
 func (l *Log) Prune(upTo uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	kept := l.segs[:0]
-	for i, seg := range l.segs {
-		last := seg.first + uint64(seg.count) - 1
-		if i < len(l.segs)-1 && seg.count > 0 && last <= upTo {
-			if err := l.fs.Remove(seg.name); err != nil {
-				return err
-			}
-			continue
+	defer func() { l.segG.Set(int64(len(l.segs))) }()
+	for len(l.segs) > 1 && l.segs[0].first+uint64(l.segs[0].count) <= upTo+1 {
+		if err := l.fs.Remove(l.segs[0].name); err != nil {
+			return err
 		}
-		kept = append(kept, seg)
+		l.segs = l.segs[1:]
 	}
-	l.segs = kept
-	l.segG.Set(int64(len(l.segs)))
 	return nil
 }
 

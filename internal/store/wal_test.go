@@ -267,7 +267,7 @@ func TestLogAppendLimits(t *testing.T) {
 	if _, err := l.Append(nil); err == nil {
 		t.Fatal("empty append accepted")
 	}
-	if _, err := l.Append(make([]byte, maxPayload+1)); err == nil {
+	if _, err := l.Append(make([]byte, MaxRecord+1)); err == nil {
 		t.Fatal("oversized append accepted")
 	}
 }
@@ -319,10 +319,14 @@ func TestLogOnRealFilesystem(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := WriteSnapshot(fs, "", 10, []byte("state@10")); err != nil {
+	// A checkpoint's shape: rotate, append, prune all that came before.
+	if err := l.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Prune(10); err != nil {
+	if lsn, err := l.Append([]byte("checkpoint")); err != nil || lsn != 31 {
+		t.Fatalf("append after rotate: lsn %d, %v", lsn, err)
+	}
+	if err := l.Prune(30); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -332,20 +336,190 @@ func TestLogOnRealFilesystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if l2.LastLSN() != 30 {
-		t.Fatalf("LastLSN on disk %d, want 30", l2.LastLSN())
+	if st := l2.Stats(); st.FirstLSN != 31 || st.LastLSN != 31 || st.Segments != 1 {
+		t.Fatalf("log on disk after prune: %+v, want one segment holding lsn 31", st)
 	}
-	snap, err := LatestSnapshot(fs)
+	if got := collect(t, l2, 0); len(got) != 1 || got[0] != "checkpoint" {
+		t.Fatalf("replay on disk: %v", got)
+	}
+}
+
+// TestLogRotate pins what a checkpoint relies on: Rotate starts
+// wal-<LastLSN+1>, a rotation onto an empty tail is a no-op, and the next
+// append lands in the fresh segment.
+func TestLogRotate(t *testing.T) {
+	fs := NewMemFS()
+	l := mustOpen(t, fs)
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := l.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := l.Stats(); st.Segments != 2 || fs.Size(segName(4)) != 0 {
+		t.Fatalf("after two rotations: %+v, %s is %d bytes; want one fresh empty segment", st, segName(4), fs.Size(segName(4)))
+	}
+	if lsn, err := l.Append([]byte("rec-3")); err != nil || lsn != 4 {
+		t.Fatalf("append after rotate: lsn %d, %v", lsn, err)
+	}
+	if fs.Size(segName(4)) <= 0 {
+		t.Fatalf("append after rotate did not land in %s", segName(4))
+	}
+	if got := collect(t, l, 0); len(got) != 4 || got[3] != "rec-3" {
+		t.Fatalf("replay across the rotation: %v", got)
+	}
+}
+
+// TestLatestSnapshotEmptyAndTempCleanup pins the two edges of finding a
+// checkpoint at open: an empty store opens with no records, and the one
+// leftover of a checkpoint interrupted right after its rotation's
+// Create, an empty tail segment, is accepted on reopen, filled by the
+// next append and pruned like any other.
+func TestLatestSnapshotEmptyAndTempCleanup(t *testing.T) {
+	fs := NewMemFS()
+	l := mustOpen(t, fs)
+	if got := collect(t, l, 0); l.LastLSN() != 0 || len(got) != 0 {
+		t.Fatalf("empty store: LastLSN %d, records %v", l.LastLSN(), got)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close() // the crash: nothing written after the Create
+
+	l2 := mustOpen(t, fs)
+	if st := l2.Stats(); st.Segments != 2 || st.LastLSN != 3 {
+		t.Fatalf("reopen over an empty tail: %+v", st)
+	}
+	if lsn, err := l2.Append([]byte("rec-3")); err != nil || lsn != 4 {
+		t.Fatalf("append after reopen: lsn %d, %v", lsn, err)
+	}
+	if err := l2.Prune(3); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := fs.List(); len(names) != 1 || names[0] != segName(4) {
+		t.Fatalf("prune left %v, want only %s", names, segName(4))
+	}
+	l2.Close()
+	if got := collect(t, mustOpen(t, fs), 0); len(got) != 1 || got[0] != "rec-3" {
+		t.Fatalf("replay after prune: %v", got)
+	}
+}
+
+// TestPruneSnapshots pins a checkpoint's last step: after checkpoints at
+// LSNs 3, 9 and 27, each a rotation and then its record, pruning every
+// record before the newest leaves only the newest checkpoint's segment.
+func TestPruneSnapshots(t *testing.T) {
+	fs := NewMemFS()
+	l := mustOpen(t, fs)
+	for _, at := range []uint64{3, 9, 27} {
+		for l.LastLSN() < at-1 {
+			if _, err := l.Append([]byte("update")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+		if lsn, err := l.Append([]byte(fmt.Sprintf("checkpoint@%d", at))); err != nil || lsn != at {
+			t.Fatalf("checkpoint record: lsn %d, %v; want %d", lsn, err, at)
+		}
+	}
+	if err := l.Prune(26); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := fs.List(); len(names) != 1 || names[0] != segName(27) {
+		t.Fatalf("prune left %v, want only %s", names, segName(27))
+	}
+	l.Close()
+	if got := collect(t, mustOpen(t, fs), 0); len(got) != 1 || got[0] != "checkpoint@27" {
+		t.Fatalf("replay after prune: %v", got)
+	}
+}
+
+// removeFailFS fails the n-th Remove, once.
+type removeFailFS struct {
+	FS
+	n int
+}
+
+func (f *removeFailFS) Remove(name string) error {
+	if f.n--; f.n == 0 {
+		return errors.New("remove: injected failure")
+	}
+	return f.FS.Remove(name)
+}
+
+// A Prune that fails partway leaves a log naming only the files that are
+// still there, so the next Prune, a Replay and a reopen all work.
+func TestLogPruneResumesAfterFailedRemove(t *testing.T) {
+	mem := NewMemFS()
+	fs := &removeFailFS{FS: mem, n: 2}
+	l, err := OpenLog(fs, LogOptions{SegmentBytes: 16}) // one record per segment
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.LSN != 10 || string(snap.Payload) != "state@10" {
-		t.Fatalf("snapshot on disk: %+v", snap)
+	for i := 0; i < 20; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("payload-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var n int
-	l2.Replay(snap.LSN, func(lsn uint64, p []byte) error { n++; return nil })
-	if n != 20 {
-		t.Fatalf("replayed %d records after snapshot, want 20", n)
+	if st := l.Stats(); st.Segments != 20 {
+		t.Fatalf("%d segments, want 20", st.Segments)
+	}
+	if err := l.Prune(15); err == nil {
+		t.Fatal("prune through a failing Remove succeeded")
+	}
+	if st := l.Stats(); st.Segments != 19 || st.FirstLSN != 2 {
+		t.Fatalf("after the failed prune: %+v, want 19 segments from lsn 2", st)
+	}
+	if got := collect(t, l, 0); len(got) != 19 || got[0] != "payload-01" {
+		t.Fatalf("replay after the failed prune: %v", got)
+	}
+	if err := l.Prune(15); err != nil {
+		t.Fatalf("the next prune: %v", err)
+	}
+	if st := l.Stats(); st.Segments != 5 || st.FirstLSN != 16 {
+		t.Fatalf("after the retried prune: %+v, want 5 segments from lsn 16", st)
+	}
+	l.Close()
+	if got := collect(t, mustOpen(t, mem), 0); len(got) != 5 || got[0] != "payload-15" {
+		t.Fatalf("replay after reopen: %v", got)
+	}
+}
+
+// A crash on a Remove — between a checkpoint's sync and the end of its
+// prune — leaves every segment not yet removed in place, and the log
+// reopens over them.
+func TestLogCrashOnRemoveKeepsSegments(t *testing.T) {
+	mem := NewMemFS()
+	plan := NewFaultPlan(3)
+	l, err := OpenLog(NewFaultFS(mem, plan), LogOptions{SegmentBytes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("payload-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan.CrashOnRemove(2)
+	if err := l.Prune(5); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("prune: %v, want ErrCrashed", err)
+	}
+	if mem.Size(segName(1)) >= 0 || mem.Size(segName(2)) < 0 {
+		t.Fatal("the crash was not before the second Remove")
+	}
+	if got := collect(t, mustOpen(t, mem), 0); len(got) != 5 || got[0] != "payload-01" {
+		t.Fatalf("replay after the crash: %v", got)
 	}
 }
 
