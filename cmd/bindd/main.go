@@ -175,7 +175,6 @@ func main() {
 					rz.Origin(), sec.Serial(), srv.Zone(zones[0]).Count())
 			}
 			durable.Attach(srv)
-			sec.SetJournal(durable)
 		}
 		if _, err := sec.Refresh(context.Background()); err != nil {
 			// A dead primary at startup is survivable: keep serving the

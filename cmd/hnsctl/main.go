@@ -56,9 +56,9 @@ func main() {
 	case "lookup":
 		err = cmdLookup(env, args)
 	case "register-ns":
-		err = cmdRegisterNS(env, args)
+		err = cmdRegisterPair(env, args, cmd, "<name> <type>", core.NameServiceRecord)
 	case "register-context":
-		err = cmdRegisterContext(env, args)
+		err = cmdRegisterPair(env, args, cmd, "<context> <nameservice>", core.ContextRecord)
 	case "register-nsm":
 		err = cmdRegisterNSM(env, args)
 	case "unregister-context":
@@ -171,8 +171,10 @@ func cmdLookup(e *env, args []string) error {
 	return nil
 }
 
-func cmdRegisterNS(e *env, args []string) error {
-	fs := flag.NewFlagSet("register-ns", flag.ExitOnError)
+// cmdRegisterPair registers the one meta record two positional arguments
+// build: a name service and its type, or a context and its name service.
+func cmdRegisterPair(e *env, args []string, cmd, want string, record func(zone, a, b string) (bind.RR, error)) error {
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	meta := fs.String("meta", "127.0.0.1:5301", "meta-BIND HRPC address")
 	zone := fs.String("zone", "hns", "meta zone")
 	if err := fs.Parse(args); err != nil {
@@ -180,31 +182,13 @@ func cmdRegisterNS(e *env, args []string) error {
 	}
 	rest := fs.Args()
 	if len(rest) != 2 {
-		return fmt.Errorf("want <name> <type>")
+		return fmt.Errorf("want %s", want)
 	}
-	rr, err := core.NameServiceRecord(*zone, rest[0], rest[1])
+	rr, err := record(*zone, rest[0], rest[1])
 	if err != nil {
 		return err
 	}
-	return applyRecords(e, *meta, *zone, rr)
-}
-
-func cmdRegisterContext(e *env, args []string) error {
-	fs := flag.NewFlagSet("register-context", flag.ExitOnError)
-	meta := fs.String("meta", "127.0.0.1:5301", "meta-BIND HRPC address")
-	zone := fs.String("zone", "hns", "meta zone")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rest := fs.Args()
-	if len(rest) != 2 {
-		return fmt.Errorf("want <context> <nameservice>")
-	}
-	rr, err := core.ContextRecord(*zone, rest[0], rest[1])
-	if err != nil {
-		return err
-	}
-	return applyRecords(e, *meta, *zone, rr)
+	return addRecords(e, *meta, *zone, rr)
 }
 
 func cmdRegisterNSM(e *env, args []string) error {
@@ -233,23 +217,21 @@ func cmdRegisterNSM(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	return applyRecords(e, *meta, *zone, rrs...)
+	return addRecords(e, *meta, *zone, rrs...)
 }
 
-func applyRecords(e *env, metaAddr, zone string, rrs ...bind.RR) error {
-	mc := e.metaClient(metaAddr)
-	ctx := context.Background()
-	for _, rr := range rrs {
-		serial, err := mc.Update(ctx, zone, bind.UpdateAdd, rr)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("added %s (zone serial %d)\n", rr, serial)
+// addRecords adds rrs to the meta zone as one transaction.
+func addRecords(e *env, metaAddr, zone string, rrs ...bind.RR) error {
+	serial, err := e.metaClient(metaAddr).Apply(context.Background(), zone, bind.Adds(rrs...))
+	if err != nil {
+		return err
 	}
+	fmt.Printf("added %d records (zone serial %d)\n", len(rrs), serial)
 	return nil
 }
 
-// cmdUnregister removes a context mapping or an NSM's records.
+// cmdUnregister removes a context mapping or an NSM's records, an NSM's
+// mapping and record set in one transaction: both go, or neither does.
 func cmdUnregister(e *env, args []string, kind string) error {
 	fs := flag.NewFlagSet("unregister-"+kind, flag.ExitOnError)
 	meta := fs.String("meta", "127.0.0.1:5301", "meta-BIND HRPC address")
@@ -263,29 +245,20 @@ func cmdUnregister(e *env, args []string, kind string) error {
 	if len(rest) != 1 {
 		return fmt.Errorf("want one positional argument (the %s name)", kind)
 	}
-	mc := e.metaClient(*meta)
-	ctx := context.Background()
-	remove := func(owner string) error {
-		serial, err := mc.Update(ctx, *zone, bind.UpdateRemove,
-			bind.RR{Name: owner, Type: bind.TypeHNSMeta})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("removed %s (zone serial %d)\n", owner, serial)
-		return nil
-	}
-	switch kind {
-	case "context":
-		return remove(rest[0] + ".ctx." + *zone)
-	default: // nsm
+	owners := []string{rest[0] + ".ctx." + *zone}
+	if kind == "nsm" {
 		if *ns == "" || *qc == "" {
 			return fmt.Errorf("unregister-nsm needs -ns and -qclass")
 		}
-		if err := remove(*qc + "." + *ns + ".qc." + *zone); err != nil {
-			return err
-		}
-		return remove(rest[0] + ".nsm." + *zone)
+		owners = []string{*qc + "." + *ns + ".qc." + *zone, rest[0] + ".nsm." + *zone}
 	}
+	serial, err := e.metaClient(*meta).Apply(context.Background(), *zone,
+		bind.Removes(bind.TypeHNSMeta, owners...))
+	if err != nil {
+		return err
+	}
+	fmt.Printf("removed %s (zone serial %d)\n", strings.Join(owners, ", "), serial)
+	return nil
 }
 
 func cmdDump(e *env, args []string) error {

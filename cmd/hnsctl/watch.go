@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -13,11 +14,11 @@ import (
 	"hns/internal/push"
 )
 
-// cmdWatch subscribes to a bindd's push plane and prints every NOTIFY
-// as it arrives — the operator's live view of the invalidation stream.
-// A positional argument equal to the zone (or no arguments) watches the
-// whole zone; any other argument narrows delivery to that owner name
-// (repeatable). Zone-level events are always delivered.
+// cmdWatch subscribes to a bindd's push plane and prints every NOTIFY, one
+// per transaction, as it arrives — the operator's live view of the
+// invalidation stream. A positional argument equal to the zone (or none)
+// watches the whole zone; any other argument narrows delivery to that
+// owner name (repeatable). Zone-level events are always delivered.
 func cmdWatch(e *env, args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	meta := fs.String("meta", "127.0.0.1:5301", "bindd HRPC address")
@@ -43,11 +44,11 @@ func cmdWatch(e *env, args []string) error {
 		Names: names,
 		OnNotify: func(n push.Notification) {
 			seen.Add(1)
-			if n.Name == "" {
+			if n.Names == nil {
 				fmt.Printf("%s  serial %-8d zone-level event (%s)\n", stamp(), n.Serial, n.Zone)
 				return
 			}
-			fmt.Printf("%s  serial %-8d %s\n", stamp(), n.Serial, n.Name)
+			fmt.Printf("%s  serial %-8d %s\n", stamp(), n.Serial, strings.Join(n.Names, " "))
 		},
 		OnReset: func() {
 			fmt.Printf("%s  RESET: continuity lost past the server's diff window\n", stamp())

@@ -350,7 +350,7 @@ func TestCheckpointOwedByJournalBytes(t *testing.T) {
 		if err != nil || rcode != RCodeOK {
 			t.Fatalf("update %d: %v %v", i, rcode, err)
 		}
-		return int64(len(encodeUpdate("hns", op, flip, serial)))
+		return int64(len(encodeUpdate("hns", []Op{{op, flip}}, serial)))
 	}
 	recBytes := update(0)
 	if lsn, _ := newestCheckpoint(t, fs); lsn != 0 {
@@ -410,7 +410,7 @@ func (f *rotateFailFS) Create(name string) (store.File, error) {
 func TestFailedCheckpointIsCountedAndRetried(t *testing.T) {
 	const segment = 256
 	rr := func(i int) RR { return A(fmt.Sprintf("h%03d.hns", i), "10.0.0.1", 60) }
-	recBytes := int64(len(encodeUpdate("hns", UpdateAdd, rr(0), 0)))
+	recBytes := int64(len(encodeUpdate("hns", Adds(rr(0)), 0)))
 	fs := &rotateFailFS{MemFS: store.NewMemFS(), segment: segment, frame: recBytes + 8, broken: true}
 	srv, d := openDurableServer(t, fs, "hns", DurableConfig{Name: "ckpt-fail-test", SegmentBytes: segment})
 	defer d.Close()

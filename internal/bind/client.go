@@ -260,9 +260,6 @@ func NewHRPCClient(client *hrpc.Client, b hrpc.Binding) *HRPCClient {
 	return &HRPCClient{c: client, b: b, obs: newClientObs("hrpc")}
 }
 
-// Binding reports the binding in use.
-func (c *HRPCClient) Binding() hrpc.Binding { return c.b }
-
 // Lookup implements Lookuper.
 func (c *HRPCClient) Lookup(ctx context.Context, name string, t RRType) (_ []RR, err error) {
 	defer func() { c.obs.count(err) }()
@@ -293,18 +290,26 @@ func replySets(rcode, sets marshal.Value) (RCode, []RR, error) {
 	return RCode(rcode.Num), rrs, err
 }
 
-// Update applies a dynamic update.
+// Update applies one dynamic update: Apply of a one-op transaction.
 func (c *HRPCClient) Update(ctx context.Context, zone string, op uint32, rr RR) (uint32, error) {
-	// The request's op is a byte and its strings are u16-counted: refuse
-	// what would not survive the trip rather than truncate it.
-	if op > math.MaxUint8 || max(len(zone), len(rr.Name), len(rr.Data)) > math.MaxUint16 {
-		return 0, fmt.Errorf("bind: update does not fit the wire (op %d; zone, name, data %d, %d, %d bytes)",
-			op, len(zone), len(rr.Name), len(rr.Data))
+	return c.Apply(ctx, zone, []Op{{op, rr}})
+}
+
+// Apply applies ops to zone as one transaction — one exchange, one serial,
+// all of it or none — and returns the serial it left the zone at.
+func (c *HRPCClient) Apply(ctx context.Context, zone string, ops []Op) (uint32, error) {
+	// An op is an add or a remove and strings are u16-counted: refuse what
+	// would not survive the trip rather than truncate it.
+	for _, op := range ops {
+		if op.Op > UpdateRemove || max(len(zone), len(op.RR.Name), len(op.RR.Data)) > math.MaxUint16 {
+			return 0, fmt.Errorf("bind: update does not fit the wire (op %d; zone, name, data %d, %d, %d bytes)",
+				op.Op, len(zone), len(op.RR.Name), len(op.RR.Data))
+		}
 	}
 	simtime.Charge(ctx, simtime.GenMarshalRequest)
-	marshal.ChargeRecords(ctx, marshal.StyleGenerated, 1) // the RR in the request
+	marshal.ChargeRecords(ctx, marshal.StyleGenerated, len(ops)) // the RRs in the request
 	ret, err := c.c.Call(ctx, c.b, procUpdate, marshal.StructV(
-		marshal.BytesV(appendUpdate(nil, zone, op, rr)),
+		marshal.BytesV(appendUpdate(nil, zone, ops)),
 	))
 	if err != nil {
 		return 0, err

@@ -174,10 +174,10 @@ func (d *Durable) zone(origin string) (*Zone, error) {
 	return z, nil
 }
 
-// apply replays one journal record into the recovery zones through the
-// real Zone mutation paths, so replay reproduces exactly the semantics
-// (CNAME conflicts, duplicate refresh, wildcard removal) the original
-// call had, and rebuilds the zone's history as the original calls did.
+// apply replays one journal record into the recovery zones through
+// Zone.Apply, the path the original transaction took, so replay
+// reproduces exactly its semantics (CNAME conflicts, duplicate refresh,
+// wildcard removal) and rebuilds the zone's history as it did.
 // A checkpoint marker only restarts the accounting.
 func (d *Durable) apply(lsn uint64, rec journalRec, n int) error {
 	if rec.kind == journalKindCheckpoint {
@@ -198,15 +198,7 @@ func (d *Durable) apply(lsn uint64, rec journalRec, n int) error {
 			return fmt.Errorf("%w: lsn %d: serial %d not after %d for %s",
 				store.ErrCorrupt, lsn, rec.serial, z.Serial(), rec.zone)
 		}
-		switch rec.op {
-		case UpdateAdd:
-			err = z.Add(rec.rr)
-		case UpdateRemove:
-			err = z.Remove(rec.rr)
-		default:
-			err = fmt.Errorf("unknown op %d", rec.op)
-		}
-		if err != nil {
+		if _, err := z.Apply(rec.ops); err != nil {
 			return fmt.Errorf("%w: lsn %d: replaying %s: %v", store.ErrCorrupt, lsn, rec.zone, err)
 		}
 	case journalKindReplace:
@@ -298,11 +290,11 @@ func (d *Durable) Attach(srv *Server) {
 	srv.SetJournal(d)
 }
 
-// LogUpdate implements ZoneStore: append one update record, then maybe
-// checkpoint. The record is durable per the fsync policy when this
+// LogUpdate implements ZoneStore: append one transaction's record, then
+// maybe checkpoint. The record is durable per the fsync policy when this
 // returns nil; an error means the caller must not acknowledge.
-func (d *Durable) LogUpdate(zone string, op uint32, rr RR, serial uint32) error {
-	return d.append(zone, encodeUpdate(zone, op, rr, serial))
+func (d *Durable) LogUpdate(zone string, ops []Op, serial uint32) error {
+	return d.append(zone, encodeUpdate(zone, ops, serial))
 }
 
 // LogReplace implements ZoneStore for bulk loads and transfer applies.
@@ -335,8 +327,16 @@ func (d *Durable) append(zone string, payload []byte) error {
 // Snapshot forces a checkpoint now. bindd takes none at shutdown: the
 // journal past the checkpoint is what a restart rebuilds each zone's
 // history from, so a parting checkpoint would cost every peer behind
-// the restart a full transfer.
+// the restart a full transfer. Like a journaled change it holds the
+// server's journal lock, so no image holds a change not yet appended.
 func (d *Durable) Snapshot() error {
+	d.mu.Lock()
+	srv := d.srv
+	d.mu.Unlock()
+	if srv != nil {
+		srv.journalMu.Lock()
+		defer srv.journalMu.Unlock()
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.snapshotLocked()

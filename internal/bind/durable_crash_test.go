@@ -11,15 +11,16 @@ import (
 	"hns/internal/store"
 )
 
-// The crash-loop harness: drive a durable bindd through a seeded update
-// storm, kill it at a seeded disk-fault point (torn write, clean write
-// cut, crash between a checkpoint's sync and its prune), restart from the
-// surviving disk image,
-// and assert the recovered state is EXACTLY the acknowledged prefix —
-// no acked update lost, no unacked update resurrected, serials pinned.
+// The crash-loop harness: drive a durable bindd through a seeded storm of
+// transactions, kill it at a seeded disk-fault point (torn write, clean
+// write cut, crash between a checkpoint's sync and its prune), restart
+// from the surviving disk image, and assert the recovered state is EXACTLY
+// a prefix of whole acknowledged transactions — none lost, none
+// resurrected, none in part, serials pinned.
 //
-// A shadow pair of plain in-memory zones receives every acknowledged op
-// and nothing else; FormatZoneFile makes state comparison canonical.
+// A shadow pair of plain in-memory zones receives every acknowledged
+// transaction and nothing else; FormatZoneFile makes state comparison
+// canonical.
 
 const (
 	crashZoneA = "hns"
@@ -96,38 +97,41 @@ func serverState(srv *Server) string {
 	return b.String()
 }
 
-// stormOp applies one seeded op to the durable server and, iff it was
-// acknowledged, to the shadow. Reports whether the disk has crashed.
+// stormOp applies one seeded transaction of one to five ops to one of the
+// two zones of the durable server and, iff it was acknowledged, applies it
+// whole to the shadow. One in ten strays into the other zone and must be
+// refused. Reports whether the disk has crashed.
 func stormOp(t *testing.T, rng *rand.Rand, srv *Server, shadow *crashShadow) (crashed bool) {
 	t.Helper()
-	origin := crashZoneA
+	origin, other := crashZoneA, crashZoneB
 	if rng.Intn(3) == 0 {
-		origin = crashZoneB
+		origin, other = other, origin
 	}
-	var op uint32 = UpdateAdd
-	rr := A(fmt.Sprintf("h%d.%s", rng.Intn(30), origin), fmt.Sprintf("10.0.%d.1", rng.Intn(200)), 60)
-	if rng.Intn(10) < 3 {
-		op = UpdateRemove
-		rr = RR{Name: fmt.Sprintf("h%d.%s", rng.Intn(30), origin), Type: TypeA} // wildcard remove
+	ops := make([]Op, 1+rng.Intn(5))
+	for i := range ops {
+		name := fmt.Sprintf("h%d.%s", rng.Intn(30), origin)
+		ops[i] = Op{UpdateAdd, A(name, fmt.Sprintf("10.0.%d.1", rng.Intn(200)), 60)}
+		if rng.Intn(10) < 3 {
+			ops[i] = Op{UpdateRemove, RR{Name: name, Type: TypeA}} // wildcard remove
+		}
 	}
-	rcode, serial, err := srv.Update(context.Background(), origin, op, rr)
+	stray := rng.Intn(10) == 0
+	if stray {
+		ops[rng.Intn(len(ops))].RR.Name = fmt.Sprintf("h%d.%s", rng.Intn(30), other)
+	}
+	rcode, serial, err := srv.Apply(context.Background(), origin, ops)
 	if errors.Is(err, store.ErrCrashed) {
 		return true
 	}
+	if stray && rcode != RCodeFormErr {
+		t.Fatalf("a transaction spanning zones got %s, want %s", rcode, RCodeFormErr)
+	}
 	if rcode != RCodeOK {
-		return false // semantic refusal (e.g. removing a missing name); not acked, keep going
+		return false // refused (e.g. removing a missing name): not acked, keep going
 	}
 	sz := shadow.zones[origin]
-	if op == UpdateAdd {
-		err = sz.Add(rr)
-	} else {
-		err = sz.Remove(rr)
-	}
-	if err != nil {
-		t.Fatalf("shadow diverged applying acked op: %v", err)
-	}
-	if sz.Serial() != serial {
-		t.Fatalf("acked serial %d but shadow at %d", serial, sz.Serial())
+	if got, err := sz.Apply(ops); err != nil || got != serial {
+		t.Fatalf("shadow diverged applying an acked transaction: serial %d, want %d, %v", got, serial, err)
 	}
 	return false
 }

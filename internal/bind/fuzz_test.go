@@ -2,6 +2,7 @@ package bind
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -156,7 +157,7 @@ func FuzzCanonicalName(f *testing.F) {
 func reencodeJournal(rec journalRec) []byte {
 	switch rec.kind {
 	case journalKindUpdate:
-		return encodeUpdate(rec.zone, rec.op, rec.rr, rec.serial)
+		return encodeUpdate(rec.zone, rec.ops, rec.serial)
 	case journalKindReplace:
 		return encodeReplace(rec.zone, rec.serial, rec.rrs)
 	default:
@@ -165,13 +166,14 @@ func reencodeJournal(rec journalRec) []byte {
 }
 
 // FuzzJournalDecode throws arbitrary bytes at the one decoder WAL replay
-// runs over updates, zone images and checkpoint markers: it must never
-// panic, and whatever it accepts must re-encode byte-identically.
+// runs over transactions, zone images and checkpoint markers: it must
+// never panic, and whatever it accepts must re-encode byte-identically.
 func FuzzJournalDecode(f *testing.F) {
 	f.Add(encodeCheckpoint(2))
 	f.Add(encodeReplace("hns", 9, []RR{A("a.hns", "10.0.0.1", 60), HNSMeta("ctx.hns", "ns=bind-cs", 600)}))
 	f.Add(encodeReplace("meta.hns", 0, nil))
-	f.Add(encodeUpdate("hns", UpdateRemove, RR{Name: "a.hns", Type: TypeA}, 10))
+	f.Add(encodeUpdate("hns", Removes(TypeA, "a.hns"), 10))
+	f.Add(encodeUpdate("hns", append(Removes(TypeHNSMeta, "q.ns.qc.hns"), Adds(HNSMeta("n.nsm.hns", "host=june", 600), HNSMeta("n.nsm.hns", "port=1", 600))...), 11))
 	f.Add([]byte("C\x00\x00")) // a truncated marker
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -196,13 +198,19 @@ func TestJournalCheckpointRoundTrip(t *testing.T) {
 }
 
 // Damage the WAL's frame checksum would not catch — a record cut short,
-// padded, or of an unknown kind — is refused by the decoder.
+// padded, or of an unknown kind, a transaction with no op or an op that
+// is neither add nor remove — is refused by the decoder.
 func TestJournalDecodeRejectsDamage(t *testing.T) {
 	image := encodeReplace("hns", 3, []RR{A("a.hns", "10.0.0.1", 60)})
 	marker := encodeCheckpoint(1)
+	update := encodeUpdate("hns", Adds(A("a.hns", "10.0.0.1", 60), A("b.hns", "10.0.0.2", 60)), 4)
 	for name, b := range map[string][]byte{
-		"image cut short": image[:len(image)-1],
-		"image padded":    append(bytes.Clone(image), 0),
+		"update cut short":     update[:len(update)-1],
+		"update with no op":    encodeUpdate("hns", nil, 4),
+		"update with op 2":     encodeUpdate("hns", []Op{{2, A("a.hns", "10.0.0.1", 60)}}, 4),
+		"update then a record": append(bytes.Clone(update), update...),
+		"image cut short":      image[:len(image)-1],
+		"image padded":         append(bytes.Clone(image), 0),
 		"image count inflated": func() []byte {
 			c := bytes.Clone(image)
 			c[1+4+2+3+3] = 2 // the low byte of the record count
@@ -215,6 +223,25 @@ func TestJournalDecodeRejectsDamage(t *testing.T) {
 	} {
 		if rec, err := decodeJournal(b); err == nil {
 			t.Errorf("%s: decodeJournal accepted %x as %+v", name, b, rec)
+		}
+	}
+}
+
+// The one-op encodings are the bytes they were before a transaction could
+// carry more than one op: the BINDUpdate body every flip sends, and the
+// 'U' record the journal and IXFR hold.
+func TestUpdateGoldenBytes(t *testing.T) {
+	rr := HNSMeta("h0.ctx.hns", "ns=bind-cs", 600)
+	for name, tc := range map[string]struct {
+		got  []byte
+		want string
+	}{
+		"BINDUpdate body": {appendUpdate(nil, "hns", Adds(rr)), "0003686e7300000a68302e6374782e686e73ff00000100000258000a6e733d62696e642d6373"},
+		"'U' add":         {encodeUpdate("hns", Adds(rr), 42), "550000002a0003686e7300000a68302e6374782e686e73ff00000100000258000a6e733d62696e642d6373"},
+		"'U' remove":      {encodeUpdate("hns", Removes(TypeA, "a.hns"), 42), "550000002a0003686e73010005612e686e7300010000000000000000"},
+	} {
+		if got := hex.EncodeToString(tc.got); got != tc.want {
+			t.Errorf("%s encodes as %s, want %s", name, got, tc.want)
 		}
 	}
 }

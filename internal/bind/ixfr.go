@@ -2,23 +2,25 @@ package bind
 
 // IXFR-style incremental zone transfer and the push-invalidation plane.
 //
-// The paper's secondaries (and the HNS preloader) re-fetch whole zones
-// to learn about any change — AXFR every refresh. At fleet scale most refreshes move bytes that have not
-// changed. This file adds the two halves that fix it server-side:
+// The paper's secondaries (and the HNS preloader) re-fetch whole zones to
+// learn about any change — AXFR every refresh. At fleet scale most
+// refreshes move bytes that have not changed. This file adds the two
+// halves that fix it server-side:
 //
 //   - TransferDelta ("changes since serial S"): answered from the
-//     zone's history (Zone.DiffSince), the newest mutations that fit one
-//     reply. A peer it reaches back to receives only the mutations it
-//     missed, encoded as the journal codec's 'U' records; an older peer
-//     is told to take a full transfer. Cost is charged per diff record,
+//     zone's history (Zone.DiffSince), the newest transactions that fit
+//     one reply. A peer it reaches back to receives only the transactions
+//     it missed, encoded as the journal codec's 'U' records; an older peer
+//     is told to take a full transfer. Cost is charged per transaction,
 //     so an incremental catch-up is priced by what moved, not by zone
 //     size.
 //
 //   - Subscribe: a client on a multiplexed connection registers for
-//     push invalidations; every dynamic update then fans a serial-bump
-//     notification out over the transport's server-initiated frames
-//     (NOTIFY). The subscriber table is bounded — an overflowing or
-//     push-incapable peer is refused and falls back to TTL polling.
+//     push invalidations; every transaction then fans one serial-bump
+//     notification naming what it touched out over the transport's
+//     server-initiated frames (NOTIFY). The subscriber table is bounded —
+//     an overflowing or push-incapable peer is refused and falls back to
+//     TTL polling.
 //
 // Every zone keeps its history; recording it charges nothing, and no
 // paper path asks for a delta. The push plane is opt-in (EnablePush);
@@ -45,27 +47,27 @@ import (
 var ErrSubscribeUnsupported = errors.New("bind: subscribe unsupported on this connection")
 
 // encodeDiffs renders an incremental transfer payload: one journal 'U'
-// record per mutation, oldest first — byte-compatible with the WAL
+// record per transaction, oldest first — byte-compatible with the WAL
 // format, decoded by the same walker.
 func encodeDiffs(zone string, diffs []DiffRec) []byte {
 	var b []byte
 	for _, d := range diffs {
-		b = append(b, encodeUpdate(zone, d.Op, d.RR, d.Serial)...)
+		b = append(b, encodeUpdate(zone, d.Ops, d.Serial)...)
 	}
 	return b
 }
 
 // decodeDiffs parses an incremental transfer payload back into its
-// mutation sequence, enforcing that every record is an update for zone
-// and that serials strictly increase — a malformed or spliced payload
-// fails whole rather than half-applying.
+// transactions, enforcing that every record is an update for zone and
+// that serials strictly increase — a malformed or spliced payload fails
+// whole rather than half-applying.
 func decodeDiffs(zone string, payload []byte) ([]DiffRec, error) {
 	var out []DiffRec
 	d := &journalDecoder{b: payload}
 	var last uint32
 	for len(d.b) > 0 {
 		kind, serial := byte(d.num(1)), uint32(d.num(4))
-		zb, op, rr := d.update()
+		zb, ops := d.update()
 		switch {
 		case d.err != nil:
 			return nil, d.err
@@ -77,7 +79,7 @@ func decodeDiffs(zone string, payload []byte) ([]DiffRec, error) {
 			return nil, fmt.Errorf("bind: ixfr serials not increasing (%d after %d)", serial, last)
 		}
 		last = serial
-		out = append(out, DiffRec{Serial: serial, Op: op, RR: rr})
+		out = append(out, DiffRec{Serial: serial, Ops: ops})
 	}
 	return out, nil
 }
@@ -86,9 +88,9 @@ func decodeDiffs(zone string, payload []byte) ([]DiffRec, error) {
 // ok=true with an empty diff means the peer is already current. ok=false
 // means the zone's history cannot prove continuity from since — the caller
 // must take a full Transfer. The serial reported with a diff is the one
-// its last record left the zone at, so an update landing meanwhile is not
-// claimed by a peer that never received it. Cost is charged per diff
-// record moved, the whole point of the incremental path.
+// its last transaction left the zone at, so an update landing meanwhile is
+// not claimed by a peer that never received it. Cost is charged per
+// transaction moved, the whole point of the incremental path.
 func (s *Server) TransferDelta(ctx context.Context, zoneOrigin string, since uint32) (rcode RCode, serial uint32, diffs []DiffRec, ok bool) {
 	z := s.Zone(zoneOrigin)
 	if z == nil {
@@ -117,19 +119,24 @@ func (s *Server) EnablePush(maxSubscribers int) {
 	s.pushTab.Store(push.NewTable(maxSubscribers, s.reg))
 }
 
-// publishUpdate fans one applied update out to subscribers; an empty name
-// is a zone-level event. No-op with push disabled.
-func (s *Server) publishUpdate(zone, name string, serial uint32) {
-	t := s.pushTab.Load()
-	if t == nil {
-		return
+// publish sends subscribers one NOTIFY for an applied transaction, naming
+// its owners; nil ops is a zone-level event. No-op with push disabled.
+func (s *Server) publish(zone string, ops []Op, serial uint32) {
+	if t := s.pushTab.Load(); t != nil {
+		t.Publish(push.Notification{Zone: zone, Names: opNames(ops), Serial: serial})
 	}
-	// Subscribers filter by canonical owner name (the form the zone
-	// stores and Lookup matches).
-	if cn, err := CanonicalName(name); err == nil {
-		name = cn
+}
+
+// opNames lists the canonical owners ops touch, in order, once per run of
+// ops on an owner: what subscribers filter by.
+func opNames(ops []Op) []string {
+	var names []string
+	for _, op := range ops {
+		if len(names) == 0 || names[len(names)-1] != op.RR.Name {
+			names = append(names, op.RR.Name)
+		}
 	}
-	t.Publish(push.Notification{Zone: zone, Name: name, Serial: serial})
+	return names
 }
 
 // The incremental-transfer and subscription procedures. ID 5 belonged to a

@@ -1,6 +1,7 @@
 package bind
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -35,11 +36,11 @@ func TestDiffLogBasics(t *testing.T) {
 	if !ok || len(diffs) != 3 {
 		t.Fatalf("DiffSince(base) = %d recs, ok=%v; want 3, true", len(diffs), ok)
 	}
-	if diffs[0].Op != UpdateAdd || diffs[0].RR.Name != "a.d.test" {
+	if op := diffs[0].Ops[0]; len(diffs[0].Ops) != 1 || op.Op != UpdateAdd || op.RR.Name != "a.d.test" {
 		t.Fatalf("first diff = %+v", diffs[0])
 	}
-	if diffs[2].Op != UpdateRemove {
-		t.Fatalf("third diff op = %d, want remove", diffs[2].Op)
+	if diffs[2].Ops[0].Op != UpdateRemove {
+		t.Fatalf("third diff op = %d, want remove", diffs[2].Ops[0].Op)
 	}
 	for i := 1; i < len(diffs); i++ {
 		if diffs[i].Serial <= diffs[i-1].Serial {
@@ -62,14 +63,15 @@ func TestDiffLogBasics(t *testing.T) {
 	}
 }
 
-// TestDiffLogWindowAndResets: the history is the newest mutations whose
-// 'U' records fit one reply, and only serial movement breaks continuity.
+// TestDiffLogWindowAndResets: the history is the newest whole transactions
+// whose 'U' records fit one reply, and only serial movement breaks
+// continuity.
 func TestDiffLogWindowAndResets(t *testing.T) {
 	z, _ := NewZone("d.test", true)
 	base := z.Serial()
 	data := strings.Repeat("x", MaxRDataLen)
 	big := func(i int) RR { return TXT(fmt.Sprintf("n%05d.d.test", i), data, 60) }
-	n := replyBudget/updateLen(z.Origin(), big(0)) + 64 // overflows one reply
+	n := replyBudget/updateLen(z.Origin(), Adds(big(0))) + 64 // overflows one reply
 	for i := 0; i < n; i++ {
 		if err := z.Add(big(i)); err != nil {
 			t.Fatal(err)
@@ -78,7 +80,7 @@ func TestDiffLogWindowAndResets(t *testing.T) {
 			t.Fatalf("after %d adds the history holds %d bytes, over the %d-byte budget", i+1, z.diffBytes, replyBudget)
 		}
 		// The newest mutation is always servable.
-		if diffs, ok := z.DiffSince(z.Serial() - 1); !ok || len(diffs) != 1 || diffs[0].RR.Name != big(i).Name {
+		if diffs, ok := z.DiffSince(z.Serial() - 1); !ok || len(diffs) != 1 || diffs[0].Ops[0].RR.Name != big(i).Name {
 			t.Fatalf("after %d adds DiffSince(serial-1) = %v, ok=%v", i+1, diffs, ok)
 		}
 	}
@@ -94,12 +96,45 @@ func TestDiffLogWindowAndResets(t *testing.T) {
 		t.Fatalf("DiffSince(oldest %d) = %d records, ok=%v; want the %d retained", oldest, len(diffs), ok, len(z.diff))
 	}
 	size := len(encodeDiffs(z.Origin(), diffs))
-	if size != z.diffBytes || size > replyBudget || size+updateLen(z.Origin(), big(0)) <= replyBudget {
+	if size != z.diffBytes || size > replyBudget || size+updateLen(z.Origin(), Adds(big(0))) <= replyBudget {
 		t.Fatalf("the oldest answer is %d bytes (history says %d), want at most %d and within a record of it", size, z.diffBytes, replyBudget)
 	}
 	if _, ok := z.DiffSince(oldest - 1); ok {
 		t.Fatal("DiffSince reaches back past the oldest retained mutation")
 	}
+
+	// A transaction straddling the trim point goes whole. While it is the
+	// oldest retained it keeps every op; the add that needs room from it
+	// drops all of it, though a per-record trim would have kept its tail,
+	// and the history then starts at the next transaction.
+	txn := Adds(big(n), big(n+1), big(n+2))
+	straddler, err := z.Apply(txn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := n + 3; z.diff[0].Serial <= straddler; i++ {
+		if len(z.diff[0].Ops) != len(txn) && z.diff[0].Serial == straddler {
+			t.Fatalf("the history keeps %d of the straddling transaction's %d ops", len(z.diff[0].Ops), len(txn))
+		}
+		if i > 2*n {
+			t.Fatal("the straddling transaction was never trimmed")
+		}
+		if err := z.Add(big(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if z.diff[0].Serial != straddler+1 || z.diffBytes+updateLen(z.Origin(), txn[2:]) > replyBudget {
+		t.Fatalf("after the trim the history starts at serial %d holding %d bytes; want %d, with room for the transaction's last op",
+			z.diff[0].Serial, z.diffBytes, straddler+1)
+	}
+	if _, ok := z.DiffSince(straddler - 1); ok {
+		t.Fatal("DiffSince answers from inside a trimmed transaction")
+	}
+	if d, ok := z.DiffSince(straddler); !ok || len(encodeDiffs(z.Origin(), d)) != z.diffBytes {
+		t.Fatalf("DiffSince(after the straddler) = %d transactions, ok=%v", len(d), ok)
+	}
+	oldest = z.diff[0].Serial - 1
+	diffs, _ = z.DiffSince(oldest)
 
 	// Bookkeeping keeps the history: a same-serial ForceSerial (replay and
 	// mirror pins in lockstep) and Adopt (a restarted server taking over
@@ -150,9 +185,10 @@ func TestDiffLogWindowAndResets(t *testing.T) {
 
 func TestDiffCodecRoundTrip(t *testing.T) {
 	in := []DiffRec{
-		{Serial: 5, Op: UpdateAdd, RR: A("a.d.test", "1", 60)},
-		{Serial: 6, Op: UpdateRemove, RR: RR{Name: "a.d.test", Type: TypeA, Class: ClassIN}},
-		{Serial: 9, Op: UpdateAdd, RR: RR{Name: "m.d.test", Type: TypeHNSMeta, Class: ClassIN, TTL: 30, Data: []byte("loc=cluster-7")}},
+		{Serial: 5, Ops: Adds(A("a.d.test", "1", 60))},
+		{Serial: 6, Ops: Removes(TypeA, "a.d.test")},
+		{Serial: 9, Ops: append(Removes(TypeHNSMeta, "m.d.test"),
+			Adds(HNSMeta("m.d.test", "loc=cluster-7", 30), A("b.d.test", "2", 60))...)},
 	}
 	payload := encodeDiffs("d.test", in)
 	out, err := decodeDiffs("d.test", payload)
@@ -163,24 +199,28 @@ func TestDiffCodecRoundTrip(t *testing.T) {
 		t.Fatalf("round trip length %d, want %d", len(out), len(in))
 	}
 	for i := range in {
-		if out[i].Serial != in[i].Serial || out[i].Op != in[i].Op ||
-			out[i].RR.Name != in[i].RR.Name || out[i].RR.Type != in[i].RR.Type ||
-			string(out[i].RR.Data) != string(in[i].RR.Data) {
-			t.Fatalf("record %d: got %+v want %+v", i, out[i], in[i])
+		if out[i].Serial != in[i].Serial || len(out[i].Ops) != len(in[i].Ops) {
+			t.Fatalf("transaction %d: got %+v want %+v", i, out[i], in[i])
 		}
+	}
+	if back := encodeDiffs("d.test", out); !bytes.Equal(back, payload) {
+		t.Fatalf("re-encoded %x, want %x", back, payload)
 	}
 }
 
 func TestDiffCodecRejectsMalformed(t *testing.T) {
 	good := encodeDiffs("d.test", []DiffRec{
-		{Serial: 5, Op: UpdateAdd, RR: A("a.d.test", "1", 60)},
-		{Serial: 6, Op: UpdateAdd, RR: A("b.d.test", "2", 60)},
+		{Serial: 5, Ops: Adds(A("a.d.test", "1", 60), A("c.d.test", "3", 60))},
+		{Serial: 6, Ops: Adds(A("b.d.test", "2", 60))},
 	})
 	cases := map[string][]byte{
 		"truncated":    good[:len(good)-3],
 		"wrong kind":   append([]byte{'R'}, good[1:]...),
 		"trailing":     append(append([]byte(nil), good...), 0x01),
-		"serial order": encodeDiffs("d.test", []DiffRec{{Serial: 6, Op: UpdateAdd, RR: A("a.d.test", "1", 60)}, {Serial: 6, Op: UpdateAdd, RR: A("b.d.test", "2", 60)}}),
+		"serial order": encodeDiffs("d.test", []DiffRec{{Serial: 6, Ops: Adds(A("a.d.test", "1", 60))}, {Serial: 6, Ops: Adds(A("b.d.test", "2", 60))}}),
+		"no op":        encodeDiffs("d.test", []DiffRec{{Serial: 5}, {Serial: 6, Ops: Adds(A("b.d.test", "2", 60))}}),
+		"no op last":   encodeDiffs("d.test", []DiffRec{{Serial: 5, Ops: Adds(A("b.d.test", "2", 60))}, {Serial: 6}}),
+		"unknown op":   encodeDiffs("d.test", []DiffRec{{Serial: 5, Ops: []Op{{7, A("b.d.test", "2", 60)}}}}),
 	}
 	for name, b := range cases {
 		if _, err := decodeDiffs("d.test", b); err == nil {
@@ -195,8 +235,12 @@ func TestDiffCodecRejectsMalformed(t *testing.T) {
 
 func FuzzIXFRDecode(f *testing.F) {
 	f.Add([]byte("d.test"), encodeDiffs("d.test", []DiffRec{
-		{Serial: 5, Op: UpdateAdd, RR: A("a.d.test", "1", 60)},
-		{Serial: 7, Op: UpdateRemove, RR: RR{Name: "a.d.test", Type: TypeA, Class: ClassIN}},
+		{Serial: 5, Ops: Adds(A("a.d.test", "1", 60))},
+		{Serial: 7, Ops: []Op{{UpdateRemove, RR{Name: "a.d.test", Type: TypeA, Class: ClassIN}}}},
+	}))
+	f.Add([]byte("hns"), encodeDiffs("hns", []DiffRec{
+		{Serial: 8, Ops: append(Removes(TypeHNSMeta, "q.ns.qc.hns"), Adds(HNSMeta("n.nsm.hns", "host=june", 600))...)},
+		{Serial: 9, Ops: Adds(HNSMeta("q.ns.qc.hns", "nsm=n", 600), HNSMeta("n.nsm.hns", "port=1", 600))},
 	}))
 	f.Add([]byte("z"), []byte{'U', 0, 0, 0})
 	f.Add([]byte(""), []byte{})
@@ -387,7 +431,7 @@ func TestTransferDeltaFitsFrame(t *testing.T) {
 		if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, rr); err != nil {
 			t.Fatal(err)
 		}
-		total += updateLen("repl.test", rr)
+		total += updateLen("repl.test", Adds(rr))
 	}
 	z.mu.RLock()
 	oldest, retained := z.diff[0].Serial-1, len(z.diff)
@@ -422,7 +466,7 @@ type notifyRecorder struct {
 func (r *notifyRecorder) onNotify(n push.Notification) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.names = append(r.names, n.Name)
+	r.names = append(r.names, strings.Join(n.Names, " "))
 	r.serials = append(r.serials, n.Serial)
 	r.signalLocked()
 }
@@ -571,10 +615,14 @@ func TestPushVsPollFetchClosedForms(t *testing.T) {
 				continue
 			}
 			subs[i] = client.Subscribe(SubscribeConfig{
-				Zone:     "repl.test",
-				OnNotify: func(n push.Notification) { res.Invalidate(n.Name, TypeA) },
-				OnReset:  res.Purge,
-				Metrics:  metrics.Discard,
+				Zone: "repl.test",
+				OnNotify: func(n push.Notification) {
+					for _, name := range n.Names {
+						res.Invalidate(name, TypeA)
+					}
+				},
+				OnReset: res.Purge,
+				Metrics: metrics.Discard,
 			})
 			defer subs[i].Close()
 		}
@@ -876,9 +924,10 @@ func TestSecondaryFallsBackPastWindow(t *testing.T) {
 	}
 }
 
-// TestSecondaryRepublishesAndChains: a mirror republishes each diff it
-// applies, name by name at the primary's serials, and keeps the history
-// those diffs extend, so a mirror of the mirror refreshes by delta too.
+// TestSecondaryRepublishesAndChains: a mirror republishes each transaction
+// it applies as the one NOTIFY the primary sent, naming what it touched at
+// the primary's serial, and keeps the history those transactions extend,
+// so a mirror of the mirror refreshes by delta too.
 func TestSecondaryRepublishesAndChains(t *testing.T) {
 	s, client, net := newPushPrimary(t)
 	ctx := context.Background()
@@ -918,21 +967,27 @@ func TestSecondaryRepublishesAndChains(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	names := []string{"c0.repl.test", "c1.repl.test", "c2.repl.test"}
+	txns := [][]string{{"c0.repl.test", "c1.repl.test"}, {"c2.repl.test"}, {"c3.repl.test", "c4.repl.test", "c5.repl.test"}}
+	var names []string
 	var serials []uint32
-	for _, name := range names {
-		_, serial, err := s.Update(ctx, "repl.test", UpdateAdd, A(name, "1", 60))
+	for _, txn := range txns {
+		var ops []Op
+		for _, name := range txn {
+			ops = append(ops, Adds(A(name, "1", 60), A(name, "2", 60))...)
+		}
+		_, serial, err := s.Apply(ctx, "repl.test", ops)
 		if err != nil {
 			t.Fatal(err)
 		}
+		names = append(names, strings.Join(txn, " "))
 		serials = append(serials, serial)
 	}
 	if moved, err := a.Refresh(ctx); err != nil || !moved || a.DeltaRefreshes() != 1 {
 		t.Fatalf("mirror A refresh = moved %v, %v, %d deltas; want one delta", moved, err, a.DeltaRefreshes())
 	}
-	waitFor(t, "the mirror's NOTIFYs", rec, func() bool { return len(rec.snapshot()) >= len(names) })
-	if got, gotSerials := rec.snapshot(), rec.serialsSeen(); fmt.Sprint(got, gotSerials) != fmt.Sprint(names, serials) {
-		t.Fatalf("mirror subscriber saw %v at %v, want %v at %v", got, gotSerials, names, serials)
+	waitFor(t, "the mirror's NOTIFYs", rec, func() bool { return sub.LastSerial() >= serials[len(serials)-1] })
+	if got, gotSerials := rec.snapshot(), rec.serialsSeen(); fmt.Sprintf("%q %v", got, gotSerials) != fmt.Sprintf("%q %v", names, serials) {
+		t.Fatalf("mirror subscriber saw %q at %v, want one NOTIFY per transaction: %q at %v", got, gotSerials, names, serials)
 	}
 
 	if moved, err := b.Refresh(ctx); err != nil || !moved {

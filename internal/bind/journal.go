@@ -14,13 +14,13 @@ import (
 // implementation (see Durable) appends each mutation to a write-ahead
 // log before the server acknowledges it.
 //
-// LogUpdate records one dynamic update (UpdateAdd/UpdateRemove) that has
-// been applied to the named zone, leaving it at serial. LogReplace
-// records a wholesale content swap — bulk load or zone-transfer apply —
-// again with the serial the zone ended at. An error from either means
-// the mutation is NOT durable and must not be acknowledged.
+// LogUpdate records one transaction — its ops, in order — that has been
+// applied to the named zone, leaving it at serial. LogReplace records a
+// wholesale content swap — bulk load or zone-transfer apply — again with
+// the serial the zone ended at. An error from either means the mutation
+// is NOT durable and must not be acknowledged.
 type ZoneStore interface {
-	LogUpdate(zone string, op uint32, rr RR, serial uint32) error
+	LogUpdate(zone string, ops []Op, serial uint32) error
 	LogReplace(zone string, serial uint32, rrs []RR) error
 }
 
@@ -32,14 +32,17 @@ type ZoneStore interface {
 //
 // One WAL payload is one mutation, or the marker a checkpoint opens with:
 //
-//	'U' u32 serial  u16 len zone  u8 op  RR        (dynamic update)
+//	'U' u32 serial  u16 len zone  (u8 op  RR)+     (one transaction)
 //	'R' u32 serial  u16 len zone  u32 count  RR*   (content replace)
 //	'C' u32 zones                                  (checkpoint marker)
 //
-// A checkpoint is a marker followed by one 'R' image per zone.
-// An IXFR payload is a sequence of 'U' records, and a BINDUpdate request
-// is one without its kind and serial. Every record list the HRPC
-// interface returns is a sets payload: runs, read until it is exhausted.
+// A 'U' record's ops run to the end of its payload or, where records are
+// concatenated, to the next kind byte, which no op byte (UpdateAdd or
+// UpdateRemove) can be mistaken for. A checkpoint is a marker followed by
+// one 'R' image per zone. An IXFR payload is a sequence of 'U' records,
+// one per transaction, and a BINDUpdate request is one without its kind
+// and serial. Every record list the HRPC interface returns is a sets
+// payload: runs, read until it is exhausted.
 // A run is a maximal stretch (of at most 65535) consecutive records
 // sharing owner, type, class and TTL — a DNS RRset, unless a TTL differs —
 // so any sequence round-trips in order and an answer set names its owner
@@ -71,25 +74,30 @@ func appendRR(b []byte, rr RR) []byte {
 	return appendPrefixed(appendRRHead(b, rr), rr.Data)
 }
 
-// appendUpdate appends one dynamic update's zone, op and record.
-func appendUpdate(b []byte, zone string, op uint32, rr RR) []byte {
+// appendUpdate appends one transaction's zone, then each op and record.
+func appendUpdate(b []byte, zone string, ops []Op) []byte {
 	b = appendPrefixed(b, zone)
-	b = append(b, byte(op))
-	return appendRR(b, rr)
+	for _, op := range ops {
+		b = appendRR(append(b, byte(op.Op)), op.RR)
+	}
+	return b
 }
 
-// updateLen is the length of encodeUpdate's payload: kind, serial, zone,
-// op and RR.
-func updateLen(zone string, rr RR) int {
-	return 1 + 4 + 2 + len(zone) + 1 + rrFixedLen + len(rr.Name) + len(rr.Data)
+// updateLen is the length of encodeUpdate's payload.
+func updateLen(zone string, ops []Op) int {
+	n := 1 + 4 + 2 + len(zone)
+	for _, op := range ops {
+		n += 1 + rrFixedLen + len(op.RR.Name) + len(op.RR.Data)
+	}
+	return n
 }
 
-// encodeUpdate builds the WAL payload for one dynamic update.
-func encodeUpdate(zone string, op uint32, rr RR, serial uint32) []byte {
-	b := make([]byte, 0, updateLen(zone, rr))
+// encodeUpdate builds the WAL payload for one transaction.
+func encodeUpdate(zone string, ops []Op, serial uint32) []byte {
+	b := make([]byte, 0, updateLen(zone, ops))
 	b = append(b, journalKindUpdate)
 	b = binary.BigEndian.AppendUint32(b, serial)
-	return appendUpdate(b, zone, op, rr)
+	return appendUpdate(b, zone, ops)
 }
 
 // rrFixedLen is the encoded size of an RR apart from its name and data.
@@ -174,8 +182,7 @@ type journalRec struct {
 	kind   byte
 	zone   string
 	serial uint32
-	op     uint32 // update only
-	rr     RR     // update only
+	ops    []Op   // update only
 	rrs    []RR   // replace only
 	zones  uint32 // checkpoint marker only
 }
@@ -224,9 +231,19 @@ func (d *journalDecoder) rr() RR {
 	return rr
 }
 
-// update reads what appendUpdate wrote.
-func (d *journalDecoder) update() (zone []byte, op uint32, rr RR) {
-	return d.bytes(), uint32(d.num(1)), d.rr()
+// update reads what appendUpdate wrote: a zone, then one or more ops up
+// to the end of the payload or the next record's kind byte — a record
+// with no op is truncated — each an add or a remove.
+func (d *journalDecoder) update() (zone []byte, ops []Op) {
+	zone = d.bytes()
+	for d.err == nil && (len(ops) == 0 || len(d.b) > 0 && d.b[0] != journalKindUpdate) {
+		op := Op{uint32(d.num(1)), d.rr()}
+		if op.Op > UpdateRemove {
+			d.b, d.err = nil, fmt.Errorf("bind: unknown update op %d", op.Op)
+		}
+		ops = append(ops, op)
+	}
+	return zone, ops
 }
 
 // end reports the first short read, or bytes left over after the last
@@ -250,7 +267,7 @@ func decodeJournal(payload []byte) (journalRec, error) {
 		rec.zones, rec.serial = rec.serial, 0
 		return rec, d.end()
 	case journalKindUpdate:
-		zone, rec.op, rec.rr = d.update()
+		zone, rec.ops = d.update()
 	case journalKindReplace:
 		zone = d.bytes()
 		n := d.num(4)

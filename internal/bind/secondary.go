@@ -23,7 +23,6 @@ type Secondary struct {
 	serial   uint32
 	refreshN int
 	deltaN   int
-	journal  ZoneStore
 }
 
 // NewSecondary creates a secondary for the named zone, serving on a local
@@ -80,19 +79,12 @@ func (s *Secondary) Restore(recovered *Zone) error {
 	return nil
 }
 
-// SetJournal journals every subsequently transferred zone content, so a
-// restart can Restore the mirror instead of re-transferring it.
-func (s *Secondary) SetJournal(j ZoneStore) {
-	s.mu.Lock()
-	s.journal = j
-	s.mu.Unlock()
-}
-
 // Refresh checks the primary's serial and transfers the zone if it moved,
 // reporting whether a transfer happened. The serial probe is cheap; an
 // incremental (IXFR) transfer is tried first and pays only per changed
 // record, falling back to the full per-record transfer cost when the
-// primary cannot prove diff continuity from our serial.
+// primary cannot prove diff continuity from our serial. Either way the
+// change is journaled by the mirror's server, so a restart can Restore it.
 func (s *Secondary) Refresh(ctx context.Context) (bool, error) {
 	remote, err := s.primary.Serial(ctx, s.origin)
 	if err != nil {
@@ -100,80 +92,67 @@ func (s *Secondary) Refresh(ctx context.Context) (bool, error) {
 	}
 	s.mu.Lock()
 	current := s.serial
-	journal := s.journal
 	s.mu.Unlock()
 	if remote == current {
 		return false, nil
 	}
+	serial, delta := uint32(0), false
 	if current != 0 {
-		if done, err := s.refreshDelta(ctx, current, journal); err == nil && done {
-			return true, nil
-		}
-		// Any incremental failure — a serial older than the primary's
-		// history, an apply error — falls through to the full transfer
-		// below.
+		serial, delta = s.refreshDelta(ctx, current)
 	}
-	serial, rrs, err := s.primary.Transfer(ctx, s.origin)
-	if err != nil {
-		return false, fmt.Errorf("bind: secondary %s: %w", s.origin, err)
-	}
-	if err := s.zone.Replace(rrs, serial); err != nil {
-		return false, err
-	}
-	if journal != nil {
-		if err := journal.LogReplace(s.origin, serial, rrs); err != nil {
-			return false, fmt.Errorf("bind: secondary %s: transfer not durable: %w", s.origin, err)
+	if !delta {
+		if serial, err = s.refreshFull(ctx); err != nil {
+			return false, fmt.Errorf("bind: secondary %s: %w", s.origin, err)
 		}
 	}
-	// A full transfer names no change set: the mirror's own subscribers
-	// hear one zone-level event.
-	s.server.publishUpdate(s.origin, "", serial)
 	s.mu.Lock()
 	s.serial = serial
 	s.refreshN++
+	if delta {
+		s.deltaN++
+	}
 	s.mu.Unlock()
 	return true, nil
 }
 
-// refreshDelta attempts an incremental refresh from serial current.
-// done=false with a nil error means the incremental path was unusable
-// (not an error: the caller takes a full transfer).
-func (s *Secondary) refreshDelta(ctx context.Context, current uint32, journal ZoneStore) (bool, error) {
+// refreshDelta replays the primary's transactions since serial current
+// through the server's one journaled path, each at the primary's serial
+// and republished as the one NOTIFY the primary sent. ok=false — a serial
+// older than the primary's history, or a transaction that will not apply
+// to a mirror that should equal the primary — sends the caller to a full
+// transfer.
+func (s *Secondary) refreshDelta(ctx context.Context, current uint32) (serial uint32, ok bool) {
 	serial, diffs, ok, err := s.primary.TransferDelta(ctx, s.origin, current)
 	if err != nil || !ok {
-		return false, err
+		return 0, false
 	}
-	// Replay the primary's mutations in order. The mirror's state equals
-	// the primary's at serial current, so each op must apply cleanly; any
-	// surprise aborts to a full transfer rather than half-applying.
 	for _, d := range diffs {
-		switch d.Op {
-		case UpdateAdd:
-			err = s.zone.Add(d.RR)
-		case UpdateRemove:
-			err = s.zone.Remove(d.RR)
-		default:
-			err = fmt.Errorf("bind: unknown diff op %d", d.Op)
+		if _, _, err := s.server.apply(s.zone, d.Ops, d.Serial); err != nil {
+			return 0, false
 		}
-		if err != nil {
-			return false, fmt.Errorf("bind: secondary %s: diff apply: %w", s.origin, err)
-		}
-		if journal != nil {
-			if err := journal.LogUpdate(s.origin, d.Op, d.RR, d.Serial); err != nil {
-				return false, fmt.Errorf("bind: secondary %s: delta not durable: %w", s.origin, err)
-			}
-		}
-		// Republish per name at the primary's serial, as the primary did,
-		// so the mirror's subscribers invalidate what moved and nothing else.
-		s.server.publishUpdate(s.origin, d.RR.Name, d.Serial)
 	}
-	// Pin the exact transferred serial: local Add/Remove bumped ours in
-	// lockstep, so this keeps the history the diffs just extended.
-	s.zone.ForceSerial(serial)
-	s.mu.Lock()
-	s.serial = serial
-	s.refreshN++
-	s.deltaN++
-	s.mu.Unlock()
-	return true, nil
+	return serial, true
+}
+
+// refreshFull installs, journals and publishes a full transfer under the
+// journal lock, as apply does a transaction; it names no change set, so
+// subscribers hear one zone-level event.
+func (s *Secondary) refreshFull(ctx context.Context) (uint32, error) {
+	serial, rrs, err := s.primary.Transfer(ctx, s.origin)
+	if err != nil {
+		return 0, err
+	}
+	srv := s.server
+	srv.journalMu.Lock()
+	defer srv.journalMu.Unlock()
+	if err := s.zone.Replace(rrs, serial); err != nil {
+		return 0, err
+	}
+	if srv.journal != nil {
+		if err := srv.journal.LogReplace(s.origin, serial, rrs); err != nil {
+			return 0, fmt.Errorf("transfer not durable: %w", err)
+		}
+	}
+	srv.publish(s.origin, nil, serial)
+	return serial, nil
 }

@@ -28,9 +28,10 @@ type Server struct {
 	zones []*Zone // sorted longest-origin-first for suffix matching
 
 	// journal, when set, receives every zone mutation made through this
-	// Server before the mutation is acknowledged. journalMu serializes
-	// apply+journal pairs so journaled serials are strictly increasing
-	// per zone. nil (the default) is the paper's in-memory BIND.
+	// Server before the mutation is acknowledged. journalMu serializes each
+	// apply, journal and publish, so journaled and published serials
+	// strictly increase per zone, and a forced checkpoint takes it too. nil
+	// (the default) is the paper's in-memory BIND.
 	journalMu sync.Mutex
 	journal   ZoneStore
 
@@ -48,9 +49,6 @@ type Server struct {
 func NewServer(host string, _ ...*simtime.Model) *Server {
 	return &Server{host: host, reg: metrics.Default()}
 }
-
-// Host reports the server's host name.
-func (s *Server) Host() string { return s.host }
 
 // AddZone makes the server authoritative for z. Duplicate origins are
 // rejected.
@@ -141,12 +139,20 @@ func (s *Server) SetJournal(j ZoneStore) {
 	s.journalMu.Unlock()
 }
 
-// Update applies a dynamic update to the named zone, charging the
-// server-side update cost. Only zones created with allowUpdate accept it.
-// With a journal set, the update is journaled before the OK is returned:
-// a journal failure yields SERVFAIL and the caller must treat the update
-// as not applied (it may be in memory but will not survive a restart).
-func (s *Server) Update(ctx context.Context, zoneOrigin string, op uint32, rr RR) (rcode RCode, serial uint32, err error) {
+// Update applies one dynamic update: Apply of a one-op transaction.
+func (s *Server) Update(ctx context.Context, zoneOrigin string, op uint32, rr RR) (RCode, uint32, error) {
+	return s.Apply(ctx, zoneOrigin, []Op{{op, rr}})
+}
+
+// Apply applies ops to the named zone as one transaction — RFC 2136's
+// model: all or nothing, at one serial — charging the server-side update
+// cost once. Only zones created with allowUpdate accept it. An empty
+// transaction, one naming an owner this server does not serve from that
+// zone, or one whose 'U' record would not fit a reply (the history and an
+// IXFR answer carry it whole) is FORMERR, refused before anything is
+// staged. One that fails to stage, or to be journaled, is SERVFAIL: after
+// a journal failure it may be in memory but will not survive a restart.
+func (s *Server) Apply(ctx context.Context, zoneOrigin string, ops []Op) (rcode RCode, serial uint32, err error) {
 	defer func() {
 		s.reg.Counter(metrics.Labels("bind_updates_total", "rcode", rcode.String())).Inc()
 	}()
@@ -158,35 +164,43 @@ func (s *Server) Update(ctx context.Context, zoneOrigin string, op uint32, rr RR
 	if !z.AllowsUpdate() {
 		return RCodeRefused, z.Serial(), ErrUpdateDenied
 	}
-	s.journalMu.Lock()
-	journal := s.journal
-	if journal == nil {
-		// No journal: release immediately, mutations need no ordering
-		// beyond the zone's own lock (the bit-identical in-memory path).
-		s.journalMu.Unlock()
-	} else {
-		defer s.journalMu.Unlock()
-	}
-	switch op {
-	case UpdateAdd:
-		err = z.Add(rr)
-	case UpdateRemove:
-		err = z.Remove(rr)
-	default:
-		return RCodeNotImp, z.Serial(), fmt.Errorf("bind: unknown update op %d", op)
-	}
-	if err != nil {
-		return RCodeServFail, z.Serial(), err
-	}
-	serial = z.Serial()
-	if journal != nil {
-		if jerr := journal.LogUpdate(z.Origin(), op, rr, serial); jerr != nil {
-			return RCodeServFail, serial, fmt.Errorf("bind: update not durable: %w", jerr)
+	ops = slices.Clone(ops) // canonical owners, journaled and published as such
+	for i := range ops {
+		rr := &ops[i].RR
+		if rr.Name, err = CanonicalName(rr.Name); err == nil && s.findZone(rr.Name) != z {
+			err = fmt.Errorf("%w: %s is not served from %s", ErrNotInZone, rr.Name, z.Origin())
+		}
+		if err != nil {
+			return RCodeFormErr, z.Serial(), err
 		}
 	}
-	// NOTIFY fan-out: subscribers learn of the serial bump now instead
-	// of on their next poll. No-op unless EnablePush was called.
-	s.publishUpdate(z.Origin(), rr.Name, serial)
+	if n := updateLen(z.Origin(), ops); len(ops) == 0 || n > replyBudget {
+		return RCodeFormErr, z.Serial(), fmt.Errorf("bind: a transaction of %d ops in %d bytes; want 1 or more in at most %d", len(ops), n, replyBudget)
+	}
+	return s.apply(z, ops, 0)
+}
+
+// apply is every journaled change to z past its checks: it applies ops as
+// one transaction, journals it and publishes it as one NOTIFY, all under
+// journalMu. A mirror passes the serial its primary gave the transaction
+// as at; 0 keeps the zone's own.
+func (s *Server) apply(z *Zone, ops []Op, at uint32) (RCode, uint32, error) {
+	s.journalMu.Lock()
+	defer s.journalMu.Unlock()
+	serial, err := z.Apply(ops)
+	if err != nil {
+		return RCodeServFail, serial, err
+	}
+	if at != 0 {
+		z.ForceSerial(at)
+		serial = at
+	}
+	if s.journal != nil {
+		if err := s.journal.LogUpdate(z.Origin(), ops, serial); err != nil {
+			return RCodeServFail, serial, fmt.Errorf("bind: update not durable: %w", err)
+		}
+	}
+	s.publish(z.Origin(), ops, serial)
 	return RCodeOK, serial, nil
 }
 
@@ -262,7 +276,7 @@ var (
 	}
 	procUpdate = hrpc.Procedure{
 		Name: "BINDUpdate", ID: 2,
-		Args:  marshal.TStruct(marshal.TBytes), // zone, op, RR
+		Args:  marshal.TStruct(marshal.TBytes), // zone, (op, RR)+
 		Ret:   marshal.TStruct(marshal.TUint32, marshal.TUint32),
 		Style: marshal.StyleNone,
 	}
@@ -311,11 +325,11 @@ func (s *Server) HRPCServer() *hrpc.Server {
 			return marshal.Value{}, err
 		}
 		d := &journalDecoder{b: req}
-		zone, op, rr := d.update()
+		zone, ops := d.update()
 		if err := d.end(); err != nil {
-			return marshal.Value{}, err
+			return marshal.Value{}, fmt.Errorf("%s: %v", RCodeFormErr, err)
 		}
-		rcode, serial, uerr := s.Update(ctx, string(zone), op, rr)
+		rcode, serial, uerr := s.Apply(ctx, string(zone), ops)
 		if uerr != nil {
 			return marshal.Value{}, fmt.Errorf("%s: %v", rcode, uerr)
 		}
@@ -360,19 +374,19 @@ func (s *Server) ServeHRPC(net *transport.Network, addr string) (transport.Liste
 // as one replace record; a journal failure leaves the load in memory but
 // not durable, and the caller must not go on to serve it.
 func (s *Server) LoadRecords(rrs []RR) error {
-	// Held throughout, journal or not: a load locks every zone it touches
-	// until all of it is staged, and two loads locking the same zones in
-	// different orders must not meet.
+	// Held throughout: a load locks every zone it touches until all of it
+	// is staged, and two loads locking the same zones in different orders
+	// must not meet.
 	s.journalMu.Lock()
 	defer s.journalMu.Unlock()
 	s.mu.RLock()
 	zones := slices.Clone(s.zones)
 	s.mu.RUnlock()
 
-	var loads []*bulkAdd // in first-touch order
+	var loads []*txn // in first-touch order
 	abort := func(err error) error {
-		for _, b := range loads {
-			b.abort()
+		for _, t := range loads {
+			t.z.mu.Unlock()
 		}
 		return err
 	}
@@ -386,22 +400,28 @@ func (s *Server) LoadRecords(rrs []RR) error {
 		if k < 0 {
 			return abort(fmt.Errorf("bind: no zone for %s", name))
 		}
-		l := slices.IndexFunc(loads, func(b *bulkAdd) bool { return b.z == zones[k] })
+		l := slices.IndexFunc(loads, func(t *txn) bool { return t.z == zones[k] })
 		if l < 0 {
 			l = len(loads)
-			loads = append(loads, zones[k].beginBulkAdd(zones[k].ownerRuns(rrs[i:])))
+			zones[k].mu.Lock()
+			loads = append(loads, &txn{z: zones[k], staged: make(map[string][]RR, zones[k].ownerRuns(rrs[i:]))})
 		}
 		if err := loads[l].addRun(name, rrs[i:j]); err != nil {
 			return abort(err)
 		}
 	}
-	for _, b := range loads {
-		b.commit()
+	for _, t := range loads {
+		// One serial per record, as that many adds; journaled and replayed
+		// as one image, so the history restarts, as after Replace.
+		t.commit()
+		t.z.serial += t.n
+		t.z.diff, t.z.diffBytes = nil, 0
+		t.z.mu.Unlock()
 	}
 	if s.journal != nil {
-		for _, b := range loads {
-			if err := s.journal.LogReplace(b.z.Origin(), b.z.Serial(), b.z.All()); err != nil {
-				return fmt.Errorf("bind: load not durable for %s: %w", b.z.Origin(), err)
+		for _, t := range loads {
+			if err := s.journal.LogReplace(t.z.Origin(), t.z.Serial(), t.z.All()); err != nil {
+				return fmt.Errorf("bind: load not durable for %s: %w", t.z.Origin(), err)
 			}
 		}
 	}

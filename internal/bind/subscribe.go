@@ -5,13 +5,13 @@ package bind
 //
 // A Subscriber owns one dedicated connection (hrpc.StickyConn) to the
 // authoritative server. It registers interest in a zone (optionally a
-// name set), then sits on the connection's push channel: every dynamic
-// update the server applies arrives as a NOTIFY frame, decoded and
+// name set), then sits on the connection's push channel: every
+// transaction the server applies arrives as one NOTIFY frame, decoded and
 // handed to OnNotify — typically a cache-invalidation hook. When the
 // connection dies it redials and resubscribes *with the last serial it
 // saw*; the server's reply serial reveals whether updates were missed
 // while disconnected, and the gap is closed by an IXFR catch-up that
-// replays exactly the missed mutations as synthetic notifications. If
+// replays exactly the missed transactions as synthetic notifications. If
 // the zone's history cannot cover the gap, OnReset fires instead — the
 // consumer must treat everything it cached as suspect.
 //
@@ -74,12 +74,13 @@ func (c *HRPCClient) TransferDelta(ctx context.Context, zone string, since uint3
 type SubscribeConfig struct {
 	// Zone is the zone whose updates to watch (required).
 	Zone string
-	// Names, when non-empty, narrows delivery to these owner names.
-	// Zone-level events (empty-Name notifications) are always delivered.
+	// Names, when non-empty, narrows delivery to transactions touching
+	// one of these owner names. Zone-level events (nil-Names
+	// notifications) are always delivered.
 	Names []string
-	// OnNotify receives each invalidation — live pushes and catch-up
-	// replays alike. It runs on the connection's reader goroutine, so it
-	// must be fast (a cache delete, a channel send).
+	// OnNotify receives each invalidation, one per transaction — live
+	// pushes and catch-up replays alike. It runs on the connection's reader
+	// goroutine, so it must be fast (a cache delete, a channel send).
 	OnNotify func(push.Notification)
 	// OnReset fires when continuity was lost: the server could not
 	// replay the gap, so anything cached from this zone is suspect.
@@ -351,7 +352,7 @@ func (s *Subscriber) catchUp(ctx context.Context, since, serial uint32) {
 	for _, d := range diffs {
 		s.caughtUp.Inc()
 		if s.cfg.OnNotify != nil {
-			s.cfg.OnNotify(push.Notification{Zone: s.cfg.Zone, Name: d.RR.Name, Serial: d.Serial})
+			s.cfg.OnNotify(push.Notification{Zone: s.cfg.Zone, Names: opNames(d.Ops), Serial: d.Serial})
 		}
 	}
 	s.advance(gotSerial)

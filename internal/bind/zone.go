@@ -29,21 +29,45 @@ type Zone struct {
 	serial  uint32
 	records map[string][]RR // keyed by owner name; mixed types per name
 
-	// The zone's history: its newest mutations, oldest first, each tagged
-	// with the serial it left the zone at, so "changes since serial S" is
-	// answered from memory. It keeps as many as fit one reply — diffBytes
-	// of journal 'U' records, never more than replyBudget — so any answer
-	// DiffSince gives can be sent.
+	// The zone's history: its newest transactions, oldest first, each
+	// tagged with the serial it left the zone at, so "changes since serial
+	// S" is answered from memory. It keeps as many whole transactions as
+	// fit one reply — diffBytes of journal 'U' records, never more than
+	// replyBudget — so any answer DiffSince gives can be sent.
 	diff      []DiffRec
 	diffBytes int
 }
 
-// DiffRec is one retained zone mutation, the unit of an IXFR-style
-// incremental transfer: applying Op/RR leaves the zone at Serial.
+// Op is one operation of a transaction: add RR, or remove the records it
+// matches.
+type Op struct {
+	Op uint32 // UpdateAdd or UpdateRemove
+	RR RR
+}
+
+// Adds is the transaction adding rrs.
+func Adds(rrs ...RR) []Op {
+	ops := make([]Op, len(rrs))
+	for i, rr := range rrs {
+		ops[i] = Op{UpdateAdd, rr}
+	}
+	return ops
+}
+
+// Removes is the transaction removing every record of type t at names.
+func Removes(t RRType, names ...string) []Op {
+	ops := make([]Op, len(names))
+	for i, name := range names {
+		ops[i] = Op{UpdateRemove, RR{Name: name, Type: t}}
+	}
+	return ops
+}
+
+// DiffRec is one retained transaction, the unit of an IXFR-style
+// incremental transfer: applying Ops leaves the zone at Serial.
 type DiffRec struct {
 	Serial uint32
-	Op     uint32 // UpdateAdd or UpdateRemove
-	RR     RR
+	Ops    []Op
 }
 
 // NewZone creates an empty zone rooted at origin. allowUpdate enables the
@@ -78,37 +102,57 @@ func (z *Zone) Serial() uint32 {
 
 // Contains reports whether name falls at or below the zone origin.
 func (z *Zone) Contains(name string) bool {
-	return name == z.origin || strings.HasSuffix(name, "."+z.origin)
+	n := len(name) - len(z.origin)
+	return strings.HasSuffix(name, z.origin) && (n == 0 || name[n-1] == '.')
 }
 
-// Add installs a record (validated and canonicalized first). Duplicate
-// records (same name/type/data) replace the existing one, refreshing its
-// TTL. Adding a CNAME where other records exist — or vice versa — is
-// rejected, per DNS rules. Data must survive the zone-file line format
-// (non-empty, no newlines, no edge whitespace) so any zone can be
-// dumped and re-parsed losslessly.
-func (z *Zone) Add(rr RR) error {
-	name, err := CanonicalName(rr.Name)
-	if err != nil {
-		return err
-	}
-	rr.Name = name
-	if err := admitData(&rr); err != nil {
-		return err
-	}
-	if !z.Contains(rr.Name) {
-		return fmt.Errorf("%w: %s not under %s", ErrNotInZone, rr.Name, z.origin)
-	}
+// Apply is the one way a zone's records change: ops apply in order as one
+// transaction, all or none, and bump the serial once, which is returned.
+// An add installs a record (validated and canonicalized first), replacing
+// a duplicate (same name/type/data) to refresh its TTL; a CNAME cannot
+// share a name with other records, and data must survive the zone-file
+// line format so any zone dumps and re-parses losslessly. A remove
+// deletes the records matching its name, type and data (any data if its
+// own is empty), and fails if none does.
+func (z *Zone) Apply(ops []Op) (uint32, error) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	set, err := mergeRR(z.records[rr.Name], rr)
-	if err != nil {
-		return err
+	t := &txn{z: z, staged: make(map[string][]RR, len(ops))}
+	done := make([]Op, len(ops))
+	for i, op := range ops {
+		rr := op.RR
+		err := rr.Validate()
+		if err == nil {
+			switch op.Op {
+			case UpdateAdd:
+				err = t.addRun(rr.Name, []RR{rr})
+			case UpdateRemove:
+				err = t.remove(rr)
+			default:
+				err = fmt.Errorf("bind: unknown update op %d", op.Op)
+			}
+		}
+		if err != nil {
+			return z.serial, err
+		}
+		done[i] = Op{op.Op, rr}
 	}
-	z.records[rr.Name] = set
+	t.commit()
 	z.serial++
-	z.logDiff(UpdateAdd, rr)
-	return nil
+	z.logDiff(done)
+	return z.serial, nil
+}
+
+// Add installs a record: Apply of one UpdateAdd.
+func (z *Zone) Add(rr RR) error {
+	_, err := z.Apply([]Op{{UpdateAdd, rr}})
+	return err
+}
+
+// Remove deletes the records rr matches: Apply of one UpdateRemove.
+func (z *Zone) Remove(rr RR) error {
+	_, err := z.Apply([]Op{{UpdateRemove, rr}})
+	return err
 }
 
 // admitData checks everything about a record but its name, which the
@@ -170,29 +214,33 @@ func (z *Zone) ownerRuns(rrs []RR) int {
 	return n
 }
 
-// bulkAdd stages a batch of Adds against one zone so that the whole batch
-// installs or none of it does. beginBulkAdd takes the zone's write lock;
-// commit or abort releases it.
-type bulkAdd struct {
+// txn stages changes to a zone whose write lock the caller holds, for
+// Zone.Apply, Zone.Replace and Server.LoadRecords: each owner touched gets
+// a private copy of its records, so nothing shows until commit installs
+// them all, and a transaction that fails part way is simply dropped.
+type txn struct {
 	z      *Zone
-	staged map[string][]RR // owner name → its records once the batch is in
-	n      uint32          // records staged; each bumps the serial, as Add does
+	staged map[string][]RR // owner name → its records once the transaction is in
+	n      uint32          // records added
 }
 
-// beginBulkAdd locks z for a batch expected to create about names owners.
-func (z *Zone) beginBulkAdd(names int) *bulkAdd {
-	z.mu.Lock()
-	return &bulkAdd{z: z, staged: make(map[string][]RR, names)}
+// owner returns name's staged records, copying the live ones on first
+// touch with room for grow more.
+func (t *txn) owner(name string, grow int) []RR {
+	if set, ok := t.staged[name]; ok {
+		return set
+	}
+	live := t.z.records[name]
+	return append(make([]RR, 0, len(live)+grow), live...)
 }
 
 // addRun stages run, whose records all belong under the canonical owner
-// name, with exactly the checks and outcome of one Add per record.
-func (b *bulkAdd) addRun(name string, run []RR) error {
-	set, ok := b.staged[name]
-	if !ok {
-		live := b.z.records[name]
-		set = append(make([]RR, 0, len(live)+len(run)), live...)
+// name, with exactly the checks and outcome of one add per record.
+func (t *txn) addRun(name string, run []RR) error {
+	if !t.z.Contains(name) {
+		return fmt.Errorf("%w: %s not under %s", ErrNotInZone, name, t.z.origin)
 	}
+	set := t.owner(name, len(run))
 	for _, rr := range run {
 		rr.Name = name
 		if err := admitData(&rr); err != nil {
@@ -202,83 +250,60 @@ func (b *bulkAdd) addRun(name string, run []RR) error {
 		if set, err = mergeRR(set, rr); err != nil {
 			return err
 		}
-		b.n++
+		t.n++
 	}
-	b.staged[name] = set
+	t.staged[name] = set
 	return nil
 }
 
-// commit installs what was staged and unlocks the zone.
-func (b *bulkAdd) commit() {
-	z := b.z
-	defer z.mu.Unlock()
-	if len(z.records) == 0 {
-		z.records = b.staged
-	} else {
-		for name, set := range b.staged {
+// remove stages the removal of the records rr, validated, matches.
+func (t *txn) remove(rr RR) error {
+	set := t.owner(rr.Name, 0)
+	kept := set[:0]
+	for _, e := range set {
+		if e.Type != rr.Type || len(rr.Data) != 0 && string(e.Data) != string(rr.Data) {
+			kept = append(kept, e)
+		}
+	}
+	if len(kept) == len(set) {
+		return fmt.Errorf("%w: %s %s %q", ErrNoSuchRecord, rr.Name, rr.Type, rr.Data)
+	}
+	t.staged[rr.Name] = kept
+	return nil
+}
+
+// commit installs what was staged; an owner left with no records goes. A
+// first load installs the staged map itself rather than copy it.
+func (t *txn) commit() {
+	z := t.z
+	fresh := len(z.records) == 0
+	if fresh {
+		z.records = t.staged
+	}
+	for name, set := range t.staged {
+		if len(set) == 0 {
+			delete(z.records, name)
+		} else if !fresh {
 			z.records[name] = set
 		}
 	}
-	z.serial += b.n
-	// A load is journaled as one image and replayed as one, so the history
-	// restarts at its final serial, as after Replace.
-	z.diff, z.diffBytes = nil, 0
 }
 
-// abort drops what was staged and unlocks the zone.
-func (b *bulkAdd) abort() { b.z.mu.Unlock() }
-
-// Remove deletes the record matching rr by name/type/data. A nil/empty
-// Data removes every record of that name and type.
-func (z *Zone) Remove(rr RR) error {
-	if err := (&rr).Validate(); err != nil {
-		return err
-	}
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	existing, ok := z.records[rr.Name]
-	if !ok {
-		return fmt.Errorf("%w: %s %s", ErrNoSuchRecord, rr.Name, rr.Type)
-	}
-	kept := existing[:0]
-	removed := 0
-	for _, e := range existing {
-		match := e.Type == rr.Type && (len(rr.Data) == 0 || string(e.Data) == string(rr.Data))
-		if match {
-			removed++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	if removed == 0 {
-		return fmt.Errorf("%w: %s %s %q", ErrNoSuchRecord, rr.Name, rr.Type, rr.Data)
-	}
-	if len(kept) == 0 {
-		delete(z.records, rr.Name)
-	} else {
-		z.records[rr.Name] = kept
-	}
-	z.serial++
-	z.logDiff(UpdateRemove, rr)
-	return nil
-}
-
-// logDiff appends one mutation to the history, then drops the oldest
-// until the rest fit one reply; no record is larger than a reply, so the
-// newest always stays. Each record is dropped once: amortized O(1) per
-// mutation. Caller holds z.mu, and z.serial is already the post-mutation
-// serial.
-func (z *Zone) logDiff(op uint32, rr RR) {
-	z.diff = append(z.diff, DiffRec{Serial: z.serial, Op: op, RR: rr})
-	z.diffBytes += updateLen(z.origin, rr)
+// logDiff appends one transaction to the history at the zone's serial,
+// then drops the oldest whole transactions until the rest fit one reply
+// (the server admits none larger, so the newest stays). Each is dropped
+// once: amortized O(1) per transaction. Caller holds z.mu.
+func (z *Zone) logDiff(ops []Op) {
+	z.diff = append(z.diff, DiffRec{Serial: z.serial, Ops: ops})
+	z.diffBytes += updateLen(z.origin, ops)
 	for z.diffBytes > replyBudget {
-		z.diffBytes -= updateLen(z.origin, z.diff[0].RR)
-		z.diff[0] = DiffRec{} // let the dropped record go
+		z.diffBytes -= updateLen(z.origin, z.diff[0].Ops)
+		z.diff[0] = DiffRec{} // let the dropped transaction go
 		z.diff = z.diff[1:]
 	}
 }
 
-// DiffSince returns the mutations that move the zone from serial since
+// DiffSince returns the transactions that move the zone from serial since
 // to its current serial, oldest first. ok=false means the history cannot
 // prove continuity — since is older than it reaches, or ahead of the
 // zone — and the caller must fall back to a full transfer. An up-to-date
@@ -289,8 +314,8 @@ func (z *Zone) DiffSince(since uint32) ([]DiffRec, bool) {
 	if since == z.serial {
 		return nil, true
 	}
-	// Find the first retained record after since; continuity holds only
-	// if the history reaches back to since+1.
+	// Find the first retained transaction after since; continuity holds
+	// only if the history reaches back to since+1.
 	if since > z.serial || len(z.diff) == 0 || z.diff[0].Serial > since+1 {
 		return nil, false
 	}
@@ -421,32 +446,24 @@ func (z *Zone) Count() int {
 }
 
 // Replace swaps the zone's entire contents for rrs at the given serial —
-// the receiving half of a zone transfer. Every record must validate and
-// fall within the zone.
+// the receiving half of a zone transfer. The records are staged as adds
+// to an empty zone are, so every one must validate and fall within the
+// zone.
 func (z *Zone) Replace(rrs []RR, serial uint32) error {
-	fresh := make(map[string][]RR, z.ownerRuns(rrs))
+	t := &txn{z: &Zone{origin: z.origin}, staged: make(map[string][]RR, z.ownerRuns(rrs))}
 	for i, j := 0, 0; i < len(rrs); i = j {
 		j = ownerRun(rrs, i)
 		name, err := CanonicalName(rrs[i].Name)
 		if err != nil {
 			return err
 		}
-		if !z.Contains(name) {
-			return fmt.Errorf("%w: %s not under %s", ErrNotInZone, name, z.origin)
+		if err := t.addRun(name, rrs[i:j]); err != nil {
+			return err
 		}
-		set := slices.Grow(fresh[name], j-i)
-		for _, rr := range rrs[i:j] {
-			rr.Name = name
-			if err := admitData(&rr); err != nil {
-				return err
-			}
-			set = append(set, rr)
-		}
-		fresh[name] = set
 	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	z.records = fresh
+	z.records = t.staged
 	z.serial = serial
 	// A wholesale swap breaks continuity: the history restarts from the
 	// new serial.
@@ -484,15 +501,4 @@ func (z *Zone) ForceSerial(s uint32) {
 		z.diff, z.diffBytes = nil, 0
 	}
 	z.mu.Unlock()
-}
-
-// Names returns the owner names present in the zone (unsorted).
-func (z *Zone) Names() []string {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	out := make([]string, 0, len(z.records))
-	for n := range z.records {
-		out = append(out, n)
-	}
-	return out
 }

@@ -123,12 +123,13 @@ type Config struct {
 }
 
 // MetaClient is the client-side face of the meta-information repository:
-// the BIND HRPC interface's lookup, dynamic update, zone transfer, and
-// serial probe. *bind.HRPCClient (one modified BIND, or an ordered set of
-// replicas of it via hrpc.Client.SetReplicas) satisfies it.
+// the BIND HRPC interface's lookup, dynamic update (one transaction),
+// zone transfer, and serial probe. *bind.HRPCClient (one modified BIND,
+// or an ordered set of replicas of it via hrpc.Client.SetReplicas)
+// satisfies it.
 type MetaClient interface {
 	bind.Lookuper
-	Update(ctx context.Context, zone string, op uint32, rr bind.RR) (uint32, error)
+	Apply(ctx context.Context, zone string, ops []bind.Op) (uint32, error)
 	Transfer(ctx context.Context, zone string) (uint32, []bind.RR, error)
 	Serial(ctx context.Context, zone string) (uint32, error)
 }
@@ -233,9 +234,6 @@ func New(meta MetaClient, cfg Config) *HNS {
 	}
 	return h
 }
-
-// MetaZone reports the meta-information zone name.
-func (h *HNS) MetaZone() string { return h.metaZone }
 
 // LinkHostResolver links a HostAddress NSM instance directly with the HNS
 // for the given name service, breaking the FindNSM recursion for hosts

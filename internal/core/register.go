@@ -114,9 +114,14 @@ func NSMRecords(zone string, info NSMInfo) ([]bind.RR, error) {
 	}, nil
 }
 
-func (h *HNS) removeMeta(ctx context.Context, name string) error {
-	_, err := h.meta.Update(ctx, h.metaZone, bind.UpdateRemove,
-		bind.RR{Name: name, Type: bind.TypeHNSMeta})
+// apply writes one transaction of meta records, whole or not at all, then
+// purges our own cache; remote caches converge by TTL, as the paper
+// accepts ("data changes slowly over time"), or by NOTIFY.
+func (h *HNS) apply(ctx context.Context, ops []bind.Op) error {
+	_, err := h.meta.Apply(ctx, h.metaZone, ops)
+	if err == nil {
+		h.resolver.Purge()
+	}
 	return err
 }
 
@@ -127,7 +132,7 @@ func (h *HNS) RegisterNameService(ctx context.Context, name, nsType string) erro
 	if err != nil {
 		return err
 	}
-	return h.addRecord(ctx, rr)
+	return h.apply(ctx, bind.Adds(rr))
 }
 
 // RegisterContext maps a context onto a name service.
@@ -136,18 +141,7 @@ func (h *HNS) RegisterContext(ctx context.Context, context, nameService string) 
 	if err != nil {
 		return err
 	}
-	if err := h.addRecord(ctx, rr); err != nil {
-		return err
-	}
-	// Keep our own cache coherent immediately; remote caches converge by
-	// TTL, which the paper accepts ("data changes slowly over time").
-	h.resolver.Purge()
-	return nil
-}
-
-func (h *HNS) addRecord(ctx context.Context, rr bind.RR) error {
-	_, err := h.meta.Update(ctx, h.metaZone, bind.UpdateAdd, rr)
-	return err
+	return h.apply(ctx, bind.Adds(rr))
 }
 
 // UnregisterContext removes a context mapping.
@@ -156,42 +150,28 @@ func (h *HNS) UnregisterContext(ctx context.Context, context string) error {
 	if err != nil {
 		return err
 	}
-	if err := h.removeMeta(ctx, h.ctxName(c)); err != nil {
-		return err
-	}
-	h.resolver.Purge()
-	return nil
+	return h.apply(ctx, bind.Removes(bind.TypeHNSMeta, h.ctxName(c)))
 }
 
-// RegisterNSM records an NSM: the (name service, query class) → NSM
-// mapping plus the NSM's own record. "Adding a new system type simply
-// requires building NSMs for those queries to be supported and registering
-// their existence with the HNS."
+// RegisterNSM records an NSM — the (name service, query class) → NSM
+// mapping plus the NSM's own record — in one transaction, so no reader
+// ever follows the mapping to a half-written record. "Adding a new system
+// type simply requires building NSMs for those queries to be supported
+// and registering their existence with the HNS."
 func (h *HNS) RegisterNSM(ctx context.Context, info NSMInfo) error {
 	rrs, err := NSMRecords(h.metaZone, info)
 	if err != nil {
 		return err
 	}
-	for _, rr := range rrs {
-		if err := h.addRecord(ctx, rr); err != nil {
-			return err
-		}
-	}
-	h.resolver.Purge()
-	return nil
+	return h.apply(ctx, bind.Adds(rrs...))
 }
 
-// UnregisterNSM removes an NSM and its query-class mapping.
+// UnregisterNSM removes an NSM and its query-class mapping in one
+// transaction: when either is missing, neither goes.
 func (h *HNS) UnregisterNSM(ctx context.Context, nsmName, nameService, queryClass string) error {
-	nsm := strings.ToLower(nsmName)
-	if err := h.removeMeta(ctx, h.qcName(strings.ToLower(queryClass), strings.ToLower(nameService))); err != nil {
-		return err
-	}
-	if err := h.removeMeta(ctx, h.nsmName(nsm)); err != nil {
-		return err
-	}
-	h.resolver.Purge()
-	return nil
+	return h.apply(ctx, bind.Removes(bind.TypeHNSMeta,
+		h.qcName(strings.ToLower(queryClass), strings.ToLower(nameService)),
+		h.nsmName(strings.ToLower(nsmName))))
 }
 
 // Inventory is a report of everything registered in the meta zone, for

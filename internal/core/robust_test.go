@@ -20,8 +20,8 @@ import (
 func corrupt(t *testing.T, w *world.World, name, payload string) {
 	t.Helper()
 	mc := w.HNS.MetaClient()
-	if _, err := mc.Update(context.Background(), world.MetaZone, bind.UpdateAdd,
-		bind.HNSMeta(name, payload, 600)); err != nil {
+	if _, err := mc.Apply(context.Background(), world.MetaZone,
+		bind.Adds(bind.HNSMeta(name, payload, 600))); err != nil {
 		t.Fatal(err)
 	}
 	w.HNS.FlushCache()

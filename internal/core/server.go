@@ -101,9 +101,6 @@ func NewRemoteHNS(c *hrpc.Client, b hrpc.Binding) *RemoteHNS {
 	return &RemoteHNS{c: c, b: b}
 }
 
-// Binding reports the server binding in use.
-func (r *RemoteHNS) Binding() hrpc.Binding { return r.b }
-
 // FindNSM implements Finder.
 func (r *RemoteHNS) FindNSM(ctx context.Context, name names.Name, queryClass string) (hrpc.Binding, error) {
 	ret, err := r.c.Call(ctx, r.b, procFindNSM, marshal.StructV(

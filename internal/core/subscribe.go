@@ -22,8 +22,8 @@ type MetaSubscriber interface {
 // the meta client supports it, reporting whether a subscription was
 // started. While the subscription is live:
 //
-//   - every pushed update invalidates exactly the touched meta name, so
-//     the next lookup re-fetches it instead of waiting out its TTL;
+//   - every pushed transaction invalidates just the meta names it
+//     touched, so the next lookups re-fetch them, not wait out a TTL;
 //   - a continuity loss (reconnect from a serial older than the zone's history)
 //     flushes the whole meta-cache rather than risk stale entries.
 //
@@ -37,13 +37,15 @@ func (h *HNS) SubscribeMeta() bool {
 	sub := ms.Subscribe(bind.SubscribeConfig{
 		Zone: h.metaZone,
 		OnNotify: func(n push.Notification) {
-			if n.Name == "" {
+			if n.Names == nil {
 				// Zone-level event (e.g. a secondary refresh landed): the
 				// change set is unknown, flush.
 				h.FlushCache()
 				return
 			}
-			h.resolver.Invalidate(n.Name, bind.TypeHNSMeta)
+			for _, name := range n.Names {
+				h.resolver.Invalidate(name, bind.TypeHNSMeta)
+			}
 			// Any meta change can underlie any memoized binding; the
 			// memo layer has no dependency index, so drop it wholesale.
 			h.purgeBindings()

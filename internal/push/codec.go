@@ -4,22 +4,26 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
-// Notification is one pushed invalidation: zone serial moved to Serial,
-// and — when the update touched a single owner name — Name says which,
-// so per-name subscribers (an hnsd meta-cache) invalidate exactly one
-// entry. An empty Name is a zone-level event (full replace, recovery):
-// every subscriber of the zone must treat all its entries as suspect.
+// Notification is one pushed invalidation: one transaction moved the
+// zone's serial to Serial, and Names are the owner names it touched, so
+// per-name subscribers (an hnsd meta-cache) invalidate exactly those
+// entries. Nil Names is a zone-level event (full replace, recovery): every
+// subscriber of the zone must treat all its entries as suspect.
 type Notification struct {
 	Zone   string
-	Name   string // empty: the whole zone
+	Names  []string // nil: the whole zone
 	Serial uint32
 }
 
-// Wire form (big-endian, mirroring the bind journal codec):
+// Wire form (big-endian, mirroring the bind journal codec), one frame per
+// transaction, its names running to the end of the frame:
 //
-//	'N' u32 serial  u16len zone  u16len name
+//	'N' u32 serial  u16len zone  (u16len name)+
+//
+// A zone-level event is one empty name; no other frame holds one.
 const notifyMark = 'N'
 
 // errNotify is the sticky decode failure class.
@@ -27,40 +31,49 @@ var errNotify = errors.New("push: bad notification")
 
 // EncodeNotification renders n to its wire form.
 func EncodeNotification(n Notification) []byte {
-	b := make([]byte, 0, 1+4+2+len(n.Zone)+2+len(n.Name))
-	b = append(b, notifyMark)
-	b = binary.BigEndian.AppendUint32(b, n.Serial)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(n.Zone)))
-	b = append(b, n.Zone...)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(n.Name)))
-	b = append(b, n.Name...)
+	b := appendString(binary.BigEndian.AppendUint32([]byte{notifyMark}, n.Serial), n.Zone)
+	if len(n.Names) == 0 {
+		return appendString(b, "") // zone-level
+	}
+	for _, name := range n.Names {
+		b = appendString(b, name)
+	}
 	return b
 }
 
-// DecodeNotification parses a pushed frame. Strict: trailing bytes are
-// an error, so a corrupted or truncated frame never half-applies.
+// DecodeNotification parses a pushed frame. Strict: a truncated name, or
+// an empty one among several, is an error, so a corrupted or truncated
+// frame never half-applies.
 func DecodeNotification(b []byte) (Notification, error) {
 	var n Notification
-	if len(b) < 1 || b[0] != notifyMark {
-		return n, fmt.Errorf("%w: missing mark", errNotify)
+	if len(b) < 5 || b[0] != notifyMark {
+		return n, fmt.Errorf("%w: no mark and serial", errNotify)
 	}
-	b = b[1:]
-	if len(b) < 4 {
-		return n, fmt.Errorf("%w: truncated serial", errNotify)
-	}
-	n.Serial = binary.BigEndian.Uint32(b)
-	b = b[4:]
+	n.Serial = binary.BigEndian.Uint32(b[1:])
+	b = b[5:]
 	var err error
 	if n.Zone, b, err = takeString(b); err != nil {
 		return Notification{}, fmt.Errorf("%w: zone: %v", errNotify, err)
 	}
-	if n.Name, b, err = takeString(b); err != nil {
-		return Notification{}, fmt.Errorf("%w: name: %v", errNotify, err)
+	for len(n.Names) == 0 || len(b) > 0 {
+		var name string
+		if name, b, err = takeString(b); err != nil {
+			return Notification{}, fmt.Errorf("%w: name: %v", errNotify, err)
+		}
+		n.Names = append(n.Names, name)
 	}
-	if len(b) != 0 {
-		return Notification{}, fmt.Errorf("%w: %d trailing bytes", errNotify, len(b))
+	switch {
+	case len(n.Names) == 1 && n.Names[0] == "":
+		n.Names = nil // zone-level
+	case slices.Contains(n.Names, ""):
+		return Notification{}, fmt.Errorf("%w: an empty name among %d", errNotify, len(n.Names))
 	}
 	return n, nil
+}
+
+// appendString appends one u16-length-prefixed string.
+func appendString(b []byte, s string) []byte {
+	return append(binary.BigEndian.AppendUint16(b, uint16(len(s))), s...)
 }
 
 // takeString consumes one u16-length-prefixed string.

@@ -4,8 +4,8 @@
 //
 // The design point is poll-to-discover → push-to-invalidate. A cache
 // that subscribes stops burning wire re-fetching data that has not
-// changed: the authority pushes a serial-bump notification on every
-// dynamic update, and the cache re-fetches only what the notification
+// changed: the authority pushes one serial-bump notification per
+// transaction, and the cache re-fetches only what the notification
 // names. Everything degrades to the old TTL polling: the table is
 // bounded (an overflowing subscriber is refused and falls back to
 // polling) and a dead connection drops its subscriptions (the client
@@ -13,6 +13,7 @@
 package push
 
 import (
+	"slices"
 	"sync"
 
 	"hns/internal/metrics"
@@ -31,18 +32,18 @@ type Subscription struct {
 	Names []string // nil/empty: every name in the zone
 }
 
-// matches reports whether a notification for (zone, name) is covered.
-// Zone-level events (empty name: a serial bump touching the whole zone)
-// reach every subscriber of the zone.
-func (s *Subscription) matches(zone, name string) bool {
+// matches reports whether a notification for names in zone is covered:
+// one of names is the subscriber's. Zone-level events (nil names: a
+// serial bump touching the whole zone) reach every subscriber of the zone.
+func (s *Subscription) matches(zone string, names []string) bool {
 	if s.Zone != zone {
 		return false
 	}
-	if len(s.Names) == 0 || name == "" {
+	if len(s.Names) == 0 || len(names) == 0 {
 		return true
 	}
-	for _, n := range s.Names {
-		if n == name {
+	for _, n := range names {
+		if slices.Contains(s.Names, n) {
 			return true
 		}
 	}
@@ -139,7 +140,7 @@ func (t *Table) Publish(n Notification) int {
 		sink transport.Pusher
 	}
 	for id, e := range t.subs {
-		if e.sub.matches(n.Zone, n.Name) {
+		if e.sub.matches(n.Zone, n.Names) {
 			targets = append(targets, struct {
 				id   uint64
 				sink transport.Pusher

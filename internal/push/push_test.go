@@ -1,7 +1,10 @@
 package push
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -47,33 +50,55 @@ func (s *fakeSink) count() int {
 
 func TestNotificationRoundTrip(t *testing.T) {
 	for _, n := range []Notification{
-		{Zone: "hns", Name: "ctx-a.ctx.hns", Serial: 7},
-		{Zone: "hns", Name: "", Serial: 0},
-		{Zone: "", Name: "", Serial: 4294967295},
+		{Zone: "hns", Names: []string{"ctx-a.ctx.hns"}, Serial: 7},
+		{Zone: "hns", Names: []string{"q.ns.qc.hns", "n.nsm.hns"}, Serial: 8},
+		{Zone: "hns", Serial: 0},
+		{Zone: "", Serial: 4294967295},
 	} {
 		got, err := DecodeNotification(EncodeNotification(n))
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", n, err)
 		}
-		if got != n {
+		if !reflect.DeepEqual(got, n) {
 			t.Fatalf("round trip = %+v, want %+v", got, n)
 		}
 	}
 }
 
+// The one-name and zone-level frames are the bytes they were before a
+// frame could name a transaction's several owners.
+func TestNotificationGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		n    Notification
+		want string
+	}{
+		{Notification{Zone: "hns", Names: []string{"h0.ctx.hns"}, Serial: 42}, "4e0000002a0003686e73000a68302e6374782e686e73"},
+		{Notification{Zone: "hns", Serial: 42}, "4e0000002a0003686e730000"},
+	} {
+		if got := hex.EncodeToString(EncodeNotification(tc.n)); got != tc.want {
+			t.Errorf("%+v encodes as %s, want %s", tc.n, got, tc.want)
+		}
+	}
+}
+
 func TestNotificationDecodeRejectsGarbage(t *testing.T) {
-	good := EncodeNotification(Notification{Zone: "hns", Name: "a.ctx.hns", Serial: 3})
+	good := EncodeNotification(Notification{Zone: "hns", Names: []string{"a.ctx.hns"}, Serial: 3})
+	two := EncodeNotification(Notification{Zone: "hns", Names: []string{"a.ctx.hns", "b.ctx.hns"}, Serial: 3})
 	cases := map[string][]byte{
-		"empty":          {},
-		"wrong mark":     append([]byte{'X'}, good[1:]...),
-		"short serial":   good[:3],
-		"short zone len": good[:6],
-		"short zone":     good[:8],
-		"trailing":       append(append([]byte(nil), good...), 0xFF),
+		"empty":                    {},
+		"wrong mark":               append([]byte{'X'}, good[1:]...),
+		"short serial":             good[:3],
+		"short zone len":           good[:6],
+		"short zone":               good[:8],
+		"no name":                  good[:10],
+		"trailing":                 append(bytes.Clone(good), 0xFF),
+		"empty name after a name":  append(bytes.Clone(good), 0, 0),
+		"empty name before a name": append(append(bytes.Clone(good[:10]), 0, 0), good[10:]...),
+		"name cut short":           two[:len(two)-1],
 	}
 	for name, b := range cases {
-		if _, err := DecodeNotification(b); err == nil {
-			t.Errorf("%s: decode accepted malformed input", name)
+		if n, err := DecodeNotification(b); err == nil {
+			t.Errorf("%s: decode accepted %x as %+v", name, b, n)
 		}
 	}
 }
@@ -87,13 +112,14 @@ func TestTablePublishFiltering(t *testing.T) {
 	tb.Add(Subscription{Zone: "hns", Names: []string{"a.ctx.hns"}}, nameSub)
 	tb.Add(Subscription{Zone: "cs"}, otherZone)
 
-	// Named update: zone subscriber and the matching name subscriber.
-	if got := tb.Publish(Notification{Zone: "hns", Name: "a.ctx.hns", Serial: 1}); got != 2 {
-		t.Fatalf("publish(a.ctx.hns) notified %d, want 2", got)
+	// A transaction touching the name: zone subscriber and the matching
+	// name subscriber, once each.
+	if got := tb.Publish(Notification{Zone: "hns", Names: []string{"x.ctx.hns", "a.ctx.hns"}, Serial: 1}); got != 2 {
+		t.Fatalf("publish(x, a) notified %d, want 2", got)
 	}
-	// Other name: only the zone subscriber.
-	if got := tb.Publish(Notification{Zone: "hns", Name: "b.ctx.hns", Serial: 2}); got != 1 {
-		t.Fatalf("publish(b.ctx.hns) notified %d, want 1", got)
+	// Other names: only the zone subscriber.
+	if got := tb.Publish(Notification{Zone: "hns", Names: []string{"b.ctx.hns", "c.ctx.hns"}, Serial: 2}); got != 1 {
+		t.Fatalf("publish(b, c) notified %d, want 1", got)
 	}
 	// Zone-level event reaches name subscribers too.
 	if got := tb.Publish(Notification{Zone: "hns", Serial: 3}); got != 2 {
@@ -105,7 +131,7 @@ func TestTablePublishFiltering(t *testing.T) {
 	}
 	// Delivered frames decode back to the notification.
 	n, err := DecodeNotification(zoneSub.got[0])
-	if err != nil || n.Name != "a.ctx.hns" || n.Serial != 1 {
+	if err != nil || len(n.Names) != 2 || n.Names[1] != "a.ctx.hns" || n.Serial != 1 {
 		t.Fatalf("delivered frame decodes to %+v (%v)", n, err)
 	}
 }
@@ -169,8 +195,9 @@ func TestTableDropsSinkOnDone(t *testing.T) {
 }
 
 func FuzzNotifyDecode(f *testing.F) {
-	f.Add(EncodeNotification(Notification{Zone: "hns", Name: "a.ctx.hns", Serial: 9}))
-	f.Add(EncodeNotification(Notification{Zone: "", Name: "", Serial: 0}))
+	f.Add(EncodeNotification(Notification{Zone: "hns", Names: []string{"a.ctx.hns"}, Serial: 9}))
+	f.Add(EncodeNotification(Notification{Zone: "hns", Names: []string{"q.ns.qc.hns", "n.nsm.hns", "m.ctx.hns"}, Serial: 10}))
+	f.Add(EncodeNotification(Notification{Zone: "", Serial: 0}))
 	f.Add([]byte{'N', 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, err := DecodeNotification(data)

@@ -33,12 +33,12 @@ if grep -rnE 'BENCH_(batch|durable|mux|push|scale|shard|wire)' \
   echo "SMOKE FAILED: a retired BENCH file is referenced again (see matches above)"; exit 1
 fi
 
-echo "--- one lookup path, one zone history, one on-disk format: no marshalled-reply cache, refresh-ahead, BIND query batching, cache-shard pin, diff-log knob or snapshot file family in non-test sources"
-# The diff-log and snapshot names are bracketed so a repo-wide grep for them finds none here.
-if grep -rnE 'EnableReplyCache|InvalidateReplies|Cacheable|replyCache|RefreshAhead|SetPushCovered|GetWithTTL|LookupBatch|NewBatcher|procQueryBatch|CacheShards|"reply-cache"|"refresh-ahead"|EnableDiff[L]og|diff[W]indow|"ixfr-[w]indow"|Write[S]napshot|Latest[S]napshot|Prune[S]napshots|HNSS[N]AP|CrashOn[R]ename|Snapshots[S]kipped' \
+echo "--- one lookup path, one zone history, one on-disk format, one mutation path: no marshalled-reply cache, refresh-ahead, BIND query batching, cache-shard pin, diff-log knob, snapshot file family or per-record update loop in non-test sources"
+# The diff-log, snapshot and update-loop names are bracketed so a repo-wide grep for them finds none here.
+if grep -rnE 'EnableReplyCache|InvalidateReplies|Cacheable|replyCache|RefreshAhead|SetPushCovered|GetWithTTL|LookupBatch|NewBatcher|procQueryBatch|CacheShards|"reply-cache"|"refresh-ahead"|EnableDiff[L]og|diff[W]indow|"ixfr-[w]indow"|Write[S]napshot|Latest[S]napshot|Prune[S]napshots|HNSS[N]AP|CrashOn[R]ename|Snapshots[S]kipped|beginBulk[A]dd|type bulk[A]dd|func apply[R]ecords|\) add[R]ecord\(|\) remove[M]eta\(' \
         --include='*.go' --include='*.sh' --include='Makefile' --exclude='*_test.go' --exclude='smoke.sh' \
         --exclude-dir=.git --exclude-dir=.bench_build .; then
-  echo "SMOKE FAILED: a removed lookup-path, diff-log or snapshot mechanism is back (see matches above)"; exit 1
+  echo "SMOKE FAILED: a removed lookup-path, diff-log, snapshot or update-loop mechanism is back (see matches above)"; exit 1
 fi
 
 echo "--- race detector over the full test suite"
@@ -57,8 +57,9 @@ go test -race -run 'TestScenario' -count=3 ./internal/workload
 echo "--- shed tier: 10k-caller crowd against the admission cap, raced"
 go test -race -count=1 -run 'TestGatewayCrowdCappedAtMaxInflight' ./internal/gateway
 
-echo "--- crash tier: seeded crash/restart storm and durable-store suites, raced"
+echo "--- crash tier: seeded crash/restart storm of 1-5-op transactions, durable-store suites and registration atomicity, raced"
 go test -race -count=1 -run 'TestCrashRecovery|TestDurable|TestCheckpoint|TestFailedCheckpoint|TestSecondaryRestore' ./internal/bind
+go test -race -count=1 -run 'TestRegisterNSMIsAtomic|TestUnregisterNSMAllOrNothing' ./internal/core
 go test -race -count=1 ./internal/store
 
 echo "--- coverage floors: internal/workload, internal/health, internal/admission, internal/store, internal/push"
