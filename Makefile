@@ -24,9 +24,9 @@ bench:
 bench-parallel:
 	go test -bench 'Parallel|Throughput|ShardContention|CacheKey' -benchmem -run NONE ./...
 
-# Allocation gate: the warm wire path (frame encode/decode) and the warm
-# binding-cached FindNSM must stay at <=1 alloc/op, a durable bindd's cold
-# start at <=3 per record loaded, a chained meta exchange at <=67.
+# Allocation gate: the warm wire path (frame encode/decode) must stay at
+# <=1 alloc/op, the warm FindNSM at <=58, a durable bindd's cold start at
+# <=3 per record loaded, a chained meta exchange at <=67.
 bench-alloc:
 	./scripts/bench_alloc.sh
 

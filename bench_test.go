@@ -275,19 +275,15 @@ func BenchmarkFindNSM(b *testing.B) {
 	})
 }
 
-// BenchmarkFindNSMWarmAllocs pins the warm FindNSM's heap behaviour: with
-// the resolved-binding cache on and instrumentation off, a repeat call is
-// one cache-key build plus a probe — at most 1 alloc/op, enforced by the
-// bench-alloc gate (scripts/bench_alloc.sh). Wall-clock only.
+// BenchmarkFindNSMWarmAllocs pins the heap behaviour of the warm FindNSM a
+// daemon runs: the demarshalled meta-cache, instrumentation off, a repeat
+// call walking all six mappings as cache hits. The bench-alloc gate
+// (scripts/bench_alloc.sh) holds its allocs/op. Wall-clock only.
 func BenchmarkFindNSMWarmAllocs(b *testing.B) {
 	w := newBenchWorld(b)
 	ctx := context.Background()
 	name := world.DesiredServiceName()
-	h := w.NewHNS(core.Config{
-		CacheMode:       bind.CacheDemarshalled,
-		Metrics:         metrics.Discard,
-		BindingCacheTTL: time.Hour,
-	})
+	h := w.NewHNS(core.Config{CacheMode: bind.CacheDemarshalled, Metrics: metrics.Discard})
 	if _, err := h.FindNSM(ctx, name, qclass.HRPCBinding); err != nil {
 		b.Fatal(err)
 	}

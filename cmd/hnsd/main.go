@@ -17,6 +17,12 @@
 // in order when -meta is unreachable: the per-endpoint breakers take a
 // dead replica out of rotation, and -serve-stale rides out losing them
 // all.
+//
+// The meta-cache is the paper's: demarshalled answers kept for their
+// records' TTL. A NotFound is never cached. -subscribe adds one
+// invalidation path: a NOTIFY naming records drops those names, and any
+// other zone event empties the cache. Table 3.2's marshalled mode is
+// measured in-process by hnsbench, not served.
 package main
 
 import (
@@ -49,12 +55,9 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:5310", "FindNSM service listen address (TCP)")
 		metaAddr  = flag.String("meta", "127.0.0.1:5301", "meta-BIND HRPC address (TCP)")
 		metaZone  = flag.String("metazone", "hns", "meta-information zone")
-		marshCach = flag.Bool("marshalled-cache", false, "keep the meta-cache in marshalled form (Table 3.2's slow mode)")
 		preload   = flag.Bool("preload", false, "preload the meta-cache via zone transfer at startup")
-		negTTL    = flag.Duration("neg-ttl", 0, "cache authoritative NotFound answers for this long (0 disables negative caching)")
 		metrAddr  = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
 		staleFor  = flag.Duration("serve-stale", 0, "serve expired meta-cache entries up to this long past expiry when every meta-BIND replica is down (0 disables)")
-		bindTTL   = flag.Duration("binding-cache", 0, "memoize fully resolved FindNSM bindings for this long (0 disables; layered above the meta-cache)")
 		subscribe = flag.Bool("subscribe", false, "subscribe to the meta-BIND's push plane: updates invalidate the meta-cache immediately instead of waiting out TTLs (degrades to polling when the server refuses the subscription)")
 		connIdle  = flag.Duration("conn-idle", 0, "close pooled HRPC connections idle for this long (0 keeps them until shutdown)")
 		linkBind  stringList
@@ -90,18 +93,11 @@ func main() {
 	meta := bind.NewHRPCClient(metaRPC,
 		hrpc.SuiteRawNet.Bind(*metaAddr, *metaAddr, bind.HRPCProgram, bind.HRPCVersion))
 
-	mode := bind.CacheDemarshalled
-	if *marshCach {
-		mode = bind.CacheMarshalled
-	}
 	h := core.New(meta, core.Config{
-		MetaZone:         *metaZone,
-		CacheMode:        mode,
-		NegativeCacheTTL: *negTTL,
-		ServeStale:       *staleFor,
-		BindingCacheTTL:  *bindTTL,
-		ChainMeta:        true,
-		RPC:              rpc,
+		MetaZone:   *metaZone,
+		ServeStale: *staleFor,
+		ChainMeta:  true,
+		RPC:        rpc,
 	})
 
 	for _, spec := range linkBind {
@@ -145,8 +141,7 @@ func main() {
 		log.Fatalf("hnsd: %v", err)
 	}
 	defer ln.Close()
-	log.Printf("hnsd: serving FindNSM %s (meta %s zone %q, cache %s)",
-		binding, *metaAddr, *metaZone, mode)
+	log.Printf("hnsd: serving FindNSM %s (meta %s zone %q)", binding, *metaAddr, *metaZone)
 
 	// Long-lived server hygiene: sweep expired meta-cache entries so dead
 	// data does not pin memory between touches.

@@ -14,6 +14,10 @@
 // mail-ch. Registering the served NSM with the HNS is done separately with
 // `hnsctl register-nsm` — "registering an NSM with the HNS extends the
 // functionality of all machines at once".
+//
+// The NSM's result cache holds demarshalled answers for their TTL;
+// Table 3.2's marshalled mode is measured in-process by hnsbench, not
+// served.
 package main
 
 import (
@@ -42,7 +46,6 @@ func main() {
 		chAddr      = flag.String("ch", "", "Courier TCP address of the underlying Clearinghouse")
 		chPrincipal = flag.String("ch-principal", "", "Clearinghouse principal")
 		chSecret    = flag.String("ch-secret", "", "Clearinghouse secret")
-		marshalled  = flag.Bool("marshalled-cache", false, "keep the NSM cache in marshalled form")
 		staleFor    = flag.Duration("serve-stale", 0, "serve expired cache entries up to this long past expiry when the underlying name service is down (0 disables)")
 		metrAddr    = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
 	)
@@ -68,9 +71,6 @@ func main() {
 	defer rpc.Close()
 
 	opts := nsm.Options{StaleFor: *staleFor}
-	if *marshalled {
-		opts.CacheMode = bind.CacheMarshalled
-	}
 
 	newStd := func() *bind.StdClient {
 		if *bindStd == "" {

@@ -403,12 +403,8 @@ type Resolver struct {
 	mode    CacheMode
 	// style prices marshalled-mode hits: generated for the HRPC backend,
 	// hand for the standard backend.
-	style marshal.Style
-	cache *cache.TTL[[]RR]
-	// neg caches authoritative negative answers for negTTL; nil when
-	// negative caching is disabled (the default).
-	neg     *cache.TTL[*NotFoundError]
-	negTTL  time.Duration
+	style   marshal.Style
+	cache   *cache.TTL[[]RR]
 	flights flightGroup
 	// invalidated remembers keys whose cached answer an Invalidate removed
 	// and no lookup has refetched yet (see LookupChain). maxEntries caps it
@@ -419,9 +415,6 @@ type Resolver struct {
 	// demarshals counts marshalled-mode hit demarshals
 	// (cache_demarshal_total{cache=...}); nil when uninstrumented.
 	demarshals *metrics.Counter
-	// negHits/negStores count negative-cache activity
-	// (cache_negative_{hits,stores}_total{cache=...}).
-	negHits, negStores *metrics.Counter
 	// coalesced counts lookups that joined another caller's in-progress
 	// backend fetch (cache_coalesced_total{cache=...}).
 	coalesced *metrics.Counter
@@ -441,11 +434,6 @@ type ResolverConfig struct {
 	Clock simtime.Clock
 	// MaxEntries bounds the cache; 0 = unbounded.
 	MaxEntries int
-	// NegativeTTL, when positive, caches authoritative NotFound answers
-	// for that long, so repeated lookups of absent names stop re-querying
-	// the backend ("negative answers dominate real resolver load").
-	// Zero disables negative caching.
-	NegativeTTL time.Duration
 	// Metrics, with CacheName, exposes the cache's counters as
 	// cache_*{cache=CacheName} series. Nil Metrics or empty CacheName
 	// leaves the resolver uninstrumented.
@@ -467,7 +455,6 @@ func NewResolver(backend Lookuper, cfg ResolverConfig) *Resolver {
 		mode:     cfg.Mode,
 		style:    cfg.Style,
 		cache:    cache.New[[]RR](cfg.Clock, cfg.MaxEntries),
-		negTTL:   cfg.NegativeTTL,
 		staleFor: cfg.StaleFor,
 
 		invalidated: make(map[string]struct{}),
@@ -476,25 +463,12 @@ func NewResolver(backend Lookuper, cfg ResolverConfig) *Resolver {
 	if cfg.StaleFor > 0 {
 		r.cache.SetStaleGrace(cfg.StaleFor)
 	}
-	if cfg.NegativeTTL > 0 {
-		r.neg = cache.New[*NotFoundError](cfg.Clock, cfg.MaxEntries)
-	}
 	if cfg.CacheName != "" && cfg.Metrics.Enabled() {
 		r.cache.Instrument(cfg.Metrics, cfg.CacheName)
 		r.demarshals = cfg.Metrics.Counter(
 			metrics.Labels("cache_demarshal_total", "cache", cfg.CacheName))
 		r.coalesced = cfg.Metrics.Counter(
 			metrics.Labels("cache_coalesced_total", "cache", cfg.CacheName))
-		if r.neg != nil {
-			r.negHits = cfg.Metrics.Counter(
-				metrics.Labels("cache_negative_hits_total", "cache", cfg.CacheName))
-			r.negStores = cfg.Metrics.Counter(
-				metrics.Labels("cache_negative_stores_total", "cache", cfg.CacheName))
-			neg := r.neg
-			cfg.Metrics.GaugeFunc(
-				metrics.Labels("cache_negative_entries", "cache", cfg.CacheName),
-				func() int64 { return int64(neg.Len()) })
-		}
 	}
 	return r
 }
@@ -559,15 +533,6 @@ func (r *Resolver) LookupChain(ctx context.Context, name string, t RRType, follo
 		r.chargeHit(ctx, len(rrs))
 		return copyRRs(rrs), nil
 	}
-	if r.neg != nil {
-		if nf, ok := r.neg.Get(key); ok {
-			// A remembered authoritative "no": priced as a probe of an
-			// empty answer, like any other hit.
-			simtime.Charge(ctx, simtime.CacheHit(0))
-			r.negHits.Inc()
-			return nil, nf
-		}
-	}
 	metrics.CallCounterFrom(ctx).AddMiss()
 	fetch := func(ctx context.Context) ([]RR, error) { return r.backend.Lookup(ctx, cname, t) }
 	install := func(rrs []RR, err error, _ bool) { r.install(key, rrs, err) }
@@ -625,17 +590,12 @@ func (r *Resolver) forgetInvalidated() {
 	r.invMu.Unlock()
 }
 
-// install caches a finished backend lookup: an answer under its records'
-// minimum TTL, an authoritative NotFound in the negative cache. It is the
+// install caches a finished backend lookup's answer under its records'
+// minimum TTL; an error, NotFound included, is never remembered. It is the
 // resolver's only fetch-driven Put, and flightGroup.do runs it only for a
 // flight no Invalidate or Purge superseded.
 func (r *Resolver) install(key string, rrs []RR, err error) {
 	if err != nil {
-		var nf *NotFoundError
-		if r.neg != nil && errors.As(err, &nf) {
-			r.neg.Put(key, nf, r.negTTL)
-			r.negStores.Inc()
-		}
 		return
 	}
 	// The cache keeps its own copy so later caller mutations of the
@@ -685,25 +645,16 @@ func (r *Resolver) Preload(rrs []RR) {
 // Stats exposes the cache counters.
 func (r *Resolver) Stats() cache.Stats { return r.cache.Stats() }
 
-// NegativeStats exposes the negative cache's counters (zero when negative
-// caching is disabled).
-func (r *Resolver) NegativeStats() cache.Stats {
-	if r.neg == nil {
-		return cache.Stats{}
-	}
-	return r.neg.Stats()
-}
-
 // LockWaits reports contended shard-lock acquisitions on the answer cache.
 func (r *Resolver) LockWaits() int64 { return r.cache.LockWaits() }
 
-// Invalidate drops the cached answer — positive and negative — for one
-// (name, type), so the next Lookup goes to the backend. A fetch already in
-// flight for the key is superseded first: its callers still get the answer
-// they asked for, but it is not cached — it may predate the change that
-// prompted the invalidation — and the next Lookup starts a new fetch. When
-// an answer was actually dropped, the key is remembered so that fetch asks
-// for this name alone (see LookupChain).
+// Invalidate drops the cached answer for one (name, type), so the next
+// Lookup goes to the backend. A fetch already in flight for the key is
+// superseded first: its callers still get the answer they asked for, but
+// it is not cached — it may predate the change that prompted the
+// invalidation — and the next Lookup starts a new fetch. When an answer
+// was actually dropped, the key is remembered so that fetch asks for this
+// name alone (see LookupChain).
 func (r *Resolver) Invalidate(name string, t RRType) {
 	cname, err := CanonicalName(name)
 	if err != nil {
@@ -722,31 +673,22 @@ func (r *Resolver) Invalidate(name string, t RRType) {
 		r.invalidated[key] = struct{}{}
 		r.invMu.Unlock()
 	}
-	if r.neg != nil {
-		r.neg.Delete(key)
-	}
 }
 
-// Purge empties the cache, the negative cache included, superseding every
-// in-flight fetch as Invalidate does for one.
+// Purge empties the cache, superseding every in-flight fetch as Invalidate
+// does for one.
 func (r *Resolver) Purge() {
 	r.flights.supersedeAll()
 	r.cache.Purge()
 	r.forgetInvalidated()
-	if r.neg != nil {
-		r.neg.Purge()
-	}
 }
 
-// Sweep proactively removes expired cache entries (negative ones
-// included), reporting how many were dropped. It also forgets which names
-// were invalidated: a name nobody has asked for since the last sweep would
-// otherwise be remembered for ever by an unbounded resolver.
+// Sweep proactively removes expired cache entries, reporting how many were
+// dropped. It also forgets which names were invalidated: a name nobody has
+// asked for since the last sweep would otherwise be remembered for ever by
+// an unbounded resolver.
 func (r *Resolver) Sweep() int {
 	n := r.cache.Sweep()
 	r.forgetInvalidated()
-	if r.neg != nil {
-		n += r.neg.Sweep()
-	}
 	return n
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"hns/internal/metrics"
 	"hns/internal/simtime"
 )
 
@@ -190,70 +189,6 @@ func TestPreloadCopiesCallerRecords(t *testing.T) {
 	}
 }
 
-func TestNegativeCache(t *testing.T) {
-	clk := simtime.NewFakeClock(time.Date(1987, 11, 8, 0, 0, 0, 0, time.UTC))
-	backend := &blockingBackend{cost: 27 * time.Millisecond}
-	reg := metrics.NewRegistry()
-	r := NewResolver(backend, ResolverConfig{
-		Clock:       clk,
-		NegativeTTL: 30 * time.Second,
-		Metrics:     reg,
-		CacheName:   "negtest",
-	})
-	ctx := context.Background()
-
-	// First miss goes to the backend and is remembered as a negative
-	// answer.
-	if _, err := r.Lookup(ctx, "ghost.test", TypeA); !isNotFound(err) {
-		t.Fatalf("want NotFoundError, got %v", err)
-	}
-	if backend.calls.Load() != 1 {
-		t.Fatalf("backend calls = %d", backend.calls.Load())
-	}
-
-	// Within the TTL the negative answer is served from cache — no
-	// backend traffic, priced as an empty-answer probe.
-	cost, err := simtime.Measure(ctx, func(ctx context.Context) error {
-		_, err := r.Lookup(ctx, "ghost.test", TypeA)
-		return err
-	})
-	if !isNotFound(err) {
-		t.Fatalf("want NotFoundError from negative cache, got %v", err)
-	}
-	if backend.calls.Load() != 1 {
-		t.Fatalf("negative hit still queried the backend (%d calls)", backend.calls.Load())
-	}
-	if cost != simtime.CacheHit(0) {
-		t.Fatalf("negative hit charged %v, want cache probe %v", cost, simtime.CacheHit(0))
-	}
-	if got := reg.Counter(metrics.Labels("cache_negative_hits_total", "cache", "negtest")).Value(); got != 1 {
-		t.Fatalf("cache_negative_hits_total = %d, want 1", got)
-	}
-	if got := reg.Counter(metrics.Labels("cache_negative_stores_total", "cache", "negtest")).Value(); got != 1 {
-		t.Fatalf("cache_negative_stores_total = %d, want 1", got)
-	}
-	if st := r.NegativeStats(); st.Hits != 1 {
-		t.Fatalf("NegativeStats = %+v", st)
-	}
-
-	// Past the TTL the backend is consulted again.
-	clk.Advance(31 * time.Second)
-	if _, err := r.Lookup(ctx, "ghost.test", TypeA); !isNotFound(err) {
-		t.Fatalf("want NotFoundError, got %v", err)
-	}
-	if backend.calls.Load() != 2 {
-		t.Fatalf("expired negative entry not refetched (%d calls)", backend.calls.Load())
-	}
-
-	// Registration of the name must become visible once the negative
-	// entry expires (Purge models the admin flushing after an update).
-	backend.answers = map[string][]RR{"ghost.test": {A("ghost.test", "10.1.1.1", 600)}}
-	r.Purge()
-	if rrs, err := r.Lookup(ctx, "ghost.test", TypeA); err != nil || len(rrs) != 1 {
-		t.Fatalf("after purge: %v, %v", rrs, err)
-	}
-}
-
 // gatedBackend answers from a zone the test mutates. An armed call takes
 // its answer first and then parks — "reply computed before the update" —
 // until the test releases it.
@@ -299,12 +234,10 @@ func TestInvalidationSupersedesInFlightLookup(t *testing.T) {
 	old, updated := A(name, "10.0.0.1", 600), A(name, "10.0.0.2", 600)
 	for _, tc := range []struct {
 		name       string
-		before     []RR // nil: the name does not exist yet
 		invalidate func(*Resolver)
 	}{
-		{"Invalidate", []RR{old}, func(r *Resolver) { r.Invalidate(name, TypeA) }},
-		{"Purge", []RR{old}, func(r *Resolver) { r.Purge() }},
-		{"InvalidateNegative", nil, func(r *Resolver) { r.Invalidate(name, TypeA) }},
+		{"Invalidate", func(r *Resolver) { r.Invalidate(name, TypeA) }},
+		{"Purge", func(r *Resolver) { r.Purge() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			backend := &gatedBackend{
@@ -313,13 +246,8 @@ func TestInvalidationSupersedesInFlightLookup(t *testing.T) {
 				entered: make(chan struct{}),
 				release: make(chan struct{}),
 			}
-			if tc.before != nil {
-				backend.set(name, tc.before...)
-			}
-			r := NewResolver(backend, ResolverConfig{
-				Clock:       simtime.NewFakeClock(time.Unix(0, 0)),
-				NegativeTTL: 600 * time.Second,
-			})
+			backend.set(name, old)
+			r := NewResolver(backend, ResolverConfig{Clock: simtime.NewFakeClock(time.Unix(0, 0))})
 			ctx := context.Background()
 			type result struct {
 				rrs []RR
@@ -339,11 +267,7 @@ func TestInvalidationSupersedesInFlightLookup(t *testing.T) {
 			close(backend.release)
 
 			got := <-first
-			if tc.before == nil {
-				if !isNotFound(got.err) {
-					t.Fatalf("in-flight caller got %v, %v; want the NotFound it asked for", got.rrs, got.err)
-				}
-			} else if got.err != nil || string(got.rrs[0].Data) != "10.0.0.1" {
+			if got.err != nil || string(got.rrs[0].Data) != "10.0.0.1" {
 				t.Fatalf("in-flight caller got %v, %v; want the pre-update answer", got.rrs, got.err)
 			}
 			rrs, err := r.Lookup(ctx, name, TypeA)
@@ -357,9 +281,10 @@ func TestInvalidationSupersedesInFlightLookup(t *testing.T) {
 	}
 }
 
-// TestNegativeCacheDisabledByDefault pins the default-off knob: without
-// NegativeTTL every NotFound goes to the backend, exactly as before.
-func TestNegativeCacheDisabledByDefault(t *testing.T) {
+// TestNotFoundIsNeverCached: the resolver remembers answers only, so every
+// NotFound goes to the backend and a name registered a moment later is seen
+// by the next lookup, with no TTL to wait out.
+func TestNotFoundIsNeverCached(t *testing.T) {
 	backend := &blockingBackend{}
 	r := NewResolver(backend, ResolverConfig{})
 	ctx := context.Background()
@@ -369,7 +294,7 @@ func TestNegativeCacheDisabledByDefault(t *testing.T) {
 		}
 	}
 	if backend.calls.Load() != 3 {
-		t.Fatalf("backend calls = %d, want 3 (no negative caching)", backend.calls.Load())
+		t.Fatalf("backend calls = %d, want 3 (a NotFound is never cached)", backend.calls.Load())
 	}
 }
 

@@ -41,7 +41,6 @@ type Stats struct {
 	Misses      int64
 	Expired     int64 // misses caused by TTL expiry of a present entry
 	Evicted     int64 // entries discarded by the LRU bound
-	Preloads    int64 // entries installed by bulk preload
 	StaleServed int64 // expired entries handed out by GetStale (degraded mode)
 }
 
@@ -60,7 +59,6 @@ func (s *Stats) add(o Stats) {
 	s.Misses += o.Misses
 	s.Expired += o.Expired
 	s.Evicted += o.Evicted
-	s.Preloads += o.Preloads
 	s.StaleServed += o.StaleServed
 }
 
@@ -267,19 +265,6 @@ func (c *TTL[V]) GetStale(key string) (V, bool) {
 	return e.value, true
 }
 
-// Peek returns the live entry for key without touching LRU order or stats.
-func (c *TTL[V]) Peek(key string) (V, bool) {
-	s := c.shardFor(key)
-	c.lock(s)
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok || !c.clock.Now().Before(e.expires) {
-		var zero V
-		return zero, false
-	}
-	return e.value, true
-}
-
 // Put installs value under key with the given TTL. Non-positive TTLs are
 // not cached (matching BIND: a zero TTL means "do not cache").
 func (c *TTL[V]) Put(key string, value V, ttl time.Duration) {
@@ -289,10 +274,6 @@ func (c *TTL[V]) Put(key string, value V, ttl time.Duration) {
 	s := c.shardFor(key)
 	c.lock(s)
 	defer s.mu.Unlock()
-	c.putLocked(s, key, value, ttl)
-}
-
-func (c *TTL[V]) putLocked(s *shard[V], key string, value V, ttl time.Duration) {
 	if e, ok := s.entries[key]; ok {
 		e.value = value
 		e.expires = c.clock.Now().Add(ttl)
@@ -309,21 +290,6 @@ func (c *TTL[V]) putLocked(s *shard[V], key string, value V, ttl time.Duration) 
 		}
 		s.removeLocked(oldest.Value.(*entry[V]))
 		s.stats.Evicted++
-	}
-}
-
-// Preload bulk-installs entries (the zone-transfer preloading experiment).
-// Existing entries are overwritten.
-func (c *TTL[V]) Preload(items map[string]V, ttl time.Duration) {
-	if ttl <= 0 {
-		return
-	}
-	for k, v := range items {
-		s := c.shardFor(k)
-		c.lock(s)
-		c.putLocked(s, k, v, ttl)
-		s.stats.Preloads++
-		s.mu.Unlock()
 	}
 }
 
@@ -399,31 +365,9 @@ func (c *TTL[V]) Stats() Stats {
 	return out
 }
 
-// ShardStats returns each shard's counters — the access distribution the
-// parallel benchmark tier inspects for hash balance.
-func (c *TTL[V]) ShardStats() []Stats {
-	out := make([]Stats, len(c.shards))
-	for i, s := range c.shards {
-		c.lock(s)
-		out[i] = s.stats
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// ResetStats zeroes the counters (used between benchmark phases).
-func (c *TTL[V]) ResetStats() {
-	for _, s := range c.shards {
-		c.lock(s)
-		s.stats = Stats{}
-		s.mu.Unlock()
-	}
-	c.lockWaits.Store(0)
-}
-
 // Instrument exposes the cache's counters as gauge series on r, labeled
 // cache=<name>: cache_hits_total, cache_misses_total, cache_expired_total,
-// cache_evicted_total, cache_preloads_total, cache_entries, plus the
+// cache_evicted_total, cache_stale_served_total, cache_entries, plus the
 // concurrency series cache_shards, cache_lock_wait_total, and per-shard
 // cache_shard_accesses{shard=i}. The series read the existing Stats at
 // snapshot time, so instrumenting adds no work to the access path.
@@ -437,7 +381,6 @@ func (c *TTL[V]) Instrument(r *metrics.Registry, name string) {
 	series("cache_misses_total", func(s Stats) int64 { return s.Misses })
 	series("cache_expired_total", func(s Stats) int64 { return s.Expired })
 	series("cache_evicted_total", func(s Stats) int64 { return s.Evicted })
-	series("cache_preloads_total", func(s Stats) int64 { return s.Preloads })
 	series("cache_stale_served_total", func(s Stats) int64 { return s.StaleServed })
 	r.GaugeFunc(metrics.Labels("cache_entries", "cache", name), func() int64 {
 		return int64(c.Len())

@@ -79,30 +79,17 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatal("0 missing")
 	}
 	c.Put("3", 3, time.Hour)
-	if _, ok := c.Peek("1"); ok {
+	entries := c.shards[0].entries // a 3-entry cache has one shard
+	if _, ok := entries["1"]; ok {
 		t.Fatal("LRU victim 1 survived")
 	}
 	for _, k := range []string{"0", "2", "3"} {
-		if _, ok := c.Peek(k); !ok {
+		if _, ok := entries[k]; !ok {
 			t.Fatalf("%s evicted wrongly", k)
 		}
 	}
 	if st := c.Stats(); st.Evicted != 1 {
 		t.Fatalf("Evicted = %d, want 1", st.Evicted)
-	}
-}
-
-func TestPeekDoesNotCountOrPromote(t *testing.T) {
-	c := New[int](newClock(), 2)
-	c.Put("a", 1, time.Hour)
-	c.Put("b", 2, time.Hour)
-	c.Peek("a") // must not promote
-	c.Put("c", 3, time.Hour)
-	if _, ok := c.Peek("a"); ok {
-		t.Fatal("Peek promoted entry")
-	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("Peek affected stats: %+v", st)
 	}
 }
 
@@ -119,32 +106,8 @@ func TestStatsAndHitRate(t *testing.T) {
 	if got := st.HitRate(); got < 0.66 || got > 0.67 {
 		t.Fatalf("HitRate = %f", got)
 	}
-	c.ResetStats()
-	if st := c.Stats(); st != (Stats{}) {
-		t.Fatalf("ResetStats left %+v", st)
-	}
 	if (Stats{}).HitRate() != 0 {
 		t.Fatal("empty HitRate not zero")
-	}
-}
-
-func TestPreload(t *testing.T) {
-	c := New[int](newClock(), 0)
-	c.Preload(map[string]int{"a": 1, "b": 2, "c": 3}, time.Hour)
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	if st := c.Stats(); st.Preloads != 3 {
-		t.Fatalf("Preloads = %d", st.Preloads)
-	}
-	if v, ok := c.Get("b"); !ok || v != 2 {
-		t.Fatalf("preloaded entry = %d, %v", v, ok)
-	}
-	// Preload with non-positive TTL is a no-op.
-	c2 := New[int](newClock(), 0)
-	c2.Preload(map[string]int{"x": 1}, 0)
-	if c2.Len() != 0 {
-		t.Fatal("zero-TTL preload cached")
 	}
 }
 

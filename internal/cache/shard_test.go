@@ -77,14 +77,14 @@ func TestShardedStatsMerge(t *testing.T) {
 	// many distinct keys more than one shard must have seen traffic.
 	var sum Stats
 	busy := 0
-	for _, s := range c.ShardStats() {
-		sum.add(s)
-		if s.Hits+s.Misses > 0 {
+	for _, s := range c.shards {
+		sum.add(s.stats)
+		if s.stats.Hits+s.stats.Misses > 0 {
 			busy++
 		}
 	}
 	if sum != st {
-		t.Fatalf("ShardStats sum %+v != Stats %+v", sum, st)
+		t.Fatalf("per-shard sum %+v != Stats %+v", sum, st)
 	}
 	if busy < 2 {
 		t.Fatalf("all traffic landed on %d shard(s); hash not distributing", busy)
@@ -114,13 +114,13 @@ func TestShardedStress(t *testing.T) {
 				case 1:
 					c.Get(k)
 				case 2:
-					c.Peek(k)
+					c.GetStale(k)
 				case 3:
 					c.Delete(k)
 				case 4:
 					c.Sweep()
 				case 5:
-					c.Preload(map[string]int{k: i, k + "x": i}, time.Minute)
+					c.Put(k+"x", i, time.Minute)
 				case 6:
 					if i%70 == 6 {
 						c.Purge()
@@ -163,12 +163,8 @@ func TestLockWaitCounter(t *testing.T) {
 	if got := c.LockWaits(); got != 1 {
 		t.Fatalf("lock waits = %d, want 1", got)
 	}
-	c.ResetStats()
-	if c.LockWaits() != 0 {
-		t.Fatal("ResetStats did not clear lock waits")
-	}
 	c.Get("k")
-	if c.LockWaits() != 0 {
+	if c.LockWaits() != 1 {
 		t.Fatal("uncontended access counted as a lock wait")
 	}
 }

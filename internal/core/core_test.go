@@ -522,15 +522,13 @@ func (g *gatedMeta) Lookup(ctx context.Context, name string, t bind.RRType) ([]b
 
 // TestFlushCacheSupersedesInFlightFindNSM: a FindNSM whose mapping walk
 // read a record before an update, and finishes after the flush the update
-// caused, returns the binding it asked for but must leave it in neither the
-// meta-cache nor the resolved-binding cache — the next FindNSM walks again
-// and sees the update rather than the memo for its one-hour TTL.
+// caused, returns the binding it asked for but must not leave that record
+// in the meta-cache — the next FindNSM walks again and sees the update
+// rather than the stale record for its 600 s TTL.
 func TestFlushCacheSupersedesInFlightFindNSM(t *testing.T) {
 	w := newWorld(t, world.Config{Clock: simtime.NewFakeClock(time.Unix(0, 0))})
 	gm := &gatedMeta{MetaClient: w.MetaHRPCClient(), entered: make(chan struct{}), release: make(chan struct{})}
-	h := core.New(gm, core.Config{
-		MetaZone: world.MetaZone, Clock: w.Clock, BindingCacheTTL: time.Hour,
-	})
+	h := core.New(gm, core.Config{MetaZone: world.MetaZone, Clock: w.Clock})
 	h.LinkHostResolver(world.NSBind, w.BindHostNSM)
 	ctx := context.Background()
 	name := world.DesiredServiceName()
@@ -568,5 +566,29 @@ func TestFlushCacheSupersedesInFlightFindNSM(t *testing.T) {
 	b, err := h.FindNSM(ctx, name, qclass.HRPCBinding)
 	if err != nil || !strings.HasSuffix(b.Addr, ":moved") {
 		t.Fatalf("FindNSM after flush = %v, %v; a superseded walk's result was cached", b, err)
+	}
+}
+
+// TestUnregisteredContextIsNeverCached: an HNS instance with no push
+// subscription that was told a context does not exist sees the context as
+// soon as it is registered elsewhere — no flush, no NOTIFY, no TTL to wait
+// out, because a NotFound is never cached.
+func TestUnregisteredContextIsNeverCached(t *testing.T) {
+	w := newWorld(t, world.Config{})
+	ctx := context.Background()
+	h := w.NewHNS(core.Config{MetaZone: world.MetaZone})
+	name := names.Must("late-context", "anything")
+	if _, err := h.FindNSM(ctx, name, qclass.HRPCBinding); !errors.Is(err, core.ErrNoSuchContext) {
+		t.Fatalf("FindNSM before registration = %v, want ErrNoSuchContext", err)
+	}
+	if err := w.HNS.RegisterContext(ctx, "late-context", world.NSBind); err != nil {
+		t.Fatal(err)
+	}
+	b, err := h.FindNSM(ctx, name, qclass.HRPCBinding)
+	if err != nil {
+		t.Fatalf("FindNSM after registration: %v", err)
+	}
+	if b.Addr != "june:"+world.PortBindingBind {
+		t.Fatalf("FindNSM after registration = %v", b)
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"hns/internal/bind"
-	"hns/internal/cache"
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
 	"hns/internal/metrics"
@@ -84,25 +83,12 @@ type Config struct {
 	Clock simtime.Clock
 	// MaxCacheEntries bounds the meta-cache; 0 = unbounded.
 	MaxCacheEntries int
-	// NegativeCacheTTL, when positive, remembers authoritative "no such
-	// meta record" answers for that long, so lookups of unregistered
-	// contexts stop hammering the meta-BIND. Zero disables negative
-	// caching (the paper's prototype had none).
-	NegativeCacheTTL time.Duration
 	// ServeStale, when positive, enables serve-stale degraded mode on the
 	// meta-cache: if every meta-BIND replica is unreachable, FindNSM's
 	// mapping lookups may answer from expired entries up to ServeStale
 	// past expiry (counted in cache_stale_served_total and
 	// Stats.Cache.StaleServed). Zero keeps strict TTL semantics.
 	ServeStale time.Duration
-	// BindingCacheTTL, when positive, memoizes fully resolved FindNSM
-	// results: a repeat (context, query class) is answered from the
-	// stored binding without re-walking the six mappings — priced as one
-	// cache probe (CacheHit(0)) on top of the fixed assembly cost. This
-	// is an additional layer above the meta-cache, so it is off by
-	// default and the paper's tables are computed without it; the
-	// zero-allocation warm path the bench-alloc gate pins uses it.
-	BindingCacheTTL time.Duration
 	// ChainMeta, when set, lets a meta-cache miss on mapping 1, 2 or 4 ask
 	// the meta-BIND to follow the context → NSM name → NSM record chain in
 	// the same exchange (bind.ChainLookuper), so the mappings after it hit:
@@ -147,16 +133,6 @@ type HNS struct {
 	// depends on the query class: see chainFrom.
 	chainNSM, chainHost []bind.FollowStep
 
-	// bindings, when non-nil, is the resolved-binding cache
-	// (Config.BindingCacheTTL): (context, query class) → hrpc.Binding.
-	bindings   *cache.TTL[hrpc.Binding]
-	bindingTTL time.Duration
-	// bindMu orders a finished walk's Put against purgeBindings; bindGen
-	// counts purges (written under bindMu), so a walk that began before
-	// one is not memoized.
-	bindMu  sync.Mutex
-	bindGen atomic.Uint64
-
 	mu            sync.RWMutex
 	hostResolvers map[string]HostResolver
 	// metaSub, when non-nil, is the live push subscription feeding
@@ -176,9 +152,6 @@ type hnsObs struct {
 	errors         *metrics.Counter   // core_findnsm_errors_total
 	warmMS, coldMS *metrics.Histogram // core_findnsm_ms{state=...}
 	steps          [6]*metrics.Histogram
-	// core_binding_cache_total{result=...}; registered only when the
-	// binding cache is enabled (nil handles are no-ops otherwise).
-	bindHits, bindMisses *metrics.Counter
 }
 
 // New creates an HNS over the given meta-information client — usually a
@@ -200,13 +173,12 @@ func New(meta MetaClient, cfg Config) *HNS {
 			Mode: cfg.CacheMode,
 			// Meta data arrives via the generated stubs, so marshalled-
 			// mode hits pay the generated demarshal rate.
-			Style:       marshal.StyleGenerated,
-			Clock:       cfg.Clock,
-			MaxEntries:  cfg.MaxCacheEntries,
-			NegativeTTL: cfg.NegativeCacheTTL,
-			Metrics:     reg,
-			CacheName:   "meta",
-			StaleFor:    cfg.ServeStale,
+			Style:      marshal.StyleGenerated,
+			Clock:      cfg.Clock,
+			MaxEntries: cfg.MaxCacheEntries,
+			Metrics:    reg,
+			CacheName:  "meta",
+			StaleFor:   cfg.ServeStale,
 		}),
 		hostResolvers: make(map[string]HostResolver),
 		instr:         reg.Enabled(),
@@ -225,12 +197,6 @@ func New(meta MetaClient, cfg Config) *HNS {
 	if cfg.ChainMeta {
 		h.chainNSM = []bind.FollowStep{h.followNSM()}
 		h.chainHost = []bind.FollowStep{h.followQC(qclass.HostAddress)}
-	}
-	if cfg.BindingCacheTTL > 0 {
-		h.bindings = cache.New[hrpc.Binding](cfg.Clock, cfg.MaxCacheEntries)
-		h.bindingTTL = cfg.BindingCacheTTL
-		h.obs.bindHits = reg.Counter(metrics.Labels("core_binding_cache_total", "result", "hit"))
-		h.obs.bindMisses = reg.Counter(metrics.Labels("core_binding_cache_total", "result", "miss"))
 	}
 	return h
 }
@@ -343,25 +309,6 @@ func (h *HNS) FindNSM(ctx context.Context, name names.Name, queryClass string) (
 	}
 	queryClass = strings.ToLower(queryClass)
 
-	// Resolved-binding cache: a repeat (context, query class) skips the
-	// entire mapping walk. The key concatenation is the warm path's one
-	// allocation; the hit is priced as a single cache probe.
-	var bkey string
-	var bgen uint64
-	if h.bindings != nil {
-		cctx, cerr := names.CanonicalContext(name.Context)
-		if cerr == nil {
-			bkey = cctx + "\x00" + queryClass
-			if b, ok := h.bindings.Get(bkey); ok {
-				simtime.Charge(ctx, simtime.CacheHit(0))
-				h.obs.bindHits.Inc()
-				return b, nil
-			}
-			h.obs.bindMisses.Inc()
-			bgen = h.bindGen.Load()
-		}
-	}
-
 	var so *stepObs
 	if tr := tracer(ctx); h.instr || tr != nil {
 		so = &stepObs{sw: simtime.Start(ctx), fn: tr}
@@ -371,13 +318,6 @@ func (h *HNS) FindNSM(ctx context.Context, name names.Name, queryClass string) (
 	if err != nil {
 		h.obs.errors.Inc()
 		return b, err
-	}
-	if bkey != "" {
-		h.bindMu.Lock()
-		if h.bindGen.Load() == bgen {
-			h.bindings.Put(bkey, b, h.bindingTTL)
-		}
-		h.bindMu.Unlock()
 	}
 	if h.instr {
 		// The final "resolved" lap left prevD at the call's end time,
@@ -584,11 +524,8 @@ type Stats struct {
 
 // CacheStats mirrors cache.Stats without exporting the cache package.
 type CacheStats struct {
-	Hits, Misses, Expired, Preloads int64
-	HitRate                         float64
-	// NegativeHits counts lookups answered from the negative cache
-	// (zero unless Config.NegativeCacheTTL is set).
-	NegativeHits int64
+	Hits, Misses, Expired int64
+	HitRate               float64
 	// LockWaits counts contended meta-cache shard-lock acquisitions.
 	LockWaits int64
 	// StaleServed counts degraded-mode answers from expired entries
@@ -603,30 +540,13 @@ func (h *HNS) Stats() Stats {
 		FindNSMCalls: h.findCalls.Load(),
 		Cache: CacheStats{
 			Hits: cs.Hits, Misses: cs.Misses, Expired: cs.Expired,
-			Preloads: cs.Preloads, HitRate: cs.HitRate(),
-			NegativeHits: h.resolver.NegativeStats().Hits,
-			LockWaits:    h.resolver.LockWaits(),
-			StaleServed:  cs.StaleServed,
+			HitRate:     cs.HitRate(),
+			LockWaits:   h.resolver.LockWaits(),
+			StaleServed: cs.StaleServed,
 		},
 	}
 }
 
-// FlushCache empties the meta-cache — and the resolved-binding cache, when
-// enabled (between benchmark phases).
-func (h *HNS) FlushCache() {
-	h.resolver.Purge()
-	h.purgeBindings()
-}
-
-// purgeBindings empties the resolved-binding cache (a no-op when it is
-// off). A FindNSM walk in progress may have read meta records that have
-// since changed, so bumping bindGen keeps its result out of the cache.
-func (h *HNS) purgeBindings() {
-	if h.bindings == nil {
-		return
-	}
-	h.bindMu.Lock()
-	h.bindGen.Add(1)
-	h.bindings.Purge()
-	h.bindMu.Unlock()
-}
+// FlushCache empties the meta-cache (between benchmark phases). A FindNSM
+// walk in flight keeps the records it read but caches none of them.
+func (h *HNS) FlushCache() { h.resolver.Purge() }

@@ -40,17 +40,14 @@ func (h *HNS) SubscribeMeta() bool {
 			if n.Names == nil {
 				// Zone-level event (e.g. a secondary refresh landed): the
 				// change set is unknown, flush.
-				h.FlushCache()
+				h.resolver.Purge()
 				return
 			}
 			for _, name := range n.Names {
 				h.resolver.Invalidate(name, bind.TypeHNSMeta)
 			}
-			// Any meta change can underlie any memoized binding; the
-			// memo layer has no dependency index, so drop it wholesale.
-			h.purgeBindings()
 		},
-		OnReset: func() { h.FlushCache() },
+		OnReset: h.resolver.Purge,
 	})
 	h.mu.Lock()
 	h.metaSub = sub

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Alloc-regression gate for the zero-allocation wire path, the bindd
-# seed and restart paths and one chained meta exchange. Runs the benchmarks with -benchmem and fails if any exceeds
+# Alloc-regression gate for the zero-allocation wire path, the warm
+# FindNSM, the bindd seed and restart paths and one chained meta exchange. Runs the benchmarks with -benchmem and fails if any exceeds
 # its committed allocs/op bound. The bounds are the contract: raising one
 # is an explicit, reviewed change to this file.
 #
@@ -14,7 +14,7 @@ bounds="
 BenchmarkDecodeReplyWarm ./internal/transport/ 1
 BenchmarkFrameMuxRequest ./internal/transport/ 1
 BenchmarkEncodeMuxReplyFramed ./internal/transport/ 1
-BenchmarkFindNSMWarmAllocs . 1
+BenchmarkFindNSMWarmAllocs . 58
 BenchmarkBinddColdStart ./internal/bind/ 60000
 BenchmarkBinddRestart ./internal/bind/ 38843
 BenchmarkChainExchange ./internal/bind/ 67
@@ -29,6 +29,7 @@ run_pkg() { # pkg bench-regex [iterations]
 
 echo "--- bench-alloc: warm-path allocation gate"
 run_pkg ./internal/transport/ 'BenchmarkDecodeReplyWarm$|BenchmarkFrameMuxRequest$|BenchmarkEncodeMuxReplyFramed$' | tee -a "$out"
+# One warm FindNSM: six meta-cache hits, each handing back a private copy.
 run_pkg . 'BenchmarkFindNSMWarmAllocs$' | tee -a "$out"
 # One op loads a generated 20k-record zone: the bound is 3.0 per record.
 run_pkg ./internal/bind/ 'BenchmarkBinddColdStart$' 10 | tee -a "$out"

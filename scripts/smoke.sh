@@ -33,12 +33,12 @@ if grep -rnE 'BENCH_(batch|durable|mux|push|scale|shard|wire)' \
   echo "SMOKE FAILED: a retired BENCH file is referenced again (see matches above)"; exit 1
 fi
 
-echo "--- one lookup path, one zone history, one on-disk format, one mutation path: no marshalled-reply cache, refresh-ahead, BIND query batching, cache-shard pin, diff-log knob, snapshot file family or per-record update loop in non-test sources"
-# The diff-log, snapshot and update-loop names are bracketed so a repo-wide grep for them finds none here.
-if grep -rnE 'EnableReplyCache|InvalidateReplies|Cacheable|replyCache|RefreshAhead|SetPushCovered|GetWithTTL|LookupBatch|NewBatcher|procQueryBatch|CacheShards|"reply-cache"|"refresh-ahead"|EnableDiff[L]og|diff[W]indow|"ixfr-[w]indow"|Write[S]napshot|Latest[S]napshot|Prune[S]napshots|HNSS[N]AP|CrashOn[R]ename|Snapshots[S]kipped|beginBulk[A]dd|type bulk[A]dd|func apply[R]ecords|\) add[R]ecord\(|\) remove[M]eta\(' \
+echo "--- one lookup path, one zone history, one on-disk format, one mutation path, one meta-cache: no marshalled-reply cache, refresh-ahead, BIND query batching, cache-shard pin, diff-log knob, snapshot file family, per-record update loop, negative cache, resolved-binding cache, daemon cache-mode knob or preload counter in non-test sources"
+# The diff-log, snapshot, update-loop and cache names are bracketed so a repo-wide grep for them finds none here.
+if grep -rnE 'EnableReplyCache|InvalidateReplies|Cacheable|replyCache|RefreshAhead|SetPushCovered|GetWithTTL|LookupBatch|NewBatcher|procQueryBatch|CacheShards|"reply-cache"|"refresh-ahead"|EnableDiff[L]og|diff[W]indow|"ixfr-[w]indow"|Write[S]napshot|Latest[S]napshot|Prune[S]napshots|HNSS[N]AP|CrashOn[R]ename|Snapshots[S]kipped|beginBulk[A]dd|type bulk[A]dd|func apply[R]ecords|\) add[R]ecord\(|\) remove[M]eta\(|Negative[T]TL|NegativeCache[T]TL|Negative[S]tats|BindingCache[T]TL|purge[B]indings|bind[G]en|"neg-[t]tl"|"binding-[c]ache"|"marshalled-[c]ache"|cache_negative_|core_binding_[c]ache|cache_preloads_[t]otal' \
         --include='*.go' --include='*.sh' --include='Makefile' --exclude='*_test.go' --exclude='smoke.sh' \
         --exclude-dir=.git --exclude-dir=.bench_build .; then
-  echo "SMOKE FAILED: a removed lookup-path, diff-log, snapshot or update-loop mechanism is back (see matches above)"; exit 1
+  echo "SMOKE FAILED: a removed lookup-path, diff-log, snapshot, update-loop or cache mechanism is back (see matches above)"; exit 1
 fi
 
 echo "--- race detector over the full test suite"
