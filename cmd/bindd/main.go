@@ -11,8 +11,11 @@
 //	      -records zone.txt -hrpc 127.0.0.1:5301 -std 127.0.0.1:5302
 //
 // With -secondary, bindd instead mirrors its (single) zone from another
-// bindd's HRPC interface by serial-checked zone transfer, re-checking
-// every -refresh. A secondary is the replication arrangement real BIND
+// bindd's HRPC interface by serial-checked zone transfer. It subscribes
+// to the primary's NOTIFY stream and pulls each change the moment it
+// lands, and re-checks every -refresh regardless; a primary without
+// -push refuses the subscription and the -refresh poll alone carries
+// the mirror. A secondary is the replication arrangement real BIND
 // used: point hnsd's -meta-replica at one and the meta-information
 // survives the primary's death. Mirrors never accept updates, so
 // -secondary excludes -update and -records.
@@ -25,13 +28,11 @@
 // directory before the reply goes out, checkpointed whenever the journal
 // a restart would replay has outgrown the zone image it would load (never
 // for less than one WAL segment), and recovered on restart to exactly the
-// acknowledged prefix. -fsync picks the flush policy: "always" (default;
-// an acked update survives even kill -9), "interval" (flushes every
-// -fsync-interval; bounded loss window), or "never" (left to the OS). A
-// restarted -secondary with a data dir resumes from its persisted mirror
-// and serial — a serial probe instead of a cold full transfer. Without
-// -data-dir nothing touches disk, exactly the in-memory BIND the paper
-// measured.
+// acknowledged prefix: every append is synced before the reply goes out,
+// so an acked update survives even kill -9. A restarted -secondary with
+// a data dir resumes from its persisted mirror and serial — a serial
+// probe instead of a cold full transfer. Without -data-dir nothing
+// touches disk, exactly the in-memory BIND the paper measured.
 //
 // Every zone keeps its history: the newest mutations that fit one reply
 // frame, from which mirrors and resubscribing clients take only what
@@ -59,7 +60,6 @@ import (
 	"hns/internal/bind"
 	"hns/internal/hrpc"
 	"hns/internal/metrics"
-	"hns/internal/push"
 	"hns/internal/store"
 	"hns/internal/transport"
 )
@@ -80,16 +80,12 @@ func main() {
 		stdAddr  = flag.String("std", "127.0.0.1:5302", "standard interface listen address (UDP); empty disables")
 		metrAddr = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
 		secAddr  = flag.String("secondary", "", "mirror the zone from this primary bindd HRPC address (TCP) instead of serving authoritatively")
-		refresh  = flag.Duration("refresh", 30*time.Second, "serial-check interval in -secondary mode")
+		refresh  = flag.Duration("refresh", 30*time.Second, "serial-check interval in -secondary mode, the backstop to the primary's NOTIFY stream")
 
-		dataDir   = flag.String("data-dir", "", "persist zones here (a write-ahead log with in-log checkpoints) and recover on restart; empty keeps everything in memory")
-		fsyncMode = flag.String("fsync", "always", "WAL flush policy with -data-dir: always, interval, or never")
-		fsyncIntv = flag.Duration("fsync-interval", 100*time.Millisecond, "flush period under -fsync=interval")
+		dataDir = flag.String("data-dir", "", "persist zones here (a write-ahead log with in-log checkpoints) and recover on restart; empty keeps everything in memory")
+		pushOn  = flag.Bool("push", false, "enable the push plane: clients may Subscribe and every dynamic update fans out NOTIFY invalidations")
 	)
 	flag.Var(&zones, "zone", "zone origin to be authoritative for (repeatable)")
-	pushOn := flag.Bool("push", false, "enable the push plane: clients may Subscribe and every dynamic update fans out NOTIFY invalidations")
-	pushMax := flag.Int("push-max", 0, "bound the subscriber table (0 = default 4096); overflow subscribers are refused and poll")
-	notify := flag.Bool("notify", false, "-secondary mode: subscribe to the primary's NOTIFY stream and refresh immediately on serial bumps (falls back to -refresh polling)")
 	flag.Parse()
 	if len(zones) == 0 {
 		log.Fatal("bindd: at least one -zone is required")
@@ -111,10 +107,6 @@ func main() {
 	// zones and every later mutation is journaled.
 	var durable *bind.Durable
 	if *dataDir != "" {
-		policy, err := store.ParseSyncPolicy(*fsyncMode)
-		if err != nil {
-			log.Fatalf("bindd: %v", err)
-		}
 		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
 			log.Fatalf("bindd: %v", err)
 		}
@@ -122,15 +114,17 @@ func main() {
 		if err != nil {
 			log.Fatalf("bindd: %v", err)
 		}
-		durable, err = bind.OpenDurable(bind.DurableConfig{
-			FS:            fs,
-			Name:          *host,
-			Fsync:         policy,
-			FsyncInterval: *fsyncIntv,
-		})
+		durable, err = bind.OpenDurable(bind.DurableConfig{FS: fs, Name: *host})
 		if err != nil {
 			log.Fatalf("bindd: opening %s: %v", *dataDir, err)
 		}
+		defer func() {
+			// No parting checkpoint: the journal past the last one is the
+			// history a restart serves deltas from, as after kill -9.
+			if err := durable.Close(); err != nil {
+				log.Printf("bindd: closing store: %v", err)
+			}
+		}()
 		st := durable.Stats()
 		log.Printf("bindd: recovered %s in %s (checkpoint lsn %d, %d wal records replayed, %d torn bytes dropped)",
 			*dataDir, st.Elapsed.Round(time.Millisecond), st.SnapshotLSN, st.Replayed, st.TornBytes)
@@ -184,56 +178,15 @@ func main() {
 		} else {
 			log.Printf("bindd: mirrored %s from %s at serial %d", zones[0], *secAddr, sec.Serial())
 		}
-		stop := make(chan struct{})
-		defer close(stop)
-		kick := make(chan struct{}, 1)
-		if *notify {
-			// NOTIFY-driven refresh: the primary pushes a serial bump the
-			// moment an update lands, and the mirror pulls the diff right
-			// away instead of waiting out the ticker. The ticker stays as
-			// the backstop — push narrows the lag, polling bounds it.
-			sub := primary.Subscribe(bind.SubscribeConfig{
-				Zone: zones[0],
-				OnNotify: func(push.Notification) {
-					select {
-					case kick <- struct{}{}:
-					default:
-					}
-				},
-				OnReset: func() {
-					select {
-					case kick <- struct{}{}:
-					default:
-					}
-				},
-			})
-			defer sub.Close()
-			log.Printf("bindd: subscribed to NOTIFY from %s (-refresh %s remains the backstop)",
-				*secAddr, *refresh)
-		}
-		go func() {
-			ticker := time.NewTicker(*refresh)
-			defer ticker.Stop()
-			refreshOnce := func() {
-				moved, err := sec.Refresh(context.Background())
-				if err != nil {
-					log.Printf("bindd: refresh: %v", err)
-				} else if moved {
-					log.Printf("bindd: transferred %s at serial %d (%d incremental refreshes so far)",
-						zones[0], sec.Serial(), sec.DeltaRefreshes())
-				}
+		// Stopped before the store closes (defers run last-in first-out).
+		defer sec.Follow(*refresh, func(moved bool, err error) {
+			if err != nil {
+				log.Printf("bindd: refresh: %v", err)
+			} else if moved {
+				log.Printf("bindd: transferred %s at serial %d (%d incremental refreshes so far)",
+					zones[0], sec.Serial(), sec.DeltaRefreshes())
 			}
-			for {
-				select {
-				case <-ticker.C:
-					refreshOnce()
-				case <-kick:
-					refreshOnce()
-				case <-stop:
-					return
-				}
-			}
-		}()
+		})()
 	} else {
 		srv = bind.NewServer(*host)
 		for _, origin := range zones {
@@ -284,11 +237,8 @@ func main() {
 		}
 	}
 
-	if *notify && *secAddr == "" {
-		log.Fatal("bindd: -notify requires -secondary (only mirrors subscribe to a primary)")
-	}
 	if *pushOn {
-		srv.EnablePush(*pushMax)
+		srv.EnablePush(0)
 		log.Printf("bindd: push plane enabled (NOTIFY fan-out on update; clients may subscribe)")
 	}
 
@@ -311,13 +261,6 @@ func main() {
 
 	waitForSignal()
 	log.Println("bindd: shutting down")
-	if durable != nil {
-		// No parting checkpoint: the journal past the last one is the
-		// history a restart serves deltas from, as after kill -9.
-		if err := durable.Close(); err != nil {
-			log.Printf("bindd: closing store: %v", err)
-		}
-	}
 }
 
 func waitForSignal() {

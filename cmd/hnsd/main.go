@@ -59,7 +59,6 @@ func main() {
 		metrAddr  = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
 		staleFor  = flag.Duration("serve-stale", 0, "serve expired meta-cache entries up to this long past expiry when every meta-BIND replica is down (0 disables)")
 		subscribe = flag.Bool("subscribe", false, "subscribe to the meta-BIND's push plane: updates invalidate the meta-cache immediately instead of waiting out TTLs (degrades to polling when the server refuses the subscription)")
-		connIdle  = flag.Duration("conn-idle", 0, "close pooled HRPC connections idle for this long (0 keeps them until shutdown)")
 		linkBind  stringList
 		linkCH    stringList
 		metaReps  stringList
@@ -80,11 +79,9 @@ func main() {
 
 	net := transport.NewNetwork()
 	rpc := hrpc.NewClient(net)
-	rpc.Pool.IdleTimeout = *connIdle
 	defer rpc.Close()
 
 	metaRPC := hrpc.NewClient(net)
-	metaRPC.Pool.IdleTimeout = *connIdle
 	defer metaRPC.Close()
 	if len(metaReps) > 0 {
 		metaRPC.SetReplicas(*metaAddr, metaReps...)
@@ -153,13 +150,6 @@ func main() {
 			select {
 			case <-ticker.C:
 				h.SweepCache()
-				if *connIdle > 0 {
-					// Pool eviction is otherwise lazy (checked on the next
-					// call to the same endpoint); the sweep closes idle
-					// connections to endpoints no one is calling anymore.
-					rpc.CloseIdle()
-					metaRPC.CloseIdle()
-				}
 			case <-sweepDone:
 				return
 			}

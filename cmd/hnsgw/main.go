@@ -6,17 +6,18 @@
 // Usage:
 //
 //	hnsgw -addr 127.0.0.1:5320 -backend 127.0.0.1:5310 \
-//	      -rate 100 -burst 200 -max-inflight 256 -metrics 127.0.0.1:5321
+//	      -rate 100 -max-inflight 256 -metrics 127.0.0.1:5321
 //
 // Repeating -backend lists failover backends in order: every admitted
 // call goes to the first live one, and a dead backend is taken out of
 // rotation by the same per-endpoint breakers hnsd's -meta-replica uses.
 //
-// Batch resolution is classified low priority and sheds first (at
-// -low-watermark of the in-flight cap); single-name calls keep flowing
-// to the full cap. A budget in a caller's raw call header crosses the
-// gateway, so the backend sees the caller's remaining deadline, and
-// already-expired work is shed at this hop.
+// -rate admits that many calls per second per client, with a bucket
+// depth of max(1, rate). Batch resolution is classified low priority and
+// sheds first, at three quarters of -max-inflight; single-name calls
+// keep flowing to the full cap. A budget in a caller's raw call header
+// crosses the gateway, so the backend sees the caller's remaining
+// deadline, and already-expired work is shed at this hop.
 package main
 
 import (
@@ -48,13 +49,8 @@ func main() {
 		host     = flag.String("host", "hnsgw", "descriptive host name")
 		addr     = flag.String("addr", "127.0.0.1:5320", "gateway listen address (TCP)")
 		rate     = flag.Float64("rate", 0, "per-client sustained admissions per second (0 disables rate limiting)")
-		burst    = flag.Float64("burst", 0, "per-client bucket depth (0 means max(1, rate))")
 		maxInfl  = flag.Int("max-inflight", 0, "cap on concurrently admitted calls (0 disables the load cap)")
-		lowWater = flag.Float64("low-watermark", 0.75, "fraction of -max-inflight past which batch (low-priority) calls shed")
-		maxCli   = flag.Int("max-clients", 0, "per-client bucket table bound (0 means the default)")
-		retryAft = flag.Duration("retry-after", 0, "backoff hint carried in Overloaded replies (0 means the default)")
 		metrAddr = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
-		connIdle = flag.Duration("conn-idle", 0, "close pooled upstream connections idle for this long (0 keeps them)")
 	)
 	flag.Var(&backends, "backend", "backend HNS FindNSM address (TCP); repeat to add failover backends, tried in order")
 	flag.Parse()
@@ -73,19 +69,13 @@ func main() {
 
 	net := transport.NewNetwork()
 	up := hrpc.NewClient(net)
-	up.Pool.IdleTimeout = *connIdle
 	defer up.Close()
 
 	cfg := gateway.Config{Name: "hnsgw@" + *host}
 	if *rate > 0 || *maxInfl > 0 {
-		cfg.Admission = &admission.Config{
-			Rate:         *rate,
-			Burst:        *burst,
-			MaxInflight:  *maxInfl,
-			LowWatermark: *lowWater,
-			MaxClients:   *maxCli,
-			RetryAfter:   *retryAft,
-		}
+		// Batches shed at three quarters of the cap; admission's zero
+		// watermark would mean no priority split.
+		cfg.Admission = &admission.Config{Rate: *rate, MaxInflight: *maxInfl, LowWatermark: 0.75}
 	}
 	if len(backends) > 1 {
 		// Ordered failover through the client's per-endpoint breakers. A
@@ -103,33 +93,15 @@ func main() {
 	defer ln.Close()
 	switch {
 	case cfg.Admission != nil:
-		log.Printf("hnsgw: serving %s -> %s (rate %.0f/s burst %.0f, inflight cap %d, low watermark %.2f)",
-			binding, backends.String(), *rate, *burst, *maxInfl, *lowWater)
+		log.Printf("hnsgw: serving %s -> %s (rate %.0f/s, inflight cap %d)",
+			binding, backends.String(), *rate, *maxInfl)
 	default:
 		log.Printf("hnsgw: serving %s -> %s (admission disabled)", binding, backends.String())
-	}
-
-	// Long-lived hygiene: evict idle upstream connections.
-	done := make(chan struct{})
-	if *connIdle > 0 {
-		go func() {
-			ticker := time.NewTicker(time.Minute)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					up.CloseIdle()
-				case <-done:
-					return
-				}
-			}
-		}()
 	}
 
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	<-ch
-	close(done)
 	if ctl := gw.Admission(); ctl != nil {
 		log.Printf("hnsgw: shutting down (%d in flight, %d known clients)", ctl.Inflight(), ctl.Clients())
 	} else {

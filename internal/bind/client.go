@@ -40,22 +40,20 @@ func (e *NotFoundError) Error() string {
 
 // ---- Standard-interface client (hand-coded marshalling).
 
-// StdClient speaks the standard wire protocol to a server, or an ordered
-// replica set of servers: the first address is preferred, and per-endpoint
-// circuit breakers fail traffic over to the next live replica when it
-// stops answering. Its marshalling is priced at the hand-coded rates: this
-// is the "standard BIND library" path (27 ms lookups in the paper).
+// StdClient speaks the standard wire protocol to one server, behind a
+// circuit breaker that fails calls fast while the server is down. Its
+// marshalling is priced at the hand-coded rates: this is the "standard
+// BIND library" path (27 ms lookups in the paper).
 type StdClient struct {
 	net           *transport.Network
 	transportName string
-	addrs         []string // ordered replica set; addrs[0] preferred
+	addr          string
 	obs           clientObs
 	health        *health.Set
 
-	mu       sync.Mutex
-	conn     transport.Conn
-	connAddr string
-	id       atomic.Uint32
+	mu   sync.Mutex
+	conn transport.Conn
+	id   atomic.Uint32
 }
 
 // clientObs holds the BIND client-side counters, shared by both client
@@ -101,13 +99,11 @@ func isNotFound(err error) bool {
 
 // NewStdClient creates a standard-interface client for the server at addr
 // over the named transport ("udp" for the classic remote configuration).
-// Additional replica addresses, tried in order when earlier endpoints are
-// unhealthy, may follow.
-func NewStdClient(net *transport.Network, transportName, addr string, replicas ...string) *StdClient {
+func NewStdClient(net *transport.Network, transportName, addr string) *StdClient {
 	return &StdClient{
 		net:           net,
 		transportName: transportName,
-		addrs:         append([]string{addr}, replicas...),
+		addr:          addr,
 		obs:           newClientObs("std"),
 		health:        health.NewSet(health.Config{Service: "bind-std"}),
 	}
@@ -143,81 +139,62 @@ func (c *StdClient) Lookup(ctx context.Context, name string, t RRType) (_ []RR, 
 	return resp.Answers, nil
 }
 
-// call performs one exchange against the first live replica, failing over
-// down the replica list when an endpoint proves unreachable. The handle's
-// mutex guards only connection checkout (dialing included); the round trip
-// itself runs outside it, so one slow lookup no longer serializes every
+// call performs one exchange against the server. The handle's mutex
+// guards only connection checkout (dialing included); the round trip
+// itself runs outside it, so one slow lookup does not serialize every
 // goroutine sharing the client.
 func (c *StdClient) call(ctx context.Context, req []byte) ([]byte, error) {
-	var lastErr error
-	for range c.addrs {
-		conn, addr, err := c.checkout(ctx)
-		if err != nil {
-			if lastErr != nil {
-				return nil, lastErr
-			}
-			return nil, err
-		}
-		resp, err := conn.Call(ctx, req)
-		if err == nil {
-			c.health.Breaker(addr).Success()
-			return resp, nil
-		}
-		// Drop the connection; the next call redials.
-		c.drop(conn)
-		var re *transport.RemoteError
-		if errors.As(err, &re) {
-			// A live server answering with an error: healthy endpoint,
-			// nothing a replica would fix.
-			c.health.Breaker(addr).Success()
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		c.health.Breaker(addr).Failure()
-		lastErr = err
+	conn, err := c.checkout(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	resp, err := conn.Call(ctx, req)
+	if err == nil {
+		c.breaker().Success()
+		return resp, nil
+	}
+	// Drop the connection; the next call redials.
+	c.drop(conn)
+	var re *transport.RemoteError
+	if errors.As(err, &re) {
+		// A live server answering with an error: a healthy endpoint.
+		c.breaker().Success()
+	} else if ctx.Err() == nil {
+		c.breaker().Failure()
+	}
+	return nil, err
 }
 
-// checkout returns the shared connection, dialing the first replica whose
-// breaker admits a call when no connection is cached. A cached connection
-// to an endpoint whose breaker has since opened is discarded, so traffic
-// follows health, not connection affinity.
-func (c *StdClient) checkout(ctx context.Context) (transport.Conn, string, error) {
+// breaker returns the server's breaker, created on first use.
+func (c *StdClient) breaker() *health.Breaker { return c.health.Breaker(c.addr) }
+
+// checkout returns the shared connection, dialing when none is cached and
+// the breaker admits a call. A cached connection is discarded once the
+// breaker has opened, so a recovered server is reached on a fresh one.
+func (c *StdClient) checkout(ctx context.Context) (transport.Conn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn != nil {
-		if ok, _ := c.health.Breaker(c.connAddr).Allow(); ok {
-			return c.conn, c.connAddr, nil
+		if ok, _ := c.breaker().Allow(); ok {
+			return c.conn, nil
 		}
 		_ = c.conn.Close()
-		c.conn, c.connAddr = nil, ""
+		c.conn = nil
 	}
 	tr, err := c.net.Transport(c.transportName)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	var lastErr error
-	for _, addr := range c.addrs {
-		ok, _ := c.health.Breaker(addr).Allow()
-		if !ok {
-			continue
-		}
-		conn, err := tr.Dial(ctx, addr)
-		if err != nil {
-			c.health.Breaker(addr).Failure()
-			lastErr = err
-			continue
-		}
-		c.conn, c.connAddr = conn, addr
-		return conn, addr, nil
+	if ok, _ := c.breaker().Allow(); !ok {
+		return nil, health.ErrNoLiveEndpoint
 	}
-	if lastErr == nil {
-		lastErr = health.ErrNoLiveEndpoint
+	conn, err := tr.Dial(ctx, c.addr)
+	if err != nil {
+		c.breaker().Failure()
+		return nil, err
 	}
-	return nil, "", lastErr
+	c.conn = conn
+	return conn, nil
 }
 
 // drop closes conn and forgets it if it is still the cached connection
@@ -225,7 +202,7 @@ func (c *StdClient) checkout(ctx context.Context) (transport.Conn, string, error
 func (c *StdClient) drop(conn transport.Conn) {
 	c.mu.Lock()
 	if c.conn == conn {
-		c.conn, c.connAddr = nil, ""
+		c.conn = nil
 	}
 	c.mu.Unlock()
 	_ = conn.Close()
@@ -237,7 +214,7 @@ func (c *StdClient) Close() error {
 	defer c.mu.Unlock()
 	if c.conn != nil {
 		err := c.conn.Close()
-		c.conn, c.connAddr = nil, ""
+		c.conn = nil
 		return err
 	}
 	return nil

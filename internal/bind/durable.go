@@ -29,11 +29,6 @@ type DurableConfig struct {
 	FS store.FS
 	// Name labels this store's metric series; empty disables metrics.
 	Name string
-	// Fsync is the WAL flush policy (default store.SyncAlways — only
-	// that policy gives the exact-acked-prefix guarantee).
-	Fsync store.SyncPolicy
-	// FsyncInterval is the flush period under SyncInterval.
-	FsyncInterval time.Duration
 	// SegmentBytes sizes WAL segments (0 = store default). It is also the
 	// least journal a checkpoint is ever taken for.
 	SegmentBytes int64
@@ -87,16 +82,11 @@ type Durable struct {
 // and reported in Stats.
 func OpenDurable(cfg DurableConfig) (*Durable, error) {
 	t0 := time.Now()
-	if cfg.FsyncInterval <= 0 {
-		cfg.FsyncInterval = 100 * time.Millisecond
-	}
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = store.DefaultSegmentBytes
 	}
 	log, err := store.OpenLog(cfg.FS, store.LogOptions{
 		Name:         cfg.Name,
-		Sync:         cfg.Fsync,
-		SyncEvery:    cfg.FsyncInterval,
 		SegmentBytes: cfg.SegmentBytes,
 	})
 	if err != nil {
@@ -344,11 +334,11 @@ func (d *Durable) Snapshot() error {
 
 // snapshotLocked writes a checkpoint of the attached server's zones into
 // the log: a marker at the head of a fresh segment, then each zone's
-// image, then a sync; only after that are the segments before the marker
-// pruned. Nothing is written until every image is known to fit a record,
-// a failed frame write poisons the log as any failed append does, and a
-// failed prune leaves segments the next recovery replays harmlessly and
-// the next checkpoint prunes. d.mu held; callers of journaled mutations
+// image, each synced as every append is; only after that are the
+// segments before the marker pruned. Nothing is written until every
+// image is known to fit a record, a failed frame write poisons the log
+// as any failed append does, and a failed prune leaves segments the
+// next recovery replays harmlessly and the next checkpoint prunes. d.mu held; callers of journaled mutations
 // are serialized by the server's journal lock, so the images are
 // consistent with the log.
 func (d *Durable) snapshotLocked() error {
@@ -384,16 +374,10 @@ func (d *Durable) snapshotLocked() error {
 		}
 		d.account(zones[i], journalKindReplace, len(img))
 	}
-	if err := d.log.Sync(); err != nil {
-		return err
-	}
 	d.snapshots.Inc()
 	d.snapshotLSN.Set(int64(lsn))
 	return d.log.Prune(lsn - 1)
 }
-
-// Sync forces the WAL to stable storage regardless of policy.
-func (d *Durable) Sync() error { return d.log.Sync() }
 
 // Close flushes and releases the store.
 func (d *Durable) Close() error {

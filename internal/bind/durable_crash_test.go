@@ -144,7 +144,7 @@ func stormOp(t *testing.T, rng *rand.Rand, srv *Server, shadow *crashShadow) (cr
 // first checkpoint could be due — crosses at least one.
 func TestCrashRecoveryStorm(t *testing.T) {
 	const points = 120
-	cfg := DurableConfig{Fsync: store.SyncAlways, SegmentBytes: 512}
+	cfg := DurableConfig{SegmentBytes: 512}
 	for point := 0; point < points; point++ {
 		point := point
 		t.Run(fmt.Sprintf("point-%03d", point), func(t *testing.T) {
@@ -212,7 +212,7 @@ func TestCrashRecoveryStorm(t *testing.T) {
 // data is damaged and silence would be loss) or recover a state that
 // exactly matches some acked prefix of the storm.
 func TestCrashRecoveryBitrot(t *testing.T) {
-	cfg := DurableConfig{Fsync: store.SyncAlways, SegmentBytes: 384}
+	cfg := DurableConfig{SegmentBytes: 384}
 	for seed := int64(1); seed <= 24; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%02d", seed), func(t *testing.T) {
@@ -259,7 +259,7 @@ func TestCrashRecoveryBitrot(t *testing.T) {
 // TestCrashRecoveryIdempotent restarts twice from the same image: both
 // recoveries must agree (recovery itself mutates nothing it shouldn't).
 func TestCrashRecoveryIdempotent(t *testing.T) {
-	cfg := DurableConfig{Fsync: store.SyncAlways, SegmentBytes: 256}
+	cfg := DurableConfig{SegmentBytes: 256}
 	mem := store.NewMemFS()
 	plan := store.NewFaultPlan(424242)
 	plan.CrashAfterWrites(33, true)
@@ -304,7 +304,7 @@ func TestCrashRecoveryIdempotent(t *testing.T) {
 // replaying a suffix of nothing. A checkpoint torn at the tail, with the
 // segments before it still there, is a no-op.
 func TestDurableMissingCheckpointRefuses(t *testing.T) {
-	cfg := DurableConfig{Fsync: store.SyncAlways, SegmentBytes: 256}
+	cfg := DurableConfig{SegmentBytes: 256}
 	t.Run("pruned", func(t *testing.T) {
 		mem := store.NewMemFS()
 		srv, d, err := newCrashServer(t, mem, cfg)
@@ -344,7 +344,7 @@ func TestDurableMissingCheckpointRefuses(t *testing.T) {
 	t.Run("torn", func(t *testing.T) {
 		mem := store.NewMemFS()
 		plan := store.NewFaultPlan(17)
-		srv, d, err := newCrashServer(t, store.NewFaultFS(mem, plan), DurableConfig{Fsync: store.SyncAlways})
+		srv, d, err := newCrashServer(t, store.NewFaultFS(mem, plan), DurableConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
+
+	"hns/internal/push"
 )
 
 // Secondary mirrors one zone from a primary server by serial-checked zone
@@ -113,6 +116,57 @@ func (s *Secondary) Refresh(ctx context.Context) (bool, error) {
 	}
 	s.mu.Unlock()
 	return true, nil
+}
+
+// Follow keeps the mirror current until stop is called. It subscribes
+// to the primary's NOTIFY stream and refreshes the moment a transaction
+// (or a reset) arrives, and refreshes every interval regardless: push
+// narrows the lag, polling bounds it. A primary that refuses the
+// subscription (no push plane) leaves the poll alone carrying the
+// mirror. The subscription starts from the mirror's serial, so a
+// transaction that lands before it stands is caught up, not missed.
+// report, when non-nil, hears each refresh's outcome.
+func (s *Secondary) Follow(every time.Duration, report func(moved bool, err error)) (stop func()) {
+	kick := make(chan struct{}, 1)
+	poke := func() {
+		select {
+		case kick <- struct{}{}:
+		default:
+		}
+	}
+	sub := NewSubscriber(s.primary, SubscribeConfig{
+		Zone:     s.origin,
+		OnNotify: func(push.Notification) { poke() },
+		OnReset:  poke,
+	})
+	sub.lastSerial = s.Serial()
+	sub.Start()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ticker := time.NewTicker(every)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ticker.C:
+			case <-kick:
+			case <-ctx.Done():
+				return
+			}
+			moved, err := s.Refresh(ctx)
+			if report != nil {
+				report(moved, err)
+			}
+		}
+	}()
+	return func() {
+		cancel()
+		sub.Close()
+		wg.Wait()
+	}
 }
 
 // refreshDelta replays the primary's transactions since serial current

@@ -3,8 +3,11 @@ package bind
 import (
 	"context"
 	"testing"
+	"time"
 
 	"hns/internal/hrpc"
+	"hns/internal/metrics"
+	"hns/internal/push"
 	"hns/internal/simtime"
 	"hns/internal/transport"
 )
@@ -127,6 +130,80 @@ func TestSecondaryRejectsUpdates(t *testing.T) {
 	rcode, _, err := sec.Server().Update(ctx, "repl.test", UpdateAdd, A("x.repl.test", "9", 60))
 	if rcode != RCodeRefused || err == nil {
 		t.Fatalf("mirror accepted an update: %v %v", rcode, err)
+	}
+}
+
+// TestSecondaryFollowTakesNotify: a following mirror pulls a primary's
+// transaction the moment its NOTIFY lands, not at its hour-long poll,
+// takes it as a delta and republishes it to its own subscribers.
+func TestSecondaryFollowTakesNotify(t *testing.T) {
+	primary, client, net := newPushPrimary(t)
+	ctx := context.Background()
+	sec, err := NewSecondary(client, "repl.test", "mirror")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sec.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sec.Server().EnablePush(0)
+	ln, binding, err := sec.Server().ServeHRPC(net, "mirror:bind-hrpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hc := hrpc.NewClient(net)
+	defer hc.Close()
+	notified := make(chan push.Notification, 1)
+	sub := NewSubscriber(NewHRPCClient(hc, binding), SubscribeConfig{
+		Zone: "repl.test",
+		OnNotify: func(n push.Notification) {
+			select {
+			case notified <- n:
+			default:
+			}
+		},
+		Metrics: metrics.Discard,
+	})
+	sub.Start()
+	defer sub.Close()
+	waitFor(t, "subscription to the mirror active", sub, sub.Active)
+
+	refreshed := make(chan error, 1)
+	stop := sec.Follow(time.Hour, func(moved bool, err error) {
+		if moved || err != nil {
+			select {
+			case refreshed <- err:
+			default:
+			}
+		}
+	})
+	defer stop()
+
+	_, serial, err := primary.Apply(ctx, "repl.test", Adds(A("c.repl.test", "3", 60)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeout := time.After(5 * time.Second)
+	select {
+	case n := <-notified:
+		if n.Serial != serial {
+			t.Fatalf("mirror's NOTIFY at serial %d, want the primary's %d", n.Serial, serial)
+		}
+	case <-timeout:
+		t.Fatal("no NOTIFY from the mirror: it did not follow the primary's push")
+	}
+	select {
+	case err := <-refreshed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-timeout:
+		t.Fatal("the mirror's refresh never finished")
+	}
+	if sec.Serial() != serial || sec.DeltaRefreshes() < 1 {
+		t.Fatalf("mirror at serial %d after %d delta refreshes; want the primary's %d by delta",
+			sec.Serial(), sec.DeltaRefreshes(), serial)
 	}
 }
 

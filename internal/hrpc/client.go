@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -20,9 +19,8 @@ import (
 
 // Client places HRPC calls. It resolves a Binding's component names to
 // implementations at call time — the "mix and match at bind time" property
-// — and pools transport connections per endpoint (one by default; see
-// PoolConfig for multiplexed fan-out). A Client is safe for concurrent
-// use.
+// — and keeps one multiplexed transport connection per endpoint (see
+// pool.go). A Client is safe for concurrent use.
 type Client struct {
 	net *transport.Network
 	xid atomic.Uint32
@@ -49,13 +47,8 @@ type Client struct {
 	// use.
 	Health health.Config
 
-	// Pool bounds the per-endpoint connection pool (see pool.go). The
-	// zero value keeps the legacy discipline: one connection per
-	// endpoint, kept until Close. Set before first use.
-	Pool PoolConfig
-
-	mu    sync.Mutex
-	pools map[string]*connPool
+	mu        sync.Mutex
+	endpoints map[string]*endpoint
 
 	// brokenSeen records, per endpoint, the newest broken-connection ID
 	// already charged to its breaker: a multiplexed connection dying with
@@ -77,6 +70,10 @@ type Client struct {
 // sockets a lost attempt's wait is the real time the transport took to
 // give up on it, and the same durations bound how many such waits one
 // call may sit through.
+//
+// The schedule is fixed: the first wait is simtime.RetransmitTimeout,
+// each later one doubles up to 4 × that, with no jitter, so calibrated
+// costs stay reproducible.
 type RetryPolicy struct {
 	// Budget caps the total retransmission wait one call may charge.
 	// When the next backoff would exceed what remains, the call charges
@@ -84,20 +81,6 @@ type RetryPolicy struct {
 	// exactly Budget, never more. Non-positive means no retransmission
 	// wait: the first timeout-class loss fails the call.
 	Budget time.Duration
-
-	// Base is the first retransmission timeout. Non-positive means
-	// simtime.RetransmitTimeout. The first wait is exactly Base —
-	// deterministic, so calibrated costs stay reproducible.
-	Base time.Duration
-
-	// Max caps the exponential backoff. Non-positive means 4 × Base.
-	Max time.Duration
-
-	// Jitter, in (0, 1], spreads backoffs ±Jitter fraction around the
-	// exponential schedule from the second wait on. The spread is a
-	// deterministic hash of (endpoint, attempt) — reproducible runs,
-	// no shared randomness. Zero disables jitter.
-	Jitter float64
 }
 
 // SetReplicas installs an ordered replica set for calls bound to
@@ -153,7 +136,7 @@ func (c *Client) registry() *metrics.Registry {
 
 // NewClient creates a client on the given network.
 func NewClient(net *transport.Network) *Client {
-	return &Client{net: net, pools: make(map[string]*connPool)}
+	return &Client{net: net, endpoints: make(map[string]*endpoint)}
 }
 
 // Network exposes the client's network (for components that dial
@@ -366,23 +349,6 @@ func timeoutClass(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// jitterScale returns the deterministic jitter multiplier for the
-// attempt-th backoff against endpoint: 1 ± j, derived from a hash so
-// identical runs charge identical costs.
-func jitterScale(endpoint string, attempt int, j float64) float64 {
-	if j <= 0 {
-		return 1
-	}
-	h := fnv.New64a()
-	h.Write([]byte(endpoint))
-	v := h.Sum64() ^ uint64(attempt)*0x9E3779B97F4A7C15
-	v ^= v >> 33
-	v *= 0xFF51AFD7ED558CCD
-	v ^= v >> 33
-	u := float64(v>>11) / float64(uint64(1)<<53)
-	return 1 + j*(2*u-1)
-}
-
 // budgetState tracks a propagated deadline across a call's attempts:
 // the budget when the call was encoded plus a stopwatch started then, so
 // each attempt can compute what remains after the time already spent
@@ -435,14 +401,6 @@ func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr str
 	replicas := c.replicasFor(addr)
 	hs := c.breakers()
 
-	base := c.Policy.Base
-	if base <= 0 {
-		base = simtime.RetransmitTimeout
-	}
-	maxWait := c.Policy.Max
-	if maxWait <= 0 {
-		maxWait = 4 * base
-	}
 	remaining := max(c.Policy.Budget, 0)
 	// A caller deadline already shorter than the policy's budget clamps
 	// it: scheduling a retry wait the caller will not live to see only
@@ -460,9 +418,8 @@ func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr str
 	var (
 		lastErr  error
 		attempts int
-		waits    int    // timeout-class failures so far (backoff schedule position)
 		tried    uint64 // bitmask of replica indexes that failed this call
-		rawWait  = base // unjittered next backoff
+		wait     = simtime.RetransmitTimeout
 	)
 	for {
 		// Choose an endpoint: the first untried replica whose breaker
@@ -546,11 +503,6 @@ func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr str
 		}
 		// The caller sat out the retransmission timer to detect this
 		// loss: charge it, bounded by the per-call budget.
-		waits++
-		wait := rawWait
-		if waits > 1 {
-			wait = time.Duration(float64(rawWait) * jitterScale(ep, waits, c.Policy.Jitter))
-		}
 		if wait > remaining {
 			simtime.Charge(ctx, remaining)
 			reg.Counter("hrpc_client_timeouts_total").Inc()
@@ -559,12 +511,7 @@ func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr str
 		simtime.Charge(ctx, wait)
 		remaining -= wait
 		reg.Counter("hrpc_client_retries_total").Inc()
-		if rawWait < maxWait {
-			rawWait *= 2
-			if rawWait > maxWait {
-				rawWait = maxWait
-			}
-		}
+		wait = min(2*wait, 4*simtime.RetransmitTimeout)
 	}
 }
 
@@ -593,8 +540,8 @@ func (c *Client) recordFailure(hs *health.Set, ep string, err error) {
 	hs.Breaker(ep).Failure()
 }
 
-// sendOnce performs a single exchange over a pooled connection,
-// redialing once if a pooled connection has gone stale.
+// sendOnce performs a single exchange over the endpoint's connection,
+// redialing once if a pre-existing connection has gone stale.
 func (c *Client) sendOnce(ctx context.Context, tr transport.Transport, addr string, frame []byte) ([]byte, error) {
 	if c.FreshConn {
 		conn, err := tr.Dial(ctx, addr)
@@ -605,67 +552,65 @@ func (c *Client) sendOnce(ctx context.Context, tr transport.Transport, addr stri
 		return conn.Call(ctx, frame)
 	}
 	key := tr.Name() + "!" + addr
-	e, pooled, err := c.acquire(ctx, tr, addr, key)
+	ep, conn, reused, err := c.acquire(ctx, tr, addr, key)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := e.conn.Call(ctx, frame)
+	resp, err := conn.Call(ctx, frame)
 	if err == nil {
-		c.release(e)
+		ep.release()
 		return resp, nil
 	}
 	// A remote error came over a healthy exchange; an expired call left
 	// a healthy multiplexed connection (its reply will be dropped by
-	// tag). Both keep the connection pooled.
+	// tag). Both keep the connection.
 	var re *transport.RemoteError
 	var ce *transport.CallExpiredError
 	if errors.As(err, &re) || errors.As(err, &ce) {
-		c.release(e)
+		ep.release()
 		return nil, err
 	}
 	// A connection dialed by this very call gets no second chance — but
-	// it stays pooled unless it is actually broken, matching the legacy
-	// cache (a lost datagram says nothing about the socket; the next
-	// attempt reuses it).
-	if !pooled {
+	// it is kept unless it is actually broken (a lost datagram says
+	// nothing about the socket; the next attempt reuses it).
+	if !reused {
 		if errors.Is(err, transport.ErrConnBroken) {
-			c.discard(e)
+			c.discard(ep, conn)
 		} else {
-			c.release(e)
+			ep.release()
 		}
 		return nil, err
 	}
-	// A pre-existing pooled connection may simply have gone stale (server
+	// A pre-existing connection may simply have gone stale (server
 	// restarted since the last call): retire it and redial once within
 	// the same attempt.
-	c.discard(e)
-	e2, _, err2 := c.acquire(ctx, tr, addr, key)
+	c.discard(ep, conn)
+	ep, conn, _, err2 := c.acquire(ctx, tr, addr, key)
 	if err2 != nil {
 		return nil, err
 	}
-	resp, err = e2.conn.Call(ctx, frame)
+	resp, err = conn.Call(ctx, frame)
 	if err == nil || !errors.Is(err, transport.ErrConnBroken) {
-		c.release(e2)
+		ep.release()
 	} else {
-		c.discard(e2)
+		c.discard(ep, conn)
 	}
 	return resp, err
 }
 
-// Close releases every pooled connection.
+// Close closes every endpoint's connection.
 func (c *Client) Close() error {
 	var first error
 	c.mu.Lock()
-	for key, p := range c.pools {
-		for _, e := range p.conns {
-			e.gone = true
-			if err := e.conn.Close(); err != nil && first == nil {
-				first = err
-			}
+	for _, ep := range c.endpoints {
+		if ep.conn == nil {
+			continue
 		}
-		p.conns = nil
-		p.size.Set(0)
-		delete(c.pools, key)
+		if err := ep.conn.Close(); err != nil && first == nil {
+			first = err
+		}
+		ep.conn = nil
+		ep.size.Set(0)
 	}
 	c.mu.Unlock()
 	return first

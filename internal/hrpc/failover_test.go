@@ -138,16 +138,6 @@ func TestFailoverSimtimeAccounting(t *testing.T) {
 			wantIs:   []error{ErrCallTimeout, transport.ErrInjectedLoss},
 		},
 		{
-			name: "blackout-with-jitter-still-exact-budget",
-			arrange: func(t *testing.T, e *failoverEnv, ctx context.Context) context.Context {
-				e.plan.Blackhole(foPrimary)
-				e.c.Policy = RetryPolicy{Budget: 600 * time.Millisecond, Jitter: 0.5}
-				return ctx
-			},
-			wantCost: 600 * time.Millisecond,
-			wantIs:   []error{ErrCallTimeout, transport.ErrInjectedLoss},
-		},
-		{
 			name: "refused-primary-fails-over-free",
 			arrange: func(t *testing.T, e *failoverEnv, ctx context.Context) context.Context {
 				e.plan.Kill(foPrimary)

@@ -14,7 +14,6 @@ import (
 
 	"hns/internal/marshal"
 	"hns/internal/metrics"
-	"hns/internal/simtime"
 	"hns/internal/transport"
 )
 
@@ -149,59 +148,6 @@ func TestMuxTeardownOneBreakerFailure(t *testing.T) {
 	}
 }
 
-// TestMuxPoolIdleEviction checks the idle-timeout half of satellite 1:
-// a connection that sits unused past Pool.IdleTimeout is closed on the
-// next acquire and replaced by a fresh dial; before the deadline it is
-// reused.
-func TestMuxPoolIdleEviction(t *testing.T) {
-	n := transport.NewNetwork()
-	inner, err := n.Transport("udp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	echo := func(ctx context.Context, req []byte) ([]byte, error) { return req, nil }
-	ln, err := inner.Listen("idle:1", echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	ct := &countingTransport{Transport: inner}
-
-	clk := simtime.NewFakeClock(time.Unix(563328000, 0))
-	reg := metrics.NewRegistry()
-	c := NewClient(n)
-	c.Metrics = reg
-	c.Pool = PoolConfig{IdleTimeout: time.Minute, Clock: clk}
-	defer c.Close()
-
-	call := func() {
-		t.Helper()
-		if _, _, err := c.roundTrip(context.Background(), ct, "idle:1", []byte("ping"), budgetState{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	poolSize := reg.Gauge(metrics.Labels("conn_pool_size", "addr", "idle:1"))
-
-	call()
-	call()
-	if d := ct.dials.Load(); d != 1 {
-		t.Fatalf("dials after two back-to-back calls = %d, want 1 (connection reused)", d)
-	}
-	clk.Advance(59 * time.Second)
-	call()
-	if d := ct.dials.Load(); d != 1 {
-		t.Fatalf("dials before the idle deadline = %d, want 1", d)
-	}
-	clk.Advance(60 * time.Second)
-	call()
-	if d := ct.dials.Load(); d != 2 {
-		t.Fatalf("dials after the idle deadline = %d, want 2 (stale connection evicted)", d)
-	}
-	if s := poolSize.Value(); s != 1 {
-		t.Fatalf("conn_pool_size = %d, want 1 (evicted connection replaced, not accumulated)", s)
-	}
-}
-
 // muxEchoServer is a raw TCP backend that can die the way a process does:
 // stop closes the listener and every accepted connection. It echoes each
 // multiplexed request and counts them.
@@ -332,246 +278,18 @@ func TestPooledClientSurvivesServerRestart(t *testing.T) {
 	}
 }
 
-// TestMuxClientCloseIdle checks the explicit-eviction half of satellite
-// 1: CloseIdle closes every connection with no call in flight, spares
-// busy ones, and drops emptied endpoint entries so the per-endpoint map
-// no longer grows without bound.
-func TestMuxClientCloseIdle(t *testing.T) {
-	n := transport.NewNetwork()
-	inner, err := n.Transport("udp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrive := make(chan struct{}, 8)
-	release := make(chan struct{})
-	blockable := func(ctx context.Context, req []byte) ([]byte, error) {
-		if string(req) == "block" {
-			arrive <- struct{}{}
-			<-release
-		}
-		return req, nil
-	}
-	echo := func(ctx context.Context, req []byte) ([]byte, error) { return req, nil }
-	lnA, err := inner.Listen("ci-a:1", blockable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lnA.Close()
-	lnB, err := inner.Listen("ci-b:1", echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lnB.Close()
-	ct := &countingTransport{Transport: inner}
-
-	c := NewClient(n)
-	c.Metrics = metrics.NewRegistry()
-	defer c.Close()
-	ctx := context.Background()
-
-	call := func(addr, payload string) error {
-		_, _, err := c.roundTrip(ctx, ct, addr, []byte(payload), budgetState{})
-		return err
-	}
-	if err := call("ci-a:1", "ping"); err != nil {
-		t.Fatal(err)
-	}
-	if err := call("ci-b:1", "ping"); err != nil {
-		t.Fatal(err)
-	}
-	if d := ct.dials.Load(); d != 2 {
-		t.Fatalf("dials = %d, want 2", d)
-	}
-
-	// Park a call in flight on a's connection, then CloseIdle: only b's
-	// idle connection may be closed.
-	done := make(chan error, 1)
-	go func() { done <- call("ci-a:1", "block") }()
-	<-arrive
-	if got := c.CloseIdle(); got != 1 {
-		t.Fatalf("CloseIdle with one call in flight = %d closed, want 1 (the idle one)", got)
-	}
-	c.mu.Lock()
-	remaining := len(c.pools)
-	c.mu.Unlock()
-	if remaining != 1 {
-		t.Fatalf("pools after CloseIdle = %d entries, want 1 (emptied entries dropped)", remaining)
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("in-flight call across CloseIdle: %v", err)
-	}
-
-	// Everything is idle now: CloseIdle empties the map entirely.
-	if got := c.CloseIdle(); got != 1 {
-		t.Fatalf("second CloseIdle = %d closed, want 1", got)
-	}
-	c.mu.Lock()
-	remaining = len(c.pools)
-	c.mu.Unlock()
-	if remaining != 0 {
-		t.Fatalf("pools after draining CloseIdle = %d entries, want 0", remaining)
-	}
-	// And the client recovers: the next call simply dials again.
-	if err := call("ci-b:1", "ping"); err != nil {
-		t.Fatal(err)
-	}
-	if d := ct.dials.Load(); d != 3 {
-		t.Fatalf("dials after recovery call = %d, want 3", d)
-	}
-}
-
-// gatedTransport parks every Dial until gate closes, announcing it on
-// dialing first, so a test can act while an acquire is mid-dial.
-type gatedTransport struct {
-	countingTransport
-	dialing chan struct{}
-	gate    chan struct{}
-}
-
-func (g *gatedTransport) Dial(ctx context.Context, addr string) (transport.Conn, error) {
-	g.dialing <- struct{}{}
-	<-g.gate
-	return g.countingTransport.Dial(ctx, addr)
-}
-
-// TestDialRacingCloseIdleStaysPooled: a CloseIdle sweep that runs while
-// a call is dialing drops the still-empty pool entry; the new connection
-// must still land in the client's pool — reused by the next call, and
-// closed by the next sweep — rather than in an orphaned entry nothing
-// ever closes.
-func TestDialRacingCloseIdleStaysPooled(t *testing.T) {
-	n := transport.NewNetwork()
-	inner, err := n.Transport("udp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	echo := func(ctx context.Context, req []byte) ([]byte, error) { return req, nil }
-	ln, err := inner.Listen("race:1", echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	gt := &gatedTransport{
-		countingTransport: countingTransport{Transport: inner},
-		dialing:           make(chan struct{}, 4),
-		gate:              make(chan struct{}),
-	}
-	c := NewClient(n)
-	c.Metrics = metrics.NewRegistry()
-	defer c.Close()
-	call := func() error {
-		_, _, err := c.roundTrip(context.Background(), gt, "race:1", []byte("ping"), budgetState{})
-		return err
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- call() }()
-	<-gt.dialing
-	if got := c.CloseIdle(); got != 0 {
-		t.Fatalf("CloseIdle mid-dial closed %d connections, want 0", got)
-	}
-	close(gt.gate)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if err := call(); err != nil {
-		t.Fatal(err)
-	}
-	if d := gt.dials.Load(); d != 1 {
-		t.Fatalf("dials = %d, want 1 (the connection dialed across CloseIdle was orphaned)", d)
-	}
-	if got := c.CloseIdle(); got != 1 {
-		t.Fatalf("CloseIdle closed %d connections, want the 1 pooled", got)
-	}
-}
-
-// TestMuxPoolGrowsAtStreamCap checks PoolConfig sizing: with
-// MaxStreams=1 a second concurrent call opens a second connection, and
-// once MaxConns is reached further calls overflow onto the least-loaded
-// connection instead of dialing or queueing.
-func TestMuxPoolGrowsAtStreamCap(t *testing.T) {
-	n := transport.NewNetwork()
-	inner, err := n.Transport("udp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrive := make(chan struct{}, 8)
-	release := make(chan struct{})
-	block := func(ctx context.Context, req []byte) ([]byte, error) {
-		arrive <- struct{}{}
-		<-release
-		return req, nil
-	}
-	ln, err := inner.Listen("grow:1", block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	ct := &countingTransport{Transport: inner}
-
-	reg := metrics.NewRegistry()
-	c := NewClient(n)
-	c.Metrics = reg
-	c.Pool = PoolConfig{MaxConns: 2, MaxStreams: 1}
-	defer c.Close()
-
-	done := make(chan error, 3)
-	start := func() {
-		go func() {
-			_, _, err := c.roundTrip(context.Background(), ct, "grow:1", []byte("ping"), budgetState{})
-			done <- err
-		}()
-	}
-	inflight := reg.Gauge(metrics.Labels("conn_inflight", "addr", "grow:1"))
-	poolSize := reg.Gauge(metrics.Labels("conn_pool_size", "addr", "grow:1"))
-
-	start() // first call: dials connection 1
-	<-arrive
-	if d := ct.dials.Load(); d != 1 {
-		t.Fatalf("dials after first call = %d, want 1", d)
-	}
-	start() // connection 1 is at its stream cap: dials connection 2
-	<-arrive
-	if d := ct.dials.Load(); d != 2 {
-		t.Fatalf("dials with second concurrent call = %d, want 2 (stream cap forces growth)", d)
-	}
-	if s := poolSize.Value(); s != 2 {
-		t.Fatalf("conn_pool_size = %d, want 2", s)
-	}
-	start() // pool at MaxConns: overflow rides a connection, no dial, no queue
-	<-arrive
-	if d := ct.dials.Load(); d != 2 {
-		t.Fatalf("dials with overflow call = %d, want 2 (MaxConns caps growth)", d)
-	}
-	if f := inflight.Value(); f != 3 {
-		t.Fatalf("conn_inflight = %d, want 3", f)
-	}
-
-	close(release)
-	for i := 0; i < 3; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f := inflight.Value(); f != 0 {
-		t.Fatalf("conn_inflight after completion = %d, want 0", f)
-	}
-	if s := poolSize.Value(); s != 2 {
-		t.Fatalf("conn_pool_size after completion = %d, want 2 (connections stay pooled)", s)
-	}
-}
-
 // TestMuxHRPCConcurrentEcho drives the full client stack — marshalling,
-// control protocol, pooled multiplexed TCP — with many concurrent
-// callers sharing a small pool, checking that every reply reaches its
-// caller intact (no cross-stream mixups under -race).
+// control protocol, multiplexed TCP — with many concurrent callers
+// sharing the endpoint's one connection, checking that every reply
+// reaches its caller intact (no cross-stream mixups under -race) and
+// that the burst never opened a second connection.
 func TestMuxHRPCConcurrentEcho(t *testing.T) {
 	n := transport.NewNetwork()
 	b, stop := newEchoServer(t, n, SuiteCourierNet, "fiji", "127.0.0.1:0")
 	defer stop()
+	reg := metrics.NewRegistry()
 	c := NewClient(n)
-	c.Pool = PoolConfig{MaxConns: 2, MaxStreams: 16}
+	c.Metrics = reg
 	defer c.Close()
 
 	const callers = 64
@@ -601,5 +319,9 @@ func TestMuxHRPCConcurrentEcho(t *testing.T) {
 		if err != nil {
 			t.Fatalf("caller %d: %v", i, err)
 		}
+	}
+	size := reg.Gauge(metrics.Labels("conn_pool_size", "addr", b.Addr)).Value()
+	if size != 1 {
+		t.Fatalf("conn_pool_size = %d after the burst, want 1", size)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // StickyConn is a dedicated client connection for subscription-style
 // exchanges: calls that register state on a specific connection (bind's
-// Subscribe) cannot ride the pooled round-robin paths, because the
+// Subscribe) cannot ride the endpoint's shared connection, because the
 // server's push frames flow back over exactly the connection that
 // subscribed. A StickyConn performs single-attempt calls — no retries,
 // no failover — and exposes the connection's push channel. The caller
@@ -25,7 +25,7 @@ type StickyConn struct {
 }
 
 // DialSticky opens a dedicated connection to b's endpoint. The caller
-// must Close it; it never enters the client's pool.
+// must Close it; it never becomes the endpoint's shared connection.
 func (c *Client) DialSticky(ctx context.Context, b Binding) (*StickyConn, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err

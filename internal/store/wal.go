@@ -45,55 +45,21 @@ const (
 	segSuffix   = ".log"
 )
 
-// SyncPolicy says when Append pushes frames to stable storage.
+// SyncPolicy is retained only so existing callers of LogOptions.Sync
+// keep compiling; the log has one policy, SyncAlways: every record is
+// on stable storage before Append returns.
 type SyncPolicy int
 
-// The fsync policies -fsync selects. Always makes every acknowledged
-// record durable before Append returns (the crash harness's exact-prefix
-// guarantee); Interval bounds the loss window by time; Never leaves
-// flushing to the OS.
-const (
-	SyncAlways SyncPolicy = iota
-	SyncInterval
-	SyncNever
-)
-
-// String implements fmt.Stringer.
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	case SyncNever:
-		return "never"
-	default:
-		return fmt.Sprintf("SyncPolicy(%d)", int(p))
-	}
-}
-
-// ParseSyncPolicy resolves the -fsync flag values.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch strings.ToLower(s) {
-	case "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "never":
-		return SyncNever, nil
-	}
-	return 0, fmt.Errorf("store: unknown fsync policy %q (want always, interval, or never)", s)
-}
+// SyncAlways is the one fsync policy (see SyncPolicy).
+const SyncAlways SyncPolicy = 0
 
 // LogOptions configures a Log.
 type LogOptions struct {
 	// Name labels the log's metric series (store=Name); empty disables
 	// metrics.
 	Name string
-	// Sync is the fsync policy (default SyncAlways).
+	// Sync is ignored: every append is synced (see SyncPolicy).
 	Sync SyncPolicy
-	// SyncEvery is the flush period under SyncInterval (default 100ms).
-	SyncEvery time.Duration
 	// SegmentBytes rotates to a new segment once the current one would
 	// exceed this size (default 1 MiB).
 	SegmentBytes int64
@@ -116,7 +82,7 @@ type LogStats struct {
 	LastLSN uint64
 	// Segments is the live segment-file count.
 	Segments int
-	// Syncs counts explicit flushes performed.
+	// Syncs counts flushes performed.
 	Syncs int64
 	// TornBytes is how many trailing bytes Open discarded as a torn
 	// tail; TornTail reports whether it discarded any.
@@ -134,7 +100,6 @@ type Log struct {
 	segs     []walSeg
 	cur      File // open handle on the last segment (nil until needed)
 	lastLSN  uint64
-	lastSync time.Time
 	syncs    int64
 	torn     int64
 	tornTail bool
@@ -153,9 +118,6 @@ type Log struct {
 func OpenLog(fs FS, opts LogOptions) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = 100 * time.Millisecond
 	}
 	l := &Log{fs: fs, opts: opts}
 	if opts.Name != "" {
@@ -290,11 +252,10 @@ func scanFrames(data []byte) (count, validLen, tail int) {
 	}
 }
 
-// Append adds one record and returns its LSN. Under SyncAlways the
-// record is on stable storage when Append returns; under Interval/Never
-// it may not be, and a crash can lose the unsynced suffix (never a
-// synced prefix). A failed write poisons the log — after a half-landed
-// frame, further appends would be unrecoverable interior damage.
+// Append adds one record and returns its LSN; the record is on stable
+// storage when Append returns. A failed write or sync poisons the log —
+// after a half-landed frame, further appends would be unrecoverable
+// interior damage.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	if len(payload) == 0 || len(payload) > MaxRecord {
 		return 0, fmt.Errorf("store: append of %d bytes (want 1..%d)", len(payload), MaxRecord)
@@ -322,19 +283,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.lastLSN++
 	l.appends.Inc()
 	l.lastG.Set(int64(l.lastLSN))
-	switch l.opts.Sync {
-	case SyncAlways:
-		if err := l.syncLocked(); err != nil {
-			l.broken = err
-			return 0, err
-		}
-	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opts.SyncEvery {
-			if err := l.syncLocked(); err != nil {
-				l.broken = err
-				return 0, err
-			}
-		}
+	if err := l.syncLocked(); err != nil {
+		l.broken = err
+		return 0, err
 	}
 	return l.lastLSN, nil
 }
@@ -405,20 +356,9 @@ func (l *Log) syncLocked() error {
 		return err
 	}
 	l.syncs++
-	l.lastSync = time.Now()
 	l.fsyncs.Inc()
 	l.fsyncS.Observe(time.Since(t0))
 	return nil
-}
-
-// Sync forces a flush regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.broken != nil {
-		return l.broken
-	}
-	return l.syncLocked()
 }
 
 // Replay streams every record with LSN > after, in order, to fn. It

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 )
 
 // collect replays the whole log into a slice of payload strings.
@@ -226,39 +225,18 @@ func TestLogGapDetected(t *testing.T) {
 	}
 }
 
+// TestLogSyncPolicies pins the log's one policy: every append is synced
+// to the file system before it returns.
 func TestLogSyncPolicies(t *testing.T) {
-	// Always: one sync per append (plus close).
 	fs := NewMemFS()
-	l, _ := OpenLog(fs, LogOptions{Sync: SyncAlways})
-	for i := 0; i < 10; i++ {
-		l.Append([]byte("x"))
-	}
-	if st := l.Stats(); st.Syncs != 10 {
-		t.Fatalf("SyncAlways: %d syncs, want 10", st.Syncs)
-	}
-
-	// Never: no syncs until Close.
-	fs2 := NewMemFS()
-	l2, _ := OpenLog(fs2, LogOptions{Sync: SyncNever})
-	for i := 0; i < 10; i++ {
-		l2.Append([]byte("x"))
-	}
-	if st := l2.Stats(); st.Syncs != 0 {
-		t.Fatalf("SyncNever: %d syncs before close", st.Syncs)
-	}
-	l2.Close()
-	if fs2.Syncs() == 0 {
-		t.Fatal("SyncNever: Close did not flush")
-	}
-
-	// Interval: far fewer syncs than appends.
-	fs3 := NewMemFS()
-	l3, _ := OpenLog(fs3, LogOptions{Sync: SyncInterval, SyncEvery: time.Hour})
-	for i := 0; i < 10; i++ {
-		l3.Append([]byte("x"))
-	}
-	if st := l3.Stats(); st.Syncs > 1 {
-		t.Fatalf("SyncInterval(1h): %d syncs across 10 appends", st.Syncs)
+	l := mustOpen(t, fs)
+	for i := 1; i <= 10; i++ {
+		if _, err := l.Append([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if st := l.Stats(); st.Syncs != int64(i) || fs.Syncs() != i {
+			t.Fatalf("after %d appends: %d syncs (file system saw %d), want one per append", i, st.Syncs, fs.Syncs())
+		}
 	}
 }
 
@@ -310,7 +288,7 @@ func TestLogOnRealFilesystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLog(fs, LogOptions{SegmentBytes: 128, Sync: SyncAlways})
+	l, err := OpenLog(fs, LogOptions{SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,12 +352,12 @@ func TestLogRotate(t *testing.T) {
 	}
 }
 
-// TestLatestSnapshotEmptyAndTempCleanup pins the two edges of finding a
+// TestLogReopenOverEmptyTail pins the two edges of finding a
 // checkpoint at open: an empty store opens with no records, and the one
 // leftover of a checkpoint interrupted right after its rotation's
 // Create, an empty tail segment, is accepted on reopen, filled by the
 // next append and pruned like any other.
-func TestLatestSnapshotEmptyAndTempCleanup(t *testing.T) {
+func TestLogReopenOverEmptyTail(t *testing.T) {
 	fs := NewMemFS()
 	l := mustOpen(t, fs)
 	if got := collect(t, l, 0); l.LastLSN() != 0 || len(got) != 0 {
@@ -414,10 +392,10 @@ func TestLatestSnapshotEmptyAndTempCleanup(t *testing.T) {
 	}
 }
 
-// TestPruneSnapshots pins a checkpoint's last step: after checkpoints at
+// TestLogPruneToNewestCheckpoint pins a checkpoint's last step: after checkpoints at
 // LSNs 3, 9 and 27, each a rotation and then its record, pruning every
 // record before the newest leaves only the newest checkpoint's segment.
-func TestPruneSnapshots(t *testing.T) {
+func TestLogPruneToNewestCheckpoint(t *testing.T) {
 	fs := NewMemFS()
 	l := mustOpen(t, fs)
 	for _, at := range []uint64{3, 9, 27} {
@@ -523,23 +501,6 @@ func TestLogCrashOnRemoveKeepsSegments(t *testing.T) {
 	}
 }
 
-func TestParseSyncPolicy(t *testing.T) {
-	for s, want := range map[string]SyncPolicy{
-		"always": SyncAlways, "Interval": SyncInterval, "NEVER": SyncNever,
-	} {
-		got, err := ParseSyncPolicy(s)
-		if err != nil || got != want {
-			t.Errorf("ParseSyncPolicy(%q) = %v, %v", s, got, err)
-		}
-		if got.String() == "" {
-			t.Errorf("empty String for %v", got)
-		}
-	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Error("bad policy accepted")
-	}
-}
-
 // TestLogReopenAppendOnDisk exercises the real-filesystem reopen path: a
 // log closed and reopened must continue appending into the existing tail
 // segment (fs.Append), and a torn tail on disk must be truncated with
@@ -550,17 +511,11 @@ func TestLogReopenAppendOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLog(fs, LogOptions{Sync: SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := mustOpen(t, fs)
 	for i := 0; i < 5; i++ {
 		if _, err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := l.Sync(); err != nil { // explicit flush under SyncNever
-		t.Fatal(err)
 	}
 	l.Close()
 
@@ -572,10 +527,7 @@ func TestLogReopenAppendOnDisk(t *testing.T) {
 	af.Write([]byte{0, 0, 0})
 	af.Close()
 
-	l2, err := OpenLog(fs, LogOptions{Sync: SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := mustOpen(t, fs)
 	st := l2.Stats()
 	if !st.TornTail || st.TornBytes != 3 || st.LastLSN != 5 {
 		t.Fatalf("reopen stats: %+v", st)

@@ -33,12 +33,12 @@ if grep -rnE 'BENCH_(batch|durable|mux|push|scale|shard|wire)' \
   echo "SMOKE FAILED: a retired BENCH file is referenced again (see matches above)"; exit 1
 fi
 
-echo "--- one lookup path, one zone history, one on-disk format, one mutation path, one meta-cache: no marshalled-reply cache, refresh-ahead, BIND query batching, cache-shard pin, diff-log knob, snapshot file family, per-record update loop, negative cache, resolved-binding cache, daemon cache-mode knob or preload counter in non-test sources"
+echo "--- one lookup path, one zone history, one on-disk format, one mutation path, one meta-cache, one connection per endpoint, one backoff schedule, one fsync policy: no marshalled-reply cache, refresh-ahead, BIND query batching, cache-shard pin, diff-log knob, snapshot file family, per-record update loop, negative cache, resolved-binding cache, daemon cache-mode knob, preload counter, pool sizing or idle eviction, backoff jitter, fsync knob or unset daemon flag in non-test sources"
 # The diff-log, snapshot, update-loop and cache names are bracketed so a repo-wide grep for them finds none here.
-if grep -rnE 'EnableReplyCache|InvalidateReplies|Cacheable|replyCache|RefreshAhead|SetPushCovered|GetWithTTL|LookupBatch|NewBatcher|procQueryBatch|CacheShards|"reply-cache"|"refresh-ahead"|EnableDiff[L]og|diff[W]indow|"ixfr-[w]indow"|Write[S]napshot|Latest[S]napshot|Prune[S]napshots|HNSS[N]AP|CrashOn[R]ename|Snapshots[S]kipped|beginBulk[A]dd|type bulk[A]dd|func apply[R]ecords|\) add[R]ecord\(|\) remove[M]eta\(|Negative[T]TL|NegativeCache[T]TL|Negative[S]tats|BindingCache[T]TL|purge[B]indings|bind[G]en|"neg-[t]tl"|"binding-[c]ache"|"marshalled-[c]ache"|cache_negative_|core_binding_[c]ache|cache_preloads_[t]otal' \
+if grep -rnE 'EnableReplyCache|InvalidateReplies|Cacheable|replyCache|RefreshAhead|SetPushCovered|GetWithTTL|LookupBatch|NewBatcher|procQueryBatch|CacheShards|"reply-cache"|"refresh-ahead"|EnableDiff[L]og|diff[W]indow|"ixfr-[w]indow"|Write[S]napshot|Latest[S]napshot|Prune[S]napshots|HNSS[N]AP|CrashOn[R]ename|Snapshots[S]kipped|beginBulk[A]dd|type bulk[A]dd|func apply[R]ecords|\) add[R]ecord\(|\) remove[M]eta\(|Negative[T]TL|NegativeCache[T]TL|Negative[S]tats|BindingCache[T]TL|purge[B]indings|bind[G]en|"neg-[t]tl"|"binding-[c]ache"|"marshalled-[c]ache"|cache_negative_|core_binding_[c]ache|cache_preloads_[t]otal|Pool[C]onfig|Max[C]onns|Max[S]treams|Close[I]dle|jitter[S]cale|Sync[I]nterval|Sync[N]ever|Sync[E]very|ParseSync[P]olicy|Fsync[I]nterval|"conn-[i]dle"|"fsync-[i]nterval"|"push-[m]ax"|"low-[w]atermark"|"max-[c]lients"|"retry-[a]fter"|String\("[f]sync"|Bool\("[n]otify"|Float64\("[b]urst"' \
         --include='*.go' --include='*.sh' --include='Makefile' --exclude='*_test.go' --exclude='smoke.sh' \
         --exclude-dir=.git --exclude-dir=.bench_build .; then
-  echo "SMOKE FAILED: a removed lookup-path, diff-log, snapshot, update-loop or cache mechanism is back (see matches above)"; exit 1
+  echo "SMOKE FAILED: a removed lookup-path, diff-log, snapshot, update-loop, cache, pool, backoff, fsync or daemon-flag mechanism is back (see matches above)"; exit 1
 fi
 
 echo "--- race detector over the full test suite"
@@ -48,7 +48,7 @@ echo "--- race detector, concurrency stress at -cpu 4"
 go test -race -cpu 4 -run 'Stress|Stampede|Concurrent|Shard' \
         ./internal/cache ./internal/bind ./internal/workload
 
-echo "--- mux stress tier: multiplexed wire, pool, and teardown paths"
+echo "--- mux stress tier: multiplexed wire, shared connection, and teardown paths"
 go test -race -run Mux -count=3 ./internal/transport ./internal/hrpc
 
 echo "--- fleet scenario tier: one tiny seeded config per scenario, raced"
@@ -231,7 +231,8 @@ echo "$out"
 grep -q '127.0.0.1:5311' <<<"$out" || { echo "SMOKE FAILED: health lacks the secondary meta endpoint"; exit 1; }
 
 # ---- Part 5: the push plane. A push-enabled primary (every zone keeps
-# its IXFR history), a NOTIFY-driven secondary, and a subscribed hnsd: a
+# its IXFR history), a secondary (which follows its primary's NOTIFY
+# stream), and a subscribed hnsd: a
 # dynamic update reaches both the moment it lands (no TTL or refresh-tick
 # wait), and a subscriber whose server has no push plane degrades to TTL
 # polling.
@@ -241,7 +242,7 @@ echo $! >> pids
 sleep 0.5
 # -refresh 30s: any record the mirror picks up within ~2s of a register
 # can only have arrived via the NOTIFY kick, not the poll tick.
-./bindd -host pushs -zone hns -secondary 127.0.0.1:5380 -refresh 30s -notify \
+./bindd -host pushs -zone hns -secondary 127.0.0.1:5380 -refresh 30s \
         -hrpc 127.0.0.1:5382 -std "" >pushs.log 2>&1 &
 echo $! >> pids
 ./hnsd -addr 127.0.0.1:5383 -meta 127.0.0.1:5380 -subscribe \
