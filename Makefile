@@ -26,7 +26,7 @@ bench-parallel:
 
 # Allocation gate: the warm wire path (frame encode/decode) must stay at
 # <=1 alloc/op, the warm FindNSM at <=58, a durable bindd's cold start at
-# <=3 per record loaded, a chained meta exchange at <=67.
+# <=0.5 per record loaded, a chained meta exchange at <=67.
 bench-alloc:
 	./scripts/bench_alloc.sh
 

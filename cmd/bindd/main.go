@@ -218,20 +218,21 @@ func main() {
 		}
 		if *records != "" && freshStore {
 			t0 := time.Now()
-			f, err := os.Open(*records)
+			text, err := os.ReadFile(*records)
 			if err != nil {
 				log.Fatalf("bindd: %v", err)
 			}
-			rrs, err := bind.ParseZoneFile(f)
-			f.Close()
+			n, err := srv.LoadZoneFile(text)
 			if err != nil {
-				log.Fatalf("bindd: %v", err)
+				log.Fatalf("bindd: %s: %v", *records, err)
 			}
-			if err := srv.LoadRecords(rrs); err != nil {
-				log.Fatalf("bindd: %v", err)
+			owners, held := 0, 0
+			for _, origin := range zones {
+				o, b := srv.Zone(origin).Held()
+				owners, held = owners+o, held+b
 			}
-			log.Printf("bindd: loaded %d records from %s in %s",
-				len(rrs), *records, time.Since(t0).Round(time.Millisecond))
+			log.Printf("bindd: loaded %d records (%d owners, %d bytes held) from %s in %s",
+				n, owners, held, *records, time.Since(t0).Round(time.Millisecond))
 		} else if *records != "" {
 			log.Printf("bindd: %s has recovered state; skipping -records (delete the data dir to reseed)", *dataDir)
 		}

@@ -119,29 +119,27 @@ func (s *Server) queryChain(ctx context.Context, args marshal.Value) (marshal.Va
 	if err != nil {
 		return marshal.Value{}, err
 	}
-	rcode, prev := s.Query(ctx, name, qt)
+	rcode, sets := s.answer(ctx, name, qt)
+	prev, _ := decodeSets(sets)
 	cname, _ := CanonicalName(name)
 	if ownedRun(prev, cname) == 0 {
 		follow = nil // the head failed, or was answered through an alias
 	}
 	// Every set is owned by its own name, so appending set by set is
-	// appending the flat list: no run spans two sets.
-	sets := appendSets(nil, prev)
+	// appending the flat list: no run spans two sets. The zone's runs are
+	// capped, so the first append copies them.
 	visited := []string{cname}
 	for _, st := range follow {
 		next, ok := st.next(prev)
 		if !ok || slices.Contains(visited, next) {
 			break
 		}
-		rc, rrs := s.Query(ctx, next, qt)
-		if rc != RCodeOK || ownedRun(rrs, next) == 0 {
+		rc, more := s.answer(ctx, next, qt)
+		rrs, _ := decodeSets(more)
+		if rc != RCodeOK || ownedRun(rrs, next) == 0 || len(sets)+len(more) > replyBudget {
 			break
 		}
-		grown := appendSets(sets, rrs)
-		if len(grown) > replyBudget {
-			break
-		}
-		sets = grown
+		sets = append(sets, more...)
 		visited = append(visited, next)
 		prev = rrs
 	}

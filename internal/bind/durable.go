@@ -10,7 +10,7 @@ import (
 	"hns/internal/store"
 )
 
-// Durable is the ZoneStore that makes a bindd crash-safe: every zone
+// Durable is the journal that makes a bindd crash-safe: every zone
 // mutation is appended to a write-ahead log before it is acknowledged,
 // and the full zone set is checkpointed whenever the journal recovery
 // would replay has outgrown the image it would load (see checkpointDue),
@@ -51,7 +51,7 @@ type RecoveryStats struct {
 	Elapsed time.Duration
 }
 
-// Durable implements ZoneStore over a store.Log.
+// Durable journals a Server's zones in a store.Log.
 type Durable struct {
 	cfg DurableConfig
 	log *store.Log
@@ -192,7 +192,11 @@ func (d *Durable) apply(lsn uint64, rec journalRec, n int) error {
 			return fmt.Errorf("%w: lsn %d: replaying %s: %v", store.ErrCorrupt, lsn, rec.zone, err)
 		}
 	case journalKindReplace:
-		if err := z.Replace(rec.rrs, rec.serial); err != nil {
+		rrs, err := decodeSets(rec.sets) // restaged, not kept in the log's buffer
+		if err == nil {
+			err = z.Replace(rrs, rec.serial)
+		}
+		if err != nil {
 			return fmt.Errorf("%w: lsn %d: replaying %s: %v", store.ErrCorrupt, lsn, rec.zone, err)
 		}
 	}
@@ -280,16 +284,16 @@ func (d *Durable) Attach(srv *Server) {
 	srv.SetJournal(d)
 }
 
-// LogUpdate implements ZoneStore: append one transaction's record, then
-// maybe checkpoint. The record is durable per the fsync policy when this
-// returns nil; an error means the caller must not acknowledge.
+// LogUpdate appends one transaction's record, then maybe checkpoints. The
+// record is durable per the fsync policy when this returns nil; an error
+// means the caller must not acknowledge.
 func (d *Durable) LogUpdate(zone string, ops []Op, serial uint32) error {
 	return d.append(zone, encodeUpdate(zone, ops, serial))
 }
 
-// LogReplace implements ZoneStore for bulk loads and transfer applies.
-func (d *Durable) LogReplace(zone string, serial uint32, rrs []RR) error {
-	return d.append(zone, encodeReplace(zone, serial, rrs))
+// LogImage appends a zone's 'R' image: a bulk load or a transfer applied.
+func (d *Durable) LogImage(zone string, image []byte) error {
+	return d.append(zone, image)
 }
 
 func (d *Durable) append(zone string, payload []byte) error {

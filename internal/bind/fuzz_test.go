@@ -153,13 +153,18 @@ func FuzzCanonicalName(f *testing.F) {
 	})
 }
 
+// encodeImage is the 'R' image of a zone holding rrs, in order, at serial.
+func encodeImage(zone string, serial uint32, rrs []RR) []byte {
+	return appendSets(appendImageHead(nil, zone, serial), rrs)
+}
+
 // reencodeJournal is the encoder for whatever decodeJournal returned.
 func reencodeJournal(rec journalRec) []byte {
 	switch rec.kind {
 	case journalKindUpdate:
 		return encodeUpdate(rec.zone, rec.ops, rec.serial)
 	case journalKindReplace:
-		return encodeReplace(rec.zone, rec.serial, rec.rrs)
+		return append(appendImageHead(nil, rec.zone, rec.serial), rec.sets...)
 	default:
 		return encodeCheckpoint(int(rec.zones))
 	}
@@ -170,8 +175,9 @@ func reencodeJournal(rec journalRec) []byte {
 // never panic, and whatever it accepts must re-encode byte-identically.
 func FuzzJournalDecode(f *testing.F) {
 	f.Add(encodeCheckpoint(2))
-	f.Add(encodeReplace("hns", 9, []RR{A("a.hns", "10.0.0.1", 60), HNSMeta("ctx.hns", "ns=bind-cs", 600)}))
-	f.Add(encodeReplace("meta.hns", 0, nil))
+	f.Add(encodeImage("hns", 9, []RR{A("a.hns", "10.0.0.1", 60), HNSMeta("ctx.hns", "ns=bind-cs", 600)}))
+	f.Add(encodeImage("hns", 9, []RR{A("a.hns", "10.0.0.1", 60), A("a.hns", "10.0.0.2", 60), A("b.hns", "10.0.0.1", 600)}))
+	f.Add(encodeImage("meta.hns", 0, nil))
 	f.Add(encodeUpdate("hns", Removes(TypeA, "a.hns"), 10))
 	f.Add(encodeUpdate("hns", append(Removes(TypeHNSMeta, "q.ns.qc.hns"), Adds(HNSMeta("n.nsm.hns", "host=june", 600), HNSMeta("n.nsm.hns", "port=1", 600))...), 11))
 	f.Add([]byte("C\x00\x00")) // a truncated marker
@@ -199,9 +205,10 @@ func TestJournalCheckpointRoundTrip(t *testing.T) {
 
 // Damage the WAL's frame checksum would not catch — a record cut short,
 // padded, or of an unknown kind, a transaction with no op or an op that
-// is neither add nor remove — is refused by the decoder.
+// is neither add nor remove — is refused by the decoder, or, in an image's
+// sets, by the zone taking them in.
 func TestJournalDecodeRejectsDamage(t *testing.T) {
-	image := encodeReplace("hns", 3, []RR{A("a.hns", "10.0.0.1", 60)})
+	image := encodeImage("hns", 3, []RR{A("a.hns", "10.0.0.1", 60)})
 	marker := encodeCheckpoint(1)
 	update := encodeUpdate("hns", Adds(A("a.hns", "10.0.0.1", 60), A("b.hns", "10.0.0.2", 60)), 4)
 	for name, b := range map[string][]byte{
@@ -211,18 +218,27 @@ func TestJournalDecodeRejectsDamage(t *testing.T) {
 		"update then a record": append(bytes.Clone(update), update...),
 		"image cut short":      image[:len(image)-1],
 		"image padded":         append(bytes.Clone(image), 0),
-		"image count inflated": func() []byte {
+		"image run count inflated": func() []byte {
 			c := bytes.Clone(image)
-			c[1+4+2+3+3] = 2 // the low byte of the record count
+			c[len(c)-len("10.0.0.1")-3] = 2 // the low byte of the run's record count
 			return c
 		}(),
+		"image of no zone": image[:1+4+1],
 		"marker cut short": marker[:len(marker)-1],
 		"marker padded":    append(bytes.Clone(marker), 0),
 		"unknown kind":     append([]byte{'V'}, marker[1:]...),
 		"empty":            nil,
 	} {
-		if rec, err := decodeJournal(b); err == nil {
-			t.Errorf("%s: decodeJournal accepted %x as %+v", name, b, rec)
+		rec, err := decodeJournal(b)
+		var rrs []RR
+		if err == nil && rec.kind == journalKindReplace {
+			rrs, err = decodeSets(rec.sets)
+		}
+		if z, _ := NewZone("hns", true); err == nil && rec.kind == journalKindReplace {
+			err = z.Replace(rrs, rec.serial)
+		}
+		if err == nil {
+			t.Errorf("%s: replay accepted %x as %+v", name, b, rec)
 		}
 	}
 }

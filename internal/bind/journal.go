@@ -8,24 +8,9 @@ import (
 	"slices"
 )
 
-// ZoneStore is the journal a Server writes zone mutations through. The
-// default is nil — no journal, the purely in-memory BIND of the paper —
-// which keeps every measured table bit-identical. A durable
-// implementation (see Durable) appends each mutation to a write-ahead
-// log before the server acknowledges it.
-//
-// LogUpdate records one transaction — its ops, in order — that has been
-// applied to the named zone, leaving it at serial. LogReplace records a
-// wholesale content swap — bulk load or zone-transfer apply — again with
-// the serial the zone ended at. An error from either means the mutation
-// is NOT durable and must not be acknowledged.
-type ZoneStore interface {
-	LogUpdate(zone string, ops []Op, serial uint32) error
-	LogReplace(zone string, serial uint32, rrs []RR) error
-}
-
 // The record codec. Records leave memory in one binary form wherever they
-// go — the journal, IXFR payloads and BIND's HRPC interface:
+// go — a zone's own storage, the journal, IXFR payloads and BIND's HRPC
+// interface:
 //
 //	RR  = u16 len name, u16 type, u16 class, u32 ttl, u16 len data
 //	run = u16 len name, u16 type, u16 class, u32 ttl, u16 n, (u16 len data)×n
@@ -33,16 +18,18 @@ type ZoneStore interface {
 // One WAL payload is one mutation, or the marker a checkpoint opens with:
 //
 //	'U' u32 serial  u16 len zone  (u8 op  RR)+     (one transaction)
-//	'R' u32 serial  u16 len zone  u32 count  RR*   (content replace)
+//	'R' u32 serial  u16 len zone  sets             (the zone whole)
 //	'C' u32 zones                                  (checkpoint marker)
 //
 // A 'U' record's ops run to the end of its payload or, where records are
 // concatenated, to the next kind byte, which no op byte (UpdateAdd or
-// UpdateRemove) can be mistaken for. A checkpoint is a marker followed by
-// one 'R' image per zone. An IXFR payload is a sequence of 'U' records,
-// one per transaction, and a BINDUpdate request is one without its kind
-// and serial. Every record list the HRPC interface returns is a sets
-// payload: runs, read until it is exhausted.
+// UpdateRemove) can be mistaken for. An 'R' image's sets are the zone's
+// owners' stored runs in (name, type, data) order, as a transfer carries
+// them; they are checked when a zone takes them in. A checkpoint is a
+// marker followed by one 'R' image per zone. An IXFR payload is a sequence
+// of 'U' records, one per transaction, and a BINDUpdate request is one
+// without its kind and serial. Every record list the HRPC interface
+// returns is a sets payload: runs, read until it is exhausted.
 // A run is a maximal stretch (of at most 65535) consecutive records
 // sharing owner, type, class and TTL — a DNS RRset, unless a TTL differs —
 // so any sequence round-trips in order and an answer set names its owner
@@ -103,22 +90,10 @@ func encodeUpdate(zone string, ops []Op, serial uint32) []byte {
 // rrFixedLen is the encoded size of an RR apart from its name and data.
 const rrFixedLen = 2 + 2 + 2 + 4 + 2
 
-// encodeReplace builds the WAL payload for a content swap, in a buffer
-// sized once from the records it will hold.
-func encodeReplace(zone string, serial uint32, rrs []RR) []byte {
-	size := 1 + 4 + 2 + len(zone) + 4
-	for _, rr := range rrs {
-		size += rrFixedLen + len(rr.Name) + len(rr.Data)
-	}
-	b := make([]byte, 0, size)
-	b = append(b, journalKindReplace)
-	b = binary.BigEndian.AppendUint32(b, serial)
-	b = appendPrefixed(b, zone)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(rrs)))
-	for _, rr := range rrs {
-		b = appendRR(b, rr)
-	}
-	return b
+// appendImageHead appends the head of an 'R' image; the zone's sets follow.
+func appendImageHead(b []byte, zone string, serial uint32) []byte {
+	b = binary.BigEndian.AppendUint32(append(b, journalKindReplace), serial)
+	return appendPrefixed(b, zone)
 }
 
 // encodeCheckpoint builds the marker for a checkpoint of zones images.
@@ -152,9 +127,12 @@ func appendSets(b []byte, rrs []RR) []byte {
 // nothing truncated or trailing — so what it accepts re-encodes to the
 // same bytes. A run's records share one owner string; their data alias
 // payload.
-func decodeSets(payload []byte) ([]RR, error) {
-	d := &journalDecoder{b: payload}
-	var out []RR
+func decodeSets(payload []byte) ([]RR, error) { return appendDecoded(nil, payload, "") }
+
+// appendDecoded is decodeSets appending to out; records owned by owner
+// share its string. What a zone stored always decodes.
+func appendDecoded(out []RR, payload []byte, owner string) ([]RR, error) {
+	d := &journalDecoder{b: payload, name: owner}
 	var prev uint16 // the previous run's count
 	for len(d.b) > 0 {
 		head, n := d.head(), uint16(d.num(2))
@@ -183,15 +161,18 @@ type journalRec struct {
 	zone   string
 	serial uint32
 	ops    []Op   // update only
-	rrs    []RR   // replace only
+	sets   []byte // image only
 	zones  uint32 // checkpoint marker only
 }
 
 // journalDecoder walks one payload of the record codec. The first read
 // past the end sets err and empties b; every read after it yields zeros.
+// name is the last owner name read, which records and runs that repeat it
+// share rather than each allocate.
 type journalDecoder struct {
-	b   []byte
-	err error
+	b    []byte
+	err  error
+	name string
 }
 
 var errTruncated = errors.New("bind: truncated record")
@@ -222,13 +203,10 @@ func (d *journalDecoder) bytes() []byte { return d.take(int(d.num(2))) }
 
 // head reads what appendRRHead wrote.
 func (d *journalDecoder) head() RR {
-	return RR{Name: string(d.bytes()), Type: RRType(d.num(2)), Class: uint16(d.num(2)), TTL: uint32(d.num(4))}
-}
-
-func (d *journalDecoder) rr() RR {
-	rr := d.head()
-	rr.Data = d.bytes()
-	return rr
+	if name := d.bytes(); string(name) != d.name {
+		d.name = string(name)
+	}
+	return RR{Name: d.name, Type: RRType(d.num(2)), Class: uint16(d.num(2)), TTL: uint32(d.num(4))}
 }
 
 // update reads what appendUpdate wrote: a zone, then one or more ops up
@@ -237,7 +215,8 @@ func (d *journalDecoder) rr() RR {
 func (d *journalDecoder) update() (zone []byte, ops []Op) {
 	zone = d.bytes()
 	for d.err == nil && (len(ops) == 0 || len(d.b) > 0 && d.b[0] != journalKindUpdate) {
-		op := Op{uint32(d.num(1)), d.rr()}
+		op := Op{uint32(d.num(1)), d.head()}
+		op.RR.Data = d.bytes()
 		if op.Op > UpdateRemove {
 			d.b, d.err = nil, fmt.Errorf("bind: unknown update op %d", op.Op)
 		}
@@ -270,14 +249,7 @@ func decodeJournal(payload []byte) (journalRec, error) {
 		zone, rec.ops = d.update()
 	case journalKindReplace:
 		zone = d.bytes()
-		n := d.num(4)
-		if n > uint64(len(d.b)/rrFixedLen) {
-			return rec, fmt.Errorf("bind: journal replace claims %d records in %d bytes", n, len(d.b))
-		}
-		rec.rrs = make([]RR, 0, n)
-		for range n {
-			rec.rrs = append(rec.rrs, d.rr())
-		}
+		rec.sets = d.take(len(d.b))
 	default:
 		if d.err == nil {
 			return rec, fmt.Errorf("bind: unknown journal record kind %q", rec.kind)

@@ -52,6 +52,8 @@ func TestStampedeSingleBackendLookup(t *testing.T) {
 		},
 	}
 	r := NewResolver(backend, ResolverConfig{})
+	joined := make(chan string, herd)
+	r.flights.joined = joined
 
 	var wg sync.WaitGroup
 	costs := make([]time.Duration, herd)
@@ -70,14 +72,11 @@ func TestStampedeSingleBackendLookup(t *testing.T) {
 	}
 
 	// Release the backend only once the whole herd is attached to the one
-	// flight (leader inside the backend + 63 joiners waiting).
-	key := cacheKey("stampede.test", TypeA)
-	deadline := time.Now().Add(10 * time.Second)
-	for r.flights.waiting(key) != herd {
-		if time.Now().After(deadline) {
-			t.Fatalf("herd never assembled: %d/%d waiting", r.flights.waiting(key), herd)
+	// flight: its leader, held by the backend, and 63 joiners.
+	for i := 1; i < herd; i++ {
+		if key := <-joined; key != cacheKey("stampede.test", TypeA) {
+			t.Fatalf("a caller joined a flight for %q", key)
 		}
-		time.Sleep(time.Millisecond)
 	}
 	close(backend.release)
 	wg.Wait()
@@ -261,8 +260,11 @@ func TestInvalidationSupersedesInFlightLookup(t *testing.T) {
 			<-backend.entered
 			backend.set(name, updated)
 			tc.invalidate(r)
-			if n := r.flights.waiting(cacheKey(name, TypeA)); n != 0 {
-				t.Fatalf("superseded flight still mapped with %d callers", n)
+			r.flights.mu.Lock()
+			_, mapped := r.flights.m[cacheKey(name, TypeA)]
+			r.flights.mu.Unlock()
+			if mapped {
+				t.Fatal("superseded flight still mapped")
 			}
 			close(backend.release)
 

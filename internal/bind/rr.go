@@ -160,8 +160,8 @@ func CanonicalName(name string) (string, error) {
 // all carry canonical names. Anything it cannot vouch for (upper case,
 // a non-ASCII byte, a space, a bad label, a leading comment byte) is left
 // to the full check.
-func isCanonicalASCII(name string) bool {
-	if name == "" || len(name) > MaxNameLen || isCommentByte(name[0]) {
+func isCanonicalASCII[S string | []byte](name S) bool {
+	if len(name) == 0 || len(name) > MaxNameLen || isCommentByte(name[0]) {
 		return false
 	}
 	label := 0 // bytes in the current label

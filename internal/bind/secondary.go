@@ -203,7 +203,7 @@ func (s *Secondary) refreshFull(ctx context.Context) (uint32, error) {
 		return 0, err
 	}
 	if srv.journal != nil {
-		if err := srv.journal.LogReplace(s.origin, serial, rrs); err != nil {
+		if err := srv.journal.LogImage(s.origin, s.zone.image()); err != nil {
 			return 0, fmt.Errorf("transfer not durable: %w", err)
 		}
 	}

@@ -28,12 +28,15 @@ type Server struct {
 	zones []*Zone // sorted longest-origin-first for suffix matching
 
 	// journal, when set, receives every zone mutation made through this
-	// Server before the mutation is acknowledged. journalMu serializes each
-	// apply, journal and publish, so journaled and published serials
-	// strictly increase per zone, and a forced checkpoint takes it too. nil
-	// (the default) is the paper's in-memory BIND.
+	// Server before the mutation is acknowledged: each transaction, and
+	// each wholesale swap (a load, a transfer applied) as the zone's image.
+	// An error means the mutation is not durable and must not be
+	// acknowledged. journalMu serializes each apply, journal and publish,
+	// so journaled and published serials strictly increase per zone, and a
+	// forced checkpoint takes it too. nil (the default) is the paper's
+	// in-memory BIND.
 	journalMu sync.Mutex
-	journal   ZoneStore
+	journal   *Durable
 
 	// pushTab, when set (EnablePush), holds the push-invalidation
 	// subscriber table; every applied update fans a notification out to
@@ -98,13 +101,20 @@ func (s *Server) findZone(name string) *Zone {
 
 // Query answers one lookup, charging the server-side lookup cost.
 func (s *Server) Query(ctx context.Context, name string, t RRType) (RCode, []RR) {
-	rcode, rrs := s.query(ctx, name, t)
-	s.reg.Counter(metrics.Labels("bind_queries_total",
-		"type", t.String(), "rcode", rcode.String())).Inc()
+	rcode, sets := s.answer(ctx, name, t)
+	rrs, _ := decodeSets(sets) // the zone's own runs
 	return rcode, rrs
 }
 
-func (s *Server) query(ctx context.Context, name string, t RRType) (RCode, []RR) {
+// answer is Query's answer as the zone holds it: the runs BINDQuery sends.
+func (s *Server) answer(ctx context.Context, name string, t RRType) (RCode, []byte) {
+	rcode, sets := s.query(ctx, name, t)
+	s.reg.Counter(metrics.Labels("bind_queries_total",
+		"type", t.String(), "rcode", rcode.String())).Inc()
+	return rcode, sets
+}
+
+func (s *Server) query(ctx context.Context, name string, t RRType) (RCode, []byte) {
 	simtime.Charge(ctx, simtime.BindServerLookup)
 	name, err := CanonicalName(name)
 	if err != nil {
@@ -114,14 +124,14 @@ func (s *Server) query(ctx context.Context, name string, t RRType) (RCode, []RR)
 	if z == nil {
 		return RCodeRefused, nil // not authoritative
 	}
-	rrs, err := z.Lookup(name, t)
+	sets, err := z.answer(name, t)
 	if err != nil {
 		return RCodeServFail, nil
 	}
-	if len(rrs) == 0 {
+	if len(sets) == 0 {
 		return RCodeNXDomain, nil
 	}
-	return RCodeOK, rrs
+	return RCodeOK, sets
 }
 
 // Update operations for the dynamic-update extension.
@@ -133,7 +143,7 @@ const (
 // SetJournal routes every subsequent zone mutation made through this
 // Server into j before it is acknowledged. A nil journal (the default)
 // is the purely in-memory server. Normally called via Durable.Attach.
-func (s *Server) SetJournal(j ZoneStore) {
+func (s *Server) SetJournal(j *Durable) {
 	s.journalMu.Lock()
 	s.journal = j
 	s.journalMu.Unlock()
@@ -204,18 +214,21 @@ func (s *Server) apply(z *Zone, ops []Op, at uint32) (RCode, uint32, error) {
 	return RCodeOK, serial, nil
 }
 
-// Transfer returns the zone's full contents (AXFR), charging the per-record
-// transfer cost — the mechanism the HNS uses to preload its cache.
-func (s *Server) Transfer(ctx context.Context, zoneOrigin string) (RCode, uint32, []RR) {
+// Transfer returns the zone's full contents (AXFR) as one sets payload in
+// (name, type, data) order, charging the per-record transfer cost — the
+// mechanism the HNS uses to preload its cache.
+func (s *Server) Transfer(ctx context.Context, zoneOrigin string) (RCode, uint32, []byte) {
 	z := s.Zone(zoneOrigin)
 	if z == nil {
 		return RCodeRefused, 0, nil
 	}
-	rrs := z.All()
-	simtime.Charge(ctx, simtime.ZoneXfer(len(rrs)))
+	z.mu.RLock()
+	sets, serial, n := z.appendSorted(make([]byte, 0, z.held)), z.serial, z.count
+	z.mu.RUnlock()
+	simtime.Charge(ctx, simtime.ZoneXfer(n))
 	s.reg.Counter("bind_transfers_total").Inc()
-	s.reg.Counter("bind_transfer_records_total").Add(int64(len(rrs)))
-	return RCodeOK, z.Serial(), rrs
+	s.reg.Counter("bind_transfer_records_total").Add(int64(n))
+	return RCodeOK, serial, sets
 }
 
 // ---- Standard interface (DNS-style wire, hand marshalling).
@@ -316,8 +329,8 @@ func (s *Server) HRPCServer() *hrpc.Server {
 		if err != nil {
 			return marshal.Value{}, err
 		}
-		rcode, rrs := s.Query(ctx, name, qt)
-		return marshal.StructV(marshal.U32(uint32(rcode)), marshal.BytesV(appendSets(nil, rrs))), nil
+		rcode, sets := s.answer(ctx, name, qt)
+		return marshal.StructV(marshal.U32(uint32(rcode)), marshal.BytesV(sets)), nil
 	})
 	hs.Register(procUpdate, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		req, err := args.Items[0].AsBytes()
@@ -340,9 +353,8 @@ func (s *Server) HRPCServer() *hrpc.Server {
 		if err != nil {
 			return marshal.Value{}, err
 		}
-		rcode, serial, rrs := s.Transfer(ctx, zone)
-		return marshal.StructV(marshal.U32(uint32(rcode)), marshal.U32(serial),
-			marshal.BytesV(appendSets(nil, rrs))), nil
+		rcode, serial, sets := s.Transfer(ctx, zone)
+		return marshal.StructV(marshal.U32(uint32(rcode)), marshal.U32(serial), marshal.BytesV(sets)), nil
 	})
 	hs.Register(procSerial, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		zone, err := args.Items[0].AsString()
@@ -371,61 +383,71 @@ func (s *Server) ServeHRPC(net *transport.Network, addr string) (transport.Liste
 // record in order — except that it is all or nothing: the first record
 // that would fail leaves every zone as it was and is the error returned.
 // With a journal set, each touched zone's full contents are then journaled
-// as one replace record; a journal failure leaves the load in memory but
-// not durable, and the caller must not go on to serve it.
+// as one image; a journal failure leaves the load in memory but not
+// durable, and the caller must not go on to serve it.
 func (s *Server) LoadRecords(rrs []RR) error {
-	// Held throughout: a load locks every zone it touches until all of it
-	// is staged, and two loads locking the same zones in different orders
-	// must not meet.
+	return s.load(0, func(add func(string, []RR) error) error { return eachRun(rrs, add) })
+}
+
+// LoadZoneFile is LoadRecords of the records in text, a zone file in
+// ParseZoneFile's format, read in one pass straight into each zone's
+// stored runs: no record list is built, and owner names share a few
+// backing stores. It returns how many records text held.
+func (s *Server) LoadZoneFile(text []byte) (records int, err error) {
+	var names nameArena
+	err = s.load(len(text), func(add func(string, []RR) error) error {
+		return eachZoneRun(text, names.intern, func(run []RR) error {
+			records += len(run)
+			return add(run[0].Name, run)
+		})
+	})
+	return records, err
+}
+
+// load runs one bulk load: stage hands add each run of records under one
+// canonical owner name, staged in the longest-origin zone holding it. It
+// holds the journal lock throughout, and each zone's write lock from its
+// first record to the commit, so loads never meet. If stage fails no zone
+// changes; else each commits — one serial per record, as that many adds,
+// its history restarted, as after Replace — and journals one image. size
+// is the capacity each zone's arena starts with.
+func (s *Server) load(size int, stage func(add func(name string, run []RR) error) error) error {
 	s.journalMu.Lock()
 	defer s.journalMu.Unlock()
 	s.mu.RLock()
 	zones := slices.Clone(s.zones)
 	s.mu.RUnlock()
-
-	var loads []*txn // in first-touch order
-	abort := func(err error) error {
-		for _, t := range loads {
-			t.z.mu.Unlock()
-		}
-		return err
-	}
-	for i, j := 0, 0; i < len(rrs); i = j {
-		j = ownerRun(rrs, i)
-		name, err := CanonicalName(rrs[i].Name)
-		if err != nil {
-			return abort(err)
-		}
+	var txns []*txn // in first-touch order
+	err := stage(func(name string, run []RR) error {
 		k := slices.IndexFunc(zones, func(z *Zone) bool { return z.Contains(name) })
 		if k < 0 {
-			return abort(fmt.Errorf("bind: no zone for %s", name))
+			return fmt.Errorf("bind: no zone for %s", name)
 		}
-		l := slices.IndexFunc(loads, func(t *txn) bool { return t.z == zones[k] })
-		if l < 0 {
-			l = len(loads)
+		i := slices.IndexFunc(txns, func(t *txn) bool { return t.z == zones[k] })
+		if i < 0 {
+			i = len(txns)
 			zones[k].mu.Lock()
-			loads = append(loads, &txn{z: zones[k], staged: make(map[string][]RR, zones[k].ownerRuns(rrs[i:]))})
+			txns = append(txns, zones[k].begin(size))
 		}
-		if err := loads[l].addRun(name, rrs[i:j]); err != nil {
-			return abort(err)
+		return txns[i].add(name, run)
+	})
+	for _, t := range txns {
+		if err == nil {
+			t.commit()
+			t.z.serial += t.n
+			t.z.diff, t.z.diffBytes = nil, 0
 		}
-	}
-	for _, t := range loads {
-		// One serial per record, as that many adds; journaled and replayed
-		// as one image, so the history restarts, as after Replace.
-		t.commit()
-		t.z.serial += t.n
-		t.z.diff, t.z.diffBytes = nil, 0
 		t.z.mu.Unlock()
 	}
-	if s.journal != nil {
-		for _, t := range loads {
-			if err := s.journal.LogReplace(t.z.Origin(), t.z.Serial(), t.z.All()); err != nil {
-				return fmt.Errorf("bind: load not durable for %s: %w", t.z.Origin(), err)
-			}
+	for _, t := range txns {
+		if err != nil || s.journal == nil {
+			break
+		}
+		if err = s.journal.LogImage(t.z.Origin(), t.z.image()); err != nil {
+			err = fmt.Errorf("bind: load not durable for %s: %w", t.z.Origin(), err)
 		}
 	}
-	return nil
+	return err
 }
 
 // ZoneOrigins lists the origins the server is authoritative for.

@@ -3,6 +3,8 @@ package bind
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -130,6 +132,80 @@ func TestHRPCWireBytes(t *testing.T) {
 		}
 		if tx, rx := tcpNetBytes("tx")-tx0, tcpNetBytes("rx")-rx0; tx != tc.tx || rx != tc.rx {
 			t.Errorf("%s moved %d B out and %d B back, want %d and %d", tc.name, tx, rx, tc.tx, tc.rx)
+		}
+	}
+}
+
+// TestHRPCReplyGolden pins the bytes BINDQuery, BINDQueryChain and
+// BINDTransfer answer with for three kinds of owner: one mixing types, one
+// whose records carry two TTLs, and one whose records were added out of
+// (type, data) order. Each reply is its rcode, its serial where it has
+// one, then its sets payload, in hex.
+func TestHRPCReplyGolden(t *testing.T) {
+	net := transport.NewNetwork()
+	s := NewServer("tahoma")
+	z, err := NewZone("hns", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddZone(z); err != nil {
+		t.Fatal(err)
+	}
+	for _, rr := range []RR{
+		A("mixed.hns", "10.0.0.1", 600), HNSMeta("mixed.hns", "next=ttls", 600), TXT("mixed.hns", "t", 600),
+		HNSMeta("mixed.hns", "k=v", 600), A("mixed.hns", "10.0.0.2", 600),
+		HNSMeta("ttls.hns", "next=unsorted", 600), HNSMeta("ttls.hns", "b=2", 60), HNSMeta("ttls.hns", "c=3", 600),
+		A("ttls.hns", "10.0.0.3", 60),
+		HNSMeta("unsorted.hns", "z=9", 600), A("unsorted.hns", "10.0.0.9", 600), HNSMeta("unsorted.hns", "a=1", 600),
+		A("unsorted.hns", "10.0.0.1", 600),
+	} {
+		if err := z.Add(rr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ln, b, err := hrpc.Serve(net, s.HRPCServer(), hrpc.SuiteRaw, "tahoma", "tahoma:bind-hrpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hc := hrpc.NewClient(net)
+	defer hc.Close()
+	ctx := context.Background()
+	reply := func(p hrpc.Procedure, args ...marshal.Value) string {
+		ret, err := hc.Call(ctx, b, p, marshal.StructV(args...))
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		var out []byte
+		for _, it := range ret.Items {
+			if it.Kind == marshal.KindBytes {
+				out = append(out, it.Bytes...)
+			} else {
+				out = binary.BigEndian.AppendUint32(out, uint32(it.Num))
+			}
+		}
+		return hex.EncodeToString(out)
+	}
+	query := func(name string, t RRType) string {
+		return reply(procQuery, marshal.Str(name), marshal.U32(uint32(t)))
+	}
+	next := FollowStep{Key: "next", Suffix: ".hns"}
+	for name, tc := range map[string]struct{ got, want string }{
+		"query mixed A":          {query("mixed.hns", TypeA), "0000000000096d697865642e686e7300010001000002580002000831302e302e302e31000831302e302e302e32"},
+		"query mixed TXT":        {query("mixed.hns", TypeTXT), "0000000000096d697865642e686e7300100001000002580001000174"},
+		"query mixed HNSMETA":    {query("mixed.hns", TypeHNSMeta), "0000000000096d697865642e686e73ff00000100000258000200096e6578743d74746c7300036b3d76"},
+		"query ttls HNSMETA":     {query("ttls.hns", TypeHNSMeta), "00000000000874746c732e686e73ff000001000002580001000d6e6578743d756e736f72746564000874746c732e686e73ff0000010000003c00010003623d32000874746c732e686e73ff0000010000025800010003633d33"},
+		"query ttls A":           {query("ttls.hns", TypeA), "00000000000874746c732e686e73000100010000003c0001000831302e302e302e33"},
+		"query unsorted HNSMETA": {query("unsorted.hns", TypeHNSMeta), "00000000000c756e736f727465642e686e73ff00000100000258000200037a3d390003613d31"},
+		"query unsorted A":       {query("unsorted.hns", TypeA), "00000000000c756e736f727465642e686e7300010001000002580002000831302e302e302e39000831302e302e302e31"},
+		"query missing":          {query("none.hns", TypeA), "00000003"},
+		"chain": {reply(procQueryChain, marshal.Str("mixed.hns"), marshal.U32(uint32(TypeHNSMeta)), followToList([]FollowStep{next, next})),
+			"0000000000096d697865642e686e73ff00000100000258000200096e6578743d74746c7300036b3d76000874746c732e686e73ff000001000002580001000d6e6578743d756e736f72746564000874746c732e686e73ff0000010000003c00010003623d32000874746c732e686e73ff0000010000025800010003633d33000c756e736f727465642e686e73ff00000100000258000200037a3d390003613d31"},
+		"transfer": {reply(procTransfer, marshal.Str("hns")),
+			"000000000000000e00096d697865642e686e7300010001000002580002000831302e302e302e31000831302e302e302e3200096d697865642e686e730010000100000258000100017400096d697865642e686e73ff00000100000258000200036b3d7600096e6578743d74746c73000874746c732e686e73000100010000003c0001000831302e302e302e33000874746c732e686e73ff0000010000003c00010003623d32000874746c732e686e73ff0000010000025800020003633d33000d6e6578743d756e736f72746564000c756e736f727465642e686e7300010001000002580002000831302e302e302e31000831302e302e302e39000c756e736f727465642e686e73ff0000010000025800020003613d3100037a3d39"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s replies %s, want %s", name, tc.got, tc.want)
 		}
 	}
 }

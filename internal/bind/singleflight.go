@@ -3,7 +3,6 @@ package bind
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hns/internal/simtime"
@@ -29,16 +28,14 @@ type flightGroup struct {
 	// than its key has no flight of theirs to be superseded through, so it
 	// compares gen at its end with gen at its start instead.
 	gen uint64
+	// joined, when set (a test hook), hears the key of every caller that
+	// joins a flight in progress.
+	joined chan<- string
 }
 
 // flight is one in-progress backend lookup.
 type flight struct {
 	done chan struct{} // closed when the leader finishes
-
-	// waiters counts every caller attached to this flight, leader
-	// included (read by the stampede test to release the backend only
-	// once the whole herd has piled up).
-	waiters atomic.Int64
 
 	// superseded, guarded by flightGroup.mu, is set when an invalidation
 	// detached this flight from the group: its answer may predate the
@@ -73,8 +70,10 @@ func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Con
 		g.m = make(map[string]*flight)
 	}
 	if f, ok := g.m[key]; ok {
-		f.waiters.Add(1)
 		g.mu.Unlock()
+		if g.joined != nil {
+			g.joined <- key
+		}
 		select {
 		case <-f.done:
 			return f.rrs, f.cost, true, f.err
@@ -83,7 +82,6 @@ func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Con
 		}
 	}
 	f := &flight{done: make(chan struct{}), gen: g.gen}
-	f.waiters.Add(1)
 	g.m[key] = f
 	g.mu.Unlock()
 
@@ -132,15 +130,4 @@ func (g *flightGroup) supersedeAll() {
 		delete(g.m, key)
 	}
 	g.mu.Unlock()
-}
-
-// waiting reports how many callers are currently attached to the flight
-// for key (0 when none is in progress). Test hook.
-func (g *flightGroup) waiting(key string) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if f, ok := g.m[key]; ok {
-		return f.waiters.Load()
-	}
-	return 0
 }

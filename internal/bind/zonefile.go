@@ -1,7 +1,6 @@
 package bind
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -49,83 +48,92 @@ func ParseRRType(s string) (RRType, error) {
 	return RRType(n), nil
 }
 
-// ParseZoneFile reads records from r in the line format above.
+// ParseZoneFile reads records from r in the line format above. The
+// records' data alias one buffer holding what r gave.
 func ParseZoneFile(r io.Reader) ([]RR, error) {
-	// Records gather in fixed-size chunks joined once at the end: growing
-	// one slice to a quarter of a million records copies it five times over.
-	const chunk = 4096
-	var chunks [][]RR
-	cur := make([]RR, 0, chunk)
-	prevName := ""
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 || isCommentByte(line[0]) {
-			continue
-		}
-		rr, err := parseZoneLine(line, prevName)
-		if err != nil {
-			return nil, fmt.Errorf("bind: zone file line %d: %w", lineNo, err)
-		}
-		if len(cur) == chunk {
-			chunks = append(chunks, cur)
-			cur = make([]RR, 0, chunk)
-		}
-		cur = append(cur, rr)
-		prevName = rr.Name
-	}
-	if err := sc.Err(); err != nil {
+	text, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	if len(chunks) == 0 {
-		return cur, nil
+	out := make([]RR, 0, bytes.Count(text, []byte{'\n'})+1)
+	err = eachZoneRun(text, func(name []byte) string { return string(name) }, func(run []RR) error {
+		out = append(out, run...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	out := make([]RR, 0, len(chunks)*chunk+len(cur))
-	for _, c := range chunks {
-		out = append(out, c...)
+	return out, nil
+}
+
+// eachZoneRun parses text in the line format above, calling fn with each
+// run of records whose lines spell their owner name the same, in order.
+// The records share one string for that name, canonical — made by str
+// when the name already is — and their data alias text; fn must not keep
+// run, which the next run reuses.
+func eachZoneRun(text []byte, str func([]byte) string, fn func(run []RR) error) error {
+	var run []RR
+	var tok []byte // the owner name as run's lines spell it
+	for lineNo := 1; len(text) > 0; lineNo++ {
+		line := text
+		if i := bytes.IndexByte(text, '\n'); i >= 0 {
+			line, text = text[:i], text[i+1:]
+		} else {
+			text = nil
+		}
+		if line = bytes.TrimSpace(line); len(line) == 0 || isCommentByte(line[0]) {
+			continue
+		}
+		name, rr, err := parseZoneLine(line)
+		if err == nil && (len(run) == 0 || !bytes.Equal(name, tok)) {
+			if len(run) > 0 {
+				if err := fn(run); err != nil {
+					return err
+				}
+			}
+			if run, tok = run[:0], name; isCanonicalASCII(name) {
+				rr.Name = str(name)
+			} else {
+				rr.Name, err = CanonicalName(string(name))
+			}
+		} else if err == nil {
+			rr.Name = run[0].Name
+		}
+		if err == nil && len(rr.Data) > MaxRDataLen {
+			err = fmt.Errorf("%w: %d bytes on %s", ErrDataTooBig, len(rr.Data), rr.Name)
+		}
+		if err != nil {
+			return fmt.Errorf("bind: zone file line %d: %w", lineNo, err)
+		}
+		run = append(run, rr)
 	}
-	return append(out, cur...), nil
+	if len(run) == 0 {
+		return nil
+	}
+	return fn(run)
 }
 
 // parseZoneLine parses one trimmed record line by position: three
-// whitespace-delimited tokens, then the rest of the line verbatim as data.
-// Nothing of line is retained. prevName is the owner name of the record
-// parsed just before: a line repeating it (zone files group a name's
-// records) shares that string instead of allocating and checking its own.
-func parseZoneLine(line []byte, prevName string) (RR, error) {
-	nameTok, rest := cutField(line)
+// whitespace-delimited tokens, then the rest of the line verbatim as data,
+// which the record returned aliases. Its owner name comes back as written.
+func parseZoneLine(line []byte) (name []byte, rr RR, err error) {
+	name, rest := cutField(line)
 	ttlTok, rest := cutField(rest)
 	typeTok, data := cutField(rest)
 	if len(data) == 0 {
-		return RR{}, fmt.Errorf("want 'name ttl type data', got %q", line)
+		return nil, RR{}, fmt.Errorf("want 'name ttl type data', got %q", line)
 	}
 	ttl, ok := parseTTL(ttlTok)
 	if !ok {
-		return RR{}, fmt.Errorf("bad ttl %q", ttlTok)
+		return nil, RR{}, fmt.Errorf("bad ttl %q", ttlTok)
 	}
 	t, ok := typeByName[string(typeTok)]
 	if !ok {
-		var err error
 		if t, err = ParseRRType(string(typeTok)); err != nil {
-			return RR{}, err
+			return nil, RR{}, err
 		}
 	}
-	rr := RR{Type: t, Class: ClassIN, TTL: ttl}
-	if string(nameTok) == prevName {
-		rr.Name = prevName
-	} else {
-		var err error
-		if rr.Name, err = CanonicalName(string(nameTok)); err != nil {
-			return RR{}, err
-		}
-	}
-	if len(data) > MaxRDataLen {
-		return RR{}, fmt.Errorf("%w: %d bytes on %s", ErrDataTooBig, len(data), rr.Name)
-	}
-	rr.Data = append([]byte(nil), data...)
-	return rr, nil
+	return name, RR{Type: t, Class: ClassIN, TTL: ttl, Data: data}, nil
 }
 
 // cutField splits b at its first run of Unicode whitespace — the

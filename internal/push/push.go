@@ -65,6 +65,10 @@ type Table struct {
 	mu     sync.Mutex
 	subs   map[uint64]*entry
 	nextID uint64
+
+	// dropped, when set (a test hook), hears the id of each subscription
+	// dropped because its connection died.
+	dropped chan<- uint64
 }
 
 // NewTable creates a table bounded at max subscribers (0 means
@@ -103,6 +107,9 @@ func (t *Table) Add(sub Subscription, sink transport.Pusher) (id uint64, ok bool
 		<-sink.Done()
 		if t.Remove(id) {
 			t.reg.Counter("push_conn_drops_total").Inc()
+			if t.dropped != nil {
+				t.dropped <- id
+			}
 		}
 	}()
 	return id, true

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"hns/internal/metrics"
 )
@@ -177,13 +176,14 @@ func TestTableDropsDeadSinkOnPublish(t *testing.T) {
 
 func TestTableDropsSinkOnDone(t *testing.T) {
 	tb := NewTable(0, metrics.Discard)
+	dropped := make(chan uint64, 1)
+	tb.dropped = dropped
 	s := newFakeSink()
-	tb.Add(Subscription{Zone: "hns"}, s)
+	id, _ := tb.Add(Subscription{Zone: "hns"}, s)
 	s.close()
-	// The watcher goroutine runs asynchronously; poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for tb.Len() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	// The watcher goroutine drops it asynchronously, and says so.
+	if got := <-dropped; got != id {
+		t.Fatalf("dropped subscription %d, want %d", got, id)
 	}
 	if tb.Len() != 0 {
 		t.Fatal("subscription not dropped after sink Done closed")
