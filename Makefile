@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench bench-parallel bench-alloc fuzz smoke chaos examples harness regen outputs
+.PHONY: all build vet test race bench bench-parallel bench-alloc fuzz smoke chaos examples harness outputs
 
 all: build vet test
 
@@ -19,10 +19,10 @@ race:
 bench:
 	go test -bench=. -benchmem ./...
 
-# The concurrent tier: parallel FindNSM/Table-3.1 arrangements, workload
-# throughput, and the cache/resolver contention micro-benchmarks.
+# The concurrent tier: parallel FindNSM/Table-3.1 arrangements and the
+# cache/resolver contention micro-benchmarks.
 bench-parallel:
-	go test -bench 'Parallel|Throughput|ShardContention|CacheKey' -benchmem -run NONE ./...
+	go test -bench 'Parallel|ShardContention|CacheKey' -benchmem -run NONE ./...
 
 # Allocation gate: the warm wire path (frame encode/decode) must stay at
 # <=1 alloc/op, the warm FindNSM at <=58, a durable bindd's cold start at
@@ -76,11 +76,6 @@ examples:
 harness:
 	go run ./cmd/hnsbench -all > docs/hnsbench-output.txt.tmp
 	mv docs/hnsbench-output.txt.tmp docs/hnsbench-output.txt
-
-# Regenerate checked-in stub-compiler output.
-regen:
-	go run ./cmd/hrpcgen -in internal/gen/greeter/greeter.idl \
-		-pkg greeter -out internal/gen/greeter/greeter_stubs.go
 
 # The final-verification artifacts EXPERIMENTS.md points at.
 outputs:

@@ -19,7 +19,6 @@ import (
 	"hns/internal/core"
 	"hns/internal/qclass"
 	"hns/internal/simtime"
-	"hns/internal/workload"
 	"hns/internal/world"
 )
 
@@ -106,45 +105,6 @@ func BenchmarkParallelTable31Warm(b *testing.B) {
 			b.StopTimer()
 			reportSimMS(b, time.Duration(totalSim.Load()))
 			reportOpsPerSec(b)
-		})
-	}
-}
-
-// ---- Many-client mixed warm/cold workload.
-//
-// The workload runner's concurrent mode: every synthetic client on its own
-// goroutine, Zipf locality, real wall-clock throughput per placement. The
-// shared placements funnel all clients through one meta-cache — the
-// arrangement whose lock contention the shards address.
-func BenchmarkWorkloadThroughput(b *testing.B) {
-	w := newBenchWorld(b)
-	ctx := context.Background()
-	const contexts = 6
-	for i := 0; i < contexts; i++ {
-		if _, err := w.AddSyntheticType(ctx, i); err != nil {
-			b.Fatal(err)
-		}
-	}
-	spec := workload.Spec{Clients: 12, OpsPerClient: 8, Contexts: contexts, Skew: 1.3, Seed: 7}
-	for _, placement := range []workload.Placement{
-		workload.LocalHNS, workload.SharedRemoteHNS, workload.SharedLocalHNS,
-	} {
-		placement := placement
-		b.Run(placement.String(), func(b *testing.B) {
-			var totalSim time.Duration
-			var ops float64
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				res, err := workload.RunConcurrent(ctx, w, spec, placement)
-				if err != nil {
-					b.Fatal(err)
-				}
-				totalSim += res.MeanOpCost
-				ops += res.OpsPerSec
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(totalSim)/float64(time.Millisecond)/float64(b.N), "sim-ms/meanop")
-			b.ReportMetric(ops/float64(b.N), "findnsm-ops/sec")
 		})
 	}
 }

@@ -82,8 +82,17 @@ func TestFindNSMBadSuiteRecord(t *testing.T) {
 	}
 }
 
+// TestFindNSMConcurrent drives one shared HNS from 16 goroutines, half
+// linked in and half through ServeHNS and a RemoteHNS, so -race covers the
+// shared meta-cache both in process and behind the HRPC server.
 func TestFindNSMConcurrent(t *testing.T) {
 	w := newWorld(t, world.Config{})
+	ln, hb, err := core.ServeHNS(w.Net, w.HNS, "june", "june:hns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	finders := []core.Finder{w.HNS, core.NewRemoteHNS(w.RPC, hb)}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for i := 0; i < 16; i++ {
@@ -95,7 +104,7 @@ func TestFindNSMConcurrent(t *testing.T) {
 				if i%2 == 1 {
 					name = world.CourierServiceName()
 				}
-				if _, err := w.HNS.FindNSM(context.Background(), name, qclass.HRPCBinding); err != nil {
+				if _, err := finders[i/2%2].FindNSM(context.Background(), name, qclass.HRPCBinding); err != nil {
 					errs <- fmt.Errorf("worker %d: %w", i, err)
 					return
 				}

@@ -31,6 +31,18 @@ var addProc = Procedure{
 	Style: marshal.StyleGenerated,
 }
 
+// rosterType nests shapes: a list of structs, bytes, and an empty struct.
+var rosterType = marshal.TStruct(
+	marshal.TList(marshal.TStruct(marshal.TString, marshal.TUint32, marshal.TBool)),
+	marshal.TBytes, marshal.TStruct())
+
+var rosterProc = Procedure{
+	Name: "EchoRoster", ID: 3,
+	Args:  rosterType,
+	Ret:   rosterType,
+	Style: marshal.StyleGenerated,
+}
+
 func newEchoServer(t *testing.T, net *transport.Network, suite Suite, host, addr string) (Binding, func()) {
 	t.Helper()
 	s := NewServer("echo@"+host, 7001, 1)
@@ -45,6 +57,9 @@ func newEchoServer(t *testing.T, net *transport.Network, suite Suite, host, addr
 		a, _ := args.Items[0].AsU32()
 		b, _ := args.Items[1].AsU32()
 		return marshal.StructV(marshal.U32(a + b)), nil
+	})
+	s.Register(rosterProc, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
+		return args, nil
 	})
 	ln, b, err := Serve(net, s, suite, host, addr)
 	if err != nil {
@@ -95,6 +110,22 @@ func TestCallAllSuites(t *testing.T) {
 			if n, _ := ret.Items[0].AsU32(); n != 42 {
 				t.Fatalf("add = %d", n)
 			}
+
+			t.Run("nested", func(t *testing.T) {
+				roster := marshal.StructV(
+					marshal.ListV(
+						marshal.StructV(marshal.Str("schwartz"), marshal.U32(29), marshal.BoolV(true)),
+						marshal.StructV(marshal.Str("notkin"), marshal.U32(32), marshal.BoolV(false))),
+					marshal.BytesV([]byte{0xde, 0xad, 0xbe, 0xef, 0x01}),
+					marshal.StructV())
+				ret, err := c.Call(context.Background(), b, rosterProc, roster)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !marshal.Equal(ret, roster) {
+					t.Fatalf("roster echo = %v, want %v", ret, roster)
+				}
+			})
 		})
 	}
 }

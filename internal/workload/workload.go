@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hns/internal/bind"
@@ -67,8 +65,7 @@ func (s Spec) Validate() error {
 // Placement selects where the population's HNS lives.
 type Placement int
 
-// The placements equation (1) compares, plus the concurrency tier's
-// shared-local arrangement.
+// The placements equation (1) compares, plus a shared-local arrangement.
 const (
 	// LocalHNS links a private HNS (and cache) into every client.
 	LocalHNS Placement = iota
@@ -140,9 +137,8 @@ func draw(spec Spec, client int) []int {
 }
 
 // Draw exposes a client's deterministic operation stream: the context
-// index of each of its OpsPerClient FindNSM calls. Run and RunConcurrent
-// both consume exactly this stream — a schedule decides *when* a client's
-// ops execute, never *what* the client asks for.
+// index of each of its OpsPerClient FindNSM calls. Run consumes exactly
+// this stream.
 func (s Spec) Draw(client int) []int { return draw(s, client) }
 
 // Run executes the population under the given placement. The world must
@@ -225,121 +221,4 @@ func Compare(ctx context.Context, w *world.World, spec Spec) (local, shared Resu
 	}
 	shared, err = Run(ctx, w, spec, SharedRemoteHNS)
 	return local, shared, err
-}
-
-// ConcurrentResult is Result plus wall-clock throughput: the numbers the
-// paper could not measure (one MicroVAX, one caller at a time) but a
-// server front-ending many clients lives by.
-type ConcurrentResult struct {
-	Result
-	// Wall is the real elapsed time for the whole population.
-	Wall time.Duration
-	// OpsPerSec is Ops / Wall — aggregate real throughput.
-	OpsPerSec float64
-}
-
-// RunConcurrent executes the population with every client on its own
-// goroutine — the mixed warm/cold many-client workload of the parallel
-// benchmark tier. Cost and hit-rate accounting match Run: simulated cost
-// still accumulates per operation (each client carries its own meter), so
-// MeanOpCost remains comparable to the sequential runner; Wall and
-// OpsPerSec add the real-time dimension. The operation streams are the
-// same deterministic per-(seed, client) draws Run uses, though interleaving
-// makes the aggregate hit rate schedule-dependent for shared placements.
-func RunConcurrent(ctx context.Context, w *world.World, spec Spec, placement Placement) (ConcurrentResult, error) {
-	if err := spec.Validate(); err != nil {
-		return ConcurrentResult{}, err
-	}
-	res := ConcurrentResult{Result: Result{Placement: placement}}
-
-	var instances []*core.HNS
-	var finderFor func(client int) (core.Finder, error)
-	switch placement {
-	case LocalHNS:
-		finderFor = func(int) (core.Finder, error) {
-			h := w.NewHNS(core.Config{CacheMode: bind.CacheMarshalled})
-			instances = append(instances, h)
-			return h, nil
-		}
-	case SharedRemoteHNS:
-		shared := w.NewHNS(core.Config{CacheMode: bind.CacheMarshalled})
-		instances = append(instances, shared)
-		ln, b, err := core.ServeHNS(w.Net, shared, "beaver", fmt.Sprintf("beaver:hns-wlc-%d", spec.Seed))
-		if err != nil {
-			return ConcurrentResult{}, err
-		}
-		defer ln.Close()
-		remote := core.NewRemoteHNS(w.RPC, b)
-		finderFor = func(int) (core.Finder, error) { return remote, nil }
-	case SharedLocalHNS:
-		shared := w.NewHNS(core.Config{CacheMode: bind.CacheMarshalled})
-		instances = append(instances, shared)
-		finderFor = func(int) (core.Finder, error) { return shared, nil }
-	default:
-		return ConcurrentResult{}, fmt.Errorf("workload: unknown placement %d", placement)
-	}
-
-	// Finders and operation streams are created sequentially (instance
-	// bookkeeping is not locked, and precomputing the draws pins the
-	// per-(seed, client) sequences before any goroutine runs); only the
-	// operation streams execute concurrently.
-	finders := make([]core.Finder, spec.Clients)
-	streams := make([][]int, spec.Clients)
-	for client := range finders {
-		f, err := finderFor(client)
-		if err != nil {
-			return ConcurrentResult{}, err
-		}
-		finders[client] = f
-		streams[client] = draw(spec, client)
-	}
-
-	var (
-		wg        sync.WaitGroup
-		totalCost atomic.Int64
-		firstErr  atomic.Value
-	)
-	start := time.Now()
-	for client := 0; client < spec.Clients; client++ {
-		wg.Add(1)
-		go func(client int) {
-			defer wg.Done()
-			for _, ctxIdx := range streams[client] {
-				name := names.Must(world.SyntheticContext(ctxIdx), world.SyntheticHost(ctxIdx))
-				cost, err := simtime.Measure(ctx, func(ctx context.Context) error {
-					_, err := finders[client].FindNSM(ctx, name, qclass.HostAddress)
-					return err
-				})
-				if err != nil {
-					firstErr.CompareAndSwap(nil, fmt.Errorf("workload: client %d ctx %d: %w", client, ctxIdx, err))
-					return
-				}
-				totalCost.Add(int64(cost))
-			}
-		}(client)
-	}
-	wg.Wait()
-	res.Wall = time.Since(start)
-	if err, ok := firstErr.Load().(error); ok && err != nil {
-		return ConcurrentResult{}, err
-	}
-
-	res.Ops = spec.Clients * spec.OpsPerClient
-	res.TotalCost = time.Duration(totalCost.Load())
-	var hits, misses int64
-	for _, h := range instances {
-		st := h.Stats()
-		hits += st.Cache.Hits
-		misses += st.Cache.Misses
-	}
-	if hits+misses > 0 {
-		res.HitRate = float64(hits) / float64(hits+misses)
-	}
-	if res.Ops > 0 {
-		res.MeanOpCost = res.TotalCost / time.Duration(res.Ops)
-	}
-	if res.Wall > 0 {
-		res.OpsPerSec = float64(res.Ops) / res.Wall.Seconds()
-	}
-	return res, nil
 }

@@ -139,37 +139,8 @@ func TestUniformVsSkewed(t *testing.T) {
 	}
 }
 
-// TestRunConcurrent exercises every placement with all clients live at
-// once — run under -race this is the end-to-end data-race check for the
-// sharded cache, singleflight, and the HRPC transport.
-func TestRunConcurrent(t *testing.T) {
-	w := newWorkloadWorld(t, 6)
-	spec := workload.Spec{Clients: 8, OpsPerClient: 6, Contexts: 6, Skew: 1.3, Seed: 19}
-	ctx := context.Background()
-	for _, placement := range []workload.Placement{
-		workload.LocalHNS, workload.SharedRemoteHNS, workload.SharedLocalHNS,
-	} {
-		res, err := workload.RunConcurrent(ctx, w, spec, placement)
-		if err != nil {
-			t.Fatalf("%v: %v", placement, err)
-		}
-		if res.Ops != spec.Clients*spec.OpsPerClient {
-			t.Fatalf("%v: Ops = %d, want %d", placement, res.Ops, spec.Clients*spec.OpsPerClient)
-		}
-		if res.Wall <= 0 || res.OpsPerSec <= 0 {
-			t.Fatalf("%v: wall %v ops/sec %.1f", placement, res.Wall, res.OpsPerSec)
-		}
-		if res.TotalCost <= 0 || res.MeanOpCost <= 0 {
-			t.Fatalf("%v: costs %v/%v", placement, res.TotalCost, res.MeanOpCost)
-		}
-		if res.HitRate < 0 || res.HitRate > 1 {
-			t.Fatalf("%v: hit rate %.2f out of range", placement, res.HitRate)
-		}
-	}
-}
-
-// TestSharedLocalPlacement pins the concurrency tier's placement in the
-// sequential runner too: one in-process cache warmed by every client gives
+// TestSharedLocalPlacement pins the shared-local placement: one
+// in-process cache warmed by every client gives
 // the shared-remote hit rate without the remote-call tax, so it can never
 // cost more per op than shared-remote on the same draw.
 func TestSharedLocalPlacement(t *testing.T) {
@@ -223,80 +194,5 @@ func TestDrawDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("clients 0 and 1 drew identical streams")
-	}
-}
-
-// TestRunConcurrentMatchesRun is the satellite determinism contract: with
-// LocalHNS placement (per-client caches, no shared state to race on),
-// RunConcurrent must produce exactly Run's aggregate numbers regardless of
-// goroutine interleaving, because both execute the same per-(seed, client)
-// streams against isolated caches.
-func TestRunConcurrentMatchesRun(t *testing.T) {
-	w := newWorkloadWorld(t, 6)
-	spec := workload.Spec{Clients: 8, OpsPerClient: 24, Contexts: 6, Skew: 1.3, Seed: 7}
-	ctx := context.Background()
-
-	// Warm the shared HostAddress NSM caches once so both runs below start
-	// from identical world state (the TestRunDeterministic discipline).
-	if _, err := workload.Run(ctx, w, spec, workload.LocalHNS); err != nil {
-		t.Fatal(err)
-	}
-
-	seq, err := workload.Run(ctx, w, spec, workload.LocalHNS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc, err := workload.RunConcurrent(ctx, w, spec, workload.LocalHNS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Ops != conc.Ops {
-		t.Fatalf("ops differ: sequential %d, concurrent %d", seq.Ops, conc.Ops)
-	}
-	if seq.TotalCost != conc.TotalCost {
-		t.Fatalf("total sim cost differs: sequential %v, concurrent %v", seq.TotalCost, conc.TotalCost)
-	}
-	if seq.HitRate != conc.HitRate {
-		t.Fatalf("hit rate differs: sequential %v, concurrent %v", seq.HitRate, conc.HitRate)
-	}
-	if seq.MeanOpCost != conc.MeanOpCost {
-		t.Fatalf("mean op cost differs: sequential %v, concurrent %v", seq.MeanOpCost, conc.MeanOpCost)
-	}
-}
-
-// TestRunConcurrentRepeatable: two concurrent runs with the same Spec
-// produce identical aggregate op counts even for the shared placement —
-// interleaving may shift which client's miss warms the cache, but never
-// how many ops execute. Exact sim totals are NOT asserted here: each
-// RunConcurrent builds a fresh shared meta-cache, so whether an op lands
-// as the leader of a cold miss, a coalesced waiter (charged the replayed
-// miss cost), or a later hit depends on goroutine interleaving once
-// GOMAXPROCS > 1. The cost-determinism contract lives in
-// TestRunConcurrentMatchesRun, whose LocalHNS placement has no shared
-// state for the schedule to race on.
-func TestRunConcurrentRepeatable(t *testing.T) {
-	w := newWorkloadWorld(t, 6)
-	spec := workload.Spec{Clients: 8, OpsPerClient: 24, Contexts: 6, Skew: 1.3, Seed: 7}
-	ctx := context.Background()
-
-	if _, err := workload.Run(ctx, w, spec, workload.SharedLocalHNS); err != nil {
-		t.Fatal(err) // warm shared NSM caches
-	}
-	a, err := workload.RunConcurrent(ctx, w, spec, workload.SharedLocalHNS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := workload.RunConcurrent(ctx, w, spec, workload.SharedLocalHNS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Ops != b.Ops {
-		t.Fatalf("aggregate op counts differ: %d vs %d", a.Ops, b.Ops)
-	}
-	if a.Ops != spec.Clients*spec.OpsPerClient {
-		t.Fatalf("ops = %d, want %d", a.Ops, spec.Clients*spec.OpsPerClient)
-	}
-	if a.TotalCost <= 0 || b.TotalCost <= 0 {
-		t.Fatalf("sim totals not accounted: %v vs %v", a.TotalCost, b.TotalCost)
 	}
 }
