@@ -144,7 +144,6 @@ func main() {
 			log.Fatal("bindd: -secondary mirrors exactly one -zone")
 		}
 		rpc := hrpc.NewClient(net)
-		rpc.FreshConn = true
 		defer rpc.Close()
 		primary := bind.NewHRPCClient(rpc,
 			hrpc.SuiteRawNet.Bind(*secAddr, *secAddr, bind.HRPCProgram, bind.HRPCVersion))

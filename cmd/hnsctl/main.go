@@ -98,9 +98,7 @@ type env struct {
 
 // metaClient opens the meta-BIND's HRPC interface.
 func (e *env) metaClient(addr string) *bind.HRPCClient {
-	c := hrpc.NewClient(e.net)
-	c.FreshConn = true
-	return bind.NewHRPCClient(c,
+	return bind.NewHRPCClient(hrpc.NewClient(e.net),
 		hrpc.SuiteRawNet.Bind(addr, addr, bind.HRPCProgram, bind.HRPCVersion))
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"hns/internal/hrpc"
 	"hns/internal/metrics"
@@ -408,9 +407,7 @@ func TestDurablePrimaryRestartKeepsHistory(t *testing.T) {
 	if err := srv.LoadRecords(seed); err != nil {
 		t.Fatal(err)
 	}
-	hc := hrpc.NewClient(net)
-	defer hc.Close()
-	client := NewHRPCClient(hc, b)
+	client, dials := countDials(t, net, b)
 	sec, err := NewSecondary(client, "repl.test", "mirror")
 	if err != nil {
 		t.Fatal(err)
@@ -427,7 +424,6 @@ func TestDurablePrimaryRestartKeepsHistory(t *testing.T) {
 		Zone:     "repl.test",
 		OnNotify: rec.onNotify,
 		OnReset:  rec.onReset,
-		Backoff:  5 * time.Millisecond,
 		Metrics:  reg,
 	})
 	sub.Start()
@@ -441,9 +437,7 @@ func TestDurablePrimaryRestartKeepsHistory(t *testing.T) {
 	// The primary goes dark to the subscriber, takes n updates, and dies
 	// without a checkpoint or a Close.
 	ln.Close()
-	sub.mu.Lock()
-	sub.conn.Close()
-	sub.mu.Unlock()
+	dials.kill(t)
 	waitFor(t, "subscription inactive", sub, func() bool { return !sub.Active() })
 	for i := 0; i < n; i++ {
 		if _, _, err := srv.Update(ctx, "repl.test", UpdateAdd, A(fmt.Sprintf("u%d.repl.test", i), "9", 60)); err != nil {

@@ -209,7 +209,7 @@ func (s *Server) registerPush(hs *hrpc.Server) {
 		}
 		pusher, ok := transport.PusherFrom(ctx)
 		if !ok {
-			// Legacy framing or a datagram transport: no push channel.
+			// A datagram transport: no push channel.
 			return marshal.Value{}, ErrSubscribeUnsupported
 		}
 		if _, ok := tab.Add(push.Subscription{Zone: z.Origin(), Names: names}, pusher); !ok {

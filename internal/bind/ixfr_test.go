@@ -536,7 +536,6 @@ func TestSubscribeDeliversNotify(t *testing.T) {
 	sub := NewSubscriber(client, SubscribeConfig{
 		Zone:     "repl.test",
 		OnNotify: rec.onNotify,
-		Backoff:  10 * time.Millisecond,
 		Metrics:  metrics.Discard,
 	})
 	sub.Start()
@@ -681,13 +680,13 @@ func TestPushVsPollFetchClosedForms(t *testing.T) {
 // is dark, and verify the resubscribe-with-serial IXFR replays every
 // missed invalidation — zero lost, none duplicated.
 func TestSubscribeResubscribeCatchUp(t *testing.T) {
-	s, client, _ := newPushPrimary(t)
+	s, client, net := newPushPrimary(t)
+	client, dials := countDials(t, net, client.b)
 	rec := &notifyRecorder{}
 	sub := NewSubscriber(client, SubscribeConfig{
 		Zone:     "repl.test",
 		OnNotify: rec.onNotify,
 		OnReset:  rec.onReset,
-		Backoff:  5 * time.Millisecond,
 		Metrics:  metrics.Discard,
 	})
 	sub.Start()
@@ -701,13 +700,7 @@ func TestSubscribeResubscribeCatchUp(t *testing.T) {
 	waitFor(t, "live notify", rec, func() bool { return len(rec.snapshot()) >= 1 })
 
 	// Kill the mux conn mid-stream.
-	sub.mu.Lock()
-	conn := sub.conn
-	sub.mu.Unlock()
-	if conn == nil {
-		t.Fatal("no live conn to kill")
-	}
-	conn.Close()
+	dials.kill(t)
 	waitFor(t, "subscription inactive", sub, func() bool { return !sub.Active() })
 
 	// Three updates land while the subscriber is dark.
@@ -749,23 +742,20 @@ func TestSubscribeResubscribeCatchUp(t *testing.T) {
 // history, the subscriber must signal a reset instead of silently missing
 // invalidations.
 func TestSubscribeResetPastWindow(t *testing.T) {
-	s, client, _ := newPushPrimary(t)
+	s, client, net := newPushPrimary(t)
+	client, dials := countDials(t, net, client.b)
 	rec := &notifyRecorder{}
 	sub := NewSubscriber(client, SubscribeConfig{
 		Zone:     "repl.test",
 		OnNotify: rec.onNotify,
 		OnReset:  rec.onReset,
-		Backoff:  5 * time.Millisecond,
 		Metrics:  metrics.Discard,
 	})
 	sub.Start()
 	defer sub.Close()
 	waitFor(t, "subscription active", sub, sub.Active)
 
-	sub.mu.Lock()
-	conn := sub.conn
-	sub.mu.Unlock()
-	conn.Close()
+	dials.kill(t)
 	waitFor(t, "subscription inactive", sub, func() bool { return !sub.Active() })
 
 	pastHistory(t, s, "o")
@@ -782,7 +772,6 @@ func TestSubscribeDegradesWithoutPushPlane(t *testing.T) {
 	_, client, _ := newPrimary(t) // no EnablePush
 	sub := NewSubscriber(client, SubscribeConfig{
 		Zone:    "repl.test",
-		Backoff: 5 * time.Millisecond,
 		Metrics: metrics.Discard,
 	})
 	sub.Start()
@@ -801,7 +790,6 @@ func TestTableOverflowDegradesSubscriber(t *testing.T) {
 	s.EnablePush(1)
 	first := NewSubscriber(client, SubscribeConfig{
 		Zone:    "repl.test",
-		Backoff: 5 * time.Millisecond,
 		Metrics: metrics.Discard,
 	})
 	first.Start()
@@ -810,7 +798,6 @@ func TestTableOverflowDegradesSubscriber(t *testing.T) {
 
 	second := NewSubscriber(client, SubscribeConfig{
 		Zone:    "repl.test",
-		Backoff: 5 * time.Millisecond,
 		Metrics: metrics.Discard,
 	})
 	second.Start()
@@ -952,7 +939,6 @@ func TestSecondaryRepublishesAndChains(t *testing.T) {
 	sub := NewSubscriber(fromA, SubscribeConfig{
 		Zone:     "repl.test",
 		OnNotify: rec.onNotify,
-		Backoff:  5 * time.Millisecond,
 		Metrics:  metrics.Discard,
 	})
 	sub.Start()

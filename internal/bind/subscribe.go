@@ -3,14 +3,13 @@ package bind
 // Client side of the push-invalidation plane: the incremental-transfer
 // call and the Subscriber state machine.
 //
-// A Subscriber owns one dedicated connection (hrpc.StickyConn) to the
-// authoritative server. It registers interest in a zone (optionally a
-// name set), then sits on the connection's push channel: every
-// transaction the server applies arrives as one NOTIFY frame, decoded and
-// handed to OnNotify — typically a cache-invalidation hook. When the
-// connection dies it redials and resubscribes *with the last serial it
-// saw*; the server's reply serial reveals whether updates were missed
-// while disconnected, and the gap is closed by an IXFR catch-up that
+// A Subscriber is a registration on its hrpc.Client (Listen), not a
+// connection of its own: it subscribes to a zone (optionally a name set)
+// over the endpoint's one shared connection and hands each NOTIFY frame
+// its subscription matches, one per transaction, to OnNotify — typically
+// a cache-invalidation hook. When that connection dies it resubscribes at
+// once *with the last serial it saw*; the server's reply serial reveals
+// whether updates were missed while disconnected, and an IXFR catch-up
 // replays exactly the missed transactions as synthetic notifications. If
 // the zone's history cannot cover the gap, OnReset fires instead — the
 // consumer must treat everything it cached as suspect.
@@ -33,6 +32,7 @@ import (
 	"hns/internal/metrics"
 	"hns/internal/push"
 	"hns/internal/simtime"
+	"hns/internal/transport"
 )
 
 // TransferDelta asks the server for the zone's changes since serial
@@ -86,10 +86,6 @@ type SubscribeConfig struct {
 	// replay the gap, so anything cached from this zone is suspect.
 	// Optional; when nil a reset simply resumes from the new serial.
 	OnReset func()
-	// Backoff is the wait between redial attempts after a connection
-	// death (default 500ms). Real time, not simulated: connection
-	// maintenance is a background activity, priced to no caller.
-	Backoff time.Duration
 	// Metrics receives the push_client_* counters (default
 	// metrics.Default()).
 	Metrics *metrics.Registry
@@ -97,8 +93,9 @@ type SubscribeConfig struct {
 
 // Subscriber maintains one push subscription across connection deaths.
 type Subscriber struct {
-	c   *HRPCClient
-	cfg SubscribeConfig
+	c      *HRPCClient
+	cfg    SubscribeConfig
+	filter push.Subscription // as the server holds it: the frames that are this subscription's
 
 	notified   *metrics.Counter // push_client_notify_total
 	resubs     *metrics.Counter // push_client_resubscribe_total
@@ -106,15 +103,18 @@ type Subscriber struct {
 	resets     *metrics.Counter // push_client_resets_total
 	degradedCt *metrics.Counter // push_client_degraded_total
 
+	// ctx, meterless (upkeep bills no caller), carries the calls; Close cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+
 	mu         sync.Mutex
 	lastSerial uint32
 	active     bool
 	degraded   bool
-	conn       *hrpc.StickyConn
-	closed     bool
-	changed    chan struct{} // closed when active, degraded or lastSerial moves; nil until a waiter asks
-
-	wg sync.WaitGroup
+	held       []push.Notification // frames heard while not active: a subscribe and its catch-up run
+	floor      uint32              // the serial the latest subscribe and its catch-up covered
+	changed    chan struct{}       // closed when active, degraded or lastSerial moves; nil until a waiter asks
 }
 
 // errDegrade marks conditions under which the subscriber permanently
@@ -125,21 +125,26 @@ var errDegrade = errors.New("bind: push unavailable, degrading to poll")
 // to begin; the zero value of lastSerial means "no history" — the first
 // successful subscribe adopts the server's serial without catch-up.
 func NewSubscriber(c *HRPCClient, cfg SubscribeConfig) *Subscriber {
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 500 * time.Millisecond
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.Default()
 	}
+	if cfg.OnNotify == nil {
+		cfg.OnNotify = func(push.Notification) {}
+	}
+	zone, _ := CanonicalName(cfg.Zone) // a name the server refuses matches nothing
 	r := cfg.Metrics
+	ctx, cancel := context.WithCancel(context.Background())
 	return &Subscriber{
 		c:          c,
 		cfg:        cfg,
+		filter:     push.Subscription{Zone: zone, Names: cfg.Names},
 		notified:   r.Counter("push_client_notify_total"),
 		resubs:     r.Counter("push_client_resubscribe_total"),
 		caughtUp:   r.Counter("push_client_catchup_records_total"),
 		resets:     r.Counter("push_client_resets_total"),
 		degradedCt: r.Counter("push_client_degraded_total"),
+		ctx:        ctx,
+		cancel:     cancel,
 	}
 }
 
@@ -150,16 +155,11 @@ func (s *Subscriber) Start() {
 	go s.run()
 }
 
-// Close tears the subscription down and waits for the loop to exit.
+// Close stops delivery and waits for the loop to exit. The connection is
+// the client's and stays open, so the server holds the subscription until
+// it closes; what it pushes meanwhile is dropped here.
 func (s *Subscriber) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	conn := s.conn
-	s.conn = nil
-	s.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
+	s.cancel()
 	s.wg.Wait()
 	return nil
 }
@@ -200,162 +200,160 @@ func (s *Subscriber) Changed() <-chan struct{} {
 	return s.changed
 }
 
-// changedLocked wakes the Changed waiters; s.mu must be held.
-func (s *Subscriber) changedLocked() {
+// set applies change under s.mu and wakes the Changed waiters.
+func (s *Subscriber) set(change func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	change()
 	if s.changed != nil {
 		close(s.changed)
 		s.changed = nil
 	}
 }
 
-// advance raises LastSerial to serial.
-func (s *Subscriber) advance(serial uint32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if serial > s.lastSerial {
-		s.lastSerial = serial
-		s.changedLocked()
-	}
-}
-
-func (s *Subscriber) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
+// run keeps the subscription standing until Close: it subscribes, rides
+// the subscription until its connection dies, and subscribes again at
+// once; a failed attempt first waits out hrpc's retransmission schedule.
 func (s *Subscriber) run() {
 	defer s.wg.Done()
-	for !s.isClosed() {
-		err := s.session()
-		if errors.Is(err, errDegrade) {
-			s.mu.Lock()
-			s.degraded = true
-			s.changedLocked()
-			s.mu.Unlock()
+	defer s.set(func() { s.active = false })
+	wait := simtime.RetransmitTimeout
+	for {
+		died, stop, err := s.subscribe()
+		switch {
+		case err == nil:
+			wait = simtime.RetransmitTimeout
+			select {
+			case <-died:
+				stop() // the death may be a failed attempt's, not this registration's
+				s.set(func() { s.active = false })
+				continue
+			case <-s.ctx.Done():
+				stop()
+				return
+			}
+		case errors.Is(err, errDegrade):
+			s.set(func() { s.degraded = true })
 			s.degradedCt.Inc()
 			return
+		case err == transport.ErrClosed:
+			return // the client is closed: there is nothing to ride
 		}
-		if s.isClosed() {
+		select {
+		case <-time.After(wait):
+		case <-s.ctx.Done():
 			return
 		}
-		_ = err // transient: dial failure or conn death; retry after backoff
-		time.Sleep(s.cfg.Backoff)
+		wait = min(2*wait, 4*simtime.RetransmitTimeout)
 	}
 }
 
-// session runs one subscription lifetime: dial, subscribe, catch up,
-// then block until the connection dies or the Subscriber closes.
-func (s *Subscriber) session() error {
-	// Subscription upkeep is background work: no caller's meter rides
-	// this context, so nobody's bill moves.
-	ctx := context.Background()
-	sc, err := s.c.c.DialSticky(ctx, s.c.b)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		sc.Close()
-		return nil
-	}
-	s.conn = sc
-	s.mu.Unlock()
-
-	died := make(chan struct{})
-	var dieOnce sync.Once
-	ok := sc.SetPushHandler(func(body []byte, perr error) {
-		if perr != nil {
-			dieOnce.Do(func() { close(died) })
-			return
-		}
-		n, derr := push.DecodeNotification(body)
-		if derr != nil {
-			return // malformed frame: ignore, polling still bounds staleness
-		}
-		if s.cfg.OnNotify != nil {
-			s.cfg.OnNotify(n)
-		}
-		// The serial advances only after OnNotify returns, so LastSerial
-		// is a processed watermark: once it reaches serial S, every
-		// invalidation up to S has been applied, not merely received.
-		s.advance(n.Serial)
-		s.notified.Inc()
-	})
-	if !ok {
-		sc.Close()
-		return fmt.Errorf("%w: connection cannot receive pushes", errDegrade)
-	}
-
-	s.mu.Lock()
-	since := s.lastSerial
-	s.mu.Unlock()
-	ret, err := sc.Call(ctx, procSubscribe, marshal.StructV(
+// subscribe registers the subscription from the last serial seen, over
+// the client's shared connection, and catches up on what the server
+// applied since. died hears the death of that connection; stop withdraws
+// the registration.
+func (s *Subscriber) subscribe() (died <-chan struct{}, stop func(), err error) {
+	var since uint32
+	s.set(func() { since, s.held = s.lastSerial, nil })
+	death := make(chan struct{})
+	die := sync.OnceFunc(func() { close(death) }) // a retried attempt's connection may die too
+	ret, stop, err := s.c.c.Listen(s.ctx, s.c.b, procSubscribe, marshal.StructV(
 		marshal.Str(s.cfg.Zone), namesToList(s.cfg.Names), marshal.U32(since),
-	))
-	if err != nil {
-		sc.Close()
-		var rf *hrpc.RemoteFault
-		if errors.As(err, &rf) {
-			// Unsupported, refused, or table full: the server answered and
-			// said no. Stop asking.
-			return fmt.Errorf("%w: %v", errDegrade, err)
+	), func(body []byte, err error) {
+		if err != nil {
+			die()
+		} else {
+			s.hear(body)
 		}
-		return err // transport trouble: retry
+	})
+	var rf *hrpc.RemoteFault
+	if errors.As(err, &rf) || errors.Is(err, errors.ErrUnsupported) {
+		// Unsupported, refused, or table full: the server answered and
+		// said no; or the connection has no push channel. Stop asking.
+		return nil, nil, fmt.Errorf("%w: %v", errDegrade, err)
+	}
+	if err != nil {
+		return nil, nil, err // transport trouble, or transport.ErrClosed
 	}
 	rcode, _ := ret.Items[0].AsU32()
 	serial, _ := ret.Items[1].AsU32()
 	if RCode(rcode) != RCodeOK {
-		sc.Close()
-		return fmt.Errorf("%w: subscribe rcode %s", errDegrade, RCode(rcode))
+		stop()
+		return nil, nil, fmt.Errorf("%w: subscribe rcode %s", errDegrade, RCode(rcode))
 	}
 	s.resubs.Inc()
-
 	if since != 0 && serial != since {
-		s.catchUp(ctx, since, serial)
-	} else {
-		s.advance(serial)
+		serial = s.catchUp(since, serial)
 	}
+	s.set(func() { s.floor, s.lastSerial = serial, max(s.lastSerial, serial) })
+	// Frames heard meanwhile were held back; those the catch-up did not
+	// cover go out now, in order.
+	for {
+		var held []push.Notification
+		s.set(func() { held, s.held, s.active = s.held, nil, s.held == nil })
+		if held == nil {
+			return death, stop, nil
+		}
+		for _, n := range held {
+			if n.Serial > serial {
+				s.deliver(n)
+			}
+		}
+	}
+}
 
+// hear takes a frame pushed on the shared connection: it is this
+// subscription's only if it matches, waits in held until active, and is
+// dropped if already covered (a transaction's frame can trail its replay).
+func (s *Subscriber) hear(body []byte) {
+	n, err := push.DecodeNotification(body)
+	if err != nil || !s.filter.Matches(n.Zone, n.Names) {
+		return // malformed, or another subscription's: polling still bounds staleness
+	}
 	s.mu.Lock()
-	s.active = true
-	s.changedLocked()
-	s.mu.Unlock()
-	<-died
-	s.mu.Lock()
-	s.active = false
-	s.changedLocked()
-	if s.conn == sc {
-		s.conn = nil
+	live, covered := s.active, n.Serial <= s.floor
+	if !live {
+		s.held = append(s.held, n)
 	}
 	s.mu.Unlock()
-	sc.Close()
-	return nil
+	if live && !covered {
+		s.deliver(n)
+	}
+}
+
+// deliver hands n to OnNotify. The serial advances only after OnNotify
+// returns, so LastSerial is a processed watermark: once it reaches serial
+// S, every invalidation up to S has been applied, not merely received.
+func (s *Subscriber) deliver(n push.Notification) {
+	s.cfg.OnNotify(n)
+	s.set(func() { s.lastSerial = max(s.lastSerial, n.Serial) })
+	s.notified.Inc()
 }
 
 // catchUp closes the gap between since and the server's serial by
-// replaying the missed mutations as synthetic notifications — the
-// "resubscribe with serial" path that guarantees zero missed
-// invalidations across a connection death.
-func (s *Subscriber) catchUp(ctx context.Context, since, serial uint32) {
-	gotSerial, diffs, ok, err := s.c.TransferDelta(ctx, s.cfg.Zone, since)
+// replaying the missed mutations this subscription matches as synthetic
+// notifications — the "resubscribe with serial" path that guarantees zero
+// missed invalidations across a connection death. It returns the serial
+// the replay reached.
+func (s *Subscriber) catchUp(since, serial uint32) uint32 {
+	gotSerial, diffs, ok, err := s.c.TransferDelta(s.ctx, s.cfg.Zone, since)
 	if err != nil || !ok {
 		// Older than the history (or IXFR unusable): continuity is lost.
 		s.resets.Inc()
 		if s.cfg.OnReset != nil {
 			s.cfg.OnReset()
 		}
-		s.advance(serial)
-		return
+		return serial
 	}
 	for _, d := range diffs {
-		s.caughtUp.Inc()
-		if s.cfg.OnNotify != nil {
-			s.cfg.OnNotify(push.Notification{Zone: s.cfg.Zone, Names: opNames(d.Ops), Serial: d.Serial})
+		n := push.Notification{Zone: s.filter.Zone, Names: opNames(d.Ops), Serial: d.Serial}
+		if !s.filter.Matches(n.Zone, n.Names) {
+			continue
 		}
+		s.caughtUp.Inc()
+		s.cfg.OnNotify(n)
 	}
-	s.advance(gotSerial)
+	return gotSerial
 }
 
 // namesToList marshals a name set for the Subscribe call.

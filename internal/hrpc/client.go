@@ -26,10 +26,10 @@ type Client struct {
 	xid atomic.Uint32
 
 	// FreshConn, when set, makes every call dial (and close) its own
-	// connection instead of using the cache. The Raw protocol suite of
-	// the era worked this way — one request/response exchange per
-	// connection — and the HNS's interface to its meta-BIND pays the
-	// resulting per-call setup cost. Set before first use.
+	// connection instead of using the cache, one exchange per connection
+	// as the era's Raw suite did. The paper path's meta-BIND interface and
+	// the bench ladder's fresh-dial rung pay that per-call setup cost;
+	// Listen ignores it. Set before first use.
 	FreshConn bool
 
 	// Metrics receives the client's hrpc_client_* series. Nil means the
@@ -49,6 +49,7 @@ type Client struct {
 
 	mu        sync.Mutex
 	endpoints map[string]*endpoint
+	closed    bool // set by Close: Listen fails afterwards
 
 	// brokenSeen records, per endpoint, the newest broken-connection ID
 	// already charged to its breaker: a multiplexed connection dying with
@@ -139,10 +140,6 @@ func NewClient(net *transport.Network) *Client {
 	return &Client{net: net, endpoints: make(map[string]*endpoint)}
 }
 
-// Network exposes the client's network (for components that dial
-// directly).
-func (c *Client) Network() *transport.Network { return c.net }
-
 // RemoteFault is an application-level error returned by the remote
 // procedure, as distinguished from a transport or protocol failure.
 type RemoteFault struct {
@@ -158,7 +155,41 @@ func (e *RemoteFault) Error() string { return fmt.Sprintf("hrpc: %s: %s", e.Proc
 // simulated costs on the call path are charged to the meter in ctx. A
 // budget in ctx (WithBudget, else its deadline) travels with every
 // attempt on the raw suite; see deadline.go.
-func (c *Client) Call(ctx context.Context, b Binding, p Procedure, args marshal.Value) (_ marshal.Value, err error) {
+func (c *Client) Call(ctx context.Context, b Binding, p Procedure, args marshal.Value) (marshal.Value, error) {
+	return c.call(ctx, b, p, args, nil)
+}
+
+// Listen places a call like Call, but over the endpoint's one cached
+// connection even on a FreshConn client, and keeps fn registered on the
+// connection that answered: fn hears each frame the server pushes there
+// (from before Listen returns), then once (nil, err) when it dies. fn
+// runs on the connection's reader and must not block. stop ends delivery
+// but leaves the connection, and what the call registered at the server,
+// in place. A connection that cannot carry pushes fails the call with
+// errors.ErrUnsupported; a closed client with transport.ErrClosed itself.
+func (c *Client) Listen(ctx context.Context, b Binding, p Procedure, args marshal.Value, fn func(body []byte, err error)) (ret marshal.Value, stop func(), err error) {
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		return marshal.Value{}, nil, transport.ErrClosed
+	}
+	l := &listener{fn: fn}
+	ret, err = c.call(ctx, b, p, args, l)
+	if err == nil && !l.ln.pushes {
+		err = fmt.Errorf("hrpc: %s to %s: connection cannot receive pushes: %w", p.Name, b.Addr, errors.ErrUnsupported)
+	}
+	if err != nil {
+		if l.ln != nil {
+			l.stop() // the exchange went through, but to no avail
+		}
+		return marshal.Value{}, nil, err
+	}
+	return ret, l.stop, nil
+}
+
+// call is Call with l, when set, registered where the call is answered.
+func (c *Client) call(ctx context.Context, b Binding, p Procedure, args marshal.Value, l *listener) (_ marshal.Value, err error) {
 	reg := c.registry()
 	if reg.Enabled() {
 		reg.Counter(metrics.Labels("hrpc_client_calls_total", "proc", p.Name)).Inc()
@@ -191,11 +222,13 @@ func (c *Client) Call(ctx context.Context, b Binding, p Procedure, args marshal.
 	// Both the marshalled arguments and the call frame build in pooled
 	// buffers, recycled once the reply is fully decoded (a handler on the
 	// in-process transport may return bytes aliasing its request).
-	argBytes, err := marshalArgs(ctx, ctl, rep, p, args)
+	simtime.Charge(ctx, ctl.Overhead())
+	argBytes, err := rep.Append(bufpool.Get(64), args, p.Args)
 	if err != nil {
-		return marshal.Value{}, err
+		return marshal.Value{}, fmt.Errorf("hrpc: %s: marshal args: %w", p.Name, err)
 	}
 	defer bufpool.Put(argBytes)
+	marshal.ChargeValue(ctx, p.Style, args)
 	h := CallHeader{XID: c.xid.Add(1), Program: b.Program, Version: b.Version, Procedure: p.ID}
 	frame, err := appendCall(ctl, bufpool.Get(48+len(argBytes)), h, argBytes)
 	if err != nil {
@@ -210,48 +243,23 @@ func (c *Client) Call(ctx context.Context, b Binding, p Procedure, args marshal.
 			return ctl.EncodeCall(h, argBytes)
 		}
 	}
-	respFrame, ep, err := c.roundTrip(ctx, tr, b.Addr, frame, bs)
+	respFrame, ep, err := c.roundTrip(ctx, tr, b.Addr, frame, bs, l)
 	if err != nil {
 		return marshal.Value{}, fmt.Errorf("hrpc: %s to %s: %w", p.Name, b.Addr, err)
 	}
-	ret, err := decodeResult(ctx, ctl, rep, p, respFrame, ep)
-	var bp *BackpressureError
-	if errors.As(err, &bp) {
-		// An Overloaded reply is backpressure, not failure: record the
-		// server's retry-after on the endpoint's breaker (the shared
-		// breaker table IS the per-endpoint backoff state) so the next
-		// call routes around the shedding endpoint without tripping it.
-		c.breakers().Breaker(ep).Backpressure(bp.RetryAfter)
-		reg.Counter(metrics.Labels("hrpc_client_backpressure_total", "addr", ep)).Inc()
-	}
-	return ret, err
-}
-
-// marshalArgs is the client-side stub work before a call: the control
-// protocol's bookkeeping charge, then args marshalled into a pooled
-// buffer the caller recycles.
-func marshalArgs(ctx context.Context, ctl ControlProtocol, rep marshal.DataRep, p Procedure, args marshal.Value) ([]byte, error) {
-	simtime.Charge(ctx, ctl.Overhead())
-	argBytes, err := rep.Append(bufpool.Get(64), args, p.Args)
-	if err != nil {
-		return nil, fmt.Errorf("hrpc: %s: marshal args: %w", p.Name, err)
-	}
-	marshal.ChargeValue(ctx, p.Style, args)
-	return argBytes, nil
-}
-
-// decodeResult is the client-side stub work after a call: it decodes the
-// reply frame, maps a non-OK code to its typed error (*RemoteFault,
-// *BackpressureError or *BudgetExpiredError, attributed to endpoint ep),
-// and unmarshals an OK reply's results.
-func decodeResult(ctx context.Context, ctl ControlProtocol, rep marshal.DataRep, p Procedure, frame []byte, ep string) (marshal.Value, error) {
-	rh, resBytes, err := ctl.DecodeReply(frame)
+	rh, resBytes, err := ctl.DecodeReply(respFrame)
 	if err != nil {
 		return marshal.Value{}, fmt.Errorf("hrpc: %s: %w", p.Name, err)
 	}
 	switch rh.Code {
 	case ReplyOK:
 	case ReplyOverloaded:
+		// An Overloaded reply is backpressure, not failure: record the
+		// server's retry-after on the endpoint's breaker (the shared
+		// breaker table IS the per-endpoint backoff state) so the next
+		// call routes around the shedding endpoint without tripping it.
+		c.breakers().Breaker(ep).Backpressure(rh.RetryAfter)
+		reg.Counter(metrics.Labels("hrpc_client_backpressure_total", "addr", ep)).Inc()
 		return marshal.Value{}, &BackpressureError{Endpoint: ep, Reason: rh.Err, RetryAfter: rh.RetryAfter}
 	case ReplyExpired:
 		return marshal.Value{}, &BudgetExpiredError{Endpoint: ep, Proc: p.Name}
@@ -396,7 +404,7 @@ func (b budgetState) remaining() time.Duration {
 // open breaker) charge nothing. With a single replica and a Budget of
 // n × RetransmitTimeout this charges exactly what a fixed n-retry loop
 // would, so calibrated Table 3.1 costs are reproducible.
-func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr string, frame []byte, bs budgetState) ([]byte, string, error) {
+func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr string, frame []byte, bs budgetState, l *listener) ([]byte, string, error) {
 	reg := c.registry()
 	replicas := c.replicasFor(addr)
 	hs := c.breakers()
@@ -471,7 +479,7 @@ func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr str
 				return nil, "", err
 			}
 		}
-		resp, err := c.sendOnce(ctx, tr, ep, attemptFrame)
+		resp, err := c.sendOnce(ctx, tr, ep, attemptFrame, l)
 		attempts++
 		if err == nil {
 			hs.Breaker(ep).Success()
@@ -541,9 +549,10 @@ func (c *Client) recordFailure(hs *health.Set, ep string, err error) {
 }
 
 // sendOnce performs a single exchange over the endpoint's connection,
-// redialing once if a pre-existing connection has gone stale.
-func (c *Client) sendOnce(ctx context.Context, tr transport.Transport, addr string, frame []byte) ([]byte, error) {
-	if c.FreshConn {
+// redialing once if a pre-existing connection has gone stale. With l set
+// it rides the cached connection even on a FreshConn client.
+func (c *Client) sendOnce(ctx context.Context, tr transport.Transport, addr string, frame []byte, l *listener) ([]byte, error) {
+	if c.FreshConn && l == nil {
 		conn, err := tr.Dial(ctx, addr)
 		if err != nil {
 			return nil, err
@@ -552,11 +561,11 @@ func (c *Client) sendOnce(ctx context.Context, tr transport.Transport, addr stri
 		return conn.Call(ctx, frame)
 	}
 	key := tr.Name() + "!" + addr
-	ep, conn, reused, err := c.acquire(ctx, tr, addr, key)
+	ep, ln, reused, err := c.acquire(ctx, tr, addr, key)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := conn.Call(ctx, frame)
+	resp, err := ln.call(ctx, frame, l)
 	if err == nil {
 		ep.release()
 		return resp, nil
@@ -575,7 +584,7 @@ func (c *Client) sendOnce(ctx context.Context, tr transport.Transport, addr stri
 	// nothing about the socket; the next attempt reuses it).
 	if !reused {
 		if errors.Is(err, transport.ErrConnBroken) {
-			c.discard(ep, conn)
+			c.discard(ep, ln)
 		} else {
 			ep.release()
 		}
@@ -584,24 +593,26 @@ func (c *Client) sendOnce(ctx context.Context, tr transport.Transport, addr stri
 	// A pre-existing connection may simply have gone stale (server
 	// restarted since the last call): retire it and redial once within
 	// the same attempt.
-	c.discard(ep, conn)
-	ep, conn, _, err2 := c.acquire(ctx, tr, addr, key)
+	c.discard(ep, ln)
+	ep, ln, _, err2 := c.acquire(ctx, tr, addr, key)
 	if err2 != nil {
 		return nil, err
 	}
-	resp, err = conn.Call(ctx, frame)
+	resp, err = ln.call(ctx, frame, l)
 	if err == nil || !errors.Is(err, transport.ErrConnBroken) {
 		ep.release()
 	} else {
-		c.discard(ep, conn)
+		c.discard(ep, ln)
 	}
 	return resp, err
 }
 
-// Close closes every endpoint's connection.
+// Close closes every endpoint's connection. A Listen fails on a closed
+// client, so a listener hearing the deaths subscribes nowhere again.
 func (c *Client) Close() error {
 	var first error
 	c.mu.Lock()
+	c.closed = true
 	for _, ep := range c.endpoints {
 		if ep.conn == nil {
 			continue

@@ -134,7 +134,7 @@ func TestPropagatedBudgetClampsRetryExactly(t *testing.T) {
 	m := simtime.From(ctx)
 	bs := budgetState{active: true, total: 100 * time.Millisecond, spent: simtime.Start(ctx)}
 	before := m.Elapsed()
-	_, _, err := e.c.roundTrip(ctx, e.tr, foPrimary, []byte("ping"), bs)
+	_, _, err := e.c.roundTrip(ctx, e.tr, foPrimary, []byte("ping"), bs, nil)
 	if !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("err = %v, want ErrCallTimeout", err)
 	}

@@ -66,7 +66,7 @@ func newFailoverEnv(t *testing.T) *failoverEnv {
 func (e *failoverEnv) call(ctx context.Context) (time.Duration, error) {
 	var callErr error
 	cost, err := simtime.Measure(ctx, func(ctx context.Context) error {
-		_, _, callErr = e.c.roundTrip(ctx, e.tr, foPrimary, []byte("ping"), budgetState{})
+		_, _, callErr = e.c.roundTrip(ctx, e.tr, foPrimary, []byte("ping"), budgetState{}, nil)
 		return nil
 	})
 	if err != nil {

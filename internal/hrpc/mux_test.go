@@ -104,7 +104,7 @@ func TestMuxTeardownOneBreakerFailure(t *testing.T) {
 
 			// Warm-up call: establishes and pools the one connection all
 			// the doomed calls will share.
-			if _, _, err := c.roundTrip(ctx, tr, addr, []byte("warm"), budgetState{}); err != nil {
+			if _, _, err := c.roundTrip(ctx, tr, addr, []byte("warm"), budgetState{}, nil); err != nil {
 				t.Fatalf("warm-up call: %v", err)
 			}
 
@@ -114,7 +114,7 @@ func TestMuxTeardownOneBreakerFailure(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					_, _, errs[i] = c.roundTrip(ctx, tr, addr, []byte("doomed"), budgetState{})
+					_, _, errs[i] = c.roundTrip(ctx, tr, addr, []byte("doomed"), budgetState{}, nil)
 				}(i)
 			}
 			wg.Wait()
@@ -245,7 +245,7 @@ func TestPooledClientSurvivesServerRestart(t *testing.T) {
 			}
 			call := func(step string) {
 				t.Helper()
-				resp, ep, err := c.roundTrip(context.Background(), ct, addr, []byte(step), budgetState{})
+				resp, ep, err := c.roundTrip(context.Background(), ct, addr, []byte(step), budgetState{}, nil)
 				if err != nil || string(resp) != step || ep != addr {
 					t.Fatalf("%s: reply %q from %s, err %v", step, resp, ep, err)
 				}

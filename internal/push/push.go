@@ -32,10 +32,11 @@ type Subscription struct {
 	Names []string // nil/empty: every name in the zone
 }
 
-// matches reports whether a notification for names in zone is covered:
+// Matches reports whether a notification for names in zone is covered:
 // one of names is the subscriber's. Zone-level events (nil names: a
 // serial bump touching the whole zone) reach every subscriber of the zone.
-func (s *Subscription) matches(zone string, names []string) bool {
+// Server and client both filter by it.
+func (s *Subscription) Matches(zone string, names []string) bool {
 	if s.Zone != zone {
 		return false
 	}
@@ -135,31 +136,26 @@ func (t *Table) Len() int {
 	return len(t.subs)
 }
 
-// Publish pushes n to every matching subscriber. The notification is
-// encoded once; a sink whose Push fails is dropped from the table (its
+// Publish pushes n, encoded once, to each sink (connection) carrying a
+// matching subscription, once: the client hands it to its subscriptions
+// there. A subscription whose sink fails the Push is dropped (its
 // connection is gone — the client will resubscribe and catch up by
-// serial). Returns how many subscribers were notified.
+// serial). Returns how many sinks were notified.
 func (t *Table) Publish(n Notification) int {
 	body := EncodeNotification(n)
 	t.mu.Lock()
-	var targets []struct {
-		id   uint64
-		sink transport.Pusher
-	}
+	targets := make(map[transport.Pusher]uint64)
 	for id, e := range t.subs {
-		if e.sub.matches(n.Zone, n.Names) {
-			targets = append(targets, struct {
-				id   uint64
-				sink transport.Pusher
-			}{id, e.sink})
+		if _, dup := targets[e.sink]; !dup && e.sub.Matches(n.Zone, n.Names) {
+			targets[e.sink] = id
 		}
 	}
 	t.mu.Unlock()
 
 	sent := 0
-	for _, tg := range targets {
-		if err := tg.sink.Push(body); err != nil {
-			if t.Remove(tg.id) {
+	for sink, id := range targets {
+		if err := sink.Push(body); err != nil {
+			if t.Remove(id) {
 				t.reg.Counter("push_notify_dropped_total").Inc()
 			}
 			continue

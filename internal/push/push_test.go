@@ -133,6 +133,14 @@ func TestTablePublishFiltering(t *testing.T) {
 	if err != nil || len(n.Names) != 2 || n.Names[1] != "a.ctx.hns" || n.Serial != 1 {
 		t.Fatalf("delivered frame decodes to %+v (%v)", n, err)
 	}
+	// Two matching subscriptions on one sink (one connection) get one
+	// frame: the client end hands it to each subscription it holds there.
+	shared := newFakeSink()
+	tb.Add(Subscription{Zone: "cs"}, shared)
+	tb.Add(Subscription{Zone: "cs", Names: []string{"b.cs"}}, shared)
+	if got := tb.Publish(Notification{Zone: "cs", Names: []string{"b.cs"}, Serial: 4}); got != 2 || shared.count() != 1 {
+		t.Fatalf("publish(cs b) notified %d sinks, the shared one %d times; want 2 sinks, once", got, shared.count())
+	}
 }
 
 func TestTableOverflowRefuses(t *testing.T) {

@@ -122,25 +122,24 @@ func (c *simConn) SetPushHandler(fn func(body []byte, err error)) {
 	c.mu.Unlock()
 }
 
-// simPusher delivers server-initiated frames to the dialing simConn's
-// push handler synchronously — in-process "wire", deterministic for the
-// seeded harness. It implements Pusher.
-type simPusher struct{ c *simConn }
-
-// Push implements Pusher.
-func (p *simPusher) Push(body []byte) error {
+// Push implements Pusher: a simConn is both ends of the in-process
+// "wire", so the server's push channel to the dialing client is the
+// connection itself, one per connection as on a stream listener. It
+// delivers to the client's push handler synchronously, deterministic for
+// the seeded harness.
+func (c *simConn) Push(body []byte) error {
 	select {
-	case <-p.c.ep.closed:
+	case <-c.ep.closed:
 		return ErrClosed
 	default:
 	}
-	p.c.mu.Lock()
-	closed, fn := p.c.closed, p.c.onPush
-	p.c.mu.Unlock()
+	c.mu.Lock()
+	closed, fn := c.closed, c.onPush
+	c.mu.Unlock()
 	if closed {
 		return ErrClosed
 	}
-	p.c.t.obs.tx(len(body))
+	c.t.obs.tx(len(body))
 	if fn == nil {
 		return nil // no handler: dropped, like an unclaimed tag
 	}
@@ -149,10 +148,10 @@ func (p *simPusher) Push(body []byte) error {
 }
 
 // Peer implements Pusher.
-func (p *simPusher) Peer() string { return p.c.peer }
+func (c *simConn) Peer() string { return c.peer }
 
 // Done implements Pusher.
-func (p *simPusher) Done() <-chan struct{} { return p.c.done }
+func (c *simConn) Done() <-chan struct{} { return c.done }
 
 // Call implements Conn. The server handler runs on the caller's goroutine —
 // delivery is synchronous, like a blocked RPC — with a fresh meter whose
@@ -180,7 +179,7 @@ func (c *simConn) Call(ctx context.Context, req []byte) ([]byte, error) {
 	c.t.obs.tx(len(req))
 
 	serverMeter := simtime.NewMeter()
-	hctx := WithPusher(WithPeer(simtime.WithMeter(context.Background(), serverMeter), c.peer), &simPusher{c})
+	hctx := WithPusher(WithPeer(simtime.WithMeter(context.Background(), serverMeter), c.peer), c)
 	resp, err := c.ep.handler(hctx, req)
 	simtime.Charge(ctx, serverMeter.Elapsed())
 	if err != nil {
