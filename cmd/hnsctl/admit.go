@@ -1,15 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"sort"
 	"strings"
-	"time"
-
-	"hns/internal/metrics"
 )
 
 // cmdAdmit fetches a daemon's /debug/hns snapshot and renders the
@@ -24,18 +19,9 @@ func cmdAdmit(args []string) error {
 		return err
 	}
 
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + *from + "/debug/hns")
+	snap, err := fetchSnapshot(*from)
 	if err != nil {
-		return fmt.Errorf("fetching snapshot: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fetching snapshot: %s", resp.Status)
-	}
-	var snap metrics.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("decoding snapshot: %w", err)
+		return err
 	}
 
 	type row struct {
@@ -58,7 +44,7 @@ func cmdAdmit(args []string) error {
 		if !ok || !strings.HasPrefix(name, "admission_") {
 			continue
 		}
-		server, reason := parseAdmitLabels(labels)
+		server, reason := label(labels, "server"), label(labels, "reason")
 		switch name {
 		case "admission_admitted_total":
 			get(server).admitted = c.Value
@@ -76,7 +62,7 @@ func cmdAdmit(args []string) error {
 		if !ok || !strings.HasPrefix(name, "admission_") {
 			continue
 		}
-		server, _ := parseAdmitLabels(labels)
+		server := label(labels, "server")
 		switch name {
 		case "admission_inflight":
 			get(server).inflight = g.Value
@@ -101,23 +87,4 @@ func cmdAdmit(args []string) error {
 			r.server, r.admitted, r.shedRate, r.shedLoad, r.inflight, r.clients)
 	}
 	return nil
-}
-
-// parseAdmitLabels extracts server and reason from a label body like
-// `server="hnsgw",reason="load"`.
-func parseAdmitLabels(labels string) (server, reason string) {
-	for _, kv := range strings.Split(labels, ",") {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			continue
-		}
-		v = strings.Trim(v, `"`)
-		switch k {
-		case "server":
-			server = v
-		case "reason":
-			reason = v
-		}
-	}
-	return server, reason
 }

@@ -1,16 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"sort"
 	"strings"
-	"time"
 
 	"hns/internal/health"
-	"hns/internal/metrics"
 )
 
 // cmdHealth fetches a daemon's /debug/hns snapshot and renders the
@@ -25,18 +21,9 @@ func cmdHealth(args []string) error {
 		return err
 	}
 
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + *from + "/debug/hns")
+	snap, err := fetchSnapshot(*from)
 	if err != nil {
-		return fmt.Errorf("fetching snapshot: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fetching snapshot: %s", resp.Status)
-	}
-	var snap metrics.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("decoding snapshot: %w", err)
+		return err
 	}
 
 	type row struct {
@@ -50,7 +37,7 @@ func cmdHealth(args []string) error {
 		r := rows[labels]
 		if r == nil {
 			r = &row{}
-			r.service, r.endpoint = parseHealthLabels(labels)
+			r.service, r.endpoint = label(labels, "service"), label(labels, "endpoint")
 			rows[labels] = r
 		}
 		return r
@@ -115,21 +102,13 @@ func splitSeries(s string) (name, labels string, ok bool) {
 	return s[:i], s[i+1 : len(s)-1], true
 }
 
-// parseHealthLabels extracts service and endpoint from a label body like
-// `service="hrpc",endpoint="127.0.0.1:5301"`.
-func parseHealthLabels(labels string) (service, endpoint string) {
+// label returns key's value in a label body like
+// `service="hrpc",endpoint="127.0.0.1:5301"`, or "" when it has none.
+func label(labels, key string) string {
 	for _, kv := range strings.Split(labels, ",") {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			continue
-		}
-		v = strings.Trim(v, `"`)
-		switch k {
-		case "service":
-			service = v
-		case "endpoint":
-			endpoint = v
+		if k, v, ok := strings.Cut(kv, "="); ok && k == key {
+			return strings.Trim(v, `"`)
 		}
 	}
-	return service, endpoint
+	return ""
 }

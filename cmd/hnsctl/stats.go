@@ -21,18 +21,9 @@ func cmdStats(args []string) error {
 		return err
 	}
 
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + *from + "/debug/hns")
+	snap, err := fetchSnapshot(*from)
 	if err != nil {
-		return fmt.Errorf("fetching snapshot: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fetching snapshot: %s", resp.Status)
-	}
-	var snap metrics.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("decoding snapshot: %w", err)
+		return err
 	}
 
 	match := func(name string) bool {
@@ -96,6 +87,25 @@ func cmdStats(args []string) error {
 		fmt.Println("no series matched")
 	}
 	return nil
+}
+
+// fetchSnapshot fetches and decodes the /debug/hns snapshot of the daemon
+// whose -metrics address is from.
+func fetchSnapshot(from string) (metrics.Snapshot, error) {
+	var snap metrics.Snapshot
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Get("http://" + from + "/debug/hns")
+	if err != nil {
+		return snap, fmt.Errorf("fetching snapshot: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return snap, fmt.Errorf("fetching snapshot: %s", resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		return snap, fmt.Errorf("decoding snapshot: %w", err)
+	}
+	return snap, nil
 }
 
 func lookup(ss []metrics.Series, name string) (int64, bool) {

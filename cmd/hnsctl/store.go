@@ -1,15 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"sort"
-	"strings"
-	"time"
-
-	"hns/internal/metrics"
 )
 
 // cmdStore fetches a daemon's /debug/hns snapshot and renders the
@@ -23,18 +17,9 @@ func cmdStore(args []string) error {
 		return err
 	}
 
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + *from + "/debug/hns")
+	snap, err := fetchSnapshot(*from)
 	if err != nil {
-		return fmt.Errorf("fetching snapshot: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fetching snapshot: %s", resp.Status)
-	}
-	var snap metrics.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("decoding snapshot: %w", err)
+		return err
 	}
 
 	// Group every store-labelled series by the label value.
@@ -52,13 +37,13 @@ func cmdStore(args []string) error {
 		return v
 	}
 	for _, c := range snap.Counters {
-		if base, label, ok := storeSeries(c.Name); ok {
-			view(label).counters[base] = c.Value
+		if base, store := storeSeries(c.Name); store != "" {
+			view(store).counters[base] = c.Value
 		}
 	}
 	for _, g := range snap.Gauges {
-		if base, label, ok := storeSeries(g.Name); ok {
-			view(label).gauges[base] = g.Value
+		if base, store := storeSeries(g.Name); store != "" {
+			view(store).gauges[base] = g.Value
 		}
 	}
 	if len(stores) == 0 {
@@ -88,7 +73,7 @@ func cmdStore(args []string) error {
 			v.gauges["store_recovery_replayed"], v.gauges["store_recovery_torn_bytes"],
 			v.gauges["store_recovery_ms"])
 		for _, h := range snap.Histograms {
-			if base, l, ok := storeSeries(h.Name); ok && l == label && base == "wal_fsync_seconds" {
+			if base, store := storeSeries(h.Name); store == label && base == "wal_fsync_seconds" {
 				fmt.Printf("  fsync:     n=%d mean=%.3gms p99≤%gms\n",
 					h.Count, h.Mean(), h.Quantile(0.99))
 			}
@@ -98,12 +83,8 @@ func cmdStore(args []string) error {
 }
 
 // storeSeries splits a series name like `wal_appends_total{store="fiji"}`
-// into its base name and store label; ok is false for series without a
-// store label.
-func storeSeries(name string) (base, label string, ok bool) {
-	i := strings.Index(name, `{store="`)
-	if i < 0 || !strings.HasSuffix(name, `"}`) {
-		return "", "", false
-	}
-	return name[:i], name[i+len(`{store="`) : len(name)-len(`"}`)], true
+// into its base name and store label ("" for series without one).
+func storeSeries(name string) (base, store string) {
+	base, labels, _ := splitSeries(name)
+	return base, label(labels, "store")
 }

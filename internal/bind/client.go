@@ -2,7 +2,6 @@ package bind
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -37,6 +36,9 @@ type NotFoundError struct {
 func (e *NotFoundError) Error() string {
 	return fmt.Sprintf("bind: %s %s: %s", e.Name, e.Type, e.RCode)
 }
+
+// Code reports the failure's code (see transport.CodeOf).
+func (e *NotFoundError) Code() transport.Code { return transport.CodeNotFound }
 
 // ---- Standard-interface client (hand-coded marshalling).
 
@@ -85,16 +87,11 @@ func (o clientObs) count(err error) {
 	switch {
 	case err == nil:
 		o.ok.Inc()
-	case isNotFound(err):
+	case transport.CodeOf(err).NotFound():
 		o.notFound.Inc()
 	default:
 		o.errs.Inc()
 	}
-}
-
-func isNotFound(err error) bool {
-	var nf *NotFoundError
-	return errors.As(err, &nf)
 }
 
 // NewStdClient creates a standard-interface client for the server at addr
@@ -149,20 +146,16 @@ func (c *StdClient) call(ctx context.Context, req []byte) ([]byte, error) {
 		return nil, err
 	}
 	resp, err := conn.Call(ctx, req)
-	if err == nil {
-		c.breaker().Success()
-		return resp, nil
+	if err != nil {
+		c.drop(conn) // the next call redials
 	}
-	// Drop the connection; the next call redials.
-	c.drop(conn)
-	var re *transport.RemoteError
-	if errors.As(err, &re) {
-		// A live server answering with an error: a healthy endpoint.
-		c.breaker().Success()
-	} else if ctx.Err() == nil {
+	switch {
+	case err == nil || transport.CodeOf(err).Answered():
+		c.breaker().Success() // a live server answered: a healthy endpoint
+	case ctx.Err() == nil:
 		c.breaker().Failure()
 	}
-	return nil, err
+	return resp, err
 }
 
 // breaker returns the server's breaker, created on first use.
@@ -532,7 +525,6 @@ func (r *Resolver) LookupChain(ctx context.Context, name string, t RRType, follo
 	}
 	rrs, cost, joined, err := r.flights.do(ctx, key, fetch, install)
 	if joined {
-		metrics.CallCounterFrom(ctx).AddCoalesced()
 		r.coalesced.Inc()
 	}
 	// Each waiter pays the full lookup, exactly as if it had gone to the
@@ -586,7 +578,7 @@ func (r *Resolver) install(key string, rrs []RR, err error) {
 // grace. The hit is priced like any other cache hit and counted in
 // cache_stale_served_total (via the cache's stats).
 func (r *Resolver) staleLookup(ctx context.Context, key string, cause error) ([]RR, bool) {
-	if r.staleFor <= 0 || !hrpc.Unavailable(cause) {
+	if r.staleFor <= 0 || !transport.CodeOf(cause).Unreachable() {
 		return nil, false
 	}
 	rrs, ok := r.cache.GetStale(key)

@@ -266,9 +266,6 @@ func (d *Durable) Empty() bool { return d.log.LastLSN() == 0 }
 // Stats reports what recovery did.
 func (d *Durable) Stats() RecoveryStats { return d.stats }
 
-// LastLSN reports the newest journaled record's LSN.
-func (d *Durable) LastLSN() uint64 { return d.log.LastLSN() }
-
 // LogStats exposes the underlying WAL's shape.
 func (d *Durable) LogStats() store.LogStats { return d.log.Stats() }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hns/internal/simtime"
+	"hns/internal/transport"
 )
 
 // blockingBackend is a Lookuper whose calls charge a fixed simulated cost
@@ -291,7 +292,7 @@ func TestNotFoundIsNeverCached(t *testing.T) {
 	r := NewResolver(backend, ResolverConfig{})
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, err := r.Lookup(ctx, "ghost.test", TypeA); !isNotFound(err) {
+		if _, err := r.Lookup(ctx, "ghost.test", TypeA); !transport.CodeOf(err).NotFound() {
 			t.Fatalf("want NotFoundError, got %v", err)
 		}
 	}

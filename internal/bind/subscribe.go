@@ -22,12 +22,10 @@ package bind
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"hns/internal/hrpc"
 	"hns/internal/marshal"
 	"hns/internal/metrics"
 	"hns/internal/push"
@@ -116,10 +114,6 @@ type Subscriber struct {
 	floor      uint32              // the serial the latest subscribe and its catch-up covered
 	changed    chan struct{}       // closed when active, degraded or lastSerial moves; nil until a waiter asks
 }
-
-// errDegrade marks conditions under which the subscriber permanently
-// falls back to TTL polling rather than retrying.
-var errDegrade = errors.New("bind: push unavailable, degrading to poll")
 
 // NewSubscriber creates a Subscriber speaking to c's server. Call Start
 // to begin; the zero value of lastSerial means "no history" — the first
@@ -232,7 +226,9 @@ func (s *Subscriber) run() {
 				stop()
 				return
 			}
-		case errors.Is(err, errDegrade):
+		case transport.CodeOf(err).Answered():
+			// The server said no (unsupported, refused, table full), or
+			// the connection has no push channel: poll by TTL for good.
 			s.set(func() { s.degraded = true })
 			s.degradedCt.Inc()
 			return
@@ -266,20 +262,14 @@ func (s *Subscriber) subscribe() (died <-chan struct{}, stop func(), err error) 
 			s.hear(body)
 		}
 	})
-	var rf *hrpc.RemoteFault
-	if errors.As(err, &rf) || errors.Is(err, errors.ErrUnsupported) {
-		// Unsupported, refused, or table full: the server answered and
-		// said no; or the connection has no push channel. Stop asking.
-		return nil, nil, fmt.Errorf("%w: %v", errDegrade, err)
-	}
 	if err != nil {
-		return nil, nil, err // transport trouble, or transport.ErrClosed
+		return nil, nil, err
 	}
 	rcode, _ := ret.Items[0].AsU32()
 	serial, _ := ret.Items[1].AsU32()
 	if RCode(rcode) != RCodeOK {
 		stop()
-		return nil, nil, fmt.Errorf("%w: subscribe rcode %s", errDegrade, RCode(rcode))
+		return nil, nil, &NotFoundError{Name: s.cfg.Zone, Type: TypeSOA, RCode: RCode(rcode)} // no such zone there
 	}
 	s.resubs.Inc()
 	if since != 0 && serial != since {

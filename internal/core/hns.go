@@ -43,6 +43,7 @@ import (
 	"hns/internal/names"
 	"hns/internal/qclass"
 	"hns/internal/simtime"
+	"hns/internal/transport"
 )
 
 // HostResolver is the face of a linked-in HostAddress NSM: it translates a
@@ -393,8 +394,7 @@ func (h *HNS) lookupContext(ctx context.Context, context string, follow []bind.F
 	}
 	rrs, err := h.metaLookup(ctx, h.ctxName(context), follow)
 	if err != nil {
-		var nf *bind.NotFoundError
-		if errors.As(err, &nf) {
+		if transport.CodeOf(err).NotFound() {
 			return "", fmt.Errorf("%w: %q", ErrNoSuchContext, context)
 		}
 		return "", err
@@ -410,8 +410,7 @@ func (h *HNS) lookupContext(ctx context.Context, context string, follow []bind.F
 func (h *HNS) lookupNSMName(ctx context.Context, ns, queryClass string, follow []bind.FollowStep) (string, error) {
 	rrs, err := h.metaLookup(ctx, h.qcName(queryClass, ns), follow)
 	if err != nil {
-		var nf *bind.NotFoundError
-		if errors.As(err, &nf) {
+		if transport.CodeOf(err).NotFound() {
 			return "", fmt.Errorf("%w: %s on %s", ErrNoSuchNSM, queryClass, ns)
 		}
 		return "", err
@@ -435,8 +434,7 @@ type nsmRecord struct {
 func (h *HNS) lookupNSMRecord(ctx context.Context, nsm string) (nsmRecord, error) {
 	rrs, err := h.metaLookup(ctx, h.nsmName(nsm), nil)
 	if err != nil {
-		var nf *bind.NotFoundError
-		if errors.As(err, &nf) {
+		if transport.CodeOf(err).NotFound() {
 			return nsmRecord{}, fmt.Errorf("%w: NSM %q has no record", ErrNoSuchNSM, nsm)
 		}
 		return nsmRecord{}, err

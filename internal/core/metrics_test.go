@@ -3,7 +3,6 @@ package core_test
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -208,35 +207,24 @@ func TestTracerEvents(t *testing.T) {
 	}
 }
 
-// TestWithTraceShimMatchesEvents: the legacy string callback receives
-// exactly the Events flattened through Event.String — one line per step,
-// same wording as before the structured upgrade.
-func TestWithTraceShimMatchesEvents(t *testing.T) {
+// TestEventStringIsStepLine: each Event flattens through Event.String to
+// the classic one-line trace form, "<step>: <detail>", one line per step.
+func TestEventStringIsStepLine(t *testing.T) {
 	w := newWorld(t, world.Config{})
 
 	w.HNS.FlushCache()
 	var events []core.Event
-	ctxE := core.WithTracer(context.Background(), func(e core.Event) { events = append(events, e) })
-	if _, err := w.HNS.FindNSM(ctxE, world.DesiredServiceName(), qclass.HRPCBinding); err != nil {
+	ctx := core.WithTracer(context.Background(), func(e core.Event) { events = append(events, e) })
+	if _, err := w.HNS.FindNSM(ctx, world.DesiredServiceName(), qclass.HRPCBinding); err != nil {
 		t.Fatal(err)
 	}
 
-	w.HNS.FlushCache()
-	var lines []string
-	ctxS := core.WithTrace(context.Background(), func(s string) { lines = append(lines, s) })
-	if _, err := w.HNS.FindNSM(ctxS, world.DesiredServiceName(), qclass.HRPCBinding); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(lines) != len(events) {
-		t.Fatalf("shim got %d lines, tracer got %d events", len(lines), len(events))
+	if len(events) == 0 {
+		t.Fatal("tracer got no events")
 	}
 	for i, e := range events {
-		if lines[i] != e.String() {
-			t.Errorf("line %d = %q, want %q", i, lines[i], e.String())
-		}
-		if !strings.HasPrefix(lines[i], e.Step+": ") {
-			t.Errorf("line %d = %q does not start with %q", i, lines[i], e.Step+": ")
+		if want := e.Step + ": " + e.Detail; e.String() != want {
+			t.Errorf("event %d = %q, want %q", i, e.String(), want)
 		}
 	}
 }

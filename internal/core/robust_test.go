@@ -189,7 +189,7 @@ func TestConcurrentRegistrationAndLookup(t *testing.T) {
 func TestFindNSMTrace(t *testing.T) {
 	w := newWorld(t, world.Config{})
 	var steps []string
-	ctx := core.WithTrace(context.Background(), func(s string) { steps = append(steps, s) })
+	ctx := core.WithTracer(context.Background(), func(e core.Event) { steps = append(steps, e.String()) })
 	if _, err := w.HNS.FindNSM(ctx, world.DesiredServiceName(), qclass.HRPCBinding); err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,7 @@ import (
 // FindNSM step tracing. A tracer installed in the context receives one
 // span-style Event per data mapping as FindNSM executes, making the
 // paper's six-mapping structure observable — hnsbench's Figure 2.1 trace
-// and hnsctl's verbose mode use it. Tracing costs nothing when absent.
-//
-// The original interface was a bare string callback (TraceFunc); it is
-// kept as a compat shim over the structured form and still receives
-// exactly one line per mapping step, in the original wording.
+// uses it. Tracing costs nothing when absent.
 
 // Cache states an Event can report for its step.
 const (
@@ -42,25 +38,11 @@ func (e Event) String() string { return e.Step + ": " + e.Detail }
 // EventFunc receives one Event per FindNSM step.
 type EventFunc func(Event)
 
-// TraceFunc receives one trace line per FindNSM step (the pre-structured
-// interface, kept for hnsbench and hnsctl -v).
-type TraceFunc func(step string)
-
 type traceKey struct{}
 
 // WithTracer installs fn as the structured FindNSM step tracer in ctx.
 func WithTracer(ctx context.Context, fn EventFunc) context.Context {
 	return context.WithValue(ctx, traceKey{}, fn)
-}
-
-// WithTrace installs fn as a FindNSM step tracer in ctx. It is the compat
-// shim over WithTracer: fn receives each Event flattened to its classic
-// one-line form.
-func WithTrace(ctx context.Context, fn TraceFunc) context.Context {
-	if fn == nil {
-		return WithTracer(ctx, nil)
-	}
-	return WithTracer(ctx, func(e Event) { fn(e.String()) })
 }
 
 // tracer returns the installed EventFunc, or nil.

@@ -41,8 +41,8 @@ func RunFigure21(ctx context.Context, w *world.World, out io.Writer) error {
 			i+1, q.name, qclass.HRPCBinding)
 
 		// Trace the mapping sequence of the first (cache-cold) FindNSM.
-		traced := core.WithTrace(ctx, func(step string) {
-			fmt.Fprintf(out, "    . %s\n", step)
+		traced := core.WithTracer(ctx, func(e core.Event) {
+			fmt.Fprintf(out, "    . %s\n", e.String())
 		})
 		findCost, err := simtime.Measure(traced, func(ctx context.Context) error {
 			_, err := w.HNS.FindNSM(ctx, q.name, qclass.HRPCBinding)

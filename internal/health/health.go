@@ -21,17 +21,22 @@
 package health
 
 import (
-	"errors"
 	"sync"
 	"time"
 
 	"hns/internal/metrics"
 	"hns/internal/simtime"
+	"hns/internal/transport"
 )
 
 // ErrNoLiveEndpoint is returned by breaker-aware clients when every
 // replica's breaker refuses the call — the fail-fast outcome.
-var ErrNoLiveEndpoint = errors.New("health: no live endpoint")
+var ErrNoLiveEndpoint error = noLiveEndpoint{}
+
+type noLiveEndpoint struct{}
+
+func (noLiveEndpoint) Error() string        { return "health: no live endpoint" }
+func (noLiveEndpoint) Code() transport.Code { return transport.CodeNoLiveEndpoint }
 
 // State is a breaker's position in the state machine.
 type State int32
@@ -132,8 +137,7 @@ func (s *Set) Breaker(endpoint string) *Breaker {
 	}
 	reg := s.cfg.Metrics
 	b = &Breaker{
-		cfg:      &s.cfg,
-		endpoint: endpoint,
+		cfg: &s.cfg,
 		healthy: reg.Gauge(metrics.Labels("endpoint_health",
 			"service", s.cfg.Service, "endpoint", endpoint)),
 		stateG: reg.Gauge(metrics.Labels("breaker_state",
@@ -155,8 +159,7 @@ func (s *Set) Breaker(endpoint string) *Breaker {
 // Breaker is one endpoint's health state. Callers ask Allow before a
 // call and report Success or Failure after; the breaker does the rest.
 type Breaker struct {
-	cfg      *Config
-	endpoint string
+	cfg *Config
 
 	healthy  *metrics.Gauge   // 1 while calls are admitted normally, 0 while open
 	stateG   *metrics.Gauge   // numeric State
@@ -290,6 +293,3 @@ func (b *Breaker) State() State {
 	defer b.mu.Unlock()
 	return b.state
 }
-
-// Endpoint reports the address this breaker guards.
-func (b *Breaker) Endpoint() string { return b.endpoint }

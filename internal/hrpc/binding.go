@@ -53,9 +53,6 @@ func (b Binding) String() string {
 	return fmt.Sprintf("%s/%s/%s!%s#%d.%d", b.Transport, b.Control, b.DataRep, b.Addr, b.Program, b.Version)
 }
 
-// IsZero reports whether b is the zero binding.
-func (b Binding) IsZero() bool { return b == Binding{} }
-
 // Validate checks that the binding is plausibly complete. Component names
 // are resolved lazily at call time; Validate only catches obviously empty
 // bindings early.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -150,6 +149,21 @@ type RemoteFault struct {
 // Error implements error.
 func (e *RemoteFault) Error() string { return fmt.Sprintf("hrpc: %s: %s", e.Proc, e.Msg) }
 
+// Code reports the failure's code (see transport.CodeOf).
+func (e *RemoteFault) Code() transport.Code { return transport.CodeRemoteFault }
+
+// sentinel is a comparable error value carrying its code.
+type sentinel struct {
+	msg  string
+	code transport.Code
+}
+
+func (e *sentinel) Error() string        { return e.msg }
+func (e *sentinel) Code() transport.Code { return e.code }
+
+// errNoPush fails a Listen whose connection cannot carry pushes.
+var errNoPush error = &sentinel{"connection cannot receive pushes", transport.CodeNoPush}
+
 // Call invokes procedure p on the server identified by b, marshalling args
 // and unmarshalling the result according to the binding's components. All
 // simulated costs on the call path are charged to the meter in ctx. A
@@ -177,7 +191,7 @@ func (c *Client) Listen(ctx context.Context, b Binding, p Procedure, args marsha
 	l := &listener{fn: fn}
 	ret, err = c.call(ctx, b, p, args, l)
 	if err == nil && !l.ln.pushes {
-		err = fmt.Errorf("hrpc: %s to %s: connection cannot receive pushes: %w", p.Name, b.Addr, errors.ErrUnsupported)
+		err = fmt.Errorf("hrpc: %s to %s: %w: %w", p.Name, b.Addr, errNoPush, errors.ErrUnsupported)
 	}
 	if err != nil {
 		if l.ln != nil {
@@ -199,7 +213,7 @@ func (c *Client) call(ctx context.Context, b Binding, p Procedure, args marshal.
 				Observe(sw.Elapsed())
 			if err != nil {
 				reg.Counter(metrics.Labels("hrpc_client_errors_total",
-					"kind", errKind(err))).Inc()
+					"code", transport.CodeOf(err).String())).Inc()
 			}
 		}()
 	}
@@ -278,7 +292,7 @@ func (c *Client) call(ctx context.Context, b Binding, p Procedure, args marshal.
 // when a call exhausts its retry budget or no replica's breaker admits
 // it — "backend unreachable", as distinguished from marshalling errors
 // and remote faults. The concrete error is a *CallTimeout.
-var ErrCallTimeout = errors.New("hrpc: call timed out")
+var ErrCallTimeout error = &sentinel{"hrpc: call timed out", transport.CodeExhausted}
 
 // CallTimeout is the exhausted-retry error: every admitted endpoint
 // failed (or none was admitted) within the call's budget. It wraps the
@@ -304,58 +318,8 @@ func (e *CallTimeout) Unwrap() error { return e.LastErr }
 // Is matches the ErrCallTimeout sentinel.
 func (e *CallTimeout) Is(target error) bool { return target == ErrCallTimeout }
 
-// Unavailable reports whether err means the backend could not be
-// reached: the call timed out, no replica was live, or the transport
-// failed outright. It is false for remote faults and remote errors — a
-// live server answering, however unhelpfully, is not an availability
-// failure. Serve-stale logic keys off this predicate.
-func Unavailable(err error) bool {
-	if err == nil {
-		return false
-	}
-	var rf *RemoteFault
-	if errors.As(err, &rf) {
-		return false
-	}
-	if errors.Is(err, ErrCallTimeout) || errors.Is(err, health.ErrNoLiveEndpoint) {
-		return true
-	}
-	return transport.Unavailable(err)
-}
-
-// errKind buckets a call error for hrpc_client_errors_total.
-func errKind(err error) string {
-	if errors.Is(err, ErrOverloaded) {
-		return "overloaded"
-	}
-	if errors.Is(err, ErrBudgetExpired) {
-		return "budget_expired"
-	}
-	var rf *RemoteFault
-	if errors.As(err, &rf) {
-		return "remote_fault"
-	}
-	var re *transport.RemoteError
-	if errors.As(err, &re) {
-		return "remote_error"
-	}
-	if errors.Is(err, ErrCallTimeout) {
-		return "timeout"
-	}
-	return "transport"
-}
-
-// timeoutClass reports whether err looks like a silent loss — the
-// caller sat out a retransmission timer to detect it — rather than a
-// fast failure (refused, closed) the caller learned about immediately.
-// Only timeout-class failures charge backoff to the caller's meter.
-func timeoutClass(err error) bool {
-	if errors.Is(err, transport.ErrInjectedLoss) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
+// Code reports the failure's code (see transport.CodeOf), whatever it wraps.
+func (e *CallTimeout) Code() transport.Code { return transport.CodeExhausted }
 
 // budgetState tracks a propagated deadline across a call's attempts:
 // the budget when the call was encoded plus a stopwatch started then, so
@@ -425,6 +389,7 @@ func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr str
 
 	var (
 		lastErr  error
+		waited   bool // lastErr was a loss the caller sat out a timer for
 		attempts int
 		tried    uint64 // bitmask of replica indexes that failed this call
 		wait     = simtime.RetransmitTimeout
@@ -446,7 +411,7 @@ func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr str
 				break
 			}
 		}
-		if idx < 0 && timeoutClass(lastErr) {
+		if idx < 0 && waited {
 			for i, ep := range replicas {
 				if ok, _ := hs.Breaker(ep).Allow(); ok {
 					idx = i
@@ -488,10 +453,10 @@ func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr str
 			}
 			return resp, ep, nil
 		}
-		// A RemoteError is a live server saying no; retransmitting
-		// cannot help, and the endpoint is healthy.
-		var re *transport.RemoteError
-		if errors.As(err, &re) {
+		// A live server saying no: retransmitting cannot help, and the
+		// endpoint is healthy.
+		code := transport.CodeOf(err)
+		if code.Answered() {
 			hs.Breaker(ep).Success()
 			return nil, ep, err
 		}
@@ -504,9 +469,9 @@ func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr str
 		if idx < 64 {
 			tried |= 1 << uint(idx)
 		}
-		lastErr = err
+		lastErr, waited = err, code.Waited()
 
-		if !timeoutClass(err) {
+		if !waited {
 			continue // fast failure: fail over without waiting
 		}
 		// The caller sat out the retransmission timer to detect this
@@ -566,44 +531,30 @@ func (c *Client) sendOnce(ctx context.Context, tr transport.Transport, addr stri
 		return nil, err
 	}
 	resp, err := ln.call(ctx, frame, l)
-	if err == nil {
-		ep.release()
-		return resp, nil
+	code := transport.CodeUnknown
+	if err != nil {
+		code = transport.CodeOf(err)
 	}
-	// A remote error came over a healthy exchange; an expired call left
-	// a healthy multiplexed connection (its reply will be dropped by
-	// tag). Both keep the connection.
-	var re *transport.RemoteError
-	var ce *transport.CallExpiredError
-	if errors.As(err, &re) || errors.As(err, &ce) {
-		ep.release()
-		return nil, err
-	}
-	// A connection dialed by this very call gets no second chance — but
-	// it is kept unless it is actually broken (a lost datagram says
-	// nothing about the socket; the next attempt reuses it).
-	if !reused {
-		if errors.Is(err, transport.ErrConnBroken) {
-			c.discard(ep, ln)
-		} else {
-			ep.release()
-		}
-		return nil, err
-	}
-	// A pre-existing connection may simply have gone stale (server
-	// restarted since the last call): retire it and redial once within
-	// the same attempt.
-	c.discard(ep, ln)
-	ep, ln, _, err2 := c.acquire(ctx, tr, addr, key)
-	if err2 != nil {
-		return nil, err
-	}
-	resp, err = ln.call(ctx, frame, l)
-	if err == nil || !errors.Is(err, transport.ErrConnBroken) {
-		ep.release()
-	} else {
+	// A pre-existing connection that failed without keeping itself may
+	// just be stale (the server restarted since the last call): retire it
+	// and redial once. One dialed by this very call gets no second chance.
+	if err != nil && reused && !code.KeepsConn() {
 		c.discard(ep, ln)
+		var err2 error
+		if ep, ln, _, err2 = c.acquire(ctx, tr, addr, key); err2 != nil {
+			return nil, err
+		}
+		if resp, err = ln.call(ctx, frame, l); err != nil {
+			code = transport.CodeOf(err)
+		}
 	}
+	// Otherwise it stays unless the failure broke it: a lost datagram says
+	// nothing about the socket, and an expired call's reply is dropped by tag.
+	if err != nil && code == transport.CodeBroken {
+		c.discard(ep, ln)
+		return nil, err
+	}
+	ep.release()
 	return resp, err
 }
 

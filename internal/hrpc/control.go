@@ -1,11 +1,12 @@
 package hrpc
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
+
+	"hns/internal/transport"
 )
 
 // CallHeader is the control-protocol-independent view of a call header.
@@ -107,7 +108,7 @@ func appendCall(ctl ControlProtocol, buf []byte, h CallHeader, args []byte) ([]b
 }
 
 // ErrBadFrame reports a control-protocol frame that cannot be parsed.
-var ErrBadFrame = errors.New("hrpc: malformed control frame")
+var ErrBadFrame error = &sentinel{"hrpc: malformed control frame", transport.CodeBadFrame}
 
 // The control-protocol registry, mirroring the data-representation
 // registry in package marshal: binding records store component *names*,

@@ -2,9 +2,10 @@ package hrpc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
+
+	"hns/internal/transport"
 )
 
 // Deadline propagation. A caller with a deadline has a budget: the time
@@ -60,7 +61,7 @@ func callBudget(ctx context.Context) (time.Duration, bool) {
 // ErrOverloaded is matched (errors.Is) by backpressure errors: the
 // server is alive but shedding load. Retry machinery must not trip the
 // endpoint's breaker on it — back off instead.
-var ErrOverloaded = errors.New("hrpc: server overloaded")
+var ErrOverloaded error = &sentinel{"hrpc: server overloaded", transport.CodeOverloaded}
 
 // BackpressureError is the client-side form of a server's Overloaded
 // reply.
@@ -79,10 +80,13 @@ func (e *BackpressureError) Error() string {
 // Is matches the ErrOverloaded sentinel.
 func (e *BackpressureError) Is(target error) bool { return target == ErrOverloaded }
 
+// Code reports the failure's code (see transport.CodeOf).
+func (e *BackpressureError) Code() transport.Code { return transport.CodeOverloaded }
+
 // ErrBudgetExpired is matched (errors.Is) by budget-shed errors: the
 // server refused the call because its propagated budget was already
 // exhausted on arrival.
-var ErrBudgetExpired = errors.New("hrpc: call budget expired")
+var ErrBudgetExpired error = &sentinel{"hrpc: call budget expired", transport.CodeBudgetExpired}
 
 // BudgetExpiredError is the client-side form of a server's budget shed.
 type BudgetExpiredError struct {
@@ -97,3 +101,6 @@ func (e *BudgetExpiredError) Error() string {
 
 // Is matches the ErrBudgetExpired sentinel.
 func (e *BudgetExpiredError) Is(target error) bool { return target == ErrBudgetExpired }
+
+// Code reports the failure's code (see transport.CodeOf).
+func (e *BudgetExpiredError) Code() transport.Code { return transport.CodeBudgetExpired }

@@ -84,7 +84,7 @@ func muxKillServer(t *testing.T, kill int) string {
 // TestMuxTeardownOneBreakerFailure kills a multiplexed connection with
 // many calls in flight and checks the failure contract end to end: every
 // caller gets an error the availability machinery understands (matching
-// transport.ErrConnBroken and Unavailable), all callers surface the same
+// transport.ErrConnBroken, coded unreachable), all callers surface the same
 // broken connection, and the endpoint's breaker records exactly one
 // failure — not one per in-flight call.
 func TestMuxTeardownOneBreakerFailure(t *testing.T) {
@@ -127,8 +127,8 @@ func TestMuxTeardownOneBreakerFailure(t *testing.T) {
 				if !errors.Is(err, transport.ErrConnBroken) {
 					t.Fatalf("call %d: error %v does not match ErrConnBroken", i, err)
 				}
-				if !Unavailable(err) {
-					t.Fatalf("call %d: error %v not Unavailable", i, err)
+				if !transport.CodeOf(err).Unreachable() {
+					t.Fatalf("call %d: error %v not unreachable", i, err)
 				}
 				var cb *transport.ConnBrokenError
 				if !errors.As(err, &cb) {

@@ -20,10 +20,6 @@ const (
 	PortmapProgram = 100000
 	// PortmapVersion is the protocol version implemented here.
 	PortmapVersion = 2
-	// PortmapPort is the well-known address suffix the portmapper listens
-	// on (":111" by convention; the simulated transports use
-	// "host:portmap").
-	PortmapPort = "111"
 )
 
 // Portmapper procedures.

@@ -92,15 +92,6 @@ func NewServer(name string, program, version uint32) *Server {
 	return s
 }
 
-// Name reports the server's descriptive name.
-func (s *Server) Name() string { return s.name }
-
-// Program reports the server's program number.
-func (s *Server) Program() uint32 { return s.program }
-
-// Version reports the server's program version.
-func (s *Server) Version() uint32 { return s.version }
-
 // Register installs a procedure handler. Registering a duplicate procedure
 // ID (other than overriding the default null proc) panics: the procedure
 // table is the program's published interface, and a collision is a

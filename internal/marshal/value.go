@@ -122,14 +122,6 @@ func (v Value) AsU32() (uint32, error) {
 	return uint32(v.Num), nil
 }
 
-// AsU64 extracts a uint64.
-func (v Value) AsU64() (uint64, error) {
-	if v.Kind != KindUint64 {
-		return 0, fmt.Errorf("marshal: value is %s, want uint64", v.Kind)
-	}
-	return v.Num, nil
-}
-
 // AsBool extracts a bool.
 func (v Value) AsBool() (bool, error) {
 	if v.Kind != KindBool {

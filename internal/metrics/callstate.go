@@ -11,8 +11,7 @@ import (
 // warm (zero misses: the paper's cache-hit rows) or cold afterwards.
 // Counts are atomic so concurrent server-side fan-out stays race-free.
 type CallCounter struct {
-	misses    atomic.Int64
-	coalesced atomic.Int64
+	misses atomic.Int64
 }
 
 // AddMiss records one backend fetch. No-op on a nil receiver, so layers
@@ -29,24 +28,6 @@ func (c *CallCounter) Misses() int64 {
 		return 0
 	}
 	return c.misses.Load()
-}
-
-// AddCoalesced records a miss that was satisfied by joining another
-// caller's in-progress backend fetch (singleflight) rather than issuing
-// its own. Such misses still count in Misses — the request *was* cold —
-// but the backend saw no extra load for it.
-func (c *CallCounter) AddCoalesced() {
-	if c != nil {
-		c.coalesced.Add(1)
-	}
-}
-
-// Coalesced reports how many of the misses were coalesced.
-func (c *CallCounter) Coalesced() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.coalesced.Load()
 }
 
 type callCounterKey struct{}

@@ -33,6 +33,7 @@ import (
 	"hns/internal/names"
 	"hns/internal/qclass"
 	"hns/internal/simtime"
+	"hns/internal/transport"
 )
 
 // NSM is what every naming semantics manager provides to the management
@@ -114,7 +115,7 @@ func (rc *resultCache[V]) put(key string, v V) { rc.c.Put(key, v, rc.ttl) }
 // stale grace. The hit is priced like a normal hit.
 func (rc *resultCache[V]) getStale(ctx context.Context, key string, cause error) (V, bool) {
 	var zero V
-	if rc.stale <= 0 || !hrpc.Unavailable(cause) {
+	if rc.stale <= 0 || !transport.CodeOf(cause).Unreachable() {
 		return zero, false
 	}
 	v, ok := rc.c.GetStale(key)

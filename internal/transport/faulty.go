@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -22,7 +21,7 @@ import (
 // ErrInjectedLoss is the failure a Faulty transport injects; it mimics a
 // datagram timeout (a transport-level error, distinct from a remote
 // fault).
-var ErrInjectedLoss = errors.New("transport: injected packet loss (timeout)")
+var ErrInjectedLoss error = &sentinel{"transport: injected packet loss (timeout)", CodeLost}
 
 // FailFunc decides whether operation number n (1-based, counted per
 // wrapped transport across dials and calls) should fail.

@@ -269,8 +269,8 @@ func TestUnavailablePredicate(t *testing.T) {
 		{&RemoteError{Msg: "boom"}, false},
 	}
 	for _, c := range cases {
-		if got := Unavailable(c.err); got != c.want {
-			t.Errorf("Unavailable(%v) = %v, want %v", c.err, got, c.want)
+		if got := CodeOf(c.err).Unreachable(); got != c.want {
+			t.Errorf("CodeOf(%v).Unreachable() = %v, want %v", c.err, got, c.want)
 		}
 	}
 }

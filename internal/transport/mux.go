@@ -39,7 +39,7 @@ var muxPreamble = [4]byte{'H', 'M', 'U', 'X'}
 // ErrConnBroken is matched (errors.Is) by the error every pending call
 // receives when a multiplexed connection dies underneath it. The
 // concrete error is a *ConnBrokenError.
-var ErrConnBroken = errors.New("transport: connection broken")
+var ErrConnBroken error = &sentinel{"transport: connection broken", CodeBroken}
 
 // ConnBrokenError reports that a multiplexed connection failed with
 // calls in flight: the reader hit a socket error and every pending call
@@ -61,6 +61,9 @@ func (e *ConnBrokenError) Unwrap() error { return e.Cause }
 
 // Is matches the ErrConnBroken sentinel.
 func (e *ConnBrokenError) Is(target error) bool { return target == ErrConnBroken }
+
+// Code reports the failure's code (see CodeOf).
+func (e *ConnBrokenError) Code() Code { return CodeBroken }
 
 // CallExpiredError reports a call that gave up waiting for its reply on
 // a multiplexed connection — by its context or by the transport's wait
@@ -90,6 +93,14 @@ func (e *CallExpiredError) Timeout() bool {
 
 // Temporary implements net.Error.
 func (e *CallExpiredError) Temporary() bool { return true }
+
+// Code reports the failure's code (see CodeOf), by the Timeout class.
+func (e *CallExpiredError) Code() Code {
+	if e.Timeout() {
+		return CodeExpired
+	}
+	return CodeCanceled
+}
 
 // muxConnIDs issues process-unique connection identities for breaker
 // deduplication.

@@ -320,8 +320,8 @@ func TestTCPMuxServerSubsliceOwnership(t *testing.T) {
 
 // TestMuxTeardownFailsAllPending kills the server socket with calls in
 // flight and asserts correct teardown: every pending caller gets the
-// same typed *ConnBrokenError (one ConnID), the error satisfies
-// Unavailable, and later calls on the dead conn fail the same way.
+// same typed *ConnBrokenError (one ConnID), the error's code is
+// unreachable, and later calls on the dead conn fail the same way.
 func TestMuxTeardownFailsAllPending(t *testing.T) {
 	const pending = 32
 	// A raw TCP server that consumes the preamble plus `pending` tagged
@@ -385,8 +385,8 @@ func TestMuxTeardownFailsAllPending(t *testing.T) {
 		if !errors.Is(err, ErrConnBroken) {
 			t.Fatalf("error %v does not match ErrConnBroken", err)
 		}
-		if !Unavailable(err) {
-			t.Fatalf("broken-conn error %v not classed Unavailable", err)
+		if !CodeOf(err).Unreachable() {
+			t.Fatalf("broken-conn error %v not classed unreachable", err)
 		}
 		ids[cb.ConnID]++
 	}
@@ -471,7 +471,7 @@ func TestMuxUnknownTagCounted(t *testing.T) {
 
 // TestMuxCallExpiry pins the per-call wait discipline on a shared conn:
 // a call whose context deadline passes gets a CallExpiredError (timeout
-// class, Unavailable) while the connection survives for other calls.
+// class, unreachable) while the connection survives for other calls.
 func TestMuxCallExpiry(t *testing.T) {
 	n := newTestNetwork()
 	tr, _ := n.Transport("tcp-net")
@@ -504,8 +504,8 @@ func TestMuxCallExpiry(t *testing.T) {
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Fatalf("deadline expiry %v must be a timeout-class net.Error", err)
 	}
-	if !Unavailable(err) {
-		t.Fatalf("expiry %v not classed Unavailable", err)
+	if !CodeOf(err).Unreachable() {
+		t.Fatalf("expiry %v not classed unreachable", err)
 	}
 	// The connection is still healthy for other calls.
 	got, err := conn.Call(context.Background(), []byte("after"))

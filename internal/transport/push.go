@@ -39,9 +39,6 @@ type Pusher interface {
 	// Push writes one server-initiated frame. body is not retained.
 	// Returns ErrClosed once the connection is gone.
 	Push(body []byte) error
-	// Peer identifies the connection's peer (same value PeerFrom
-	// reports inside handlers).
-	Peer() string
 	// Done is closed when the connection closes — the signal to drop
 	// the subscriber.
 	Done() <-chan struct{}

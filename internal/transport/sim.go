@@ -147,9 +147,6 @@ func (c *simConn) Push(body []byte) error {
 	return nil
 }
 
-// Peer implements Pusher.
-func (c *simConn) Peer() string { return c.peer }
-
 // Done implements Pusher.
 func (c *simConn) Done() <-chan struct{} { return c.done }
 

@@ -123,7 +123,7 @@ func (l *tcpListener) serveConn(c net.Conn) {
 		wg  sync.WaitGroup
 	)
 	peer := c.RemoteAddr().String()
-	pusher := &tcpPusher{wmu: &wmu, c: c, peer: peer, done: make(chan struct{})}
+	pusher := &tcpPusher{wmu: &wmu, c: c, done: make(chan struct{})}
 	defer func() {
 		// Signal subscribers first so no new pushes start, then drain
 		// in-flight handlers before closing so none writes to a closed
@@ -163,7 +163,6 @@ func (l *tcpListener) serveConn(c net.Conn) {
 type tcpPusher struct {
 	wmu  *sync.Mutex
 	c    net.Conn
-	peer string
 	done chan struct{}
 }
 
@@ -184,9 +183,6 @@ func (p *tcpPusher) Push(body []byte) error {
 	bufpool.Put(out)
 	return werr
 }
-
-// Peer implements Pusher.
-func (p *tcpPusher) Peer() string { return p.peer }
 
 // Done implements Pusher.
 func (p *tcpPusher) Done() <-chan struct{} { return p.done }

@@ -25,9 +25,7 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 
@@ -88,32 +86,14 @@ type RemoteError struct {
 // Error implements error.
 func (e *RemoteError) Error() string { return "remote: " + e.Msg }
 
+// Code reports the failure's code (see CodeOf).
+func (e *RemoteError) Code() Code { return CodeRemote }
+
 // ErrRefused reports a dial or call to an address nothing is listening on.
-var ErrRefused = errors.New("transport: connection refused")
+var ErrRefused error = &sentinel{"transport: connection refused", CodeRefused}
 
 // ErrClosed reports use of a closed connection or listener.
-var ErrClosed = errors.New("transport: closed")
-
-// Unavailable reports whether err means the peer could not be reached at
-// all — refused, closed, lost in transit, or a socket-level failure — as
-// opposed to a live server answering with an error. It is the predicate
-// behind failover and serve-stale decisions: only an unreachable backend
-// justifies trying a replica or answering from an expired cache entry.
-func Unavailable(err error) bool {
-	if err == nil {
-		return false
-	}
-	var re *RemoteError
-	if errors.As(err, &re) {
-		return false
-	}
-	if errors.Is(err, ErrRefused) || errors.Is(err, ErrClosed) || errors.Is(err, ErrInjectedLoss) ||
-		errors.Is(err, ErrConnBroken) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
-}
+var ErrClosed error = &sentinel{"transport: closed", CodeClosed}
 
 // Network is the environment a set of transports lives in: the in-process
 // endpoint table the simulated transports deliver through, and the

@@ -33,12 +33,12 @@ if grep -rnE 'BENCH_(batch|durable|mux|push|scale|shard|wire)' \
   echo "SMOKE FAILED: a retired BENCH file is referenced again (see matches above)"; exit 1
 fi
 
-echo "--- one lookup path, one zone history, one on-disk format, one mutation path, one meta-cache, one connection per endpoint, one backoff schedule, one fsync policy, one stub path, one population runner, one connection per endpoint with push on it: no marshalled-reply cache, refresh-ahead, BIND query batching, cache-shard pin, diff-log knob, snapshot file family, per-record update loop, negative cache, resolved-binding cache, daemon cache-mode knob, preload counter, pool sizing or idle eviction, backoff jitter, fsync knob, unset daemon flag, stub compiler, pre-fleet concurrent runner or private push connection in non-test sources"
-# The diff-log, snapshot, update-loop, cache, stub-compiler, runner and push-connection names are bracketed so a repo-wide grep for them finds none here.
-if grep -rnE 'EnableReplyCache|InvalidateReplies|Cacheable|replyCache|RefreshAhead|SetPushCovered|GetWithTTL|LookupBatch|NewBatcher|procQueryBatch|CacheShards|"reply-cache"|"refresh-ahead"|EnableDiff[L]og|diff[W]indow|"ixfr-[w]indow"|Write[S]napshot|Latest[S]napshot|Prune[S]napshots|HNSS[N]AP|CrashOn[R]ename|Snapshots[S]kipped|beginBulk[A]dd|type bulk[A]dd|func apply[R]ecords|\) add[R]ecord\(|\) remove[M]eta\(|Negative[T]TL|NegativeCache[T]TL|Negative[S]tats|BindingCache[T]TL|purge[B]indings|bind[G]en|"neg-[t]tl"|"binding-[c]ache"|"marshalled-[c]ache"|cache_negative_|core_binding_[c]ache|cache_preloads_[t]otal|Pool[C]onfig|Max[C]onns|Max[S]treams|Close[I]dle|jitter[S]cale|Sync[I]nterval|Sync[N]ever|Sync[E]very|ParseSync[P]olicy|Fsync[I]nterval|"conn-[i]dle"|"fsync-[i]nterval"|"push-[m]ax"|"low-[w]atermark"|"max-[c]lients"|"retry-[a]fter"|String\("[f]sync"|Bool\("[n]otify"|Float64\("[b]urst"|hrpc[g]en|internal/[i]dl|gen/[g]reeter|RunCon[c]urrent|Sticky[C]onn|DialSt[i]cky' \
+echo "--- one lookup path, one zone history, one on-disk format, one mutation path, one meta-cache, one connection per endpoint, one backoff schedule, one fsync policy, one stub path, one population runner, one connection per endpoint with push on it, one failure vocabulary: no marshalled-reply cache, refresh-ahead, BIND query batching, cache-shard pin, diff-log knob, snapshot file family, per-record update loop, negative cache, resolved-binding cache, daemon cache-mode knob, preload counter, pool sizing or idle eviction, backoff jitter, fsync knob, unset daemon flag, stub compiler, pre-fleet concurrent runner, private push connection, per-caller failure predicate or string-trace shim in non-test sources"
+# The diff-log, snapshot, update-loop, cache, stub-compiler, runner, push-connection, failure-predicate and trace-shim names are bracketed so a repo-wide grep for them finds none here.
+if grep -rnE 'EnableReplyCache|InvalidateReplies|Cacheable|replyCache|RefreshAhead|SetPushCovered|GetWithTTL|LookupBatch|NewBatcher|procQueryBatch|CacheShards|"reply-cache"|"refresh-ahead"|EnableDiff[L]og|diff[W]indow|"ixfr-[w]indow"|Write[S]napshot|Latest[S]napshot|Prune[S]napshots|HNSS[N]AP|CrashOn[R]ename|Snapshots[S]kipped|beginBulk[A]dd|type bulk[A]dd|func apply[R]ecords|\) add[R]ecord\(|\) remove[M]eta\(|Negative[T]TL|NegativeCache[T]TL|Negative[S]tats|BindingCache[T]TL|purge[B]indings|bind[G]en|"neg-[t]tl"|"binding-[c]ache"|"marshalled-[c]ache"|cache_negative_|core_binding_[c]ache|cache_preloads_[t]otal|Pool[C]onfig|Max[C]onns|Max[S]treams|Close[I]dle|jitter[S]cale|Sync[I]nterval|Sync[N]ever|Sync[E]very|ParseSync[P]olicy|Fsync[I]nterval|"conn-[i]dle"|"fsync-[i]nterval"|"push-[m]ax"|"low-[w]atermark"|"max-[c]lients"|"retry-[a]fter"|String\("[f]sync"|Bool\("[n]otify"|Float64\("[b]urst"|hrpc[g]en|internal/[i]dl|gen/[g]reeter|RunCon[c]urrent|Sticky[C]onn|DialSt[i]cky|err[K]ind|timeout[C]lass|hrpc\.Un[a]vailable|transport\.Un[a]vailable|Trace[F]unc|With[T]race\(' \
         --include='*.go' --include='*.sh' --include='Makefile' --exclude='*_test.go' --exclude='smoke.sh' \
         --exclude-dir=.git --exclude-dir=.bench_build .; then
-  echo "SMOKE FAILED: a removed lookup-path, diff-log, snapshot, update-loop, cache, pool, backoff, fsync, daemon-flag, stub-compiler, concurrent-runner or private push-connection mechanism is back (see matches above)"; exit 1
+  echo "SMOKE FAILED: a removed lookup-path, diff-log, snapshot, update-loop, cache, pool, backoff, fsync, daemon-flag, stub-compiler, concurrent-runner, private push-connection, failure-predicate or trace-shim mechanism is back (see matches above)"; exit 1
 fi
 
 echo "--- race detector over the full test suite"
@@ -301,5 +301,10 @@ grep -q '127.0.0.1' <<<"$out" || { echo "SMOKE FAILED: resolve through degraded 
 out=$(./hnsctl stats -from 127.0.0.1:5387 -filter push_client)
 echo "$out"
 grep -Eq 'push_client_degraded_total +[1-9]' <<<"$out" || { echo "SMOKE FAILED: refused subscription did not degrade to polling"; exit 1; }
+
+echo "--- the refused Subscribe is counted under its failure code"
+out=$(./hnsctl stats -from 127.0.0.1:5387 -filter hrpc_client_errors_total)
+echo "$out"
+grep -Eq 'hrpc_client_errors_total\{code="hrpc\.remote_fault"\} +[1-9]' <<<"$out" || { echo "SMOKE FAILED: the refused Subscribe is not counted as hrpc.remote_fault"; exit 1; }
 
 echo "SMOKE OK"
