@@ -32,14 +32,12 @@ type FindResult struct {
 
 // procFindNSMBatch is the batch resolution procedure.
 //
-//	args: {[{context, individual, queryClass}]}
+//	args: {[{context, queryClass}]}
 //	ret:  {[{errText, binding}]}  — errText empty on success, and then
 //	      the binding slot is meaningful; positionally matched to args.
 var procFindNSMBatch = hrpc.Procedure{
 	Name: "FindNSMBatch", ID: ProcFindNSMBatchID,
-	Args: marshal.TStruct(marshal.TList(marshal.TStruct(
-		marshal.TString, marshal.TString, marshal.TString,
-	))),
+	Args: marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, marshal.TString))),
 	Ret: marshal.TStruct(marshal.TList(marshal.TStruct(
 		marshal.TString,
 		marshal.TStruct(
@@ -65,8 +63,8 @@ func (h *HNS) FindNSMBatch(ctx context.Context, qs []NameQuery) ([]FindResult, e
 }
 
 // registerFindBatch installs the batch procedure on an HNS server over
-// any Finder (batch-capable finders batch through; others loop).
-func registerFindBatch(s *hrpc.Server, f Finder) {
+// any ContextFinder (a remote HNS batches through; others loop).
+func registerFindBatch(s *hrpc.Server, f ContextFinder) {
 	s.Register(procFindNSMBatch, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		qs := args.Items[0]
 		if qs.Len() > MaxFindBatch {
@@ -74,76 +72,77 @@ func registerFindBatch(s *hrpc.Server, f Finder) {
 		}
 		// Per-name status: each slot carries its own error text (the
 		// reply-level error is reserved for malformed batches). Slots
-		// whose names parse go to the Finder together — FindAll batches
-		// them through a batch-capable backend in one upstream call,
-		// which is what lets a gateway amortize its forwarding too.
-		n := qs.Len()
-		errTexts := make([]string, n)
-		bindings := make([]hrpc.Binding, n)
-		queries := make([]NameQuery, 0, n)
-		slots := make([]int, 0, n)
+		// whose contexts parse go to the finder together — a RemoteHNS
+		// batches them upstream in one call, which is what lets a
+		// gateway amortize its forwarding too.
+		queries := make([]NameQuery, qs.Len())
 		for i, it := range qs.Items {
 			cx, err := it.Items[0].AsString()
 			if err != nil {
 				return marshal.Value{}, err
 			}
-			individual, err := it.Items[1].AsString()
+			qc, err := it.Items[1].AsString()
 			if err != nil {
 				return marshal.Value{}, err
 			}
-			qc, err := it.Items[2].AsString()
-			if err != nil {
-				return marshal.Value{}, err
-			}
-			nm, err := names.New(cx, individual)
-			if err != nil {
-				errTexts[i] = err.Error()
-				continue
-			}
-			queries = append(queries, NameQuery{Name: nm, QueryClass: qc})
-			slots = append(slots, i)
+			queries[i] = NameQuery{Name: names.Name{Context: cx}, QueryClass: qc}
 		}
-		res, err := FindAll(ctx, f, queries)
+		chargeIndividuals(ctx, len(queries))
+		res, err := findValid(queries, func(q *NameQuery) (err error) {
+			q.Name.Context, err = names.CanonicalContext(q.Name.Context)
+			return err
+		}, func(valid []NameQuery) ([]FindResult, error) {
+			if r, ok := f.(*RemoteHNS); ok {
+				return r.findContexts(ctx, valid)
+			}
+			out := make([]FindResult, len(valid))
+			for i, q := range valid {
+				out[i].Binding, out[i].Err = f.FindContextNSM(ctx, q.Name.Context, q.QueryClass)
+			}
+			return out, nil
+		})
 		if err != nil {
 			return marshal.Value{}, err
 		}
-		for j, r := range res {
+		results := make([]marshal.Value, len(res))
+		for i, r := range res {
+			var errText string
 			if r.Err != nil {
-				errTexts[slots[j]] = r.Err.Error()
-			} else {
-				bindings[slots[j]] = r.Binding
+				errText, r.Binding = r.Err.Error(), hrpc.Binding{}
 			}
-		}
-		results := make([]marshal.Value, 0, n)
-		for i := 0; i < n; i++ {
-			results = append(results, marshal.StructV(
-				marshal.Str(errTexts[i]), qclass.BindingValue(bindings[i]),
-			))
+			results[i] = marshal.StructV(marshal.Str(errText), qclass.BindingValue(r.Binding))
 		}
 		return marshal.StructV(marshal.ListV(results...)), nil
 	})
 }
 
-// batchFinder is the optional batched face of a Finder.
-type batchFinder interface {
-	FindNSMBatch(ctx context.Context, qs []NameQuery) ([]FindResult, error)
-}
-
-// FindAll resolves qs against any Finder, batching when f supports it
-// and falling back to sequential FindNSM calls otherwise.
-func FindAll(ctx context.Context, f Finder, qs []NameQuery) ([]FindResult, error) {
-	if bf, ok := f.(batchFinder); ok {
-		return bf.FindNSMBatch(ctx, qs)
-	}
+// findValid resolves the queries that pass check (which may canonicalize
+// them) in one find call; every other slot keeps its check error.
+func findValid(qs []NameQuery, check func(*NameQuery) error, find func([]NameQuery) ([]FindResult, error)) ([]FindResult, error) {
 	out := make([]FindResult, len(qs))
-	for i, q := range qs {
-		b, err := f.FindNSM(ctx, q.Name, q.QueryClass)
-		out[i] = FindResult{Binding: b, Err: err}
+	valid := make([]NameQuery, 0, len(qs))
+	slots := make([]int, 0, len(qs))
+	for i := range qs {
+		if out[i].Err = check(&qs[i]); out[i].Err == nil {
+			valid = append(valid, qs[i])
+			slots = append(slots, i)
+		}
+	}
+	if len(valid) == 0 {
+		return out, nil
+	}
+	res, err := find(valid)
+	if err != nil {
+		return nil, err
+	}
+	for j, r := range res {
+		out[slots[j]] = r
 	}
 	return out, nil
 }
 
-// FindNSMBatch resolves a batch over the wire in one call.
+// FindNSMBatch resolves a batch over the wire in one call; a malformed
+// name fills its own slot here and is not sent.
 func (r *RemoteHNS) FindNSMBatch(ctx context.Context, qs []NameQuery) ([]FindResult, error) {
 	if len(qs) == 0 {
 		return nil, nil
@@ -151,12 +150,18 @@ func (r *RemoteHNS) FindNSMBatch(ctx context.Context, qs []NameQuery) ([]FindRes
 	if len(qs) > MaxFindBatch {
 		return nil, fmt.Errorf("hns: batch of %d exceeds limit %d", len(qs), MaxFindBatch)
 	}
-	items := make([]marshal.Value, 0, len(qs))
-	for _, q := range qs {
-		items = append(items, marshal.StructV(
-			marshal.Str(q.Name.Context), marshal.Str(q.Name.Individual), marshal.Str(q.QueryClass),
-		))
+	return findValid(qs, func(q *NameQuery) error { return q.Name.Validate() },
+		func(valid []NameQuery) ([]FindResult, error) { return r.findContexts(ctx, valid) })
+}
+
+// findContexts sends the (context, query class) of each query in one
+// FindNSMBatch call.
+func (r *RemoteHNS) findContexts(ctx context.Context, qs []NameQuery) ([]FindResult, error) {
+	items := make([]marshal.Value, len(qs))
+	for i, q := range qs {
+		items[i] = marshal.StructV(marshal.Str(q.Name.Context), marshal.Str(q.QueryClass))
 	}
+	chargeIndividuals(ctx, len(qs))
 	ret, err := r.c.Call(ctx, r.b, procFindNSMBatch, marshal.StructV(marshal.ListV(items...)))
 	if err != nil {
 		return nil, err

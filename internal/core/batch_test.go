@@ -79,40 +79,6 @@ func TestRemoteFindNSMBatch(t *testing.T) {
 	}
 }
 
-// TestFindAll covers the generic helper: batch-capable finders batch,
-// plain finders loop.
-func TestFindAll(t *testing.T) {
-	w := newWorld(t, world.Config{})
-	ctx := context.Background()
-	res, err := core.FindAll(ctx, w.HNS, batchQueries())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Err != nil || res[1].Err == nil || res[2].Err != nil {
-		t.Fatalf("FindAll results: %+v", res)
-	}
-
-	res2, err := core.FindAll(ctx, plainFinder{w.HNS}, batchQueries())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res {
-		if (res[i].Err == nil) != (res2[i].Err == nil) {
-			t.Fatalf("slot %d differs between batch and loop paths", i)
-		}
-		if res[i].Err == nil && res[i].Binding != res2[i].Binding {
-			t.Fatalf("slot %d bindings differ: %v vs %v", i, res[i].Binding, res2[i].Binding)
-		}
-	}
-}
-
-// plainFinder hides the batch method, forcing FindAll's loop path.
-type plainFinder struct{ f core.Finder }
-
-func (p plainFinder) FindNSM(ctx context.Context, n names.Name, qc string) (hrpc.Binding, error) {
-	return p.f.FindNSM(ctx, n, qc)
-}
-
 // TestRemoteBatchCheaperThanSingles pins the amortization on the core
 // interface in simulated time (warm caches, so frame cost dominates).
 func TestRemoteBatchCheaperThanSingles(t *testing.T) {

@@ -64,6 +64,12 @@ type Finder interface {
 	FindNSM(ctx context.Context, name names.Name, queryClass string) (hrpc.Binding, error)
 }
 
+// ContextFinder is the face the HNS program serves: FindNSM keyed by the
+// context alone, since only the NSM reads the individual name.
+type ContextFinder interface {
+	FindContextNSM(ctx context.Context, hnsContext, queryClass string) (hrpc.Binding, error)
+}
+
 // Errors reported by HNS operations.
 var (
 	ErrNoSuchContext = errors.New("hns: context not registered")
@@ -302,12 +308,19 @@ func (s *stepObs) lap() (time.Duration, string) {
 
 // FindNSM implements Finder. It is the paper's primary HNS call.
 func (h *HNS) FindNSM(ctx context.Context, name names.Name, queryClass string) (hrpc.Binding, error) {
-	h.findCalls.Add(1)
-	simtime.Charge(ctx, simtime.FindNSMAssembly)
 	if err := name.Validate(); err != nil {
+		h.findCalls.Add(1)
+		simtime.Charge(ctx, simtime.FindNSMAssembly)
 		h.obs.errors.Inc()
 		return hrpc.Binding{}, err
 	}
+	return h.FindContextNSM(ctx, name.Context, queryClass)
+}
+
+// FindContextNSM implements ContextFinder; mapping 1 checks the context.
+func (h *HNS) FindContextNSM(ctx context.Context, hnsContext, queryClass string) (hrpc.Binding, error) {
+	h.findCalls.Add(1)
+	simtime.Charge(ctx, simtime.FindNSMAssembly)
 	queryClass = strings.ToLower(queryClass)
 
 	var so *stepObs
@@ -315,7 +328,7 @@ func (h *HNS) FindNSM(ctx context.Context, name names.Name, queryClass string) (
 		so = &stepObs{sw: simtime.Start(ctx), fn: tr}
 		ctx = metrics.InstallCallCounter(ctx, &so.cc)
 	}
-	b, err := h.findNSM(ctx, name.Context, queryClass, 0, so)
+	b, err := h.findNSM(ctx, hnsContext, queryClass, 0, so)
 	if err != nil {
 		h.obs.errors.Inc()
 		return b, err
@@ -384,6 +397,13 @@ func (h *HNS) findNSM(ctx context.Context, context, queryClass string, depth int
 		Program:   prog,
 		Version:   qclass.NSMVersion,
 	}, nil
+}
+
+// chargeIndividuals replays what the HNS wire no longer moves: the 1987
+// stub marshalled the individual too, one generated value node per name
+// at each end, and Table 3.1 is priced with it.
+func chargeIndividuals(ctx context.Context, n int) {
+	simtime.Charge(ctx, time.Duration(n)*simtime.GenPerNode)
 }
 
 // lookupContext performs mapping 1.

@@ -14,7 +14,7 @@ import (
 // any process — including a server process, which is how the remote-HNS
 // colocation arrangements of Table 3.1 are built. This file provides that
 // wrapping: an HRPC program exposing FindNSM, and a client (RemoteHNS)
-// satisfying Finder.
+// satisfying Finder and ContextFinder.
 
 // HNS service program identification.
 const (
@@ -29,13 +29,14 @@ const (
 	ProcFindNSMBatchID uint32 = 2
 )
 
-// procFindNSM is the remote FindNSM interface.
+// procFindNSM is the remote FindNSM interface. Only the NSM reads the
+// individual name, so it stays with the caller.
 //
-//	args: {context string, individual string, queryClass string}
+//	args: {context string, queryClass string}
 //	ret:  {binding}
 var procFindNSM = hrpc.Procedure{
 	Name: "FindNSM", ID: ProcFindNSMID,
-	Args: marshal.TStruct(marshal.TString, marshal.TString, marshal.TString),
+	Args: marshal.TStruct(marshal.TString, marshal.TString),
 	Ret: marshal.TStruct(marshal.TStruct(
 		marshal.TString, marshal.TString, marshal.TString, marshal.TString,
 		marshal.TString, marshal.TUint32, marshal.TUint32,
@@ -47,29 +48,25 @@ func resolveHostArgs(context, individual string) marshal.Value {
 	return marshal.StructV(marshal.Str(context), marshal.Str(individual))
 }
 
-// NewFinderServer wraps any Finder in the HNS HRPC program — the local
-// library, or another remote HNS (which is how the hnsgw gateway fronts
-// a backend: its Finder is a RemoteHNS pointing upstream).
-func NewFinderServer(f Finder, name string) *hrpc.Server {
+// NewFinderServer wraps any ContextFinder in the HNS HRPC program — the
+// local library, or another remote HNS (which is how the hnsgw gateway
+// fronts a backend: its finder is a RemoteHNS pointing upstream).
+func NewFinderServer(f ContextFinder, name string) *hrpc.Server {
 	s := hrpc.NewServer(name, HNSProgram, HNSVersion)
 	s.Register(procFindNSM, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
-		context, err := args.Items[0].AsString()
+		cx, err := args.Items[0].AsString()
 		if err != nil {
 			return marshal.Value{}, err
 		}
-		individual, err := args.Items[1].AsString()
+		qc, err := args.Items[1].AsString()
 		if err != nil {
 			return marshal.Value{}, err
 		}
-		qc, err := args.Items[2].AsString()
-		if err != nil {
+		chargeIndividuals(ctx, 1)
+		if cx, err = names.CanonicalContext(cx); err != nil {
 			return marshal.Value{}, err
 		}
-		n, err := names.New(context, individual)
-		if err != nil {
-			return marshal.Value{}, err
-		}
-		b, err := f.FindNSM(ctx, n, qc)
+		b, err := f.FindContextNSM(ctx, cx, qc)
 		if err != nil {
 			return marshal.Value{}, err
 		}
@@ -101,11 +98,18 @@ func NewRemoteHNS(c *hrpc.Client, b hrpc.Binding) *RemoteHNS {
 	return &RemoteHNS{c: c, b: b}
 }
 
-// FindNSM implements Finder.
+// FindNSM implements Finder. A malformed name fails here, moving no frame.
 func (r *RemoteHNS) FindNSM(ctx context.Context, name names.Name, queryClass string) (hrpc.Binding, error) {
-	ret, err := r.c.Call(ctx, r.b, procFindNSM, marshal.StructV(
-		marshal.Str(name.Context), marshal.Str(name.Individual), marshal.Str(queryClass),
-	))
+	if err := name.Validate(); err != nil {
+		return hrpc.Binding{}, err
+	}
+	return r.FindContextNSM(ctx, name.Context, queryClass)
+}
+
+// FindContextNSM implements ContextFinder.
+func (r *RemoteHNS) FindContextNSM(ctx context.Context, hnsContext, queryClass string) (hrpc.Binding, error) {
+	chargeIndividuals(ctx, 1)
+	ret, err := r.c.Call(ctx, r.b, procFindNSM, marshal.StructV(marshal.Str(hnsContext), marshal.Str(queryClass)))
 	if err != nil {
 		return hrpc.Binding{}, err
 	}

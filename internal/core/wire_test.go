@@ -1,0 +1,235 @@
+package core_test
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"hns/internal/bind"
+	"hns/internal/core"
+	"hns/internal/hrpc"
+	"hns/internal/marshal"
+	"hns/internal/metrics"
+	"hns/internal/names"
+	"hns/internal/qclass"
+	"hns/internal/world"
+)
+
+// The HNS program on the wire: what a FindNSM moves, what it refuses to
+// move, and the shape it no longer accepts.
+
+// bindingRet is the FindNSM result type: {binding}.
+var bindingRet = marshal.TStruct(marshal.TStruct(
+	marshal.TString, marshal.TString, marshal.TString, marshal.TString,
+	marshal.TString, marshal.TUint32, marshal.TUint32,
+))
+
+func tcpWireBytes(dir string) int64 {
+	return metrics.Default().Counter(metrics.Labels("transport_bytes_total",
+		"transport", "tcp-net", "dir", dir)).Value()
+}
+
+// packedLen is the size of v in the raw suite's data representation.
+func packedLen(t *testing.T, v marshal.Value, ty marshal.Type) int64 {
+	t.Helper()
+	rep, err := marshal.Lookup(hrpc.SuiteRawNet.DataRep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := rep.Append(nil, v, ty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(b))
+}
+
+// TestHNSWireBytes is the tier-1 twin of the benchmark's bytes_per_op
+// gate for the HNS program: over real TCP, a warm FindNSM moves the raw
+// envelope (6 bytes) plus the context and the query class, each behind a
+// one-byte length, and the individual name not at all. The reply is the
+// packed binding plus 2.
+func TestHNSWireBytes(t *testing.T) {
+	w := newWorld(t, world.Config{})
+	ln, hb, err := hrpc.Serve(w.Net, core.NewHNSServer(w.HNS, "hns@june"), hrpc.SuiteRawNet, "june", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	rpc := hrpc.NewClient(w.Net)
+	rpc.Metrics = metrics.NewRegistry()
+	defer rpc.Close()
+	remote := core.NewRemoteHNS(rpc, hb)
+
+	ctx := context.Background()
+	name := world.DesiredServiceName()
+	// Warm the connection and the HNS's meta-cache outside the measurement.
+	b, err := remote.FindNSM(ctx, name, qclass.HRPCBinding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx0, rx0 := tcpWireBytes("tx"), tcpWireBytes("rx")
+	if _, err := remote.FindNSM(ctx, name, qclass.HRPCBinding); err != nil {
+		t.Fatal(err)
+	}
+	wantTx := int64(6 + 1 + len(name.Context) + 1 + len(qclass.HRPCBinding))
+	if tx := tcpWireBytes("tx") - tx0; tx != wantTx {
+		t.Errorf("FindNSM sent %d bytes, want %d (6 + context + query class)", tx, wantTx)
+	}
+	wantRx := 2 + packedLen(t, marshal.StructV(qclass.BindingValue(b)), bindingRet)
+	if rx := tcpWireBytes("rx") - rx0; rx != wantRx {
+		t.Errorf("FindNSM received %d bytes, want %d (2 + packed binding)", rx, wantRx)
+	}
+}
+
+// malformedNames are names RemoteHNS refuses before sending.
+var malformedNames = []names.Name{
+	{Context: world.CtxBind, Individual: ""},
+	{Context: "has space", Individual: "x"},
+}
+
+// TestRemoteFindNSMRefusesMalformedNames: a malformed name fails at the
+// caller with names.ErrBadHNSName and moves no frame; in a batch it fills
+// its own slot and every other slot resolves.
+func TestRemoteFindNSMRefusesMalformedNames(t *testing.T) {
+	w := newWorld(t, world.Config{})
+	ln, hb, err := core.ServeHNS(w.Net, w.HNS, "june", "june:hns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	remote := core.NewRemoteHNS(w.RPC, hb)
+	ctx := context.Background()
+	if _, err := remote.FindNSM(ctx, world.DesiredServiceName(), qclass.HRPCBinding); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, n := range malformedNames {
+		before := framesTotal()
+		_, err := remote.FindNSM(ctx, n, qclass.HRPCBinding)
+		if !errors.Is(err, names.ErrBadHNSName) {
+			t.Errorf("FindNSM(%+v) = %v, want ErrBadHNSName", n, err)
+		}
+		if got := framesTotal() - before; got != 0 {
+			t.Errorf("FindNSM(%+v) moved %d frames, want 0", n, got)
+		}
+	}
+
+	qs := []core.NameQuery{
+		{Name: world.DesiredServiceName(), QueryClass: qclass.HRPCBinding},
+		{Name: malformedNames[0], QueryClass: qclass.HRPCBinding},
+		{Name: world.CourierServiceName(), QueryClass: qclass.HRPCBinding},
+		{Name: malformedNames[1], QueryClass: qclass.HRPCBinding},
+	}
+	res, err := remote.FindNSMBatch(ctx, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := w.HNS.FindNSMBatch(ctx, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if i%2 == 1 {
+			if !errors.Is(r.Err, names.ErrBadHNSName) {
+				t.Errorf("slot %d err = %v, want ErrBadHNSName", i, r.Err)
+			}
+			continue
+		}
+		if r.Err != nil || r.Binding != local[i].Binding {
+			t.Errorf("slot %d = %+v, want %v", i, r, local[i].Binding)
+		}
+	}
+	// A batch of nothing but malformed names sends nothing.
+	before := framesTotal()
+	if res, err := remote.FindNSMBatch(ctx, qs[1:2]); err != nil || !errors.Is(res[0].Err, names.ErrBadHNSName) {
+		t.Fatalf("all-malformed batch = %+v, %v", res, err)
+	}
+	if got := framesTotal() - before; got != 0 {
+		t.Errorf("all-malformed batch moved %d frames, want 0", got)
+	}
+}
+
+// countingFinder counts the calls that reach the finder behind a server.
+type countingFinder struct {
+	calls atomic.Int64
+	f     core.ContextFinder
+}
+
+func (c *countingFinder) FindContextNSM(ctx context.Context, hnsContext, qc string) (hrpc.Binding, error) {
+	c.calls.Add(1)
+	return c.f.FindContextNSM(ctx, hnsContext, qc)
+}
+
+// TestOldShapeFindNSMRefused: a call still carrying the individual name —
+// three strings where the program takes two — leaves trailing bytes in
+// the strict packed decoder. The server answers with a fault and the
+// finder never runs; the individual is never read as a query class.
+func TestOldShapeFindNSMRefused(t *testing.T) {
+	w := newWorld(t, world.Config{})
+	cf := &countingFinder{f: w.HNS}
+	ln, hb, err := hrpc.Serve(w.Net, core.NewFinderServer(cf, "hns@june"), hrpc.SuiteRaw, "june", "june:hns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ctx := context.Background()
+	n := world.DesiredServiceName()
+	three := marshal.StructV(marshal.Str(n.Context), marshal.Str(n.Individual), marshal.Str(qclass.HRPCBinding))
+	for _, p := range []struct {
+		proc hrpc.Procedure
+		args marshal.Value
+	}{
+		{hrpc.Procedure{Name: "FindNSM", ID: core.ProcFindNSMID,
+			Args: marshal.TStruct(marshal.TString, marshal.TString, marshal.TString), Ret: bindingRet}, three},
+		{hrpc.Procedure{Name: "FindNSMBatch", ID: core.ProcFindNSMBatchID,
+			Args: marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, marshal.TString, marshal.TString))),
+			Ret:  marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, bindingRet.Fields[0])))},
+			marshal.StructV(marshal.ListV(three))},
+	} {
+		_, err := w.RPC.Call(ctx, hb, p.proc, p.args)
+		var rf *hrpc.RemoteFault
+		if !errors.As(err, &rf) || !strings.Contains(rf.Msg, "trailing bytes") {
+			t.Errorf("old-shape %s = %v, want a RemoteFault for trailing bytes", p.proc.Name, err)
+		}
+	}
+	if got := cf.calls.Load(); got != 0 {
+		t.Fatalf("finder ran %d times for old-shape calls, want 0", got)
+	}
+}
+
+// BenchmarkRemoteFindNSMWarmAllocs is one warm FindNSM through a RemoteHNS
+// over the sim transport, client and server both, instrumentation off.
+// scripts/bench_alloc.sh gates its allocs/op.
+func BenchmarkRemoteFindNSMWarmAllocs(b *testing.B) {
+	w, err := world.New(world.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	h := w.NewHNS(core.Config{CacheMode: bind.CacheDemarshalled, Metrics: metrics.Discard})
+	srv := core.NewHNSServer(h, "hns@june")
+	srv.Metrics = metrics.Discard
+	ln, hb, err := hrpc.Serve(w.Net, srv, hrpc.SuiteRaw, "june", "june:hns-bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	rpc := hrpc.NewClient(w.Net)
+	rpc.Metrics = metrics.Discard
+	defer rpc.Close()
+	remote := core.NewRemoteHNS(rpc, hb)
+	ctx := context.Background()
+	name := world.DesiredServiceName()
+	if _, err := remote.FindNSM(ctx, name, qclass.HRPCBinding); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if _, err := remote.FindNSM(ctx, name, qclass.HRPCBinding); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"hns/internal/core"
 	"hns/internal/health"
 	"hns/internal/hrpc"
+	"hns/internal/marshal"
 	"hns/internal/metrics"
 	"hns/internal/names"
 	"hns/internal/qclass"
@@ -43,7 +45,7 @@ var stubBinding = hrpc.Binding{
 // no budget at all (as opposed to an exhausted one).
 const noBudget = time.Duration(-1)
 
-func (s *stubFinder) FindNSM(ctx context.Context, n names.Name, qc string) (hrpc.Binding, error) {
+func (s *stubFinder) FindContextNSM(ctx context.Context, hnsContext, qc string) (hrpc.Binding, error) {
 	b, ok := hrpc.BudgetFrom(ctx)
 	if !ok {
 		b = noBudget
@@ -62,8 +64,8 @@ func (s *stubFinder) FindNSM(ctx context.Context, n names.Name, qc string) (hrpc
 		s.inflight--
 		s.mu.Unlock()
 	}
-	if n.Context == "ghost" {
-		return hrpc.Binding{}, fmt.Errorf("no such context %q", n.Context)
+	if hnsContext == "ghost" {
+		return hrpc.Binding{}, fmt.Errorf("no such context %q", hnsContext)
 	}
 	return stubBinding, nil
 }
@@ -85,12 +87,18 @@ type gwEnv struct {
 
 func newGWEnv(t *testing.T, cfg Config) *gwEnv {
 	t.Helper()
+	return newGWEnvOn(t, cfg, hrpc.SuiteRaw, "backend:hns", "gw:hns")
+}
+
+// newGWEnvOn is newGWEnv with both hops over suite, at the given addresses.
+func newGWEnvOn(t *testing.T, cfg Config, suite hrpc.Suite, backendAddr, gwAddr string) *gwEnv {
+	t.Helper()
 	n := transport.NewNetwork()
 	stub := &stubFinder{}
 
 	backend := core.NewFinderServer(stub, "hns-backend")
 	backend.Metrics = metrics.NewRegistry()
-	bln, bb, err := hrpc.Serve(n, backend, hrpc.SuiteRaw, "backend", "backend:hns")
+	bln, bb, err := hrpc.Serve(n, backend, suite, "backend", backendAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +109,7 @@ func newGWEnv(t *testing.T, cfg Config) *gwEnv {
 	t.Cleanup(func() { up.Close() })
 	gw := New(up, bb, cfg)
 	gw.SetMetrics(metrics.NewRegistry())
-	gln, gb, err := gw.Serve(n, hrpc.SuiteRaw, "gw", "gw:hns")
+	gln, gb, err := gw.Serve(n, suite, "gw", gwAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +148,100 @@ func TestGatewayForwards(t *testing.T) {
 	}
 	if res[2].Err != nil || res[2].Binding != stubBinding {
 		t.Fatalf("slot 2 = %+v", res[2])
+	}
+}
+
+func tcpWireBytes(dir string) int64 {
+	return metrics.Default().Counter(metrics.Labels("transport_bytes_total",
+		"transport", "tcp-net", "dir", dir)).Value()
+}
+
+// framesTotal sums every transport_frames_total series in the process
+// registry.
+func framesTotal() int64 {
+	var total int64
+	for _, c := range metrics.Default().Snapshot().Counters {
+		if strings.HasPrefix(c.Name, "transport_frames_total") {
+			total += c.Value
+		}
+	}
+	return total
+}
+
+// TestGatewayWireBytes is the per-hop twin of core's TestHNSWireBytes: over
+// real TCP a warm FindNSM through the gateway is two exchanges, each
+// carrying the raw envelope (6 bytes), the context and the query class
+// out, and the packed binding plus 2 back. The individual name crosses
+// neither hop.
+func TestGatewayWireBytes(t *testing.T) {
+	e := newGWEnvOn(t, Config{}, hrpc.SuiteRawNet, "127.0.0.1:0", "127.0.0.1:0")
+	ctx := context.Background()
+	name := names.Must("svc", "fiji.cs.washington.edu")
+	if _, err := e.front.FindNSM(ctx, name, qclass.HRPCBinding); err != nil { // dial both hops
+		t.Fatal(err)
+	}
+	tx0, rx0 := tcpWireBytes("tx"), tcpWireBytes("rx")
+	if _, err := e.front.FindNSM(ctx, name, qclass.HRPCBinding); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := marshal.Lookup(hrpc.SuiteRawNet.DataRep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binding, err := rep.Append(nil, qclass.BindingValue(stubBinding), marshal.TStruct(
+		marshal.TString, marshal.TString, marshal.TString, marshal.TString,
+		marshal.TString, marshal.TUint32, marshal.TUint32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTx := int64(2 * (6 + 1 + len(name.Context) + 1 + len(qclass.HRPCBinding)))
+	if tx := tcpWireBytes("tx") - tx0; tx != wantTx {
+		t.Errorf("FindNSM through the gateway sent %d bytes, want %d (2 hops × (6 + context + query class))", tx, wantTx)
+	}
+	if rx, want := tcpWireBytes("rx")-rx0, int64(2*(2+len(binding))); rx != want {
+		t.Errorf("FindNSM through the gateway received %d bytes, want %d (2 hops × (2 + packed binding))", rx, want)
+	}
+}
+
+// TestGatewayCallerRefusesMalformedNames: a malformed name fails at the
+// gateway's caller with names.ErrBadHNSName, moves no frame and never
+// reaches the backend; in a batch it fills its own slot and the rest are
+// forwarded.
+func TestGatewayCallerRefusesMalformedNames(t *testing.T) {
+	e := newGWEnv(t, Config{})
+	ctx := context.Background()
+	if _, err := e.front.FindNSM(ctx, names.Must("svc", "a"), qclass.HRPCBinding); err != nil {
+		t.Fatal(err)
+	}
+	bad := []names.Name{{Context: "svc", Individual: ""}, {Context: "has space", Individual: "a"}}
+	for _, n := range bad {
+		before := framesTotal()
+		if _, err := e.front.FindNSM(ctx, n, qclass.HRPCBinding); !errors.Is(err, names.ErrBadHNSName) {
+			t.Errorf("FindNSM(%+v) = %v, want ErrBadHNSName", n, err)
+		}
+		if got := framesTotal() - before; got != 0 {
+			t.Errorf("FindNSM(%+v) moved %d frames, want 0", n, got)
+		}
+	}
+	if got := len(e.stub.recorded()); got != 1 {
+		t.Fatalf("backend served %d calls, want only the warm-up", got)
+	}
+	res, err := e.front.FindNSMBatch(ctx, []core.NameQuery{
+		{Name: bad[0], QueryClass: qclass.HRPCBinding},
+		{Name: names.Must("svc", "b"), QueryClass: qclass.HRPCBinding},
+		{Name: bad[1], QueryClass: qclass.HRPCBinding},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(res[0].Err, names.ErrBadHNSName) || !errors.Is(res[2].Err, names.ErrBadHNSName) {
+		t.Errorf("malformed slots = %v, %v; want ErrBadHNSName", res[0].Err, res[2].Err)
+	}
+	if res[1].Err != nil || res[1].Binding != stubBinding {
+		t.Errorf("slot 1 = %+v, want %v", res[1], stubBinding)
+	}
+	if got := len(e.stub.recorded()); got != 2 {
+		t.Fatalf("backend served %d calls, want the warm-up and the one well-formed slot", got)
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Alloc-regression gate for the zero-allocation wire path, the warm
-# FindNSM, the bindd seed and restart paths and one chained meta exchange. Runs the benchmarks with -benchmem and fails if any exceeds
-# its committed allocs/op bound. The bounds are the contract: raising one
+# FindNSM (local and through the HNS program), the bindd seed and restart
+# paths and one chained meta exchange. Runs the benchmarks with -benchmem
+# and fails if any exceeds its committed allocs/op bound. The bounds are the contract: raising one
 # is an explicit, reviewed change to this file.
 #
 # Usage:
@@ -15,6 +16,7 @@ BenchmarkDecodeReplyWarm ./internal/transport/ 1
 BenchmarkFrameMuxRequest ./internal/transport/ 1
 BenchmarkEncodeMuxReplyFramed ./internal/transport/ 1
 BenchmarkFindNSMWarmAllocs . 58
+BenchmarkRemoteFindNSMWarmAllocs ./internal/core/ 83
 BenchmarkBinddColdStart ./internal/bind/ 10003
 BenchmarkBinddRestart ./internal/bind/ 12300
 BenchmarkChainExchange ./internal/bind/ 67
@@ -31,6 +33,9 @@ echo "--- bench-alloc: warm-path allocation gate"
 run_pkg ./internal/transport/ 'BenchmarkDecodeReplyWarm$|BenchmarkFrameMuxRequest$|BenchmarkEncodeMuxReplyFramed$' | tee -a "$out"
 # One warm FindNSM: six meta-cache hits, each handing back a private copy.
 run_pkg . 'BenchmarkFindNSMWarmAllocs$' | tee -a "$out"
+# The same warm FindNSM through a RemoteHNS over the sim transport, client
+# and server both: the HNS program's call, carrying no individual name.
+run_pkg ./internal/core/ 'BenchmarkRemoteFindNSMWarmAllocs$' | tee -a "$out"
 # One op loads a generated 20k-record zone (20 006 records): the bound is
 # 0.5 per record; the load itself allocates nothing per record or owner.
 run_pkg ./internal/bind/ 'BenchmarkBinddColdStart$' 10 | tee -a "$out"
