@@ -8,7 +8,6 @@ import (
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
 	"hns/internal/names"
-	"hns/internal/qclass"
 )
 
 // Batched FindNSM: one frame resolves many names, with per-name status. A
@@ -33,18 +32,12 @@ type FindResult struct {
 // procFindNSMBatch is the batch resolution procedure.
 //
 //	args: {[{context, queryClass}]}
-//	ret:  {[{errText, binding}]}  — errText empty on success, and then
+//	ret:  {[{errText, nsmBinding}]}  — errText empty on success, and then
 //	      the binding slot is meaningful; positionally matched to args.
 var procFindNSMBatch = hrpc.Procedure{
 	Name: "FindNSMBatch", ID: ProcFindNSMBatchID,
 	Args: marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, marshal.TString))),
-	Ret: marshal.TStruct(marshal.TList(marshal.TStruct(
-		marshal.TString,
-		marshal.TStruct(
-			marshal.TString, marshal.TString, marshal.TString, marshal.TString,
-			marshal.TString, marshal.TUint32, marshal.TUint32,
-		),
-	))),
+	Ret:  marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, nsmBindingType))),
 }
 
 // FindNSMBatch resolves up to MaxFindBatch queries against the local
@@ -104,13 +97,14 @@ func registerFindBatch(s *hrpc.Server, f ContextFinder) {
 		if err != nil {
 			return marshal.Value{}, err
 		}
+		chargeNSMHosts(ctx, len(res))
 		results := make([]marshal.Value, len(res))
 		for i, r := range res {
 			var errText string
 			if r.Err != nil {
 				errText, r.Binding = r.Err.Error(), hrpc.Binding{}
 			}
-			results[i] = marshal.StructV(marshal.Str(errText), qclass.BindingValue(r.Binding))
+			results[i] = marshal.StructV(marshal.Str(errText), nsmBindingValue(r.Binding))
 		}
 		return marshal.StructV(marshal.ListV(results...)), nil
 	})
@@ -166,6 +160,7 @@ func (r *RemoteHNS) findContexts(ctx context.Context, qs []NameQuery) ([]FindRes
 	if err != nil {
 		return nil, err
 	}
+	chargeNSMHosts(ctx, len(qs))
 	return decodeFindResults(ret, len(qs))
 }
 
@@ -196,7 +191,7 @@ func decodeFindResults(ret marshal.Value, n int) ([]FindResult, error) {
 			out[i] = FindResult{Err: &hrpc.RemoteFault{Proc: procFindNSMBatch.Name, Msg: errText}}
 			continue
 		}
-		b, err := qclass.ValueBinding(it.Items[1])
+		b, err := valueNSMBinding(it.Items[1])
 		if err != nil {
 			return nil, fmt.Errorf("hns: batch result %d: %v", i, err)
 		}

@@ -34,7 +34,8 @@ func TestLocalFindNSMBatch(t *testing.T) {
 	if len(res) != 3 {
 		t.Fatalf("got %d results", len(res))
 	}
-	if res[0].Err != nil || res[0].Binding.Host != world.HostNSM {
+	if b := res[0].Binding; res[0].Err != nil || b.Host != "" || b.Addr != "june:"+world.PortBindingBind ||
+		b.Control != "sunrpc" || b.Program != qclass.ProgHRPCBinding {
 		t.Fatalf("slot 0 = %+v", res[0])
 	}
 	if res[1].Err == nil {

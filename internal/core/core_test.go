@@ -35,8 +35,8 @@ func TestFindNSMBindWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Host != world.HostNSM {
-		t.Fatalf("NSM host = %q, want %q", b.Host, world.HostNSM)
+	if b.Host != "" {
+		t.Fatalf("NSM host = %q, want empty: FindNSM returns only what the caller dials", b.Host)
 	}
 	if b.Addr != "june:"+world.PortBindingBind {
 		t.Fatalf("NSM addr = %q", b.Addr)

@@ -60,7 +60,8 @@ type HostResolver interface {
 // them is the "colocation arrangement" of the paper's Table 3.1.
 type Finder interface {
 	// FindNSM maps an HNS name's context plus a query class to an HRPC
-	// binding for the NSM that can answer queries of that class.
+	// binding for the NSM that can answer queries of that class. The
+	// binding holds only what the caller dials: its Host is empty.
 	FindNSM(ctx context.Context, name names.Name, queryClass string) (hrpc.Binding, error)
 }
 
@@ -389,7 +390,6 @@ func (h *HNS) findNSM(ctx context.Context, context, queryClass string, depth int
 		return hrpc.Binding{}, err
 	}
 	return hrpc.Binding{
-		Host:      rec.Host,
 		Addr:      hostAddr + ":" + rec.Port,
 		Transport: rec.Suite.Transport,
 		DataRep:   rec.Suite.DataRep,
@@ -403,6 +403,13 @@ func (h *HNS) findNSM(ctx context.Context, context, queryClass string, depth int
 // stub marshalled the individual too, one generated value node per name
 // at each end, and Table 3.1 is priced with it.
 func chargeIndividuals(ctx context.Context, n int) {
+	simtime.Charge(ctx, time.Duration(n)*simtime.GenPerNode)
+}
+
+// chargeNSMHosts replays the binding field the HNS wire no longer moves:
+// the 1987 stub marshalled the NSM's host name too, one generated value
+// node per binding at each end.
+func chargeNSMHosts(ctx context.Context, n int) {
 	simtime.Charge(ctx, time.Duration(n)*simtime.GenPerNode)
 }
 

@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
 	"hns/internal/names"
-	"hns/internal/qclass"
 	"hns/internal/transport"
 )
 
@@ -33,14 +33,44 @@ const (
 // individual name, so it stays with the caller.
 //
 //	args: {context string, queryClass string}
-//	ret:  {binding}
+//	ret:  {nsmBinding}
 var procFindNSM = hrpc.Procedure{
 	Name: "FindNSM", ID: ProcFindNSMID,
 	Args: marshal.TStruct(marshal.TString, marshal.TString),
-	Ret: marshal.TStruct(marshal.TStruct(
-		marshal.TString, marshal.TString, marshal.TString, marshal.TString,
-		marshal.TString, marshal.TUint32, marshal.TUint32,
-	)),
+	Ret:  marshal.TStruct(nsmBindingType),
+}
+
+// nsmBindingType is the HNS program's binding, {addr, transport, dataRep,
+// control, program, version}: what the caller dials, and no host name.
+// (The binding NSMs' replies keep qclass's seven-field shape.)
+var nsmBindingType = marshal.TStruct(
+	marshal.TString, marshal.TString, marshal.TString, marshal.TString,
+	marshal.TUint32, marshal.TUint32,
+)
+
+// nsmBindingValue encodes b as an nsmBindingType value; b.Host is dropped.
+func nsmBindingValue(b hrpc.Binding) marshal.Value {
+	return marshal.StructV(marshal.Str(b.Addr), marshal.Str(b.Transport),
+		marshal.Str(b.DataRep), marshal.Str(b.Control), marshal.U32(b.Program), marshal.U32(b.Version))
+}
+
+// valueNSMBinding decodes an nsmBindingType value.
+func valueNSMBinding(v marshal.Value) (b hrpc.Binding, err error) {
+	if v.Kind != marshal.KindStruct || v.Len() != 6 {
+		return b, fmt.Errorf("hns: bad NSM binding value %v", v)
+	}
+	for i, s := range [...]*string{&b.Addr, &b.Transport, &b.DataRep, &b.Control} {
+		if *s, err = v.Items[i].AsString(); err != nil {
+			return hrpc.Binding{}, err
+		}
+	}
+	if b.Program, err = v.Items[4].AsU32(); err != nil {
+		return hrpc.Binding{}, err
+	}
+	if b.Version, err = v.Items[5].AsU32(); err != nil {
+		return hrpc.Binding{}, err
+	}
+	return b, nil
 }
 
 // resolveHostArgs builds the argument record for ProcResolveHost calls.
@@ -70,7 +100,8 @@ func NewFinderServer(f ContextFinder, name string) *hrpc.Server {
 		if err != nil {
 			return marshal.Value{}, err
 		}
-		return marshal.StructV(qclass.BindingValue(b)), nil
+		chargeNSMHosts(ctx, 1)
+		return marshal.StructV(nsmBindingValue(b)), nil
 	})
 	registerFindBatch(s, f)
 	return s
@@ -113,7 +144,8 @@ func (r *RemoteHNS) FindContextNSM(ctx context.Context, hnsContext, queryClass s
 	if err != nil {
 		return hrpc.Binding{}, err
 	}
-	return qclass.ValueBinding(ret.Items[0])
+	chargeNSMHosts(ctx, 1)
+	return valueNSMBinding(ret.Items[0])
 }
 
 var _ Finder = (*HNS)(nil)

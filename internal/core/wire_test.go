@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -9,22 +10,44 @@ import (
 
 	"hns/internal/bind"
 	"hns/internal/core"
+	"hns/internal/gateway"
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
 	"hns/internal/metrics"
 	"hns/internal/names"
 	"hns/internal/qclass"
+	"hns/internal/transport"
 	"hns/internal/world"
 )
 
 // The HNS program on the wire: what a FindNSM moves, what it refuses to
 // move, and the shape it no longer accepts.
 
-// bindingRet is the FindNSM result type: {binding}.
-var bindingRet = marshal.TStruct(marshal.TStruct(
-	marshal.TString, marshal.TString, marshal.TString, marshal.TString,
-	marshal.TString, marshal.TUint32, marshal.TUint32,
-))
+// nsmBinding is the HNS program's binding, {addr, transport, dataRep,
+// control, program, version}, and bindingRet the FindNSM result type.
+var (
+	nsmBinding = marshal.TStruct(marshal.TString, marshal.TString, marshal.TString, marshal.TString,
+		marshal.TUint32, marshal.TUint32)
+	bindingRet = marshal.TStruct(nsmBinding)
+)
+
+// nsmBindingValue is b as the HNS program sends it: no host name.
+func nsmBindingValue(b hrpc.Binding) marshal.Value {
+	return marshal.StructV(marshal.Str(b.Addr), marshal.Str(b.Transport), marshal.Str(b.DataRep),
+		marshal.Str(b.Control), marshal.U32(b.Program), marshal.U32(b.Version))
+}
+
+// registeredQueries is every context × query class world registers; each
+// one resolves.
+func registeredQueries() []core.NameQuery {
+	var qs []core.NameQuery
+	for _, cx := range []string{world.CtxBind, world.CtxHostB, world.CtxMailB, world.CtxCH, world.CtxHostCH, world.CtxMailCH} {
+		for _, qc := range []string{qclass.HostAddress, qclass.HRPCBinding, qclass.MailRoute} {
+			qs = append(qs, core.NameQuery{Name: names.Must(cx, "x"), QueryClass: qc})
+		}
+	}
+	return qs
+}
 
 func tcpWireBytes(dir string) int64 {
 	return metrics.Default().Counter(metrics.Labels("transport_bytes_total",
@@ -45,23 +68,31 @@ func packedLen(t *testing.T, v marshal.Value, ty marshal.Type) int64 {
 	return int64(len(b))
 }
 
-// TestHNSWireBytes is the tier-1 twin of the benchmark's bytes_per_op
-// gate for the HNS program: over real TCP, a warm FindNSM moves the raw
-// envelope (6 bytes) plus the context and the query class, each behind a
-// one-byte length, and the individual name not at all. The reply is the
-// packed binding plus 2.
-func TestHNSWireBytes(t *testing.T) {
-	w := newWorld(t, world.Config{})
+// remoteOverTCP serves w's HNS on a loopback socket and returns a
+// RemoteHNS calling it.
+func remoteOverTCP(t *testing.T, w *world.World) *core.RemoteHNS {
+	t.Helper()
 	ln, hb, err := hrpc.Serve(w.Net, core.NewHNSServer(w.HNS, "hns@june"), hrpc.SuiteRawNet, "june", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	rpc := hrpc.NewClient(w.Net)
 	rpc.Metrics = metrics.NewRegistry()
-	defer rpc.Close()
-	remote := core.NewRemoteHNS(rpc, hb)
+	t.Cleanup(func() { rpc.Close() })
+	return core.NewRemoteHNS(rpc, hb)
+}
 
+// TestHNSWireBytes is the tier-1 twin of the benchmark's bytes_per_op
+// gate for the HNS program: over real TCP, a warm FindNSM moves the raw
+// envelope (6 bytes) plus the context and the query class, each behind a
+// one-byte length, and the individual name not at all. The reply is 2
+// (the transport's status byte and the raw reply code) plus the packed
+// six-field binding, which carries no host name: 43 bytes on world's
+// binding NSM.
+func TestHNSWireBytes(t *testing.T) {
+	w := newWorld(t, world.Config{})
+	remote := remoteOverTCP(t, w)
 	ctx := context.Background()
 	name := world.DesiredServiceName()
 	// Warm the connection and the HNS's meta-cache outside the measurement.
@@ -77,9 +108,53 @@ func TestHNSWireBytes(t *testing.T) {
 	if tx := tcpWireBytes("tx") - tx0; tx != wantTx {
 		t.Errorf("FindNSM sent %d bytes, want %d (6 + context + query class)", tx, wantTx)
 	}
-	wantRx := 2 + packedLen(t, marshal.StructV(qclass.BindingValue(b)), bindingRet)
-	if rx := tcpWireBytes("rx") - rx0; rx != wantRx {
+	if b.Host != "" || b.Addr != "june:"+world.PortBindingBind {
+		t.Errorf("FindNSM binding host %q addr %q, want no host and the binding NSM's address", b.Host, b.Addr)
+	}
+	wantRx := 2 + packedLen(t, marshal.StructV(nsmBindingValue(b)), bindingRet)
+	rx := tcpWireBytes("rx") - rx0
+	if rx != wantRx {
 		t.Errorf("FindNSM received %d bytes, want %d (2 + packed binding)", rx, wantRx)
+	}
+	if rx != 43 {
+		t.Errorf("FindNSM received %d bytes, want 43", rx)
+	}
+}
+
+// TestHNSBatchWireBytes is TestHNSWireBytes for a warm 16-name
+// FindNSMBatch: one exchange, out the envelope, the count and each
+// (context, query class); back 2, the count and each slot's empty error
+// text (one byte) and six-field binding.
+func TestHNSBatchWireBytes(t *testing.T) {
+	w := newWorld(t, world.Config{})
+	remote := remoteOverTCP(t, w)
+	ctx := context.Background()
+	qs := registeredQueries()[:16]
+	if _, err := remote.FindNSMBatch(ctx, qs); err != nil {
+		t.Fatal(err)
+	}
+	tx0, rx0 := tcpWireBytes("tx"), tcpWireBytes("rx")
+	res, err := remote.FindNSMBatch(ctx, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := int64(len(binary.AppendUvarint(nil, uint64(len(qs)))))
+	wantTx, wantRx := 6+count, 2+count
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("slot %d: %v", i, r.Err)
+		}
+		if r.Binding.Host != "" {
+			t.Errorf("slot %d carries NSM host %q", i, r.Binding.Host)
+		}
+		wantTx += int64(1 + len(qs[i].Name.Context) + 1 + len(qs[i].QueryClass))
+		wantRx += 1 + packedLen(t, nsmBindingValue(r.Binding), nsmBinding)
+	}
+	if tx := tcpWireBytes("tx") - tx0; tx != wantTx {
+		t.Errorf("FindNSMBatch sent %d bytes, want %d (6 + count + Σ(context + query class))", tx, wantTx)
+	}
+	if rx := tcpWireBytes("rx") - rx0; rx != wantRx {
+		t.Errorf("FindNSMBatch received %d bytes, want %d (2 + count + Σ(1 + packed binding))", rx, wantRx)
 	}
 }
 
@@ -196,6 +271,108 @@ func TestOldShapeFindNSMRefused(t *testing.T) {
 	}
 	if got := cf.calls.Load(); got != 0 {
 		t.Fatalf("finder ran %d times for old-shape calls, want 0", got)
+	}
+}
+
+// TestOldShapeReplyRefused: a server still answering with the seven-field
+// binding, host name first, leaves trailing bytes in the caller's strict
+// decoder. RemoteHNS fails both procedures and returns no binding, so an
+// old reply's host name is never read as an address.
+func TestOldShapeReplyRefused(t *testing.T) {
+	seven := marshal.TStruct(marshal.TString, marshal.TString, marshal.TString, marshal.TString,
+		marshal.TString, marshal.TUint32, marshal.TUint32)
+	old := hrpc.Binding{Host: world.HostNSM, Addr: "june:" + world.PortBindingBind, Transport: "udp",
+		DataRep: "xdr", Control: "sunrpc", Program: qclass.ProgHRPCBinding, Version: qclass.NSMVersion}
+	srv := hrpc.NewServer("hns-old", core.HNSProgram, core.HNSVersion)
+	srv.Metrics = metrics.NewRegistry()
+	srv.Register(hrpc.Procedure{Name: "FindNSM", ID: core.ProcFindNSMID,
+		Args: marshal.TStruct(marshal.TString, marshal.TString), Ret: marshal.TStruct(seven)},
+		func(context.Context, marshal.Value) (marshal.Value, error) {
+			return marshal.StructV(qclass.BindingValue(old)), nil
+		})
+	srv.Register(hrpc.Procedure{Name: "FindNSMBatch", ID: core.ProcFindNSMBatchID,
+		Args: marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, marshal.TString))),
+		Ret:  marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, seven)))},
+		func(_ context.Context, args marshal.Value) (marshal.Value, error) {
+			slots := make([]marshal.Value, args.Items[0].Len())
+			for i := range slots {
+				slots[i] = marshal.StructV(marshal.Str(""), qclass.BindingValue(old))
+			}
+			return marshal.StructV(marshal.ListV(slots...)), nil
+		})
+	n := transport.NewNetwork()
+	ln, hb, err := hrpc.Serve(n, srv, hrpc.SuiteRaw, "june", "june:hns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	rpc := hrpc.NewClient(n)
+	rpc.Metrics = metrics.NewRegistry()
+	defer rpc.Close()
+	remote := core.NewRemoteHNS(rpc, hb)
+
+	ctx := context.Background()
+	b, err := remote.FindNSM(ctx, world.DesiredServiceName(), qclass.HRPCBinding)
+	if err == nil || !strings.Contains(err.Error(), "trailing bytes") || b != (hrpc.Binding{}) {
+		t.Errorf("FindNSM against an old-shape reply = %v, %v; want a trailing-bytes error and no binding", b, err)
+	}
+	res, err := remote.FindNSMBatch(ctx, []core.NameQuery{
+		{Name: world.DesiredServiceName(), QueryClass: qclass.HRPCBinding},
+		{Name: world.CourierServiceName(), QueryClass: qclass.HRPCBinding},
+	})
+	if err == nil || res != nil {
+		t.Errorf("FindNSMBatch against an old-shape reply = %+v, %v; want an error and no results", res, err)
+	}
+}
+
+// TestFindersAgree: for every context × query class world registers, the
+// linked HNS, a RemoteHNS and a RemoteHNS through the gateway return
+// identical bindings, singly and batched, none carrying a host name.
+func TestFindersAgree(t *testing.T) {
+	w := newWorld(t, world.Config{})
+	ln, hb, err := core.ServeHNS(w.Net, w.HNS, "june", "june:hns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	gw := gateway.New(w.RPC, hb, gateway.Config{})
+	gw.SetMetrics(metrics.NewRegistry())
+	gln, gb, err := gw.Serve(w.Net, hrpc.SuiteRaw, "gw", "gw:hns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gln.Close()
+	remotes := []struct {
+		label string
+		r     *core.RemoteHNS
+	}{{"remote", core.NewRemoteHNS(w.RPC, hb)}, {"gateway", core.NewRemoteHNS(w.RPC, gb)}}
+
+	ctx := context.Background()
+	qs := registeredQueries()
+	want := make([]hrpc.Binding, len(qs))
+	for i, q := range qs {
+		if want[i], err = w.HNS.FindNSM(ctx, q.Name, q.QueryClass); err != nil {
+			t.Fatalf("linked %v/%s: %v", q.Name, q.QueryClass, err)
+		}
+		if want[i].Host != "" || want[i].Validate() != nil {
+			t.Errorf("linked %v/%s = %+v, want a complete binding with no host", q.Name, q.QueryClass, want[i])
+		}
+	}
+	for _, f := range remotes {
+		for i, q := range qs {
+			if got, err := f.r.FindNSM(ctx, q.Name, q.QueryClass); err != nil || got != want[i] {
+				t.Errorf("%s %v/%s = %v, %v; linked %v", f.label, q.Name, q.QueryClass, got, err, want[i])
+			}
+		}
+		res, err := f.r.FindNSMBatch(ctx, qs)
+		if err != nil {
+			t.Fatalf("%s batch: %v", f.label, err)
+		}
+		for i, r := range res {
+			if r.Err != nil || r.Binding != want[i] {
+				t.Errorf("%s batch slot %d = %+v; linked %v", f.label, i, r, want[i])
+			}
+		}
 	}
 }
 

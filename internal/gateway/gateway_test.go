@@ -41,6 +41,10 @@ var stubBinding = hrpc.Binding{
 	DataRep: "xdr", Control: "sunrpc", Program: 200100, Version: 10,
 }
 
+// forwarded is stubBinding as the gateway's callers receive it: the HNS
+// program sends no host name, so Host arrives empty and the rest is kept.
+var forwarded = func() hrpc.Binding { b := stubBinding; b.Host = ""; return b }()
+
 // noBudget is what stubFinder records for a call whose context carries
 // no budget at all (as opposed to an exhausted one).
 const noBudget = time.Duration(-1)
@@ -128,8 +132,8 @@ func TestGatewayForwards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b != stubBinding {
-		t.Fatalf("forwarded binding = %v, want %v", b, stubBinding)
+	if b != forwarded {
+		t.Fatalf("forwarded binding = %#v, want %#v", b, forwarded)
 	}
 	// A batch through the gateway: per-slot results, one failing slot.
 	res, err := e.front.FindNSMBatch(ctx, []core.NameQuery{
@@ -140,13 +144,13 @@ func TestGatewayForwards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Err != nil || res[0].Binding != stubBinding {
+	if res[0].Err != nil || res[0].Binding != forwarded {
 		t.Fatalf("slot 0 = %+v", res[0])
 	}
 	if res[1].Err == nil {
 		t.Fatal("ghost slot resolved through gateway")
 	}
-	if res[2].Err != nil || res[2].Binding != stubBinding {
+	if res[2].Err != nil || res[2].Binding != forwarded {
 		t.Fatalf("slot 2 = %+v", res[2])
 	}
 }
@@ -171,8 +175,8 @@ func framesTotal() int64 {
 // TestGatewayWireBytes is the per-hop twin of core's TestHNSWireBytes: over
 // real TCP a warm FindNSM through the gateway is two exchanges, each
 // carrying the raw envelope (6 bytes), the context and the query class
-// out, and the packed binding plus 2 back. The individual name crosses
-// neither hop.
+// out, and the packed six-field binding plus 2 back: 2 × 27 bytes. The
+// individual name and the NSM's host name cross neither hop.
 func TestGatewayWireBytes(t *testing.T) {
 	e := newGWEnvOn(t, Config{}, hrpc.SuiteRawNet, "127.0.0.1:0", "127.0.0.1:0")
 	ctx := context.Background()
@@ -188,9 +192,11 @@ func TestGatewayWireBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binding, err := rep.Append(nil, qclass.BindingValue(stubBinding), marshal.TStruct(
-		marshal.TString, marshal.TString, marshal.TString, marshal.TString,
-		marshal.TString, marshal.TUint32, marshal.TUint32))
+	b := stubBinding
+	binding, err := rep.Append(nil, marshal.StructV(marshal.Str(b.Addr), marshal.Str(b.Transport),
+		marshal.Str(b.DataRep), marshal.Str(b.Control), marshal.U32(b.Program), marshal.U32(b.Version)),
+		marshal.TStruct(marshal.TString, marshal.TString, marshal.TString, marshal.TString,
+			marshal.TUint32, marshal.TUint32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +204,12 @@ func TestGatewayWireBytes(t *testing.T) {
 	if tx := tcpWireBytes("tx") - tx0; tx != wantTx {
 		t.Errorf("FindNSM through the gateway sent %d bytes, want %d (2 hops × (6 + context + query class))", tx, wantTx)
 	}
-	if rx, want := tcpWireBytes("rx")-rx0, int64(2*(2+len(binding))); rx != want {
+	rx := tcpWireBytes("rx") - rx0
+	if want := int64(2 * (2 + len(binding))); rx != want {
 		t.Errorf("FindNSM through the gateway received %d bytes, want %d (2 hops × (2 + packed binding))", rx, want)
+	}
+	if rx != 54 {
+		t.Errorf("FindNSM through the gateway received %d bytes, want 54 (2 hops × 27)", rx)
 	}
 }
 
@@ -237,8 +247,8 @@ func TestGatewayCallerRefusesMalformedNames(t *testing.T) {
 	if !errors.Is(res[0].Err, names.ErrBadHNSName) || !errors.Is(res[2].Err, names.ErrBadHNSName) {
 		t.Errorf("malformed slots = %v, %v; want ErrBadHNSName", res[0].Err, res[2].Err)
 	}
-	if res[1].Err != nil || res[1].Binding != stubBinding {
-		t.Errorf("slot 1 = %+v, want %v", res[1], stubBinding)
+	if res[1].Err != nil || res[1].Binding != forwarded {
+		t.Errorf("slot 1 = %#v, want %#v", res[1], forwarded)
 	}
 	if got := len(e.stub.recorded()); got != 2 {
 		t.Fatalf("backend served %d calls, want the warm-up and the one well-formed slot", got)
@@ -448,7 +458,7 @@ func TestGatewayBackendListFailsOverInOrder(t *testing.T) {
 		for i := 0; i < calls; i++ {
 			ctx := simtime.WithMeter(context.Background(), simtime.NewMeter())
 			b, err := front.FindNSM(ctx, names.Must("svc", fmt.Sprint(i)), qclass.HRPCBinding)
-			if err != nil || b != stubBinding {
+			if err != nil || b != forwarded {
 				t.Fatalf("%s: call %d = %v, %v", stage, i, b, err)
 			}
 		}

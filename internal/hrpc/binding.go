@@ -33,7 +33,9 @@ import (
 // protocol components. It is what FindNSM returns for NSMs and what binding
 // NSMs return for application servers.
 type Binding struct {
-	// Host is the (descriptive) host name the server lives on.
+	// Host is the (descriptive) host name the server lives on. Binding
+	// NSMs fill it for application servers; the HNS leaves it empty on
+	// the NSM bindings FindNSM returns, since no caller dials by it.
 	Host string
 	// Addr is the transport address to dial.
 	Addr string

@@ -16,7 +16,7 @@ BenchmarkDecodeReplyWarm ./internal/transport/ 1
 BenchmarkFrameMuxRequest ./internal/transport/ 1
 BenchmarkEncodeMuxReplyFramed ./internal/transport/ 1
 BenchmarkFindNSMWarmAllocs . 58
-BenchmarkRemoteFindNSMWarmAllocs ./internal/core/ 83
+BenchmarkRemoteFindNSMWarmAllocs ./internal/core/ 82
 BenchmarkBinddColdStart ./internal/bind/ 10003
 BenchmarkBinddRestart ./internal/bind/ 12300
 BenchmarkChainExchange ./internal/bind/ 67
@@ -34,7 +34,8 @@ run_pkg ./internal/transport/ 'BenchmarkDecodeReplyWarm$|BenchmarkFrameMuxReques
 # One warm FindNSM: six meta-cache hits, each handing back a private copy.
 run_pkg . 'BenchmarkFindNSMWarmAllocs$' | tee -a "$out"
 # The same warm FindNSM through a RemoteHNS over the sim transport, client
-# and server both: the HNS program's call, carrying no individual name.
+# and server both: the HNS program's call, carrying no individual name and
+# answering no NSM host name.
 run_pkg ./internal/core/ 'BenchmarkRemoteFindNSMWarmAllocs$' | tee -a "$out"
 # One op loads a generated 20k-record zone (20 006 records): the bound is
 # 0.5 per record; the load itself allocates nothing per record or owner.
