@@ -5,7 +5,6 @@ import (
 
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
-	"hns/internal/qclass"
 )
 
 // FuzzFindBatchDecode hammers the FindNSMBatch reply decoder with
@@ -19,15 +18,17 @@ func FuzzFindBatchDecode(f *testing.F) {
 	// Seed with a well-formed two-slot reply (one success, one per-name
 	// error) and some near-misses.
 	good := marshal.StructV(marshal.ListV(
-		marshal.StructV(marshal.Str(""), qclass.BindingValue(hrpc.Binding{
-			Host: "nsm-host", Addr: "nsm:1", Transport: "udp",
+		marshal.StructV(marshal.Str(""), nsmBindingValue(hrpc.Binding{
+			Addr: "nsm:1", Transport: "udp",
 			DataRep: "xdr", Control: "sunrpc", Program: 200100, Version: 10,
 		})),
-		marshal.StructV(marshal.Str("no such context"), qclass.BindingValue(hrpc.Binding{})),
+		marshal.StructV(marshal.Str("no such context"), nsmBindingValue(hrpc.Binding{})),
 	))
-	if enc, err := rep.Append(nil, good, procFindNSMBatch.Ret); err == nil {
-		f.Add(enc)
+	enc, err := rep.Append(nil, good, procFindNSMBatch.Ret)
+	if err != nil {
+		f.Fatalf("encode seed reply: %v", err)
 	}
+	f.Add(enc)
 	f.Add([]byte{})
 	f.Add([]byte{1})
 	f.Fuzz(func(t *testing.T, data []byte) {
