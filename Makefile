@@ -49,6 +49,7 @@ fuzz:
 	go test -fuzz FuzzIXFRDecode -fuzztime 10s ./internal/bind/
 	go test -fuzz FuzzQueryChainArgs -fuzztime 10s ./internal/bind/
 	go test -fuzz FuzzRRSetsDecode -fuzztime 10s ./internal/bind/
+	go test -fuzz FuzzAnswerSetsDecode -fuzztime 10s ./internal/bind/
 	go test -fuzz FuzzNotifyDecode -fuzztime 10s ./internal/push/
 
 # Multi-process deployment over real sockets.

@@ -54,11 +54,13 @@ type ChainLookuper interface {
 var followStepType = marshal.TStruct(marshal.TString, marshal.TString, marshal.TString)
 
 // procQueryChain is BINDQuery plus a follow list. The reply is the head's
-// rcode and every answer set found, as one sets payload in chain order.
+// rcode and one answer set per name answered, in chain order, each naming
+// no owner its asker holds (appendElided): the asker sent the head's name
+// and builds each next one itself.
 var procQueryChain = hrpc.Procedure{
 	Name: "BINDQueryChain", ID: 8,
 	Args:  marshal.TStruct(marshal.TString, marshal.TUint32, marshal.TList(followStepType)),
-	Ret:   marshal.TStruct(marshal.TUint32, marshal.TBytes),
+	Ret:   marshal.TStruct(marshal.TUint32, marshal.TList(marshal.TBytes)),
 	Style: marshal.StyleNone,
 }
 
@@ -104,8 +106,8 @@ func decodeFollow(v marshal.Value) ([]FollowStep, error) {
 // as BINDQuery answers it. Each further link is one more Server.Query; the
 // walk stops, silently, at the first link whose name cannot be built, was
 // already visited, is not NOERROR in a zone this server holds, is answered
-// through an alias (the reply delimits sets by owner name), or would push
-// the reply past a frame.
+// through an alias (a tail carries no owner), or would push the reply past
+// a frame.
 func (s *Server) queryChain(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 	name, err := args.Items[0].AsString()
 	if err != nil {
@@ -120,66 +122,65 @@ func (s *Server) queryChain(ctx context.Context, args marshal.Value) (marshal.Va
 		return marshal.Value{}, err
 	}
 	rcode, sets := s.answer(ctx, name, qt)
-	prev, _ := decodeSets(sets)
 	cname, _ := CanonicalName(name)
-	if ownedRun(prev, cname) == 0 {
+	prev, _ := appendDecoded(nil, sets, cname)
+	if rcode != RCodeOK || prev[0].Name != cname {
 		follow = nil // the head failed, or was answered through an alias
 	}
-	// Every set is owned by its own name, so appending set by set is
-	// appending the flat list: no run spans two sets. The zone's runs are
-	// capped, so the first append copies them.
-	visited := []string{cname}
+	// Each stored run is copied once into one buffer, cut into sets at the end.
+	reply := appendElided(make([]byte, 0, (1+len(follow))*len(sets)), sets, cname)
+	ends := [2 + MaxFollowSteps]int{0, len(reply)} // set i is reply[ends[i]:ends[i+1]]
+	visited := append(make([]string, 0, 1+MaxFollowSteps), cname)
 	for _, st := range follow {
 		next, ok := st.next(prev)
 		if !ok || slices.Contains(visited, next) {
 			break
 		}
 		rc, more := s.answer(ctx, next, qt)
-		rrs, _ := decodeSets(more)
-		if rc != RCodeOK || ownedRun(rrs, next) == 0 || len(sets)+len(more) > replyBudget {
+		rrs, _ := appendDecoded(nil, more, next)
+		if rc != RCodeOK || rrs[0].Name != next || len(reply)+len(more) > replyBudget {
 			break
 		}
-		sets = append(sets, more...)
+		reply = appendElided(reply, more, next)
+		ends[len(visited)+1] = len(reply)
 		visited = append(visited, next)
 		prev = rrs
 	}
-	return marshal.StructV(marshal.U32(uint32(rcode)), marshal.BytesV(sets)), nil
+	list := make([]marshal.Value, len(visited))
+	for i := range list {
+		list[i] = marshal.BytesV(reply[ends[i]:ends[i+1]])
+	}
+	return marshal.StructV(marshal.U32(uint32(rcode)), marshal.ListV(list...)), nil
 }
 
-// splitChain cuts a flat chained answer back into its sets by replaying
-// the follow steps: a tail is the run of records owned by the name its step
-// builds from the set before it. Records that fit no step are dropped, so
-// only names the caller asked for, directly or by a step, come back.
-func splitChain(cname string, rrs []RR, follow []FollowStep) (head []RR, tails [][]RR) {
-	n := ownedRun(rrs, cname)
-	if n == 0 {
-		// An aliased head is owned by its target, and is never followed.
-		return rrs, nil
+// decodeChain decodes a BINDQueryChain reply's sets into one []RR and cuts
+// it into the head, cname's answer, and a tail per further set, the answer
+// to the name its step builds from the set before it. It refuses more sets
+// than names asked and, by decodeAnswer, an owner spelled where the caller
+// holds it or in a tail, so only names the caller asked for, directly or
+// by a step, come back.
+func decodeChain(sets []marshal.Value, cname string, follow []FollowStep) (rrs, head []RR, tails [][]RR, err error) {
+	if len(sets) > 1+len(follow) {
+		return nil, nil, nil, fmt.Errorf("bind: %d answer sets for a chain of %d names", len(sets), 1+len(follow))
 	}
-	head, rrs = rrs[:n], rrs[n:]
-	prev := head
-	for _, st := range follow {
-		next, ok := st.next(prev)
+	var at [2 + MaxFollowSteps]int // set i is rrs[at[i]:at[i+1]]
+	name, ok := cname, true
+	for i, set := range sets {
+		if i > 0 {
+			name, ok = follow[i-1].next(rrs[at[i-1]:])
+		}
 		if !ok {
-			break
+			return nil, nil, nil, fmt.Errorf("bind: answer set %d follows from no name", i)
 		}
-		n := ownedRun(rrs, next)
-		if n == 0 {
-			break
+		if rrs, err = decodeAnswer(rrs, set.Bytes, name, i == 0); err != nil {
+			return nil, nil, nil, err
 		}
-		prev, rrs = rrs[:n], rrs[n:]
-		tails = append(tails, prev)
+		at[i+1] = len(rrs)
 	}
-	return head, tails
-}
-
-// ownedRun counts the leading records owned by name.
-func ownedRun(rrs []RR, name string) int {
-	n := 0
-	for n < len(rrs) && rrs[n].Name == name {
-		n++
+	for i := 1; i < len(sets); i++ {
+		tails = append(tails, rrs[at[i]:at[i+1]])
 	}
-	return n
+	return rrs, rrs[:at[1]], tails, nil
 }
 
 // LookupChain implements ChainLookuper: one BINDQueryChain exchange,
@@ -197,14 +198,13 @@ func (c *HRPCClient) LookupChain(ctx context.Context, name string, t RRType, fol
 	if err != nil {
 		return nil, nil, err
 	}
-	rcode, rrs, err := replySets(ret.Items[0], ret.Items[1])
+	rrs, head, tails, err := decodeChain(ret.Items[1].Items, cname, follow)
 	if err != nil {
 		return nil, nil, err
 	}
 	marshal.ChargeRecords(ctx, marshal.StyleGenerated, len(rrs))
-	if rcode != RCodeOK {
+	if rcode := RCode(ret.Items[0].Num); rcode != RCodeOK {
 		return nil, nil, &NotFoundError{Name: name, Type: t, RCode: rcode}
 	}
-	head, tails = splitChain(cname, rrs, follow)
 	return head, tails, nil
 }

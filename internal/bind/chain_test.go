@@ -548,31 +548,44 @@ func FuzzQueryChainArgs(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_, rrs, err := replySets(ret.Items[0], ret.Items[1])
-		if err != nil {
-			t.Fatalf("reply does not decode: %v", err)
-		}
 		name, _ := v.Items[0].AsString()
 		follow, err := decodeFollow(v.Items[2])
 		if err != nil {
 			t.Fatalf("handler answered a follow list it should refuse: %v", err)
 		}
-		allowed := map[string]bool{}
-		if cname, err := CanonicalName(name); err == nil {
-			allowed[cname] = true
+		cname, _ := CanonicalName(name)
+		sets := ret.Items[1].Items
+		_, head, tails, err := decodeChain(sets, cname, follow)
+		if err != nil {
+			t.Fatalf("reply does not decode: %v", err)
 		}
-		for i := 0; i < len(rrs); {
-			n := ownedRun(rrs[i:], rrs[i].Name)
-			set := rrs[i : i+n]
-			if i > 0 && !allowed[set[0].Name] {
-				t.Fatalf("records owned by %q: not the question %q, nor built by a step from a returned record", set[0].Name, name)
+		if len(sets) != 1+len(tails) {
+			t.Fatalf("%d sets came back as a head and %d tails", len(sets), len(tails))
+		}
+		// The head is the question's, or an alias target's that nothing
+		// follows; each tail is owned by the name its step builds from the
+		// set before it, and no set spells a name its asker holds.
+		asked, prev := cname, head
+		for i, set := range sets {
+			if i > 0 {
+				next, ok := follow[i-1].next(prev)
+				if !ok {
+					t.Fatalf("set %d follows from no step", i)
+				}
+				asked, prev = next, tails[i-1]
 			}
-			for _, st := range follow {
-				if next, ok := st.next(set); ok {
-					allowed[next] = true
+			raw, err := decodeSets(set.Bytes)
+			if err != nil {
+				t.Fatalf("set %d is not runs: %v", i, err)
+			}
+			for j, rr := range raw {
+				owner := prev[j].Name
+				elided := rr.Name == "" && owner == asked
+				aliasHead := i == 0 && len(tails) == 0 && rr.Name == owner && owner != asked
+				if !elided && !aliasHead {
+					t.Fatalf("set %d installs a record of %q (spelled %q): not %q, asked for by the question %q or a step", i, owner, rr.Name, asked, name)
 				}
 			}
-			i += n
 		}
 	})
 }

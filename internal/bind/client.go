@@ -241,23 +241,17 @@ func (c *HRPCClient) Lookup(ctx context.Context, name string, t RRType) (_ []RR,
 	if err != nil {
 		return nil, err
 	}
-	rcode, rrs, err := replySets(ret.Items[0], ret.Items[1])
+	cname, _ := CanonicalName(name) // the owner the answer leaves out
+	rrs, err := decodeAnswer(nil, ret.Items[1].Bytes, cname, true)
 	if err != nil {
 		return nil, err
 	}
 	// Generated response demarshalling, per record (Table 3.2 pricing).
 	marshal.ChargeRecords(ctx, marshal.StyleGenerated, len(rrs))
-	if rcode != RCodeOK {
+	if rcode := RCode(ret.Items[0].Num); rcode != RCodeOK {
 		return nil, &NotFoundError{Name: name, Type: t, RCode: rcode}
 	}
 	return rrs, nil
-}
-
-// replySets reads a reply's rcode and sets payload, whose shapes the
-// procedure's Ret type has already checked.
-func replySets(rcode, sets marshal.Value) (RCode, []RR, error) {
-	rrs, err := decodeSets(sets.Bytes)
-	return RCode(rcode.Num), rrs, err
 }
 
 // Update applies one dynamic update: Apply of a one-op transaction.
@@ -302,11 +296,11 @@ func (c *HRPCClient) Transfer(ctx context.Context, zone string) (uint32, []RR, e
 		return 0, nil, err
 	}
 	serial, _ := ret.Items[1].AsU32()
-	rcode, rrs, err := replySets(ret.Items[0], ret.Items[2])
+	rrs, err := decodeSets(ret.Items[2].Bytes)
 	if err != nil {
 		return serial, nil, err
 	}
-	if rcode != RCodeOK {
+	if rcode := RCode(ret.Items[0].Num); rcode != RCodeOK {
 		return serial, nil, fmt.Errorf("bind: transfer refused: %s", rcode)
 	}
 	c.obs.transfers.Inc()

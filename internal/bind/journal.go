@@ -32,8 +32,9 @@ import (
 // returns is a sets payload: runs, read until it is exhausted.
 // A run is a maximal stretch (of at most 65535) consecutive records
 // sharing owner, type, class and TTL — a DNS RRset, unless a TTL differs —
-// so any sequence round-trips in order and an answer set names its owner
-// once. All integers are big-endian. The format is versionless on
+// so any sequence round-trips in order. An answer (appendElided) writes
+// the owner of each run the name asked owns as length 0: its asker holds
+// that name. All integers are big-endian. The format is versionless on
 // purpose: the kind byte leaves room ('V', ...) if a revision is ever
 // needed.
 const (
@@ -128,6 +129,46 @@ func appendSets(b []byte, rrs []RR) []byte {
 // same bytes. A run's records share one owner string; their data alias
 // payload.
 func decodeSets(payload []byte) ([]RR, error) { return appendDecoded(nil, payload, "") }
+
+// appendElided appends sets, runs as a zone stores them, as an answer to
+// the asker of name: each run that name owns carries an empty owner, the
+// asker already holding it, and is otherwise copied as it is.
+func appendElided(b, sets []byte, name string) []byte {
+	d := &journalDecoder{b: sets}
+	for len(d.b) > 0 {
+		run := d.b
+		if string(d.bytes()) == name {
+			b, run = append(b, 0, 0), d.b
+		}
+		d.take(2 + 2 + 4)
+		for range d.num(2) {
+			d.bytes()
+		}
+		b = append(b, run[:len(run)-len(d.b)]...)
+	}
+	return b
+}
+
+// decodeAnswer is appendDecoded of an answer to name as appendElided
+// writes it: a run with an empty owner is name's. A head may be empty, and
+// may name another owner, an alias's target; a tail may do neither. No run
+// names name itself, so what it accepts re-encodes to the same bytes.
+func decodeAnswer(out []RR, set []byte, name string, head bool) ([]RR, error) {
+	n := len(out)
+	out, err := appendDecoded(out, set, "")
+	if err == nil && len(out) == n && !head {
+		err = fmt.Errorf("bind: empty answer for %s", name)
+	}
+	for i := n; err == nil && i < len(out); i++ {
+		switch owner := out[i].Name; {
+		case owner == "":
+			out[i].Name = name
+		case owner == name || !head:
+			err = fmt.Errorf("bind: answer for %s names owner %s", name, owner)
+		}
+	}
+	return out, err
+}
 
 // appendDecoded is decodeSets appending to out; records owned by owner
 // share its string. What a zone stored always decodes.

@@ -270,10 +270,11 @@ func (s *Server) ServeStd(net *transport.Network, transportName, addr string) (t
 
 // ---- HRPC interface (Raw suite, records in the journal's codec).
 
-// HRPCProgram and HRPCVersion identify the BIND HRPC interface.
+// HRPCProgram and HRPCVersion identify the BIND HRPC interface. Version 2
+// answers spell no owner their asker holds; version 1 callers are refused.
 const (
 	HRPCProgram = 100017
-	HRPCVersion = 1
+	HRPCVersion = 2
 )
 
 // The HRPC procedures. Records cross this interface in the record codec
@@ -330,6 +331,8 @@ func (s *Server) HRPCServer() *hrpc.Server {
 			return marshal.Value{}, err
 		}
 		rcode, sets := s.answer(ctx, name, qt)
+		cname, _ := CanonicalName(name)
+		sets = appendElided(make([]byte, 0, len(sets)), sets, cname)
 		return marshal.StructV(marshal.U32(uint32(rcode)), marshal.BytesV(sets)), nil
 	})
 	hs.Register(procUpdate, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -89,7 +90,9 @@ func tcpNetBytes(dir string) int64 {
 // real socket: a cold chained lookup, a warm-context refetch and the two
 // updates of a flip. Each is 6 bytes of call header plus arguments out
 // and 2 bytes of reply header plus results back, both in the Raw suite's
-// packed representation.
+// packed representation. No answer spells an owner its asker holds: the
+// chain's three sets leave out the context, the (query class, name
+// service) name and the NSM name, 73 B, for 2 B of list framing.
 func TestHRPCWireBytes(t *testing.T) {
 	c, ids := tenantZone(t, 1, hrpc.SuiteRawNet, "127.0.0.1:0")
 	ctx := context.Background()
@@ -113,14 +116,14 @@ func TestHRPCWireBytes(t *testing.T) {
 				err = fmt.Errorf("chain = %v, %v", head, tails)
 			}
 			return err
-		}, 68, 242},
+		}, 68, 171},
 		{"lookup", func() error {
 			rrs, err := c.Lookup(ctx, "h0.ctx.hns", TypeHNSMeta)
 			if err == nil && len(rrs) != 1 {
 				err = fmt.Errorf("lookup = %v", rrs)
 			}
 			return err
-		}, 20, 38},
+		}, 20, 28},
 		{"update h0 add", update(UpdateAdd, "h0.ctx.hns", "bind-cs-b"), 47, 4},
 		{"update h0 remove", update(UpdateRemove, "h0.ctx.hns", "bind-cs"), 45, 4},
 		{"update h100 add", update(UpdateAdd, "h100.ctx.hns", "bind-cs-b"), 49, 4},
@@ -136,20 +139,18 @@ func TestHRPCWireBytes(t *testing.T) {
 	}
 }
 
-// TestHRPCReplyGolden pins the bytes BINDQuery, BINDQueryChain and
-// BINDTransfer answer with for three kinds of owner: one mixing types, one
-// whose records carry two TTLs, and one whose records were added out of
-// (type, data) order. Each reply is its rcode, its serial where it has
-// one, then its sets payload, in hex.
-func TestHRPCReplyGolden(t *testing.T) {
-	net := transport.NewNetwork()
+// goldenServer serves zone hns holding three kinds of owner: one mixing
+// types, one whose records carry two TTLs, and one whose records were
+// added out of (type, data) order, each naming the next by "next=".
+func goldenServer(tb testing.TB) (*Server, *Zone) {
+	tb.Helper()
 	s := NewServer("tahoma")
 	z, err := NewZone("hns", true)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := s.AddZone(z); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, rr := range []RR{
 		A("mixed.hns", "10.0.0.1", 600), HNSMeta("mixed.hns", "next=ttls", 600), TXT("mixed.hns", "t", 600),
@@ -160,9 +161,21 @@ func TestHRPCReplyGolden(t *testing.T) {
 		A("unsorted.hns", "10.0.0.1", 600),
 	} {
 		if err := z.Add(rr); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+	return s, z
+}
+
+// TestHRPCReplyGolden pins the bytes BINDQuery, BINDQueryChain and
+// BINDTransfer answer with for three kinds of owner: one mixing types, one
+// whose records carry two TTLs, and one whose records were added out of
+// (type, data) order. Each reply is its rcode, its serial where it has
+// one, then its sets payload, or each of the chain's sets behind its u16
+// length, in hex. A run owned by the name asked carries an empty owner.
+func TestHRPCReplyGolden(t *testing.T) {
+	net := transport.NewNetwork()
+	s, _ := goldenServer(t)
 	ln, b, err := hrpc.Serve(net, s.HRPCServer(), hrpc.SuiteRaw, "tahoma", "tahoma:bind-hrpc")
 	if err != nil {
 		t.Fatal(err)
@@ -178,9 +191,14 @@ func TestHRPCReplyGolden(t *testing.T) {
 		}
 		var out []byte
 		for _, it := range ret.Items {
-			if it.Kind == marshal.KindBytes {
+			switch it.Kind {
+			case marshal.KindBytes:
 				out = append(out, it.Bytes...)
-			} else {
+			case marshal.KindList:
+				for _, set := range it.Items {
+					out = appendPrefixed(out, set.Bytes)
+				}
+			default:
 				out = binary.BigEndian.AppendUint32(out, uint32(it.Num))
 			}
 		}
@@ -191,16 +209,16 @@ func TestHRPCReplyGolden(t *testing.T) {
 	}
 	next := FollowStep{Key: "next", Suffix: ".hns"}
 	for name, tc := range map[string]struct{ got, want string }{
-		"query mixed A":          {query("mixed.hns", TypeA), "0000000000096d697865642e686e7300010001000002580002000831302e302e302e31000831302e302e302e32"},
-		"query mixed TXT":        {query("mixed.hns", TypeTXT), "0000000000096d697865642e686e7300100001000002580001000174"},
-		"query mixed HNSMETA":    {query("mixed.hns", TypeHNSMeta), "0000000000096d697865642e686e73ff00000100000258000200096e6578743d74746c7300036b3d76"},
-		"query ttls HNSMETA":     {query("ttls.hns", TypeHNSMeta), "00000000000874746c732e686e73ff000001000002580001000d6e6578743d756e736f72746564000874746c732e686e73ff0000010000003c00010003623d32000874746c732e686e73ff0000010000025800010003633d33"},
-		"query ttls A":           {query("ttls.hns", TypeA), "00000000000874746c732e686e73000100010000003c0001000831302e302e302e33"},
-		"query unsorted HNSMETA": {query("unsorted.hns", TypeHNSMeta), "00000000000c756e736f727465642e686e73ff00000100000258000200037a3d390003613d31"},
-		"query unsorted A":       {query("unsorted.hns", TypeA), "00000000000c756e736f727465642e686e7300010001000002580002000831302e302e302e39000831302e302e302e31"},
+		"query mixed A":          {query("mixed.hns", TypeA), "00000000000000010001000002580002000831302e302e302e31000831302e302e302e32"},
+		"query mixed TXT":        {query("mixed.hns", TypeTXT), "00000000000000100001000002580001000174"},
+		"query mixed HNSMETA":    {query("mixed.hns", TypeHNSMeta), "000000000000ff00000100000258000200096e6578743d74746c7300036b3d76"},
+		"query ttls HNSMETA":     {query("ttls.hns", TypeHNSMeta), "000000000000ff000001000002580001000d6e6578743d756e736f727465640000ff0000010000003c00010003623d320000ff0000010000025800010003633d33"},
+		"query ttls A":           {query("ttls.hns", TypeA), "000000000000000100010000003c0001000831302e302e302e33"},
+		"query unsorted HNSMETA": {query("unsorted.hns", TypeHNSMeta), "000000000000ff00000100000258000200037a3d390003613d31"},
+		"query unsorted A":       {query("unsorted.hns", TypeA), "00000000000000010001000002580002000831302e302e302e39000831302e302e302e31"},
 		"query missing":          {query("none.hns", TypeA), "00000003"},
 		"chain": {reply(procQueryChain, marshal.Str("mixed.hns"), marshal.U32(uint32(TypeHNSMeta)), followToList([]FollowStep{next, next})),
-			"0000000000096d697865642e686e73ff00000100000258000200096e6578743d74746c7300036b3d76000874746c732e686e73ff000001000002580001000d6e6578743d756e736f72746564000874746c732e686e73ff0000010000003c00010003623d32000874746c732e686e73ff0000010000025800010003633d33000c756e736f727465642e686e73ff00000100000258000200037a3d390003613d31"},
+			"00000000001c0000ff00000100000258000200096e6578743d74746c7300036b3d76003d0000ff000001000002580001000d6e6578743d756e736f727465640000ff0000010000003c00010003623d320000ff0000010000025800010003633d3300160000ff00000100000258000200037a3d390003613d31"},
 		"transfer": {reply(procTransfer, marshal.Str("hns")),
 			"000000000000000e00096d697865642e686e7300010001000002580002000831302e302e302e31000831302e302e302e3200096d697865642e686e730010000100000258000100017400096d697865642e686e73ff00000100000258000200036b3d7600096e6578743d74746c73000874746c732e686e73000100010000003c0001000831302e302e302e33000874746c732e686e73ff0000010000003c00010003623d32000874746c732e686e73ff0000010000025800020003633d33000d6e6578743d756e736f72746564000c756e736f727465642e686e7300010001000002580002000831302e302e302e31000831302e302e302e39000c756e736f727465642e686e73ff0000010000025800020003613d3100037a3d39"},
 	} {
@@ -338,6 +356,62 @@ func FuzzRRSetsDecode(f *testing.F) {
 	})
 }
 
+// FuzzAnswerSetsDecode: whatever decodeAnswer accepts as the answer to a
+// name re-encodes to the same bytes, and it accepts no run that spells
+// that name, nor, in a tail, any run that spells an owner or no run at
+// all. A chain reply of more sets than names asked is refused, whatever
+// its sets hold.
+func FuzzAnswerSetsDecode(f *testing.F) {
+	s, z := goldenServer(f)
+	if err := z.Add(CNAME("alias.hns", "mixed.hns", 600)); err != nil {
+		f.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, q := range []struct {
+		name string
+		t    RRType
+	}{
+		{"mixed.hns", TypeA}, {"mixed.hns", TypeTXT}, {"mixed.hns", TypeHNSMeta}, {"ttls.hns", TypeHNSMeta},
+		{"ttls.hns", TypeA}, {"unsorted.hns", TypeHNSMeta}, {"unsorted.hns", TypeA}, {"alias.hns", TypeA},
+	} {
+		_, sets := s.answer(ctx, q.name, q.t)
+		f.Add(appendElided(nil, sets, q.name), q.name, false) // a BINDQuery reply
+		f.Add(sets, q.name, false)                            // its owner spelled
+		f.Add(sets, "tail.hns", true)                         // a tail spelling one
+	}
+	next := FollowStep{Key: "next", Suffix: ".hns"}
+	ret, err := s.queryChain(ctx, marshal.StructV(marshal.Str("mixed.hns"), marshal.U32(uint32(TypeHNSMeta)),
+		followToList([]FollowStep{next, next})))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, name := range []string{"mixed.hns", "ttls.hns", "unsorted.hns"} {
+		f.Add(ret.Items[1].Items[i].Bytes, name, i > 0) // each chain set
+	}
+	f.Add([]byte{}, "a.hns", true)
+	f.Fuzz(func(t *testing.T, set []byte, name string, tail bool) {
+		if _, _, _, err := decodeChain([]marshal.Value{marshal.BytesV(set), marshal.BytesV(set)}, name, nil); err == nil {
+			t.Fatal("two sets for a chain of one name were accepted")
+		}
+		rrs, err := decodeAnswer(nil, set, name, !tail)
+		if err != nil {
+			return
+		}
+		if out := appendElided(nil, appendSets(nil, rrs), name); !bytes.Equal(out, set) {
+			t.Fatalf("decode/encode not canonical for %q: in=%x out=%x", name, set, out)
+		}
+		if tail && len(rrs) == 0 {
+			t.Fatalf("an empty tail for %q was accepted", name)
+		}
+		spelled, _ := decodeSets(set) // an accepted answer is runs
+		for i, rr := range spelled {
+			if rr.Name == "" && rrs[i].Name != name || rr.Name != "" && (rr.Name == name || tail || rrs[i].Name != rr.Name) {
+				t.Fatalf("answer to %q (tail %v) accepted a run spelling %q as %q", name, tail, rr.Name, rrs[i].Name)
+			}
+		}
+	})
+}
+
 // A field the wire carries narrower than a u32 is refused, never
 // truncated: a query for type 65536+A is not answered with the A records,
 // and an update op past a byte is not sent as Add.
@@ -356,5 +430,30 @@ func TestHRPCRefusesWideFields(t *testing.T) {
 	}
 	if rrs, err := c.Lookup(ctx, "h0.ctx.hns", TypeHNSMeta); err != nil || len(rrs) != 1 {
 		t.Errorf("h0 after the refused update = %v, %v; want its one record", rrs, err)
+	}
+}
+
+// TestOldVersionRefused: a caller of the interface at version 1, whose
+// answers spelled every owner, is refused by version: each lookup fails
+// with the server's version-mismatch fault, counted as hrpc.remote_fault,
+// before any reply reaches the sets decoder.
+func TestOldVersionRefused(t *testing.T) {
+	c, ids := tenantZone(t, 1, hrpc.SuiteRaw, "tahoma:bind-hrpc")
+	reg := metrics.NewRegistry()
+	c.c.Metrics = reg
+	old := c.b
+	old.Version = 1
+	oc := NewHRPCClient(c.c, old)
+	ctx := context.Background()
+	_, lookupErr := oc.Lookup(ctx, "h0.ctx.hns", TypeHNSMeta)
+	_, _, chainErr := oc.LookupChain(ctx, "t"+ids[0]+".ctx.hns", TypeHNSMeta, tenantFollow)
+	for name, err := range map[string]error{"lookup": lookupErr, "chain": chainErr} {
+		var rf *hrpc.RemoteFault
+		if !errors.As(err, &rf) || !strings.Contains(rf.Msg, "version mismatch") || transport.CodeOf(err) != transport.CodeRemoteFault {
+			t.Errorf("version-1 %s = %v, want the server's version-mismatch fault", name, err)
+		}
+	}
+	if n := reg.Counter(metrics.Labels("hrpc_client_errors_total", "code", "hrpc.remote_fault")).Value(); n != 2 {
+		t.Errorf("hrpc_client_errors_total{code=hrpc.remote_fault} = %d, want 2", n)
 	}
 }

@@ -16,10 +16,12 @@ import (
 // wrapping: an HRPC program exposing FindNSM, and a client (RemoteHNS)
 // satisfying Finder and ContextFinder.
 
-// HNS service program identification.
+// HNS service program identification. Version 2 is the program whose
+// FindNSM carries (context, query class) and answers a six-field binding;
+// a caller of version 1 is refused by version, before any decoding.
 const (
 	HNSProgram uint32 = 300000
-	HNSVersion uint32 = 1
+	HNSVersion uint32 = 2
 )
 
 // Procedure IDs of the HNS program, exported so fronting services (the

@@ -410,3 +410,39 @@ func BenchmarkRemoteFindNSMWarmAllocs(b *testing.B) {
 		}
 	}
 }
+
+// TestOldVersionRefused: a caller of the HNS program at version 1, which
+// sent the individual name and read a seven-field binding, is refused by
+// version: FindNSM and FindNSMBatch fail with the server's
+// version-mismatch fault, counted as hrpc.remote_fault, and no finder runs.
+func TestOldVersionRefused(t *testing.T) {
+	w := newWorld(t, world.Config{})
+	cf := &countingFinder{f: w.HNS}
+	ln, hb, err := hrpc.Serve(w.Net, core.NewFinderServer(cf, "hns@june"), hrpc.SuiteRaw, "june", "june:hns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	rpc := hrpc.NewClient(w.Net)
+	rpc.Metrics = metrics.NewRegistry()
+	defer rpc.Close()
+	old := hb
+	old.Version = 1
+	remote := core.NewRemoteHNS(rpc, old)
+
+	ctx := context.Background()
+	_, findErr := remote.FindNSM(ctx, world.DesiredServiceName(), qclass.HRPCBinding)
+	_, batchErr := remote.FindNSMBatch(ctx, []core.NameQuery{{Name: world.DesiredServiceName(), QueryClass: qclass.HRPCBinding}})
+	for name, err := range map[string]error{"FindNSM": findErr, "FindNSMBatch": batchErr} {
+		var rf *hrpc.RemoteFault
+		if !errors.As(err, &rf) || !strings.Contains(rf.Msg, "version mismatch") || transport.CodeOf(err) != transport.CodeRemoteFault {
+			t.Errorf("version-1 %s = %v, want the server's version-mismatch fault", name, err)
+		}
+	}
+	if n := rpc.Metrics.Counter(metrics.Labels("hrpc_client_errors_total", "code", "hrpc.remote_fault")).Value(); n != 2 {
+		t.Errorf("hrpc_client_errors_total{code=hrpc.remote_fault} = %d, want 2", n)
+	}
+	if got := cf.calls.Load(); got != 0 {
+		t.Errorf("finder ran %d times for version-1 calls, want 0", got)
+	}
+}
