@@ -63,7 +63,7 @@ func TestZoneApplyIsAllOrNothing(t *testing.T) {
 }
 
 // The server refuses a malformed transaction with FORMERR before staging
-// any of it: an empty one, one whose 'U' record would not fit a reply, and
+// any of it: an empty one, one whose 'u' record would not fit a reply, and
 // one naming an owner it serves from another zone, or from none.
 func TestServerApplyRefusesMalformedTransactions(t *testing.T) {
 	srv := NewServer("fiji")

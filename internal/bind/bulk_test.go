@@ -88,7 +88,7 @@ func TestColdStartAllocsPerRecord(t *testing.T) {
 	}
 }
 
-// A load images its zone as a checkpoint does: the 'R' record a seed load
+// A load images its zone as a checkpoint does: the 'r' record a seed load
 // journals is byte for byte the image a checkpoint taken right after it
 // writes, and a shuffled copy of the same file loads to that same image
 // and the same records.
@@ -170,7 +170,7 @@ func TestStagingArenaHoldsWhatItInstalls(t *testing.T) {
 	}
 }
 
-// journalImages returns the 'R' records of the log on fs, oldest first.
+// journalImages returns the 'r' records of the log on fs, oldest first.
 func journalImages(t *testing.T, fs store.FS) [][]byte {
 	t.Helper()
 	l, err := store.OpenLog(fs, store.LogOptions{})

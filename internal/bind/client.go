@@ -3,7 +3,6 @@ package bind
 import (
 	"context"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -262,18 +261,10 @@ func (c *HRPCClient) Update(ctx context.Context, zone string, op uint32, rr RR) 
 // Apply applies ops to zone as one transaction — one exchange, one serial,
 // all of it or none — and returns the serial it left the zone at.
 func (c *HRPCClient) Apply(ctx context.Context, zone string, ops []Op) (uint32, error) {
-	// An op is an add or a remove and strings are u16-counted: refuse what
-	// would not survive the trip rather than truncate it.
-	for _, op := range ops {
-		if op.Op > UpdateRemove || max(len(zone), len(op.RR.Name), len(op.RR.Data)) > math.MaxUint16 {
-			return 0, fmt.Errorf("bind: update does not fit the wire (op %d; zone, name, data %d, %d, %d bytes)",
-				op.Op, len(zone), len(op.RR.Name), len(op.RR.Data))
-		}
-	}
 	simtime.Charge(ctx, simtime.GenMarshalRequest)
 	marshal.ChargeRecords(ctx, marshal.StyleGenerated, len(ops)) // the RRs in the request
 	ret, err := c.c.Call(ctx, c.b, procUpdate, marshal.StructV(
-		marshal.BytesV(appendUpdate(nil, zone, ops)),
+		marshal.BytesV(encodeUpdate(zone, ops, 0)[2:]), // a 'u' record but its kind and one-byte serial
 	))
 	if err != nil {
 		return 0, err

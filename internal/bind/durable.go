@@ -15,8 +15,8 @@ import (
 // and the full zone set is checkpointed whenever the journal recovery
 // would replay has outgrown the image it would load (see checkpointDue),
 // so recovery work stays within twice an image. A checkpoint is written
-// into the log itself: a 'C' marker at the head of a fresh segment, then
-// each zone whole as the same 'R' image a bulk load journals; once those
+// into the log itself: a 'c' marker at the head of a fresh segment, then
+// each zone whole as the same 'r' image a bulk load journals; once those
 // are synced the segments before the marker are pruned. Opening a Durable
 // recovers exactly the acknowledged-update prefix with one replay of the
 // log (a torn tail — the unacked final write of a crash — is discarded),
@@ -288,7 +288,7 @@ func (d *Durable) LogUpdate(zone string, ops []Op, serial uint32) error {
 	return d.append(zone, encodeUpdate(zone, ops, serial))
 }
 
-// LogImage appends a zone's 'R' image: a bulk load or a transfer applied.
+// LogImage appends a zone's 'r' image: a bulk load or a transfer applied.
 func (d *Durable) LogImage(zone string, image []byte) error {
 	return d.append(zone, image)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -278,6 +279,36 @@ func TestDurableInteriorCorruptionRefusesSilentLoss(t *testing.T) {
 	}
 	if _, err := OpenDurable(DurableConfig{FS: fs}); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("open over corrupt interior: %v, want ErrCorrupt", err)
+	}
+}
+
+// A data dir the first revision of the record codec wrote — a zone image,
+// then a flip's update, their integers fixed-width — is refused whole
+// with the unknown kind named, never misread into a zone.
+func TestDurableRefusesFirstRevisionLog(t *testing.T) {
+	image := "52000000290003686e73000a68302e6374782e686e73ff000001000002580001000a6e733d62696e642d6373"
+	update := "550000002a0003686e7300000a68302e6374782e686e73ff00000100000258000c6e733d62696e642d63732d62"
+	for kind, payloads := range map[byte][]string{'R': {image, update}, 'U': {update}} {
+		fs := NewCrashFS(t)
+		l, err := store.OpenLog(fs, store.LogOptions{})
+		for _, p := range payloads {
+			if err == nil {
+				_, err = l.Append(unhex(t, p))
+			}
+		}
+		if err == nil {
+			err = l.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDurable(DurableConfig{FS: fs})
+		if want := fmt.Sprintf("unknown journal record kind %q", kind); !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("a log opening with a first-revision %q record: OpenDurable = %v, want ErrCorrupt naming %s", kind, err, want)
+		}
+		if d != nil {
+			t.Errorf("a log opening with a first-revision %q record recovered %d zones", kind, len(d.Zones()))
+		}
 	}
 }
 

@@ -153,7 +153,7 @@ func FuzzCanonicalName(f *testing.F) {
 	})
 }
 
-// encodeImage is the 'R' image of a zone holding rrs, in order, at serial.
+// encodeImage is the 'r' image of a zone holding rrs, in order, at serial.
 func encodeImage(zone string, serial uint32, rrs []RR) []byte {
 	return appendSets(appendImageHead(nil, zone, serial), rrs)
 }
@@ -170,18 +170,52 @@ func reencodeJournal(rec journalRec) []byte {
 	}
 }
 
+// seed adds payload to f's corpus, failing the setup unless decode
+// accepts it exactly when ok: a golden that no longer decodes, or a
+// strictness seed that does, would leave the target exploring from
+// nothing it claims to.
+func seed(f *testing.F, decode func([]byte) error, ok bool, payload []byte) {
+	f.Helper()
+	if err := decode(payload); (err == nil) != ok {
+		f.Fatalf("seed %x: decode error %v, want accepted %v", payload, err, ok)
+	}
+	f.Add(payload)
+}
+
+// The BINDUpdate body, and so the 'u' record, of TestUpdateGoldenBytes's
+// add; and the same body with each integer's strictness broken once: its
+// TTL spelled overlong, and a type of 65536.
+const (
+	goldenUpdateBody   = "03686e73000a68302e6374782e686e7380fe0301d8040a6e733d62696e642d6373"
+	overlongUpdateBody = "03686e73000a68302e6374782e686e7380fe0301d884000a6e733d62696e642d6373"
+	type65536Body      = "03686e73000a68302e6374782e686e7380800401d8040a6e733d62696e642d6373"
+)
+
 // FuzzJournalDecode throws arbitrary bytes at the one decoder WAL replay
 // runs over transactions, zone images and checkpoint markers: it must
 // never panic, and whatever it accepts must re-encode byte-identically.
 func FuzzJournalDecode(f *testing.F) {
-	f.Add(encodeCheckpoint(2))
-	f.Add(encodeImage("hns", 9, []RR{A("a.hns", "10.0.0.1", 60), HNSMeta("ctx.hns", "ns=bind-cs", 600)}))
-	f.Add(encodeImage("hns", 9, []RR{A("a.hns", "10.0.0.1", 60), A("a.hns", "10.0.0.2", 60), A("b.hns", "10.0.0.1", 600)}))
-	f.Add(encodeImage("meta.hns", 0, nil))
-	f.Add(encodeUpdate("hns", Removes(TypeA, "a.hns"), 10))
-	f.Add(encodeUpdate("hns", append(Removes(TypeHNSMeta, "q.ns.qc.hns"), Adds(HNSMeta("n.nsm.hns", "host=june", 600), HNSMeta("n.nsm.hns", "port=1", 600))...), 11))
-	f.Add([]byte("C\x00\x00")) // a truncated marker
-	f.Add([]byte{})
+	decode := func(b []byte) error { _, err := decodeJournal(b); return err }
+	for _, b := range [][]byte{
+		encodeCheckpoint(2),
+		encodeImage("hns", 9, []RR{A("a.hns", "10.0.0.1", 60), HNSMeta("ctx.hns", "ns=bind-cs", 600)}),
+		encodeImage("hns", 9, []RR{A("a.hns", "10.0.0.1", 60), A("a.hns", "10.0.0.2", 60), A("b.hns", "10.0.0.1", 600)}),
+		encodeImage("meta.hns", 0, nil),
+		encodeUpdate("hns", Removes(TypeA, "a.hns"), 10),
+		encodeUpdate("hns", append(Removes(TypeHNSMeta, "q.ns.qc.hns"), Adds(HNSMeta("n.nsm.hns", "host=june", 600), HNSMeta("n.nsm.hns", "port=1", 600))...), 11),
+		unhex(f, "752a"+goldenUpdateBody),
+	} {
+		seed(f, decode, true, b)
+	}
+	for _, b := range [][]byte{
+		[]byte("c"), // a truncated marker
+		{},
+		unhex(f, "75aa00"+goldenUpdateBody), // the serial overlong
+		unhex(f, "752a"+overlongUpdateBody),
+		unhex(f, "752a"+type65536Body),
+	} {
+		seed(f, decode, false, b)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := decodeJournal(payload)
 		if err != nil {
@@ -191,6 +225,16 @@ func FuzzJournalDecode(f *testing.F) {
 			t.Fatalf("decode/encode not canonical: in=%x out=%x", payload, out)
 		}
 	})
+}
+
+// unhex is the bytes of hex s; a typo fails the test or the fuzz setup.
+func unhex(tb testing.TB, s string) []byte {
+	tb.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		tb.Fatalf("seed %q: %v", s, err)
+	}
+	return b
 }
 
 // A checkpoint marker round-trips with its zone count, and nothing else.
@@ -211,23 +255,30 @@ func TestJournalDecodeRejectsDamage(t *testing.T) {
 	image := encodeImage("hns", 3, []RR{A("a.hns", "10.0.0.1", 60)})
 	marker := encodeCheckpoint(1)
 	update := encodeUpdate("hns", Adds(A("a.hns", "10.0.0.1", 60), A("b.hns", "10.0.0.2", 60)), 4)
+	spliced := func(b []byte, at int, field ...byte) []byte {
+		return append(append(bytes.Clone(b[:at]), field...), b[at+1:]...)
+	}
 	for name, b := range map[string][]byte{
-		"update cut short":     update[:len(update)-1],
-		"update with no op":    encodeUpdate("hns", nil, 4),
-		"update with op 2":     encodeUpdate("hns", []Op{{2, A("a.hns", "10.0.0.1", 60)}}, 4),
-		"update then a record": append(bytes.Clone(update), update...),
-		"image cut short":      image[:len(image)-1],
-		"image padded":         append(bytes.Clone(image), 0),
+		"update cut short":         update[:len(update)-1],
+		"update with no op":        encodeUpdate("hns", nil, 4),
+		"update with op 2":         encodeUpdate("hns", []Op{{2, A("a.hns", "10.0.0.1", 60)}}, 4),
+		"update then a record":     append(bytes.Clone(update), update...),
+		"update serial overlong":   spliced(update, 1, 0x84, 0x00),
+		"update serial past 2³²−1": spliced(update, 1, 0x80, 0x80, 0x80, 0x80, 0x10),
+		"image cut short":          image[:len(image)-1],
+		"image padded":             append(bytes.Clone(image), 0),
 		"image run count inflated": func() []byte {
 			c := bytes.Clone(image)
-			c[len(c)-len("10.0.0.1")-3] = 2 // the low byte of the run's record count
+			c[len(c)-len("10.0.0.1")-2] = 2 // the run's record count
 			return c
 		}(),
-		"image of no zone": image[:1+4+1],
-		"marker cut short": marker[:len(marker)-1],
-		"marker padded":    append(bytes.Clone(marker), 0),
-		"unknown kind":     append([]byte{'V'}, marker[1:]...),
-		"empty":            nil,
+		"image of no zone":      image[:1+1],
+		"marker cut short":      marker[:len(marker)-1],
+		"marker padded":         append(bytes.Clone(marker), 0),
+		"marker overlong":       spliced(marker, 1, 0x81, 0x00),
+		"unknown kind":          append([]byte{'V'}, marker[1:]...),
+		"first-revision update": unhex(t, "550000002a0003686e7300000a68302e6374782e686e73ff00000100000258000a6e733d62696e642d6373"),
+		"empty":                 nil,
 	} {
 		rec, err := decodeJournal(b)
 		var rrs []RR
@@ -243,21 +294,23 @@ func TestJournalDecodeRejectsDamage(t *testing.T) {
 	}
 }
 
-// The one-op encodings are the bytes they were before a transaction could
-// carry more than one op: the BINDUpdate body every flip sends, and the
-// 'U' record the journal and IXFR hold.
+// The one-op encodings, every integer a uvarint: the BINDUpdate body every
+// flip sends, and the 'u' record the journal and IXFR hold.
 func TestUpdateGoldenBytes(t *testing.T) {
 	rr := HNSMeta("h0.ctx.hns", "ns=bind-cs", 600)
 	for name, tc := range map[string]struct {
 		got  []byte
 		want string
 	}{
-		"BINDUpdate body": {appendUpdate(nil, "hns", Adds(rr)), "0003686e7300000a68302e6374782e686e73ff00000100000258000a6e733d62696e642d6373"},
-		"'U' add":         {encodeUpdate("hns", Adds(rr), 42), "550000002a0003686e7300000a68302e6374782e686e73ff00000100000258000a6e733d62696e642d6373"},
-		"'U' remove":      {encodeUpdate("hns", Removes(TypeA, "a.hns"), 42), "550000002a0003686e73010005612e686e7300010000000000000000"},
+		"BINDUpdate body": {appendUpdate(nil, "hns", Adds(rr)), goldenUpdateBody},
+		"'u' add":         {encodeUpdate("hns", Adds(rr), 42), "752a" + goldenUpdateBody},
+		"'u' remove":      {encodeUpdate("hns", Removes(TypeA, "a.hns"), 42), "752a03686e730105612e686e7301000000"},
 	} {
 		if got := hex.EncodeToString(tc.got); got != tc.want {
 			t.Errorf("%s encodes as %s, want %s", name, got, tc.want)
 		}
+	}
+	if n := len(appendUpdate(nil, "hns", Adds(rr))); n != 33 {
+		t.Errorf("the BINDUpdate body is %d bytes, want 33", n)
 	}
 }

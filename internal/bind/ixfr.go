@@ -10,7 +10,7 @@ package bind
 //   - TransferDelta ("changes since serial S"): answered from the
 //     zone's history (Zone.DiffSince), the newest transactions that fit
 //     one reply. A peer it reaches back to receives only the transactions
-//     it missed, encoded as the journal codec's 'U' records; an older peer
+//     it missed, encoded as the journal codec's 'u' records; an older peer
 //     is told to take a full transfer. Cost is charged per transaction,
 //     so an incremental catch-up is priced by what moved, not by zone
 //     size.
@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"hns/internal/hrpc"
@@ -46,7 +47,7 @@ import (
 // to TTL polling.
 var ErrSubscribeUnsupported = errors.New("bind: subscribe unsupported on this connection")
 
-// encodeDiffs renders an incremental transfer payload: one journal 'U'
+// encodeDiffs renders an incremental transfer payload: one journal 'u'
 // record per transaction, oldest first — byte-compatible with the WAL
 // format, decoded by the same walker.
 func encodeDiffs(zone string, diffs []DiffRec) []byte {
@@ -66,7 +67,7 @@ func decodeDiffs(zone string, payload []byte) ([]DiffRec, error) {
 	d := &journalDecoder{b: payload}
 	var last uint32
 	for len(d.b) > 0 {
-		kind, serial := byte(d.num(1)), uint32(d.num(4))
+		kind, serial := byte(d.num(math.MaxUint8)), uint32(d.num(math.MaxUint32))
 		zb, ops := d.update()
 		switch {
 		case d.err != nil:

@@ -64,14 +64,14 @@ func TestDiffLogBasics(t *testing.T) {
 }
 
 // TestDiffLogWindowAndResets: the history is the newest whole transactions
-// whose 'U' records fit one reply, and only serial movement breaks
+// whose 'u' records fit one reply, and only serial movement breaks
 // continuity.
 func TestDiffLogWindowAndResets(t *testing.T) {
 	z, _ := NewZone("d.test", true)
 	base := z.Serial()
 	data := strings.Repeat("x", MaxRDataLen)
 	big := func(i int) RR { return TXT(fmt.Sprintf("n%05d.d.test", i), data, 60) }
-	n := replyBudget/updateLen(z.Origin(), Adds(big(0))) + 64 // overflows one reply
+	n := replyBudget/updateLen(z.Origin(), Adds(big(0)), base) + 64 // overflows one reply
 	for i := 0; i < n; i++ {
 		if err := z.Add(big(i)); err != nil {
 			t.Fatal(err)
@@ -96,7 +96,7 @@ func TestDiffLogWindowAndResets(t *testing.T) {
 		t.Fatalf("DiffSince(oldest %d) = %d records, ok=%v; want the %d retained", oldest, len(diffs), ok, len(z.diff))
 	}
 	size := len(encodeDiffs(z.Origin(), diffs))
-	if size != z.diffBytes || size > replyBudget || size+updateLen(z.Origin(), Adds(big(0))) <= replyBudget {
+	if size != z.diffBytes || size > replyBudget || size+updateLen(z.Origin(), Adds(big(0)), z.Serial()+1) <= replyBudget {
 		t.Fatalf("the oldest answer is %d bytes (history says %d), want at most %d and within a record of it", size, z.diffBytes, replyBudget)
 	}
 	if _, ok := z.DiffSince(oldest - 1); ok {
@@ -123,7 +123,7 @@ func TestDiffLogWindowAndResets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if z.diff[0].Serial != straddler+1 || z.diffBytes+updateLen(z.Origin(), txn[2:]) > replyBudget {
+	if z.diff[0].Serial != straddler+1 || z.diffBytes+updateLen(z.Origin(), txn[2:], z.Serial()+1) > replyBudget {
 		t.Fatalf("after the trim the history starts at serial %d holding %d bytes; want %d, with room for the transaction's last op",
 			z.diff[0].Serial, z.diffBytes, straddler+1)
 	}
@@ -215,7 +215,7 @@ func TestDiffCodecRejectsMalformed(t *testing.T) {
 	})
 	cases := map[string][]byte{
 		"truncated":    good[:len(good)-3],
-		"wrong kind":   append([]byte{'R'}, good[1:]...),
+		"wrong kind":   append([]byte{journalKindReplace}, good[1:]...),
 		"trailing":     append(append([]byte(nil), good...), 0x01),
 		"serial order": encodeDiffs("d.test", []DiffRec{{Serial: 6, Ops: Adds(A("a.d.test", "1", 60))}, {Serial: 6, Ops: Adds(A("b.d.test", "2", 60))}}),
 		"no op":        encodeDiffs("d.test", []DiffRec{{Serial: 5}, {Serial: 6, Ops: Adds(A("b.d.test", "2", 60))}}),
@@ -242,8 +242,15 @@ func FuzzIXFRDecode(f *testing.F) {
 		{Serial: 8, Ops: append(Removes(TypeHNSMeta, "q.ns.qc.hns"), Adds(HNSMeta("n.nsm.hns", "host=june", 600))...)},
 		{Serial: 9, Ops: Adds(HNSMeta("q.ns.qc.hns", "nsm=n", 600), HNSMeta("n.nsm.hns", "port=1", 600))},
 	}))
-	f.Add([]byte("z"), []byte{'U', 0, 0, 0})
+	f.Add([]byte("z"), []byte{journalKindUpdate, 0, 0, 0})
 	f.Add([]byte(""), []byte{})
+	for i, body := range []string{goldenUpdateBody, overlongUpdateBody, type65536Body} {
+		payload := unhex(f, "752a"+body)
+		if _, err := decodeDiffs("hns", payload); (err == nil) != (i == 0) {
+			f.Fatalf("seed %x: decode error %v, want accepted %v", payload, err, i == 0)
+		}
+		f.Add([]byte("hns"), payload)
+	}
 	f.Fuzz(func(t *testing.T, zone, payload []byte) {
 		diffs, err := decodeDiffs(string(zone), payload)
 		if err != nil {
@@ -399,7 +406,7 @@ func TestTransferDeltaFallsBackPastWindow(t *testing.T) {
 }
 
 // TestTransferDeltaFitsFrame: however many updates a zone takes, a delta
-// over a real socket fits one frame. Updates whose 'U' records outgrow a
+// over a real socket fits one frame. Updates whose 'u' records outgrow a
 // reply leave the oldest behind the history — that peer is told to take a
 // full transfer — while the oldest serial still retained gets the whole
 // history in one reply.
@@ -428,10 +435,11 @@ func TestTransferDeltaFitsFrame(t *testing.T) {
 	total := 0
 	for i := 0; total <= replyBudget; i++ {
 		rr := TXT(fmt.Sprintf("owner-%06d.repl.test", i), data, 600)
-		if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, rr); err != nil {
+		_, serial, err := s.Update(ctx, "repl.test", UpdateAdd, rr)
+		if err != nil {
 			t.Fatal(err)
 		}
-		total += updateLen("repl.test", Adds(rr))
+		total += updateLen("repl.test", Adds(rr), serial)
 	}
 	z.mu.RLock()
 	oldest, retained := z.diff[0].Serial-1, len(z.diff)

@@ -2,104 +2,104 @@ package bind
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+
+	"hns/internal/marshal"
 )
 
 // The record codec. Records leave memory in one binary form wherever they
 // go — a zone's own storage, the journal, IXFR payloads and BIND's HRPC
 // interface:
 //
-//	RR  = u16 len name, u16 type, u16 class, u32 ttl, u16 len data
-//	run = u16 len name, u16 type, u16 class, u32 ttl, u16 n, (u16 len data)×n
+//	RR  = name type class ttl data
+//	run = name type class ttl n data×n
 //
-// One WAL payload is one mutation, or the marker a checkpoint opens with:
+// Every integer is a uvarint as marshal.Packed writes it, and a name, zone
+// or data its length then its bytes. A type or class is at most 65535, a
+// TTL or serial at most 2³²−1. One WAL payload is one mutation, or the
+// marker a checkpoint opens with:
 //
-//	'U' u32 serial  u16 len zone  (u8 op  RR)+     (one transaction)
-//	'R' u32 serial  u16 len zone  sets             (the zone whole)
-//	'C' u32 zones                                  (checkpoint marker)
+//	'u' serial zone (op RR)+      (one transaction)
+//	'r' serial zone sets          (the zone whole)
+//	'c' zones                     (checkpoint marker)
 //
-// A 'U' record's ops run to the end of its payload or, where records are
-// concatenated, to the next kind byte, which no op byte (UpdateAdd or
-// UpdateRemove) can be mistaken for. An 'R' image's sets are the zone's
-// owners' stored runs in (name, type, data) order, as a transfer carries
-// them; they are checked when a zone takes them in. A checkpoint is a
-// marker followed by one 'R' image per zone. An IXFR payload is a sequence
-// of 'U' records, one per transaction, and a BINDUpdate request is one
-// without its kind and serial. Every record list the HRPC interface
-// returns is a sets payload: runs, read until it is exhausted.
-// A run is a maximal stretch (of at most 65535) consecutive records
-// sharing owner, type, class and TTL — a DNS RRset, unless a TTL differs —
-// so any sequence round-trips in order. An answer (appendElided) writes
-// the owner of each run the name asked owns as length 0: its asker holds
-// that name. All integers are big-endian. The format is versionless on
-// purpose: the kind byte leaves room ('V', ...) if a revision is ever
-// needed.
+// A 'u' record's ops run to the end of its payload or, where records are
+// concatenated, to the next kind byte, which no op (UpdateAdd or
+// UpdateRemove, one byte each) can be mistaken for. An 'r' image's sets
+// are the zone's owners' stored runs in (name, type, data) order, as a
+// transfer carries them; they are checked when a zone takes them in. A
+// checkpoint is a marker followed by one 'r' image per zone. An IXFR
+// payload is a sequence of 'u' records, one per transaction, and a
+// BINDUpdate request is one without its kind and serial. Every record list
+// the HRPC interface returns is a sets payload: runs, read until it is
+// exhausted. A run is a maximal stretch (of at most 65535) consecutive
+// records sharing owner, type, class and TTL — a DNS RRset, unless a TTL
+// differs — so any sequence round-trips in order. An answer (appendElided)
+// writes the owner of each run the name asked owns as length 0: its asker
+// holds that name. The kind byte is the format's revision: the first's
+// 'U', 'R' and 'C', whose integers were fixed-width, are refused.
 const (
-	journalKindUpdate     = 'U'
-	journalKindReplace    = 'R'
-	journalKindCheckpoint = 'C'
+	journalKindUpdate     = 'u'
+	journalKindReplace    = 'r'
+	journalKindCheckpoint = 'c'
 )
 
-// appendPrefixed appends s behind its u16 length.
+// appendPrefixed appends s behind its uvarint length.
 func appendPrefixed[S string | []byte](b []byte, s S) []byte {
-	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // appendRRHead appends all of rr but its data: an RR's head, and a run's
 // header but for the count.
 func appendRRHead(b []byte, rr RR) []byte {
-	b = appendPrefixed(b, rr.Name)
-	b = binary.BigEndian.AppendUint16(b, uint16(rr.Type))
-	b = binary.BigEndian.AppendUint16(b, rr.Class)
-	return binary.BigEndian.AppendUint32(b, rr.TTL)
-}
-
-func appendRR(b []byte, rr RR) []byte {
-	return appendPrefixed(appendRRHead(b, rr), rr.Data)
+	b = binary.AppendUvarint(appendPrefixed(b, rr.Name), uint64(rr.Type))
+	return binary.AppendUvarint(binary.AppendUvarint(b, uint64(rr.Class)), uint64(rr.TTL))
 }
 
 // appendUpdate appends one transaction's zone, then each op and record.
 func appendUpdate(b []byte, zone string, ops []Op) []byte {
 	b = appendPrefixed(b, zone)
 	for _, op := range ops {
-		b = appendRR(append(b, byte(op.Op)), op.RR)
+		b = appendPrefixed(appendRRHead(binary.AppendUvarint(b, uint64(op.Op)), op.RR), op.RR.Data)
 	}
 	return b
 }
 
+// uvarintLen is the length of v's uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// prefixedLen is the length of what appendPrefixed appends for s.
+func prefixedLen[S string | []byte](s S) int { return uvarintLen(uint64(len(s))) + len(s) }
+
 // updateLen is the length of encodeUpdate's payload.
-func updateLen(zone string, ops []Op) int {
-	n := 1 + 4 + 2 + len(zone)
+func updateLen(zone string, ops []Op, serial uint32) int {
+	n := 1 + uvarintLen(uint64(serial)) + prefixedLen(zone)
 	for _, op := range ops {
-		n += 1 + rrFixedLen + len(op.RR.Name) + len(op.RR.Data)
+		rr := op.RR
+		n += 1 + prefixedLen(rr.Name) + uvarintLen(uint64(rr.Type)) + uvarintLen(uint64(rr.Class)) +
+			uvarintLen(uint64(rr.TTL)) + prefixedLen(rr.Data)
 	}
 	return n
 }
 
 // encodeUpdate builds the WAL payload for one transaction.
 func encodeUpdate(zone string, ops []Op, serial uint32) []byte {
-	b := make([]byte, 0, updateLen(zone, ops))
-	b = append(b, journalKindUpdate)
-	b = binary.BigEndian.AppendUint32(b, serial)
+	b := make([]byte, 0, updateLen(zone, ops, serial))
+	b = binary.AppendUvarint(append(b, journalKindUpdate), uint64(serial))
 	return appendUpdate(b, zone, ops)
 }
 
-// rrFixedLen is the encoded size of an RR apart from its name and data.
-const rrFixedLen = 2 + 2 + 2 + 4 + 2
-
-// appendImageHead appends the head of an 'R' image; the zone's sets follow.
+// appendImageHead appends the head of an 'r' image; the zone's sets follow.
 func appendImageHead(b []byte, zone string, serial uint32) []byte {
-	b = binary.BigEndian.AppendUint32(append(b, journalKindReplace), serial)
-	return appendPrefixed(b, zone)
+	return appendPrefixed(binary.AppendUvarint(append(b, journalKindReplace), uint64(serial)), zone)
 }
 
 // encodeCheckpoint builds the marker for a checkpoint of zones images.
 func encodeCheckpoint(zones int) []byte {
-	return binary.BigEndian.AppendUint32([]byte{journalKindCheckpoint}, uint32(zones))
+	return binary.AppendUvarint([]byte{journalKindCheckpoint}, uint64(zones))
 }
 
 // sameRun reports whether records a and b may share a run.
@@ -114,7 +114,7 @@ func appendSets(b []byte, rrs []RR) []byte {
 		for n < len(rrs) && n < math.MaxUint16 && sameRun(rrs[0], rrs[n]) {
 			n++
 		}
-		b = binary.BigEndian.AppendUint16(appendRRHead(b, rrs[0]), uint16(n))
+		b = binary.AppendUvarint(appendRRHead(b, rrs[0]), uint64(n))
 		for _, rr := range rrs[:n] {
 			b = appendPrefixed(b, rr.Data)
 		}
@@ -134,14 +134,13 @@ func decodeSets(payload []byte) ([]RR, error) { return appendDecoded(nil, payloa
 // the asker of name: each run that name owns carries an empty owner, the
 // asker already holding it, and is otherwise copied as it is.
 func appendElided(b, sets []byte, name string) []byte {
-	d := &journalDecoder{b: sets}
+	d := &journalDecoder{b: sets, name: name}
 	for len(d.b) > 0 {
 		run := d.b
-		if string(d.bytes()) == name {
-			b, run = append(b, 0, 0), d.b
+		if d.head().Name == name {
+			b, run = append(b, 0), run[prefixedLen(name):]
 		}
-		d.take(2 + 2 + 4)
-		for range d.num(2) {
+		for range d.num(math.MaxUint16) {
 			d.bytes()
 		}
 		b = append(b, run[:len(run)-len(d.b)]...)
@@ -174,10 +173,10 @@ func decodeAnswer(out []RR, set []byte, name string, head bool) ([]RR, error) {
 // share its string. What a zone stored always decodes.
 func appendDecoded(out []RR, payload []byte, owner string) ([]RR, error) {
 	d := &journalDecoder{b: payload, name: owner}
-	var prev uint16 // the previous run's count
+	var prev uint64 // the previous run's count
 	for len(d.b) > 0 {
-		head, n := d.head(), uint16(d.num(2))
-		if d.err == nil && (n == 0 || int(n) > len(d.b)/2) {
+		head, n := d.head(), d.num(math.MaxUint16)
+		if d.err == nil && (n == 0 || n > uint64(len(d.b))) { // each record's data takes a byte or more
 			return nil, fmt.Errorf("bind: run of %d records for %s in %d bytes", n, head.Name, len(d.b))
 		}
 		if prev != 0 && prev < math.MaxUint16 && sameRun(out[len(out)-1], head) {
@@ -207,7 +206,8 @@ type journalRec struct {
 }
 
 // journalDecoder walks one payload of the record codec. The first read
-// past the end sets err and empties b; every read after it yields zeros.
+// past the end or of a field out of range sets err and empties b; every
+// read after it yields zeros.
 // name is the last owner name read, which records and runs that repeat it
 // share rather than each allocate.
 type journalDecoder struct {
@@ -216,12 +216,10 @@ type journalDecoder struct {
 	name string
 }
 
-var errTruncated = errors.New("bind: truncated record")
-
-// take consumes n bytes; short of them, it sets err and yields nil.
+// take consumes n bytes; short of them, it fails and yields nil.
 func (d *journalDecoder) take(n int) []byte {
 	if d.err == nil && len(d.b) < n {
-		d.b, d.err = nil, errTruncated
+		d.b, d.err = nil, fmt.Errorf("bind: record: %w", marshal.ErrTruncated)
 	}
 	if d.err != nil {
 		return nil
@@ -231,23 +229,29 @@ func (d *journalDecoder) take(n int) []byte {
 	return v
 }
 
-// num reads an n-byte big-endian unsigned integer.
-func (d *journalDecoder) num(n int) uint64 {
-	var v uint64
-	for _, c := range d.take(n) {
-		v = v<<8 | uint64(c)
+// num reads a uvarint no greater than max.
+func (d *journalDecoder) num(max uint64) uint64 {
+	if d.err != nil {
+		return 0
 	}
+	v, rest, err := marshal.Uvarint(d.b, max)
+	if err != nil {
+		d.err = fmt.Errorf("bind: record: %w", err)
+	}
+	d.b = rest // nil on error
 	return v
 }
 
-func (d *journalDecoder) bytes() []byte { return d.take(int(d.num(2))) }
+// bytes reads a length, at most the bytes left, and that many bytes.
+func (d *journalDecoder) bytes() []byte { return d.take(int(d.num(uint64(len(d.b))))) }
 
 // head reads what appendRRHead wrote.
 func (d *journalDecoder) head() RR {
 	if name := d.bytes(); string(name) != d.name {
 		d.name = string(name)
 	}
-	return RR{Name: d.name, Type: RRType(d.num(2)), Class: uint16(d.num(2)), TTL: uint32(d.num(4))}
+	t, class := RRType(d.num(math.MaxUint16)), uint16(d.num(math.MaxUint16))
+	return RR{Name: d.name, Type: t, Class: class, TTL: uint32(d.num(math.MaxUint32))}
 }
 
 // update reads what appendUpdate wrote: a zone, then one or more ops up
@@ -256,11 +260,8 @@ func (d *journalDecoder) head() RR {
 func (d *journalDecoder) update() (zone []byte, ops []Op) {
 	zone = d.bytes()
 	for d.err == nil && (len(ops) == 0 || len(d.b) > 0 && d.b[0] != journalKindUpdate) {
-		op := Op{uint32(d.num(1)), d.head()}
+		op := Op{uint32(d.num(UpdateRemove)), d.head()}
 		op.RR.Data = d.bytes()
-		if op.Op > UpdateRemove {
-			d.b, d.err = nil, fmt.Errorf("bind: unknown update op %d", op.Op)
-		}
 		ops = append(ops, op)
 	}
 	return zone, ops
@@ -279,16 +280,17 @@ func (d *journalDecoder) end() error {
 // checkpoint marker.
 func decodeJournal(payload []byte) (journalRec, error) {
 	d := &journalDecoder{b: payload}
-	rec := journalRec{kind: byte(d.num(1)), serial: uint32(d.num(4))}
+	rec := journalRec{kind: byte(d.num(math.MaxUint8))}
 	var zone []byte
 	switch rec.kind {
 	case journalKindCheckpoint:
-		// A marker's one field, where the others keep their serial.
-		rec.zones, rec.serial = rec.serial, 0
+		rec.zones = uint32(d.num(math.MaxUint32))
 		return rec, d.end()
 	case journalKindUpdate:
+		rec.serial = uint32(d.num(math.MaxUint32))
 		zone, rec.ops = d.update()
 	case journalKindReplace:
+		rec.serial = uint32(d.num(math.MaxUint32))
 		zone = d.bytes()
 		rec.sets = d.take(len(d.b))
 	default:

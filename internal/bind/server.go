@@ -158,10 +158,11 @@ func (s *Server) Update(ctx context.Context, zoneOrigin string, op uint32, rr RR
 // model: all or nothing, at one serial — charging the server-side update
 // cost once. Only zones created with allowUpdate accept it. An empty
 // transaction, one naming an owner this server does not serve from that
-// zone, or one whose 'U' record would not fit a reply (the history and an
-// IXFR answer carry it whole) is FORMERR, refused before anything is
-// staged. One that fails to stage, or to be journaled, is SERVFAIL: after
-// a journal failure it may be in memory but will not survive a restart.
+// zone, or one whose 'u' record, at the widest serial, would not fit a
+// reply (the history and an IXFR answer carry it whole) is FORMERR,
+// refused before anything is staged. One that fails to stage, or to be
+// journaled, is SERVFAIL: after a journal failure it may be in memory but
+// will not survive a restart.
 func (s *Server) Apply(ctx context.Context, zoneOrigin string, ops []Op) (rcode RCode, serial uint32, err error) {
 	defer func() {
 		s.reg.Counter(metrics.Labels("bind_updates_total", "rcode", rcode.String())).Inc()
@@ -184,7 +185,7 @@ func (s *Server) Apply(ctx context.Context, zoneOrigin string, ops []Op) (rcode 
 			return RCodeFormErr, z.Serial(), err
 		}
 	}
-	if n := updateLen(z.Origin(), ops); len(ops) == 0 || n > replyBudget {
+	if n := updateLen(z.Origin(), ops, math.MaxUint32); len(ops) == 0 || n > replyBudget {
 		return RCodeFormErr, z.Serial(), fmt.Errorf("bind: a transaction of %d ops in %d bytes; want 1 or more in at most %d", len(ops), n, replyBudget)
 	}
 	return s.apply(z, ops, 0)
@@ -270,11 +271,11 @@ func (s *Server) ServeStd(net *transport.Network, transportName, addr string) (t
 
 // ---- HRPC interface (Raw suite, records in the journal's codec).
 
-// HRPCProgram and HRPCVersion identify the BIND HRPC interface. Version 2
-// answers spell no owner their asker holds; version 1 callers are refused.
+// HRPCProgram and HRPCVersion identify the BIND HRPC interface. Version 3
+// records' integers are uvarints; callers of earlier versions are refused.
 const (
 	HRPCProgram = 100017
-	HRPCVersion = 2
+	HRPCVersion = 3
 )
 
 // The HRPC procedures. Records cross this interface in the record codec

@@ -116,18 +116,18 @@ func TestHRPCWireBytes(t *testing.T) {
 				err = fmt.Errorf("chain = %v, %v", head, tails)
 			}
 			return err
-		}, 68, 171},
+		}, 68, 153},
 		{"lookup", func() error {
 			rrs, err := c.Lookup(ctx, "h0.ctx.hns", TypeHNSMeta)
 			if err == nil && len(rrs) != 1 {
 				err = fmt.Errorf("lookup = %v", rrs)
 			}
 			return err
-		}, 20, 28},
-		{"update h0 add", update(UpdateAdd, "h0.ctx.hns", "bind-cs-b"), 47, 4},
-		{"update h0 remove", update(UpdateRemove, "h0.ctx.hns", "bind-cs"), 45, 4},
-		{"update h100 add", update(UpdateAdd, "h100.ctx.hns", "bind-cs-b"), 49, 4},
-		{"update h100 remove", update(UpdateRemove, "h100.ctx.hns", "bind-cs"), 47, 4},
+		}, 20, 23},
+		{"update h0 add", update(UpdateAdd, "h0.ctx.hns", "bind-cs-b"), 42, 4},
+		{"update h0 remove", update(UpdateRemove, "h0.ctx.hns", "bind-cs"), 40, 4},
+		{"update h100 add", update(UpdateAdd, "h100.ctx.hns", "bind-cs-b"), 44, 4},
+		{"update h100 remove", update(UpdateRemove, "h100.ctx.hns", "bind-cs"), 42, 4},
 	} {
 		tx0, rx0 := tcpNetBytes("tx"), tcpNetBytes("rx")
 		if err := tc.call(); err != nil {
@@ -170,9 +170,10 @@ func goldenServer(tb testing.TB) (*Server, *Zone) {
 // TestHRPCReplyGolden pins the bytes BINDQuery, BINDQueryChain and
 // BINDTransfer answer with for three kinds of owner: one mixing types, one
 // whose records carry two TTLs, and one whose records were added out of
-// (type, data) order. Each reply is its rcode, its serial where it has
-// one, then its sets payload, or each of the chain's sets behind its u16
-// length, in hex. A run owned by the name asked carries an empty owner.
+// (type, data) order. Each reply is its rcode, and its serial where it
+// has one, as u32s, then its sets payload, or each of the chain's sets
+// behind its uvarint length, in hex. A run owned by the name asked carries
+// an empty owner.
 func TestHRPCReplyGolden(t *testing.T) {
 	net := transport.NewNetwork()
 	s, _ := goldenServer(t)
@@ -209,18 +210,18 @@ func TestHRPCReplyGolden(t *testing.T) {
 	}
 	next := FollowStep{Key: "next", Suffix: ".hns"}
 	for name, tc := range map[string]struct{ got, want string }{
-		"query mixed A":          {query("mixed.hns", TypeA), "00000000000000010001000002580002000831302e302e302e31000831302e302e302e32"},
-		"query mixed TXT":        {query("mixed.hns", TypeTXT), "00000000000000100001000002580001000174"},
-		"query mixed HNSMETA":    {query("mixed.hns", TypeHNSMeta), "000000000000ff00000100000258000200096e6578743d74746c7300036b3d76"},
-		"query ttls HNSMETA":     {query("ttls.hns", TypeHNSMeta), "000000000000ff000001000002580001000d6e6578743d756e736f727465640000ff0000010000003c00010003623d320000ff0000010000025800010003633d33"},
-		"query ttls A":           {query("ttls.hns", TypeA), "000000000000000100010000003c0001000831302e302e302e33"},
-		"query unsorted HNSMETA": {query("unsorted.hns", TypeHNSMeta), "000000000000ff00000100000258000200037a3d390003613d31"},
-		"query unsorted A":       {query("unsorted.hns", TypeA), "00000000000000010001000002580002000831302e302e302e39000831302e302e302e31"},
+		"query mixed A":          {query("mixed.hns", TypeA), "00000000000101d804020831302e302e302e310831302e302e302e32"},
+		"query mixed TXT":        {query("mixed.hns", TypeTXT), "00000000001001d804010174"},
+		"query mixed HNSMETA":    {query("mixed.hns", TypeHNSMeta), "000000000080fe0301d80402096e6578743d74746c73036b3d76"},
+		"query ttls HNSMETA":     {query("ttls.hns", TypeHNSMeta), "000000000080fe0301d804010d6e6578743d756e736f727465640080fe03013c0103623d320080fe0301d8040103633d33"},
+		"query ttls A":           {query("ttls.hns", TypeA), "000000000001013c010831302e302e302e33"},
+		"query unsorted HNSMETA": {query("unsorted.hns", TypeHNSMeta), "000000000080fe0301d80402037a3d3903613d31"},
+		"query unsorted A":       {query("unsorted.hns", TypeA), "00000000000101d804020831302e302e302e390831302e302e302e31"},
 		"query missing":          {query("none.hns", TypeA), "00000003"},
 		"chain": {reply(procQueryChain, marshal.Str("mixed.hns"), marshal.U32(uint32(TypeHNSMeta)), followToList([]FollowStep{next, next})),
-			"00000000001c0000ff00000100000258000200096e6578743d74746c7300036b3d76003d0000ff000001000002580001000d6e6578743d756e736f727465640000ff0000010000003c00010003623d320000ff0000010000025800010003633d3300160000ff00000100000258000200037a3d390003613d31"},
+			"00000000160080fe0301d80402096e6578743d74746c73036b3d762d0080fe0301d804010d6e6578743d756e736f727465640080fe03013c0103623d320080fe0301d8040103633d33100080fe0301d80402037a3d3903613d31"},
 		"transfer": {reply(procTransfer, marshal.Str("hns")),
-			"000000000000000e00096d697865642e686e7300010001000002580002000831302e302e302e31000831302e302e302e3200096d697865642e686e730010000100000258000100017400096d697865642e686e73ff00000100000258000200036b3d7600096e6578743d74746c73000874746c732e686e73000100010000003c0001000831302e302e302e33000874746c732e686e73ff0000010000003c00010003623d32000874746c732e686e73ff0000010000025800020003633d33000d6e6578743d756e736f72746564000c756e736f727465642e686e7300010001000002580002000831302e302e302e31000831302e302e302e39000c756e736f727465642e686e73ff0000010000025800020003613d3100037a3d39"},
+			"000000000000000e096d697865642e686e730101d804020831302e302e302e310831302e302e302e32096d697865642e686e731001d804010174096d697865642e686e7380fe0301d80402036b3d76096e6578743d74746c730874746c732e686e7301013c010831302e302e302e330874746c732e686e7380fe03013c0103623d320874746c732e686e7380fe0301d8040203633d330d6e6578743d756e736f727465640c756e736f727465642e686e730101d804020831302e302e302e310831302e302e302e390c756e736f727465642e686e7380fe0301d8040203613d31037a3d39"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s replies %s, want %s", name, tc.got, tc.want)
@@ -240,6 +241,23 @@ func BenchmarkChainExchange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, tails, err := c.LookupChain(ctx, name, TypeHNSMeta, tenantFollow); err != nil || len(tails) != 2 {
 			b.Fatalf("chain: %d tails, %v", len(tails), err)
+		}
+	}
+}
+
+// BenchmarkUpdateExchange is one BINDUpdate round trip over the sim
+// transport, client and handler: the update a flip sends, alternately
+// adding and removing h0's second mapping so the zone stays two records
+// wide. scripts/bench_alloc.sh gates its allocs/op.
+func BenchmarkUpdateExchange(b *testing.B) {
+	c, _ := tenantZone(b, 0, hrpc.SuiteRaw, "tahoma:bind-hrpc")
+	ctx := context.Background()
+	rr := HNSMeta("h0.ctx.hns", "ns=bind-cs-b", 600)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Update(ctx, "hns", uint32(i&1), rr); err != nil {
+			b.Fatalf("update %d: %v", i, err)
 		}
 	}
 }
@@ -309,19 +327,31 @@ func TestSetsLongRun(t *testing.T) {
 
 func TestSetsDecodeRejects(t *testing.T) {
 	good := appendSets(nil, []RR{A("a.hns", "1", 60), A("a.hns", "2", 60)})
-	count := len(good) - 2*3 - 2 // offset of the run's record count
-	withCount := func(n uint16) []byte {
-		b := bytes.Clone(good)
-		b[count], b[count+1] = byte(n>>8), byte(n)
-		return b
+	count := len(good) - 2*2 - 1 // offset of the run's record count
+	withCount := func(n ...byte) []byte {
+		return append(append(bytes.Clone(good[:count]), n...), good[count+1:]...)
+	}
+	// run is one record of a.hns whose type, class and TTL are as given.
+	run := func(typ, class, ttl uint64) []byte {
+		b := binary.AppendUvarint(appendPrefixed(nil, "a.hns"), typ)
+		b = binary.AppendUvarint(binary.AppendUvarint(b, class), ttl)
+		return appendPrefixed(binary.AppendUvarint(b, 1), "1")
+	}
+	if _, err := decodeSets(run(math.MaxUint16, math.MaxUint16, math.MaxUint32)); err != nil {
+		t.Fatalf("a run at every field's maximum: %v", err)
 	}
 	for name, b := range map[string][]byte{
-		"truncated":       good[:len(good)-1],
-		"trailing":        append(bytes.Clone(good), 0),
-		"empty run":       withCount(0),
-		"count too large": withCount(math.MaxUint16),
-		"count short":     withCount(1),
-		"non-maximal run": append(bytes.Clone(good), appendSets(nil, []RR{A("a.hns", "3", 60)})...),
+		"truncated":        good[:len(good)-1],
+		"trailing":         append(bytes.Clone(good), 0),
+		"empty run":        withCount(0),
+		"count too large":  withCount(binary.AppendUvarint(nil, math.MaxUint16)...),
+		"count over 65535": withCount(binary.AppendUvarint(nil, math.MaxUint16+1)...),
+		"count short":      withCount(1),
+		"overlong count":   withCount(0x82, 0x00),
+		"type over 65535":  run(math.MaxUint16+1, 1, 60),
+		"class over 65535": run(1, math.MaxUint16+1, 60),
+		"TTL over 2³²−1":   run(1, 1, math.MaxUint32+1),
+		"non-maximal run":  append(bytes.Clone(good), appendSets(nil, []RR{A("a.hns", "3", 60)})...),
 	} {
 		if rrs, err := decodeSets(b); err == nil {
 			t.Errorf("%s: decodeSets accepted %x as %v", name, b, rrs)
@@ -344,7 +374,10 @@ func FuzzRRSetsDecode(f *testing.F) {
 	}
 	f.Add(appendSets(nil, z.All()))
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1, 0, 1, 0, 0, 0, 60, 0, 0})
+	decode := func(b []byte) error { _, err := decodeSets(b); return err }
+	seed(f, decode, true, []byte{0, 1, 1, 60, 1, 0})              // one empty A record of no owner
+	seed(f, decode, false, []byte{0, 1, 1, 60, 0x81, 0x00, 0})    // its count overlong
+	seed(f, decode, false, []byte{0, 0x80, 0x80, 4, 1, 60, 1, 0}) // its type 65536
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rrs, err := decodeSets(payload)
 		if err != nil {
@@ -389,6 +422,14 @@ func FuzzAnswerSetsDecode(f *testing.F) {
 		f.Add(ret.Items[1].Items[i].Bytes, name, i > 0) // each chain set
 	}
 	f.Add([]byte{}, "a.hns", true)
+	// The head of a BINDQuery reply, its TTL overlong, then its type 65536.
+	for _, set := range []string{"0080fe0301d88400010174", "0080800401d804010174"} {
+		b := unhex(f, set)
+		if _, err := decodeAnswer(nil, b, "a.hns", true); err == nil {
+			f.Fatalf("seed %s accepted", set)
+		}
+		f.Add(b, "a.hns", false)
+	}
 	f.Fuzz(func(t *testing.T, set []byte, name string, tail bool) {
 		if _, _, _, err := decodeChain([]marshal.Value{marshal.BytesV(set), marshal.BytesV(set)}, name, nil); err == nil {
 			t.Fatal("two sets for a chain of one name were accepted")
@@ -434,26 +475,49 @@ func TestHRPCRefusesWideFields(t *testing.T) {
 }
 
 // TestOldVersionRefused: a caller of the interface at version 1, whose
-// answers spelled every owner, is refused by version: each lookup fails
-// with the server's version-mismatch fault, counted as hrpc.remote_fault,
-// before any reply reaches the sets decoder.
+// answers spelled every owner, or at version 2, whose records carried
+// fixed-width integers, is refused by version: each lookup, update and
+// delta fails with the server's version-mismatch fault, counted as
+// hrpc.remote_fault, before any reply reaches the sets decoder or any
+// request the journal.
 func TestOldVersionRefused(t *testing.T) {
 	c, ids := tenantZone(t, 1, hrpc.SuiteRaw, "tahoma:bind-hrpc")
 	reg := metrics.NewRegistry()
 	c.c.Metrics = reg
-	old := c.b
-	old.Version = 1
-	oc := NewHRPCClient(c.c, old)
 	ctx := context.Background()
-	_, lookupErr := oc.Lookup(ctx, "h0.ctx.hns", TypeHNSMeta)
-	_, _, chainErr := oc.LookupChain(ctx, "t"+ids[0]+".ctx.hns", TypeHNSMeta, tenantFollow)
-	for name, err := range map[string]error{"lookup": lookupErr, "chain": chainErr} {
-		var rf *hrpc.RemoteFault
-		if !errors.As(err, &rf) || !strings.Contains(rf.Msg, "version mismatch") || transport.CodeOf(err) != transport.CodeRemoteFault {
-			t.Errorf("version-1 %s = %v, want the server's version-mismatch fault", name, err)
+	calls := map[string]func(*HRPCClient) error{
+		"lookup": func(oc *HRPCClient) error {
+			_, err := oc.Lookup(ctx, "h0.ctx.hns", TypeHNSMeta)
+			return err
+		},
+		"chain": func(oc *HRPCClient) error {
+			_, _, err := oc.LookupChain(ctx, "t"+ids[0]+".ctx.hns", TypeHNSMeta, tenantFollow)
+			return err
+		},
+		"update": func(oc *HRPCClient) error {
+			_, err := oc.Update(ctx, "hns", UpdateAdd, HNSMeta("h0.ctx.hns", "ns=bind-cs-b", 600))
+			return err
+		},
+		"delta": func(oc *HRPCClient) error {
+			_, _, _, err := oc.TransferDelta(ctx, "hns", 0)
+			return err
+		},
+	}
+	for _, version := range []uint32{1, 2} {
+		old := c.b
+		old.Version = version
+		oc := NewHRPCClient(c.c, old)
+		for name, call := range calls {
+			var rf *hrpc.RemoteFault
+			if err := call(oc); !errors.As(err, &rf) || !strings.Contains(rf.Msg, "version mismatch") || transport.CodeOf(err) != transport.CodeRemoteFault {
+				t.Errorf("version-%d %s = %v, want the server's version-mismatch fault", version, name, err)
+			}
 		}
 	}
-	if n := reg.Counter(metrics.Labels("hrpc_client_errors_total", "code", "hrpc.remote_fault")).Value(); n != 2 {
-		t.Errorf("hrpc_client_errors_total{code=hrpc.remote_fault} = %d, want 2", n)
+	if n := reg.Counter(metrics.Labels("hrpc_client_errors_total", "code", "hrpc.remote_fault")).Value(); n != 8 {
+		t.Errorf("hrpc_client_errors_total{code=hrpc.remote_fault} = %d, want 8", n)
+	}
+	if rrs, err := c.Lookup(ctx, "h0.ctx.hns", TypeHNSMeta); err != nil || len(rrs) != 1 {
+		t.Errorf("h0 after the refused updates = %v, %v; want its one record", rrs, err)
 	}
 }

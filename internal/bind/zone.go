@@ -3,6 +3,7 @@ package bind
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -32,7 +33,7 @@ type Zone struct {
 	// The zone's history: its newest transactions, oldest first, each
 	// tagged with the serial it left the zone at, so "changes since serial
 	// S" is answered from memory. It keeps as many whole transactions as
-	// fit one reply — diffBytes of journal 'U' records, never more than
+	// fit one reply — diffBytes of journal 'u' records, never more than
 	// replyBudget — so any answer DiffSince gives can be sent.
 	diff      []DiffRec
 	diffBytes int
@@ -425,7 +426,7 @@ func ofType(p []byte, name string, t RRType) (sets, alias []byte) {
 	start, end := -1, 0
 	for len(d.b) > 0 {
 		at := len(p) - len(d.b)
-		head, n := d.head(), d.num(2)
+		head, n := d.head(), d.num(math.MaxUint16)
 		for i := range n {
 			if data := d.bytes(); i == 0 && head.Type == TypeCNAME && alias == nil {
 				alias = data
@@ -451,9 +452,9 @@ func ofType(p []byte, name string, t RRType) (sets, alias []byte) {
 // once: amortized O(1) per transaction. Caller holds z.mu.
 func (z *Zone) logDiff(ops []Op) {
 	z.diff = append(z.diff, DiffRec{Serial: z.serial, Ops: ops})
-	z.diffBytes += updateLen(z.origin, ops)
+	z.diffBytes += updateLen(z.origin, ops, z.serial)
 	for z.diffBytes > replyBudget {
-		z.diffBytes -= updateLen(z.origin, z.diff[0].Ops)
+		z.diffBytes -= updateLen(z.origin, z.diff[0].Ops, z.diff[0].Serial)
 		z.diff[0] = DiffRec{} // let the dropped transaction go
 		z.diff = z.diff[1:]
 	}
@@ -560,7 +561,7 @@ func (z *Zone) All() []RR {
 	return rrs
 }
 
-// image is the zone whole as one journal 'R' record, its serial and
+// image is the zone whole as one journal 'r' record, its serial and
 // records read under one lock.
 func (z *Zone) image() []byte {
 	z.mu.RLock()

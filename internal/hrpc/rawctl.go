@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"hns/internal/marshal"
 	"hns/internal/simtime"
 )
 
@@ -67,17 +68,6 @@ func appendMillis(buf []byte, d time.Duration) []byte {
 	return binary.AppendUvarint(buf, uint64(min(max(d/time.Millisecond, 0), math.MaxUint32)))
 }
 
-// uvarint32 reads one minimally encoded uvarint no larger than 2³²−1 from
-// the front of b, reporting its length; ok is false for a truncated,
-// overlong or out-of-range value.
-func uvarint32(b []byte) (v uint32, n int, ok bool) {
-	x, n := binary.Uvarint(b)
-	if n <= 0 || x > math.MaxUint32 || (n > 1 && b[n-1] == 0) {
-		return 0, 0, false
-	}
-	return uint32(x), n, true
-}
-
 // DecodeCall implements ControlProtocol.
 func (RawControl) DecodeCall(frame []byte) (CallHeader, []byte, error) {
 	if len(frame) < 1 {
@@ -95,11 +85,11 @@ func (RawControl) DecodeCall(frame []byte) (CallHeader, []byte, error) {
 	}
 	rest := frame[1:]
 	for i := range nf {
-		v, n, ok := uvarint32(rest)
-		if !ok {
+		v, r, err := marshal.Uvarint(rest, math.MaxUint32)
+		if err != nil {
 			return CallHeader{}, nil, fmt.Errorf("%w: raw call header field %d", ErrBadFrame, i)
 		}
-		f[i], rest = v, rest[n:]
+		f[i], rest = uint32(v), r
 	}
 	h := CallHeader{Program: f[0], Version: f[1], Procedure: f[2]}
 	if nf == 4 {
@@ -148,11 +138,11 @@ func (RawControl) DecodeReply(frame []byte) (ReplyHeader, []byte, error) {
 		}
 		return h, nil, nil
 	case ReplyOverloaded:
-		ms, n, ok := uvarint32(body)
-		if !ok {
+		ms, rest, err := marshal.Uvarint(body, math.MaxUint32)
+		if err != nil {
 			return ReplyHeader{}, nil, fmt.Errorf("%w: raw retry-after", ErrBadFrame)
 		}
-		h.RetryAfter, h.Err = time.Duration(ms)*time.Millisecond, string(body[n:])
+		h.RetryAfter, h.Err = time.Duration(ms)*time.Millisecond, string(rest)
 		return h, nil, nil
 	case ReplyExpired:
 		if len(body) != 0 {

@@ -73,16 +73,13 @@ func (p Packed) append(buf []byte, v Value, t Type) ([]byte, error) {
 func (p Packed) Decode(buf []byte, t Type) (Value, []byte, error) {
 	switch t.Kind {
 	case KindUint32:
-		n, rest, err := uvarint(buf)
+		n, rest, err := Uvarint(buf, math.MaxUint32)
 		if err != nil {
 			return Value{}, nil, err
 		}
-		if n > math.MaxUint32 {
-			return Value{}, nil, fmt.Errorf("%w: uint32 value %d", ErrBadValue, n)
-		}
 		return U32(uint32(n)), rest, nil
 	case KindUint64:
-		n, rest, err := uvarint(buf)
+		n, rest, err := Uvarint(buf, math.MaxUint64)
 		if err != nil {
 			return Value{}, nil, err
 		}
@@ -110,7 +107,7 @@ func (p Packed) Decode(buf []byte, t Type) (Value, []byte, error) {
 		copy(out, b)
 		return BytesV(out), rest, nil
 	case KindList:
-		n, rest, err := uvarint(buf)
+		n, rest, err := Uvarint(buf, math.MaxUint64)
 		if err != nil {
 			return Value{}, nil, err
 		}
@@ -153,9 +150,12 @@ func (p Packed) Decode(buf []byte, t Type) (Value, []byte, error) {
 	}
 }
 
-// uvarint reads one uvarint, refusing any but the shortest encoding of its
-// value: a final byte of zero after others adds nothing but length.
-func uvarint(buf []byte) (uint64, []byte, error) {
+// Uvarint reads one uvarint no greater than max off the front of buf and
+// returns it with the bytes after it. It is the one strict reader of every
+// uvarint this repository's own formats write: it refuses any but the
+// shortest encoding of a value (a final byte of zero after others adds
+// nothing but length), so accepted bytes re-encode to themselves.
+func Uvarint(buf []byte, max uint64) (uint64, []byte, error) {
 	n, k := binary.Uvarint(buf)
 	switch {
 	case k == 0:
@@ -164,13 +164,15 @@ func uvarint(buf []byte) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: uvarint overflows 64 bits", ErrBadValue)
 	case k > 1 && buf[k-1] == 0:
 		return 0, nil, fmt.Errorf("%w: overlong uvarint", ErrBadValue)
+	case n > max:
+		return 0, nil, fmt.Errorf("%w: %d exceeds %d", ErrBadValue, n, max)
 	}
 	return n, buf[k:], nil
 }
 
 // decodeCounted reads a uvarint length and that many bytes.
 func decodeCounted(buf []byte) ([]byte, []byte, error) {
-	n, rest, err := uvarint(buf)
+	n, rest, err := Uvarint(buf, math.MaxUint64)
 	if err != nil {
 		return nil, nil, err
 	}

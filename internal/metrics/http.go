@@ -4,14 +4,20 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/http/pprof"
 )
 
 // Handler serves r over HTTP:
 //
-//	GET /metrics    — plain-text series (expvar-style, one per line)
-//	GET /debug/hns  — the full Snapshot as JSON (what `hnsctl stats` reads)
+//	GET /metrics              — plain-text series (expvar-style, one per line)
+//	GET /debug/hns            — the full Snapshot as JSON (what `hnsctl stats` reads)
+//	GET /debug/pprof/profile  — a CPU profile of the process (?seconds=N, default 30)
+//
+// Only the CPU profile of net/http/pprof is mounted: its index and other
+// handlers register on http.DefaultServeMux, which no daemon serves.
 func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		r.Snapshot().WriteText(w)
@@ -37,7 +43,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close shuts the endpoint down.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// Serve starts the /metrics + /debug/hns endpoint on addr in a background
+// Serve starts Handler's endpoints on addr in a background
 // goroutine. The daemons call this when their -metrics flag is set; the
 // endpoint is strictly opt-in.
 func Serve(addr string, r *Registry) (*Server, error) {

@@ -327,6 +327,32 @@ func TestHTTPEndpoint(t *testing.T) {
 	}
 }
 
+// The endpoint serves a CPU profile of the process, gzip'd protobuf as
+// pprof writes it, and none of net/http/pprof's other pages.
+func TestHTTPCPUProfile(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get("http://" + srv.Addr() + "/debug/pprof/profile?seconds=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK || !strings.HasPrefix(body, "\x1f\x8b") {
+		t.Fatalf("/debug/pprof/profile = %s, %d bytes starting %q; want a gzip'd profile", resp.Status, len(body), body[:min(len(body), 16)])
+	}
+	for _, page := range []string{"/debug/pprof/", "/debug/pprof/heap"} {
+		resp, err := http.Get("http://" + srv.Addr() + page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if readAll(t, resp); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s = %s, want 404 Not Found", page, resp.Status)
+		}
+	}
+}
+
 func readAll(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	defer resp.Body.Close()

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+
+	"hns/internal/marshal"
 )
 
 // Notification is one pushed invalidation: one transaction moved the
@@ -18,10 +20,11 @@ type Notification struct {
 	Serial uint32
 }
 
-// Wire form (big-endian, mirroring the bind journal codec), one frame per
-// transaction, its names running to the end of the frame:
+// Wire form, one frame per transaction, its names running to the end of
+// the frame; a serial or string is a marshal.Packed uint32 or string, as
+// in the bind record codec:
 //
-//	'N' u32 serial  u16len zone  (u16len name)+
+//	'N' serial zone name+
 //
 // A zone-level event is one empty name; no other frame holds one.
 const notifyMark = 'N'
@@ -31,7 +34,7 @@ var errNotify = errors.New("push: bad notification")
 
 // EncodeNotification renders n to its wire form.
 func EncodeNotification(n Notification) []byte {
-	b := appendString(binary.BigEndian.AppendUint32([]byte{notifyMark}, n.Serial), n.Zone)
+	b := appendString(binary.AppendUvarint([]byte{notifyMark}, uint64(n.Serial)), n.Zone)
 	if len(n.Names) == 0 {
 		return appendString(b, "") // zone-level
 	}
@@ -45,13 +48,14 @@ func EncodeNotification(n Notification) []byte {
 // an empty one among several, is an error, so a corrupted or truncated
 // frame never half-applies.
 func DecodeNotification(b []byte) (Notification, error) {
-	var n Notification
-	if len(b) < 5 || b[0] != notifyMark {
-		return n, fmt.Errorf("%w: no mark and serial", errNotify)
+	if len(b) < 1 || b[0] != notifyMark {
+		return Notification{}, fmt.Errorf("%w: no mark", errNotify)
 	}
-	n.Serial = binary.BigEndian.Uint32(b[1:])
-	b = b[5:]
-	var err error
+	serial, b, err := marshal.Packed{}.Decode(b[1:], marshal.TUint32)
+	if err != nil {
+		return Notification{}, fmt.Errorf("%w: serial: %v", errNotify, err)
+	}
+	n := Notification{Serial: uint32(serial.Num)}
 	if n.Zone, b, err = takeString(b); err != nil {
 		return Notification{}, fmt.Errorf("%w: zone: %v", errNotify, err)
 	}
@@ -71,20 +75,13 @@ func DecodeNotification(b []byte) (Notification, error) {
 	return n, nil
 }
 
-// appendString appends one u16-length-prefixed string.
+// appendString appends one uvarint-length-prefixed string.
 func appendString(b []byte, s string) []byte {
-	return append(binary.BigEndian.AppendUint16(b, uint16(len(s))), s...)
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// takeString consumes one u16-length-prefixed string.
+// takeString consumes one uvarint-length-prefixed string.
 func takeString(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, errors.New("truncated length")
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return "", nil, errors.New("truncated body")
-	}
-	return string(b[:n]), b[n:], nil
+	v, rest, err := marshal.Packed{}.Decode(b, marshal.TString)
+	return v.Str, rest, err
 }

@@ -64,15 +64,14 @@ func TestNotificationRoundTrip(t *testing.T) {
 	}
 }
 
-// The one-name and zone-level frames are the bytes they were before a
-// frame could name a transaction's several owners.
+// The one-name and zone-level frames, every integer a uvarint.
 func TestNotificationGoldenBytes(t *testing.T) {
 	for _, tc := range []struct {
 		n    Notification
 		want string
 	}{
-		{Notification{Zone: "hns", Names: []string{"h0.ctx.hns"}, Serial: 42}, "4e0000002a0003686e73000a68302e6374782e686e73"},
-		{Notification{Zone: "hns", Serial: 42}, "4e0000002a0003686e730000"},
+		{Notification{Zone: "hns", Names: []string{"h0.ctx.hns"}, Serial: 42}, "4e2a03686e730a68302e6374782e686e73"},
+		{Notification{Zone: "hns", Serial: 42}, "4e2a03686e7300"},
 	} {
 		if got := hex.EncodeToString(EncodeNotification(tc.n)); got != tc.want {
 			t.Errorf("%+v encodes as %s, want %s", tc.n, got, tc.want)
@@ -86,14 +85,18 @@ func TestNotificationDecodeRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":                    {},
 		"wrong mark":               append([]byte{'X'}, good[1:]...),
-		"short serial":             good[:3],
-		"short zone len":           good[:6],
-		"short zone":               good[:8],
-		"no name":                  good[:10],
+		"no serial":                good[:1],
+		"short zone len":           good[:2],
+		"short zone":               good[:4],
+		"no name":                  good[:6],
 		"trailing":                 append(bytes.Clone(good), 0xFF),
-		"empty name after a name":  append(bytes.Clone(good), 0, 0),
-		"empty name before a name": append(append(bytes.Clone(good[:10]), 0, 0), good[10:]...),
+		"empty name after a name":  append(bytes.Clone(good), 0),
+		"empty name before a name": append(append(bytes.Clone(good[:6]), 0), good[6:]...),
 		"name cut short":           two[:len(two)-1],
+		"serial overlong":          append([]byte{'N', 0x83, 0x00}, good[2:]...),
+		"serial past 2³²−1":        append([]byte{'N', 0x80, 0x80, 0x80, 0x80, 0x10}, good[2:]...),
+		"zone length overlong":     append([]byte{'N', 3, 0x83, 0x00}, good[3:]...),
+		"name length overlong":     append(append(bytes.Clone(good[:6]), 0x89, 0x00), good[7:]...),
 	}
 	for name, b := range cases {
 		if n, err := DecodeNotification(b); err == nil {
@@ -206,7 +209,20 @@ func FuzzNotifyDecode(f *testing.F) {
 	f.Add(EncodeNotification(Notification{Zone: "hns", Names: []string{"a.ctx.hns"}, Serial: 9}))
 	f.Add(EncodeNotification(Notification{Zone: "hns", Names: []string{"q.ns.qc.hns", "n.nsm.hns", "m.ctx.hns"}, Serial: 10}))
 	f.Add(EncodeNotification(Notification{Zone: "", Serial: 0}))
-	f.Add([]byte{'N', 0, 0, 0})
+	// The golden one-name frame, then its serial overlong, then its serial
+	// past 2³²−1: a NOTIFY has no type, so its one ranged field stands in
+	// for one.
+	for i, frame := range []string{"4e2a03686e730a68302e6374782e686e73", "4eaa0003686e730a68302e6374782e686e73",
+		"4e808080801003686e730a68302e6374782e686e73"} {
+		b, err := hex.DecodeString(frame)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := DecodeNotification(b); (err == nil) != (i == 0) {
+			f.Fatalf("seed %s: decode error %v, want accepted %v", frame, err, i == 0)
+		}
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, err := DecodeNotification(data)
 		if err != nil {

@@ -11,14 +11,23 @@ import "testing"
 // claim more valid bytes than exist, and a file built by appending valid
 // frames must scan back exactly.
 func FuzzWALDecode(f *testing.F) {
+	// valid is the segment a log holding payloads writes; a payload it
+	// fails to write fails the setup.
 	valid := func(payloads ...string) []byte {
 		fs := NewMemFS()
-		l, _ := OpenLog(fs, LogOptions{})
+		l, err := OpenLog(fs, LogOptions{})
 		for _, p := range payloads {
-			l.Append([]byte(p))
+			if err == nil {
+				_, err = l.Append([]byte(p))
+			}
 		}
-		l.Close()
-		data, _ := readAll(fs, segName(1))
+		if err == nil {
+			err = l.Close()
+		}
+		data, rerr := readAll(fs, segName(1))
+		if err != nil || rerr != nil {
+			f.Fatalf("seed segment of %q: %v, %v", payloads, err, rerr)
+		}
 		return data
 	}
 	f.Add(valid("one", "two", "three"))
@@ -27,9 +36,15 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 5, 1, 2, 3, 4})                   // torn: body missing
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0}) // absurd length
 	f.Add(append(valid("intact"), 0, 0, 0, 2, 9, 9, 'a'))   // valid prefix + torn tail
-	// A segment a checkpoint opened: bind's 'C' marker for one zone, then
-	// that zone's 'R' image (serial 7, zone "z", no records).
-	f.Add(valid("C\x00\x00\x00\x01", "R\x00\x00\x00\x07\x00\x01z\x00\x00\x00\x00"))
+	// A segment a checkpoint opened: bind's 'c' marker for one zone, then
+	// that zone's 'r' image (serial 7, zone "z", no records).
+	f.Add(valid("c\x01", "r\x07\x01z"))
+	// Whole frames around the bind 'u' records a flip journals: the golden
+	// one, then its TTL overlong, then its type 65536. The frames are sound;
+	// bind's decoder refuses the last two.
+	f.Add(valid("u\x2a\x03hns\x00\x0ah0.ctx.hns\x80\xfe\x03\x01\xd8\x04\x0ans=bind-cs",
+		"u\x2b\x03hns\x00\x0ah0.ctx.hns\x80\xfe\x03\x01\xd8\x84\x00\x0ans=bind-cs",
+		"u\x2c\x03hns\x00\x0ah0.ctx.hns\x80\x80\x04\x01\xd8\x04\x0ans=bind-cs"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		count, validLen, tail := scanFrames(data)
 		if validLen > len(data) || validLen < 0 || count < 0 {

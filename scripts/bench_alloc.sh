@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Alloc-regression gate for the zero-allocation wire path, the warm
 # FindNSM (local and through the HNS program), the bindd seed and restart
-# paths and one chained meta exchange. Runs the benchmarks with -benchmem
+# paths, one chained meta exchange and one update exchange. Runs the benchmarks with -benchmem
 # and fails if any exceeds its committed allocs/op bound. The bounds are the contract: raising one
 # is an explicit, reviewed change to this file.
 #
@@ -20,6 +20,7 @@ BenchmarkRemoteFindNSMWarmAllocs ./internal/core/ 82
 BenchmarkBinddColdStart ./internal/bind/ 10003
 BenchmarkBinddRestart ./internal/bind/ 12300
 BenchmarkChainExchange ./internal/bind/ 67
+BenchmarkUpdateExchange ./internal/bind/ 31
 "
 
 out=$(mktemp)
@@ -46,6 +47,9 @@ run_pkg ./internal/bind/ 'BenchmarkBinddRestart$' 5 | tee -a "$out"
 # One cold FindNSM's chained meta exchange over the sim transport, handler
 # and client both.
 run_pkg ./internal/bind/ 'BenchmarkChainExchange$' | tee -a "$out"
+# One flip's BINDUpdate round trip over the sim transport, client and
+# handler both; the bound is the fixed-width codec's measured 31.
+run_pkg ./internal/bind/ 'BenchmarkUpdateExchange$' | tee -a "$out"
 
 fail=0
 while read -r name pkg max; do
