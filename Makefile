@@ -25,9 +25,9 @@ bench-parallel:
 	go test -bench 'Parallel|ShardContention|CacheKey' -benchmem -run NONE ./...
 
 # Allocation gate: the warm wire path (frame encode/decode) must stay at
-# <=1 alloc/op, the warm FindNSM at <=58 (<=82 through a RemoteHNS, client
-# and server: no individual name, no NSM host), a durable bindd's cold
-# start at <=0.5 per record loaded, a chained meta exchange at <=67.
+# <=1 alloc/op, the warm FindNSM at <=12 (<=36 through a RemoteHNS, client
+# and server), a durable bindd's cold start at <=0.5 per record loaded, a
+# chained meta exchange at <=67 and an update exchange at <=31.
 bench-alloc:
 	./scripts/bench_alloc.sh
 

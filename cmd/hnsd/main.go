@@ -19,7 +19,8 @@
 // all.
 //
 // The meta-cache is the paper's: demarshalled answers kept for their
-// records' TTL. A NotFound is never cached. -subscribe adds one
+// records' TTL, each stored once as an immutable entry that every hit
+// reads in place. A NotFound is never cached. -subscribe adds one
 // invalidation path: a NOTIFY naming records drops those names, and any
 // other zone event empties the cache. Table 3.2's marshalled mode is
 // measured in-process by hnsbench, not served.

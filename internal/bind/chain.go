@@ -7,7 +7,6 @@ package bind
 // answer set it found. BIND learns nothing about what the names mean.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -17,6 +16,16 @@ import (
 	"hns/internal/simtime"
 	"hns/internal/transport"
 )
+
+// KeyValue is the one reader of the "key=value" record data a chain step
+// and Answer.Value read: when data is key, '=' and a value, it returns the
+// value, a subslice of data. key is not empty.
+func KeyValue[D string | []byte](data D, key string) (D, bool) {
+	if len(data) > len(key) && data[len(key)] == '=' && string(data[:len(key)]) == key {
+		return data[len(key)+1:], true
+	}
+	return data[:0], false
+}
 
 // FollowStep derives the next name of a chain from the previous answer:
 // take the value of the first record whose data reads "Key=value" and look
@@ -31,14 +40,11 @@ const MaxFollowSteps = 4
 // next builds the step's name from an answer set. It reports false when no
 // record carries the key or the built name is not a legal domain name.
 func (st FollowStep) next(rrs []RR) (string, bool) {
-	key := []byte(st.Key + "=")
 	for _, rr := range rrs {
-		v, ok := bytes.CutPrefix(rr.Data, key)
-		if !ok {
-			continue
+		if v, ok := KeyValue(rr.Data, st.Key); ok {
+			name, err := CanonicalName(st.Prefix + string(v) + st.Suffix)
+			return name, err == nil
 		}
-		name, err := CanonicalName(st.Prefix + string(v) + st.Suffix)
-		return name, err == nil
 	}
 	return "", false
 }

@@ -260,8 +260,8 @@ func TestResolverLookupChainInstallsEverySet(t *testing.T) {
 	ctx := context.Background()
 
 	head, err := r.LookupChain(ctx, chainCtx, TypeHNSMeta, chainFollow)
-	if err != nil || len(head) != 1 || string(head[0].Data) != "ns=NS1" {
-		t.Fatalf("head = %v, %v", head, err)
+	if err != nil || len(head.rrs) != 1 || head.data[0] != "ns=NS1" {
+		t.Fatalf("head = %v, %v", head.RRs(), err)
 	}
 	for _, name := range []string{chainCtx, chainQC, chainNSM} {
 		if _, err := r.Lookup(ctx, name, TypeHNSMeta); err != nil {
@@ -311,8 +311,8 @@ func TestInvalidationBeatsChainedFlight(t *testing.T) {
 			}
 			first := make(chan result, 1)
 			go func() {
-				rrs, err := r.LookupChain(ctx, chainCtx, TypeHNSMeta, chainFollow)
-				first <- result{rrs, err}
+				a, err := r.LookupChain(ctx, chainCtx, TypeHNSMeta, chainFollow)
+				first <- result{a.RRs(), err}
 			}()
 			<-backend.entered
 			backend.set(chainNSM, HNSMeta(chainNSM, "host=moved", 100))
@@ -357,9 +357,9 @@ func TestInvalidatedNameIsRefetchedAlone(t *testing.T) {
 	}
 	lookup := func(name string, follow []FollowStep, data string) {
 		t.Helper()
-		rrs, err := r.LookupChain(ctx, name, TypeHNSMeta, follow)
-		if err != nil || string(rrs[0].Data) != data {
-			t.Fatalf("%s = %v, %v; want %s", name, rrs, err, data)
+		a, err := r.LookupChain(ctx, name, TypeHNSMeta, follow)
+		if err != nil || a.data[0] != data {
+			t.Fatalf("%s = %v, %v; want %s", name, a.RRs(), err, data)
 		}
 	}
 
@@ -437,15 +437,15 @@ func TestResolverChainFallsBackToDiscrete(t *testing.T) {
 			if i < len(chainFollow) {
 				follow = chainFollow[i:]
 			}
-			rrs, err := r.LookupChain(ctx, name, TypeHNSMeta, follow)
+			a, err := r.LookupChain(ctx, name, TypeHNSMeta, follow)
 			if err != nil {
 				return last, err
 			}
-			last = string(rrs[0].Data)
+			last = a.data[0]
 			if i == len(chainFollow) {
 				return last, nil
 			}
-			name, _ = chainFollow[i].next(rrs)
+			name, _ = chainFollow[i].next(a.RRs())
 		}
 	}
 	type plainOnly struct{ Lookuper } // hides LookupChain
@@ -588,4 +588,51 @@ func FuzzQueryChainArgs(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestKeyValue holds the one reader of the key=value convention, on a
+// record's data alone, as an Answer reads a set and as a chain step does.
+func TestKeyValue(t *testing.T) {
+	for _, tc := range []struct {
+		data, key, want string
+		ok              bool
+	}{
+		{"ns=bind-cs", "ns", "bind-cs", true},
+		{"nsm=x", "ns", "", false}, // a longer key is another key
+		{"ns", "ns", "", false},    // no '='
+		{"nsbind", "ns", "", false},
+		{"=ns", "ns", "", false}, // a leading '='
+		{"=", "ns", "", false},
+		{"ns=", "ns", "", true}, // an empty value
+		{"ns=a=b", "ns", "a=b", true},
+	} {
+		v, ok := KeyValue(tc.data, tc.key)
+		b, bok := KeyValue([]byte(tc.data), tc.key)
+		if v != tc.want || ok != tc.ok || string(b) != v || bok != ok {
+			t.Errorf("KeyValue(%q, %q) = %q, %v and %q, %v; want %q, %v",
+				tc.data, tc.key, v, ok, b, bok, tc.want, tc.ok)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		set  []RR
+		want string // the ns= value; "" for none
+	}{
+		{"first match wins", []RR{
+			HNSMeta(chainCtx, "type=bind", 300),
+			HNSMeta(chainCtx, "ns=NS1", 300),
+			HNSMeta(chainCtx, "ns=NS2", 300),
+		}, "NS1"},
+		{"alias head", []RR{CNAME("alias.ctx.hns", chainCtx, 300), HNSMeta(chainCtx, "ns=NS1", 300)}, "NS1"},
+		{"longer key only", []RR{HNSMeta(chainQC, "nsm=ns", 200)}, ""},
+	} {
+		v, ok := newAnswer(tc.set).Value("ns")
+		next, nok := chainFollow[0].next(tc.set)
+		if v != tc.want || ok != (tc.want != "") {
+			t.Errorf("%s: Value = %q, %v; want %q", tc.name, v, ok, tc.want)
+		}
+		if want := "hostaddress." + strings.ToLower(tc.want) + ".qc.hns"; nok != ok || ok && next != want {
+			t.Errorf("%s: step builds %q, %v; want %q", tc.name, next, nok, want)
+		}
+	}
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"slices"
+
 	"hns/internal/cache"
 	"hns/internal/health"
 	"hns/internal/hrpc"
@@ -338,9 +340,9 @@ func (m CacheMode) String() string {
 }
 
 // ChargeHit charges ctx for one cache hit returning n records kept in
-// mode m — the one pricing rule of Table 3.2. A marshalled entry pays a
-// full demarshal in style s plus the probe; a demarshalled entry pays
-// the probe and the per-record copy.
+// mode m — the one pricing rule of Table 3.2; both modes store the same
+// Answer. A marshalled entry pays a full demarshal in style s plus the
+// probe; a demarshalled entry pays the probe and the per-record copy.
 func (m CacheMode) ChargeHit(ctx context.Context, s marshal.Style, n int) {
 	if m == CacheMarshalled {
 		marshal.ChargeRecords(ctx, s, n)
@@ -350,7 +352,45 @@ func (m CacheMode) ChargeHit(ctx context.Context, s marshal.Style, n int) {
 	simtime.Charge(ctx, simtime.CacheHit(n))
 }
 
-// Resolver wraps a Lookuper with a TTL answer cache. It is safe for
+// Answer is one answer set as the resolver caches it, built once when the
+// set is installed and shared, never copied, by every reader: a hit, a
+// coalesced waiter, a serve-stale answer. Its fields are unexported and
+// its record data are strings, so no reader can write through it.
+type Answer struct {
+	rrs  []RR // each with Data nil: record i's data are data[i]
+	data []string
+	ttl  uint32 // the records' minimum TTL: how long the cache keeps it
+}
+
+func newAnswer(rrs []RR) Answer {
+	a := Answer{rrs: slices.Clone(rrs), data: make([]string, len(rrs)), ttl: MinTTL(rrs)}
+	for i := range a.rrs {
+		a.data[i], a.rrs[i].Data = string(a.rrs[i].Data), nil
+	}
+	return a
+}
+
+// Value returns the value of the answer's first record whose data read
+// key=value (see KeyValue): a substring of the answer, not a copy.
+func (a Answer) Value(key string) (string, bool) {
+	for _, d := range a.data {
+		if v, ok := KeyValue(d, key); ok {
+			return v, true
+		}
+	}
+	return "", false
+}
+
+// RRs returns the answer's records as a private []RR, nil for no answer.
+func (a Answer) RRs() []RR {
+	out := slices.Clone(a.rrs)
+	for i := range out {
+		out[i].Data = []byte(a.data[i])
+	}
+	return out
+}
+
+// Resolver wraps a Lookuper with a TTL cache of Answers. It is safe for
 // concurrent use: the cache is sharded, and concurrent misses for the
 // same key are coalesced into a single backend lookup (see flightGroup).
 type Resolver struct {
@@ -359,7 +399,7 @@ type Resolver struct {
 	// style prices marshalled-mode hits: generated for the HRPC backend,
 	// hand for the standard backend.
 	style   marshal.Style
-	cache   *cache.TTL[[]RR]
+	cache   *cache.TTL[Answer]
 	flights flightGroup
 	// invalidated remembers keys whose cached answer an Invalidate removed
 	// and no lookup has refetched yet (see LookupChain). maxEntries caps it
@@ -409,7 +449,7 @@ func NewResolver(backend Lookuper, cfg ResolverConfig) *Resolver {
 		backend:  backend,
 		mode:     cfg.Mode,
 		style:    cfg.Style,
-		cache:    cache.New[[]RR](cfg.Clock, cfg.MaxEntries),
+		cache:    cache.New[Answer](cfg.Clock, cfg.MaxEntries),
 		staleFor: cfg.StaleFor,
 
 		invalidated: make(map[string]struct{}),
@@ -442,55 +482,40 @@ func cacheKey(name string, t RRType) string {
 	return sb.String()
 }
 
-// copyRRs returns a private copy of rrs, deep enough that callers and the
-// cache cannot corrupt each other: the slice and each record's Data bytes
-// are duplicated (everything else in an RR is immutable value data).
-func copyRRs(rrs []RR) []RR {
-	if rrs == nil {
-		return nil
-	}
-	out := make([]RR, len(rrs))
-	copy(out, rrs)
-	for i := range out {
-		if out[i].Data != nil {
-			out[i].Data = append([]byte(nil), out[i].Data...)
-		}
-	}
-	return out
-}
-
 // Lookup implements Lookuper with caching. Hits are priced by cache mode;
 // misses go to the backend — concurrent misses for one key share a single
 // backend lookup, with each caller charged the full simulated cost — and
-// are cached under the answer set's minimum TTL. Returned slices are
-// private copies; mutating them cannot corrupt the cache.
+// are cached under the answer set's minimum TTL. The returned slice is
+// the Answer's RRs, private to the caller.
 func (r *Resolver) Lookup(ctx context.Context, name string, t RRType) ([]RR, error) {
-	return r.LookupChain(ctx, name, t, nil)
+	a, err := r.LookupChain(ctx, name, t, nil)
+	return a.RRs(), err
 }
 
-// LookupChain is Lookup for a name whose answer leads to further lookups:
-// on a miss, a backend that is a ChainLookuper is asked to follow the steps
-// in the same exchange, and every answer set it returns is cached under its
-// own name and TTL, so the lookups the caller makes next hit. The result is
-// the answer for name alone. A link the backend did not return is simply
-// not cached — the caller's next Lookup asks for it.
+// LookupChain is Lookup returning the shared Answer, for a name whose
+// answer leads to further lookups: on a miss, a backend that is a
+// ChainLookuper is asked to follow the steps in the same exchange, and
+// every answer set it returns is cached under its own name and TTL, so the
+// lookups the caller makes next hit. The result is the answer for name
+// alone. A link the backend did not return is simply not cached — the
+// caller's next Lookup asks for it.
 //
 // A name whose cached answer was removed by Invalidate is refetched alone:
 // it was invalidated because it changed, and what it led to is usually
 // still cached.
-func (r *Resolver) LookupChain(ctx context.Context, name string, t RRType, follow []FollowStep) ([]RR, error) {
+func (r *Resolver) LookupChain(ctx context.Context, name string, t RRType, follow []FollowStep) (Answer, error) {
 	cname, err := CanonicalName(name)
 	if err != nil {
-		return nil, err
+		return Answer{}, err
 	}
 	key := cacheKey(cname, t)
-	if rrs, ok := r.cache.Get(key); ok {
-		r.chargeHit(ctx, len(rrs))
-		return copyRRs(rrs), nil
+	if a, ok := r.cache.Get(key); ok {
+		r.chargeHit(ctx, len(a.rrs))
+		return a, nil
 	}
 	metrics.CallCounterFrom(ctx).AddMiss()
 	fetch := func(ctx context.Context) ([]RR, error) { return r.backend.Lookup(ctx, cname, t) }
-	install := func(rrs []RR, err error, _ bool) { r.install(key, rrs, err) }
+	install := func(a Answer, _ bool) { r.install(key, a) }
 	chain, _ := r.backend.(ChainLookuper)
 	if alone := r.takeInvalidated(key); !alone && chain != nil && len(follow) > 0 {
 		var tails [][]RR // written by fetch, read by install: both run on the leader
@@ -498,17 +523,17 @@ func (r *Resolver) LookupChain(ctx context.Context, name string, t RRType, follo
 			head, tails, err = chain.LookupChain(ctx, cname, t, follow)
 			return head, err
 		}
-		install = func(rrs []RR, err error, quiet bool) {
-			r.install(key, rrs, err)
+		install = func(a Answer, quiet bool) {
+			r.install(key, a)
 			if !quiet {
 				return // some name was invalidated meanwhile; it may be a tail's
 			}
 			for _, tail := range tails {
-				r.install(cacheKey(tail[0].Name, t), tail, nil)
+				r.install(cacheKey(tail[0].Name, t), newAnswer(tail))
 			}
 		}
 	}
-	rrs, cost, joined, err := r.flights.do(ctx, key, fetch, install)
+	a, cost, joined, err := r.flights.do(ctx, key, fetch, install)
 	if joined {
 		r.coalesced.Inc()
 	}
@@ -517,15 +542,12 @@ func (r *Resolver) LookupChain(ctx context.Context, name string, t RRType, follo
 	// cost any one client experiences.
 	simtime.Charge(ctx, cost)
 	if err != nil {
-		if rrs, ok := r.staleLookup(ctx, key, err); ok {
-			return rrs, nil
+		if a, ok := r.staleLookup(ctx, key, err); ok {
+			return a, nil
 		}
-		return nil, err
+		return Answer{}, err
 	}
-	if joined {
-		rrs = copyRRs(rrs)
-	}
-	return rrs, nil
+	return a, nil
 }
 
 // takeInvalidated reports whether key's cached answer was removed by an
@@ -544,17 +566,11 @@ func (r *Resolver) forgetInvalidated() {
 	r.invMu.Unlock()
 }
 
-// install caches a finished backend lookup's answer under its records'
-// minimum TTL; an error, NotFound included, is never remembered. It is the
-// resolver's only fetch-driven Put, and flightGroup.do runs it only for a
-// flight no Invalidate or Purge superseded.
-func (r *Resolver) install(key string, rrs []RR, err error) {
-	if err != nil {
-		return
-	}
-	// The cache keeps its own copy so later caller mutations of the
-	// returned slice cannot corrupt it.
-	r.cache.Put(key, copyRRs(rrs), time.Duration(MinTTL(rrs))*time.Second)
+// install caches an answer under its records' minimum TTL. flightGroup.do
+// runs it only for a successful flight no Invalidate or Purge superseded,
+// so an error, NotFound included, is never remembered.
+func (r *Resolver) install(key string, a Answer) {
+	r.cache.Put(key, a, time.Duration(a.ttl)*time.Second)
 }
 
 // staleLookup is the serve-stale fallback: when a backend lookup failed
@@ -562,16 +578,15 @@ func (r *Resolver) install(key string, rrs []RR, err error) {
 // fault), answer from an expired cache entry still within the stale
 // grace. The hit is priced like any other cache hit and counted in
 // cache_stale_served_total (via the cache's stats).
-func (r *Resolver) staleLookup(ctx context.Context, key string, cause error) ([]RR, bool) {
+func (r *Resolver) staleLookup(ctx context.Context, key string, cause error) (Answer, bool) {
 	if r.staleFor <= 0 || !transport.CodeOf(cause).Unreachable() {
-		return nil, false
+		return Answer{}, false
 	}
-	rrs, ok := r.cache.GetStale(key)
-	if !ok {
-		return nil, false
+	a, ok := r.cache.GetStale(key)
+	if ok {
+		r.chargeHit(ctx, len(a.rrs))
 	}
-	r.chargeHit(ctx, len(rrs))
-	return copyRRs(rrs), true
+	return a, ok
 }
 
 func (r *Resolver) chargeHit(ctx context.Context, n int) {
@@ -582,9 +597,9 @@ func (r *Resolver) chargeHit(ctx context.Context, n int) {
 }
 
 // Preload bulk-installs records (grouped by name/type) with their own
-// TTLs — the zone-transfer preloading path. The cache stores private
-// copies, so later mutation of the caller's records (or their Data
-// bytes) cannot corrupt cached answers.
+// TTLs — the zone-transfer preloading path. Each group becomes an Answer,
+// so later mutation of the caller's records (or their Data bytes) cannot
+// corrupt cached answers.
 func (r *Resolver) Preload(rrs []RR) {
 	groups := make(map[string][]RR)
 	for _, rr := range rrs {
@@ -592,7 +607,7 @@ func (r *Resolver) Preload(rrs []RR) {
 		groups[k] = append(groups[k], rr)
 	}
 	for k, g := range groups {
-		r.cache.Put(k, copyRRs(g), time.Duration(MinTTL(g))*time.Second)
+		r.install(k, newAnswer(g))
 	}
 }
 

@@ -189,6 +189,39 @@ func TestPreloadCopiesCallerRecords(t *testing.T) {
 	}
 }
 
+// TestHitsShareTheAnswer: the cache holds one Answer per set and every
+// reader gets that one, the miss's caller included. A hit allocates only
+// its cache key, and reading a value from the answer allocates nothing.
+func TestHitsShareTheAnswer(t *testing.T) {
+	backend := &blockingBackend{answers: map[string][]RR{
+		"nsm1.nsm.hns": {HNSMeta("nsm1.nsm.hns", "host=june", 600), HNSMeta("nsm1.nsm.hns", "port=9", 600)},
+	}}
+	r := NewResolver(backend, ResolverConfig{})
+	ctx := context.Background()
+	var got [3]Answer
+	for i := range got {
+		a, err := r.LookupChain(ctx, "nsm1.nsm.hns", TypeHNSMeta, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = a
+	}
+	if &got[0].rrs[0] != &got[1].rrs[0] || &got[1].rrs[0] != &got[2].rrs[0] {
+		t.Fatal("the miss and two hits got different answers")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		a, err := r.LookupChain(ctx, "nsm1.nsm.hns", TypeHNSMeta, nil)
+		if v, ok := a.Value("port"); err != nil || !ok || v != "9" {
+			t.Fatalf("port = %q, %v, %v", v, ok, err)
+		}
+	}); n != 1 {
+		t.Errorf("hit: %v allocs, want 1 (its cache key)", n)
+	}
+	if backend.calls.Load() != 1 {
+		t.Fatalf("backend saw %d lookups, want 1", backend.calls.Load())
+	}
+}
+
 // gatedBackend answers from a zone the test mutates. An armed call takes
 // its answer first and then parks — "reply computed before the update" —
 // until the test releases it.

@@ -44,9 +44,9 @@ type flight struct {
 	// gen is flightGroup.gen when the flight began.
 	gen uint64
 
-	// Results, valid after done is closed. rrs is the leader's private
-	// copy; each waiter re-copies before returning (see copyRRs).
-	rrs  []RR
+	// Results, valid after done is closed. The leader, every waiter and
+	// the cache share the one ans.
+	ans  Answer
 	err  error
 	cost time.Duration // simulated cost of the backend lookup
 }
@@ -57,14 +57,14 @@ type flight struct {
 // rather than leading one. A caller whose ctx dies while waiting detaches
 // with ctx.Err() — the flight itself keeps running for the others.
 //
-// The leader hands its result to install (which caches it) unless the
-// flight was superseded meanwhile. install runs under g.mu, the lock
-// supersede takes, so an invalidation is ordered either before it (nothing
-// is cached) or after it (the invalidation's own delete removes the entry);
-// install must not call back into the group. install's quiet argument
-// reports that no key at all was invalidated while the flight ran: only
-// then may it cache what the fetch brought back under other keys.
-func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Context) ([]RR, error), install func(rrs []RR, err error, quiet bool)) (rrs []RR, cost time.Duration, joined bool, err error) {
+// The leader hands a successful answer to install (which caches it)
+// unless the flight was superseded meanwhile. install runs under g.mu, the
+// lock supersede takes, so an invalidation is ordered either before it
+// (nothing is cached) or after it (the invalidation's own delete removes
+// the entry); install must not call back into the group. install's quiet
+// argument reports that no key at all was invalidated while the flight
+// ran: only then may it cache what the fetch brought back under other keys.
+func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Context) ([]RR, error), install func(a Answer, quiet bool)) (a Answer, cost time.Duration, joined bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flight)
@@ -76,9 +76,9 @@ func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Con
 		}
 		select {
 		case <-f.done:
-			return f.rrs, f.cost, true, f.err
+			return f.ans, f.cost, true, f.err
 		case <-ctx.Done():
-			return nil, 0, true, ctx.Err()
+			return Answer{}, 0, true, ctx.Err()
 		}
 	}
 	f := &flight{done: make(chan struct{}), gen: g.gen}
@@ -90,22 +90,26 @@ func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Con
 	// waiter's meter, exactly once each. A daemon's ctx has no meter and
 	// must not acquire one here — the RPC below reads wall time — so its
 	// flights carry cost 0.
+	var rrs []RR
 	if simtime.From(ctx) != nil {
 		meter := simtime.NewMeter()
-		f.rrs, f.err = fetch(simtime.WithMeter(ctx, meter))
+		rrs, f.err = fetch(simtime.WithMeter(ctx, meter))
 		f.cost = meter.Elapsed()
 	} else {
-		f.rrs, f.err = fetch(ctx)
+		rrs, f.err = fetch(ctx)
 	}
+	f.ans = newAnswer(rrs)
 
 	g.mu.Lock()
 	if !f.superseded {
 		delete(g.m, key)
-		install(f.rrs, f.err, f.gen == g.gen)
+		if f.err == nil {
+			install(f.ans, f.gen == g.gen)
+		}
 	}
 	g.mu.Unlock()
 	close(f.done)
-	return f.rrs, f.cost, false, f.err
+	return f.ans, f.cost, false, f.err
 }
 
 // supersede detaches the in-progress flight for key, if any: its waiters

@@ -241,41 +241,12 @@ func (h *HNS) followNSM() bind.FollowStep {
 	return bind.FollowStep{Key: "nsm", Suffix: ".nsm." + h.metaZone}
 }
 
-// metaLookup fetches the meta records at name through the caching
-// resolver; the six FindNSM mappings all come through here. follow lists
-// the mappings the caller performs next (nil unless Config.ChainMeta): a
-// miss fetches their records in the same exchange.
-func (h *HNS) metaLookup(ctx context.Context, name string, follow []bind.FollowStep) ([]bind.RR, error) {
-	return h.resolver.LookupChain(ctx, name, bind.TypeHNSMeta, follow)
-}
-
 // chainFrom is mapping 1's follow list: mappings 2 and 3 for queryClass.
 func (h *HNS) chainFrom(queryClass string) []bind.FollowStep {
 	if h.chainNSM == nil {
 		return nil
 	}
 	return []bind.FollowStep{h.followQC(queryClass), h.chainNSM[0]}
-}
-
-// kv parses the "key=value" payload convention of meta records.
-func kv(rr bind.RR) (string, string, error) {
-	s := string(rr.Data)
-	i := strings.IndexByte(s, '=')
-	if i <= 0 {
-		return "", "", fmt.Errorf("%w: %q on %s", ErrBadMetaRecord, s, rr.Name)
-	}
-	return s[:i], s[i+1:], nil
-}
-
-// findValue extracts the value for key from a meta record set.
-func findValue(rrs []bind.RR, key string) (string, bool) {
-	for _, rr := range rrs {
-		k, v, err := kv(rr)
-		if err == nil && k == key {
-			return v, true
-		}
-	}
-	return "", false
 }
 
 // stepObs tracks per-step duration and cache state for one FindNSM
@@ -419,14 +390,14 @@ func (h *HNS) lookupContext(ctx context.Context, context string, follow []bind.F
 	if err != nil {
 		return "", err
 	}
-	rrs, err := h.metaLookup(ctx, h.ctxName(context), follow)
+	ans, err := h.resolver.LookupChain(ctx, h.ctxName(context), bind.TypeHNSMeta, follow)
 	if err != nil {
 		if transport.CodeOf(err).NotFound() {
 			return "", fmt.Errorf("%w: %q", ErrNoSuchContext, context)
 		}
 		return "", err
 	}
-	ns, ok := findValue(rrs, "ns")
+	ns, ok := ans.Value("ns")
 	if !ok {
 		return "", fmt.Errorf("%w: context %q record lacks ns=", ErrBadMetaRecord, context)
 	}
@@ -435,14 +406,14 @@ func (h *HNS) lookupContext(ctx context.Context, context string, follow []bind.F
 
 // lookupNSMName performs mapping 2.
 func (h *HNS) lookupNSMName(ctx context.Context, ns, queryClass string, follow []bind.FollowStep) (string, error) {
-	rrs, err := h.metaLookup(ctx, h.qcName(queryClass, ns), follow)
+	ans, err := h.resolver.LookupChain(ctx, h.qcName(queryClass, ns), bind.TypeHNSMeta, follow)
 	if err != nil {
 		if transport.CodeOf(err).NotFound() {
 			return "", fmt.Errorf("%w: %s on %s", ErrNoSuchNSM, queryClass, ns)
 		}
 		return "", err
 	}
-	nsm, ok := findValue(rrs, "nsm")
+	nsm, ok := ans.Value("nsm")
 	if !ok {
 		return "", fmt.Errorf("%w: qc record for %s/%s lacks nsm=", ErrBadMetaRecord, ns, queryClass)
 	}
@@ -459,7 +430,7 @@ type nsmRecord struct {
 
 // lookupNSMRecord performs mapping 3.
 func (h *HNS) lookupNSMRecord(ctx context.Context, nsm string) (nsmRecord, error) {
-	rrs, err := h.metaLookup(ctx, h.nsmName(nsm), nil)
+	ans, err := h.resolver.LookupChain(ctx, h.nsmName(nsm), bind.TypeHNSMeta, nil)
 	if err != nil {
 		if transport.CodeOf(err).NotFound() {
 			return nsmRecord{}, fmt.Errorf("%w: NSM %q has no record", ErrNoSuchNSM, nsm)
@@ -468,16 +439,16 @@ func (h *HNS) lookupNSMRecord(ctx context.Context, nsm string) (nsmRecord, error
 	}
 	var rec nsmRecord
 	var ok bool
-	if rec.Host, ok = findValue(rrs, "host"); !ok {
+	if rec.Host, ok = ans.Value("host"); !ok {
 		return nsmRecord{}, fmt.Errorf("%w: NSM %q lacks host=", ErrBadMetaRecord, nsm)
 	}
-	if rec.HostContext, ok = findValue(rrs, "hostctx"); !ok {
+	if rec.HostContext, ok = ans.Value("hostctx"); !ok {
 		return nsmRecord{}, fmt.Errorf("%w: NSM %q lacks hostctx=", ErrBadMetaRecord, nsm)
 	}
-	if rec.Port, ok = findValue(rrs, "port"); !ok {
+	if rec.Port, ok = ans.Value("port"); !ok {
 		return nsmRecord{}, fmt.Errorf("%w: NSM %q lacks port=", ErrBadMetaRecord, nsm)
 	}
-	suite, ok := findValue(rrs, "suite")
+	suite, ok := ans.Value("suite")
 	if !ok {
 		return nsmRecord{}, fmt.Errorf("%w: NSM %q lacks suite=", ErrBadMetaRecord, nsm)
 	}

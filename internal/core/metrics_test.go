@@ -228,3 +228,22 @@ func TestEventStringIsStepLine(t *testing.T) {
 		}
 	}
 }
+
+// TestUntracedWarmFindNSMAllocs pins the heap cost of the warm FindNSM
+// as hnsd runs it: a live registry, a chaining meta-cache, no tracer. No
+// step may box or format a trace detail nobody reads, and no mapping may
+// copy or re-parse the cache's shared answer.
+func TestUntracedWarmFindNSMAllocs(t *testing.T) {
+	w := newWorld(t, world.Config{})
+	h := w.NewHNS(core.Config{Metrics: metrics.NewRegistry(), ChainMeta: true})
+	ctx := context.Background()
+	find := func() {
+		if _, err := h.FindNSM(ctx, world.DesiredServiceName(), qclass.HRPCBinding); err != nil {
+			t.Fatal(err)
+		}
+	}
+	find()
+	if n := testing.AllocsPerRun(100, find); n > 17 {
+		t.Errorf("warm FindNSM: %v allocs, want <= 17", n)
+	}
+}

@@ -202,18 +202,18 @@ func (h *HNS) ListRegistrations(ctx context.Context) (Inventory, error) {
 		}
 		switch {
 		case strings.HasSuffix(rr.Name, ctxSuffix):
-			if v, ok := findValue([]bind.RR{rr}, "ns"); ok {
-				inv.Contexts[strings.TrimSuffix(rr.Name, ctxSuffix)] = v
+			if v, ok := bind.KeyValue(rr.Data, "ns"); ok {
+				inv.Contexts[strings.TrimSuffix(rr.Name, ctxSuffix)] = string(v)
 			}
 		case strings.HasSuffix(rr.Name, nsSuffix):
 			inv.NameServices = append(inv.NameServices, strings.TrimSuffix(rr.Name, nsSuffix))
 		case strings.HasSuffix(rr.Name, qcSuffix):
-			if v, ok := findValue([]bind.RR{rr}, "nsm"); ok {
+			if v, ok := bind.KeyValue(rr.Data, "nsm"); ok {
 				key := strings.TrimSuffix(rr.Name, qcSuffix)
 				// key is "<queryclass>.<nameservice>"; split at the first
 				// label (query classes are single labels).
 				if i := strings.IndexByte(key, '.'); i > 0 {
-					inv.NSMs[key[:i]+"@"+key[i+1:]] = v
+					inv.NSMs[key[:i]+"@"+key[i+1:]] = string(v)
 				}
 			}
 		}

@@ -53,14 +53,18 @@ func tracer(ctx context.Context) EventFunc {
 
 // emit delivers a step event if the call carries a tracer. The tracer is
 // looked up once per FindNSM call (see stepObs), not per step, and the
-// detail line is only formatted when someone is listening.
-func (s *stepObs) emit(step string, d time.Duration, cache string, format string, args ...any) {
+// detail's string arguments are boxed and formatted only when traced.
+func (s *stepObs) emit(step string, d time.Duration, cache string, format string, args ...string) {
 	if s == nil || s.fn == nil {
 		return
 	}
+	boxed := make([]any, len(args))
+	for i, a := range args {
+		boxed[i] = a
+	}
 	s.fn(Event{
 		Step:     step,
-		Detail:   fmt.Sprintf(format, args...),
+		Detail:   fmt.Sprintf(format, boxed...),
 		Duration: d,
 		Cache:    cache,
 	})

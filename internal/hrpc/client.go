@@ -244,7 +244,7 @@ func (c *Client) call(ctx context.Context, b Binding, p Procedure, args marshal.
 	defer bufpool.Put(argBytes)
 	marshal.ChargeValue(ctx, p.Style, args)
 	h := CallHeader{XID: c.xid.Add(1), Program: b.Program, Version: b.Version, Procedure: p.ID}
-	frame, err := appendCall(ctl, bufpool.Get(48+len(argBytes)), h, argBytes)
+	frame, err := ctl.AppendCall(bufpool.Get(48+len(argBytes)), h, argBytes)
 	if err != nil {
 		return marshal.Value{}, err
 	}
@@ -254,7 +254,7 @@ func (c *Client) call(ctx context.Context, b Binding, p Procedure, args marshal.
 	if bs.active {
 		bs.encode = func(budget time.Duration) ([]byte, error) {
 			h.Budget, h.HasBudget = budget, true
-			return ctl.EncodeCall(h, argBytes)
+			return ctl.AppendCall(make([]byte, 0, 48+len(argBytes)), h, argBytes)
 		}
 	}
 	respFrame, ep, err := c.roundTrip(ctx, tr, b.Addr, frame, bs, l)

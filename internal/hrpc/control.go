@@ -70,41 +70,20 @@ type ControlProtocol interface {
 	// Name identifies the protocol in bindings ("sunrpc", "courier",
 	// "raw").
 	Name() string
-	// EncodeCall prepends a call header to the marshalled arguments.
-	EncodeCall(h CallHeader, args []byte) ([]byte, error)
+	// AppendCall appends a call header and the marshalled arguments to
+	// buf, which may be nil or a reused buffer, and returns the frame.
+	AppendCall(buf []byte, h CallHeader, args []byte) ([]byte, error)
 	// DecodeCall splits a request frame into header and arguments.
 	DecodeCall(frame []byte) (CallHeader, []byte, error)
-	// EncodeReply prepends a reply header to the marshalled results.
-	EncodeReply(h ReplyHeader, results []byte) ([]byte, error)
+	// AppendReply appends a reply header and the marshalled results to
+	// buf, as AppendCall does for a call.
+	AppendReply(buf []byte, h ReplyHeader, results []byte) ([]byte, error)
 	// DecodeReply splits a reply frame into header and results.
 	DecodeReply(frame []byte) (ReplyHeader, []byte, error)
 	// Overhead reports the per-call client-side bookkeeping cost of this
 	// protocol (header construction, XID tracking, retransmission
 	// timers).
 	Overhead() time.Duration
-}
-
-// CallAppender is the pooled-buffer fast path of a control protocol:
-// append the call header and arguments to a caller-supplied buffer
-// instead of allocating a fresh frame. Implementations must produce
-// bytes identical to EncodeCall. All built-in protocols implement it;
-// external protocols may omit it and take the allocating path.
-type CallAppender interface {
-	AppendCall(buf []byte, h CallHeader, args []byte) ([]byte, error)
-}
-
-// ReplyAppender is the reply-side counterpart of CallAppender.
-type ReplyAppender interface {
-	AppendReply(buf []byte, h ReplyHeader, results []byte) ([]byte, error)
-}
-
-// appendCall encodes a call into buf via the protocol's appender when it
-// has one, falling back to EncodeCall (whose result replaces buf).
-func appendCall(ctl ControlProtocol, buf []byte, h CallHeader, args []byte) ([]byte, error) {
-	if a, ok := ctl.(CallAppender); ok {
-		return a.AppendCall(buf, h, args)
-	}
-	return ctl.EncodeCall(h, args)
 }
 
 // ErrBadFrame reports a control-protocol frame that cannot be parsed.

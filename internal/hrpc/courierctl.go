@@ -25,7 +25,7 @@ const (
 // Name implements ControlProtocol.
 func (CourierControl) Name() string { return "courier" }
 
-// EncodeCall implements ControlProtocol.
+// AppendCall implements ControlProtocol.
 //
 // Layout (big-endian): version u16, msg_type u16=CALL, tid u16,
 // program u32, version u16, procedure u16, args...
@@ -33,11 +33,6 @@ func (CourierControl) Name() string { return "courier" }
 // Courier transaction IDs are 16 bits; the XID is truncated on the wire,
 // which is faithful to the original. Replies are paired with calls by
 // the transport, not by tid.
-func (c CourierControl) EncodeCall(h CallHeader, args []byte) ([]byte, error) {
-	return c.AppendCall(make([]byte, 0, 14+len(args)), h, args)
-}
-
-// AppendCall implements CallAppender.
 func (CourierControl) AppendCall(buf []byte, h CallHeader, args []byte) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, courierVersion)
 	buf = binary.BigEndian.AppendUint16(buf, courierMsgCall)
@@ -68,16 +63,11 @@ func (CourierControl) DecodeCall(frame []byte) (CallHeader, []byte, error) {
 	return h, frame[14:], nil
 }
 
-// EncodeReply implements ControlProtocol.
+// AppendReply implements ControlProtocol.
 //
 // Layout: version u16, msg_type u16 (RETURN or ABORT), tid u16, then
 // results (RETURN) or error text (ABORT). Every non-OK reply code is an
 // ABORT, so it decodes as a fault.
-func (c CourierControl) EncodeReply(h ReplyHeader, results []byte) ([]byte, error) {
-	return c.AppendReply(make([]byte, 0, 6+len(results)+len(h.Err)), h, results)
-}
-
-// AppendReply implements ReplyAppender.
 func (CourierControl) AppendReply(buf []byte, h ReplyHeader, results []byte) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, courierVersion)
 	mt := uint16(courierMsgReturn)

@@ -34,13 +34,13 @@ func TestRawBudgetRoundTrip(t *testing.T) {
 		{100 * 24 * time.Hour, math.MaxUint32 * time.Millisecond},
 	}
 	h := CallHeader{Program: 300000, Version: 1, Procedure: 8}
-	bare, _ := RawControl{}.EncodeCall(h, []byte("args"))
+	bare, _ := RawControl{}.AppendCall(nil, h, []byte("args"))
 	if len(bare) != 6+len("args") || bare[0] != 0 {
 		t.Fatalf("budgetless call = % x, want flags 0 and a 6-byte header", bare)
 	}
 	for _, tc := range cases {
 		h.Budget, h.HasBudget = tc.in, true
-		frame, err := RawControl{}.EncodeCall(h, []byte("args"))
+		frame, err := RawControl{}.AppendCall(nil, h, []byte("args"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestRawBudgetRoundTrip(t *testing.T) {
 // a bare code, and a malformed or unknown code is a bad frame.
 func TestOverloadedErrCodec(t *testing.T) {
 	ov := ReplyHeader{Code: ReplyOverloaded, Err: "rate", RetryAfter: 75*time.Millisecond + 900*time.Microsecond}
-	frame, err := RawControl{}.EncodeReply(ov, nil)
+	frame, err := RawControl{}.AppendReply(nil, ov, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestOverloadedErrCodec(t *testing.T) {
 	if err != nil || got.Code != ReplyOverloaded || got.Err != "rate" || got.RetryAfter != 75*time.Millisecond {
 		t.Fatalf("overloaded round trip: %+v, %v", got, err)
 	}
-	frame, _ = RawControl{}.EncodeReply(ReplyHeader{Code: ReplyExpired}, nil)
+	frame, _ = RawControl{}.AppendReply(nil, ReplyHeader{Code: ReplyExpired}, nil)
 	if got, _, err := (RawControl{}).DecodeReply(frame); err != nil || got.Code != ReplyExpired || len(frame) != 1 {
 		t.Fatalf("expired round trip: % x → %+v, %v", frame, got, err)
 	}

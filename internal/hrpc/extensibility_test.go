@@ -145,8 +145,8 @@ type tagCtl struct{}
 
 func (tagCtl) Name() string { return "tagctl" }
 
-func (tagCtl) EncodeCall(h CallHeader, args []byte) ([]byte, error) {
-	buf := []byte{0xC1}
+func (tagCtl) AppendCall(buf []byte, h CallHeader, args []byte) ([]byte, error) {
+	buf = append(buf, 0xC1)
 	for _, w := range []uint32{h.XID, h.Program, h.Version, h.Procedure} {
 		buf = binary.LittleEndian.AppendUint32(buf, w)
 	}
@@ -161,12 +161,12 @@ func (tagCtl) DecodeCall(frame []byte) (CallHeader, []byte, error) {
 	return CallHeader{XID: w(0), Program: w(1), Version: w(2), Procedure: w(3)}, frame[17:], nil
 }
 
-func (tagCtl) EncodeReply(h ReplyHeader, results []byte) ([]byte, error) {
+func (tagCtl) AppendReply(buf []byte, h ReplyHeader, results []byte) ([]byte, error) {
 	tag := byte(0xC2)
 	if h.Code != ReplyOK {
 		tag = 0xC3
 	}
-	buf := []byte{tag}
+	buf = append(buf, tag)
 	buf = binary.LittleEndian.AppendUint32(buf, h.XID)
 	if h.Code != ReplyOK {
 		return append(buf, h.Err...), nil

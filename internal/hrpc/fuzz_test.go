@@ -9,24 +9,24 @@ import (
 // and accepted calls and replies must round-trip.
 
 func fuzzControl(f *testing.F, ctl ControlProtocol) {
-	call, _ := ctl.EncodeCall(CallHeader{XID: 7, Program: 100017, Version: 1, Procedure: 3},
+	call, _ := ctl.AppendCall(nil, CallHeader{XID: 7, Program: 100017, Version: 1, Procedure: 3},
 		[]byte("some args"))
-	reply, _ := ctl.EncodeReply(ReplyHeader{XID: 7}, []byte("results"))
-	fault, _ := ctl.EncodeReply(ReplyHeader{XID: 7, Code: ReplyFault, Err: "denied"}, nil)
+	reply, _ := ctl.AppendReply(nil, ReplyHeader{XID: 7}, []byte("results"))
+	fault, _ := ctl.AppendReply(nil, ReplyHeader{XID: 7, Code: ReplyFault, Err: "denied"}, nil)
 	f.Add(call)
 	f.Add(reply)
 	f.Add(fault)
 	f.Add([]byte{})
-	budgeted, _ := ctl.EncodeCall(CallHeader{XID: 7, Program: 300000, Version: 1, Procedure: 8,
+	budgeted, _ := ctl.AppendCall(nil, CallHeader{XID: 7, Program: 300000, Version: 1, Procedure: 8,
 		Budget: 600 * time.Millisecond, HasBudget: true}, []byte("args"))
-	shed, _ := ctl.EncodeReply(ReplyHeader{XID: 7, Code: ReplyOverloaded, Err: "rate", RetryAfter: 50 * time.Millisecond}, nil)
-	expired, _ := ctl.EncodeReply(ReplyHeader{XID: 7, Code: ReplyExpired}, nil)
+	shed, _ := ctl.AppendReply(nil, ReplyHeader{XID: 7, Code: ReplyOverloaded, Err: "rate", RetryAfter: 50 * time.Millisecond}, nil)
+	expired, _ := ctl.AppendReply(nil, ReplyHeader{XID: 7, Code: ReplyExpired}, nil)
 	f.Add(budgeted)
 	f.Add(shed)
 	f.Add(expired)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if h, body, err := ctl.DecodeCall(data); err == nil {
-			re, err := ctl.EncodeCall(h, body)
+			re, err := ctl.AppendCall(nil, h, body)
 			if err != nil {
 				t.Fatalf("accepted call does not re-encode: %v", err)
 			}
@@ -36,7 +36,7 @@ func fuzzControl(f *testing.F, ctl ControlProtocol) {
 			}
 		}
 		if h, body, err := ctl.DecodeReply(data); err == nil {
-			re, err := ctl.EncodeReply(h, body)
+			re, err := ctl.AppendReply(nil, h, body)
 			if err != nil {
 				t.Fatalf("accepted reply does not re-encode: %v", err)
 			}

@@ -377,7 +377,7 @@ func wireHeader(ctl ControlProtocol, h CallHeader) CallHeader {
 func TestControlCallRoundTrip(t *testing.T) {
 	for _, ctl := range controls() {
 		h := CallHeader{XID: 77, Program: 100017, Version: 1, Procedure: 3, Budget: 250 * time.Millisecond, HasBudget: true}
-		frame, err := ctl.EncodeCall(h, []byte("args"))
+		frame, err := ctl.AppendCall(nil, h, []byte("args"))
 		if err != nil {
 			t.Fatalf("%s: %v", ctl.Name(), err)
 		}
@@ -397,7 +397,7 @@ func TestControlCallRoundTrip(t *testing.T) {
 func TestControlReplyRoundTrip(t *testing.T) {
 	for _, ctl := range controls() {
 		// Success.
-		frame, err := ctl.EncodeReply(ReplyHeader{XID: 9}, []byte("results"))
+		frame, err := ctl.AppendReply(nil, ReplyHeader{XID: 9}, []byte("results"))
 		if err != nil {
 			t.Fatalf("%s: %v", ctl.Name(), err)
 		}
@@ -409,7 +409,7 @@ func TestControlReplyRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %+v %q", ctl.Name(), rh, body)
 		}
 		// Error.
-		frame, err = ctl.EncodeReply(ReplyHeader{XID: 9, Code: ReplyFault, Err: "denied"}, nil)
+		frame, err = ctl.AppendReply(nil, ReplyHeader{XID: 9, Code: ReplyFault, Err: "denied"}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", ctl.Name(), err)
 		}
@@ -421,7 +421,7 @@ func TestControlReplyRoundTrip(t *testing.T) {
 			t.Fatalf("%s: reply %+v, want a fault with text %q", ctl.Name(), rh, "denied")
 		}
 		// A shed: the emulated suites render it as their own error reply.
-		frame, err = ctl.EncodeReply(ReplyHeader{XID: 9, Code: ReplyOverloaded, Err: "load", RetryAfter: time.Second}, nil)
+		frame, err = ctl.AppendReply(nil, ReplyHeader{XID: 9, Code: ReplyOverloaded, Err: "load", RetryAfter: time.Second}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", ctl.Name(), err)
 		}
@@ -439,9 +439,9 @@ func TestControlReplyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendersMatchEncoders pins the pooled append path of every built-in
-// control protocol to its allocating encoder, for both reply statuses and
-// with recycled (dirty) destination buffers.
+// TestAppendersMatchEncoders pins every built-in control protocol's
+// append into a recycled (dirty) buffer to its append into nil, for a
+// call and for every reply status.
 func TestAppendersMatchEncoders(t *testing.T) {
 	h := CallHeader{XID: 0xdeadbeef, Program: 100017, Version: 1, Procedure: 4, Budget: time.Second, HasBudget: true}
 	args := []byte("args bytes \x00\xff")
@@ -456,37 +456,29 @@ func TestAppendersMatchEncoders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ca, ok := ctl.(CallAppender)
-		if !ok {
-			t.Fatalf("%s: built-in protocol lacks CallAppender", name)
-		}
-		ra, ok := ctl.(ReplyAppender)
-		if !ok {
-			t.Fatalf("%s: built-in protocol lacks ReplyAppender", name)
-		}
-		want, err := ctl.EncodeCall(h, args)
+		want, err := ctl.AppendCall(nil, h, args)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dirty := append(make([]byte, 0, 128), 0xaa, 0xbb)
-		got, err := ca.AppendCall(dirty[:0], h, args)
+		got, err := ctl.AppendCall(dirty[:0], h, args)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: AppendCall differs from EncodeCall", name)
+			t.Errorf("%s: AppendCall into a dirty buffer differs from AppendCall into nil", name)
 		}
 		for _, rh := range replies {
-			want, err := ctl.EncodeReply(rh, []byte("results"))
+			want, err := ctl.AppendReply(nil, rh, []byte("results"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ra.AppendReply(dirty[:0], rh, []byte("results"))
+			got, err := ctl.AppendReply(dirty[:0], rh, []byte("results"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("%s: AppendReply (code %d) differs from EncodeReply", name, rh.Code)
+				t.Errorf("%s: AppendReply (code %d) into a dirty buffer differs from AppendReply into nil", name, rh.Code)
 			}
 		}
 	}
@@ -507,7 +499,7 @@ func TestControlHeaderProperty(t *testing.T) {
 			if !hasBudget {
 				h.Budget = 0
 			}
-			frame, err := ctl.EncodeCall(h, payload)
+			frame, err := ctl.AppendCall(nil, h, payload)
 			if err != nil {
 				return false
 			}

@@ -39,12 +39,7 @@ const rawFlagBudget = 1 << 0
 // Name implements ControlProtocol.
 func (RawControl) Name() string { return "raw" }
 
-// EncodeCall implements ControlProtocol.
-func (c RawControl) EncodeCall(h CallHeader, args []byte) ([]byte, error) {
-	return c.AppendCall(make([]byte, 0, 2+4*binary.MaxVarintLen32+len(args)), h, args)
-}
-
-// AppendCall implements CallAppender. A budget is rounded up to a whole
+// AppendCall implements ControlProtocol. A budget is rounded up to a whole
 // millisecond, so a small positive budget never truncates to "already
 // expired".
 func (RawControl) AppendCall(buf []byte, h CallHeader, args []byte) ([]byte, error) {
@@ -98,12 +93,7 @@ func (RawControl) DecodeCall(frame []byte) (CallHeader, []byte, error) {
 	return h, rest, nil
 }
 
-// EncodeReply implements ControlProtocol.
-func (c RawControl) EncodeReply(h ReplyHeader, results []byte) ([]byte, error) {
-	return c.AppendReply(make([]byte, 0, 1+binary.MaxVarintLen32+len(results)+len(h.Err)), h, results)
-}
-
-// AppendReply implements ReplyAppender. A retry-after hint is sent in
+// AppendReply implements ControlProtocol. A retry-after hint is sent in
 // whole milliseconds, truncated: a sub-millisecond hint opens no backoff
 // window.
 func (RawControl) AppendReply(buf []byte, h ReplyHeader, results []byte) ([]byte, error) {

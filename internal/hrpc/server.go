@@ -119,9 +119,15 @@ func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol) transport.Han
 			faults.Inc()
 			return nil, err
 		}
+		// Each reply is a fresh frame the transport takes over, sized for
+		// the longest built-in header (Sun RPC's six words).
+		reply := func(rh ReplyHeader, results []byte) ([]byte, error) {
+			rh.XID = ch.XID
+			return ctl.AppendReply(make([]byte, 0, 24+len(rh.Err)+len(results)), rh, results)
+		}
 		fault := func(msg string) ([]byte, error) {
 			faults.Inc()
-			return ctl.EncodeReply(ReplyHeader{XID: ch.XID, Code: ReplyFault, Err: msg}, nil)
+			return reply(ReplyHeader{Code: ReplyFault, Err: msg}, nil)
 		}
 		if ch.Program != s.program {
 			return fault(fmt.Sprintf("program %d unavailable (this is %d %s)", ch.Program, s.program, s.name))
@@ -152,7 +158,7 @@ func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol) transport.Han
 			if aerr := s.admit.Admit(peer, pri); aerr != nil {
 				var ov *admission.Overloaded
 				if errors.As(aerr, &ov) {
-					return ctl.EncodeReply(ReplyHeader{XID: ch.XID, Code: ReplyOverloaded,
+					return reply(ReplyHeader{Code: ReplyOverloaded,
 						Err: ov.Reason, RetryAfter: ov.RetryAfter}, nil)
 				}
 				return fault(aerr.Error())
@@ -164,7 +170,7 @@ func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol) transport.Han
 				// The caller's deadline passed before dispatch: computing
 				// this reply would be pure waste. Shed it.
 				sheds.Inc()
-				return ctl.EncodeReply(ReplyHeader{XID: ch.XID, Code: ReplyExpired}, nil)
+				return reply(ReplyHeader{Code: ReplyExpired}, nil)
 			}
 			// Hand the budget to the handler so a nested client (a
 			// gateway forwarding this call) can propagate what remains.
@@ -188,7 +194,7 @@ func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol) transport.Han
 			return fault(fmt.Sprintf("cannot marshal %s result: %v", sp.p.Name, err))
 		}
 		marshal.ChargeValue(ctx, sp.p.Style, ret)
-		out, rerr := ctl.EncodeReply(ReplyHeader{XID: ch.XID}, resBytes)
+		out, rerr := reply(ReplyHeader{}, resBytes)
 		bufpool.Put(resBytes)
 		return out, rerr
 	}

@@ -33,18 +33,13 @@ const (
 // Name implements ControlProtocol.
 func (SunRPCControl) Name() string { return "sunrpc" }
 
-// EncodeCall implements ControlProtocol.
+// AppendCall implements ControlProtocol.
 //
 // Layout (all big-endian uint32 unless noted):
 //
 //	xid, msg_type=CALL, rpcvers=2, prog, vers, proc,
 //	cred{flavor=AUTH_NONE, len=0}, verf{flavor=AUTH_NONE, len=0},
 //	args...
-func (c SunRPCControl) EncodeCall(h CallHeader, args []byte) ([]byte, error) {
-	return c.AppendCall(make([]byte, 0, 40+len(args)), h, args)
-}
-
-// AppendCall implements CallAppender.
 func (SunRPCControl) AppendCall(buf []byte, h CallHeader, args []byte) ([]byte, error) {
 	for _, w := range []uint32{
 		h.XID, sunMsgCall, sunRPCVersion, h.Program, h.Version, h.Procedure,
@@ -88,18 +83,13 @@ func (SunRPCControl) DecodeCall(frame []byte) (CallHeader, []byte, error) {
 	return CallHeader{XID: w(0), Program: w(3), Version: w(4), Procedure: w(5)}, frame[body:], nil
 }
 
-// EncodeReply implements ControlProtocol.
+// AppendReply implements ControlProtocol.
 //
 // Layout: xid, msg_type=REPLY, reply_stat=ACCEPTED,
 // verf{AUTH_NONE,0}, accept_stat, then results (success) or an error
 // string (system error) — carrying the error text in the body is our
 // emulation convention for surfacing handler errors. Every non-OK reply
 // code is rendered this way, so it decodes as a fault.
-func (c SunRPCControl) EncodeReply(h ReplyHeader, results []byte) ([]byte, error) {
-	return c.AppendReply(make([]byte, 0, 24+len(results)+len(h.Err)), h, results)
-}
-
-// AppendReply implements ReplyAppender.
 func (SunRPCControl) AppendReply(buf []byte, h ReplyHeader, results []byte) ([]byte, error) {
 	accept := uint32(sunAcceptSuccess)
 	if h.Code != ReplyOK {
