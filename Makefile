@@ -26,8 +26,9 @@ bench-parallel:
 
 # Allocation gate: the warm wire path (frame encode/decode) must stay at
 # <=1 alloc/op, the warm FindNSM at <=12 (<=36 through a RemoteHNS, client
-# and server), a durable bindd's cold start at <=0.5 per record loaded, a
-# chained meta exchange at <=67 and an update exchange at <=31.
+# and server), a durable bindd's cold start of 20k records at <=107 and its
+# restart at <=12300, a chained meta exchange at <=55 (plain, and on a
+# connection holding a callback subscription) and an update exchange at <=29.
 bench-alloc:
 	./scripts/bench_alloc.sh
 

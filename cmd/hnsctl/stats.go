@@ -51,6 +51,7 @@ func cmdStats(args []string) error {
 		row("subscriptions accepted", "push_subscribe_total", snap.Counters)
 		row("subscriptions rejected (table full)", "push_subscribe_rejected_total", snap.Counters)
 		row("notifies sent", "push_notify_sent_total", snap.Counters)
+		row("notifies suppressed (callback: nothing to invalidate)", "push_notify_suppressed_total", snap.Counters)
 		row("notifies dropped (slow subscribers)", "push_notify_dropped_total", snap.Counters)
 		row("subscriber connections dropped", "push_conn_drops_total", snap.Counters)
 	}

@@ -22,8 +22,13 @@
 // records' TTL, each stored once as an immutable entry that every hit
 // reads in place. A NotFound is never cached. -subscribe adds one
 // invalidation path: a NOTIFY naming records drops those names, and any
-// other zone event empties the cache. Table 3.2's marshalled mode is
-// measured in-process by hnsbench, not served.
+// other zone event empties the cache. The subscription asks for callback
+// delivery: the meta bindd sends a transaction's NOTIFY only if this hnsd
+// has read one of its names since the last NOTIFY naming it, so a NOTIFY
+// that would find nothing to drop is never sent. With -meta-replica it
+// takes every transaction, since reads may then ride another connection.
+// Table 3.2's marshalled mode is measured in-process by hnsbench, not
+// served.
 package main
 
 import (
@@ -59,7 +64,7 @@ func main() {
 		preload   = flag.Bool("preload", false, "preload the meta-cache via zone transfer at startup")
 		metrAddr  = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
 		staleFor  = flag.Duration("serve-stale", 0, "serve expired meta-cache entries up to this long past expiry when every meta-BIND replica is down (0 disables)")
-		subscribe = flag.Bool("subscribe", false, "subscribe to the meta-BIND's push plane: updates invalidate the meta-cache immediately instead of waiting out TTLs (degrades to polling when the server refuses the subscription)")
+		subscribe = flag.Bool("subscribe", false, "subscribe to the meta-BIND's push plane: updates invalidate the meta-cache immediately instead of waiting out TTLs, and only updates of names read since their last NOTIFY are sent (every update with -meta-replica); degrades to polling when the server refuses the subscription")
 		linkBind  stringList
 		linkCH    stringList
 		metaReps  stringList

@@ -127,8 +127,9 @@ func (s *Server) queryChain(ctx context.Context, args marshal.Value) (marshal.Va
 	if err != nil {
 		return marshal.Value{}, err
 	}
-	rcode, sets := s.answer(ctx, name, qt)
 	cname, _ := CanonicalName(name)
+	s.rearm(ctx, cname)
+	rcode, sets := s.answer(ctx, name, qt)
 	prev, _ := appendDecoded(nil, sets, cname)
 	if rcode != RCodeOK || prev[0].Name != cname {
 		follow = nil // the head failed, or was answered through an alias
@@ -142,6 +143,7 @@ func (s *Server) queryChain(ctx context.Context, args marshal.Value) (marshal.Va
 		if !ok || slices.Contains(visited, next) {
 			break
 		}
+		s.rearm(ctx, next)
 		rc, more := s.answer(ctx, next, qt)
 		rrs, _ := appendDecoded(nil, more, next)
 		if rc != RCodeOK || rrs[0].Name != next || len(reply)+len(more) > replyBudget {

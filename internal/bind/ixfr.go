@@ -16,9 +16,11 @@ package bind
 //     size.
 //
 //   - Subscribe: a client on a multiplexed connection registers for
-//     push invalidations; every transaction then fans one serial-bump
-//     notification naming what it touched out over the transport's
-//     server-initiated frames (NOTIFY). The subscriber table is bounded —
+//     push invalidations; a transaction then fans one notification
+//     naming what it touched out over the transport's server-initiated
+//     frames (NOTIFY), to every plain subscription it matches and to each
+//     callback subscription whose connection read one of those names
+//     since the last NOTIFY naming it. The subscriber table is bounded —
 //     an overflowing or push-incapable peer is refused and falls back to
 //     TTL polling.
 //
@@ -128,6 +130,18 @@ func (s *Server) publish(zone string, ops []Op, serial uint32) {
 	}
 }
 
+// rearm tells the push plane that the calling connection is about to
+// read names, or the whole zone when there are none: a callback
+// subscription there is owed NOTIFYs naming them again. Every read on the
+// HRPC interface calls it before it reads the zone.
+func (s *Server) rearm(ctx context.Context, names ...string) {
+	if t := s.pushTab.Load(); t != nil {
+		if sink, ok := transport.PusherFrom(ctx); ok {
+			t.Rearm(sink, names...)
+		}
+	}
+}
+
 // opNames lists the canonical owners ops touch, in order, once per run of
 // ops on an owner: what subscribers filter by.
 func opNames(ops []Op) []string {
@@ -151,7 +165,7 @@ var (
 	}
 	procSubscribe = hrpc.Procedure{
 		Name: "BINDSubscribe", ID: 7,
-		Args:  marshal.TStruct(marshal.TString, marshal.TList(marshal.TString), marshal.TUint32),
+		Args:  marshal.TStruct(marshal.TString, marshal.TList(marshal.TString), marshal.TUint32, marshal.TUint32), // zone, names, since, mode
 		Ret:   marshal.TStruct(marshal.TUint32, marshal.TUint32),
 		Style: marshal.StyleNone,
 	}
@@ -162,6 +176,12 @@ var (
 const (
 	ixfrIncremental = 0
 	ixfrFull        = 1
+)
+
+// A Subscribe call's mode: every transaction, or callback delivery.
+const (
+	subscribeEvery    = 0
+	subscribeCallback = 1
 )
 
 // registerPush wires the IXFR and Subscribe procedures onto hs.
@@ -175,6 +195,7 @@ func (s *Server) registerPush(hs *hrpc.Server) {
 		if err != nil {
 			return marshal.Value{}, err
 		}
+		s.rearm(ctx)
 		rcode, serial, diffs, ok := s.TransferDelta(ctx, zone, since)
 		if !ok {
 			return marshal.StructV(marshal.U32(uint32(rcode)), marshal.U32(serial),
@@ -200,6 +221,13 @@ func (s *Server) registerPush(hs *hrpc.Server) {
 		}
 		// args.Items[2] is the subscriber's last-seen serial; the reply's
 		// current serial tells it whether to catch up first (via IXFR).
+		mode, err := args.Items[3].AsU32()
+		if err == nil && mode > subscribeCallback {
+			err = fmt.Errorf("%s: subscribe mode %d", RCodeFormErr, mode)
+		}
+		if err != nil {
+			return marshal.Value{}, err
+		}
 		tab := s.pushTab.Load()
 		if tab == nil {
 			return marshal.Value{}, ErrSubscribeUnsupported
@@ -213,7 +241,7 @@ func (s *Server) registerPush(hs *hrpc.Server) {
 			// A datagram transport: no push channel.
 			return marshal.Value{}, ErrSubscribeUnsupported
 		}
-		if _, ok := tab.Add(push.Subscription{Zone: z.Origin(), Names: names}, pusher); !ok {
+		if _, ok := tab.Add(push.Subscription{Zone: z.Origin(), Names: names, Callback: mode == subscribeCallback}, pusher); !ok {
 			// Table full: refuse so the client degrades to polling.
 			return marshal.Value{}, fmt.Errorf("bind: subscriber table full for %s", z.Origin())
 		}

@@ -584,8 +584,10 @@ func (c *countingLookuper) Lookup(ctx context.Context, name string, t RRType) ([
 // authority updates C names per interval. A TTL-polling fleet (TTL = the
 // interval) re-fetches every working set every interval: Rounds·N·W. A
 // subscribed fleet (TTL 1000 intervals, so freshness can only come from
-// NOTIFY) re-fetches only what changed: Rounds·C·W·N/M. The ratio is
-// M/C — 16x here — whatever N is.
+// NOTIFY) re-fetches only what changed: Rounds·C·W·N/M, and a fleet
+// subscribed with callback delivery exactly as many: every name the
+// authority changes was read since its last NOTIFY. The ratio is M/C —
+// 16x here — whatever N is.
 func TestPushVsPollFetchClosedForms(t *testing.T) {
 	const (
 		clients    = 64 // N, a multiple of M so every name has exactly W·N/M holders
@@ -597,7 +599,7 @@ func TestPushVsPollFetchClosedForms(t *testing.T) {
 	)
 	name := func(i int) string { return fmt.Sprintf("n%02d.repl.test", i%hotNames) }
 
-	arm := func(subscribe bool) int64 {
+	arm := func(subscribe, callback bool) int64 {
 		s, client, _ := newPushPrimary(t)
 		ttl := uint32(interval / time.Second)
 		if subscribe {
@@ -622,7 +624,8 @@ func TestPushVsPollFetchClosedForms(t *testing.T) {
 				continue
 			}
 			subs[i] = client.Subscribe(SubscribeConfig{
-				Zone: "repl.test",
+				Zone:     "repl.test",
+				Callback: callback,
 				OnNotify: func(n push.Notification) {
 					for _, name := range n.Names {
 						res.Invalidate(name, TypeA)
@@ -651,18 +654,15 @@ func TestPushVsPollFetchClosedForms(t *testing.T) {
 		authority.fetches.Store(0)
 
 		for r := 0; r < rounds; r++ {
-			var serial uint32
 			for k := 0; k < churn; k++ {
-				rcode, sn, err := s.Update(ctx, "repl.test", UpdateAdd, A(name(r*churn+k), "1", ttl))
+				rcode, _, err := s.Update(ctx, "repl.test", UpdateAdd, A(name(r*churn+k), "1", ttl))
 				if err != nil || rcode != RCodeOK {
 					t.Fatalf("churn update: %v, %v", rcode, err)
 				}
-				serial = sn
 			}
-			for i, sub := range subs {
+			for _, sub := range subs {
 				if sub != nil {
-					waitFor(t, fmt.Sprintf("subscriber %d at serial %d", i, serial), sub,
-						func() bool { return sub.LastSerial() >= serial })
+					syncOrFail(t, sub)
 				}
 			}
 			clk.Advance(interval + time.Nanosecond)
@@ -671,12 +671,15 @@ func TestPushVsPollFetchClosedForms(t *testing.T) {
 		return authority.fetches.Load()
 	}
 
-	poll, pushed := arm(false), arm(true)
+	poll, pushed, called := arm(false, false), arm(true, false), arm(true, true)
 	if want := int64(rounds * clients * workingSet); poll != want {
 		t.Errorf("polling fleet made %d authority fetches, want Rounds·N·W = %d", poll, want)
 	}
 	if want := int64(rounds * churn * workingSet * clients / hotNames); pushed != want {
 		t.Errorf("subscribed fleet made %d authority fetches, want Rounds·C·W·N/M = %d", pushed, want)
+	}
+	if called != pushed {
+		t.Errorf("callback fleet made %d authority fetches, want the subscribed fleet's %d", called, pushed)
 	}
 	if poll != pushed*hotNames/churn {
 		t.Errorf("fetch ratio %d/%d, want M/C = %d", poll, pushed, hotNames/churn)

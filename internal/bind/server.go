@@ -331,8 +331,9 @@ func (s *Server) HRPCServer() *hrpc.Server {
 		if err != nil {
 			return marshal.Value{}, err
 		}
-		rcode, sets := s.answer(ctx, name, qt)
 		cname, _ := CanonicalName(name)
+		s.rearm(ctx, cname)
+		rcode, sets := s.answer(ctx, name, qt)
 		sets = appendElided(make([]byte, 0, len(sets)), sets, cname)
 		return marshal.StructV(marshal.U32(uint32(rcode)), marshal.BytesV(sets)), nil
 	})
@@ -357,6 +358,7 @@ func (s *Server) HRPCServer() *hrpc.Server {
 		if err != nil {
 			return marshal.Value{}, err
 		}
+		s.rearm(ctx)
 		rcode, serial, sets := s.Transfer(ctx, zone)
 		return marshal.StructV(marshal.U32(uint32(rcode)), marshal.U32(serial), marshal.BytesV(sets)), nil
 	})
@@ -369,7 +371,12 @@ func (s *Server) HRPCServer() *hrpc.Server {
 		if z == nil {
 			return marshal.StructV(marshal.U32(uint32(RCodeRefused)), marshal.U32(0)), nil
 		}
-		return marshal.StructV(marshal.U32(uint32(RCodeOK)), marshal.U32(z.Serial())), nil
+		// Between transactions: every NOTIFY up to the serial answered was
+		// pushed before this reply (Subscriber.Sync rests on it).
+		s.journalMu.Lock()
+		serial := z.Serial()
+		s.journalMu.Unlock()
+		return marshal.StructV(marshal.U32(uint32(RCodeOK)), marshal.U32(serial)), nil
 	})
 	hs.Register(procQueryChain, s.queryChain)
 	s.registerPush(hs)

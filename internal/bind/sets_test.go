@@ -51,6 +51,13 @@ func tenantRecords(id, port string) []RR {
 // hot contexts h0 and h100, over HRPC at addr in suite.
 func tenantZone(tb testing.TB, n int, suite hrpc.Suite, addr string) (*HRPCClient, []string) {
 	tb.Helper()
+	_, c, ids := tenantServer(tb, n, suite, addr)
+	return c, ids
+}
+
+// tenantServer is tenantZone, with the server.
+func tenantServer(tb testing.TB, n int, suite hrpc.Suite, addr string) (*Server, *HRPCClient, []string) {
+	tb.Helper()
 	net := transport.NewNetwork()
 	s := NewServer("tahoma")
 	z, err := NewZone("hns", true)
@@ -77,7 +84,7 @@ func tenantZone(tb testing.TB, n int, suite hrpc.Suite, addr string) (*HRPCClien
 	tb.Cleanup(func() { ln.Close() })
 	hc := hrpc.NewClient(net)
 	tb.Cleanup(func() { hc.Close() })
-	return NewHRPCClient(hc, b), ids
+	return s, NewHRPCClient(hc, b), ids
 }
 
 func tcpNetBytes(dir string) int64 {
@@ -234,6 +241,27 @@ func TestHRPCReplyGolden(t *testing.T) {
 // decodes and splits it. scripts/bench_alloc.sh gates its allocs/op.
 func BenchmarkChainExchange(b *testing.B) {
 	c, ids := tenantZone(b, 1, hrpc.SuiteRaw, "tahoma:bind-hrpc")
+	chainExchanges(b, c, ids)
+}
+
+// BenchmarkChainExchangeCallback is BenchmarkChainExchange on a connection
+// holding a callback subscription, so each link's re-arm finds its told
+// set. scripts/bench_alloc.sh bounds it at the plain exchange's count.
+func BenchmarkChainExchangeCallback(b *testing.B) {
+	s, c, ids := tenantServer(b, 1, hrpc.SuiteRaw, "tahoma:bind-hrpc")
+	s.EnablePush(0)
+	sub := c.Subscribe(SubscribeConfig{Zone: "hns", Callback: true, Metrics: metrics.Discard})
+	defer sub.Close()
+	for changed := sub.Changed(); !sub.Active(); changed = sub.Changed() {
+		if sub.Degraded() {
+			b.Fatal("subscription refused")
+		}
+		<-changed
+	}
+	chainExchanges(b, c, ids)
+}
+
+func chainExchanges(b *testing.B, c *HRPCClient, ids []string) {
 	ctx := context.Background()
 	name := "t" + ids[0] + ".ctx.hns"
 	b.ReportAllocs()

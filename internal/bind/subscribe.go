@@ -6,13 +6,15 @@ package bind
 // A Subscriber is a registration on its hrpc.Client (Listen), not a
 // connection of its own: it subscribes to a zone (optionally a name set)
 // over the endpoint's one shared connection and hands each NOTIFY frame
-// its subscription matches, one per transaction, to OnNotify — typically
-// a cache-invalidation hook. When that connection dies it resubscribes at
-// once *with the last serial it saw*; the server's reply serial reveals
-// whether updates were missed while disconnected, and an IXFR catch-up
-// replays exactly the missed transactions as synthetic notifications. If
-// the zone's history cannot cover the gap, OnReset fires instead — the
-// consumer must treat everything it cached as suspect.
+// its subscription matches to OnNotify — typically a cache-invalidation
+// hook. A plain subscription hears every transaction; a callback one
+// only those that could invalidate what its client has read. When that
+// connection dies it resubscribes at once *with the last serial it saw*;
+// the server's reply serial reveals whether updates were missed while
+// disconnected, and an IXFR catch-up replays exactly the missed
+// transactions as synthetic notifications. If the zone's history cannot
+// cover the gap, OnReset fires instead — the consumer must treat
+// everything it cached as suspect.
 //
 // Degradation is automatic and latched: a server without a push plane,
 // a connection that cannot carry pushes (a datagram transport), or a
@@ -22,10 +24,12 @@ package bind
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"hns/internal/hrpc"
 	"hns/internal/marshal"
 	"hns/internal/metrics"
 	"hns/internal/push"
@@ -76,9 +80,18 @@ type SubscribeConfig struct {
 	// one of these owner names. Zone-level events (nil-Names
 	// notifications) are always delivered.
 	Names []string
-	// OnNotify receives each invalidation, one per transaction — live
-	// pushes and catch-up replays alike. It runs on the connection's reader
-	// goroutine, so it must be fast (a cache delete, a channel send).
+	// Callback asks for callback delivery: the server sends a
+	// transaction only when this client's connection has read one of
+	// its names since the last NOTIFY naming it there, so no NOTIFY is
+	// sent that would invalidate nothing the client holds. It holds only
+	// when every read rides the subscription's connection
+	// (hrpc.Client.OneConn); otherwise the subscription takes every
+	// transaction. LastSerial skips the serials not sent: wait with Sync.
+	Callback bool
+	// OnNotify receives each invalidation, one per transaction sent —
+	// live pushes and catch-up replays alike. It runs on the connection's
+	// reader goroutine, so it must be fast (a cache delete, a channel
+	// send).
 	OnNotify func(push.Notification)
 	// OnReset fires when continuity was lost: the server could not
 	// replay the gap, so anything cached from this zone is suspect.
@@ -110,6 +123,7 @@ type Subscriber struct {
 	lastSerial uint32
 	active     bool
 	degraded   bool
+	reg        hrpc.Registration   // the registration standing while active
 	held       []push.Notification // frames heard while not active: a subscribe and its catch-up run
 	floor      uint32              // the serial the latest subscribe and its catch-up covered
 	changed    chan struct{}       // closed when active, degraded or lastSerial moves; nil until a waiter asks
@@ -174,12 +188,53 @@ func (s *Subscriber) Degraded() bool {
 }
 
 // LastSerial reports the newest zone serial the subscriber has fully
-// processed (via push or catch-up): every invalidation up to this
+// processed (via push, catch-up or Sync): every invalidation up to this
 // serial has been delivered to OnNotify and OnNotify has returned.
 func (s *Subscriber) LastSerial() uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lastSerial
+}
+
+// errDegraded fails a Sync on a subscriber that polls instead.
+var errDegraded = errors.New("bind: subscription degraded to polling")
+
+// Sync raises LastSerial to the serial the server's NOTIFYs had covered
+// when one Serial exchange on the subscription's connection was answered.
+// The server answers its serial only between transactions, so every
+// frame owed up to it was pushed on that connection before the reply, and
+// its OnNotify has returned when Sync does. While the subscription is
+// down, or the exchange rode another connection, Sync waits for it to
+// stand again; it fails once the subscriber is degraded or ctx ends.
+func (s *Subscriber) Sync(ctx context.Context) error {
+	for {
+		changed := s.Changed()
+		s.mu.Lock()
+		active, degraded, reg := s.active, s.degraded, s.reg
+		s.mu.Unlock()
+		if degraded {
+			return errDegraded
+		}
+		if active {
+			ret, on, err := s.c.c.Listen(ctx, s.c.b, procSerial, marshal.StructV(marshal.Str(s.cfg.Zone)), func([]byte, error) {})
+			if err != nil {
+				return err
+			}
+			on.Stop()
+			if rcode := RCode(ret.Items[0].Num); rcode != RCodeOK {
+				return fmt.Errorf("bind: serial refused: %s", rcode)
+			}
+			if on.Shares(reg) {
+				s.set(func() { s.lastSerial = max(s.lastSerial, uint32(ret.Items[1].Num)) })
+				return nil
+			}
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // Changed returns a channel closed at the next change of Active, Degraded
@@ -213,17 +268,17 @@ func (s *Subscriber) run() {
 	defer s.set(func() { s.active = false })
 	wait := simtime.RetransmitTimeout
 	for {
-		died, stop, err := s.subscribe()
+		died, reg, err := s.subscribe()
 		switch {
 		case err == nil:
 			wait = simtime.RetransmitTimeout
 			select {
 			case <-died:
-				stop() // the death may be a failed attempt's, not this registration's
+				reg.Stop() // the death may be a failed attempt's, not this registration's
 				s.set(func() { s.active = false })
 				continue
 			case <-s.ctx.Done():
-				stop()
+				reg.Stop()
 				return
 			}
 		case transport.CodeOf(err).Answered():
@@ -246,15 +301,20 @@ func (s *Subscriber) run() {
 
 // subscribe registers the subscription from the last serial seen, over
 // the client's shared connection, and catches up on what the server
-// applied since. died hears the death of that connection; stop withdraws
-// the registration.
-func (s *Subscriber) subscribe() (died <-chan struct{}, stop func(), err error) {
+// applied since. A callback subscription is asked for only when every
+// read of the client's rides this connection. died hears the death of
+// that connection; reg withdraws the registration.
+func (s *Subscriber) subscribe() (died <-chan struct{}, reg hrpc.Registration, err error) {
 	var since uint32
 	s.set(func() { since, s.held = s.lastSerial, nil })
 	death := make(chan struct{})
 	die := sync.OnceFunc(func() { close(death) }) // a retried attempt's connection may die too
-	ret, stop, err := s.c.c.Listen(s.ctx, s.c.b, procSubscribe, marshal.StructV(
-		marshal.Str(s.cfg.Zone), namesToList(s.cfg.Names), marshal.U32(since),
+	mode := uint32(subscribeEvery)
+	if s.cfg.Callback && s.c.c.OneConn(s.c.b.Addr) {
+		mode = subscribeCallback
+	}
+	ret, reg, err := s.c.c.Listen(s.ctx, s.c.b, procSubscribe, marshal.StructV(
+		marshal.Str(s.cfg.Zone), namesToList(s.cfg.Names), marshal.U32(since), marshal.U32(mode),
 	), func(body []byte, err error) {
 		if err != nil {
 			die()
@@ -263,26 +323,34 @@ func (s *Subscriber) subscribe() (died <-chan struct{}, stop func(), err error) 
 		}
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, reg, err
 	}
 	rcode, _ := ret.Items[0].AsU32()
 	serial, _ := ret.Items[1].AsU32()
 	if RCode(rcode) != RCodeOK {
-		stop()
-		return nil, nil, &NotFoundError{Name: s.cfg.Zone, Type: TypeSOA, RCode: RCode(rcode)} // no such zone there
+		reg.Stop()
+		return nil, reg, &NotFoundError{Name: s.cfg.Zone, Type: TypeSOA, RCode: RCode(rcode)} // no such zone there
 	}
 	s.resubs.Inc()
+	reset := false
 	if since != 0 && serial != since {
-		serial = s.catchUp(since, serial)
+		serial, reset = s.catchUp(since, serial)
 	}
-	s.set(func() { s.floor, s.lastSerial = serial, max(s.lastSerial, serial) })
+	s.set(func() {
+		s.floor, s.reg = serial, reg
+		if reset { // the server's serial may have gone back: adopt it
+			s.lastSerial = serial
+		} else {
+			s.lastSerial = max(s.lastSerial, serial)
+		}
+	})
 	// Frames heard meanwhile were held back; those the catch-up did not
 	// cover go out now, in order.
 	for {
 		var held []push.Notification
 		s.set(func() { held, s.held, s.active = s.held, nil, s.held == nil })
 		if held == nil {
-			return death, stop, nil
+			return death, reg, nil
 		}
 		for _, n := range held {
 			if n.Serial > serial {
@@ -324,8 +392,9 @@ func (s *Subscriber) deliver(n push.Notification) {
 // replaying the missed mutations this subscription matches as synthetic
 // notifications — the "resubscribe with serial" path that guarantees zero
 // missed invalidations across a connection death. It returns the serial
-// the replay reached.
-func (s *Subscriber) catchUp(since, serial uint32) uint32 {
+// the replay reached, or the server's serial and reset when it could not
+// replay.
+func (s *Subscriber) catchUp(since, serial uint32) (uint32, bool) {
 	gotSerial, diffs, ok, err := s.c.TransferDelta(s.ctx, s.cfg.Zone, since)
 	if err != nil || !ok {
 		// Older than the history (or IXFR unusable): continuity is lost.
@@ -333,7 +402,7 @@ func (s *Subscriber) catchUp(since, serial uint32) uint32 {
 		if s.cfg.OnReset != nil {
 			s.cfg.OnReset()
 		}
-		return serial
+		return serial, true
 	}
 	for _, d := range diffs {
 		n := push.Notification{Zone: s.filter.Zone, Names: opNames(d.Ops), Serial: d.Serial}
@@ -343,7 +412,7 @@ func (s *Subscriber) catchUp(since, serial uint32) uint32 {
 		s.caughtUp.Inc()
 		s.cfg.OnNotify(n)
 	}
-	return gotSerial
+	return gotSerial, false
 }
 
 // namesToList marshals a name set for the Subscribe call.

@@ -20,7 +20,10 @@ type MetaSubscriber interface {
 
 // SubscribeMeta connects the meta-cache to the server's push plane when
 // the meta client supports it, reporting whether a subscription was
-// started. While the subscription is live:
+// started. It asks for callback delivery (bind.SubscribeConfig.Callback):
+// the server sends a transaction only when this cache's connection has
+// read one of its names since the last NOTIFY naming it, which is all a
+// cache can hold. While the subscription is live:
 //
 //   - every pushed transaction invalidates just the meta names it
 //     touched, so the next lookups re-fetch them, not wait out a TTL;
@@ -35,7 +38,8 @@ func (h *HNS) SubscribeMeta() bool {
 		return false
 	}
 	sub := ms.Subscribe(bind.SubscribeConfig{
-		Zone: h.metaZone,
+		Zone:     h.metaZone,
+		Callback: true,
 		OnNotify: func(n push.Notification) {
 			if n.Names == nil {
 				// Zone-level event (e.g. a secondary refresh landed): the

@@ -177,16 +177,16 @@ func (c *Client) Call(ctx context.Context, b Binding, p Procedure, args marshal.
 // connection even on a FreshConn client, and keeps fn registered on the
 // connection that answered: fn hears each frame the server pushes there
 // (from before Listen returns), then once (nil, err) when it dies. fn
-// runs on the connection's reader and must not block. stop ends delivery
-// but leaves the connection, and what the call registered at the server,
-// in place. A connection that cannot carry pushes fails the call with
-// errors.ErrUnsupported; a closed client with transport.ErrClosed itself.
-func (c *Client) Listen(ctx context.Context, b Binding, p Procedure, args marshal.Value, fn func(body []byte, err error)) (ret marshal.Value, stop func(), err error) {
+// runs on the connection's reader and must not block. The Registration
+// ends delivery and names that connection. A connection that cannot carry
+// pushes fails the call with errors.ErrUnsupported; a closed client with
+// transport.ErrClosed itself.
+func (c *Client) Listen(ctx context.Context, b Binding, p Procedure, args marshal.Value, fn func(body []byte, err error)) (ret marshal.Value, reg Registration, err error) {
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
 	if closed {
-		return marshal.Value{}, nil, transport.ErrClosed
+		return marshal.Value{}, Registration{}, transport.ErrClosed
 	}
 	l := &listener{fn: fn}
 	ret, err = c.call(ctx, b, p, args, l)
@@ -197,9 +197,27 @@ func (c *Client) Listen(ctx context.Context, b Binding, p Procedure, args marsha
 		if l.ln != nil {
 			l.stop() // the exchange went through, but to no avail
 		}
-		return marshal.Value{}, nil, err
+		return marshal.Value{}, Registration{}, err
 	}
-	return ret, l.stop, nil
+	return ret, Registration{l}, nil
+}
+
+// A Registration is one Listen's hold on the connection that answered it.
+type Registration struct{ l *listener }
+
+// Stop ends delivery but leaves the connection, and what the call
+// registered at the server, in place.
+func (r Registration) Stop() { r.l.stop() }
+
+// Shares reports whether r and o hold one connection: o's reply then
+// trailed every frame the server pushed there before answering it.
+func (r Registration) Shares(o Registration) bool { return r.l.ln == o.l.ln }
+
+// OneConn reports whether every call bound to addr rides the connection a
+// Listen to addr holds: the client neither dials per call (FreshConn) nor
+// fails over to a replica (SetReplicas).
+func (c *Client) OneConn(addr string) bool {
+	return !c.FreshConn && len(c.replicasFor(addr)) == 1
 }
 
 // call is Call with l, when set, registered where the call is answered.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -235,4 +236,98 @@ func FuzzNotifyDecode(f *testing.F) {
 			t.Fatalf("decode/encode not canonical: in=%x out=%x", data, out)
 		}
 	})
+}
+
+// TestTableCallbackSendRule: a callback sink is sent a frame only when one
+// of its names is not told there; a read re-arms a name, a zone-level
+// event is always sent and clears the set, and a plain subscription on the
+// same sink takes every frame.
+func TestTableCallbackSendRule(t *testing.T) {
+	reg := metrics.NewRegistry()
+	tb := NewTable(0, reg)
+	cb, plain := newFakeSink(), newFakeSink()
+	tb.Add(Subscription{Zone: "hns", Callback: true}, cb)
+	tb.Add(Subscription{Zone: "hns"}, plain)
+	a := func(serial uint32, names ...string) Notification {
+		return Notification{Zone: "hns", Names: names, Serial: serial}
+	}
+	steps := []struct {
+		do     func()
+		wantCB int // frames on the callback sink so far
+	}{
+		{func() { tb.Publish(a(1, "x.hns")) }, 1}, // a new subscription has told nothing
+		{func() { tb.Publish(a(2, "x.hns")) }, 1}, // x is told, unread since
+		{func() { tb.Publish(a(3, "x.hns", "y.hns")) }, 2},
+		{func() { tb.Publish(a(4, "y.hns", "x.hns")) }, 2},
+		{func() { tb.Rearm(cb, "x.hns"); tb.Publish(a(5, "x.hns")) }, 3},
+		{func() { tb.Rearm(plain, "x.hns"); tb.Publish(a(6, "x.hns")) }, 3}, // another sink's read
+		{func() { tb.Publish(a(7)) }, 4},                                    // zone-level: sent, and clears
+		{func() { tb.Publish(a(8, "y.hns")) }, 5},
+		{func() { tb.Rearm(cb); tb.Publish(a(9, "y.hns")) }, 6}, // a whole-zone read re-arms all
+	}
+	for i, st := range steps {
+		st.do()
+		if got := cb.count(); got != st.wantCB {
+			t.Fatalf("step %d: callback sink has %d frames, want %d", i, got, st.wantCB)
+		}
+	}
+	if got := plain.count(); got != len(steps) {
+		t.Fatalf("plain sink has %d frames, want every one of %d", got, len(steps))
+	}
+	if got := reg.Counter("push_notify_suppressed_total").Value(); got != int64(len(steps)-6) {
+		t.Fatalf("push_notify_suppressed_total = %d, want %d", got, len(steps)-6)
+	}
+
+	// A plain subscription sharing the callback sink takes every frame
+	// there; dropping it leaves the sink on the callback rule again.
+	id, _ := tb.Add(Subscription{Zone: "hns"}, cb)
+	tb.Publish(a(10, "y.hns"))
+	tb.Remove(id)
+	tb.Publish(a(11, "y.hns"))
+	if got := cb.count(); got != 7 {
+		t.Fatalf("callback sink with a plain subscription beside it has %d frames, want 7", got)
+	}
+}
+
+// TestTableToldIsBounded: at maxTold names the set is cleared, which can
+// only send frames, never skip one.
+func TestTableToldIsBounded(t *testing.T) {
+	tb := NewTable(0, metrics.Discard)
+	s := newFakeSink()
+	tb.Add(Subscription{Zone: "hns", Callback: true}, s)
+	for i := 0; i < maxTold; i++ {
+		tb.Publish(Notification{Zone: "hns", Names: []string{fmt.Sprintf("n%d.hns", i)}, Serial: uint32(i + 1)})
+	}
+	tb.Publish(Notification{Zone: "hns", Names: []string{"n0.hns"}, Serial: maxTold + 1})
+	if got := s.count(); got != maxTold {
+		t.Fatalf("%d frames before the bound, want %d (n0 still told)", got, maxTold)
+	}
+	tb.Publish(Notification{Zone: "hns", Names: []string{"past.hns"}, Serial: maxTold + 2}) // clears, then tells past
+	tb.Publish(Notification{Zone: "hns", Names: []string{"n0.hns"}, Serial: maxTold + 3})
+	if got := s.count(); got != maxTold+2 {
+		t.Fatalf("%d frames after the bound, want %d (the set cleared)", got, maxTold+2)
+	}
+}
+
+// TestTableRearmAndSuppressAllocNothing prices the callback hooks: a read
+// on a sink with no callback subscription, a re-arm, and a publish owed to
+// no sink allocate nothing.
+func TestTableRearmAndSuppressAllocNothing(t *testing.T) {
+	tb := NewTable(0, metrics.Discard)
+	cb, other := newFakeSink(), newFakeSink()
+	tb.Add(Subscription{Zone: "hns", Callback: true}, cb)
+	n := Notification{Zone: "hns", Names: []string{"x.hns"}, Serial: 1}
+	tb.Publish(n)
+	for name, f := range map[string]func(){
+		"read, no callback subscription": func() { tb.Rearm(other, "x.hns") },
+		"suppressed publish":             func() { tb.Publish(n) },
+		"read of an untold name":         func() { tb.Rearm(cb, "y.hns") },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s: %v allocs, want 0", name, allocs)
+		}
+	}
+	if cb.count() != 1 {
+		t.Fatalf("callback sink has %d frames, want 1", cb.count())
+	}
 }

@@ -322,9 +322,8 @@ func hotupdateScenario() Scenario {
 						if spec.Push {
 							// The pass is deterministic only once every
 							// site has fully applied the slot's
-							// invalidations (LastSerial is a processed
-							// watermark).
-							waitFleetPush(w, sites)
+							// invalidations.
+							waitFleetPush(sites)
 						}
 					},
 					AfterSlot: func(ctx context.Context, slot int) (probes, stale int64, err error) {
@@ -354,26 +353,16 @@ func hotupdateScenario() Scenario {
 }
 
 // waitFleetPush blocks until every subscribed site has fully processed
-// the meta zone's newest serial — after it returns, all invalidations
-// from the updates just applied have landed in the site caches.
-func waitFleetPush(w *world.World, sites []*core.HNS) {
-	target := w.MetaServer.Zone(world.MetaZone).Serial()
-	const stalled = "workload: hotupdate: push subscription stalled (degraded or 10s without catching up)"
-	deadline := time.NewTimer(10 * time.Second)
-	defer deadline.Stop()
+// every NOTIFY the meta bindd owed it for the updates just applied
+// (Subscriber.Sync): a callback site's LastSerial need not reach the
+// zone's serial, since a NOTIFY that would invalidate nothing is not sent.
+func waitFleetPush(sites []*core.HNS) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	for _, h := range sites {
-		sub := h.MetaSubscription()
-		if sub == nil {
-			continue
-		}
-		for changed := sub.Changed(); sub.LastSerial() < target; changed = sub.Changed() {
-			if sub.Degraded() {
-				panic(stalled)
-			}
-			select {
-			case <-changed:
-			case <-deadline.C:
-				panic(stalled)
+		if sub := h.MetaSubscription(); sub != nil {
+			if err := sub.Sync(ctx); err != nil {
+				panic(fmt.Sprintf("workload: hotupdate: push subscription stalled: %v", err))
 			}
 		}
 	}

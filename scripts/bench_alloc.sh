@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Alloc-regression gate for the zero-allocation wire path, the warm
 # FindNSM (local and through the HNS program), the bindd seed and restart
-# paths, one chained meta exchange and one update exchange. Runs the benchmarks with -benchmem
+# paths, one chained meta exchange (plain, and on a connection holding a
+# callback subscription) and one update exchange. Runs the benchmarks with -benchmem
 # and fails if any exceeds its committed allocs/op bound. The bounds are the contract: raising one
 # is an explicit, reviewed change to this file.
 #
@@ -17,10 +18,11 @@ BenchmarkFrameMuxRequest ./internal/transport/ 1
 BenchmarkEncodeMuxReplyFramed ./internal/transport/ 1
 BenchmarkFindNSMWarmAllocs . 12
 BenchmarkRemoteFindNSMWarmAllocs ./internal/core/ 36
-BenchmarkBinddColdStart ./internal/bind/ 10003
+BenchmarkBinddColdStart ./internal/bind/ 107
 BenchmarkBinddRestart ./internal/bind/ 12300
-BenchmarkChainExchange ./internal/bind/ 67
-BenchmarkUpdateExchange ./internal/bind/ 31
+BenchmarkChainExchange ./internal/bind/ 55
+BenchmarkChainExchangeCallback ./internal/bind/ 55
+BenchmarkUpdateExchange ./internal/bind/ 29
 "
 
 out=$(mktemp)
@@ -40,16 +42,18 @@ run_pkg . 'BenchmarkFindNSMWarmAllocs$' | tee -a "$out"
 # answering no NSM host name.
 run_pkg ./internal/core/ 'BenchmarkRemoteFindNSMWarmAllocs$' | tee -a "$out"
 # One op loads a generated 20k-record zone (20 006 records): the bound is
-# 0.5 per record; the load itself allocates nothing per record or owner.
+# its measured 107, so one allocation per owner or per record fails it.
 run_pkg ./internal/bind/ 'BenchmarkBinddColdStart$' 10 | tee -a "$out"
 # One op recovers that zone from a checkpoint plus 500 journaled updates;
 # the bound is its measured 12 279-12 281, rounded up.
 run_pkg ./internal/bind/ 'BenchmarkBinddRestart$' 5 | tee -a "$out"
 # One cold FindNSM's chained meta exchange over the sim transport, handler
-# and client both.
-run_pkg ./internal/bind/ 'BenchmarkChainExchange$' | tee -a "$out"
+# and client both; then the same on a connection holding a callback
+# subscription, bounded at the plain count: a read's re-arm allocates
+# nothing.
+run_pkg ./internal/bind/ 'BenchmarkChainExchange$|BenchmarkChainExchangeCallback$' | tee -a "$out"
 # One flip's BINDUpdate round trip over the sim transport, client and
-# handler both; the bound is the fixed-width codec's measured 31.
+# handler both; the bound is its measured 29.
 run_pkg ./internal/bind/ 'BenchmarkUpdateExchange$' | tee -a "$out"
 
 fail=0

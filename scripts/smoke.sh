@@ -47,6 +47,8 @@ go test -race ./...
 echo "--- race detector, concurrency stress at -cpu 4"
 go test -race -cpu 4 -run 'Stress|Stampede|Concurrent|Shard' \
         ./internal/cache ./internal/bind ./internal/workload
+# Callback NOTIFY soundness (its name matches the pattern above), five times.
+go test -race -cpu 4 -count=5 -run 'TestCallbackConcurrent' ./internal/bind
 
 echo "--- mux stress tier: multiplexed wire, shared connection, and teardown paths"
 go test -race -run Mux -count=3 ./internal/transport ./internal/hrpc
