@@ -32,7 +32,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"log"
 	"os"
@@ -50,6 +49,9 @@ import (
 	"hns/internal/transport"
 )
 
+// sweepEvery is how often the daemon drops expired cache entries.
+const sweepEvery = 5 * time.Minute
+
 type stringList []string
 
 func (s *stringList) String() string     { return strings.Join(*s, ",") }
@@ -61,7 +63,6 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:5310", "FindNSM service listen address (TCP)")
 		metaAddr  = flag.String("meta", "127.0.0.1:5301", "meta-BIND HRPC address (TCP)")
 		metaZone  = flag.String("metazone", "hns", "meta-information zone")
-		preload   = flag.Bool("preload", false, "preload the meta-cache via zone transfer at startup")
 		metrAddr  = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
 		staleFor  = flag.Duration("serve-stale", 0, "serve expired meta-cache entries up to this long past expiry when every meta-BIND replica is down (0 disables)")
 		subscribe = flag.Bool("subscribe", false, "subscribe to the meta-BIND's push plane: updates invalidate the meta-cache immediately instead of waiting out TTLs, and only updates of names read since their last NOTIFY are sent (every update with -meta-replica); degrades to polling when the server refuses the subscription")
@@ -103,13 +104,16 @@ func main() {
 		RPC:        rpc,
 	})
 
+	var linked []*nsm.HostAddr // their caches are swept with the meta-cache
 	for _, spec := range linkBind {
 		ns, stdAddr, ok := strings.Cut(spec, "=")
 		if !ok {
 			log.Fatalf("hnsd: -link-bind wants ns=addr, got %q", spec)
 		}
 		std := bind.NewStdClient(net, "udp-net", stdAddr)
-		h.LinkHostResolver(ns, nsm.NewBindHostAddr("hostaddr-"+ns, ns, std, nsm.Options{}))
+		n := nsm.NewBindHostAddr("hostaddr-"+ns, ns, std, nsm.Options{})
+		h.LinkHostResolver(ns, n)
+		linked = append(linked, n)
 		log.Printf("hnsd: linked BIND HostAddress NSM for %s at %s", ns, stdAddr)
 	}
 	for _, spec := range linkCH {
@@ -120,7 +124,9 @@ func main() {
 		}
 		chB := hrpc.SuiteCourierNet.Bind(parts[0], parts[0], clearinghouse.Program, clearinghouse.Version)
 		ch := clearinghouse.NewClient(rpc, chB, clearinghouse.NewCredentials(parts[1], parts[2]))
-		h.LinkHostResolver(ns, nsm.NewCHHostAddr("hostaddr-"+ns, ns, ch, nsm.Options{}))
+		n := nsm.NewCHHostAddr("hostaddr-"+ns, ns, ch, nsm.Options{})
+		h.LinkHostResolver(ns, n)
+		linked = append(linked, n)
 		log.Printf("hnsd: linked Clearinghouse HostAddress NSM for %s at %s", ns, parts[0])
 	}
 
@@ -130,15 +136,6 @@ func main() {
 		log.Printf("hnsd: subscribed to push invalidation for zone %q", *metaZone)
 	}
 
-	if *preload {
-		rep, err := h.Preload(context.Background())
-		if err != nil {
-			log.Fatalf("hnsd: preload: %v", err)
-		}
-		log.Printf("hnsd: preloaded %d meta records (%d bytes) at serial %d",
-			rep.Records, rep.Bytes, rep.Serial)
-	}
-
 	ln, binding, err := hrpc.Serve(net, core.NewHNSServer(h, "hns@"+*host), hrpc.SuiteRawNet, *host, *addr)
 	if err != nil {
 		log.Fatalf("hnsd: %v", err)
@@ -146,27 +143,24 @@ func main() {
 	defer ln.Close()
 	log.Printf("hnsd: serving FindNSM %s (meta %s zone %q)", binding, *metaAddr, *metaZone)
 
-	// Long-lived server hygiene: sweep expired meta-cache entries so dead
-	// data does not pin memory between touches.
-	sweepDone := make(chan struct{})
-	go func() {
-		ticker := time.NewTicker(5 * time.Minute)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				h.SweepCache()
-			case <-sweepDone:
-				return
+	// Long-lived server hygiene: sweep expired meta-cache and linked-NSM
+	// cache entries so dead data does not pin memory between touches.
+	sweep := time.NewTicker(sweepEvery)
+	defer sweep.Stop()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	for {
+		select {
+		case <-sweep.C:
+			h.SweepCache()
+			for _, n := range linked {
+				n.SweepCache()
 			}
+		case <-sig:
+			st := h.Stats()
+			log.Printf("hnsd: %d FindNSM calls, cache hit rate %.0f%%; shutting down",
+				st.FindNSMCalls, st.Cache.HitRate*100)
+			return
 		}
-	}()
-
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
-	close(sweepDone)
-	st := h.Stats()
-	log.Printf("hnsd: %d FindNSM calls, cache hit rate %.0f%%; shutting down",
-		st.FindNSMCalls, st.Cache.HitRate*100)
+	}
 }

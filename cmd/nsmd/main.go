@@ -26,6 +26,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"hns/internal/bind"
 	"hns/internal/clearinghouse"
@@ -34,6 +35,9 @@ import (
 	"hns/internal/nsm"
 	"hns/internal/transport"
 )
+
+// sweepEvery is how often the daemon drops expired cache entries.
+const sweepEvery = 5 * time.Minute
 
 func main() {
 	var (
@@ -87,41 +91,55 @@ func main() {
 	}
 
 	var (
-		server *hrpc.Server
-		suite  hrpc.Suite
+		n interface {
+			Server() *hrpc.Server
+			SweepCache() int
+		}
+		suite hrpc.Suite
 	)
 	switch *nsmType {
 	case "binding-bind":
-		server = nsm.NewBindBinding(*name, *ns, newStd(), rpc, opts).Server()
+		n = nsm.NewBindBinding(*name, *ns, newStd(), rpc, opts)
 		suite = hrpc.SuiteSunRPCNet
 	case "binding-ch":
-		server = nsm.NewCHBinding(*name, *ns, newCH(), rpc, opts).Server()
+		n = nsm.NewCHBinding(*name, *ns, newCH(), rpc, opts)
 		suite = hrpc.SuiteCourierNet
 	case "hostaddr-bind":
-		server = nsm.NewBindHostAddr(*name, *ns, newStd(), opts).Server()
+		n = nsm.NewBindHostAddr(*name, *ns, newStd(), opts)
 		suite = hrpc.SuiteSunRPCNet
 	case "hostaddr-ch":
-		server = nsm.NewCHHostAddr(*name, *ns, newCH(), opts).Server()
+		n = nsm.NewCHHostAddr(*name, *ns, newCH(), opts)
 		suite = hrpc.SuiteCourierNet
 	case "mail-bind":
-		server = nsm.NewBindMailRoute(*name, *ns, newStd(), opts).Server()
+		n = nsm.NewBindMailRoute(*name, *ns, newStd(), opts)
 		suite = hrpc.SuiteSunRPCNet
 	case "mail-ch":
-		server = nsm.NewCHMailRoute(*name, *ns, newCH(), opts).Server()
+		n = nsm.NewCHMailRoute(*name, *ns, newCH(), opts)
 		suite = hrpc.SuiteCourierNet
 	default:
 		log.Fatalf("nsmd: unknown NSM type %q", *nsmType)
 	}
 
-	ln, binding, err := hrpc.Serve(net, server, suite, *host, *addr)
+	ln, binding, err := hrpc.Serve(net, n.Server(), suite, *host, *addr)
 	if err != nil {
 		log.Fatalf("nsmd: %v", err)
 	}
 	defer ln.Close()
 	log.Printf("nsmd: serving %s (%s for %s) at %s", *name, *nsmType, *ns, binding)
 
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
-	log.Println("nsmd: shutting down")
+	// Long-lived server hygiene, as in hnsd: sweep expired cache entries
+	// so dead data does not pin memory between touches.
+	sweep := time.NewTicker(sweepEvery)
+	defer sweep.Stop()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	for {
+		select {
+		case <-sweep.C:
+			n.SweepCache()
+		case <-sig:
+			log.Println("nsmd: shutting down")
+			return
+		}
+	}
 }

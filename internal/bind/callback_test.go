@@ -101,6 +101,33 @@ func TestCallbackNotifyWireTwin(t *testing.T) {
 	}
 }
 
+// TestLiveLoadNotifies: a bulk load into a serving, push-enabled server
+// restarts the zone's history, so every subscriber, plain or callback,
+// hears one zone-level NOTIFY at the zone's new serial and drops what it
+// read.
+func TestLiveLoadNotifies(t *testing.T) {
+	for _, callback := range []bool{true, false} {
+		t.Run(fmt.Sprintf("callback=%v", callback), func(t *testing.T) {
+			s, c, _ := newPushPrimary(t)
+			sub, rec := subscribeRecorded(t, c, callback)
+			if _, err := c.Lookup(context.Background(), "a.repl.test", TypeA); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.LoadRecords([]RR{A("a.repl.test", "3", 600)}); err != nil {
+				t.Fatal(err)
+			}
+			syncOrFail(t, sub)
+			if got := rec.snapshot(); len(got) != 1 || got[0] != "" {
+				t.Fatalf("NOTIFYs %q, want one zone-level event", got)
+			}
+			serial := s.Zone("repl.test").Serial()
+			if seen := rec.serialsSeen(); seen[0] != serial || sub.LastSerial() != serial {
+				t.Fatalf("NOTIFY at %d, LastSerial %d, zone at %d", seen[0], sub.LastSerial(), serial)
+			}
+		})
+	}
+}
+
 // TestCallbackRearmsEveryChainStep: each link a BINDQueryChain answers is
 // a read of that name, so a NOTIFY naming the tail is owed again after
 // every chained re-read.

@@ -397,11 +397,11 @@ func TestInvalidatedNameIsRefetchedAlone(t *testing.T) {
 	want("later miss", 2, 5)
 }
 
-// TestInvalidatedSetIsBounded: the memory of invalidated names is capped
-// like the cache whose entries it outlives, and emptied by Sweep.
+// TestInvalidatedSetIsBounded: the memory of invalidated names is bounded
+// as the cache whose entries it outlives is, by the owner's periodic Sweep.
 func TestInvalidatedSetIsBounded(t *testing.T) {
 	backend := newChainBackend()
-	r := NewResolver(backend, ResolverConfig{MaxEntries: 4})
+	r := NewResolver(backend, ResolverConfig{})
 	for i := 0; i < 32; i++ {
 		name := fmt.Sprintf("c%d.ctx.hns", i)
 		backend.set(name, HNSMeta(name, "ns=x", 300))
@@ -410,10 +410,9 @@ func TestInvalidatedSetIsBounded(t *testing.T) {
 		}
 		r.Invalidate(name, TypeHNSMeta)
 	}
-	if n := len(r.invalidated); n != 4 {
-		t.Fatalf("%d invalidated names remembered, want 4", n)
+	if n := len(r.invalidated); n != 32 {
+		t.Fatalf("%d invalidated names remembered, want 32", n)
 	}
-	// An unbounded resolver is kept in check by its owner's periodic Sweep.
 	r.Sweep()
 	if n := len(r.invalidated); n != 0 {
 		t.Fatalf("%d invalidated names remembered past a Sweep", n)
@@ -472,7 +471,7 @@ func TestResolverChainFallsBackToDiscrete(t *testing.T) {
 // invalidations of both at once, for the race detector.
 func TestChainedFlightsRace(t *testing.T) {
 	backend := newChainBackend(chainRecords()...)
-	r := NewResolver(backend, ResolverConfig{MaxEntries: 8})
+	r := NewResolver(backend, ResolverConfig{})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -391,8 +391,8 @@ func (a Answer) RRs() []RR {
 }
 
 // Resolver wraps a Lookuper with a TTL cache of Answers. It is safe for
-// concurrent use: the cache is sharded, and concurrent misses for the
-// same key are coalesced into a single backend lookup (see flightGroup).
+// concurrent use, and concurrent misses for the same key are coalesced
+// into a single backend lookup (see flightGroup).
 type Resolver struct {
 	backend Lookuper
 	mode    CacheMode
@@ -402,11 +402,10 @@ type Resolver struct {
 	cache   *cache.TTL[Answer]
 	flights flightGroup
 	// invalidated remembers keys whose cached answer an Invalidate removed
-	// and no lookup has refetched yet (see LookupChain). maxEntries caps it
-	// as it caps the cache; 0 = unbounded.
+	// and no lookup has refetched yet (see LookupChain); Sweep and Purge
+	// forget them.
 	invMu       sync.Mutex
 	invalidated map[string]struct{}
-	maxEntries  int
 	// demarshals counts marshalled-mode hit demarshals
 	// (cache_demarshal_total{cache=...}); nil when uninstrumented.
 	demarshals *metrics.Counter
@@ -427,8 +426,6 @@ type ResolverConfig struct {
 	Style marshal.Style
 	// Clock drives TTL expiry; default real time.
 	Clock simtime.Clock
-	// MaxEntries bounds the cache; 0 = unbounded.
-	MaxEntries int
 	// Metrics, with CacheName, exposes the cache's counters as
 	// cache_*{cache=CacheName} series. Nil Metrics or empty CacheName
 	// leaves the resolver uninstrumented.
@@ -446,14 +443,12 @@ type ResolverConfig struct {
 // NewResolver creates a caching resolver over backend.
 func NewResolver(backend Lookuper, cfg ResolverConfig) *Resolver {
 	r := &Resolver{
-		backend:  backend,
-		mode:     cfg.Mode,
-		style:    cfg.Style,
-		cache:    cache.New[Answer](cfg.Clock, cfg.MaxEntries),
-		staleFor: cfg.StaleFor,
-
+		backend:     backend,
+		mode:        cfg.Mode,
+		style:       cfg.Style,
+		cache:       cache.New[Answer](cfg.Clock, 0),
+		staleFor:    cfg.StaleFor,
 		invalidated: make(map[string]struct{}),
-		maxEntries:  cfg.MaxEntries,
 	}
 	if cfg.StaleFor > 0 {
 		r.cache.SetStaleGrace(cfg.StaleFor)
@@ -614,7 +609,7 @@ func (r *Resolver) Preload(rrs []RR) {
 // Stats exposes the cache counters.
 func (r *Resolver) Stats() cache.Stats { return r.cache.Stats() }
 
-// LockWaits reports contended shard-lock acquisitions on the answer cache.
+// LockWaits reports contended lock acquisitions on the answer cache.
 func (r *Resolver) LockWaits() int64 { return r.cache.LockWaits() }
 
 // Invalidate drops the cached answer for one (name, type), so the next
@@ -633,12 +628,6 @@ func (r *Resolver) Invalidate(name string, t RRType) {
 	r.flights.supersede(key)
 	if r.cache.Delete(key) {
 		r.invMu.Lock()
-		if r.maxEntries > 0 && len(r.invalidated) >= r.maxEntries {
-			for k := range r.invalidated { // full: forget one, any one
-				delete(r.invalidated, k)
-				break
-			}
-		}
 		r.invalidated[key] = struct{}{}
 		r.invMu.Unlock()
 	}
@@ -654,8 +643,7 @@ func (r *Resolver) Purge() {
 
 // Sweep proactively removes expired cache entries, reporting how many were
 // dropped. It also forgets which names were invalidated: a name nobody has
-// asked for since the last sweep would otherwise be remembered for ever by
-// an unbounded resolver.
+// asked for since the last sweep would otherwise be remembered for ever.
 func (r *Resolver) Sweep() int {
 	n := r.cache.Sweep()
 	r.forgetInvalidated()

@@ -123,10 +123,13 @@ func (s *Server) EnablePush(maxSubscribers int) {
 }
 
 // publish sends subscribers one NOTIFY for an applied transaction, naming
-// its owners; nil ops is a zone-level event. No-op with push disabled.
+// its owners; nil ops is a zone-level event. No-op with push disabled. A
+// transaction's few names are listed on the stack, so an update no sink
+// is owed allocates nothing here.
 func (s *Server) publish(zone string, ops []Op, serial uint32) {
 	if t := s.pushTab.Load(); t != nil {
-		t.Publish(push.Notification{Zone: zone, Names: opNames(ops), Serial: serial})
+		var buf [4]string
+		t.Publish(push.Notification{Zone: zone, Names: opNames(buf[:0], ops), Serial: serial})
 	}
 }
 
@@ -142,10 +145,13 @@ func (s *Server) rearm(ctx context.Context, names ...string) {
 	}
 }
 
-// opNames lists the canonical owners ops touch, in order, once per run of
-// ops on an owner: what subscribers filter by.
-func opNames(ops []Op) []string {
-	var names []string
+// opNames appends to names the canonical owners ops touch, in order, once
+// per run of ops on an owner: what subscribers filter by. No ops is a
+// zone-level event, nil.
+func opNames(names []string, ops []Op) []string {
+	if len(ops) == 0 {
+		return nil
+	}
 	for _, op := range ops {
 		if len(names) == 0 || names[len(names)-1] != op.RR.Name {
 			names = append(names, op.RR.Name)

@@ -395,7 +395,8 @@ func (s *Server) ServeHRPC(net *transport.Network, addr string) (transport.Liste
 // that would fail leaves every zone as it was and is the error returned.
 // With a journal set, each touched zone's full contents are then journaled
 // as one image; a journal failure leaves the load in memory but not
-// durable, and the caller must not go on to serve it.
+// durable, and the caller must not go on to serve it. A push-enabled
+// server then tells subscribers of each zone one zone-level NOTIFY.
 func (s *Server) LoadRecords(rrs []RR) error {
 	return s.load(0, func(add func(string, []RR) error) error { return eachRun(rrs, add) })
 }
@@ -420,8 +421,9 @@ func (s *Server) LoadZoneFile(text []byte) (records int, err error) {
 // holds the journal lock throughout, and each zone's write lock from its
 // first record to the commit, so loads never meet. If stage fails no zone
 // changes; else each commits — one serial per record, as that many adds,
-// its history restarted, as after Replace — and journals one image. size
-// is the capacity each zone's arena starts with.
+// its history restarted, as after Replace — journals one image and
+// publishes one zone-level NOTIFY at its new serial. size is the capacity
+// each zone's arena starts with.
 func (s *Server) load(size int, stage func(add func(name string, run []RR) error) error) error {
 	s.journalMu.Lock()
 	defer s.journalMu.Unlock()
@@ -451,12 +453,16 @@ func (s *Server) load(size int, stage func(add func(name string, run []RR) error
 		t.z.mu.Unlock()
 	}
 	for _, t := range txns {
-		if err != nil || s.journal == nil {
+		if err != nil {
 			break
 		}
-		if err = s.journal.LogImage(t.z.Origin(), t.z.image()); err != nil {
-			err = fmt.Errorf("bind: load not durable for %s: %w", t.z.Origin(), err)
+		if s.journal != nil {
+			if err = s.journal.LogImage(t.z.Origin(), t.z.image()); err != nil {
+				err = fmt.Errorf("bind: load not durable for %s: %w", t.z.Origin(), err)
+				break
+			}
 		}
+		s.publish(t.z.Origin(), nil, t.z.Serial())
 	}
 	return err
 }

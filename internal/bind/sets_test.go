@@ -17,6 +17,7 @@ import (
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
 	"hns/internal/metrics"
+	"hns/internal/push"
 	"hns/internal/transport"
 )
 
@@ -287,6 +288,47 @@ func BenchmarkUpdateExchange(b *testing.B) {
 		if _, err := c.Update(ctx, "hns", uint32(i&1), rr); err != nil {
 			b.Fatalf("update %d: %v", i, err)
 		}
+	}
+}
+
+// BenchmarkUpdateExchangePush is BenchmarkUpdateExchange on a server with
+// push on and one callback subscriber already told h0's name: every update
+// in the loop is suppressed, so none sends a frame. scripts/bench_alloc.sh
+// gates its allocs/op.
+func BenchmarkUpdateExchangePush(b *testing.B) {
+	s, c, _ := tenantServer(b, 0, hrpc.SuiteRaw, "tahoma:bind-hrpc")
+	s.EnablePush(0)
+	told := make(chan struct{}, 1)
+	sub := c.Subscribe(SubscribeConfig{Zone: "hns", Callback: true, Metrics: metrics.Discard,
+		OnNotify: func(push.Notification) {
+			select {
+			case told <- struct{}{}:
+			default: // one is enough to fail the benchmark; never block the reader
+			}
+		}})
+	defer sub.Close()
+	for changed := sub.Changed(); !sub.Active(); changed = sub.Changed() {
+		if sub.Degraded() {
+			b.Fatal("subscription refused")
+		}
+		<-changed
+	}
+	ctx := context.Background()
+	rr := HNSMeta("h0.ctx.hns", "ns=bind-cs-b", 600)
+	if _, err := c.Update(ctx, "hns", UpdateAdd, rr); err != nil {
+		b.Fatal(err)
+	}
+	<-told
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Update(ctx, "hns", uint32((i+1)&1), rr); err != nil {
+			b.Fatalf("update %d: %v", i, err)
+		}
+	}
+	b.StopTimer()
+	if len(told) != 0 {
+		b.Fatal("an update was pushed to a subscriber already told its name")
 	}
 }
 

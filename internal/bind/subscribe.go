@@ -405,7 +405,7 @@ func (s *Subscriber) catchUp(since, serial uint32) (uint32, bool) {
 		return serial, true
 	}
 	for _, d := range diffs {
-		n := push.Notification{Zone: s.filter.Zone, Names: opNames(d.Ops), Serial: d.Serial}
+		n := push.Notification{Zone: s.filter.Zone, Names: opNames(nil, d.Ops), Serial: d.Serial}
 		if !s.filter.Matches(n.Zone, n.Names) {
 			continue
 		}

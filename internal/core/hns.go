@@ -89,8 +89,6 @@ type Config struct {
 	CacheMode bind.CacheMode
 	// Clock drives cache TTL expiry; default real time.
 	Clock simtime.Clock
-	// MaxCacheEntries bounds the meta-cache; 0 = unbounded.
-	MaxCacheEntries int
 	// ServeStale, when positive, enables serve-stale degraded mode on the
 	// meta-cache: if every meta-BIND replica is unreachable, FindNSM's
 	// mapping lookups may answer from expired entries up to ServeStale
@@ -181,12 +179,11 @@ func New(meta MetaClient, cfg Config) *HNS {
 			Mode: cfg.CacheMode,
 			// Meta data arrives via the generated stubs, so marshalled-
 			// mode hits pay the generated demarshal rate.
-			Style:      marshal.StyleGenerated,
-			Clock:      cfg.Clock,
-			MaxEntries: cfg.MaxCacheEntries,
-			Metrics:    reg,
-			CacheName:  "meta",
-			StaleFor:   cfg.ServeStale,
+			Style:     marshal.StyleGenerated,
+			Clock:     cfg.Clock,
+			Metrics:   reg,
+			CacheName: "meta",
+			StaleFor:  cfg.ServeStale,
 		}),
 		hostResolvers: make(map[string]HostResolver),
 		instr:         reg.Enabled(),
@@ -522,7 +519,7 @@ type Stats struct {
 type CacheStats struct {
 	Hits, Misses, Expired int64
 	HitRate               float64
-	// LockWaits counts contended meta-cache shard-lock acquisitions.
+	// LockWaits counts contended meta-cache lock acquisitions.
 	LockWaits int64
 	// StaleServed counts degraded-mode answers from expired entries
 	// (zero unless Config.ServeStale is set).

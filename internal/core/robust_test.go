@@ -122,30 +122,6 @@ func TestFindNSMConcurrent(t *testing.T) {
 	}
 }
 
-func TestBoundedMetaCacheStillCorrect(t *testing.T) {
-	// A tiny cache bound forces constant eviction; answers stay correct,
-	// only slower.
-	w := newWorld(t, world.Config{})
-	h := w.NewHNS(core.Config{MaxCacheEntries: 2})
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		b1, err := h.FindNSM(ctx, world.DesiredServiceName(), qclass.HRPCBinding)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b2, err := h.FindNSM(ctx, world.CourierServiceName(), qclass.HRPCBinding)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b1.Addr == b2.Addr {
-			t.Fatal("worlds conflated under eviction pressure")
-		}
-	}
-	if st := h.Stats(); st.Cache.Misses < 10 {
-		t.Fatalf("expected heavy misses under a 2-entry bound, got %+v", st.Cache)
-	}
-}
-
 func TestConcurrentRegistrationAndLookup(t *testing.T) {
 	w := newWorld(t, world.Config{})
 	ctx := context.Background()

@@ -59,8 +59,6 @@ type Options struct {
 	CacheTTL time.Duration
 	// Clock drives expiry; default real time.
 	Clock simtime.Clock
-	// MaxEntries bounds the cache; 0 = unbounded.
-	MaxEntries int
 	// StaleFor, when positive, enables serve-stale degraded mode: when
 	// the underlying name service is unreachable, the NSM may answer
 	// from an expired cache entry up to StaleFor past its expiry. Zero
@@ -89,7 +87,7 @@ func newResultCache[V any](o Options) *resultCache[V] {
 		mode:  o.CacheMode,
 		ttl:   o.ttl(),
 		stale: o.StaleFor,
-		c:     cache.New[V](o.Clock, o.MaxEntries),
+		c:     cache.New[V](o.Clock, 0),
 	}
 	if o.StaleFor > 0 {
 		rc.c.SetStaleGrace(o.StaleFor)
@@ -129,6 +127,21 @@ func (rc *resultCache[V]) getStale(ctx context.Context, key string, cause error)
 func (rc *resultCache[V]) stats() cache.Stats { return rc.c.Stats() }
 
 func (rc *resultCache[V]) purge() { rc.c.Purge() }
+
+// SweepCache drops the NSM's expired cache entries, reporting how many
+// went; a long-lived NSM calls it periodically (cache.TTL.Sweep). The four
+// live here, not beside FlushCache, so the per-query-class files hold only
+// what P8 measures: the NSM code itself.
+func (h *HostAddr) SweepCache() int { return h.cache.c.Sweep() }
+
+// SweepCache drops the NSM's expired cache entries (see HostAddr's).
+func (n *BindBinding) SweepCache() int { return n.cache.c.Sweep() }
+
+// SweepCache drops the NSM's expired cache entries (see HostAddr's).
+func (n *CHBinding) SweepCache() int { return n.cache.c.Sweep() }
+
+// SweepCache drops the NSM's expired cache entries (see HostAddr's).
+func (m *MailRoute) SweepCache() int { return m.cache.c.Sweep() }
 
 // ---- Remote invocation helpers: the identical per-class client calls.
 

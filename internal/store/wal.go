@@ -199,8 +199,12 @@ func parseSegName(name string) (uint64, bool) {
 	return n, true
 }
 
+// segName is wal-<first, zero-padded to 16 digits>.log, built without
+// fmt: its printer pool, emptied by each GC, made the allocation count of
+// a load vary from run to run.
 func segName(first uint64) string {
-	return fmt.Sprintf("%s%016d%s", segPrefix, first, segSuffix)
+	digits := strconv.FormatUint(first, 10)
+	return segPrefix + "0000000000000000"[min(len(digits), 16):] + digits + segSuffix
 }
 
 // readAll slurps one file through the FS.

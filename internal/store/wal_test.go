@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -550,4 +551,18 @@ func mustOpen(t *testing.T, fs FS) *Log {
 		t.Fatal(err)
 	}
 	return l
+}
+
+// TestSegName pins the segment file name, wal-<16-digit LSN>.log, and its
+// round trip through parseSegName, up to LSNs too wide for the padding.
+func TestSegName(t *testing.T) {
+	for _, first := range []uint64{1, 9, 10, 12345, 999_999_999_999_999, 1e15, 1e16, math.MaxUint64} {
+		name := segName(first)
+		if want := fmt.Sprintf("wal-%016d.log", first); name != want {
+			t.Errorf("segName(%d) = %q, want %q", first, name, want)
+		}
+		if got, ok := parseSegName(name); !ok || got != first {
+			t.Errorf("parseSegName(%q) = %d, %v", name, got, ok)
+		}
+	}
 }

@@ -65,30 +65,21 @@ func (s Spec) Validate() error {
 // Placement selects where the population's HNS lives.
 type Placement int
 
-// The placements equation (1) compares, plus a shared-local arrangement.
+// The placements equation (1) compares.
 const (
 	// LocalHNS links a private HNS (and cache) into every client.
 	LocalHNS Placement = iota
 	// SharedRemoteHNS serves one HNS remotely; all clients call it and
 	// share its cache.
 	SharedRemoteHNS
-	// SharedLocalHNS links one HNS (and one cache) into every client in
-	// the same process — the server-front-end shape whose throughput the
-	// sharded meta-cache exists for. Cache warmth matches SharedRemoteHNS
-	// (everyone's misses warm one cache) with no remote call per access.
-	SharedLocalHNS
 )
 
 // String implements fmt.Stringer.
 func (p Placement) String() string {
-	switch p {
-	case SharedRemoteHNS:
+	if p == SharedRemoteHNS {
 		return "shared-remote"
-	case SharedLocalHNS:
-		return "shared-local"
-	default:
-		return "local-per-client"
 	}
+	return "local-per-client"
 }
 
 // Result summarises one run.
@@ -170,10 +161,6 @@ func Run(ctx context.Context, w *world.World, spec Spec, placement Placement) (R
 		defer ln.Close()
 		remote := core.NewRemoteHNS(w.RPC, b)
 		finderFor = func(int) (core.Finder, error) { return remote, nil }
-	case SharedLocalHNS:
-		shared := w.NewHNS(core.Config{CacheMode: bind.CacheMarshalled})
-		instances = append(instances, shared)
-		finderFor = func(int) (core.Finder, error) { return shared, nil }
 	default:
 		return Result{}, fmt.Errorf("workload: unknown placement %d", placement)
 	}

@@ -139,32 +139,6 @@ func TestUniformVsSkewed(t *testing.T) {
 	}
 }
 
-// TestSharedLocalPlacement pins the shared-local placement: one
-// in-process cache warmed by every client gives
-// the shared-remote hit rate without the remote-call tax, so it can never
-// cost more per op than shared-remote on the same draw.
-func TestSharedLocalPlacement(t *testing.T) {
-	w := newWorkloadWorld(t, 6)
-	spec := workload.Spec{Clients: 12, OpsPerClient: 3, Contexts: 6, Skew: 1.3, Seed: 7}
-	ctx := context.Background()
-	sharedLocal, err := workload.Run(ctx, w, spec, workload.SharedLocalHNS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharedRemote, err := workload.Run(ctx, w, spec, workload.SharedRemoteHNS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharedLocal.HitRate != sharedRemote.HitRate {
-		t.Fatalf("same draw, same shared cache, different hit rates: %.3f vs %.3f",
-			sharedLocal.HitRate, sharedRemote.HitRate)
-	}
-	if sharedLocal.MeanOpCost >= sharedRemote.MeanOpCost {
-		t.Fatalf("shared-local mean %v not below shared-remote %v (no remote tax expected)",
-			sharedLocal.MeanOpCost, sharedRemote.MeanOpCost)
-	}
-}
-
 // TestDrawDeterministic pins the (seed, client) → operation-stream map:
 // schedules decide when a client's ops run, never what it asks for.
 func TestDrawDeterministic(t *testing.T) {
