@@ -22,124 +22,29 @@ package main
 
 import (
 	"flag"
-	"log"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
-	"hns/internal/bind"
-	"hns/internal/clearinghouse"
-	"hns/internal/hrpc"
-	"hns/internal/metrics"
-	"hns/internal/nsm"
-	"hns/internal/transport"
+	"hns/internal/daemon"
 )
 
-// sweepEvery is how often the daemon drops expired cache entries.
-const sweepEvery = 5 * time.Minute
+// flags defines nsmd's flags on fs, one field of the config each.
+func flags(fs *flag.FlagSet) *daemon.NsmdConfig {
+	c := &daemon.NsmdConfig{}
+	fs.StringVar(&c.Host, "host", "nsmd", "descriptive host name")
+	fs.StringVar(&c.Addr, "addr", "127.0.0.1:5320", "listen address")
+	fs.StringVar(&c.Type, "type", "", "NSM type: binding-bind binding-ch hostaddr-bind hostaddr-ch mail-bind mail-ch")
+	fs.StringVar(&c.Name, "name", "", "registered NSM name (default <type>-1)")
+	fs.StringVar(&c.NS, "ns", "", "underlying name service's registered name")
+	fs.StringVar(&c.BindStd, "bind-std", "", "standard-interface UDP address of the underlying BIND")
+	fs.StringVar(&c.CH, "ch", "", "Courier TCP address of the underlying Clearinghouse")
+	fs.StringVar(&c.CHPrincipal, "ch-principal", "", "Clearinghouse principal")
+	fs.StringVar(&c.CHSecret, "ch-secret", "", "Clearinghouse secret")
+	fs.DurationVar(&c.ServeStale, "serve-stale", 0, "serve expired cache entries up to this long past expiry when the underlying name service is down (0 disables)")
+	fs.StringVar(&c.Metrics, "metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
+	return c
+}
 
 func main() {
-	var (
-		host        = flag.String("host", "nsmd", "descriptive host name")
-		addr        = flag.String("addr", "127.0.0.1:5320", "listen address")
-		nsmType     = flag.String("type", "", "NSM type: binding-bind binding-ch hostaddr-bind hostaddr-ch mail-bind mail-ch")
-		name        = flag.String("name", "", "registered NSM name (default <type>-1)")
-		ns          = flag.String("ns", "", "underlying name service's registered name")
-		bindStd     = flag.String("bind-std", "", "standard-interface UDP address of the underlying BIND")
-		chAddr      = flag.String("ch", "", "Courier TCP address of the underlying Clearinghouse")
-		chPrincipal = flag.String("ch-principal", "", "Clearinghouse principal")
-		chSecret    = flag.String("ch-secret", "", "Clearinghouse secret")
-		staleFor    = flag.Duration("serve-stale", 0, "serve expired cache entries up to this long past expiry when the underlying name service is down (0 disables)")
-		metrAddr    = flag.String("metrics", "", "serve /metrics and /debug/hns on this address (empty disables)")
-	)
+	c := flags(flag.CommandLine)
 	flag.Parse()
-	if *nsmType == "" || *ns == "" {
-		log.Fatal("nsmd: -type and -ns are required")
-	}
-	if *name == "" {
-		*name = *nsmType + "-1"
-	}
-
-	if *metrAddr != "" {
-		msrv, err := metrics.Serve(*metrAddr, metrics.Default())
-		if err != nil {
-			log.Fatalf("nsmd: metrics listen: %v", err)
-		}
-		defer msrv.Close()
-		log.Printf("nsmd: metrics on http://%s/metrics", msrv.Addr())
-	}
-
-	net := transport.NewNetwork()
-	rpc := hrpc.NewClient(net)
-	defer rpc.Close()
-
-	opts := nsm.Options{StaleFor: *staleFor}
-
-	newStd := func() *bind.StdClient {
-		if *bindStd == "" {
-			log.Fatalf("nsmd: -type %s requires -bind-std", *nsmType)
-		}
-		return bind.NewStdClient(net, "udp-net", *bindStd)
-	}
-	newCH := func() *clearinghouse.Client {
-		if *chAddr == "" {
-			log.Fatalf("nsmd: -type %s requires -ch (and credentials)", *nsmType)
-		}
-		b := hrpc.SuiteCourierNet.Bind(*chAddr, *chAddr, clearinghouse.Program, clearinghouse.Version)
-		return clearinghouse.NewClient(rpc, b, clearinghouse.NewCredentials(*chPrincipal, *chSecret))
-	}
-
-	var (
-		n interface {
-			Server() *hrpc.Server
-			SweepCache() int
-		}
-		suite hrpc.Suite
-	)
-	switch *nsmType {
-	case "binding-bind":
-		n = nsm.NewBindBinding(*name, *ns, newStd(), rpc, opts)
-		suite = hrpc.SuiteSunRPCNet
-	case "binding-ch":
-		n = nsm.NewCHBinding(*name, *ns, newCH(), rpc, opts)
-		suite = hrpc.SuiteCourierNet
-	case "hostaddr-bind":
-		n = nsm.NewBindHostAddr(*name, *ns, newStd(), opts)
-		suite = hrpc.SuiteSunRPCNet
-	case "hostaddr-ch":
-		n = nsm.NewCHHostAddr(*name, *ns, newCH(), opts)
-		suite = hrpc.SuiteCourierNet
-	case "mail-bind":
-		n = nsm.NewBindMailRoute(*name, *ns, newStd(), opts)
-		suite = hrpc.SuiteSunRPCNet
-	case "mail-ch":
-		n = nsm.NewCHMailRoute(*name, *ns, newCH(), opts)
-		suite = hrpc.SuiteCourierNet
-	default:
-		log.Fatalf("nsmd: unknown NSM type %q", *nsmType)
-	}
-
-	ln, binding, err := hrpc.Serve(net, n.Server(), suite, *host, *addr)
-	if err != nil {
-		log.Fatalf("nsmd: %v", err)
-	}
-	defer ln.Close()
-	log.Printf("nsmd: serving %s (%s for %s) at %s", *name, *nsmType, *ns, binding)
-
-	// Long-lived server hygiene, as in hnsd: sweep expired cache entries
-	// so dead data does not pin memory between touches.
-	sweep := time.NewTicker(sweepEvery)
-	defer sweep.Stop()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	for {
-		select {
-		case <-sweep.C:
-			n.SweepCache()
-		case <-sig:
-			log.Println("nsmd: shutting down")
-			return
-		}
-	}
+	daemon.Run("nsmd", c.Metrics, func() (*daemon.Daemon, error) { return daemon.Nsmd(*c) })
 }

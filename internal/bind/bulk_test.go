@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -39,23 +40,12 @@ func genMetaZone(n int) []byte {
 }
 
 // coldStart is what `bindd -zone hns -update -records F -data-dir D` does
-// before it serves: open the store, parse the file, load it, journal it.
+// before it serves: Boot over fs, seeding a fresh store with zoneFile.
 func coldStart(tb testing.TB, fs store.FS, zoneFile []byte) (*Server, *Durable) {
 	tb.Helper()
-	d, err := OpenDurable(DurableConfig{FS: fs})
+	srv, d, _, err := Boot(BootConfig{Host: "tahoma", Zones: []string{"hns"}, Update: true,
+		Store: DurableConfig{FS: fs}, Records: func() ([]byte, error) { return zoneFile, nil }})
 	if err != nil {
-		tb.Fatal(err)
-	}
-	srv := NewServer("tahoma")
-	z, err := NewZone("hns", true)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := srv.AddZone(z); err != nil {
-		tb.Fatal(err)
-	}
-	d.Attach(srv)
-	if _, err := srv.LoadZoneFile(zoneFile); err != nil {
 		tb.Fatal(err)
 	}
 	return srv, d
@@ -607,11 +597,11 @@ func TestLoadRecordsRoutesToLongestOrigin(t *testing.T) {
 }
 
 // BenchmarkBinddColdStart is the seed path a durable bindd runs before it
-// serves — parse, LoadRecords, journal — on a generated 20k-record zone
-// over MemFS. scripts/bench_alloc.sh gates its allocs/op.
+// serves — Boot: open the store, parse, load, journal — on a generated
+// 20k-record zone over MemFS. scripts/bench_alloc.sh gates its allocs/op.
 func BenchmarkBinddColdStart(b *testing.B) {
 	zoneFile := genMetaZone(20_000)
-	b.ReportAllocs()
+	noGC(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, d := coldStart(b, store.NewMemFS(), zoneFile)
@@ -619,9 +609,8 @@ func BenchmarkBinddColdStart(b *testing.B) {
 	}
 }
 
-// BenchmarkBinddRestart is what the next start of that bindd runs: the
-// newest checkpoint plus a WAL suffix of updates, to zones a server is
-// serving.
+// BenchmarkBinddRestart is what the next start of that bindd runs: Boot
+// from the newest checkpoint plus a WAL suffix of updates.
 func BenchmarkBinddRestart(b *testing.B) {
 	fs := store.NewMemFS()
 	srv, d := coldStart(b, fs, genMetaZone(20_000))
@@ -634,22 +623,25 @@ func BenchmarkBinddRestart(b *testing.B) {
 		}
 	}
 	d.Close()
-	b.ReportAllocs()
+	noGC(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := OpenDurable(DurableConfig{FS: fs})
-		if err != nil {
-			b.Fatal(err)
-		}
-		z, _ := NewZone("hns", true)
-		for _, rz := range d.Zones() {
-			if err := z.Adopt(rz); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if z.Count() < 20_500 {
-			b.Fatalf("restart recovered %d records", z.Count())
+		srv, d := coldStart(b, fs, nil)
+		if n := srv.Zone("hns").Count(); n < 20_500 {
+			b.Fatalf("restart recovered %d records", n)
 		}
 		d.Close()
 	}
+}
+
+// noGC reports allocations and keeps the collector off for the rest of
+// the benchmark. Each GC cycle makes the runtime's unique-map cleanup
+// (net/netip's zone map, linked through net) allocate two objects on a
+// background goroutine, so with the collector on the count varied with
+// how many cycles the timed loop met; off, it is the start-up path's own.
+func noGC(b *testing.B) {
+	b.ReportAllocs()
+	runtime.GC()
+	was := debug.SetGCPercent(-1)
+	b.Cleanup(func() { debug.SetGCPercent(was) })
 }

@@ -252,8 +252,8 @@ func (d *Durable) checkpointDue() bool {
 }
 
 // Zones returns the recovered zones, in first-seen order. They are the
-// zones recovery built, not copies: a server takes one over with
-// Zone.Adopt, a mirror with Secondary.Restore.
+// zones recovery built, not copies: Boot hands each to the zone it
+// overlays with Zone.Adopt.
 func (d *Durable) Zones() []*Zone {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -55,36 +55,12 @@ func (s *crashShadow) state() string {
 	return b.String()
 }
 
-// newCrashServer builds a two-zone durable server over fs, overlaying
-// recovered state — the bindd startup sequence.
+// newCrashServer boots a two-zone durable server over fs, as bindd does.
 func newCrashServer(t *testing.T, fs store.FS, cfg DurableConfig) (*Server, *Durable, error) {
 	t.Helper()
 	cfg.FS = fs
-	d, err := OpenDurable(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	srv := NewServer("fiji")
-	for _, origin := range []string{crashZoneA, crashZoneB} {
-		z, err := NewZone(origin, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.AddZone(z); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, rz := range d.Zones() {
-		target := srv.Zone(rz.Origin())
-		if target == nil {
-			t.Fatalf("recovered unknown zone %q", rz.Origin())
-		}
-		if err := target.Adopt(rz); err != nil {
-			t.Fatalf("overlay %s: %v", rz.Origin(), err)
-		}
-	}
-	d.Attach(srv)
-	return srv, d, nil
+	srv, d, _, err := Boot(BootConfig{Host: "fiji", Zones: []string{crashZoneA, crashZoneB}, Update: true, Store: cfg})
+	return srv, d, err
 }
 
 // serverState renders the server's two zones the same way the shadow does.

@@ -15,34 +15,15 @@ import (
 	"hns/internal/transport"
 )
 
-// openDurableServer builds a Server with one updatable zone over fs and
-// attaches a Durable journal, overlaying any recovered state first —
-// the same sequence bindd runs at startup.
+// openDurableServer boots a Server with one updatable zone over fs, as
+// bindd does.
 func openDurableServer(t *testing.T, fs store.FS, origin string, cfg DurableConfig) (*Server, *Durable) {
 	t.Helper()
 	cfg.FS = fs
-	d, err := OpenDurable(cfg)
+	srv, d, _, err := Boot(BootConfig{Host: "fiji", Zones: []string{origin}, Update: true, Store: cfg})
 	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
+		t.Fatalf("Boot: %v", err)
 	}
-	srv := NewServer("fiji")
-	z, err := NewZone(origin, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.AddZone(z); err != nil {
-		t.Fatal(err)
-	}
-	for _, rz := range d.Zones() {
-		target := srv.Zone(rz.Origin())
-		if target == nil {
-			t.Fatalf("recovered unknown zone %s", rz.Origin())
-		}
-		if err := target.Adopt(rz); err != nil {
-			t.Fatalf("overlay %s: %v", rz.Origin(), err)
-		}
-	}
-	d.Attach(srv)
 	return srv, d
 }
 
@@ -344,17 +325,13 @@ func TestSecondaryRestoreSkipsColdTransfer(t *testing.T) {
 		}
 	}
 
-	sec, err := NewSecondary(cl, "repl.test", "fiji")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Journal the mirror; the first refresh is a full transfer.
 	fs := NewCrashFS(t)
-	d, err := OpenDurable(DurableConfig{FS: fs})
+	mirror := BootConfig{Host: "fiji", Zones: []string{"repl.test"}, Store: DurableConfig{FS: fs}, Primary: cl}
+	_, d, sec, err := Boot(mirror)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Attach(sec.Server())
 	if moved, err := sec.Refresh(ctx); err != nil || !moved {
 		t.Fatalf("first refresh: %v %v", moved, err)
 	}
@@ -367,23 +344,11 @@ func TestSecondaryRestoreSkipsColdTransfer(t *testing.T) {
 	// Restart: recover the mirror from disk, restore, and refresh. The
 	// primary hasn't moved, so no transfer happens — the serial probe is
 	// enough.
-	d2, err := OpenDurable(DurableConfig{FS: fs})
+	_, d2, sec2, err := Boot(mirror)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	sec2, err := NewSecondary(cl, "repl.test", "fiji")
-	if err != nil {
-		t.Fatal(err)
-	}
-	zones := d2.Zones()
-	if len(zones) != 1 || zones[0].Origin() != "repl.test" {
-		t.Fatalf("recovered zones %+v", zones)
-	}
-	if err := sec2.Restore(zones[0]); err != nil {
-		t.Fatal(err)
-	}
-	d2.Attach(sec2.Server())
 	if sec2.Serial() != wantSerial {
 		t.Fatalf("restored serial %d, want %d", sec2.Serial(), wantSerial)
 	}
@@ -511,5 +476,48 @@ func TestDurablePrimaryRestartKeepsHistory(t *testing.T) {
 	t.Logf("full transfer %d bytes, catch-up of %d updates across the restart %d bytes", fullBytes, n, deltaBytes)
 	if 4*deltaBytes > fullBytes {
 		t.Fatalf("catch-up moved %d bytes against %d for the full transfer, want at most a quarter", deltaBytes, fullBytes)
+	}
+}
+
+// A recovered zone that a restart does not declare is refused, in both
+// modes, rather than served without: the next checkpoint images only the
+// declared zones and then prunes, so the undeclared zone's only copy would
+// go. A later start that declares it finds it whole.
+func TestBootRefusesUndeclaredRecoveredZone(t *testing.T) {
+	fs := NewCrashFS(t)
+	both := BootConfig{Host: "fiji", Zones: []string{"a.test", "b.test"}, Update: true, Store: DurableConfig{FS: fs}}
+	srv, d, _, err := Boot(both)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rr := range []RR{A("h.a.test", "10.0.0.1", 60), A("h.b.test", "10.0.0.2", 60)} {
+		if rcode, _, err := srv.Update(context.Background(), rr.Name[2:], UpdateAdd, rr); err != nil || rcode != RCodeOK {
+			t.Fatalf("update %s: %v %v", rr.Name, rcode, err)
+		}
+	}
+	d.Close()
+
+	onlyA := both
+	onlyA.Zones = []string{"a.test"}
+	mirrorA := onlyA
+	mirrorA.Update, mirrorA.Primary = false, NewHRPCClient(hrpc.NewClient(transport.NewNetwork()), hrpc.Binding{})
+	for _, cfg := range []BootConfig{onlyA, mirrorA} {
+		_, d, _, err := Boot(cfg)
+		if err == nil {
+			d.Snapshot()
+			d.Close()
+			t.Errorf("booted (mirror %v) declaring only a.test over a store holding b.test", cfg.Primary != nil)
+		} else if !strings.Contains(err.Error(), "b.test") {
+			t.Errorf("refusal does not name the zone: %v", err)
+		}
+	}
+
+	srv, d, _, err = Boot(both)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if a, b := srv.Zone("a.test").Count(), srv.Zone("b.test").Count(); a != 1 || b != 1 {
+		t.Fatalf("after the refused starts a.test holds %d records and b.test %d, want 1 and 1", a, b)
 	}
 }

@@ -68,26 +68,13 @@ func (s *Secondary) DeltaRefreshes() int {
 	return s.deltaN
 }
 
-// Restore seeds the mirror from a zone recovered from disk (which it
-// empties), as a restarted bindd does: the next Refresh probes the
-// primary's serial and transfers only if it moved, instead of paying a
-// cold full transfer.
-func (s *Secondary) Restore(recovered *Zone) error {
-	if err := s.zone.Adopt(recovered); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.serial = s.zone.Serial()
-	s.mu.Unlock()
-	return nil
-}
-
 // Refresh checks the primary's serial and transfers the zone if it moved,
 // reporting whether a transfer happened. The serial probe is cheap; an
 // incremental (IXFR) transfer is tried first and pays only per changed
 // record, falling back to the full per-record transfer cost when the
 // primary cannot prove diff continuity from our serial. Either way the
-// change is journaled by the mirror's server, so a restart can Restore it.
+// change is journaled by the mirror's server, so a restart (Boot) resumes
+// from it.
 func (s *Secondary) Refresh(ctx context.Context) (bool, error) {
 	remote, err := s.primary.Serial(ctx, s.origin)
 	if err != nil {

@@ -66,16 +66,17 @@ func (t *tcpTransport) Listen(addr string, h Handler) (Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &tcpListener{ln: ln, h: h, done: make(chan struct{})}
+	l := &tcpListener{ln: ln, h: h}
+	l.ctx, l.close = context.WithCancel(context.Background())
 	go l.acceptLoop()
 	return l, nil
 }
 
 type tcpListener struct {
-	ln   net.Listener
-	h    Handler
-	done chan struct{}
-	once sync.Once
+	ln    net.Listener
+	h     Handler
+	ctx   context.Context // done once the listener is closed
+	close context.CancelFunc
 }
 
 // Addr implements Listener.
@@ -83,7 +84,7 @@ func (l *tcpListener) Addr() string { return l.ln.Addr().String() }
 
 // Close implements Listener.
 func (l *tcpListener) Close() error {
-	l.once.Do(func() { close(l.done) })
+	l.close()
 	return l.ln.Close()
 }
 
@@ -92,7 +93,7 @@ func (l *tcpListener) acceptLoop() {
 		c, err := l.ln.Accept()
 		if err != nil {
 			select {
-			case <-l.done:
+			case <-l.ctx.Done():
 				return
 			default:
 			}
@@ -111,8 +112,10 @@ func (l *tcpListener) acceptLoop() {
 // Each request owns its pooled buffer from read until its reply is
 // encoded, so a handler may return a subslice of its request. A
 // connection that does not open with the preamble is not speaking this
-// protocol and is closed before any handler runs.
+// protocol and is closed before any handler runs. Closing the listener
+// closes the connection, as the serving process's exit would.
 func (l *tcpListener) serveConn(c net.Conn) {
+	defer context.AfterFunc(l.ctx, func() { c.Close() })()
 	var magic [4]byte
 	if _, err := io.ReadFull(c, magic[:]); err != nil || magic != muxPreamble {
 		c.Close()

@@ -62,7 +62,7 @@ type Listener interface {
 	// Addr reports the address clients should dial. For real transports
 	// this includes the kernel-assigned port.
 	Addr() string
-	// Close unbinds the endpoint.
+	// Close unbinds the endpoint and drops the connections it accepted.
 	Close() error
 }
 

@@ -18,8 +18,8 @@ BenchmarkFrameMuxRequest ./internal/transport/ 1
 BenchmarkEncodeMuxReplyFramed ./internal/transport/ 1
 BenchmarkFindNSMWarmAllocs . 12
 BenchmarkRemoteFindNSMWarmAllocs ./internal/core/ 36
-BenchmarkBinddColdStart ./internal/bind/ 107
-BenchmarkBinddRestart ./internal/bind/ 12300
+BenchmarkBinddColdStart ./internal/bind/ 103
+BenchmarkBinddRestart ./internal/bind/ 12272
 BenchmarkChainExchange ./internal/bind/ 55
 BenchmarkChainExchangeCallback ./internal/bind/ 55
 BenchmarkUpdateExchange ./internal/bind/ 29
@@ -42,13 +42,14 @@ run_pkg . 'BenchmarkFindNSMWarmAllocs$' | tee -a "$out"
 # and server both: the HNS program's call, carrying no individual name and
 # answering no NSM host name.
 run_pkg ./internal/core/ 'BenchmarkRemoteFindNSMWarmAllocs$' | tee -a "$out"
-# One op loads a generated 20k-record zone (20 006 records): the bound is
-# 107, so one allocation per owner or per record fails it. It measures
-# 103-104 since WAL segment names stopped going through fmt, whose
-# GC-emptied printer pool made it read 106-109 from run to run.
+# One op is bind.Boot seeding a generated 20k-record zone (20 006 records)
+# into a fresh store: the bound is its measured 103, so one allocation
+# more fails it. Both bindd benchmarks run with the collector off: each
+# GC cycle makes the runtime's unique-map cleanup allocate two objects,
+# which made these counts vary with the cycles a run met.
 run_pkg ./internal/bind/ 'BenchmarkBinddColdStart$' 10 | tee -a "$out"
-# One op recovers that zone from a checkpoint plus 500 journaled updates;
-# the bound is its measured 12 279-12 281, rounded up.
+# One op is bind.Boot recovering that zone from a checkpoint plus 500
+# journaled updates; the bound is its measured 12 272.
 run_pkg ./internal/bind/ 'BenchmarkBinddRestart$' 5 | tee -a "$out"
 # One cold FindNSM's chained meta exchange over the sim transport, handler
 # and client both; then the same on a connection holding a callback

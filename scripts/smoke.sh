@@ -53,6 +53,11 @@ go test -race -cpu 4 -count=5 -run 'TestCallbackConcurrent' ./internal/bind
 # The one-lock cache and the NSM caches' sweep, three times.
 go test -race -count=3 -run 'Concurrent|Stress|Sweep' ./internal/cache/ ./internal/nsm/
 
+# The shipped daemons through their constructors: resolve, crash the
+# durable meta bindd at a seeded write, restart it, resolve the acked
+# registration through hnsd; three times.
+go test -race -count=3 -run Federation ./internal/daemon/
+
 echo "--- mux stress tier: multiplexed wire, shared connection, and teardown paths"
 go test -race -run Mux -count=3 ./internal/transport ./internal/hrpc
 
