@@ -26,8 +26,8 @@ bench-parallel:
 
 # Allocation gate: the warm wire path (frame encode/decode) must stay at
 # <=1 alloc/op, the warm FindNSM at <=12 (<=36 through a RemoteHNS, client
-# and server), a durable bindd's cold start of 20k records at <=107 and its
-# restart at <=12300, a chained meta exchange at <=55 (plain, and on a
+# and server), a durable bindd's cold start of 20k records at <=103 and its
+# restart at <=12272, a chained meta exchange at <=55 (plain, and on a
 # connection holding a callback subscription) and an update exchange at <=29
 # (plain, and with push on and nothing to send).
 bench-alloc:

@@ -33,11 +33,6 @@ import (
 	"hns/internal/transport"
 )
 
-type worldFlags []string
-
-func (w *worldFlags) String() string     { return strings.Join(*w, ",") }
-func (w *worldFlags) Set(v string) error { *w = append(*w, v); return nil }
-
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -46,8 +41,15 @@ func main() {
 
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	hnsAddr := fs.String("hns", "127.0.0.1:5310", "hnsd address")
-	var worlds worldFlags
-	fs.Var(&worlds, "world", "discipline=context mail-routing mapping (repeatable)")
+	worlds := map[string]string{}
+	fs.Func("world", "discipline=context mail-routing mapping (repeatable)", func(w string) error {
+		d, c, ok := strings.Cut(w, "=")
+		if !ok {
+			return fmt.Errorf("want discipline=context, got %q", w)
+		}
+		worlds[d] = c
+		return nil
+	})
 
 	// Split sub-subcommand for file/mail before flag parsing.
 	var sub string
@@ -182,16 +184,8 @@ func cmdFile(ctx context.Context, finder core.Finder, rpc *hrpc.Client, sub stri
 	}
 }
 
-func cmdMail(ctx context.Context, dir *hcs.Directory, rpc *hrpc.Client, worlds worldFlags, sub string, args []string) error {
-	wc := make(map[string]string)
-	for _, w := range worlds {
-		d, c, ok := strings.Cut(w, "=")
-		if !ok {
-			return fmt.Errorf("-world wants discipline=context, got %q", w)
-		}
-		wc[d] = c
-	}
-	agent := mail.NewAgent(dir, rpc, wc)
+func cmdMail(ctx context.Context, dir *hcs.Directory, rpc *hrpc.Client, worlds map[string]string, sub string, args []string) error {
+	agent := mail.NewAgent(dir, rpc, worlds)
 	switch sub {
 	case "send":
 		if len(args) != 4 {

@@ -16,71 +16,29 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"log"
-	"os"
-	"os/signal"
-	"syscall"
 
-	"hns/internal/clearinghouse"
-	"hns/internal/filing"
-	"hns/internal/hrpc"
-	"hns/internal/mail"
-	"hns/internal/qclass"
-	"hns/internal/rexec"
-	"hns/internal/transport"
+	"hns/internal/daemon"
 )
 
+// flags defines hcsd's flags on fs, one field of the config each.
+func flags(fs *flag.FlagSet) *daemon.HcsdConfig {
+	c := &daemon.HcsdConfig{}
+	fs.StringVar(&c.Host, "host", "hcsd", "descriptive host name")
+	fs.StringVar(&c.CH, "ch", "127.0.0.1:5303", "Clearinghouse address")
+	fs.StringVar(&c.CHPrincipal, "ch-principal", "", "Clearinghouse principal")
+	fs.StringVar(&c.CHSecret, "ch-secret", "", "Clearinghouse secret")
+	fs.StringVar(&c.ExecObject, "exec-object", "", "CH object to register the exec service under (empty disables)")
+	fs.StringVar(&c.FilesObject, "files-object", "", "CH object for the filing service (empty disables)")
+	fs.StringVar(&c.MailObject, "mail-object", "", "CH object for the mailbox service (empty disables)")
+	fs.StringVar(&c.ExecAddr, "exec-addr", "127.0.0.1:0", "exec service listen address")
+	fs.StringVar(&c.FilesAddr, "files-addr", "127.0.0.1:0", "filing service listen address")
+	fs.StringVar(&c.MailAddr, "mail-addr", "127.0.0.1:0", "mailbox service listen address")
+	return c
+}
+
 func main() {
-	var (
-		host        = flag.String("host", "hcsd", "descriptive host name")
-		chAddr      = flag.String("ch", "127.0.0.1:5303", "Clearinghouse address")
-		chPrincipal = flag.String("ch-principal", "", "Clearinghouse principal")
-		chSecret    = flag.String("ch-secret", "", "Clearinghouse secret")
-		execObj     = flag.String("exec-object", "", "CH object to register the exec service under (empty disables)")
-		filesObj    = flag.String("files-object", "", "CH object for the filing service (empty disables)")
-		mailObj     = flag.String("mail-object", "", "CH object for the mailbox service (empty disables)")
-		execAddr    = flag.String("exec-addr", "127.0.0.1:0", "exec service listen address")
-		filesAddr   = flag.String("files-addr", "127.0.0.1:0", "filing service listen address")
-		mailAddr    = flag.String("mail-addr", "127.0.0.1:0", "mailbox service listen address")
-	)
+	c := flags(flag.CommandLine)
 	flag.Parse()
-
-	net := transport.NewNetwork()
-	rpc := hrpc.NewClient(net)
-	defer rpc.Close()
-	chB := hrpc.SuiteCourierNet.Bind(*chAddr, *chAddr, clearinghouse.Program, clearinghouse.Version)
-	ch := clearinghouse.NewClient(rpc, chB, clearinghouse.NewCredentials(*chPrincipal, *chSecret))
-	ctx := context.Background()
-
-	serve := func(s *hrpc.Server, addr, object, label string) {
-		if object == "" {
-			return
-		}
-		ln, b, err := hrpc.Serve(net, s, hrpc.SuiteCourierNet, *host, addr)
-		if err != nil {
-			log.Fatalf("hcsd: %s: %v", label, err)
-		}
-		// Listener lives for the process; closed on exit.
-		_ = ln
-		n, err := clearinghouse.ParseName(object)
-		if err != nil {
-			log.Fatalf("hcsd: %s: %v", label, err)
-		}
-		if err := ch.AddItem(ctx, n, clearinghouse.PropBinding,
-			[]byte(qclass.FormatBinding(b))); err != nil {
-			log.Fatalf("hcsd: registering %s binding: %v", label, err)
-		}
-		log.Printf("hcsd: %s serving at %s, registered as %s", label, b, object)
-	}
-
-	serve(rexec.NewServer(*host).HRPCServer(), *execAddr, *execObj, "exec")
-	serve(filing.NewServer(*host).HRPCServer(), *filesAddr, *filesObj, "filing")
-	serve(mail.NewServer(*host).HRPCServer(), *mailAddr, *mailObj, "mailbox")
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	log.Println("hcsd: shutting down")
+	daemon.Run("hcsd", "", func() (*daemon.Daemon, error) { return daemon.Hcsd(*c) })
 }

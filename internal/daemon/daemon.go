@@ -1,8 +1,8 @@
-// Package daemon wires the shipped daemons, bindd, hnsd and nsmd, out of
-// the library routines: one constructor each, so a test starts exactly
-// the arrangement a main runs. A constructor takes its daemon's flags as
-// a Config, listens on real sockets and returns a *Daemon; Run is the
-// loop every main shares.
+// Package daemon wires the shipped daemons, bindd, hnsd, nsmd, hnsgw,
+// chd and hcsd, out of the library routines: one constructor each, so a
+// test starts exactly the arrangement a main runs. A constructor takes
+// its daemon's flags as a Config, listens on real sockets and returns a
+// *Daemon; Run is the loop every main shares.
 package daemon
 
 import (
@@ -16,12 +16,18 @@ import (
 	"syscall"
 	"time"
 
+	"hns/internal/admission"
 	"hns/internal/bind"
 	"hns/internal/clearinghouse"
 	"hns/internal/core"
+	"hns/internal/filing"
+	"hns/internal/gateway"
 	"hns/internal/hrpc"
+	"hns/internal/mail"
 	"hns/internal/metrics"
 	"hns/internal/nsm"
+	"hns/internal/qclass"
+	"hns/internal/rexec"
 	"hns/internal/store"
 	"hns/internal/transport"
 )
@@ -39,6 +45,9 @@ func (l *List) Set(v string) error { *l = append(*l, v); return nil }
 type Daemon struct {
 	// HNS is hnsd's resolver; nil in the other daemons.
 	HNS *core.HNS
+	// Services is hcsd's service addresses by name ("exec", "filing",
+	// "mailbox"); nil in the other daemons.
+	Services map[string]string
 
 	addr, std string
 	sweep     []func() int   // cache sweeps, run every sweepEvery
@@ -46,14 +55,16 @@ type Daemon struct {
 }
 
 // Addr is the address of the daemon's service: bindd's HRPC interface,
-// hnsd's FindNSM, nsmd's NSM.
+// hnsd's FindNSM, nsmd's NSM, hnsgw's front door, chd's Clearinghouse;
+// "" for hcsd, whose services are in Services.
 func (d *Daemon) Addr() string { return d.addr }
 
 // StdAddr is bindd's standard-interface address, "" when it has none.
 func (d *Daemon) StdAddr() string { return d.std }
 
 // Close undoes start-up last step first: the listeners close, a mirror
-// stops following and a subscriber unsubscribes, then a store closes.
+// stops following and a subscriber unsubscribes, then a store closes or
+// chd saves its snapshot.
 func (d *Daemon) Close() error {
 	var errs []error
 	for i := len(d.undo) - 1; i >= 0; i-- {
@@ -81,6 +92,12 @@ func (d *Daemon) serve(net *transport.Network, s *hrpc.Server, suite hrpc.Suite,
 	}
 	d.addr, d.undo = b.Addr, append(d.undo, ln.Close)
 	return b, nil
+}
+
+// chClient is a client of the Clearinghouse at addr.
+func chClient(rpc *hrpc.Client, addr, principal, secret string) *clearinghouse.Client {
+	b := hrpc.SuiteCourierNet.Bind(addr, addr, clearinghouse.Program, clearinghouse.Version)
+	return clearinghouse.NewClient(rpc, b, clearinghouse.NewCredentials(principal, secret))
 }
 
 // Run is a daemon's main: serve /metrics and /debug/hns on metricsAddr
@@ -249,9 +266,7 @@ func (d *Daemon) hnsd(c HnsdConfig) error {
 		if !ok || len(parts) != 3 {
 			return fmt.Errorf("-link-ch wants ns=addr,principal,secret, got %q", spec)
 		}
-		chB := hrpc.SuiteCourierNet.Bind(parts[0], parts[0], clearinghouse.Program, clearinghouse.Version)
-		ch := clearinghouse.NewClient(rpc, chB, clearinghouse.NewCredentials(parts[1], parts[2]))
-		n := nsm.NewCHHostAddr("hostaddr-"+ns, ns, ch, nsm.Options{})
+		n := nsm.NewCHHostAddr("hostaddr-"+ns, ns, chClient(rpc, parts[0], parts[1], parts[2]), nsm.Options{})
 		h.LinkHostResolver(ns, n)
 		d.sweep = append(d.sweep, n.SweepCache)
 		log.Printf("hnsd: linked Clearinghouse HostAddress NSM for %s at %s", ns, parts[0])
@@ -323,8 +338,7 @@ func (d *Daemon) nsmd(c NsmdConfig) error {
 	case t.suite == hrpc.SuiteCourierNet && c.CH == "":
 		return fmt.Errorf("-type %s requires -ch (and credentials)", c.Type)
 	case t.suite == hrpc.SuiteCourierNet:
-		chB := hrpc.SuiteCourierNet.Bind(c.CH, c.CH, clearinghouse.Program, clearinghouse.Version)
-		a.ch = clearinghouse.NewClient(a.rpc, chB, clearinghouse.NewCredentials(c.CHPrincipal, c.CHSecret))
+		a.ch = chClient(a.rpc, c.CH, c.CHPrincipal, c.CHSecret)
 	case c.BindStd == "":
 		return fmt.Errorf("-type %s requires -bind-std", c.Type)
 	default:
@@ -338,5 +352,146 @@ func (d *Daemon) nsmd(c NsmdConfig) error {
 		return err
 	}
 	log.Printf("nsmd: serving %s (%s for %s) at %s", c.Name, c.Type, c.NS, b)
+	return nil
+}
+
+// HnsgwConfig is hnsgw's flags, one field each.
+type HnsgwConfig struct {
+	Host, Addr, Metrics string
+	Rate                float64
+	MaxInflight         int
+	Backends            List
+}
+
+// Hnsgw starts the admission-controlled front door: a gateway forwarding
+// to the first live of c.Backends and, with a rate or an inflight cap,
+// shedding batches at three quarters of the cap.
+func Hnsgw(c HnsgwConfig) (*Daemon, error) { return start(func(d *Daemon) error { return d.hnsgw(c) }) }
+
+func (d *Daemon) hnsgw(c HnsgwConfig) error {
+	if len(c.Backends) == 0 {
+		c.Backends = List{"127.0.0.1:5310"} // -backend's default
+	}
+	net := transport.NewNetwork()
+	up := hrpc.NewClient(net)
+	d.undo = append(d.undo, up.Close)
+	cfg := gateway.Config{Name: "hnsgw@" + c.Host}
+	if c.Rate > 0 || c.MaxInflight > 0 {
+		cfg.Admission = &admission.Config{Rate: c.Rate, MaxInflight: c.MaxInflight, LowWatermark: 0.75}
+	}
+	gw := gateway.NewFailover(up, hrpc.SuiteRawNet, c.Backends, cfg)
+	b, err := d.serve(net, gw.Server(), hrpc.SuiteRawNet, c.Host, c.Addr)
+	if err != nil {
+		return err
+	}
+	log.Printf("hnsgw: serving %s -> %s (rate %.0f/s, inflight cap %d)", b, c.Backends.String(), c.Rate, c.MaxInflight)
+	return nil
+}
+
+// ChdConfig is chd's flags, one field each.
+type ChdConfig struct {
+	Host, Addr, Snapshot, ReplCred, Metrics string
+	Open                                    bool
+	Principals, Peers                       List
+}
+
+// Chd starts a Clearinghouse server, loaded from c.Snapshot when the file
+// exists, that forwards each client update to c.Peers. Close saves the
+// snapshot once the listener is closed, so it holds what was served.
+func Chd(c ChdConfig) (*Daemon, error) { return start(func(d *Daemon) error { return d.chd(c) }) }
+
+func (d *Daemon) chd(c ChdConfig) error {
+	auth := clearinghouse.NewAuthenticator(c.Open)
+	for _, p := range c.Principals {
+		name, secret, ok := strings.Cut(p, "=")
+		if !ok {
+			return fmt.Errorf("-principal wants name=secret, got %q", p)
+		}
+		auth.AddPrincipal(name, secret)
+	}
+	st := clearinghouse.NewStore()
+	if c.Snapshot != "" {
+		if err := st.LoadFile(c.Snapshot); os.IsNotExist(err) {
+			log.Printf("chd: no snapshot at %s; starting empty", c.Snapshot)
+		} else if err != nil {
+			return err
+		} else {
+			log.Printf("chd: loaded %d objects from %s", st.Len(), c.Snapshot)
+		}
+	}
+	net := transport.NewNetwork()
+	srv := clearinghouse.NewServer(c.Host, st, auth)
+	if len(c.Peers) > 0 {
+		rpc := hrpc.NewClient(net)
+		d.undo = append(d.undo, rpc.Close)
+		principal, secret, _ := strings.Cut(c.ReplCred, "=")
+		for _, p := range c.Peers {
+			srv.AddPeer(chClient(rpc, p, principal, secret))
+		}
+		log.Printf("chd: replicating to %d peers", len(c.Peers))
+	}
+	ln, b, err := hrpc.Serve(net, srv.HRPCServer(), hrpc.SuiteCourierNet, c.Host, c.Addr)
+	if err != nil {
+		return fmt.Errorf("listen: %w", err)
+	}
+	d.addr = b.Addr
+	if c.Snapshot != "" {
+		// Added after a successful listen, so a failed start writes nothing.
+		d.undo = append(d.undo, func() error {
+			if err := st.SaveFile(c.Snapshot); err != nil {
+				return fmt.Errorf("saving snapshot: %w", err)
+			}
+			log.Printf("chd: saved %d objects to %s", st.Len(), c.Snapshot)
+			return nil
+		})
+	}
+	d.undo = append(d.undo, ln.Close)
+	log.Printf("chd: %s serving Clearinghouse %s, %d objects, open=%v", c.Host, b, st.Len(), c.Open)
+	return nil
+}
+
+// HcsdConfig is hcsd's flags, one field each.
+type HcsdConfig struct {
+	Host, CH, CHPrincipal, CHSecret     string
+	ExecObject, FilesObject, MailObject string
+	ExecAddr, FilesAddr, MailAddr       string
+}
+
+// Hcsd starts each HCS application service that has a Clearinghouse
+// object: a Courier listener, its binding registered under the object in
+// the Clearinghouse at c.CH.
+func Hcsd(c HcsdConfig) (*Daemon, error) { return start(func(d *Daemon) error { return d.hcsd(c) }) }
+
+func (d *Daemon) hcsd(c HcsdConfig) error {
+	net := transport.NewNetwork()
+	rpc := hrpc.NewClient(net)
+	d.undo = append(d.undo, rpc.Close)
+	ch := chClient(rpc, c.CH, c.CHPrincipal, c.CHSecret)
+	d.Services = map[string]string{}
+	for _, s := range []struct {
+		name, addr, object string
+		srv                *hrpc.Server
+	}{
+		{"exec", c.ExecAddr, c.ExecObject, rexec.NewServer(c.Host).HRPCServer()},
+		{"filing", c.FilesAddr, c.FilesObject, filing.NewServer(c.Host).HRPCServer()},
+		{"mailbox", c.MailAddr, c.MailObject, mail.NewServer(c.Host).HRPCServer()},
+	} {
+		if s.object == "" {
+			continue
+		}
+		n, err := clearinghouse.ParseName(s.object)
+		if err != nil {
+			return fmt.Errorf("%s: %w", s.name, err)
+		}
+		ln, b, err := hrpc.Serve(net, s.srv, hrpc.SuiteCourierNet, c.Host, s.addr)
+		if err != nil {
+			return fmt.Errorf("%s: listen: %w", s.name, err)
+		}
+		d.undo, d.Services[s.name] = append(d.undo, ln.Close), b.Addr
+		if err := ch.AddItem(context.Background(), n, clearinghouse.PropBinding, []byte(qclass.FormatBinding(b))); err != nil {
+			return fmt.Errorf("registering %s binding: %w", s.name, err)
+		}
+		log.Printf("hcsd: %s serving at %s, registered as %s", s.name, b, s.object)
+	}
 	return nil
 }

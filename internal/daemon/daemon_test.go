@@ -7,15 +7,21 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"hns/internal/bind"
+	"hns/internal/clearinghouse"
 	"hns/internal/core"
+	"hns/internal/filing"
+	"hns/internal/hcs"
 	"hns/internal/hrpc"
+	"hns/internal/metrics"
 	"hns/internal/names"
 	"hns/internal/nsm"
 	"hns/internal/qclass"
+	"hns/internal/rexec"
 	"hns/internal/store"
 	"hns/internal/transport"
 )
@@ -33,10 +39,10 @@ func TestFederation(t *testing.T) {
 	}
 }
 
-func federation(t *testing.T, seed int64) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	started := func(d *Daemon, err error) *Daemon {
+// started returns a check that fails t when a daemon did not start and
+// closes the daemon when t ends.
+func started(t *testing.T) func(*Daemon, error) *Daemon {
+	return func(d *Daemon, err error) *Daemon {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
@@ -44,35 +50,74 @@ func federation(t *testing.T, seed int64) {
 		t.Cleanup(func() { d.Close() })
 		return d
 	}
+}
+
+// bindWorld is the BIND world every test resolves NSM hosts in: a meta
+// bindd and an app bindd serving fiji and june at 127.0.0.1, with the
+// bind-cs name service and its hostaddr-bind context registered through
+// admin, an HNS client of the meta bindd.
+type bindWorld struct {
+	meta, app *Daemon
+	rpc       *hrpc.Client
+	admin     *core.HNS
+}
+
+func newBindWorld(t *testing.T, ctx context.Context, meta BinddConfig) *bindWorld {
+	t.Helper()
 	zoneFile := filepath.Join(t.TempDir(), "app.zone")
 	if err := os.WriteFile(zoneFile, []byte("fiji.cs.washington.edu 600 A 127.0.0.1\njune.cs.washington.edu 600 A 127.0.0.1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	w := &bindWorld{meta: started(t)(Bindd(meta)), app: started(t)(Bindd(BinddConfig{Host: "fiji", Zones: List{"cs.washington.edu"},
+		Update: true, Records: zoneFile, HRPC: "127.0.0.1:0", Std: "127.0.0.1:0"}))}
+	w.rpc = hrpc.NewClient(transport.NewNetwork())
+	t.Cleanup(func() { w.rpc.Close() })
+	w.admin = core.New(bind.NewHRPCClient(w.rpc, hrpc.SuiteRawNet.Bind(w.meta.Addr(), w.meta.Addr(), bind.HRPCProgram, bind.HRPCVersion)),
+		core.Config{MetaZone: "hns", RPC: w.rpc})
+	if err := w.admin.RegisterNameService(ctx, "bind-cs", "bind"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.admin.RegisterContext(ctx, "hostaddr-bind", "bind-cs"); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
 
+// hnsd starts an hnsd over the world's meta bindd, linked to its app bindd.
+func (w *bindWorld) hnsd(t *testing.T, subscribe bool) *Daemon {
+	return started(t)(Hnsd(HnsdConfig{Host: "hns", Addr: "127.0.0.1:0", Meta: w.meta.Addr(), MetaZone: "hns",
+		Subscribe: subscribe, LinkBind: List{"bind-cs=" + w.app.StdAddr()}}))
+}
+
+// remote is an HNS client of the FindNSM service at addr.
+func (w *bindWorld) remote(addr string) *core.RemoteHNS {
+	return core.NewRemoteHNS(w.rpc, hrpc.SuiteRawNet.Bind(addr, addr, core.HNSProgram, core.HNSVersion))
+}
+
+// nsmOnJune is an NSM registration for a server on june at addr's port.
+func nsmOnJune(name, ns, qc, addr string, suite hrpc.Suite) core.NSMInfo {
+	_, port, _ := net.SplitHostPort(addr)
+	return core.NSMInfo{Name: name, NameService: ns, QueryClass: qc, Host: "june.cs.washington.edu",
+		HostContext: "hostaddr-bind", Port: port, Suite: suite}
+}
+
+func federation(t *testing.T, seed int64) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	disk := store.NewMemFS()
 	plan := store.NewFaultPlan(seed)
 	metaCfg := BinddConfig{Host: "tahoma", Zones: List{"hns"}, Update: true, Push: true,
 		HRPC: "127.0.0.1:0", FS: store.NewFaultFS(disk, plan)}
-	meta := started(Bindd(metaCfg))
-	app := started(Bindd(BinddConfig{Host: "fiji", Zones: List{"cs.washington.edu"}, Update: true,
-		Records: zoneFile, HRPC: "127.0.0.1:0", Std: "127.0.0.1:0"}))
-	nsmd := started(Nsmd(NsmdConfig{Host: "june", Addr: "127.0.0.1:0", Type: "hostaddr-bind", NS: "bind-cs",
-		BindStd: app.StdAddr()}))
-	hnsd := started(Hnsd(HnsdConfig{Host: "hns", Addr: "127.0.0.1:0", Meta: meta.Addr(), MetaZone: "hns",
-		Subscribe: true, LinkBind: List{"bind-cs=" + app.StdAddr()}}))
+	w := newBindWorld(t, ctx, metaCfg)
+	nsmd := started(t)(Nsmd(NsmdConfig{Host: "june", Addr: "127.0.0.1:0", Type: "hostaddr-bind", NS: "bind-cs",
+		BindStd: w.app.StdAddr()}))
+	hnsd := w.hnsd(t, true)
 
-	rpc := hrpc.NewClient(transport.NewNetwork())
-	defer rpc.Close()
-	admin := core.New(bind.NewHRPCClient(rpc, hrpc.SuiteRawNet.Bind(meta.Addr(), meta.Addr(), bind.HRPCProgram, bind.HRPCVersion)),
-		core.Config{MetaZone: "hns", RPC: rpc})
-	_, port, _ := net.SplitHostPort(nsmd.Addr())
+	admin, rpc := w.admin, w.rpc
 	nsmInfo := func(name, ns string) core.NSMInfo {
-		return core.NSMInfo{Name: name, NameService: ns, QueryClass: qclass.HostAddress, Host: "june.cs.washington.edu",
-			HostContext: "hostaddr-bind", Port: port, Suite: hrpc.SuiteSunRPCNet}
+		return nsmOnJune(name, ns, qclass.HostAddress, nsmd.Addr(), hrpc.SuiteSunRPCNet)
 	}
 	for _, step := range []func() error{
-		func() error { return admin.RegisterNameService(ctx, "bind-cs", "bind") },
-		func() error { return admin.RegisterContext(ctx, "hostaddr-bind", "bind-cs") },
 		func() error { return admin.RegisterNSM(ctx, nsmInfo("hostaddr-bind-1", "bind-cs")) },
 		func() error { return admin.RegisterNameService(ctx, "bind-cs2", "bind") },
 		func() error { return admin.RegisterContext(ctx, "hostaddr-bind2", "bind-cs2") },
@@ -81,7 +126,7 @@ func federation(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 	}
-	remote := core.NewRemoteHNS(rpc, hrpc.SuiteRawNet.Bind(hnsd.Addr(), hnsd.Addr(), core.HNSProgram, core.HNSVersion))
+	remote := w.remote(hnsd.Addr())
 	resolve := func(context string) {
 		t.Helper()
 		name := names.Must(context, "fiji.cs.washington.edu")
@@ -112,13 +157,109 @@ func federation(t *testing.T, seed int64) {
 		// Acked or refused, all that matters is where the disk dies.
 		_ = admin.RegisterNameService(ctx, fmt.Sprintf("junk-%d", i), "bind")
 	}
-	meta.Close()
+	w.meta.Close()
 
-	metaCfg.HRPC, metaCfg.FS = meta.Addr(), disk
-	started(Bindd(metaCfg))
+	metaCfg.HRPC, metaCfg.FS = w.meta.Addr(), disk
+	started(t)(Bindd(metaCfg))
 	if err := hnsd.HNS.MetaSubscription().Sync(ctx); err != nil {
 		t.Fatalf("hnsd's subscription after the restart: %v", err)
 	}
 	resolve("hostaddr-bind2")
 	resolve("hostaddr-bind")
+}
+
+// TestFrontDoor starts hnsgw with an inflight cap in front of two hnsd
+// backends and resolves through it: the gateway admits each call, and
+// once the first backend is closed the second answers every call.
+func TestFrontDoor(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	w := newBindWorld(t, ctx, BinddConfig{Host: "tahoma", Zones: List{"hns"}, Update: true, HRPC: "127.0.0.1:0"})
+	const nsmAddr = "127.0.0.1:5320"
+	if err := w.admin.RegisterNSM(ctx, nsmOnJune("hostaddr-bind-1", "bind-cs", qclass.HostAddress, nsmAddr, hrpc.SuiteSunRPCNet)); err != nil {
+		t.Fatal(err)
+	}
+	first, second := w.hnsd(t, false), w.hnsd(t, false)
+	gw := started(t)(Hnsgw(HnsgwConfig{Host: "front", Addr: "127.0.0.1:0", MaxInflight: 8,
+		Backends: List{first.Addr(), second.Addr()}}))
+	admitted := metrics.Default().Counter(metrics.Labels("admission_admitted_total", "server", "hnsgw@front"))
+	front := w.remote(gw.Addr())
+	resolve := func(stage string, backend *Daemon) {
+		t.Helper()
+		admits, calls := admitted.Value(), backend.HNS.Stats().FindNSMCalls
+		for i := range 4 {
+			name := names.Must("hostaddr-bind", fmt.Sprintf("host%d.cs.washington.edu", i))
+			if b, err := front.FindNSM(ctx, name, qclass.HostAddress); err != nil || b.Addr != nsmAddr {
+				t.Fatalf("%s: FindNSM %s through the gateway = %s, %v; want %s", stage, name, b.Addr, err, nsmAddr)
+			}
+		}
+		if got := admitted.Value() - admits; got != 4 {
+			t.Errorf("%s: the gateway admitted %d calls, want 4", stage, got)
+		}
+		if got := backend.HNS.Stats().FindNSMCalls - calls; got != 4 {
+			t.Errorf("%s: the backend expected to answer served %d calls, want 4", stage, got)
+		}
+	}
+	resolve("both up", first)
+	first.Close()
+	resolve("first closed", second)
+}
+
+// TestXeroxWorld is the Clearinghouse world end to end: chd, hcsd
+// registering its exec and filing services there, a binding-ch nsmd, and
+// hnsd over a meta bindd. It binds both services through hnsd, runs one
+// command and puts and gets one file, then restarts chd from the
+// snapshot it saved on Close and finds hcsd's registration still there.
+func TestXeroxWorld(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const principal, secret = "smoke:cs:uw", "pw"
+	chCfg := ChdConfig{Host: "xerox", Addr: "127.0.0.1:0", Open: true, Snapshot: filepath.Join(t.TempDir(), "ch.json")}
+	ch := started(t)(Chd(chCfg))
+	hcsd := started(t)(Hcsd(HcsdConfig{Host: "xerox-d0", CH: ch.Addr(), CHPrincipal: principal, CHSecret: secret,
+		ExecObject: "compute:cs:uw", FilesObject: "bigfiles:cs:uw", ExecAddr: "127.0.0.1:0", FilesAddr: "127.0.0.1:0"}))
+	w := newBindWorld(t, ctx, BinddConfig{Host: "tahoma", Zones: List{"hns"}, Update: true, HRPC: "127.0.0.1:0"})
+	nsmd := started(t)(Nsmd(NsmdConfig{Host: "june", Addr: "127.0.0.1:0", Type: "binding-ch", NS: "ch-uw",
+		CH: ch.Addr(), CHPrincipal: principal, CHSecret: secret}))
+	hnsd := w.hnsd(t, false)
+	for _, step := range []func() error{
+		// hnsd resolves june through its linked NSM and never dials this one.
+		func() error {
+			return w.admin.RegisterNSM(ctx, nsmOnJune("hostaddr-bind-1", "bind-cs", qclass.HostAddress, "127.0.0.1:5320", hrpc.SuiteSunRPCNet))
+		},
+		func() error { return w.admin.RegisterNameService(ctx, "ch-uw", "clearinghouse") },
+		func() error { return w.admin.RegisterContext(ctx, "hrpcbinding-ch", "ch-uw") },
+		func() error {
+			return w.admin.RegisterNSM(ctx, nsmOnJune("binding-ch-1", "ch-uw", qclass.HRPCBinding, nsmd.Addr(), hrpc.SuiteCourierNet))
+		},
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	finder := w.remote(hnsd.Addr())
+	compute, bigfiles := names.Must("hrpcbinding-ch", "compute:cs:uw"), names.Must("hrpcbinding-ch", "bigfiles:cs:uw")
+	out, exit, err := rexec.NewClient(hcs.New(finder, w.rpc), w.rpc).Run(ctx, compute, "echo", []string{"loose", "integration"}, "")
+	if err != nil || exit != 0 || !strings.Contains(out, "loose integration") {
+		t.Fatalf("exec on %s: %q, exit %d, %v", compute, out, exit, err)
+	}
+	files := filing.NewClient(finder, w.rpc)
+	if err := files.Store(ctx, bigfiles, "/notes/xerox", []byte("written through the HNS")); err != nil {
+		t.Fatalf("storing on %s: %v", bigfiles, err)
+	}
+	if got, err := files.Fetch(ctx, bigfiles, "/notes/xerox"); err != nil || string(got) != "written through the HNS" {
+		t.Fatalf("fetching from %s: %q, %v", bigfiles, got, err)
+	}
+
+	ch.Close()
+	chCfg.Addr = ch.Addr()
+	ch = started(t)(Chd(chCfg))
+	raw, err := chClient(w.rpc, ch.Addr(), principal, secret).Retrieve(ctx, clearinghouse.MustName("compute:cs:uw"), clearinghouse.PropBinding)
+	if err != nil {
+		t.Fatalf("compute:cs:uw after chd's restart: %v", err)
+	}
+	if b, err := qclass.ParseBinding(string(raw)); err != nil || b.Addr != hcsd.Services["exec"] {
+		t.Fatalf("compute:cs:uw after chd's restart binds %q (%v), want hcsd's exec service at %s", raw, err, hcsd.Services["exec"])
+	}
 }

@@ -23,6 +23,8 @@
 package gateway
 
 import (
+	"time"
+
 	"hns/internal/admission"
 	"hns/internal/core"
 	"hns/internal/hrpc"
@@ -49,8 +51,8 @@ type Gateway struct {
 // New builds a gateway forwarding to the HNS service bound at backend.
 // The client carries the gateway's upstream connection pool (and its
 // retry policy and breakers); replicas installed on it with SetReplicas
-// for backend.Addr are the gateway's failover backends, tried in order
-// as breakers take endpoints out of rotation.
+// for backend.Addr, as NewFailover does, are the gateway's failover
+// backends, tried in order as breakers take endpoints out of rotation.
 func New(client *hrpc.Client, backend hrpc.Binding, cfg Config) *Gateway {
 	if cfg.Name == "" {
 		cfg.Name = "hnsgw"
@@ -72,6 +74,19 @@ func New(client *hrpc.Client, backend hrpc.Binding, cfg Config) *Gateway {
 		}
 	}
 	return g
+}
+
+// NewFailover builds a gateway forwarding over suite to the first live
+// of backends, in order. With more than one, the client's per-endpoint
+// breakers take a dead backend out of rotation, and a one-second retry
+// budget lets a call move on past a partitioned one, which shows up only
+// as a timeout.
+func NewFailover(client *hrpc.Client, suite hrpc.Suite, backends []string, cfg Config) *Gateway {
+	if len(backends) > 1 {
+		client.SetReplicas(backends[0], backends[1:]...)
+		client.Policy = hrpc.RetryPolicy{Budget: time.Second}
+	}
+	return New(client, suite.Bind(backends[0], backends[0], core.HNSProgram, core.HNSVersion), cfg)
 }
 
 // Server exposes the underlying HRPC server (for metrics registry

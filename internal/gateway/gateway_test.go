@@ -403,9 +403,9 @@ func TestGatewayCrowdCappedAtMaxInflight(t *testing.T) {
 	}
 }
 
-// TestGatewayBackendListFailsOverInOrder builds the gateway the way
-// hnsgw does for two -backend flags (SetReplicas on the upstream client,
-// a retry budget, then New) and pins the ordered-failover contract: with
+// TestGatewayBackendListFailsOverInOrder builds the gateway through
+// NewFailover, as hnsgw does for two -backend flags, and pins the
+// ordered-failover contract: with
 // both backends up every call lands on the first; with the first
 // blackholed the second answers, only the first endpoint's breaker
 // trips, and no call fails.
@@ -437,11 +437,9 @@ func TestGatewayBackendListFailsOverInOrder(t *testing.T) {
 	// A fake clock keeps the opened breaker open for the whole test.
 	up.Health = health.Config{Clock: simtime.NewFakeClock(time.Unix(563328000, 0))}
 	t.Cleanup(func() { up.Close() })
-	up.SetReplicas(addrs[0], addrs[1:]...)
-	up.Policy = hrpc.RetryPolicy{Budget: time.Second}
 	suite := hrpc.SuiteRaw
 	suite.Transport = chaosName
-	gw := New(up, suite.Bind(addrs[0], addrs[0], core.HNSProgram, core.HNSVersion), Config{})
+	gw := NewFailover(up, suite, addrs, Config{})
 	gw.SetMetrics(metrics.NewRegistry())
 	gln, gb, err := gw.Serve(n, hrpc.SuiteRaw, "gw", "gw:hns")
 	if err != nil {

@@ -53,10 +53,12 @@ go test -race -cpu 4 -count=5 -run 'TestCallbackConcurrent' ./internal/bind
 # The one-lock cache and the NSM caches' sweep, three times.
 go test -race -count=3 -run 'Concurrent|Stress|Sweep' ./internal/cache/ ./internal/nsm/
 
-# The shipped daemons through their constructors: resolve, crash the
-# durable meta bindd at a seeded write, restart it, resolve the acked
-# registration through hnsd; three times.
-go test -race -count=3 -run Federation ./internal/daemon/
+# The shipped daemons through their constructors, three times: resolve,
+# crash the durable meta bindd at a seeded write, restart it, resolve the
+# acked registration through hnsd; fail over between hnsgw's backends;
+# bind HCS services through the Clearinghouse world and restart chd from
+# its snapshot.
+go test -race -count=3 -run 'Federation|FrontDoor|XeroxWorld' ./internal/daemon/
 
 echo "--- mux stress tier: multiplexed wire, shared connection, and teardown paths"
 go test -race -run Mux -count=3 ./internal/transport ./internal/hrpc
@@ -101,27 +103,45 @@ june.cs.washington.edu  600 A 127.0.0.1
 EOF
 
 cd "$workdir"
+
+# track records the daemon just started in the background ($!) and its
+# log; alive, called after each block of starts has had its beat, fails
+# smoke with the log of any tracked daemon that has already exited (one
+# that found its port taken, say).
+block=()
+track() { echo $! >> pids; block+=("$!:$1"); }
+alive() {
+  local entry
+  for entry in "${block[@]}"; do
+    kill -0 "${entry%%:*}" 2>/dev/null && continue
+    cat "${entry#*:}"
+    echo "SMOKE FAILED: the daemon logging to ${entry#*:} exited at start-up (log above)"; exit 1
+  done
+  block=()
+}
+
 ./bindd -host tahoma -zone hns -update -hrpc 127.0.0.1:5301 -std "" >meta.log 2>&1 &
 meta_pid=$!
-echo $meta_pid >> pids
+track meta.log
 # A secondary meta BIND: mirrors the hns zone from tahoma by zone
 # transfer, so the federation survives the primary's death (part 3).
 ./bindd -host tahoma2 -zone hns -secondary 127.0.0.1:5301 -refresh 1s \
         -hrpc 127.0.0.1:5311 -std "" >meta2.log 2>&1 &
-echo $! >> pids
+track meta2.log
 ./bindd -host fiji -zone cs.washington.edu -update -records app.zone \
         -hrpc 127.0.0.1:5304 -std 127.0.0.1:5302 >app.log 2>&1 &
-echo $! >> pids
+track app.log
 ./chd -host xerox -addr 127.0.0.1:5303 -open >ch.log 2>&1 &
-echo $! >> pids
+track ch.log
 ./nsmd -type hostaddr-bind -ns bind-cs -bind-std 127.0.0.1:5302 \
        -addr 127.0.0.1:5320 >nsm.log 2>&1 &
-echo $! >> pids
+track nsm.log
 ./hnsd -addr 127.0.0.1:5310 -meta 127.0.0.1:5301 -meta-replica 127.0.0.1:5311 \
        -serve-stale 1h -metrics 127.0.0.1:5390 \
        -link-bind bind-cs=127.0.0.1:5302 >hns.log 2>&1 &
-echo $! >> pids
+track hns.log
 sleep 1
+alive
 
 ./hnsctl register-ns      -meta 127.0.0.1:5301 bind-cs bind
 ./hnsctl register-context -meta 127.0.0.1:5301 hostaddr-bind bind-cs
@@ -152,16 +172,18 @@ echo "--- meta zone dump"
 ./bindd -host rainier -zone crash.test -update -data-dir crashdata \
         -hrpc 127.0.0.1:5350 -std "" -metrics 127.0.0.1:5351 >crash.log 2>&1 &
 crash_pid=$!
-echo $crash_pid >> pids
+track crash.log
 sleep 0.5
+alive
 ./hnsctl register-ns -meta 127.0.0.1:5350 -zone crash.test bind-crash bind
 before=$(./hnsctl dump -meta 127.0.0.1:5350 -zone crash.test)
 kill -9 "$crash_pid"
 sleep 0.3
 ./bindd -host rainier -zone crash.test -update -data-dir crashdata \
         -hrpc 127.0.0.1:5350 -std "" -metrics 127.0.0.1:5351 >crash2.log 2>&1 &
-echo $! >> pids
+track crash2.log
 sleep 0.5
+alive
 
 echo "--- zone dump after kill -9 and restart from the WAL"
 after=$(./hnsctl dump -meta 127.0.0.1:5350 -zone crash.test)
@@ -178,8 +200,9 @@ grep -q 'store "rainier"' <<<"$out" || { echo "SMOKE FAILED: store lacks the rai
 # hnsgw that fronts the hnsd, then read its admission counters back.
 ./hnsgw -addr 127.0.0.1:5340 -backend 127.0.0.1:5310 \
         -rate 100 -max-inflight 64 -metrics 127.0.0.1:5341 >gw.log 2>&1 &
-echo $! >> pids
+track gw.log
 sleep 0.3
+alive
 
 echo "--- resolve through the hnsgw front door"
 out=$(./hnsctl resolve -hns 127.0.0.1:5340 hostaddr-bind fiji.cs.washington.edu)
@@ -192,17 +215,15 @@ echo "$out"
 grep -q 'hnsgw' <<<"$out" || { echo "SMOKE FAILED: admit lacks the hnsgw row"; exit 1; }
 
 # ---- Part 2: the Clearinghouse world + the HCS application services.
-./chd -host xerox -addr 127.0.0.1:5303 -open >chd.log 2>&1 &
-echo $! >> pids
-sleep 0.3
 ./nsmd -type binding-ch -ns ch-uw -ch 127.0.0.1:5303 \
        -ch-principal smoke:cs:uw -ch-secret pw -addr 127.0.0.1:5321 >nsm2.log 2>&1 &
-echo $! >> pids
+track nsm2.log
 ./hcsd -host xerox-d0 -ch 127.0.0.1:5303 -ch-principal smoke:cs:uw -ch-secret pw \
        -exec-object compute:cs:uw -files-object bigfiles:cs:uw \
        -exec-addr 127.0.0.1:5330 -files-addr 127.0.0.1:5331 >hcsd.log 2>&1 &
-echo $! >> pids
+track hcsd.log
 sleep 0.5
+alive
 
 ./hnsctl register-ns      -meta 127.0.0.1:5301 ch-uw clearinghouse
 ./hnsctl register-context -meta 127.0.0.1:5301 hrpcbinding-ch ch-uw
@@ -248,17 +269,19 @@ grep -q '127.0.0.1:5311' <<<"$out" || { echo "SMOKE FAILED: health lacks the sec
 # polling.
 ./bindd -host pushp -zone hns -update -push \
         -hrpc 127.0.0.1:5380 -std "" -metrics 127.0.0.1:5381 >pushp.log 2>&1 &
-echo $! >> pids
+track pushp.log
 sleep 0.5
+alive
 # -refresh 30s: any record the mirror picks up within ~2s of a register
 # can only have arrived via the NOTIFY kick, not the poll tick.
 ./bindd -host pushs -zone hns -secondary 127.0.0.1:5380 -refresh 30s \
         -hrpc 127.0.0.1:5382 -std "" >pushs.log 2>&1 &
-echo $! >> pids
+track pushs.log
 ./hnsd -addr 127.0.0.1:5383 -meta 127.0.0.1:5380 -subscribe \
        -metrics 127.0.0.1:5384 -link-bind bind-cs=127.0.0.1:5302 >hns_push.log 2>&1 &
-echo $! >> pids
+track hns_push.log
 sleep 0.5
+alive
 
 # A live NOTIFY stream, watched by an operator: start the watch, land an
 # update, and the notification must appear before the watch is stopped.
@@ -303,8 +326,9 @@ grep -Eq 'push_client_notify_total +[1-9]' <<<"$out" || { echo "SMOKE FAILED: hn
 echo "--- refused subscription: hnsd -subscribe against a bindd without -push degrades to TTL polling and still resolves"
 ./hnsd -addr 127.0.0.1:5386 -meta 127.0.0.1:5311 -subscribe \
        -metrics 127.0.0.1:5387 -link-bind bind-cs=127.0.0.1:5302 >hns_pushfb.log 2>&1 &
-echo $! >> pids
+track hns_pushfb.log
 sleep 1
+alive
 out=$(./hnsctl resolve -hns 127.0.0.1:5386 hostaddr-bind fiji.cs.washington.edu)
 echo "$out"
 grep -q '127.0.0.1' <<<"$out" || { echo "SMOKE FAILED: resolve through degraded hnsd"; exit 1; }
