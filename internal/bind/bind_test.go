@@ -625,7 +625,7 @@ func TestResolverHitCostByMode(t *testing.T) {
 	ctx := context.Background()
 
 	measureHit := func(mode CacheMode) time.Duration {
-		r := NewResolver(std, ResolverConfig{Mode: mode, Style: marshal.StyleGenerated})
+		r := NewResolver(std, ResolverConfig{Mode: mode})
 		if _, err := r.Lookup(ctx, "fiji.cs.washington.edu", TypeA); err != nil {
 			t.Fatal(err)
 		}

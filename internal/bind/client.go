@@ -341,11 +341,11 @@ func (m CacheMode) String() string {
 
 // ChargeHit charges ctx for one cache hit returning n records kept in
 // mode m — the one pricing rule of Table 3.2; both modes store the same
-// Answer. A marshalled entry pays a full demarshal in style s plus the
-// probe; a demarshalled entry pays the probe and the per-record copy.
-func (m CacheMode) ChargeHit(ctx context.Context, s marshal.Style, n int) {
+// Answer. A marshalled entry pays a full generated-stub demarshal plus
+// the probe; a demarshalled entry pays the probe and the per-record copy.
+func (m CacheMode) ChargeHit(ctx context.Context, n int) {
 	if m == CacheMarshalled {
-		marshal.ChargeRecords(ctx, s, n)
+		marshal.ChargeRecords(ctx, marshal.StyleGenerated, n)
 		simtime.Charge(ctx, simtime.CacheHit(0))
 		return
 	}
@@ -396,9 +396,6 @@ func (a Answer) RRs() []RR {
 type Resolver struct {
 	backend Lookuper
 	mode    CacheMode
-	// style prices marshalled-mode hits: generated for the HRPC backend,
-	// hand for the standard backend.
-	style   marshal.Style
 	cache   *cache.TTL[Answer]
 	flights flightGroup
 	// invalidated remembers keys whose cached answer an Invalidate removed
@@ -422,8 +419,6 @@ type Resolver struct {
 type ResolverConfig struct {
 	// Mode selects the cache entry form; default CacheDemarshalled.
 	Mode CacheMode
-	// Style prices marshalled-mode hits; default StyleGenerated.
-	Style marshal.Style
 	// Clock drives TTL expiry; default real time.
 	Clock simtime.Clock
 	// Metrics, with CacheName, exposes the cache's counters as
@@ -445,7 +440,6 @@ func NewResolver(backend Lookuper, cfg ResolverConfig) *Resolver {
 	r := &Resolver{
 		backend:     backend,
 		mode:        cfg.Mode,
-		style:       cfg.Style,
 		cache:       cache.New[Answer](cfg.Clock, 0),
 		staleFor:    cfg.StaleFor,
 		invalidated: make(map[string]struct{}),
@@ -585,7 +579,7 @@ func (r *Resolver) staleLookup(ctx context.Context, key string, cause error) (An
 }
 
 func (r *Resolver) chargeHit(ctx context.Context, n int) {
-	r.mode.ChargeHit(ctx, r.style, n)
+	r.mode.ChargeHit(ctx, n)
 	if r.mode == CacheMarshalled {
 		r.demarshals.Inc()
 	}

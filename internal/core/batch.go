@@ -8,6 +8,7 @@ import (
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
 	"hns/internal/names"
+	"hns/internal/qclass"
 )
 
 // Batched FindNSM: one frame resolves many names, with per-name status. A
@@ -29,15 +30,18 @@ type FindResult struct {
 	Err     error
 }
 
-// procFindNSMBatch is the batch resolution procedure.
+// procFindNSMBatch is the batch resolution procedure, priced like
+// procFindNSM by the 1987 call and binding in each slot.
 //
 //	args: {[{context, queryClass}]}
 //	ret:  {[{errText, nsmBinding}]}  — errText empty on success, and then
 //	      the binding slot is meaningful; positionally matched to args.
 var procFindNSMBatch = hrpc.Procedure{
 	Name: "FindNSMBatch", ID: ProcFindNSMBatchID,
-	Args: marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, marshal.TString))),
-	Ret:  marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, nsmBindingType))),
+	Args:      marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, marshal.TString))),
+	Ret:       marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, nsmBindingType))),
+	PaperArgs: marshal.TStruct(marshal.TList(paperFindArgs)),
+	PaperRet:  marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, qclass.BindingType))),
 }
 
 // FindNSMBatch resolves up to MaxFindBatch queries against the local
@@ -80,7 +84,6 @@ func registerFindBatch(s *hrpc.Server, f ContextFinder) {
 			}
 			queries[i] = NameQuery{Name: names.Name{Context: cx}, QueryClass: qc}
 		}
-		chargeIndividuals(ctx, len(queries))
 		res, err := findValid(queries, func(q *NameQuery) (err error) {
 			q.Name.Context, err = names.CanonicalContext(q.Name.Context)
 			return err
@@ -97,7 +100,6 @@ func registerFindBatch(s *hrpc.Server, f ContextFinder) {
 		if err != nil {
 			return marshal.Value{}, err
 		}
-		chargeNSMHosts(ctx, len(res))
 		results := make([]marshal.Value, len(res))
 		for i, r := range res {
 			var errText string
@@ -155,12 +157,10 @@ func (r *RemoteHNS) findContexts(ctx context.Context, qs []NameQuery) ([]FindRes
 	for i, q := range qs {
 		items[i] = marshal.StructV(marshal.Str(q.Name.Context), marshal.Str(q.QueryClass))
 	}
-	chargeIndividuals(ctx, len(qs))
 	ret, err := r.c.Call(ctx, r.b, procFindNSMBatch, marshal.StructV(marshal.ListV(items...)))
 	if err != nil {
 		return nil, err
 	}
-	chargeNSMHosts(ctx, len(qs))
 	return decodeFindResults(ret, len(qs))
 }
 

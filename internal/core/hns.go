@@ -38,7 +38,6 @@ import (
 
 	"hns/internal/bind"
 	"hns/internal/hrpc"
-	"hns/internal/marshal"
 	"hns/internal/metrics"
 	"hns/internal/names"
 	"hns/internal/qclass"
@@ -176,10 +175,7 @@ func New(meta MetaClient, cfg Config) *HNS {
 		meta:     meta,
 		rpc:      cfg.RPC,
 		resolver: bind.NewResolver(meta, bind.ResolverConfig{
-			Mode: cfg.CacheMode,
-			// Meta data arrives via the generated stubs, so marshalled-
-			// mode hits pay the generated demarshal rate.
-			Style:     marshal.StyleGenerated,
+			Mode:      cfg.CacheMode,
 			Clock:     cfg.Clock,
 			Metrics:   reg,
 			CacheName: "meta",
@@ -365,20 +361,6 @@ func (h *HNS) findNSM(ctx context.Context, context, queryClass string, depth int
 		Program:   prog,
 		Version:   qclass.NSMVersion,
 	}, nil
-}
-
-// chargeIndividuals replays what the HNS wire no longer moves: the 1987
-// stub marshalled the individual too, one generated value node per name
-// at each end, and Table 3.1 is priced with it.
-func chargeIndividuals(ctx context.Context, n int) {
-	simtime.Charge(ctx, time.Duration(n)*simtime.GenPerNode)
-}
-
-// chargeNSMHosts replays the binding field the HNS wire no longer moves:
-// the 1987 stub marshalled the NSM's host name too, one generated value
-// node per binding at each end.
-func chargeNSMHosts(ctx context.Context, n int) {
-	simtime.Charge(ctx, time.Duration(n)*simtime.GenPerNode)
 }
 
 // lookupContext performs mapping 1.

@@ -7,6 +7,7 @@ import (
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
 	"hns/internal/names"
+	"hns/internal/qclass"
 	"hns/internal/transport"
 )
 
@@ -32,15 +33,21 @@ const (
 )
 
 // procFindNSM is the remote FindNSM interface. Only the NSM reads the
-// individual name, so it stays with the caller.
+// individual name, so it stays with the caller; Table 3.1 prices the 1987
+// messages, which also carried it and the NSM's host name.
 //
 //	args: {context string, queryClass string}
 //	ret:  {nsmBinding}
 var procFindNSM = hrpc.Procedure{
 	Name: "FindNSM", ID: ProcFindNSMID,
-	Args: marshal.TStruct(marshal.TString, marshal.TString),
-	Ret:  marshal.TStruct(nsmBindingType),
+	Args:      marshal.TStruct(marshal.TString, marshal.TString),
+	Ret:       marshal.TStruct(nsmBindingType),
+	PaperArgs: paperFindArgs,
+	PaperRet:  marshal.TStruct(qclass.BindingType),
 }
+
+// paperFindArgs is the 1987 FindNSM call, {context, queryClass, individual}.
+var paperFindArgs = marshal.TStruct(marshal.TString, marshal.TString, marshal.TString)
 
 // nsmBindingType is the HNS program's binding, {addr, transport, dataRep,
 // control, program, version}: what the caller dials, and no host name.
@@ -57,22 +64,11 @@ func nsmBindingValue(b hrpc.Binding) marshal.Value {
 }
 
 // valueNSMBinding decodes an nsmBindingType value.
-func valueNSMBinding(v marshal.Value) (b hrpc.Binding, err error) {
-	if v.Kind != marshal.KindStruct || v.Len() != 6 {
-		return b, fmt.Errorf("hns: bad NSM binding value %v", v)
+func valueNSMBinding(v marshal.Value) (hrpc.Binding, error) {
+	if v.Kind != marshal.KindStruct {
+		return hrpc.Binding{}, fmt.Errorf("hns: bad NSM binding value %v", v)
 	}
-	for i, s := range [...]*string{&b.Addr, &b.Transport, &b.DataRep, &b.Control} {
-		if *s, err = v.Items[i].AsString(); err != nil {
-			return hrpc.Binding{}, err
-		}
-	}
-	if b.Program, err = v.Items[4].AsU32(); err != nil {
-		return hrpc.Binding{}, err
-	}
-	if b.Version, err = v.Items[5].AsU32(); err != nil {
-		return hrpc.Binding{}, err
-	}
-	return b, nil
+	return qclass.DialFields(v.Items)
 }
 
 // resolveHostArgs builds the argument record for ProcResolveHost calls.
@@ -94,7 +90,6 @@ func NewFinderServer(f ContextFinder, name string) *hrpc.Server {
 		if err != nil {
 			return marshal.Value{}, err
 		}
-		chargeIndividuals(ctx, 1)
 		if cx, err = names.CanonicalContext(cx); err != nil {
 			return marshal.Value{}, err
 		}
@@ -102,7 +97,6 @@ func NewFinderServer(f ContextFinder, name string) *hrpc.Server {
 		if err != nil {
 			return marshal.Value{}, err
 		}
-		chargeNSMHosts(ctx, 1)
 		return marshal.StructV(nsmBindingValue(b)), nil
 	})
 	registerFindBatch(s, f)
@@ -141,12 +135,10 @@ func (r *RemoteHNS) FindNSM(ctx context.Context, name names.Name, queryClass str
 
 // FindContextNSM implements ContextFinder.
 func (r *RemoteHNS) FindContextNSM(ctx context.Context, hnsContext, queryClass string) (hrpc.Binding, error) {
-	chargeIndividuals(ctx, 1)
 	ret, err := r.c.Call(ctx, r.b, procFindNSM, marshal.StructV(marshal.Str(hnsContext), marshal.Str(queryClass)))
 	if err != nil {
 		return hrpc.Binding{}, err
 	}
-	chargeNSMHosts(ctx, 1)
 	return valueNSMBinding(ret.Items[0])
 }
 

@@ -157,6 +157,9 @@ func (d *Daemon) bindd(c BinddConfig) error {
 	if c.Secondary != "" && (c.Update || c.Records != "") {
 		return errors.New("-secondary excludes -update and -records (a mirror's contents come from its primary)")
 	}
+	if c.Secondary != "" && c.Refresh <= 0 {
+		return fmt.Errorf("-secondary needs a positive -refresh, got %s", c.Refresh)
+	}
 	fs := c.FS
 	if fs == nil && c.DataDir != "" {
 		var err error

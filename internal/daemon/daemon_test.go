@@ -263,3 +263,62 @@ func TestXeroxWorld(t *testing.T) {
 		t.Fatalf("compute:cs:uw after chd's restart binds %q (%v), want hcsd's exec service at %s", raw, err, hcsd.Services["exec"])
 	}
 }
+
+// TestMirror starts a push primary bindd and a mirror following it, then
+// adds a record on the primary: the mirror takes it by NOTIFY (its poll is
+// an hour off) and serves it, which a subscriber to the mirror sees
+// republished. A mirror with a non-positive refresh is refused before it
+// listens.
+func TestMirror(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	primary := started(t)(Bindd(BinddConfig{Host: "tahoma", Zones: List{"hns"}, Update: true, Push: true, HRPC: "127.0.0.1:0"}))
+	mirrorCfg := BinddConfig{Host: "tahoma2", Zones: List{"hns"}, Secondary: primary.Addr(), Refresh: time.Hour,
+		Push: true, HRPC: "127.0.0.1:0"}
+	mirror := started(t)(Bindd(mirrorCfg))
+	rpc := hrpc.NewClient(transport.NewNetwork())
+	t.Cleanup(func() { rpc.Close() })
+	client := func(d *Daemon) *bind.HRPCClient {
+		return bind.NewHRPCClient(rpc, hrpc.SuiteRawNet.Bind(d.Addr(), d.Addr(), bind.HRPCProgram, bind.HRPCVersion))
+	}
+	sub := bind.NewSubscriber(client(mirror), bind.SubscribeConfig{Zone: "hns", Metrics: metrics.Discard})
+	sub.Start()
+	defer sub.Close()
+
+	serial, err := client(primary).Apply(ctx, "hns", bind.Adds(bind.A("fiji.hns", "127.0.0.1", 600)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		changed := sub.Changed()
+		if sub.LastSerial() >= serial {
+			break
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			t.Fatalf("the mirror's subscriber is at serial %d, want %d: %v", sub.LastSerial(), serial, ctx.Err())
+		}
+	}
+	if rrs, err := client(mirror).Lookup(ctx, "fiji.hns", bind.TypeA); err != nil || len(rrs) != 1 || string(rrs[0].Data) != "127.0.0.1" {
+		t.Fatalf("fiji.hns on the mirror = %v, %v; want one A record 127.0.0.1", rrs, err)
+	}
+
+	for _, refresh := range []time.Duration{0, -time.Second} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mirrorCfg.HRPC, mirrorCfg.Refresh = ln.Addr().String(), refresh
+		ln.Close()
+		if d, err := Bindd(mirrorCfg); err == nil {
+			d.Close()
+			t.Fatalf("a mirror with -refresh %s started", refresh)
+		}
+		ln, err = net.Listen("tcp", mirrorCfg.HRPC)
+		if err != nil {
+			t.Fatalf("after the refused mirror with -refresh %s: %v", refresh, err)
+		}
+		ln.Close()
+	}
+}

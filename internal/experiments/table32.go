@@ -70,7 +70,7 @@ func RunTable32(ctx context.Context, w *world.World) ([]Table32Row, error) {
 			{bind.CacheDemarshalled, &row.DemarshalledHit},
 		} {
 			r := bind.NewResolver(backend, bind.ResolverConfig{
-				Mode: probe.mode, Style: marshal.StyleGenerated, Clock: w.Clock,
+				Mode: probe.mode, Clock: w.Clock,
 			})
 			missCost, err := simtime.Measure(ctx, func(ctx context.Context) error {
 				rrs, err := r.Lookup(ctx, c.name, bind.TypeA)

@@ -81,13 +81,28 @@ type Procedure struct {
 	Name string
 	// ID is the procedure number within the program.
 	ID uint32
-	// Args and Ret are the declared message shapes.
+	// Args and Ret are the declared message shapes on the wire.
 	Args marshal.Type
 	Ret  marshal.Type
+	// PaperArgs and PaperRet, when set, are the 1987 shapes the stubs are
+	// priced by where the wire has since dropped fields (the HNS
+	// program's individual and NSM host): marshal.ChargeValue counts
+	// their nodes, reading only list lengths from the live message.
+	PaperArgs marshal.Type
+	PaperRet  marshal.Type
 	// Style prices the stub marshalling: StyleGenerated for stub-compiler
-	// output (the default), StyleHand for hand-coded routines, StyleNone
-	// for interfaces that charge their own marshalling costs.
+	// output (the default), StyleNone for interfaces that charge their
+	// own marshalling costs.
 	Style marshal.Style
+}
+
+// paper is the shape a message is priced by: the declared 1987 one, or
+// the wire's when none is declared.
+func paper(declared, wire marshal.Type) marshal.Type {
+	if declared.Kind == marshal.KindInvalid {
+		return wire
+	}
+	return declared
 }
 
 // Suite bundles the component selection of a protocol family, as the

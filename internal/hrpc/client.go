@@ -260,7 +260,7 @@ func (c *Client) call(ctx context.Context, b Binding, p Procedure, args marshal.
 		return marshal.Value{}, fmt.Errorf("hrpc: %s: marshal args: %w", p.Name, err)
 	}
 	defer bufpool.Put(argBytes)
-	marshal.ChargeValue(ctx, p.Style, args)
+	marshal.ChargeValue(ctx, p.Style, paper(p.PaperArgs, p.Args), args)
 	h := CallHeader{XID: c.xid.Add(1), Program: b.Program, Version: b.Version, Procedure: p.ID}
 	frame, err := ctl.AppendCall(bufpool.Get(48+len(argBytes)), h, argBytes)
 	if err != nil {
@@ -302,7 +302,7 @@ func (c *Client) call(ctx context.Context, b Binding, p Procedure, args marshal.
 	if err != nil {
 		return marshal.Value{}, fmt.Errorf("hrpc: %s: unmarshal result: %w", p.Name, err)
 	}
-	marshal.ChargeValue(ctx, p.Style, ret)
+	marshal.ChargeValue(ctx, p.Style, paper(p.PaperRet, p.Ret), ret)
 	return ret, nil
 }
 

@@ -181,7 +181,7 @@ func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol) transport.Han
 		if err != nil {
 			return fault(fmt.Sprintf("garbage arguments for %s: %v", sp.p.Name, err))
 		}
-		marshal.ChargeValue(ctx, sp.p.Style, args)
+		marshal.ChargeValue(ctx, sp.p.Style, paper(sp.p.PaperArgs, sp.p.Args), args)
 
 		ret, err := sp.h(ctx, args)
 		if err != nil {
@@ -193,7 +193,7 @@ func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol) transport.Han
 		if err != nil {
 			return fault(fmt.Sprintf("cannot marshal %s result: %v", sp.p.Name, err))
 		}
-		marshal.ChargeValue(ctx, sp.p.Style, ret)
+		marshal.ChargeValue(ctx, sp.p.Style, paper(sp.p.PaperRet, sp.p.Ret), ret)
 		out, rerr := reply(ReplyHeader{}, resBytes)
 		bufpool.Put(resBytes)
 		return out, rerr

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"hns/internal/simtime"
 )
@@ -400,13 +401,18 @@ func TestPackedAcceptsOnlyCanonical(t *testing.T) {
 }
 
 func TestNodeCount(t *testing.T) {
-	if got := NodeCount(U32(1)); got != 1 {
-		t.Fatalf("scalar NodeCount = %d", got)
+	if got := nodes(TUint32, U32(1)); got != 1 {
+		t.Fatalf("scalar nodes = %d", got)
 	}
 	v := StructV(U32(1), ListV(Str("a"), Str("b")))
 	// struct + u32 + list + 2 strings = 5
-	if got := NodeCount(v); got != 5 {
-		t.Fatalf("NodeCount = %d, want 5", got)
+	if got := nodes(TStruct(TUint32, TList(TString)), v); got != 5 {
+		t.Fatalf("nodes = %d, want 5", got)
+	}
+	// A field the declared type has and the value lacks still counts,
+	// and a list the value lacks is empty: struct + u32 + list = 3.
+	if got := nodes(TStruct(TUint32, TList(TString)), StructV()); got != 3 {
+		t.Fatalf("nodes of a short value = %d, want 3", got)
 	}
 }
 
@@ -429,31 +435,37 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestChargeStyles prices a generated stub per node of the declared
+// shape, with list lengths from the live value.
 func TestChargeStyles(t *testing.T) {
-	v := sampleValue()
-
-	genCost, _ := simtime.Measure(context.Background(), func(ctx context.Context) error {
-		ChargeValue(ctx, StyleGenerated, v)
-		return nil
-	})
-	handCost, _ := simtime.Measure(context.Background(), func(ctx context.Context) error {
-		ChargeValue(ctx, StyleHand, v)
-		return nil
-	})
-	if genCost <= handCost {
-		t.Fatalf("generated (%v) must cost more than hand (%v)", genCost, handCost)
-	}
-
-	gen1, _ := simtime.Measure(context.Background(), func(ctx context.Context) error {
-		ChargeRecords(ctx, StyleGenerated, 1)
-		return nil
-	})
-	gen6, _ := simtime.Measure(context.Background(), func(ctx context.Context) error {
-		ChargeRecords(ctx, StyleGenerated, 6)
-		return nil
-	})
-	if gen6 <= gen1 {
-		t.Fatal("marshalling cost must grow with record count")
+	sample := sampleValue()
+	sampleType := TStruct(TUint32, TUint64, TBool, TString, TBytes, TList(TStruct(TString, TUint32)))
+	// The wire dropped a field from each slot and one from the message;
+	// the paper shape keeps both, and the live list is three long.
+	wire := StructV(ListV(StructV(Str("a")), StructV(Str("b")), StructV(Str("c"))))
+	paper := TStruct(TList(TStruct(TString, TString)), TUint32)
+	for _, c := range []struct {
+		name  string
+		style Style
+		t     Type
+		v     Value
+		nodes int
+	}{
+		// struct, five scalars, the list, and two {string, uint32} items.
+		{"generated prices each node", StyleGenerated, sampleType, sample, 1 + 5 + 1 + 2*3},
+		{"none is free", StyleNone, sampleType, sample, 0},
+		// struct, the list, three {string, string} items, the uint32.
+		{"paper shape with live list lengths", StyleGenerated, paper, wire, 1 + 1 + 3*3 + 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, _ := simtime.Measure(context.Background(), func(ctx context.Context) error {
+				ChargeValue(ctx, c.style, c.t, c.v)
+				return nil
+			})
+			if want := time.Duration(c.nodes) * simtime.GenPerNode; got != want {
+				t.Fatalf("charged %v, want %d nodes = %v", got, c.nodes, want)
+			}
+		})
 	}
 }
 

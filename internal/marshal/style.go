@@ -22,7 +22,8 @@ const (
 	// StyleGenerated models stub-compiler output (the HRPC interface the
 	// prototype generated for BIND).
 	StyleGenerated Style = iota
-	// StyleHand models hand-written routines (the standard BIND library).
+	// StyleHand models hand-written routines (the standard BIND library),
+	// priced per message by ChargeRecords.
 	StyleHand
 	// StyleNone charges nothing; used by services that account for their
 	// marshalling explicitly (the BIND codec prices whole messages by
@@ -42,24 +43,37 @@ func (s Style) String() string {
 	}
 }
 
-// ChargeValue charges ctx for (de)marshalling the value tree v in the given
-// style, priced per node visited.
-func ChargeValue(ctx context.Context, s Style, v Value) {
+// ChargeValue charges ctx for a generated stub (de)marshalling a message
+// of declared type t, per value node of t; StyleNone is free. t may be the
+// 1987 shape rather than the wire's (hrpc.Procedure.PaperArgs): only list
+// lengths are read from v, the live message, whose fields line up with t's.
+func ChargeValue(ctx context.Context, s Style, t Type, v Value) {
 	meter := simtime.From(ctx)
-	if meter == nil {
-		return // nobody is billed: skip walking the tree
+	if meter == nil || s == StyleNone {
+		return // nobody is billed: skip walking the type
 	}
-	n := NodeCount(v)
-	var d time.Duration
-	switch s {
-	case StyleHand:
-		d = time.Duration(n) * simtime.HandPerNode
-	case StyleNone:
-		return
-	default:
-		d = time.Duration(n) * simtime.GenPerNode
+	meter.Charge(time.Duration(nodes(t, v)) * simtime.GenPerNode)
+}
+
+// nodes counts the value nodes of type t, each list as long as v's list in
+// the same place (empty where v has no such field).
+func nodes(t Type, v Value) int {
+	n := 1
+	switch t.Kind {
+	case KindList:
+		for _, it := range v.Items {
+			n += nodes(*t.Elem, it)
+		}
+	case KindStruct:
+		for i, ft := range t.Fields {
+			var fv Value
+			if i < len(v.Items) {
+				fv = v.Items[i]
+			}
+			n += nodes(ft, fv)
+		}
 	}
-	meter.Charge(d)
+	return n
 }
 
 // ChargeRecords charges ctx for (de)marshalling a resource-record message

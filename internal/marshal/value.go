@@ -23,7 +23,10 @@
 // found (Table 3.2) that its stub-compiler generated marshalling routines
 // were dramatically more expensive than the hand-coded standard BIND
 // library routines; Style captures that distinction so callers can charge
-// the appropriate cost.
+// the appropriate cost. A generated stub is priced per value node of the
+// message's declared Type (ChargeValue), which is the 1987 message where
+// it differs from today's wire; only list lengths come from the live
+// value.
 package marshal
 
 import (
@@ -159,16 +162,6 @@ func (v Value) Field(i int) (Value, error) {
 
 // Len returns the number of list elements or struct fields.
 func (v Value) Len() int { return len(v.Items) }
-
-// NodeCount reports the number of value nodes in the tree rooted at v; the
-// generated-marshalling cost model charges per node.
-func NodeCount(v Value) int {
-	n := 1
-	for _, it := range v.Items {
-		n += NodeCount(it)
-	}
-	return n
-}
 
 // Equal reports deep equality of two values.
 func Equal(a, b Value) bool {

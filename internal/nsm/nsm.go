@@ -101,7 +101,7 @@ func (rc *resultCache[V]) get(ctx context.Context, key string) (V, bool) {
 	if !ok {
 		return v, false
 	}
-	rc.mode.ChargeHit(ctx, marshal.StyleGenerated, 1) // one logical record per entry
+	rc.mode.ChargeHit(ctx, 1) // one logical record per entry
 	return v, true
 }
 
@@ -120,7 +120,7 @@ func (rc *resultCache[V]) getStale(ctx context.Context, key string, cause error)
 	if !ok {
 		return zero, false
 	}
-	rc.mode.ChargeHit(ctx, marshal.StyleGenerated, 1)
+	rc.mode.ChargeHit(ctx, 1)
 	return v, true
 }
 

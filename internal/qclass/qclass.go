@@ -58,8 +58,9 @@ func Program(queryClass string) (uint32, error) {
 	}
 }
 
-// bindingType is the wire shape of an hrpc.Binding.
-var bindingType = marshal.TStruct(
+// BindingType is the wire shape of an hrpc.Binding: the binding NSMs'
+// reply, and the 1987 HNS reply's binding (see core's FindNSM).
+var BindingType = marshal.TStruct(
 	marshal.TString, // host
 	marshal.TString, // addr
 	marshal.TString, // transport
@@ -83,32 +84,35 @@ func ValueBinding(v marshal.Value) (hrpc.Binding, error) {
 	if v.Kind != marshal.KindStruct || v.Len() != 7 {
 		return hrpc.Binding{}, fmt.Errorf("qclass: bad binding value %v", v)
 	}
-	var b hrpc.Binding
-	var err error
+	b, err := DialFields(v.Items[1:])
+	if err != nil {
+		return hrpc.Binding{}, err
+	}
 	if b.Host, err = v.Items[0].AsString(); err != nil {
 		return hrpc.Binding{}, err
 	}
-	if b.Addr, err = v.Items[1].AsString(); err != nil {
+	return b, nil
+}
+
+// DialFields decodes the six binding fields after the host, {addr,
+// transport, dataRep, control, program, version}: what a caller dials,
+// and the whole of the HNS program's binding. It returns the zero
+// Binding and an error if one is missing or of the wrong kind.
+func DialFields(items []marshal.Value) (b hrpc.Binding, err error) {
+	if len(items) != 6 {
+		return b, fmt.Errorf("qclass: %d binding fields, want 6", len(items))
+	}
+	for i, s := range [...]*string{&b.Addr, &b.Transport, &b.DataRep, &b.Control} {
+		if *s, err = items[i].AsString(); err != nil {
+			return hrpc.Binding{}, err
+		}
+	}
+	if b.Program, err = items[4].AsU32(); err != nil {
 		return hrpc.Binding{}, err
 	}
-	if b.Transport, err = v.Items[2].AsString(); err != nil {
+	if b.Version, err = items[5].AsU32(); err != nil {
 		return hrpc.Binding{}, err
 	}
-	if b.DataRep, err = v.Items[3].AsString(); err != nil {
-		return hrpc.Binding{}, err
-	}
-	if b.Control, err = v.Items[4].AsString(); err != nil {
-		return hrpc.Binding{}, err
-	}
-	var u uint32
-	if u, err = v.Items[5].AsU32(); err != nil {
-		return hrpc.Binding{}, err
-	}
-	b.Program = u
-	if u, err = v.Items[6].AsU32(); err != nil {
-		return hrpc.Binding{}, err
-	}
-	b.Version = u
 	return b, nil
 }
 
@@ -139,7 +143,7 @@ var ProcBindService = hrpc.Procedure{
 	Name: "BindService", ID: 1,
 	Args: marshal.TStruct(marshal.TString, marshal.TUint32, marshal.TUint32,
 		marshal.TString, marshal.TString),
-	Ret: marshal.TStruct(bindingType),
+	Ret: marshal.TStruct(BindingType),
 }
 
 // ProcMailRoute is the MailRoute query: find the mailbox host for a user.

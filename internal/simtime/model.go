@@ -75,11 +75,10 @@ const (
 	// GenMarshalRequest is the cost of generated-marshalling a query
 	// message (one name, fixed shape).
 	GenMarshalRequest = 2 * time.Millisecond
-	// GenPerNode prices generic value-tree marshalling for non-BIND
-	// messages (NSM argument/response records), per value node visited.
+	// GenPerNode prices generated-stub marshalling of non-BIND messages
+	// (NSM argument/response records, the HNS program), per value node of
+	// the message's declared shape.
 	GenPerNode = 350 * time.Microsecond
-	// HandPerNode is the hand-coded equivalent.
-	HandPerNode = 40 * time.Microsecond
 
 	// ---- Server-side work.
 
