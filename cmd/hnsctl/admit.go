@@ -12,7 +12,7 @@ import (
 // (normally the hnsgw gateway started with -metrics) with admitted and
 // shed totals broken out by reason, plus the live in-flight and
 // known-client gauges.
-func cmdAdmit(args []string) error {
+func cmdAdmit(e *env, args []string) error {
 	fs := flag.NewFlagSet("admit", flag.ExitOnError)
 	from := fs.String("from", "127.0.0.1:5321", "daemon metrics address (-metrics value)")
 	if err := fs.Parse(args); err != nil {
@@ -71,7 +71,7 @@ func cmdAdmit(args []string) error {
 		}
 	}
 	if len(rows) == 0 {
-		fmt.Println("no admission state recorded (is the daemon running with admission enabled?)")
+		fmt.Fprintln(e.out, "no admission state recorded (is the daemon running with admission enabled?)")
 		return nil
 	}
 
@@ -80,10 +80,10 @@ func cmdAdmit(args []string) error {
 		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].server < out[j].server })
-	fmt.Printf("%-24s %10s %11s %11s %9s %8s\n",
+	fmt.Fprintf(e.out, "%-24s %10s %11s %11s %9s %8s\n",
 		"server", "admitted", "shed(rate)", "shed(load)", "inflight", "clients")
 	for _, r := range out {
-		fmt.Printf("%-24s %10d %11d %11d %9d %8d\n",
+		fmt.Fprintf(e.out, "%-24s %10d %11d %11d %9d %8d\n",
 			r.server, r.admitted, r.shedRate, r.shedLoad, r.inflight, r.clients)
 	}
 	return nil

@@ -14,7 +14,7 @@ import (
 // per (service, endpoint) with the circuit state and the failure /
 // failover counters. Any daemon started with -metrics serves the data;
 // rows exist once a replica-aware client has touched an endpoint.
-func cmdHealth(args []string) error {
+func cmdHealth(e *env, args []string) error {
 	fs := flag.NewFlagSet("health", flag.ExitOnError)
 	from := fs.String("from", "127.0.0.1:5390", "daemon metrics address (-metrics value)")
 	if err := fs.Parse(args); err != nil {
@@ -69,7 +69,7 @@ func cmdHealth(args []string) error {
 		}
 	}
 	if len(rows) == 0 {
-		fmt.Println("no endpoint health recorded (no replica-aware client has run yet)")
+		fmt.Fprintln(e.out, "no endpoint health recorded (no replica-aware client has run yet)")
 		return nil
 	}
 
@@ -83,10 +83,10 @@ func cmdHealth(args []string) error {
 		}
 		return out[i].endpoint < out[j].endpoint
 	})
-	fmt.Printf("%-14s %-28s %-9s %-8s %6s %7s %9s\n",
+	fmt.Fprintf(e.out, "%-14s %-28s %-9s %-8s %6s %7s %9s\n",
 		"service", "endpoint", "state", "healthy", "opens", "probes", "failures")
 	for _, r := range out {
-		fmt.Printf("%-14s %-28s %-9s %-8v %6d %7d %9d\n",
+		fmt.Fprintf(e.out, "%-14s %-28s %-9s %-8v %6d %7d %9d\n",
 			r.service, r.endpoint, r.state, r.healthy, r.opens, r.probes, r.failures)
 	}
 	return nil

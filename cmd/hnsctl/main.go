@@ -22,8 +22,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -37,63 +39,57 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	env := &env{
-		net: transport.NewNetwork(),
-	}
-	env.rpc = hrpc.NewClient(env.net)
-	defer env.rpc.Close()
-
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "find":
-		err = cmdFind(env, args, false)
-	case "resolve":
-		err = cmdFind(env, args, true)
-	case "lookup":
-		err = cmdLookup(env, args)
-	case "register-ns":
-		err = cmdRegisterPair(env, args, cmd, "<name> <type>", core.NameServiceRecord)
-	case "register-context":
-		err = cmdRegisterPair(env, args, cmd, "<context> <nameservice>", core.ContextRecord)
-	case "register-nsm":
-		err = cmdRegisterNSM(env, args)
-	case "unregister-context":
-		err = cmdUnregister(env, args, "context")
-	case "unregister-nsm":
-		err = cmdUnregister(env, args, "nsm")
-	case "dump":
-		err = cmdDump(env, args)
-	case "watch":
-		err = cmdWatch(env, args)
-	case "stats":
-		err = cmdStats(args)
-	case "store":
-		err = cmdStore(args)
-	case "health":
-		err = cmdHealth(args)
-	case "admit":
-		err = cmdAdmit(args)
-	default:
-		usage()
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hnsctl %s: %v\n", cmd, err)
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "hnsctl %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: hnsctl {find|resolve|lookup|register-ns|register-context|register-nsm|unregister-context|unregister-nsm|dump|watch|stats|store|health|admit} [flags] args...")
-	os.Exit(2)
+var errUsage = errors.New("usage: hnsctl {find|resolve|lookup|register-ns|register-context|register-nsm|unregister-context|unregister-nsm|dump|watch|stats|store|health|admit} [flags] args...")
+
+// run is hnsctl with args (the subcommand first), printing to stdout.
+func run(args []string, stdout io.Writer) error {
+	e := &env{net: transport.NewNetwork(), out: stdout}
+	e.rpc = hrpc.NewClient(e.net)
+	defer e.rpc.Close()
+	cmds := map[string]func(*env, []string) error{
+		"find":    func(e *env, args []string) error { return cmdFind(e, args, false) },
+		"resolve": func(e *env, args []string) error { return cmdFind(e, args, true) },
+		"lookup":  cmdLookup,
+		"register-ns": func(e *env, args []string) error {
+			return cmdRegisterPair(e, args, "register-ns", "<name> <type>", core.NameServiceRecord)
+		},
+		"register-context": func(e *env, args []string) error {
+			return cmdRegisterPair(e, args, "register-context", "<context> <nameservice>", core.ContextRecord)
+		},
+		"register-nsm":       cmdRegisterNSM,
+		"unregister-context": func(e *env, args []string) error { return cmdUnregister(e, args, "context") },
+		"unregister-nsm":     func(e *env, args []string) error { return cmdUnregister(e, args, "nsm") },
+		"dump":               cmdDump,
+		"watch":              cmdWatch,
+		"stats":              cmdStats,
+		"store":              cmdStore,
+		"health":             cmdHealth,
+		"admit":              cmdAdmit,
+	}
+	if len(args) == 0 || cmds[args[0]] == nil {
+		return errUsage
+	}
+	if err := cmds[args[0]](e, args[1:]); err != nil {
+		return fmt.Errorf("%s: %w", args[0], err)
+	}
+	return nil
 }
 
 type env struct {
 	net *transport.Network
 	rpc *hrpc.Client
+	out io.Writer
 }
 
 // metaClient opens the meta-BIND's HRPC interface.
@@ -131,7 +127,7 @@ func cmdFind(e *env, args []string, alsoResolve bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("NSM binding: %s\n", b)
+	fmt.Fprintf(e.out, "NSM binding: %s\n", b)
 	if !alsoResolve {
 		return nil
 	}
@@ -139,7 +135,7 @@ func cmdFind(e *env, args []string, alsoResolve bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s -> %s\n", name, addr)
+	fmt.Fprintf(e.out, "%s -> %s\n", name, addr)
 	return nil
 }
 
@@ -164,7 +160,7 @@ func cmdLookup(e *env, args []string) error {
 		return err
 	}
 	for _, rr := range rrs {
-		fmt.Println(rr)
+		fmt.Fprintln(e.out, rr)
 	}
 	return nil
 }
@@ -224,7 +220,7 @@ func addRecords(e *env, metaAddr, zone string, rrs ...bind.RR) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("added %d records (zone serial %d)\n", len(rrs), serial)
+	fmt.Fprintf(e.out, "added %d records (zone serial %d)\n", len(rrs), serial)
 	return nil
 }
 
@@ -255,7 +251,7 @@ func cmdUnregister(e *env, args []string, kind string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("removed %s (zone serial %d)\n", strings.Join(owners, ", "), serial)
+	fmt.Fprintf(e.out, "removed %s (zone serial %d)\n", strings.Join(owners, ", "), serial)
 	return nil
 }
 
@@ -271,7 +267,7 @@ func cmdDump(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("; zone %s serial %d (%d records)\n", *zone, serial, len(rrs))
-	fmt.Print(bind.FormatZoneFile(rrs))
+	fmt.Fprintf(e.out, "; zone %s serial %d (%d records)\n", *zone, serial, len(rrs))
+	fmt.Fprint(e.out, bind.FormatZoneFile(rrs))
 	return nil
 }

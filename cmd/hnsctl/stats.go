@@ -13,7 +13,7 @@ import (
 
 // cmdStats fetches a daemon's /debug/hns snapshot and pretty-prints it.
 // Any daemon started with -metrics serves the endpoint.
-func cmdStats(args []string) error {
+func cmdStats(e *env, args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	from := fs.String("from", "127.0.0.1:5390", "daemon metrics address (-metrics value)")
 	filter := fs.String("filter", "", "only show series whose name contains this substring")
@@ -32,9 +32,9 @@ func cmdStats(args []string) error {
 	printed := 0
 	section := func(title string) {
 		if printed > 0 {
-			fmt.Println()
+			fmt.Fprintln(e.out)
 		}
-		fmt.Printf("%s\n", title)
+		fmt.Fprintf(e.out, "%s\n", title)
 		printed++
 	}
 
@@ -45,9 +45,9 @@ func cmdStats(args []string) error {
 		section("push plane:")
 		row := func(label, name string, ss []metrics.Series) {
 			n, _ := lookup(ss, name)
-			fmt.Printf("  %-60s %d\n", label, n)
+			fmt.Fprintf(e.out, "  %-60s %d\n", label, n)
 		}
-		fmt.Printf("  %-60s %d\n", "subscribers now", v)
+		fmt.Fprintf(e.out, "  %-60s %d\n", "subscribers now", v)
 		row("subscriptions accepted", "push_subscribe_total", snap.Counters)
 		row("subscriptions rejected (table full)", "push_subscribe_rejected_total", snap.Counters)
 		row("notifies sent", "push_notify_sent_total", snap.Counters)
@@ -56,11 +56,22 @@ func cmdStats(args []string) error {
 		row("subscriber connections dropped", "push_conn_drops_total", snap.Counters)
 	}
 
+	// A caller's memo of FindNSM answers (core.RemoteHNS; hnsgw keeps one)
+	// and the connections watching the daemon, whose memos its relays
+	// keep honest.
+	if hits, ok := lookup(snap.Gauges, `cache_hits_total{cache="hns_memo"}`); ok && match("hns_memo") {
+		misses, _ := lookup(snap.Gauges, `cache_misses_total{cache="hns_memo"}`)
+		watchers, _ := lookup(snap.Gauges, "push_subscribers")
+		section("caller memo:")
+		fmt.Fprintf(e.out, "  %-60s %.3f\n", "hit ratio", float64(hits)/float64(max(hits+misses, 1)))
+		fmt.Fprintf(e.out, "  %-60s %d\n", "watchers", watchers)
+	}
+
 	if any(snap.Counters, match) {
 		section("counters:")
 		for _, c := range snap.Counters {
 			if match(c.Name) {
-				fmt.Printf("  %-60s %d\n", c.Name, c.Value)
+				fmt.Fprintf(e.out, "  %-60s %d\n", c.Name, c.Value)
 			}
 		}
 	}
@@ -68,7 +79,7 @@ func cmdStats(args []string) error {
 		section("gauges:")
 		for _, g := range snap.Gauges {
 			if match(g.Name) {
-				fmt.Printf("  %-60s %d\n", g.Name, g.Value)
+				fmt.Fprintf(e.out, "  %-60s %d\n", g.Name, g.Value)
 			}
 		}
 	}
@@ -81,11 +92,11 @@ func cmdStats(args []string) error {
 			section("histograms (ms):")
 			histShown = true
 		}
-		fmt.Printf("  %-60s n=%-7d mean=%-8.3f p50≤%-7g p99≤%-7g\n",
+		fmt.Fprintf(e.out, "  %-60s n=%-7d mean=%-8.3f p50≤%-7g p99≤%-7g\n",
 			h.Name, h.Count, h.Mean(), h.Quantile(0.5), h.Quantile(0.99))
 	}
 	if printed == 0 {
-		fmt.Println("no series matched")
+		fmt.Fprintln(e.out, "no series matched")
 	}
 	return nil
 }

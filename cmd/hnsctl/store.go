@@ -10,7 +10,7 @@ import (
 // durable-store series — WAL appends and fsyncs, checkpoints, recovery —
 // grouped per store label. A bindd started with -data-dir and -metrics
 // is the usual target.
-func cmdStore(args []string) error {
+func cmdStore(e *env, args []string) error {
 	fs := flag.NewFlagSet("store", flag.ExitOnError)
 	from := fs.String("from", "127.0.0.1:5390", "daemon metrics address (-metrics value)")
 	if err := fs.Parse(args); err != nil {
@@ -47,7 +47,7 @@ func cmdStore(args []string) error {
 		}
 	}
 	if len(stores) == 0 {
-		fmt.Println("no durable-store series; is the daemon running with -data-dir?")
+		fmt.Fprintln(e.out, "no durable-store series; is the daemon running with -data-dir?")
 		return nil
 	}
 
@@ -58,23 +58,23 @@ func cmdStore(args []string) error {
 	sort.Strings(labels)
 	for i, label := range labels {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(e.out)
 		}
 		v := stores[label]
-		fmt.Printf("store %q\n", label)
-		fmt.Printf("  wal:       %d appends, %d fsyncs, last lsn %d, %d segments, %d bytes since checkpoint\n",
+		fmt.Fprintf(e.out, "store %q\n", label)
+		fmt.Fprintf(e.out, "  wal:       %d appends, %d fsyncs, last lsn %d, %d segments, %d bytes since checkpoint\n",
 			v.counters["wal_appends_total"], v.counters["wal_fsync_total"],
 			v.gauges["store_wal_last_lsn"], v.gauges["store_wal_segments"],
 			v.gauges["store_wal_bytes_since_checkpoint"])
-		fmt.Printf("  snapshots: %d written, %d failed, covering lsn %d\n",
+		fmt.Fprintf(e.out, "  snapshots: %d written, %d failed, covering lsn %d\n",
 			v.counters["snapshot_total"], v.counters["snapshot_errors_total"],
 			v.gauges["store_snapshot_lsn"])
-		fmt.Printf("  recovery:  %d records replayed, %d torn bytes dropped, %d ms\n",
+		fmt.Fprintf(e.out, "  recovery:  %d records replayed, %d torn bytes dropped, %d ms\n",
 			v.gauges["store_recovery_replayed"], v.gauges["store_recovery_torn_bytes"],
 			v.gauges["store_recovery_ms"])
 		for _, h := range snap.Histograms {
 			if base, store := storeSeries(h.Name); store == label && base == "wal_fsync_seconds" {
-				fmt.Printf("  fsync:     n=%d mean=%.3gms p99≤%gms\n",
+				fmt.Fprintf(e.out, "  fsync:     n=%d mean=%.3gms p99≤%gms\n",
 					h.Count, h.Mean(), h.Quantile(0.99))
 			}
 		}

@@ -45,13 +45,13 @@ func cmdWatch(e *env, args []string) error {
 		OnNotify: func(n push.Notification) {
 			seen.Add(1)
 			if n.Names == nil {
-				fmt.Printf("%s  serial %-8d zone-level event (%s)\n", stamp(), n.Serial, n.Zone)
+				fmt.Fprintf(e.out, "%s  serial %-8d zone-level event (%s)\n", stamp(), n.Serial, n.Zone)
 				return
 			}
-			fmt.Printf("%s  serial %-8d %s\n", stamp(), n.Serial, strings.Join(n.Names, " "))
+			fmt.Fprintf(e.out, "%s  serial %-8d %s\n", stamp(), n.Serial, strings.Join(n.Names, " "))
 		},
 		OnReset: func() {
-			fmt.Printf("%s  RESET: continuity lost past the server's diff window\n", stamp())
+			fmt.Fprintf(e.out, "%s  RESET: continuity lost past the server's diff window\n", stamp())
 		},
 	})
 	defer sub.Close()
@@ -73,12 +73,12 @@ func cmdWatch(e *env, args []string) error {
 	if len(names) > 0 {
 		what = fmt.Sprintf("%d name(s)", len(names))
 	}
-	fmt.Printf("watching zone %q on %s (%s) from serial %d — ctrl-C to stop\n",
+	fmt.Fprintf(e.out, "watching zone %q on %s (%s) from serial %d — ctrl-C to stop\n",
 		*zone, *meta, what, sub.LastSerial())
 
 	done := make(chan os.Signal, 1)
 	signal.Notify(done, os.Interrupt, syscall.SIGTERM)
 	<-done
-	fmt.Printf("\n%d notification(s); last serial %d\n", seen.Load(), sub.LastSerial())
+	fmt.Fprintf(e.out, "\n%d notification(s); last serial %d\n", seen.Load(), sub.LastSerial())
 	return nil
 }

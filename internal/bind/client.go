@@ -1,6 +1,7 @@
 package bind
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"strconv"
@@ -360,6 +361,8 @@ type Answer struct {
 	rrs  []RR // each with Data nil: record i's data are data[i]
 	data []string
 	ttl  uint32 // the records' minimum TTL: how long the cache keeps it
+	// until is when the cache drops the answer; zero on one not yet installed.
+	until time.Time
 }
 
 func newAnswer(rrs []RR) Answer {
@@ -392,12 +395,13 @@ func (a Answer) RRs() []RR {
 
 // Resolver wraps a Lookuper with a TTL cache of Answers. It is safe for
 // concurrent use, and concurrent misses for the same key are coalesced
-// into a single backend lookup (see flightGroup).
+// into a single backend lookup (see FlightGroup).
 type Resolver struct {
 	backend Lookuper
 	mode    CacheMode
+	clock   simtime.Clock
 	cache   *cache.TTL[Answer]
-	flights flightGroup
+	flights FlightGroup[Answer]
 	// invalidated remembers keys whose cached answer an Invalidate removed
 	// and no lookup has refetched yet (see LookupChain); Sweep and Purge
 	// forget them.
@@ -440,6 +444,7 @@ func NewResolver(backend Lookuper, cfg ResolverConfig) *Resolver {
 	r := &Resolver{
 		backend:     backend,
 		mode:        cfg.Mode,
+		clock:       cmp.Or[simtime.Clock](cfg.Clock, simtime.RealClock{}),
 		cache:       cache.New[Answer](cfg.Clock, 0),
 		staleFor:    cfg.StaleFor,
 		invalidated: make(map[string]struct{}),
@@ -503,14 +508,18 @@ func (r *Resolver) LookupChain(ctx context.Context, name string, t RRType, follo
 		return a, nil
 	}
 	metrics.CallCounterFrom(ctx).AddMiss()
-	fetch := func(ctx context.Context) ([]RR, error) { return r.backend.Lookup(ctx, cname, t) }
+	fetch := func(ctx context.Context) (Answer, error) {
+		rrs, err := r.backend.Lookup(ctx, cname, t)
+		return newAnswer(rrs), err
+	}
 	install := func(a Answer, _ bool) { r.install(key, a) }
 	chain, _ := r.backend.(ChainLookuper)
 	if alone := r.takeInvalidated(key); !alone && chain != nil && len(follow) > 0 {
 		var tails [][]RR // written by fetch, read by install: both run on the leader
-		fetch = func(ctx context.Context) (head []RR, err error) {
-			head, tails, err = chain.LookupChain(ctx, cname, t, follow)
-			return head, err
+		fetch = func(ctx context.Context) (Answer, error) {
+			head, rest, err := chain.LookupChain(ctx, cname, t, follow)
+			tails = rest
+			return newAnswer(head), err
 		}
 		install = func(a Answer, quiet bool) {
 			r.install(key, a)
@@ -522,7 +531,7 @@ func (r *Resolver) LookupChain(ctx context.Context, name string, t RRType, follo
 			}
 		}
 	}
-	a, cost, joined, err := r.flights.do(ctx, key, fetch, install)
+	a, cost, joined, err := r.flights.Do(ctx, key, fetch, install)
 	if joined {
 		r.coalesced.Inc()
 	}
@@ -555,11 +564,23 @@ func (r *Resolver) forgetInvalidated() {
 	r.invMu.Unlock()
 }
 
-// install caches an answer under its records' minimum TTL. flightGroup.do
+// install caches an answer under its records' minimum TTL. FlightGroup.Do
 // runs it only for a successful flight no Invalidate or Purge superseded,
 // so an error, NotFound included, is never remembered.
 func (r *Resolver) install(key string, a Answer) {
-	r.cache.Put(key, a, time.Duration(a.ttl)*time.Second)
+	ttl := time.Duration(a.ttl) * time.Second
+	a.until = r.clock.Now().Add(ttl)
+	r.cache.Put(key, a, ttl)
+}
+
+// Left reports how much longer the cache keeps a, an answer Lookup
+// returned: its whole TTL when it was just fetched, nothing when it was
+// served stale.
+func (r *Resolver) Left(a Answer) time.Duration {
+	if a.until.IsZero() {
+		return time.Duration(a.ttl) * time.Second
+	}
+	return max(a.until.Sub(r.clock.Now()), 0)
 }
 
 // staleLookup is the serve-stale fallback: when a backend lookup failed
@@ -619,7 +640,7 @@ func (r *Resolver) Invalidate(name string, t RRType) {
 		return
 	}
 	key := cacheKey(cname, t)
-	r.flights.supersede(key)
+	r.flights.Supersede(key)
 	if r.cache.Delete(key) {
 		r.invMu.Lock()
 		r.invalidated[key] = struct{}{}
@@ -630,7 +651,7 @@ func (r *Resolver) Invalidate(name string, t RRType) {
 // Purge empties the cache, superseding every in-flight fetch as Invalidate
 // does for one.
 func (r *Resolver) Purge() {
-	r.flights.supersedeAll()
+	r.flights.SupersedeAll()
 	r.cache.Purge()
 	r.forgetInvalidated()
 }

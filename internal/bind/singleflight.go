@@ -8,9 +8,11 @@ import (
 	"hns/internal/simtime"
 )
 
-// flightGroup coalesces concurrent cache misses for the same key into one
-// backend lookup — the classic singleflight discipline, specialised for
-// the resolver.
+// FlightGroup coalesces concurrent cache misses for the same key into one
+// backend lookup — the classic singleflight discipline — and is the one
+// supersede rule: an invalidation landing while a miss is in flight keeps
+// its answer out of the cache. The resolver's answers and core's caller
+// memo both ride it.
 //
 // The subtlety is simulated cost. The paper's tables price what one client
 // *experiences*: a cache-cold FindNSM costs the full lookup whether or not
@@ -20,10 +22,10 @@ import (
 // captured cost on its own meter. Coalescing therefore changes backend
 // load — N concurrent misses cost the meta-BIND one lookup — without
 // perturbing a single Table 3.1/3.2 cell.
-type flightGroup struct {
+type FlightGroup[V any] struct {
 	mu sync.Mutex
-	m  map[string]*flight
-	// gen counts invalidations (every supersede and supersedeAll, whether
+	m  map[string]*flight[V]
+	// gen counts invalidations (every Supersede and SupersedeAll, whether
 	// or not a flight was mapped). A flight that also fetched names other
 	// than its key has no flight of theirs to be superseded through, so it
 	// compares gen at its end with gen at its start instead.
@@ -34,24 +36,24 @@ type flightGroup struct {
 }
 
 // flight is one in-progress backend lookup.
-type flight struct {
+type flight[V any] struct {
 	done chan struct{} // closed when the leader finishes
 
-	// superseded, guarded by flightGroup.mu, is set when an invalidation
+	// superseded, guarded by FlightGroup.mu, is set when an invalidation
 	// detached this flight from the group: its answer may predate the
 	// change and must not be cached.
 	superseded bool
-	// gen is flightGroup.gen when the flight began.
+	// gen is FlightGroup.gen when the flight began.
 	gen uint64
 
 	// Results, valid after done is closed. The leader, every waiter and
 	// the cache share the one ans.
-	ans  Answer
+	ans  V
 	err  error
 	cost time.Duration // simulated cost of the backend lookup
 }
 
-// do executes fetch for key, coalescing with an in-progress flight for the
+// Do executes fetch for key, coalescing with an in-progress flight for the
 // same key if one exists. It reports the answer, the simulated cost the
 // caller must charge, and whether this caller joined an existing flight
 // rather than leading one. A caller whose ctx dies while waiting detaches
@@ -64,10 +66,10 @@ type flight struct {
 // the entry); install must not call back into the group. install's quiet
 // argument reports that no key at all was invalidated while the flight
 // ran: only then may it cache what the fetch brought back under other keys.
-func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Context) ([]RR, error), install func(a Answer, quiet bool)) (a Answer, cost time.Duration, joined bool, err error) {
+func (g *FlightGroup[V]) Do(ctx context.Context, key string, fetch func(context.Context) (V, error), install func(a V, quiet bool)) (a V, cost time.Duration, joined bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = make(map[string]*flight)
+		g.m = make(map[string]*flight[V])
 	}
 	if f, ok := g.m[key]; ok {
 		g.mu.Unlock()
@@ -78,10 +80,10 @@ func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Con
 		case <-f.done:
 			return f.ans, f.cost, true, f.err
 		case <-ctx.Done():
-			return Answer{}, 0, true, ctx.Err()
+			return a, 0, true, ctx.Err()
 		}
 	}
-	f := &flight{done: make(chan struct{}), gen: g.gen}
+	f := &flight[V]{done: make(chan struct{}), gen: g.gen}
 	g.m[key] = f
 	g.mu.Unlock()
 
@@ -90,15 +92,13 @@ func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Con
 	// waiter's meter, exactly once each. A daemon's ctx has no meter and
 	// must not acquire one here — the RPC below reads wall time — so its
 	// flights carry cost 0.
-	var rrs []RR
 	if simtime.From(ctx) != nil {
 		meter := simtime.NewMeter()
-		rrs, f.err = fetch(simtime.WithMeter(ctx, meter))
+		f.ans, f.err = fetch(simtime.WithMeter(ctx, meter))
 		f.cost = meter.Elapsed()
 	} else {
-		rrs, f.err = fetch(ctx)
+		f.ans, f.err = fetch(ctx)
 	}
-	f.ans = newAnswer(rrs)
 
 	g.mu.Lock()
 	if !f.superseded {
@@ -112,10 +112,10 @@ func (g *flightGroup) do(ctx context.Context, key string, fetch func(context.Con
 	return f.ans, f.cost, false, f.err
 }
 
-// supersede detaches the in-progress flight for key, if any: its waiters
+// Supersede detaches the in-progress flight for key, if any: its waiters
 // still get its answer, its leader will not cache it, and the next caller
 // for key starts a new flight.
-func (g *flightGroup) supersede(key string) {
+func (g *FlightGroup[V]) Supersede(key string) {
 	g.mu.Lock()
 	g.gen++
 	if f, ok := g.m[key]; ok {
@@ -125,8 +125,8 @@ func (g *flightGroup) supersede(key string) {
 	g.mu.Unlock()
 }
 
-// supersedeAll detaches every in-progress flight.
-func (g *flightGroup) supersedeAll() {
+// SupersedeAll detaches every in-progress flight.
+func (g *FlightGroup[V]) SupersedeAll() {
 	g.mu.Lock()
 	g.gen++
 	for key, f := range g.m {

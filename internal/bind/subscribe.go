@@ -97,6 +97,9 @@ type SubscribeConfig struct {
 	// replay the gap, so anything cached from this zone is suspect.
 	// Optional; when nil a reset simply resumes from the new serial.
 	OnReset func()
+	// OnDown, when set, fires each time the subscription's connection
+	// dies; it stands again once resubscribed and caught up. Optional.
+	OnDown func()
 	// Metrics receives the push_client_* counters (default
 	// metrics.Default()).
 	Metrics *metrics.Registry
@@ -276,6 +279,9 @@ func (s *Subscriber) run() {
 			case <-died:
 				reg.Stop() // the death may be a failed attempt's, not this registration's
 				s.set(func() { s.active = false })
+				if s.cfg.OnDown != nil {
+					s.cfg.OnDown()
+				}
 				continue
 			case <-s.ctx.Done():
 				reg.Stop()

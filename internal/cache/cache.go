@@ -161,6 +161,18 @@ func (c *TTL[V]) Put(key string, value V, ttl time.Duration) {
 	c.entries[key] = entry[V]{value: value, expires: c.clock.Now().Add(ttl)}
 }
 
+// Left reports how much longer key's entry stays live: nothing when it
+// is absent or expired.
+func (c *TTL[V]) Left(key string) time.Duration {
+	c.lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok {
+		return 0
+	}
+	return max(e.expires.Sub(c.clock.Now()), 0)
+}
+
 // Delete removes key, reporting whether it was present.
 func (c *TTL[V]) Delete(key string) bool {
 	c.lock()

@@ -28,18 +28,20 @@ type NameQuery struct {
 type FindResult struct {
 	Binding hrpc.Binding
 	Err     error
+	keep    uint32 // the slot's keep, as procFindNSM's
 }
 
 // procFindNSMBatch is the batch resolution procedure, priced like
 // procFindNSM by the 1987 call and binding in each slot.
 //
 //	args: {[{context, queryClass}]}
-//	ret:  {[{errText, nsmBinding}]}  — errText empty on success, and then
-//	      the binding slot is meaningful; positionally matched to args.
+//	ret:  {[{errText, nsmBinding, keep}]}  — errText empty on success, and
+//	      then the binding and keep are meaningful; positionally matched to
+//	      args.
 var procFindNSMBatch = hrpc.Procedure{
 	Name: "FindNSMBatch", ID: ProcFindNSMBatchID,
 	Args:      marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, marshal.TString))),
-	Ret:       marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, nsmBindingType))),
+	Ret:       marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, nsmBindingType, marshal.TUint32))),
 	PaperArgs: marshal.TStruct(marshal.TList(paperFindArgs)),
 	PaperRet:  marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, qclass.BindingType))),
 }
@@ -61,7 +63,7 @@ func (h *HNS) FindNSMBatch(ctx context.Context, qs []NameQuery) ([]FindResult, e
 
 // registerFindBatch installs the batch procedure on an HNS server over
 // any ContextFinder (a remote HNS batches through; others loop).
-func registerFindBatch(s *hrpc.Server, f ContextFinder) {
+func (fs finderServer) registerFindBatch(s *hrpc.Server) {
 	s.Register(procFindNSMBatch, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		qs := args.Items[0]
 		if qs.Len() > MaxFindBatch {
@@ -88,12 +90,12 @@ func registerFindBatch(s *hrpc.Server, f ContextFinder) {
 			q.Name.Context, err = names.CanonicalContext(q.Name.Context)
 			return err
 		}, func(valid []NameQuery) ([]FindResult, error) {
-			if r, ok := f.(*RemoteHNS); ok {
-				return r.findContexts(ctx, valid)
+			if r, ok := fs.f.(*RemoteHNS); ok {
+				return r.findContexts(ctx, valid) // its slots promise nothing: keep 0
 			}
 			out := make([]FindResult, len(valid))
 			for i, q := range valid {
-				out[i].Binding, out[i].Err = f.FindContextNSM(ctx, q.Name.Context, q.QueryClass)
+				out[i].Binding, out[i].keep, out[i].Err = fs.find(ctx, q.Name.Context, q.QueryClass)
 			}
 			return out, nil
 		})
@@ -106,7 +108,7 @@ func registerFindBatch(s *hrpc.Server, f ContextFinder) {
 			if r.Err != nil {
 				errText, r.Binding = r.Err.Error(), hrpc.Binding{}
 			}
-			results[i] = marshal.StructV(marshal.Str(errText), nsmBindingValue(r.Binding))
+			results[i] = marshal.StructV(marshal.Str(errText), nsmBindingValue(r.Binding), marshal.U32(r.keep))
 		}
 		return marshal.StructV(marshal.ListV(results...)), nil
 	})
@@ -151,7 +153,8 @@ func (r *RemoteHNS) FindNSMBatch(ctx context.Context, qs []NameQuery) ([]FindRes
 }
 
 // findContexts sends the (context, query class) of each query in one
-// FindNSMBatch call.
+// FindNSMBatch call, then asks for the watch as find does. Its answers are
+// not kept, and a gateway forwards them with keep 0.
 func (r *RemoteHNS) findContexts(ctx context.Context, qs []NameQuery) ([]FindResult, error) {
 	items := make([]marshal.Value, len(qs))
 	for i, q := range qs {
@@ -161,6 +164,7 @@ func (r *RemoteHNS) findContexts(ctx context.Context, qs []NameQuery) ([]FindRes
 	if err != nil {
 		return nil, err
 	}
+	r.promise(ctx)
 	return decodeFindResults(ret, len(qs))
 }
 
@@ -180,8 +184,8 @@ func decodeFindResults(ret marshal.Value, n int) ([]FindResult, error) {
 	}
 	out := make([]FindResult, n)
 	for i, it := range list.Items {
-		if it.Kind != marshal.KindStruct || it.Len() != 2 {
-			return nil, fmt.Errorf("hns: batch result %d is not an (err, binding) pair", i)
+		if it.Kind != marshal.KindStruct || it.Len() != 3 {
+			return nil, fmt.Errorf("hns: batch result %d is not an (err, binding, keep) triple", i)
 		}
 		errText, err := it.Items[0].AsString()
 		if err != nil {

@@ -15,14 +15,15 @@ func FuzzFindBatchDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// Seed with a well-formed two-slot reply (one success, one per-name
-	// error) and some near-misses.
+	// Seed with a well-formed two-slot reply, {errText, binding, keep} a
+	// slot (one success kept for ten minutes, one per-name error), and
+	// some near-misses.
 	good := marshal.StructV(marshal.ListV(
 		marshal.StructV(marshal.Str(""), nsmBindingValue(hrpc.Binding{
 			Addr: "nsm:1", Transport: "udp",
 			DataRep: "xdr", Control: "sunrpc", Program: 200100, Version: 10,
-		})),
-		marshal.StructV(marshal.Str("no such context"), nsmBindingValue(hrpc.Binding{})),
+		}), marshal.U32(600)),
+		marshal.StructV(marshal.Str("no such context"), nsmBindingValue(hrpc.Binding{}), marshal.U32(0)),
 	))
 	enc, err := rep.Append(nil, good, procFindNSMBatch.Ret)
 	if err != nil {

@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,6 +41,7 @@ import (
 	"hns/internal/hrpc"
 	"hns/internal/metrics"
 	"hns/internal/names"
+	"hns/internal/push"
 	"hns/internal/qclass"
 	"hns/internal/simtime"
 	"hns/internal/transport"
@@ -52,6 +54,9 @@ type HostResolver interface {
 	// ResolveHost maps the individual name of a host to its transport
 	// address.
 	ResolveHost(ctx context.Context, individual string) (string, error)
+	// Left reports how much longer it keeps the address it resolved for
+	// individual: nothing when it holds none, or only a stale one.
+	Left(individual string) time.Duration
 }
 
 // Finder is the client-side face of the HNS, satisfied by both the local
@@ -143,6 +148,11 @@ type HNS struct {
 	// metaSub, when non-nil, is the live push subscription feeding
 	// cache invalidations (see SubscribeMeta in subscribe.go).
 	metaSub *bind.Subscriber
+	// watchers are the connections its relays go to, and hostCtxs the
+	// host contexts a watched walk read: a change to one is relayed as a
+	// zone-level flush (see subscribe.go).
+	watchers *push.Table
+	hostCtxs sync.Map
 
 	findCalls atomic.Int64
 	instr     bool
@@ -182,6 +192,7 @@ func New(meta MetaClient, cfg Config) *HNS {
 			StaleFor:  cfg.ServeStale,
 		}),
 		hostResolvers: make(map[string]HostResolver),
+		watchers:      push.NewTable(0, reg),
 		instr:         reg.Enabled(),
 	}
 	h.obs = hnsObs{
@@ -363,13 +374,58 @@ func (h *HNS) findNSM(ctx context.Context, context, queryClass string, depth int
 	}, nil
 }
 
+// lookup reads one meta answer through the meta-cache; a watched walk
+// (findKeep) keeps its answer no longer than the cache keeps this one.
+func (h *HNS) lookup(ctx context.Context, name string, follow []bind.FollowStep) (bind.Answer, error) {
+	ans, err := h.resolver.LookupChain(ctx, name, bind.TypeHNSMeta, follow)
+	if err == nil {
+		keepFor(ctx, h.resolver.Left(ans))
+	}
+	return ans, err
+}
+
+// keepKey carries a watched walk's keep: the least lifetime it read.
+type keepKey struct{}
+
+// keepFor lowers the walk's keep to d, reporting whether ctx carries one.
+func keepFor(ctx context.Context, d time.Duration) bool {
+	k, ok := ctx.Value(keepKey{}).(*time.Duration)
+	if ok {
+		*k = min(*k, d)
+	}
+	return ok
+}
+
+// findKeep is FindContextNSM for a watched caller: the answer may be kept
+// as long as every meta answer the walk read and the linked HostAddress
+// NSM's address stay cached, and not at all while the meta subscription
+// is down, since nothing would then recall it.
+func (h *HNS) findKeep(ctx context.Context, hnsContext, queryClass string) (hrpc.Binding, time.Duration, error) {
+	keep := time.Duration(0)
+	if sub := h.MetaSubscription(); sub != nil && sub.Active() {
+		keep = time.Duration(math.MaxInt64)
+		ctx = context.WithValue(ctx, keepKey{}, &keep)
+	}
+	b, err := h.FindContextNSM(ctx, hnsContext, queryClass)
+	return b, keep, err
+}
+
+// promise reports whether the HNS can relay its meta-cache's
+// invalidations: it has a subscription that was not refused.
+func (h *HNS) promise(context.Context) bool {
+	sub := h.MetaSubscription()
+	return sub != nil && !sub.Degraded()
+}
+
+func (h *HNS) relays() *push.Table { return h.watchers }
+
 // lookupContext performs mapping 1.
 func (h *HNS) lookupContext(ctx context.Context, context string, follow []bind.FollowStep) (string, error) {
 	context, err := names.CanonicalContext(context)
 	if err != nil {
 		return "", err
 	}
-	ans, err := h.resolver.LookupChain(ctx, h.ctxName(context), bind.TypeHNSMeta, follow)
+	ans, err := h.lookup(ctx, h.ctxName(context), follow)
 	if err != nil {
 		if transport.CodeOf(err).NotFound() {
 			return "", fmt.Errorf("%w: %q", ErrNoSuchContext, context)
@@ -385,7 +441,7 @@ func (h *HNS) lookupContext(ctx context.Context, context string, follow []bind.F
 
 // lookupNSMName performs mapping 2.
 func (h *HNS) lookupNSMName(ctx context.Context, ns, queryClass string, follow []bind.FollowStep) (string, error) {
-	ans, err := h.resolver.LookupChain(ctx, h.qcName(queryClass, ns), bind.TypeHNSMeta, follow)
+	ans, err := h.lookup(ctx, h.qcName(queryClass, ns), follow)
 	if err != nil {
 		if transport.CodeOf(err).NotFound() {
 			return "", fmt.Errorf("%w: %s on %s", ErrNoSuchNSM, queryClass, ns)
@@ -409,7 +465,7 @@ type nsmRecord struct {
 
 // lookupNSMRecord performs mapping 3.
 func (h *HNS) lookupNSMRecord(ctx context.Context, nsm string) (nsmRecord, error) {
-	ans, err := h.resolver.LookupChain(ctx, h.nsmName(nsm), bind.TypeHNSMeta, nil)
+	ans, err := h.lookup(ctx, h.nsmName(nsm), nil)
 	if err != nil {
 		if transport.CodeOf(err).NotFound() {
 			return nsmRecord{}, fmt.Errorf("%w: NSM %q has no record", ErrNoSuchNSM, nsm)
@@ -442,6 +498,9 @@ func (h *HNS) lookupNSMRecord(ctx context.Context, nsm string) (nsmRecord, error
 // resolveHost performs mappings 4-6: an HNS HostAddress operation for the
 // NSM's own host, short-circuited through linked resolvers.
 func (h *HNS) resolveHost(ctx context.Context, hostContext, host string, depth int, so *stepObs) (string, error) {
+	if keepFor(ctx, math.MaxInt64) { // before the read, so a change to it is relayed as a flush
+		h.hostCtxs.LoadOrStore(strings.ToLower(hostContext), struct{}{})
+	}
 	// Mapping 4: the host's context → its name service.
 	hostNS, err := h.lookupContext(ctx, hostContext, h.chainHost)
 	if err != nil {
@@ -468,6 +527,7 @@ func (h *HNS) resolveHost(ctx context.Context, hostContext, host string, depth i
 		if err != nil {
 			return "", err
 		}
+		keepFor(ctx, r.Left(host))
 		so.emit("mapping 6", d, state, "linked HostAddress NSM for %q resolves %q", hostNS, host)
 		return addr, nil
 	}
@@ -480,6 +540,7 @@ func (h *HNS) resolveHost(ctx context.Context, hostContext, host string, depth i
 	if err != nil {
 		return "", err
 	}
+	keepFor(ctx, 0) // how long the remote NSM keeps its answer is not known
 	ret, err := h.rpc.Call(ctx, b, qclass.ProcResolveHost, resolveHostArgs(hostContext, host))
 	d, _ = so.lap()
 	h.obs.steps[5].Observe(d)

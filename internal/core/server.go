@@ -1,13 +1,24 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
 
+	"hns/internal/bind"
+	"hns/internal/cache"
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
+	"hns/internal/metrics"
 	"hns/internal/names"
+	"hns/internal/push"
 	"hns/internal/qclass"
+	"hns/internal/simtime"
 	"hns/internal/transport"
 )
 
@@ -17,12 +28,13 @@ import (
 // wrapping: an HRPC program exposing FindNSM, and a client (RemoteHNS)
 // satisfying Finder and ContextFinder.
 
-// HNS service program identification. Version 2 is the program whose
-// FindNSM carries (context, query class) and answers a six-field binding;
-// a caller of version 1 is refused by version, before any decoding.
+// HNS service program identification. Version 3 is the program whose
+// FindNSM carries (context, query class) and answers a six-field binding
+// and how long the caller may keep it, and which has Watch; a caller of an
+// older version is refused by version, before any decoding.
 const (
 	HNSProgram uint32 = 300000
-	HNSVersion uint32 = 2
+	HNSVersion uint32 = 3
 )
 
 // Procedure IDs of the HNS program, exported so fronting services (the
@@ -30,21 +42,37 @@ const (
 const (
 	ProcFindNSMID      uint32 = 1
 	ProcFindNSMBatchID uint32 = 2
+	ProcWatchID        uint32 = 3
 )
 
 // procFindNSM is the remote FindNSM interface. Only the NSM reads the
 // individual name, so it stays with the caller; Table 3.1 prices the 1987
 // messages, which also carried it and the NSM's host name.
 //
+// keep is how many seconds the caller may hold the binding: 0 unless its
+// connection watches (procWatch).
+//
 //	args: {context string, queryClass string}
-//	ret:  {nsmBinding}
+//	ret:  {nsmBinding, keep uint32}
 var procFindNSM = hrpc.Procedure{
 	Name: "FindNSM", ID: ProcFindNSMID,
 	Args:      marshal.TStruct(marshal.TString, marshal.TString),
-	Ret:       marshal.TStruct(nsmBindingType),
+	Ret:       marshal.TStruct(nsmBindingType, marshal.TUint32),
 	PaperArgs: paperFindArgs,
 	PaperRet:  marshal.TStruct(qclass.BindingType),
 }
+
+// procWatch registers the calling connection for relays: a NOTIFY frame
+// naming the contexts whose answers it read may no longer hold, or none
+// for all of them (see DESIGN.md, "The caller keeps what the HNS will
+// recall").
+//
+//	args: {}
+//	ret:  {}
+var procWatch = hrpc.Procedure{Name: "Watch", ID: ProcWatchID, Args: marshal.TStruct(), Ret: marshal.TStruct()}
+
+// errNoPromise refuses a Watch the finder cannot honour.
+var errNoPromise = errors.New("hns: this server cannot promise to relay invalidations")
 
 // paperFindArgs is the 1987 FindNSM call, {context, queryClass, individual}.
 var paperFindArgs = marshal.TStruct(marshal.TString, marshal.TString, marshal.TString)
@@ -76,11 +104,69 @@ func resolveHostArgs(context, individual string) marshal.Value {
 	return marshal.StructV(marshal.Str(context), marshal.Str(individual))
 }
 
+// watchable is a finder that can promise to relay the invalidations of
+// what it answers: an *HNS, or a *RemoteHNS.
+type watchable interface {
+	ContextFinder
+	// promise reports whether the finder can promise now; a RemoteHNS
+	// first starts its own upstream watch.
+	promise(ctx context.Context) bool
+	// findKeep is FindContextNSM for a watching caller, with how long it
+	// may keep the answer.
+	findKeep(ctx context.Context, hnsContext, queryClass string) (hrpc.Binding, time.Duration, error)
+	// relays is the table of the connections watching the finder.
+	relays() *push.Table
+}
+
+// finderServer is what the HNS program's handlers share.
+type finderServer struct {
+	f ContextFinder
+	w watchable // nil when f cannot promise
+}
+
+// watched re-arms the calling connection's watch for the context it is
+// about to read, reporting whether it watches.
+func (fs finderServer) watched(ctx context.Context, cx string) bool {
+	sink, ok := transport.PusherFrom(ctx)
+	return ok && fs.w != nil && fs.w.relays().Rearm(sink, cx)
+}
+
+// find resolves one canonical context for the calling connection, with
+// the whole seconds it may keep the answer.
+func (fs finderServer) find(ctx context.Context, cx, qc string) (hrpc.Binding, uint32, error) {
+	if !fs.watched(ctx, cx) {
+		b, err := fs.f.FindContextNSM(ctx, cx, qc)
+		return b, 0, err
+	}
+	b, keep, err := fs.w.findKeep(ctx, cx, qc)
+	return b, uint32(keep / time.Second), err
+}
+
 // NewFinderServer wraps any ContextFinder in the HNS HRPC program — the
 // local library, or another remote HNS (which is how the hnsgw gateway
-// fronts a backend: its finder is a RemoteHNS pointing upstream).
+// fronts a backend: its finder is a RemoteHNS pointing upstream). Watch is
+// offered only over a finder that could promise: an *HNS, or a
+// *RemoteHNS whose every call rides one connection.
 func NewFinderServer(f ContextFinder, name string) *hrpc.Server {
 	s := hrpc.NewServer(name, HNSProgram, HNSVersion)
+	fs := finderServer{f: f}
+	if w, ok := f.(watchable); ok {
+		if r, remote := f.(*RemoteHNS); !remote || r.c.OneConn(r.b.Addr) {
+			fs.w = w
+		}
+	}
+	if fs.w != nil {
+		s.Register(procWatch, func(ctx context.Context, _ marshal.Value) (marshal.Value, error) {
+			sink, ok := transport.PusherFrom(ctx)
+			if !ok || !fs.w.promise(ctx) {
+				return marshal.Value{}, errNoPromise
+			}
+			if _, ok := fs.w.relays().Add(push.Subscription{Callback: true}, sink); !ok {
+				return marshal.Value{}, errors.New("hns: watcher table full")
+			}
+			return marshal.StructV(), nil
+		})
+	}
 	s.Register(procFindNSM, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		cx, err := args.Items[0].AsString()
 		if err != nil {
@@ -93,13 +179,13 @@ func NewFinderServer(f ContextFinder, name string) *hrpc.Server {
 		if cx, err = names.CanonicalContext(cx); err != nil {
 			return marshal.Value{}, err
 		}
-		b, err := f.FindContextNSM(ctx, cx, qc)
+		b, keep, err := fs.find(ctx, cx, qc)
 		if err != nil {
 			return marshal.Value{}, err
 		}
-		return marshal.StructV(nsmBindingValue(b)), nil
+		return marshal.StructV(nsmBindingValue(b), marshal.U32(keep)), nil
 	})
-	registerFindBatch(s, f)
+	fs.registerFindBatch(s)
 	return s
 }
 
@@ -114,15 +200,35 @@ func ServeHNS(net *transport.Network, h *HNS, host, addr string) (transport.List
 }
 
 // RemoteHNS is a Finder that calls an HNS server over HRPC — the
-// "[Client] [HNS ...]" colocation arrangements.
+// "[Client] [HNS ...]" colocation arrangements. When every call rides one
+// connection it watches that connection (procWatch) and keeps each answer
+// for as long as the reply says, in a memo the server's relays empty.
 type RemoteHNS struct {
 	c *hrpc.Client
 	b hrpc.Binding
+
+	memo     *cache.TTL[memoEntry] // keyed by memoKey
+	flights  bind.FlightGroup[memoEntry]
+	watchers *push.Table // the connections watching this finder in turn
+
+	watchMu    sync.Mutex
+	dead       atomic.Pointer[atomic.Bool] // the standing watch's, nil before the first
+	refused    atomic.Bool                 // the server said no: never ask again
+	instrument sync.Once
+
+	mu      sync.Mutex
+	changed chan struct{} // closed at the next relay heard; nil until a waiter asks
+}
+
+// memoEntry is one kept answer and when the server's promise for it ends.
+type memoEntry struct {
+	b     hrpc.Binding
+	until time.Time
 }
 
 // NewRemoteHNS creates a Finder for the HNS served at b.
 func NewRemoteHNS(c *hrpc.Client, b hrpc.Binding) *RemoteHNS {
-	return &RemoteHNS{c: c, b: b}
+	return &RemoteHNS{c: c, b: b, memo: cache.New[memoEntry](nil, 0), watchers: push.NewTable(0, c.Metrics)}
 }
 
 // FindNSM implements Finder. A malformed name fails here, moving no frame.
@@ -135,12 +241,140 @@ func (r *RemoteHNS) FindNSM(ctx context.Context, name names.Name, queryClass str
 
 // FindContextNSM implements ContextFinder.
 func (r *RemoteHNS) FindContextNSM(ctx context.Context, hnsContext, queryClass string) (hrpc.Binding, error) {
+	e, err := r.find(ctx, hnsContext, queryClass)
+	return e.b, err
+}
+
+func (r *RemoteHNS) findKeep(ctx context.Context, hnsContext, queryClass string) (hrpc.Binding, time.Duration, error) {
+	e, err := r.find(ctx, hnsContext, queryClass)
+	return e.b, max(time.Until(e.until), 0), err
+}
+
+func (r *RemoteHNS) relays() *push.Table { return r.watchers }
+
+// find answers from the memo while the watch stands, else asks upstream;
+// a miss is kept unless a relay overtook it (bind.FlightGroup). Unwatched,
+// an exchange that went through is followed by asking for the watch.
+func (r *RemoteHNS) find(ctx context.Context, hnsContext, queryClass string) (memoEntry, error) {
+	if !r.live() {
+		e, err := r.ask(ctx, hnsContext, queryClass)
+		if err == nil {
+			r.promise(ctx)
+		}
+		return e, err
+	}
+	cx, err := names.CanonicalContext(hnsContext)
+	if err != nil {
+		return memoEntry{}, err
+	}
+	key := memoKey(cx, strings.ToLower(queryClass))
+	if e, ok := r.memo.Get(key); ok {
+		return e, nil
+	}
+	e, cost, _, err := r.flights.Do(ctx, key, func(ctx context.Context) (memoEntry, error) {
+		return r.ask(ctx, cx, queryClass)
+	}, func(e memoEntry, _ bool) { r.memo.Put(key, e, time.Until(e.until)) })
+	simtime.Charge(ctx, cost)
+	return e, err
+}
+
+// memoKey is the memo's key for a canonical context and query class.
+func memoKey(cx, qc string) string { return cx + "/" + qc }
+
+// ask sends one FindNSM upstream.
+func (r *RemoteHNS) ask(ctx context.Context, hnsContext, queryClass string) (memoEntry, error) {
 	ret, err := r.c.Call(ctx, r.b, procFindNSM, marshal.StructV(marshal.Str(hnsContext), marshal.Str(queryClass)))
 	if err != nil {
-		return hrpc.Binding{}, err
+		return memoEntry{}, err
 	}
-	return valueNSMBinding(ret.Items[0])
+	var e memoEntry
+	if keep := ret.Items[1].Num; keep > 0 {
+		e.until = time.Now().Add(time.Duration(keep) * time.Second)
+	}
+	e.b, err = valueNSMBinding(ret.Items[0])
+	return e, err
 }
+
+// live reports whether the watch stands.
+func (r *RemoteHNS) live() bool {
+	d := r.dead.Load()
+	return d != nil && !d.Load()
+}
+
+// promise asks the server, once per connection, to relay what may
+// overturn the answers it gives here (procWatch), reporting whether the
+// watch stands. Only a client whose every call rides the watched
+// connection asks; a refusal is final. The exchange is upkeep, billed to
+// no caller's meter.
+func (r *RemoteHNS) promise(ctx context.Context) bool {
+	if r.live() || r.refused.Load() || r.b.Version != HNSVersion || !r.c.OneConn(r.b.Addr) {
+		return r.live()
+	}
+	r.watchMu.Lock()
+	defer r.watchMu.Unlock()
+	if r.live() || r.refused.Load() {
+		return r.live()
+	}
+	dead := new(atomic.Bool)
+	_, _, err := r.c.Listen(simtime.WithMeter(ctx, nil), r.b, procWatch, marshal.StructV(), func(body []byte, err error) {
+		if err != nil {
+			dead.Store(true)
+		}
+		r.hear(body, err)
+	})
+	if err != nil {
+		r.refused.Store(transport.CodeOf(err).Answered())
+		return false
+	}
+	r.dead.Store(dead)
+	r.instrument.Do(func() { r.memo.Instrument(cmp.Or(r.c.Metrics, metrics.Default()), "hns_memo") })
+	return r.live()
+}
+
+// hear applies a relay heard on the watched connection, or its death
+// (err set): it supersedes the misses in flight for what the frame names
+// and drops their answers — every answer for a zone-level frame, one it
+// cannot decode, or the death — then relays the frame to its own watchers.
+func (r *RemoteHNS) hear(body []byte, err error) {
+	var n push.Notification
+	if err == nil {
+		n, err = push.DecodeNotification(body)
+	}
+	if err != nil || n.Names == nil {
+		r.flights.SupersedeAll()
+		r.memo.Purge()
+		n.Names = nil
+	}
+	for _, cx := range n.Names {
+		for _, qc := range [...]string{qclass.HostAddress, qclass.HRPCBinding, qclass.MailRoute} {
+			key := memoKey(cx, qc)
+			r.flights.Supersede(key)
+			r.memo.Delete(key)
+		}
+	}
+	r.watchers.Publish(push.Notification{Names: n.Names, Serial: n.Serial})
+	r.mu.Lock()
+	if r.changed != nil {
+		close(r.changed)
+		r.changed = nil
+	}
+	r.mu.Unlock()
+}
+
+// Changed returns a channel closed when the memo next hears a relay. A
+// waiter takes it, then checks what it wants, and blocks on it only while
+// that does not yet hold.
+func (r *RemoteHNS) Changed() <-chan struct{} {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.changed == nil {
+		r.changed = make(chan struct{})
+	}
+	return r.changed
+}
+
+// SweepCache drops the memo's expired answers, reporting how many went.
+func (r *RemoteHNS) SweepCache() int { return r.memo.Sweep() }
 
 var _ Finder = (*HNS)(nil)
 var _ Finder = (*RemoteHNS)(nil)

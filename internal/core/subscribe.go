@@ -8,6 +8,8 @@ package core
 // doubles wrapping the four calls) simply keep TTL polling.
 
 import (
+	"strings"
+
 	"hns/internal/bind"
 	"hns/internal/push"
 )
@@ -28,7 +30,10 @@ type MetaSubscriber interface {
 //   - every pushed transaction invalidates just the meta names it
 //     touched, so the next lookups re-fetch them, not wait out a TTL;
 //   - a continuity loss (reconnect from a serial older than the zone's history)
-//     flushes the whole meta-cache rather than risk stale entries.
+//     flushes the whole meta-cache rather than risk stale entries;
+//   - each is then relayed to the connections watching the HNS (procWatch):
+//     the contexts whose own records changed, else a zone-level flush,
+//     which the death of the subscription's connection sends too.
 //
 // TTL expiry stays on regardless — push narrows the staleness window,
 // it never becomes the sole freshness mechanism.
@@ -45,13 +50,28 @@ func (h *HNS) SubscribeMeta() bool {
 				// Zone-level event (e.g. a secondary refresh landed): the
 				// change set is unknown, flush.
 				h.resolver.Purge()
+				h.watchers.Publish(push.Notification{Serial: n.Serial})
 				return
 			}
+			var contexts []string
+			flush := false
 			for _, name := range n.Names {
 				h.resolver.Invalidate(name, bind.TypeHNSMeta)
+				cx, own := strings.CutSuffix(name, ".ctx."+h.metaZone)
+				_, host := h.hostCtxs.Load(cx)
+				flush = flush || !own || host
+				contexts = append(contexts, cx)
 			}
+			if flush { // another record, or a host context's: any answer may move
+				contexts = nil
+			}
+			h.watchers.Publish(push.Notification{Names: contexts, Serial: n.Serial})
 		},
-		OnReset: h.resolver.Purge,
+		OnReset: func() {
+			h.resolver.Purge()
+			h.watchers.Publish(push.Notification{})
+		},
+		OnDown: func() { h.watchers.Publish(push.Notification{}) },
 	})
 	h.mu.Lock()
 	h.metaSub = sub

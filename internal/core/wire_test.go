@@ -24,11 +24,12 @@ import (
 // move, and the shape it no longer accepts.
 
 // nsmBinding is the HNS program's binding, {addr, transport, dataRep,
-// control, program, version}, and bindingRet the FindNSM result type.
+// control, program, version}, and bindingRet the FindNSM result type,
+// {binding, keep}.
 var (
 	nsmBinding = marshal.TStruct(marshal.TString, marshal.TString, marshal.TString, marshal.TString,
 		marshal.TUint32, marshal.TUint32)
-	bindingRet = marshal.TStruct(nsmBinding)
+	bindingRet = marshal.TStruct(nsmBinding, marshal.TUint32)
 )
 
 // nsmBindingValue is b as the HNS program sends it: no host name.
@@ -88,8 +89,9 @@ func remoteOverTCP(t *testing.T, w *world.World) *core.RemoteHNS {
 // envelope (6 bytes) plus the context and the query class, each behind a
 // one-byte length, and the individual name not at all. The reply is 2
 // (the transport's status byte and the raw reply code) plus the packed
-// six-field binding, which carries no host name: 43 bytes on world's
-// binding NSM.
+// six-field binding, which carries no host name, and the one-byte keep (0:
+// world's HNS has no meta subscription, so this connection cannot watch):
+// 2 + 41 + 1 = 44 bytes on world's binding NSM.
 func TestHNSWireBytes(t *testing.T) {
 	w := newWorld(t, world.Config{})
 	remote := remoteOverTCP(t, w)
@@ -111,20 +113,21 @@ func TestHNSWireBytes(t *testing.T) {
 	if b.Host != "" || b.Addr != "june:"+world.PortBindingBind {
 		t.Errorf("FindNSM binding host %q addr %q, want no host and the binding NSM's address", b.Host, b.Addr)
 	}
-	wantRx := 2 + packedLen(t, marshal.StructV(nsmBindingValue(b)), bindingRet)
+	wantRx := 2 + packedLen(t, marshal.StructV(nsmBindingValue(b), marshal.U32(0)), bindingRet)
 	rx := tcpWireBytes("rx") - rx0
 	if rx != wantRx {
-		t.Errorf("FindNSM received %d bytes, want %d (2 + packed binding)", rx, wantRx)
+		t.Errorf("FindNSM received %d bytes, want %d (2 + packed binding + keep)", rx, wantRx)
 	}
-	if rx != 43 {
-		t.Errorf("FindNSM received %d bytes, want 43", rx)
+	if rx != 44 {
+		t.Errorf("FindNSM received %d bytes, want 44", rx)
 	}
 }
 
 // TestHNSBatchWireBytes is TestHNSWireBytes for a warm 16-name
 // FindNSMBatch: one exchange, out the envelope, the count and each
 // (context, query class); back 2, the count and each slot's empty error
-// text (one byte) and six-field binding.
+// text (one byte), six-field binding and one-byte keep (0, as in
+// TestHNSWireBytes).
 func TestHNSBatchWireBytes(t *testing.T) {
 	w := newWorld(t, world.Config{})
 	remote := remoteOverTCP(t, w)
@@ -148,13 +151,13 @@ func TestHNSBatchWireBytes(t *testing.T) {
 			t.Errorf("slot %d carries NSM host %q", i, r.Binding.Host)
 		}
 		wantTx += int64(1 + len(qs[i].Name.Context) + 1 + len(qs[i].QueryClass))
-		wantRx += 1 + packedLen(t, nsmBindingValue(r.Binding), nsmBinding)
+		wantRx += 1 + packedLen(t, nsmBindingValue(r.Binding), nsmBinding) + 1
 	}
 	if tx := tcpWireBytes("tx") - tx0; tx != wantTx {
 		t.Errorf("FindNSMBatch sent %d bytes, want %d (6 + count + Σ(context + query class))", tx, wantTx)
 	}
 	if rx := tcpWireBytes("rx") - rx0; rx != wantRx {
-		t.Errorf("FindNSMBatch received %d bytes, want %d (2 + count + Σ(1 + packed binding))", rx, wantRx)
+		t.Errorf("FindNSMBatch received %d bytes, want %d (2 + count + Σ(1 + packed binding + 1))", rx, wantRx)
 	}
 }
 
@@ -401,6 +404,37 @@ func BenchmarkRemoteFindNSMWarmAllocs(b *testing.B) {
 	name := world.DesiredServiceName()
 	if _, err := remote.FindNSM(ctx, name, qclass.HRPCBinding); err != nil {
 		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if _, err := remote.FindNSM(ctx, name, qclass.HRPCBinding); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRemoteFindNSMMemoHitAllocs is one warm FindNSM a RemoteHNS
+// answers from its memo: over the sim transport, against an HNS
+// subscribed to the meta BIND's push plane, instrumentation off. Only the
+// memo key allocates. scripts/bench_alloc.sh gates its allocs/op.
+func BenchmarkRemoteFindNSMMemoHitAllocs(b *testing.B) {
+	w, err := world.New(world.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	hb := serveSubscribedHNS(b, w, "june:hns-bench")
+	rpc := hrpc.NewClient(w.Net)
+	rpc.Metrics = metrics.Discard
+	defer rpc.Close()
+	remote := core.NewRemoteHNS(rpc, hb)
+	ctx := context.Background()
+	name := world.DesiredServiceName()
+	for range 2 { // asked unwatched, then watched and kept
+		if _, err := remote.FindNSM(ctx, name, qclass.HRPCBinding); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

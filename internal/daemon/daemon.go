@@ -383,6 +383,7 @@ func (d *Daemon) hnsgw(c HnsgwConfig) error {
 		cfg.Admission = &admission.Config{Rate: c.Rate, MaxInflight: c.MaxInflight, LowWatermark: 0.75}
 	}
 	gw := gateway.NewFailover(up, hrpc.SuiteRawNet, c.Backends, cfg)
+	d.sweep = append(d.sweep, gw.SweepCache)
 	b, err := d.serve(net, gw.Server(), hrpc.SuiteRawNet, c.Host, c.Addr)
 	if err != nil {
 		return err

@@ -2,9 +2,11 @@ package daemon
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -321,4 +323,207 @@ func TestMirror(t *testing.T) {
 		}
 		ln.Close()
 	}
+}
+
+// framesTotal sums every transport_frames_total series in the process
+// registry, which every daemon started here shares.
+func framesTotal() int64 {
+	var total int64
+	for _, c := range metrics.Default().Snapshot().Counters {
+		if strings.HasPrefix(c.Name, "transport_frames_total") {
+			total += c.Value
+		}
+	}
+	return total
+}
+
+// debugHNS reads the /debug/hns series of the process registry, served at
+// addr, into one map.
+func debugHNS(t *testing.T, addr string) map[string]int64 {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/debug/hns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap metrics.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64)
+	for _, s := range append(snap.Counters, snap.Gauges...) {
+		out[s.Name] = s.Value
+	}
+	return out
+}
+
+// TestMemoFollowsFlip starts the arrangement the benchmark runs — a push
+// meta bindd, hnsd subscribed to it, hnsgw in front, and two nsmd on
+// different addresses — with a caller behind hnsgw that keeps what it is
+// told it may. Once kept, contexts C and D are answered with no frame.
+// Flipping C to the other NSM by one Apply makes the caller answer the new
+// NSM as soon as the relay reaches it, while D stays a hit that moves no
+// frame. /debug/hns shows the memo and the two watches.
+func TestMemoFollowsFlip(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	msrv, err := metrics.Serve("127.0.0.1:0", metrics.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer msrv.Close()
+	before := debugHNS(t, msrv.Addr())
+	w, nsmdA, nsmdB := memoWorld(t, ctx)
+	hnsd := w.hnsd(t, true)
+	gw := started(t)(Hnsgw(HnsgwConfig{Host: "front", Addr: "127.0.0.1:0", Backends: List{hnsd.Addr()}}))
+	if err := hnsd.HNS.MetaSubscription().Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	caller := w.remote(gw.Addr())
+	find := func(context string) string {
+		t.Helper()
+		name := names.Must(context, "fiji.cs.washington.edu")
+		b, err := caller.FindNSM(ctx, name, qclass.HostAddress)
+		if err != nil {
+			t.Fatalf("FindNSM %s: %v", name, err)
+		}
+		if addr, err := nsm.CallResolveHost(ctx, w.rpc, b, name); err != nil || addr != "127.0.0.1" {
+			t.Fatalf("resolving %s through the NSM at %s: %q, %v", name, b.Addr, addr, err)
+		}
+		return b.Addr
+	}
+	// The first FindNSM goes out unwatched and is followed by the Watch,
+	// through hnsgw to hnsd; the second is kept.
+	for range 2 {
+		for _, cx := range []string{"ctx-c", "ctx-d"} {
+			if got := find(cx); got != nsmdA.Addr() {
+				t.Fatalf("FindNSM %s = %s, want the NSM at %s", cx, got, nsmdA.Addr())
+			}
+		}
+	}
+	kept(t, ctx, caller, nsmdA.Addr(), "ctx-c", "ctx-d")
+
+	flip, err := core.ContextRecord("hns", "ctx-c", "bind-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := bind.NewHRPCClient(w.rpc, hrpc.SuiteRawNet.Bind(w.meta.Addr(), w.meta.Addr(), bind.HRPCProgram, bind.HRPCVersion))
+	if _, err := meta.Apply(ctx, "hns", append(bind.Removes(bind.TypeHNSMeta, "ctx-c.ctx.hns"), bind.Adds(flip)...)); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		changed := caller.Changed()
+		if find("ctx-c") == nsmdB.Addr() {
+			break
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			t.Fatalf("ctx-c still answers the NSM at %s after its flip: %v", nsmdA.Addr(), ctx.Err())
+		}
+	}
+	kept(t, ctx, caller, nsmdA.Addr(), "ctx-d")
+
+	for _, sweep := range gw.sweep {
+		sweep()
+	}
+	after := debugHNS(t, msrv.Addr())
+	if after[`cache_entries{cache="hns_memo"}`] == 0 || after[`cache_hits_total{cache="hns_memo"}`] == 0 {
+		t.Errorf("/debug/hns shows a memo of %d entries and %d hits, want both above 0",
+			after[`cache_entries{cache="hns_memo"}`], after[`cache_hits_total{cache="hns_memo"}`])
+	}
+	// hnsd's subscription at bindd, hnsgw's watch at hnsd, the caller's at hnsgw.
+	if got := after["push_subscribe_total"] - before["push_subscribe_total"]; got != 3 {
+		t.Errorf("/debug/hns counts %d subscriptions taken, want 3", got)
+	}
+}
+
+// kept checks that the caller answers each context with the NSM at want
+// and moves no frame doing it.
+func kept(t *testing.T, ctx context.Context, caller *core.RemoteHNS, want string, contexts ...string) {
+	t.Helper()
+	frames := framesTotal()
+	for _, cx := range contexts {
+		name := names.Must(cx, "fiji.cs.washington.edu")
+		if b, err := caller.FindNSM(ctx, name, qclass.HostAddress); err != nil || b.Addr != want {
+			t.Fatalf("FindNSM %s = %s, %v; want the NSM at %s", name, b.Addr, err, want)
+		}
+	}
+	if got := framesTotal() - frames; got != 0 {
+		t.Errorf("kept answers for %v moved %d frames, want 0", contexts, got)
+	}
+}
+
+// TestMemoPurgedWhenAHopDies: when hnsgw dies, its caller's watched
+// connection does; when hnsd dies, hnsgw's does and hnsgw relays a flush.
+// Either way the caller drops what it kept: its next FindNSM goes out and
+// fails, where it had answered with no frame. When the meta bindd dies,
+// hnsd's subscription does, and the flush hnsd relays reaches the caller
+// through hnsgw: its next FindNSM reaches hnsd again.
+func TestMemoPurgedWhenAHopDies(t *testing.T) {
+	for _, hop := range []string{"hnsgw", "hnsd", "bindd"} {
+		t.Run(hop, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			w, nsmdA, _ := memoWorld(t, ctx)
+			hnsd := w.hnsd(t, true)
+			gw := started(t)(Hnsgw(HnsgwConfig{Host: "front", Addr: "127.0.0.1:0", Backends: List{hnsd.Addr()}}))
+			if err := hnsd.HNS.MetaSubscription().Sync(ctx); err != nil {
+				t.Fatal(err)
+			}
+			caller := w.remote(gw.Addr())
+			name := names.Must("ctx-c", "fiji.cs.washington.edu")
+			for range 2 {
+				if _, err := caller.FindNSM(ctx, name, qclass.HostAddress); err != nil {
+					t.Fatal(err)
+				}
+			}
+			kept(t, ctx, caller, nsmdA.Addr(), "ctx-c")
+			map[string]*Daemon{"hnsgw": gw, "hnsd": hnsd, "bindd": w.meta}[hop].Close()
+			for {
+				changed := caller.Changed()
+				calls := hnsd.HNS.Stats().FindNSMCalls
+				if _, err := caller.FindNSM(ctx, name, qclass.HostAddress); err != nil || hnsd.HNS.Stats().FindNSMCalls > calls {
+					break
+				}
+				select {
+				case <-changed:
+				case <-ctx.Done():
+					t.Fatalf("the caller still answers %s from what it kept after %s died", name, hop)
+				}
+			}
+		})
+	}
+}
+
+// memoWorld is a bind world with a push meta bindd, two nsmd on
+// different addresses serving name services bind-a and bind-b, and
+// contexts ctx-c and ctx-d both mapped to bind-a.
+func memoWorld(t *testing.T, ctx context.Context) (w *bindWorld, nsmdA, nsmdB *Daemon) {
+	t.Helper()
+	w = newBindWorld(t, ctx, BinddConfig{Host: "tahoma", Zones: List{"hns"}, Update: true, Push: true, HRPC: "127.0.0.1:0"})
+	nsmd := func(ns string) *Daemon {
+		return started(t)(Nsmd(NsmdConfig{Host: "june", Addr: "127.0.0.1:0", Type: "hostaddr-bind", NS: ns, BindStd: w.app.StdAddr()}))
+	}
+	nsmdA, nsmdB = nsmd("bind-a"), nsmd("bind-b")
+	for _, step := range []func() error{
+		func() error {
+			return w.admin.RegisterNSM(ctx, nsmOnJune("hostaddr-bind-1", "bind-cs", qclass.HostAddress, nsmdA.Addr(), hrpc.SuiteSunRPCNet))
+		},
+		func() error { return w.admin.RegisterNameService(ctx, "bind-a", "bind") },
+		func() error { return w.admin.RegisterNameService(ctx, "bind-b", "bind") },
+		func() error {
+			return w.admin.RegisterNSM(ctx, nsmOnJune("nsm-a", "bind-a", qclass.HostAddress, nsmdA.Addr(), hrpc.SuiteSunRPCNet))
+		},
+		func() error {
+			return w.admin.RegisterNSM(ctx, nsmOnJune("nsm-b", "bind-b", qclass.HostAddress, nsmdB.Addr(), hrpc.SuiteSunRPCNet))
+		},
+		func() error { return w.admin.RegisterContext(ctx, "ctx-c", "bind-a") },
+		func() error { return w.admin.RegisterContext(ctx, "ctx-d", "bind-a") },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w, nsmdA, nsmdB
 }

@@ -44,8 +44,9 @@ type Config struct {
 // Gateway is an HNS front door: an HRPC server whose Finder is a remote
 // backend.
 type Gateway struct {
-	srv   *hrpc.Server
-	admit *admission.Controller
+	srv    *hrpc.Server
+	admit  *admission.Controller
+	finder *core.RemoteHNS
 }
 
 // New builds a gateway forwarding to the HNS service bound at backend.
@@ -57,8 +58,9 @@ func New(client *hrpc.Client, backend hrpc.Binding, cfg Config) *Gateway {
 	if cfg.Name == "" {
 		cfg.Name = "hnsgw"
 	}
-	srv := core.NewFinderServer(core.NewRemoteHNS(client, backend), cfg.Name)
-	g := &Gateway{srv: srv}
+	finder := core.NewRemoteHNS(client, backend)
+	srv := core.NewFinderServer(finder, cfg.Name)
+	g := &Gateway{srv: srv, finder: finder}
 	if cfg.Admission != nil {
 		ac := *cfg.Admission
 		if ac.Server == "" {
@@ -92,6 +94,10 @@ func NewFailover(client *hrpc.Client, suite hrpc.Suite, backends []string, cfg C
 // Server exposes the underlying HRPC server (for metrics registry
 // overrides and suite-specific serving).
 func (g *Gateway) Server() *hrpc.Server { return g.srv }
+
+// SweepCache drops the expired answers the gateway keeps for its callers
+// (core.RemoteHNS's memo), reporting how many went.
+func (g *Gateway) SweepCache() int { return g.finder.SweepCache() }
 
 // Admission exposes the controller, nil when admission is disabled.
 func (g *Gateway) Admission() *admission.Controller { return g.admit }

@@ -175,8 +175,10 @@ func framesTotal() int64 {
 // TestGatewayWireBytes is the per-hop twin of core's TestHNSWireBytes: over
 // real TCP a warm FindNSM through the gateway is two exchanges, each
 // carrying the raw envelope (6 bytes), the context and the query class
-// out, and the packed six-field binding plus 2 back: 2 × 27 bytes. The
-// individual name and the NSM's host name cross neither hop.
+// out, and the packed six-field binding plus 2 plus the one-byte keep back
+// (0: the stub backend cannot promise, so neither hop watches):
+// 2 × (27 + 1) = 2 × 28 bytes. The individual name and the NSM's host
+// name cross neither hop.
 func TestGatewayWireBytes(t *testing.T) {
 	e := newGWEnvOn(t, Config{}, hrpc.SuiteRawNet, "127.0.0.1:0", "127.0.0.1:0")
 	ctx := context.Background()
@@ -205,11 +207,11 @@ func TestGatewayWireBytes(t *testing.T) {
 		t.Errorf("FindNSM through the gateway sent %d bytes, want %d (2 hops × (6 + context + query class))", tx, wantTx)
 	}
 	rx := tcpWireBytes("rx") - rx0
-	if want := int64(2 * (2 + len(binding))); rx != want {
-		t.Errorf("FindNSM through the gateway received %d bytes, want %d (2 hops × (2 + packed binding))", rx, want)
+	if want := int64(2 * (2 + len(binding) + 1)); rx != want {
+		t.Errorf("FindNSM through the gateway received %d bytes, want %d (2 hops × (2 + packed binding + keep))", rx, want)
 	}
-	if rx != 54 {
-		t.Errorf("FindNSM through the gateway received %d bytes, want 54 (2 hops × 27)", rx)
+	if rx != 56 {
+		t.Errorf("FindNSM through the gateway received %d bytes, want 56 (2 hops × 28)", rx)
 	}
 }
 

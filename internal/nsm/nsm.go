@@ -126,6 +126,10 @@ func (rc *resultCache[V]) getStale(ctx context.Context, key string, cause error)
 
 func (rc *resultCache[V]) stats() cache.Stats { return rc.c.Stats() }
 
+// Left implements core.HostResolver: how much longer the NSM keeps the
+// address it resolved for individual.
+func (h *HostAddr) Left(individual string) time.Duration { return h.cache.c.Left(individual) }
+
 func (rc *resultCache[V]) purge() { rc.c.Purge() }
 
 // SweepCache drops the NSM's expired cache entries, reporting how many

@@ -232,12 +232,13 @@ func (t *Table) setCallbackSink(sink transport.Pusher, cb *callbackSink) {
 // names is empty: frames naming them are owed to the sink's callback
 // subscriptions again. A server calls it before it reads, so a frame
 // published after it is sent, and one published before it is for a
-// change the read sees. For a sink with no callback subscription it takes
-// no table-wide lock and allocates nothing.
-func (t *Table) Rearm(sink transport.Pusher, names ...string) {
+// change the read sees. It reports whether the sink has a callback
+// subscription; for one without, it takes no table-wide lock and
+// allocates nothing.
+func (t *Table) Rearm(sink transport.Pusher, names ...string) bool {
 	cb := t.callbackSinks()[sink]
 	if cb == nil {
-		return
+		return false
 	}
 	cb.mu.Lock()
 	defer cb.mu.Unlock()
@@ -247,6 +248,7 @@ func (t *Table) Rearm(sink transport.Pusher, names ...string) {
 	for _, n := range names {
 		delete(cb.told, n)
 	}
+	return true
 }
 
 // Publish pushes n, encoded once, to each sink (connection) owed it,

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Alloc-regression gate for the zero-allocation wire path, the warm
-# FindNSM (local and through the HNS program), the bindd seed and restart
+# FindNSM (local, through the HNS program, and from a caller's memo), the bindd seed and restart
 # paths, one chained meta exchange (plain, and on a connection holding a
 # callback subscription) and one update exchange (plain, and with push on). Runs the benchmarks with -benchmem
 # and fails if any exceeds its committed allocs/op bound. The bounds are the contract: raising one
@@ -18,6 +18,7 @@ BenchmarkFrameMuxRequest ./internal/transport/ 1
 BenchmarkEncodeMuxReplyFramed ./internal/transport/ 1
 BenchmarkFindNSMWarmAllocs . 12
 BenchmarkRemoteFindNSMWarmAllocs ./internal/core/ 36
+BenchmarkRemoteFindNSMMemoHitAllocs ./internal/core/ 1
 BenchmarkBinddColdStart ./internal/bind/ 103
 BenchmarkBinddRestart ./internal/bind/ 12272
 BenchmarkChainExchange ./internal/bind/ 55
@@ -40,8 +41,11 @@ run_pkg ./internal/transport/ 'BenchmarkDecodeReplyWarm$|BenchmarkFrameMuxReques
 run_pkg . 'BenchmarkFindNSMWarmAllocs$' | tee -a "$out"
 # The same warm FindNSM through a RemoteHNS over the sim transport, client
 # and server both: the HNS program's call, carrying no individual name and
-# answering no NSM host name.
-run_pkg ./internal/core/ 'BenchmarkRemoteFindNSMWarmAllocs$' | tee -a "$out"
+# answering no NSM host name. Its world's HNS holds no meta subscription,
+# so its caller never watches and every call still crosses the wire. Then
+# a warm FindNSM a caller watching a subscribed HNS answers from its memo:
+# the memo key is its one allocation.
+run_pkg ./internal/core/ 'BenchmarkRemoteFindNSMWarmAllocs$|BenchmarkRemoteFindNSMMemoHitAllocs$' | tee -a "$out"
 # One op is bind.Boot seeding a generated 20k-record zone (20 006 records)
 # into a fresh store: the bound is its measured 103, so one allocation
 # more fails it. Both bindd benchmarks run with the collector off: each
