@@ -60,28 +60,16 @@ func (e *Overloaded) Error() string {
 // its default.
 type Config struct {
 	// Rate is each client's sustained admission rate in requests per
-	// second. Non-positive disables per-client rate limiting.
+	// second; a client may issue max(1, Rate) requests back to back
+	// before the rate applies. Non-positive disables per-client rate
+	// limiting.
 	Rate float64
 
-	// Burst is each client's bucket depth — how many requests a client
-	// may issue back to back before the rate applies. Non-positive means
-	// max(1, Rate).
-	Burst float64
-
 	// MaxInflight caps concurrently admitted requests across all
-	// clients. Non-positive disables the load cap.
+	// clients. Past LowWatermark of it Low-priority work is shed while
+	// High-priority work continues to the full cap. Non-positive
+	// disables the load cap.
 	MaxInflight int
-
-	// LowWatermark is the in-flight level (fraction of MaxInflight, in
-	// (0,1]) past which Low-priority work is shed while High-priority
-	// work continues to the full cap. Non-positive means 1 (no
-	// priority distinction).
-	LowWatermark float64
-
-	// MaxClients bounds the per-client bucket table; when full, new
-	// clients share one overflow bucket rather than growing the map
-	// without bound. Non-positive means DefaultMaxClients.
-	MaxClients int
 
 	// RetryAfter is the backoff hint carried in Overloaded errors.
 	// Non-positive means DefaultRetryAfter.
@@ -99,21 +87,28 @@ type Config struct {
 	Server string
 }
 
-// Defaults for Config's zero fields.
 const (
+	// DefaultMaxClients bounds the per-client bucket table; when it is
+	// full, new clients share one overflow bucket rather than growing
+	// the map without bound.
 	DefaultMaxClients = 4096
+	// DefaultRetryAfter is Config.RetryAfter's default.
 	DefaultRetryAfter = 50 * time.Millisecond
+	// LowWatermark is the fraction of MaxInflight past which Low work
+	// sheds.
+	LowWatermark = 0.75
 )
 
 // Controller applies a Config to a request stream. Safe for concurrent
 // use.
 type Controller struct {
 	cfg      Config
-	lowLimit int // in-flight level past which Low work is shed
+	burst    float64 // bucket depth, max(1, Rate)
+	lowLimit int     // in-flight level past which Low work is shed
 
 	mu       sync.Mutex
 	buckets  map[string]*bucket
-	overflow bucket // shared by clients past MaxClients
+	overflow bucket // shared by clients past DefaultMaxClients
 	inflight int
 
 	admitted  *metrics.Counter // admission_admitted_total
@@ -124,7 +119,7 @@ type Controller struct {
 }
 
 // bucket is one client's token bucket. Tokens refill continuously at
-// cfg.Rate up to cfg.Burst.
+// cfg.Rate up to the controller's burst.
 type bucket struct {
 	tokens float64
 	last   time.Time
@@ -132,15 +127,6 @@ type bucket struct {
 
 // New creates a controller, resolving Config defaults.
 func New(cfg Config) *Controller {
-	if cfg.Burst <= 0 {
-		cfg.Burst = cfg.Rate
-		if cfg.Burst < 1 {
-			cfg.Burst = 1
-		}
-	}
-	if cfg.MaxClients <= 0 {
-		cfg.MaxClients = DefaultMaxClients
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = DefaultRetryAfter
 	}
@@ -153,14 +139,8 @@ func New(cfg Config) *Controller {
 	if cfg.Server == "" {
 		cfg.Server = "default"
 	}
-	c := &Controller{cfg: cfg, buckets: make(map[string]*bucket)}
-	c.lowLimit = cfg.MaxInflight
-	if cfg.LowWatermark > 0 && cfg.LowWatermark <= 1 && cfg.MaxInflight > 0 {
-		c.lowLimit = int(float64(cfg.MaxInflight) * cfg.LowWatermark)
-		if c.lowLimit < 1 {
-			c.lowLimit = 1
-		}
-	}
+	c := &Controller{cfg: cfg, burst: max(1, cfg.Rate), buckets: make(map[string]*bucket)}
+	c.lowLimit = max(1, int(float64(cfg.MaxInflight)*LowWatermark))
 	reg := cfg.Metrics
 	c.admitted = reg.Counter(metrics.Labels("admission_admitted_total",
 		"server", cfg.Server))
@@ -221,14 +201,14 @@ func (c *Controller) Done() {
 func (c *Controller) take(client string) bool {
 	b := c.buckets[client]
 	if b == nil {
-		if len(c.buckets) >= c.cfg.MaxClients {
+		if len(c.buckets) >= DefaultMaxClients {
 			b = &c.overflow
 			if b.last.IsZero() {
-				b.tokens = c.cfg.Burst
+				b.tokens = c.burst
 				b.last = c.cfg.Clock.Now()
 			}
 		} else {
-			b = &bucket{tokens: c.cfg.Burst, last: c.cfg.Clock.Now()}
+			b = &bucket{tokens: c.burst, last: c.cfg.Clock.Now()}
 			c.buckets[client] = b
 			c.clientsG.Set(int64(len(c.buckets)))
 		}
@@ -236,8 +216,8 @@ func (c *Controller) take(client string) bool {
 	now := c.cfg.Clock.Now()
 	if dt := now.Sub(b.last); dt > 0 {
 		b.tokens += dt.Seconds() * c.cfg.Rate
-		if b.tokens > c.cfg.Burst {
-			b.tokens = c.cfg.Burst
+		if b.tokens > c.burst {
+			b.tokens = c.burst
 		}
 	}
 	b.last = now

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -19,9 +20,10 @@ func testConfig(cfg Config) Config {
 
 func TestRateLimitPerClient(t *testing.T) {
 	clk := simtime.NewFakeClock(time.Unix(0, 0))
-	c := New(testConfig(Config{Rate: 10, Burst: 2, Clock: clk, Server: "t"}))
+	c := New(testConfig(Config{Rate: 2, Clock: clk, Server: "t"}))
 
-	// The burst admits two back-to-back requests; the third sheds.
+	// The burst (the rate, 2) admits two back-to-back requests; the third
+	// sheds.
 	for i := 0; i < 2; i++ {
 		if err := c.Admit("alice", High); err != nil {
 			t.Fatalf("burst admit %d: %v", i, err)
@@ -43,8 +45,8 @@ func TestRateLimitPerClient(t *testing.T) {
 	}
 	c.Done()
 
-	// Refill: 100 ms at 10/s restores one token.
-	clk.Advance(100 * time.Millisecond)
+	// Refill: 500 ms at 2/s restores one token.
+	clk.Advance(500 * time.Millisecond)
 	if err := c.Admit("alice", High); err != nil {
 		t.Fatalf("after refill: %v", err)
 	}
@@ -53,12 +55,13 @@ func TestRateLimitPerClient(t *testing.T) {
 
 func TestBucketCapsAtBurst(t *testing.T) {
 	clk := simtime.NewFakeClock(time.Unix(0, 0))
-	c := New(testConfig(Config{Rate: 10, Burst: 3, Clock: clk}))
+	c := New(testConfig(Config{Rate: 3, Clock: clk}))
 	if err := c.Admit("a", High); err != nil {
 		t.Fatal(err)
 	}
 	c.Done()
-	// A long idle period must not accumulate more than Burst tokens.
+	// A long idle period must not accumulate more than the burst (the
+	// rate, 3) in tokens.
 	clk.Advance(time.Hour)
 	admitted := 0
 	for i := 0; i < 10; i++ {
@@ -73,10 +76,10 @@ func TestBucketCapsAtBurst(t *testing.T) {
 }
 
 func TestInflightCapAndPriority(t *testing.T) {
-	c := New(testConfig(Config{MaxInflight: 4, LowWatermark: 0.5, Server: "t"}))
+	c := New(testConfig(Config{MaxInflight: 4, Server: "t"}))
 
-	// Fill to the low watermark (2 of 4): Low work now sheds, High flows.
-	for i := 0; i < 2; i++ {
+	// Fill to the low watermark (3 of 4): Low work now sheds, High flows.
+	for i := 0; i < 3; i++ {
 		if err := c.Admit("c", Low); err != nil {
 			t.Fatalf("low admit %d: %v", i, err)
 		}
@@ -85,10 +88,8 @@ func TestInflightCapAndPriority(t *testing.T) {
 	if err := c.Admit("c", Low); !errors.As(err, &ov) || ov.Reason != "load" {
 		t.Fatalf("low past watermark: want load Overloaded, got %v", err)
 	}
-	for i := 0; i < 2; i++ {
-		if err := c.Admit("c", High); err != nil {
-			t.Fatalf("high admit %d: %v", i, err)
-		}
+	if err := c.Admit("c", High); err != nil {
+		t.Fatalf("high admit: %v", err)
 	}
 	if err := c.Admit("c", High); !errors.As(err, &ov) || ov.Reason != "load" {
 		t.Fatalf("high past cap: want load Overloaded, got %v", err)
@@ -110,17 +111,15 @@ func TestInflightCapAndPriority(t *testing.T) {
 
 func TestMaxClientsOverflowBucket(t *testing.T) {
 	clk := simtime.NewFakeClock(time.Unix(0, 0))
-	c := New(testConfig(Config{Rate: 1, Burst: 1, MaxClients: 2, Clock: clk}))
-	if err := c.Admit("a", High); err != nil {
-		t.Fatal(err)
+	c := New(testConfig(Config{Rate: 1, Clock: clk}))
+	for i := 0; i < DefaultMaxClients; i++ {
+		if err := c.Admit(fmt.Sprint("client", i), High); err != nil {
+			t.Fatal(err)
+		}
+		c.Done()
 	}
-	c.Done()
-	if err := c.Admit("b", High); err != nil {
-		t.Fatal(err)
-	}
-	c.Done()
-	if got := c.Clients(); got != 2 {
-		t.Fatalf("clients = %d, want 2", got)
+	if got := c.Clients(); got != DefaultMaxClients {
+		t.Fatalf("clients = %d, want %d", got, DefaultMaxClients)
 	}
 	// Client table full: c and d share the overflow bucket (burst 1), so
 	// the second overflow request sheds even though "d" never called.
@@ -132,7 +131,7 @@ func TestMaxClientsOverflowBucket(t *testing.T) {
 	if err := c.Admit("d", High); !errors.As(err, &ov) {
 		t.Fatalf("overflow bucket should be empty: %v", err)
 	}
-	if got := c.Clients(); got != 2 {
+	if got := c.Clients(); got != DefaultMaxClients {
 		t.Fatalf("overflow grew the table: clients = %d", got)
 	}
 }

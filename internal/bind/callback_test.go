@@ -170,7 +170,7 @@ func TestCallbackNotWithReplicas(t *testing.T) {
 	if _, err := mirror.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	mirror.Server().EnablePush(0)
+	mirror.Server().EnablePush()
 	ln, mb, err := mirror.Server().ServeHRPC(net, "mirror:bind-hrpc")
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func callbackPrimary(t *testing.T, names int) func() *HRPCClient {
 	if err := s.AddZone(z); err != nil {
 		t.Fatal(err)
 	}
-	s.EnablePush(0)
+	s.EnablePush()
 	for i := 0; i < names; i++ {
 		if _, _, err := s.Update(context.Background(), "repl.test", UpdateAdd, A(fmt.Sprintf("n%d.repl.test", i), "1", 600)); err != nil {
 			t.Fatal(err)

@@ -387,7 +387,7 @@ func TestDurablePrimaryRestartKeepsHistory(t *testing.T) {
 	ctx := context.Background()
 	start := func() (*Server, *Durable, transport.Listener, hrpc.Binding) {
 		srv, d := openDurableServer(t, fs, "repl.test", DurableConfig{})
-		srv.EnablePush(0)
+		srv.EnablePush()
 		ln, b, err := srv.ServeHRPC(net, addr)
 		if err != nil {
 			t.Fatal(err)

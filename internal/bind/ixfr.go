@@ -114,12 +114,12 @@ func (s *Server) TransferDelta(ctx context.Context, zoneOrigin string, since uin
 	return RCodeOK, serial, diffs, true
 }
 
-// EnablePush equips the server with a push plane: a bounded subscriber
-// table fed by every dynamic update. maxSubscribers <= 0 uses
-// push.DefaultMaxSubscribers. Off (the default) the server never sends
-// a server-initiated frame and Subscribe calls are refused.
-func (s *Server) EnablePush(maxSubscribers int) {
-	s.pushTab.Store(push.NewTable(maxSubscribers, s.reg))
+// EnablePush equips the server with a push plane: a subscriber table,
+// bounded at push.DefaultMaxSubscribers, fed by every dynamic update. Off
+// (the default) the server never sends a server-initiated frame and
+// Subscribe calls are refused.
+func (s *Server) EnablePush() {
+	s.pushTab.Store(push.NewTable(s.reg))
 }
 
 // publish sends subscribers one NOTIFY for an applied transaction, naming

@@ -284,7 +284,7 @@ func newPushPrimary(t *testing.T) (*Server, *HRPCClient, *transport.Network) {
 	if err := s.AddZone(z); err != nil {
 		t.Fatal(err)
 	}
-	s.EnablePush(0)
+	s.EnablePush()
 	if err := s.LoadRecords([]RR{
 		A("a.repl.test", "1", 600),
 		A("b.repl.test", "2", 600),
@@ -797,8 +797,14 @@ func TestSubscribeDegradesWithoutPushPlane(t *testing.T) {
 // the subscription and the client latches degraded (polls instead).
 func TestTableOverflowDegradesSubscriber(t *testing.T) {
 	s, client, _ := newPushPrimary(t)
-	// Rebuild the push plane with room for exactly one subscriber.
-	s.EnablePush(1)
+	// Fill the push plane's table but for one slot.
+	tab, filler := s.pushTab.Load(), make(idleSink)
+	defer close(filler)
+	for i := 0; i < push.DefaultMaxSubscribers-1; i++ {
+		if _, ok := tab.Add(push.Subscription{Zone: "other.test"}, filler); !ok {
+			t.Fatalf("filler subscription %d refused", i)
+		}
+	}
 	first := NewSubscriber(client, SubscribeConfig{
 		Zone:    "repl.test",
 		Metrics: metrics.Discard,
@@ -815,6 +821,13 @@ func TestTableOverflowDegradesSubscriber(t *testing.T) {
 	defer second.Close()
 	waitFor(t, "second subscriber degraded", second, second.Degraded)
 }
+
+// idleSink is a push sink that swallows every frame; its connection
+// closes when the channel does.
+type idleSink chan struct{}
+
+func (idleSink) Push([]byte) error       { return nil }
+func (s idleSink) Done() <-chan struct{} { return s }
 
 // ---- Secondary over IXFR.
 
@@ -936,7 +949,7 @@ func TestSecondaryRepublishesAndChains(t *testing.T) {
 	if _, err := a.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a.Server().EnablePush(0)
+	a.Server().EnablePush()
 	ln, binding, err := a.Server().ServeHRPC(net, "mirror-a:bind-hrpc")
 	if err != nil {
 		t.Fatal(err)

@@ -146,7 +146,7 @@ func TestSecondaryFollowTakesNotify(t *testing.T) {
 	if _, err := sec.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	sec.Server().EnablePush(0)
+	sec.Server().EnablePush()
 	ln, binding, err := sec.Server().ServeHRPC(net, "mirror:bind-hrpc")
 	if err != nil {
 		t.Fatal(err)

@@ -250,7 +250,7 @@ func BenchmarkChainExchange(b *testing.B) {
 // set. scripts/bench_alloc.sh bounds it at the plain exchange's count.
 func BenchmarkChainExchangeCallback(b *testing.B) {
 	s, c, ids := tenantServer(b, 1, hrpc.SuiteRaw, "tahoma:bind-hrpc")
-	s.EnablePush(0)
+	s.EnablePush()
 	sub := c.Subscribe(SubscribeConfig{Zone: "hns", Callback: true, Metrics: metrics.Discard})
 	defer sub.Close()
 	for changed := sub.Changed(); !sub.Active(); changed = sub.Changed() {
@@ -297,7 +297,7 @@ func BenchmarkUpdateExchange(b *testing.B) {
 // gates its allocs/op.
 func BenchmarkUpdateExchangePush(b *testing.B) {
 	s, c, _ := tenantServer(b, 0, hrpc.SuiteRaw, "tahoma:bind-hrpc")
-	s.EnablePush(0)
+	s.EnablePush()
 	told := make(chan struct{}, 1)
 	sub := c.Subscribe(SubscribeConfig{Zone: "hns", Callback: true, Metrics: metrics.Discard,
 		OnNotify: func(push.Notification) {

@@ -306,27 +306,6 @@ func TestPreload(t *testing.T) {
 	}
 }
 
-func TestFreshSerialProbe(t *testing.T) {
-	w := newWorld(t, world.Config{})
-	ctx := context.Background()
-	rep, err := w.HNS.Preload(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := w.HNS.Fresh(ctx, rep.Serial)
-	if err != nil || !fresh {
-		t.Fatalf("Fresh = %v, %v", fresh, err)
-	}
-	// A registration bumps the serial.
-	if err := w.HNS.RegisterNameService(ctx, "another-ns", "test"); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err = w.HNS.Fresh(ctx, rep.Serial)
-	if err != nil || fresh {
-		t.Fatalf("Fresh after update = %v, %v", fresh, err)
-	}
-}
-
 func TestCacheTTLExpiry(t *testing.T) {
 	clk := simtime.NewFakeClock(time.Now())
 	w := newWorld(t, world.Config{Clock: clk})
@@ -443,7 +422,7 @@ func TestStatsCounters(t *testing.T) {
 // must evict its cached entries via push, long before any TTL expires.
 func TestSubscribeMetaInvalidatesRemoteCache(t *testing.T) {
 	w := newWorld(t, world.Config{})
-	w.MetaServer.EnablePush(0)
+	w.MetaServer.EnablePush()
 
 	h2 := w.NewHNS(core.Config{MetaZone: world.MetaZone})
 	if !h2.SubscribeMeta() {

@@ -119,15 +119,13 @@ type Config struct {
 }
 
 // MetaClient is the client-side face of the meta-information repository:
-// the BIND HRPC interface's lookup, dynamic update (one transaction),
-// zone transfer, and serial probe. *bind.HRPCClient (one modified BIND,
-// or an ordered set of replicas of it via hrpc.Client.SetReplicas)
-// satisfies it.
+// the BIND HRPC interface's lookup, dynamic update (one transaction) and
+// zone transfer. *bind.HRPCClient (one modified BIND, or an ordered set of
+// replicas of it via hrpc.Client.SetReplicas) satisfies it.
 type MetaClient interface {
 	bind.Lookuper
 	Apply(ctx context.Context, zone string, ops []bind.Op) (uint32, error)
 	Transfer(ctx context.Context, zone string) (uint32, []bind.RR, error)
-	Serial(ctx context.Context, zone string) (uint32, error)
 }
 
 // HNS is a local instance of the name service library.
@@ -192,7 +190,7 @@ func New(meta MetaClient, cfg Config) *HNS {
 			StaleFor:  cfg.ServeStale,
 		}),
 		hostResolvers: make(map[string]HostResolver),
-		watchers:      push.NewTable(0, reg),
+		watchers:      push.NewTable(reg),
 		instr:         reg.Enabled(),
 	}
 	h.obs = hnsObs{

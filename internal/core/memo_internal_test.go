@@ -47,7 +47,7 @@ func (f *holdingFinder) relays() *push.Table          { return f.tab }
 // bind.FlightGroup.
 func TestRelayOvertakesMiss(t *testing.T) {
 	n := transport.NewNetwork()
-	f := &holdingFinder{tab: push.NewTable(0, metrics.Discard), entered: make(chan struct{}), release: make(chan struct{})}
+	f := &holdingFinder{tab: push.NewTable(metrics.Discard), entered: make(chan struct{}), release: make(chan struct{})}
 	srv := NewFinderServer(f, "hns-hold")
 	srv.Metrics = metrics.Discard
 	ln, hb, err := hrpc.Serve(n, srv, hrpc.SuiteRaw, "june", "june:hns")
@@ -109,7 +109,7 @@ func TestRelayOvertakesMiss(t *testing.T) {
 // relays stop a kept answer is still a hit.
 func TestMemoConcurrent(t *testing.T) {
 	n := transport.NewNetwork()
-	f := &holdingFinder{tab: push.NewTable(0, metrics.Discard)}
+	f := &holdingFinder{tab: push.NewTable(metrics.Discard)}
 	srv := NewFinderServer(f, "hns-hold")
 	srv.Metrics = metrics.Discard
 	ln, hb, err := hrpc.Serve(n, srv, hrpc.SuiteRaw, "june", "june:hns")

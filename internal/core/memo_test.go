@@ -16,7 +16,7 @@ import (
 // Watch and lets answers be kept.
 func serveSubscribedHNS(tb testing.TB, w *world.World, addr string) hrpc.Binding {
 	tb.Helper()
-	w.MetaServer.EnablePush(0)
+	w.MetaServer.EnablePush()
 	h := w.NewHNS(core.Config{Metrics: metrics.Discard})
 	if !h.SubscribeMeta() {
 		tb.Fatal("SubscribeMeta refused with push enabled")

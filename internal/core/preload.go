@@ -37,21 +37,6 @@ func (h *HNS) Preload(ctx context.Context) (PreloadReport, error) {
 	return rep, nil
 }
 
-// Fresh reports whether the local cache view is still current by comparing
-// the remembered serial against the server's — the cheap probe secondaries
-// use between transfers.
-func (h *HNS) Fresh(ctx context.Context, lastSerial uint32) (bool, error) {
-	serial, err := h.meta.Serial(ctx, h.metaZone)
-	if err != nil {
-		return false, err
-	}
-	return serial == lastSerial, nil
-}
-
-// MetaClient exposes the underlying meta-information client (used by
-// tooling that needs raw access, e.g. hnsctl dump).
-func (h *HNS) MetaClient() MetaClient { return h.meta }
-
 // SweepCache proactively removes expired meta-cache entries (long-lived
 // server hygiene); it reports how many were dropped.
 func (h *HNS) SweepCache() int { return h.resolver.Sweep() }

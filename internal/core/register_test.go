@@ -122,7 +122,7 @@ func TestRegisterNSMIsOneExchange(t *testing.T) {
 		}
 	}
 
-	w.MetaServer.EnablePush(0)
+	w.MetaServer.EnablePush()
 	var mu sync.Mutex
 	var seen [][]string
 	sub := w.MetaHRPCClient().Subscribe(bind.SubscribeConfig{

@@ -19,8 +19,7 @@ import (
 // buggy or hostile administrator tool.
 func corrupt(t *testing.T, w *world.World, name, payload string) {
 	t.Helper()
-	mc := w.HNS.MetaClient()
-	if _, err := mc.Apply(context.Background(), world.MetaZone,
+	if _, err := w.MetaHRPCClient().Apply(context.Background(), world.MetaZone,
 		bind.Adds(bind.HNSMeta(name, payload, 600))); err != nil {
 		t.Fatal(err)
 	}

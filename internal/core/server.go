@@ -228,7 +228,7 @@ type memoEntry struct {
 
 // NewRemoteHNS creates a Finder for the HNS served at b.
 func NewRemoteHNS(c *hrpc.Client, b hrpc.Binding) *RemoteHNS {
-	return &RemoteHNS{c: c, b: b, memo: cache.New[memoEntry](nil, 0), watchers: push.NewTable(0, c.Metrics)}
+	return &RemoteHNS{c: c, b: b, memo: cache.New[memoEntry](nil, 0), watchers: push.NewTable(c.Metrics)}
 }
 
 // FindNSM implements Finder. A malformed name fails here, moving no frame.

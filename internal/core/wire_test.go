@@ -339,8 +339,8 @@ func TestFindersAgree(t *testing.T) {
 	}
 	defer ln.Close()
 	gw := gateway.New(w.RPC, hb, gateway.Config{})
-	gw.SetMetrics(metrics.NewRegistry())
-	gln, gb, err := gw.Serve(w.Net, hrpc.SuiteRaw, "gw", "gw:hns")
+	gw.Server().Metrics = metrics.NewRegistry()
+	gln, gb, err := hrpc.Serve(w.Net, gw.Server(), hrpc.SuiteRaw, "gw", "gw:hns")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,7 +209,7 @@ func (d *Daemon) bindd(c BinddConfig) error {
 		d.undo = append(d.undo, func() error { stop(); return nil })
 	}
 	if c.Push {
-		srv.EnablePush(0)
+		srv.EnablePush()
 		log.Printf("bindd: push plane enabled (NOTIFY fan-out on update; clients may subscribe)")
 	}
 	b, err := d.serve(net, srv.HRPCServer(), hrpc.SuiteRawNet, c.Host, c.HRPC)
@@ -380,7 +380,7 @@ func (d *Daemon) hnsgw(c HnsgwConfig) error {
 	d.undo = append(d.undo, up.Close)
 	cfg := gateway.Config{Name: "hnsgw@" + c.Host}
 	if c.Rate > 0 || c.MaxInflight > 0 {
-		cfg.Admission = &admission.Config{Rate: c.Rate, MaxInflight: c.MaxInflight, LowWatermark: 0.75}
+		cfg.Admission = &admission.Config{Rate: c.Rate, MaxInflight: c.MaxInflight}
 	}
 	gw := gateway.NewFailover(up, hrpc.SuiteRawNet, c.Backends, cfg)
 	d.sweep = append(d.sweep, gw.SweepCache)

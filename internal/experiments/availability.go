@@ -6,14 +6,10 @@ import (
 	"strings"
 	"time"
 
-	"hns/internal/bind"
 	"hns/internal/core"
-	"hns/internal/health"
-	"hns/internal/hrpc"
 	"hns/internal/metrics"
 	"hns/internal/qclass"
 	"hns/internal/simtime"
-	"hns/internal/transport"
 	"hns/internal/world"
 )
 
@@ -24,24 +20,10 @@ import (
 // FindNSM workload against a two-replica meta BIND while a chaos plan
 // kills, blackholes, and degrades the replicas, and measure what the
 // client actually experiences: success rate, failover cost, and how far
-// serve-stale carries the service through a total outage.
-
-// Replica and transport names used by the chaos arrangement.
-const (
-	availPrimary   = "tahoma:bind-hrpc"
-	availSecondary = "tahoma2:bind-hrpc"
-	availChaos     = "tcp-chaos"
-)
-
-// Knobs of the chaos run. Every op first advances the fake clock past the
-// meta TTL so each FindNSM re-resolves all six mapping steps against the
-// (possibly dead) meta replicas — the hardest case for availability.
-const (
-	availThreshold = 3                // breaker opens after 3 consecutive failures
-	availCooldown  = 40 * time.Minute // breaker cooldown (≈4 ops at one op per TTL)
-	availBudget    = time.Second      // per-call retransmission budget
-	availGrace     = 24 * time.Hour   // serve-stale ceiling
-)
+// serve-stale carries the service through a total outage. Every op first
+// advances the fake clock past the meta TTL, so each FindNSM re-resolves
+// all six mapping steps against the (possibly dead) meta replicas — the
+// hardest case for availability.
 
 // AvailPhase is one segment of the chaos schedule.
 type AvailPhase struct {
@@ -87,59 +69,15 @@ type AvailabilityResult struct {
 func RunAvailability(ctx context.Context, w *world.World, clk *simtime.FakeClock, seed int64) (AvailabilityResult, error) {
 	var res AvailabilityResult
 
-	// A second meta replica: a standard BIND secondary that mirrors the
-	// meta zone by zone transfer, serving the identical HRPC interface.
-	sec, err := bind.NewSecondary(w.MetaHRPCClient(), world.MetaZone, "tahoma2")
+	// A second meta replica and the chaos transport, and the client
+	// under test: replica-aware, health-gated, budgeted, and measured on
+	// its own registry.
+	f, err := w.StartFailover(ctx, seed)
 	if err != nil {
 		return res, err
 	}
-	if _, err := sec.Refresh(ctx); err != nil {
-		return res, err
-	}
-	ln, _, err := sec.Server().ServeHRPC(w.Net, availSecondary)
-	if err != nil {
-		return res, err
-	}
-	defer ln.Close()
-
-	// The chaos transport: wraps the simulated "tcp" the Raw suite uses,
-	// so faults apply to meta traffic and nothing else. Endpoints are
-	// listened on the inner transport, so recovery needs no re-binding.
-	inner, err := w.Net.Transport("tcp")
-	if err != nil {
-		return res, err
-	}
-	plan := transport.NewPlan(seed)
-	w.Net.Register(transport.NewChaos(inner, availChaos, plan))
-
-	// The client under test: replica-aware, health-gated, budgeted, and
-	// measured on its own registry.
-	reg := metrics.NewRegistry()
-	mc := hrpc.NewClient(w.Net)
-	mc.FreshConn = true // Raw suite discipline: dial per call
-	mc.Metrics = reg
-	mc.Policy = hrpc.RetryPolicy{Budget: availBudget}
-	mc.Health = health.Config{
-		Threshold: availThreshold,
-		Cooldown:  availCooldown,
-		Clock:     clk,
-		Metrics:   reg,
-		Service:   "meta-bind",
-	}
-	mc.SetReplicas(availPrimary, availSecondary)
-
-	mb := w.MetaHRPC
-	mb.Transport = availChaos
-	h := core.New(bind.NewHRPCClient(mc, mb), core.Config{
-		MetaZone:   world.MetaZone,
-		CacheMode:  bind.CacheMarshalled,
-		Clock:      clk,
-		ServeStale: availGrace,
-		RPC:        w.RPC,
-		Metrics:    reg,
-	})
-	h.LinkHostResolver(world.NSBind, w.BindHostNSM)
-	h.LinkHostResolver(world.NSCH, w.CHHostNSM)
+	plan, reg := f.Plan, metrics.NewRegistry()
+	h := f.NewHNS(reg)
 
 	name := world.DesiredServiceName()
 	op := func() (time.Duration, error) {
@@ -183,14 +121,14 @@ func RunAvailability(ctx context.Context, w *world.World, clk *simtime.FakeClock
 
 	// Phase 2 — flaky primary: seeded 30% message loss. Retransmission
 	// and failover absorb it; the workload must not notice.
-	plan.SetLossRate(availPrimary, 0.3)
+	plan.SetLossRate(world.MetaPrimary, 0.3)
 	phase("flaky-primary", 8)
-	plan.SetLossRate(availPrimary, 0)
+	plan.SetLossRate(world.MetaPrimary, 0)
 
 	// Let any breaker the loss burst opened close again before the next
 	// fault: past the cooldown, one (uncounted) op probes the primary
 	// back to Closed, so phase 3 measures failover from a clean slate.
-	clk.Advance(availCooldown)
+	clk.Advance(world.FailoverCooldown)
 	if _, err := op(); err != nil {
 		return res, fmt.Errorf("availability: settle: %w", err)
 	}
@@ -200,28 +138,28 @@ func RunAvailability(ctx context.Context, w *world.World, clk *simtime.FakeClock
 	// retransmission waits until the breaker opens; later ops fail over
 	// for free, with an occasional half-open probe when the cooldown
 	// elapses.
-	plan.Blackhole(availPrimary)
+	plan.Blackhole(world.MetaPrimary)
 	phase("primary-down", 10)
 	res.FailoverExtra = opCosts[0] - res.Baseline
 
 	// Phase 4 — primary recovers. After the cooldown a half-open probe
 	// discovers it and the breaker closes; traffic returns to the
 	// primary.
-	plan.Recover(availPrimary)
-	clk.Advance(availCooldown)
+	plan.Recover(world.MetaPrimary)
+	clk.Advance(world.FailoverCooldown)
 	phase("recovered", 5)
 
 	// Phase 5 — total blackout: both replicas silent. Serve-stale is the
 	// only thing keeping FindNSM answering: expired meta entries within
 	// the grace are served, flagged, and counted.
-	plan.Blackhole(availPrimary)
-	plan.Blackhole(availSecondary)
+	plan.Blackhole(world.MetaPrimary)
+	plan.Blackhole(world.MetaMirror)
 	res.StaleServed = phase("blackout", 8).StaleServed
 
 	// Phase 6 — full recovery.
-	plan.Recover(availPrimary)
-	plan.Recover(availSecondary)
-	clk.Advance(availCooldown)
+	plan.Recover(world.MetaPrimary)
+	plan.Recover(world.MetaMirror)
+	clk.Advance(world.FailoverCooldown)
 	phase("restored", 5)
 
 	res.SuccessRate = 1 - float64(res.Failures)/float64(res.Ops)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hns/internal/bind"
+	"hns/internal/health"
 	"hns/internal/simtime"
 	"hns/internal/world"
 )
@@ -285,9 +286,10 @@ func TestRunAvailability(t *testing.T) {
 	// Failover discovery is bounded by the breaker threshold: at most
 	// Threshold retransmission waits over baseline, and strictly more
 	// than zero (the first op after the kill must pay something).
-	maxExtra := time.Duration(availThreshold) * 250 * time.Millisecond
-	if res.FailoverExtra <= 0 || res.FailoverExtra > maxExtra+availBudget {
-		t.Errorf("failover extra = %v, want in (0, %v]", res.FailoverExtra, maxExtra+availBudget)
+	// The failover client's retry budget is one second.
+	maxExtra := time.Duration(health.Threshold)*250*time.Millisecond + time.Second
+	if res.FailoverExtra <= 0 || res.FailoverExtra > maxExtra {
+		t.Errorf("failover extra = %v, want in (0, %v]", res.FailoverExtra, maxExtra)
 	}
 	// The blackout phase is carried entirely by serve-stale.
 	if res.StaleServed == 0 {

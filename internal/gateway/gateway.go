@@ -28,8 +28,6 @@ import (
 	"hns/internal/admission"
 	"hns/internal/core"
 	"hns/internal/hrpc"
-	"hns/internal/metrics"
-	"hns/internal/transport"
 )
 
 // Config configures a Gateway.
@@ -91,8 +89,8 @@ func NewFailover(client *hrpc.Client, suite hrpc.Suite, backends []string, cfg C
 	return New(client, suite.Bind(backends[0], backends[0], core.HNSProgram, core.HNSVersion), cfg)
 }
 
-// Server exposes the underlying HRPC server (for metrics registry
-// overrides and suite-specific serving).
+// Server exposes the underlying HRPC server, for hrpc.Serve to bind and
+// for a metrics registry override before it does.
 func (g *Gateway) Server() *hrpc.Server { return g.srv }
 
 // SweepCache drops the expired answers the gateway keeps for its callers
@@ -101,12 +99,3 @@ func (g *Gateway) SweepCache() int { return g.finder.SweepCache() }
 
 // Admission exposes the controller, nil when admission is disabled.
 func (g *Gateway) Admission() *admission.Controller { return g.admit }
-
-// SetMetrics points the gateway's server at a registry. Call before
-// serving.
-func (g *Gateway) SetMetrics(reg *metrics.Registry) { g.srv.Metrics = reg }
-
-// Serve binds the gateway at addr over the given suite.
-func (g *Gateway) Serve(net *transport.Network, suite hrpc.Suite, host, addr string) (transport.Listener, hrpc.Binding, error) {
-	return hrpc.Serve(net, g.srv, suite, host, addr)
-}

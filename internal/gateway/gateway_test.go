@@ -112,8 +112,8 @@ func newGWEnvOn(t *testing.T, cfg Config, suite hrpc.Suite, backendAddr, gwAddr 
 	up.Metrics = metrics.NewRegistry()
 	t.Cleanup(func() { up.Close() })
 	gw := New(up, bb, cfg)
-	gw.SetMetrics(metrics.NewRegistry())
-	gln, gb, err := gw.Serve(n, suite, "gw", gwAddr)
+	gw.Server().Metrics = metrics.NewRegistry()
+	gln, gb, err := hrpc.Serve(n, gw.Server(), suite, "gw", gwAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,24 +258,23 @@ func TestGatewayCallerRefusesMalformedNames(t *testing.T) {
 }
 
 // TestGatewayShedsBatchFirst pins the priority policy: past the
-// low-watermark, batch (Low) calls shed with a typed Overloaded while
-// single FindNSM (High) calls keep flowing.
+// low-watermark (three quarters of the cap), batch (Low) calls shed with
+// a typed Overloaded while single FindNSM (High) calls keep flowing.
 func TestGatewayShedsBatchFirst(t *testing.T) {
 	e := newGWEnv(t, Config{
 		Admission: &admission.Config{
-			MaxInflight:  4,
-			LowWatermark: 0.5, // Low sheds past 2 in flight
-			Metrics:      metrics.NewRegistry(),
+			MaxInflight: 4, // Low sheds past 3 in flight
+			Metrics:     metrics.NewRegistry(),
 		},
 	})
 	ctl := e.gw.Admission()
 	// Occupy the low-priority headroom.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if err := ctl.Admit("occupier", admission.High); err != nil {
 			t.Fatal(err)
 		}
 	}
-	defer func() { ctl.Done(); ctl.Done() }()
+	defer func() { ctl.Done(); ctl.Done(); ctl.Done() }()
 
 	ctx := simtime.WithMeter(context.Background(), simtime.NewMeter())
 	_, err := e.front.FindNSMBatch(ctx, []core.NameQuery{
@@ -442,8 +441,8 @@ func TestGatewayBackendListFailsOverInOrder(t *testing.T) {
 	suite := hrpc.SuiteRaw
 	suite.Transport = chaosName
 	gw := NewFailover(up, suite, addrs, Config{})
-	gw.SetMetrics(metrics.NewRegistry())
-	gln, gb, err := gw.Serve(n, hrpc.SuiteRaw, "gw", "gw:hns")
+	gw.Server().Metrics = metrics.NewRegistry()
+	gln, gb, err := hrpc.Serve(n, gw.Server(), hrpc.SuiteRaw, "gw", "gw:hns")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,10 @@ import (
 
 func backpressureSet(clk simtime.Clock) *Set {
 	return NewSet(Config{
-		Threshold: 3,
-		Cooldown:  5 * time.Second,
-		Clock:     clk,
-		Metrics:   metrics.NewRegistry(),
-		Service:   "bp-test",
+		Cooldown: 5 * time.Second,
+		Clock:    clk,
+		Metrics:  metrics.NewRegistry(),
+		Service:  "bp-test",
 	})
 }
 
@@ -60,11 +59,11 @@ func TestBackpressureKeepsLongerWindow(t *testing.T) {
 func TestBackpressureDoesNotCountAsFailure(t *testing.T) {
 	clk := simtime.NewFakeClock(time.Unix(0, 0))
 	reg := metrics.NewRegistry()
-	s := NewSet(Config{Threshold: 2, Clock: clk, Metrics: reg, Service: "bp"})
+	s := NewSet(Config{Clock: clk, Metrics: reg, Service: "bp"})
 	b := s.Breaker("ep")
 
 	// Backpressure many times: the breaker must stay Closed (a real
-	// failure threshold of 2 would have opened it).
+	// failure threshold of 3 would have opened it).
 	for i := 0; i < 10; i++ {
 		b.Backpressure(time.Millisecond)
 		clk.Advance(time.Millisecond)

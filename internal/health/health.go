@@ -64,10 +64,6 @@ func (s State) String() string {
 
 // Config parameterizes a Set. The zero value is usable.
 type Config struct {
-	// Threshold is how many consecutive failures open the breaker.
-	// Non-positive means DefaultThreshold.
-	Threshold int
-
 	// Cooldown is how long an Open breaker refuses calls before letting
 	// a single probe through. Non-positive means DefaultCooldown. The
 	// cooldown is measured on Clock — real time in daemons, a FakeClock
@@ -87,10 +83,11 @@ type Config struct {
 	Service string
 }
 
-// Defaults for Config's zero fields.
 const (
-	DefaultThreshold = 3
-	DefaultCooldown  = 5 * time.Second
+	// Threshold is how many consecutive failures open a breaker.
+	Threshold = 3
+	// DefaultCooldown is Config.Cooldown's default.
+	DefaultCooldown = 5 * time.Second
 )
 
 // Set is a collection of breakers, one per endpoint address, created
@@ -104,9 +101,6 @@ type Set struct {
 
 // NewSet creates a breaker set, resolving Config defaults.
 func NewSet(cfg Config) *Set {
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = DefaultThreshold
-	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = DefaultCooldown
 	}
@@ -238,7 +232,7 @@ func (b *Breaker) Failure() {
 	defer b.mu.Unlock()
 	b.failures.Inc()
 	b.fails++
-	if b.state == HalfOpen || (b.state == Closed && b.fails >= b.cfg.Threshold) {
+	if b.state == HalfOpen || (b.state == Closed && b.fails >= Threshold) {
 		if b.state != Open {
 			b.opens.Inc()
 		}

@@ -13,11 +13,10 @@ import (
 func newTestSet(clk simtime.Clock) (*Set, *metrics.Registry) {
 	reg := metrics.NewRegistry()
 	s := NewSet(Config{
-		Threshold: 3,
-		Cooldown:  10 * time.Second,
-		Clock:     clk,
-		Metrics:   reg,
-		Service:   "test",
+		Cooldown: 10 * time.Second,
+		Clock:    clk,
+		Metrics:  reg,
+		Service:  "test",
 	})
 	return s, reg
 }

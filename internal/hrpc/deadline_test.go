@@ -208,11 +208,10 @@ func newDeadlineEnv(t *testing.T, admit *admission.Controller) *deadlineEnv {
 	c.FreshConn = true
 	c.Metrics = reg
 	c.Health = health.Config{
-		Threshold: 3,
-		Cooldown:  10 * time.Second,
-		Clock:     simtime.NewFakeClock(time.Unix(563328000, 0)),
-		Metrics:   reg,
-		Service:   "dl-test",
+		Cooldown: 10 * time.Second,
+		Clock:    simtime.NewFakeClock(time.Unix(563328000, 0)),
+		Metrics:  reg,
+		Service:  "dl-test",
 	}
 	e.c = c
 	return e
@@ -372,7 +371,7 @@ func TestLegacyClientUnaffected(t *testing.T) {
 func TestOverloadIsBackpressureNotFailure(t *testing.T) {
 	clk := simtime.NewFakeClock(time.Unix(0, 0))
 	admit := admission.New(admission.Config{
-		Rate: 1, Burst: 1, RetryAfter: 50 * time.Millisecond,
+		Rate: 1, RetryAfter: 50 * time.Millisecond,
 		Clock: clk, Metrics: metrics.NewRegistry(), Server: "dl",
 	})
 	e := newDeadlineEnv(t, admit)
@@ -424,7 +423,7 @@ func TestOverloadIsBackpressureNotFailure(t *testing.T) {
 func TestAdmissionKeysOnPeer(t *testing.T) {
 	clk := simtime.NewFakeClock(time.Unix(0, 0))
 	admit := admission.New(admission.Config{
-		Rate: 0.001, Burst: 1, Clock: clk, Metrics: metrics.NewRegistry(), Server: "peers",
+		Rate: 0.001, Clock: clk, Metrics: metrics.NewRegistry(), Server: "peers",
 	})
 	n := transport.NewNetwork()
 	s := NewServer("peers", 7201, 1)

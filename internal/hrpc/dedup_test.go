@@ -16,11 +16,10 @@ import (
 func newDedupSet(clk simtime.Clock) (*health.Set, *metrics.Registry) {
 	reg := metrics.NewRegistry()
 	hs := health.NewSet(health.Config{
-		Threshold: 3,
-		Cooldown:  10 * time.Second,
-		Clock:     clk,
-		Metrics:   reg,
-		Service:   "dedup",
+		Cooldown: 10 * time.Second,
+		Clock:    clk,
+		Metrics:  reg,
+		Service:  "dedup",
 	})
 	return hs, reg
 }

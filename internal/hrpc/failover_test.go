@@ -53,11 +53,10 @@ func newFailoverEnv(t *testing.T) *failoverEnv {
 	c.FreshConn = true
 	c.Metrics = reg
 	c.Health = health.Config{
-		Threshold: 3,
-		Cooldown:  10 * time.Second,
-		Clock:     clk,
-		Metrics:   reg,
-		Service:   "test",
+		Cooldown: 10 * time.Second,
+		Clock:    clk,
+		Metrics:  reg,
+		Service:  "test",
 	}
 	return &failoverEnv{plan: plan, tr: chaos, clk: clk, c: c, reg: reg}
 }

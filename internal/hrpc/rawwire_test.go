@@ -127,7 +127,7 @@ func TestRawEnvelopeBytes(t *testing.T) {
 func TestRawCodedRepliesOverTCP(t *testing.T) {
 	clk := simtime.NewFakeClock(time.Unix(0, 0))
 	admit := admission.New(admission.Config{
-		Rate: 1, Burst: 1, RetryAfter: 50 * time.Millisecond,
+		Rate: 1, RetryAfter: 50 * time.Millisecond,
 		Clock: clk, Metrics: metrics.NewRegistry(), Server: "wire",
 	})
 	e := newWireEnv(t, SuiteRawNet, admit)
@@ -156,7 +156,7 @@ func TestRawCodedRepliesOverTCP(t *testing.T) {
 // client surfaces as *RemoteFault — not a malformed frame.
 func TestSunRPCShedIsRemoteFault(t *testing.T) {
 	admit := admission.New(admission.Config{
-		Rate: 1, Burst: 1, Clock: simtime.NewFakeClock(time.Unix(0, 0)),
+		Rate: 1, Clock: simtime.NewFakeClock(time.Unix(0, 0)),
 		Metrics: metrics.NewRegistry(), Server: "wire",
 	})
 	e := newWireEnv(t, SuiteSunRPCNet, admit)

@@ -55,8 +55,6 @@ type Options struct {
 	// CacheMode selects marshalled or demarshalled entries (Table 3.2
 	// pricing); default demarshalled.
 	CacheMode bind.CacheMode
-	// CacheTTL bounds entry lifetime; default 10 minutes (the meta TTL).
-	CacheTTL time.Duration
 	// Clock drives expiry; default real time.
 	Clock simtime.Clock
 	// StaleFor, when positive, enables serve-stale degraded mode: when
@@ -66,18 +64,13 @@ type Options struct {
 	StaleFor time.Duration
 }
 
-func (o Options) ttl() time.Duration {
-	if o.CacheTTL > 0 {
-		return o.CacheTTL
-	}
-	return 10 * time.Minute
-}
+// CacheTTL bounds an NSM cache entry's lifetime: the meta TTL.
+const CacheTTL = 10 * time.Minute
 
 // resultCache is the shared caching helper: a TTL cache whose hits are
 // priced by cache mode.
 type resultCache[V any] struct {
 	mode  bind.CacheMode
-	ttl   time.Duration
 	stale time.Duration
 	c     *cache.TTL[V]
 }
@@ -85,7 +78,6 @@ type resultCache[V any] struct {
 func newResultCache[V any](o Options) *resultCache[V] {
 	rc := &resultCache[V]{
 		mode:  o.CacheMode,
-		ttl:   o.ttl(),
 		stale: o.StaleFor,
 		c:     cache.New[V](o.Clock, 0),
 	}
@@ -105,7 +97,7 @@ func (rc *resultCache[V]) get(ctx context.Context, key string) (V, bool) {
 	return v, true
 }
 
-func (rc *resultCache[V]) put(key string, v V) { rc.c.Put(key, v, rc.ttl) }
+func (rc *resultCache[V]) put(key string, v V) { rc.c.Put(key, v, CacheTTL) }
 
 // getStale is the serve-stale fallback: when a lookup failed because the
 // underlying service was unreachable (cause is an availability error,

@@ -16,7 +16,7 @@ import (
 // the grace survive a sweep.
 func TestSweepCacheEmptiesExpired(t *testing.T) {
 	clk := simtime.NewFakeClock(time.Unix(0, 0))
-	o := Options{Clock: clk, CacheTTL: time.Minute, StaleFor: time.Hour}
+	o := Options{Clock: clk, StaleFor: time.Hour}
 	h := &HostAddr{
 		name:  "hostaddr-test",
 		cache: newResultCache[string](o),
@@ -33,7 +33,7 @@ func TestSweepCacheEmptiesExpired(t *testing.T) {
 	if got := h.cache.c.Len(); got != n {
 		t.Fatalf("cache holds %d entries, want %d", got, n)
 	}
-	clk.Advance(2 * time.Minute) // expired, within the grace
+	clk.Advance(CacheTTL + time.Minute) // expired, within the grace
 	if got := h.SweepCache(); got != 0 {
 		t.Fatalf("sweep within the grace dropped %d entries", got)
 	}
@@ -50,14 +50,14 @@ func TestSweepCacheEmptiesExpired(t *testing.T) {
 // result cache.
 func TestSweepCacheEveryNSMType(t *testing.T) {
 	clk := simtime.NewFakeClock(time.Unix(0, 0))
-	o := Options{Clock: clk, CacheTTL: time.Minute}
+	o := Options{Clock: clk}
 	bb := &BindBinding{cache: newResultCache[hrpc.Binding](o)}
 	cb := &CHBinding{cache: newResultCache[hrpc.Binding](o)}
 	mr := &MailRoute{cache: newResultCache[mailResult](o)}
 	bb.cache.put("k", hrpc.Binding{})
 	cb.cache.put("k", hrpc.Binding{})
 	mr.cache.put("k", mailResult{})
-	clk.Advance(2 * time.Minute)
+	clk.Advance(CacheTTL + time.Minute)
 	for name, n := range map[string]interface{ SweepCache() int }{
 		"BindBinding": bb, "CHBinding": cb, "MailRoute": mr,
 	} {

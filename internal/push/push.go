@@ -26,9 +26,9 @@ import (
 	"hns/internal/transport"
 )
 
-// DefaultMaxSubscribers bounds a Table when the creator does not choose:
-// enough for a fleet of hnsd meta-caches plus secondaries, small enough
-// that a subscription stampede degrades to polling instead of memory.
+// DefaultMaxSubscribers bounds every Table: enough for a fleet of hnsd
+// meta-caches plus secondaries, small enough that a subscription
+// stampede degrades to polling instead of memory.
 const DefaultMaxSubscribers = 4096
 
 // Subscription is one subscriber's filter: a zone, and optionally a set
@@ -108,7 +108,6 @@ func (cb *callbackSink) owes(names []string) bool {
 // Table is a bounded registry of push subscribers. One Table serves one
 // server; all methods are safe for concurrent use.
 type Table struct {
-	max int
 	reg *metrics.Registry
 
 	mu     sync.Mutex
@@ -125,17 +124,13 @@ type Table struct {
 	dropped chan<- uint64
 }
 
-// NewTable creates a table bounded at max subscribers (0 means
-// DefaultMaxSubscribers). reg receives the push_* series; nil means
-// metrics.Default().
-func NewTable(max int, reg *metrics.Registry) *Table {
-	if max <= 0 {
-		max = DefaultMaxSubscribers
-	}
+// NewTable creates a table bounded at DefaultMaxSubscribers subscribers.
+// reg receives the push_* series; nil means metrics.Default().
+func NewTable(reg *metrics.Registry) *Table {
 	if reg == nil {
 		reg = metrics.Default()
 	}
-	return &Table{max: max, reg: reg, subs: make(map[uint64]*entry)}
+	return &Table{reg: reg, subs: make(map[uint64]*entry)}
 }
 
 // Add registers a subscriber. ok=false means the table is full — the
@@ -145,7 +140,7 @@ func NewTable(max int, reg *metrics.Registry) *Table {
 // subscription is dropped automatically.
 func (t *Table) Add(sub Subscription, sink transport.Pusher) (id uint64, ok bool) {
 	t.mu.Lock()
-	if len(t.subs) >= t.max {
+	if len(t.subs) >= DefaultMaxSubscribers {
 		t.mu.Unlock()
 		t.reg.Counter("push_subscribe_rejected_total").Inc()
 		return 0, false

@@ -107,7 +107,7 @@ func TestNotificationDecodeRejectsGarbage(t *testing.T) {
 }
 
 func TestTablePublishFiltering(t *testing.T) {
-	tb := NewTable(0, metrics.Discard)
+	tb := NewTable(metrics.Discard)
 	zoneSub := newFakeSink()
 	nameSub := newFakeSink()
 	otherZone := newFakeSink()
@@ -148,31 +148,34 @@ func TestTablePublishFiltering(t *testing.T) {
 }
 
 func TestTableOverflowRefuses(t *testing.T) {
-	tb := NewTable(2, metrics.Discard)
-	if _, ok := tb.Add(Subscription{Zone: "hns"}, newFakeSink()); !ok {
-		t.Fatal("first Add refused")
-	}
-	id2, ok := tb.Add(Subscription{Zone: "hns"}, newFakeSink())
-	if !ok {
-		t.Fatal("second Add refused")
+	tb := NewTable(metrics.Discard)
+	sink := newFakeSink()
+	defer sink.close()
+	var last uint64
+	for i := 0; i < DefaultMaxSubscribers; i++ {
+		id, ok := tb.Add(Subscription{Zone: "hns"}, sink)
+		if !ok {
+			t.Fatalf("Add %d of %d refused", i+1, DefaultMaxSubscribers)
+		}
+		last = id
 	}
 	if _, ok := tb.Add(Subscription{Zone: "hns"}, newFakeSink()); ok {
 		t.Fatal("Add beyond the bound accepted — overflow must refuse so clients poll")
 	}
 	// Freeing a slot readmits.
-	if !tb.Remove(id2) {
-		t.Fatal("Remove(id2) reported absent")
+	if !tb.Remove(last) {
+		t.Fatal("Remove(last) reported absent")
 	}
 	if _, ok := tb.Add(Subscription{Zone: "hns"}, newFakeSink()); !ok {
 		t.Fatal("Add after Remove refused")
 	}
-	if tb.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tb.Len())
+	if tb.Len() != DefaultMaxSubscribers {
+		t.Fatalf("Len = %d, want %d", tb.Len(), DefaultMaxSubscribers)
 	}
 }
 
 func TestTableDropsDeadSinkOnPublish(t *testing.T) {
-	tb := NewTable(0, metrics.Discard)
+	tb := NewTable(metrics.Discard)
 	dead := newFakeSink()
 	dead.fail = true
 	live := newFakeSink()
@@ -187,7 +190,7 @@ func TestTableDropsDeadSinkOnPublish(t *testing.T) {
 }
 
 func TestTableDropsSinkOnDone(t *testing.T) {
-	tb := NewTable(0, metrics.Discard)
+	tb := NewTable(metrics.Discard)
 	dropped := make(chan uint64, 1)
 	tb.dropped = dropped
 	s := newFakeSink()
@@ -244,7 +247,7 @@ func FuzzNotifyDecode(f *testing.F) {
 // same sink takes every frame.
 func TestTableCallbackSendRule(t *testing.T) {
 	reg := metrics.NewRegistry()
-	tb := NewTable(0, reg)
+	tb := NewTable(reg)
 	cb, plain := newFakeSink(), newFakeSink()
 	tb.Add(Subscription{Zone: "hns", Callback: true}, cb)
 	tb.Add(Subscription{Zone: "hns"}, plain)
@@ -292,7 +295,7 @@ func TestTableCallbackSendRule(t *testing.T) {
 // TestTableToldIsBounded: at maxTold names the set is cleared, which can
 // only send frames, never skip one.
 func TestTableToldIsBounded(t *testing.T) {
-	tb := NewTable(0, metrics.Discard)
+	tb := NewTable(metrics.Discard)
 	s := newFakeSink()
 	tb.Add(Subscription{Zone: "hns", Callback: true}, s)
 	for i := 0; i < maxTold; i++ {
@@ -313,7 +316,7 @@ func TestTableToldIsBounded(t *testing.T) {
 // on a sink with no callback subscription, a re-arm, and a publish owed to
 // no sink allocate nothing.
 func TestTableRearmAndSuppressAllocNothing(t *testing.T) {
-	tb := NewTable(0, metrics.Discard)
+	tb := NewTable(metrics.Discard)
 	cb, other := newFakeSink(), newFakeSink()
 	tb.Add(Subscription{Zone: "hns", Callback: true}, cb)
 	n := Notification{Zone: "hns", Names: []string{"x.hns"}, Serial: 1}

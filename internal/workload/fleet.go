@@ -6,8 +6,7 @@
 //	per-host resolver  →  site hnsd  →  authoritative bindd
 //
 // so per-tier hit ratios are first-class results rather than a byproduct
-// of one shared cache counter. An opt-in fourth tier (FleetSpec.Gateway)
-// fronts every remote site's hnsd with an admission-controlled hnsgw.
+// of one shared cache counter.
 //
 // A fleet run is one deterministic pass: every client runs sequentially
 // in a canonical order on a fake clock, producing seed-reproducible
@@ -26,15 +25,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 
-	"hns/internal/admission"
 	"hns/internal/bind"
 	"hns/internal/colocate"
 	"hns/internal/core"
-	"hns/internal/gateway"
-	"hns/internal/hrpc"
 	"hns/internal/metrics"
 	"hns/internal/names"
 	"hns/internal/qclass"
@@ -95,49 +90,6 @@ func peakSlot(d Diurnal) int {
 	return best
 }
 
-// GatewayTier configures the optional fourth tier: an hnsgw front door
-// interposed between clients and every remote site's hnsd, so the
-// hierarchy becomes
-//
-//	per-host resolver → hnsgw → site hnsd → authoritative bindd
-//
-// Each remote site gets its own gateway (and admission controller) on
-// the site's metrics registry; sites whose arrangement links the HNS
-// into the client process have no wire hop to front and are unchanged.
-// A nil GatewayTier (the default) leaves the fleet exactly as before,
-// which is what keeps the `hnsbench -prose scale` matrix bit-identical.
-type GatewayTier struct {
-	// Rate and Burst are per-client admission limits at each gateway
-	// (requests/sec and bucket depth); Rate <= 0 disables rate limiting.
-	Rate, Burst float64
-	// MaxInflight caps concurrently admitted calls per gateway; <= 0
-	// disables the load cap.
-	MaxInflight int
-	// LowWatermark is the fraction of MaxInflight past which batch
-	// (Low-priority) calls shed; <= 0 means no priority distinction.
-	LowWatermark float64
-	// RetryAfter is the backoff hint carried in Overloaded replies;
-	// <= 0 means the admission default.
-	RetryAfter time.Duration
-}
-
-// enabled reports whether any admission limit is configured (without
-// one the gateway still forwards, it just never sheds).
-func (g *GatewayTier) admissionConfig(clk *simtime.FakeClock, reg *metrics.Registry) *admission.Config {
-	if g.Rate <= 0 && g.MaxInflight <= 0 {
-		return nil
-	}
-	return &admission.Config{
-		Rate:         g.Rate,
-		Burst:        g.Burst,
-		MaxInflight:  g.MaxInflight,
-		LowWatermark: g.LowWatermark,
-		RetryAfter:   g.RetryAfter,
-		Clock:        clk,
-		Metrics:      reg,
-	}
-}
-
 // FleetSpec describes one simulated fleet.
 type FleetSpec struct {
 	// Sites is how many sites the population spreads over; each site
@@ -156,19 +108,12 @@ type FleetSpec struct {
 	HostTTL time.Duration
 	// Diurnal shapes the load curve.
 	Diurnal Diurnal
-	// Gateway, when non-nil, fronts every remote site's hnsd with an
-	// admission-controlled hnsgw (the optional fourth tier). Nil — the
-	// default — changes nothing.
-	Gateway *GatewayTier
 	// Push, when true, has scenarios that honour it (hotupdate) enable
 	// the meta server's push plane and subscribe every site's hnsd to
 	// it, so dynamic updates invalidate site meta-caches by NOTIFY
 	// instead of aging out by TTL. False — the default — changes
 	// nothing.
 	Push bool
-	// ChurnPerSlot is how many meta records the hotupdate scenario
-	// rewrites before each slot; <= 0 lets the scenario choose.
-	ChurnPerSlot int
 }
 
 func (s FleetSpec) base() Spec {
@@ -195,20 +140,6 @@ func (s FleetSpec) Validate() error {
 		return fmt.Errorf("workload: diurnal slots must be >= 0")
 	case d.SlotStep < 0:
 		return fmt.Errorf("workload: diurnal slot step must be >= 0")
-	}
-	if g := s.Gateway; g != nil {
-		switch {
-		case math.IsNaN(g.Rate) || g.Rate < 0:
-			return fmt.Errorf("workload: gateway rate must be >= 0")
-		case math.IsNaN(g.Burst) || g.Burst < 0:
-			return fmt.Errorf("workload: gateway burst must be >= 0")
-		case g.MaxInflight < 0:
-			return fmt.Errorf("workload: gateway max-inflight must be >= 0")
-		case math.IsNaN(g.LowWatermark) || g.LowWatermark < 0 || g.LowWatermark > 1:
-			return fmt.Errorf("workload: gateway low watermark must be in [0, 1]")
-		case g.RetryAfter < 0:
-			return fmt.Errorf("workload: gateway retry-after must be >= 0")
-		}
 	}
 	return nil
 }
@@ -279,9 +210,6 @@ type FleetResult struct {
 	Probes, StaleProbes int64
 	// Failures counts ops that returned an error.
 	Failures int
-	// GatewayShed counts calls the optional hnsgw tier refused with a
-	// typed Overloaded (always 0 when the tier is off).
-	GatewayShed int64
 	// Slots is the per-slot breakdown.
 	Slots []SlotStats
 }
@@ -305,9 +233,9 @@ type FleetHooks struct {
 	Close func()
 }
 
-// FleetSetup builds a scenario's hooks over a freshly built world; it is
-// invoked once per run.
-type FleetSetup func(ctx context.Context, w *world.World, clk *simtime.FakeClock) (FleetHooks, error)
+// FleetSetup builds a scenario's hooks over a freshly built world (on
+// the run's fake clock); it is invoked once per run.
+type FleetSetup func(ctx context.Context, w *world.World) (FleetHooks, error)
 
 // fleetOp is one drawn operation: which context, in which slot.
 type fleetOp struct {
@@ -368,13 +296,11 @@ func drawFleetOps(spec FleetSpec, cum []float64, global int) []fleetOp {
 }
 
 // siteState is one site's deployed HNS: the backing instance (for tier
-// accounting), the finder clients call (remote for remote arrangements),
-// and the site's own metrics registry.
+// accounting) and the finder clients call (remote for remote
+// arrangements).
 type siteState struct {
-	site   colocate.Site
 	h      *core.HNS
 	finder core.Finder
-	reg    *metrics.Registry
 }
 
 // fleetEnv is one run's environment: a fresh world, the site fleet, and
@@ -387,7 +313,6 @@ type fleetEnv struct {
 	clients   []fleetClient
 	slots     int
 	listeners []transport.Listener
-	gwClients []*hrpc.Client // per-site gateway upstream pools
 }
 
 func (e *fleetEnv) Close() {
@@ -396,9 +321,6 @@ func (e *fleetEnv) Close() {
 	}
 	for _, ln := range e.listeners {
 		ln.Close()
-	}
-	for _, c := range e.gwClients {
-		c.Close()
 	}
 	e.w.Close()
 }
@@ -426,7 +348,7 @@ func buildFleet(ctx context.Context, spec FleetSpec, setup FleetSetup) (*fleetEn
 		}
 	}
 	if setup != nil {
-		h, err := setup(ctx, w, clk)
+		h, err := setup(ctx, w)
 		if err != nil {
 			return nil, err
 		}
@@ -442,7 +364,7 @@ func buildFleet(ctx context.Context, spec FleetSpec, setup FleetSetup) (*fleetEn
 		} else {
 			h = w.NewHNS(core.Config{CacheMode: bind.CacheMarshalled, Metrics: reg})
 		}
-		st := siteState{site: site, h: h, finder: h, reg: reg}
+		st := siteState{h: h, finder: h}
 		if site.Arrangement.HNSIsRemote() {
 			host := fmt.Sprintf("site%d", site.Index)
 			ln, b, err := core.ServeHNS(w.Net, h, host, host+":hnsd")
@@ -450,12 +372,6 @@ func buildFleet(ctx context.Context, spec FleetSpec, setup FleetSetup) (*fleetEn
 				return nil, err
 			}
 			e.listeners = append(e.listeners, ln)
-			if spec.Gateway != nil {
-				b, err = e.frontWithGateway(spec.Gateway, clk, host, b, reg)
-				if err != nil {
-					return nil, err
-				}
-			}
 			st.finder = core.NewRemoteHNS(w.RPC, b)
 		}
 		e.sites = append(e.sites, st)
@@ -476,38 +392,6 @@ func buildFleet(ctx context.Context, spec FleetSpec, setup FleetSetup) (*fleetEn
 	}
 	ok = true
 	return e, nil
-}
-
-// frontWithGateway interposes an hnsgw between the fleet's clients and
-// a remote site's hnsd. Each site gets its own gateway, upstream client
-// pool, and (when limits are set) admission controller, all accounted
-// on the site's registry so per-site shed counts stay attributable.
-func (e *fleetEnv) frontWithGateway(g *GatewayTier, clk *simtime.FakeClock, host string, backend hrpc.Binding, reg *metrics.Registry) (hrpc.Binding, error) {
-	up := hrpc.NewClient(e.w.Net)
-	up.Metrics = reg
-	gw := gateway.New(up, backend, gateway.Config{
-		Name:      "hnsgw@" + host,
-		Admission: g.admissionConfig(clk, reg),
-	})
-	gw.SetMetrics(reg)
-	ln, b, err := gw.Serve(e.w.Net, hrpc.SuiteRaw, host+"-gw", host+":hnsgw")
-	if err != nil {
-		up.Close()
-		return hrpc.Binding{}, err
-	}
-	e.listeners = append(e.listeners, ln)
-	e.gwClients = append(e.gwClients, up)
-	return b, nil
-}
-
-// gatewayShed totals the admission sheds across every site's registry
-// (only the optional gateways register admission series).
-func (e *fleetEnv) gatewayShed() int64 {
-	var total int64
-	for i := range e.sites {
-		total += sumRegCounters(e.sites[i].reg, "admission_shed_total")
-	}
-	return total
 }
 
 // opName resolves the op's (possibly remapped) context to the FindNSM
@@ -635,7 +519,6 @@ func RunFleet(ctx context.Context, spec FleetSpec, setup FleetSetup) (FleetResul
 	res.Host.finish()
 	res.Site.finish()
 	res.Authority.finish()
-	res.GatewayShed = e.gatewayShed()
 	return res, nil
 }
 
@@ -646,16 +529,4 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	}
 	idx := int(p*float64(len(sorted)-1) + 0.5)
 	return sorted[idx]
-}
-
-// sumRegCounters totals every counter series in reg whose name starts
-// with prefix (labelled series carry suffixes).
-func sumRegCounters(reg *metrics.Registry, prefix string) int64 {
-	var total int64
-	for _, c := range reg.Snapshot().Counters {
-		if strings.HasPrefix(c.Name, prefix) {
-			total += c.Value
-		}
-	}
-	return total
 }

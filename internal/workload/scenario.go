@@ -14,13 +14,10 @@ import (
 
 	"hns/internal/bind"
 	"hns/internal/core"
-	"hns/internal/health"
-	"hns/internal/hrpc"
 	"hns/internal/metrics"
 	"hns/internal/names"
 	"hns/internal/qclass"
 	"hns/internal/simtime"
-	"hns/internal/transport"
 	"hns/internal/world"
 )
 
@@ -34,13 +31,6 @@ type Scenario struct {
 	// setup builds the per-pass hooks; nil for hook-less scenarios.
 	setup func(FleetSpec) FleetSetup
 }
-
-// Replica and transport names for the primaryloss chaos arrangement.
-const (
-	fleetPrimary   = "tahoma:bind-hrpc"
-	fleetSecondary = "tahoma2:bind-hrpc"
-	fleetChaos     = "tcp-fleet-chaos"
-)
 
 // Scenarios lists the named scenarios in canonical order.
 func Scenarios() []Scenario {
@@ -115,7 +105,7 @@ func flashcrowdScenario() Scenario {
 		setup: func(spec FleetSpec) FleetSetup {
 			flashAt := spec.Diurnal.slots() / 2
 			hot, cold := 0, spec.Contexts-1
-			return func(ctx context.Context, w *world.World, clk *simtime.FakeClock) (FleetHooks, error) {
+			return func(ctx context.Context, w *world.World) (FleetHooks, error) {
 				return FleetHooks{
 					Remap: func(idx, slot int) int {
 						if hot == cold {
@@ -166,66 +156,21 @@ func primarylossScenario() Scenario {
 		setup: func(spec FleetSpec) FleetSetup {
 			peak := peakSlot(spec.Diurnal)
 			recoverAt := peak + 2
-			return func(ctx context.Context, w *world.World, clk *simtime.FakeClock) (FleetHooks, error) {
-				// The second meta replica: a BIND secondary that mirrors
-				// the (fully registered) meta zone by zone transfer.
-				sec, err := bind.NewSecondary(w.MetaHRPCClient(), world.MetaZone, "tahoma2")
+			return func(ctx context.Context, w *world.World) (FleetHooks, error) {
+				// The second meta replica and the chaos transport; each
+				// site's HNS fails over between the two.
+				f, err := w.StartFailover(ctx, spec.Seed)
 				if err != nil {
 					return FleetHooks{}, err
 				}
-				if _, err := sec.Refresh(ctx); err != nil {
-					return FleetHooks{}, err
-				}
-				ln, _, err := sec.Server().ServeHRPC(w.Net, fleetSecondary)
-				if err != nil {
-					return FleetHooks{}, err
-				}
-
-				// Chaos wraps the simulated tcp, so faults hit meta
-				// traffic and nothing else.
-				inner, err := w.Net.Transport("tcp")
-				if err != nil {
-					ln.Close()
-					return FleetHooks{}, err
-				}
-				plan := transport.NewPlan(spec.Seed)
-				w.Net.Register(transport.NewChaos(inner, fleetChaos, plan))
-
 				return FleetHooks{
-					Close: func() { ln.Close() },
-					NewSiteHNS: func(reg *metrics.Registry) *core.HNS {
-						mc := hrpc.NewClient(w.Net)
-						mc.FreshConn = true // Raw suite discipline: dial per call
-						mc.Metrics = reg
-						mc.Policy = hrpc.RetryPolicy{Budget: time.Second}
-						mc.Health = health.Config{
-							Threshold: 3,
-							Cooldown:  40 * time.Minute,
-							Clock:     clk,
-							Metrics:   reg,
-							Service:   "meta-bind",
-						}
-						mc.SetReplicas(fleetPrimary, fleetSecondary)
-						mb := w.MetaHRPC
-						mb.Transport = fleetChaos
-						h := core.New(bind.NewHRPCClient(mc, mb), core.Config{
-							MetaZone:   world.MetaZone,
-							CacheMode:  bind.CacheMarshalled,
-							Clock:      clk,
-							ServeStale: 24 * time.Hour,
-							RPC:        w.RPC,
-							Metrics:    reg,
-						})
-						h.LinkHostResolver(world.NSBind, w.BindHostNSM)
-						h.LinkHostResolver(world.NSCH, w.CHHostNSM)
-						return h
-					},
+					NewSiteHNS: f.NewHNS,
 					BeforeSlot: func(slot int) {
 						switch slot {
 						case peak:
-							plan.Blackhole(fleetPrimary)
+							f.Plan.Blackhole(world.MetaPrimary)
 						case recoverAt:
-							plan.Recover(fleetPrimary)
+							f.Plan.Recover(world.MetaPrimary)
 						}
 					},
 				}, nil
@@ -235,7 +180,7 @@ func primarylossScenario() Scenario {
 }
 
 // hotupdate: sustained dynamic-update churn against a warm fleet. Every
-// slot rewrites ChurnPerSlot meta records (serial bumps through the
+// slot rewrites 1 + Contexts/8 meta records (serial bumps through the
 // dynamic-update interface) while the fleet keeps resolving; slot steps
 // sit well inside the meta TTL, so nothing ages out — whatever freshness
 // the fleet has comes from invalidation, not expiry. With Push off the
@@ -261,9 +206,6 @@ func hotupdateScenario() Scenario {
 				// is on trial.
 				s.Diurnal.SlotStep = time.Minute
 			}
-			if s.ChurnPerSlot <= 0 {
-				s.ChurnPerSlot = 1 + s.Contexts/8
-			}
 			// The site meta-cache is the tier under test; a host-tier hit
 			// would hide it.
 			s.HostTTL = time.Nanosecond
@@ -271,7 +213,8 @@ func hotupdateScenario() Scenario {
 		},
 		setup: func(spec FleetSpec) FleetSetup {
 			probeA, probeB := spec.Contexts, spec.Contexts+1
-			return func(ctx context.Context, w *world.World, clk *simtime.FakeClock) (FleetHooks, error) {
+			churn := 1 + spec.Contexts/8
+			return func(ctx context.Context, w *world.World) (FleetHooks, error) {
 				// Scenario upkeep (registrations, churn, probes) is priced
 				// to nobody.
 				ctx = simtime.WithMeter(ctx, simtime.NewMeter())
@@ -281,7 +224,7 @@ func hotupdateScenario() Scenario {
 					}
 				}
 				if spec.Push {
-					w.MetaServer.EnablePush(0)
+					w.MetaServer.EnablePush()
 				}
 				var sites []*core.HNS
 				probeNS := probeA
@@ -299,8 +242,8 @@ func hotupdateScenario() Scenario {
 						// Rewrite the slot's churn set (same values — the
 						// serial bumps and NOTIFYs are the point) and flip
 						// the probe context's name service.
-						for j := 0; j < spec.ChurnPerSlot; j++ {
-							i := (slot*spec.ChurnPerSlot + j) % spec.Contexts
+						for j := 0; j < churn; j++ {
+							i := (slot*churn + j) % spec.Contexts
 							if err := w.HNS.RegisterContext(ctx, world.SyntheticContext(i), world.SyntheticNS(i)); err != nil {
 								panic(fmt.Sprintf("workload: hotupdate churn: %v", err))
 							}

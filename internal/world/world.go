@@ -85,9 +85,6 @@ type Config struct {
 	// CacheMode selects the entry form for the HNS meta-cache and every
 	// NSM cache (Table 3.2 modes).
 	CacheMode bind.CacheMode
-	// ExtraServices registers this many additional Sun services on fiji
-	// (workload-size sweeps).
-	ExtraServices int
 }
 
 // World is the running environment.
@@ -196,7 +193,7 @@ func (w *World) buildMetaBind() error {
 	if err := w.MetaServer.AddZone(z); err != nil {
 		return err
 	}
-	ln, b, err := w.MetaServer.ServeHRPC(w.Net, addrMeta+":bind-hrpc")
+	ln, b, err := w.MetaServer.ServeHRPC(w.Net, MetaPrimary)
 	if err != nil {
 		return err
 	}
@@ -423,12 +420,6 @@ func (w *World) buildServices() error {
 	// The Sun RPC service on fiji that Table 3.1 imports.
 	if _, err := w.AddSunService(addrBind, DesiredService, DesiredProgram, DesiredVersion); err != nil {
 		return err
-	}
-	for i := 0; i < w.cfg.ExtraServices; i++ {
-		name := fmt.Sprintf("svc-%d", i)
-		if _, err := w.AddSunService(addrBind, name, uint32(410000+i), 1); err != nil {
-			return err
-		}
 	}
 	// The Courier service registered in the Clearinghouse.
 	b, err := w.addEchoServer(hrpc.SuiteCourier, "xerox-d0", addrXerox+":fs", CourierProgram, CourierVersion)

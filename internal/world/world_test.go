@@ -35,19 +35,6 @@ func TestWorldStandsUp(t *testing.T) {
 	}
 }
 
-func TestWorldExtraServices(t *testing.T) {
-	w, err := world.New(world.Config{ExtraServices: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	for i := 0; i < 5; i++ {
-		if _, addr, ok := w.Portmappers["fiji"].GetPort(uint32(410000+i), 1); !ok || addr == "" {
-			t.Fatalf("extra service %d not registered", i)
-		}
-	}
-}
-
 func TestWorldAddSunService(t *testing.T) {
 	w, err := world.New(world.Config{})
 	if err != nil {
