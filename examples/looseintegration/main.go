@@ -136,6 +136,6 @@ func run() error {
 
 	st := w.HNS.Stats()
 	fmt.Printf("every binding flowed through the HNS: %d FindNSM calls, %.0f%% cache hits\n",
-		st.FindNSMCalls, st.Cache.HitRate*100)
+		st.FindNSMCalls, st.Cache.HitRate()*100)
 	return nil
 }

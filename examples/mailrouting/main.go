@@ -82,7 +82,7 @@ func run() error {
 	st := w.HNS.Stats()
 	fmt.Printf("deliveries per host: %v\n", delivered)
 	fmt.Printf("HNS meta-cache hit rate after the run: %.0f%% — repeat recipients ride the cache\n",
-		st.Cache.HitRate*100)
+		st.Cache.HitRate()*100)
 	fmt.Println()
 	fmt.Println("The mailer contains no name-service-specific code: adding a new user")
 	fmt.Println("registry means writing one MailRoute NSM, not touching any mail agent.")

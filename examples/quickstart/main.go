@@ -174,6 +174,6 @@ func run() error {
 
 	st := h.Stats()
 	fmt.Printf("\nHNS meta-cache: %d hits, %d misses (hit rate %.0f%%)\n",
-		st.Cache.Hits, st.Cache.Misses, st.Cache.HitRate*100)
+		st.Cache.Hits, st.Cache.Misses, st.Cache.HitRate()*100)
 	return nil
 }

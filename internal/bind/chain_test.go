@@ -392,7 +392,7 @@ func TestInvalidatedNameIsRefetchedAlone(t *testing.T) {
 	r.Invalidate(chainCtx, TypeHNSMeta)
 	lookup(chainCtx, nil, "ns=ns9")
 	want("plain refetch", 2, 4)
-	r.cache.Delete(cacheKey(chainCtx, TypeHNSMeta))
+	r.cache.Invalidate(cacheKey(chainCtx, TypeHNSMeta))
 	lookup(chainCtx, chainFollow, "ns=ns9")
 	want("later miss", 2, 5)
 }

@@ -361,7 +361,7 @@ type Answer struct {
 	rrs  []RR // each with Data nil: record i's data are data[i]
 	data []string
 	ttl  uint32 // the records' minimum TTL: how long the cache keeps it
-	// until is when the cache drops the answer; zero on one not yet installed.
+	// until is when the cache drops the answer: its fetch's time plus ttl.
 	until time.Time
 }
 
@@ -395,13 +395,12 @@ func (a Answer) RRs() []RR {
 
 // Resolver wraps a Lookuper with a TTL cache of Answers. It is safe for
 // concurrent use, and concurrent misses for the same key are coalesced
-// into a single backend lookup (see FlightGroup).
+// into a single backend lookup (see cache.TTL.Fill).
 type Resolver struct {
 	backend Lookuper
 	mode    CacheMode
 	clock   simtime.Clock
 	cache   *cache.TTL[Answer]
-	flights FlightGroup[Answer]
 	// invalidated remembers keys whose cached answer an Invalidate removed
 	// and no lookup has refetched yet (see LookupChain); Sweep and Purge
 	// forget them.
@@ -410,13 +409,6 @@ type Resolver struct {
 	// demarshals counts marshalled-mode hit demarshals
 	// (cache_demarshal_total{cache=...}); nil when uninstrumented.
 	demarshals *metrics.Counter
-	// coalesced counts lookups that joined another caller's in-progress
-	// backend fetch (cache_coalesced_total{cache=...}).
-	coalesced *metrics.Counter
-	// staleFor, when positive, lets Lookup answer from expired entries up
-	// to that long past expiry when the backend is unreachable (RFC
-	// 8767-style serve-stale). Zero disables degraded mode.
-	staleFor time.Duration
 }
 
 // ResolverConfig configures NewResolver.
@@ -446,18 +438,13 @@ func NewResolver(backend Lookuper, cfg ResolverConfig) *Resolver {
 		mode:        cfg.Mode,
 		clock:       cmp.Or[simtime.Clock](cfg.Clock, simtime.RealClock{}),
 		cache:       cache.New[Answer](cfg.Clock, 0),
-		staleFor:    cfg.StaleFor,
 		invalidated: make(map[string]struct{}),
 	}
-	if cfg.StaleFor > 0 {
-		r.cache.SetStaleGrace(cfg.StaleFor)
-	}
+	r.cache.SetStaleGrace(cfg.StaleFor)
 	if cfg.CacheName != "" && cfg.Metrics.Enabled() {
 		r.cache.Instrument(cfg.Metrics, cfg.CacheName)
 		r.demarshals = cfg.Metrics.Counter(
 			metrics.Labels("cache_demarshal_total", "cache", cfg.CacheName))
-		r.coalesced = cfg.Metrics.Counter(
-			metrics.Labels("cache_coalesced_total", "cache", cfg.CacheName))
 	}
 	return r
 }
@@ -508,44 +495,29 @@ func (r *Resolver) LookupChain(ctx context.Context, name string, t RRType, follo
 		return a, nil
 	}
 	metrics.CallCounterFrom(ctx).AddMiss()
-	fetch := func(ctx context.Context) (Answer, error) {
+	fetch := func(ctx context.Context) (Answer, time.Duration, []cache.Entry[Answer], error) {
 		rrs, err := r.backend.Lookup(ctx, cname, t)
-		return newAnswer(rrs), err
+		a, ttl := r.answer(rrs)
+		return a, ttl, nil, err
 	}
-	install := func(a Answer, _ bool) { r.install(key, a) }
 	chain, _ := r.backend.(ChainLookuper)
 	if alone := r.takeInvalidated(key); !alone && chain != nil && len(follow) > 0 {
-		var tails [][]RR // written by fetch, read by install: both run on the leader
-		fetch = func(ctx context.Context) (Answer, error) {
-			head, rest, err := chain.LookupChain(ctx, cname, t, follow)
-			tails = rest
-			return newAnswer(head), err
-		}
-		install = func(a Answer, quiet bool) {
-			r.install(key, a)
-			if !quiet {
-				return // some name was invalidated meanwhile; it may be a tail's
+		fetch = func(ctx context.Context) (Answer, time.Duration, []cache.Entry[Answer], error) {
+			head, tails, err := chain.LookupChain(ctx, cname, t, follow)
+			more := make([]cache.Entry[Answer], len(tails))
+			for i, tail := range tails {
+				more[i].Key = cacheKey(tail[0].Name, t)
+				more[i].Value, more[i].TTL = r.answer(tail)
 			}
-			for _, tail := range tails {
-				r.install(cacheKey(tail[0].Name, t), newAnswer(tail))
-			}
+			a, ttl := r.answer(head)
+			return a, ttl, more, err
 		}
 	}
-	a, cost, joined, err := r.flights.Do(ctx, key, fetch, install)
-	if joined {
-		r.coalesced.Inc()
+	a, stale, err := r.cache.Fill(ctx, key, fetch)
+	if stale {
+		r.chargeHit(ctx, len(a.rrs))
 	}
-	// Each waiter pays the full lookup, exactly as if it had gone to the
-	// backend itself — coalescing reduces backend load, not the simulated
-	// cost any one client experiences.
-	simtime.Charge(ctx, cost)
-	if err != nil {
-		if a, ok := r.staleLookup(ctx, key, err); ok {
-			return a, nil
-		}
-		return Answer{}, err
-	}
-	return a, nil
+	return a, err
 }
 
 // takeInvalidated reports whether key's cached answer was removed by an
@@ -564,40 +536,20 @@ func (r *Resolver) forgetInvalidated() {
 	r.invMu.Unlock()
 }
 
-// install caches an answer under its records' minimum TTL. FlightGroup.Do
-// runs it only for a successful flight no Invalidate or Purge superseded,
-// so an error, NotFound included, is never remembered.
-func (r *Resolver) install(key string, a Answer) {
+// answer builds the Answer the cache keeps for rrs and how long it keeps
+// it: the records' minimum TTL. cache.TTL.Fill installs it only for a
+// successful fetch no Invalidate or Purge superseded, so an error,
+// NotFound included, is never remembered.
+func (r *Resolver) answer(rrs []RR) (Answer, time.Duration) {
+	a := newAnswer(rrs)
 	ttl := time.Duration(a.ttl) * time.Second
 	a.until = r.clock.Now().Add(ttl)
-	r.cache.Put(key, a, ttl)
+	return a, ttl
 }
 
 // Left reports how much longer the cache keeps a, an answer Lookup
-// returned: its whole TTL when it was just fetched, nothing when it was
-// served stale.
-func (r *Resolver) Left(a Answer) time.Duration {
-	if a.until.IsZero() {
-		return time.Duration(a.ttl) * time.Second
-	}
-	return max(a.until.Sub(r.clock.Now()), 0)
-}
-
-// staleLookup is the serve-stale fallback: when a backend lookup failed
-// because the backend was unreachable (not a NotFound, not a remote
-// fault), answer from an expired cache entry still within the stale
-// grace. The hit is priced like any other cache hit and counted in
-// cache_stale_served_total (via the cache's stats).
-func (r *Resolver) staleLookup(ctx context.Context, key string, cause error) (Answer, bool) {
-	if r.staleFor <= 0 || !transport.CodeOf(cause).Unreachable() {
-		return Answer{}, false
-	}
-	a, ok := r.cache.GetStale(key)
-	if ok {
-		r.chargeHit(ctx, len(a.rrs))
-	}
-	return a, ok
-}
+// returned: nothing when it was served stale.
+func (r *Resolver) Left(a Answer) time.Duration { return max(a.until.Sub(r.clock.Now()), 0) }
 
 func (r *Resolver) chargeHit(ctx context.Context, n int) {
 	r.mode.ChargeHit(ctx, n)
@@ -617,15 +569,13 @@ func (r *Resolver) Preload(rrs []RR) {
 		groups[k] = append(groups[k], rr)
 	}
 	for k, g := range groups {
-		r.install(k, newAnswer(g))
+		a, ttl := r.answer(g)
+		r.cache.Put(k, a, ttl)
 	}
 }
 
 // Stats exposes the cache counters.
 func (r *Resolver) Stats() cache.Stats { return r.cache.Stats() }
-
-// LockWaits reports contended lock acquisitions on the answer cache.
-func (r *Resolver) LockWaits() int64 { return r.cache.LockWaits() }
 
 // Invalidate drops the cached answer for one (name, type), so the next
 // Lookup goes to the backend. A fetch already in flight for the key is
@@ -639,9 +589,7 @@ func (r *Resolver) Invalidate(name string, t RRType) {
 	if err != nil {
 		return
 	}
-	key := cacheKey(cname, t)
-	r.flights.Supersede(key)
-	if r.cache.Delete(key) {
+	if key := cacheKey(cname, t); r.cache.Invalidate(key) {
 		r.invMu.Lock()
 		r.invalidated[key] = struct{}{}
 		r.invMu.Unlock()
@@ -651,7 +599,6 @@ func (r *Resolver) Invalidate(name string, t RRType) {
 // Purge empties the cache, superseding every in-flight fetch as Invalidate
 // does for one.
 func (r *Resolver) Purge() {
-	r.flights.SupersedeAll()
 	r.cache.Purge()
 	r.forgetInvalidated()
 }

@@ -3,11 +3,13 @@ package bind
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"hns/internal/metrics"
 	"hns/internal/simtime"
 	"hns/internal/transport"
 )
@@ -52,9 +54,9 @@ func TestStampedeSingleBackendLookup(t *testing.T) {
 			"stampede.test": {A("stampede.test", "10.0.0.1", 600)},
 		},
 	}
-	r := NewResolver(backend, ResolverConfig{})
-	joined := make(chan string, herd)
-	r.flights.joined = joined
+	reg := metrics.NewRegistry()
+	r := NewResolver(backend, ResolverConfig{Metrics: reg, CacheName: "stampede"})
+	joined := reg.Counter(metrics.Labels("cache_coalesced_total", "cache", "stampede"))
 
 	var wg sync.WaitGroup
 	costs := make([]time.Duration, herd)
@@ -74,10 +76,8 @@ func TestStampedeSingleBackendLookup(t *testing.T) {
 
 	// Release the backend only once the whole herd is attached to the one
 	// flight: its leader, held by the backend, and 63 joiners.
-	for i := 1; i < herd; i++ {
-		if key := <-joined; key != cacheKey("stampede.test", TypeA) {
-			t.Fatalf("a caller joined a flight for %q", key)
-		}
+	for joined.Value() < herd-1 {
+		runtime.Gosched()
 	}
 	close(backend.release)
 	wg.Wait()
@@ -294,11 +294,20 @@ func TestInvalidationSupersedesInFlightLookup(t *testing.T) {
 			<-backend.entered
 			backend.set(name, updated)
 			tc.invalidate(r)
-			r.flights.mu.Lock()
-			_, mapped := r.flights.m[cacheKey(name, TypeA)]
-			r.flights.mu.Unlock()
-			if mapped {
-				t.Fatal("superseded flight still mapped")
+			// The next miss starts a flight of its own, and caches the
+			// update, while the superseded one is still parked.
+			second := make(chan result, 1)
+			go func() {
+				rrs, err := r.Lookup(ctx, name, TypeA)
+				second <- result{rrs, err}
+			}()
+			select {
+			case got := <-second:
+				if got.err != nil || string(got.rrs[0].Data) != "10.0.0.2" {
+					t.Fatalf("Lookup after invalidation = %v, %v; want the update", got.rrs, got.err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the Lookup after invalidation joined the superseded flight")
 			}
 			close(backend.release)
 
@@ -308,7 +317,7 @@ func TestInvalidationSupersedesInFlightLookup(t *testing.T) {
 			}
 			rrs, err := r.Lookup(ctx, name, TypeA)
 			if err != nil || string(rrs[0].Data) != "10.0.0.2" {
-				t.Fatalf("Lookup after invalidation = %v, %v; the superseded fetch's answer was cached", rrs, err)
+				t.Fatalf("Lookup after the superseded fetch ended = %v, %v; its answer was cached", rrs, err)
 			}
 			if backend.calls != 2 {
 				t.Fatalf("backend saw %d lookups, want 2", backend.calls)
@@ -401,5 +410,5 @@ func BenchmarkResolverWarmParallel(b *testing.B) {
 			i++
 		}
 	})
-	b.ReportMetric(float64(r.LockWaits())/float64(b.N), "lock-waits/op")
+	b.ReportMetric(float64(r.Stats().LockWaits)/float64(b.N), "lock-waits/op")
 }

@@ -34,7 +34,7 @@ func BenchmarkContention(b *testing.B) {
 			i++
 		}
 	})
-	b.ReportMetric(float64(c.LockWaits())/float64(b.N), "lock-waits/op")
+	b.ReportMetric(float64(c.Stats().LockWaits)/float64(b.N), "lock-waits/op")
 }
 
 // BenchmarkContentionMixed adds a write fraction (every 16th access), the
@@ -55,5 +55,5 @@ func BenchmarkContentionMixed(b *testing.B) {
 			i++
 		}
 	})
-	b.ReportMetric(float64(c.LockWaits())/float64(b.N), "lock-waits/op")
+	b.ReportMetric(float64(c.Stats().LockWaits)/float64(b.N), "lock-waits/op")
 }

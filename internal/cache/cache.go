@@ -1,15 +1,20 @@
-// Package cache provides the TTL cache underlying both the BIND resolver
-// cache and the HNS meta-naming cache.
+// Package cache provides the read-through TTL cache under every cache
+// layer: hnsd's meta-cache (bind.Resolver), the NSMs' result caches and a
+// caller's memo of HNS answers (core.RemoteHNS).
 //
 // The paper's caching scheme is deliberately simple: "Cached data is tagged
 // with a time-to-live field for cache invalidation. While this simplistic
 // mechanism can cause cache consistency problems, it would not make sense
 // to use a more sophisticated scheme because the source of our cached data
 // (BIND) also uses this mechanism." This package implements exactly that —
-// TTL expiry, no invalidation protocol, no size bound — plus the hit/miss
-// accounting the colocation analysis (equation 1) needs. What bounds a
-// cache's memory is its entries' TTLs and the Sweep a long-lived server
-// runs.
+// TTL expiry and no size bound — plus the three rules every layer shares,
+// so that none restates them: concurrent misses of one key share one
+// fetch (Fill); an Invalidate or Purge, the one way a layer hears of a
+// change before the TTL runs out, keeps a fetch already in flight from
+// caching its answer; and an expired entry is served in a stale grace
+// only when the failure was that the backend could not be reached
+// (GetStale). What bounds a cache's memory is its entries' TTLs and the
+// Sweep a long-lived server runs.
 //
 // The cache is storage only; *pricing* an access (demarshalled probe vs
 // demarshal-on-every-access, Table 3.2) is the caller's job, because only
@@ -17,12 +22,14 @@
 package cache
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hns/internal/metrics"
 	"hns/internal/simtime"
+	"hns/internal/transport"
 )
 
 // Stats reports cache effectiveness counters.
@@ -31,6 +38,9 @@ type Stats struct {
 	Misses      int64
 	Expired     int64 // misses caused by TTL expiry of a present entry
 	StaleServed int64 // expired entries handed out by GetStale (degraded mode)
+	// LockWaits counts lock acquisitions that found the lock held — a
+	// direct contention signal, exposed as cache_lock_wait_total.
+	LockWaits int64
 }
 
 // HitRate returns hits/(hits+misses), or 0 with no accesses. This is the
@@ -48,6 +58,32 @@ type entry[V any] struct {
 	expires time.Time
 }
 
+// Entry is one more answer a Fill's fetch brought back, under a key of
+// its own.
+type Entry[V any] struct {
+	Key   string
+	Value V
+	TTL   time.Duration
+}
+
+// flight is one fetch in progress for a key.
+type flight[V any] struct {
+	done chan struct{} // closed when the leader finishes
+
+	// superseded, guarded by TTL.mu, is set when an Invalidate or Purge
+	// detached this flight: its answer may predate the change and must
+	// not be cached.
+	superseded bool
+	// gen is TTL.gen when the flight began.
+	gen uint64
+
+	// Results, valid after done is closed; the leader, every joiner and
+	// the cache share the one value.
+	value V
+	err   error
+	cost  time.Duration // simulated cost of the fetch
+}
+
 // TTL is a TTL cache: one mutex over one map. The zero value is not
 // usable; call New. TTL is safe for concurrent use.
 type TTL[V any] struct {
@@ -57,10 +93,17 @@ type TTL[V any] struct {
 	mu      sync.Mutex
 	entries map[string]entry[V]
 	stats   Stats
+	flights map[string]*flight[V] // the Fills in progress, by key
+	// gen counts invalidations (every Invalidate and Purge). A fetch that
+	// brought back other keys has no flight of theirs to be superseded
+	// through, so its flight compares gen at its end with gen at its start.
+	gen uint64
+	// coalesced counts Fills that joined a flight in progress
+	// (cache_coalesced_total); nil until Instrument.
+	coalesced *metrics.Counter
 
 	// lockWaits counts lock acquisitions that found the lock held
-	// (TryLock failed) — a direct contention signal, exposed as
-	// cache_lock_wait_total.
+	// (TryLock failed), read into Stats.LockWaits.
 	lockWaits atomic.Int64
 }
 
@@ -72,7 +115,7 @@ func New[V any](clock simtime.Clock, _ int) *TTL[V] {
 	if clock == nil {
 		clock = simtime.RealClock{}
 	}
-	return &TTL[V]{clock: clock, entries: make(map[string]entry[V])}
+	return &TTL[V]{clock: clock, entries: make(map[string]entry[V]), flights: make(map[string]*flight[V])}
 }
 
 // lock acquires c.mu, counting the acquisition as contended when the lock
@@ -85,9 +128,6 @@ func (c *TTL[V]) lock() {
 	c.lockWaits.Add(1)
 	c.mu.Lock()
 }
-
-// LockWaits reports how many lock acquisitions found the lock held.
-func (c *TTL[V]) LockWaits() int64 { return c.lockWaits.Load() }
 
 // SetStaleGrace makes expired entries linger for grace past their expiry,
 // servable through GetStale — RFC 8767's "serve stale" degraded mode. It
@@ -125,40 +165,130 @@ func (c *TTL[V]) Get(key string) (V, bool) {
 	return e.value, true
 }
 
-// GetStale returns the entry for key even if expired, as long as it is
-// within the stale grace period — the degraded-mode answer when every
-// backend replica is down. Served entries count in Stats.StaleServed.
-// Live entries are returned too (counting as stale only when actually
-// expired). Returns false with no grace configured and the entry expired.
-func (c *TTL[V]) GetStale(key string) (V, bool) {
+// GetStale is the serve-stale rule, the one every layer follows: after a
+// fetch for key failed with cause, it returns the entry for key even if
+// expired, as long as it is within the stale grace period and cause says
+// the backend could not be reached (transport.Code.Unreachable). A
+// NotFound, a fault or a refusal the backend answered is never papered
+// over. Served expired entries count in Stats.StaleServed; a live entry is
+// returned too, uncounted. With no grace configured it returns nothing.
+func (c *TTL[V]) GetStale(key string, cause error) (V, bool) {
+	var zero V
+	if c.stale <= 0 || !transport.CodeOf(cause).Unreachable() {
+		return zero, false
+	}
 	c.lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
-		var zero V
 		return zero, false
 	}
 	now := c.clock.Now()
 	if now.Before(e.expires) {
 		return e.value, true
 	}
-	if c.stale <= 0 || !now.Before(e.expires.Add(c.stale)) {
-		var zero V
+	if !now.Before(e.expires.Add(c.stale)) {
 		return zero, false
 	}
 	c.stats.StaleServed++
 	return e.value, true
 }
 
+// Fill answers key after the caller's own Get missed, so each access is
+// counted once. Concurrent Fills of one key share one fetch: the first
+// leads, the rest join its flight. fetch returns the value, how long to
+// keep it, and any further entries it brought back under other keys. The
+// value is cached unless an Invalidate of key or a Purge superseded the
+// flight meanwhile; the further entries only if no key at all was
+// invalidated meanwhile, since any of them may have been. A failed fetch
+// caches nothing, and the caller is answered from the stale grace when
+// GetStale allows it, with stale set. A joiner whose ctx dies while
+// waiting leaves with ctx.Err(); the flight runs on for the others.
+//
+// The subtlety is simulated cost. The paper's tables price what one client
+// *experiences*: a cache-cold FindNSM costs the full lookup whether or not
+// some other client happens to be fetching the same record at the same
+// instant. So a metered leader runs fetch against a private meter, and
+// every caller (leader and joiners alike) is charged the captured cost on
+// its own meter. Coalescing therefore changes backend load — N concurrent
+// misses cost the backend one fetch — without perturbing a single Table
+// 3.1/3.2 cell. A daemon's ctx has no meter and acquires none here (the
+// RPC under fetch reads wall time), so its callers are charged nothing.
+func (c *TTL[V]) Fill(ctx context.Context, key string, fetch func(context.Context) (V, time.Duration, []Entry[V], error)) (V, bool, error) {
+	c.lock()
+	f, ok := c.flights[key]
+	if ok {
+		coalesced := c.coalesced
+		c.mu.Unlock()
+		coalesced.Inc()
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return c.orStale(key, ctx.Err())
+		}
+	} else {
+		f = &flight[V]{done: make(chan struct{}), gen: c.gen}
+		c.flights[key] = f
+		c.mu.Unlock()
+		c.lead(ctx, key, f, fetch)
+	}
+	simtime.Charge(ctx, f.cost)
+	if f.err != nil {
+		return c.orStale(key, f.err)
+	}
+	return f.value, false, nil
+}
+
+// lead runs f's fetch and installs what it brought back as Fill says.
+func (c *TTL[V]) lead(ctx context.Context, key string, f *flight[V], fetch func(context.Context) (V, time.Duration, []Entry[V], error)) {
+	var ttl time.Duration
+	var more []Entry[V]
+	if simtime.From(ctx) != nil {
+		meter := simtime.NewMeter()
+		f.value, ttl, more, f.err = fetch(simtime.WithMeter(ctx, meter))
+		f.cost = meter.Elapsed()
+	} else {
+		f.value, ttl, more, f.err = fetch(ctx)
+	}
+	c.lock()
+	if !f.superseded {
+		delete(c.flights, key)
+		if f.err == nil {
+			c.put(key, f.value, ttl)
+			if f.gen == c.gen {
+				for _, e := range more {
+					c.put(e.Key, e.Value, e.TTL)
+				}
+			}
+		}
+	}
+	c.mu.Unlock()
+	close(f.done)
+}
+
+// orStale ends a failed Fill: the stale answer if GetStale has one, else
+// the failure.
+func (c *TTL[V]) orStale(key string, cause error) (V, bool, error) {
+	if v, ok := c.GetStale(key, cause); ok {
+		return v, true, nil
+	}
+	var zero V
+	return zero, false, cause
+}
+
 // Put installs value under key with the given TTL. Non-positive TTLs are
 // not cached (matching BIND: a zero TTL means "do not cache").
 func (c *TTL[V]) Put(key string, value V, ttl time.Duration) {
-	if ttl <= 0 {
-		return
-	}
 	c.lock()
 	defer c.mu.Unlock()
-	c.entries[key] = entry[V]{value: value, expires: c.clock.Now().Add(ttl)}
+	c.put(key, value, ttl)
+}
+
+// put is Put under c.mu.
+func (c *TTL[V]) put(key string, value V, ttl time.Duration) {
+	if ttl > 0 {
+		c.entries[key] = entry[V]{value: value, expires: c.clock.Now().Add(ttl)}
+	}
 }
 
 // Left reports how much longer key's entry stays live: nothing when it
@@ -173,13 +303,33 @@ func (c *TTL[V]) Left(key string) time.Duration {
 	return max(e.expires.Sub(c.clock.Now()), 0)
 }
 
-// Delete removes key, reporting whether it was present.
-func (c *TTL[V]) Delete(key string) bool {
+// Invalidate removes key, reporting whether it was present, and
+// supersedes a Fill in flight for it: that flight's callers still get its
+// answer, it is not cached, and the next Fill of key starts a new flight.
+func (c *TTL[V]) Invalidate(key string) bool {
 	c.lock()
 	defer c.mu.Unlock()
+	c.gen++
+	if f, ok := c.flights[key]; ok {
+		f.superseded = true
+		delete(c.flights, key)
+	}
 	_, ok := c.entries[key]
 	delete(c.entries, key)
 	return ok
+}
+
+// Purge empties the cache (stats are kept), superseding every Fill in
+// flight as Invalidate does one.
+func (c *TTL[V]) Purge() {
+	c.lock()
+	defer c.mu.Unlock()
+	c.gen++
+	for _, f := range c.flights {
+		f.superseded = true
+	}
+	clear(c.flights)
+	c.entries = make(map[string]entry[V])
 }
 
 // Sweep removes expired entries proactively, returning how many were
@@ -202,13 +352,6 @@ func (c *TTL[V]) Sweep() int {
 	return dropped
 }
 
-// Purge empties the cache (stats are kept).
-func (c *TTL[V]) Purge() {
-	c.lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]entry[V])
-}
-
 // Len reports the number of entries, including any not yet expired-out.
 func (c *TTL[V]) Len() int {
 	c.lock()
@@ -220,14 +363,16 @@ func (c *TTL[V]) Len() int {
 func (c *TTL[V]) Stats() Stats {
 	c.lock()
 	defer c.mu.Unlock()
-	return c.stats
+	s := c.stats
+	s.LockWaits = c.lockWaits.Load()
+	return s
 }
 
-// Instrument exposes the cache's counters as gauge series on r, labeled
-// cache=<name>: cache_hits_total, cache_misses_total, cache_expired_total,
-// cache_stale_served_total, cache_entries and cache_lock_wait_total. The
-// series read the existing Stats at snapshot time, so instrumenting adds
-// no work to the access path.
+// Instrument exposes the cache's counters on r, labeled cache=<name>: the
+// gauge series cache_hits_total, cache_misses_total, cache_expired_total,
+// cache_stale_served_total, cache_entries and cache_lock_wait_total, which
+// read Stats at snapshot time and so add no work to the access path, and
+// the counter cache_coalesced_total, the Fills that joined a flight.
 func (c *TTL[V]) Instrument(r *metrics.Registry, name string) {
 	series := func(metric string, read func(Stats) int64) {
 		r.GaugeFunc(metrics.Labels(metric, "cache", name), func() int64 {
@@ -238,8 +383,12 @@ func (c *TTL[V]) Instrument(r *metrics.Registry, name string) {
 	series("cache_misses_total", func(s Stats) int64 { return s.Misses })
 	series("cache_expired_total", func(s Stats) int64 { return s.Expired })
 	series("cache_stale_served_total", func(s Stats) int64 { return s.StaleServed })
+	series("cache_lock_wait_total", func(s Stats) int64 { return s.LockWaits })
 	r.GaugeFunc(metrics.Labels("cache_entries", "cache", name), func() int64 {
 		return int64(c.Len())
 	})
-	r.GaugeFunc(metrics.Labels("cache_lock_wait_total", "cache", name), c.LockWaits)
+	coalesced := r.Counter(metrics.Labels("cache_coalesced_total", "cache", name))
+	c.lock()
+	c.coalesced = coalesced
+	c.mu.Unlock()
 }

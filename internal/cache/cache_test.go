@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hns/internal/simtime"
+	"hns/internal/transport"
 )
 
 func newClock() *simtime.FakeClock {
@@ -88,15 +89,15 @@ func TestStatsAndHitRate(t *testing.T) {
 	}
 }
 
-func TestDeleteAndPurge(t *testing.T) {
+func TestInvalidateAndPurge(t *testing.T) {
 	c := New[int](newClock(), 0)
 	c.Put("a", 1, time.Hour)
 	c.Put("b", 2, time.Hour)
-	if !c.Delete("a") {
-		t.Fatal("Delete existing returned false")
+	if !c.Invalidate("a") {
+		t.Fatal("Invalidate existing returned false")
 	}
-	if c.Delete("a") {
-		t.Fatal("Delete missing returned true")
+	if c.Invalidate("a") {
+		t.Fatal("Invalidate missing returned true")
 	}
 	c.Purge()
 	if c.Len() != 0 {
@@ -121,7 +122,7 @@ func TestConcurrentAccess(t *testing.T) {
 				c.Put(k, j, time.Hour)
 				c.Get(k)
 				if j%50 == 0 {
-					c.Delete(k)
+					c.Invalidate(k)
 				}
 			}
 		}(i)
@@ -135,6 +136,7 @@ func TestConcurrentAccess(t *testing.T) {
 // is now one lock over one map, and the stress body is unchanged.
 func TestShardedStress(t *testing.T) {
 	c := New[int](newClock(), 0)
+	c.SetStaleGrace(time.Minute) // so GetStale reaches the entries
 	const (
 		workers = 8
 		iters   = 400
@@ -152,9 +154,9 @@ func TestShardedStress(t *testing.T) {
 				case 1:
 					c.Get(k)
 				case 2:
-					c.GetStale(k)
+					c.GetStale(k, transport.ErrRefused)
 				case 3:
-					c.Delete(k)
+					c.Invalidate(k)
 				case 4:
 					c.Sweep()
 				case 5:
@@ -189,16 +191,16 @@ func TestLockWaitCounter(t *testing.T) {
 		c.Put("k", 1, time.Hour)
 		close(done)
 	}()
-	for c.LockWaits() == 0 {
+	for c.lockWaits.Load() == 0 {
 		runtime.Gosched()
 	}
 	c.mu.Unlock()
 	<-done
-	if got := c.LockWaits(); got != 1 {
+	if got := c.Stats().LockWaits; got != 1 {
 		t.Fatalf("lock waits = %d, want 1", got)
 	}
 	c.Get("k")
-	if c.LockWaits() != 1 {
+	if c.Stats().LockWaits != 1 {
 		t.Fatal("uncontended access counted as a lock wait")
 	}
 }

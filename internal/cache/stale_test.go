@@ -5,7 +5,11 @@ import (
 	"time"
 
 	"hns/internal/simtime"
+	"hns/internal/transport"
 )
+
+// down is a failure that means the backend could not be reached.
+var down = transport.ErrRefused
 
 func TestGetStaleWithinGrace(t *testing.T) {
 	clk := simtime.NewFakeClock(time.Unix(0, 0))
@@ -18,7 +22,7 @@ func TestGetStaleWithinGrace(t *testing.T) {
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("Get returned an expired entry as live")
 	}
-	v, ok := c.GetStale("k")
+	v, ok := c.GetStale("k", down)
 	if !ok || v != "v" {
 		t.Fatalf("GetStale = (%q, %v), want the graced entry", v, ok)
 	}
@@ -39,7 +43,7 @@ func TestGetStaleBeyondGrace(t *testing.T) {
 	c.Put("k", "v", time.Minute)
 	clk.Advance(2 * time.Hour) // past expiry + grace
 
-	if _, ok := c.GetStale("k"); ok {
+	if _, ok := c.GetStale("k", down); ok {
 		t.Fatal("GetStale served an entry beyond the grace period")
 	}
 	if c.Stats().StaleServed != 0 {
@@ -54,7 +58,7 @@ func TestGetStaleWithoutGraceConfigured(t *testing.T) {
 	c.Put("k", "v", time.Minute)
 	clk.Advance(2 * time.Minute)
 
-	if _, ok := c.GetStale("k"); ok {
+	if _, ok := c.GetStale("k", down); ok {
 		t.Fatal("GetStale must refuse expired entries with no grace configured")
 	}
 	// And Get removes the expired entry exactly as before.
@@ -72,7 +76,7 @@ func TestGetStaleReturnsLiveEntryWithoutCounting(t *testing.T) {
 	c.SetStaleGrace(time.Hour)
 
 	c.Put("k", "v", time.Minute)
-	if v, ok := c.GetStale("k"); !ok || v != "v" {
+	if v, ok := c.GetStale("k", down); !ok || v != "v" {
 		t.Fatalf("GetStale on a live entry = (%q, %v)", v, ok)
 	}
 	if c.Stats().StaleServed != 0 {
@@ -93,7 +97,7 @@ func TestSweepKeepsGracedEntries(t *testing.T) {
 	if dropped := c.Sweep(); dropped != 1 {
 		t.Fatalf("Sweep dropped %d, want 1 (only the beyond-grace entry)", dropped)
 	}
-	if _, ok := c.GetStale("graced"); !ok {
+	if _, ok := c.GetStale("graced", down); !ok {
 		t.Fatal("Sweep removed a graced entry")
 	}
 }

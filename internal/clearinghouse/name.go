@@ -70,17 +70,10 @@ func (n Name) DomainString() string { return n.Domain + ":" + n.Org }
 // IsZero reports whether the name is empty.
 func (n Name) IsZero() bool { return n == Name{} }
 
-// Canonical lower-cases n in place and reports whether it is well formed.
-func (n Name) Canonical() (Name, error) {
-	return ParseName(n.String())
-}
-
 // Well-known property names, following Clearinghouse usage.
 const (
 	// PropAddress holds a server's transport address list.
 	PropAddress = "addresslist"
-	// PropAuthKey holds a principal's authentication key hash.
-	PropAuthKey = "authenticationkey"
 	// PropMailbox holds a user's mail server name.
 	PropMailbox = "mailboxes"
 	// PropUser marks user objects.

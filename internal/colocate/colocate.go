@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"hns/internal/bind"
+	"hns/internal/cache"
 	"hns/internal/core"
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
@@ -231,14 +232,14 @@ func (im *Importer) FlushNSMCache() {
 }
 
 // HNSCacheStats reports the arrangement's HNS cache counters.
-func (im *Importer) HNSCacheStats() core.CacheStats {
+func (im *Importer) HNSCacheStats() cache.Stats {
 	switch {
 	case im.localHNS != nil:
 		return im.localHNS.Stats().Cache
 	case im.agentHNS != nil:
 		return im.agentHNS.Stats().Cache
 	default:
-		return core.CacheStats{}
+		return cache.Stats{}
 	}
 }
 

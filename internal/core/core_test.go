@@ -411,8 +411,8 @@ func TestStatsCounters(t *testing.T) {
 	if st.FindNSMCalls != 3 {
 		t.Fatalf("FindNSMCalls = %d", st.FindNSMCalls)
 	}
-	if st.Cache.HitRate <= 0.5 {
-		t.Fatalf("hit rate = %f after warm calls", st.Cache.HitRate)
+	if st.Cache.HitRate() <= 0.5 {
+		t.Fatalf("hit rate = %f after warm calls", st.Cache.HitRate())
 	}
 }
 

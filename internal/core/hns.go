@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"hns/internal/bind"
+	"hns/internal/cache"
 	"hns/internal/hrpc"
 	"hns/internal/metrics"
 	"hns/internal/names"
@@ -553,32 +554,13 @@ type Stats struct {
 	// FindNSMCalls counts FindNSM invocations.
 	FindNSMCalls int64
 	// Cache carries the meta-cache counters (the paper's p and p+q).
-	Cache CacheStats
-}
-
-// CacheStats mirrors cache.Stats without exporting the cache package.
-type CacheStats struct {
-	Hits, Misses, Expired int64
-	HitRate               float64
-	// LockWaits counts contended meta-cache lock acquisitions.
-	LockWaits int64
-	// StaleServed counts degraded-mode answers from expired entries
-	// (zero unless Config.ServeStale is set).
-	StaleServed int64
+	// StaleServed stays zero unless Config.ServeStale is set.
+	Cache cache.Stats
 }
 
 // Stats returns a snapshot.
 func (h *HNS) Stats() Stats {
-	cs := h.resolver.Stats()
-	return Stats{
-		FindNSMCalls: h.findCalls.Load(),
-		Cache: CacheStats{
-			Hits: cs.Hits, Misses: cs.Misses, Expired: cs.Expired,
-			HitRate:     cs.HitRate(),
-			LockWaits:   h.resolver.LockWaits(),
-			StaleServed: cs.StaleServed,
-		},
-	}
+	return Stats{FindNSMCalls: h.findCalls.Load(), Cache: h.resolver.Stats()}
 }
 
 // FlushCache empties the meta-cache (between benchmark phases). A FindNSM

@@ -44,7 +44,7 @@ func (f *holdingFinder) relays() *push.Table          { return f.tab }
 // TestRelayOvertakesMiss: a watching RemoteHNS answers a kept context with
 // no call, drops it when a relay names it, and does not keep a miss that a
 // relay overtook while it was in flight — the supersede rule of
-// bind.FlightGroup.
+// cache.TTL.Fill.
 func TestRelayOvertakesMiss(t *testing.T) {
 	n := transport.NewNetwork()
 	f := &holdingFinder{tab: push.NewTable(metrics.Discard), entered: make(chan struct{}), release: make(chan struct{})}

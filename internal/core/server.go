@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hns/internal/bind"
 	"hns/internal/cache"
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
@@ -208,8 +207,7 @@ type RemoteHNS struct {
 	b hrpc.Binding
 
 	memo     *cache.TTL[memoEntry] // keyed by memoKey
-	flights  bind.FlightGroup[memoEntry]
-	watchers *push.Table // the connections watching this finder in turn
+	watchers *push.Table           // the connections watching this finder in turn
 
 	watchMu    sync.Mutex
 	dead       atomic.Pointer[atomic.Bool] // the standing watch's, nil before the first
@@ -253,7 +251,7 @@ func (r *RemoteHNS) findKeep(ctx context.Context, hnsContext, queryClass string)
 func (r *RemoteHNS) relays() *push.Table { return r.watchers }
 
 // find answers from the memo while the watch stands, else asks upstream;
-// a miss is kept unless a relay overtook it (bind.FlightGroup). Unwatched,
+// a miss is kept unless a relay overtook it (cache.TTL.Fill). Unwatched,
 // an exchange that went through is followed by asking for the watch.
 func (r *RemoteHNS) find(ctx context.Context, hnsContext, queryClass string) (memoEntry, error) {
 	if !r.live() {
@@ -271,10 +269,10 @@ func (r *RemoteHNS) find(ctx context.Context, hnsContext, queryClass string) (me
 	if e, ok := r.memo.Get(key); ok {
 		return e, nil
 	}
-	e, cost, _, err := r.flights.Do(ctx, key, func(ctx context.Context) (memoEntry, error) {
-		return r.ask(ctx, cx, queryClass)
-	}, func(e memoEntry, _ bool) { r.memo.Put(key, e, time.Until(e.until)) })
-	simtime.Charge(ctx, cost)
+	e, _, err := r.memo.Fill(ctx, key, func(ctx context.Context) (memoEntry, time.Duration, []cache.Entry[memoEntry], error) {
+		e, err := r.ask(ctx, cx, queryClass)
+		return e, time.Until(e.until), nil, err
+	})
 	return e, err
 }
 
@@ -341,15 +339,12 @@ func (r *RemoteHNS) hear(body []byte, err error) {
 		n, err = push.DecodeNotification(body)
 	}
 	if err != nil || n.Names == nil {
-		r.flights.SupersedeAll()
 		r.memo.Purge()
 		n.Names = nil
 	}
 	for _, cx := range n.Names {
 		for _, qc := range [...]string{qclass.HostAddress, qclass.HRPCBinding, qclass.MailRoute} {
-			key := memoKey(cx, qc)
-			r.flights.Supersede(key)
-			r.memo.Delete(key)
+			r.memo.Invalidate(memoKey(cx, qc))
 		}
 	}
 	r.watchers.Publish(push.Notification{Names: n.Names, Serial: n.Serial})

@@ -33,7 +33,6 @@ import (
 	"hns/internal/names"
 	"hns/internal/qclass"
 	"hns/internal/simtime"
-	"hns/internal/transport"
 )
 
 // NSM is what every naming semantics manager provides to the management
@@ -70,20 +69,13 @@ const CacheTTL = 10 * time.Minute
 // resultCache is the shared caching helper: a TTL cache whose hits are
 // priced by cache mode.
 type resultCache[V any] struct {
-	mode  bind.CacheMode
-	stale time.Duration
-	c     *cache.TTL[V]
+	mode bind.CacheMode
+	c    *cache.TTL[V]
 }
 
 func newResultCache[V any](o Options) *resultCache[V] {
-	rc := &resultCache[V]{
-		mode:  o.CacheMode,
-		stale: o.StaleFor,
-		c:     cache.New[V](o.Clock, 0),
-	}
-	if o.StaleFor > 0 {
-		rc.c.SetStaleGrace(o.StaleFor)
-	}
+	rc := &resultCache[V]{mode: o.CacheMode, c: cache.New[V](o.Clock, 0)}
+	rc.c.SetStaleGrace(o.StaleFor)
 	return rc
 }
 
@@ -99,21 +91,14 @@ func (rc *resultCache[V]) get(ctx context.Context, key string) (V, bool) {
 
 func (rc *resultCache[V]) put(key string, v V) { rc.c.Put(key, v, CacheTTL) }
 
-// getStale is the serve-stale fallback: when a lookup failed because the
-// underlying service was unreachable (cause is an availability error,
-// not a semantic one), answer from an expired entry still within the
-// stale grace. The hit is priced like a normal hit.
+// getStale is the serve-stale fallback after a lookup failed with cause
+// (cache.TTL.GetStale's rule), priced like a normal hit.
 func (rc *resultCache[V]) getStale(ctx context.Context, key string, cause error) (V, bool) {
-	var zero V
-	if rc.stale <= 0 || !transport.CodeOf(cause).Unreachable() {
-		return zero, false
+	v, ok := rc.c.GetStale(key, cause)
+	if ok {
+		rc.mode.ChargeHit(ctx, 1)
 	}
-	v, ok := rc.c.GetStale(key)
-	if !ok {
-		return zero, false
-	}
-	rc.mode.ChargeHit(ctx, 1)
-	return v, true
+	return v, ok
 }
 
 func (rc *resultCache[V]) stats() cache.Stats { return rc.c.Stats() }
