@@ -10,6 +10,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"hns/internal/store"
@@ -639,9 +640,33 @@ func BenchmarkBinddRestart(b *testing.B) {
 // (net/netip's zone map, linked through net) allocate two objects on a
 // background goroutine, so with the collector on the count varied with
 // how many cycles the timed loop met; off, it is the start-up path's own.
+//
+// It also starts the threads the loop will want. An op runs longer than
+// the scheduler's 10 ms time slice, and a preempted goroutine wakes the
+// idle P; with no idle thread to run it, the runtime starts one, and the
+// new thread's six objects (its m, two g's and their profiling buffers)
+// were counted against the op: five ops read one allocation more each.
+// Holding 2×GOMAXPROCS threads at once and releasing them leaves them
+// idle for the loop to reuse.
 func noGC(b *testing.B) {
 	b.ReportAllocs()
 	runtime.GC()
 	was := debug.SetGCPercent(-1)
 	b.Cleanup(func() { debug.SetGCPercent(was) })
+	var locked, exited sync.WaitGroup
+	release := make(chan struct{})
+	for range 2 * runtime.GOMAXPROCS(0) {
+		locked.Add(1)
+		exited.Add(1)
+		go func() {
+			defer exited.Done()
+			runtime.LockOSThread()
+			locked.Done()
+			<-release
+			runtime.UnlockOSThread()
+		}()
+	}
+	locked.Wait()
+	close(release)
+	exited.Wait()
 }

@@ -397,25 +397,32 @@ func TestInvalidatedNameIsRefetchedAlone(t *testing.T) {
 	want("later miss", 2, 5)
 }
 
-// TestInvalidatedSetIsBounded: the memory of invalidated names is bounded
-// as the cache whose entries it outlives is, by the owner's periodic Sweep.
+// TestInvalidatedSetIsBounded: the marks of invalidated names are bounded
+// as the cache whose answers they outlive is: each lives as long as its
+// answer had left, and each new mark's insert retires two that are due.
 func TestInvalidatedSetIsBounded(t *testing.T) {
 	backend := newChainBackend()
-	r := NewResolver(backend, ResolverConfig{})
-	for i := 0; i < 32; i++ {
-		name := fmt.Sprintf("c%d.ctx.hns", i)
-		backend.set(name, HNSMeta(name, "ns=x", 300))
-		if _, err := r.Lookup(context.Background(), name, TypeHNSMeta); err != nil {
-			t.Fatal(err)
+	clk := simtime.NewFakeClock(time.Unix(0, 0))
+	r := NewResolver(backend, ResolverConfig{Clock: clk})
+	invalidate := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			name := fmt.Sprintf("c%d.ctx.hns", i)
+			backend.set(name, HNSMeta(name, "ns=x", 300))
+			if _, err := r.Lookup(context.Background(), name, TypeHNSMeta); err != nil {
+				t.Fatal(err)
+			}
+			r.Invalidate(name, TypeHNSMeta)
 		}
-		r.Invalidate(name, TypeHNSMeta)
 	}
-	if n := len(r.invalidated); n != 32 {
+	invalidate(0, 32)
+	if n := r.invalidated.Len(); n != 32 {
 		t.Fatalf("%d invalidated names remembered, want 32", n)
 	}
-	r.Sweep()
-	if n := len(r.invalidated); n != 0 {
-		t.Fatalf("%d invalidated names remembered past a Sweep", n)
+	clk.Advance(300 * time.Second) // every answer marked would have expired
+	invalidate(32, 48)
+	if n := r.invalidated.Len(); n != 16 {
+		t.Fatalf("%d invalidated names remembered, want the 16 marked since the answers expired", n)
 	}
 }
 

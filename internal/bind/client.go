@@ -401,11 +401,10 @@ type Resolver struct {
 	mode    CacheMode
 	clock   simtime.Clock
 	cache   *cache.TTL[Answer]
-	// invalidated remembers keys whose cached answer an Invalidate removed
-	// and no lookup has refetched yet (see LookupChain); Sweep and Purge
-	// forget them.
-	invMu       sync.Mutex
-	invalidated map[string]struct{}
+	// invalidated marks keys whose cached answer an Invalidate removed
+	// and no lookup has refetched yet (see LookupChain), each for as long
+	// as the answer had left to live; Purge forgets them.
+	invalidated *cache.TTL[struct{}]
 	// demarshals counts marshalled-mode hit demarshals
 	// (cache_demarshal_total{cache=...}); nil when uninstrumented.
 	demarshals *metrics.Counter
@@ -438,7 +437,7 @@ func NewResolver(backend Lookuper, cfg ResolverConfig) *Resolver {
 		mode:        cfg.Mode,
 		clock:       cmp.Or[simtime.Clock](cfg.Clock, simtime.RealClock{}),
 		cache:       cache.New[Answer](cfg.Clock, 0),
-		invalidated: make(map[string]struct{}),
+		invalidated: cache.New[struct{}](cfg.Clock, 0),
 	}
 	r.cache.SetStaleGrace(cfg.StaleFor)
 	if cfg.CacheName != "" && cfg.Metrics.Enabled() {
@@ -501,7 +500,7 @@ func (r *Resolver) LookupChain(ctx context.Context, name string, t RRType, follo
 		return a, ttl, nil, err
 	}
 	chain, _ := r.backend.(ChainLookuper)
-	if alone := r.takeInvalidated(key); !alone && chain != nil && len(follow) > 0 {
+	if alone := r.invalidated.Invalidate(key); !alone && chain != nil && len(follow) > 0 {
 		fetch = func(ctx context.Context) (Answer, time.Duration, []cache.Entry[Answer], error) {
 			head, tails, err := chain.LookupChain(ctx, cname, t, follow)
 			more := make([]cache.Entry[Answer], len(tails))
@@ -518,22 +517,6 @@ func (r *Resolver) LookupChain(ctx context.Context, name string, t RRType, follo
 		r.chargeHit(ctx, len(a.rrs))
 	}
 	return a, err
-}
-
-// takeInvalidated reports whether key's cached answer was removed by an
-// Invalidate since its last fetch, and forgets it.
-func (r *Resolver) takeInvalidated(key string) bool {
-	r.invMu.Lock()
-	defer r.invMu.Unlock()
-	_, ok := r.invalidated[key]
-	delete(r.invalidated, key)
-	return ok
-}
-
-func (r *Resolver) forgetInvalidated() {
-	r.invMu.Lock()
-	clear(r.invalidated)
-	r.invMu.Unlock()
 }
 
 // answer builds the Answer the cache keeps for rrs and how long it keeps
@@ -581,33 +564,23 @@ func (r *Resolver) Stats() cache.Stats { return r.cache.Stats() }
 // Lookup goes to the backend. A fetch already in flight for the key is
 // superseded first: its callers still get the answer they asked for, but
 // it is not cached — it may predate the change that prompted the
-// invalidation — and the next Lookup starts a new fetch. When an answer
-// was actually dropped, the key is remembered so that fetch asks for this
-// name alone (see LookupChain).
+// invalidation — and the next Lookup starts a new fetch. When a live
+// answer was dropped, the key is marked for as long as the answer had
+// left, so that fetch asks for this name alone (see LookupChain). A lost
+// mark only makes the fetch chain.
 func (r *Resolver) Invalidate(name string, t RRType) {
 	cname, err := CanonicalName(name)
 	if err != nil {
 		return
 	}
-	if key := cacheKey(cname, t); r.cache.Invalidate(key) {
-		r.invMu.Lock()
-		r.invalidated[key] = struct{}{}
-		r.invMu.Unlock()
-	}
+	key := cacheKey(cname, t)
+	r.invalidated.Put(key, struct{}{}, r.cache.Left(key))
+	r.cache.Invalidate(key)
 }
 
 // Purge empties the cache, superseding every in-flight fetch as Invalidate
 // does for one.
 func (r *Resolver) Purge() {
 	r.cache.Purge()
-	r.forgetInvalidated()
-}
-
-// Sweep proactively removes expired cache entries, reporting how many were
-// dropped. It also forgets which names were invalidated: a name nobody has
-// asked for since the last sweep would otherwise be remembered for ever.
-func (r *Resolver) Sweep() int {
-	n := r.cache.Sweep()
-	r.forgetInvalidated()
-	return n
+	r.invalidated.Purge()
 }

@@ -13,8 +13,9 @@
 // change before the TTL runs out, keeps a fetch already in flight from
 // caching its answer; and an expired entry is served in a stale grace
 // only when the failure was that the backend could not be reached
-// (GetStale). What bounds a cache's memory is its entries' TTLs and the
-// Sweep a long-lived server runs.
+// (GetStale). What bounds a cache's memory is its entries' TTLs alone:
+// each insert retires up to two entries past their drop time, oldest
+// insert first, so nothing ever walks the map.
 //
 // The cache is storage only; *pricing* an access (demarshalled probe vs
 // demarshal-on-every-access, Table 3.2) is the caller's job, because only
@@ -84,6 +85,14 @@ type flight[V any] struct {
 	cost  time.Duration // simulated cost of the fetch
 }
 
+// due is one insert's record in a TTL's expiry queue: the key and the
+// expiry it was put with. A record is 40 bytes (a string header and a
+// time.Time); the key's bytes are the map key's.
+type due struct {
+	key     string
+	expires time.Time
+}
+
 // TTL is a TTL cache: one mutex over one map. The zero value is not
 // usable; call New. TTL is safe for concurrent use.
 type TTL[V any] struct {
@@ -92,6 +101,10 @@ type TTL[V any] struct {
 
 	mu      sync.Mutex
 	entries map[string]entry[V]
+	// queue is a ring of one due record per insert, oldest first, from
+	// head for n records; put retires entries from its front.
+	queue   []due
+	head, n int
 	stats   Stats
 	flights map[string]*flight[V] // the Fills in progress, by key
 	// gen counts invalidations (every Invalidate and Purge). A fetch that
@@ -284,11 +297,38 @@ func (c *TTL[V]) Put(key string, value V, ttl time.Duration) {
 	c.put(key, value, ttl)
 }
 
-// put is Put under c.mu.
+// put is Put under c.mu. It first retires up to two records past their
+// drop time (expires plus the stale grace) from the front of the queue,
+// deleting a record's entry only if the entry still carries the record's
+// expiry: a later put or an Invalidate has made the record stale
+// otherwise. Each put adds at most one record, so a backlog of due
+// records drains, and its work is bounded whatever the cache's size.
 func (c *TTL[V]) put(key string, value V, ttl time.Duration) {
-	if ttl > 0 {
-		c.entries[key] = entry[V]{value: value, expires: c.clock.Now().Add(ttl)}
+	now := c.clock.Now()
+	for i := 0; i < 2 && c.n > 0; i++ {
+		d := &c.queue[c.head]
+		if now.Before(d.expires.Add(c.stale)) {
+			break
+		}
+		if e, ok := c.entries[d.key]; ok && e.expires.Equal(d.expires) {
+			delete(c.entries, d.key)
+		}
+		*d = due{}
+		c.head, c.n = (c.head+1)%len(c.queue), c.n-1
 	}
+	if ttl <= 0 {
+		return
+	}
+	e := entry[V]{value: value, expires: now.Add(ttl)}
+	c.entries[key] = e
+	if c.n == len(c.queue) {
+		grown := make([]due, max(2*c.n, 16))
+		copy(grown, c.queue[c.head:])
+		copy(grown[len(c.queue)-c.head:], c.queue[:c.head])
+		c.queue, c.head = grown, 0
+	}
+	c.queue[(c.head+c.n)%len(c.queue)] = due{key, e.expires}
+	c.n++
 }
 
 // Left reports how much longer key's entry stays live: nothing when it
@@ -303,7 +343,7 @@ func (c *TTL[V]) Left(key string) time.Duration {
 	return max(e.expires.Sub(c.clock.Now()), 0)
 }
 
-// Invalidate removes key, reporting whether it was present, and
+// Invalidate removes key, reporting whether it held a live entry, and
 // supersedes a Fill in flight for it: that flight's callers still get its
 // answer, it is not cached, and the next Fill of key starts a new flight.
 func (c *TTL[V]) Invalidate(key string) bool {
@@ -314,9 +354,9 @@ func (c *TTL[V]) Invalidate(key string) bool {
 		f.superseded = true
 		delete(c.flights, key)
 	}
-	_, ok := c.entries[key]
+	e, ok := c.entries[key]
 	delete(c.entries, key)
-	return ok
+	return ok && c.clock.Now().Before(e.expires)
 }
 
 // Purge empties the cache (stats are kept), superseding every Fill in
@@ -330,29 +370,11 @@ func (c *TTL[V]) Purge() {
 	}
 	clear(c.flights)
 	c.entries = make(map[string]entry[V])
+	c.queue, c.head, c.n = nil, 0, 0
 }
 
-// Sweep removes expired entries proactively, returning how many were
-// dropped. Expired entries are otherwise removed lazily on access, so
-// long-lived servers (hnsd, the NSM daemons) call Sweep periodically to
-// keep dead data from pinning memory.
-func (c *TTL[V]) Sweep() int {
-	now := c.clock.Now()
-	dropped := 0
-	c.lock()
-	defer c.mu.Unlock()
-	for k, e := range c.entries {
-		// With a stale grace configured, expired-but-graced entries
-		// stay servable for degraded mode; only truly dead ones go.
-		if !now.Before(e.expires.Add(c.stale)) {
-			delete(c.entries, k)
-			dropped++
-		}
-	}
-	return dropped
-}
-
-// Len reports the number of entries, including any not yet expired-out.
+// Len reports the number of entries, including expired ones no Get or
+// put has retired yet.
 func (c *TTL[V]) Len() int {
 	c.lock()
 	defer c.mu.Unlock()

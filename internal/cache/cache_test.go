@@ -133,9 +133,11 @@ func TestConcurrentAccess(t *testing.T) {
 // TestShardedStress hammers every mutating and reading operation from many
 // goroutines at once; run under -race it is the cache's memory-safety gate.
 // It keeps the name it had when the cache was split into shards; the cache
-// is now one lock over one map, and the stress body is unchanged.
+// is now one lock over one map, and the short-TTL inserts and clock
+// advances make concurrent inserts retire entries.
 func TestShardedStress(t *testing.T) {
-	c := New[int](newClock(), 0)
+	clk := newClock()
+	c := New[int](clk, 0)
 	c.SetStaleGrace(time.Minute) // so GetStale reaches the entries
 	const (
 		workers = 8
@@ -158,7 +160,8 @@ func TestShardedStress(t *testing.T) {
 				case 3:
 					c.Invalidate(k)
 				case 4:
-					c.Sweep()
+					c.Put(k+"y", i, time.Second)
+					clk.Advance(time.Second)
 				case 5:
 					c.Put(k+"x", i, time.Minute)
 				case 6:
@@ -228,23 +231,24 @@ func TestPutGetProperty(t *testing.T) {
 	}
 }
 
-func TestSweep(t *testing.T) {
+// TestPutRetiresExpired: an insert retires the expired entry at the front
+// of the queue and stops at the first live one.
+func TestPutRetiresExpired(t *testing.T) {
 	clk := newClock()
 	c := New[int](clk, 0)
 	c.Put("short", 1, time.Minute)
 	c.Put("long", 2, time.Hour)
 	clk.Advance(2 * time.Minute)
-	if got := c.Sweep(); got != 1 {
-		t.Fatalf("Sweep dropped %d, want 1", got)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after sweep", c.Len())
+	c.Put("next", 3, time.Hour)
+	if _, ok := c.entries["short"]; ok || c.Len() != 2 {
+		t.Fatalf("Len = %d after the insert, want 2 without \"short\"", c.Len())
 	}
 	if _, ok := c.Get("long"); !ok {
-		t.Fatal("live entry swept")
+		t.Fatal("live entry retired")
 	}
-	// Sweeping again drops nothing and does not disturb stats semantics.
-	if got := c.Sweep(); got != 0 {
-		t.Fatalf("second Sweep dropped %d", got)
+	// The next insert finds a live entry at the front and retires nothing.
+	c.Put("last", 4, time.Hour)
+	if c.Len() != 3 {
+		t.Fatalf("Len = %d after the second insert, want 3", c.Len())
 	}
 }

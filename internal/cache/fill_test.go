@@ -213,10 +213,12 @@ func TestServeStaleRule(t *testing.T) {
 }
 
 // TestFillStress runs Fills, with and without further entries, against
-// Invalidates, Purges, stale reads and sweeps from many goroutines; run
-// under -race it is the flight's memory-safety gate.
+// Invalidates, Purges, stale reads and clock advances that make the Fills'
+// installs retire entries, from many goroutines; run under -race it is the
+// flight's memory-safety gate.
 func TestFillStress(t *testing.T) {
-	c := New[int](newClock(), 0)
+	clk := newClock()
+	c := New[int](clk, 0)
 	c.SetStaleGrace(time.Minute)
 	var wg sync.WaitGroup
 	for w := range 8 {
@@ -239,7 +241,7 @@ func TestFillStress(t *testing.T) {
 					c.Invalidate(k)
 				case 4:
 					c.GetStale(k, transport.ErrRefused)
-					c.Sweep()
+					clk.Advance(10 * time.Second)
 				case 5:
 					if i%60 == 5 {
 						c.Purge()

@@ -84,30 +84,32 @@ func TestGetStaleReturnsLiveEntryWithoutCounting(t *testing.T) {
 	}
 }
 
-func TestSweepKeepsGracedEntries(t *testing.T) {
+func TestPutRetiresNoGracedEntry(t *testing.T) {
 	clk := simtime.NewFakeClock(time.Unix(0, 0))
 	c := New[string](clk, 0)
 	c.SetStaleGrace(time.Hour)
 
-	c.Put("graced", "v", time.Minute)
 	c.Put("dead", "v", time.Second)
+	c.Put("graced", "v", time.Minute)
 	// At 60m30s, "dead" (expired at 0m01s) is past expiry+grace while
 	// "graced" (expired at 1m, grace until 61m) is still within it.
 	clk.Advance(60*time.Minute + 30*time.Second)
-	if dropped := c.Sweep(); dropped != 1 {
-		t.Fatalf("Sweep dropped %d, want 1 (only the beyond-grace entry)", dropped)
+	c.Put("next", "v", time.Minute)
+	if got := c.Len(); got != 2 {
+		t.Fatalf("Len = %d after the insert, want 2 (only the beyond-grace entry retired)", got)
 	}
 	if _, ok := c.GetStale("graced", down); !ok {
-		t.Fatal("Sweep removed a graced entry")
+		t.Fatal("an insert retired a graced entry")
 	}
 }
 
-func TestSweepWithoutGraceDropsExpired(t *testing.T) {
+func TestPutWithoutGraceRetiresExpired(t *testing.T) {
 	clk := simtime.NewFakeClock(time.Unix(0, 0))
 	c := New[string](clk, 0)
 	c.Put("k", "v", time.Minute)
 	clk.Advance(2 * time.Minute)
-	if dropped := c.Sweep(); dropped != 1 {
-		t.Fatalf("Sweep dropped %d, want 1", dropped)
+	c.Put("other", "v", time.Minute)
+	if _, ok := c.entries["k"]; ok || c.Len() != 1 {
+		t.Fatalf("Len = %d after the insert, want 1 without \"k\"", c.Len())
 	}
 }

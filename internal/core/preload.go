@@ -36,7 +36,3 @@ func (h *HNS) Preload(ctx context.Context) (PreloadReport, error) {
 	}
 	return rep, nil
 }
-
-// SweepCache proactively removes expired meta-cache entries (long-lived
-// server hygiene); it reports how many were dropped.
-func (h *HNS) SweepCache() int { return h.resolver.Sweep() }

@@ -368,8 +368,5 @@ func (r *RemoteHNS) Changed() <-chan struct{} {
 	return r.changed
 }
 
-// SweepCache drops the memo's expired answers, reporting how many went.
-func (r *RemoteHNS) SweepCache() int { return r.memo.Sweep() }
-
 var _ Finder = (*HNS)(nil)
 var _ Finder = (*RemoteHNS)(nil)

@@ -32,9 +32,6 @@ import (
 	"hns/internal/transport"
 )
 
-// sweepEvery is how often Run drops a daemon's expired cache entries.
-const sweepEvery = 5 * time.Minute
-
 // List is a repeatable string flag: each use appends one value.
 type List []string
 
@@ -50,7 +47,6 @@ type Daemon struct {
 	Services map[string]string
 
 	addr, std string
-	sweep     []func() int   // cache sweeps, run every sweepEvery
 	undo      []func() error // start-up's steps undone, last first
 }
 
@@ -101,8 +97,8 @@ func chClient(rpc *hrpc.Client, addr, principal, secret string) *clearinghouse.C
 }
 
 // Run is a daemon's main: serve /metrics and /debug/hns on metricsAddr
-// (when set), then start the daemon and sweep its caches every five
-// minutes until SIGINT or SIGTERM; then close it. A failed start exits 1.
+// (when set), then start the daemon and wait for SIGINT or SIGTERM; then
+// close it. A failed start exits 1.
 func Run(name, metricsAddr string, up func() (*Daemon, error)) {
 	if metricsAddr != "" {
 		msrv, err := metrics.Serve(metricsAddr, metrics.Default())
@@ -116,23 +112,12 @@ func Run(name, metricsAddr string, up func() (*Daemon, error)) {
 	if err != nil {
 		log.Fatalf("%s: %v", name, err)
 	}
-	sweep := time.NewTicker(sweepEvery)
-	defer sweep.Stop()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	for {
-		select {
-		case <-sweep.C:
-			for _, s := range d.sweep {
-				s()
-			}
-		case <-sig:
-			log.Printf("%s: shutting down", name)
-			if err := d.Close(); err != nil {
-				log.Printf("%s: %v", name, err)
-			}
-			return
-		}
+	<-sig
+	log.Printf("%s: shutting down", name)
+	if err := d.Close(); err != nil {
+		log.Printf("%s: %v", name, err)
 	}
 }
 
@@ -251,7 +236,7 @@ func (d *Daemon) hnsd(c HnsdConfig) error {
 	}
 	meta := bind.NewHRPCClient(metaRPC, hrpc.SuiteRawNet.Bind(c.Meta, c.Meta, bind.HRPCProgram, bind.HRPCVersion))
 	h := core.New(meta, core.Config{MetaZone: c.MetaZone, ServeStale: c.ServeStale, ChainMeta: true, RPC: rpc})
-	d.HNS, d.sweep = h, append(d.sweep, h.SweepCache)
+	d.HNS = h
 	for _, spec := range c.LinkBind {
 		ns, stdAddr, ok := strings.Cut(spec, "=")
 		if !ok {
@@ -260,7 +245,7 @@ func (d *Daemon) hnsd(c HnsdConfig) error {
 		std := bind.NewStdClient(net, "udp-net", stdAddr)
 		n := nsm.NewBindHostAddr("hostaddr-"+ns, ns, std, nsm.Options{})
 		h.LinkHostResolver(ns, n)
-		d.sweep, d.undo = append(d.sweep, n.SweepCache), append(d.undo, std.Close)
+		d.undo = append(d.undo, std.Close)
 		log.Printf("hnsd: linked BIND HostAddress NSM for %s at %s", ns, stdAddr)
 	}
 	for _, spec := range c.LinkCH {
@@ -271,7 +256,6 @@ func (d *Daemon) hnsd(c HnsdConfig) error {
 		}
 		n := nsm.NewCHHostAddr("hostaddr-"+ns, ns, chClient(rpc, parts[0], parts[1], parts[2]), nsm.Options{})
 		h.LinkHostResolver(ns, n)
-		d.sweep = append(d.sweep, n.SweepCache)
 		log.Printf("hnsd: linked Clearinghouse HostAddress NSM for %s at %s", ns, parts[0])
 	}
 	if c.Subscribe {
@@ -302,23 +286,18 @@ type nsmArgs struct {
 	opts     nsm.Options
 }
 
-type nsmServer interface {
-	Server() *hrpc.Server
-	SweepCache() int
-}
-
 // nsmTypes is nsmd's -type table: each NSM and the native suite of its
 // world, Courier for the Clearinghouse's and Sun RPC for BIND's.
 var nsmTypes = map[string]struct {
 	suite hrpc.Suite
-	build func(a nsmArgs) nsmServer
+	build func(a nsmArgs) *hrpc.Server
 }{
-	"binding-bind":  {hrpc.SuiteSunRPCNet, func(a nsmArgs) nsmServer { return nsm.NewBindBinding(a.name, a.ns, a.std, a.rpc, a.opts) }},
-	"binding-ch":    {hrpc.SuiteCourierNet, func(a nsmArgs) nsmServer { return nsm.NewCHBinding(a.name, a.ns, a.ch, a.rpc, a.opts) }},
-	"hostaddr-bind": {hrpc.SuiteSunRPCNet, func(a nsmArgs) nsmServer { return nsm.NewBindHostAddr(a.name, a.ns, a.std, a.opts) }},
-	"hostaddr-ch":   {hrpc.SuiteCourierNet, func(a nsmArgs) nsmServer { return nsm.NewCHHostAddr(a.name, a.ns, a.ch, a.opts) }},
-	"mail-bind":     {hrpc.SuiteSunRPCNet, func(a nsmArgs) nsmServer { return nsm.NewBindMailRoute(a.name, a.ns, a.std, a.opts) }},
-	"mail-ch":       {hrpc.SuiteCourierNet, func(a nsmArgs) nsmServer { return nsm.NewCHMailRoute(a.name, a.ns, a.ch, a.opts) }},
+	"binding-bind":  {hrpc.SuiteSunRPCNet, func(a nsmArgs) *hrpc.Server { return nsm.NewBindBinding(a.name, a.ns, a.std, a.rpc, a.opts).Server() }},
+	"binding-ch":    {hrpc.SuiteCourierNet, func(a nsmArgs) *hrpc.Server { return nsm.NewCHBinding(a.name, a.ns, a.ch, a.rpc, a.opts).Server() }},
+	"hostaddr-bind": {hrpc.SuiteSunRPCNet, func(a nsmArgs) *hrpc.Server { return nsm.NewBindHostAddr(a.name, a.ns, a.std, a.opts).Server() }},
+	"hostaddr-ch":   {hrpc.SuiteCourierNet, func(a nsmArgs) *hrpc.Server { return nsm.NewCHHostAddr(a.name, a.ns, a.ch, a.opts).Server() }},
+	"mail-bind":     {hrpc.SuiteSunRPCNet, func(a nsmArgs) *hrpc.Server { return nsm.NewBindMailRoute(a.name, a.ns, a.std, a.opts).Server() }},
+	"mail-ch":       {hrpc.SuiteCourierNet, func(a nsmArgs) *hrpc.Server { return nsm.NewCHMailRoute(a.name, a.ns, a.ch, a.opts).Server() }},
 }
 
 // Nsmd starts one NSM of c.Type over its world's native suite.
@@ -348,9 +327,7 @@ func (d *Daemon) nsmd(c NsmdConfig) error {
 		a.std = bind.NewStdClient(net, "udp-net", c.BindStd)
 		d.undo = append(d.undo, a.std.Close)
 	}
-	n := t.build(a)
-	d.sweep = append(d.sweep, n.SweepCache)
-	b, err := d.serve(net, n.Server(), t.suite, c.Host, c.Addr)
+	b, err := d.serve(net, t.build(a), t.suite, c.Host, c.Addr)
 	if err != nil {
 		return err
 	}
@@ -383,7 +360,6 @@ func (d *Daemon) hnsgw(c HnsgwConfig) error {
 		cfg.Admission = &admission.Config{Rate: c.Rate, MaxInflight: c.MaxInflight}
 	}
 	gw := gateway.NewFailover(up, hrpc.SuiteRawNet, c.Backends, cfg)
-	d.sweep = append(d.sweep, gw.SweepCache)
 	b, err := d.serve(net, gw.Server(), hrpc.SuiteRawNet, c.Host, c.Addr)
 	if err != nil {
 		return err

@@ -424,9 +424,6 @@ func TestMemoFollowsFlip(t *testing.T) {
 	}
 	kept(t, ctx, caller, nsmdA.Addr(), "ctx-d")
 
-	for _, sweep := range gw.sweep {
-		sweep()
-	}
 	after := debugHNS(t, msrv.Addr())
 	if after[`cache_entries{cache="hns_memo"}`] == 0 || after[`cache_hits_total{cache="hns_memo"}`] == 0 {
 		t.Errorf("/debug/hns shows a memo of %d entries and %d hits, want both above 0",

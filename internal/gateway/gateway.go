@@ -42,9 +42,8 @@ type Config struct {
 // Gateway is an HNS front door: an HRPC server whose Finder is a remote
 // backend.
 type Gateway struct {
-	srv    *hrpc.Server
-	admit  *admission.Controller
-	finder *core.RemoteHNS
+	srv   *hrpc.Server
+	admit *admission.Controller
 }
 
 // New builds a gateway forwarding to the HNS service bound at backend.
@@ -56,9 +55,8 @@ func New(client *hrpc.Client, backend hrpc.Binding, cfg Config) *Gateway {
 	if cfg.Name == "" {
 		cfg.Name = "hnsgw"
 	}
-	finder := core.NewRemoteHNS(client, backend)
-	srv := core.NewFinderServer(finder, cfg.Name)
-	g := &Gateway{srv: srv, finder: finder}
+	srv := core.NewFinderServer(core.NewRemoteHNS(client, backend), cfg.Name)
+	g := &Gateway{srv: srv}
 	if cfg.Admission != nil {
 		ac := *cfg.Admission
 		if ac.Server == "" {
@@ -92,10 +90,6 @@ func NewFailover(client *hrpc.Client, suite hrpc.Suite, backends []string, cfg C
 // Server exposes the underlying HRPC server, for hrpc.Serve to bind and
 // for a metrics registry override before it does.
 func (g *Gateway) Server() *hrpc.Server { return g.srv }
-
-// SweepCache drops the expired answers the gateway keeps for its callers
-// (core.RemoteHNS's memo), reporting how many went.
-func (g *Gateway) SweepCache() int { return g.finder.SweepCache() }
 
 // Admission exposes the controller, nil when admission is disabled.
 func (g *Gateway) Admission() *admission.Controller { return g.admit }

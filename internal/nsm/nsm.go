@@ -109,21 +109,6 @@ func (h *HostAddr) Left(individual string) time.Duration { return h.cache.c.Left
 
 func (rc *resultCache[V]) purge() { rc.c.Purge() }
 
-// SweepCache drops the NSM's expired cache entries, reporting how many
-// went; a long-lived NSM calls it periodically (cache.TTL.Sweep). The four
-// live here, not beside FlushCache, so the per-query-class files hold only
-// what P8 measures: the NSM code itself.
-func (h *HostAddr) SweepCache() int { return h.cache.c.Sweep() }
-
-// SweepCache drops the NSM's expired cache entries (see HostAddr's).
-func (n *BindBinding) SweepCache() int { return n.cache.c.Sweep() }
-
-// SweepCache drops the NSM's expired cache entries (see HostAddr's).
-func (n *CHBinding) SweepCache() int { return n.cache.c.Sweep() }
-
-// SweepCache drops the NSM's expired cache entries (see HostAddr's).
-func (m *MailRoute) SweepCache() int { return m.cache.c.Sweep() }
-
 // ---- Remote invocation helpers: the identical per-class client calls.
 
 // CallResolveHost invokes a HostAddress NSM bound at b.

@@ -33,12 +33,12 @@ if grep -rnE 'BENCH_(batch|durable|mux|push|scale|shard|wire)' \
   echo "SMOKE FAILED: a retired BENCH file is referenced again (see matches above)"; exit 1
 fi
 
-echo "--- one lookup path, one zone history, one on-disk format, one mutation path, one meta-cache, one connection per endpoint, one backoff schedule, one fsync policy, one stub path, one population runner, one connection per endpoint with push on it, one failure vocabulary, one-lock unbounded TTL caches on one read-through rule set, one declared 1987 price, no option only tests set: no marshalled-reply cache, refresh-ahead, BIND query batching, cache-shard pin, diff-log knob, snapshot file family, per-record update loop, negative cache, resolved-binding cache, daemon cache-mode knob, preload counter, pool sizing or idle eviction, backoff jitter, fsync knob, unset daemon flag, stub compiler, pre-fleet concurrent runner, private push connection, per-caller failure predicate, string-trace shim, cache shard or entry bound, shared-local placement, hnsd preload flag, cost replay or per-node hand price, fleet gateway tier, gateway serve shim, per-layer flight group, serve-stale check or cache-stats mirror, or test-only admission, breaker, NSM-cache, push-bound, world or churn knob in non-test sources"
-# The diff-log, snapshot, update-loop, cache, stub-compiler, runner, push-connection, failure-predicate, trace-shim, cache-bound, preload, cost-replay, test-only-knob and per-layer cache-rule names are bracketed so a repo-wide grep for them finds none here.
-if grep -rnE 'EnableReplyCache|InvalidateReplies|Cacheable|replyCache|RefreshAhead|SetPushCovered|GetWithTTL|LookupBatch|NewBatcher|procQueryBatch|CacheShards|"reply-cache"|"refresh-ahead"|EnableDiff[L]og|diff[W]indow|"ixfr-[w]indow"|Write[S]napshot|Latest[S]napshot|Prune[S]napshots|HNSS[N]AP|CrashOn[R]ename|Snapshots[S]kipped|beginBulk[A]dd|type bulk[A]dd|func apply[R]ecords|\) add[R]ecord\(|\) remove[M]eta\(|Negative[T]TL|NegativeCache[T]TL|Negative[S]tats|BindingCache[T]TL|purge[B]indings|bind[G]en|"neg-[t]tl"|"binding-[c]ache"|"marshalled-[c]ache"|cache_negative_|core_binding_[c]ache|cache_preloads_[t]otal|Pool[C]onfig|Max[C]onns|Max[S]treams|Close[I]dle|jitter[S]cale|Sync[I]nterval|Sync[N]ever|Sync[E]very|ParseSync[P]olicy|Fsync[I]nterval|"conn-[i]dle"|"fsync-[i]nterval"|"push-[m]ax"|"low-[w]atermark"|"max-[c]lients"|"retry-[a]fter"|String\("[f]sync"|Bool\("[n]otify"|Float64\("[b]urst"|hrpc[g]en|internal/[i]dl|gen/[g]reeter|RunCon[c]urrent|Sticky[C]onn|DialSt[i]cky|err[K]ind|timeout[C]lass|hrpc\.Un[a]vailable|transport\.Un[a]vailable|Trace[F]unc|With[T]race\(|NewWith[S]hards|Shard[C]ount|Max[E]ntries|MaxCache[E]ntries|SharedLocal[H]NS|cache_shard_[a]ccesses|cache_[e]victed|Bool\("[p]reload"|charge[I]ndividuals|charge[N]SMHosts|Hand[P]erNode|Node[C]ount\(|Gateway[T]ier|frontWith[G]ateway|Gateway[S]hed|gateway[S]hed|sumReg[C]ounters|Extra[S]ervices|Churn[P]erSlot|\) Set[M]etrics\(|\(g \*Gateway\) Serv[e]\(|Bur[s]t:|Low[W]atermark:|Max[C]lients:|Thres[h]old:|Cache[T]TL:|EnableP[u]sh\([^)]|NewTab[l]e\([^)]*,|\) Fre[s]h\(|\) Meta[C]lient\(\)|Flight[G]roup|stale[L]ookup|Supersede[A]ll|type Cache[S]tats' \
+echo "--- one lookup path, one zone history, one on-disk format, one mutation path, one meta-cache, one connection per endpoint, one backoff schedule, one fsync policy, one stub path, one population runner, one connection per endpoint with push on it, one failure vocabulary, one-lock unbounded TTL caches on one read-through rule set that retire expired entries as they insert, one declared 1987 price, no option only tests set: no marshalled-reply cache, refresh-ahead, BIND query batching, cache-shard pin, diff-log knob, snapshot file family, per-record update loop, negative cache, resolved-binding cache, daemon cache-mode knob, preload counter, pool sizing or idle eviction, backoff jitter, fsync knob, unset daemon flag, stub compiler, pre-fleet concurrent runner, private push connection, per-caller failure predicate, string-trace shim, cache shard or entry bound, shared-local placement, hnsd preload flag, cost replay or per-node hand price, fleet gateway tier, gateway serve shim, per-layer flight group, serve-stale check, cache-stats mirror or periodic cache sweep, or test-only admission, breaker, NSM-cache, push-bound, world or churn knob in non-test sources"
+# The diff-log, snapshot, update-loop, cache, stub-compiler, runner, push-connection, failure-predicate, trace-shim, cache-bound, preload, cost-replay, test-only-knob, per-layer cache-rule and cache-sweep names are bracketed so a repo-wide grep for them finds none here.
+if grep -rnE 'EnableReplyCache|InvalidateReplies|Cacheable|replyCache|RefreshAhead|SetPushCovered|GetWithTTL|LookupBatch|NewBatcher|procQueryBatch|CacheShards|"reply-cache"|"refresh-ahead"|EnableDiff[L]og|diff[W]indow|"ixfr-[w]indow"|Write[S]napshot|Latest[S]napshot|Prune[S]napshots|HNSS[N]AP|CrashOn[R]ename|Snapshots[S]kipped|beginBulk[A]dd|type bulk[A]dd|func apply[R]ecords|\) add[R]ecord\(|\) remove[M]eta\(|Negative[T]TL|NegativeCache[T]TL|Negative[S]tats|BindingCache[T]TL|purge[B]indings|bind[G]en|"neg-[t]tl"|"binding-[c]ache"|"marshalled-[c]ache"|cache_negative_|core_binding_[c]ache|cache_preloads_[t]otal|Pool[C]onfig|Max[C]onns|Max[S]treams|Close[I]dle|jitter[S]cale|Sync[I]nterval|Sync[N]ever|Sync[E]very|ParseSync[P]olicy|Fsync[I]nterval|"conn-[i]dle"|"fsync-[i]nterval"|"push-[m]ax"|"low-[w]atermark"|"max-[c]lients"|"retry-[a]fter"|String\("[f]sync"|Bool\("[n]otify"|Float64\("[b]urst"|hrpc[g]en|internal/[i]dl|gen/[g]reeter|RunCon[c]urrent|Sticky[C]onn|DialSt[i]cky|err[K]ind|timeout[C]lass|hrpc\.Un[a]vailable|transport\.Un[a]vailable|Trace[F]unc|With[T]race\(|NewWith[S]hards|Shard[C]ount|Max[E]ntries|MaxCache[E]ntries|SharedLocal[H]NS|cache_shard_[a]ccesses|cache_[e]victed|Bool\("[p]reload"|charge[I]ndividuals|charge[N]SMHosts|Hand[P]erNode|Node[C]ount\(|Gateway[T]ier|frontWith[G]ateway|Gateway[S]hed|gateway[S]hed|sumReg[C]ounters|Extra[S]ervices|Churn[P]erSlot|\) Set[M]etrics\(|\(g \*Gateway\) Serv[e]\(|Bur[s]t:|Low[W]atermark:|Max[C]lients:|Thres[h]old:|Cache[T]TL:|EnableP[u]sh\([^)]|NewTab[l]e\([^)]*,|\) Fre[s]h\(|\) Meta[C]lient\(\)|Flight[G]roup|stale[L]ookup|Supersede[A]ll|type Cache[S]tats|S[w]eepCache|sweep[E]very|\.S[w]eep\(\)' \
         --include='*.go' --include='*.sh' --include='Makefile' --exclude='*_test.go' --exclude='smoke.sh' \
         --exclude-dir=.git --exclude-dir=.bench_build .; then
-  echo "SMOKE FAILED: a removed lookup-path, diff-log, snapshot, update-loop, cache, pool, backoff, fsync, daemon-flag, stub-compiler, concurrent-runner, private push-connection, failure-predicate, trace-shim, cache-shard, cache-bound, preload-flag, cost-replay, per-node hand-price, fleet-gateway, test-only-knob or per-layer flight, serve-stale or cache-stats copy is back (see matches above)"; exit 1
+  echo "SMOKE FAILED: a removed lookup-path, diff-log, snapshot, update-loop, cache, pool, backoff, fsync, daemon-flag, stub-compiler, concurrent-runner, private push-connection, failure-predicate, trace-shim, cache-shard, cache-bound, preload-flag, cost-replay, per-node hand-price, fleet-gateway, test-only-knob or per-layer flight, serve-stale, cache-stats or cache-sweep copy is back (see matches above)"; exit 1
 fi
 
 echo "--- race detector over the full test suite"
@@ -50,8 +50,9 @@ go test -race -cpu 4 -run 'Stress|Stampede|Concurrent|Shard' \
 # Callback NOTIFY soundness (its name matches the pattern above), five times.
 go test -race -cpu 4 -count=5 -run 'TestCallbackConcurrent' ./internal/bind
 
-# The one-lock cache and the NSM caches' sweep, three times.
-go test -race -count=3 -run 'Concurrent|Stress|Sweep' ./internal/cache/ ./internal/nsm/
+# The one-lock cache and its insert-time retirement (the NSM caches'
+# too), three times.
+go test -race -count=3 -run 'Concurrent|Stress|Retire' ./internal/cache/ ./internal/nsm/
 
 # The shipped daemons through their constructors, three times: resolve,
 # crash the durable meta bindd at a seeded write, restart it, resolve the
