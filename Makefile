@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench bench-parallel bench-alloc fuzz smoke chaos examples harness outputs
+.PHONY: all build vet test race reach bench bench-parallel bench-alloc fuzz smoke chaos examples harness outputs
 
 all: build vet test
 
@@ -15,6 +15,11 @@ test:
 
 race:
 	go test -race ./...
+
+# Every declaration outside bench/ is reached from a shipped program's
+# roots; -v prints each allowlisted declaration with its reason.
+reach:
+	go test -count=1 -v -run 'TestEveryDeclarationIsReachable|TestReachAnalysis' .
 
 bench:
 	go test -bench=. -benchmem ./...

@@ -18,8 +18,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -34,10 +36,33 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	var status exitStatus
+	switch err := run(os.Args[1:], os.Stdout); {
+	case errors.As(err, &status):
+		os.Exit(int(status))
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "hcs:", err)
+		os.Exit(1)
 	}
-	cmd, args := os.Args[1], os.Args[2:]
+}
+
+var errUsage = errors.New("usage: hcs {resolve|exec|file get/put/ls|mail send/read} [flags] args...")
+
+// exitStatus is a remote command's non-zero exit status, which hcs exits
+// with.
+type exitStatus uint32
+
+func (s exitStatus) Error() string { return fmt.Sprintf("exit status %d", uint32(s)) }
+
+// run executes one subcommand, writing its output to stdout.
+func run(args []string, stdout io.Writer) error {
+	if len(args) < 1 {
+		return errUsage
+	}
+	cmd, args := args[0], args[1:]
 
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	hnsAddr := fs.String("hns", "127.0.0.1:5310", "hnsd address")
@@ -55,12 +80,12 @@ func main() {
 	var sub string
 	if cmd == "file" || cmd == "mail" {
 		if len(args) == 0 {
-			usage()
+			return errUsage
 		}
 		sub, args = args[0], args[1:]
 	}
 	if err := fs.Parse(args); err != nil {
-		fail(err)
+		return err
 	}
 	rest := fs.Args()
 
@@ -72,35 +97,20 @@ func main() {
 	dir := hcs.New(finder, rpc)
 	ctx := context.Background()
 
-	var err error
 	switch cmd {
 	case "resolve":
-		err = cmdResolve(ctx, dir, rest)
+		return cmdResolve(ctx, stdout, dir, rest)
 	case "exec":
-		err = cmdExec(ctx, dir, rpc, rest)
+		return cmdExec(ctx, stdout, dir, rpc, rest)
 	case "file":
-		err = cmdFile(ctx, finder, rpc, sub, rest)
+		return cmdFile(ctx, stdout, finder, rpc, sub, rest)
 	case "mail":
-		err = cmdMail(ctx, dir, rpc, worlds, sub, rest)
-	default:
-		usage()
+		return cmdMail(ctx, stdout, dir, rpc, worlds, sub, rest)
 	}
-	if err != nil {
-		fail(err)
-	}
+	return errUsage
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: hcs {resolve|exec|file get/put/ls|mail send/read} [flags] args...")
-	os.Exit(2)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "hcs:", err)
-	os.Exit(1)
-}
-
-func cmdResolve(ctx context.Context, dir *hcs.Directory, args []string) error {
+func cmdResolve(ctx context.Context, out io.Writer, dir *hcs.Directory, args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("resolve wants <context> <individual>")
 	}
@@ -112,11 +122,11 @@ func cmdResolve(ctx context.Context, dir *hcs.Directory, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s -> %s\n", n, addr)
+	fmt.Fprintf(out, "%s -> %s\n", n, addr)
 	return nil
 }
 
-func cmdExec(ctx context.Context, dir *hcs.Directory, rpc *hrpc.Client, args []string) error {
+func cmdExec(ctx context.Context, out io.Writer, dir *hcs.Directory, rpc *hrpc.Client, args []string) error {
 	if len(args) < 2 {
 		return fmt.Errorf("exec wants <context!host> <command> [args...]")
 	}
@@ -125,18 +135,18 @@ func cmdExec(ctx context.Context, dir *hcs.Directory, rpc *hrpc.Client, args []s
 		return err
 	}
 	client := rexec.NewClient(dir, rpc)
-	out, exit, err := client.Run(ctx, host, args[1], args[2:], "")
+	output, exit, err := client.Run(ctx, host, args[1], args[2:], "")
 	if err != nil {
 		return err
 	}
-	fmt.Print(out)
+	fmt.Fprint(out, output)
 	if exit != 0 {
-		os.Exit(int(exit))
+		return exitStatus(exit)
 	}
 	return nil
 }
 
-func cmdFile(ctx context.Context, finder core.Finder, rpc *hrpc.Client, sub string, args []string) error {
+func cmdFile(ctx context.Context, out io.Writer, finder core.Finder, rpc *hrpc.Client, sub string, args []string) error {
 	fc := filing.NewClient(finder, rpc)
 	parseServer := func(s string) (names.Name, error) { return names.Parse(s) }
 	switch sub {
@@ -152,8 +162,8 @@ func cmdFile(ctx context.Context, finder core.Finder, rpc *hrpc.Client, sub stri
 		if err != nil {
 			return err
 		}
-		os.Stdout.Write(data)
-		return nil
+		_, err = out.Write(data)
+		return err
 	case "put":
 		if len(args) != 3 {
 			return fmt.Errorf("file put wants <context!server> <path> <contents>")
@@ -176,7 +186,7 @@ func cmdFile(ctx context.Context, finder core.Finder, rpc *hrpc.Client, sub stri
 			return err
 		}
 		for _, p := range paths {
-			fmt.Println(p)
+			fmt.Fprintln(out, p)
 		}
 		return nil
 	default:
@@ -184,7 +194,7 @@ func cmdFile(ctx context.Context, finder core.Finder, rpc *hrpc.Client, sub stri
 	}
 }
 
-func cmdMail(ctx context.Context, dir *hcs.Directory, rpc *hrpc.Client, worlds map[string]string, sub string, args []string) error {
+func cmdMail(ctx context.Context, out io.Writer, dir *hcs.Directory, rpc *hrpc.Client, worlds map[string]string, sub string, args []string) error {
 	agent := mail.NewAgent(dir, rpc, worlds)
 	switch sub {
 	case "send":
@@ -201,7 +211,7 @@ func cmdMail(ctx context.Context, dir *hcs.Directory, rpc *hrpc.Client, worlds m
 		if err != nil {
 			return err
 		}
-		fmt.Printf("delivered, message id %d\n", id)
+		fmt.Fprintf(out, "delivered, message id %d\n", id)
 		return nil
 	case "read":
 		if len(args) != 1 {
@@ -216,7 +226,7 @@ func cmdMail(ctx context.Context, dir *hcs.Directory, rpc *hrpc.Client, worlds m
 			return err
 		}
 		for _, m := range msgs {
-			fmt.Printf("%4d  %-20s %s\n", m.ID, m.From, m.Subject)
+			fmt.Fprintf(out, "%4d  %-20s %s\n", m.ID, m.From, m.Subject)
 		}
 		return nil
 	default:

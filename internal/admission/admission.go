@@ -227,17 +227,3 @@ func (c *Controller) take(client string) bool {
 	b.tokens--
 	return true
 }
-
-// Inflight reports the currently admitted request count.
-func (c *Controller) Inflight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inflight
-}
-
-// Clients reports how many distinct clients hold buckets.
-func (c *Controller) Clients() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.buckets)
-}

@@ -94,7 +94,7 @@ func TestInflightCapAndPriority(t *testing.T) {
 	if err := c.Admit("c", High); !errors.As(err, &ov) || ov.Reason != "load" {
 		t.Fatalf("high past cap: want load Overloaded, got %v", err)
 	}
-	if got := c.Inflight(); got != 4 {
+	if got := c.inflight; got != 4 {
 		t.Fatalf("inflight = %d, want 4", got)
 	}
 	c.Done()
@@ -104,7 +104,7 @@ func TestInflightCapAndPriority(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Done()
 	}
-	if got := c.Inflight(); got != 0 {
+	if got := c.inflight; got != 0 {
 		t.Fatalf("inflight after drain = %d, want 0", got)
 	}
 }
@@ -118,7 +118,7 @@ func TestMaxClientsOverflowBucket(t *testing.T) {
 		}
 		c.Done()
 	}
-	if got := c.Clients(); got != DefaultMaxClients {
+	if got := len(c.buckets); got != DefaultMaxClients {
 		t.Fatalf("clients = %d, want %d", got, DefaultMaxClients)
 	}
 	// Client table full: c and d share the overflow bucket (burst 1), so
@@ -131,7 +131,7 @@ func TestMaxClientsOverflowBucket(t *testing.T) {
 	if err := c.Admit("d", High); !errors.As(err, &ov) {
 		t.Fatalf("overflow bucket should be empty: %v", err)
 	}
-	if got := c.Clients(); got != DefaultMaxClients {
+	if got := len(c.buckets); got != DefaultMaxClients {
 		t.Fatalf("overflow grew the table: clients = %d", got)
 	}
 }
@@ -181,7 +181,7 @@ func TestConcurrentAdmitRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := c.Inflight(); got != 0 {
+	if got := c.inflight; got != 0 {
 		t.Fatalf("inflight leaked: %d", got)
 	}
 }

@@ -104,7 +104,7 @@ func TestLoadImageIsCheckpointImage(t *testing.T) {
 	if got := journalImages(t, shuffledFS); len(got) != 1 || !bytes.Equal(got[0], loaded[0]) {
 		t.Fatal("a shuffled copy of the zone file journals a different image")
 	}
-	if got, want := FormatZoneFile(shuffled.Zone("hns").All()), FormatZoneFile(srv.Zone("hns").All()); got != want || want != string(zoneFile) {
+	if got, want := FormatZoneFile(zoneRRs(shuffled.Zone("hns"))), FormatZoneFile(zoneRRs(srv.Zone("hns"))); got != want || want != string(zoneFile) {
 		t.Fatal("a shuffled copy of the zone file loads different records")
 	}
 }
@@ -216,7 +216,7 @@ func twinServers(t *testing.T) (bulk, ref *Server) {
 				t.Fatal(err)
 			}
 		}
-		for _, rr := range []RR{A("h1.hns", "10.0.0.1", 60), CNAME("alias.hns", "h1.hns", 60), TXT("h2.meta.hns", "t", 60)} {
+		for _, rr := range []RR{A("h1.hns", "10.0.0.1", 60), cname("alias.hns", "h1.hns", 60), TXT("h2.meta.hns", "t", 60)} {
 			if err := loadOneByOne(s, []RR{rr}); err != nil {
 				t.Fatal(err)
 			}
@@ -232,7 +232,7 @@ func zoneStates(s *Server, history bool) string {
 	var b strings.Builder
 	for _, origin := range s.ZoneOrigins() {
 		z := s.Zone(origin)
-		fmt.Fprintf(&b, "zone %s serial %d\n%s", origin, z.Serial(), FormatZoneFile(z.All()))
+		fmt.Fprintf(&b, "zone %s serial %d\n%s", origin, z.Serial(), FormatZoneFile(zoneRRs(z)))
 		if history {
 			fmt.Fprintf(&b, "history %s\n", historyOf(z))
 		}
@@ -264,7 +264,7 @@ func TestLoadRecordsIsNTimesAdd(t *testing.T) {
 			name := fmt.Sprintf("h%d.%s", rng.Intn(6), zone)
 			switch r := rng.Intn(100); {
 			case r < 4:
-				batch = append(batch, CNAME(name, "h1.hns", 60)) // conflicts wherever the name holds anything else
+				batch = append(batch, cname(name, "h1.hns", 60)) // conflicts wherever the name holds anything else
 			case r < 6:
 				batch = append(batch, A("alias.hns", "10.9.9.9", 60)) // conflicts with the pre-loaded alias
 			case r < 7:
@@ -353,7 +353,7 @@ func TestZoneAllOrderIsRecordSort(t *testing.T) {
 		}
 		return string(a.Data) < string(b.Data)
 	})
-	got := z.All()
+	got := zoneRRs(z)
 	if len(got) != len(want) {
 		t.Fatalf("All returned %d records, want %d", len(got), len(want))
 	}
@@ -436,7 +436,7 @@ func TestCheckpointOwedByJournalBytes(t *testing.T) {
 		if i%2 == 1 {
 			op = UpdateRemove
 		}
-		rcode, serial, err := srv.Update(ctx, "hns", op, flip)
+		rcode, serial, err := srv.Apply(ctx, "hns", []Op{{op, flip}})
 		if err != nil || rcode != RCodeOK {
 			t.Fatalf("update %d: %v %v", i, rcode, err)
 		}
@@ -508,7 +508,7 @@ func TestFailedCheckpointIsCountedAndRetried(t *testing.T) {
 	ctx := context.Background()
 	add := func(i int) {
 		t.Helper()
-		rcode, _, err := srv.Update(ctx, "hns", UpdateAdd, rr(i))
+		rcode, _, err := srv.Apply(ctx, "hns", []Op{{UpdateAdd, rr(i)}})
 		if err != nil || rcode != RCodeOK {
 			t.Fatalf("update %d with failing checkpoints: %v %v", i, rcode, err)
 		}
@@ -554,7 +554,7 @@ func TestLoadRecordsRefusedLeavesNoTrace(t *testing.T) {
 	err := srv.LoadRecords([]RR{
 		A("h1.hns", "10.0.0.1", 60),
 		A("h2.hns", "10.0.0.2", 60),
-		CNAME("h1.hns", "h2.hns", 60), // conflicts with the first record
+		cname("h1.hns", "h2.hns", 60), // conflicts with the first record
 	})
 	if !errors.Is(err, ErrCNAMEConflict) {
 		t.Fatalf("LoadRecords = %v, want ErrCNAMEConflict", err)
@@ -619,7 +619,7 @@ func BenchmarkBinddRestart(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if _, _, err := srv.Update(context.Background(), "hns", UpdateAdd, HNSMeta(fmt.Sprintf("h%d.ctx.hns", i), "ns=bind-cs", 600)); err != nil {
+		if _, _, err := srv.Apply(context.Background(), "hns", []Op{{UpdateAdd, HNSMeta(fmt.Sprintf("h%d.ctx.hns", i), "ns=bind-cs", 600)}}); err != nil {
 			b.Fatal(err)
 		}
 	}

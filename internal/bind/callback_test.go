@@ -55,7 +55,7 @@ func TestCallbackNotifyWireTwin(t *testing.T) {
 			var names []string
 			for i := 0; i < 4; i++ {
 				names = append(names, fmt.Sprintf("c%d.repl.test", i))
-				if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A(names[i], "1", 600)); err != nil {
+				if _, _, err := s.Apply(ctx, "repl.test", []Op{{UpdateAdd, A(names[i], "1", 600)}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -71,7 +71,7 @@ func TestCallbackNotifyWireTwin(t *testing.T) {
 				for _, name := range names {
 					for k := 0; k < times; k++ {
 						for _, op := range []uint32{UpdateAdd, UpdateRemove} {
-							if _, _, err := s.Update(ctx, "repl.test", op, A(name, "2", 600)); err != nil {
+							if _, _, err := s.Apply(ctx, "repl.test", []Op{{op, A(name, "2", 600)}}); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -135,7 +135,7 @@ func TestCallbackRearmsEveryChainStep(t *testing.T) {
 	s, c, _ := newPushPrimary(t)
 	ctx := context.Background()
 	for _, rr := range []RR{HNSMeta("head.repl.test", "k=tail", 600), HNSMeta("tail.repl.test", "v=1", 600)} {
-		if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, rr); err != nil {
+		if _, _, err := s.Apply(ctx, "repl.test", []Op{{UpdateAdd, rr}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestCallbackRearmsEveryChainStep(t *testing.T) {
 		if _, tails, err := c.LookupChain(ctx, "head.repl.test", TypeHNSMeta, follow); err != nil || len(tails) != 1 {
 			t.Fatalf("chain read %d: %d tails, %v", i, len(tails), err)
 		}
-		if _, _, err := s.Update(ctx, "repl.test", op, HNSMeta("tail.repl.test", "v=2", 600)); err != nil {
+		if _, _, err := s.Apply(ctx, "repl.test", []Op{{op, HNSMeta("tail.repl.test", "v=2", 600)}}); err != nil {
 			t.Fatal(err)
 		}
 		syncOrFail(t, sub)
@@ -278,7 +278,7 @@ func TestSubscribeResetAdoptsServerSerial(t *testing.T) {
 	z := s.Zone("repl.test")
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A(fmt.Sprintf("u%d.repl.test", i), "1", 60)); err != nil {
+		if _, _, err := s.Apply(ctx, "repl.test", []Op{{UpdateAdd, A(fmt.Sprintf("u%d.repl.test", i), "1", 60)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,7 +317,7 @@ func callbackPrimary(t *testing.T, names int) func() *HRPCClient {
 	}
 	s.EnablePush()
 	for i := 0; i < names; i++ {
-		if _, _, err := s.Update(context.Background(), "repl.test", UpdateAdd, A(fmt.Sprintf("n%d.repl.test", i), "1", 600)); err != nil {
+		if _, _, err := s.Apply(context.Background(), "repl.test", []Op{{UpdateAdd, A(fmt.Sprintf("n%d.repl.test", i), "1", 600)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -456,7 +456,7 @@ func TestCallbackRearmsBeforeRead(t *testing.T) {
 	if _, err := c.Lookup(ctx, name, TypeA); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A(name, "2", 600)); err != nil {
+	if _, _, err := s.Apply(ctx, "repl.test", []Op{{UpdateAdd, A(name, "2", 600)}}); err != nil {
 		t.Fatal(err)
 	}
 	syncOrFail(t, sub) // the name is told

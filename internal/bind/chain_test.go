@@ -114,9 +114,9 @@ func TestLookupChainStops(t *testing.T) {
 		HNSMeta("spaced.ctx.hns", "ns=a b", 300),                   // tail name is not a legal name
 		HNSMeta("keyless.ctx.hns", "type=bind", 300),               // no record carries the key
 		HNSMeta("loop.ctx.hns", "ns=loop", 300),                    // tail is the head again
-		CNAME("alias.ctx.hns", chainCtx, 300),                      // aliased head
+		cname("alias.ctx.hns", chainCtx, 300),                      // aliased head
 		HNSMeta("toalias.ctx.hns", "ns=al", 300),                   // aliased tail
-		CNAME("hostaddress.al.qc.hns", chainQC, 300),               //
+		cname("hostaddress.al.qc.hns", chainQC, 300),               //
 		HNSMeta("short.ctx.hns", "ns=ns2", 300),                    // second link missing
 		HNSMeta("hostaddress.ns2.qc.hns", "nsm=unregistered", 300), //
 	)
@@ -525,7 +525,7 @@ func FuzzQueryChainArgs(f *testing.F) {
 	}
 	if err := s.LoadRecords(append(chainRecords(),
 		HNSMeta("loop.ctx.hns", "ns=loop", 300),
-		CNAME("alias.ctx.hns", chainCtx, 300),
+		cname("alias.ctx.hns", chainCtx, 300),
 	)); err != nil {
 		f.Fatal(err)
 	}
@@ -629,7 +629,7 @@ func TestKeyValue(t *testing.T) {
 			HNSMeta(chainCtx, "ns=NS1", 300),
 			HNSMeta(chainCtx, "ns=NS2", 300),
 		}, "NS1"},
-		{"alias head", []RR{CNAME("alias.ctx.hns", chainCtx, 300), HNSMeta(chainCtx, "ns=NS1", 300)}, "NS1"},
+		{"alias head", []RR{cname("alias.ctx.hns", chainCtx, 300), HNSMeta(chainCtx, "ns=NS1", 300)}, "NS1"},
 		{"longer key only", []RR{HNSMeta(chainQC, "nsm=ns", 200)}, ""},
 	} {
 		v, ok := newAnswer(tc.set).Value("ns")

@@ -266,9 +266,6 @@ func (d *Durable) Empty() bool { return d.log.LastLSN() == 0 }
 // Stats reports what recovery did.
 func (d *Durable) Stats() RecoveryStats { return d.stats }
 
-// LogStats exposes the underlying WAL's shape.
-func (d *Durable) LogStats() store.LogStats { return d.log.Stats() }
-
 // Attach makes srv the checkpoint source and routes its mutations through
 // this journal (srv.SetJournal). Call it after overlaying the recovered
 // state onto srv's zones; the recovery-time zones are released.

@@ -50,7 +50,7 @@ func (s *crashShadow) state() string {
 	var b strings.Builder
 	for _, origin := range []string{crashZoneA, crashZoneB} {
 		z := s.zones[origin]
-		fmt.Fprintf(&b, "zone %s serial %d\n%s", origin, z.Serial(), FormatZoneFile(z.All()))
+		fmt.Fprintf(&b, "zone %s serial %d\n%s", origin, z.Serial(), FormatZoneFile(zoneRRs(z)))
 	}
 	return b.String()
 }
@@ -68,7 +68,7 @@ func serverState(srv *Server) string {
 	var b strings.Builder
 	for _, origin := range []string{crashZoneA, crashZoneB} {
 		z := srv.Zone(origin)
-		fmt.Fprintf(&b, "zone %s serial %d\n%s", origin, z.Serial(), FormatZoneFile(z.All()))
+		fmt.Fprintf(&b, "zone %s serial %d\n%s", origin, z.Serial(), FormatZoneFile(zoneRRs(z)))
 	}
 	return b.String()
 }

@@ -333,7 +333,7 @@ func TestTransferDeltaOverWire(t *testing.T) {
 	fullBytes := wireBytesTotal() - before
 
 	for i := 0; i < 3; i++ {
-		if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A(fmt.Sprintf("u%d.repl.test", i), "9", 60)); err != nil {
+		if _, _, err := s.Apply(ctx, "repl.test", []Op{{UpdateAdd, A(fmt.Sprintf("u%d.repl.test", i), "9", 60)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -374,7 +374,7 @@ func pastHistory(t *testing.T, s *Server, prefix string) []string {
 	var names []string
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("%s%d.repl.test", prefix, i)
-		if _, _, err := s.Update(context.Background(), "repl.test", UpdateAdd, A(name, "1", 60)); err != nil {
+		if _, _, err := s.Apply(context.Background(), "repl.test", []Op{{UpdateAdd, A(name, "1", 60)}}); err != nil {
 			t.Fatal(err)
 		}
 		names = append(names, name)
@@ -435,7 +435,7 @@ func TestTransferDeltaFitsFrame(t *testing.T) {
 	total := 0
 	for i := 0; total <= replyBudget; i++ {
 		rr := TXT(fmt.Sprintf("owner-%06d.repl.test", i), data, 600)
-		_, serial, err := s.Update(ctx, "repl.test", UpdateAdd, rr)
+		_, serial, err := s.Apply(ctx, "repl.test", []Op{{UpdateAdd, rr}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +551,7 @@ func TestSubscribeDeliversNotify(t *testing.T) {
 	waitFor(t, "subscription active", sub, sub.Active)
 
 	ctx := context.Background()
-	if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A("hot.repl.test", "7", 60)); err != nil {
+	if _, _, err := s.Apply(ctx, "repl.test", []Op{{UpdateAdd, A("hot.repl.test", "7", 60)}}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "notify delivery", rec, func() bool { return len(rec.snapshot()) >= 1 })
@@ -655,7 +655,7 @@ func TestPushVsPollFetchClosedForms(t *testing.T) {
 
 		for r := 0; r < rounds; r++ {
 			for k := 0; k < churn; k++ {
-				rcode, _, err := s.Update(ctx, "repl.test", UpdateAdd, A(name(r*churn+k), "1", ttl))
+				rcode, _, err := s.Apply(ctx, "repl.test", []Op{{UpdateAdd, A(name(r*churn+k), "1", ttl)}})
 				if err != nil || rcode != RCodeOK {
 					t.Fatalf("churn update: %v, %v", rcode, err)
 				}
@@ -705,7 +705,7 @@ func TestSubscribeResubscribeCatchUp(t *testing.T) {
 	waitFor(t, "subscription active", sub, sub.Active)
 
 	ctx := context.Background()
-	if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A("live.repl.test", "1", 60)); err != nil {
+	if _, _, err := s.Apply(ctx, "repl.test", []Op{{UpdateAdd, A("live.repl.test", "1", 60)}}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "live notify", rec, func() bool { return len(rec.snapshot()) >= 1 })
@@ -717,7 +717,7 @@ func TestSubscribeResubscribeCatchUp(t *testing.T) {
 	// Three updates land while the subscriber is dark.
 	missed := []string{"m1.repl.test", "m2.repl.test", "m3.repl.test"}
 	for _, name := range missed {
-		if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A(name, "1", 60)); err != nil {
+		if _, _, err := s.Apply(ctx, "repl.test", []Op{{UpdateAdd, A(name, "1", 60)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -740,7 +740,7 @@ func TestSubscribeResubscribeCatchUp(t *testing.T) {
 	waitFor(t, "subscription re-active", sub, sub.Active)
 
 	// And live pushes flow again on the new connection.
-	if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A("post.repl.test", "1", 60)); err != nil {
+	if _, _, err := s.Apply(ctx, "repl.test", []Op{{UpdateAdd, A("post.repl.test", "1", 60)}}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "post-catch-up notify", rec, func() bool {
@@ -847,10 +847,10 @@ func TestSecondaryRefreshesIncrementally(t *testing.T) {
 	}
 
 	// Incremental: one add, one remove.
-	if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A("inc.repl.test", "5", 60)); err != nil {
+	if _, _, err := s.Apply(ctx, "repl.test", []Op{{UpdateAdd, A("inc.repl.test", "5", 60)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Update(ctx, "repl.test", UpdateRemove, RR{Name: "a.repl.test", Type: TypeA, Class: ClassIN}); err != nil {
+	if _, _, err := s.Apply(ctx, "repl.test", []Op{{UpdateRemove, RR{Name: "a.repl.test", Type: TypeA, Class: ClassIN}}}); err != nil {
 		t.Fatal(err)
 	}
 	changed, err := sec.Refresh(ctx)
@@ -884,7 +884,7 @@ func TestSecondaryRefreshesIncrementally(t *testing.T) {
 	if _, err := sec.Refresh(ctx); err != nil { // full: the load restarted the history
 		t.Fatal(err)
 	}
-	if _, _, err := s.Update(ctx, "repl.test", UpdateAdd, A("one.repl.test", "1", 60)); err != nil {
+	if _, _, err := s.Apply(ctx, "repl.test", []Op{{UpdateAdd, A("one.repl.test", "1", 60)}}); err != nil {
 		t.Fatal(err)
 	}
 	cost, err := simtime.Measure(ctx, func(ctx context.Context) error {

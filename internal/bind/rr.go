@@ -227,11 +227,6 @@ func A(name, addr string, ttl uint32) RR {
 	return RR{Name: name, Type: TypeA, Class: ClassIN, TTL: ttl, Data: []byte(addr)}
 }
 
-// CNAME builds an alias record.
-func CNAME(name, target string, ttl uint32) RR {
-	return RR{Name: name, Type: TypeCNAME, Class: ClassIN, TTL: ttl, Data: []byte(target)}
-}
-
 // TXT builds a text record.
 func TXT(name, text string, ttl uint32) RR {
 	return RR{Name: name, Type: TypeTXT, Class: ClassIN, TTL: ttl, Data: []byte(text)}

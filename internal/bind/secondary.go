@@ -22,10 +22,9 @@ type Secondary struct {
 	server  *Server
 	zone    *Zone
 
-	mu       sync.Mutex
-	serial   uint32
-	refreshN int
-	deltaN   int
+	mu     sync.Mutex
+	serial uint32
+	deltaN int
 }
 
 // NewSecondary creates a secondary for the named zone, serving on a local
@@ -51,13 +50,6 @@ func (s *Secondary) Serial() uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.serial
-}
-
-// Refreshes reports how many refreshes performed a transfer.
-func (s *Secondary) Refreshes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.refreshN
 }
 
 // DeltaRefreshes reports how many of those transfers were served
@@ -97,7 +89,6 @@ func (s *Secondary) Refresh(ctx context.Context) (bool, error) {
 	}
 	s.mu.Lock()
 	s.serial = serial
-	s.refreshN++
 	if delta {
 		s.deltaN++
 	}

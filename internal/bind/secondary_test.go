@@ -62,8 +62,8 @@ func TestSecondaryMirrorsZone(t *testing.T) {
 	if rcode != RCodeOK || len(rrs) != 1 || string(rrs[0].Data) != "1" {
 		t.Fatalf("post-refresh query = %v %v", rcode, rrs)
 	}
-	if sec.Serial() == 0 || sec.Refreshes() != 1 {
-		t.Fatalf("serial/refreshes = %d/%d", sec.Serial(), sec.Refreshes())
+	if sec.Serial() == 0 {
+		t.Fatal("serial 0 after a transfer")
 	}
 }
 
@@ -127,7 +127,7 @@ func TestSecondaryRejectsUpdates(t *testing.T) {
 	if _, err := sec.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	rcode, _, err := sec.Server().Update(ctx, "repl.test", UpdateAdd, A("x.repl.test", "9", 60))
+	rcode, _, err := sec.Server().Apply(ctx, "repl.test", []Op{{UpdateAdd, A("x.repl.test", "9", 60)}})
 	if rcode != RCodeRefused || err == nil {
 		t.Fatalf("mirror accepted an update: %v %v", rcode, err)
 	}

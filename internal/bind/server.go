@@ -149,11 +149,6 @@ func (s *Server) SetJournal(j *Durable) {
 	s.journalMu.Unlock()
 }
 
-// Update applies one dynamic update: Apply of a one-op transaction.
-func (s *Server) Update(ctx context.Context, zoneOrigin string, op uint32, rr RR) (RCode, uint32, error) {
-	return s.Apply(ctx, zoneOrigin, []Op{{op, rr}})
-}
-
 // Apply applies ops to the named zone as one transaction — RFC 2136's
 // model: all or nothing, at one serial — charging the server-side update
 // cost once. Only zones created with allowUpdate accept it. An empty

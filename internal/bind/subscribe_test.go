@@ -76,13 +76,16 @@ func (d *dialCounter) kill(t *testing.T) {
 
 // countDials binds b through a dialCounter registered on net, on an hrpc
 // client of its own.
+// dialCounters names each dialCounter apart.
+var dialCounters atomic.Int64
+
 func countDials(t *testing.T, net *transport.Network, b hrpc.Binding) (*HRPCClient, *dialCounter) {
 	t.Helper()
 	inner, err := net.Transport(b.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &dialCounter{Transport: inner, name: fmt.Sprintf("%s-counted-%d", inner.Name(), len(net.Transports()))}
+	d := &dialCounter{Transport: inner, name: fmt.Sprintf("%s-counted-%d", inner.Name(), dialCounters.Add(1))}
 	net.Register(d)
 	b.Transport = d.Name()
 	hc := hrpc.NewClient(net)
@@ -113,7 +116,7 @@ func TestSubscriptionsShareTheConnection(t *testing.T) {
 		return func(n push.Notification) {
 			rec.onNotify(n)
 			if armed.Load() && fired.CompareAndSwap(false, true) {
-				_, serial, err := s.Update(ctx, "repl.test", UpdateAdd, A(hot, "mid", 60))
+				_, serial, err := s.Apply(ctx, "repl.test", []Op{{UpdateAdd, A(hot, "mid", 60)}})
 				if err != nil {
 					t.Error(err)
 				}
@@ -156,7 +159,7 @@ func TestSubscriptionsShareTheConnection(t *testing.T) {
 		if i%2 == 0 {
 			name = hot
 		}
-		_, serial, err := s.Update(ctx, "repl.test", UpdateAdd, A(name, fmt.Sprint(i), 60))
+		_, serial, err := s.Apply(ctx, "repl.test", []Op{{UpdateAdd, A(name, fmt.Sprint(i), 60)}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -551,16 +551,6 @@ func (z *Zone) appendSorted(b []byte) []byte {
 	return b
 }
 
-// All returns every record in the zone, deterministically ordered — the
-// payload of an AXFR-style transfer.
-func (z *Zone) All() []RR {
-	z.mu.RLock()
-	sets := z.appendSorted(make([]byte, 0, z.held))
-	z.mu.RUnlock()
-	rrs, _ := decodeSets(sets)
-	return rrs
-}
-
 // image is the zone whole as one journal 'r' record, its serial and
 // records read under one lock.
 func (z *Zone) image() []byte {

@@ -65,13 +65,6 @@ func (a *Authenticator) AddPrincipal(principal, secret string) {
 	a.principals[principal] = Proof(principal, secret)
 }
 
-// RemovePrincipal deletes a principal.
-func (a *Authenticator) RemovePrincipal(principal string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	delete(a.principals, principal)
-}
-
 // Verify checks credentials, charging the per-access authentication cost
 // regardless of outcome (the handshake happens either way).
 func (a *Authenticator) Verify(ctx context.Context, c Credentials) error {

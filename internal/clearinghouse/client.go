@@ -20,9 +20,6 @@ func NewClient(c *hrpc.Client, b hrpc.Binding, cred Credentials) *Client {
 	return &Client{c: c, b: b, cred: cred}
 }
 
-// Binding reports the server binding in use.
-func (c *Client) Binding() hrpc.Binding { return c.b }
-
 // Retrieve reads one property of an object.
 func (c *Client) Retrieve(ctx context.Context, n Name, property string) ([]byte, error) {
 	ret, err := c.c.Call(ctx, c.b, procRetrieveItem, marshal.StructV(
@@ -47,11 +44,6 @@ func (c *Client) addItem(ctx context.Context, n Name, property string, value []b
 	return err
 }
 
-// DeleteItem removes one property.
-func (c *Client) DeleteItem(ctx context.Context, n Name, property string) error {
-	return c.deleteItem(ctx, n, property, false)
-}
-
 func (c *Client) deleteItem(ctx context.Context, n Name, property string, replicated bool) error {
 	_, err := c.c.Call(ctx, c.b, procDeleteItem, marshal.StructV(
 		credValue(c.cred), marshal.Str(n.String()), marshal.Str(property),
@@ -60,56 +52,9 @@ func (c *Client) deleteItem(ctx context.Context, n Name, property string, replic
 	return err
 }
 
-// DeleteObject removes an object entirely.
-func (c *Client) DeleteObject(ctx context.Context, n Name) error {
-	return c.deleteObject(ctx, n, false)
-}
-
 func (c *Client) deleteObject(ctx context.Context, n Name, replicated bool) error {
 	_, err := c.c.Call(ctx, c.b, procDeleteObject, marshal.StructV(
 		credValue(c.cred), marshal.Str(n.String()), marshal.BoolV(replicated),
 	))
 	return err
-}
-
-// List enumerates the objects of a domain:organization.
-func (c *Client) List(ctx context.Context, domain, org string) ([]Name, error) {
-	ret, err := c.c.Call(ctx, c.b, procListObjects, marshal.StructV(
-		credValue(c.cred), marshal.Str(domain), marshal.Str(org),
-	))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Name, 0, ret.Items[0].Len())
-	for _, it := range ret.Items[0].Items {
-		s, err := it.AsString()
-		if err != nil {
-			return nil, err
-		}
-		n, err := ParseName(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// Properties lists the property names of an object.
-func (c *Client) Properties(ctx context.Context, n Name) ([]string, error) {
-	ret, err := c.c.Call(ctx, c.b, procListProperties, marshal.StructV(
-		credValue(c.cred), marshal.Str(n.String()),
-	))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, ret.Items[0].Len())
-	for _, it := range ret.Items[0].Items {
-		s, err := it.AsString()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }

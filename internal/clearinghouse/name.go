@@ -64,20 +64,12 @@ func (n Name) String() string {
 	return n.Object + ":" + n.Domain + ":" + n.Org
 }
 
-// DomainString returns the domain:organization pair that scopes the name.
-func (n Name) DomainString() string { return n.Domain + ":" + n.Org }
-
-// IsZero reports whether the name is empty.
-func (n Name) IsZero() bool { return n == Name{} }
-
 // Well-known property names, following Clearinghouse usage.
 const (
 	// PropAddress holds a server's transport address list.
 	PropAddress = "addresslist"
 	// PropMailbox holds a user's mail server name.
 	PropMailbox = "mailboxes"
-	// PropUser marks user objects.
-	PropUser = "user"
 	// PropBinding holds a serialized HRPC binding (used by the CH binding
 	// NSM and the reregistration baseline).
 	PropBinding = "binding"

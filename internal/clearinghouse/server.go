@@ -94,12 +94,6 @@ func NewServer(host string, store *Store, auth *Authenticator) *Server {
 	return &Server{host: host, store: store, auth: auth}
 }
 
-// Host reports the server's host name.
-func (s *Server) Host() string { return s.host }
-
-// Store exposes the underlying store (for daemon persistence).
-func (s *Server) Store() *Store { return s.store }
-
 // AddPeer registers a replication peer. Updates received directly from
 // clients are forwarded to every peer; updates received from a peer are
 // not re-forwarded (one-hop flooding over a full mesh, the classic
@@ -109,10 +103,6 @@ func (s *Server) AddPeer(peer *Client) {
 	defer s.mu.Unlock()
 	s.peers = append(s.peers, peer)
 }
-
-// ReplicationFailures reports how many peer forwards have failed
-// (best-effort replication: failures are counted, not fatal).
-func (s *Server) ReplicationFailures() int64 { return s.replFailures.Load() }
 
 func (s *Server) replicate(ctx context.Context, fn func(ctx context.Context, peer *Client) error) {
 	s.mu.RLock()

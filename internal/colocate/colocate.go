@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"hns/internal/bind"
-	"hns/internal/cache"
 	"hns/internal/core"
 	"hns/internal/hrpc"
 	"hns/internal/marshal"
@@ -176,9 +175,6 @@ func (im *Importer) Close() {
 	im.rpc.Close()
 }
 
-// Arrangement reports which row this importer implements.
-func (im *Importer) Arrangement() Arrangement { return im.arr }
-
 // Import binds ServiceName on the host the HNS name designates — the
 // paper's Import call. hostName is an HNS name whose context tags the
 // naming world ("bind!fiji.cs.washington.edu"); Import constructs the
@@ -229,18 +225,6 @@ func (im *Importer) FlushHNSCache() {
 func (im *Importer) FlushNSMCache() {
 	im.w.BindBindingNSM.FlushCache()
 	im.w.CHBindingNSM.FlushCache()
-}
-
-// HNSCacheStats reports the arrangement's HNS cache counters.
-func (im *Importer) HNSCacheStats() cache.Stats {
-	switch {
-	case im.localHNS != nil:
-		return im.localHNS.Stats().Cache
-	case im.agentHNS != nil:
-		return im.agentHNS.Stats().Cache
-	default:
-		return cache.Stats{}
-	}
 }
 
 // ---- The row-2 agent.

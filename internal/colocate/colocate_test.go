@@ -31,8 +31,9 @@ func TestImportWorksInEveryArrangement(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer im.Close()
-			w.FlushAllCaches()
+			w.HNS.FlushCache()
 			im.FlushHNSCache()
+			im.FlushNSMCache()
 
 			b, err := im.Import(ctx, world.DesiredService,
 				world.DesiredProgram, world.DesiredVersion, BindHostName())
@@ -185,7 +186,11 @@ func TestHNSCacheStatsPerArrangement(t *testing.T) {
 			world.DesiredProgram, world.DesiredVersion, BindHostName()); err != nil {
 			t.Fatal(err)
 		}
-		if st := im.HNSCacheStats(); st.Hits+st.Misses == 0 {
+		h := im.localHNS
+		if h == nil {
+			h = im.agentHNS
+		}
+		if st := h.Stats().Cache; st.Hits+st.Misses == 0 {
 			t.Errorf("%s: no cache activity recorded", arr)
 		}
 		im.Close()

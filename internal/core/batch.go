@@ -46,21 +46,6 @@ var procFindNSMBatch = hrpc.Procedure{
 	PaperRet:  marshal.TStruct(marshal.TList(marshal.TStruct(marshal.TString, qclass.BindingType))),
 }
 
-// FindNSMBatch resolves up to MaxFindBatch queries against the local
-// library, one result per query. Each name resolves (and is charged)
-// independently; a failure fills its own slot and the rest proceed.
-func (h *HNS) FindNSMBatch(ctx context.Context, qs []NameQuery) ([]FindResult, error) {
-	if len(qs) > MaxFindBatch {
-		return nil, fmt.Errorf("hns: batch of %d exceeds limit %d", len(qs), MaxFindBatch)
-	}
-	out := make([]FindResult, len(qs))
-	for i, q := range qs {
-		b, err := h.FindNSM(ctx, q.Name, q.QueryClass)
-		out[i] = FindResult{Binding: b, Err: err}
-	}
-	return out, nil
-}
-
 // registerFindBatch installs the batch procedure on an HNS server over
 // any ContextFinder (a remote HNS batches through; others loop).
 func (fs finderServer) registerFindBatch(s *hrpc.Server) {

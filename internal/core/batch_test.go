@@ -25,28 +25,6 @@ func batchQueries() []core.NameQuery {
 	}
 }
 
-func TestLocalFindNSMBatch(t *testing.T) {
-	w := newWorld(t, world.Config{})
-	res, err := w.HNS.FindNSMBatch(context.Background(), batchQueries())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("got %d results", len(res))
-	}
-	if b := res[0].Binding; res[0].Err != nil || b.Host != "" || b.Addr != "june:"+world.PortBindingBind ||
-		b.Control != "sunrpc" || b.Program != qclass.ProgHRPCBinding {
-		t.Fatalf("slot 0 = %+v", res[0])
-	}
-	if res[1].Err == nil {
-		t.Fatal("ghost context resolved")
-	}
-	// Partial failure does not poison the batch.
-	if res[2].Err != nil || res[2].Binding.Addr != "june:"+world.PortBindingCH {
-		t.Fatalf("slot 2 = %+v", res[2])
-	}
-}
-
 func TestRemoteFindNSMBatch(t *testing.T) {
 	w := newWorld(t, world.Config{})
 	ln, hb, err := core.ServeHNS(w.Net, w.HNS, "june", "june:hns")
@@ -61,17 +39,25 @@ func TestRemoteFindNSMBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := w.HNS.FindNSMBatch(ctx, batchQueries())
-	if err != nil {
-		t.Fatal(err)
+	if len(res) != 3 {
+		t.Fatalf("got %d results", len(res))
 	}
-	for i := range res {
-		if (res[i].Err == nil) != (local[i].Err == nil) {
-			t.Fatalf("slot %d: remote err %v, local err %v", i, res[i].Err, local[i].Err)
+	for i, q := range batchQueries() {
+		local, err := w.HNS.FindNSM(ctx, q.Name, q.QueryClass)
+		if (res[i].Err == nil) != (err == nil) {
+			t.Fatalf("slot %d: remote err %v, local err %v", i, res[i].Err, err)
 		}
-		if res[i].Err == nil && res[i].Binding != local[i].Binding {
-			t.Fatalf("slot %d: remote %v != local %v", i, res[i].Binding, local[i].Binding)
+		if res[i].Err == nil && res[i].Binding != local {
+			t.Fatalf("slot %d: remote %v != local %v", i, res[i].Binding, local)
 		}
+	}
+	if b := res[0].Binding; res[0].Err != nil || b.Host != "" || b.Addr != "june:"+world.PortBindingBind ||
+		b.Control != "sunrpc" || b.Program != qclass.ProgHRPCBinding {
+		t.Fatalf("slot 0 = %+v", res[0])
+	}
+	// Partial failure does not poison the batch.
+	if res[2].Err != nil || res[2].Binding.Addr != "june:"+world.PortBindingCH {
+		t.Fatalf("slot 2 = %+v", res[2])
 	}
 	// The failing slot is a remote fault naming the cause, not a dead call.
 	var rf *hrpc.RemoteFault

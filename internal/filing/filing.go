@@ -86,9 +86,6 @@ func NewServer(host string) *Server {
 	return &Server{host: host, files: make(map[string][]byte)}
 }
 
-// Host reports the server's host name.
-func (s *Server) Host() string { return s.host }
-
 // Fetch reads one file, charging a disk read plus per-KB transfer.
 func (s *Server) Fetch(ctx context.Context, path string) ([]byte, error) {
 	s.mu.RLock()
@@ -250,13 +247,6 @@ func (c *Client) bind(ctx context.Context, server names.Name) (hrpc.Binding, err
 	return b, nil
 }
 
-// Invalidate drops a cached server binding (after a server move).
-func (c *Client) Invalidate(server names.Name) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.bindings, server.String())
-}
-
 // Fetch reads path from the named file server.
 func (c *Client) Fetch(ctx context.Context, server names.Name, path string) ([]byte, error) {
 	b, err := c.bind(ctx, server)
@@ -304,19 +294,6 @@ func (c *Client) List(ctx context.Context, server names.Name, prefix string) ([]
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// Remove deletes path on the named file server.
-func (c *Client) Remove(ctx context.Context, server names.Name, path string) (bool, error) {
-	b, err := c.bind(ctx, server)
-	if err != nil {
-		return false, err
-	}
-	ret, err := c.rpc.Call(ctx, b, procRemove, marshal.StructV(marshal.Str(path)))
-	if err != nil {
-		return false, err
-	}
-	return ret.Items[0].AsBool()
 }
 
 // Copy fetches from one named server and stores to another — possibly

@@ -111,13 +111,11 @@ func TestListAndRemove(t *testing.T) {
 	if len(got) != 2 || got[0] != "/src/a.c" || got[1] != "/src/b.c" {
 		t.Fatalf("List = %v", got)
 	}
-	ok, err := env.client.Remove(ctx, env.unixName, "/src/a.c")
-	if err != nil || !ok {
-		t.Fatalf("Remove = %v, %v", ok, err)
+	if !env.unixServer.Remove(ctx, "/src/a.c") {
+		t.Fatal("Remove found no /src/a.c")
 	}
-	ok, err = env.client.Remove(ctx, env.unixName, "/src/a.c")
-	if err != nil || ok {
-		t.Fatalf("second Remove = %v, %v", ok, err)
+	if env.unixServer.Remove(ctx, "/src/a.c") {
+		t.Fatal("second Remove found /src/a.c")
 	}
 	if env.unixServer.Len() != 2 {
 		t.Fatalf("server holds %d files", env.unixServer.Len())
@@ -162,19 +160,6 @@ func TestBindingCachedAcrossCalls(t *testing.T) {
 	// (hundreds of ms).
 	if cost > 100*time.Millisecond {
 		t.Fatalf("warm fetch cost %v — binding not cached", cost)
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	env := newFilingEnv(t)
-	ctx := context.Background()
-	if err := env.client.Store(ctx, env.unixName, "/f", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	env.client.Invalidate(env.unixName)
-	// Still works (rebinds through the HNS).
-	if _, err := env.client.Fetch(ctx, env.unixName, "/f"); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -90,6 +90,3 @@ func NewFailover(client *hrpc.Client, suite hrpc.Suite, backends []string, cfg C
 // Server exposes the underlying HRPC server, for hrpc.Serve to bind and
 // for a metrics registry override before it does.
 func (g *Gateway) Server() *hrpc.Server { return g.srv }
-
-// Admission exposes the controller, nil when admission is disabled.
-func (g *Gateway) Admission() *admission.Controller { return g.admit }

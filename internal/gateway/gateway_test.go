@@ -267,7 +267,7 @@ func TestGatewayShedsBatchFirst(t *testing.T) {
 			Metrics:     metrics.NewRegistry(),
 		},
 	})
-	ctl := e.gw.Admission()
+	ctl := e.gw.admit
 	// Occupy the low-priority headroom.
 	for i := 0; i < 3; i++ {
 		if err := ctl.Admit("occupier", admission.High); err != nil {

@@ -61,10 +61,3 @@ func (d *Directory) MailRoute(ctx context.Context, name names.Name) (mailHost, r
 	}
 	return nsm.CallMailRoute(ctx, d.rpc, b, name)
 }
-
-// Query invokes an arbitrary query class's NSM, for applications defining
-// their own classes: it returns the NSM binding for the caller to use with
-// that class's interface.
-func (d *Directory) Query(ctx context.Context, name names.Name, queryClass string) (hrpc.Binding, error) {
-	return d.finder.FindNSM(ctx, name, queryClass)
-}

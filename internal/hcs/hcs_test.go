@@ -90,12 +90,3 @@ func TestDirectoryOverRemoteHNS(t *testing.T) {
 		t.Fatalf("remote ResolveHost = %q", addr)
 	}
 }
-
-func TestDirectoryQueryUnknownClass(t *testing.T) {
-	w := newWorld(t)
-	d := hcs.New(w.HNS, w.RPC)
-	if _, err := d.Query(context.Background(),
-		world.DesiredServiceName(), "locking"); err == nil {
-		t.Fatal("unknown query class resolved")
-	}
-}

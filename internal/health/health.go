@@ -267,20 +267,6 @@ func (b *Breaker) Backpressure(d time.Duration) {
 	b.backpr.Inc()
 }
 
-// BackoffRemaining reports how much of a backpressure window is left
-// (zero when none is in force).
-func (b *Breaker) BackoffRemaining() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.backoffUntil.IsZero() {
-		return 0
-	}
-	if d := b.backoffUntil.Sub(b.cfg.Clock.Now()); d > 0 {
-		return d
-	}
-	return 0
-}
-
 // State reports the breaker's current state.
 func (b *Breaker) State() State {
 	b.mu.Lock()

@@ -2,7 +2,6 @@ package hrpc
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -117,18 +116,6 @@ func LookupControl(name string) (ControlProtocol, error) {
 		return nil, fmt.Errorf("hrpc: unknown control protocol %q", name)
 	}
 	return c, nil
-}
-
-// ControlNames lists registered control protocols, sorted.
-func ControlNames() []string {
-	ctlMu.RLock()
-	defer ctlMu.RUnlock()
-	out := make([]string, 0, len(ctls))
-	for n := range ctls {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func init() {

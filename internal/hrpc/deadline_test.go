@@ -402,13 +402,15 @@ func TestOverloadIsBackpressureNotFailure(t *testing.T) {
 	if st := br.State(); st != health.Closed {
 		t.Fatalf("breaker state = %v, want Closed (overload is not failure)", st)
 	}
-	if got := br.BackoffRemaining(); got != 50*time.Millisecond {
-		t.Fatalf("backoff window = %v, want 50ms", got)
-	}
 
 	// During the window the endpoint is out of rotation: fail fast, free.
 	if err := call(); !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("call inside backoff window: %v, want fail-fast CallTimeout", err)
+	}
+
+	clk.Advance(49 * time.Millisecond)
+	if ok, _ := br.Allow(); ok {
+		t.Fatal("breaker admits a call 49ms into a 50ms backoff window")
 	}
 
 	// Window passes (and the token bucket refills): service resumes.
@@ -460,8 +462,5 @@ func TestAdmissionKeysOnPeer(t *testing.T) {
 	}
 	if err := call(b2); err != nil {
 		t.Fatalf("peer B first call: %v", err)
-	}
-	if admit.Clients() < 2 {
-		t.Fatalf("admission saw %d clients, want >= 2 distinct peers", admit.Clients())
 	}
 }

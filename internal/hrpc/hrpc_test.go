@@ -47,11 +47,7 @@ func newEchoServer(t *testing.T, net *transport.Network, suite Suite, host, addr
 	t.Helper()
 	s := NewServer("echo@"+host, 7001, 1)
 	s.Register(echoProc, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
-		v, err := args.Field(0)
-		if err != nil {
-			return marshal.Value{}, err
-		}
-		return marshal.StructV(v), nil
+		return marshal.StructV(args.Items[0]), nil
 	})
 	s.Register(addProc, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		a, _ := args.Items[0].AsU32()
@@ -122,7 +118,7 @@ func TestCallAllSuites(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !marshal.Equal(ret, roster) {
+				if ret.String() != roster.String() {
 					t.Fatalf("roster echo = %v, want %v", ret, roster)
 				}
 			})
@@ -547,10 +543,6 @@ func TestControlRegistry(t *testing.T) {
 	if _, err := LookupControl("xns"); err == nil {
 		t.Fatal("unknown control resolved")
 	}
-	// At least the three built-ins (tests may register more).
-	if got := ControlNames(); len(got) < 3 {
-		t.Fatalf("ControlNames() = %v", got)
-	}
 }
 
 // ---- Portmapper.
@@ -576,7 +568,8 @@ func TestPortmapper(t *testing.T) {
 	}
 
 	// Register remotely, then look up.
-	if err := SetCall(context.Background(), c, pmB, 300, 1, "udp", "fiji:3000"); err != nil {
+	if _, err := c.Call(context.Background(), pmB, procPmapSet, marshal.StructV(
+		marshal.U32(300), marshal.U32(1), marshal.Str("udp"), marshal.Str("fiji:3000"))); err != nil {
 		t.Fatal(err)
 	}
 	addr, err := GetPortCall(context.Background(), c, pmB, 300, 1)

@@ -169,14 +169,6 @@ func GetPortCall(ctx context.Context, c *Client, pm Binding, prog, vers uint32) 
 	return addr, nil
 }
 
-// SetCall registers program/version→addr with the portmapper bound by pm.
-func SetCall(ctx context.Context, c *Client, pm Binding, prog, vers uint32, proto, addr string) error {
-	_, err := c.Call(ctx, pm, procPmapSet, marshal.StructV(
-		marshal.U32(prog), marshal.U32(vers), marshal.Str(proto), marshal.Str(addr),
-	))
-	return err
-}
-
 // NullCall pings procedure 0 of the server bound by b — the liveness probe
 // Sun-style binding performs before handing a binding to the client.
 func NullCall(ctx context.Context, c *Client, b Binding) error {

@@ -13,7 +13,6 @@ package mail
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -161,7 +160,7 @@ func (s *Server) HRPCServer() *hrpc.Server {
 }
 
 // Agent is the mail transfer agent: route through the HNS, deliver through
-// HRPC, spool failures for retry.
+// HRPC.
 type Agent struct {
 	dir *hcs.Directory
 	rpc *hrpc.Client
@@ -169,9 +168,6 @@ type Agent struct {
 	// the HRPCBinding context tag of that world — how a mailbox host name
 	// becomes an importable HNS name.
 	worldContext map[string]string
-
-	mu    sync.Mutex
-	spool []Message
 }
 
 // NewAgent creates an agent. worldContext maps routing disciplines
@@ -184,25 +180,9 @@ func NewAgent(dir *hcs.Directory, rpc *hrpc.Client, worldContext map[string]stri
 	return &Agent{dir: dir, rpc: rpc, worldContext: wc}
 }
 
-// Send routes and delivers one message. On delivery failure the message is
-// spooled; Flush retries the spool. Routing failures (unknown user) are
-// returned immediately — they are bounces, not transient faults.
+// Send routes and delivers one message. A routing failure (unknown user,
+// unroutable world) is a *BounceError; any other error is the delivery's.
 func (a *Agent) Send(ctx context.Context, m Message) (uint32, error) {
-	id, err := a.deliver(ctx, m)
-	if err == nil {
-		return id, nil
-	}
-	if isBounce(err) {
-		return 0, err
-	}
-	a.mu.Lock()
-	a.spool = append(a.spool, m)
-	a.mu.Unlock()
-	return 0, fmt.Errorf("mail: spooled after delivery failure: %w", err)
-}
-
-// deliver performs the full routed delivery.
-func (a *Agent) deliver(ctx context.Context, m Message) (uint32, error) {
 	mailHost, discipline, err := a.dir.MailRoute(ctx, m.To)
 	if err != nil {
 		return 0, &BounceError{To: m.To, Reason: err}
@@ -227,39 +207,6 @@ func (a *Agent) deliver(ctx context.Context, m Message) (uint32, error) {
 		return 0, err
 	}
 	return ret.Items[0].AsU32()
-}
-
-// Flush retries every spooled message, keeping the ones that still fail.
-// It reports how many were delivered.
-func (a *Agent) Flush(ctx context.Context) (delivered int, err error) {
-	a.mu.Lock()
-	pending := a.spool
-	a.spool = nil
-	a.mu.Unlock()
-
-	var kept []Message
-	var firstErr error
-	for _, m := range pending {
-		if _, derr := a.deliver(ctx, m); derr != nil {
-			kept = append(kept, m)
-			if firstErr == nil {
-				firstErr = derr
-			}
-			continue
-		}
-		delivered++
-	}
-	a.mu.Lock()
-	a.spool = append(kept, a.spool...)
-	a.mu.Unlock()
-	return delivered, firstErr
-}
-
-// Spooled reports how many messages await retry.
-func (a *Agent) Spooled() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.spool)
 }
 
 // ReadMailbox fetches a user's mailbox from their mailbox server, routed
@@ -296,7 +243,7 @@ func (a *Agent) ReadMailbox(ctx context.Context, user names.Name) ([]Stored, err
 }
 
 // BounceError is a permanent routing failure (unknown user, unroutable
-// world) — never spooled.
+// world).
 type BounceError struct {
 	To     names.Name
 	Reason error
@@ -309,8 +256,3 @@ func (e *BounceError) Error() string {
 
 // Unwrap exposes the underlying reason.
 func (e *BounceError) Unwrap() error { return e.Reason }
-
-func isBounce(err error) bool {
-	var b *BounceError
-	return errors.As(err, &b)
-}

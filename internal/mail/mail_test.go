@@ -19,11 +19,10 @@ import (
 // (where world's BIND mail records point) and one behind the CH mailsrv
 // object.
 type mailEnv struct {
-	w         *world.World
-	agent     *mail.Agent
-	juneBox   *mail.Server
-	xeroxBox  *mail.Server
-	xeroxStop func()
+	w        *world.World
+	agent    *mail.Agent
+	juneBox  *mail.Server
+	xeroxBox *mail.Server
 }
 
 func newMailEnv(t *testing.T) *mailEnv {
@@ -63,7 +62,6 @@ func newMailEnv(t *testing.T) *mailEnv {
 	})
 	return &mailEnv{
 		w: w, agent: agent, juneBox: juneBox, xeroxBox: xeroxBox,
-		xeroxStop: func() { lnX.Close() },
 	}
 }
 
@@ -127,9 +125,6 @@ func TestUnknownUserBouncesNotSpools(t *testing.T) {
 	if !errors.As(err, &bounce) {
 		t.Fatalf("want BounceError, got %v", err)
 	}
-	if env.agent.Spooled() != 0 {
-		t.Fatal("bounce was spooled")
-	}
 }
 
 func TestUnroutableDisciplineBounces(t *testing.T) {
@@ -143,45 +138,6 @@ func TestUnroutableDisciplineBounces(t *testing.T) {
 	var bounce *mail.BounceError
 	if !errors.As(err, &bounce) || !strings.Contains(err.Error(), "grapevine") {
 		t.Fatalf("want grapevine bounce, got %v", err)
-	}
-}
-
-func TestSpoolAndFlush(t *testing.T) {
-	env := newMailEnv(t)
-	ctx := context.Background()
-
-	// The Xerox mailbox server goes down; delivery spools.
-	env.xeroxStop()
-	_, err := env.agent.Send(ctx, mail.Message{
-		From: "x", To: names.Must(world.CtxMailCH, world.MailUserCH),
-		Subject: "while you were out",
-	})
-	if err == nil || env.agent.Spooled() != 1 {
-		t.Fatalf("send while down: err=%v spooled=%d", err, env.agent.Spooled())
-	}
-	// Flushing while still down keeps the message.
-	if n, _ := env.agent.Flush(ctx); n != 0 || env.agent.Spooled() != 1 {
-		t.Fatalf("flush while down delivered %d, spool %d", n, env.agent.Spooled())
-	}
-
-	// The server comes back at the same Courier endpoint.
-	lnX, bX, err := hrpc.Serve(env.w.Net, env.xeroxBox.HRPCServer(), hrpc.SuiteCourier, "mailsrv", "xerox:mailbox")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lnX.Close()
-	if err := env.w.CHClient().AddItem(ctx, clearinghouse.MustName(world.MailHostCH),
-		clearinghouse.PropBinding, []byte(qclass.FormatBinding(bX))); err != nil {
-		t.Fatal(err)
-	}
-	env.w.CHBindingNSM.FlushCache() // the NSM may have cached the dead binding
-
-	n, err := env.agent.Flush(ctx)
-	if err != nil || n != 1 || env.agent.Spooled() != 0 {
-		t.Fatalf("flush after restart: n=%d spool=%d err=%v", n, env.agent.Spooled(), err)
-	}
-	if got := env.xeroxBox.List(ctx, world.MailUserCH); len(got) != 1 {
-		t.Fatalf("spooled message not delivered: %v", got)
 	}
 }
 

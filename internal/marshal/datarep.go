@@ -3,7 +3,6 @@ package marshal
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -76,18 +75,6 @@ func Lookup(name string) (DataRep, error) {
 		return nil, fmt.Errorf("marshal: unknown data representation %q", name)
 	}
 	return r, nil
-}
-
-// Names lists the registered representation names, sorted.
-func Names() []string {
-	repMu.RLock()
-	defer repMu.RUnlock()
-	out := make([]string, 0, len(repsBy))
-	for n := range repsBy {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func init() {

@@ -28,7 +28,7 @@ func fuzzRep(f *testing.F, r DataRep, canonical bool) {
 			t.Fatalf("accepted % x, re-encodes as % x", data, buf)
 		}
 		v2, err := Unmarshal(r, buf, sampleType)
-		if err != nil || !Equal(v, v2) {
+		if err != nil || v.String() != v2.String() {
 			t.Fatalf("round trip changed value (%v)", err)
 		}
 	})

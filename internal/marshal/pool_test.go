@@ -13,12 +13,8 @@ import (
 // representation — the wire must not depend on where the buffer came from.
 
 func TestAppendIntoPooledBufferMatchesMarshal(t *testing.T) {
-	for _, name := range Names() {
-		r, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, r := range reps() {
+		t.Run(r.Name(), func(t *testing.T) {
 			want, err := Marshal(r, sampleValue(), sampleType)
 			if err != nil {
 				t.Fatal(err)
@@ -35,7 +31,7 @@ func TestAppendIntoPooledBufferMatchesMarshal(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s: Append into pooled buffer differs from Marshal\n got %x\nwant %x",
-					name, got, want)
+					r.Name(), got, want)
 			}
 			// Appending after existing content leaves a prefix intact and
 			// the encoding unchanged — the control protocols rely on this
@@ -46,7 +42,7 @@ func TestAppendIntoPooledBufferMatchesMarshal(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(both[:3], prefix) || !bytes.Equal(both[3:], want) {
-				t.Fatalf("%s: Append after prefix corrupted the encoding", name)
+				t.Fatalf("%s: Append after prefix corrupted the encoding", r.Name())
 			}
 			bufpool.Put(got)
 			bufpool.Put(both)
@@ -60,18 +56,14 @@ func FuzzAppendPooledEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string, n uint32, b []byte) {
 		v := StructV(Str(s), U32(n), BytesV(b), ListV(Str(s)))
 		ty := TStruct(TString, TUint32, TBytes, TList(TString))
-		for _, name := range Names() {
-			r, err := Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, r := range reps() {
 			want, werr := Marshal(r, v, ty)
 			got, gerr := r.Append(bufpool.Get(32), v, ty)
 			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("%s: error divergence: %v vs %v", name, werr, gerr)
+				t.Fatalf("%s: error divergence: %v vs %v", r.Name(), werr, gerr)
 			}
 			if werr == nil && !bytes.Equal(got, want) {
-				t.Fatalf("%s: pooled append differs", name)
+				t.Fatalf("%s: pooled append differs", r.Name())
 			}
 			if gerr == nil {
 				bufpool.Put(got)

@@ -149,43 +149,8 @@ func (v Value) AsBytes() ([]byte, error) {
 	return v.Bytes, nil
 }
 
-// Field returns struct field i.
-func (v Value) Field(i int) (Value, error) {
-	if v.Kind != KindStruct {
-		return Value{}, fmt.Errorf("marshal: value is %s, want struct", v.Kind)
-	}
-	if i < 0 || i >= len(v.Items) {
-		return Value{}, fmt.Errorf("marshal: struct has %d fields, want index %d", len(v.Items), i)
-	}
-	return v.Items[i], nil
-}
-
 // Len returns the number of list elements or struct fields.
 func (v Value) Len() int { return len(v.Items) }
-
-// Equal reports deep equality of two values.
-func Equal(a, b Value) bool {
-	if a.Kind != b.Kind || a.Num != b.Num || a.Str != b.Str {
-		return false
-	}
-	if len(a.Bytes) != len(b.Bytes) {
-		return false
-	}
-	for i := range a.Bytes {
-		if a.Bytes[i] != b.Bytes[i] {
-			return false
-		}
-	}
-	if len(a.Items) != len(b.Items) {
-		return false
-	}
-	for i := range a.Items {
-		if !Equal(a.Items[i], b.Items[i]) {
-			return false
-		}
-	}
-	return true
-}
 
 // String renders a value for traces and error messages.
 func (v Value) String() string {
@@ -239,7 +204,6 @@ type Type struct {
 // Convenience type constructors.
 var (
 	TUint32 = Type{Kind: KindUint32}
-	TUint64 = Type{Kind: KindUint64}
 	TBool   = Type{Kind: KindBool}
 	TString = Type{Kind: KindString}
 	TBytes  = Type{Kind: KindBytes}

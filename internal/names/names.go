@@ -89,9 +89,6 @@ func Parse(s string) (Name, error) {
 // String implements fmt.Stringer, producing the parseable form.
 func (n Name) String() string { return n.Context + Separator + n.Individual }
 
-// IsZero reports whether the name is empty.
-func (n Name) IsZero() bool { return n == Name{} }
-
 // Validate re-checks an already-constructed name (e.g. one received off
 // the wire).
 func (n Name) Validate() error {

@@ -74,12 +74,6 @@ func TestMustPanics(t *testing.T) {
 }
 
 func TestValidateAndZero(t *testing.T) {
-	if !(Name{}).IsZero() {
-		t.Fatal("zero name not IsZero")
-	}
-	if (Name{Context: "c", Individual: "i"}).IsZero() {
-		t.Fatal("non-zero name IsZero")
-	}
 	bad := Name{Context: "BAD SPACE", Individual: "x"}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("Validate accepted bad context")

@@ -35,9 +35,6 @@ func (b *BroadcastLocator) AddServer(s bind.Lookuper) {
 	b.servers = append(b.servers, s)
 }
 
-// Servers reports the federation size.
-func (b *BroadcastLocator) Servers() int { return len(b.servers) }
-
 // Resolve queries each server in turn for an address record, returning the
 // first authoritative answer. Servers that are not authoritative (or have
 // no record) cost a full round trip each before the next is tried.

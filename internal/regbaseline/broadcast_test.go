@@ -44,9 +44,6 @@ func TestBroadcastResolve(t *testing.T) {
 		newSubsystem(t, net, 1, bind.A("b.sub.test", "addr-b", 60)),
 	)
 	loc.AddServer(newSubsystem(t, net, 2, bind.A("c.sub.test", "addr-c", 60)))
-	if loc.Servers() != 3 {
-		t.Fatalf("Servers = %d", loc.Servers())
-	}
 	ctx := context.Background()
 
 	// First subsystem answers after one query.

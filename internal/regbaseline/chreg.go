@@ -43,17 +43,6 @@ func (r *CHRegistry) Register(ctx context.Context, service string, b hrpc.Bindin
 	return r.ch.AddItem(ctx, n, clearinghouse.PropBinding, []byte(qclass.FormatBinding(b)))
 }
 
-// ReregisterAll sweeps the full service set into the Clearinghouse.
-func (r *CHRegistry) ReregisterAll(ctx context.Context, services map[string]hrpc.Binding) error {
-	for svc, b := range services {
-		simtime.Charge(ctx, simtime.ReregPerEntry)
-		if err := r.Register(ctx, svc, b); err != nil {
-			return fmt.Errorf("chreg: reregistering %s: %w", svc, err)
-		}
-	}
-	return nil
-}
-
 // Import binds by retrieving the reregistered binding: one authenticated,
 // disk-resident Clearinghouse access plus demarshalling the stored copy.
 func (r *CHRegistry) Import(ctx context.Context, service string) (hrpc.Binding, error) {

@@ -15,14 +15,11 @@
 package regbaseline
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 
 	"hns/internal/hrpc"
-	"hns/internal/qclass"
 	"hns/internal/simtime"
 )
 
@@ -40,7 +37,6 @@ type FileEntry struct {
 type FileRegistry struct {
 	mu      sync.RWMutex
 	entries []FileEntry
-	sweeps  int
 }
 
 // NewFileRegistry creates an empty registry.
@@ -60,14 +56,6 @@ func (r *FileRegistry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.entries)
-}
-
-// Sweeps reports how many reregistration sweeps have run — the cost "that
-// continues without end".
-func (r *FileRegistry) Sweeps() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.sweeps
 }
 
 // Import binds by reading and parsing the local file: one disk read plus a
@@ -90,51 +78,4 @@ func (r *FileRegistry) Import(ctx context.Context, service, host string) (hrpc.B
 			service, host, len(r.entries))
 	}
 	return found.Binding, nil
-}
-
-// Reregister replaces the file's contents from authoritative sources — the
-// periodic sweep. Its cost is proportional to the total registered data,
-// paid whether or not anything changed.
-func (r *FileRegistry) Reregister(ctx context.Context, entries []FileEntry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for range entries {
-		simtime.Charge(ctx, simtime.ReregPerEntry)
-	}
-	r.entries = append([]FileEntry(nil), entries...)
-	r.sweeps++
-}
-
-// Render serialises the registry in its on-disk line format
-// ("service host binding"), for replication to other hosts.
-func (r *FileRegistry) Render() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var b strings.Builder
-	for _, e := range r.entries {
-		fmt.Fprintf(&b, "%s %s %s\n", e.Service, e.Host, qclass.FormatBinding(e.Binding))
-	}
-	return b.String()
-}
-
-// ParseFile parses the on-disk format back into entries.
-func ParseFile(s string) ([]FileEntry, error) {
-	var out []FileEntry
-	sc := bufio.NewScanner(strings.NewReader(s))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("filereg: malformed line %q", line)
-		}
-		b, err := qclass.ParseBinding(fields[2])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, FileEntry{Service: fields[0], Host: fields[1], Binding: b})
-	}
-	return out, sc.Err()
 }

@@ -3,7 +3,6 @@ package regbaseline
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -80,83 +79,6 @@ func TestFileRegistryCostGrowsWithEntries(t *testing.T) {
 	}
 }
 
-func TestFileRegistryStaleness(t *testing.T) {
-	// Between sweeps, the replicated file serves stale bindings — the
-	// consistency problem the paper charges reregistration with.
-	r := NewFileRegistry()
-	ctx := context.Background()
-	oldB := sampleBinding(1)
-	newB := sampleBinding(2)
-	r.Reregister(ctx, []FileEntry{{Service: "svc", Host: "fiji", Binding: oldB}})
-
-	// The authoritative source moves the service...
-	authoritative := []FileEntry{{Service: "svc", Host: "fiji", Binding: newB}}
-
-	// ...but imports still see the old copy.
-	got, err := r.Import(ctx, "svc", "fiji")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != oldB {
-		t.Fatalf("expected stale binding, got %v", got)
-	}
-	// Until the next sweep.
-	r.Reregister(ctx, authoritative)
-	got, err = r.Import(ctx, "svc", "fiji")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != newB {
-		t.Fatalf("after sweep: %v", got)
-	}
-	if r.Sweeps() != 2 {
-		t.Fatalf("Sweeps = %d", r.Sweeps())
-	}
-}
-
-func TestFileRegistrySweepCostNeverEnds(t *testing.T) {
-	r := NewFileRegistry()
-	entries := make([]FileEntry, 100)
-	for i := range entries {
-		entries[i] = FileEntry{Service: fmt.Sprintf("s%d", i), Host: "h", Binding: sampleBinding(i)}
-	}
-	cost, _ := simtime.Measure(context.Background(), func(ctx context.Context) error {
-		// Two sweeps with zero changes still pay full price twice.
-		r.Reregister(ctx, entries)
-		r.Reregister(ctx, entries)
-		return nil
-	})
-	want := 200 * simtime.ReregPerEntry
-	if cost != want {
-		t.Fatalf("sweep cost = %v, want %v", cost, want)
-	}
-}
-
-func TestFileRenderParseRoundTrip(t *testing.T) {
-	r := NewFileRegistry()
-	populate(r, 5)
-	text := r.Render()
-	if !strings.Contains(text, "desired fiji") {
-		t.Fatalf("Render = %q", text)
-	}
-	entries, err := ParseFile("# comment\n\n" + text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 5 {
-		t.Fatalf("ParseFile returned %d entries", len(entries))
-	}
-	if entries[4].Binding != sampleBinding(5) {
-		t.Fatalf("round trip mangled binding: %v", entries[4].Binding)
-	}
-	if _, err := ParseFile("too few fields\n"); err == nil {
-		t.Fatal("malformed line accepted")
-	}
-	if _, err := ParseFile("svc host not-a-binding\n"); err == nil {
-		t.Fatal("malformed binding accepted")
-	}
-}
-
 // ---- Clearinghouse reregistration baseline.
 
 func TestCHRegistryImport(t *testing.T) {
@@ -209,30 +131,5 @@ func TestCHRegistryCostAnchor(t *testing.T) {
 	}
 	if got := ms(cost); got < 150 || got > 182 {
 		t.Fatalf("reregistered-CH binding = %.1f ms, want ≈166 ms", got)
-	}
-}
-
-func TestCHRegistryReregisterAll(t *testing.T) {
-	w, err := world.New(world.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	r := NewCHRegistry(w.CHClient(), world.CHDomain, world.CHOrg)
-	ctx := context.Background()
-	services := map[string]hrpc.Binding{
-		"a": sampleBinding(1), "b": sampleBinding(2), "c": sampleBinding(3),
-	}
-	if err := r.ReregisterAll(ctx, services); err != nil {
-		t.Fatal(err)
-	}
-	for svc, want := range services {
-		got, err := r.Import(ctx, svc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("%s = %v, want %v", svc, got, want)
-		}
 	}
 }

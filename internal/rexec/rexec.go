@@ -194,27 +194,6 @@ func (c *Client) Run(ctx context.Context, host names.Name, command string, args 
 	return out, exit, nil
 }
 
-// Commands lists the named host's available commands.
-func (c *Client) Commands(ctx context.Context, host names.Name) ([]string, error) {
-	b, err := c.dir.Import(ctx, ServiceName, Program, Version, host)
-	if err != nil {
-		return nil, err
-	}
-	ret, err := c.rpc.Call(ctx, b, procCommands, marshal.StructV())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, ret.Items[0].Len())
-	for _, it := range ret.Items[0].Items {
-		n, err := it.AsString()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 // RunEverywhere executes one command on every named host concurrently and
 // gathers the results in host order. Per-host failures land in the Result,
 // not an aggregate error — partial completion is the useful outcome on a

@@ -125,10 +125,7 @@ func TestUnknownCommand(t *testing.T) {
 
 func TestCommandsList(t *testing.T) {
 	env := newRexecEnv(t)
-	cmds, err := env.client.Commands(context.Background(), env.xeroxName)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cmds := env.unixSrv.Commands()
 	want := []string{"echo", "hostname", "wc"}
 	if len(cmds) != len(want) {
 		t.Fatalf("Commands = %v", cmds)

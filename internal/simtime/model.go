@@ -147,9 +147,6 @@ const (
 	// 200 ms per binding with ~180 registered services.
 	FileRegRead         = 60 * time.Millisecond
 	FileRegScanPerEntry = 700 * time.Microsecond
-	// ReregPerEntry prices the background reregistration traffic of both
-	// baselines (per entry pushed to the replica/Clearinghouse).
-	ReregPerEntry = 1500 * time.Microsecond
 )
 
 // HandMarshal prices a hand-coded (de)marshal of a message carrying n

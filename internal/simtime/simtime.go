@@ -31,14 +31,13 @@ import (
 )
 
 // Meter accumulates simulated cost. It is safe for concurrent use; the
-// counters are atomics, so charging and reading are lock-free — the
+// counter is atomic, so charging and reading are lock-free — the
 // observability layer reads Elapsed several times per FindNSM, and those
 // reads must not serialize concurrent callers.
 //
 // The zero value is a valid, usable meter.
 type Meter struct {
 	elapsed atomic.Int64 // nanoseconds
-	events  atomic.Int64
 }
 
 // NewMeter returns a fresh meter.
@@ -51,7 +50,6 @@ func (m *Meter) Charge(d time.Duration) {
 		return
 	}
 	m.elapsed.Add(int64(d))
-	m.events.Add(1)
 }
 
 // Elapsed reports the total simulated cost charged so far.
@@ -60,23 +58,6 @@ func (m *Meter) Elapsed() time.Duration {
 		return 0
 	}
 	return time.Duration(m.elapsed.Load())
-}
-
-// Events reports how many individual charges have been recorded.
-func (m *Meter) Events() int {
-	if m == nil {
-		return 0
-	}
-	return int(m.events.Load())
-}
-
-// Reset zeroes the meter and returns the cost accumulated before the reset.
-func (m *Meter) Reset() time.Duration {
-	if m == nil {
-		return 0
-	}
-	m.events.Store(0)
-	return time.Duration(m.elapsed.Swap(0))
 }
 
 type meterKey struct{}

@@ -16,15 +16,12 @@ func TestMeterZeroValueUsable(t *testing.T) {
 	if got := m.Elapsed(); got != time.Millisecond {
 		t.Fatalf("Elapsed = %v, want 1ms", got)
 	}
-	if got := m.Events(); got != 1 {
-		t.Fatalf("Events = %d, want 1", got)
-	}
 }
 
 func TestMeterNilSafe(t *testing.T) {
 	var m *Meter
 	m.Charge(time.Second) // must not panic
-	if m.Elapsed() != 0 || m.Events() != 0 || m.Reset() != 0 {
+	if m.Elapsed() != 0 {
 		t.Fatal("nil meter must report zero everywhere")
 	}
 }
@@ -33,19 +30,8 @@ func TestMeterIgnoresNonPositive(t *testing.T) {
 	m := NewMeter()
 	m.Charge(0)
 	m.Charge(-time.Second)
-	if m.Elapsed() != 0 || m.Events() != 0 {
-		t.Fatalf("non-positive charges must be ignored, got %v/%d", m.Elapsed(), m.Events())
-	}
-}
-
-func TestMeterReset(t *testing.T) {
-	m := NewMeter()
-	m.Charge(3 * time.Millisecond)
-	if got := m.Reset(); got != 3*time.Millisecond {
-		t.Fatalf("Reset returned %v, want 3ms", got)
-	}
-	if m.Elapsed() != 0 || m.Events() != 0 {
-		t.Fatal("meter not cleared by Reset")
+	if m.Elapsed() != 0 {
+		t.Fatalf("non-positive charges must be ignored, got %v", m.Elapsed())
 	}
 }
 
@@ -65,9 +51,6 @@ func TestMeterConcurrent(t *testing.T) {
 	wg.Wait()
 	if got, want := m.Elapsed(), time.Duration(workers*per)*time.Microsecond; got != want {
 		t.Fatalf("Elapsed = %v, want %v", got, want)
-	}
-	if got := m.Events(); got != workers*per {
-		t.Fatalf("Events = %d, want %d", got, workers*per)
 	}
 }
 
@@ -224,10 +207,6 @@ func TestFakeClock(t *testing.T) {
 	c.Advance(90 * time.Second)
 	if got := c.Now(); !got.Equal(start.Add(90 * time.Second)) {
 		t.Fatalf("Advance: got %v", got)
-	}
-	c.Set(start)
-	if !c.Now().Equal(start) {
-		t.Fatal("Set did not reposition clock")
 	}
 }
 

@@ -26,7 +26,6 @@ package transport
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"hns/internal/simtime"
@@ -149,16 +148,4 @@ func (n *Network) Transport(name string) (Transport, error) {
 		return nil, fmt.Errorf("transport: unknown transport %q", name)
 	}
 	return t, nil
-}
-
-// Transports lists the registered transport names, sorted.
-func (n *Network) Transports() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.transports))
-	for name := range n.transports {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,14 +1,12 @@
-package workload_test
+package workload
 
 import (
 	"math"
 	"testing"
-
-	"hns/internal/workload"
 )
 
 // FuzzSpecValidate locks the Spec validation boundary: any spec Validate
-// accepts must be safe to Draw from (no panics in rand.NewZipf, every
+// accepts must be safe to draw from (no panics in rand.NewZipf, every
 // drawn context in range), and the documented rejections — non-positive
 // counts, skew in (0,1], NaN/Inf skew — must actually reject.
 func FuzzSpecValidate(f *testing.F) {
@@ -21,7 +19,7 @@ func FuzzSpecValidate(f *testing.F) {
 	f.Add(1, 1, 1, math.Inf(1), int64(0))
 	f.Add(1024, 1, 64, 2.0, int64(-9))
 	f.Fuzz(func(t *testing.T, clients, ops, contexts int, skew float64, seed int64) {
-		spec := workload.Spec{
+		spec := Spec{
 			Clients:      clients,
 			OpsPerClient: ops,
 			Contexts:     contexts,
@@ -54,7 +52,7 @@ func FuzzSpecValidate(f *testing.F) {
 			spec.Contexts = 512
 		}
 		for client := 0; client < spec.Clients; client++ {
-			stream := spec.Draw(client)
+			stream := draw(spec, client)
 			if len(stream) != spec.OpsPerClient {
 				t.Fatalf("client %d drew %d ops, want %d", client, len(stream), spec.OpsPerClient)
 			}
@@ -65,4 +63,36 @@ func FuzzSpecValidate(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDrawDeterministic pins the (seed, client) → operation-stream map:
+// schedules decide when a client's ops run, never what it asks for.
+func TestDrawDeterministic(t *testing.T) {
+	spec := Spec{Clients: 8, OpsPerClient: 64, Contexts: 6, Skew: 1.3, Seed: 99}
+	for client := 0; client < spec.Clients; client++ {
+		a, b := draw(spec, client), draw(spec, client)
+		if len(a) != spec.OpsPerClient {
+			t.Fatalf("client %d drew %d ops, want %d", client, len(a), spec.OpsPerClient)
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("client %d op %d differs between draws: %d vs %d", client, i, a[i], b[i])
+			}
+			if a[i] < 0 || a[i] >= spec.Contexts {
+				t.Fatalf("client %d op %d drew context %d outside [0,%d)", client, i, a[i], spec.Contexts)
+			}
+		}
+	}
+	// Neighbouring clients get decorrelated streams.
+	a, b := draw(spec, 0), draw(spec, 1)
+	same := true
+	for i := range a {
+		if a[i] != b[i] {
+			same = false
+			break
+		}
+	}
+	if same {
+		t.Fatal("clients 0 and 1 drew identical streams")
+	}
 }

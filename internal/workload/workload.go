@@ -127,11 +127,6 @@ func draw(spec Spec, client int) []int {
 	return drawContexts(clientRNG(spec.Seed, client), spec.OpsPerClient, spec.Contexts, spec.Skew)
 }
 
-// Draw exposes a client's deterministic operation stream: the context
-// index of each of its OpsPerClient FindNSM calls. Run consumes exactly
-// this stream.
-func (s Spec) Draw(client int) []int { return draw(s, client) }
-
 // Run executes the population under the given placement. The world must
 // already contain spec.Contexts synthetic types (world.AddSyntheticType).
 func Run(ctx context.Context, w *world.World, spec Spec, placement Placement) (Result, error) {

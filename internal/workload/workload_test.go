@@ -138,35 +138,3 @@ func TestUniformVsSkewed(t *testing.T) {
 		t.Fatalf("skewed mean %v not below uniform %v", s.MeanOpCost, u.MeanOpCost)
 	}
 }
-
-// TestDrawDeterministic pins the (seed, client) → operation-stream map:
-// schedules decide when a client's ops run, never what it asks for.
-func TestDrawDeterministic(t *testing.T) {
-	spec := workload.Spec{Clients: 8, OpsPerClient: 64, Contexts: 6, Skew: 1.3, Seed: 99}
-	for client := 0; client < spec.Clients; client++ {
-		a, b := spec.Draw(client), spec.Draw(client)
-		if len(a) != spec.OpsPerClient {
-			t.Fatalf("client %d drew %d ops, want %d", client, len(a), spec.OpsPerClient)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("client %d op %d differs between draws: %d vs %d", client, i, a[i], b[i])
-			}
-			if a[i] < 0 || a[i] >= spec.Contexts {
-				t.Fatalf("client %d op %d drew context %d outside [0,%d)", client, i, a[i], spec.Contexts)
-			}
-		}
-	}
-	// Neighbouring clients get decorrelated streams.
-	a, b := spec.Draw(0), spec.Draw(1)
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("clients 0 and 1 drew identical streams")
-	}
-}

@@ -545,15 +545,3 @@ func (w *World) AddSyntheticType(ctx context.Context, i int) (time.Duration, err
 		})
 	})
 }
-
-// FlushAllCaches clears the HNS meta-cache and every NSM cache — the
-// "cache miss" columns of Table 3.1 are measured this way.
-func (w *World) FlushAllCaches() {
-	w.HNS.FlushCache()
-	w.BindHostNSM.FlushCache()
-	w.CHHostNSM.FlushCache()
-	w.BindBindingNSM.FlushCache()
-	w.CHBindingNSM.FlushCache()
-	w.BindMailNSM.FlushCache()
-	w.CHMailNSM.FlushCache()
-}

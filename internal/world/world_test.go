@@ -66,26 +66,6 @@ func TestWorldCloseIdempotent(t *testing.T) {
 	w.Close() // must not panic
 }
 
-func TestWorldFlushAllCaches(t *testing.T) {
-	w, err := world.New(world.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	ctx := context.Background()
-	if _, err := w.HNS.FindNSM(ctx, world.DesiredServiceName(), qclass.HRPCBinding); err != nil {
-		t.Fatal(err)
-	}
-	m0 := w.HNS.Stats().Cache.Misses
-	w.FlushAllCaches()
-	if _, err := w.HNS.FindNSM(ctx, world.DesiredServiceName(), qclass.HRPCBinding); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.HNS.Stats().Cache.Misses; got <= m0 {
-		t.Fatal("FlushAllCaches left the meta-cache warm")
-	}
-}
-
 func TestWorldCloseStopsListeners(t *testing.T) {
 	w, err := world.New(world.Config{})
 	if err != nil {
